@@ -1,7 +1,7 @@
 //! # rmac-campaign — fleet-scale sweep orchestration
 //!
-//! The campaign layer turns the engine's single-replication entry points
-//! into declarative, resumable, queryable experiment fleets:
+//! The campaign layer turns the engine's single-replication entry point
+//! (`rmac_engine::Run`) into declarative, resumable, queryable experiment fleets:
 //!
 //! * [`spec`] — [`CampaignSpec`], the serializable protocol × scenario ×
 //!   rate × fault-plan × seed grid, fanned out in canonical case order.
@@ -13,10 +13,10 @@
 //!   `RunReport` metrics, `rmac-obs` counter/histogram snapshots, and the
 //!   conformance verdict in one deterministic JSONL record.
 //! * [`query`] — axis filters and seed-pooled mean/p50/p95 aggregation.
-//! * [`gate`] — the CI gate: conformance + deterministic-metric +
-//!   calibrated-perf comparison against a committed baseline.
+//! * [`gate`] — the CI gate: conformance + deterministic-metric
+//!   comparison against a committed baseline.
 //! * [`dashboard`] — ASCII and self-contained-HTML rendering of campaign
-//!   summaries, tracked `BENCH_*.json` trends, and red/green tiles.
+//!   summaries, trends, and red/green tiles.
 //! * [`pool`] — the panic-isolating parallel task pool ([`try_tasks`]).
 //! * [`json`] — the workspace's hand-rolled-JSON deserializer.
 //!

@@ -16,7 +16,7 @@ use crate::pool::try_tasks;
 use crate::query::summarize_json;
 use crate::spec::{CampaignSpec, CaseSpec};
 use crate::store::CaseRecord;
-use rmac_engine::{run_replication_instrumented, run_replication_sharded_checked, ObsConfig};
+use rmac_engine::{ObsConfig, Run};
 
 /// Knobs for one `run_campaign` invocation.
 #[derive(Clone, Debug)]
@@ -62,27 +62,24 @@ pub fn campaign_dir(name: &str) -> PathBuf {
     PathBuf::from("results/campaigns").join(name)
 }
 
-/// Execute one case: sharded engine when the spec asks for shards, the
-/// serial instrumented runner otherwise. The checker is always attached;
-/// obs is ingested on the serial path when requested (the sharded merge
-/// does not carry engine obs).
+/// Execute one case through [`Run`], checker always attached. The spec
+/// picks the engine (`shards`) and whether obs counters are ingested;
+/// [`CampaignSpec::validate`] has already refused the one combination
+/// `Run` cannot carry (obs on a sharded case).
 pub fn run_case(case: &CaseSpec) -> CaseRecord {
-    let cfg = case.config();
-    if case.shards > 1 {
-        let (report, check) =
-            run_replication_sharded_checked(&cfg, case.protocol, case.seed, &case.plan);
-        CaseRecord::from_run(case, &report, None, &check)
-    } else {
-        let obs = case.obs.then_some(ObsConfig {
-            snapshot_period: None,
-            // Wall readings are machine-dependent; the store must stay a
-            // pure function of the spec.
-            kernel_wall: false,
-        });
-        let (report, obs, check) =
-            run_replication_instrumented(&cfg, case.protocol, case.seed, &case.plan, obs);
-        CaseRecord::from_run(case, &report, obs.as_ref(), &check)
-    }
+    let obs = case.obs.then_some(ObsConfig {
+        snapshot_period: None,
+        // Wall readings are machine-dependent; the store must stay a
+        // pure function of the spec.
+        kernel_wall: false,
+    });
+    let out = Run::new(&case.config(), case.protocol, case.seed)
+        .faults(&case.plan)
+        .obs(obs)
+        .check()
+        .execute();
+    let check = out.check.expect("checker was attached");
+    CaseRecord::from_run(case, &out.report, out.obs.as_ref(), &check)
 }
 
 /// Load the valid canonical prefix of an existing `store.jsonl`: complete
@@ -113,6 +110,7 @@ pub fn run_campaign(
     dir: &Path,
     opts: &RunOptions,
 ) -> Result<CampaignOutcome, String> {
+    spec.validate()?;
     fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     let spec_json = spec.to_json();
     let manifest = dir.join("manifest.json");

@@ -271,30 +271,29 @@ impl CampaignSpec {
     /// Parse a spec back from its manifest JSON.
     pub fn from_json(text: &str) -> Result<CampaignSpec, String> {
         let v = Json::parse(text).map_err(|e| format!("campaign spec: {e}"))?;
-        let str_list = |key: &str| -> Result<Vec<String>, String> {
-            Ok(v.req(key)?
+        // Every element must have the axis's type: a skipped element would
+        // quietly run a smaller grid than the manifest describes.
+        fn list<T>(
+            v: &Json,
+            key: &str,
+            what: &str,
+            elem: impl Fn(&Json) -> Option<T>,
+        ) -> Result<Vec<T>, String> {
+            v.req(key)?
                 .as_arr()
                 .ok_or_else(|| format!("{key} must be an array"))?
                 .iter()
-                .filter_map(|x| x.as_str().map(str::to_string))
-                .collect())
-        };
-        let protocols = str_list("protocols")?
-            .iter()
-            .map(|s| protocol_from_label(s).ok_or_else(|| format!("unknown protocol {s:?}")))
-            .collect::<Result<Vec<_>, _>>()?;
-        let scenarios = str_list("scenarios")?
-            .iter()
-            .map(|s| ScenarioKind::from_label(s).ok_or_else(|| format!("unknown scenario {s:?}")))
-            .collect::<Result<Vec<_>, _>>()?;
-        let num_list = |key: &str| -> Result<Vec<f64>, String> {
-            Ok(v.req(key)?
-                .as_arr()
-                .ok_or_else(|| format!("{key} must be an array"))?
-                .iter()
-                .filter_map(Json::as_f64)
-                .collect())
-        };
+                .map(|x| elem(x).ok_or_else(|| format!("{key}: {} is not {what}", x.render())))
+                .collect()
+        }
+        let protocols = list(&v, "protocols", "a known protocol label", |x| {
+            protocol_from_label(x.as_str()?)
+        })?;
+        let scenarios = list(&v, "scenarios", "a known scenario label", |x| {
+            ScenarioKind::from_label(x.as_str()?)
+        })?;
+        let rates = list(&v, "rates", "a number", Json::as_f64)?;
+        let seeds = list(&v, "seeds", "a non-negative integer", Json::as_u64)?;
         let faults = v
             .req("faults")?
             .as_arr()
@@ -311,7 +310,7 @@ impl CampaignSpec {
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(CampaignSpec {
+        let spec = CampaignSpec {
             name: v
                 .req("name")?
                 .as_str()
@@ -319,8 +318,8 @@ impl CampaignSpec {
                 .to_string(),
             protocols,
             scenarios,
-            rates: num_list("rates")?,
-            seeds: num_list("seeds")?.iter().map(|s| *s as u64).collect(),
+            rates,
+            seeds,
             faults,
             packets: v
                 .req("packets")?
@@ -332,7 +331,26 @@ impl CampaignSpec {
                 .as_u64()
                 .ok_or("shards must be an integer")? as usize,
             obs: v.req("obs")?.as_bool().ok_or("obs must be a boolean")?,
-        })
+        };
+        spec.validate()?;
+        Ok(spec)
+    }
+
+    /// Refuse a grid [`rmac_engine::Run`] would refuse (or, before it did,
+    /// run wrong): a source rate that is not a finite positive number, and
+    /// obs ingestion on sharded cases (the sharded merge carries no engine
+    /// obs).
+    pub fn validate(&self) -> Result<(), String> {
+        if let Some(r) = self.rates.iter().find(|r| !(r.is_finite() && **r > 0.0)) {
+            return Err(format!("rates: {r} is not a finite positive rate"));
+        }
+        if self.obs && self.shards > 1 {
+            return Err(format!(
+                "obs cannot be ingested with shards = {}: the sharded merge carries no engine obs",
+                self.shards
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -423,6 +441,51 @@ mod tests {
         assert!(back.faults[1].plan.bursty.is_some());
         // The regenerated manifest is byte-identical (the resume contract).
         assert_eq!(back.to_json(), spec.to_json());
+    }
+
+    /// The quick paper-figures manifest with one `"key": value` replaced.
+    fn manifest_with(key: &str, value: &str) -> String {
+        let json = CampaignSpec::paper_figures(true).to_json();
+        let start = json.find(&format!("\"{key}\": ")).expect("key present") + key.len() + 4;
+        let end = start + json[start..].find(",\n").expect("value ends the line");
+        format!("{}{value}{}", &json[..start], &json[end..])
+    }
+
+    #[test]
+    fn wrongly_typed_axis_elements_are_errors() {
+        for (key, value, needle) in [
+            ("rates", "[5,\"40\"]", "rates: \"40\""),
+            ("seeds", "[0,1.5]", "seeds: 1.5"),
+            ("seeds", "[0,-1]", "seeds: -1"),
+            ("protocols", "[\"RMAC\",7]", "protocols: 7"),
+            ("protocols", "[\"RMAC\",\"TCP\"]", "protocols: \"TCP\""),
+            ("scenarios", "[\"stationary\",null]", "scenarios: null"),
+        ] {
+            let err = CampaignSpec::from_json(&manifest_with(key, value))
+                .expect_err("a wrongly-typed element must not shrink the grid");
+            assert!(err.contains(needle), "{key}={value}: {err}");
+        }
+    }
+
+    #[test]
+    fn unusable_rates_are_errors() {
+        for rate in ["0", "-5", "1e999"] {
+            let err = CampaignSpec::from_json(&manifest_with("rates", &format!("[5,{rate}]")))
+                .expect_err("rate must be refused");
+            assert!(err.contains("finite positive rate"), "{rate}: {err}");
+        }
+        let mut spec = CampaignSpec::paper_figures(true);
+        spec.rates.push(f64::NAN);
+        assert!(spec.validate().is_err());
+    }
+
+    #[test]
+    fn obs_on_sharded_cases_is_an_error() {
+        let json = manifest_with("obs", "true");
+        CampaignSpec::from_json(&json).expect("obs alone is fine");
+        let json = json.replace("\"shards\": 0", "\"shards\": 2");
+        let err = CampaignSpec::from_json(&json).expect_err("obs x shards refused");
+        assert!(err.contains("carries no engine obs"), "{err}");
     }
 
     #[test]

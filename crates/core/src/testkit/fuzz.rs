@@ -48,19 +48,6 @@ pub enum FuzzProtocol {
     RmacSkipRbtSense,
 }
 
-/// Which event-queue implementation drives the case's engines (mirrors
-/// the engine's `QueueKind` without depending on it). Every case also
-/// runs the serial binary-heap oracle, so drawing `Calendar` turns the
-/// case into a differential test of the calendar scheduler: a report
-/// mismatch between the two queues is its own finding class.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FuzzQueue {
-    /// The binary-heap `EventQueue` oracle.
-    Heap,
-    /// The calendar/ladder `CalendarQueue` (the engine default).
-    Calendar,
-}
-
 /// One crash/restart window (node index, start ms, duration ms).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FuzzChurn {
@@ -122,13 +109,10 @@ pub struct FuzzScenario {
     /// Fault plane.
     pub faults: FuzzFaults,
     /// Shard count for the sharded conservative-sync engine. Every case
-    /// runs both the single-queue oracle and the sharded engine at this
-    /// count; a report divergence is itself a finding.
+    /// runs the serial engine on the heap reference queue and on the
+    /// calendar queue, and the sharded engine at this count; a report
+    /// divergence between any two is itself a finding.
     pub shards: usize,
-    /// Event-queue implementation for the case's engines. Every case is
-    /// also run against the serial heap oracle; a queue-kind report
-    /// divergence is itself a finding.
-    pub queue: FuzzQueue,
 }
 
 impl FuzzScenario {
@@ -148,18 +132,12 @@ impl FuzzScenario {
             }
         };
         format!(
-            "{topo}-{:?}-{:.0}pps-{}pkt-{}B-s{}{}{}",
+            "{topo}-{:?}-{:.0}pps-{}pkt-{}B-s{}{}",
             self.protocol,
             self.rate_pps,
             self.packets,
             self.payload,
             self.shards,
-            // The calendar queue is the engine default; only the heap
-            // oracle gets a tag so pre-existing labels stay stable.
-            match self.queue {
-                FuzzQueue::Calendar => "",
-                FuzzQueue::Heap => "-heap",
-            },
             if self.faults.is_empty() {
                 ""
             } else {
@@ -223,26 +201,22 @@ pub fn scenario_strategy() -> impl Strategy<Value = FuzzScenario> {
         proptest::strategy::boxed(Just(FuzzProtocol::Bmmm)),
     ]);
     let shards = prop_oneof![Just(1usize), Just(2), Just(4), Just(8)];
-    let queue = prop_oneof![Just(FuzzQueue::Calendar), Just(FuzzQueue::Heap)];
     (
         topology_strategy(),
         protocol,
         5.0..60.0,
         (3u64..=30, 50usize..=500),
-        (faults_strategy(), shards, queue),
+        (faults_strategy(), shards),
     )
         .prop_map(
-            |(topology, protocol, rate_pps, (packets, payload), (faults, shards, queue))| {
-                FuzzScenario {
-                    topology,
-                    protocol,
-                    rate_pps,
-                    packets,
-                    payload,
-                    faults,
-                    shards,
-                    queue,
-                }
+            |(topology, protocol, rate_pps, (packets, payload), (faults, shards))| FuzzScenario {
+                topology,
+                protocol,
+                rate_pps,
+                packets,
+                payload,
+                faults,
+                shards,
             },
         )
 }
@@ -300,7 +274,5 @@ mod tests {
             .any(|s| matches!(s.topology, FuzzTopology::Cluster { .. })));
         assert!(draws.iter().any(|s| s.shards == 1));
         assert!(draws.iter().any(|s| s.shards > 1));
-        assert!(draws.iter().any(|s| s.queue == FuzzQueue::Heap));
-        assert!(draws.iter().any(|s| s.queue == FuzzQueue::Calendar));
     }
 }

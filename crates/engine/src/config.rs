@@ -84,34 +84,6 @@ impl Protocol {
     }
 }
 
-/// Which event-queue implementation drives a replication's event loop.
-///
-/// Both implementations pop in the identical global `(time, seq)` order, so
-/// every report is bit-identical either way (enforced by
-/// `tests/queue_equivalence.rs`); the choice is purely a performance and
-/// differential-testing axis.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum QueueKind {
-    /// The calendar/ladder queue ([`rmac_sim::CalendarQueue`]): O(1)
-    /// amortized push/pop tuned to the 15 µs tone-window cadence. The
-    /// default.
-    #[default]
-    Calendar,
-    /// The binary-heap oracle ([`rmac_sim::EventQueue`]), retained for
-    /// differential testing and A/B benchmarking.
-    Heap,
-}
-
-impl QueueKind {
-    /// Human-readable label used in bench output and fuzz reproducers.
-    pub fn label(self) -> &'static str {
-        match self {
-            QueueKind::Calendar => "calendar",
-            QueueKind::Heap => "heap",
-        }
-    }
-}
-
 /// One experiment's parameters. Defaults are the paper's §4.1 environment.
 #[derive(Clone, Debug)]
 pub struct ScenarioConfig {
@@ -152,26 +124,12 @@ pub struct ScenarioConfig {
     /// Unreliable Send service (one broadcast per hop, no recovery) — the
     /// paper's §1 motivation strawman.
     pub reliable_forwarding: bool,
-    /// Answer PHY range queries through the spatial grid index (default).
-    /// The grid is bit-identical to the brute-force scan (enforced by
-    /// `tests/grid_equivalence.rs`); disabling it exists for A/B
-    /// benchmarking and as a diagnostic escape hatch.
-    pub phy_grid: bool,
-    /// Attach the protocol-conformance checker ([`crate::run_replication_checked`]
-    /// panics on any invariant violation). Off by default; like the obs
-    /// layer, an attached checker never perturbs the simulation.
-    pub check: bool,
-    /// Shard count for the sharded conservative-sync engine
-    /// ([`crate::run_replication_sharded`]): the plane is cut into this
-    /// many equal-width stripes along x, each owning the events of the
-    /// nodes inside it. `1` (the default) is the single-queue oracle;
-    /// any value produces bit-identical reports (DESIGN.md §10, enforced
-    /// by `tests/shard_equivalence.rs`).
+    /// Shard count: above 1, [`crate::Run`] cuts the plane into this many
+    /// equal-width stripes along x and runs the sharded conservative-sync
+    /// engine; `1` (the default) runs the serial engine. Any value
+    /// produces bit-identical reports (DESIGN.md §10, enforced by
+    /// `tests/shard_equivalence.rs`).
     pub shards: usize,
-    /// Event-queue implementation (DESIGN.md §12). The calendar queue is
-    /// the default; the heap oracle exists for differential testing and
-    /// A/B benchmarking, and either choice yields bit-identical reports.
-    pub queue: QueueKind,
 }
 
 impl ScenarioConfig {
@@ -198,10 +156,7 @@ impl ScenarioConfig {
             mac: MacConfig::default(),
             positions: None,
             reliable_forwarding: true,
-            phy_grid: true,
-            check: false,
             shards: 1,
-            queue: QueueKind::default(),
         }
     }
 
@@ -257,39 +212,11 @@ impl ScenarioConfig {
         self
     }
 
-    /// Answer PHY range queries with the brute-force O(N) scan instead of
-    /// the spatial grid (A/B benchmarking; results are bit-identical).
-    pub fn with_brute_force_phy(mut self) -> Self {
-        self.phy_grid = false;
-        self
-    }
-
-    /// Run with the protocol-conformance checker attached (every invariant
-    /// violation fails the run).
-    pub fn with_check(mut self) -> Self {
-        self.check = true;
-        self
-    }
-
     /// Partition the world into `shards` spatial stripes for the sharded
     /// engine. Reports stay bit-identical for every value.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
-    }
-
-    /// Pick the event-queue implementation. Reports stay bit-identical
-    /// for either kind.
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
-        self
-    }
-
-    /// Drive the event loop with the binary-heap oracle instead of the
-    /// calendar queue (differential testing and A/B benchmarking; results
-    /// are bit-identical).
-    pub fn with_heap_queue(self) -> Self {
-        self.with_queue(QueueKind::Heap)
     }
 
     /// The interval between source packets.

@@ -19,26 +19,25 @@
 
 pub mod config;
 pub mod obs;
+pub mod run;
 pub mod shard;
 pub mod trace;
 pub mod transport;
 pub mod world;
 
-pub use config::{Protocol, QueueKind, ScenarioConfig};
+pub use config::{Protocol, ScenarioConfig};
 pub use obs::ObsConfig;
 pub use rmac_check::{CheckReport, Invariant, Violation};
 pub use rmac_faults::FaultPlan;
 pub use rmac_obs::ObsReport;
-pub use shard::{
-    run_replication_sharded, run_replication_sharded_checked, run_replication_sharded_with_faults,
-    GroupStats, ShardStats, ShardedRunner,
+pub use run::{
+    run_replication, run_replication_checked, run_replication_instrumented,
+    run_replication_sharded_checked, Reference, Run, RunOutput, ShardedRunner,
 };
+pub use shard::{GroupStats, ShardStats};
 pub use trace::{
     filter_tracer, jsonl_file_tracer, JsonlSink, SinkSummary, TraceEvent, TraceLevel, TraceWhat,
     Tracer,
 };
 pub use transport::{EngineMedium, EngineTransport, MediumStats};
-pub use world::{
-    run_replication, run_replication_checked, run_replication_instrumented,
-    run_replication_with_faults, Runner,
-};
+pub use world::Runner;

@@ -1,7 +1,7 @@
 //! Engine-side instrumentation: wiring `rmac-obs` into the event loop.
 //!
-//! Everything here is off unless [`Runner::set_obs`](crate::Runner::set_obs)
-//! attaches an [`ObsConfig`]; the disabled cost in the event loop is one
+//! Everything here is off unless [`Run::obs`](crate::Run::obs) attaches an
+//! [`ObsConfig`]; the disabled cost in the event loop is one
 //! `Option` check per event. Enabled instrumentation never draws from any
 //! RNG stream, never schedules events, and never changes a control-flow
 //! decision, so an instrumented run's `RunReport` is bit-identical to an

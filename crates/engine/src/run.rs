@@ -1,0 +1,318 @@
+//! The run surface: one builder in, one output struct out (DESIGN.md
+//! "Run surface").
+//!
+//! ```
+//! use rmac_engine::{Protocol, Run, ScenarioConfig};
+//!
+//! let cfg = ScenarioConfig::paper_stationary(5.0).with_packets(20);
+//! let out = Run::new(&cfg, Protocol::Rmac, 1).check().execute().assert_clean();
+//! assert!(out.report.delivery_ratio() > 0.9);
+//! ```
+//!
+//! Everything else in this module — [`run_replication`] and the nine names
+//! `benchmark/README.md` pins — is a shim of at most three lines over
+//! [`Run`].
+
+use std::sync::Arc;
+
+use rmac_check::CheckReport;
+use rmac_faults::FaultPlan;
+use rmac_metrics::RunReport;
+use rmac_obs::ObsReport;
+use rmac_sim::{CalendarQueue, EventQueue, SimQueue};
+use rmac_wire::NodeId;
+
+use crate::config::{Protocol, ScenarioConfig};
+use crate::obs::ObsConfig;
+use crate::shard::ShardStats;
+use crate::trace::Tracer;
+use crate::world::{collect_report, Ev, Harvest, Runner};
+
+/// One (scenario, protocol, seed) replication, described and then
+/// executed. Attachments are opt-in and never perturb the simulation: the
+/// [`RunOutput::report`] is bit-identical with or without them, on the
+/// serial engine and at any shard count.
+pub struct Run {
+    spec: Spec,
+    tracer: Option<Tracer>,
+    heap_queue: bool,
+}
+
+/// What [`Runner::assemble`] builds a world from: the part of a [`Run`]
+/// every shard group shares (the tracer is not `Sync` and goes to one
+/// group or to the trace merge).
+pub(crate) struct Spec {
+    /// Shared, not copied, into every runner assembled from this spec.
+    pub(crate) cfg: Arc<ScenarioConfig>,
+    pub(crate) protocol: Protocol,
+    pub(crate) seed: u64,
+    pub(crate) plan: FaultPlan,
+    pub(crate) obs: Option<ObsConfig>,
+    pub(crate) check: bool,
+    pub(crate) brute_phy: bool,
+}
+
+/// A retained reference implementation, selectable only for differential
+/// tests (see [`Run::reference`]).
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Reference {
+    /// The binary-heap event queue ([`rmac_sim::EventQueue`]) in place of
+    /// the calendar queue. Serial only.
+    HeapQueue,
+    /// The brute-force O(N) PHY neighbour scan
+    /// ([`rmac_phy::IndexMode::BruteForce`]) in place of the spatial grid.
+    BrutePhy,
+}
+
+/// Everything one replication produces.
+pub struct RunOutput {
+    /// The replication's metrics.
+    pub report: RunReport,
+    /// The observability report, when [`Run::obs`] attached the layer.
+    pub obs: Option<ObsReport>,
+    /// The conformance verdict, when [`Run::check`] attached the checker.
+    /// A sharded run lists violations group by group (event order within
+    /// each group).
+    pub check: Option<CheckReport>,
+    /// Each node's BLESS-lite parent at end of run (the multicast tree of
+    /// the paper's Fig. 6).
+    pub parents: Vec<Option<NodeId>>,
+    /// Scheduling statistics, when the sharded engine ran.
+    pub shard: Option<ShardStats>,
+}
+
+impl Run {
+    /// Describe a fault-free, uninstrumented replication.
+    ///
+    /// Panics when `cfg.rate_pps` is not a finite positive number: the
+    /// source interval `1 / rate_pps` would otherwise saturate the clock
+    /// and wrap the end-of-run time.
+    pub fn new(cfg: &ScenarioConfig, protocol: Protocol, seed: u64) -> Run {
+        assert!(
+            cfg.rate_pps.is_finite() && cfg.rate_pps > 0.0,
+            "ScenarioConfig::rate_pps must be finite and positive, got {}",
+            cfg.rate_pps
+        );
+        Run {
+            spec: Spec {
+                cfg: Arc::new(cfg.clone()),
+                protocol,
+                seed,
+                plan: FaultPlan::none(),
+                obs: None,
+                check: false,
+                brute_phy: false,
+            },
+            tracer: None,
+            heap_queue: false,
+        }
+    }
+
+    /// Run under a fault plan. `FaultPlan::none()` is bit-identical to no
+    /// plan (enforced by `tests/faults_determinism.rs`).
+    pub fn faults(mut self, plan: &FaultPlan) -> Run {
+        self.spec.plan = plan.clone();
+        self
+    }
+
+    /// Attach the deep instrumentation layer ([`crate::obs`]); `None`
+    /// leaves it detached. A sharded run that decomposes into several
+    /// groups cannot carry it and panics in [`Run::execute`].
+    pub fn obs(mut self, cfg: impl Into<Option<ObsConfig>>) -> Run {
+        self.spec.obs = cfg.into();
+        self
+    }
+
+    /// Attach the protocol-conformance checker; the verdict comes back in
+    /// [`RunOutput::check`] (see [`RunOutput::assert_clean`]).
+    pub fn check(mut self) -> Run {
+        self.spec.check = true;
+        self
+    }
+
+    /// Attach an observer that sees every PHY indication, submission and
+    /// delivery in dispatch order. A multi-group sharded run buffers each
+    /// group's emissions and replays them in the serial engine's order, so
+    /// traces are byte-stable at any shard count.
+    pub fn tracer(mut self, tracer: Tracer) -> Run {
+        self.tracer = Some(tracer);
+        self
+    }
+
+    /// Swap in a reference implementation. For differential tests only:
+    /// results are bit-identical by contract, which is what those tests
+    /// check.
+    #[doc(hidden)]
+    pub fn reference(mut self, which: Reference) -> Run {
+        match which {
+            Reference::HeapQueue => self.heap_queue = true,
+            Reference::BrutePhy => self.spec.brute_phy = true,
+        }
+        self
+    }
+
+    /// Run to completion: on the sharded engine when `cfg.shards > 1`, on
+    /// the serial engine otherwise.
+    pub fn execute(self) -> RunOutput {
+        if self.spec.cfg.shards > 1 {
+            return self.execute_sharded();
+        }
+        let seed = self.spec.seed;
+        if self.heap_queue {
+            self.into_runner(EventQueue::with_capacity).finish(seed)
+        } else {
+            self.into_runner(CalendarQueue::with_capacity).finish(seed)
+        }
+    }
+
+    /// Run on the sharded engine whatever `cfg.shards` says (one shard is
+    /// the serial algorithm behind the sharded queue).
+    pub(crate) fn execute_sharded(self) -> RunOutput {
+        assert!(
+            !self.heap_queue,
+            "Reference::HeapQueue is serial only: the sharded engine runs on the calendar queue"
+        );
+        crate::shard::execute(&self.spec, self.tracer)
+    }
+
+    /// Assemble the serial whole-world runner on the queue `make_q` builds.
+    fn into_runner<Q: SimQueue<Ev>>(self, make_q: impl FnOnce(usize) -> Q) -> Runner<Q> {
+        let mut runner = Runner::assemble(&self.spec, make_q, None, None);
+        if let Some(tracer) = self.tracer {
+            runner.set_tracer(tracer);
+        }
+        runner
+    }
+}
+
+impl RunOutput {
+    /// Reduce a finished (or merged) replication to its output.
+    pub(crate) fn collect(
+        cfg: &ScenarioConfig,
+        protocol: Protocol,
+        seed: u64,
+        harvest: &Harvest,
+        obs: Option<ObsReport>,
+        check: Option<CheckReport>,
+        shard: Option<ShardStats>,
+    ) -> RunOutput {
+        RunOutput {
+            report: collect_report(cfg, protocol, seed, harvest),
+            obs,
+            check,
+            parents: harvest.nets.iter().map(|n| n.bless().parent()).collect(),
+            shard,
+        }
+    }
+
+    /// Panic with the full violation listing unless the attached checker
+    /// found the run clean; hands the output back for chaining.
+    pub fn assert_clean(self) -> RunOutput {
+        let check = self
+            .check
+            .as_ref()
+            .expect("assert_clean on a run without .check()");
+        assert!(
+            check.is_clean(),
+            "protocol-conformance check failed ({}, scenario '{}'):\n{}",
+            self.report.protocol,
+            self.report.scenario,
+            check.summary()
+        );
+        self
+    }
+}
+
+/// Run one replication and return its report.
+pub fn run_replication(cfg: &ScenarioConfig, protocol: Protocol, seed: u64) -> RunReport {
+    Run::new(cfg, protocol, seed).execute().report
+}
+
+// ---------------------------------------------------------------------
+// Pinned shims: the names `benchmark/README.md` § Pinned API links. Their
+// signatures cannot change without a benchmark issue; new code calls `Run`.
+// ---------------------------------------------------------------------
+
+/// [`Run`] with `.faults(plan).check()`: the report and the verdict.
+pub fn run_replication_checked(
+    cfg: &ScenarioConfig,
+    protocol: Protocol,
+    seed: u64,
+    plan: &FaultPlan,
+) -> (RunReport, CheckReport) {
+    let out = Run::new(cfg, protocol, seed).faults(plan).check();
+    checked(out.execute())
+}
+
+/// [`run_replication_checked`] on the sharded engine at any `cfg.shards`.
+pub fn run_replication_sharded_checked(
+    cfg: &ScenarioConfig,
+    protocol: Protocol,
+    seed: u64,
+    plan: &FaultPlan,
+) -> (RunReport, CheckReport) {
+    let out = Run::new(cfg, protocol, seed).faults(plan).check();
+    checked(out.execute_sharded())
+}
+
+/// [`Run`] with `.faults(plan).obs(obs).check()`: report, obs report (if
+/// requested) and verdict.
+pub fn run_replication_instrumented(
+    cfg: &ScenarioConfig,
+    protocol: Protocol,
+    seed: u64,
+    plan: &FaultPlan,
+    obs: Option<ObsConfig>,
+) -> (RunReport, Option<ObsReport>, CheckReport) {
+    let run = Run::new(cfg, protocol, seed).faults(plan).obs(obs).check();
+    let out = run.execute();
+    (
+        out.report,
+        out.obs,
+        out.check.expect("checker was attached"),
+    )
+}
+
+fn checked(out: RunOutput) -> (RunReport, CheckReport) {
+    (out.report, out.check.expect("checker was attached"))
+}
+
+impl Runner {
+    /// The assembled serial replication of `Run::new(cfg, protocol, seed)`.
+    pub fn new(cfg: &ScenarioConfig, protocol: Protocol, seed: u64) -> Runner {
+        Run::new(cfg, protocol, seed).into_runner(CalendarQueue::with_capacity)
+    }
+
+    /// [`Run::obs`] on an assembled runner.
+    pub fn set_obs(&mut self, cfg: ObsConfig) {
+        self.attach(Some(cfg), false)
+    }
+
+    /// [`Run::execute`]'s report.
+    pub fn run(self, seed: u64) -> RunReport {
+        self.finish(seed).report
+    }
+
+    /// [`Run::execute`]'s report and obs report.
+    pub fn run_obs(self, seed: u64) -> (RunReport, Option<ObsReport>) {
+        let out = self.finish(seed);
+        (out.report, out.obs)
+    }
+}
+
+/// [`Run`] pinned to the sharded engine.
+pub struct ShardedRunner(Run);
+
+impl ShardedRunner {
+    /// `Run::new(cfg, protocol, seed)`, to run sharded at any `cfg.shards`.
+    pub fn new(cfg: &ScenarioConfig, protocol: Protocol, seed: u64) -> ShardedRunner {
+        ShardedRunner(Run::new(cfg, protocol, seed))
+    }
+
+    /// [`Run::execute`]'s report and scheduling statistics.
+    pub fn run_with_stats(self) -> (RunReport, ShardStats) {
+        let out = self.0.execute_sharded();
+        (out.report, out.shard.expect("the sharded engine ran"))
+    }
+}

@@ -44,7 +44,7 @@
 //! each node's owner group in global node order (float accumulation order
 //! is part of bit-identity), channel/fault tallies are sums, and the final
 //! clock is the max. `tests/shard_equivalence.rs` holds the whole stack to
-//! `RunReport` bit-identity against [`run_replication`] at 2/4/8 shards.
+//! `RunReport` bit-identity against the serial engine at 2/4/8 shards.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -52,16 +52,17 @@ use std::thread;
 
 use rmac_check::CheckReport;
 use rmac_faults::FaultPlan;
-use rmac_metrics::RunReport;
 use rmac_mobility::{MobilityKind, Pos};
+use rmac_obs::ObsReport;
 use rmac_phy::FrameTallies;
-use rmac_sim::{CalendarQueue, EventQueue, SeqQueue, ShardedQueue, SimRng, SimTime};
+use rmac_sim::{EventQueue, ShardedQueue, SimQueue, SimRng, SimTime};
 
-use crate::config::{Protocol, QueueKind, ScenarioConfig};
+use crate::config::ScenarioConfig;
+use crate::run::{RunOutput, Spec};
 use crate::trace::{TraceEvent, Tracer};
 use crate::world::{
-    build_motions, collect_report, seed_slots, BeaconPlan, DispatchRec, Ev, Harvest, Runner, Scope,
-    BEACON_JITTER_NS,
+    build_motions, seed_slots, BeaconPlan, DispatchLog, DispatchRec, Ev, Harvest, Runner, Scope,
+    ShardQueue, BEACON_JITTER_NS,
 };
 
 /// Guard margin on the radio range when testing whether two stripes are
@@ -181,29 +182,25 @@ impl BeaconTimetable {
         sched: &mut SimRng,
     ) -> Vec<Vec<SimTime>> {
         let mut times: Vec<Vec<SimTime>> = vec![Vec::new(); nodes];
-        let mut q: EventQueue<u16> = EventQueue::with_capacity(nodes.max(16));
+        let mut beacons: EventQueue<u16> = EventQueue::with_capacity(nodes.max(16));
         // Initial staggers: drawn in node order, exactly as the oracle's
         // seeding loop does.
         for (i, t) in times.iter_mut().enumerate() {
             let at = SimTime::from_nanos(sched.below(period.nanos().max(1)));
             t.push(at);
-            q.push(at, i as u16);
+            beacons.push(at, i as u16);
         }
-        // Replay dispatches. Beacon events pop here in the same relative
+        // Replay dispatches up to the end of the run (a beacon past it
+        // never dispatches). Beacon events pop here in the same relative
         // order as in the full queue: pushes happen at the dispatch of the
         // predecessor beacon (same order by induction) and simultaneous
         // beacons tie-break FIFO in both queues. Interleaved non-beacon
         // events neither draw from the stream nor reorder beacons.
-        while let Some((t, node)) = q.pop() {
-            if t > end {
-                // Time-ordered pops: everything remaining is also past the
-                // end of the run and never dispatches.
-                break;
-            }
+        while let Some((t, node)) = SimQueue::pop_at_or_before(&mut beacons, end) {
             let jitter = SimTime::from_nanos(sched.below(BEACON_JITTER_NS));
             let next = t + period + jitter;
             times[node as usize].push(next);
-            q.push(next, node);
+            beacons.push(next, node);
         }
         times
     }
@@ -273,300 +270,219 @@ struct TraceCapture {
 struct GroupRun {
     harvest: Harvest,
     check: Option<CheckReport>,
+    /// Only a single-group run carries engine obs ([`execute`] refuses it
+    /// on several groups).
+    obs: Option<ObsReport>,
     cross_pushes: u64,
     local_pushes: u64,
     wall_ns: u64,
     trace: Option<TraceCapture>,
 }
 
-/// A replication driven by the sharded engine. Construction mirrors
-/// [`Runner`]; `cfg.shards` picks the partition width.
-pub struct ShardedRunner {
-    cfg: ScenarioConfig,
-    protocol: Protocol,
-    seed: u64,
-    plan: FaultPlan,
-    tracer: Option<Tracer>,
-}
+/// Run `spec` on the sharded engine, `spec.cfg.shards` stripes wide.
+pub(crate) fn execute(spec: &Spec, tracer: Option<Tracer>) -> RunOutput {
+    let shards = spec.cfg.shards.max(1);
+    let master = SimRng::new(spec.seed);
+    let mut motions = build_motions(&spec.cfg, &spec.plan, &master);
+    let positions: Vec<Pos> = motions
+        .iter_mut()
+        .map(|m| m.position_at(SimTime::ZERO))
+        .collect();
+    let map = ShardMap::stripes(&positions, spec.cfg.bounds.width, shards);
+    // Causal closure is only provable for frozen geometry and a noise-
+    // free channel: mobility lets nodes roam across stripes, and a
+    // positive BER sequences the shared channel-noise stream over all
+    // receptions. An attached tracer does not force a single group:
+    // multi-group runs buffer per-group emissions and merge them back
+    // into the oracle's order (see the trace-merge section below).
+    let parallel_ok =
+        matches!(spec.cfg.mobility, MobilityKind::Stationary) && spec.cfg.ber_per_bit == 0.0;
+    let groups: Vec<Vec<usize>> = if parallel_ok {
+        coupled_groups(&positions, &map.owner, shards, spec.cfg.range_m)
+    } else {
+        vec![(0..shards).collect()]
+    };
+    assert!(
+        spec.obs.is_none() || groups.len() == 1,
+        "Run::obs on a sharded run that decomposes into {} groups: the sharded merge does not \
+         carry engine obs (run with cfg.shards = 1 to instrument this scenario)",
+        groups.len()
+    );
+    let times = Arc::new(BeaconTimetable::build(
+        spec.cfg.nodes,
+        spec.cfg.beacon_period,
+        spec.cfg.end_time(),
+        &mut master.split(3),
+    ));
+    let nodes = spec.cfg.nodes;
+    let owner = &map.owner;
 
-impl ShardedRunner {
-    /// Build a sharded replication from a scenario, protocol and seed.
-    pub fn new(cfg: &ScenarioConfig, protocol: Protocol, seed: u64) -> ShardedRunner {
-        ShardedRunner::with_faults(cfg, protocol, seed, &FaultPlan::none())
-    }
-
-    /// Build a sharded replication with a fault plan attached.
-    pub fn with_faults(
-        cfg: &ScenarioConfig,
-        protocol: Protocol,
-        seed: u64,
-        plan: &FaultPlan,
-    ) -> ShardedRunner {
-        ShardedRunner {
-            cfg: cfg.clone(),
-            protocol,
-            seed,
-            plan: plan.clone(),
-            tracer: None,
+    let run_group = |group: &[usize], tracer: Option<Tracer>, capture: bool| -> GroupRun {
+        let started = std::time::Instant::now();
+        // Local (sub-queue) index of each shard in this group.
+        let mut local_of = vec![usize::MAX; shards];
+        for (li, &s) in group.iter().enumerate() {
+            local_of[s] = li;
         }
-    }
-
-    /// Attach a trace observer. Tracing does not restrict the group
-    /// decomposition: a multi-group run buffers each group's emissions and
-    /// interleaves the buffers back into the oracle's global order before
-    /// the observer sees them, so the golden traces replay byte-stable at
-    /// any shard count (`tests/golden_traces.rs`).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = Some(tracer);
-    }
-
-    /// Run to completion and produce the replication's report (panicking
-    /// on conformance violations when `cfg.check` is set, like
-    /// [`Runner::run`]).
-    pub fn run(self) -> RunReport {
-        self.run_with_stats().0
-    }
-
-    /// Run to completion, also returning the scheduling statistics.
-    pub fn run_with_stats(self) -> (RunReport, ShardStats) {
-        let (report, _, stats) = self.execute(false);
-        (report, stats)
-    }
-
-    /// Run with the conformance checker attached (regardless of
-    /// `cfg.check`) and return the merged per-group conformance report
-    /// instead of panicking — the fuzzer's sharded entry point. Violations
-    /// are listed group-by-group (event order within each group).
-    pub fn run_checked(self) -> (RunReport, CheckReport) {
-        let (report, check, _) = self.execute(true);
-        (report, check.expect("checked run lost its report"))
-    }
-
-    /// Dispatch on `cfg.queue`: the sharded engine runs its per-group
-    /// sub-queues on either the calendar queue or the heap oracle, with
-    /// bit-identical results (the shared front-end seq counter pins the
-    /// global pop order regardless of sub-queue kind).
-    fn execute(self, collect_check: bool) -> (RunReport, Option<CheckReport>, ShardStats) {
-        match self.cfg.queue {
-            QueueKind::Calendar => self.execute_with::<CalendarQueue<Ev>>(collect_check),
-            QueueKind::Heap => self.execute_with::<EventQueue<Ev>>(collect_check),
+        let owned: Vec<bool> = owner.iter().map(|&s| local_of[s] != usize::MAX).collect();
+        let owner = owner.clone();
+        let router = move |ev: &Ev| local_of[owner[ev.home_slot(nodes)]];
+        let per_shard = group.len().max(1);
+        let mut runner: Runner<ShardQueue> = Runner::assemble(
+            spec,
+            |cap| ShardedQueue::new(per_shard, cap / per_shard + 1, Box::new(router)),
+            Some(Scope { owned }),
+            Some(BeaconPlan::new(Arc::clone(&times))),
+        );
+        if let Some(t) = tracer {
+            runner.set_tracer(t);
         }
-    }
-
-    fn execute_with<SQ: SeqQueue<Ev>>(
-        mut self,
-        collect_check: bool,
-    ) -> (RunReport, Option<CheckReport>, ShardStats) {
-        let shards = self.cfg.shards.max(1);
-        let master = SimRng::new(self.seed);
-        let mut motions = build_motions(&self.cfg, &self.plan, &master);
-        let positions: Vec<Pos> = motions
-            .iter_mut()
-            .map(|m| m.position_at(SimTime::ZERO))
-            .collect();
-        let map = ShardMap::stripes(&positions, self.cfg.bounds.width, shards);
-        // Causal closure is only provable for frozen geometry and a noise-
-        // free channel: mobility lets nodes roam across stripes, and a
-        // positive BER sequences the shared channel-noise stream over all
-        // receptions. An attached tracer no longer forces a single group:
-        // multi-group runs buffer per-group emissions and merge them back
-        // into the oracle's order (see the trace-merge section below).
-        let parallel_ok =
-            matches!(self.cfg.mobility, MobilityKind::Stationary) && self.cfg.ber_per_bit == 0.0;
-        let groups: Vec<Vec<usize>> = if parallel_ok {
-            coupled_groups(&positions, &map.owner, shards, self.cfg.range_m)
+        // With multiple traced groups, the group buffers its emissions
+        // and logs each dispatch so the merge below can restore the
+        // oracle's global emission order.
+        let trace = if capture {
+            let buf: Arc<Mutex<Vec<TraceEvent>>> = Arc::default();
+            let sink = Arc::clone(&buf);
+            runner.set_tracer(Box::new(move |e| {
+                sink.lock().expect("trace buffer poisoned").push(e.clone())
+            }));
+            let mut hook = DispatchLog::new(&buf);
+            runner.run_loop(&mut hook);
+            let log = hook.log;
+            let events = std::mem::take(&mut *buf.lock().expect("trace buffer poisoned"));
+            Some(TraceCapture { events, log })
         } else {
-            vec![(0..shards).collect()]
+            runner.run_events();
+            None
         };
-        let times = Arc::new(BeaconTimetable::build(
-            self.cfg.nodes,
-            self.cfg.beacon_period,
-            self.cfg.end_time(),
-            &mut master.split(3),
-        ));
-        let cfg = &self.cfg;
-        let plan = &self.plan;
-        let protocol = self.protocol;
-        let seed = self.seed;
-        let nodes = cfg.nodes;
-        let owner = &map.owner;
-        let tracer = self.tracer.take();
+        let check = runner.finish_check();
+        let obs = runner.finish_obs();
+        let (cross_pushes, local_pushes) = runner.bus_stats();
+        GroupRun {
+            harvest: runner.harvest(),
+            check,
+            obs,
+            cross_pushes,
+            local_pushes,
+            wall_ns: started.elapsed().as_nanos() as u64,
+            trace,
+        }
+    };
 
-        let run_group = |group: &[usize], tracer: Option<Tracer>, capture: bool| -> GroupRun {
-            let started = std::time::Instant::now();
-            // Local (sub-queue) index of each shard in this group.
-            let mut local_of = vec![usize::MAX; shards];
-            for (li, &s) in group.iter().enumerate() {
-                local_of[s] = li;
-            }
-            let owned: Vec<bool> = owner.iter().map(|&s| local_of[s] != usize::MAX).collect();
-            let owner = owner.clone();
-            let router = move |ev: &Ev| local_of[owner[ev.home_slot(nodes)]];
-            let per_shard = group.len().max(1);
-            let mut runner: Runner<ShardedQueue<Ev, SQ>> = Runner::assemble(
-                cfg,
-                protocol,
-                seed,
-                plan,
-                |cap| ShardedQueue::new(per_shard, cap / per_shard + 1, Box::new(router)),
-                Some(Scope { owned }),
-                Some(BeaconPlan::new(Arc::clone(&times))),
-            );
-            if let Some(t) = tracer {
-                runner.set_tracer(t);
-            }
-            if collect_check {
-                runner.ensure_check();
-            }
-            // With multiple traced groups, the group buffers its emissions
-            // and logs each dispatch so the merge below can restore the
-            // oracle's global emission order.
-            let log = if capture {
-                let buf: Arc<Mutex<Vec<TraceEvent>>> = Arc::default();
-                let sink = Arc::clone(&buf);
-                runner.set_tracer(Box::new(move |e| {
-                    sink.lock().expect("trace buffer poisoned").push(e.clone())
-                }));
-                let log = runner.run_loop_logged(&buf);
-                Some((buf, log))
-            } else {
-                runner.run_loop();
-                None
-            };
-            let check = if collect_check {
-                runner.finish_check()
-            } else {
-                runner.assert_check_clean();
-                None
-            };
-            let (cross_pushes, local_pushes) = runner.bus_stats();
-            let harvest = runner.harvest();
-            let trace = log.map(|(buf, log)| TraceCapture {
-                events: Arc::try_unwrap(buf)
-                    .expect("trace buffer still shared after the run")
-                    .into_inner()
-                    .expect("trace buffer poisoned"),
-                log,
-            });
-            GroupRun {
-                harvest,
-                check,
-                cross_pushes,
-                local_pushes,
-                wall_ns: started.elapsed().as_nanos() as u64,
-                trace,
-            }
-        };
-
-        // One worker per available core, capped by the group count.
-        // Oversubscribing cores would only interleave the groups and
-        // thrash their working sets against each other; on a single-core
-        // host the groups therefore run back to back, and the speedup
-        // over the oracle is pure working-set reduction (smaller event
-        // heap, smaller live state per group).
-        let workers = thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .min(groups.len());
-        // A single group streams straight into the user's tracer (the
-        // group's dispatch order *is* the oracle's); multiple traced
-        // groups run in capture mode and merge afterwards.
-        let capture = tracer.is_some() && groups.len() > 1;
-        let mut tracer = tracer;
-        let mut results: Vec<GroupRun> = if groups.len() == 1 {
-            vec![run_group(&groups[0], tracer.take(), false)]
-        } else if workers <= 1 {
-            groups.iter().map(|g| run_group(g, None, capture)).collect()
-        } else {
-            let next = AtomicUsize::new(0);
-            let slots: Vec<Mutex<Option<GroupRun>>> =
-                groups.iter().map(|_| Mutex::new(None)).collect();
-            thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        s.spawn(|| loop {
-                            let gi = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(g) = groups.get(gi) else { break };
-                            let run = run_group(g, None, capture);
-                            *slots[gi].lock().expect("slot poisoned") = Some(run);
-                        })
+    // One worker per available core, capped by the group count.
+    // Oversubscribing cores would only interleave the groups and
+    // thrash their working sets against each other; on a single-core
+    // host the groups therefore run back to back, and the speedup
+    // over the oracle is pure working-set reduction (smaller event
+    // heap, smaller live state per group).
+    let workers = thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(groups.len());
+    // A single group streams straight into the user's tracer (the
+    // group's dispatch order *is* the oracle's); multiple traced
+    // groups run in capture mode and merge afterwards.
+    let capture = tracer.is_some() && groups.len() > 1;
+    let mut tracer = tracer;
+    let mut results: Vec<GroupRun> = if groups.len() == 1 {
+        vec![run_group(&groups[0], tracer.take(), false)]
+    } else if workers <= 1 {
+        groups.iter().map(|g| run_group(g, None, capture)).collect()
+    } else {
+        let next = AtomicUsize::new(0);
+        let slots: Vec<Mutex<Option<GroupRun>>> = groups.iter().map(|_| Mutex::new(None)).collect();
+        thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    s.spawn(|| loop {
+                        let gi = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(g) = groups.get(gi) else { break };
+                        let done = run_group(g, None, capture);
+                        *slots[gi].lock().expect("slot poisoned") = Some(done);
                     })
-                    .collect();
-                for h in handles {
-                    // A group panic (e.g. a conformance breach under
-                    // `cfg.check`) surfaces with its own message.
-                    if let Err(payload) = h.join() {
-                        std::panic::resume_unwind(payload);
-                    }
-                }
-            });
-            slots
-                .into_iter()
-                .map(|m| {
-                    m.into_inner()
-                        .expect("slot poisoned")
-                        .expect("worker pool left a group unrun")
                 })
-                .collect()
-        };
-
-        let mut stats = ShardStats {
-            shards,
-            groups: groups.len(),
-            cross_pushes: 0,
-            local_pushes: 0,
-            group_stats: results
-                .iter()
-                .zip(&groups)
-                .map(|(r, g)| GroupStats {
-                    shards: g.clone(),
-                    events: r.harvest.events,
-                    local_pushes: r.local_pushes,
-                    cross_pushes: r.cross_pushes,
-                    wall_ns: r.wall_ns,
-                })
-                .collect(),
-        };
-        if capture {
-            let tracer = tracer.as_mut().expect("capture without a tracer");
-            let captures: Vec<TraceCapture> = results
-                .iter_mut()
-                .map(|r| r.trace.take().expect("captured group lost its trace"))
                 .collect();
-            merge_traces(tracer, &groups, &map.owner, cfg, plan, captures);
-        }
-        let mut results = results.into_iter();
-        let first = results.next().expect("at least one shard group");
-        stats.cross_pushes += first.cross_pushes;
-        stats.local_pushes += first.local_pushes;
-        let mut merged = first.harvest;
-        let mut checks: Vec<CheckReport> = first.check.into_iter().collect();
-        for (gi, r) in results.enumerate() {
-            let group = &groups[gi + 1];
-            stats.cross_pushes += r.cross_pushes;
-            stats.local_pushes += r.local_pushes;
-            let h = r.harvest;
-            // Per-node state comes from each node's owner group; the merge
-            // walks global node order so downstream float accumulation in
-            // `collect_report` sums in the oracle's order.
-            for (i, (net, ctr)) in h.nets.into_iter().zip(h.counters).enumerate() {
-                if group.contains(&map.owner[i]) {
-                    merged.nets[i] = net;
-                    merged.counters[i] = ctr;
+            for h in handles {
+                // A group panic surfaces with its own message.
+                if let Err(payload) = h.join() {
+                    std::panic::resume_unwind(payload);
                 }
             }
-            add_tallies(&mut merged.frames, &h.frames);
-            merged.faults_injected += h.faults_injected;
-            merged.events += h.events;
-            merged.now = merged.now.max(h.now);
-            merged.packets_sent += h.packets_sent;
-            merged.crashes += h.crashes;
-            merged.jam_bursts += h.jam_bursts;
-            checks.extend(r.check);
-        }
-        let report = collect_report(&self.cfg, protocol, seed, &merged);
-        let check = collect_check.then(|| merge_checks(checks));
-        (report, check, stats)
+        });
+        slots
+            .into_iter()
+            .map(|m| {
+                m.into_inner()
+                    .expect("slot poisoned")
+                    .expect("worker pool left a group unrun")
+            })
+            .collect()
+    };
+
+    let mut stats = ShardStats {
+        shards,
+        groups: groups.len(),
+        cross_pushes: 0,
+        local_pushes: 0,
+        group_stats: results
+            .iter()
+            .zip(&groups)
+            .map(|(r, g)| GroupStats {
+                shards: g.clone(),
+                events: r.harvest.events,
+                local_pushes: r.local_pushes,
+                cross_pushes: r.cross_pushes,
+                wall_ns: r.wall_ns,
+            })
+            .collect(),
+    };
+    if capture {
+        let tracer = tracer.as_mut().expect("capture without a tracer");
+        let captures: Vec<TraceCapture> = results
+            .iter_mut()
+            .map(|r| r.trace.take().expect("captured group lost its trace"))
+            .collect();
+        merge_traces(tracer, &groups, &map.owner, &spec.cfg, &spec.plan, captures);
     }
+    let mut results = results.into_iter();
+    let first = results.next().expect("at least one shard group");
+    stats.cross_pushes += first.cross_pushes;
+    stats.local_pushes += first.local_pushes;
+    let mut merged = first.harvest;
+    let obs = first.obs;
+    let mut checks: Vec<CheckReport> = first.check.into_iter().collect();
+    for (gi, r) in results.enumerate() {
+        let group = &groups[gi + 1];
+        stats.cross_pushes += r.cross_pushes;
+        stats.local_pushes += r.local_pushes;
+        let h = r.harvest;
+        // Per-node state comes from each node's owner group; the merge
+        // walks global node order so downstream float accumulation in
+        // `collect_report` sums in the oracle's order.
+        for (i, (net, ctr)) in h.nets.into_iter().zip(h.counters).enumerate() {
+            if group.contains(&map.owner[i]) {
+                merged.nets[i] = net;
+                merged.counters[i] = ctr;
+            }
+        }
+        add_tallies(&mut merged.frames, &h.frames);
+        merged.faults_injected += h.faults_injected;
+        merged.events += h.events;
+        merged.now = merged.now.max(h.now);
+        merged.packets_sent += h.packets_sent;
+        merged.crashes += h.crashes;
+        merged.jam_bursts += h.jam_bursts;
+        checks.extend(r.check);
+    }
+    let check = spec.check.then(|| merge_checks(checks));
+    RunOutput::collect(
+        &spec.cfg,
+        spec.protocol,
+        spec.seed,
+        &merged,
+        obs,
+        check,
+        Some(stats),
+    )
 }
 
 /// Interleave per-group trace buffers back into the oracle's global
@@ -680,40 +596,10 @@ fn merge_checks(reports: Vec<CheckReport>) -> CheckReport {
     out
 }
 
-/// Run one replication under the sharded engine and return its report
-/// (bit-identical to [`run_replication`] for any `cfg.shards`).
-///
-/// [`run_replication`]: crate::run_replication
-pub fn run_replication_sharded(cfg: &ScenarioConfig, protocol: Protocol, seed: u64) -> RunReport {
-    ShardedRunner::new(cfg, protocol, seed).run()
-}
-
-/// Run one sharded replication under a fault plan.
-pub fn run_replication_sharded_with_faults(
-    cfg: &ScenarioConfig,
-    protocol: Protocol,
-    seed: u64,
-    plan: &FaultPlan,
-) -> RunReport {
-    ShardedRunner::with_faults(cfg, protocol, seed, plan).run()
-}
-
-/// Run one sharded replication with the conformance checker attached on
-/// every shard group, returning the merged report without panicking on
-/// violations. The fuzzer's sharded entry point.
-pub fn run_replication_sharded_checked(
-    cfg: &ScenarioConfig,
-    protocol: Protocol,
-    seed: u64,
-    plan: &FaultPlan,
-) -> (RunReport, CheckReport) {
-    ShardedRunner::with_faults(cfg, protocol, seed, plan).run_checked()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::world::run_replication;
+    use crate::{run_replication, Protocol, ShardedRunner};
 
     #[test]
     fn stripes_partition_by_x() {

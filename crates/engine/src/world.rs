@@ -12,11 +12,12 @@ use rmac_net::{BlessConfig, NetLayer};
 use rmac_obs::{frame_kind_index, ObsReport, Registry, Snapshot};
 use rmac_phy::FrameTallies;
 use rmac_phy::{Channel, ChannelConfig, IndexMode, Indication, PhyEvent, Tone, ToneLog};
-use rmac_sim::{CalendarQueue, EventQueue, SeqQueue, ShardedQueue, SimQueue, SimRng, SimTime};
+use rmac_sim::{CalendarQueue, ShardedQueue, SimQueue, SimRng, SimTime};
 use rmac_wire::{consts::BYTE_TIME, Dest, Frame, NodeId};
 
-use crate::config::{Protocol, QueueKind, ScenarioConfig};
+use crate::config::{Protocol, ScenarioConfig};
 use crate::obs::{class_of, timer_idx, EngineObs, ObsConfig, TIMER_LABELS};
+use crate::run::{RunOutput, Spec};
 use crate::trace::{TraceEvent, TraceWhat, Tracer};
 
 /// The engine's event type.
@@ -191,11 +192,11 @@ struct WorldCore<Q: SimQueue<Ev>> {
     skew: Vec<f64>,
     /// Per-node crashed flag.
     down: Vec<bool>,
-    /// Optional deep instrumentation ([`crate::Runner::set_obs`]). Boxed so
-    /// the disabled path costs one pointer-sized `Option` check.
+    /// Optional deep instrumentation ([`crate::Run::obs`]). Boxed so the disabled
+    /// path costs one pointer-sized `Option` check.
     obs: Option<Box<EngineObs>>,
-    /// Optional protocol-conformance checker ([`crate::Runner::set_check`]),
-    /// attached the same zero-cost-when-off way as `obs`.
+    /// Optional protocol-conformance checker ([`crate::Run::check`]), attached
+    /// the same zero-cost-when-off way as `obs`.
     check: Option<Box<Checker>>,
 }
 
@@ -311,19 +312,20 @@ struct FaultRt {
     jam_seq: u32,
 }
 
-/// One assembled replication: node stacks plus the event loop.
+/// One assembled replication: node stacks plus the event loop. Built and
+/// driven by [`crate::Run`]; the public methods are the pinned shims in
+/// [`crate::run`].
 ///
-/// Generic over the queue implementation: the default (and what
-/// [`Runner::new`] builds) runs on the [`CalendarQueue`]; the heap oracle
-/// stays available through [`Runner::new_heap`] for differential testing;
-/// and the sharded engine instantiates per-group runners over
-/// [`ShardedQueue`] with either sub-queue kind. Monomorphization keeps
-/// each variant's hot loop branch-free over the choice.
+/// Generic over the queue implementation: [`crate::Run`] assembles it on the
+/// [`CalendarQueue`], on the heap reference queue for differential tests,
+/// and per shard group on a [`ShardedQueue`] of calendar queues.
+/// Monomorphization keeps each variant's hot loop branch-free over the
+/// choice.
 pub struct Runner<Q: SimQueue<Ev> = CalendarQueue<Ev>> {
     core: WorldCore<Q>,
     macs: Vec<Box<dyn MacService>>,
     nets: Vec<NetLayer>,
-    cfg: ScenarioConfig,
+    cfg: Arc<ScenarioConfig>,
     protocol: Protocol,
     packets_left: u64,
     sched_rng: SimRng,
@@ -340,110 +342,133 @@ pub struct Runner<Q: SimQueue<Ev> = CalendarQueue<Ev>> {
     beacon_plan: Option<BeaconPlan>,
 }
 
-impl Runner<CalendarQueue<Ev>> {
-    /// Build a replication from a scenario, protocol and seed, on the
-    /// default [`CalendarQueue`].
-    pub fn new(cfg: &ScenarioConfig, protocol: Protocol, seed: u64) -> Runner {
-        Runner::with_faults(cfg, protocol, seed, &FaultPlan::none())
+/// The event loop's one extension point: [`Runner::run_loop`] calls
+/// `before` once an event is popped (the clock already stands at `t`) and
+/// `after` once it has dispatched, handing `before`'s mark across. The
+/// loop is monomorphised per hook, so [`Detached`] costs nothing.
+pub(crate) trait LoopHook<Q: SimQueue<Ev>> {
+    /// What `before` hands to `after` across one dispatch.
+    type Mark;
+    fn before(&mut self, world: &mut Runner<Q>, t: SimTime, ev: &Ev) -> Self::Mark;
+    fn after(&mut self, world: &mut Runner<Q>, mark: Self::Mark);
+}
+
+/// No instrumentation: the bare pop/dispatch loop.
+struct Detached;
+
+impl<Q: SimQueue<Ev>> LoopHook<Q> for Detached {
+    type Mark = ();
+    #[inline(always)]
+    fn before(&mut self, _: &mut Runner<Q>, _: SimTime, _: &Ev) {}
+    #[inline(always)]
+    fn after(&mut self, _: &mut Runner<Q>, (): ()) {}
+}
+
+/// Attached instrumentation ([`crate::Run::obs`]): the kernel self-profile around
+/// every dispatch plus, when configured, the snapshot sampler.
+struct Observed {
+    /// Sampler presence is fixed for the whole run; hoisted so sampler-less
+    /// instrumented runs skip the per-event call.
+    sampling: bool,
+}
+
+impl<Q: SimQueue<Ev>> LoopHook<Q> for Observed {
+    /// The event's profiler class and, with wall timing on, when its
+    /// dispatch started.
+    type Mark = (usize, Option<std::time::Instant>);
+
+    fn before(&mut self, world: &mut Runner<Q>, t: SimTime, ev: &Ev) -> Self::Mark {
+        if self.sampling {
+            world.sample_until(t);
+        }
+        let class = class_of(ev);
+        let kernel = &mut world
+            .core
+            .obs
+            .as_mut()
+            .expect("obs hook without obs")
+            .kernel;
+        if kernel.wall_enabled() {
+            (class, Some(std::time::Instant::now()))
+        } else {
+            kernel.count(class);
+            (class, None)
+        }
     }
 
-    /// Build a replication with a fault plan attached.
-    ///
-    /// An empty plan is bit-identical to [`Runner::new`]: every RNG stream
-    /// is seeded exactly as in the fault-free constructor, the PHY hook is
-    /// only installed when the plan can corrupt frames, and jammer slots
-    /// are only appended when jammers exist.
-    pub fn with_faults(
-        cfg: &ScenarioConfig,
-        protocol: Protocol,
-        seed: u64,
-        plan: &FaultPlan,
-    ) -> Runner {
-        Runner::assemble(
-            cfg,
-            protocol,
-            seed,
-            plan,
-            CalendarQueue::with_capacity,
-            None,
-            None,
-        )
+    fn after(&mut self, world: &mut Runner<Q>, (class, start): Self::Mark) {
+        if let Some(start) = start {
+            let ns = start.elapsed().as_nanos() as u64;
+            let kernel = &mut world
+                .core
+                .obs
+                .as_mut()
+                .expect("obs hook without obs")
+                .kernel;
+            kernel.record_ns(class, ns);
+        }
     }
 }
 
-impl Runner<EventQueue<Ev>> {
-    /// Build a replication on the binary-heap oracle queue — the
-    /// differential-testing counterpart of [`Runner::new`]. Reports are
-    /// bit-identical to the calendar-queue runner's.
-    pub fn new_heap(cfg: &ScenarioConfig, protocol: Protocol, seed: u64) -> Runner<EventQueue<Ev>> {
-        Runner::with_faults_heap(cfg, protocol, seed, &FaultPlan::none())
-    }
+/// The per-dispatch log of a shard group whose trace must later be
+/// interleaved back into the oracle's global emission order (DESIGN.md
+/// §10). For every dispatched event it records the popped `(time, local
+/// seq)` key, how many pushes the dispatch made, and how many trace events
+/// it appended to `buf` (the group's buffering tracer sink). The
+/// trace-merge reconstruction in [`crate::shard`] replays these logs
+/// against the seeding enumeration ([`seed_slots`]) to recover each
+/// event's oracle sequence number.
+pub(crate) struct DispatchLog<'a> {
+    buf: &'a std::sync::Mutex<Vec<TraceEvent>>,
+    pub(crate) log: Vec<DispatchRec>,
+    /// Trace events already attributed to earlier dispatches.
+    traced: u32,
+}
 
-    /// [`Runner::with_faults`] on the heap oracle queue.
-    pub fn with_faults_heap(
-        cfg: &ScenarioConfig,
-        protocol: Protocol,
-        seed: u64,
-        plan: &FaultPlan,
-    ) -> Runner<EventQueue<Ev>> {
-        Runner::assemble(
-            cfg,
-            protocol,
-            seed,
-            plan,
-            EventQueue::with_capacity,
-            None,
-            None,
-        )
+impl<'a> DispatchLog<'a> {
+    pub(crate) fn new(buf: &'a std::sync::Mutex<Vec<TraceEvent>>) -> DispatchLog<'a> {
+        DispatchLog {
+            buf,
+            log: Vec::new(),
+            traced: 0,
+        }
     }
 }
 
-impl<SQ: SeqQueue<Ev>> Runner<ShardedQueue<Ev, SQ>> {
+impl LoopHook<ShardQueue> for DispatchLog<'_> {
+    /// The popped event's `(time, local seq)` key and the push count
+    /// before its dispatch.
+    type Mark = (SimTime, u64, u64);
+
+    fn before(&mut self, world: &mut Runner<ShardQueue>, t: SimTime, _: &Ev) -> Self::Mark {
+        (t, world.core.q.popped_seq(), world.core.q.total_pushed())
+    }
+
+    fn after(&mut self, world: &mut Runner<ShardQueue>, (t, seq, pushed_before): Self::Mark) {
+        let traced_now = self.buf.lock().expect("trace buffer poisoned").len() as u32;
+        self.log.push(DispatchRec {
+            t,
+            seq,
+            pushes: (world.core.q.total_pushed() - pushed_before) as u32,
+            traces: traced_now - self.traced,
+        });
+        self.traced = traced_now;
+    }
+}
+
+/// The queue a shard group runs on: calendar sub-queues behind the shared
+/// sequence counter.
+pub(crate) type ShardQueue = ShardedQueue<Ev, CalendarQueue<Ev>>;
+
+impl Runner<ShardQueue> {
     /// Cross-shard bus traffic of a sharded group runner:
     /// `(cross_pushes, local_pushes)`.
     pub(crate) fn bus_stats(&self) -> (u64, u64) {
         (self.core.q.cross_pushes(), self.core.q.local_pushes())
     }
-
-    /// [`Runner::run_loop`] plus a per-dispatch log, for a shard group
-    /// whose trace must later be interleaved back into the oracle's global
-    /// emission order (DESIGN.md §10). For every dispatched event the log
-    /// records the popped `(time, local seq)` key, how many pushes the
-    /// dispatch made, and how many trace events it appended to `buf` (the
-    /// group's buffering tracer sink, attached via [`Runner::set_tracer`]
-    /// before this call). The trace-merge reconstruction in
-    /// [`crate::shard`] replays these logs against the seeding enumeration
-    /// ([`seed_slots`]) to recover each event's oracle sequence number.
-    pub(crate) fn run_loop_logged(
-        &mut self,
-        buf: &std::sync::Mutex<Vec<TraceEvent>>,
-    ) -> Vec<DispatchRec> {
-        self.seed_events();
-        let end = self.cfg.end_time();
-        let mut log = Vec::new();
-        let mut traced = 0u32;
-        while let Some((t, seq)) = self.core.q.peek_key() {
-            if t > end {
-                break;
-            }
-            let pushed_before = self.core.q.total_pushed();
-            let (_, ev) = self.core.q.pop().expect("peeked event vanished");
-            self.dispatch(ev);
-            let traced_now = buf.lock().expect("trace buffer poisoned").len() as u32;
-            log.push(DispatchRec {
-                t,
-                seq,
-                pushes: (self.core.q.total_pushed() - pushed_before) as u32,
-                traces: traced_now - traced,
-            });
-            traced = traced_now;
-        }
-        log
-    }
 }
 
-/// One dispatched event in a shard group's log (see
-/// [`Runner::run_loop_logged`]).
+/// One dispatched event in a shard group's log (see [`DispatchLog`]).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct DispatchRec {
     /// Dispatch time (the popped event's timestamp).
@@ -478,38 +503,42 @@ pub(crate) fn seed_slots(cfg: &ScenarioConfig, plan: &FaultPlan) -> Vec<usize> {
 }
 
 impl<Q: SimQueue<Ev>> Runner<Q> {
-    /// Shared assembly behind [`Runner::with_faults`] and the sharded
-    /// engine's per-group runners: identical node-stack construction and
-    /// RNG stream derivation, parameterized over the queue implementation
+    /// Assemble the replication `spec` describes — node stacks, RNG streams,
+    /// fault runtime and the obs/checker attachments (the tracer stays with
+    /// the caller: a sharded run hands it to one group or to the merge).
+    /// Shared by the serial engine and the sharded engine's per-group
+    /// runners, so both derive identical worlds; they differ in the queue
     /// (built by `make_q` from the pre-sizing capacity), the owned-slot
     /// scope, and the beacon schedule source.
+    ///
+    /// An empty fault plan is bit-identical to no plan: every RNG stream is
+    /// seeded the same, the PHY hook is only installed when the plan can
+    /// corrupt frames, and jammer slots only exist when jammers do.
     pub(crate) fn assemble(
-        cfg: &ScenarioConfig,
-        protocol: Protocol,
-        seed: u64,
-        plan: &FaultPlan,
+        spec: &Spec,
         make_q: impl FnOnce(usize) -> Q,
         scope: Option<Scope>,
         beacon_plan: Option<BeaconPlan>,
     ) -> Runner<Q> {
-        let master = SimRng::new(seed);
+        let (cfg, protocol, plan) = (&*spec.cfg, spec.protocol, &spec.plan);
+        let master = SimRng::new(spec.seed);
         let motions = build_motions(cfg, plan, &master);
         let node_slots = motions.len();
         let mut channel = Channel::new(
             ChannelConfig {
                 range_m: cfg.range_m,
                 ber_per_bit: cfg.ber_per_bit,
-                index: if cfg.phy_grid {
-                    IndexMode::grid()
-                } else {
+                index: if spec.brute_phy {
                     IndexMode::BruteForce
+                } else {
+                    IndexMode::grid()
                 },
                 ..ChannelConfig::default()
             },
             motions,
         );
         if plan.has_phy_faults() {
-            channel.set_fault_hook(Box::new(FaultInjector::from_plan(plan, seed)));
+            channel.set_fault_hook(Box::new(FaultInjector::from_plan(plan, spec.seed)));
         }
         let bless_cfg = BlessConfig {
             beacon_period: cfg.beacon_period,
@@ -555,7 +584,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
             },
             macs,
             nets,
-            cfg: cfg.clone(),
+            cfg: Arc::clone(&spec.cfg),
             protocol,
             packets_left: cfg.packets,
             sched_rng: master.split(3),
@@ -574,9 +603,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
             scope,
             beacon_plan,
         };
-        if cfg.check {
-            runner.set_check();
-        }
+        runner.attach(spec.obs, spec.check);
         runner
     }
 
@@ -588,46 +615,34 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
 
     /// Attach an observer that sees every PHY indication, submission and
     /// delivery as it is dispatched (protocol timelines, debugging).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
+    pub(crate) fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = Some(tracer);
     }
 
-    /// Attach the deep instrumentation layer ([`crate::obs`]): the kernel
-    /// self-profile, per-node protocol counters, and (when configured) the
-    /// periodic snapshot sampler. Collect the results with
-    /// [`Runner::run_obs`]. Instrumentation never perturbs the simulation;
-    /// the report stays bit-identical.
-    pub fn set_obs(&mut self, cfg: ObsConfig) {
-        self.core.obs = Some(Box::new(EngineObs::new(cfg, self.cfg.nodes)));
-        // Transition counting lives in the MACs (they cannot see `obs`),
-        // gated so detached runs skip the per-transition increment.
-        for mac in self.macs.iter_mut() {
-            mac.enable_transition_counting();
+    /// Attach the deep instrumentation layer ([`crate::obs`]: the kernel
+    /// self-profile, per-node protocol counters and, when configured, the
+    /// periodic snapshot sampler) and/or the protocol-conformance checker
+    /// ([`rmac_check`]: every transmission start, tone emission and PHY
+    /// indication streamed through the invariant catalogue, DESIGN.md §8).
+    /// Neither perturbs the simulation — they draw no randomness and
+    /// schedule nothing — so the report stays bit-identical.
+    pub(crate) fn attach(&mut self, obs: Option<ObsConfig>, check: bool) {
+        if let Some(cfg) = obs {
+            self.core.obs = Some(Box::new(EngineObs::new(cfg, self.cfg.nodes)));
         }
-    }
-
-    /// Attach the protocol-conformance checker ([`rmac_check`]): every
-    /// transmission start, tone emission and PHY indication is streamed
-    /// through the invariant catalogue (DESIGN.md §8). Like the obs layer
-    /// the checker never perturbs the simulation — it draws no randomness
-    /// and schedules nothing, so reports stay bit-identical.
-    pub fn set_check(&mut self) {
-        self.core.check = Some(Box::new(Checker::new(CheckConfig::new(
-            self.cfg.nodes,
-            self.protocol.conformance_class(),
-        ))));
-        // C4 needs the MACs' transition matrices (same mechanism obs uses).
-        for mac in self.macs.iter_mut() {
-            mac.enable_transition_counting();
+        if check {
+            self.core.check = Some(Box::new(Checker::new(CheckConfig::new(
+                self.cfg.nodes,
+                self.protocol.conformance_class(),
+            ))));
         }
-    }
-
-    /// Attach the conformance checker if not already attached (idempotent;
-    /// the sharded engine's checked path and [`run_replication_checked`]
-    /// both want "checker on, whatever `cfg.check` said").
-    pub(crate) fn ensure_check(&mut self) {
-        if self.core.check.is_none() {
-            self.set_check();
+        if self.core.obs.is_some() || self.core.check.is_some() {
+            // Transition counting (obs reports it, the checker's C4 needs
+            // it) lives in the MACs, gated so detached runs skip the
+            // per-transition increment.
+            for mac in self.macs.iter_mut() {
+                mac.enable_transition_counting();
+            }
         }
     }
 
@@ -666,62 +681,14 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
         self.trace(ind.node(), what);
     }
 
-    /// Run to completion, returning the report plus the final tree (each
-    /// node's parent), for topology studies like the paper's Fig. 6.
-    pub fn run_with_tree(self, seed: u64) -> (RunReport, Vec<Option<NodeId>>) {
-        let mut me = self;
-        me.run_loop();
-        me.assert_check_clean();
-        let parents = me.nets.iter().map(|n| n.bless().parent()).collect();
-        (me.collect(seed), parents)
-    }
-
-    /// Run to completion and produce the replication's report.
-    pub fn run(mut self, seed: u64) -> RunReport {
-        self.run_loop();
-        self.assert_check_clean();
-        self.collect(seed)
-    }
-
-    /// Run to completion and produce the report plus, when
-    /// [`Runner::set_obs`] was called, the observability report.
-    pub fn run_obs(mut self, seed: u64) -> (RunReport, Option<ObsReport>) {
-        self.run_loop();
-        self.assert_check_clean();
+    /// Run the event loop to the end of the scenario, then close out the
+    /// attachments and reduce the world to its [`RunOutput`].
+    pub(crate) fn finish(mut self, seed: u64) -> RunOutput {
+        self.run_events();
+        let check = self.finish_check();
         let obs = self.finish_obs();
-        (self.collect(seed), obs)
-    }
-
-    /// Run to completion and return the conformance report alongside the
-    /// replication's report instead of panicking on violations (fuzzing and
-    /// the checker's own tests — a mutant MAC *should* produce a dirty
-    /// report, not a panic).
-    ///
-    /// The checker must be attached (`cfg.check` or [`Runner::set_check`]).
-    pub fn run_checked(mut self, seed: u64) -> (RunReport, CheckReport) {
-        assert!(
-            self.core.check.is_some(),
-            "run_checked without an attached checker (set `cfg.check`)"
-        );
-        self.run_loop();
-        let check = self.finish_check().expect("checker vanished mid-run");
-        (self.collect(seed), check)
-    }
-
-    /// Run to completion with the checker attached (like
-    /// [`Runner::run_checked`]) and, when [`Runner::set_obs`] was called,
-    /// the observability report alongside. One pass yields the run report,
-    /// the counter/histogram snapshot, and the conformance verdict — the
-    /// campaign store's ingestion entry point.
-    pub fn run_instrumented(mut self, seed: u64) -> (RunReport, Option<ObsReport>, CheckReport) {
-        assert!(
-            self.core.check.is_some(),
-            "run_instrumented without an attached checker (set `cfg.check`)"
-        );
-        self.run_loop();
-        let check = self.finish_check().expect("checker vanished mid-run");
-        let obs = self.finish_obs();
-        (self.collect(seed), obs, check)
+        let (cfg, protocol) = (Arc::clone(&self.cfg), self.protocol);
+        RunOutput::collect(&cfg, protocol, seed, &self.harvest(), obs, check, None)
     }
 
     /// Close out the attached checker: validate the end-of-run transition
@@ -741,20 +708,6 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
             }
         }
         Some(check.finish(self.core.q.now()))
-    }
-
-    /// Panic with the full violation listing when an attached checker found
-    /// any breach. No-op when detached (the common path) or clean.
-    pub(crate) fn assert_check_clean(&mut self) {
-        if let Some(report) = self.finish_check() {
-            assert!(
-                report.is_clean(),
-                "protocol-conformance check failed ({}, scenario '{}'):\n{}",
-                self.protocol.label(),
-                self.cfg.name,
-                report.summary()
-            );
-        }
     }
 
     /// Seed the queue's initial events: beacons in node order, the source,
@@ -817,45 +770,39 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
         }
     }
 
-    pub(crate) fn run_loop(&mut self) {
-        self.seed_events();
-        let end = self.cfg.end_time();
-        // Two copies of the pop/dispatch loop so the detached path stays
-        // exactly the pre-instrumentation hot loop — no per-event obs
-        // branch, and `dispatch` keeps its inlining context.
-        if self.core.obs.is_none() {
-            // Fused head-check + pop: one key comparison per event decides
-            // both "is it due" and "which window half wins".
-            while let Some((_, ev)) = self.core.q.pop_at_or_before(end) {
-                self.dispatch(ev);
-            }
-        } else {
-            // Sampler presence is fixed for the whole run; hoist the check
-            // so sampler-less instrumented runs skip the per-event call.
-            let sampling = self.core.obs.as_ref().is_some_and(|o| o.sampler.is_some());
-            while let Some(t) = self.core.q.peek_time() {
-                if t > end {
-                    break;
-                }
-                if sampling {
-                    self.sample_until(t);
-                }
-                let (_, ev) = self.core.q.pop().expect("peeked event vanished");
-                self.dispatch_observed(ev);
-            }
+    /// Run the event loop under the hook the attachments call for.
+    pub(crate) fn run_events(&mut self) {
+        match self.core.obs.as_ref().map(|o| o.sampler.is_some()) {
+            Some(sampling) => self.run_loop(&mut Observed { sampling }),
+            None => self.run_loop(&mut Detached),
         }
     }
 
-    /// Record every snapshot boundary at or before `t` (the next event's
-    /// timestamp). Boundary checks run *between* events, outside the queue,
-    /// so sampling changes neither the popped-event count nor any tie-break.
+    /// The event loop: seed, then pop and dispatch everything due by the
+    /// end of the scenario, with `hook` around every dispatch.
+    pub(crate) fn run_loop<H: LoopHook<Q>>(&mut self, hook: &mut H) {
+        self.seed_events();
+        let end = self.cfg.end_time();
+        // Fused head-check + pop: one key comparison per event decides
+        // both "is it due" and "which window half wins".
+        while let Some((t, ev)) = self.core.q.pop_at_or_before(end) {
+            let mark = hook.before(self, t, &ev);
+            self.dispatch(ev);
+            hook.after(self, mark);
+        }
+    }
+
+    /// Record every snapshot boundary at or before `t`, the timestamp of
+    /// the event just popped and not yet dispatched. Boundary checks run
+    /// *between* dispatches, outside the queue, so sampling changes neither
+    /// the popped-event count nor any tie-break.
     fn sample_until(&mut self, t: SimTime) {
         let Some(mut obs) = self.core.obs.take() else {
             return;
         };
         if let Some(sampler) = obs.sampler.as_mut() {
             while sampler.due(t.nanos()) {
-                let snap = self.snapshot_at(sampler.next_boundary_ns());
+                let snap = self.snapshot_at(sampler.next_boundary_ns(), 1);
                 sampler.record(snap);
             }
         }
@@ -863,11 +810,13 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
     }
 
     /// Cumulative run state as of now, stamped with boundary time `t_ns`.
-    fn snapshot_at(&self, t_ns: u64) -> Snapshot {
+    /// `in_flight` events are popped but not yet dispatched; the snapshot
+    /// counts them as still queued.
+    fn snapshot_at(&self, t_ns: u64, in_flight: u64) -> Snapshot {
         Snapshot {
             t_ns,
-            events: self.core.q.total_popped(),
-            queue_len: self.core.q.len() as u64,
+            events: self.core.q.total_popped() - in_flight,
+            queue_len: self.core.q.len() as u64 + in_flight,
             queue_high_water: self.core.q.depth_high_water() as u64,
             tx_frames: self.core.channel.frame_tallies().tx_frames.iter().sum(),
             rx_ok: self.core.channel.frame_tallies().rx_ok.iter().sum(),
@@ -881,30 +830,6 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 .sum(),
             crashes: self.faults.as_ref().map_or(0, |f| f.crashes),
             jam_bursts: self.faults.as_ref().map_or(0, |f| f.jam_bursts),
-        }
-    }
-
-    /// Dispatch one event, profiled when instrumentation is attached.
-    fn dispatch_observed(&mut self, ev: Ev) {
-        let Some(obs) = self.core.obs.as_deref_mut() else {
-            self.dispatch(ev);
-            return;
-        };
-        let class = class_of(&ev);
-        // One `dispatch` call site below, so the force-inlined event match
-        // is materialised once here, not once per profiling mode.
-        let start = if obs.kernel.wall_enabled() {
-            Some(std::time::Instant::now())
-        } else {
-            obs.kernel.count(class);
-            None
-        };
-        self.dispatch(ev);
-        if let Some(start) = start {
-            let ns = start.elapsed().as_nanos() as u64;
-            if let Some(obs) = self.core.obs.as_deref_mut() {
-                obs.kernel.record_ns(class, ns);
-            }
         }
     }
 
@@ -1276,9 +1201,9 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
     }
 
     /// Close out the attached instrumentation and assemble its report.
-    /// Separate from [`Runner::collect`] so the `RunReport` never depends
-    /// on whether instrumentation was attached.
-    fn finish_obs(&mut self) -> Option<ObsReport> {
+    /// Separate from the harvest so the `RunReport` never depends on
+    /// whether instrumentation was attached.
+    pub(crate) fn finish_obs(&mut self) -> Option<ObsReport> {
         let mut obs = self.core.obs.take()?;
         let now_ns = self.core.q.now().nanos();
         for n in obs.nodes.iter_mut() {
@@ -1287,7 +1212,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
         let snapshots = match obs.sampler.as_mut() {
             Some(sampler) => {
                 // One final sample so the series always covers end of run.
-                let snap = self.snapshot_at(sampler.next_boundary_ns());
+                let snap = self.snapshot_at(sampler.next_boundary_ns(), 0);
                 sampler.record(snap);
                 std::mem::take(&mut sampler.series)
             }
@@ -1364,13 +1289,6 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
             nets: self.nets,
             counters: self.core.counters,
         }
-    }
-
-    fn collect(self, seed: u64) -> RunReport {
-        let cfg = self.cfg.clone();
-        let protocol = self.protocol;
-        let harvest = self.harvest();
-        collect_report(&cfg, protocol, seed, &harvest)
     }
 }
 
@@ -1511,79 +1429,6 @@ pub(crate) fn collect_report(
             fault_crashes: h.crashes,
             fault_jam_bursts: h.jam_bursts,
         }
-    }
-}
-
-/// Run one replication and return its report. `cfg.queue` picks the event
-/// queue; either kind yields the identical report.
-pub fn run_replication(cfg: &ScenarioConfig, protocol: Protocol, seed: u64) -> RunReport {
-    run_replication_with_faults(cfg, protocol, seed, &FaultPlan::none())
-}
-
-/// Run one replication under a fault plan and return its report.
-///
-/// With `FaultPlan::none()` this is bit-identical to [`run_replication`]
-/// (enforced by `tests/faults_determinism.rs`).
-pub fn run_replication_with_faults(
-    cfg: &ScenarioConfig,
-    protocol: Protocol,
-    seed: u64,
-    plan: &FaultPlan,
-) -> RunReport {
-    match cfg.queue {
-        QueueKind::Calendar => Runner::with_faults(cfg, protocol, seed, plan).run(seed),
-        QueueKind::Heap => Runner::with_faults_heap(cfg, protocol, seed, plan).run(seed),
-    }
-}
-
-/// Run one replication with the conformance checker attached (regardless
-/// of `cfg.check`) and return the conformance report alongside the run's,
-/// without panicking on violations. The fuzzer's entry point.
-pub fn run_replication_checked(
-    cfg: &ScenarioConfig,
-    protocol: Protocol,
-    seed: u64,
-    plan: &FaultPlan,
-) -> (RunReport, CheckReport) {
-    fn go<Q: SimQueue<Ev>>(mut runner: Runner<Q>, seed: u64) -> (RunReport, CheckReport) {
-        runner.ensure_check();
-        runner.run_checked(seed)
-    }
-    match cfg.queue {
-        QueueKind::Calendar => go(Runner::with_faults(cfg, protocol, seed, plan), seed),
-        QueueKind::Heap => go(Runner::with_faults_heap(cfg, protocol, seed, plan), seed),
-    }
-}
-
-/// One fully instrumented replication: checker always attached, the obs
-/// layer attached when `obs` is `Some`. Returns the run report, the
-/// observability report (if requested), and the conformance verdict —
-/// without panicking on violations.
-pub fn run_replication_instrumented(
-    cfg: &ScenarioConfig,
-    protocol: Protocol,
-    seed: u64,
-    plan: &FaultPlan,
-    obs: Option<crate::ObsConfig>,
-) -> (RunReport, Option<ObsReport>, CheckReport) {
-    fn go<Q: SimQueue<Ev>>(
-        mut runner: Runner<Q>,
-        seed: u64,
-        obs: Option<crate::ObsConfig>,
-    ) -> (RunReport, Option<ObsReport>, CheckReport) {
-        runner.ensure_check();
-        if let Some(o) = obs {
-            runner.set_obs(o);
-        }
-        runner.run_instrumented(seed)
-    }
-    match cfg.queue {
-        QueueKind::Calendar => go(Runner::with_faults(cfg, protocol, seed, plan), seed, obs),
-        QueueKind::Heap => go(
-            Runner::with_faults_heap(cfg, protocol, seed, plan),
-            seed,
-            obs,
-        ),
     }
 }
 

@@ -1,7 +1,7 @@
 //! Engine integration tests on small networks.
 
 use crate::config::{Protocol, ScenarioConfig};
-use crate::world::run_replication;
+use crate::{run_replication, Run};
 
 /// A small, dense stationary scenario that finishes in well under a second
 /// of wall time.
@@ -166,7 +166,6 @@ fn mobile_scenario_runs() {
 #[test]
 fn trace_reproduces_fig4_sequence() {
     use crate::trace::{TraceEvent, TraceWhat};
-    use crate::Runner;
     use rmac_phy::Tone;
     use rmac_wire::FrameKind;
     use std::sync::{Arc, Mutex};
@@ -180,9 +179,10 @@ fn trace_reproduces_fig4_sequence() {
         ]);
     let events: Arc<Mutex<Vec<TraceEvent>>> = Arc::default();
     let sink = events.clone();
-    let mut runner = Runner::new(&cfg, crate::Protocol::Rmac, 3);
-    runner.set_tracer(Box::new(move |e| sink.lock().unwrap().push(e.clone())));
-    let report = runner.run(3);
+    let report = Run::new(&cfg, Protocol::Rmac, 3)
+        .tracer(Box::new(move |e| sink.lock().unwrap().push(e.clone())))
+        .execute()
+        .report;
     assert_eq!(report.delivery_ratio(), 1.0);
 
     let events = events.lock().unwrap();
@@ -268,7 +268,6 @@ fn trace_reproduces_fig4_sequence() {
 
 #[test]
 fn crashing_the_only_relay_starves_downstream_nodes() {
-    use crate::world::run_replication_with_faults;
     use rmac_faults::{ChurnKind, ChurnSpec, FaultPlan};
 
     // A 3-node chain where node 1 is the only path from the source to
@@ -294,7 +293,10 @@ fn crashing_the_only_relay_starves_downstream_nodes() {
         at_ms: 0,
         for_ms: 1_000_000,
     });
-    let faulted = run_replication_with_faults(&cfg, Protocol::Rmac, 5, &plan);
+    let faulted = Run::new(&cfg, Protocol::Rmac, 5)
+        .faults(&plan)
+        .execute()
+        .report;
     assert_eq!(faulted.fault_crashes, 1);
     assert!(
         faulted.faults_injected > 0,
@@ -309,7 +311,6 @@ fn crashing_the_only_relay_starves_downstream_nodes() {
 
 #[test]
 fn rbt_jammer_forces_mrts_aborts_nearby() {
-    use crate::world::run_replication_with_faults;
     use rmac_faults::{FaultPlan, JamTarget, JammerSpec};
 
     let cfg = ScenarioConfig::paper_stationary(20.0)
@@ -329,7 +330,10 @@ fn rbt_jammer_forces_mrts_aborts_nearby() {
         burst_ms: 10,
     });
     let baseline = run_replication(&cfg, Protocol::Rmac, 3);
-    let jammed = run_replication_with_faults(&cfg, Protocol::Rmac, 3, &plan);
+    let jammed = Run::new(&cfg, Protocol::Rmac, 3)
+        .faults(&plan)
+        .execute()
+        .report;
     assert!(jammed.fault_jam_bursts > 50);
     // The false tone must be *observed* as protocol pressure: more MRTS
     // abortions (or deferrals showing up as delay) than the clean run.
@@ -348,9 +352,10 @@ fn jsonl_tracer_writes_one_object_per_event() {
 
     let path = std::env::temp_dir().join("rmac_trace_test.jsonl");
     let cfg = tiny(20.0, 4, 3);
-    let mut runner = crate::Runner::new(&cfg, Protocol::Rmac, 2);
-    runner.set_tracer(jsonl_file_tracer(&path).expect("create sink"));
-    let report = runner.run(2);
+    let report = Run::new(&cfg, Protocol::Rmac, 2)
+        .tracer(jsonl_file_tracer(&path).expect("create sink"))
+        .execute()
+        .report;
     assert!(report.receptions > 0);
 
     let text = std::fs::read_to_string(&path).expect("trace file written");
@@ -363,4 +368,59 @@ fn jsonl_tracer_writes_one_object_per_event() {
         );
         assert!(line.contains("\"ev\":\""), "bad line: {line}");
     }
+}
+
+#[test]
+#[should_panic(expected = "rate_pps must be finite and positive")]
+fn zero_rate_is_refused_at_the_front_door() {
+    Run::new(&tiny(0.0, 4, 3), Protocol::Rmac, 1);
+}
+
+#[test]
+fn non_finite_and_negative_rates_are_refused() {
+    for rate in [-5.0, f64::NAN, f64::INFINITY] {
+        let refused = std::panic::catch_unwind(|| Run::new(&tiny(rate, 4, 3), Protocol::Rmac, 1));
+        assert!(refused.is_err(), "rate {rate} was accepted");
+    }
+}
+
+#[test]
+#[should_panic(expected = "does not carry engine obs")]
+fn obs_on_a_multi_group_sharded_run_is_refused() {
+    // Two clusters 300 m apart with a 75 m radio decompose into two groups.
+    let cfg = ScenarioConfig::paper_stationary(10.0)
+        .with_packets(2)
+        .with_positions(vec![
+            rmac_mobility::Pos::new(50.0, 50.0),
+            rmac_mobility::Pos::new(60.0, 50.0),
+            rmac_mobility::Pos::new(440.0, 50.0),
+            rmac_mobility::Pos::new(450.0, 50.0),
+        ])
+        .with_shards(2);
+    Run::new(&cfg, Protocol::Rmac, 1)
+        .obs(crate::ObsConfig::default())
+        .execute();
+}
+
+#[test]
+fn a_single_group_sharded_run_carries_obs() {
+    // Mobility forces one group, which instruments like the serial engine.
+    let mut cfg = ScenarioConfig::paper_speed2(10.0)
+        .with_nodes(8)
+        .with_packets(5);
+    cfg.bounds = rmac_mobility::Bounds::new(120.0, 100.0);
+    let serial = Run::new(&cfg, Protocol::Rmac, 4)
+        .obs(crate::ObsConfig::default())
+        .execute();
+    let sharded = Run::new(&cfg.clone().with_shards(2), Protocol::Rmac, 4)
+        .obs(crate::ObsConfig::default())
+        .execute();
+    assert_eq!(sharded.report, serial.report);
+    assert_eq!(sharded.shard.expect("sharded stats").groups, 1);
+    let (a, b) = (serial.obs.expect("obs"), sharded.obs.expect("obs"));
+    for class in 0..crate::obs::EVENT_CLASS_LABELS.len() {
+        assert_eq!(a.kernel.class_count(class), b.kernel.class_count(class));
+    }
+    let nodes = |o: &crate::ObsReport| o.nodes.iter().map(|n| n.to_json()).collect::<Vec<_>>();
+    assert_eq!(nodes(&a), nodes(&b));
 }

@@ -11,7 +11,7 @@
 //!
 //! Scaled by `RMAC_SEEDS` (default 5) and `RMAC_PACKETS` (default 200).
 
-use rmac_engine::{run_replication_with_faults, Protocol, ScenarioConfig};
+use rmac_engine::{Protocol, Run, ScenarioConfig};
 use rmac_experiments::{figures, try_tasks, ScenarioKind};
 use rmac_faults::{FaultPlan, JamTarget, JammerSpec};
 use rmac_metrics::{RunReport, Table};
@@ -50,7 +50,7 @@ fn main() {
     eprintln!("running {} replications…", tasks.len());
     let reports: Vec<RunReport> = match try_tasks(
         &tasks,
-        |&(pi, p, s)| run_replication_with_faults(&cfg, p, s, &plans[pi].1),
+        |&(pi, p, s)| Run::new(&cfg, p, s).faults(&plans[pi].1).execute().report,
         |&(pi, p, s)| {
             format!(
                 "replication panicked ({} plan '{}', seed {s})",

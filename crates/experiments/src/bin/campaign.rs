@@ -7,13 +7,12 @@
 //!     Resumable: a killed run restarts where it stopped and produces a
 //!     store byte-identical to an uninterrupted one.
 //!
-//! campaign gate [--record] [--inject-slow-phy] [--inject-mutant]
+//! campaign gate [--record] [--inject-mutant]
 //!     Run the CI gate: fixed conformance campaign + deterministic-metric
-//!     comparison + calibrated perf probe against the committed baseline
+//!     comparison against the committed baseline
 //!     (results/campaigns/gate/baseline.json). Exits nonzero on any
-//!     violation or >5% regression. --record rewrites the baseline;
-//!     the --inject-* flags seed deliberate defects to prove the gate
-//!     trips.
+//!     violation or >5% metric drift. --record rewrites the baseline;
+//!     --inject-mutant seeds a deliberate defect to prove the gate trips.
 //! ```
 
 use std::process::exit;
@@ -23,7 +22,7 @@ use rmac_campaign::{campaign_dir, run_campaign, run_gate, CampaignSpec, GateConf
 fn usage() -> ! {
     eprintln!(
         "usage: campaign run [--quick]\n       \
-         campaign gate [--record] [--inject-slow-phy] [--inject-mutant]"
+         campaign gate [--record] [--inject-mutant]"
     );
     exit(2);
 }
@@ -31,6 +30,10 @@ fn usage() -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flag = |name: &str| args.iter().any(|a| a == name);
+    let known = ["--quick", "--record", "--inject-mutant"];
+    if args.iter().skip(1).any(|a| !known.contains(&a.as_str())) {
+        usage();
+    }
     match args.first().map(String::as_str) {
         Some("run") => {
             let spec = CampaignSpec::paper_figures(flag("--quick"));
@@ -63,7 +66,6 @@ fn main() {
         Some("gate") => {
             let cfg = GateConfig {
                 record: flag("--record"),
-                inject_slow_phy: flag("--inject-slow-phy"),
                 inject_mutant: flag("--inject-mutant"),
                 ..GateConfig::default()
             };

@@ -8,8 +8,8 @@
 //!
 //! With no argument, picks the first existing default campaign directory
 //! (`results/campaigns/paper-figures`, then `paper-figures-quick`, then
-//! `gate/scratch`). Tracked benchmark trends are read from
-//! `results/BENCH_*.json`.
+//! `gate/scratch`). The live-soak tile is read from
+//! `results/BENCH_live.json`.
 
 use std::path::PathBuf;
 use std::process::exit;

@@ -14,7 +14,7 @@
 //!
 //! Scaled by `RMAC_SEEDS` (default 5) and `RMAC_PACKETS` (default 200).
 
-use rmac_engine::{run_replication_with_faults, Protocol, ScenarioConfig};
+use rmac_engine::{Protocol, Run, ScenarioConfig};
 use rmac_experiments::{figures, try_tasks, ScenarioKind};
 use rmac_faults::{BurstySpec, ChurnKind, ChurnSpec, FaultPlan, JamTarget, JammerSpec, SkewSpec};
 use rmac_metrics::{RunReport, Table};
@@ -114,7 +114,7 @@ fn main() {
     eprintln!("running {} replications…", tasks.len());
     let reports: Vec<RunReport> = match try_tasks(
         &tasks,
-        |&(ci, p, s)| run_replication_with_faults(&cfg, p, s, &classes[ci].1),
+        |&(ci, p, s)| Run::new(&cfg, p, s).faults(&classes[ci].1).execute().report,
         |&(ci, p, s)| {
             format!(
                 "replication panicked ({} fault '{}', seed {s})",

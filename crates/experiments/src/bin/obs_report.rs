@@ -17,8 +17,7 @@
 use std::process::exit;
 
 use rmac_engine::{
-    run_replication, JsonlSink, ObsConfig, Protocol, Runner, ScenarioConfig, ShardedRunner,
-    TraceLevel,
+    run_replication, JsonlSink, ObsConfig, Protocol, Run, ScenarioConfig, TraceLevel,
 };
 use rmac_metrics::frame_kind_table;
 use rmac_obs::{
@@ -62,16 +61,16 @@ fn main() {
 
     std::fs::create_dir_all("results/obs").expect("create results/obs/");
     let sink = JsonlSink::create("results/obs/trace.jsonl").expect("create trace.jsonl");
-    let mut runner = Runner::new(&cfg, Protocol::Rmac, seed);
     // Full stream: the Signal filter is the identity, but routing through
     // it exercises the level plumbing end to end.
-    runner.set_tracer(rmac_engine::filter_tracer(
-        TraceLevel::Signal,
-        sink.tracer(),
-    ));
-    runner.set_obs(ObsConfig::full(SimTime::from_millis(250)));
-    let (report, obs) = runner.run_obs(seed);
-    let obs = obs.expect("obs was attached");
+    let out = Run::new(&cfg, Protocol::Rmac, seed)
+        .tracer(rmac_engine::filter_tracer(
+            TraceLevel::Signal,
+            sink.tracer(),
+        ))
+        .obs(ObsConfig::full(SimTime::from_millis(250)))
+        .execute();
+    let (report, obs) = (out.report, out.obs.expect("obs was attached"));
 
     if report != base {
         fail("instrumented RunReport differs from the uninstrumented run");
@@ -111,11 +110,11 @@ fn main() {
     // Shard-balance telemetry: re-run the same scenario through the
     // sharded engine and surface its per-group scheduling rows. The
     // counters are deterministic; only wall_ns is telemetry.
-    let (sharded, stats) =
-        ShardedRunner::new(&cfg.clone().with_shards(4), Protocol::Rmac, seed).run_with_stats();
-    if sharded != base {
+    let sharded = Run::new(&cfg.clone().with_shards(4), Protocol::Rmac, seed).execute();
+    if sharded.report != base {
         fail("sharded RunReport differs from the serial oracle");
     }
+    let stats = sharded.shard.expect("four shards run the sharded engine");
     let balance = stats.balance_rows();
     std::fs::write(
         "results/obs/shard_balance.json",

@@ -4,7 +4,7 @@
 use std::fs;
 use std::path::Path;
 
-use rmac_engine::{Protocol, Runner, ScenarioConfig};
+use rmac_engine::{Protocol, Run, RunOutput, ScenarioConfig};
 use rmac_metrics::table::fmt;
 use rmac_metrics::{RunReport, Table};
 
@@ -157,7 +157,9 @@ pub fn fig13(results: &SweepResults) -> Vec<(ScenarioKind, Table)> {
 /// tree as Graphviz DOT plus the hop/children statistics.
 pub fn fig6_topology(seed: u64, packets: u64) -> (RunReport, String) {
     let cfg = ScenarioConfig::paper_stationary(5.0).with_packets(packets);
-    let (report, parents) = Runner::new(&cfg, Protocol::Rmac, seed).run_with_tree(seed);
+    let RunOutput {
+        report, parents, ..
+    } = Run::new(&cfg, Protocol::Rmac, seed).execute();
     let mut dot = String::from("digraph tree {\n  rankdir=TB;\n  node [shape=circle];\n");
     dot.push_str("  0 [style=filled, fillcolor=lightblue];\n");
     for (i, p) in parents.iter().enumerate() {

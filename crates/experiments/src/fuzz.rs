@@ -14,10 +14,9 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
-use rmac_core::testkit::fuzz::{FuzzProtocol, FuzzQueue, FuzzScenario, FuzzTopology};
+use rmac_core::testkit::fuzz::{FuzzProtocol, FuzzScenario, FuzzTopology};
 use rmac_engine::{
-    run_replication_checked, run_replication_sharded_checked, CheckReport, Protocol, QueueKind,
-    ScenarioConfig,
+    run_replication_sharded_checked, CheckReport, Protocol, Reference, Run, ScenarioConfig,
 };
 use rmac_faults::{BurstySpec, ChurnKind, ChurnSpec, FaultPlan, JamTarget, JammerSpec, SkewSpec};
 use rmac_mobility::{Bounds, Pos};
@@ -39,7 +38,7 @@ pub enum CaseOutcome {
     /// The serial calendar-queue engine's report diverged from the serial
     /// binary-heap oracle — a scheduler ordering bug in the calendar
     /// queue itself.
-    QueueDivergence { queue: &'static str },
+    QueueDivergence,
 }
 
 impl CaseOutcome {
@@ -54,7 +53,7 @@ impl CaseOutcome {
             }
             CaseOutcome::Panicked(_) => Some("PANIC".to_string()),
             CaseOutcome::ShardDivergence { .. } => Some("SHARD_DIVERGENCE".to_string()),
-            CaseOutcome::QueueDivergence { .. } => Some("QUEUE_DIVERGENCE".to_string()),
+            CaseOutcome::QueueDivergence => Some("QUEUE_DIVERGENCE".to_string()),
         }
     }
 
@@ -67,8 +66,8 @@ impl CaseOutcome {
             CaseOutcome::ShardDivergence { shards } => {
                 format!("sharded report (shards={shards}) diverged from the single-queue oracle")
             }
-            CaseOutcome::QueueDivergence { queue } => {
-                format!("serial {queue}-queue report diverged from the binary-heap oracle")
+            CaseOutcome::QueueDivergence => {
+                "serial calendar-queue report diverged from the binary-heap oracle".to_string()
             }
         }
     }
@@ -97,10 +96,6 @@ pub fn materialize(fs: &FuzzScenario) -> (ScenarioConfig, Protocol, FaultPlan) {
     cfg.warmup = SimTime::from_secs(2);
     cfg.drain = SimTime::from_secs(3);
     cfg.shards = fs.shards.max(1);
-    cfg.queue = match fs.queue {
-        FuzzQueue::Heap => QueueKind::Heap,
-        FuzzQueue::Calendar => QueueKind::Calendar,
-    };
 
     let nodes = fs.nodes() as u16;
     let jam_pos = match fs.topology {
@@ -165,41 +160,39 @@ pub fn materialize(fs: &FuzzScenario) -> (ScenarioConfig, Protocol, FaultPlan) {
     (cfg, protocol, plan)
 }
 
-/// Run one fuzz case under the conformance checker — through the
-/// single-queue oracle *and* the sharded engine at the case's shard
-/// count, with the C1–C5 invariants checked on every shard group. Panics
-/// anywhere in the stack become [`CaseOutcome::Panicked`] findings; a
-/// sharded/oracle report mismatch becomes a
+/// Run one fuzz case under the conformance checker three ways: the serial
+/// engine on the binary-heap reference queue (the ground truth), the
+/// serial engine on the calendar queue, and the sharded engine at the
+/// case's shard count, with the C1–C5 invariants checked on every run (and
+/// every shard group). Panics anywhere in the stack become
+/// [`CaseOutcome::Panicked`] findings; a report mismatch against the
+/// oracle becomes a [`CaseOutcome::QueueDivergence`] or
 /// [`CaseOutcome::ShardDivergence`] finding.
 pub fn run_case(fs: &FuzzScenario, seed: u64) -> CaseOutcome {
     let (cfg, protocol, plan) = materialize(fs);
+    let serial = cfg.clone().with_shards(1);
     let result = catch_unwind(AssertUnwindSafe(|| {
-        // The serial binary-heap run is always the ground truth. When the
-        // case drew the calendar queue, a second serial run exercises it
-        // differentially; for heap cases that run would be the oracle
-        // again, so it is skipped.
-        let oracle = run_replication_checked(&cfg.clone().with_heap_queue(), protocol, seed, &plan);
-        let case_queue = (cfg.queue != QueueKind::Heap)
-            .then(|| run_replication_checked(&cfg, protocol, seed, &plan));
+        let checked = |run: Run| {
+            let out = run.faults(&plan).check().execute();
+            (out.report, out.check.expect("checker was attached"))
+        };
+        let oracle = checked(Run::new(&serial, protocol, seed).reference(Reference::HeapQueue));
+        let calendar = checked(Run::new(&serial, protocol, seed));
+        // The shim, not `Run`: it holds a one-shard case to the sharded
+        // engine too.
         let sharded = run_replication_sharded_checked(&cfg, protocol, seed, &plan);
-        (oracle, case_queue, sharded)
+        (oracle, calendar, sharded)
     }));
     match result {
-        Ok(((oracle_report, check), case_queue, (sharded_report, sharded_check))) => {
+        Ok(((oracle_report, check), (calendar_report, calendar_check), sharded)) => {
+            let (sharded_report, sharded_check) = sharded;
             if !check.is_clean() {
-                return CaseOutcome::Violations(check);
-            }
-            if let Some((queue_report, queue_check)) = case_queue {
-                if !queue_check.is_clean() {
-                    return CaseOutcome::Violations(queue_check);
-                }
-                if queue_report != oracle_report {
-                    return CaseOutcome::QueueDivergence {
-                        queue: cfg.queue.label(),
-                    };
-                }
-            }
-            if !sharded_check.is_clean() {
+                CaseOutcome::Violations(check)
+            } else if !calendar_check.is_clean() {
+                CaseOutcome::Violations(calendar_check)
+            } else if calendar_report != oracle_report {
+                CaseOutcome::QueueDivergence
+            } else if !sharded_check.is_clean() {
                 CaseOutcome::Violations(sharded_check)
             } else if sharded_report != oracle_report {
                 CaseOutcome::ShardDivergence { shards: cfg.shards }
@@ -279,15 +272,6 @@ fn reductions(fs: &FuzzScenario) -> Vec<FuzzScenario> {
         c.shards /= 2;
         out.push(c);
     }
-    // Try the heap oracle queue: if the failure survives, it is not a
-    // calendar-scheduler artifact and the repro is simpler to replay. A
-    // QUEUE_DIVERGENCE never survives this cut (the heap run *is* the
-    // oracle), which is exactly the disambiguation we want recorded.
-    if fs.queue == FuzzQueue::Calendar {
-        let mut c = fs.clone();
-        c.queue = FuzzQueue::Heap;
-        out.push(c);
-    }
     out
 }
 
@@ -356,7 +340,6 @@ pub fn repro_json(fs: &FuzzScenario, seed: u64, signature: &str, detail: &str) -
             "  \"packets\": {},\n",
             "  \"payload\": {},\n",
             "  \"shards\": {},\n",
-            "  \"queue\": \"{}\",\n",
             "  \"fault_plan\": {},\n",
             "  \"detail\": \"{}\"\n",
             "}}\n"
@@ -370,10 +353,6 @@ pub fn repro_json(fs: &FuzzScenario, seed: u64, signature: &str, detail: &str) -
         fs.packets,
         fs.payload,
         fs.shards,
-        match fs.queue {
-            FuzzQueue::Heap => "heap",
-            FuzzQueue::Calendar => "calendar",
-        },
         plan.to_json(),
         json_escape(detail),
     )
@@ -403,10 +382,6 @@ mod tests {
     use rmac_core::testkit::fuzz::{scenario_strategy, FuzzFaults};
 
     fn mutant_cluster() -> FuzzScenario {
-        mutant_cluster_on(FuzzQueue::Calendar)
-    }
-
-    fn mutant_cluster_on(queue: FuzzQueue) -> FuzzScenario {
         FuzzScenario {
             topology: FuzzTopology::Cluster {
                 nodes: 7,
@@ -423,7 +398,6 @@ mod tests {
                 skew: vec![(1, 80.0)],
             },
             shards: 2,
-            queue,
         }
     }
 
@@ -466,31 +440,12 @@ mod tests {
         }
     }
 
-    /// The queue axis is a real behavioral knob, not a label: the C1
-    /// mutant violates identically under both queue implementations, and
-    /// the drawn queue is preserved through shrinking unless dropping it
-    /// keeps the failure alive.
-    #[test]
-    fn mutant_fails_the_same_way_under_both_queues() {
-        for queue in [FuzzQueue::Heap, FuzzQueue::Calendar] {
-            let fs = mutant_cluster_on(queue);
-            let outcome = run_case(&fs, 3);
-            assert_eq!(
-                outcome.signature().as_deref(),
-                Some("C1"),
-                "queue {queue:?}: {}",
-                outcome.describe()
-            );
-        }
-    }
-
     #[test]
     fn repro_json_is_well_formed_enough() {
         let fs = mutant_cluster();
         let json = repro_json(&fs, 3, "C1", "minimal reproducer");
         assert!(json.contains("\"signature\": \"C1\""));
         assert!(json.contains("\"cluster\""));
-        assert!(json.contains("\"queue\": \"calendar\""));
         assert!(json.contains("\"fault_plan\""));
         assert_eq!(
             json.matches('{').count(),

@@ -224,6 +224,8 @@ pub struct ShardedQueue<E, Q: SeqQueue<E> = EventQueue<E>> {
     local_pushes: u64,
     /// Pushes routed to a different shard — cross-shard bus traffic.
     cross_pushes: u64,
+    /// Tie-break sequence number of the most recently popped event.
+    popped_seq: u64,
 }
 
 impl<E, Q: SeqQueue<E>> ShardedQueue<E, Q> {
@@ -246,6 +248,7 @@ impl<E, Q: SeqQueue<E>> ShardedQueue<E, Q> {
             current: 0,
             local_pushes: 0,
             cross_pushes: 0,
+            popped_seq: 0,
         }
     }
 
@@ -265,19 +268,26 @@ impl<E, Q: SeqQueue<E>> ShardedQueue<E, Q> {
     }
 
     /// The `(time, seq)` key of the globally earliest pending event, if
-    /// any. The sharded engine's trace-merge path peeks the key before
-    /// popping so it can log each dispatched event's tie-break sequence
-    /// number (the reconstruction handle for the oracle's global order).
+    /// any.
     pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        if self.queues.len() == 1 {
-            return self.queues[0].peek_key();
-        }
-        self.queues.iter().filter_map(|q| q.peek_key()).min()
+        self.head().map(|(t, seq, _)| (t, seq))
     }
 
-    /// The local index of the sub-queue holding the globally earliest
-    /// `(time, seq)` head, if any event is pending.
-    fn earliest_shard(&self) -> Option<usize> {
+    /// The tie-break sequence number of the most recently popped event.
+    /// The sharded engine's trace-merge path logs it per dispatch (the
+    /// reconstruction handle for the oracle's global order).
+    pub fn popped_seq(&self) -> u64 {
+        self.popped_seq
+    }
+
+    /// The globally earliest `(time, seq)` head and the local index of the
+    /// sub-queue holding it, if any event is pending.
+    fn head(&self) -> Option<(SimTime, u64, usize)> {
+        // Single-sub-queue fast path: a group that owns one shard has no
+        // scan to make.
+        if self.queues.len() == 1 {
+            return self.queues[0].peek_key().map(|(t, s)| (t, s, 0));
+        }
         let mut best: Option<(SimTime, u64, usize)> = None;
         for (i, q) in self.queues.iter().enumerate() {
             if let Some((t, s)) = q.peek_key() {
@@ -286,7 +296,7 @@ impl<E, Q: SeqQueue<E>> ShardedQueue<E, Q> {
                 }
             }
         }
-        best.map(|(_, _, i)| i)
+        best
     }
 }
 
@@ -322,15 +332,21 @@ impl<E, Q: SeqQueue<E>> SimQueue<E> for ShardedQueue<E, Q> {
     }
 
     fn pop(&mut self) -> Option<(SimTime, E)> {
-        let shard = if self.queues.len() == 1 {
-            0
-        } else {
-            self.earliest_shard()?
-        };
+        self.pop_at_or_before(SimTime::MAX)
+    }
+
+    /// One head lookup decides which sub-queue wins, whether its event is
+    /// due, and the sequence number [`ShardedQueue::popped_seq`] reports.
+    fn pop_at_or_before(&mut self, cutoff: SimTime) -> Option<(SimTime, E)> {
+        let (t, seq, shard) = self.head()?;
+        if t > cutoff {
+            return None;
+        }
         let (t, ev) = self.queues[shard].pop()?;
         debug_assert!(t >= self.now, "sharded pop produced time regression");
         self.now = t;
         self.current = shard;
+        self.popped_seq = seq;
         Some((t, ev))
     }
 
@@ -453,7 +469,12 @@ mod tests {
         q.push(t, 0); // seq 1, shard 0: same instant, later seq
         assert_eq!(q.peek_key(), Some((t, 0)));
         q.pop();
+        assert_eq!(q.popped_seq(), 0);
         assert_eq!(q.peek_key(), Some((t, 1)));
+        // Not due yet: the head and the popped seq stay put.
+        assert_eq!(q.pop_at_or_before(SimTime::from_micros(3)), None);
+        assert_eq!(q.pop_at_or_before(t), Some((t, 0)));
+        assert_eq!(q.popped_seq(), 1);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use rmac::engine::{Runner, TraceEvent};
+use rmac::engine::TraceEvent;
 use rmac::mobility::Pos;
 use rmac::prelude::*;
 
@@ -29,9 +29,10 @@ fn main() {
 
     let events: Arc<Mutex<Vec<TraceEvent>>> = Arc::default();
     let sink = events.clone();
-    let mut runner = Runner::new(&cfg, Protocol::Rmac, 3);
-    runner.set_tracer(Box::new(move |e| sink.lock().unwrap().push(e.clone())));
-    let report = runner.run(3);
+    let report = Run::new(&cfg, Protocol::Rmac, 3)
+        .tracer(Box::new(move |e| sink.lock().unwrap().push(e.clone())))
+        .execute()
+        .report;
 
     // Show the window around the one application packet: from its
     // submission at the source to the last tone edge of the exchange.

@@ -10,7 +10,6 @@
 
 use std::fs;
 
-use rmac::engine::Runner;
 use rmac::prelude::*;
 
 fn main() {
@@ -19,7 +18,9 @@ fn main() {
     let packets: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(500);
 
     let cfg = ScenarioConfig::paper_stationary(rate).with_packets(packets);
-    let (report, parents) = Runner::new(&cfg, Protocol::Rmac, 0).run_with_tree(0);
+    let RunOutput {
+        report, parents, ..
+    } = Run::new(&cfg, Protocol::Rmac, 0).execute();
 
     println!("75-node tree multicast, {rate} pkt/s, {packets} packets (RMAC)\n");
     println!("tree statistics (paper: hops 3.87/10, children 3.54/9):");

@@ -37,10 +37,7 @@ pub use rmac_wire as wire;
 pub mod prelude {
     pub use rmac_check::{CheckReport, Invariant};
     pub use rmac_engine::{
-        run_replication, run_replication_checked, run_replication_sharded,
-        run_replication_sharded_checked, run_replication_sharded_with_faults,
-        run_replication_with_faults, ObsConfig, Protocol, Runner, ScenarioConfig, ShardedRunner,
-        TraceLevel,
+        run_replication, ObsConfig, Protocol, Run, RunOutput, ScenarioConfig, TraceLevel,
     };
     pub use rmac_faults::FaultPlan;
     pub use rmac_metrics::report::RunReport;

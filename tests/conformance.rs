@@ -7,6 +7,9 @@ use rmac::faults::{BurstySpec, ChurnKind, ChurnSpec, JamTarget, JammerSpec, Skew
 use rmac::mobility::{Bounds, Pos};
 use rmac::prelude::*;
 
+mod common;
+use common::{checked, verdict};
+
 fn small(rate: f64, nodes: usize, packets: u64) -> ScenarioConfig {
     let mut cfg = ScenarioConfig::paper_stationary(rate)
         .with_nodes(nodes)
@@ -16,10 +19,10 @@ fn small(rate: f64, nodes: usize, packets: u64) -> ScenarioConfig {
 }
 
 /// C1–C5 hold for every protocol on a clean small network; the panic
-/// inside `run_replication` with `check` on is the assertion.
+/// inside `checked` is the assertion.
 #[test]
 fn every_protocol_is_conformant_on_clean_runs() {
-    let cfg = small(10.0, 6, 15).with_check();
+    let cfg = small(10.0, 6, 15);
     for p in [
         Protocol::Rmac,
         Protocol::RmacNoRbt,
@@ -28,7 +31,7 @@ fn every_protocol_is_conformant_on_clean_runs() {
         Protocol::Lbp,
         Protocol::Mx80211,
     ] {
-        let r = run_replication(&cfg, p, 3);
+        let r = checked(&cfg, p, 3);
         assert!(r.delivery_ratio() > 0.5, "{}", r.protocol);
     }
 }
@@ -37,7 +40,7 @@ fn every_protocol_is_conformant_on_clean_runs() {
 #[test]
 fn checker_sees_traffic_and_transitions() {
     let cfg = small(20.0, 6, 20);
-    let (run, check) = run_replication_checked(&cfg, Protocol::Rmac, 7, &FaultPlan::none());
+    let (run, check) = verdict(&cfg, Protocol::Rmac, 7, &FaultPlan::none());
     assert!(check.is_clean(), "{}", check.summary());
     assert!(check.tx_checked > run.packets_sent, "{}", check.tx_checked);
     assert!(check.rx_ok_checked > 0);
@@ -51,12 +54,12 @@ fn checked_runs_are_bit_identical_to_unchecked() {
     let cfg = small(40.0, 8, 40);
     for p in [Protocol::Rmac, Protocol::Bmmm] {
         let plain = run_replication(&cfg, p, 11);
-        let checked = run_replication(&cfg.clone().with_check(), p, 11);
-        assert_eq!(plain.events, checked.events, "{}", plain.protocol);
-        assert_eq!(plain.receptions, checked.receptions);
-        assert_eq!(plain.e2e_delay_avg_s, checked.e2e_delay_avg_s);
-        assert_eq!(plain.tx_frames, checked.tx_frames);
-        assert_eq!(plain.rx_frames_ok, checked.rx_frames_ok);
+        let watched = checked(&cfg, p, 11);
+        assert_eq!(plain.events, watched.events, "{}", plain.protocol);
+        assert_eq!(plain.receptions, watched.receptions);
+        assert_eq!(plain.e2e_delay_avg_s, watched.e2e_delay_avg_s);
+        assert_eq!(plain.tx_frames, watched.tx_frames);
+        assert_eq!(plain.rx_frames_ok, watched.rx_frames_ok);
     }
 }
 
@@ -76,14 +79,14 @@ fn skip_rbt_sense_mutant_is_caught_by_c1() {
         ..FaultPlan::none()
     };
     let cfg = small(20.0, 6, 30);
-    let (_, check) = run_replication_checked(&cfg, Protocol::RmacSkipRbtSense, 5, &plan);
+    let (_, check) = verdict(&cfg, Protocol::RmacSkipRbtSense, 5, &plan);
     assert!(
         check.count(Invariant::C1RbtProtection) > 0,
         "mutant not caught: {}",
         check.summary()
     );
     // The same seeds and faults with the real MAC stay clean.
-    let (_, clean) = run_replication_checked(&cfg, Protocol::Rmac, 5, &plan);
+    let (_, clean) = verdict(&cfg, Protocol::Rmac, 5, &plan);
     assert!(clean.is_clean(), "{}", clean.summary());
 }
 
@@ -115,7 +118,7 @@ fn conformance_holds_under_faults() {
     };
     let cfg = small(10.0, 8, 25);
     for p in [Protocol::Rmac, Protocol::Bmmm] {
-        let (_, check) = run_replication_checked(&cfg, p, 13, &plan);
+        let (_, check) = verdict(&cfg, p, 13, &plan);
         assert!(check.is_clean(), "{p:?}: {}", check.summary());
     }
 }
@@ -125,10 +128,9 @@ fn conformance_holds_under_faults() {
 fn conformance_holds_under_mobility() {
     let mut cfg = ScenarioConfig::paper_speed1(10.0)
         .with_nodes(10)
-        .with_packets(20)
-        .with_check();
+        .with_packets(20);
     cfg.bounds = Bounds::new(150.0, 120.0);
-    let r = run_replication(&cfg, Protocol::Rmac, 6);
+    let r = checked(&cfg, Protocol::Rmac, 6);
     assert!(r.delivery_ratio() > 0.3);
 }
 
@@ -139,9 +141,9 @@ fn conformance_holds_under_mobility() {
 fn mini_figure_scenarios_are_conformant() {
     // fig6/fig7-style: stationary sweep points.
     for rate in [5.0, 40.0] {
-        let cfg = small(rate, 8, 15).with_check();
-        run_replication(&cfg, Protocol::Rmac, 1);
-        run_replication(&cfg, Protocol::Bmmm, 1);
+        let cfg = small(rate, 8, 15);
+        checked(&cfg, Protocol::Rmac, 1);
+        checked(&cfg, Protocol::Bmmm, 1);
     }
     // fig12-style: star fanout drives long MRTS frames + many ABT slots.
     let mut positions = vec![Pos::new(25.0, 25.0)];
@@ -154,15 +156,13 @@ fn mini_figure_scenarios_are_conformant() {
     }
     let cfg = ScenarioConfig::paper_stationary(10.0)
         .with_packets(20)
-        .with_positions(positions)
-        .with_check();
-    let r = run_replication(&cfg, Protocol::Rmac, 2);
+        .with_positions(positions);
+    let r = checked(&cfg, Protocol::Rmac, 2);
     assert!(r.mrts_len_max >= (12 + 6 * 8) as f64);
     // fig13-style: a multihop chain (hidden terminals at every hop).
     let chain: Vec<Pos> = (0..5).map(|i| Pos::new(i as f64 * 70.0, 0.0)).collect();
     let cfg = ScenarioConfig::paper_stationary(10.0)
         .with_packets(20)
-        .with_positions(chain)
-        .with_check();
-    run_replication(&cfg, Protocol::Rmac, 0);
+        .with_positions(chain);
+    checked(&cfg, Protocol::Rmac, 0);
 }

@@ -1,7 +1,7 @@
 //! The fault plane's two determinism laws (property-based).
 //!
-//! 1. **Identity**: running through `run_replication_with_faults` with
-//!    `FaultPlan::none()` is bit-identical to `run_replication` — wiring
+//! 1. **Identity**: a `Run` with `.faults(&FaultPlan::none())` is
+//!    bit-identical to one without — wiring
 //!    the fault plane in cannot perturb a fault-free simulation.
 //! 2. **Reproducibility**: the same seed and the same (non-trivial) plan
 //!    produce the same report, field for field, on every run.
@@ -9,6 +9,9 @@
 use proptest::prelude::*;
 use rmac::faults::{BurstySpec, ChurnKind, ChurnSpec, FaultPlan, JamTarget, JammerSpec, SkewSpec};
 use rmac::prelude::*;
+
+mod common;
+use common::{faulted, verdict};
 
 /// A small-but-live scenario so each property case stays fast.
 fn cfg() -> ScenarioConfig {
@@ -55,19 +58,18 @@ proptest! {
     #[test]
     fn empty_plan_is_bit_identical_to_no_injector(seed in 0u64..256) {
         let base = run_replication(&cfg(), Protocol::Rmac, seed);
-        let faulted =
-            run_replication_with_faults(&cfg(), Protocol::Rmac, seed, &FaultPlan::none());
-        prop_assert_eq!(&base, &faulted);
-        prop_assert_eq!(faulted.faults_injected, 0);
-        prop_assert_eq!(faulted.fault_crashes, 0);
-        prop_assert_eq!(faulted.fault_jam_bursts, 0);
+        let empty = faulted(&cfg(), Protocol::Rmac, seed, &FaultPlan::none());
+        prop_assert_eq!(&base, &empty);
+        prop_assert_eq!(empty.faults_injected, 0);
+        prop_assert_eq!(empty.fault_crashes, 0);
+        prop_assert_eq!(empty.fault_jam_bursts, 0);
     }
 
     #[test]
     fn same_seed_same_plan_reproduces(seed in 0u64..256, salt in 0u64..16) {
         let plan = full_plan(salt);
-        let a = run_replication_with_faults(&cfg(), Protocol::Rmac, seed, &plan);
-        let b = run_replication_with_faults(&cfg(), Protocol::Rmac, seed, &plan);
+        let a = faulted(&cfg(), Protocol::Rmac, seed, &plan);
+        let b = faulted(&cfg(), Protocol::Rmac, seed, &plan);
         prop_assert_eq!(&a, &b);
         // The plan is non-trivial: crashes must have been executed and
         // jam bursts emitted.
@@ -105,9 +107,9 @@ fn restart_during_inflight_exchange_is_safe_and_conformant() {
     let events: Arc<Mutex<Vec<TraceEvent>>> = Arc::default();
     let sink = Arc::clone(&events);
     let inner: Tracer = Box::new(move |e| sink.lock().unwrap().push(e.clone()));
-    let mut scout = Runner::with_faults(&scenario, Protocol::Rmac, 21, &FaultPlan::none());
-    scout.set_tracer(filter_tracer(TraceLevel::Frames, inner));
-    let _ = scout.run(21);
+    Run::new(&scenario, Protocol::Rmac, 21)
+        .tracer(filter_tracer(TraceLevel::Frames, inner))
+        .execute();
     let data_done_ms = events
         .lock()
         .unwrap()
@@ -131,10 +133,10 @@ fn restart_during_inflight_exchange_is_safe_and_conformant() {
     });
     plan.salt = 5;
 
-    let (a, check) = run_replication_checked(&scenario, Protocol::Rmac, 21, &plan);
+    let (a, check) = verdict(&scenario, Protocol::Rmac, 21, &plan);
     assert!(check.is_clean(), "mid-exchange crash violated:\n{check:?}");
     assert_eq!(a.fault_crashes, 1, "the crash window executed");
-    let (b, _) = run_replication_checked(&scenario, Protocol::Rmac, 21, &plan);
+    let (b, _) = verdict(&scenario, Protocol::Rmac, 21, &plan);
     assert_eq!(a, b, "mid-exchange crash must stay deterministic");
     // The other three nodes keep the network alive through the outage.
     assert!(a.packets_sent > 0);
@@ -156,10 +158,10 @@ fn jammer_active_at_time_zero_is_safe() {
     });
     plan.salt = 3;
 
-    let (a, check) = run_replication_checked(&scenario, Protocol::Rmac, 17, &plan);
+    let (a, check) = verdict(&scenario, Protocol::Rmac, 17, &plan);
     assert!(check.is_clean(), "t=0 jammer violated:\n{check:?}");
     assert!(a.fault_jam_bursts > 0, "bursts were emitted");
-    let (b, _) = run_replication_checked(&scenario, Protocol::Rmac, 17, &plan);
+    let (b, _) = verdict(&scenario, Protocol::Rmac, 17, &plan);
     assert_eq!(a, b, "t=0 jammer must stay deterministic");
 
     // Same property on the data channel, where the burst raises carrier
@@ -173,7 +175,7 @@ fn jammer_active_at_time_zero_is_safe() {
         burst_ms: 10,
     });
     data_plan.salt = 3;
-    let (c, check) = run_replication_checked(&scenario, Protocol::Rmac, 17, &data_plan);
+    let (c, check) = verdict(&scenario, Protocol::Rmac, 17, &data_plan);
     assert!(check.is_clean(), "t=0 data jammer violated:\n{check:?}");
     assert!(c.fault_jam_bursts > 0);
 }
@@ -185,7 +187,7 @@ fn json_roundtripped_plan_reproduces() {
     let plan = full_plan(9);
     let back = FaultPlan::from_json(&plan.to_json()).expect("roundtrip");
     assert_eq!(plan, back);
-    let a = run_replication_with_faults(&cfg(), Protocol::Rmac, 11, &plan);
-    let b = run_replication_with_faults(&cfg(), Protocol::Rmac, 11, &back);
+    let a = faulted(&cfg(), Protocol::Rmac, 11, &plan);
+    let b = faulted(&cfg(), Protocol::Rmac, 11, &back);
     assert_eq!(a, b);
 }

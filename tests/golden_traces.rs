@@ -20,64 +20,37 @@
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use rmac::engine::{filter_tracer, QueueKind, Runner, ShardedRunner, TraceLevel, Tracer};
+use rmac::engine::{filter_tracer, Reference, TraceLevel, Tracer};
 use rmac::faults::{JamTarget, JammerSpec};
 use rmac::mobility::Pos;
 use rmac::prelude::*;
 use rmac::sim::SimTime;
 
-/// Collect a frame-level JSONL trace from any runner shape through one
-/// shared sink.
-fn frame_sink() -> (Arc<Mutex<Vec<String>>>, Tracer) {
+/// Execute `run` with the conformance checker on (and asserted clean) and
+/// a frame-level tracer attached; return the JSONL trace as one string
+/// plus the run's output. Whatever engine, queue and shard count `run`
+/// selects, the trace goes through this one sink.
+fn capture_output(run: Run) -> (String, RunOutput) {
     let lines: Arc<Mutex<Vec<String>>> = Arc::default();
     let sink = Arc::clone(&lines);
     let inner: Tracer = Box::new(move |e| sink.lock().expect("trace sink").push(e.to_json()));
-    (lines, filter_tracer(TraceLevel::Frames, inner))
-}
-
-fn drain_sink(lines: Arc<Mutex<Vec<String>>>) -> String {
+    let out = run
+        .tracer(filter_tracer(TraceLevel::Frames, inner))
+        .check()
+        .execute()
+        .assert_clean();
     let lines = lines.lock().expect("trace sink");
-    let mut out = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
+    let mut trace = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
     for l in lines.iter() {
-        out.push_str(l);
-        out.push('\n');
+        trace.push_str(l);
+        trace.push('\n');
     }
-    out
+    (trace, out)
 }
 
-/// Run one replication with the conformance checker on and a frame-level
-/// tracer attached; return the JSONL trace as one string.
+/// The serial calendar-queue capture every golden file is held against.
 fn capture(cfg: &ScenarioConfig, protocol: Protocol, seed: u64, plan: &FaultPlan) -> String {
-    let (lines, tracer) = frame_sink();
-    match cfg.queue {
-        QueueKind::Calendar => {
-            let mut runner = Runner::with_faults(cfg, protocol, seed, plan);
-            runner.set_tracer(tracer);
-            let _ = runner.run(seed);
-        }
-        QueueKind::Heap => {
-            let mut runner = Runner::with_faults_heap(cfg, protocol, seed, plan);
-            runner.set_tracer(tracer);
-            let _ = runner.run(seed);
-        }
-    }
-    drain_sink(lines)
-}
-
-/// Same capture through the sharded engine at the given shard count.
-fn capture_sharded(
-    cfg: &ScenarioConfig,
-    protocol: Protocol,
-    seed: u64,
-    plan: &FaultPlan,
-    shards: usize,
-) -> String {
-    let (lines, tracer) = frame_sink();
-    let mut runner =
-        ShardedRunner::with_faults(&cfg.clone().with_shards(shards), protocol, seed, plan);
-    runner.set_tracer(tracer);
-    let _ = runner.run();
-    drain_sink(lines)
+    capture_output(Run::new(cfg, protocol, seed).faults(plan)).0
 }
 
 fn golden_path(name: &str) -> PathBuf {
@@ -128,7 +101,7 @@ fn trim(mut cfg: ScenarioConfig, name: &str) -> ScenarioConfig {
     cfg.warmup = SimTime::from_secs(2);
     cfg.drain = SimTime::from_secs(1);
     cfg.name = name.to_string();
-    cfg.with_check()
+    cfg
 }
 
 /// The four canonical golden scenarios: (golden file, scenario, seed,
@@ -250,27 +223,24 @@ fn golden_decoupled_clusters() {
     // The merge path must really be live: with a tracer attached and two
     // shards this scenario must still decouple into >1 group (the tracer
     // no longer forces the serial fallback) and reproduce the oracle.
-    let (lines, tracer) = frame_sink();
-    let mut runner =
-        ShardedRunner::with_faults(&cfg.clone().with_shards(2), Protocol::Rmac, seed, &plan);
-    runner.set_tracer(tracer);
-    let (_, stats) = runner.run_with_stats();
+    let two_shards = cfg.clone().with_shards(2);
+    let (merged, out) = capture_output(Run::new(&two_shards, Protocol::Rmac, seed).faults(&plan));
+    let groups = out.shard.expect("two shards run the sharded engine").groups;
     assert!(
-        stats.groups > 1,
-        "decoupled clusters collapsed to one group (groups={}); \
-         the merge path is not being exercised",
-        stats.groups
+        groups > 1,
+        "decoupled clusters collapsed to one group (groups={groups}); \
+         the merge path is not being exercised"
     );
     assert_eq!(
-        drain_sink(lines),
-        trace,
+        merged, trace,
         "{name}: merged multi-group trace diverged from the oracle"
     );
 }
 
 /// The engine's trace contract as a full matrix: every golden scenario
-/// replays **byte-stable** under queue ∈ {calendar, heap} × shards ∈
-/// {serial, 1, 2, 4, 8}. Traces are compared both against a fresh oracle
+/// replays **byte-stable** on the serial engine over the heap reference
+/// queue and the calendar queue, and on the (calendar-queue) sharded engine
+/// at 1/2/4/8 shards. Traces are compared both against a fresh oracle
 /// capture (the live contract) and against the committed golden file (so
 /// a simultaneous oracle+variant drift cannot slip through). The serial
 /// heap leg pins the calendar scheduler against the binary-heap oracle
@@ -281,25 +251,18 @@ fn golden_traces_replay_byte_stable_under_sharding() {
     let regen = std::env::var("RMAC_REGEN_GOLDEN").ok().as_deref() == Some("1");
     for (name, cfg, seed, plan) in golden_scenarios() {
         let oracle = capture(&cfg, Protocol::Rmac, seed, &plan);
-        for queue in [QueueKind::Calendar, QueueKind::Heap] {
-            let qcfg = cfg.clone().with_queue(queue);
-            let serial = capture(&qcfg, Protocol::Rmac, seed, &plan);
+        let run = |cfg: &ScenarioConfig| Run::new(cfg, Protocol::Rmac, seed).faults(&plan);
+        let (heap, _) = capture_output(run(&cfg).reference(Reference::HeapQueue));
+        assert_eq!(
+            heap, oracle,
+            "{name}: serial heap-reference trace diverged from the calendar queue's"
+        );
+        for shards in [1usize, 2, 4, 8] {
+            let (sharded, _) = capture_output(run(&cfg.clone().with_shards(shards)));
             assert_eq!(
-                serial,
-                oracle,
-                "{name}: serial {} trace diverged from the oracle",
-                queue.label()
+                sharded, oracle,
+                "{name}: sharded trace diverged from the oracle (shards={shards})"
             );
-            for shards in [1usize, 2, 4, 8] {
-                let sharded = capture_sharded(&qcfg, Protocol::Rmac, seed, &plan, shards);
-                assert_eq!(
-                    sharded,
-                    oracle,
-                    "{name}: sharded trace diverged from the oracle \
-                     (queue={}, shards={shards})",
-                    queue.label()
-                );
-            }
         }
         if !regen {
             let committed = std::fs::read_to_string(golden_path(name))

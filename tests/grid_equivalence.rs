@@ -9,9 +9,13 @@
 //!    kind, so enabling the index by default cannot perturb any result.
 
 use proptest::prelude::*;
+use rmac::engine::Reference;
 use rmac::mobility::{Bounds, MobilityKind, Motion, Pos};
 use rmac::phy::{Channel, ChannelConfig, IndexMode};
 use rmac::prelude::*;
+
+mod common;
+use common::checked;
 
 /// One randomly parameterised trajectory: stationary, scripted linear, or
 /// random waypoint at one of the paper's speed profiles.
@@ -89,9 +93,12 @@ proptest! {
         .with_nodes(nodes)
         .with_packets(packets);
         cfg.bounds = Bounds::new(150.0, 120.0);
-        let cfg = cfg.with_check();
-        let gridded = run_replication(&cfg, Protocol::Rmac, seed);
-        let brute = run_replication(&cfg.clone().with_brute_force_phy(), Protocol::Rmac, seed);
-        prop_assert_eq!(gridded, brute);
+        let gridded = checked(&cfg, Protocol::Rmac, seed);
+        let brute = Run::new(&cfg, Protocol::Rmac, seed)
+            .reference(Reference::BrutePhy)
+            .check()
+            .execute()
+            .assert_clean();
+        prop_assert_eq!(gridded, brute.report);
     }
 }

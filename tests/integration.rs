@@ -5,20 +5,23 @@
 use rmac::mobility::{Bounds, Pos};
 use rmac::prelude::*;
 
+mod common;
+// Every integration run doubles as a conformance run: `checked` asserts
+// the C1–C5 invariants (rmac-check) over the whole trace.
+use common::checked;
+
 fn small(rate: f64, nodes: usize, packets: u64) -> ScenarioConfig {
     let mut cfg = ScenarioConfig::paper_stationary(rate)
         .with_nodes(nodes)
         .with_packets(packets);
     cfg.bounds = Bounds::new(110.0, 90.0);
-    // Every integration run doubles as a conformance run: the engine
-    // asserts the C1–C5 invariants (rmac-check) over the whole trace.
-    cfg.with_check()
+    cfg
 }
 
 #[test]
 fn facade_reexports_work_end_to_end() {
     let cfg = small(20.0, 8, 40);
-    let report = run_replication(&cfg, Protocol::Rmac, 42);
+    let report = checked(&cfg, Protocol::Rmac, 42);
     assert!(
         report.delivery_ratio() > 0.95,
         "{}",
@@ -37,7 +40,7 @@ fn every_protocol_runs_through_the_facade() {
         Protocol::Lbp,
         Protocol::Mx80211,
     ] {
-        let r = run_replication(&cfg, p, 3);
+        let r = checked(&cfg, p, 3);
         assert!(
             r.delivery_ratio() > 0.5,
             "{} delivered only {}",
@@ -54,16 +57,15 @@ fn multihop_chain_delivers() {
     let positions: Vec<Pos> = (0..6).map(|i| Pos::new(i as f64 * 70.0, 0.0)).collect();
     let cfg = ScenarioConfig::paper_stationary(10.0)
         .with_packets(40)
-        .with_positions(positions)
-        .with_check();
+        .with_positions(positions);
     // Average a few seeds: a single replication of a 5-hop chain sits
     // right at the 0.9 threshold on unlucky backoff draws.
     let delivery: f64 = (0..4)
-        .map(|seed| run_replication(&cfg, Protocol::Rmac, seed).delivery_ratio())
+        .map(|seed| checked(&cfg, Protocol::Rmac, seed).delivery_ratio())
         .sum::<f64>()
         / 4.0;
     assert!(delivery > 0.9, "chain delivery {delivery}");
-    let r = run_replication(&cfg, Protocol::Rmac, 0);
+    let r = checked(&cfg, Protocol::Rmac, 0);
     // The deepest node is 5 hops out.
     assert!(r.hops_p99 >= 5.0, "hops p99 {}", r.hops_p99);
 }
@@ -78,9 +80,8 @@ fn partitioned_network_loses_exactly_the_far_side() {
     ];
     let cfg = ScenarioConfig::paper_stationary(10.0)
         .with_packets(30)
-        .with_positions(positions)
-        .with_check();
-    let r = run_replication(&cfg, Protocol::Rmac, 1);
+        .with_positions(positions);
+    let r = checked(&cfg, Protocol::Rmac, 1);
     // Expected = 30 × 2; only node 1 is reachable → ratio ≈ 0.5.
     assert_eq!(r.expected_receptions, 60);
     assert!(
@@ -94,8 +95,8 @@ fn partitioned_network_loses_exactly_the_far_side() {
 fn determinism_holds_across_the_full_stack() {
     let cfg = small(40.0, 10, 60);
     for p in [Protocol::Rmac, Protocol::Bmmm] {
-        let a = run_replication(&cfg, p, 9);
-        let b = run_replication(&cfg, p, 9);
+        let a = checked(&cfg, p, 9);
+        let b = checked(&cfg, p, 9);
         assert_eq!(a.events, b.events, "{}", a.protocol);
         assert_eq!(a.receptions, b.receptions);
         assert_eq!(a.e2e_delay_avg_s, b.e2e_delay_avg_s);
@@ -108,8 +109,8 @@ fn rmac_outperforms_bmmm_on_overhead() {
     // The paper's headline efficiency claim at small scale: RMAC's control
     // overhead ratio is a fraction of BMMM's on identical topologies.
     let cfg = small(20.0, 10, 60);
-    let rmac = run_replication(&cfg, Protocol::Rmac, 4);
-    let bmmm = run_replication(&cfg, Protocol::Bmmm, 4);
+    let rmac = checked(&cfg, Protocol::Rmac, 4);
+    let bmmm = checked(&cfg, Protocol::Bmmm, 4);
     assert!(
         rmac.txoh_ratio_avg < bmmm.txoh_ratio_avg,
         "RMAC {} vs BMMM {}",
@@ -132,9 +133,8 @@ fn mrts_lengths_track_fanout() {
     }
     let cfg = ScenarioConfig::paper_stationary(10.0)
         .with_packets(30)
-        .with_positions(positions)
-        .with_check();
-    let r = run_replication(&cfg, Protocol::Rmac, 2);
+        .with_positions(positions);
+    let r = checked(&cfg, Protocol::Rmac, 2);
     assert!(
         r.mrts_len_max >= (12 + 6 * 8) as f64,
         "max MRTS {} B",
@@ -158,8 +158,7 @@ fn mobile_full_stack_smoke() {
         .with_nodes(12)
         .with_packets(30);
     cfg.bounds = Bounds::new(150.0, 120.0);
-    let cfg = cfg.with_check();
-    let r = run_replication(&cfg, Protocol::Rmac, 6);
+    let r = checked(&cfg, Protocol::Rmac, 6);
     assert!(r.delivery_ratio() > 0.4, "{}", r.delivery_ratio());
     assert!(r.sim_secs > 10.0);
 }

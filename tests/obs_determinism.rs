@@ -25,7 +25,12 @@ fn cfg() -> ScenarioConfig {
         .with_packets(8);
     let scale = (nodes as f64 / 75.0).sqrt();
     cfg.bounds = rmac::mobility::Bounds::new(500.0 * scale, 300.0 * scale);
-    cfg.with_check()
+    cfg
+}
+
+/// Every run here also carries the conformance checker, asserted clean.
+fn run(seed: u64) -> Run {
+    Run::new(&cfg(), Protocol::Rmac, seed).check()
 }
 
 /// One fully instrumented run: returns the report plus the sink's summary
@@ -33,10 +38,12 @@ fn cfg() -> ScenarioConfig {
 fn instrumented(seed: u64) -> (RunReport, ObsReport, u64, String) {
     let path = std::env::temp_dir().join(format!("rmac_obs_determinism_{seed}.jsonl"));
     let sink = JsonlSink::create(&path).expect("create trace sink");
-    let mut runner = Runner::new(&cfg(), Protocol::Rmac, seed);
-    runner.set_tracer(filter_tracer(TraceLevel::Signal, sink.tracer()));
-    runner.set_obs(ObsConfig::full(SimTime::from_millis(250)));
-    let (report, obs) = runner.run_obs(seed);
+    let out = run(seed)
+        .tracer(filter_tracer(TraceLevel::Signal, sink.tracer()))
+        .obs(ObsConfig::full(SimTime::from_millis(250)))
+        .execute()
+        .assert_clean();
+    let (report, obs) = (out.report, out.obs);
     let summary = sink.finish().expect("flush trace sink");
     assert_eq!(summary.dropped, 0, "trace lines dropped on write");
     let text = std::fs::read_to_string(&path).expect("read trace back");
@@ -49,7 +56,7 @@ proptest! {
 
     #[test]
     fn full_instrumentation_is_bit_identical(seed in 0u64..256) {
-        let base = run_replication(&cfg(), Protocol::Rmac, seed);
+        let base = run(seed).execute().assert_clean().report;
         let (report, obs, written, text) = instrumented(seed);
         prop_assert_eq!(&base, &report);
 
@@ -74,17 +81,12 @@ proptest! {
     fn counting_obs_report_is_reproducible(seed in 0u64..256) {
         // Wall clocks off (ObsConfig::default()): the whole ObsReport,
         // rendered to JSON, must be a pure function of the seed.
-        let run = |seed| {
-            let mut runner = Runner::new(&cfg(), Protocol::Rmac, seed);
-            runner.set_obs(ObsConfig::default());
-            runner.run_obs(seed)
-        };
-        let (ra, oa) = run(seed);
-        let (rb, ob) = run(seed);
-        prop_assert_eq!(&ra, &rb);
-        prop_assert_eq!(oa.expect("obs a").to_json(), ob.expect("obs b").to_json());
+        let counting = |seed| run(seed).obs(ObsConfig::default()).execute().assert_clean();
+        let (a, b) = (counting(seed), counting(seed));
+        prop_assert_eq!(&a.report, &b.report);
+        prop_assert_eq!(a.obs.expect("obs a").to_json(), b.obs.expect("obs b").to_json());
         // And counting-only obs is as bit-identical as the full stack.
-        prop_assert_eq!(&ra, &run_replication(&cfg(), Protocol::Rmac, seed));
+        prop_assert_eq!(&a.report, &run_replication(&cfg(), Protocol::Rmac, seed));
     }
 }
 
@@ -95,9 +97,10 @@ fn protocol_level_is_subset_of_signal_level() {
     let trace_at = |level| {
         let path = std::env::temp_dir().join(format!("rmac_obs_level_{level:?}.jsonl"));
         let sink = JsonlSink::create(&path).expect("create sink");
-        let mut runner = Runner::new(&cfg(), Protocol::Rmac, 11);
-        runner.set_tracer(filter_tracer(level, sink.tracer()));
-        runner.run(11);
+        run(11)
+            .tracer(filter_tracer(level, sink.tracer()))
+            .execute()
+            .assert_clean();
         let n = sink.finish().expect("flush").written;
         let _ = std::fs::remove_file(&path);
         n

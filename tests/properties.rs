@@ -5,6 +5,9 @@ use proptest::prelude::*;
 use rmac::mobility::Bounds;
 use rmac::prelude::*;
 
+mod common;
+use common::checked;
+
 fn any_protocol() -> impl Strategy<Value = Protocol> {
     prop_oneof![
         Just(Protocol::Rmac),
@@ -33,9 +36,8 @@ proptest! {
             .with_nodes(nodes)
             .with_packets(packets);
         cfg.bounds = Bounds::new(120.0, 100.0);
-        // Conformance rides along: the engine asserts C1–C5 on the run.
-        let cfg = cfg.with_check();
-        let r = run_replication(&cfg, protocol, seed);
+        // Conformance rides along: `checked` asserts C1–C5 on the run.
+        let r = checked(&cfg, protocol, seed);
 
         // Conservation: you cannot deliver more than was addressed.
         prop_assert!(r.receptions <= r.expected_receptions);
@@ -76,9 +78,8 @@ proptest! {
             .with_nodes(6)
             .with_packets(8);
         cfg.bounds = Bounds::new(100.0, 80.0);
-        let cfg = cfg.with_check();
-        let a = run_replication(&cfg, protocol, seed);
-        let b = run_replication(&cfg, protocol, seed);
+        let a = checked(&cfg, protocol, seed);
+        let b = checked(&cfg, protocol, seed);
         prop_assert_eq!(a.events, b.events);
         prop_assert_eq!(a.receptions, b.receptions);
         prop_assert_eq!(a.retx_ratio_avg.to_bits(), b.retx_ratio_avg.to_bits());

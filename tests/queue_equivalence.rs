@@ -1,8 +1,9 @@
 //! The calendar queue's equivalence contract (property-based).
 //!
 //! `CalendarQueue` replaced the binary-heap `EventQueue` as the engine's
-//! default scheduler; the heap stays available behind `SimQueue` as the
-//! ground-truth oracle. This harness pins the contract at two levels:
+//! scheduler; the heap stays in `rmac-sim` as the ground-truth reference,
+//! reachable from the engine only through `Run::reference`. This harness
+//! pins the contract at two levels:
 //!
 //! 1. **Queue level** — for random operation schedules (bursty
 //!    same-timestamp clusters, delays that straddle the calendar's
@@ -11,20 +12,33 @@
 //!    stream as the heap, on the default geometry and on deliberately tiny
 //!    geometries that force constant rotation and far-heap traffic.
 //! 2. **Replication level** — for scenarios drawn from the fuzz generator,
-//!    a full replication produces a **bit-identical** `RunReport` under
-//!    heap and calendar queues, serial and sharded at 1/2/4/8 shards.
+//!    a full replication produces a **bit-identical** `RunReport` on the
+//!    serial heap reference, the serial calendar queue, and the
+//!    (calendar-queue) sharded engine at 1/2/4/8 shards.
 //!
 //! Same philosophy as `tests/shard_equivalence.rs`: the optimised path
 //! must be observationally invisible.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rmac::engine::QueueKind;
+use rmac::engine::Reference;
 use rmac::prelude::*;
 use rmac::sim::{CalendarQueue, EventQueue, SeqQueue, ShardedQueue, SimQueue};
 use rmac_experiments::fuzz::materialize;
 
 use rmac_core::testkit::fuzz::scenario_strategy;
+
+mod common;
+use common::faulted;
+
+/// The serial engine on the binary-heap reference queue.
+fn heap_reference(cfg: &ScenarioConfig, p: Protocol, seed: u64, plan: &FaultPlan) -> RunReport {
+    Run::new(cfg, p, seed)
+        .reference(Reference::HeapQueue)
+        .faults(plan)
+        .execute()
+        .report
+}
 
 /// One step of a random queue workload. Push delays are relative to the
 /// clock at apply time so schedules stay legal under any pop interleaving.
@@ -219,44 +233,24 @@ proptest! {
     /// The replication-level contract: for randomized fuzz scenarios the
     /// heap-queue engine and the calendar-queue engine produce
     /// bit-identical `RunReport`s — serial, and sharded at 1/2/4/8 shards
-    /// under the calendar (plus a heap-sharded spot check), every variant
-    /// compared field-for-field against the heap-serial oracle.
+    /// under the calendar, every variant compared field-for-field against
+    /// the heap-serial oracle. (The sharded engine has no heap leg: sharded
+    /// ≡ serial calendar ≡ serial heap already chains it to the oracle.)
     #[test]
     fn replications_are_bit_identical_across_queues(
         fs in scenario_strategy(),
         seed in 0u64..10_000,
     ) {
         let (cfg, protocol, plan) = materialize(&fs);
-        let oracle = run_replication_with_faults(
-            &cfg.clone().with_queue(QueueKind::Heap),
-            protocol,
-            seed,
-            &plan,
-        );
-        let calendar = run_replication_with_faults(
-            &cfg.clone().with_queue(QueueKind::Calendar),
-            protocol,
-            seed,
-            &plan,
-        );
+        let cfg = cfg.with_shards(1);
+        let oracle = heap_reference(&cfg, protocol, seed, &plan);
+        let calendar = faulted(&cfg, protocol, seed, &plan);
         prop_assert_eq!(&calendar, &oracle, "serial calendar vs heap oracle");
         prop_assert_eq!(calendar.events, oracle.events, "processed event count");
         for shards in [1usize, 2, 4, 8] {
-            let sharded = run_replication_sharded_with_faults(
-                &cfg.clone().with_shards(shards).with_queue(QueueKind::Calendar),
-                protocol,
-                seed,
-                &plan,
-            );
+            let sharded = faulted(&cfg.clone().with_shards(shards), protocol, seed, &plan);
             prop_assert_eq!(&sharded, &oracle, "calendar shards={}", shards);
         }
-        let heap_sharded = run_replication_sharded_with_faults(
-            &cfg.clone().with_shards(4).with_queue(QueueKind::Heap),
-            protocol,
-            seed,
-            &plan,
-        );
-        prop_assert_eq!(&heap_sharded, &oracle, "heap shards=4");
     }
 }
 
@@ -269,7 +263,7 @@ fn dense_paper_scenario_is_bit_identical() {
         .with_nodes(30)
         .with_packets(12);
     cfg.bounds = rmac::mobility::Bounds::new(200.0, 150.0);
-    let oracle = run_replication(&cfg.clone().with_heap_queue(), Protocol::Rmac, 42);
+    let oracle = heap_reference(&cfg, Protocol::Rmac, 42, &FaultPlan::none());
     let calendar = run_replication(&cfg, Protocol::Rmac, 42);
     assert_eq!(calendar, oracle);
     assert_eq!(calendar.events, oracle.events);

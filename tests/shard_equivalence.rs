@@ -1,16 +1,20 @@
 //! The sharded engine's determinism contract (property-based).
 //!
 //! For any scenario kind, node count, source rate, fault plan and seed,
-//! running under the sharded conservative-sync engine at 2/4/8 shards is
+//! a [`Run`] at 2/4/8 shards (the sharded conservative-sync engine) is
 //! **bit-identical** — every `RunReport` field, including the processed
 //! event count — to the single-queue oracle. Same pattern as
 //! `tests/grid_equivalence.rs`: the oracle is the brute-force ground
 //! truth, the optimised path must be observationally invisible.
 
 use proptest::prelude::*;
+use rmac::engine::{run_replication_sharded_checked, ShardedRunner};
 use rmac::faults::{ChurnKind, ChurnSpec, FaultPlan, JamTarget, JammerSpec, SkewSpec};
 use rmac::mobility::Bounds;
 use rmac::prelude::*;
+
+mod common;
+use common::{faulted, verdict};
 
 /// Random small-but-live scenarios over all three mobility kinds, on a
 /// dense plane so every protocol phase (contention, tones, retries,
@@ -82,19 +86,14 @@ proptest! {
         plan in any_plan(),
         seed in 0u64..10_000,
     ) {
-        let oracle = run_replication_with_faults(
-            &cfg.clone().with_check(),
-            Protocol::Rmac,
-            seed,
-            &plan,
-        );
+        let (oracle, check) = verdict(&cfg, Protocol::Rmac, seed, &plan);
+        prop_assert!(check.is_clean(), "{}", check.summary());
+        // One shard is the serial engine through `Run`; the pinned shim
+        // holds the sharded engine to the single-shard case too.
+        let (one_shard, _) = run_replication_sharded_checked(&cfg, Protocol::Rmac, seed, &plan);
+        prop_assert_eq!(&one_shard, &oracle, "sharded engine on one shard");
         for shards in [1usize, 2, 4, 8] {
-            let sharded = run_replication_sharded_with_faults(
-                &cfg.clone().with_shards(shards),
-                Protocol::Rmac,
-                seed,
-                &plan,
-            );
+            let sharded = faulted(&cfg.clone().with_shards(shards), Protocol::Rmac, seed, &plan);
             // RunReport equality covers every field, including the
             // processed-event count (`events`).
             prop_assert_eq!(&sharded, &oracle, "shards={}", shards);
@@ -116,11 +115,7 @@ proptest! {
         cfg.bounds = Bounds::new(150.0, 120.0);
         let oracle = run_replication(&cfg, Protocol::Bmmm, seed);
         for shards in [2usize, 8] {
-            let sharded = run_replication_sharded(
-                &cfg.clone().with_shards(shards),
-                Protocol::Bmmm,
-                seed,
-            );
+            let sharded = run_replication(&cfg.clone().with_shards(shards), Protocol::Bmmm, seed);
             prop_assert_eq!(&sharded, &oracle, "shards={}", shards);
         }
     }
@@ -133,8 +128,8 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let (oracle_report, oracle_check) =
-            run_replication_checked(&cfg, Protocol::Rmac, seed, &FaultPlan::none());
-        let (report, check) = run_replication_sharded_checked(
+            verdict(&cfg, Protocol::Rmac, seed, &FaultPlan::none());
+        let (report, check) = verdict(
             &cfg.clone().with_shards(4),
             Protocol::Rmac,
             seed,

@@ -14,6 +14,8 @@ use rmac::engine::world::Ev;
 use rmac::mobility::{Bounds, Pos};
 use rmac::phy::{PhyEvent, Tone};
 use rmac::prelude::*;
+
+mod common;
 use rmac::sim::{ShardedQueue, SimQueue};
 
 /// The queue-level pin with real engine events: a ToneEdge to a node on
@@ -130,15 +132,16 @@ fn boundary_straddling_receivers_match_oracle() {
     let mut cfg = ScenarioConfig::paper_stationary(20.0)
         .with_nodes(positions.len())
         .with_packets(12)
-        .with_positions(positions)
-        .with_check();
+        .with_positions(positions);
     cfg.bounds = Bounds::new(300.0, 100.0);
-    let oracle = run_replication(&cfg, Protocol::Rmac, 17);
+    let oracle = common::checked(&cfg, Protocol::Rmac, 17);
     for shards in [2usize, 4, 8] {
-        let (report, stats) =
-            ShardedRunner::new(&cfg.clone().with_shards(shards), Protocol::Rmac, 17)
-                .run_with_stats();
-        assert_eq!(report, oracle, "shards={shards}");
+        let out = Run::new(&cfg.clone().with_shards(shards), Protocol::Rmac, 17)
+            .check()
+            .execute()
+            .assert_clean();
+        assert_eq!(out.report, oracle, "shards={shards}");
+        let stats = out.shard.expect("sharded stats");
         // The layout must actually exercise the bus: receivers sit on
         // both sides of a stripe boundary, so arrivals cross shards.
         assert!(
