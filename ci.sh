@@ -13,8 +13,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> retired names stay retired (the run surface has no A/B knobs, DESIGN.md §13)"
-if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S' \
+echo "==> retired names stay retired (no A/B knobs on the run surface, one grid runner: DESIGN.md §13, §11)"
+if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S|SweepSpec|SweepResults|run_sweep|try_replications|RMAC_QUICK|RMAC_RATES|RMAC_NODES' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!ci.sh' ':!.github/workflows/ci.yml'; then
     echo "a retired knob name reappeared (see above)" >&2
     exit 1
@@ -39,10 +39,13 @@ echo "==> benchmark stage (builds the benchmark package --locked against the cra
 echo "    pinned signature or a changed dependency edge fails here, not in the benchmark pipeline)"
 benchmark/ci.sh
 
-echo "==> campaign stage (quick sweep + resume law + regression gate + dashboard)"
+echo "==> campaign stage (resume law + every catalog figure at quick scale: run under C1-C5,"
+echo "    non-zero on an unclean case, dashboard + figures rendered from the store + regression gate)"
 cargo test -q --release --test campaign_resume
-cargo run -q --release -p rmac-experiments --bin campaign -- run --quick
+for c in paper-figures shootout rbt-ablation goodput faults tone-jam; do
+    cargo run -q --release -p rmac-experiments --bin campaign -- run "$c" --quick
+    cargo run -q --release -p rmac-experiments --bin campaign_report -- "results/campaigns/$c-quick"
+done
 cargo run -q --release -p rmac-experiments --bin campaign -- gate
-cargo run -q --release -p rmac-experiments --bin campaign_report -- results/campaigns/paper-figures-quick
 
 echo "CI green."

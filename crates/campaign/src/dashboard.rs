@@ -6,9 +6,8 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use crate::json::{escape, Json};
 use crate::query::SummaryRow;
-use crate::spec::fmt_f64;
+use rmac_obs::json::{escape, fmt_f64, Json};
 
 /// The tracked benchmark document from `results/`, parsed leniently: a
 /// missing or unparseable file is `None`, not an error. (Simulator speed

@@ -16,11 +16,11 @@
 
 use std::path::PathBuf;
 
-use crate::json::Json;
 use crate::query::{summarize, SummaryRow};
 use crate::runner::{run_campaign, RunOptions};
-use crate::spec::{fmt_f64, CampaignSpec, FaultAxis, ScenarioKind};
+use crate::spec::{CampaignSpec, FaultAxis, ScenarioKind};
 use rmac_engine::Protocol;
+use rmac_obs::json::{fmt_f64, Json};
 
 /// Gate invocation knobs.
 #[derive(Clone, Debug)]
@@ -188,15 +188,9 @@ pub fn run_gate(cfg: &GateConfig) -> Result<GateReport, String> {
         )
     })?;
     let base = Json::parse(&text).map_err(|e| format!("baseline: {e}"))?;
-    let base_metrics = base
-        .req("metrics")?
-        .as_arr()
-        .ok_or("metrics must be an array")?;
-    for bm in base_metrics {
-        let protocol = bm.req("protocol")?.as_str().ok_or("protocol")?.to_string();
-        let scenario = bm.req("scenario")?.as_str().ok_or("scenario")?.to_string();
-        let rate = bm.req("rate")?.as_f64().ok_or("rate")?;
-        let fault = bm.req("fault")?.as_str().ok_or("fault")?.to_string();
+    for bm in base.arr("metrics")? {
+        let (protocol, scenario) = (bm.str("protocol")?, bm.str("scenario")?);
+        let (rate, fault) = (bm.num("rate")?, bm.str("fault")?);
         let Some(row) = rows.iter().find(|r| {
             r.protocol == protocol && r.scenario == scenario && r.rate == rate && r.fault == fault
         }) else {
@@ -206,23 +200,12 @@ pub fn run_gate(cfg: &GateConfig) -> Result<GateReport, String> {
             );
             continue;
         };
-        for (name, current, basev) in [
-            (
-                "delivery",
-                row.delivery.mean,
-                bm.req("delivery")?.as_f64().ok_or("delivery")?,
-            ),
-            (
-                "delay_s",
-                row.delay_s.mean,
-                bm.req("delay_s")?.as_f64().ok_or("delay_s")?,
-            ),
-            (
-                "retx_ratio",
-                row.retx_ratio.mean,
-                bm.req("retx_ratio")?.as_f64().ok_or("retx_ratio")?,
-            ),
+        for (name, current) in [
+            ("delivery", row.delivery.mean),
+            ("delay_s", row.delay_s.mean),
+            ("retx_ratio", row.retx_ratio.mean),
         ] {
+            let basev = bm.num(name)?;
             let d = rel_delta_pct(current, basev);
             report.check(
                 d <= cfg.metric_tol_pct,
@@ -264,6 +247,6 @@ mod tests {
     fn baseline_json_parses_back() {
         let rows = Vec::new();
         let v = Json::parse(&baseline_json(&rows)).expect("baseline parses");
-        assert!(v.req("metrics").unwrap().as_arr().unwrap().is_empty());
+        assert_eq!(v.arr("metrics").map(<[Json]>::len), Ok(0));
     }
 }

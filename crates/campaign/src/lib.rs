@@ -18,14 +18,13 @@
 //! * [`dashboard`] — ASCII and self-contained-HTML rendering of campaign
 //!   summaries, trends, and red/green tiles.
 //! * [`pool`] — the panic-isolating parallel task pool ([`try_tasks`]).
-//! * [`json`] — the workspace's hand-rolled-JSON deserializer.
 //!
 //! Binaries: `campaign` (run/resume/gate) and `campaign_report` (the
-//! dashboard) in `rmac-experiments`.
+//! dashboard, and the figures of `rmac_experiments::figures`) in
+//! `rmac-experiments`.
 
 pub mod dashboard;
 pub mod gate;
-pub mod json;
 pub mod pool;
 pub mod query;
 pub mod runner;
@@ -34,9 +33,10 @@ pub mod store;
 
 pub use dashboard::{render_ascii, render_html, tiles, BenchDocs, Tile};
 pub use gate::{gate_spec, run_gate, GateConfig, GateReport};
-pub use json::Json;
 pub use pool::try_tasks;
-pub use query::{aggregate, load_store, summarize, summarize_json, Agg, Filter, SummaryRow};
+pub use query::{
+    aggregate, grid_points, load_store, summarize, summarize_json, Agg, Filter, SummaryRow,
+};
 pub use runner::{campaign_dir, run_campaign, run_case, CampaignOutcome, RunOptions};
 pub use spec::{protocol_from_label, CampaignSpec, CaseSpec, FaultAxis, ScenarioKind};
 pub use store::CaseRecord;

@@ -1,5 +1,5 @@
 //! Panic-isolating parallel task pool shared by campaigns and the
-//! experiment binaries (re-exported as `rmac_experiments::try_tasks`).
+//! experiment binaries.
 
 use rayon::prelude::*;
 

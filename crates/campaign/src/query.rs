@@ -1,9 +1,8 @@
 //! Query API over the metrics store: axis filters and seed-pooled
 //! aggregates (mean / p50 / p95), plus the `summary.json` renderer.
 
-use crate::json::escape;
-use crate::spec::fmt_f64;
 use crate::store::CaseRecord;
+use rmac_obs::json::{escape, fmt_f64};
 
 /// Mean and quantiles of one metric across a record group.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -77,41 +76,36 @@ pub struct SummaryRow {
     pub clean: bool,
 }
 
+/// The records of each grid point (protocol, scenario, rate, fault plan),
+/// points and their seeds in first-appearance (canonical) order.
+pub fn grid_points(records: &[CaseRecord]) -> Vec<Vec<&CaseRecord>> {
+    fn point(k: &CaseRecord) -> (&str, &str, f64, &str) {
+        (&k.protocol, &k.scenario, k.rate, &k.fault)
+    }
+    let mut points: Vec<Vec<&CaseRecord>> = Vec::new();
+    for r in records {
+        match points.iter_mut().find(|p| point(p[0]) == point(r)) {
+            Some(p) => p.push(r),
+            None => points.push(vec![r]),
+        }
+    }
+    points
+}
+
 /// Pool records into per-grid-point rows, in first-appearance (canonical)
 /// order.
 pub fn summarize(records: &[CaseRecord]) -> Vec<SummaryRow> {
-    let mut order: Vec<(String, String, f64, String)> = Vec::new();
-    for r in records {
-        let key = (
-            r.protocol.clone(),
-            r.scenario.clone(),
-            r.rate,
-            r.fault.clone(),
-        );
-        if !order.contains(&key) {
-            order.push(key);
-        }
-    }
-    order
+    grid_points(records)
         .into_iter()
-        .map(|(protocol, scenario, rate, fault)| {
-            let group: Vec<&CaseRecord> = records
-                .iter()
-                .filter(|r| {
-                    r.protocol == protocol
-                        && r.scenario == scenario
-                        && r.rate == rate
-                        && r.fault == fault
-                })
-                .collect();
+        .map(|group| {
             let pull = |f: fn(&CaseRecord) -> f64| -> Agg {
                 aggregate(&group.iter().map(|r| f(r)).collect::<Vec<_>>())
             };
             SummaryRow {
-                protocol,
-                scenario,
-                rate,
-                fault,
+                protocol: group[0].protocol.clone(),
+                scenario: group[0].scenario.clone(),
+                rate: group[0].rate,
+                fault: group[0].fault.clone(),
                 delivery: pull(|r| r.delivery),
                 delay_s: pull(|r| r.delay_s),
                 retx_ratio: pull(|r| r.retx_ratio),
@@ -180,23 +174,9 @@ mod tests {
             seed,
             fault: "none".into(),
             delivery,
-            drop_ratio: 0.0,
             retx_ratio: 0.1 * seed as f64,
-            txoh_ratio: 1.0,
-            abort_avg: 0.0,
-            mrts_len_avg: 40.0,
-            delay_s: 0.01,
-            hops_avg: 2.0,
-            packets_sent: 10,
-            receptions: 50,
-            expected_receptions: 50,
-            events: 1000,
-            faults_injected: 0,
             check_clean: true,
-            violations: 0,
-            first_violation: String::new(),
-            obs_counters: Vec::new(),
-            obs_hists: Vec::new(),
+            ..CaseRecord::default()
         }
     }
 

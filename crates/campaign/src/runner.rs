@@ -53,7 +53,8 @@ pub struct CampaignOutcome {
     pub complete: bool,
     /// Every completed case passed conformance.
     pub clean: bool,
-    /// All completed case records, in canonical order.
+    /// All completed case records, in canonical order, as the store holds
+    /// them (equal to [`crate::load_store`] of the directory).
     pub records: Vec<CaseRecord>,
 }
 
@@ -158,13 +159,17 @@ pub fn run_campaign(
         let recs = try_tasks(chunk, run_case, |c| format!("case {}", c.key()))?;
         let mut block = String::new();
         for r in &recs {
-            block.push_str(&r.to_jsonl());
+            // Keep what the store holds, not what the engine returned: the
+            // six-decimal text is the record, so a fresh run and a resumed
+            // one pool the same numbers into `summary.json`.
+            let line = r.to_jsonl();
+            records.push(CaseRecord::from_jsonl(&line)?);
+            block.push_str(&line);
             block.push('\n');
         }
         file.write_all(block.as_bytes())
             .and_then(|()| file.flush())
             .map_err(|e| format!("append store: {e}"))?;
-        records.extend(recs);
         executed += n;
         if !opts.quiet {
             eprintln!(
@@ -223,15 +228,11 @@ mod tests {
     fn tiny_campaign_runs_and_summarizes() {
         let dir = tmp_dir("tiny");
         let spec = tiny_spec("tiny");
-        let out = run_campaign(
-            &spec,
-            &dir,
-            &RunOptions {
-                quiet: true,
-                ..Default::default()
-            },
-        )
-        .expect("campaign runs");
+        let quiet = RunOptions {
+            quiet: true,
+            ..Default::default()
+        };
+        let out = run_campaign(&spec, &dir, &quiet).expect("campaign runs");
         assert!(out.complete && out.clean);
         assert_eq!(out.executed, 2);
         assert_eq!(out.records.len(), 2);
@@ -241,19 +242,18 @@ mod tests {
             !out.records[0].obs_counters.is_empty(),
             "obs counters ingested"
         );
-        assert!(dir.join("summary.json").exists());
-        // Second invocation resumes to a no-op.
-        let again = run_campaign(
-            &spec,
-            &dir,
-            &RunOptions {
-                quiet: true,
-                ..Default::default()
-            },
-        )
-        .expect("resume");
+        // A fresh run reports and summarises what the store holds, so a
+        // second invocation — a resume to a no-op that re-reads the store —
+        // writes the same summary byte for byte.
+        assert_eq!(out.records, crate::load_store(&dir).expect("store loads"));
+        let summary = dir.join("summary.json");
+        let fresh = fs::read(&summary).expect("summary written");
+        fs::remove_file(&summary).expect("delete summary");
+        let again = run_campaign(&spec, &dir, &quiet).expect("resume");
         assert_eq!(again.executed, 0);
         assert_eq!(again.resumed, 2);
+        assert_eq!(again.records, out.records);
+        assert_eq!(fs::read(&summary).expect("summary rewritten"), fresh);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -6,9 +6,9 @@
 //! ordered case list; the runner executes cases in exactly that order so
 //! the metrics store's bytes are a pure function of the spec.
 
-use crate::json::{escape, Json};
 use rmac_engine::{Protocol, ScenarioConfig};
 use rmac_faults::FaultPlan;
+use rmac_obs::json::{escape, fmt_f64, Json};
 
 /// The paper's three mobility scenarios (§4.1.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -130,46 +130,33 @@ pub struct CampaignSpec {
     pub obs: bool,
 }
 
-/// Render an f64 compactly: integers without the trailing `.0`.
-pub(crate) fn fmt_f64(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
-    }
-}
-
 impl CampaignSpec {
     /// The campaign behind the paper's Figs. 7–13: RMAC vs BMMM over the
     /// three mobility scenarios and the full rate axis, ten placements
     /// each. `quick` shrinks every axis for CI smoke runs.
     pub fn paper_figures(quick: bool) -> CampaignSpec {
-        if quick {
-            CampaignSpec {
-                name: "paper-figures-quick".into(),
-                protocols: vec![Protocol::Rmac, Protocol::Bmmm],
-                scenarios: ScenarioKind::ALL.to_vec(),
-                rates: vec![5.0, 40.0, 120.0],
-                seeds: vec![0, 1],
-                faults: vec![FaultAxis::none()],
-                packets: 60,
-                nodes: 30,
-                shards: 0,
-                obs: false,
-            }
-        } else {
-            CampaignSpec {
-                name: "paper-figures".into(),
-                protocols: vec![Protocol::Rmac, Protocol::Bmmm],
-                scenarios: ScenarioKind::ALL.to_vec(),
-                rates: vec![5.0, 10.0, 20.0, 40.0, 60.0, 80.0, 100.0, 120.0],
-                seeds: (0..10).collect(),
-                faults: vec![FaultAxis::none()],
-                packets: 1000,
-                nodes: 75,
-                shards: 0,
-                obs: false,
-            }
+        let full = CampaignSpec {
+            name: "paper-figures".into(),
+            protocols: vec![Protocol::Rmac, Protocol::Bmmm],
+            scenarios: ScenarioKind::ALL.to_vec(),
+            rates: vec![5.0, 10.0, 20.0, 40.0, 60.0, 80.0, 100.0, 120.0],
+            seeds: (0..10).collect(),
+            faults: vec![FaultAxis::none()],
+            packets: 1000,
+            nodes: 75,
+            shards: 0,
+            obs: false,
+        };
+        if !quick {
+            return full;
+        }
+        CampaignSpec {
+            name: "paper-figures-quick".into(),
+            rates: vec![5.0, 40.0, 120.0],
+            seeds: vec![0, 1],
+            packets: 60,
+            nodes: 30,
+            ..full
         }
     }
 
@@ -279,9 +266,7 @@ impl CampaignSpec {
             what: &str,
             elem: impl Fn(&Json) -> Option<T>,
         ) -> Result<Vec<T>, String> {
-            v.req(key)?
-                .as_arr()
-                .ok_or_else(|| format!("{key} must be an array"))?
+            v.arr(key)?
                 .iter()
                 .map(|x| elem(x).ok_or_else(|| format!("{key}: {} is not {what}", x.render())))
                 .collect()
@@ -295,42 +280,26 @@ impl CampaignSpec {
         let rates = list(&v, "rates", "a number", Json::as_f64)?;
         let seeds = list(&v, "seeds", "a non-negative integer", Json::as_u64)?;
         let faults = v
-            .req("faults")?
-            .as_arr()
-            .ok_or("faults must be an array")?
+            .arr("faults")?
             .iter()
             .map(|f| -> Result<FaultAxis, String> {
                 Ok(FaultAxis {
-                    name: f
-                        .req("name")?
-                        .as_str()
-                        .ok_or("fault name must be a string")?
-                        .to_string(),
+                    name: f.str("name")?.to_string(),
                     plan: FaultPlan::from_json(&f.req("plan")?.render())?,
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
         let spec = CampaignSpec {
-            name: v
-                .req("name")?
-                .as_str()
-                .ok_or("name must be a string")?
-                .to_string(),
+            name: v.str("name")?.to_string(),
             protocols,
             scenarios,
             rates,
             seeds,
             faults,
-            packets: v
-                .req("packets")?
-                .as_u64()
-                .ok_or("packets must be an integer")?,
-            nodes: v.req("nodes")?.as_u64().ok_or("nodes must be an integer")? as usize,
-            shards: v
-                .req("shards")?
-                .as_u64()
-                .ok_or("shards must be an integer")? as usize,
-            obs: v.req("obs")?.as_bool().ok_or("obs must be a boolean")?,
+            packets: v.uint("packets")?,
+            nodes: v.uint("nodes")? as usize,
+            shards: v.uint("shards")? as usize,
+            obs: v.bool("obs")?,
         };
         spec.validate()?;
         Ok(spec)

@@ -15,14 +15,14 @@
 //! verdict, and (when the spec asks for it) the `rmac-obs` registry
 //! counters and histogram summaries.
 
-use crate::json::{escape, Json};
-use crate::spec::{fmt_f64, CaseSpec};
+use crate::spec::CaseSpec;
 use rmac_check::CheckReport;
 use rmac_metrics::RunReport;
+use rmac_obs::json::{escape, fmt_f64, Json};
 use rmac_obs::ObsReport;
 
 /// One completed case: identity axes plus the ingested metrics.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CaseRecord {
     /// The case key (`RMAC/stationary/r20/none/s3`).
     pub key: String,
@@ -54,6 +54,15 @@ pub struct CaseRecord {
     pub violations: u64,
     /// First violation rendered, or empty when clean.
     pub first_violation: String,
+    /// The Fig. 12/13 tails and the fault-plane tallies the figure
+    /// renderer needs (`rmac_experiments::figures`); written after the
+    /// fields above so older lines are a prefix of newer ones.
+    pub abort_p99: f64,
+    pub abort_max: f64,
+    pub mrts_len_p99: f64,
+    pub mrts_len_max: f64,
+    pub fault_crashes: u64,
+    pub fault_jam_bursts: u64,
     /// Registry counters `(name, value)` sorted by name; empty when the
     /// spec ran without obs.
     pub obs_counters: Vec<(String, u64)>,
@@ -113,6 +122,12 @@ impl CaseRecord {
                 .first()
                 .map(|v| v.to_string())
                 .unwrap_or_default(),
+            abort_p99: report.abort_p99,
+            abort_max: report.abort_max,
+            mrts_len_p99: report.mrts_len_p99,
+            mrts_len_max: report.mrts_len_max,
+            fault_crashes: report.fault_crashes,
+            fault_jam_bursts: report.fault_jam_bursts,
             obs_counters,
             obs_hists,
         }
@@ -129,7 +144,9 @@ impl CaseRecord {
              \"mrts_len_avg\":{:.6},\"delay_s\":{:.6},\"hops_avg\":{:.6},\
              \"packets_sent\":{},\"receptions\":{},\"expected_receptions\":{},\
              \"events\":{},\"faults_injected\":{},\"check_clean\":{},\"violations\":{},\
-             \"first_violation\":\"{}\"",
+             \"first_violation\":\"{}\",\"abort_p99\":{:.6},\"abort_max\":{:.6},\
+             \"mrts_len_p99\":{:.6},\"mrts_len_max\":{:.6},\"fault_crashes\":{},\
+             \"fault_jam_bursts\":{}",
             escape(&self.key),
             escape(&self.protocol),
             escape(&self.scenario),
@@ -152,6 +169,12 @@ impl CaseRecord {
             self.check_clean,
             self.violations,
             escape(&self.first_violation),
+            self.abort_p99,
+            self.abort_max,
+            self.mrts_len_p99,
+            self.mrts_len_max,
+            self.fault_crashes,
+            self.fault_jam_bursts,
         );
         if !self.obs_counters.is_empty() || !self.obs_hists.is_empty() {
             let counters = self
@@ -182,22 +205,8 @@ impl CaseRecord {
     /// Parse a line written by [`CaseRecord::to_jsonl`].
     pub fn from_jsonl(line: &str) -> Result<CaseRecord, String> {
         let v = Json::parse(line).map_err(|e| format!("case record: {e}"))?;
-        let f = |key: &str| -> Result<f64, String> {
-            v.req(key)?
-                .as_f64()
-                .ok_or_else(|| format!("{key} must be a number"))
-        };
-        let u = |key: &str| -> Result<u64, String> {
-            v.req(key)?
-                .as_u64()
-                .ok_or_else(|| format!("{key} must be an integer"))
-        };
-        let s = |key: &str| -> Result<String, String> {
-            Ok(v.req(key)?
-                .as_str()
-                .ok_or_else(|| format!("{key} must be a string"))?
-                .to_string())
-        };
+        let (f, u) = (|key| v.num(key), |key| v.uint(key));
+        let s = |key| v.str(key).map(str::to_string);
         let mut obs_counters: Vec<(String, u64)> = Vec::new();
         if let Some(Json::Obj(fields)) = v.get("obs_counters") {
             for (k, val) in fields {
@@ -210,12 +219,7 @@ impl CaseRecord {
         let mut obs_hists: Vec<(String, u64, u64, u64)> = Vec::new();
         if let Some(Json::Obj(fields)) = v.get("obs_hists") {
             for (k, h) in fields {
-                obs_hists.push((
-                    k.clone(),
-                    h.req("count")?.as_u64().ok_or("hist count")?,
-                    h.req("p50")?.as_u64().ok_or("hist p50")?,
-                    h.req("p95")?.as_u64().ok_or("hist p95")?,
-                ));
+                obs_hists.push((k.clone(), h.uint("count")?, h.uint("p50")?, h.uint("p95")?));
             }
         }
         Ok(CaseRecord {
@@ -238,12 +242,15 @@ impl CaseRecord {
             expected_receptions: u("expected_receptions")?,
             events: u("events")?,
             faults_injected: u("faults_injected")?,
-            check_clean: v
-                .req("check_clean")?
-                .as_bool()
-                .ok_or("check_clean must be a boolean")?,
+            check_clean: v.bool("check_clean")?,
             violations: u("violations")?,
             first_violation: s("first_violation")?,
+            abort_p99: f("abort_p99")?,
+            abort_max: f("abort_max")?,
+            mrts_len_p99: f("mrts_len_p99")?,
+            mrts_len_max: f("mrts_len_max")?,
+            fault_crashes: u("fault_crashes")?,
+            fault_jam_bursts: u("fault_jam_bursts")?,
             obs_counters,
             obs_hists,
         })
@@ -278,6 +285,12 @@ mod tests {
             check_clean: true,
             violations: 0,
             first_violation: String::new(),
+            abort_p99: 0.125,
+            abort_max: 0.5,
+            mrts_len_p99: 58.0,
+            mrts_len_max: 64.0,
+            fault_crashes: 2,
+            fault_jam_bursts: 7,
             obs_counters: vec![("queue.pushed".into(), 42)],
             obs_hists: vec![("delay_us".into(), 10, 500, 900)],
         }

@@ -9,18 +9,14 @@
 
 use rmac_core::MacConfig;
 use rmac_engine::{run_replication, Protocol, ScenarioConfig};
+use rmac_experiments::env_u64;
 use rmac_metrics::table::fmt;
 use rmac_metrics::{RunReport, Table};
 
 fn star_config(limit: usize) -> ScenarioConfig {
     let mut cfg = ScenarioConfig::paper_stationary(20.0)
         .with_nodes(41)
-        .with_packets(
-            std::env::var("RMAC_PACKETS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(300),
-        )
+        .with_packets(env_u64("RMAC_PACKETS", 300))
         .with_mac(MacConfig {
             max_receivers: limit,
             ..MacConfig::default()
@@ -32,10 +28,7 @@ fn star_config(limit: usize) -> ScenarioConfig {
 }
 
 fn main() {
-    let seeds: u64 = std::env::var("RMAC_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5);
+    let seeds = env_u64("RMAC_SEEDS", 5);
     let mut t = Table::new(
         "X3 — §3.4 receiver limit sweep (41-node one-hop star, 20 pkt/s)",
         &["limit", "delivery", "retx", "txoh", "delay_s", "mrts_max_B"],

@@ -1,6 +1,7 @@
-//! `campaign_report`: render the regression dashboard for a campaign
-//! store — ASCII to stdout, plus a self-contained `dashboard.html` next
-//! to the store for artifact upload.
+//! `campaign_report`: render a campaign store — the regression dashboard
+//! (ASCII to stdout, plus a self-contained `dashboard.html` next to the
+//! store for artifact upload) and, when the store belongs to an entry of
+//! the figure catalog, that entry's tables and CSVs.
 //!
 //! ```text
 //! campaign_report [store-dir]
@@ -9,12 +10,41 @@
 //! With no argument, picks the first existing default campaign directory
 //! (`results/campaigns/paper-figures`, then `paper-figures-quick`, then
 //! `gate/scratch`). The live-soak tile is read from
-//! `results/BENCH_live.json`.
+//! `results/BENCH_live.json`. Exits 1 when the store cannot be read or a
+//! dashboard or figure file cannot be written.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::exit;
 
-use rmac_campaign::{load_store, render_ascii, render_html, summarize, BenchDocs};
+use rmac_campaign::{load_store, render_ascii, render_html, summarize, BenchDocs, CampaignSpec};
+use rmac_experiments::figures;
+
+fn report(dir: &Path) -> Result<(), String> {
+    let records = load_store(dir)?;
+    let manifest = dir.join("manifest.json");
+    let name = std::fs::read_to_string(&manifest)
+        .map_err(|e| e.to_string())
+        .and_then(|text| CampaignSpec::from_json(&text))
+        .map_err(|e| format!("{}: {e}", manifest.display()))?
+        .name;
+    let rows = summarize(&records);
+    let benches = BenchDocs::load(Path::new("results"));
+
+    print!("{}", render_ascii(&rows, &benches));
+    let html_path = dir.join("dashboard.html");
+    std::fs::write(&html_path, render_html(&name, &rows, &benches))
+        .map_err(|e| format!("write {}: {e}", html_path.display()))?;
+    println!(
+        "\n{} records, {} grid points; dashboard: {}\n",
+        records.len(),
+        rows.len(),
+        html_path.display()
+    );
+    if !figures::render(&name, dir, &records)? {
+        println!("no figure set for {name}");
+    }
+    Ok(())
+}
 
 fn main() {
     let dir = std::env::args().nth(1).map(PathBuf::from).or_else(|| {
@@ -34,30 +64,8 @@ fn main() {
         );
         exit(2);
     };
-    let records = match load_store(&dir) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("campaign_report: FAIL: {e}");
-            exit(1);
-        }
-    };
-    let rows = summarize(&records);
-    let benches = BenchDocs::load(&PathBuf::from("results"));
-    let name = dir
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "campaign".into());
-
-    print!("{}", render_ascii(&rows, &benches));
-    let html_path = dir.join("dashboard.html");
-    if let Err(e) = std::fs::write(&html_path, render_html(&name, &rows, &benches)) {
-        eprintln!("campaign_report: FAIL: write {}: {e}", html_path.display());
+    if let Err(e) = report(&dir) {
+        eprintln!("campaign_report: FAIL: {e}");
         exit(1);
     }
-    println!(
-        "\n{} records, {} grid points; dashboard: {}",
-        records.len(),
-        rows.len(),
-        html_path.display()
-    );
 }

@@ -8,18 +8,13 @@
 //! multicast strawman of §1) and compares delivery.
 
 use rmac_engine::{run_replication, Protocol, ScenarioConfig};
+use rmac_experiments::env_u64;
 use rmac_metrics::table::fmt;
 use rmac_metrics::{RunReport, Table};
 
 fn main() {
-    let seeds: u64 = std::env::var("RMAC_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
-    let packets: u64 = std::env::var("RMAC_PACKETS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(300);
+    let seeds = env_u64("RMAC_SEEDS", 3);
+    let packets = env_u64("RMAC_PACKETS", 300);
     let mut t = Table::new(
         "X7 — per-hop MAC reliability vs plain broadcast forwarding (RMAC stack)",
         &[

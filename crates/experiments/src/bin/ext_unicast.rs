@@ -8,8 +8,8 @@
 //! demonstrating the generalised protocol's claim that busy-tone
 //! acknowledgment pays off even without multicast fan-out.
 
-use rmac_engine::{Protocol, ScenarioConfig};
-use rmac_experiments::try_replications;
+use rmac_engine::{run_replication, Protocol, ScenarioConfig};
+use rmac_experiments::env_u64;
 use rmac_metrics::table::fmt;
 use rmac_metrics::{RunReport, Table};
 use rmac_mobility::Pos;
@@ -22,10 +22,7 @@ fn flow(hops: usize, rate: f64, packets: u64) -> ScenarioConfig {
 }
 
 fn main() {
-    let packets: u64 = std::env::var("RMAC_PACKETS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(500);
+    let packets = env_u64("RMAC_PACKETS", 500);
     let mut t = Table::new(
         "X6 — reliable unicast: one flow, per-hop RMAC vs BMMM",
         &[
@@ -42,14 +39,9 @@ fn main() {
     for hops in [1usize, 3] {
         for rate in [20.0, 80.0, 160.0] {
             let cfg = flow(hops, rate, packets);
-            let avg = |p: Protocol| -> RunReport {
-                match try_replications(&cfg, p, &[0, 1, 2]) {
-                    Ok(rs) => RunReport::average(&rs),
-                    Err(e) => {
-                        eprintln!("ext_unicast: {e}");
-                        std::process::exit(1);
-                    }
-                }
+            let avg = |p: Protocol| {
+                let rs: Vec<RunReport> = (0..3).map(|s| run_replication(&cfg, p, s)).collect();
+                RunReport::average(&rs)
             };
             let rmac = avg(Protocol::Rmac);
             let bmmm = avg(Protocol::Bmmm);

@@ -4,15 +4,13 @@
 
 use std::fs;
 
+use rmac_experiments::env_u64;
 use rmac_experiments::figures::fig6_topology;
 use rmac_metrics::table::fmt;
 use rmac_metrics::Table;
 
 fn main() {
-    let seeds: u64 = std::env::var("RMAC_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10);
+    let seeds = env_u64("RMAC_SEEDS", 10);
     let mut t = Table::new(
         "Fig.6 — tree topology statistics (paper: hops 3.87/10, children 3.54/9)",
         &[

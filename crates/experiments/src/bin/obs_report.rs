@@ -19,19 +19,13 @@ use std::process::exit;
 use rmac_engine::{
     run_replication, JsonlSink, ObsConfig, Protocol, Run, ScenarioConfig, TraceLevel,
 };
+use rmac_experiments::env_u64;
 use rmac_metrics::frame_kind_table;
 use rmac_obs::{
     parse_trace_line, render_shard_balance, render_timeline, shard_balance_json, Snapshot,
     TraceRecord,
 };
 use rmac_sim::SimTime;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn fail(msg: &str) -> ! {
     eprintln!("obs_report: FAIL: {msg}");

@@ -17,14 +17,8 @@
 
 use std::time::Instant;
 
+use rmac_experiments::env_u64;
 use rmac_live::soak::{ge20, run_loopback_soak, SoakConfig};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn config(smoke: bool) -> SoakConfig {
     let mut cfg = SoakConfig::default();

@@ -1,156 +1,497 @@
-//! Figure and table generators: from pooled sweep results to the rows the
-//! paper plots.
+//! The figure pipeline: every grid experiment is a named [`CampaignSpec`]
+//! ([`spec`]) whose store a table-driven renderer ([`render`]) turns into
+//! the tables and `results/*.csv` files behind the paper's figures.
+//!
+//! `campaign run <name> [--quick]` executes a catalog entry under the
+//! C1–C5 checker into `results/campaigns/<name>[-quick]/`;
+//! `campaign_report <dir>` pools the stored [`CaseRecord`]s over seeds
+//! exactly as [`RunReport::average`] does and lays them out per
+//! [`Figure`].
 
 use std::fs;
 use std::path::Path;
 
+use rmac_campaign::{grid_points, CampaignSpec, CaseRecord, FaultAxis, ScenarioKind};
 use rmac_engine::{Protocol, Run, RunOutput, ScenarioConfig};
+use rmac_faults::{BurstySpec, ChurnKind, ChurnSpec, FaultPlan, JamTarget, JammerSpec, SkewSpec};
 use rmac_metrics::table::fmt;
 use rmac_metrics::{RunReport, Table};
 
-use crate::sweep::{ScenarioKind, SweepResults};
+/// The grid experiments, by campaign name. A store belongs to the entry
+/// its manifest name starts with, so `paper-figures-quick` or a
+/// hand-written `paper-figures-10k` manifest render as `paper-figures`.
+pub const CATALOG: [&str; 6] = [
+    "paper-figures",
+    "shootout",
+    "rbt-ablation",
+    "goodput",
+    "faults",
+    "tone-jam",
+];
 
-/// One figure = one table per scenario with a column per protocol.
-pub fn metric_tables(
-    results: &SweepResults,
-    figure: &str,
-    metric_name: &str,
-    decimals: usize,
-    metric: impl Fn(&RunReport) -> f64,
-) -> Vec<(ScenarioKind, Table)> {
+/// The catalog entry `name` as a campaign; `quick` shrinks it to a smoke
+/// scale and renames it `<name>-quick`, so the two scales can never share
+/// a store directory.
+pub fn spec(name: &str, quick: bool) -> Option<CampaignSpec> {
+    use Protocol::{Bmmm, Bmw, Lbp, Mx80211, Rmac, RmacNoRbt};
+    let paper = CampaignSpec::paper_figures(quick);
+    // X1/X2 are the stationary slice of the paper grid with other protocols.
+    let stationary = |protocols: &[Protocol]| CampaignSpec {
+        name: format!("{name}{}", if quick { "-quick" } else { "" }),
+        protocols: protocols.to_vec(),
+        scenarios: vec![ScenarioKind::Stationary],
+        ..paper.clone()
+    };
+    // X5/X8/X9 stay at paper density and scale seeds × packets only.
+    let at_density = |seeds: u64, packets: u64| CampaignSpec {
+        seeds: (0..if quick { 2 } else { seeds }).collect(),
+        packets: if quick { 60 } else { packets },
+        nodes: 75,
+        ..stationary(&[Rmac, Bmmm])
+    };
+    Some(match name {
+        "paper-figures" => paper,
+        "shootout" => stationary(&[Rmac, Bmmm, Bmw, Lbp, Mx80211]),
+        "rbt-ablation" => stationary(&[Rmac, RmacNoRbt]),
+        "goodput" => CampaignSpec {
+            rates: vec![10.0, 20.0, 30.0, 40.0, 60.0, 80.0, 120.0, 160.0, 200.0],
+            ..at_density(3, 500)
+        },
+        "faults" => CampaignSpec {
+            rates: vec![5.0],
+            faults: fault_classes(),
+            ..at_density(5, 200)
+        },
+        "tone-jam" => CampaignSpec {
+            protocols: vec![Rmac, RmacNoRbt],
+            rates: vec![5.0],
+            faults: tone_jam_conditions(),
+            ..at_density(5, 200)
+        },
+        _ => return None,
+    })
+}
+
+fn axis(name: &str, plan: FaultPlan) -> FaultAxis {
+    FaultAxis {
+        name: name.into(),
+        plan,
+    }
+}
+
+fn jammer(x: f64, y: f64, target: JamTarget, period_ms: u64, burst_ms: u64) -> JammerSpec {
+    JammerSpec {
+        x,
+        y,
+        target,
+        start_ms: 1_000,
+        period_ms,
+        burst_ms,
+    }
+}
+
+/// X8: one plan per fault class, against the `none` control row.
+fn fault_classes() -> Vec<FaultAxis> {
+    let churn = [
+        (5, ChurnKind::Crash, 5_000, 5_000),
+        (10, ChurnKind::Crash, 12_000, 5_000),
+        (15, ChurnKind::Deaf, 8_000, 10_000),
+        (20, ChurnKind::Mute, 8_000, 10_000),
+    ]
+    .into_iter()
+    .fold(FaultPlan::none(), |plan, (node, kind, at_ms, for_ms)| {
+        plan.with_churn(ChurnSpec {
+            node,
+            kind,
+            at_ms,
+            for_ms,
+        })
+    });
+    // Two tone jammers at mid-field: one filling the RBT channel with a
+    // false "receiver busy", one polluting the ABT reply slots (stressing
+    // §3.2's "tones never collide" design assumption).
+    let tone_jam = FaultPlan::none()
+        .with_jammer(jammer(250.0, 150.0, JamTarget::Rbt, 50, 10))
+        .with_jammer(jammer(200.0, 120.0, JamTarget::Abt, 50, 10));
+    let data_jam = FaultPlan::none().with_jammer(jammer(250.0, 150.0, JamTarget::Data, 40, 4));
+    // ±200 ppm on a third of the nodes.
+    let skew = (0..75u16).step_by(3).fold(FaultPlan::none(), |plan, node| {
+        let ppm = if node % 2 == 0 { 200.0 } else { -200.0 };
+        plan.with_skew(SkewSpec { node, ppm })
+    });
+    vec![
+        FaultAxis::none(),
+        axis("bursty", FaultPlan::none().with_bursty(BurstySpec::harsh())),
+        axis("churn", churn),
+        axis("tone-jam", tone_jam),
+        axis("data-jam", data_jam),
+        axis("skew", skew),
+    ]
+}
+
+/// X9: a constant false RBT makes every sender that honors the tone defer
+/// or abort its MRTS; `RMAC-noRBT` does not listen for it. Comparing the
+/// two separates the tone's protection value (`no-jam`) from its
+/// denial-of-service exposure (`rbt-jam`).
+fn tone_jam_conditions() -> Vec<FaultAxis> {
+    let rbt_jam = FaultPlan::none().with_jammer(jammer(250.0, 150.0, JamTarget::Rbt, 40, 8));
+    vec![axis("no-jam", FaultPlan::none()), axis("rbt-jam", rbt_jam)]
+}
+
+/// One value column: its CSV header and how a pooled point fills it. A
+/// per-protocol table heads a lone column with the protocol's label and
+/// several with `<protocol> <header>`.
+pub struct Col {
+    header: &'static str,
+    cell: fn(&RunReport) -> String,
+}
+
+/// What a table's rows and column groups are.
+enum Rows {
+    /// A row per rate, the columns repeated per protocol in the store.
+    PerProtocol,
+    /// A row per rate, RMAC's points only.
+    RmacOnly,
+    /// A row per (fault plan, protocol).
+    PerFault,
+}
+
+/// One figure: a table per scenario, written to `<stem>_<scenario>.csv`.
+pub struct Figure {
+    stem: &'static str,
+    title: &'static str,
+    /// Header of the leading (row key) column.
+    key: &'static str,
+    rows: Rows,
+    cols: &'static [Col],
+}
+
+const fn col(header: &'static str, cell: fn(&RunReport) -> String) -> Col {
+    Col { header, cell }
+}
+
+const DELIVERY: Col = col("delivery", |r| fmt(r.delivery_ratio(), 4));
+const RETX: Col = col("retx_avg", |r| fmt(r.retx_ratio_avg, 4));
+const DELAY_S: Col = col("delay_s", |r| fmt(r.e2e_delay_avg_s, 4));
+const JAM_BURSTS: Col = col("jam_bursts", |r| r.fault_jam_bursts.to_string());
+
+static PAPER_FIGURES: [Figure; 7] = [
+    Figure {
+        stem: "fig7_delivery",
+        title: "Fig.7 — packet delivery ratio",
+        key: "rate_pps",
+        rows: Rows::PerProtocol,
+        cols: &[DELIVERY],
+    },
+    Figure {
+        stem: "fig8_drop",
+        title: "Fig.8 — avg packet drop ratio",
+        key: "rate_pps",
+        rows: Rows::PerProtocol,
+        cols: &[col("drop", |r| fmt(r.drop_ratio_avg, 4))],
+    },
+    Figure {
+        stem: "fig9_delay",
+        title: "Fig.9 — avg end-to-end delay (s)",
+        key: "rate_pps",
+        rows: Rows::PerProtocol,
+        cols: &[DELAY_S],
+    },
+    Figure {
+        stem: "fig10_retx",
+        title: "Fig.10 — avg retransmission ratio",
+        key: "rate_pps",
+        rows: Rows::PerProtocol,
+        cols: &[RETX],
+    },
+    Figure {
+        stem: "fig11_overhead",
+        title: "Fig.11 — avg transmission overhead ratio",
+        key: "rate_pps",
+        rows: Rows::PerProtocol,
+        cols: &[col("txoh", |r| fmt(r.txoh_ratio_avg, 4))],
+    },
+    Figure {
+        stem: "fig12_mrts_len",
+        title: "Fig.12 — MRTS length (bytes)",
+        key: "rate_pps",
+        rows: Rows::RmacOnly,
+        cols: &[
+            col("average", |r| fmt(r.mrts_len_avg, 1)),
+            col("p99", |r| fmt(r.mrts_len_p99, 1)),
+            col("max", |r| fmt(r.mrts_len_max, 1)),
+        ],
+    },
+    Figure {
+        stem: "fig13_abort",
+        title: "Fig.13 — MRTS abortion ratio",
+        key: "rate_pps",
+        rows: Rows::RmacOnly,
+        cols: &[
+            col("average", |r| fmt(r.abort_avg, 5)),
+            col("p99", |r| fmt(r.abort_p99, 5)),
+            col("max", |r| fmt(r.abort_max, 5)),
+        ],
+    },
+];
+
+static SHOOTOUT: [Figure; 3] = [
+    Figure {
+        stem: "ext_shootout_delivery",
+        title: "X1 — packet delivery ratio",
+        key: "rate_pps",
+        rows: Rows::PerProtocol,
+        cols: &[DELIVERY],
+    },
+    Figure {
+        stem: "ext_shootout_delay",
+        title: "X1 — avg end-to-end delay (s)",
+        key: "rate_pps",
+        rows: Rows::PerProtocol,
+        cols: &[DELAY_S],
+    },
+    Figure {
+        stem: "ext_shootout_overhead",
+        title: "X1 — avg transmission overhead ratio",
+        key: "rate_pps",
+        rows: Rows::PerProtocol,
+        cols: &[col("txoh", |r| fmt(r.txoh_ratio_avg, 3))],
+    },
+];
+
+static RBT_ABLATION: [Figure; 2] = [
+    Figure {
+        stem: "ablation_rbt_delivery",
+        title: "X2 — packet delivery ratio",
+        key: "rate_pps",
+        rows: Rows::PerProtocol,
+        cols: &[DELIVERY],
+    },
+    Figure {
+        stem: "ablation_rbt_retx",
+        title: "X2 — avg retransmission ratio",
+        key: "rate_pps",
+        rows: Rows::PerProtocol,
+        cols: &[RETX],
+    },
+];
+
+// Delivered packets per second per receiver = delivery ratio × offered
+// rate (each receiver should see every packet).
+static GOODPUT: [Figure; 1] = [Figure {
+    stem: "ext_goodput",
+    title: "X5 — per-receiver goodput vs offered rate",
+    key: "offered_pps",
+    rows: Rows::PerProtocol,
+    cols: &[
+        col("goodput", |r| fmt(r.delivery_ratio() * r.rate_pps, 1)),
+        col("delay_s", |r| fmt(r.e2e_delay_avg_s, 3)),
+    ],
+}];
+
+static FAULTS: [Figure; 1] = [Figure {
+    stem: "ext_faults",
+    title: "X8 — degradation per fault class",
+    key: "fault",
+    rows: Rows::PerFault,
+    cols: &[
+        DELIVERY,
+        RETX,
+        col("delay_ms", |r| fmt(r.e2e_delay_avg_s * 1e3, 2)),
+        col("injected", |r| r.faults_injected.to_string()),
+        col("crashes", |r| r.fault_crashes.to_string()),
+        JAM_BURSTS,
+    ],
+}];
+
+static TONE_JAM: [Figure; 1] = [Figure {
+    stem: "ablation_tone_jam",
+    title: "X9 — RBT value under tone jamming",
+    key: "condition",
+    rows: Rows::PerFault,
+    cols: &[
+        DELIVERY,
+        RETX,
+        col("abort_avg", |r| fmt(r.abort_avg, 4)),
+        JAM_BURSTS,
+    ],
+}];
+
+/// The figures of the catalog entry a store named `store_name` belongs to.
+pub fn figure_set(store_name: &str) -> Option<&'static [Figure]> {
+    let sets: [&'static [Figure]; 6] = [
+        &PAPER_FIGURES,
+        &SHOOTOUT,
+        &RBT_ABLATION,
+        &GOODPUT,
+        &FAULTS,
+        &TONE_JAM,
+    ];
+    CATALOG.iter().zip(sets).find_map(|(entry, set)| {
+        let scale = store_name.strip_prefix(entry)?;
+        (scale.is_empty() || scale.starts_with('-')).then_some(set)
+    })
+}
+
+/// The metrics a figure can show, back in the report they were taken from.
+fn report_of(r: &CaseRecord) -> RunReport {
+    RunReport {
+        protocol: r.protocol.clone(),
+        scenario: r.scenario.clone(),
+        rate_pps: r.rate,
+        seed: r.seed,
+        packets_sent: r.packets_sent,
+        expected_receptions: r.expected_receptions,
+        receptions: r.receptions,
+        drop_ratio_avg: r.drop_ratio,
+        retx_ratio_avg: r.retx_ratio,
+        txoh_ratio_avg: r.txoh_ratio,
+        abort_avg: r.abort_avg,
+        abort_p99: r.abort_p99,
+        abort_max: r.abort_max,
+        mrts_len_avg: r.mrts_len_avg,
+        mrts_len_p99: r.mrts_len_p99,
+        mrts_len_max: r.mrts_len_max,
+        e2e_delay_avg_s: r.delay_s,
+        hops_avg: r.hops_avg,
+        events: r.events,
+        faults_injected: r.faults_injected,
+        fault_crashes: r.fault_crashes,
+        fault_jam_bursts: r.fault_jam_bursts,
+        ..RunReport::default()
+    }
+}
+
+/// One grid point pooled over its seeds: the fault plan's name and the
+/// averaged report (which carries protocol, scenario and rate).
+type Point = (String, RunReport);
+
+/// Pool a store over seeds, grid points in canonical order.
+fn pool(records: &[CaseRecord]) -> Vec<Point> {
+    grid_points(records)
+        .iter()
+        .map(|seeds| {
+            let reports: Vec<RunReport> = seeds.iter().map(|r| report_of(r)).collect();
+            (seeds[0].fault.clone(), RunReport::average(&reports))
+        })
+        .collect()
+}
+
+fn distinct<T: PartialEq>(values: impl Iterator<Item = T>) -> Vec<T> {
     let mut out = Vec::new();
-    for scenario in ScenarioKind::ALL {
-        let protocols: Vec<&str> = ["RMAC", "BMMM", "BMW", "LBP", "802.11MX", "RMAC-noRBT"]
-            .into_iter()
-            .filter(|p| {
-                results
-                    .points
-                    .iter()
-                    .any(|r| r.scenario == scenario.label() && r.protocol == *p)
-            })
-            .collect();
-        if protocols.is_empty() {
-            continue;
-        }
-        let mut headers = vec!["rate_pps"];
-        headers.extend(protocols.iter().copied());
-        let mut t = Table::new(
-            format!("{figure} — {metric_name} ({})", scenario.label()),
-            &headers,
-        );
-        for rate in results.rates() {
-            let mut row = vec![fmt(rate, 0)];
-            let mut any = false;
-            for p in &protocols {
-                let cell = results
-                    .points
-                    .iter()
-                    .find(|r| {
-                        r.scenario == scenario.label() && r.protocol == *p && r.rate_pps == rate
-                    })
-                    .map(|r| {
-                        any = true;
-                        fmt(metric(r), decimals)
-                    })
-                    .unwrap_or_default();
-                row.push(cell);
-            }
-            if any {
-                t.row(row);
-            }
-        }
-        if !t.is_empty() {
-            out.push((scenario, t));
+    for v in values {
+        if !out.contains(&v) {
+            out.push(v);
         }
     }
     out
 }
 
-/// Fig. 12 / Fig. 13 style: avg / 99p / max of an RMAC-only statistic.
-pub fn stat_tables(
-    results: &SweepResults,
-    figure: &str,
-    metric_name: &str,
-    decimals: usize,
-    stat: impl Fn(&RunReport) -> (f64, f64, f64),
-) -> Vec<(ScenarioKind, Table)> {
-    let mut out = Vec::new();
-    for scenario in ScenarioKind::ALL {
-        let mut t = Table::new(
-            format!("{figure} — {metric_name} ({})", scenario.label()),
-            &["rate_pps", "average", "p99", "max"],
-        );
-        for rate in results.rates() {
-            if let Some(r) = results.points.iter().find(|r| {
-                r.scenario == scenario.label() && r.protocol == "RMAC" && r.rate_pps == rate
-            }) {
-                let (a, p, m) = stat(r);
-                t.row(vec![
-                    fmt(rate, 0),
-                    fmt(a, decimals),
-                    fmt(p, decimals),
-                    fmt(m, decimals),
-                ]);
+impl Figure {
+    /// This figure's tables, one per scenario among `points`, each with the
+    /// scenario label it is filed under.
+    fn tables(&self, points: &[Point]) -> Result<Vec<(String, Table)>, String> {
+        let rmac_only = matches!(self.rows, Rows::RmacOnly);
+        let mut out = Vec::new();
+        for scenario in distinct(points.iter().map(|(_, r)| r.scenario.as_str())) {
+            let points: Vec<&Point> = points
+                .iter()
+                .filter(|(_, r)| r.scenario == scenario && (!rmac_only || r.protocol == "RMAC"))
+                .collect();
+            if points.is_empty() {
+                continue;
             }
+            let protocols = distinct(points.iter().map(|(_, r)| r.protocol.as_str()));
+            let rates = distinct(points.iter().map(|(_, r)| r.rate_pps));
+            let faults = distinct(points.iter().map(|(f, _)| f.as_str()));
+            // A table has one free axis besides the protocol; a store that
+            // varies the other too would be silently cut down to a slice.
+            let (pinned, what) = match self.rows {
+                Rows::PerFault => (rates.len(), "rate"),
+                Rows::PerProtocol | Rows::RmacOnly => (faults.len(), "fault plan"),
+            };
+            if pinned > 1 {
+                return Err(format!(
+                    "{}: the table holds one {what}, the store has {pinned} ({scenario})",
+                    self.stem
+                ));
+            }
+            let cells = |fault: &str, protocol: &str, rate: f64| {
+                let point = points
+                    .iter()
+                    .find(|(f, r)| f == fault && r.protocol == protocol && r.rate_pps == rate);
+                self.cols
+                    .iter()
+                    .map(move |c| point.map(|(_, r)| (c.cell)(r)).unwrap_or_default())
+            };
+            let mut headers = vec![self.key.to_string()];
+            let table = if let Rows::PerFault = self.rows {
+                headers.push("protocol".into());
+                headers.extend(self.cols.iter().map(|c| c.header.to_string()));
+                let mut t = self.titled(&format!("{scenario}, {} pkt/s", rates[0]), &headers);
+                for fault in &faults {
+                    for protocol in &protocols {
+                        let mut row = vec![fault.to_string(), protocol.to_string()];
+                        row.extend(cells(fault, protocol, rates[0]));
+                        t.row(row);
+                    }
+                }
+                t
+            } else {
+                for protocol in &protocols {
+                    headers.extend(self.cols.iter().map(|c| match self.cols.len() {
+                        _ if rmac_only => c.header.to_string(),
+                        1 => protocol.to_string(),
+                        _ => format!("{protocol} {}", c.header),
+                    }));
+                }
+                let mut t = self.titled(scenario, &headers);
+                for &rate in &rates {
+                    let mut row = vec![fmt(rate, 0)];
+                    for protocol in &protocols {
+                        row.extend(cells(faults[0], protocol, rate));
+                    }
+                    t.row(row);
+                }
+                t
+            };
+            out.push((scenario.to_string(), table));
         }
-        if !t.is_empty() {
-            out.push((scenario, t));
+        Ok(out)
+    }
+
+    fn titled(&self, qualifier: &str, headers: &[String]) -> Table {
+        let headers: Vec<&str> = headers.iter().map(String::as_str).collect();
+        Table::new(format!("{} ({qualifier})", self.title), &headers)
+    }
+}
+
+/// Print every figure of the store's catalog entry and write its CSVs.
+/// `Ok(false)` when `store_name` belongs to no entry. An entry at its
+/// pinned full scale (`store_name` is the catalog name) publishes to
+/// `results/`; any other scale keeps its CSVs beside its store, so a
+/// smoke run never overwrites the published figures.
+pub fn render(store_name: &str, store_dir: &Path, records: &[CaseRecord]) -> Result<bool, String> {
+    let Some(figures) = figure_set(store_name) else {
+        return Ok(false);
+    };
+    let dir = if CATALOG.contains(&store_name) {
+        Path::new("results")
+    } else {
+        store_dir
+    };
+    fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+    let points = pool(records);
+    for figure in figures {
+        for (scenario, table) in figure.tables(&points)? {
+            println!("{}", table.render());
+            let path = dir.join(format!("{}_{scenario}.csv", figure.stem));
+            fs::write(&path, table.to_csv())
+                .map_err(|e| format!("write {}: {e}", path.display()))?;
+            println!("[csv] {}\n", path.display());
         }
     }
-    out
-}
-
-/// Fig. 7: packet delivery ratio.
-pub fn fig7(results: &SweepResults) -> Vec<(ScenarioKind, Table)> {
-    metric_tables(results, "Fig.7", "packet delivery ratio", 4, |r| {
-        r.delivery_ratio()
-    })
-}
-
-/// Fig. 8: average packet drop ratio.
-pub fn fig8(results: &SweepResults) -> Vec<(ScenarioKind, Table)> {
-    metric_tables(results, "Fig.8", "avg packet drop ratio", 4, |r| {
-        r.drop_ratio_avg
-    })
-}
-
-/// Fig. 9: average end-to-end delay (seconds).
-pub fn fig9(results: &SweepResults) -> Vec<(ScenarioKind, Table)> {
-    metric_tables(results, "Fig.9", "avg end-to-end delay (s)", 4, |r| {
-        r.e2e_delay_avg_s
-    })
-}
-
-/// Fig. 10: average packet retransmission ratio.
-pub fn fig10(results: &SweepResults) -> Vec<(ScenarioKind, Table)> {
-    metric_tables(results, "Fig.10", "avg retransmission ratio", 4, |r| {
-        r.retx_ratio_avg
-    })
-}
-
-/// Fig. 11: average transmission overhead ratio.
-pub fn fig11(results: &SweepResults) -> Vec<(ScenarioKind, Table)> {
-    metric_tables(
-        results,
-        "Fig.11",
-        "avg transmission overhead ratio",
-        4,
-        |r| r.txoh_ratio_avg,
-    )
-}
-
-/// Fig. 12: MRTS length statistics (bytes), RMAC only.
-pub fn fig12(results: &SweepResults) -> Vec<(ScenarioKind, Table)> {
-    stat_tables(results, "Fig.12", "MRTS length (bytes)", 1, |r| {
-        (r.mrts_len_avg, r.mrts_len_p99, r.mrts_len_max)
-    })
-}
-
-/// Fig. 13: MRTS abortion ratio statistics, RMAC only.
-pub fn fig13(results: &SweepResults) -> Vec<(ScenarioKind, Table)> {
-    stat_tables(results, "Fig.13", "MRTS abortion ratio", 5, |r| {
-        (r.abort_avg, r.abort_p99, r.abort_max)
-    })
+    Ok(true)
 }
 
 /// Fig. 6 / §4.1.1: run one stationary replication and export the formed
@@ -171,59 +512,200 @@ pub fn fig6_topology(seed: u64, packets: u64) -> (RunReport, String) {
     (report, dot)
 }
 
-/// Write a set of tables to stdout and mirror them into `results/` as CSV.
-pub fn emit(tables: &[(ScenarioKind, Table)], file_stem: &str) {
-    let dir = Path::new("results");
-    let _ = fs::create_dir_all(dir);
-    for (scenario, t) in tables {
-        println!("{}", t.render());
-        let path = dir.join(format!("{file_stem}_{}.csv", scenario.label()));
-        if let Err(e) = fs::write(&path, t.to_csv()) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            println!("[csv] {}\n", path.display());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{run_sweep, SweepSpec};
-    use rmac_engine::Protocol;
+    use rmac_campaign::{run_campaign, RunOptions};
 
-    fn mini_results() -> SweepResults {
-        let spec = SweepSpec {
-            scenarios: vec![ScenarioKind::Stationary],
-            rates: vec![10.0],
-            seeds: vec![0],
-            protocols: vec![Protocol::Rmac, Protocol::Bmmm],
-            packets: 10,
-            nodes: 10,
+    /// CSV equality, except that a numeric cell may sit one unit of its last
+    /// printed digit away: the store rounds every float to six decimals
+    /// before the renderer rounds again.
+    fn assert_close(stem: &str, got: &str, want: &str) {
+        let cells = |csv: &str| -> Vec<String> {
+            let lines = csv.lines().map(|l| l.split(',').map(str::to_string));
+            lines.flatten().collect()
         };
-        run_sweep(&spec)
+        assert_eq!(got.lines().count(), want.lines().count(), "{stem}: rows");
+        assert_eq!(cells(got).len(), cells(want).len(), "{stem}: cells");
+        for (g, w) in cells(got).iter().zip(&cells(want)) {
+            if g != w {
+                let decimals = w.split_once('.').map_or(0, |(_, frac)| frac.len());
+                let delta = g.parse::<f64>().expect("number") - w.parse::<f64>().expect("number");
+                assert!(
+                    g.len() == w.len() && delta.abs() <= 1.001 * 10f64.powi(-(decimals as i32)),
+                    "{stem}: rendered {g}, oracle {w}"
+                );
+            }
+        }
     }
 
     #[test]
-    fn figure_tables_have_protocol_columns() {
-        let res = mini_results();
-        let tables = fig7(&res);
-        assert_eq!(tables.len(), 1);
-        let rendered = tables[0].1.render();
-        assert!(rendered.contains("RMAC"));
-        assert!(rendered.contains("BMMM"));
-        assert!(rendered.contains("10"));
+    fn rendered_cells_match_the_direct_run_oracle() {
+        use Protocol::{Bmmm, Rmac};
+        // One plan exercising every fault tally the X8 layout prints.
+        let plan = FaultPlan::none()
+            .with_bursty(BurstySpec::harsh())
+            .with_churn(ChurnSpec {
+                node: 3,
+                kind: ChurnKind::Crash,
+                at_ms: 200,
+                for_ms: 300,
+            })
+            .with_jammer(JammerSpec {
+                start_ms: 0,
+                ..jammer(20.0, 20.0, JamTarget::Rbt, 40, 8)
+            });
+        let spec = CampaignSpec {
+            name: "oracle".into(),
+            protocols: vec![Rmac, Bmmm],
+            scenarios: vec![ScenarioKind::Stationary],
+            rates: vec![20.0, 120.0],
+            seeds: vec![0, 1],
+            faults: vec![axis("mixed", plan)],
+            packets: 60,
+            nodes: 30,
+            shards: 0,
+            obs: false,
+        };
+        let dir = std::env::temp_dir().join(format!("rmac-figures-oracle-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let quiet = RunOptions {
+            quiet: true,
+            ..RunOptions::default()
+        };
+        let out = run_campaign(&spec, &dir, &quiet).expect("campaign runs");
+        let _ = fs::remove_dir_all(&dir);
+        assert!(out.complete && out.clean);
+        let points = pool(&out.records);
+        let rendered = |figure: &Figure, points: &[Point]| {
+            let tables = figure.tables(points).expect("lays out");
+            assert_eq!(tables.len(), 1, "{}: one scenario", figure.stem);
+            assert_eq!(tables[0].0, "stationary");
+            tables[0].1.to_csv()
+        };
+
+        // The oracle: the same cases run directly, pooled unrounded.
+        let avg = |protocol: Protocol, rate: f64| {
+            let cases = spec.cases();
+            let of_point = cases
+                .iter()
+                .filter(|c| c.protocol == protocol && c.rate == rate);
+            let reports: Vec<RunReport> = of_point
+                .map(|c| {
+                    Run::new(&c.config(), protocol, c.seed)
+                        .faults(&c.plan)
+                        .execute()
+                        .report
+                })
+                .collect();
+            assert_eq!(reports.len(), 2, "two seeds per point");
+            RunReport::average(&reports)
+        };
+        let both = |metric: fn(&RunReport) -> f64, rate: f64| -> Vec<String> {
+            vec![
+                fmt(metric(&avg(Rmac, rate)), 4),
+                fmt(metric(&avg(Bmmm, rate)), 4),
+            ]
+        };
+        let [fig7, _, fig9, _, _, fig12, fig13] = &PAPER_FIGURES;
+        type Cells<'a> = &'a dyn Fn(f64) -> Vec<String>;
+        let by_rate: [(&Figure, &str, Cells); 4] = [
+            (fig7, "rate_pps,RMAC,BMMM", &|rate| {
+                both(|r| r.delivery_ratio(), rate)
+            }),
+            (fig9, "rate_pps,RMAC,BMMM", &|rate| {
+                both(|r| r.e2e_delay_avg_s, rate)
+            }),
+            (fig12, "rate_pps,average,p99,max", &|rate| {
+                let r = avg(Rmac, rate);
+                [r.mrts_len_avg, r.mrts_len_p99, r.mrts_len_max]
+                    .map(|v| fmt(v, 1))
+                    .to_vec()
+            }),
+            (fig13, "rate_pps,average,p99,max", &|rate| {
+                let r = avg(Rmac, rate);
+                let tails_differ = 0.0 < r.abort_avg && r.abort_avg < r.abort_p99;
+                assert!(
+                    rate < 120.0 || (tails_differ && r.abort_p99 < r.abort_max),
+                    "the grid must exercise Fig. 13's three columns"
+                );
+                [r.abort_avg, r.abort_p99, r.abort_max]
+                    .map(|v| fmt(v, 5))
+                    .to_vec()
+            }),
+        ];
+        for (figure, header, cells) in by_rate {
+            let rows = spec
+                .rates
+                .iter()
+                .map(|&rate| [vec![fmt(rate, 0)], cells(rate)].concat().join(","));
+            let want: Vec<String> = std::iter::once(header.to_string()).chain(rows).collect();
+            assert_close(figure.stem, &rendered(figure, &points), &want.join("\n"));
+        }
+
+        // X8 lays out one rate: the store's 20 pkt/s slice.
+        let x8 = &FAULTS[0];
+        let err = x8.tables(&points).expect_err("two rates do not fit");
+        assert!(err.contains("one rate"), "{err}");
+        let slice: Vec<Point> = points
+            .iter()
+            .filter(|(_, r)| r.rate_pps == 20.0)
+            .cloned()
+            .collect();
+        let mut want = vec![
+            "fault,protocol,delivery,retx_avg,delay_ms,injected,crashes,jam_bursts".to_string(),
+        ];
+        for protocol in [Rmac, Bmmm] {
+            let r = avg(protocol, 20.0);
+            assert!(
+                r.faults_injected > 0 && r.fault_crashes > 0 && r.fault_jam_bursts > 0,
+                "the plan must exercise every tally"
+            );
+            want.push(format!(
+                "mixed,{},{:.4},{:.4},{:.2},{},{},{}",
+                protocol.label(),
+                r.delivery_ratio(),
+                r.retx_ratio_avg,
+                r.e2e_delay_avg_s * 1e3,
+                r.faults_injected,
+                r.fault_crashes,
+                r.fault_jam_bursts
+            ));
+        }
+        assert_close(x8.stem, &rendered(x8, &slice), &want.join("\n"));
     }
 
     #[test]
-    fn stat_tables_have_three_columns() {
-        let res = mini_results();
-        let tables = fig12(&res);
-        assert_eq!(tables.len(), 1);
-        let rendered = tables[0].1.render();
-        assert!(rendered.contains("average"));
-        assert!(rendered.contains("p99"));
-        assert!(rendered.contains("max"));
+    fn catalog_specs_round_trip_and_scales_never_share_a_store() {
+        let mut names = Vec::new();
+        for entry in CATALOG {
+            for quick in [false, true] {
+                let spec = spec(entry, quick).expect("catalog entry");
+                let json = spec.to_json();
+                let back = CampaignSpec::from_json(&json).expect("manifest parses back");
+                assert_eq!(back.to_json(), json, "{}", spec.name);
+                assert!(figure_set(&spec.name).is_some(), "{}", spec.name);
+                names.push(spec.name);
+            }
+        }
+        assert_eq!(distinct(names.iter()).len(), 2 * CATALOG.len());
+        assert!(spec("gate", false).is_none());
+        for uncatalogued in ["gate", "scratch", "faultsy", "paper"] {
+            assert!(figure_set(uncatalogued).is_none(), "{uncatalogued}");
+        }
+        assert!(figure_set("paper-figures-10k").is_some());
+    }
+
+    #[test]
+    fn an_unwritable_figure_is_an_error() {
+        // A file where the CSV directory should be.
+        let blocker =
+            std::env::temp_dir().join(format!("rmac-figures-blocker-{}", std::process::id()));
+        fs::write(&blocker, "").expect("create blocker");
+        let err = render("faults-quick", &blocker, &[]).expect_err("cannot create the directory");
+        assert!(err.contains("create"), "{err}");
+        let _ = fs::remove_file(&blocker);
+        assert_eq!(render("gate", Path::new("unused"), &[]), Ok(false));
     }
 
     #[test]
@@ -232,15 +714,5 @@ mod tests {
         assert!(dot.starts_with("digraph"));
         assert!(dot.contains("->"), "tree has edges");
         assert!(report.hops_avg >= 1.0);
-    }
-
-    #[test]
-    fn all_figure_generators_run() {
-        let res = mini_results();
-        assert!(!fig8(&res).is_empty());
-        assert!(!fig9(&res).is_empty());
-        assert!(!fig10(&res).is_empty());
-        assert!(!fig11(&res).is_empty());
-        assert!(!fig13(&res).is_empty());
     }
 }

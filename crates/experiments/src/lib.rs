@@ -1,26 +1,31 @@
-//! The evaluation harness: parameter sweeps and figure generators.
+//! The evaluation harness: the figure pipeline, the scenario fuzzer and
+//! the experiment binaries.
 //!
 //! The paper's §4 grid is 3 scenarios × 8 source rates × 10 random
-//! placements × {RMAC, BMMM}. [`SweepSpec`] describes such a grid,
-//! [`run_sweep`] executes it (replications in parallel via rayon — each
-//! replication is itself a deterministic single-threaded simulation), and
-//! the [`figures`] module turns the pooled results into the tables behind
-//! each figure.
+//! placements × {RMAC, BMMM}. Every experiment over such a grid is a named
+//! `CampaignSpec` in the [`figures`] catalog: `campaign run <name>
+//! [--quick]` executes it through `rmac_campaign::run_campaign` (the one
+//! function that fans a grid out over cores) into a checked, resumable
+//! store, and `campaign_report <dir>` renders that store into the tables
+//! and CSVs behind each figure. A grid at another scale is a manifest file
+//! (`campaign run my-grid.json`), not an environment variable.
 //!
-//! Scale knobs (environment variables, so the same binaries serve both a
-//! quick shape-check and a paper-scale reproduction):
-//!
-//! | Variable | Meaning | Default |
-//! |----------|---------|---------|
-//! | `RMAC_PACKETS` | packets per replication | 1000 |
-//! | `RMAC_SEEDS` | placements per data point | 10 |
-//! | `RMAC_RATES` | comma-separated source rates | 5,10,20,40,60,80,100,120 |
-//! | `RMAC_NODES` | network size | 75 |
-//! | `RMAC_QUICK` | `1` ⇒ tiny smoke-scale grid | unset |
+//! The experiments that vary something a grid axis cannot express (tree
+//! parents, `MacConfig`, BER, positions, forwarding mode) stay as small
+//! binaries calling `rmac_engine::Run` directly: `fig6_topology`,
+//! `ablation_rxlimit`, `ablation_ber`, `ext_unicast`, `ext_motivation`.
 
 pub mod figures;
 pub mod fuzz;
-pub mod sweep;
 
 pub use fuzz::{materialize, run_case, shrink, CaseOutcome};
-pub use sweep::{run_sweep, try_replications, try_tasks, ScenarioKind, SweepResults, SweepSpec};
+
+/// A `u64` scale knob of a binary that is not a campaign (`RMAC_SEEDS`,
+/// `RMAC_PACKETS`, `RMAC_SEED`, `RMAC_LIVE_*`): the variable's value, or
+/// `default` when it is unset or not a number.
+pub fn env_u64(name: &str, default: u64) -> u64 {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}

@@ -30,15 +30,15 @@
 //! 2. **Reproducibility**: the same seed and the same plan yield
 //!    bit-identical metrics across runs.
 //!
-//! Plans serialize to a small hand-rolled JSON dialect
-//! ([`FaultPlan::to_json`] / [`FaultPlan::from_json`]) rather than serde:
-//! the build environment is fully offline, so every external dependency
-//! this workspace keeps has to be vendored by hand, and a derive framework
-//! was not worth vendoring for one struct family.
+//! Plans serialize to a small hand-written JSON dialect
+//! ([`FaultPlan::to_json`] / [`FaultPlan::from_json`], read back through
+//! `rmac_wire::json`) rather than serde: the build environment is fully
+//! offline, so every external dependency this workspace keeps has to be
+//! vendored by hand, and a derive framework was not worth vendoring for
+//! one struct family.
 
 pub mod gilbert;
 pub mod injector;
-mod json;
 pub mod plan;
 
 pub use gilbert::GeChain;

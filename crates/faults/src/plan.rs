@@ -1,6 +1,7 @@
 //! The declarative fault plan and its JSON form.
 
-use crate::json::{parse, JsonValue, ObjExt};
+use rmac_wire::json::{fmt_f64, Json};
+use std::fmt::Write as _;
 
 /// Parameters of a per-link Gilbert–Elliott bursty-loss chain.
 ///
@@ -211,123 +212,120 @@ impl FaultPlan {
 
     /// Serialize to the plan's JSON dialect.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        push_field(&mut s, "salt", &JsonValue::Num(self.salt as f64));
+        let num = |v: u64| fmt_f64(v as f64);
+        let label = |l: &str| format!("\"{l}\"");
+        let mut s = format!("{{\"salt\":{}", num(self.salt));
         if let Some(b) = &self.bursty {
-            let mut o = String::from("{");
-            push_field(&mut o, "mean_good_ms", &JsonValue::Num(b.mean_good_ms));
-            push_field(&mut o, "mean_bad_ms", &JsonValue::Num(b.mean_bad_ms));
-            push_field(&mut o, "loss_good", &JsonValue::Num(b.loss_good));
-            push_field(&mut o, "loss_bad", &JsonValue::Num(b.loss_bad));
-            close_obj(&mut o);
-            s.push_str("\"bursty\":");
-            s.push_str(&o);
-            s.push(',');
+            s.push_str(",\"bursty\":");
+            let fields = [
+                ("mean_good_ms", b.mean_good_ms),
+                ("mean_bad_ms", b.mean_bad_ms),
+                ("loss_good", b.loss_good),
+                ("loss_bad", b.loss_bad),
+            ];
+            push_obj(&mut s, &fields.map(|(key, v)| (key, fmt_f64(v))));
         }
-        s.push_str("\"churn\":[");
-        for (i, c) in self.churn.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let mut o = String::from("{");
-            push_field(&mut o, "node", &JsonValue::Num(c.node as f64));
-            push_field(&mut o, "kind", &JsonValue::Str(c.kind.label().into()));
-            push_field(&mut o, "at_ms", &JsonValue::Num(c.at_ms as f64));
-            push_field(&mut o, "for_ms", &JsonValue::Num(c.for_ms as f64));
-            close_obj(&mut o);
-            s.push_str(&o);
-        }
-        s.push_str("],\"jammers\":[");
-        for (i, j) in self.jammers.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let mut o = String::from("{");
-            push_field(&mut o, "x", &JsonValue::Num(j.x));
-            push_field(&mut o, "y", &JsonValue::Num(j.y));
-            push_field(&mut o, "target", &JsonValue::Str(j.target.label().into()));
-            push_field(&mut o, "start_ms", &JsonValue::Num(j.start_ms as f64));
-            push_field(&mut o, "period_ms", &JsonValue::Num(j.period_ms as f64));
-            push_field(&mut o, "burst_ms", &JsonValue::Num(j.burst_ms as f64));
-            close_obj(&mut o);
-            s.push_str(&o);
-        }
-        s.push_str("],\"skew\":[");
-        for (i, k) in self.skew.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let mut o = String::from("{");
-            push_field(&mut o, "node", &JsonValue::Num(k.node as f64));
-            push_field(&mut o, "ppm", &JsonValue::Num(k.ppm));
-            close_obj(&mut o);
-            s.push_str(&o);
-        }
-        s.push_str("]}");
+        push_list(&mut s, "churn", &self.churn, |c| {
+            vec![
+                ("node", num(c.node.into())),
+                ("kind", label(c.kind.label())),
+                ("at_ms", num(c.at_ms)),
+                ("for_ms", num(c.for_ms)),
+            ]
+        });
+        push_list(&mut s, "jammers", &self.jammers, |j| {
+            vec![
+                ("x", fmt_f64(j.x)),
+                ("y", fmt_f64(j.y)),
+                ("target", label(j.target.label())),
+                ("start_ms", num(j.start_ms)),
+                ("period_ms", num(j.period_ms)),
+                ("burst_ms", num(j.burst_ms)),
+            ]
+        });
+        push_list(&mut s, "skew", &self.skew, |k| {
+            vec![("node", num(k.node.into())), ("ppm", fmt_f64(k.ppm))]
+        });
+        s.push('}');
         s
     }
 
     /// Parse a plan previously produced by [`FaultPlan::to_json`].
     pub fn from_json(text: &str) -> Result<FaultPlan, String> {
-        let v = parse(text)?;
-        let obj = v.as_obj("plan")?;
+        let v = Json::parse(text)?;
+        if !matches!(v, Json::Obj(_)) {
+            return Err(format!("plan: expected object, got {}", v.render()));
+        }
+        // `salt`, `bursty` and the three lists may be absent; a present
+        // field of the wrong type is an error, never a default.
+        let list = |key: &str| match v.get(key) {
+            Some(_) => v.arr(key),
+            None => Ok(&[][..]),
+        };
         let mut plan = FaultPlan {
-            salt: obj.num_or("salt", 0.0)? as u64,
+            salt: v.get("salt").map_or(Ok(0.0), |_| v.num("salt"))? as u64,
             ..FaultPlan::default()
         };
-        if let Some(b) = obj.get("bursty") {
-            let bo = b.as_obj("bursty")?;
+        if let Some(b) = v.get("bursty") {
             plan.bursty = Some(BurstySpec {
-                mean_good_ms: bo.num("mean_good_ms")?,
-                mean_bad_ms: bo.num("mean_bad_ms")?,
-                loss_good: bo.num("loss_good")?,
-                loss_bad: bo.num("loss_bad")?,
+                mean_good_ms: b.num("mean_good_ms")?,
+                mean_bad_ms: b.num("mean_bad_ms")?,
+                loss_good: b.num("loss_good")?,
+                loss_bad: b.num("loss_bad")?,
             });
         }
-        for c in obj.array_or_empty("churn")? {
-            let co = c.as_obj("churn entry")?;
+        for c in list("churn")? {
             plan.churn.push(ChurnSpec {
-                node: co.num("node")? as u16,
-                kind: ChurnKind::from_label(&co.str("kind")?)?,
-                at_ms: co.num("at_ms")? as u64,
-                for_ms: co.num("for_ms")? as u64,
+                node: c.num("node")? as u16,
+                kind: ChurnKind::from_label(c.str("kind")?)?,
+                at_ms: c.num("at_ms")? as u64,
+                for_ms: c.num("for_ms")? as u64,
             });
         }
-        for j in obj.array_or_empty("jammers")? {
-            let jo = j.as_obj("jammer entry")?;
+        for j in list("jammers")? {
             plan.jammers.push(JammerSpec {
-                x: jo.num("x")?,
-                y: jo.num("y")?,
-                target: JamTarget::from_label(&jo.str("target")?)?,
-                start_ms: jo.num("start_ms")? as u64,
-                period_ms: jo.num("period_ms")? as u64,
-                burst_ms: jo.num("burst_ms")? as u64,
+                x: j.num("x")?,
+                y: j.num("y")?,
+                target: JamTarget::from_label(j.str("target")?)?,
+                start_ms: j.num("start_ms")? as u64,
+                period_ms: j.num("period_ms")? as u64,
+                burst_ms: j.num("burst_ms")? as u64,
             });
         }
-        for k in obj.array_or_empty("skew")? {
-            let ko = k.as_obj("skew entry")?;
+        for k in list("skew")? {
             plan.skew.push(SkewSpec {
-                node: ko.num("node")? as u16,
-                ppm: ko.num("ppm")?,
+                node: k.num("node")? as u16,
+                ppm: k.num("ppm")?,
             });
         }
         Ok(plan)
     }
 }
 
-fn push_field(s: &mut String, key: &str, v: &JsonValue) {
-    s.push('"');
-    s.push_str(key);
-    s.push_str("\":");
-    s.push_str(&v.render());
-    s.push(',');
-}
-
-fn close_obj(s: &mut String) {
-    if s.ends_with(',') {
-        s.pop();
+/// Append `{"key":value,…}` from already rendered values.
+fn push_obj(s: &mut String, fields: &[(&str, String)]) {
+    for (i, (key, value)) in fields.iter().enumerate() {
+        s.push(if i == 0 { '{' } else { ',' });
+        let _ = write!(s, "\"{key}\":{value}");
     }
     s.push('}');
+}
+
+/// Append `,"key":[{…},…]`, one object per item.
+fn push_list<T>(
+    s: &mut String,
+    key: &str,
+    items: &[T],
+    fields: impl Fn(&T) -> Vec<(&'static str, String)>,
+) {
+    let _ = write!(s, ",\"{key}\":[");
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            s.push(',');
+        }
+        push_obj(s, &fields(item));
+    }
+    s.push(']');
 }
 
 #[cfg(test)]
@@ -398,6 +396,27 @@ mod tests {
                 burst_ms: 10,
             })
             .has_phy_faults());
+    }
+
+    #[test]
+    fn malformed_plans_are_rejected() {
+        for bad in [
+            "5",
+            "[]",
+            "{",
+            r#"{"salt":0} trailing"#,
+            r#"{"salt":"x"}"#,
+            r#"{"salt":true}"#,
+            r#"{"bursty":5}"#,
+            r#"{"bursty":{"mean_good_ms":1}}"#,
+            r#"{"churn":{}}"#,
+            r#"{"churn":[5]}"#,
+            r#"{"jammers":[{"x":"1"}]}"#,
+            r#"{"skew":[{"node":1,"ppm":null}]}"#,
+        ] {
+            assert!(FaultPlan::from_json(bad).is_err(), "accepted {bad:?}");
+        }
+        assert_eq!(FaultPlan::from_json("{}"), Ok(FaultPlan::none()));
     }
 
     #[test]

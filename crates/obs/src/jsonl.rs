@@ -1,197 +1,30 @@
-//! A minimal parser for the workspace's flat JSON-lines records.
+//! The workspace's flat JSON-lines records.
 //!
 //! The trace and snapshot sinks emit one flat JSON object per line whose
-//! values are only numbers, booleans, or escape-free strings (the schema
-//! is documented in `rmac_engine::trace`). The workspace carries no JSON
-//! dependency, so this module hand-rolls exactly that subset — enough for
-//! the `obs_report` toolchain and the schema conformance tests, with `\"`
-//! and `\\` escapes accepted defensively.
+//! values are only numbers, booleans, or strings (the schema is documented
+//! in `rmac_engine::trace`). Parsing is `rmac_wire::json`'s; this module
+//! adds the flatness rule the `obs_report` toolchain and the schema
+//! conformance tests rely on.
 
-/// A parsed JSON scalar.
-#[derive(Clone, Debug, PartialEq)]
-pub enum JsonValue {
-    /// Any JSON number (integers included).
-    Num(f64),
-    /// `true` / `false`.
-    Bool(bool),
-    /// A string.
-    Str(String),
-}
-
-impl JsonValue {
-    /// The value as an integer, if it is a whole number.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    /// The value as a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
+pub use rmac_wire::json::Json as JsonValue;
 
 /// Look a key up in a parsed record.
 pub fn get<'a>(fields: &'a [(String, JsonValue)], key: &str) -> Option<&'a JsonValue> {
     fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-struct Scanner<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Scanner<'a> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        self.skip_ws();
-        if self.pos < self.bytes.len() && self.bytes[self.pos] == b {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn string(&mut self) -> Option<String> {
-        if !self.eat(b'"') {
-            return None;
-        }
-        let mut out = String::new();
-        while self.pos < self.bytes.len() {
-            match self.bytes[self.pos] {
-                b'"' => {
-                    self.pos += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    let esc = *self.bytes.get(self.pos + 1)?;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        _ => return None,
-                    }
-                    self.pos += 2;
-                }
-                b => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-            }
-        }
-        None
-    }
-
-    fn value(&mut self) -> Option<JsonValue> {
-        match self.peek()? {
-            b'"' => self.string().map(JsonValue::Str),
-            b't' => self.keyword("true").map(|_| JsonValue::Bool(true)),
-            b'f' => self.keyword("false").map(|_| JsonValue::Bool(false)),
-            _ => self.number(),
-        }
-    }
-
-    fn keyword(&mut self, kw: &str) -> Option<()> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn number(&mut self) -> Option<JsonValue> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.bytes.len()
-            && matches!(
-                self.bytes[self.pos],
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-            )
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()?
-            .parse::<f64>()
-            .ok()
-            .map(JsonValue::Num)
-    }
-}
-
-/// Parse one flat JSON object (no nesting, no arrays) into its key/value
-/// pairs, in source order. Returns `None` on any syntax deviation —
-/// conformance tests rely on this strictness.
+/// Parse one flat JSON object (no nesting, no arrays, no null) into its
+/// key/value pairs, in source order. Returns `None` on any syntax
+/// deviation — conformance tests rely on this strictness.
 pub fn parse_flat(line: &str) -> Option<Vec<(String, JsonValue)>> {
-    let mut s = Scanner {
-        bytes: line.as_bytes(),
-        pos: 0,
+    let JsonValue::Obj(fields) = JsonValue::parse(line).ok()? else {
+        return None;
     };
-    if !s.eat(b'{') {
-        return None;
-    }
-    let mut fields = Vec::new();
-    if s.eat(b'}') {
-        return finishing(s, fields);
-    }
-    loop {
-        let key = s.string()?;
-        if !s.eat(b':') {
-            return None;
-        }
-        fields.push((key, s.value()?));
-        if s.eat(b',') {
-            continue;
-        }
-        if s.eat(b'}') {
-            return finishing(s, fields);
-        }
-        return None;
-    }
-}
-
-fn finishing(
-    mut s: Scanner<'_>,
-    fields: Vec<(String, JsonValue)>,
-) -> Option<Vec<(String, JsonValue)>> {
-    s.skip_ws();
-    if s.pos == s.bytes.len() {
-        Some(fields)
-    } else {
-        None
-    }
+    use JsonValue::{Bool, Num, Str};
+    let flat = fields
+        .iter()
+        .all(|(_, v)| matches!(v, Num(_) | Bool(_) | Str(_)));
+    flat.then_some(fields)
 }
 
 #[cfg(test)]
@@ -226,7 +59,10 @@ mod tests {
             r#"{"a":1} trailing"#,
             r#"{"a":[1]}"#,
             r#"{"a":{"b":1}}"#,
+            r#"{"a":null}"#,
             r#"{a:1}"#,
+            "[1]",
+            "1",
         ] {
             assert!(parse_flat(bad).is_none(), "accepted {bad:?}");
         }

@@ -30,8 +30,9 @@
 //!   sim-time-driven time series.
 //! * [`report`] — [`ObsReport`], everything assembled, with ASCII and
 //!   JSON rendering.
-//! * [`jsonl`]/[`render`] — the flat-JSONL parser and the Fig. 4-style
-//!   timeline renderer behind the `obs_report` bin.
+//! * [`jsonl`]/[`render`] — the flat-JSONL record rule and the Fig. 4-style
+//!   timeline renderer behind the `obs_report` bin ([`json`] is
+//!   `rmac-wire`'s reader, re-exported for `rmac-campaign`).
 //! * [`shard`] — [`ShardGroupRow`]/[`render_shard_balance`], the sharded
 //!   engine's per-group scheduling balance table.
 
@@ -51,5 +52,6 @@ pub use node::{frame_kind_index, NodeObs, FRAME_KINDS, FRAME_KIND_LABELS, TONES,
 pub use registry::{CounterId, GaugeId, HistId, Registry};
 pub use render::{parse_trace_line, render_timeline, TraceRecord};
 pub use report::ObsReport;
+pub use rmac_wire::json;
 pub use shard::{render_shard_balance, shard_balance_json, ShardGroupRow};
 pub use snapshot::{Sampler, Snapshot};

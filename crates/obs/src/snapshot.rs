@@ -10,7 +10,7 @@
 //! deterministic simulation state; a sampled run's `RunReport` is
 //! bit-identical to an unsampled one.
 
-use crate::jsonl::{self, JsonValue};
+use crate::jsonl;
 
 /// One point of the sampled time series. All counters are cumulative
 /// since the start of the run.
@@ -62,12 +62,7 @@ impl Snapshot {
     /// mistyped.
     pub fn parse(line: &str) -> Option<Snapshot> {
         let fields = jsonl::parse_flat(line)?;
-        let num = |key: &str| -> Option<u64> {
-            match jsonl::get(&fields, key)? {
-                v @ JsonValue::Num(_) => v.as_u64(),
-                _ => None,
-            }
-        };
+        let num = |key: &str| jsonl::get(&fields, key)?.as_u64();
         Some(Snapshot {
             t_ns: num("t_ns")?,
             events: num("events")?,

@@ -1,12 +1,13 @@
-//! A minimal JSON value parser for campaign specs, baselines, and the
-//! tracked `results/BENCH_*.json` files.
+//! The workspace's one JSON reader.
 //!
-//! The workspace serializes everything by hand (no serde); this is the
-//! matching deserializer: a small recursive-descent parser into a dynamic
-//! [`Json`] value with typed accessors. It accepts the JSON this
-//! workspace writes (objects, arrays, strings with `\"`/`\\`/`\n`/`\t`/
-//! `\u` escapes, numbers, booleans, null) and rejects anything it does
-//! not understand with a byte-offset error.
+//! Everything here is serialized by hand (no serde: the build is offline
+//! and every dependency is vendored); this is the matching deserializer,
+//! shared by fault plans (`rmac-faults`), trace and snapshot lines
+//! (`rmac-obs`) and campaign specs, stores and baselines
+//! (`rmac-campaign`). A small recursive-descent parser into a dynamic
+//! [`Json`] value with typed accessors: objects, arrays, strings with
+//! `\"`/`\\`/`\n`/`\t`/`\u` escapes, numbers, booleans, null. Anything
+//! else is rejected with a byte-offset error.
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -41,11 +42,48 @@ impl Json {
         }
     }
 
-    /// Object field lookup that errors with the key name — for required
-    /// fields in specs and baselines.
+    /// Object field lookup that errors with the key name.
     pub fn req(&self, key: &str) -> Result<&Json, String> {
         self.get(key)
             .ok_or_else(|| format!("missing field {key:?}"))
+    }
+
+    fn typed<'a, T>(
+        &'a self,
+        key: &str,
+        what: &str,
+        as_t: impl Fn(&'a Json) -> Option<T>,
+    ) -> Result<T, String> {
+        let v = self.req(key)?;
+        as_t(v).ok_or_else(|| format!("{key} must be {what}, got {}", v.render()))
+    }
+
+    /// Required number field.
+    pub fn num(&self, key: &str) -> Result<f64, String> {
+        self.typed(key, "a number", Json::as_f64)
+    }
+
+    /// Required non-negative integer field.
+    pub fn uint(&self, key: &str) -> Result<u64, String> {
+        self.typed(key, "an integer", Json::as_u64)
+    }
+
+    /// Required string field.
+    pub fn str(&self, key: &str) -> Result<&str, String> {
+        self.typed(key, "a string", Json::as_str)
+    }
+
+    /// Required boolean field.
+    pub fn bool(&self, key: &str) -> Result<bool, String> {
+        self.typed(key, "a boolean", Json::as_bool)
+    }
+
+    /// Required array field.
+    pub fn arr(&self, key: &str) -> Result<&[Json], String> {
+        self.typed(key, "an array", |v| match v {
+            Json::Arr(items) => Some(items.as_slice()),
+            _ => None,
+        })
     }
 
     pub fn as_f64(&self) -> Option<f64> {
@@ -76,27 +114,14 @@ impl Json {
         }
     }
 
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Compact re-rendering (round-trips through [`Json::parse`]). Used to
     /// hand embedded sub-documents (fault plans) back to their own
-    /// `from_json` parsers.
+    /// `from_json` parsers and to quote offending values in errors.
     pub fn render(&self) -> String {
         match self {
             Json::Null => "null".into(),
             Json::Bool(b) => b.to_string(),
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 1e15 {
-                    format!("{}", *n as i64)
-                } else {
-                    format!("{n}")
-                }
-            }
+            Json::Num(n) => fmt_f64(*n),
             Json::Str(s) => format!("\"{}\"", escape(s)),
             Json::Arr(items) => {
                 let body = items.iter().map(Json::render).collect::<Vec<_>>().join(",");
@@ -111,6 +136,15 @@ impl Json {
                 format!("{{{body}}}")
             }
         }
+    }
+}
+
+/// Render an f64 compactly: integers without the trailing `.0`.
+pub fn fmt_f64(v: f64) -> String {
+    if v.fract() == 0.0 && v.abs() < 1e15 {
+        format!("{}", v as i64)
+    } else {
+        format!("{v}")
     }
 }
 
@@ -292,16 +326,29 @@ mod tests {
     fn parses_nested_documents() {
         let v = Json::parse(r#"{"a": [1, 2.5, -3], "b": {"c": "x\ny"}, "d": true, "e": null}"#)
             .expect("parse");
-        assert_eq!(
-            v.get("a").and_then(|a| a.as_arr()).map(|a| a.len()),
-            Some(3)
-        );
-        assert_eq!(
-            v.get("b").and_then(|b| b.get("c")).and_then(Json::as_str),
-            Some("x\ny")
-        );
-        assert_eq!(v.get("d").and_then(Json::as_bool), Some(true));
+        assert_eq!(v.arr("a").map(<[Json]>::len), Ok(3));
+        assert_eq!(v.req("b").and_then(|b| b.str("c")), Ok("x\ny"));
+        assert_eq!(v.bool("d"), Ok(true));
         assert_eq!(v.get("e"), Some(&Json::Null));
+    }
+
+    #[test]
+    fn typed_field_accessors_name_the_key_and_the_value() {
+        let v = Json::parse(r#"{"n": 1.5, "s": "x", "neg": -1}"#).expect("parse");
+        assert_eq!(v.num("n"), Ok(1.5));
+        assert_eq!(v.str("s"), Ok("x"));
+        for err in [
+            v.uint("n").unwrap_err(),
+            v.uint("neg").unwrap_err(),
+            v.num("s").unwrap_err(),
+            v.str("n").unwrap_err(),
+            v.bool("n").unwrap_err(),
+            v.arr("s").unwrap_err(),
+        ] {
+            assert!(err.contains("must be"), "{err}");
+        }
+        assert!(v.num("missing").unwrap_err().contains("missing field"));
+        assert!(Json::Num(1.0).num("n").is_err(), "a scalar has no fields");
     }
 
     #[test]
@@ -309,38 +356,43 @@ mod tests {
         let s = "quote\" slash\\ nl\n tab\t";
         let doc = format!("{{\"k\": \"{}\"}}", escape(s));
         let v = Json::parse(&doc).expect("parse escaped");
-        assert_eq!(v.get("k").and_then(Json::as_str), Some(s));
+        assert_eq!(v.str("k"), Ok(s));
     }
 
     #[test]
     fn render_round_trips() {
         let doc = r#"{"a":[1,2.5,-3],"b":{"c":"x\ny"},"d":true,"e":null}"#;
         let v = Json::parse(doc).expect("parse");
+        assert_eq!(v.render(), doc);
         assert_eq!(Json::parse(&v.render()).expect("reparse"), v);
     }
 
     #[test]
     fn rejects_garbage() {
-        assert!(Json::parse("{\"a\": }").is_err());
-        assert!(Json::parse("[1, 2").is_err());
-        assert!(Json::parse("{} trailing").is_err());
-        assert!(Json::parse("nul").is_err());
+        for bad in [
+            "",
+            "{",
+            "}",
+            "{\"a\": }",
+            "{\"a\" 1}",
+            "{a:1}",
+            "[1, 2",
+            "[1,]",
+            "{\"a\":1,}",
+            "{} trailing",
+            "12 34",
+            "nul",
+            "\"open",
+        ] {
+            assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
+        }
     }
 
     #[test]
-    fn parses_a_real_bench_document() {
-        let doc = r#"{
-  "bench": "phy_spatial_index",
-  "rows": [
-    {"nodes": 50, "grid_wall_s": 0.072486, "bit_identical": true}
-  ]
-}"#;
-        let v = Json::parse(doc).expect("parse bench");
-        let rows = v.get("rows").and_then(|r| r.as_arr()).expect("rows");
-        assert_eq!(rows[0].get("nodes").and_then(Json::as_u64), Some(50));
-        assert_eq!(
-            rows[0].get("bit_identical").and_then(Json::as_bool),
-            Some(true)
-        );
+    fn integers_render_without_a_fraction() {
+        assert_eq!(fmt_f64(20.0), "20");
+        assert_eq!(fmt_f64(-3.0), "-3");
+        assert_eq!(fmt_f64(2.5), "2.5");
+        assert_eq!(fmt_f64(1e15), "1000000000000000");
     }
 }

@@ -12,7 +12,9 @@
 //! * [`airtime`] — transmission-delay arithmetic reproducing the paper's §2
 //!   numbers (96 µs PHY overhead, 56 µs ACK, ≈ 632·n µs BMMM control cost),
 //! * [`datagram`] — the live-transport datagram framing (`rmac-live`):
-//!   MAC frames and busy-tone stand-ins as self-describing UDP payloads.
+//!   MAC frames and busy-tone stand-ins as self-describing UDP payloads,
+//! * [`json`] — the one reader for the JSON the workspace writes by hand
+//!   (fault plans, trace lines, campaign manifests and stores).
 
 pub mod addr;
 pub mod airtime;
@@ -21,6 +23,7 @@ pub mod consts;
 pub mod crc;
 pub mod datagram;
 pub mod frame;
+pub mod json;
 
 pub use addr::{Dest, NodeId};
 pub use datagram::{decode_datagram, encode_datagram, Datagram, DatagramError, DgramBody};

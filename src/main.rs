@@ -161,8 +161,9 @@ OPTIONS:
         --packets   packets generated by the source             [500]
         --seed      replication seed (placement + all RNG)      [0]
 
-The paper's full evaluation grid lives in the rmac-experiments binaries:
-    cargo run --release -p rmac-experiments --bin all_figures
+The paper's full evaluation grid is a campaign of the rmac-experiments crate:
+    cargo run --release -p rmac-experiments --bin campaign -- run paper-figures
+    cargo run --release -p rmac-experiments --bin campaign_report -- results/campaigns/paper-figures
 ";
 
 fn main() -> ExitCode {
