@@ -13,8 +13,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> retired names stay retired (no A/B knobs on the run surface, one grid runner: DESIGN.md §13, §11)"
-if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S|SweepSpec|SweepResults|run_sweep|try_replications|RMAC_QUICK|RMAC_RATES|RMAC_NODES' \
+echo "==> retired names stay retired (no A/B knobs on the run surface, one grid runner, no sub-queue layer: DESIGN.md §13, §11, §10)"
+if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S|SweepSpec|SweepResults|run_sweep|try_replications|RMAC_QUICK|RMAC_RATES|RMAC_NODES|ShardedQueue|SeqQueue|push_with_seq|home_slot|EngineTransport|EngineMedium' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!ci.sh' ':!.github/workflows/ci.yml'; then
     echo "a retired knob name reappeared (see above)" >&2
     exit 1
@@ -30,7 +30,7 @@ echo "==> soak_live --smoke (live loopback soak: 100% delivery under 20% GE loss
 cargo run -q --release -p rmac-experiments --bin soak_live -- --smoke
 
 echo "==> shard stage (sharded-engine equivalence proptests)"
-cargo test -q --release --test shard_equivalence --test shard_tiebreak
+cargo test -q --release --test shard_equivalence
 
 echo "==> queue stage (calendar/heap differential proptests)"
 cargo test -q --release --test queue_equivalence

@@ -66,7 +66,7 @@ pub fn campaign_dir(name: &str) -> PathBuf {
 /// Execute one case through [`Run`], checker always attached. The spec
 /// picks the engine (`shards`) and whether obs counters are ingested;
 /// [`CampaignSpec::validate`] has already refused the one combination
-/// `Run` cannot carry (obs on a sharded case).
+/// that would quietly run every case serially (obs on a sharded case).
 pub fn run_case(case: &CaseSpec) -> CaseRecord {
     let obs = case.obs.then_some(ObsConfig {
         snapshot_period: None,

@@ -306,9 +306,9 @@ impl CampaignSpec {
     }
 
     /// Refuse a grid [`rmac_engine::Run`] would refuse (or, before it did,
-    /// run wrong): a source rate that is not a finite positive number, and
-    /// obs ingestion on sharded cases (the sharded merge carries no engine
-    /// obs).
+    /// run wrong): a source rate that is not a finite positive number. Also
+    /// refuse obs ingestion on sharded cases: the sharded merge carries no
+    /// engine obs, so every case would fall back to one serial group.
     pub fn validate(&self) -> Result<(), String> {
         if let Some(r) = self.rates.iter().find(|r| !(r.is_finite() && **r > 0.0)) {
             return Err(format!("rates: {r} is not a finite positive rate"));

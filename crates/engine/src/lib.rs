@@ -22,7 +22,6 @@ pub mod obs;
 pub mod run;
 pub mod shard;
 pub mod trace;
-pub mod transport;
 pub mod world;
 
 pub use config::{Protocol, ScenarioConfig};
@@ -39,5 +38,4 @@ pub use trace::{
     filter_tracer, jsonl_file_tracer, JsonlSink, SinkSummary, TraceEvent, TraceLevel, TraceWhat,
     Tracer,
 };
-pub use transport::{EngineMedium, EngineTransport, MediumStats};
 pub use world::Runner;

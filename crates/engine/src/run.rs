@@ -117,8 +117,9 @@ impl Run {
     }
 
     /// Attach the deep instrumentation layer ([`crate::obs`]); `None`
-    /// leaves it detached. A sharded run that decomposes into several
-    /// groups cannot carry it and panics in [`Run::execute`].
+    /// leaves it detached. A sharded run carries it on the single
+    /// all-shards group (like mobility and BER, it forgoes the parallel
+    /// decomposition).
     pub fn obs(mut self, cfg: impl Into<Option<ObsConfig>>) -> Run {
         self.spec.obs = cfg.into();
         self
@@ -167,7 +168,7 @@ impl Run {
     }
 
     /// Run on the sharded engine whatever `cfg.shards` says (one shard is
-    /// the serial algorithm behind the sharded queue).
+    /// one group: the serial runner reading the beacon timetable).
     pub(crate) fn execute_sharded(self) -> RunOutput {
         assert!(
             !self.heap_queue,

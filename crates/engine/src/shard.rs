@@ -5,11 +5,6 @@
 //! its initial position. Each replication then runs as one or more *shard
 //! groups*:
 //!
-//! * Events live in a [`ShardedQueue`]: one sub-queue per shard, a shared
-//!   tie-break sequence counter, pops in global `(time, seq)` order. The
-//!   partition changes where events are stored, never when they dispatch,
-//!   so any shard count is bit-identical to the flat-queue oracle by
-//!   construction.
 //! * Shards whose node populations are radio-isolated from each other —
 //!   no cross-stripe pair within `range_m` — can never exchange events,
 //!   because every event the engine generates targets either its emitting
@@ -17,13 +12,14 @@
 //!   ([`coupled_groups`]) unions shards bridged by an in-range pair; the
 //!   resulting connected components are *causally closed* and run
 //!   concurrently on scoped per-group runners, one OS thread each.
-//! * A group's runner is the oracle restricted to the group: it builds the
-//!   full-width world (so global node indexing, RNG stream derivation and
-//!   the spatial grid are untouched) but seeds and dispatches only owned
-//!   slots. Since the serial oracle's execution restricted to a causally
-//!   closed subset *is* that subset's own execution (FIFO tie-breaks are
-//!   preserved on subsequences), each group reproduces its slice of the
-//!   oracle run exactly.
+//! * A group's runner is the serial runner restricted to the group: the
+//!   same `Runner<CalendarQueue<Ev>>` on its own flat queue with its own
+//!   push counter, building the full-width world (so global node indexing,
+//!   RNG stream derivation and the spatial grid are untouched) but seeding
+//!   and dispatching only owned slots. Since the serial oracle's execution
+//!   restricted to a causally closed subset *is* that subset's own
+//!   execution (FIFO tie-breaks are preserved on subsequences), each group
+//!   reproduces its slice of the oracle run exactly.
 //! * The one shared RNG stream crossing groups — the beacon scheduler —
 //!   is closed under the beacon subsystem, so its draws are pre-played
 //!   into a [`BeaconTimetable`] that every group reads instead of a live
@@ -31,10 +27,11 @@
 //!
 //! Scenarios where causal closure cannot be proven cheaply fall back to a
 //! single group: mobility (nodes roam the whole plane) or a positive BER
-//! (the channel-noise draws are globally sequenced). A single group still
-//! exercises the sharded queue, the router and the timetable —
-//! `shards = 1` *is* the oracle algorithm — it just runs
-//! serially-canonically on one thread. An attached tracer is *not* a
+//! (the channel-noise draws are globally sequenced). Attached engine obs
+//! falls back the same way (its kernel profile and snapshot series describe
+//! one event loop). The single all-shards group is the serial run itself,
+//! reading its beacon fires from the timetable instead of the live
+//! scheduler stream. An attached tracer is *not* a
 //! fallback: each traced group buffers its emissions with a per-dispatch
 //! log, and [`merge_traces`] interleaves the buffers back into the
 //! oracle's global `(time, seq)` order before the user's tracer sees them
@@ -55,14 +52,14 @@ use rmac_faults::FaultPlan;
 use rmac_mobility::{MobilityKind, Pos};
 use rmac_obs::ObsReport;
 use rmac_phy::FrameTallies;
-use rmac_sim::{EventQueue, ShardedQueue, SimQueue, SimRng, SimTime};
+use rmac_sim::{CalendarQueue, EventQueue, SimQueue, SimRng, SimTime};
 
 use crate::config::ScenarioConfig;
 use crate::run::{RunOutput, Spec};
 use crate::trace::{TraceEvent, Tracer};
 use crate::world::{
-    build_motions, seed_slots, BeaconPlan, DispatchLog, DispatchRec, Ev, Harvest, Runner, Scope,
-    ShardQueue, BEACON_JITTER_NS,
+    build_motions, seed_slots, BeaconPlan, DispatchLog, DispatchRec, Harvest, Runner, Scope,
+    BEACON_JITTER_NS,
 };
 
 /// Guard margin on the radio range when testing whether two stripes are
@@ -214,11 +211,10 @@ pub struct ShardStats {
     /// Causally closed shard groups the run decomposed into (1 when the
     /// scenario forces serial execution).
     pub groups: usize,
-    /// Events pushed to a different shard than the one dispatching — the
-    /// cross-shard bus traffic, summed over groups.
+    /// 0 by construction: a group is one queue and groups exchange nothing
+    /// (causal closure); dropped with the other pinned names under ROADMAP
+    /// 2(d).
     pub cross_pushes: u64,
-    /// Events that stayed on their dispatching shard, summed over groups.
-    pub local_pushes: u64,
     /// Per-group scheduling breakdown, in group order (groups are ordered
     /// by their smallest shard id). The shard-balance raw material for
     /// `obs_report` ([`rmac_obs::render_shard_balance`]).
@@ -233,8 +229,6 @@ impl ShardStats {
             .map(|g| rmac_obs::ShardGroupRow {
                 shards: g.shards.clone(),
                 events: g.events,
-                local_pushes: g.local_pushes,
-                cross_pushes: g.cross_pushes,
                 wall_ns: g.wall_ns,
             })
             .collect()
@@ -248,10 +242,6 @@ pub struct GroupStats {
     pub shards: Vec<usize>,
     /// Events the group dispatched.
     pub events: u64,
-    /// Pushes that stayed on their dispatching shard.
-    pub local_pushes: u64,
-    /// Pushes routed to a different shard of the same group.
-    pub cross_pushes: u64,
     /// Wall-clock time the group's worker spent on it (assembly + run).
     /// Wall readings live outside the determinism domain: they feed the
     /// balance table only, never a `RunReport` or the campaign store.
@@ -270,11 +260,8 @@ struct TraceCapture {
 struct GroupRun {
     harvest: Harvest,
     check: Option<CheckReport>,
-    /// Only a single-group run carries engine obs ([`execute`] refuses it
-    /// on several groups).
+    /// Attached obs forces a single group, so at most one run carries it.
     obs: Option<ObsReport>,
-    cross_pushes: u64,
-    local_pushes: u64,
     wall_ns: u64,
     trace: Option<TraceCapture>,
 }
@@ -292,45 +279,32 @@ pub(crate) fn execute(spec: &Spec, tracer: Option<Tracer>) -> RunOutput {
     // Causal closure is only provable for frozen geometry and a noise-
     // free channel: mobility lets nodes roam across stripes, and a
     // positive BER sequences the shared channel-noise stream over all
-    // receptions. An attached tracer does not force a single group:
-    // multi-group runs buffer per-group emissions and merge them back
-    // into the oracle's order (see the trace-merge section below).
-    let parallel_ok =
-        matches!(spec.cfg.mobility, MobilityKind::Stationary) && spec.cfg.ber_per_bit == 0.0;
+    // receptions. Engine obs profiles one event loop, so it takes the
+    // single group too. An attached tracer does not: multi-group runs
+    // buffer per-group emissions and merge them back into the oracle's
+    // order (see the trace-merge section below).
+    let parallel_ok = matches!(spec.cfg.mobility, MobilityKind::Stationary)
+        && spec.cfg.ber_per_bit == 0.0
+        && spec.obs.is_none();
     let groups: Vec<Vec<usize>> = if parallel_ok {
         coupled_groups(&positions, &map.owner, shards, spec.cfg.range_m)
     } else {
         vec![(0..shards).collect()]
     };
-    assert!(
-        spec.obs.is_none() || groups.len() == 1,
-        "Run::obs on a sharded run that decomposes into {} groups: the sharded merge does not \
-         carry engine obs (run with cfg.shards = 1 to instrument this scenario)",
-        groups.len()
-    );
     let times = Arc::new(BeaconTimetable::build(
         spec.cfg.nodes,
         spec.cfg.beacon_period,
         spec.cfg.end_time(),
         &mut master.split(3),
     ));
-    let nodes = spec.cfg.nodes;
     let owner = &map.owner;
 
     let run_group = |group: &[usize], tracer: Option<Tracer>, capture: bool| -> GroupRun {
         let started = std::time::Instant::now();
-        // Local (sub-queue) index of each shard in this group.
-        let mut local_of = vec![usize::MAX; shards];
-        for (li, &s) in group.iter().enumerate() {
-            local_of[s] = li;
-        }
-        let owned: Vec<bool> = owner.iter().map(|&s| local_of[s] != usize::MAX).collect();
-        let owner = owner.clone();
-        let router = move |ev: &Ev| local_of[owner[ev.home_slot(nodes)]];
-        let per_shard = group.len().max(1);
-        let mut runner: Runner<ShardQueue> = Runner::assemble(
+        let owned: Vec<bool> = owner.iter().map(|s| group.contains(s)).collect();
+        let mut runner: Runner = Runner::assemble(
             spec,
-            |cap| ShardedQueue::new(per_shard, cap / per_shard + 1, Box::new(router)),
+            CalendarQueue::with_capacity,
             Some(Scope { owned }),
             Some(BeaconPlan::new(Arc::clone(&times))),
         );
@@ -357,13 +331,10 @@ pub(crate) fn execute(spec: &Spec, tracer: Option<Tracer>) -> RunOutput {
         };
         let check = runner.finish_check();
         let obs = runner.finish_obs();
-        let (cross_pushes, local_pushes) = runner.bus_stats();
         GroupRun {
             harvest: runner.harvest(),
             check,
             obs,
-            cross_pushes,
-            local_pushes,
             wall_ns: started.elapsed().as_nanos() as u64,
             trace,
         }
@@ -418,19 +389,16 @@ pub(crate) fn execute(spec: &Spec, tracer: Option<Tracer>) -> RunOutput {
             .collect()
     };
 
-    let mut stats = ShardStats {
+    let stats = ShardStats {
         shards,
         groups: groups.len(),
         cross_pushes: 0,
-        local_pushes: 0,
         group_stats: results
             .iter()
             .zip(&groups)
             .map(|(r, g)| GroupStats {
                 shards: g.clone(),
                 events: r.harvest.events,
-                local_pushes: r.local_pushes,
-                cross_pushes: r.cross_pushes,
                 wall_ns: r.wall_ns,
             })
             .collect(),
@@ -445,15 +413,11 @@ pub(crate) fn execute(spec: &Spec, tracer: Option<Tracer>) -> RunOutput {
     }
     let mut results = results.into_iter();
     let first = results.next().expect("at least one shard group");
-    stats.cross_pushes += first.cross_pushes;
-    stats.local_pushes += first.local_pushes;
     let mut merged = first.harvest;
     let obs = first.obs;
     let mut checks: Vec<CheckReport> = first.check.into_iter().collect();
     for (gi, r) in results.enumerate() {
         let group = &groups[gi + 1];
-        stats.cross_pushes += r.cross_pushes;
-        stats.local_pushes += r.local_pushes;
         let h = r.harvest;
         // Per-node state comes from each node's owner group; the merge
         // walks global node order so downstream float accumulation in

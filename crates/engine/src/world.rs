@@ -12,7 +12,7 @@ use rmac_net::{BlessConfig, NetLayer};
 use rmac_obs::{frame_kind_index, ObsReport, Registry, Snapshot};
 use rmac_phy::FrameTallies;
 use rmac_phy::{Channel, ChannelConfig, IndexMode, Indication, PhyEvent, Tone, ToneLog};
-use rmac_sim::{CalendarQueue, ShardedQueue, SimQueue, SimRng, SimTime};
+use rmac_sim::{CalendarQueue, SimQueue, SimRng, SimTime};
 use rmac_wire::{consts::BYTE_TIME, Dest, Frame, NodeId};
 
 use crate::config::{Protocol, ScenarioConfig};
@@ -59,31 +59,6 @@ pub enum FaultEv {
 impl From<PhyEvent> for Ev {
     fn from(pe: PhyEvent) -> Ev {
         Ev::Phy(pe)
-    }
-}
-
-impl Ev {
-    /// The channel slot (protocol node index, or jammer slot past the
-    /// protocol population) whose owner shard dispatches this event. Every
-    /// engine event has exactly one home slot, which is what lets the
-    /// sharded queue partition events without changing their dispatch
-    /// order (DESIGN.md §10).
-    pub fn home_slot(&self, nodes: usize) -> usize {
-        match *self {
-            Ev::Phy(PhyEvent::FrameArriveStart { rx, .. })
-            | Ev::Phy(PhyEvent::FrameArriveEnd { rx, .. })
-            | Ev::Phy(PhyEvent::ToneEdge { rx, .. }) => rx.idx(),
-            Ev::Phy(PhyEvent::TxComplete { node, .. }) => node.idx(),
-            Ev::MacTimer { node, .. } | Ev::Beacon { node } => node.idx(),
-            // The application source is pinned to node 0 (the tree root).
-            Ev::Source => 0,
-            Ev::Fault(FaultEv::NodeDown { node }) | Ev::Fault(FaultEv::NodeUp { node }) => {
-                node.idx()
-            }
-            Ev::Fault(FaultEv::JamOn { jammer }) | Ev::Fault(FaultEv::JamOff { jammer }) => {
-                nodes + jammer
-            }
-        }
     }
 }
 
@@ -317,10 +292,10 @@ struct FaultRt {
 /// [`crate::run`].
 ///
 /// Generic over the queue implementation: [`crate::Run`] assembles it on the
-/// [`CalendarQueue`], on the heap reference queue for differential tests,
-/// and per shard group on a [`ShardedQueue`] of calendar queues.
-/// Monomorphization keeps each variant's hot loop branch-free over the
-/// choice.
+/// [`CalendarQueue`] — serially for the whole world, or once per shard group
+/// under a [`Scope`] — and on the heap reference queue for differential
+/// tests. Monomorphization keeps each variant's hot loop branch-free over
+/// the choice.
 pub struct Runner<Q: SimQueue<Ev> = CalendarQueue<Ev>> {
     core: WorldCore<Q>,
     macs: Vec<Box<dyn MacService>>,
@@ -435,16 +410,16 @@ impl<'a> DispatchLog<'a> {
     }
 }
 
-impl LoopHook<ShardQueue> for DispatchLog<'_> {
+impl LoopHook<CalendarQueue<Ev>> for DispatchLog<'_> {
     /// The popped event's `(time, local seq)` key and the push count
     /// before its dispatch.
     type Mark = (SimTime, u64, u64);
 
-    fn before(&mut self, world: &mut Runner<ShardQueue>, t: SimTime, _: &Ev) -> Self::Mark {
+    fn before(&mut self, world: &mut Runner, t: SimTime, _: &Ev) -> Self::Mark {
         (t, world.core.q.popped_seq(), world.core.q.total_pushed())
     }
 
-    fn after(&mut self, world: &mut Runner<ShardQueue>, (t, seq, pushed_before): Self::Mark) {
+    fn after(&mut self, world: &mut Runner, (t, seq, pushed_before): Self::Mark) {
         let traced_now = self.buf.lock().expect("trace buffer poisoned").len() as u32;
         self.log.push(DispatchRec {
             t,
@@ -453,18 +428,6 @@ impl LoopHook<ShardQueue> for DispatchLog<'_> {
             traces: traced_now - self.traced,
         });
         self.traced = traced_now;
-    }
-}
-
-/// The queue a shard group runs on: calendar sub-queues behind the shared
-/// sequence counter.
-pub(crate) type ShardQueue = ShardedQueue<Ev, CalendarQueue<Ev>>;
-
-impl Runner<ShardQueue> {
-    /// Cross-shard bus traffic of a sharded group runner:
-    /// `(cross_pushes, local_pushes)`.
-    pub(crate) fn bus_stats(&self) -> (u64, u64) {
-        (self.core.q.cross_pushes(), self.core.q.local_pushes())
     }
 }
 

@@ -385,9 +385,9 @@ fn non_finite_and_negative_rates_are_refused() {
 }
 
 #[test]
-#[should_panic(expected = "does not carry engine obs")]
-fn obs_on_a_multi_group_sharded_run_is_refused() {
-    // Two clusters 300 m apart with a 75 m radio decompose into two groups.
+fn obs_on_a_decomposable_sharded_run_takes_the_single_group() {
+    // Two clusters 300 m apart with a 75 m radio decompose into two groups
+    // uninstrumented; attached obs runs them as the one all-shards group.
     let cfg = ScenarioConfig::paper_stationary(10.0)
         .with_packets(2)
         .with_positions(vec![
@@ -395,11 +395,17 @@ fn obs_on_a_multi_group_sharded_run_is_refused() {
             rmac_mobility::Pos::new(60.0, 50.0),
             rmac_mobility::Pos::new(440.0, 50.0),
             rmac_mobility::Pos::new(450.0, 50.0),
-        ])
-        .with_shards(2);
-    Run::new(&cfg, Protocol::Rmac, 1)
+        ]);
+    let serial = run_replication(&cfg, Protocol::Rmac, 1);
+    let cfg = cfg.with_shards(2);
+    let bare = Run::new(&cfg, Protocol::Rmac, 1).execute();
+    assert_eq!(bare.shard.expect("sharded stats").groups, 2);
+    let out = Run::new(&cfg, Protocol::Rmac, 1)
         .obs(crate::ObsConfig::default())
         .execute();
+    assert!(out.obs.is_some());
+    assert_eq!(out.shard.expect("sharded stats").groups, 1);
+    assert_eq!(out.report, serial);
 }
 
 #[test]

@@ -103,7 +103,7 @@ fn main() {
 
     // Shard-balance telemetry: re-run the same scenario through the
     // sharded engine and surface its per-group scheduling rows. The
-    // counters are deterministic; only wall_ns is telemetry.
+    // event counts are deterministic; only wall_ns is telemetry.
     let sharded = Run::new(&cfg.clone().with_shards(4), Protocol::Rmac, seed).execute();
     if sharded.report != base {
         fail("sharded RunReport differs from the serial oracle");

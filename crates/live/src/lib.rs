@@ -12,12 +12,11 @@
 //!
 //! * [`transport`] — the [`Transport`] trait: send/recv of wire-encoded
 //!   frames (data channel) and short control datagrams (tone stand-ins,
-//!   session handshake), plus a MAC-time clock. Three implementations
+//!   session handshake), plus a MAC-time clock. Two implementations
 //!   live in the workspace: the deterministic in-process [`hub`] loopback
-//!   shim (virtual time, seeded Gilbert–Elliott loss via `rmac-faults`),
-//!   the [`udp`] backend (`std::net` multicast + unicast control sockets,
-//!   std + threads only), and `rmac_engine::transport::EngineTransport`,
-//!   which drives the same datagrams through the simulated radio PHY.
+//!   shim (virtual time, seeded Gilbert–Elliott loss via `rmac-faults`)
+//!   and the [`udp`] backend (`std::net` multicast + unicast control
+//!   sockets, std + threads only).
 //! * [`wheel`] — a hierarchical timing wheel firing the core's timeout
 //!   events off whatever monotonic clock the transport provides; O(1)
 //!   next-deadline via per-level occupancy bitmaps.

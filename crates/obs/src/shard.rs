@@ -4,8 +4,8 @@
 //! The engine's `ShardStats` exports one [`ShardGroupRow`] per causally
 //! closed shard group; this module renders the set as an aligned balance
 //! table (for `obs_report`) and as JSON (for `results/obs/`). The event
-//! and push counters are deterministic simulation state; the wall reading
-//! is scheduling telemetry and lives outside the determinism domain, like
+//! counter is deterministic simulation state; the wall reading is
+//! scheduling telemetry and lives outside the determinism domain, like
 //! the kernel profiler's clocks.
 
 use std::fmt::Write as _;
@@ -17,25 +17,11 @@ pub struct ShardGroupRow {
     pub shards: Vec<usize>,
     /// Events the group dispatched.
     pub events: u64,
-    /// Pushes that stayed on the dispatching shard.
-    pub local_pushes: u64,
-    /// Pushes that crossed shards inside the group (bus traffic).
-    pub cross_pushes: u64,
     /// Wall-clock nanoseconds the group's worker spent on it.
     pub wall_ns: u64,
 }
 
 impl ShardGroupRow {
-    /// Cross-shard pushes as a share of all pushes, in percent.
-    pub fn cross_pct(&self) -> f64 {
-        let total = self.local_pushes + self.cross_pushes;
-        if total == 0 {
-            0.0
-        } else {
-            100.0 * self.cross_pushes as f64 / total as f64
-        }
-    }
-
     fn shards_label(&self) -> String {
         self.shards
             .iter()
@@ -52,8 +38,8 @@ pub fn render_shard_balance(rows: &[ShardGroupRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<8} {:<10} {:>12} {:>14} {:>14} {:>8} {:>10}",
-        "group", "shards", "events", "local_pushes", "cross_pushes", "cross%", "wall_ms"
+        "{:<8} {:<10} {:>12} {:>10}",
+        "group", "shards", "events", "wall_ms"
     );
     let mut tot_events = 0u64;
     let mut max_events = 0u64;
@@ -62,13 +48,10 @@ pub fn render_shard_balance(rows: &[ShardGroupRow]) -> String {
         max_events = max_events.max(r.events);
         let _ = writeln!(
             out,
-            "{:<8} {:<10} {:>12} {:>14} {:>14} {:>8.2} {:>10.3}",
+            "{:<8} {:<10} {:>12} {:>10.3}",
             i,
             r.shards_label(),
             r.events,
-            r.local_pushes,
-            r.cross_pushes,
-            r.cross_pct(),
             r.wall_ns as f64 / 1e6,
         );
     }
@@ -105,9 +88,8 @@ pub fn shard_balance_json(rows: &[ShardGroupRow]) -> String {
                 .collect::<Vec<_>>()
                 .join(",");
             format!(
-                "{{\"shards\":[{}],\"events\":{},\"local_pushes\":{},\
-                 \"cross_pushes\":{},\"wall_ns\":{}}}",
-                shards, r.events, r.local_pushes, r.cross_pushes, r.wall_ns
+                "{{\"shards\":[{}],\"events\":{},\"wall_ns\":{}}}",
+                shards, r.events, r.wall_ns
             )
         })
         .collect::<Vec<_>>()
@@ -124,25 +106,14 @@ mod tests {
             ShardGroupRow {
                 shards: vec![0, 1],
                 events: 300,
-                local_pushes: 240,
-                cross_pushes: 60,
                 wall_ns: 2_500_000,
             },
             ShardGroupRow {
                 shards: vec![2],
                 events: 100,
-                local_pushes: 100,
-                cross_pushes: 0,
                 wall_ns: 900_000,
             },
         ]
-    }
-
-    #[test]
-    fn cross_pct_is_a_share_of_all_pushes() {
-        let r = &rows()[0];
-        assert!((r.cross_pct() - 20.0).abs() < 1e-9);
-        assert_eq!(rows()[1].cross_pct(), 0.0);
     }
 
     #[test]
@@ -160,7 +131,7 @@ mod tests {
         let j = shard_balance_json(&rows());
         assert!(j.starts_with('[') && j.ends_with(']'));
         assert!(j.contains("\"shards\":[0,1]"));
-        assert!(j.contains("\"cross_pushes\":60"));
+        assert!(j.contains("\"events\":300"));
     }
 
     #[test]

@@ -34,17 +34,18 @@
 //! unique ascending `(time, seq)` order, exactly what the oracle produces,
 //! independent of either structure's internal layout. The differential harness
 //! `tests/queue_equivalence.rs` holds the two implementations to identical
-//! pop streams over randomized push/pop/`push_with_seq` schedules, and the
-//! engine holds full replications to `RunReport` bit-identity.
+//! pop streams over randomized push/pop schedules, and the engine holds
+//! full replications to `RunReport` bit-identity.
 //!
 //! The refill step runs eagerly after every pop, so "queue non-empty ⇒
 //! active window non-empty (drain buffer or pending heap)" is an invariant
-//! and `peek_time`/`peek_key` are plain front reads (no interior
-//! mutability behind `&self`).
+//! and `peek_time` is a plain front read (no interior mutability behind
+//! `&self`).
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
+use crate::queue::SimQueue;
 use crate::time::SimTime;
 
 /// A pending event with its `(time, seq)` key, reverse-ordered so a
@@ -92,11 +93,11 @@ const DEFAULT_NBUCKETS: usize = 1024;
 /// A calendar/ladder event queue, pop-order identical to
 /// [`EventQueue`](crate::EventQueue).
 ///
-/// Drop-in behind the [`SimQueue`](crate::SimQueue) /
-/// [`SeqQueue`](crate::SeqQueue) traits: deterministic `(time, seq)` FIFO
-/// tie-breaking for simultaneous events, a monotone clock, the same
-/// past-scheduling clamp/debug-panic, and the same lifetime counters
-/// (`total_pushed` / `total_popped` / `depth_high_water`) feeding rmac-obs.
+/// Drop-in behind the [`SimQueue`](crate::SimQueue) trait: deterministic
+/// `(time, seq)` FIFO tie-breaking for simultaneous events, a monotone
+/// clock, the same past-scheduling clamp/debug-panic, and the same lifetime
+/// counters (`total_pushed` / `total_popped` / `depth_high_water`) feeding
+/// rmac-obs.
 pub struct CalendarQueue<E> {
     /// The active window's bucket-drained events, sorted ascending by
     /// `(time, seq)` and popped from the front.
@@ -130,11 +131,8 @@ pub struct CalendarQueue<E> {
     rotations: u64,
     /// Events pulled back from the far heap into the ring (diagnostic).
     far_pulls: u64,
-    /// Tie-break sequencing mode: 0 unset, 1 internal (`push`), 2 external
-    /// (`push_with_seq`). Mixing the two on one queue corrupts FIFO order;
-    /// debug builds panic on the first mixed call.
-    #[cfg(debug_assertions)]
-    seq_mode: u8,
+    /// Tie-break sequence number of the most recently popped event.
+    popped_seq: u64,
 }
 
 impl<E> Default for CalendarQueue<E> {
@@ -188,8 +186,7 @@ impl<E> CalendarQueue<E> {
             high_water: 0,
             rotations: 0,
             far_pulls: 0,
-            #[cfg(debug_assertions)]
-            seq_mode: 0,
+            popped_seq: 0,
         }
     }
 
@@ -212,21 +209,6 @@ impl<E> CalendarQueue<E> {
         self.now
     }
 
-    #[cfg(debug_assertions)]
-    fn note_seq_mode(&mut self, external: bool) {
-        let m = if external { 2 } else { 1 };
-        if self.seq_mode == 0 {
-            self.seq_mode = m;
-        } else {
-            assert!(
-                self.seq_mode == m,
-                "mixing push and push_with_seq on one queue corrupts the \
-                 FIFO tie-break order (internal next_seq is not advanced by \
-                 push_with_seq); route all pushes through one mode"
-            );
-        }
-    }
-
     /// Schedule `event` at absolute time `at`.
     ///
     /// Scheduling in the past is clamped to the current clock in release
@@ -238,36 +220,9 @@ impl<E> CalendarQueue<E> {
             at = at,
             now = self.now
         );
-        #[cfg(debug_assertions)]
-        self.note_seq_mode(false);
+        let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.push_keyed(at.max(self.now), seq, event);
-    }
-
-    /// Schedule `event` after a relative delay from the current clock.
-    #[inline]
-    pub fn push_after(&mut self, delay: SimTime, event: E) {
-        self.push(self.now + delay, event);
-    }
-
-    /// Schedule `event` at `at` with a caller-supplied tie-break sequence
-    /// number — the sharded front-end's entry point (see
-    /// [`EventQueue::push_with_seq`](crate::EventQueue::push_with_seq)).
-    /// Must not be mixed with [`CalendarQueue::push`] on the same queue.
-    pub fn push_with_seq(&mut self, at: SimTime, seq: u64, event: E) {
-        debug_assert!(
-            at >= self.now,
-            "event scheduled in the past: at={at} now={now}",
-            at = at,
-            now = self.now
-        );
-        #[cfg(debug_assertions)]
-        self.note_seq_mode(true);
-        self.push_keyed(at.max(self.now), seq, event);
-    }
-
-    fn push_keyed(&mut self, at: SimTime, seq: u64, event: E) {
         self.pushed += 1;
         self.len += 1;
         if self.len > self.high_water {
@@ -312,6 +267,12 @@ impl<E> CalendarQueue<E> {
         }
     }
 
+    /// Schedule `event` after a relative delay from the current clock.
+    #[inline]
+    pub fn push_after(&mut self, delay: SimTime, event: E) {
+        self.push(self.now + delay, event);
+    }
+
     /// Whether the active window holds no events (both halves empty).
     #[inline]
     fn window_empty(&self) -> bool {
@@ -328,21 +289,7 @@ impl<E> CalendarQueue<E> {
             (Some(_), None) => false,
             (None, None) => return None,
         };
-        let Entry { time: t, event, .. } = if from_pending {
-            self.pending.pop().expect("peeked pending event vanished")
-        } else {
-            self.active
-                .pop_front()
-                .expect("peeked active event vanished")
-        };
-        debug_assert!(t >= self.now, "calendar produced time regression");
-        self.now = t;
-        self.popped += 1;
-        self.len -= 1;
-        if self.window_empty() && self.len > 0 {
-            self.refill();
-        }
-        Some((t, event))
+        Some(self.take_head(from_pending))
     }
 
     /// Fused `peek_time` + `pop`: pop the head only if it is due at or
@@ -373,7 +320,18 @@ impl<E> CalendarQueue<E> {
             }
             (None, None) => return None,
         };
-        let Entry { time: t, event, .. } = if from_pending {
+        Some(self.take_head(from_pending))
+    }
+
+    /// Remove the head the caller just chose (the pending heap's top or the
+    /// drain buffer's front) and advance the clock to it.
+    #[inline(always)]
+    fn take_head(&mut self, from_pending: bool) -> (SimTime, E) {
+        let Entry {
+            time: t,
+            seq,
+            event,
+        } = if from_pending {
             self.pending.pop().expect("peeked pending event vanished")
         } else {
             self.active
@@ -382,12 +340,22 @@ impl<E> CalendarQueue<E> {
         };
         debug_assert!(t >= self.now, "calendar produced time regression");
         self.now = t;
+        self.popped_seq = seq;
         self.popped += 1;
         self.len -= 1;
         if self.window_empty() && self.len > 0 {
             self.refill();
         }
-        Some((t, event))
+        (t, event)
+    }
+
+    /// The tie-break sequence number of the most recently popped event
+    /// (its rank among this queue's pushes). The sharded engine's trace
+    /// merge logs it per dispatch to reconstruct the serial run's global
+    /// order from group-local queues.
+    #[inline]
+    pub fn popped_seq(&self) -> u64 {
+        self.popped_seq
     }
 
     /// Advance the window machinery until the active window is non-empty.
@@ -449,14 +417,8 @@ impl<E> CalendarQueue<E> {
     /// The timestamp of the earliest pending event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.peek_key().map(|(t, _)| t)
-    }
-
-    /// The `(time, seq)` key of the earliest pending event, if any.
-    #[inline]
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        let a = self.active.front().map(|e| (e.time, e.seq));
-        let p = self.pending.peek().map(|e| (e.time, e.seq));
+        let a = self.active.front().map(|e| e.time);
+        let p = self.pending.peek().map(|e| e.time);
         match (a, p) {
             (Some(a), Some(p)) => Some(a.min(p)),
             (a, p) => a.or(p),
@@ -517,6 +479,53 @@ impl<E> CalendarQueue<E> {
     }
 }
 
+impl<E> SimQueue<E> for CalendarQueue<E> {
+    #[inline]
+    fn now(&self) -> SimTime {
+        CalendarQueue::now(self)
+    }
+    #[inline]
+    fn push(&mut self, at: SimTime, event: E) {
+        CalendarQueue::push(self, at, event)
+    }
+    #[inline]
+    fn push_after(&mut self, delay: SimTime, event: E) {
+        CalendarQueue::push_after(self, delay, event)
+    }
+    #[inline]
+    fn pop(&mut self) -> Option<(SimTime, E)> {
+        CalendarQueue::pop(self)
+    }
+    #[inline]
+    fn peek_time(&self) -> Option<SimTime> {
+        CalendarQueue::peek_time(self)
+    }
+    #[inline]
+    fn pop_at_or_before(&mut self, cutoff: SimTime) -> Option<(SimTime, E)> {
+        CalendarQueue::pop_at_or_before(self, cutoff)
+    }
+    #[inline]
+    fn len(&self) -> usize {
+        CalendarQueue::len(self)
+    }
+    #[inline]
+    fn total_popped(&self) -> u64 {
+        CalendarQueue::total_popped(self)
+    }
+    #[inline]
+    fn total_pushed(&self) -> u64 {
+        CalendarQueue::total_pushed(self)
+    }
+    #[inline]
+    fn depth_high_water(&self) -> usize {
+        CalendarQueue::depth_high_water(self)
+    }
+    #[inline]
+    fn capacity(&self) -> usize {
+        CalendarQueue::capacity(self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -567,15 +576,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "mixing push and push_with_seq")]
-    fn mixing_seq_modes_panics_in_debug() {
-        let mut q = CalendarQueue::new();
-        q.push(SimTime::MICRO, 1);
-        q.push_with_seq(SimTime::MICRO, 7, 2);
-    }
-
-    #[test]
     fn counters_track_traffic() {
         let mut q = CalendarQueue::new();
         q.push(SimTime::MICRO, 1);
@@ -616,19 +616,6 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(3)));
         assert_eq!(q.pop(), Some((SimTime::from_secs(3), ())));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn external_seq_mode_orders_by_caller_seq() {
-        let mut q = CalendarQueue::with_geometry(3, 4);
-        let t = SimTime::from_nanos(12);
-        q.push_with_seq(t, 5, "later");
-        q.push_with_seq(t, 9, "last");
-        q.push_with_seq(SimTime::from_nanos(12), 2, "first");
-        assert_eq!(q.peek_key(), Some((t, 2)));
-        assert_eq!(q.pop(), Some((t, "first")));
-        assert_eq!(q.pop(), Some((t, "later")));
-        assert_eq!(q.pop(), Some((t, "last")));
     }
 
     #[test]

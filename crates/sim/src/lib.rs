@@ -8,7 +8,8 @@
 //!   tie-breaking for simultaneous events (the differential-testing
 //!   oracle), and [`CalendarQueue`] — a calendar/ladder queue with the
 //!   identical pop order at O(1) amortized cost, tuned to the 15 µs
-//!   tone-window cadence (the engine's default),
+//!   tone-window cadence (the engine's queue); both sit behind the
+//!   [`SimQueue`] trait the engine and PHY channel schedule through,
 //! * [`timer`] — generation tokens for cheap timer cancellation,
 //! * [`rng`] — seedable, splittable random number generation so that every
 //!   replication is reproducible from a single `u64` seed.
@@ -16,22 +17,20 @@
 //! The kernel dispatches each causally-coupled region single-threaded:
 //! wireless MAC simulations are dominated by fine-grained causally-ordered
 //! events, so parallelism is applied across independent replications (see
-//! `rmac-experiments`) and across radio-isolated shard groups (see
-//! [`ShardedQueue`] and the engine's conservative-sync scheduler), never
+//! `rmac-experiments`) and across radio-isolated shard groups (each its own
+//! [`CalendarQueue`] under the engine's conservative-sync scheduler), never
 //! within one coupled region.
 
 pub mod calendar;
 pub mod hash;
 pub mod queue;
 pub mod rng;
-pub mod shard;
 pub mod time;
 pub mod timer;
 
 pub use calendar::CalendarQueue;
 pub use hash::{DetHashMap, DetHashSet, DetHasher, DetState};
-pub use queue::EventQueue;
+pub use queue::{EventQueue, SimQueue};
 pub use rng::SimRng;
-pub use shard::{SeqQueue, ShardedQueue, SimQueue};
 pub use time::SimTime;
 pub use timer::TimerSlot;

@@ -55,13 +55,6 @@ pub struct EventQueue<E> {
     pushed: u64,
     popped: u64,
     high_water: usize,
-    /// Tie-break sequencing mode: 0 unset, 1 internal (`push`), 2 external
-    /// (`push_with_seq`). `push_with_seq` does not advance the internal
-    /// `next_seq` counter, so mixing the two modes on one queue silently
-    /// corrupts the FIFO tie-break order; debug builds panic on the first
-    /// mixed call instead.
-    #[cfg(debug_assertions)]
-    seq_mode: u8,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -80,23 +73,6 @@ impl<E> EventQueue<E> {
             pushed: 0,
             popped: 0,
             high_water: 0,
-            #[cfg(debug_assertions)]
-            seq_mode: 0,
-        }
-    }
-
-    #[cfg(debug_assertions)]
-    fn note_seq_mode(&mut self, external: bool) {
-        let m = if external { 2 } else { 1 };
-        if self.seq_mode == 0 {
-            self.seq_mode = m;
-        } else {
-            assert!(
-                self.seq_mode == m,
-                "mixing push and push_with_seq on one queue corrupts the \
-                 FIFO tie-break order (internal next_seq is not advanced by \
-                 push_with_seq); route all pushes through one mode"
-            );
         }
     }
 
@@ -140,8 +116,6 @@ impl<E> EventQueue<E> {
             at = at,
             now = self.now
         );
-        #[cfg(debug_assertions)]
-        self.note_seq_mode(false);
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -160,46 +134,6 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn push_after(&mut self, delay: SimTime, event: E) {
         self.push(self.now + delay, event);
-    }
-
-    /// Schedule `event` at `at` with a caller-supplied tie-break sequence
-    /// number.
-    ///
-    /// This is the [`crate::ShardedQueue`] entry point: when one logical
-    /// queue is partitioned across shards, the *shared* sequence counter
-    /// lives in the sharded front-end so that simultaneous events keep one
-    /// global FIFO order no matter which sub-queue they land in. Callers
-    /// must not mix this with [`EventQueue::push`] on the same queue — the
-    /// internal counter would collide with the external one. The queue
-    /// enters a sequencing mode on first use and debug builds panic if the
-    /// other entry point is subsequently called.
-    pub fn push_with_seq(&mut self, at: SimTime, seq: u64, event: E) {
-        debug_assert!(
-            at >= self.now,
-            "event scheduled in the past: at={at} now={now}",
-            at = at,
-            now = self.now
-        );
-        #[cfg(debug_assertions)]
-        self.note_seq_mode(true);
-        let at = at.max(self.now);
-        self.pushed += 1;
-        self.heap.push(Entry {
-            time: at,
-            seq,
-            event,
-        });
-        if self.heap.len() > self.high_water {
-            self.high_water = self.heap.len();
-        }
-    }
-
-    /// The `(time, seq)` key of the earliest pending event, if any. The
-    /// sharded scheduler compares keys across sub-queues to find the
-    /// globally earliest event.
-    #[inline]
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|e| (e.time, e.seq))
     }
 
     /// Pop the earliest event, advancing the clock to its timestamp.
@@ -246,6 +180,93 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn depth_high_water(&self) -> usize {
         self.high_water
+    }
+}
+
+/// The queue interface the simulation engine and PHY channel schedule
+/// through. Implemented by the heap [`EventQueue`] (the differential-testing
+/// reference) and by the [`CalendarQueue`](crate::CalendarQueue) the engine
+/// runs on; embedders generic over `SimQueue` monomorphize to either.
+pub trait SimQueue<E> {
+    /// The current simulation clock (time of the last popped event).
+    fn now(&self) -> SimTime;
+    /// Schedule `event` at absolute time `at` (clamped to `now`).
+    fn push(&mut self, at: SimTime, event: E);
+    /// Schedule `event` after a relative delay from the current clock.
+    fn push_after(&mut self, delay: SimTime, event: E) {
+        self.push(self.now() + delay, event);
+    }
+    /// Pop the earliest event, advancing the clock to its timestamp.
+    fn pop(&mut self) -> Option<(SimTime, E)>;
+    /// The timestamp of the earliest pending event, if any.
+    fn peek_time(&self) -> Option<SimTime>;
+    /// Pop the earliest event only if its timestamp is `<= cutoff`; leave
+    /// the queue untouched (returning `None`) otherwise. Equivalent to a
+    /// `peek_time` check followed by `pop`, but implementations can fuse
+    /// the two so the hot simulation loop pays for one head lookup per
+    /// event instead of two.
+    fn pop_at_or_before(&mut self, cutoff: SimTime) -> Option<(SimTime, E)> {
+        match self.peek_time() {
+            Some(t) if t <= cutoff => self.pop(),
+            _ => None,
+        }
+    }
+    /// Number of pending events.
+    fn len(&self) -> usize;
+    /// Whether the queue has no pending events.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+    /// Total events popped over the queue's lifetime.
+    fn total_popped(&self) -> u64;
+    /// Total events pushed over the queue's lifetime.
+    fn total_pushed(&self) -> u64;
+    /// Peak pending-event depth.
+    fn depth_high_water(&self) -> usize;
+    /// Events the queue can hold without reallocating.
+    fn capacity(&self) -> usize;
+}
+
+impl<E> SimQueue<E> for EventQueue<E> {
+    #[inline]
+    fn now(&self) -> SimTime {
+        EventQueue::now(self)
+    }
+    #[inline]
+    fn push(&mut self, at: SimTime, event: E) {
+        EventQueue::push(self, at, event)
+    }
+    #[inline]
+    fn push_after(&mut self, delay: SimTime, event: E) {
+        EventQueue::push_after(self, delay, event)
+    }
+    #[inline]
+    fn pop(&mut self) -> Option<(SimTime, E)> {
+        EventQueue::pop(self)
+    }
+    #[inline]
+    fn peek_time(&self) -> Option<SimTime> {
+        EventQueue::peek_time(self)
+    }
+    #[inline]
+    fn len(&self) -> usize {
+        EventQueue::len(self)
+    }
+    #[inline]
+    fn total_popped(&self) -> u64 {
+        EventQueue::total_popped(self)
+    }
+    #[inline]
+    fn total_pushed(&self) -> u64 {
+        EventQueue::total_pushed(self)
+    }
+    #[inline]
+    fn depth_high_water(&self) -> usize {
+        EventQueue::depth_high_water(self)
+    }
+    #[inline]
+    fn capacity(&self) -> usize {
+        EventQueue::capacity(self)
     }
 }
 
@@ -296,32 +317,6 @@ mod tests {
         q.push(SimTime::from_micros(10), ());
         q.pop();
         q.push(SimTime::from_micros(5), ());
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "mixing push and push_with_seq")]
-    fn mixing_seq_modes_panics_in_debug() {
-        // push_with_seq does not advance next_seq, so a later push would
-        // reuse a sequence number and break the FIFO tie-break. The queue
-        // locks into a mode on first use.
-        let mut q = EventQueue::new();
-        q.push_with_seq(SimTime::MICRO, 7, 1);
-        q.push(SimTime::MICRO, 2);
-    }
-
-    #[test]
-    fn single_mode_streams_stay_legal() {
-        // Locking into a mode must not reject homogeneous traffic.
-        let mut a = EventQueue::new();
-        a.push(SimTime::MICRO, 1);
-        a.push(SimTime::MICRO, 2);
-        assert_eq!(a.pop(), Some((SimTime::MICRO, 1)));
-        let mut b = EventQueue::new();
-        b.push_with_seq(SimTime::MICRO, 5, "y");
-        b.push_with_seq(SimTime::MICRO, 3, "x");
-        assert_eq!(b.pop(), Some((SimTime::MICRO, "x")));
-        assert_eq!(b.pop(), Some((SimTime::MICRO, "y")));
     }
 
     #[test]

@@ -174,3 +174,40 @@ fn decoupled_clusters_run_parallel_and_match() {
         stats.groups
     );
 }
+
+/// The adversarial coupled layout: a sender parked exactly on a stripe
+/// boundary with receivers mirrored at equal distances on both sides, so
+/// every frame arrival and tone edge it emits reaches nodes of different
+/// stripes at the *same nanosecond*. The stripes couple into one group,
+/// whose same-instant events must dispatch in push order exactly as in the
+/// serial run, at every shard count.
+#[test]
+fn boundary_straddling_receivers_match_oracle() {
+    use rmac::mobility::Pos;
+    // Bounds 300 m wide: with 2 shards the stripe boundary is x = 150;
+    // with 4 it is x ∈ {75, 150, 225}. Sender at the 150 m boundary,
+    // receiver pairs mirrored ±10, ±25, ±40 m around it.
+    let mut positions = vec![Pos::new(150.0, 50.0)];
+    for d in [10.0, 25.0, 40.0] {
+        positions.push(Pos::new(150.0 - d, 50.0));
+        positions.push(Pos::new(150.0 + d, 50.0));
+    }
+    let mut cfg = ScenarioConfig::paper_stationary(20.0)
+        .with_nodes(positions.len())
+        .with_packets(12)
+        .with_positions(positions);
+    cfg.bounds = Bounds::new(300.0, 100.0);
+    let oracle = common::checked(&cfg, Protocol::Rmac, 17);
+    for shards in [2usize, 4, 8] {
+        let out = Run::new(&cfg.clone().with_shards(shards), Protocol::Rmac, 17)
+            .check()
+            .execute()
+            .assert_clean();
+        assert_eq!(out.report, oracle, "shards={shards}");
+        // Stripes that own no slot form empty groups of their own; every
+        // populated stripe must land in the one group that runs events.
+        let stats = out.shard.expect("sharded stats");
+        let busy = stats.group_stats.iter().filter(|g| g.events > 0).count();
+        assert_eq!(busy, 1, "in-range stripes must couple, shards={shards}");
+    }
+}
