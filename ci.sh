@@ -13,8 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> retired names stay retired (no A/B knobs on the run surface, one grid runner, no sub-queue layer: DESIGN.md §13, §11, §10)"
-if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S|SweepSpec|SweepResults|run_sweep|try_replications|RMAC_QUICK|RMAC_RATES|RMAC_NODES|ShardedQueue|SeqQueue|push_with_seq|home_slot|EngineTransport|EngineMedium' \
+echo "==> retired names stay retired (no A/B knobs on the run surface, one grid runner, no sub-queue layer,"
+echo "    no per-slot backoff re-arm: DESIGN.md §13, §11, §10, §12)"
+if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S|SweepSpec|SweepResults|run_sweep|try_replications|RMAC_QUICK|RMAC_RATES|RMAC_NODES|ShardedQueue|SeqQueue|push_with_seq|home_slot|EngineTransport|EngineMedium|schedule\(SLOT, TimerKind::BackoffSlot' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!ci.sh' ':!.github/workflows/ci.yml'; then
     echo "a retired knob name reappeared (see above)" >&2
     exit 1
@@ -34,6 +35,9 @@ cargo test -q --release --test shard_equivalence
 
 echo "==> queue stage (calendar/heap differential proptests)"
 cargo test -q --release --test queue_equivalence
+
+echo "==> event budget (countdown timers <= 10% of events, reports pinned to the per-slot engine's)"
+cargo test -q --release --test event_budget
 
 echo "==> benchmark stage (builds the benchmark package --locked against the crates: a broken"
 echo "    pinned signature or a changed dependency edge fails here, not in the benchmark pipeline)"

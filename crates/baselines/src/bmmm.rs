@@ -376,7 +376,7 @@ impl Bmmm {
 
     /// Queue a CTS/ACK response to go out one SIFS from now.
     fn respond(&mut self, ctx: &mut dyn MacContext, frame: Frame) {
-        self.dcf.suspend();
+        self.dcf.suspend(ctx);
         self.resp = Some(frame);
         self.phase = Phase::RespGap;
         let gen = self.t_resp_gap.arm();
@@ -396,7 +396,7 @@ impl Bmmm {
         if !addressed {
             // Virtual carrier sense: honor the overheard duration field.
             if frame.nav > SimTime::ZERO {
-                self.dcf.observe_nav(ctx.now(), frame.nav);
+                self.dcf.observe_nav(ctx, frame.nav);
             }
             // Overhearers still record broadcast/overheard data below.
         }
@@ -481,7 +481,8 @@ impl MacService for Bmmm {
 
     fn on_indication(&mut self, ctx: &mut dyn MacContext, ind: &Indication) {
         match ind {
-            Indication::CarrierOn { .. } | Indication::ToneChanged { .. } => {}
+            Indication::CarrierOn { .. } => self.dcf.on_carrier(ctx),
+            Indication::ToneChanged { .. } => {}
             Indication::CarrierOff { .. } => {
                 self.try_progress(ctx);
             }

@@ -265,7 +265,7 @@ impl Bmw {
     }
 
     fn respond(&mut self, ctx: &mut dyn MacContext, frame: Frame) {
-        self.dcf.suspend();
+        self.dcf.suspend(ctx);
         self.resp = Some(frame);
         self.phase = Phase::RespGap;
         let gen = self.t_resp_gap.arm();
@@ -283,7 +283,7 @@ impl Bmw {
             ctx.counters().ctrl_airtime += frame.airtime();
         }
         if !addressed && frame.nav > SimTime::ZERO {
-            self.dcf.observe_nav(ctx.now(), frame.nav);
+            self.dcf.observe_nav(ctx, frame.nav);
         }
         match frame.kind {
             FrameKind::Rts if addressed
@@ -383,7 +383,8 @@ impl MacService for Bmw {
 
     fn on_indication(&mut self, ctx: &mut dyn MacContext, ind: &Indication) {
         match ind {
-            Indication::CarrierOn { .. } | Indication::ToneChanged { .. } => {}
+            Indication::CarrierOn { .. } => self.dcf.on_carrier(ctx),
+            Indication::ToneChanged { .. } => {}
             Indication::CarrierOff { .. } => self.try_progress(ctx),
             Indication::FrameRx { frame, ok, .. } => self.handle_frame(ctx, frame, *ok),
             Indication::TxDone { aborted, .. } => {

@@ -266,7 +266,7 @@ impl Mx {
             ctx.counters().ctrl_airtime += frame.airtime();
         }
         if !addressed && frame.nav > SimTime::ZERO && !frame.order.contains(&self.id) {
-            self.dcf.observe_nav(ctx.now(), frame.nav);
+            self.dcf.observe_nav(ctx, frame.nav);
         }
         match frame.kind {
             FrameKind::Rts if frame.order.contains(&self.id) && self.phase == Phase::Idle => {
@@ -285,7 +285,7 @@ impl Mx {
                         frame.src,
                         frame.nav.saturating_sub(SIFS + short_air()),
                     );
-                    self.dcf.suspend();
+                    self.dcf.suspend(ctx);
                     self.resp = Some(cts);
                     self.phase = Phase::RespGap;
                     let g = self.t_resp_gap.arm();
@@ -340,7 +340,8 @@ impl MacService for Mx {
 
     fn on_indication(&mut self, ctx: &mut dyn MacContext, ind: &Indication) {
         match ind {
-            Indication::CarrierOn { .. } | Indication::ToneChanged { .. } => {}
+            Indication::CarrierOn { .. } => self.dcf.on_carrier(ctx),
+            Indication::ToneChanged { .. } => {}
             Indication::CarrierOff { .. } => self.try_progress(ctx),
             Indication::FrameRx { frame, ok, .. } => self.handle_frame(ctx, frame, *ok),
             Indication::TxDone { aborted, .. } => {

@@ -53,7 +53,9 @@ pub enum TxOutcome {
 /// armed with so stale firings are ignored.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TimerKind {
-    /// One 20 µs backoff slot elapsed.
+    /// The backoff countdown's timer ([`crate::backoff::Backoff`]): a look at
+    /// a slot boundary (the expiry, or the one after a busy edge), or the
+    /// hop to the boundary before the expiry.
     BackoffSlot,
     /// RMAC `T_wf_rbt`: the post-MRTS RBT detection window closed.
     WfRbt,
@@ -77,9 +79,24 @@ pub enum TimerKind {
 }
 
 /// Everything a MAC entity may do to the outside world.
+///
+/// The backoff countdown sleeps through idle slots instead of polling them,
+/// so an implementation owes the MAC one thing beyond the calls below:
+/// **every idle→busy edge of the data channel and of each tone is delivered
+/// as an indication** (`CarrierOn`, `ToneChanged { present: true }`) at the
+/// instant [`data_busy`](MacContext::data_busy) /
+/// [`tone_present`](MacContext::tone_present) start reading busy. (While the
+/// node itself transmits it is not counting, so no edge is owed for that.)
 pub trait MacContext {
     /// Current simulation time.
     fn now(&self) -> SimTime;
+    /// The node's own clock: the one [`schedule`](MacContext::schedule)
+    /// delays elapse on. It differs from [`now`](MacContext::now) only
+    /// under an injected clock skew; the backoff countdown measures its
+    /// slots with it.
+    fn local_now(&self) -> SimTime {
+        self.now()
+    }
     /// Schedule a timer firing `delay` from now, tagged with `(kind, gen)`.
     fn schedule(&mut self, delay: SimTime, kind: TimerKind, gen: u64);
     /// Begin transmitting `frame` on the data channel.
@@ -111,6 +128,9 @@ pub trait MacContext {
     fn rng(&mut self) -> &mut SimRng;
     /// The node's MAC-layer counters.
     fn counters(&mut self) -> &mut MacCounters;
+    /// The MAC dropped a dispatched timer as generation-stale (cancelled or
+    /// re-armed since). Observability only; the default ignores it.
+    fn timer_cancelled(&mut self, _kind: TimerKind) {}
 }
 
 /// A MAC protocol entity for one node.

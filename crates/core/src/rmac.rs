@@ -22,11 +22,11 @@ use std::sync::Arc;
 use bytes::Bytes;
 use rmac_phy::{Indication, Tone};
 use rmac_sim::{SimTime, TimerSlot};
-use rmac_wire::consts::{LAMBDA, L_ABT, SLOT, T_WF, T_WF_RDATA};
+use rmac_wire::consts::{LAMBDA, L_ABT, T_WF, T_WF_RDATA};
 use rmac_wire::{Dest, Frame, FrameKind, NodeId};
 
 use crate::api::{MacContext, MacService, TimerKind, TxOutcome, TxRequest};
-use crate::backoff::Backoff;
+use crate::backoff::{Backoff, Slot};
 use crate::config::MacConfig;
 
 /// The eight protocol states of Fig. 14.
@@ -138,7 +138,6 @@ pub struct Rmac {
     /// When the WF_ABT collection window opened.
     abt_window_start: SimTime,
     next_seq: u32,
-    t_backoff: TimerSlot,
     t_wf_rbt: TimerSlot,
     t_wf_rdata: TimerSlot,
     t_wf_abt: TimerSlot,
@@ -169,7 +168,6 @@ impl Rmac {
             abt_pending: false,
             abt_window_start: SimTime::ZERO,
             next_seq: 0,
-            t_backoff: TimerSlot::new(),
             t_wf_rbt: TimerSlot::new(),
             t_wf_rdata: TimerSlot::new(),
             t_wf_abt: TimerSlot::new(),
@@ -296,8 +294,7 @@ impl Rmac {
         if self.backoff.bi() > 0 {
             // C8: both channels idle and BI not 0.
             self.set_state(State::Backoff);
-            let gen = self.t_backoff.arm();
-            ctx.schedule(SLOT, TimerKind::BackoffSlot, gen);
+            self.backoff.start(ctx);
             return;
         }
         // BI == 0 and channels idle: transmit if something is pending
@@ -447,9 +444,7 @@ impl Rmac {
         let Some(slot) = frame.mrts_slot_of(self.id) else {
             return; // not an intended receiver
         };
-        if self.state == State::Backoff {
-            self.t_backoff.cancel();
-        }
+        self.backoff.pause(ctx);
         // C3: MRTS correctly received → raise the RBT and wait for data.
         self.rx = Some(RxSession {
             sender: frame.src,
@@ -507,23 +502,18 @@ impl Rmac {
     // Timer handling
     // -----------------------------------------------------------------
 
-    fn on_backoff_slot(&mut self, ctx: &mut dyn MacContext) {
-        if self.state != State::Backoff {
-            return;
-        }
-        if !self.channels_idle(ctx) {
+    fn on_backoff_slot(&mut self, ctx: &mut dyn MacContext, gen: u64) {
+        let idle = self.channels_idle(ctx);
+        match self.backoff.on_timer(ctx, gen, idle) {
+            Slot::Stale | Slot::Counting => {}
             // Suspend: BI is retained, countdown resumes when both
             // channels go idle again (§3.3.1).
-            self.set_state(State::Idle);
-            return;
-        }
-        if self.backoff.tick() {
-            // C14/C6: BI reached 0 — transmit, or fall back to IDLE.
-            self.set_state(State::Idle);
-            self.try_progress(ctx);
-        } else {
-            let gen = self.t_backoff.arm();
-            ctx.schedule(SLOT, TimerKind::BackoffSlot, gen);
+            Slot::Suspended => self.set_state(State::Idle),
+            Slot::Expired => {
+                // C14/C6: BI reached 0 — transmit, or fall back to IDLE.
+                self.set_state(State::Idle);
+                self.try_progress(ctx);
+            }
         }
     }
 
@@ -663,6 +653,7 @@ impl MacService for Rmac {
     fn on_indication(&mut self, ctx: &mut dyn MacContext, ind: &Indication) {
         match ind {
             Indication::CarrierOn { .. } => {
+                self.backoff.on_busy(ctx);
                 if self.state == State::WfRdata {
                     let mut first_bit = false;
                     if let Some(rx) = self.rx.as_mut() {
@@ -687,6 +678,7 @@ impl MacService for Rmac {
             }
             Indication::ToneChanged { tone, present, .. } => {
                 if *tone == Tone::Rbt && *present {
+                    self.backoff.on_busy(ctx);
                     // §3.3.2 step 3 (and §3.3.3 step 2): abort in-flight
                     // MRTS / unreliable data on sensing an RBT, protecting
                     // the reception at whoever raised it.
@@ -712,11 +704,7 @@ impl MacService for Rmac {
 
     fn on_timer(&mut self, ctx: &mut dyn MacContext, kind: TimerKind, gen: u64) {
         match kind {
-            TimerKind::BackoffSlot => {
-                if self.t_backoff.disarm_if(gen) {
-                    self.on_backoff_slot(ctx);
-                }
-            }
+            TimerKind::BackoffSlot => self.on_backoff_slot(ctx, gen),
             TimerKind::WfRbt => {
                 if self.t_wf_rbt.disarm_if(gen) {
                     self.on_wf_rbt(ctx);

@@ -3,8 +3,8 @@
 
 use bytes::Bytes;
 use rmac_phy::{Indication, Tone};
-use rmac_sim::SimTime;
-use rmac_wire::consts::{L_ABT, T_WF};
+use rmac_sim::{SimRng, SimTime};
+use rmac_wire::consts::{L_ABT, SLOT, T_WF};
 use rmac_wire::{Dest, Frame, FrameKind, NodeId};
 
 use crate::api::{MacService, TimerKind, TxOutcome, TxRequest};
@@ -17,8 +17,9 @@ fn n(i: u16) -> NodeId {
 
 use crate::testkit::{Action, Mock};
 
-/// Run a node's backoff to completion (fires slot timers until the MAC
-/// leaves BACKOFF). Channels stay idle throughout.
+/// Run a node's backoff to completion, a slot per fire (`Mock::fire`
+/// steps the countdown's timer), until the MAC leaves BACKOFF. Channels
+/// stay idle throughout.
 fn drain_backoff(m: &mut Mock, mac: &mut Rmac) {
     let mut guard = 0;
     while mac.state() == State::Backoff {
@@ -26,6 +27,25 @@ fn drain_backoff(m: &mut Mock, mac: &mut Rmac) {
         guard += 1;
         assert!(guard < 5000, "backoff never completed");
     }
+}
+
+/// Node 2 in BACKOFF with exactly `bi` slots to count, from t = 0: a
+/// request met a busy channel (drawing BI — the seed is searched for the
+/// wanted draw), then the channel cleared.
+fn counting(bi: u64) -> (Mock, Rmac) {
+    for seed in 0.. {
+        let mut m = Mock::new();
+        m.rng = SimRng::new(seed);
+        m.data_busy = true;
+        let mut r = mac(2);
+        r.submit(&mut m, reliable_req(Dest::Node(n(9)), 1));
+        if r.bi() == bi {
+            m.set_carrier(&mut r, false);
+            assert_eq!(r.state(), State::Backoff);
+            return (m, r);
+        }
+    }
+    unreachable!()
 }
 
 fn mac(id: u16) -> Rmac {
@@ -97,8 +117,7 @@ fn busy_channel_defers_then_backoff_transmits() {
     assert_eq!(r.state(), State::Idle);
     assert!(m.actions.is_empty());
     // Channel clears.
-    m.data_busy = false;
-    r.on_indication(&mut m, &Indication::CarrierOff { node: n(0) });
+    m.set_carrier(&mut r, false);
     // Either straight to TX (BI drawn 0) or via BACKOFF countdown.
     drain_backoff(&mut m, &mut r);
     assert_eq!(r.state(), State::TxMrts);
@@ -113,39 +132,58 @@ fn rbt_presence_defers_transmission() {
     let mut r = mac(0);
     r.submit(&mut m, reliable_req(Dest::Node(n(1)), 1));
     assert_eq!(r.state(), State::Idle);
-    m.tone[Tone::Rbt.idx()] = false;
-    r.on_indication(
-        &mut m,
-        &Indication::ToneChanged {
-            node: n(0),
-            tone: Tone::Rbt,
-            present: false,
-        },
-    );
+    m.set_tone(&mut r, Tone::Rbt, false);
     drain_backoff(&mut m, &mut r);
     assert_eq!(r.state(), State::TxMrts);
 }
 
 /// Backoff suspends (BACKOFF → IDLE) when a slot boundary finds a busy
-/// channel, retaining BI.
+/// channel, retaining BI: a carrier raised in slot 4 of 7 is noticed at
+/// boundary 4, with the three idle boundaries before it counted.
 #[test]
 fn backoff_suspends_on_busy_slot() {
-    let mut m = Mock::new();
-    m.data_busy = true;
-    let mut r = mac(0);
-    r.submit(&mut m, reliable_req(Dest::Node(n(1)), 1));
-    // Force a known BI by redrawing until it is large enough.
-    m.data_busy = false;
-    r.on_indication(&mut m, &Indication::CarrierOff { node: n(0) });
-    if r.state() != State::Backoff {
-        // BI was drawn 0 — the request transmitted; nothing to suspend.
-        return;
+    let (mut m, mut r) = counting(7);
+    // One hop to the boundary before the expiry, not a timer per slot.
+    assert_eq!(m.timers.back().unwrap().0, SLOT.mul(6));
+    for _ in 0..3 {
+        m.fire(&mut r, TimerKind::BackoffSlot);
     }
-    let bi_before = r.bi();
-    m.data_busy = true;
+    m.now += SimTime::from_micros(5);
+    m.set_carrier(&mut r, true);
+    assert_eq!(r.state(), State::Backoff, "noticed only at a boundary");
     m.fire(&mut r, TimerKind::BackoffSlot);
-    assert_eq!(r.state(), State::Idle);
-    assert_eq!(r.bi(), bi_before, "BI must be retained on suspension");
+    assert_eq!((m.now, r.state(), r.bi()), (SLOT.mul(4), State::Idle, 4));
+    // The countdown resumes with what is left when the channel clears.
+    m.now += SimTime::from_micros(300);
+    m.set_carrier(&mut r, false);
+    assert_eq!(r.state(), State::Backoff);
+    let resumed = m.now;
+    drain_backoff(&mut m, &mut r);
+    assert_eq!((m.now, r.state()), (resumed + SLOT.mul(4), State::TxMrts));
+}
+
+/// Asleep, the countdown reaches its expiry in two dispatches (the hop,
+/// then the look); an RBT edge pulls the look in to the next boundary like
+/// a carrier does, and a busy spell that ends before that boundary goes
+/// unnoticed.
+#[test]
+fn backoff_sleeps_to_expiry_and_wakes_on_rbt() {
+    let (mut m, mut r) = counting(7);
+    m.fire_earliest(&mut r);
+    assert_eq!((m.now, r.state()), (SLOT.mul(6), State::Backoff));
+    m.fire_earliest(&mut r);
+    assert_eq!((m.now, r.state()), (SLOT.mul(7), State::TxMrts));
+
+    let (mut m, mut r) = counting(7);
+    m.now = SLOT.mul(2) + SimTime::from_micros(3);
+    m.set_tone(&mut r, Tone::Rbt, true);
+    m.now += SimTime::from_micros(9);
+    m.set_tone(&mut r, Tone::Rbt, false);
+    assert_eq!(r.state(), State::Backoff);
+    m.fire(&mut r, TimerKind::BackoffSlot);
+    assert_eq!((m.now, r.state(), r.bi()), (SLOT.mul(3), State::Backoff, 4));
+    drain_backoff(&mut m, &mut r);
+    assert_eq!((m.now, r.state()), (SLOT.mul(7), State::TxMrts));
 }
 
 /// Full successful Reliable Send: MRTS → RBT detected → data → all ABTs.
@@ -274,18 +312,11 @@ fn mrts_aborts_on_rbt() {
     let mut r = mac(0);
     r.submit(&mut m, reliable_req(Dest::Node(n(1)), 2));
     assert_eq!(r.state(), State::TxMrts);
-    r.on_indication(
-        &mut m,
-        &Indication::ToneChanged {
-            node: n(0),
-            tone: Tone::Rbt,
-            present: true,
-        },
-    );
+    m.set_tone(&mut r, Tone::Rbt, true);
     assert!(m.actions.contains(&Action::AbortTx));
     assert_eq!(m.counters.mrts_aborted, 1);
-    // PHY reports the aborted completion; the MAC retries.
-    m.tone[Tone::Rbt.idx()] = true; // tone still present → defer in IDLE
+    // PHY reports the aborted completion; the MAC retries. The tone is
+    // still present → defer in IDLE.
     m.finish_tx(&mut r, true);
     assert_eq!(r.state(), State::Idle);
     assert_eq!(m.counters.retransmissions, 1);
@@ -622,24 +653,17 @@ fn default_rbt_holds_through_data() {
     assert_eq!(m.actions, vec![Action::ToneOn(Tone::Rbt)]);
 }
 
-/// Accepting an MRTS from BACKOFF cancels the slot countdown (reception
-/// implies the channel was busy → suspension).
+/// Accepting an MRTS from BACKOFF cancels the countdown (reception implies
+/// the channel was busy → suspension) and keeps the BI credited so far.
 #[test]
 fn mrts_reception_cancels_backoff() {
-    let mut m = Mock::new();
-    m.data_busy = true;
-    let mut r = mac(2);
-    r.submit(&mut m, reliable_req(Dest::Node(n(9)), 1));
-    m.data_busy = false;
-    r.on_indication(&mut m, &Indication::CarrierOff { node: n(2) });
-    if r.state() != State::Backoff {
-        return; // BI drew 0; nothing to test
-    }
+    let (mut m, mut r) = counting(7);
+    m.now = SLOT.mul(3) + SimTime::from_micros(5);
     m.rx_frame(&mut r, n(2), Frame::mrts(n(0), vec![n(2)]), true);
-    assert_eq!(r.state(), State::WfRdata);
-    // The pending backoff slot must be stale now.
+    assert_eq!((r.state(), r.bi()), (State::WfRdata, 4));
+    // The cancelled sleep must be stale now.
     m.fire(&mut r, TimerKind::BackoffSlot);
-    assert_eq!(r.state(), State::WfRdata);
+    assert_eq!((r.state(), r.bi()), (State::WfRdata, 4));
 }
 
 // ---------------------------------------------------------------------

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use rmac_phy::{Indication, Tone, ToneLog};
 use rmac_sim::{SimRng, SimTime};
-use rmac_wire::consts::L_ABT;
+use rmac_wire::consts::{L_ABT, SLOT};
 use rmac_wire::{Frame, FrameKind, NodeId};
 
 use crate::api::{MacContext, MacCounters, MacService, TimerKind, TxOutcome};
@@ -29,8 +29,10 @@ pub enum Action {
     ToneOff(Tone),
 }
 
-/// A scripted [`MacContext`]: channel state is set directly by the test;
-/// timers are collected and fired by hand; tone-watch results are preset.
+/// A scripted [`MacContext`]: channel state is set by the test (through
+/// [`Mock::set_carrier`] / [`Mock::set_tone`], which also deliver the edge
+/// the [`MacContext`] contract owes the MAC); timers are collected and
+/// fired by hand; tone-watch results are preset.
 pub struct Mock {
     /// The mock clock; advanced by `fire`/`finish_tx`.
     pub now: SimTime,
@@ -124,11 +126,46 @@ impl Mock {
         });
     }
 
+    /// Script the data channel's carrier sense and deliver the
+    /// `CarrierOn`/`CarrierOff` edge to `mac`.
+    pub fn set_carrier<M: MacService>(&mut self, mac: &mut M, busy: bool) {
+        self.data_busy = busy;
+        let node = NodeId(0);
+        let ind = if busy {
+            Indication::CarrierOn { node }
+        } else {
+            Indication::CarrierOff { node }
+        };
+        mac.on_indication(self, &ind);
+    }
+
+    /// Script a tone's presence and deliver the `ToneChanged` edge to `mac`.
+    pub fn set_tone<M: MacService>(&mut self, mac: &mut M, tone: Tone, present: bool) {
+        self.tone[tone.idx()] = present;
+        let node = NodeId(0);
+        mac.on_indication(
+            self,
+            &Indication::ToneChanged {
+                node,
+                tone,
+                present,
+            },
+        );
+    }
+
     /// Fire the pending timer of `kind`, advancing the clock.
     ///
     /// Cancelled timers leave stale entries behind (exactly as in the real
     /// event queue); the *most recently armed* entry of the kind is the
     /// live one, so that is the one fired.
+    ///
+    /// The backoff countdown hops to the slot before its expiry; firing
+    /// `BackoffSlot` steps the clock one slot at most and delivers the timer
+    /// early, so a test walks a countdown slot by slot ("raise the carrier
+    /// in slot 4 of 7") without computing times, BI fires per countdown.
+    /// (A hop credits only the boundaries behind it, so `bi()` reads one
+    /// slot high while stepping; it is exact once the countdown stops.)
+    /// [`Mock::fire_earliest`] sleeps the whole span, as the engine does.
     pub fn fire<M: MacService>(&mut self, mac: &mut M, kind: TimerKind) {
         let idx = self
             .timers
@@ -138,7 +175,10 @@ impl Mock {
             .max_by_key(|(_, &(_, _, gen))| gen)
             .map(|(i, _)| i)
             .unwrap_or_else(|| panic!("no pending {kind:?} timer: {:?}", self.timers));
-        let (at, k, gen) = self.timers.remove(idx).unwrap();
+        let (mut at, k, gen) = self.timers.remove(idx).unwrap();
+        if kind == TimerKind::BackoffSlot {
+            at = at.min(self.now + SLOT);
+        }
         self.now = self.now.max(at);
         mac.on_timer(self, k, gen);
     }

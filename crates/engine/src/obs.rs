@@ -42,6 +42,12 @@ pub fn class_of(ev: &Ev) -> usize {
 }
 
 /// Labels for the per-node timer-kind indices, matching [`timer_idx`].
+///
+/// `backoff_slot` (index 0, pinned by `benchmark/`) counts the backoff
+/// countdown's timers as dispatched: hops, looks (at the expiry and at the
+/// boundary after a busy edge), and generation-stale sleeps a busy edge or
+/// a pause cut short (those are also in `NodeObs::timer_cancelled`). It is
+/// not a count of 20 µs slots.
 pub const TIMER_LABELS: [&str; 10] = [
     "backoff_slot",
     "wf_rbt",

@@ -185,6 +185,18 @@ impl<Q: SimQueue<Ev>> WorldCore<Q> {
             SimTime::from_nanos((delay.nanos() as f64 * f).round() as u64)
         }
     }
+
+    /// `node`'s own clock at true instant `t` — the inverse of
+    /// [`skewed`](Self::skewed): a delay `d` armed now elapses when this
+    /// reading has advanced by `d` (to the rounding of either).
+    fn local(&self, node: NodeId, t: SimTime) -> SimTime {
+        let f = self.skew[node.idx()];
+        if f == 1.0 {
+            t
+        } else {
+            SimTime::from_nanos((t.nanos() as f64 / f).round() as u64)
+        }
+    }
 }
 
 /// The per-call [`MacContext`] view handed to a MAC entity.
@@ -202,6 +214,9 @@ struct Ctx<'a, Q: SimQueue<Ev>> {
 impl<Q: SimQueue<Ev>> MacContext for Ctx<'_, Q> {
     fn now(&self) -> SimTime {
         self.core.q.now()
+    }
+    fn local_now(&self) -> SimTime {
+        self.core.local(self.node, self.core.q.now())
     }
     fn schedule(&mut self, delay: SimTime, kind: TimerKind, gen: u64) {
         let node = self.node;
@@ -275,6 +290,11 @@ impl<Q: SimQueue<Ev>> MacContext for Ctx<'_, Q> {
     }
     fn counters(&mut self) -> &mut MacCounters {
         &mut self.core.counters[self.node.idx()]
+    }
+    fn timer_cancelled(&mut self, kind: TimerKind) {
+        if let Some(obs) = self.core.obs.as_mut() {
+            obs.nodes[self.node.idx()].timer_cancelled[timer_idx(kind)] += 1;
+        }
     }
 }
 

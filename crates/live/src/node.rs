@@ -890,6 +890,46 @@ mod tests {
         assert_eq!(node.stats().data_rx, 0);
     }
 
+    /// The `MacContext` contract's busy-edge obligation on the noise path:
+    /// the backoff countdown sleeps to its expiry, so undecodable energy
+    /// must reach it as a `CarrierOn` — it then wakes at its next slot
+    /// boundary and suspends, as a per-slot look would have.
+    #[test]
+    fn noise_wakes_a_sleeping_countdown_at_its_next_boundary() {
+        use rmac_wire::consts::SLOT;
+        let noise = |at| incoming(at, DgramChannel::Data, vec![0xAB; 40]);
+        // A request that meets a busy channel draws BI; find a seed that
+        // draws at least three slots.
+        let (mut node, clear) = (1..)
+            .find_map(|seed| {
+                let cfg = LiveConfig {
+                    seed,
+                    ..LiveConfig::default()
+                };
+                let mut node = LiveNode::new(n(1), cfg);
+                node.on_datagram(&noise(SimTime::from_micros(5)));
+                node.submit(TxRequest {
+                    reliable: true,
+                    dest: Dest::Group(vec![n(2)]),
+                    payload: Bytes::from_static(b"x"),
+                    token: 1,
+                });
+                let clear = node.next_deadline().expect("noise end scheduled");
+                node.advance(clear);
+                let asleep =
+                    node.state() == State::Backoff && node.next_deadline()? >= clear + SLOT.mul(3);
+                asleep.then_some((node, clear))
+            })
+            .expect("some seed draws BI >= 3");
+        let mid = clear + SLOT + SimTime::from_micros(7);
+        node.advance(mid);
+        assert_eq!(node.state(), State::Backoff, "no timer fired in between");
+        node.on_datagram(&noise(mid));
+        assert_eq!(node.next_deadline(), Some(clear + SLOT.mul(2)));
+        node.advance(clear + SLOT.mul(2));
+        assert_eq!(node.state(), State::Idle, "suspended at the boundary");
+    }
+
     /// A node's own multicast echo is discarded, not treated as traffic.
     #[test]
     fn own_echo_is_dropped() {

@@ -3,8 +3,9 @@
 //! The discrete-event simulator pops timers from a binary heap; a live
 //! endpoint instead needs "what is my next deadline?" and "fire everything
 //! due by `now`" against a monotonic clock, with insert/cancel volumes
-//! dominated by the MAC's short timers (20 µs backoff slots, 17 µs tone
-//! windows, per-frame TxDone/RxEnd events). The classic structure is the
+//! dominated by the MAC's short timers (backoff countdowns and their
+//! 20 µs boundary checks, 17 µs tone windows, per-frame TxDone/RxEnd
+//! events). The classic structure is the
 //! hashed hierarchical wheel (Varghese & Lauck; tokio and the Linux kernel
 //! use the same shape): here 6 levels × 64 slots at a 1 µs base tick, so
 //! level *l* spans 64^(l+1) µs and the whole wheel covers ≈ 19 hours,
@@ -408,8 +409,9 @@ mod tests {
     #[test]
     fn interleaved_schedule_while_advancing() {
         // Mirror the MAC's behavior: firing one timer schedules the next
-        // (backoff slot chains). The wheel itself doesn't re-enter, the
-        // driver loops; emulate that here.
+        // (a backoff boundary check re-arming the rest of the countdown).
+        // The wheel itself doesn't re-enter, the driver loops; emulate
+        // that here.
         let mut w = TimerWheel::default();
         w.schedule(us(20), 0);
         let mut fired = Vec::new();

@@ -82,7 +82,9 @@ pub struct RunReport {
     pub rx_frames_ok: [u64; FRAME_KINDS],
     /// Corrupted frame receptions by kind.
     pub rx_frames_corrupt: [u64; FRAME_KINDS],
-    /// Simulated duration in seconds.
+    /// Simulated duration in seconds: the timestamp of the last event
+    /// dispatched before the scenario's end time. Like `events` it
+    /// describes the event population, not the protocol.
     pub sim_secs: f64,
     /// Frames corrupted by the fault plane (0 without an injector).
     pub faults_injected: u64,

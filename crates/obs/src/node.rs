@@ -2,7 +2,7 @@
 //!
 //! One [`NodeObs`] per protocol node accumulates what the engine can see
 //! at the MAC boundary: per-[`FrameKind`] tx/rx/corrupt tallies, timer
-//! arm/fire/stale counts per logical timer kind, busy-tone occupancy time,
+//! arm/fire/cancelled/stale counts per logical timer kind, busy-tone occupancy time,
 //! and (for MACs that expose one) the state-machine transition matrix —
 //! the observed edges of the paper's Table 1.
 
@@ -56,6 +56,10 @@ pub struct NodeObs {
     pub timer_arm: Vec<u64>,
     /// Timer firings dispatched to a live MAC incarnation.
     pub timer_fire: Vec<u64>,
+    /// Of those, the ones the MAC reported dropping as generation-stale
+    /// (cancelled or re-armed since). Only the backoff countdown reports:
+    /// its entry counts the sleeps cut short by a busy edge or a pause.
+    pub timer_cancelled: Vec<u64>,
     /// Timer firings dropped as stale (crashed node or old epoch).
     pub timer_stale: Vec<u64>,
     /// Cumulative sensed busy-tone presence per tone channel (ns).
@@ -72,6 +76,7 @@ impl NodeObs {
         NodeObs {
             timer_arm: vec![0; timer_kinds],
             timer_fire: vec![0; timer_kinds],
+            timer_cancelled: vec![0; timer_kinds],
             timer_stale: vec![0; timer_kinds],
             ..NodeObs::default()
         }
@@ -122,6 +127,11 @@ impl NodeObs {
         self.timer_fire.iter().sum()
     }
 
+    /// Total firings the MAC reported as generation-stale.
+    pub fn timer_cancelled_total(&self) -> u64 {
+        self.timer_cancelled.iter().sum()
+    }
+
     /// Total stale timer firings dropped.
     pub fn timer_stale_total(&self) -> u64 {
         self.timer_stale.iter().sum()
@@ -138,7 +148,7 @@ impl NodeObs {
         format!(
             "{{\"tx\":[{}],\"tx_aborted\":{},\"rx_ok\":[{}],\"rx_corrupt\":[{}],\
              \"submitted\":{},\"delivered\":{},\"timer_arm\":[{}],\"timer_fire\":[{}],\
-             \"timer_stale\":[{}],\"tone_busy_ns\":[{}],\"transitions\":[{}]}}",
+             \"timer_cancelled\":[{}],\"timer_stale\":[{}],\"tone_busy_ns\":[{}],\"transitions\":[{}]}}",
             arr(&self.tx),
             self.tx_aborted,
             arr(&self.rx_ok),
@@ -147,6 +157,7 @@ impl NodeObs {
             self.delivered,
             arr(&self.timer_arm),
             arr(&self.timer_fire),
+            arr(&self.timer_cancelled),
             arr(&self.timer_stale),
             arr(&self.tone_busy_ns),
             arr(&self.transitions),
@@ -223,6 +234,7 @@ mod tests {
             "delivered",
             "timer_arm",
             "timer_fire",
+            "timer_cancelled",
             "timer_stale",
             "tone_busy_ns",
             "transitions",

@@ -86,7 +86,7 @@ impl ObsReport {
         let _ = writeln!(out, "## Per-node protocol counters");
         let _ = writeln!(
             out,
-            "{:>4}  {:>6} {:>5}  {:>6} {:>6}  {:>6} {:>6}  {:>6} {:>6} {:>6}  {:>8} {:>8}",
+            "{:>4}  {:>6} {:>5}  {:>6} {:>6}  {:>6} {:>6}  {:>6} {:>6} {:>6} {:>6}  {:>8} {:>8}",
             "node",
             "tx",
             "abort",
@@ -96,6 +96,7 @@ impl ObsReport {
             "deliv",
             "t_arm",
             "t_fire",
+            "cancel",
             "stale",
             "rbt_ms",
             "abt_ms"
@@ -106,7 +107,7 @@ impl ObsReport {
             }
             let _ = writeln!(
                 out,
-                "{:>4}  {:>6} {:>5}  {:>6} {:>6}  {:>6} {:>6}  {:>6} {:>6} {:>6}  {:>8.2} {:>8.2}",
+                "{:>4}  {:>6} {:>5}  {:>6} {:>6}  {:>6} {:>6}  {:>6} {:>6} {:>6} {:>6}  {:>8.2} {:>8.2}",
                 i,
                 n.tx_total(),
                 n.tx_aborted,
@@ -116,6 +117,7 @@ impl ObsReport {
                 n.delivered,
                 n.timer_arm_total(),
                 n.timer_fire_total(),
+                n.timer_cancelled_total(),
                 n.timer_stale_total(),
                 n.tone_busy_ns[0] as f64 / 1e6,
                 n.tone_busy_ns[1] as f64 / 1e6,

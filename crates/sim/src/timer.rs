@@ -8,7 +8,7 @@
 //! current one and silently drops stale firings.
 //!
 //! MAC state machines in this workspace own one [`TimerSlot`] per logical
-//! timer (`T_wf_rbt`, `T_wf_rdata`, `T_wf_abt`, backoff-slot, …).
+//! timer (`T_wf_rbt`, `T_wf_rdata`, `T_wf_abt`, the backoff countdown, …).
 
 /// A cancellable logical timer.
 ///

@@ -1,0 +1,85 @@
+//! The backoff countdown's event budget, by count.
+//!
+//! A countdown is a hop, a look at its expiry and one look per busy edge
+//! (`rmac_core::backoff`), where it used to be one `BackoffSlot` event per
+//! 20 µs slot — 30–64 % of all events. Wall clock cannot hold that on a
+//! 1-core CI container; the dispatch counts are exact, so they can:
+//!
+//! * `BackoffSlot` dispatches stay at or under 10 % of `events`, so a
+//!   return to per-slot ticking fails here;
+//! * every protocol-visible `RunReport` field equals the value the per-slot
+//!   engine produced (pinned from the commit before the countdown slept), so
+//!   a drifted tie rule — which boundary counts when an edge lands on it —
+//!   fails here too.
+//!
+//! `events` and `sim_secs` are the two fields that describe the event
+//! population rather than the protocol (`sim_secs` is the timestamp of the
+//! last event dispatched before the end time: with per-slot ticks that was
+//! usually a tick); both are blanked before the comparison.
+
+use rmac::prelude::*;
+
+/// One 75-node stationary replication under the obs layer: the report with
+/// the two event-population fields blanked, and the countdown's share of
+/// all dispatched events.
+fn replicate(protocol: Protocol) -> (String, f64) {
+    let cfg = ScenarioConfig::paper_stationary(20.0).with_packets(100);
+    let out = Run::new(&cfg, protocol, 7)
+        .obs(ObsConfig::default())
+        .execute();
+    let obs = out.obs.expect("obs attached");
+    assert_eq!(obs.timer_labels[0], "backoff_slot");
+    let countdown: u64 = obs
+        .nodes
+        .iter()
+        .map(|n| n.timer_fire[0] + n.timer_stale[0])
+        .sum();
+    let share = countdown as f64 / out.report.events as f64;
+    let report = RunReport {
+        events: 0,
+        sim_secs: 0.0,
+        ..out.report
+    };
+    (format!("{report:?}"), share)
+}
+
+#[test]
+fn rmac_countdown_sleeps_and_reports_as_the_slot_loop_did() {
+    let (report, share) = replicate(Protocol::Rmac);
+    assert!(share <= 0.10, "BackoffSlot is {share:.3} of all events");
+    assert_eq!(report, RMAC_PINNED);
+}
+
+#[test]
+fn bmmm_countdown_sleeps_and_reports_as_the_slot_loop_did() {
+    let (report, share) = replicate(Protocol::Bmmm);
+    assert!(share <= 0.10, "BackoffSlot is {share:.3} of all events");
+    assert_eq!(report, BMMM_PINNED);
+}
+
+const RMAC_PINNED: &str = "\
+    RunReport { protocol: \"RMAC\", scenario: \"stationary\", rate_pps: 20.0, seed: 7, \
+    packets_sent: 100, expected_receptions: 7400, receptions: 7400, nonleaf_nodes: 35, \
+    drop_ratio_avg: 0.0, retx_ratio_avg: 0.19577577751368885, \
+    txoh_ratio_avg: 0.22095451144031253, abort_avg: 0.004102246959389817, \
+    abort_p99: 0.09595959595959595, abort_max: 0.09595959595959595, \
+    mrts_len_avg: 24.96294363256785, mrts_len_p99: 78.0, mrts_len_max: 78.0, \
+    e2e_delay_avg_s: 0.017564133354729814, delay_samples: 7400, \
+    hops_avg: 4.405405405405405, hops_p99: 8.0, children_avg: 2.3125, children_p99: 11.0, \
+    events: 0, tx_frames: [3832, 0, 0, 0, 0, 0, 0, 3428, 2973], tx_aborted: 22, \
+    rx_frames_ok: [24532, 0, 0, 0, 0, 0, 0, 21369, 19284], rx_frames_corrupt: [4518, 0, 0, \
+    0, 0, 0, 0, 4609, 354], sim_secs: 0.0, faults_injected: 0, fault_crashes: 0, \
+    fault_jam_bursts: 0 }";
+
+const BMMM_PINNED: &str = "\
+    RunReport { protocol: \"BMMM\", scenario: \"stationary\", rate_pps: 20.0, seed: 7, \
+    packets_sent: 100, expected_receptions: 7400, receptions: 6869, nonleaf_nodes: 36, \
+    drop_ratio_avg: 0.0005912842190016102, retx_ratio_avg: 0.3647993830011748, \
+    txoh_ratio_avg: 0.9134949224167621, abort_avg: 0.0, abort_p99: 0.0, abort_max: 0.0, \
+    mrts_len_avg: 0.0, mrts_len_p99: 0.0, mrts_len_max: 0.0, \
+    e2e_delay_avg_s: 0.034118567431358396, delay_samples: 6869, \
+    hops_avg: 4.405405405405405, hops_p99: 8.0, children_avg: 2.3125, children_p99: 11.0, \
+    events: 0, tx_frames: [0, 9195, 3144, 7101, 7042, 0, 0, 3114, 2973], tx_aborted: 0, \
+    rx_frames_ok: [0, 65136, 18326, 55460, 44603, 0, 0, 19093, 18969], \
+    rx_frames_corrupt: [0, 10940, 1778, 3858, 1707, 0, 0, 4419, 669], sim_secs: 0.0, \
+    faults_injected: 0, fault_crashes: 0, fault_jam_bursts: 0 }";
