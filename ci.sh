@@ -21,6 +21,16 @@ if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_T
     exit 1
 fi
 
+echo "==> one send queue, one 802.11 station (DESIGN.md §14): no second request queue or destination"
+echo "    expansion, and no station plumbing in the four exchange files"
+if git grep -nE 'VecDeque<TxRequest>|fn load_job' -- crates \
+       ':!crates/core/src/sendq.rs' ':!crates/core/src/rmac.rs' \
+   || git grep -nE 'fn response_timeout|fn respond\b|TimerKind::RespIfs' \
+       -- crates/baselines/src/bmmm.rs crates/baselines/src/bmw.rs crates/baselines/src/lbp.rs crates/baselines/src/mx.rs; then
+    echo "a copy of the shared send queue or 802.11 station grew back (see above)" >&2
+    exit 1
+fi
+
 echo "==> obs_report --smoke (instrumented run: bit-identity + trace schema + renders)"
 cargo run -q --release -p rmac-experiments --bin obs_report -- --smoke
 

@@ -26,15 +26,6 @@ fn reliable(dest: Dest, token: u64) -> TxRequest {
     }
 }
 
-fn unreliable(token: u64) -> TxRequest {
-    TxRequest {
-        reliable: false,
-        dest: Dest::Broadcast,
-        payload: Bytes::from_static(b"beacon"),
-        token,
-    }
-}
-
 /// Count down the DCF backoff until the MAC transmits or gives up.
 fn drain_contention(m: &mut Mock, b: &mut Bmmm) {
     let mut guard = 0;
@@ -236,17 +227,6 @@ fn overheard_rts_sets_nav_and_defers() {
 }
 
 #[test]
-fn unreliable_broadcast_is_fire_and_forget() {
-    let mut m = Mock::new();
-    let mut b = mac(0);
-    b.submit(&mut m, unreliable(3));
-    drain_contention(&mut m, &mut b);
-    assert_eq!(m.last_tx().kind, FrameKind::DataUnreliable);
-    m.finish_tx(&mut b, false);
-    assert_eq!(m.notifications, vec![(3, TxOutcome::Sent)]);
-}
-
-#[test]
 fn rts_ignored_while_busy_as_sender() {
     let mut m = Mock::new();
     let mut b = mac(0);
@@ -258,24 +238,6 @@ fn rts_ignored_while_busy_as_sender() {
     let timers_before = m.timers.len();
     m.rx_frame(&mut b, n(0), foreign, true);
     assert_eq!(m.timers.len(), timers_before, "no response scheduled");
-}
-
-#[test]
-fn empty_group_completes_vacuously() {
-    let mut m = Mock::new();
-    let mut b = mac(0);
-    b.submit(&mut m, reliable(Dest::Group(vec![]), 11));
-    assert_eq!(
-        m.notifications,
-        vec![(
-            11,
-            TxOutcome::Reliable {
-                delivered: vec![],
-                failed: vec![],
-            }
-        )]
-    );
-    assert!(m.actions.is_empty());
 }
 
 #[test]

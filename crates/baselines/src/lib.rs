@@ -14,17 +14,21 @@
 //! * [`mx`] — **802.11MX** (Gupta et al., ICC 2003): the receiver-initiated
 //!   busy-tone multicast MAC developed in parallel with RMAC; negative
 //!   feedback via a NAK tone. Extension.
-//! * [`dcf`] — the shared 802.11-style contention machinery (DIFS +
-//!   slotted backoff + NAV) used by all of them.
+//! * [`station`] — the one IEEE 802.11 station all four run on; each of the
+//!   above is its frame exchange ([`station::Exchange`]) and nothing else.
+//! * [`dcf`] — the station's contention machinery (DIFS + slotted backoff
+//!   + NAV).
 //!
-//! Every protocol implements `rmac_core::api::MacService`, so the engine
-//! can swap MACs per scenario while reusing the same PHY and network layer.
+//! Every protocol is a [`station::Station`], which implements
+//! `rmac_core::api::MacService`, so the engine can swap MACs per scenario
+//! while reusing the same PHY and network layer.
 
 pub mod bmmm;
 pub mod bmw;
 pub mod dcf;
 pub mod lbp;
 pub mod mx;
+pub mod station;
 
 pub use bmmm::Bmmm;
 pub use bmw::Bmw;

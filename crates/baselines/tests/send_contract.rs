@@ -1,0 +1,144 @@
+//! One contract, five MACs: the upper half of the send path
+//! (`rmac_core::sendq`) as seen through RMAC, BMMM, BMW, LBP and 802.11MX.
+//!
+//! Whatever exchange carries a reliable frame, admission, vacuous
+//! completion, the Unreliable Send and the post-transmission backoff behave
+//! the same, so one table of checks runs over all five.
+
+use bytes::Bytes;
+use rmac_baselines::{Bmmm, Bmw, Lbp, Mx};
+use rmac_core::api::{MacService, TimerKind, TxOutcome, TxRequest};
+use rmac_core::testkit::{Action, Mock};
+use rmac_core::{MacConfig, Rmac};
+use rmac_wire::{Dest, FrameKind, NodeId};
+
+fn n(i: u16) -> NodeId {
+    NodeId(i)
+}
+
+fn request(reliable: bool, dest: Dest, token: u64) -> TxRequest {
+    TxRequest {
+        reliable,
+        dest,
+        payload: Bytes::from_static(b"payload"),
+        token,
+    }
+}
+
+fn vacuous() -> TxOutcome {
+    TxOutcome::Reliable {
+        delivered: vec![],
+        failed: vec![],
+    }
+}
+
+/// Count down whatever backoff is running until a frame is on the air.
+fn contend<M: MacService>(m: &mut Mock, mac: &mut M) {
+    let mut guard = 0;
+    while m.tx_frame.is_none() {
+        m.fire(mac, TimerKind::BackoffSlot);
+        guard += 1;
+        assert!(guard < 5000, "contention never resolved");
+    }
+}
+
+fn rng_state(m: &Mock) -> String {
+    format!("{:?}", m.rng)
+}
+
+fn full_queue_rejects_without_side_effects<M: MacService>(make: fn(NodeId, MacConfig) -> M) {
+    let mut m = Mock::new();
+    m.data_busy = true; // nothing can transmit
+    let cfg = MacConfig {
+        queue_capacity: 2,
+        ..MacConfig::default()
+    };
+    let mut mac = make(n(0), cfg);
+    // The first request goes into service, so the capacity bounds the
+    // requests waiting behind it.
+    for token in 0..3 {
+        mac.submit(&mut m, request(true, Dest::Node(n(1)), token));
+    }
+    assert!(m.notifications.is_empty());
+    let before = (rng_state(&m), m.timers.len());
+    mac.submit(&mut m, request(true, Dest::Node(n(1)), 3));
+    mac.submit(&mut m, request(false, Dest::Broadcast, 4));
+    assert_eq!(
+        m.notifications,
+        vec![(3, TxOutcome::Rejected), (4, TxOutcome::Rejected)]
+    );
+    assert_eq!(m.counters.queue_rejections, 2);
+    assert_eq!(m.counters.reliable_accepted, 3);
+    assert_eq!(m.counters.unreliable_accepted, 0);
+    assert_eq!((rng_state(&m), m.timers.len()), before);
+}
+
+fn nobody_to_reach_completes_at_once<M: MacService>(make: fn(NodeId, MacConfig) -> M) {
+    for group in [vec![], vec![n(0)], vec![n(0), n(0)]] {
+        let mut m = Mock::new();
+        let mut mac = make(n(0), MacConfig::default());
+        mac.submit(&mut m, request(true, Dest::Group(group), 11));
+        assert_eq!(m.notifications, vec![(11, vacuous())]);
+        assert!(m.actions.is_empty() && m.timers.is_empty());
+        assert_eq!(m.counters.reliable_accepted, 1);
+    }
+}
+
+fn unreliable_is_sent_paced_and_followed_in_order<M: MacService>(make: fn(NodeId, MacConfig) -> M) {
+    let mut m = Mock::new();
+    let mut mac = make(n(0), MacConfig::default());
+    mac.submit(&mut m, request(false, Dest::Broadcast, 1));
+    contend(&mut m, &mut mac);
+    assert_eq!(m.last_tx().kind, FrameKind::DataUnreliable);
+    // Queued while the frame is on the air: a group of only the sender,
+    // then a send that needs the air.
+    mac.submit(&mut m, request(true, Dest::Group(vec![n(0)]), 2));
+    mac.submit(&mut m, request(true, Dest::Node(n(9)), 3));
+    assert!(m.notifications.is_empty(), "fire-and-forget ends at TxDone");
+    let drawn = rng_state(&m);
+    m.finish_tx(&mut mac, false);
+    // One call: the unreliable send is reported, the vacuous one behind it
+    // completes, and the one behind that goes into service.
+    assert_eq!(m.notifications, vec![(1, TxOutcome::Sent), (2, vacuous())]);
+    assert_ne!(rng_state(&m), drawn, "a transmission is followed by a draw");
+    contend(&mut m, &mut mac);
+    let first = m.last_tx();
+    assert!(matches!(first.kind, FrameKind::Rts | FrameKind::Mrts));
+    assert!(first.addressed_to(n(9)));
+    // The vacuous send put nothing on the air in between.
+    let on_air = [FrameKind::DataUnreliable, first.kind].map(Action::StartTx);
+    assert_eq!(m.actions, on_air);
+    assert_eq!(m.counters.reliable_accepted, 2);
+    assert_eq!(m.counters.unreliable_accepted, 1);
+}
+
+fn contract<M: MacService>(make: fn(NodeId, MacConfig) -> M) {
+    full_queue_rejects_without_side_effects(make);
+    nobody_to_reach_completes_at_once(make);
+    unreliable_is_sent_paced_and_followed_in_order(make);
+}
+
+#[test]
+fn rmac_keeps_the_send_contract() {
+    contract(Rmac::new);
+}
+
+#[test]
+fn bmmm_keeps_the_send_contract() {
+    contract(Bmmm::new);
+}
+
+#[test]
+fn bmw_keeps_the_send_contract() {
+    contract(Bmw::new);
+}
+
+#[test]
+fn lbp_keeps_the_send_contract() {
+    contract(Lbp::new);
+}
+
+#[test]
+fn mx_keeps_the_send_contract() {
+    contract(Mx::new);
+}

@@ -26,6 +26,7 @@ pub mod backoff;
 pub mod clock;
 pub mod config;
 pub mod rmac;
+pub mod sendq;
 pub mod testkit;
 
 pub use api::{MacContext, MacCounters, MacService, TimerKind, TxOutcome, TxRequest};

@@ -28,6 +28,7 @@ use rmac_wire::{Dest, Frame, FrameKind, NodeId};
 use crate::api::{MacContext, MacService, TimerKind, TxOutcome, TxRequest};
 use crate::backoff::{Backoff, Slot};
 use crate::config::MacConfig;
+use crate::sendq::{Next, ReliableSend, SendQueue, UnreliableSend};
 
 /// The eight protocol states of Fig. 14.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -98,19 +99,10 @@ struct ReliableJob {
     retries: u32,
 }
 
-/// An Unreliable Send in progress.
-#[derive(Debug)]
-struct UnreliableJob {
-    token: u64,
-    payload: Bytes,
-    dest: Dest,
-    seq: u32,
-}
-
 #[derive(Debug)]
 enum Job {
     Reliable(ReliableJob),
-    Unreliable(UnreliableJob),
+    Unreliable(UnreliableSend),
 }
 
 /// Receiver-side session opened by an accepted MRTS.
@@ -129,7 +121,7 @@ pub struct Rmac {
     id: NodeId,
     cfg: MacConfig,
     state: State,
-    queue: VecDeque<TxRequest>,
+    sendq: SendQueue,
     job: Option<Job>,
     backoff: Backoff,
     rx: Option<RxSession>,
@@ -137,7 +129,6 @@ pub struct Rmac {
     abt_pending: bool,
     /// When the WF_ABT collection window opened.
     abt_window_start: SimTime,
-    next_seq: u32,
     t_wf_rbt: TimerSlot,
     t_wf_rdata: TimerSlot,
     t_wf_abt: TimerSlot,
@@ -161,13 +152,12 @@ impl Rmac {
             id,
             cfg,
             state: State::Idle,
-            queue: VecDeque::new(),
+            sendq: SendQueue::new(id, cfg.queue_capacity),
             job: None,
             backoff: Backoff::new(cfg.cw_min, cfg.cw_max),
             rx: None,
             abt_pending: false,
             abt_window_start: SimTime::ZERO,
-            next_seq: 0,
             t_wf_rbt: TimerSlot::new(),
             t_wf_rdata: TimerSlot::new(),
             t_wf_abt: TimerSlot::new(),
@@ -195,7 +185,7 @@ impl Rmac {
 
     /// Pending requests (excluding the one in progress).
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.sendq.len()
     }
 
     /// How many times the `from → to` edge has been taken.
@@ -220,58 +210,37 @@ impl Rmac {
         !ctx.data_busy() && !ctx.tone_present(Tone::Rbt)
     }
 
-    /// Pop the next queued request into `self.job`, expanding destinations.
-    /// Requests that need no transmission (empty receiver sets) complete
-    /// immediately and the next request is tried.
+    /// Serve the next queued request, splitting a reliable receiver list
+    /// into §3.4 chunks of at most `max_receivers`.
     fn load_job(&mut self, ctx: &mut dyn MacContext) {
-        while self.job.is_none() {
-            let Some(req) = self.queue.pop_front() else {
-                return;
-            };
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            if req.reliable {
-                let mut receivers = match req.dest {
-                    Dest::Node(n) => vec![n],
-                    Dest::Group(ref g) => g.clone(),
-                    Dest::Broadcast => ctx.neighbors(),
-                };
-                receivers.retain(|&n| n != self.id);
-                receivers.dedup();
-                if receivers.is_empty() {
-                    ctx.notify(
-                        req.token,
-                        TxOutcome::Reliable {
-                            delivered: vec![],
-                            failed: vec![],
-                        },
-                    );
-                    continue;
-                }
+        if self.job.is_some() {
+            return;
+        }
+        self.job = self.sendq.next(ctx).map(|next| match next {
+            Next::Unreliable(send) => Job::Unreliable(send),
+            Next::Reliable(ReliableSend {
+                token,
+                payload,
+                seq,
+                receivers,
+            }) => {
                 let mut chunks: VecDeque<Vec<NodeId>> = receivers
                     .chunks(self.cfg.max_receivers)
                     .map(|c| c.to_vec())
                     .collect();
-                let chunk = chunks.pop_front().expect("nonempty receivers");
-                self.job = Some(Job::Reliable(ReliableJob {
-                    token: req.token,
-                    payload: req.payload,
+                let chunk = chunks.pop_front().expect("a loaded send has receivers");
+                Job::Reliable(ReliableJob {
+                    token,
+                    payload,
                     seq,
                     chunks,
                     chunk,
                     delivered: Vec::new(),
                     failed: Vec::new(),
                     retries: 0,
-                }));
-            } else {
-                self.job = Some(Job::Unreliable(UnreliableJob {
-                    token: req.token,
-                    payload: req.payload,
-                    dest: req.dest,
-                    seq,
-                }));
+                })
             }
-        }
+        });
     }
 
     /// The IDLE-state dispatcher: start or resume backoff, or transmit.
@@ -325,13 +294,11 @@ impl Rmac {
     }
 
     fn tx_unrdata(&mut self, ctx: &mut dyn MacContext) {
-        let Some(Job::Unreliable(job)) = self.job.as_ref() else {
+        self.set_state(State::TxUnrdata);
+        let Some(Job::Unreliable(send)) = self.job.as_ref() else {
             unreachable!("tx_unrdata without an unreliable job");
         };
-        let frame = Frame::data_unreliable(self.id, job.dest.clone(), job.payload.clone(), job.seq);
-        ctx.counters().unreliable_data_airtime += frame.airtime();
-        self.set_state(State::TxUnrdata);
-        ctx.start_tx(frame);
+        send.transmit(ctx, self.id);
     }
 
     /// Post-completion backoff (condition (3) of §3.3.1): every successful
@@ -616,11 +583,10 @@ impl Rmac {
             }
             State::TxUnrdata => {
                 // C2/C5: fire-and-forget completes either way.
-                let token = match self.job.take() {
-                    Some(Job::Unreliable(j)) => j.token,
+                match self.job.take() {
+                    Some(Job::Unreliable(send)) => send.sent(ctx),
                     _ => unreachable!("TX_UNRDATA without an unreliable job"),
-                };
-                ctx.notify(token, TxOutcome::Sent);
+                }
                 self.post_cycle(ctx);
             }
             _ => {
@@ -636,18 +602,9 @@ impl Rmac {
 
 impl MacService for Rmac {
     fn submit(&mut self, ctx: &mut dyn MacContext, req: TxRequest) {
-        if self.queue.len() >= self.cfg.queue_capacity {
-            ctx.counters().queue_rejections += 1;
-            ctx.notify(req.token, TxOutcome::Rejected);
-            return;
+        if self.sendq.submit(ctx, req) {
+            self.try_progress(ctx);
         }
-        if req.reliable {
-            ctx.counters().reliable_accepted += 1;
-        } else {
-            ctx.counters().unreliable_accepted += 1;
-        }
-        self.queue.push_back(req);
-        self.try_progress(ctx);
     }
 
     fn on_indication(&mut self, ctx: &mut dyn MacContext, ind: &Indication) {

@@ -386,25 +386,6 @@ fn reliable_broadcast_uses_neighbors() {
     assert_eq!(m.last_tx().order, vec![n(4), n(9)]);
 }
 
-/// A reliable send with no receivers completes vacuously.
-#[test]
-fn empty_group_completes_immediately() {
-    let mut m = Mock::new();
-    let mut r = mac(0);
-    r.submit(&mut m, reliable_req(Dest::Group(vec![]), 11));
-    assert_eq!(
-        m.notifications,
-        vec![(
-            11,
-            TxOutcome::Reliable {
-                delivered: vec![],
-                failed: vec![],
-            }
-        )]
-    );
-    assert!(m.actions.is_empty());
-}
-
 /// Queue overflow rejects the request.
 #[test]
 fn queue_overflow_rejects() {
