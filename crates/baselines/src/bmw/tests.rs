@@ -141,3 +141,25 @@ fn overhearing_receiver_delivers_without_acking() {
     assert_eq!(m.delivered.len(), 1);
     assert!(!m.has_timer(TimerKind::RespIfs), "no unsolicited ACK");
 }
+
+/// BMW's twin of LBP's `nav_wakeup_is_not_taken_for_the_session_guard`. A
+/// BMW receiver grants a CTS only with a clear NAV, so here the guard is
+/// armed first and the wake-up second; both are generation 1 all the same.
+#[test]
+fn nav_wakeup_is_not_taken_for_the_session_guard() {
+    let mut m = Mock::new();
+    let mut b = mac(5);
+    let rts = Frame::control(FrameKind::Rts, n(0), n(5), SimTime::from_micros(400));
+    m.rx_frame(&mut b, n(5), rts, true);
+    m.fire(&mut b, TimerKind::RespIfs);
+    m.finish_tx(&mut b, false); // CTS out; the DATA is owed an ACK
+    let cts = Frame::control(FrameKind::Cts, n(7), n(8), SimTime::from_micros(300));
+    m.rx_frame(&mut b, n(5), cts, true);
+    b.submit(&mut m, reliable(Dest::Node(n(9)), 1));
+    m.fire_earliest(&mut b); // the wake-up
+    assert!(m.has_timer(TimerKind::BackoffSlot), "contention resumes");
+    let data = Frame::data_reliable(n(0), Dest::Group(vec![n(5)]), Bytes::from_static(b"x"), 0);
+    m.rx_frame(&mut b, n(5), data, true);
+    m.fire(&mut b, TimerKind::RespIfs);
+    assert_eq!(m.last_tx().kind, FrameKind::Ack);
+}

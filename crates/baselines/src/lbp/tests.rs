@@ -174,3 +174,25 @@ fn missing_ack_retries_then_drops() {
         other => panic!("unexpected {other:?}"),
     }
 }
+
+/// The NAV wake-up and the session guard are the first timer each of their
+/// slots arms, so they carry the same generation. The wake-up must reach
+/// the DCF — the station re-enters contention — and must not close the
+/// session: a corrupted DATA still draws the NAK.
+#[test]
+fn nav_wakeup_is_not_taken_for_the_session_guard() {
+    let mut m = Mock::new();
+    let mut r = mac(2);
+    // A stranger's CTS reserves 300 µs; a request under it arms the wake-up.
+    let cts = Frame::control(FrameKind::Cts, n(7), n(8), SimTime::from_micros(300));
+    m.rx_frame(&mut r, n(2), cts, true);
+    r.submit(&mut m, reliable(Dest::Node(n(9)), 1));
+    // A group RTS naming this node opens the session and arms its guard.
+    m.rx_frame(&mut r, n(2), group_rts(0, &[1, 2], 500), true);
+    m.fire_earliest(&mut r); // the wake-up
+    assert!(m.has_timer(TimerKind::BackoffSlot), "contention resumes");
+    let data = Frame::data_reliable(n(0), Dest::Group(vec![n(1), n(2)]), Bytes::new(), 0);
+    m.rx_frame(&mut r, n(2), data, false);
+    m.fire(&mut r, TimerKind::RespIfs);
+    assert_eq!(m.last_tx().kind, FrameKind::Nak);
+}

@@ -192,3 +192,29 @@ fn retry_limit_drops_whole_group() {
         other => panic!("unexpected {other:?}"),
     }
 }
+
+/// 802.11MX's twin of LBP's `nav_wakeup_is_not_taken_for_the_session_guard`:
+/// the wake-up resumes contention and leaves the session open, so a
+/// corrupted DATA still raises the NAK tone.
+#[test]
+fn nav_wakeup_is_not_taken_for_the_session_guard() {
+    let mut m = Mock::new();
+    let mut r = mac(2);
+    let nav = rmac_sim::SimTime::from_micros(300);
+    m.rx_frame(
+        &mut r,
+        n(2),
+        Frame::control(FrameKind::Cts, n(7), n(8), nav),
+        true,
+    );
+    r.submit(&mut m, reliable(Dest::Node(n(9)), 1));
+    m.rx_frame(&mut r, n(2), group_rts(0, &[1, 2]), true);
+    m.fire_earliest(&mut r); // the wake-up
+    assert!(m.has_timer(TimerKind::BackoffSlot), "contention resumes");
+    let data = Frame::data_reliable(n(0), Dest::Group(vec![n(1), n(2)]), Bytes::new(), 0);
+    m.rx_frame(&mut r, n(2), data, false);
+    assert!(
+        m.has_timer(TimerKind::AbtStart),
+        "the session was still open"
+    );
+}

@@ -248,7 +248,7 @@ impl<P: Copy + PartialEq> Core<P> {
     pub fn guard_session(&mut self, ctx: &mut dyn MacContext, lead: SimTime) {
         let gen = self.t_session.arm();
         let span = lead + data_airtime(SESSION_MAX_PAYLOAD) + SESSION_SLACK;
-        ctx.schedule(span, TimerKind::Nav, gen);
+        ctx.schedule(span, TimerKind::SessionGuard, gen);
     }
 
     /// The session's DATA arrived (or was seen broken).
@@ -455,10 +455,13 @@ impl<X: Exchange> MacService for Station<X> {
                 }
             }
             TimerKind::Nav => {
+                if core.dcf.on_nav_timer(gen) {
+                    self.try_progress(ctx);
+                }
+            }
+            TimerKind::SessionGuard => {
                 if core.t_session.disarm_if(gen) {
                     x.on_session_expired();
-                } else if core.dcf.on_nav_timer(gen) {
-                    self.try_progress(ctx);
                 }
             }
             TimerKind::AwaitResponse => {

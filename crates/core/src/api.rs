@@ -76,6 +76,11 @@ pub enum TimerKind {
     RespIfs,
     /// Baselines: a NAV reservation expired.
     Nav,
+    /// Baselines: a receiver-side session outlived the DATA it was opened
+    /// for. Its own kind, not [`TimerKind::Nav`]: generations are counted
+    /// per slot, so two slots armed under one kind claim each other's
+    /// firings.
+    SessionGuard,
 }
 
 /// Everything a MAC entity may do to the outside world.

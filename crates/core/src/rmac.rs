@@ -691,7 +691,11 @@ impl MacService for Rmac {
                 }
             }
             // Baseline-only timers never reach RMAC.
-            TimerKind::AwaitResponse | TimerKind::Ifs | TimerKind::RespIfs | TimerKind::Nav => {}
+            TimerKind::AwaitResponse
+            | TimerKind::Ifs
+            | TimerKind::RespIfs
+            | TimerKind::Nav
+            | TimerKind::SessionGuard => {}
         }
     }
 

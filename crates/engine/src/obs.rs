@@ -48,7 +48,7 @@ pub fn class_of(ev: &Ev) -> usize {
 /// boundary after a busy edge), and generation-stale sleeps a busy edge or
 /// a pause cut short (those are also in `NodeObs::timer_cancelled`). It is
 /// not a count of 20 µs slots.
-pub const TIMER_LABELS: [&str; 10] = [
+pub const TIMER_LABELS: [&str; 11] = [
     "backoff_slot",
     "wf_rbt",
     "wf_rdata",
@@ -59,6 +59,7 @@ pub const TIMER_LABELS: [&str; 10] = [
     "ifs",
     "resp_ifs",
     "nav",
+    "session_guard",
 ];
 
 /// Dense index of a [`TimerKind`].
@@ -75,6 +76,7 @@ pub fn timer_idx(kind: TimerKind) -> usize {
         TimerKind::Ifs => 7,
         TimerKind::RespIfs => 8,
         TimerKind::Nav => 9,
+        TimerKind::SessionGuard => 10,
     }
 }
 
@@ -193,6 +195,7 @@ mod tests {
             Ifs,
             RespIfs,
             Nav,
+            SessionGuard,
         ];
         let mut seen = [false; TIMER_LABELS.len()];
         for k in kinds {

@@ -10,7 +10,9 @@
 //! * every protocol-visible `RunReport` field equals the value the per-slot
 //!   engine produced (pinned from the commit before the countdown slept), so
 //!   a drifted tie rule — which boundary counts when an edge lands on it —
-//!   fails here too.
+//!   fails here too. BMW, LBP and 802.11MX are pinned the same way (from the
+//!   commit before they moved onto the shared 802.11 station), so all five
+//!   MACs have a bit-level pin.
 //!
 //! `events` and `sim_secs` are the two fields that describe the event
 //! population rather than the protocol (`sim_secs` is the timestamp of the
@@ -61,8 +63,9 @@ fn bmmm_countdown_sleeps_and_reports_as_the_slot_loop_did() {
 /// station as BMMM (`rmac_baselines::station`); their share of countdown
 /// timers runs a little above the 10 % budget (0.11–0.13: fewer frames per
 /// packet than BMMM, the same contention), so only their reports are held.
-/// Recorded at the commit before the station was shared, re-recorded once
-/// for the session-guard fix (EXPERIMENTS.md).
+/// Recorded at the commit before the station was shared. The session-guard
+/// fix (DESIGN.md §14) moves these three protocols and no other; it did
+/// not happen to move this replication (EXPERIMENTS.md, X1).
 #[test]
 fn bmw_lbp_and_mx_report_as_pinned() {
     for (protocol, pinned) in [
