@@ -21,7 +21,7 @@ use rmac_core::sendq::ReliableSend;
 use rmac_sim::SimTime;
 use rmac_wire::airtime::{data_airtime, frame_airtime};
 use rmac_wire::consts::{RTS_LEN, SIFS};
-use rmac_wire::{Dest, Frame, FrameKind, NodeId};
+use rmac_wire::{Frame, FrameKind, NodeId};
 
 use crate::station::{short_air, Core, Exchange, Station};
 
@@ -107,9 +107,7 @@ impl BmmmExchange {
 
     fn tx_data(&mut self, st: &mut Core<Phase>, ctx: &mut dyn MacContext) {
         let send = &self.job().send;
-        let dest = Dest::Group(send.receivers.clone());
-        let mut frame = Frame::data_reliable(st.id(), dest, send.payload.clone(), send.seq);
-        frame.nav = nav_after_data(send.receivers.len());
+        let frame = st.data_frame(send, nav_after_data(send.receivers.len()));
         st.transmit(ctx, frame, Phase::TxData);
     }
 

@@ -18,8 +18,9 @@ use std::sync::Arc;
 
 use rmac_core::api::{MacContext, TxOutcome};
 use rmac_core::sendq::ReliableSend;
+use rmac_sim::SimTime;
 use rmac_wire::consts::SIFS;
-use rmac_wire::{Dest, Frame, FrameKind, NodeId};
+use rmac_wire::{Frame, FrameKind, NodeId};
 
 use crate::station::{nav_cts_data_ack, Core, Exchange, Station};
 
@@ -142,10 +143,7 @@ impl Exchange for BmwExchange {
 
     fn on_gap(&mut self, st: &mut Core<Phase>, ctx: &mut dyn MacContext, phase: Phase) {
         if phase == Phase::GapData {
-            let send = &self.job().send;
-            // Group-addressed so every member can overhear it.
-            let dest = Dest::Group(send.receivers.clone());
-            let frame = Frame::data_reliable(st.id(), dest, send.payload.clone(), send.seq);
+            let frame = st.data_frame(&self.job().send, SimTime::ZERO);
             st.transmit(ctx, frame, Phase::TxData);
         }
     }

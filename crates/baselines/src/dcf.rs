@@ -5,8 +5,8 @@
 //! DIFS, counts down a random backoff in 20 µs slots, and defers to both
 //! *physical* carrier sense and the *virtual* carrier sense (NAV) set by
 //! overheard RTS/CTS/RAK durations. This module packages that logic as a
-//! sub-state-machine producing explicit [`DcfAction`]s, so each protocol
-//! keeps its own exchange FSM thin.
+//! sub-state-machine producing explicit [`DcfAction`]s for the one
+//! [`crate::station::Station`] all of them run on.
 //!
 //! DIFS (50 µs) is approximated as three extra 20 µs backoff slots added
 //! to every draw — the standard slotting approximation for a simulator with

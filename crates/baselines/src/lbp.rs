@@ -16,11 +16,11 @@
 
 use std::sync::Arc;
 
-use rmac_core::api::{MacContext, TxOutcome};
+use rmac_core::api::MacContext;
 use rmac_core::sendq::ReliableSend;
 use rmac_sim::SimTime;
 use rmac_wire::consts::SIFS;
-use rmac_wire::{Dest, Frame, FrameKind, NodeId};
+use rmac_wire::{Frame, FrameKind, NodeId};
 
 use crate::station::{nav_cts_data_ack, short_air, Core, Exchange, Station};
 
@@ -52,23 +52,10 @@ pub struct LbpExchange {
 }
 
 impl LbpExchange {
-    /// The send is over; LBP cannot tell receivers apart, so the whole
-    /// group shares one verdict.
-    fn finish(&mut self, st: &mut Core<Phase>, ctx: &mut dyn MacContext, ok: bool) {
-        let send = self.job.take().expect("LBP exchange without a job");
-        let (delivered, failed) = if ok {
-            (send.receivers, vec![])
-        } else {
-            st.drop_packet(ctx);
-            (vec![], send.receivers)
-        };
-        ctx.notify(send.token, TxOutcome::Reliable { delivered, failed });
-        st.recontend(ctx);
-    }
-
     fn attempt_failed(&mut self, st: &mut Core<Phase>, ctx: &mut dyn MacContext) {
         if !st.retry(ctx) {
-            self.finish(st, ctx, false);
+            let send = self.job.take().expect("a failed attempt has a job");
+            st.finish_group(ctx, send, false);
         }
     }
 }
@@ -112,9 +99,7 @@ impl Exchange for LbpExchange {
     fn on_gap(&mut self, st: &mut Core<Phase>, ctx: &mut dyn MacContext, phase: Phase) {
         if phase == Phase::GapData {
             let send = self.job.as_ref().expect("GapData without a job");
-            let dest = Dest::Group(send.receivers.clone());
-            let mut frame = Frame::data_reliable(st.id(), dest, send.payload.clone(), send.seq);
-            frame.nav = SIFS + short_air();
+            let frame = st.data_frame(send, SIFS + short_air());
             st.transmit(ctx, frame, Phase::TxData);
         }
     }
@@ -172,7 +157,11 @@ impl Exchange for LbpExchange {
             }
             (FrameKind::Ack, Some(Phase::WaitAck)) if addressed => {
                 st.answered();
-                self.finish(st, ctx, true);
+                // LBP cannot tell receivers apart: the leader's ACK is taken
+                // as group delivery. (Per-node delivery is measured at the
+                // network layer, where the silent-loss gap shows up.)
+                let send = self.job.take().expect("WaitAck without a job");
+                st.finish_group(ctx, send, true);
             }
             (FrameKind::Nak, Some(Phase::WaitAck)) if addressed => {
                 st.answered();

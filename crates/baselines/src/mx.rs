@@ -24,13 +24,13 @@
 
 use std::sync::Arc;
 
-use rmac_core::api::{MacContext, TimerKind, TxOutcome};
+use rmac_core::api::{MacContext, TimerKind};
 use rmac_core::sendq::ReliableSend;
 use rmac_phy::Tone;
 use rmac_sim::{SimTime, TimerSlot};
 use rmac_wire::airtime::data_airtime;
 use rmac_wire::consts::{LAMBDA, SIFS, TAU, T_WF};
-use rmac_wire::{Dest, Frame, FrameKind, NodeId};
+use rmac_wire::{Frame, FrameKind, NodeId};
 
 use crate::station::{short_air, Core, Exchange, Station};
 
@@ -67,23 +67,10 @@ pub struct MxExchange {
 }
 
 impl MxExchange {
-    /// The send is over; the tone carries no identity, so the whole group
-    /// shares one verdict.
-    fn finish(&mut self, st: &mut Core<Phase>, ctx: &mut dyn MacContext, ok: bool) {
-        let send = self.job.take().expect("802.11MX exchange without a job");
-        let (delivered, failed) = if ok {
-            (send.receivers, vec![])
-        } else {
-            st.drop_packet(ctx);
-            (vec![], send.receivers)
-        };
-        ctx.notify(send.token, TxOutcome::Reliable { delivered, failed });
-        st.recontend(ctx);
-    }
-
     fn attempt_failed(&mut self, st: &mut Core<Phase>, ctx: &mut dyn MacContext) {
         if !st.retry(ctx) {
-            self.finish(st, ctx, false);
+            let send = self.job.take().expect("a failed attempt has a job");
+            st.finish_group(ctx, send, false);
         }
     }
 }
@@ -134,9 +121,7 @@ impl Exchange for MxExchange {
     fn on_gap(&mut self, st: &mut Core<Phase>, ctx: &mut dyn MacContext, phase: Phase) {
         if phase == Phase::GapData {
             let send = self.job.as_ref().expect("GapData without a job");
-            let dest = Dest::Group(send.receivers.clone());
-            let mut frame = Frame::data_reliable(st.id(), dest, send.payload.clone(), send.seq);
-            frame.nav = nak_len();
+            let frame = st.data_frame(send, nak_len());
             st.transmit(ctx, frame, Phase::TxData);
         }
     }
@@ -209,7 +194,8 @@ impl Exchange for MxExchange {
                 if ctx.close_tone_watch(Tone::Abt).max_on() >= LAMBDA {
                     self.attempt_failed(st, ctx);
                 } else {
-                    self.finish(st, ctx, true);
+                    let send = self.job.take().expect("WfNak without a job");
+                    st.finish_group(ctx, send, true);
                 }
             }
             TimerKind::AbtStart if self.t_nak_start.disarm_if(gen) => {

@@ -14,8 +14,8 @@
 //!
 //! **Progress is settled after the handler, not inside it.** An exchange
 //! handler borrows both the exchange and the core, so it cannot call back
-//! into the station's idle-state dispatcher when it falls back to
-//! [`Phase::Idle`]. Going idle ([`Core::recontend`], [`Core::retry`], the end
+//! into the station's idle-state dispatcher when it falls back to idle.
+//! Going idle ([`Core::recontend`], [`Core::retry`], the end
 //! of a response) instead marks progress as due, and the station runs the
 //! dispatcher once the handler has returned. That is the order the
 //! protocols always had: looking for progress was the last thing any of
@@ -26,14 +26,14 @@ use std::collections::HashMap;
 use std::fmt::Debug;
 use std::sync::Arc;
 
-use rmac_core::api::{MacContext, MacService, TimerKind, TxRequest};
+use rmac_core::api::{MacContext, MacService, TimerKind, TxOutcome, TxRequest};
 use rmac_core::config::MacConfig;
 use rmac_core::sendq::{Next, ReliableSend, SendQueue, UnreliableSend};
 use rmac_phy::Indication;
 use rmac_sim::{SimTime, TimerSlot};
 use rmac_wire::airtime::{data_airtime, frame_airtime};
 use rmac_wire::consts::{SHORT_CTRL_LEN, SIFS, TAU};
-use rmac_wire::{Frame, FrameKind, NodeId};
+use rmac_wire::{Dest, Frame, FrameKind, NodeId};
 
 use crate::dcf::{Dcf, DcfAction};
 
@@ -61,7 +61,7 @@ const SESSION_SLACK: SimTime = SimTime::from_micros(50);
 /// Where a station is: the phases every protocol shares, or inside its
 /// exchange.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Phase<P> {
+enum Phase<P> {
     /// Not in an exchange (possibly counting backoff slots).
     Idle,
     /// Transmitting an unreliable data frame.
@@ -199,6 +199,15 @@ impl<P: Copy + PartialEq> Core<P> {
         ctx.start_tx(frame);
     }
 
+    /// The reliable DATA frame of `send`, group-addressed so that every
+    /// member can take it whoever the exchange is with, advertising `nav`.
+    pub fn data_frame(&self, send: &ReliableSend, nav: SimTime) -> Frame {
+        let dest = Dest::Group(send.receivers.clone());
+        let mut frame = Frame::data_reliable(self.id, dest, send.payload.clone(), send.seq);
+        frame.nav = nav;
+        frame
+    }
+
     /// Enter `then`, a wait the exchange times itself.
     pub fn enter(&mut self, then: P) {
         self.phase = Phase::In(then);
@@ -298,6 +307,19 @@ impl<P: Copy + PartialEq> Core<P> {
         self.dcf.reset_cw();
         self.retries = 0;
         self.pace(ctx);
+    }
+
+    /// End `send` with one verdict for the whole group — all a protocol can
+    /// report when its feedback (a leader's ACK, a NAK tone) names nobody.
+    pub fn finish_group(&mut self, ctx: &mut dyn MacContext, send: ReliableSend, ok: bool) {
+        let (delivered, failed) = if ok {
+            (send.receivers, vec![])
+        } else {
+            self.drop_packet(ctx);
+            (vec![], send.receivers)
+        };
+        ctx.notify(send.token, TxOutcome::Reliable { delivered, failed });
+        self.recontend(ctx);
     }
 
     /// Draw a backoff and go idle.
