@@ -4,29 +4,9 @@
 //! assets) for artifact upload.
 
 use std::fmt::Write as _;
-use std::path::Path;
 
 use crate::query::SummaryRow;
-use rmac_obs::json::{escape, fmt_f64, Json};
-
-/// The tracked benchmark document from `results/`, parsed leniently: a
-/// missing or unparseable file is `None`, not an error. (Simulator speed
-/// is tracked by `benchmark/`, not here; the live soak is the one
-/// harness that still writes a `BENCH_*.json`.)
-#[derive(Clone, Debug, Default)]
-pub struct BenchDocs {
-    pub live: Option<Json>,
-}
-
-impl BenchDocs {
-    /// Load `BENCH_live.json` from a results directory.
-    pub fn load(results: &Path) -> BenchDocs {
-        let text = std::fs::read_to_string(results.join("BENCH_live.json")).ok();
-        BenchDocs {
-            live: text.and_then(|t| Json::parse(&t).ok()),
-        }
-    }
-}
+use rmac_obs::json::{escape, fmt_f64};
 
 /// One red/green regression tile.
 #[derive(Clone, Debug)]
@@ -36,11 +16,11 @@ pub struct Tile {
     pub detail: String,
 }
 
-/// Derive the dashboard tiles from the campaign rows and bench docs.
-pub fn tiles(rows: &[SummaryRow], benches: &BenchDocs) -> Vec<Tile> {
-    let mut out = Vec::new();
+/// Derive the dashboard tiles from the campaign rows. (Speed, the live
+/// soak included, is tracked by `benchmark/`, not here.)
+pub fn tiles(rows: &[SummaryRow]) -> Vec<Tile> {
     let clean = rows.iter().all(|r| r.clean);
-    out.push(Tile {
+    vec![Tile {
         label: "conformance".into(),
         ok: clean && !rows.is_empty(),
         detail: if rows.is_empty() {
@@ -50,25 +30,7 @@ pub fn tiles(rows: &[SummaryRow], benches: &BenchDocs) -> Vec<Tile> {
         } else {
             "violations recorded".into()
         },
-    });
-    out.push(match &benches.live {
-        Some(doc) => Tile {
-            label: "bench:live".into(),
-            ok: true,
-            detail: format!(
-                "{} offered packets/s over UDP",
-                doc.get("offered_packets_per_wall_s")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0)
-            ),
-        },
-        None => Tile {
-            label: "bench:live".into(),
-            ok: false,
-            detail: "BENCH_live.json missing".into(),
-        },
-    });
-    out
+    }]
 }
 
 /// The trend series behind both renderers: (chart title, unit, named
@@ -96,10 +58,10 @@ fn charts(rows: &[SummaryRow]) -> Vec<Chart> {
 }
 
 /// Plain-text dashboard for terminals and CI logs.
-pub fn render_ascii(rows: &[SummaryRow], benches: &BenchDocs) -> String {
+pub fn render_ascii(rows: &[SummaryRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== regression tiles ==");
-    for t in tiles(rows, benches) {
+    for t in tiles(rows) {
         let _ = writeln!(
             out,
             "  [{}] {:<12} {}",
@@ -237,10 +199,10 @@ fn svg_chart(title: &str, unit: &str, named: &[(String, Vec<(f64, f64)>)]) -> St
 
 /// The self-contained HTML dashboard (inline CSS + SVG, no external
 /// assets — safe to upload as a single CI artifact).
-pub fn render_html(name: &str, rows: &[SummaryRow], benches: &BenchDocs) -> String {
+pub fn render_html(name: &str, rows: &[SummaryRow]) -> String {
     let mut body = String::new();
     body.push_str("<div class=\"tiles\">");
-    for t in tiles(rows, benches) {
+    for t in tiles(rows) {
         let _ = write!(
             body,
             "<div class=\"tile {}\"><b>{}</b><span>{}</span></div>",
@@ -324,50 +286,23 @@ mod tests {
         }
     }
 
-    fn bench_docs() -> BenchDocs {
-        BenchDocs {
-            live: Some(Json::parse(r#"{"offered_packets_per_wall_s":9272}"#).unwrap()),
-        }
-    }
-
     #[test]
     fn tiles_go_green_on_healthy_inputs() {
         let rows = vec![row("RMAC", 20.0, 0.99)];
-        let ts = tiles(&rows, &bench_docs());
-        assert_eq!(ts.len(), 2);
-        assert!(ts.iter().all(|t| t.ok), "{ts:?}");
-    }
-
-    #[test]
-    fn retired_bench_files_are_not_missed() {
-        // A results directory holding only what is still written
-        // (`BENCH_live.json`; the phy/obs/shard harnesses are retired)
-        // renders no failing tile.
-        let dir = std::env::temp_dir().join(format!("rmac-dashboard-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(
-            dir.join("BENCH_live.json"),
-            r#"{"offered_packets_per_wall_s":9272}"#,
-        )
-        .unwrap();
-        let benches = BenchDocs::load(&dir);
-        let _ = std::fs::remove_dir_all(&dir);
-        let rows = vec![row("RMAC", 20.0, 0.99)];
-        assert!(tiles(&rows, &benches).iter().all(|t| t.ok));
-        let ascii = render_ascii(&rows, &benches);
-        assert!(!ascii.contains("FAIL"), "{ascii}");
-        assert!(!render_html("x", &rows, &benches).contains("tile bad"));
+        let ts = tiles(&rows);
+        assert!(!ts.is_empty() && ts.iter().all(|t| t.ok), "{ts:?}");
+        assert!(!render_ascii(&rows).contains("FAIL"));
+        assert!(!render_html("x", &rows).contains("tile bad"));
     }
 
     #[test]
     fn renders_ascii_and_html() {
         let rows = vec![row("RMAC", 20.0, 0.99), row("BMMM", 20.0, 0.90)];
-        let b = bench_docs();
-        let ascii = render_ascii(&rows, &b);
+        let ascii = render_ascii(&rows);
         assert!(ascii.contains("regression tiles"));
         assert!(ascii.contains("delivery ratio vs rate"));
         assert!(ascii.contains("RMAC"));
-        let html = render_html("paper-figures", &rows, &b);
+        let html = render_html("paper-figures", &rows);
         assert!(html.starts_with("<!doctype html>"));
         assert!(html.contains("<svg"));
         assert!(html.contains("polyline"));
@@ -377,10 +312,11 @@ mod tests {
     }
 
     #[test]
-    fn missing_benches_render_as_failing_tiles() {
-        let ts = tiles(&[], &BenchDocs::default());
-        assert!(ts.iter().all(|t| !t.ok), "{ts:?}");
-        let ascii = render_ascii(&[], &BenchDocs::default());
-        assert!(ascii.contains("FAIL"));
+    fn an_empty_or_unclean_store_fails_its_tile() {
+        assert!(tiles(&[]).iter().all(|t| !t.ok));
+        assert!(render_ascii(&[]).contains("FAIL"));
+        let mut bad = row("RMAC", 20.0, 0.99);
+        bad.clean = false;
+        assert!(render_html("x", &[bad]).contains("tile bad"));
     }
 }

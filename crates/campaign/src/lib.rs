@@ -12,7 +12,7 @@
 //! * [`store`] — [`CaseRecord`], the unified metrics store line:
 //!   `RunReport` metrics, `rmac-obs` counter/histogram snapshots, and the
 //!   conformance verdict in one deterministic JSONL record.
-//! * [`query`] — axis filters and seed-pooled mean/p50/p95 aggregation.
+//! * [`query`] — seed-pooled mean/p50/p95 aggregation per grid point.
 //! * [`gate`] — the CI gate: conformance + deterministic-metric
 //!   comparison against a committed baseline.
 //! * [`dashboard`] — ASCII and self-contained-HTML rendering of campaign
@@ -31,12 +31,10 @@ pub mod runner;
 pub mod spec;
 pub mod store;
 
-pub use dashboard::{render_ascii, render_html, tiles, BenchDocs, Tile};
+pub use dashboard::{render_ascii, render_html, tiles, Tile};
 pub use gate::{gate_spec, run_gate, GateConfig, GateReport};
 pub use pool::try_tasks;
-pub use query::{
-    aggregate, grid_points, load_store, summarize, summarize_json, Agg, Filter, SummaryRow,
-};
+pub use query::{aggregate, grid_points, load_store, summarize, summarize_json, Agg, SummaryRow};
 pub use runner::{campaign_dir, run_campaign, run_case, CampaignOutcome, RunOptions};
 pub use spec::{protocol_from_label, CampaignSpec, CaseSpec, FaultAxis, ScenarioKind};
 pub use store::CaseRecord;

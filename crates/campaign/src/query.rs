@@ -1,5 +1,5 @@
-//! Query API over the metrics store: axis filters and seed-pooled
-//! aggregates (mean / p50 / p95), plus the `summary.json` renderer.
+//! Query API over the metrics store: seed-pooled aggregates (mean / p50 /
+//! p95) per grid point, plus the `summary.json` renderer.
 
 use crate::store::CaseRecord;
 use rmac_obs::json::{escape, fmt_f64};
@@ -35,29 +35,6 @@ pub fn aggregate(values: &[f64]) -> Agg {
         mean: values.iter().sum::<f64>() / values.len() as f64,
         p50: rank(0.50),
         p95: rank(0.95),
-    }
-}
-
-/// An axis filter; `None` fields match everything.
-#[derive(Clone, Debug, Default)]
-pub struct Filter {
-    pub protocol: Option<String>,
-    pub scenario: Option<String>,
-    pub fault: Option<String>,
-    pub rate: Option<f64>,
-}
-
-impl Filter {
-    pub fn matches(&self, r: &CaseRecord) -> bool {
-        self.protocol.as_deref().is_none_or(|p| p == r.protocol)
-            && self.scenario.as_deref().is_none_or(|s| s == r.scenario)
-            && self.fault.as_deref().is_none_or(|f| f == r.fault)
-            && self.rate.is_none_or(|rate| rate == r.rate)
-    }
-
-    /// The records the filter selects, in store order.
-    pub fn apply<'a>(&self, records: &'a [CaseRecord]) -> Vec<&'a CaseRecord> {
-        records.iter().filter(|r| self.matches(r)).collect()
     }
 }
 
@@ -188,24 +165,6 @@ mod tests {
         assert_eq!(a.p50, 2.0);
         assert_eq!(a.p95, 4.0);
         assert_eq!(aggregate(&[]).n, 0);
-    }
-
-    #[test]
-    fn filter_selects_by_axis() {
-        let recs = vec![rec("RMAC", 20.0, 0, 0.99), rec("BMMM", 20.0, 0, 0.90)];
-        let f = Filter {
-            protocol: Some("RMAC".into()),
-            ..Default::default()
-        };
-        let hit = f.apply(&recs);
-        assert_eq!(hit.len(), 1);
-        assert_eq!(hit[0].protocol, "RMAC");
-        assert_eq!(Filter::default().apply(&recs).len(), 2);
-        let f = Filter {
-            rate: Some(40.0),
-            ..Default::default()
-        };
-        assert!(f.apply(&recs).is_empty());
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   the campaign completes (see [`crate::query`]).
 //!
 //! A case record ingests the replication's `RunReport`, the conformance
-//! verdict, and (when the spec asks for it) the `rmac-obs` registry
-//! counters and histogram summaries.
+//! verdict, and (when the spec asks for it) the obs report's end-of-run
+//! counters.
 
 use crate::spec::CaseSpec;
 use rmac_check::CheckReport;
@@ -63,12 +63,9 @@ pub struct CaseRecord {
     pub mrts_len_max: f64,
     pub fault_crashes: u64,
     pub fault_jam_bursts: u64,
-    /// Registry counters `(name, value)` sorted by name; empty when the
-    /// spec ran without obs.
+    /// The obs report's counters `(name, value)` sorted by name; empty
+    /// when the spec ran without obs.
     pub obs_counters: Vec<(String, u64)>,
-    /// Registry histogram summaries `(name, count, p50, p95)` sorted by
-    /// name; empty without obs.
-    pub obs_hists: Vec<(String, u64, u64, u64)>,
 }
 
 impl CaseRecord {
@@ -79,22 +76,12 @@ impl CaseRecord {
         obs: Option<&ObsReport>,
         check: &CheckReport,
     ) -> CaseRecord {
-        let mut obs_counters: Vec<(String, u64)> = Vec::new();
-        let mut obs_hists: Vec<(String, u64, u64, u64)> = Vec::new();
-        if let Some(o) = obs {
-            obs_counters = o
-                .registry
-                .counters()
-                .map(|(n, v)| (n.to_string(), v))
-                .collect();
-            obs_counters.sort();
-            obs_hists = o
-                .registry
-                .hists()
-                .map(|(n, h)| (n.to_string(), h.count(), h.quantile(0.50), h.quantile(0.95)))
-                .collect();
-            obs_hists.sort();
-        }
+        let mut obs_counters: Vec<(String, u64)> = obs
+            .iter()
+            .flat_map(|o| &o.counters)
+            .map(|&(n, v)| (n.to_string(), v))
+            .collect();
+        obs_counters.sort();
         CaseRecord {
             key: case.key(),
             protocol: report.protocol.clone(),
@@ -129,7 +116,6 @@ impl CaseRecord {
             fault_crashes: report.fault_crashes,
             fault_jam_bursts: report.fault_jam_bursts,
             obs_counters,
-            obs_hists,
         }
     }
 
@@ -176,33 +162,21 @@ impl CaseRecord {
             self.fault_crashes,
             self.fault_jam_bursts,
         );
-        if !self.obs_counters.is_empty() || !self.obs_hists.is_empty() {
+        if !self.obs_counters.is_empty() {
             let counters = self
                 .obs_counters
                 .iter()
                 .map(|(n, v)| format!("\"{}\":{}", escape(n), v))
                 .collect::<Vec<_>>()
                 .join(",");
-            let hists = self
-                .obs_hists
-                .iter()
-                .map(|(n, c, p50, p95)| {
-                    format!(
-                        "\"{}\":{{\"count\":{c},\"p50\":{p50},\"p95\":{p95}}}",
-                        escape(n)
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(",");
-            s.push_str(&format!(
-                ",\"obs_counters\":{{{counters}}},\"obs_hists\":{{{hists}}}"
-            ));
+            s.push_str(&format!(",\"obs_counters\":{{{counters}}}"));
         }
         s.push('}');
         s
     }
 
-    /// Parse a line written by [`CaseRecord::to_jsonl`].
+    /// Parse a line written by [`CaseRecord::to_jsonl`]. Keys it does not
+    /// name are ignored, so lines from before a key was dropped still load.
     pub fn from_jsonl(line: &str) -> Result<CaseRecord, String> {
         let v = Json::parse(line).map_err(|e| format!("case record: {e}"))?;
         let (f, u) = (|key| v.num(key), |key| v.uint(key));
@@ -214,12 +188,6 @@ impl CaseRecord {
                     k.clone(),
                     val.as_u64().ok_or("obs counter must be an integer")?,
                 ));
-            }
-        }
-        let mut obs_hists: Vec<(String, u64, u64, u64)> = Vec::new();
-        if let Some(Json::Obj(fields)) = v.get("obs_hists") {
-            for (k, h) in fields {
-                obs_hists.push((k.clone(), h.uint("count")?, h.uint("p50")?, h.uint("p95")?));
             }
         }
         Ok(CaseRecord {
@@ -252,7 +220,6 @@ impl CaseRecord {
             fault_crashes: u("fault_crashes")?,
             fault_jam_bursts: u("fault_jam_bursts")?,
             obs_counters,
-            obs_hists,
         })
     }
 }
@@ -292,7 +259,6 @@ mod tests {
             fault_crashes: 2,
             fault_jam_bursts: 7,
             obs_counters: vec![("queue.pushed".into(), 42)],
-            obs_hists: vec![("delay_us".into(), 10, 500, 900)],
         }
     }
 
@@ -308,10 +274,17 @@ mod tests {
     fn record_without_obs_omits_the_sections() {
         let mut r = record();
         r.obs_counters.clear();
-        r.obs_hists.clear();
         let line = r.to_jsonl();
         assert!(!line.contains("obs_counters"));
         assert_eq!(CaseRecord::from_jsonl(&line).expect("parse"), r);
+    }
+
+    #[test]
+    fn a_line_from_before_obs_hists_was_dropped_still_loads() {
+        let r = record();
+        let line = r.to_jsonl();
+        let old = format!("{},\"obs_hists\":{{}}}}", line.strip_suffix('}').unwrap());
+        assert_eq!(CaseRecord::from_jsonl(&old).expect("parse"), r);
     }
 
     #[test]

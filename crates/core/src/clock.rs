@@ -1,12 +1,12 @@
-//! Clock abstraction: one notion of "now" for sim-time and wall-time.
+//! MAC-layer time from a wall clock.
 //!
 //! The RMAC state machine reasons in [`SimTime`] exclusively — timers of
 //! 2τ + λ, 20 µs backoff slots, 17 µs ABT reply windows. Inside the
-//! discrete-event simulator that is the event queue's virtual clock; on a
-//! live transport (rmac-live) it has to be *derived from* a monotonic
-//! wall clock instead. [`Clock`] is the small shared contract, and
-//! [`WallClock`] the wall-time implementation: a monotonic origin plus a
-//! time-scale factor mapping MAC nanoseconds to wall nanoseconds.
+//! discrete-event simulator (and `rmac-live`'s loopback runner) that is
+//! the event queue's virtual clock; on a real transport (`rmac-live`'s UDP
+//! driver) it has to be *derived from* a monotonic wall clock instead.
+//! [`WallClock`] does that: a monotonic origin plus a time-scale factor
+//! mapping MAC nanoseconds to wall nanoseconds.
 //!
 //! Why a scale factor? RMAC's constants assume a 2 Mb/s radio with λ-window
 //! tone detection margins of ±2 µs — far below realistic scheduling and
@@ -20,49 +20,6 @@
 use std::time::{Duration, Instant};
 
 use rmac_sim::SimTime;
-
-/// A monotonic source of MAC-layer time.
-///
-/// Implementations must be monotone non-decreasing; nothing else is
-/// assumed. The sim backend reads the event queue's virtual clock, the
-/// live backend scales a monotonic OS clock.
-pub trait Clock {
-    /// The current MAC-layer time.
-    fn now(&self) -> SimTime;
-}
-
-/// A manually advanced clock (the sim-time implementation).
-///
-/// The loopback runner in `rmac-live` owns one and moves it to each event
-/// timestamp in order, exactly like the event queue advances the
-/// simulator's clock on every pop.
-#[derive(Debug, Default)]
-pub struct ManualClock {
-    now: std::cell::Cell<SimTime>,
-}
-
-impl ManualClock {
-    /// A clock positioned at time zero.
-    pub fn new() -> ManualClock {
-        ManualClock::default()
-    }
-
-    /// Advance to `t`. Moving backwards is a driver bug.
-    pub fn advance_to(&self, t: SimTime) {
-        debug_assert!(
-            t >= self.now.get(),
-            "clock regression: {t} < {}",
-            self.now.get()
-        );
-        self.now.set(self.now.get().max(t));
-    }
-}
-
-impl Clock for ManualClock {
-    fn now(&self) -> SimTime {
-        self.now.get()
-    }
-}
 
 /// Wall-time MAC clock: `now() = (monotonic elapsed since origin) / scale`.
 #[derive(Debug, Clone)]
@@ -79,6 +36,12 @@ impl WallClock {
             origin: Instant::now(),
             scale: scale.max(1),
         }
+    }
+
+    /// The current MAC-layer time (monotone non-decreasing).
+    pub fn now(&self) -> SimTime {
+        let wall_ns = self.origin.elapsed().as_nanos();
+        SimTime::from_nanos((wall_ns / self.scale as u128).min(u64::MAX as u128) as u64)
     }
 
     /// The configured wall-per-MAC time scale.
@@ -99,36 +62,9 @@ impl WallClock {
     }
 }
 
-impl Clock for WallClock {
-    fn now(&self) -> SimTime {
-        let wall_ns = self.origin.elapsed().as_nanos();
-        SimTime::from_nanos((wall_ns / self.scale as u128).min(u64::MAX as u128) as u64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn manual_clock_advances() {
-        let c = ManualClock::new();
-        assert_eq!(c.now(), SimTime::ZERO);
-        c.advance_to(SimTime::from_micros(17));
-        assert_eq!(c.now(), SimTime::from_micros(17));
-        // Equal time is fine (events at the same instant).
-        c.advance_to(SimTime::from_micros(17));
-        assert_eq!(c.now(), SimTime::from_micros(17));
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "clock regression")]
-    fn manual_clock_rejects_regression() {
-        let c = ManualClock::new();
-        c.advance_to(SimTime::from_micros(10));
-        c.advance_to(SimTime::from_micros(5));
-    }
 
     #[test]
     fn wall_clock_is_monotone_and_scaled() {

@@ -30,6 +30,6 @@ pub mod sendq;
 pub mod testkit;
 
 pub use api::{MacContext, MacCounters, MacService, TimerKind, TxOutcome, TxRequest};
-pub use clock::{Clock, ManualClock, WallClock};
+pub use clock::WallClock;
 pub use config::MacConfig;
 pub use rmac::{Rmac, State};

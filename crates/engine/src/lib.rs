@@ -34,8 +34,5 @@ pub use run::{
     run_replication_sharded_checked, Reference, Run, RunOutput, ShardedRunner,
 };
 pub use shard::{GroupStats, ShardStats};
-pub use trace::{
-    filter_tracer, jsonl_file_tracer, JsonlSink, SinkSummary, TraceEvent, TraceLevel, TraceWhat,
-    Tracer,
-};
+pub use trace::{filter_tracer, JsonlSink, SinkSummary, TraceEvent, TraceLevel, TraceWhat, Tracer};
 pub use world::Runner;

@@ -39,8 +39,8 @@ pub struct Run {
 }
 
 /// What [`Runner::assemble`] builds a world from: the part of a [`Run`]
-/// every shard group shares (the tracer is not `Sync` and goes to one
-/// group or to the trace merge).
+/// every shard group shares (the tracer is not `Sync` and goes to the one
+/// runner that carries it).
 pub(crate) struct Spec {
     /// Shared, not copied, into every runner assembled from this spec.
     pub(crate) cfg: Arc<ScenarioConfig>,
@@ -117,9 +117,9 @@ impl Run {
     }
 
     /// Attach the deep instrumentation layer ([`crate::obs`]); `None`
-    /// leaves it detached. A sharded run carries it on the single
-    /// all-shards group (like mobility and BER, it forgoes the parallel
-    /// decomposition).
+    /// leaves it detached. It observes global event order, so a sharded
+    /// run carries it on the single all-shards group (like mobility and
+    /// BER, it forgoes the parallel decomposition).
     pub fn obs(mut self, cfg: impl Into<Option<ObsConfig>>) -> Run {
         self.spec.obs = cfg.into();
         self
@@ -133,9 +133,10 @@ impl Run {
     }
 
     /// Attach an observer that sees every PHY indication, submission and
-    /// delivery in dispatch order. A multi-group sharded run buffers each
-    /// group's emissions and replays them in the serial engine's order, so
-    /// traces are byte-stable at any shard count.
+    /// delivery in dispatch order. Like [`Run::obs`] it observes global
+    /// event order, so a sharded run carries it on the single all-shards
+    /// group — whose dispatch order is the serial engine's, which makes
+    /// traces byte-identical at any shard count by construction.
     pub fn tracer(mut self, tracer: Tracer) -> Run {
         self.tracer = Some(tracer);
         self

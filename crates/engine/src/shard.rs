@@ -27,15 +27,17 @@
 //!
 //! Scenarios where causal closure cannot be proven cheaply fall back to a
 //! single group: mobility (nodes roam the whole plane) or a positive BER
-//! (the channel-noise draws are globally sequenced). Attached engine obs
-//! falls back the same way (its kernel profile and snapshot series describe
-//! one event loop). The single all-shards group is the serial run itself,
-//! reading its beacon fires from the timetable instead of the live
-//! scheduler stream. An attached tracer is *not* a
-//! fallback: each traced group buffers its emissions with a per-dispatch
-//! log, and [`merge_traces`] interleaves the buffers back into the
-//! oracle's global `(time, seq)` order before the user's tracer sees them
-//! (byte-identical JSONL, pinned by `tests/golden_traces.rs`).
+//! (the channel-noise draws are globally sequenced). So does whatever
+//! observes *global event order* — attached engine obs (its kernel profile
+//! and snapshot series describe one event loop) and an attached tracer
+//! (among radio-isolated groups the serial tie-break at equal timestamps
+//! is push order, which no group can know of another). The single
+//! all-shards group is the serial run itself, reading its beacon fires
+//! from the timetable instead of the live scheduler stream, so a traced
+//! run's JSONL is the serial engine's at any shard count by construction
+//! (`tests/golden_traces.rs` holds it to that). The checker composes per
+//! group instead ([`merge_checks`]): its invariants are local to a node
+//! and its radio neighbourhood.
 //!
 //! Per-group results merge back losslessly: per-node state is taken from
 //! each node's owner group in global node order (float accumulation order
@@ -48,19 +50,14 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 
 use rmac_check::CheckReport;
-use rmac_faults::FaultPlan;
 use rmac_mobility::{MobilityKind, Pos};
 use rmac_obs::ObsReport;
 use rmac_phy::FrameTallies;
 use rmac_sim::{CalendarQueue, EventQueue, SimQueue, SimRng, SimTime};
 
-use crate::config::ScenarioConfig;
 use crate::run::{RunOutput, Spec};
-use crate::trace::{TraceEvent, Tracer};
-use crate::world::{
-    build_motions, seed_slots, BeaconPlan, DispatchLog, DispatchRec, Harvest, Runner, Scope,
-    BEACON_JITTER_NS,
-};
+use crate::trace::Tracer;
+use crate::world::{build_motions, BeaconPlan, Harvest, Runner, Scope, BEACON_JITTER_NS};
 
 /// Guard margin on the radio range when testing whether two stripes are
 /// coupled. Coupling strictly more than the channel does is always safe
@@ -248,14 +245,6 @@ pub struct GroupStats {
     pub wall_ns: u64,
 }
 
-/// A shard group's buffered trace: every event the group emitted (in the
-/// group's own dispatch order) plus the per-dispatch log that lets the
-/// merge interleave buffers back into the oracle's global order.
-struct TraceCapture {
-    events: Vec<TraceEvent>,
-    log: Vec<DispatchRec>,
-}
-
 /// Result of one shard group's run.
 struct GroupRun {
     harvest: Harvest,
@@ -263,7 +252,6 @@ struct GroupRun {
     /// Attached obs forces a single group, so at most one run carries it.
     obs: Option<ObsReport>,
     wall_ns: u64,
-    trace: Option<TraceCapture>,
 }
 
 /// Run `spec` on the sharded engine, `spec.cfg.shards` stripes wide.
@@ -279,13 +267,12 @@ pub(crate) fn execute(spec: &Spec, tracer: Option<Tracer>) -> RunOutput {
     // Causal closure is only provable for frozen geometry and a noise-
     // free channel: mobility lets nodes roam across stripes, and a
     // positive BER sequences the shared channel-noise stream over all
-    // receptions. Engine obs profiles one event loop, so it takes the
-    // single group too. An attached tracer does not: multi-group runs
-    // buffer per-group emissions and merge them back into the oracle's
-    // order (see the trace-merge section below).
+    // receptions. Obs and the tracer observe global event order, which
+    // only the single group reproduces.
     let parallel_ok = matches!(spec.cfg.mobility, MobilityKind::Stationary)
         && spec.cfg.ber_per_bit == 0.0
-        && spec.obs.is_none();
+        && spec.obs.is_none()
+        && tracer.is_none();
     let groups: Vec<Vec<usize>> = if parallel_ok {
         coupled_groups(&positions, &map.owner, shards, spec.cfg.range_m)
     } else {
@@ -299,7 +286,7 @@ pub(crate) fn execute(spec: &Spec, tracer: Option<Tracer>) -> RunOutput {
     ));
     let owner = &map.owner;
 
-    let run_group = |group: &[usize], tracer: Option<Tracer>, capture: bool| -> GroupRun {
+    let run_group = |group: &[usize], tracer: Option<Tracer>| -> GroupRun {
         let started = std::time::Instant::now();
         let owned: Vec<bool> = owner.iter().map(|s| group.contains(s)).collect();
         let mut runner: Runner = Runner::assemble(
@@ -311,24 +298,7 @@ pub(crate) fn execute(spec: &Spec, tracer: Option<Tracer>) -> RunOutput {
         if let Some(t) = tracer {
             runner.set_tracer(t);
         }
-        // With multiple traced groups, the group buffers its emissions
-        // and logs each dispatch so the merge below can restore the
-        // oracle's global emission order.
-        let trace = if capture {
-            let buf: Arc<Mutex<Vec<TraceEvent>>> = Arc::default();
-            let sink = Arc::clone(&buf);
-            runner.set_tracer(Box::new(move |e| {
-                sink.lock().expect("trace buffer poisoned").push(e.clone())
-            }));
-            let mut hook = DispatchLog::new(&buf);
-            runner.run_loop(&mut hook);
-            let log = hook.log;
-            let events = std::mem::take(&mut *buf.lock().expect("trace buffer poisoned"));
-            Some(TraceCapture { events, log })
-        } else {
-            runner.run_events();
-            None
-        };
+        runner.run_events();
         let check = runner.finish_check();
         let obs = runner.finish_obs();
         GroupRun {
@@ -336,7 +306,6 @@ pub(crate) fn execute(spec: &Spec, tracer: Option<Tracer>) -> RunOutput {
             check,
             obs,
             wall_ns: started.elapsed().as_nanos() as u64,
-            trace,
         }
     };
 
@@ -349,15 +318,10 @@ pub(crate) fn execute(spec: &Spec, tracer: Option<Tracer>) -> RunOutput {
     let workers = thread::available_parallelism()
         .map_or(1, |n| n.get())
         .min(groups.len());
-    // A single group streams straight into the user's tracer (the
-    // group's dispatch order *is* the oracle's); multiple traced
-    // groups run in capture mode and merge afterwards.
-    let capture = tracer.is_some() && groups.len() > 1;
-    let mut tracer = tracer;
-    let mut results: Vec<GroupRun> = if groups.len() == 1 {
-        vec![run_group(&groups[0], tracer.take(), false)]
+    let results: Vec<GroupRun> = if groups.len() == 1 {
+        vec![run_group(&groups[0], tracer)]
     } else if workers <= 1 {
-        groups.iter().map(|g| run_group(g, None, capture)).collect()
+        groups.iter().map(|g| run_group(g, None)).collect()
     } else {
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<GroupRun>>> = groups.iter().map(|_| Mutex::new(None)).collect();
@@ -367,7 +331,7 @@ pub(crate) fn execute(spec: &Spec, tracer: Option<Tracer>) -> RunOutput {
                     s.spawn(|| loop {
                         let gi = next.fetch_add(1, Ordering::Relaxed);
                         let Some(g) = groups.get(gi) else { break };
-                        let done = run_group(g, None, capture);
+                        let done = run_group(g, None);
                         *slots[gi].lock().expect("slot poisoned") = Some(done);
                     })
                 })
@@ -403,14 +367,6 @@ pub(crate) fn execute(spec: &Spec, tracer: Option<Tracer>) -> RunOutput {
             })
             .collect(),
     };
-    if capture {
-        let tracer = tracer.as_mut().expect("capture without a tracer");
-        let captures: Vec<TraceCapture> = results
-            .iter_mut()
-            .map(|r| r.trace.take().expect("captured group lost its trace"))
-            .collect();
-        merge_traces(tracer, &groups, &map.owner, &spec.cfg, &spec.plan, captures);
-    }
     let mut results = results.into_iter();
     let first = results.next().expect("at least one shard group");
     let mut merged = first.harvest;
@@ -447,81 +403,6 @@ pub(crate) fn execute(spec: &Spec, tracer: Option<Tracer>) -> RunOutput {
         check,
         Some(stats),
     )
-}
-
-/// Interleave per-group trace buffers back into the oracle's global
-/// emission order and replay them through the user's tracer.
-///
-/// The oracle dispatches events in global `(time, seq)` order, where `seq`
-/// is the push counter at push time; each group dispatched its own slice
-/// of that order, tagging every dispatch with the *group-local* push seq
-/// of the popped event ([`DispatchRec`]). The reconstruction recovers each
-/// local seq's global rank by replaying the push arithmetic:
-///
-/// 1. Seed pushes: the oracle seeds in one fixed enumeration
-///    ([`seed_slots`]) and a scoped group seeds exactly its owned slots in
-///    the same relative order, so a group's k-th seed push has the global
-///    rank of the k-th owned slot in the enumeration.
-/// 2. Dispatch pushes: within one dispatch the group performs the same
-///    pushes as the oracle (causal closure keeps every push in-group), so
-///    walking dispatches in global order and handing out consecutive
-///    global ranks to each dispatch's pushes reproduces the oracle's
-///    assignment exactly.
-///
-/// The walk itself is the standard k-way merge: repeatedly take the group
-/// whose next dispatch record has the smallest `(time, global rank)` key.
-/// A popped event's rank is always already assigned when its record
-/// reaches the head — its push belongs to an earlier record of the same
-/// group (or to the seeds), and records within a group are consumed in
-/// order.
-fn merge_traces(
-    tracer: &mut Tracer,
-    groups: &[Vec<usize>],
-    owner: &[usize],
-    cfg: &ScenarioConfig,
-    plan: &FaultPlan,
-    captures: Vec<TraceCapture>,
-) {
-    // shard id -> group index (groups partition all shards, including
-    // stripes that happen to own no slot).
-    let nshards = groups.iter().flatten().copied().max().map_or(1, |m| m + 1);
-    let mut group_of_shard = vec![usize::MAX; nshards];
-    for (gi, g) in groups.iter().enumerate() {
-        for &s in g {
-            group_of_shard[s] = gi;
-        }
-    }
-    // Per group: local seq -> global rank, seeded from the enumeration.
-    let seeds = seed_slots(cfg, plan);
-    let mut rank_of: Vec<Vec<u64>> = vec![Vec::new(); groups.len()];
-    for (rank, &slot) in seeds.iter().enumerate() {
-        rank_of[group_of_shard[owner[slot]]].push(rank as u64);
-    }
-    let mut next_rank = seeds.len() as u64;
-    let mut cursor = vec![0usize; groups.len()]; // next dispatch record
-    let mut emitted = vec![0usize; groups.len()]; // next buffered trace event
-    loop {
-        let mut best: Option<(SimTime, u64, usize)> = None;
-        for (gi, cap) in captures.iter().enumerate() {
-            if let Some(rec) = cap.log.get(cursor[gi]) {
-                let rank = rank_of[gi][rec.seq as usize];
-                if best.is_none_or(|(bt, br, _)| (rec.t, rank) < (bt, br)) {
-                    best = Some((rec.t, rank, gi));
-                }
-            }
-        }
-        let Some((_, _, gi)) = best else { break };
-        let rec = captures[gi].log[cursor[gi]];
-        cursor[gi] += 1;
-        for _ in 0..rec.pushes {
-            rank_of[gi].push(next_rank);
-            next_rank += 1;
-        }
-        for ev in &captures[gi].events[emitted[gi]..emitted[gi] + rec.traces as usize] {
-            tracer(ev);
-        }
-        emitted[gi] += rec.traces as usize;
-    }
 }
 
 fn add_tallies(into: &mut FrameTallies, from: &FrameTallies) {
@@ -563,7 +444,7 @@ fn merge_checks(reports: Vec<CheckReport>) -> CheckReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_replication, Protocol, ShardedRunner};
+    use crate::{run_replication, Protocol, ScenarioConfig, ShardedRunner};
 
     #[test]
     fn stripes_partition_by_x() {

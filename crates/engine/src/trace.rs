@@ -8,8 +8,7 @@
 //!
 //! # JSONL schema
 //!
-//! [`JsonlSink`] (and the [`jsonl_file_tracer`] convenience wrapper) write
-//! one JSON object per line. Every line carries `"t_ns"` (simulation time
+//! [`JsonlSink`] writes one JSON object per line. Every line carries `"t_ns"` (simulation time
 //! in nanoseconds, integer) and `"node"` (node id, integer), plus an
 //! `"ev"` discriminator and its payload:
 //!
@@ -298,15 +297,6 @@ impl JsonlSink {
             dropped: self.dropped(),
         })
     }
-}
-
-/// A [`Tracer`] that appends one JSON object per event to `path`
-/// (JSON-lines). The writer is buffered; it flushes when the runner drops
-/// the tracer at the end of the run. Use [`JsonlSink`] directly when you
-/// need to check for dropped writes — this wrapper keeps the drop counter
-/// but gives you no way to read it.
-pub fn jsonl_file_tracer(path: impl AsRef<Path>) -> io::Result<Tracer> {
-    Ok(JsonlSink::create(path)?.tracer())
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@ use rmac_faults::{ChurnKind, FaultInjector, FaultPlan, JamTarget};
 use rmac_metrics::{percentile, RunReport};
 use rmac_mobility::{random_positions, MobilityKind, Motion, Pos};
 use rmac_net::{BlessConfig, NetLayer};
-use rmac_obs::{frame_kind_index, ObsReport, Registry, Snapshot};
+use rmac_obs::{frame_kind_index, ObsReport, Snapshot};
 use rmac_phy::FrameTallies;
 use rmac_phy::{Channel, ChannelConfig, IndexMode, Indication, PhyEvent, Tone, ToneLog};
 use rmac_sim::{CalendarQueue, SimQueue, SimRng, SimTime};
@@ -341,7 +341,7 @@ pub struct Runner<Q: SimQueue<Ev> = CalendarQueue<Ev>> {
 /// `before` once an event is popped (the clock already stands at `t`) and
 /// `after` once it has dispatched, handing `before`'s mark across. The
 /// loop is monomorphised per hook, so [`Detached`] costs nothing.
-pub(crate) trait LoopHook<Q: SimQueue<Ev>> {
+trait LoopHook<Q: SimQueue<Ev>> {
     /// What `before` hands to `after` across one dispatch.
     type Mark;
     fn before(&mut self, world: &mut Runner<Q>, t: SimTime, ev: &Ev) -> Self::Mark;
@@ -405,90 +405,10 @@ impl<Q: SimQueue<Ev>> LoopHook<Q> for Observed {
     }
 }
 
-/// The per-dispatch log of a shard group whose trace must later be
-/// interleaved back into the oracle's global emission order (DESIGN.md
-/// §10). For every dispatched event it records the popped `(time, local
-/// seq)` key, how many pushes the dispatch made, and how many trace events
-/// it appended to `buf` (the group's buffering tracer sink). The
-/// trace-merge reconstruction in [`crate::shard`] replays these logs
-/// against the seeding enumeration ([`seed_slots`]) to recover each
-/// event's oracle sequence number.
-pub(crate) struct DispatchLog<'a> {
-    buf: &'a std::sync::Mutex<Vec<TraceEvent>>,
-    pub(crate) log: Vec<DispatchRec>,
-    /// Trace events already attributed to earlier dispatches.
-    traced: u32,
-}
-
-impl<'a> DispatchLog<'a> {
-    pub(crate) fn new(buf: &'a std::sync::Mutex<Vec<TraceEvent>>) -> DispatchLog<'a> {
-        DispatchLog {
-            buf,
-            log: Vec::new(),
-            traced: 0,
-        }
-    }
-}
-
-impl LoopHook<CalendarQueue<Ev>> for DispatchLog<'_> {
-    /// The popped event's `(time, local seq)` key and the push count
-    /// before its dispatch.
-    type Mark = (SimTime, u64, u64);
-
-    fn before(&mut self, world: &mut Runner, t: SimTime, _: &Ev) -> Self::Mark {
-        (t, world.core.q.popped_seq(), world.core.q.total_pushed())
-    }
-
-    fn after(&mut self, world: &mut Runner, (t, seq, pushed_before): Self::Mark) {
-        let traced_now = self.buf.lock().expect("trace buffer poisoned").len() as u32;
-        self.log.push(DispatchRec {
-            t,
-            seq,
-            pushes: (world.core.q.total_pushed() - pushed_before) as u32,
-            traces: traced_now - self.traced,
-        });
-        self.traced = traced_now;
-    }
-}
-
-/// One dispatched event in a shard group's log (see [`DispatchLog`]).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct DispatchRec {
-    /// Dispatch time (the popped event's timestamp).
-    pub(crate) t: SimTime,
-    /// The popped event's group-local tie-break sequence number.
-    pub(crate) seq: u64,
-    /// Pushes the dispatch made (each gets the next local seq, in order).
-    pub(crate) pushes: u32,
-    /// Trace events the dispatch emitted into the group's buffer.
-    pub(crate) traces: u32,
-}
-
-/// The channel slot of every seed push, in the oracle's seeding order:
-/// beacons for nodes `0..nodes`, the source (slot 0), then per crash-churn
-/// entry a down/up pair, then one `JamOn` per jammer. Mirrors
-/// [`Runner::run_loop`]'s seeding (`seed_events`) exactly — the trace
-/// merge uses it to assign oracle sequence numbers to each group's seed
-/// pushes, so the two enumerations must never drift apart.
-pub(crate) fn seed_slots(cfg: &ScenarioConfig, plan: &FaultPlan) -> Vec<usize> {
-    let mut slots: Vec<usize> = (0..cfg.nodes).collect();
-    slots.push(0); // Ev::Source is pinned to node 0.
-    for c in &plan.churn {
-        if matches!(c.kind, ChurnKind::Crash) && (c.node as usize) < cfg.nodes {
-            slots.push(c.node as usize); // NodeDown
-            slots.push(c.node as usize); // NodeUp
-        }
-    }
-    for j in 0..plan.jammers.len() {
-        slots.push(cfg.nodes + j);
-    }
-    slots
-}
-
 impl<Q: SimQueue<Ev>> Runner<Q> {
     /// Assemble the replication `spec` describes — node stacks, RNG streams,
-    /// fault runtime and the obs/checker attachments (the tracer stays with
-    /// the caller: a sharded run hands it to one group or to the merge).
+    /// fault runtime and the obs/checker attachments (the tracer is not
+    /// `Sync`; the caller sets it on the one runner that carries it).
     /// Shared by the serial engine and the sharded engine's per-group
     /// runners, so both derive identical worlds; they differ in the queue
     /// (built by `make_q` from the pre-sizing capacity), the owned-slot
@@ -697,7 +617,6 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
     /// then the fault plan's scheduled actions. A scoped (shard group)
     /// runner seeds only its owned slots, in the same global enumeration
     /// order — the restriction of the oracle's seeding to the group.
-    /// [`seed_slots`] mirrors this enumeration; keep the two in lockstep.
     fn seed_events(&mut self) {
         // Stagger the first beacons uniformly over one period so the
         // network does not start in lockstep, with a shard group's stagger
@@ -763,7 +682,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
 
     /// The event loop: seed, then pop and dispatch everything due by the
     /// end of the scenario, with `hook` around every dispatch.
-    pub(crate) fn run_loop<H: LoopHook<Q>>(&mut self, hook: &mut H) {
+    fn run_loop<H: LoopHook<Q>>(&mut self, hook: &mut H) {
         self.seed_events();
         let end = self.cfg.end_time();
         // Fused head-check + pop: one key comparison per event decides
@@ -1210,43 +1129,33 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 obs.nodes[i].transitions = matrix;
             }
         }
-        let mut reg = Registry::new();
-        let counter = |reg: &mut Registry, name, v| {
-            let id = reg.counter(name);
-            reg.add(id, v);
-        };
-        let gauge = |reg: &mut Registry, name, v| {
-            let id = reg.gauge(name);
-            reg.set(id, v);
-        };
-        counter(&mut reg, "engine.events_popped", self.core.q.total_popped());
-        counter(&mut reg, "engine.events_pushed", self.core.q.total_pushed());
-        gauge(
-            &mut reg,
-            "queue.depth_high_water",
-            self.core.q.depth_high_water() as u64,
-        );
-        gauge(&mut reg, "queue.capacity", self.core.q.capacity() as u64);
         let phy = self.core.channel.obs_stats();
-        counter(&mut reg, "phy.pool_hits", phy.pool_hits);
-        counter(&mut reg, "phy.pool_misses", phy.pool_misses);
+        let mut counters = vec![
+            ("engine.events_popped", self.core.q.total_popped()),
+            ("engine.events_pushed", self.core.q.total_pushed()),
+            ("phy.pool_hits", phy.pool_hits),
+            ("phy.pool_misses", phy.pool_misses),
+        ];
         if let Some(grid) = phy.grid {
-            counter(&mut reg, "grid.refreshes", grid.refreshes);
-            counter(&mut reg, "grid.rebuckets", grid.rebuckets);
+            counters.push(("grid.refreshes", grid.refreshes));
+            counters.push(("grid.rebuckets", grid.rebuckets));
         }
-        counter(&mut reg, "fault.frames_corrupted", phy.faults_injected);
-        counter(
-            &mut reg,
-            "fault.crashes",
-            self.faults.as_ref().map_or(0, |f| f.crashes),
-        );
-        counter(
-            &mut reg,
-            "fault.jam_bursts",
-            self.faults.as_ref().map_or(0, |f| f.jam_bursts),
-        );
+        let faults = self.faults.as_ref();
+        counters.extend([
+            ("fault.frames_corrupted", phy.faults_injected),
+            ("fault.crashes", faults.map_or(0, |f| f.crashes)),
+            ("fault.jam_bursts", faults.map_or(0, |f| f.jam_bursts)),
+        ]);
+        let gauges = vec![
+            (
+                "queue.depth_high_water",
+                self.core.q.depth_high_water() as u64,
+            ),
+            ("queue.capacity", self.core.q.capacity() as u64),
+        ];
         Some(ObsReport {
-            registry: reg,
+            counters,
+            gauges,
             kernel: obs.kernel,
             timer_labels: &TIMER_LABELS,
             transition_labels,

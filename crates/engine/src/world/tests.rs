@@ -348,19 +348,21 @@ fn rbt_jammer_forces_mrts_aborts_nearby() {
 
 #[test]
 fn jsonl_tracer_writes_one_object_per_event() {
-    use crate::trace::jsonl_file_tracer;
-
     let path = std::env::temp_dir().join("rmac_trace_test.jsonl");
     let cfg = tiny(20.0, 4, 3);
+    let sink = crate::JsonlSink::create(&path).expect("create sink");
     let report = Run::new(&cfg, Protocol::Rmac, 2)
-        .tracer(jsonl_file_tracer(&path).expect("create sink"))
+        .tracer(sink.tracer())
         .execute()
         .report;
     assert!(report.receptions > 0);
+    let summary = sink.finish().expect("flush trace");
+    assert_eq!(summary.dropped, 0);
 
     let text = std::fs::read_to_string(&path).expect("trace file written");
     let _ = std::fs::remove_file(&path);
-    assert!(text.lines().count() > 10, "trace has events");
+    assert!(summary.written > 10, "trace has events");
+    assert_eq!(text.lines().count() as u64, summary.written);
     for line in text.lines() {
         assert!(
             line.starts_with("{\"t_ns\":") && line.ends_with('}'),

@@ -9,14 +9,13 @@
 //!
 //! With no argument, picks the first existing default campaign directory
 //! (`results/campaigns/paper-figures`, then `paper-figures-quick`, then
-//! `gate/scratch`). The live-soak tile is read from
-//! `results/BENCH_live.json`. Exits 1 when the store cannot be read or a
-//! dashboard or figure file cannot be written.
+//! `gate/scratch`). Exits 1 when the store cannot be read or a dashboard
+//! or figure file cannot be written.
 
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
-use rmac_campaign::{load_store, render_ascii, render_html, summarize, BenchDocs, CampaignSpec};
+use rmac_campaign::{load_store, render_ascii, render_html, summarize, CampaignSpec};
 use rmac_experiments::figures;
 
 fn report(dir: &Path) -> Result<(), String> {
@@ -28,11 +27,10 @@ fn report(dir: &Path) -> Result<(), String> {
         .map_err(|e| format!("{}: {e}", manifest.display()))?
         .name;
     let rows = summarize(&records);
-    let benches = BenchDocs::load(Path::new("results"));
 
-    print!("{}", render_ascii(&rows, &benches));
+    print!("{}", render_ascii(&rows));
     let html_path = dir.join("dashboard.html");
-    std::fs::write(&html_path, render_html(&name, &rows, &benches))
+    std::fs::write(&html_path, render_html(&name, &rows))
         .map_err(|e| format!("write {}: {e}", html_path.display()))?;
     println!(
         "\n{} records, {} grid points; dashboard: {}\n",

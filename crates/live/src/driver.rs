@@ -47,11 +47,6 @@ impl<T: Transport> Driver<T> {
         &self.transport
     }
 
-    /// Mutable transport access (peer learning, handshakes).
-    pub fn transport_mut(&mut self) -> &mut T {
-        &mut self.transport
-    }
-
     /// Submit an upper-layer transmit request at the current transport
     /// time and send whatever the MAC emitted.
     pub fn submit(&mut self, req: TxRequest) -> Result<(), TransportError> {

@@ -166,7 +166,6 @@ struct LiveCtx {
     delivered: Vec<(SimTime, Frame)>,
     outcomes: Vec<(u64, TxOutcome)>,
     stats: LiveStats,
-    trace: bool,
 }
 
 impl LiveCtx {
@@ -209,14 +208,6 @@ impl LiveCtx {
 
     /// Aggregate tone presence: a peer raised or lowered `tone` towards us.
     fn tone_edge(&mut self, peer: NodeId, tone: Tone, on: bool) {
-        if self.trace {
-            eprintln!(
-                "[{}] {:?} tone_edge {tone:?} from {peer:?} on={on} set={:?}",
-                self.now.nanos(),
-                self.id,
-                self.tone_in[tone.idx()]
-            );
-        }
         let set = &mut self.tone_in[tone.idx()];
         let was = !set.is_empty();
         if on {
@@ -249,16 +240,6 @@ impl MacContext for LiveCtx {
 
     fn start_tx(&mut self, frame: Frame) {
         debug_assert!(self.cur_tx.is_none(), "start_tx while transmitting");
-        if self.trace {
-            eprintln!(
-                "[{}] {:?} start_tx {:?} dest={:?} airtime={}",
-                self.now.nanos(),
-                self.id,
-                frame.kind,
-                frame.dest,
-                frame.airtime().nanos()
-            );
-        }
         // Half-duplex: our own signal swamps whatever we were receiving,
         // exactly as the simulator's channel dooms a reception at a node
         // that starts transmitting mid-frame.
@@ -330,14 +311,6 @@ impl MacContext for LiveCtx {
     }
 
     fn open_tone_watch(&mut self, tone: Tone) {
-        if self.trace {
-            eprintln!(
-                "[{}] {:?} open_watch {tone:?} initial={}",
-                self.now.nanos(),
-                self.id,
-                self.tone_present(tone)
-            );
-        }
         self.watch[tone.idx()] = Some(Watch {
             start: self.now,
             initial_on: self.tone_present(tone),
@@ -346,15 +319,6 @@ impl MacContext for LiveCtx {
     }
 
     fn close_tone_watch(&mut self, tone: Tone) -> ToneLog {
-        if self.trace {
-            let w = self.watch[tone.idx()].as_ref();
-            eprintln!(
-                "[{}] {:?} close_watch {tone:?} {:?}",
-                self.now.nanos(),
-                self.id,
-                w.map(|w| (w.start.nanos(), w.initial_on, &w.edges))
-            );
-        }
         let w = self.watch[tone.idx()].take();
         debug_assert!(w.is_some(), "close without open watch");
         let w = w.unwrap_or(Watch {
@@ -397,8 +361,6 @@ impl MacContext for LiveCtx {
 pub struct LiveNode {
     mac: Rmac,
     ctx: LiveCtx,
-    /// Non-tone control payloads (Hello/Announce/Bye), for the driver.
-    ctrl_inbox: Vec<(SimTime, NodeId, DgramBody)>,
     /// `(src, counter)` of frames retracted by an `Abort` marker whose
     /// reception has not completed yet. Entries are removed when the
     /// matching `RxEnd` fires; stale ones (the frame datagram itself was
@@ -437,9 +399,7 @@ impl LiveNode {
                 delivered: Vec::new(),
                 outcomes: Vec::new(),
                 stats: LiveStats::default(),
-                trace: false,
             },
-            ctrl_inbox: Vec::new(),
             aborted_rx: Vec::new(),
             fired: Vec::new(),
         }
@@ -473,11 +433,6 @@ impl LiveNode {
     /// Earliest pending timer, if any — the driver's next wakeup.
     pub fn next_deadline(&self) -> Option<SimTime> {
         self.ctx.wheel.next_deadline()
-    }
-
-    /// Toggle event tracing to stderr (diagnostics only).
-    pub fn set_trace(&mut self, on: bool) {
-        self.ctx.trace = on;
     }
 
     /// Accept an upper-layer transmit request.
@@ -575,9 +530,11 @@ impl LiveNode {
                 self.ctx.stats.ctrl_rx += 1;
                 self.aborted_rx.push((d.src, counter));
             }
-            other => {
+            // Hello/Announce/Bye: counted and dropped. Nothing reads
+            // session payloads yet, and a buffer with no reader is a peer's
+            // lever on this node's memory.
+            DgramBody::Hello { .. } | DgramBody::Announce { .. } | DgramBody::Bye => {
                 self.ctx.stats.ctrl_rx += 1;
-                self.ctrl_inbox.push((inc.at, d.src, other));
             }
         }
         self.drain_pending();
@@ -678,17 +635,6 @@ impl LiveNode {
                     .map(|pos| self.ctx.collided_rx.swap_remove(pos))
                     .is_some();
                 let ok = ok && !retracted && !collided;
-                if self.ctx.trace {
-                    eprintln!(
-                        "[{}] {:?} rx_end {:?} src={:?} dest={:?} ok={ok} \
-                         (retracted={retracted} collided={collided})",
-                        self.ctx.now.nanos(),
-                        self.ctx.id,
-                        frame.kind,
-                        frame.src,
-                        frame.dest
-                    );
-                }
                 let id = self.ctx.id;
                 self.mac.on_indication(
                     &mut self.ctx,
@@ -733,12 +679,6 @@ impl LiveNode {
     /// Drain finished transmit outcomes `(token, outcome)`.
     pub fn take_outcomes(&mut self) -> Vec<(u64, TxOutcome)> {
         std::mem::take(&mut self.ctx.outcomes)
-    }
-
-    /// Drain non-tone control payloads (Hello/Announce/Bye) for the
-    /// driver's session layer.
-    pub fn take_ctrl(&mut self) -> Vec<(SimTime, NodeId, DgramBody)> {
-        std::mem::take(&mut self.ctrl_inbox)
     }
 }
 
@@ -928,6 +868,29 @@ mod tests {
         assert_eq!(node.next_deadline(), Some(clear + SLOT.mul(2)));
         node.advance(clear + SLOT.mul(2));
         assert_eq!(node.state(), State::Idle, "suspended at the boundary");
+    }
+
+    /// A peer that keeps sending session payloads moves a counter and
+    /// nothing else: no timer, no output, no buffer that grows with it.
+    #[test]
+    fn a_hello_flood_is_counted_and_dropped() {
+        let mut node = LiveNode::new(n(1), LiveConfig::default());
+        for i in 0..10_000u32 {
+            let hello = encode_datagram(&Datagram {
+                src: n(2),
+                counter: i,
+                body: DgramBody::Hello { session: i },
+            });
+            let at = SimTime::from_micros(u64::from(i));
+            node.on_datagram(&incoming(at, DgramChannel::Ctrl, hello));
+        }
+        assert_eq!(node.stats().ctrl_rx, 10_000);
+        assert_eq!(node.stats().decode_errors, 0);
+        assert_eq!(node.next_deadline(), None);
+        assert!(node.take_outbox().is_empty());
+        assert!(node.take_delivered().is_empty());
+        assert!(node.take_outcomes().is_empty());
+        assert!(node.aborted_rx.is_empty() && node.ctx.pending.is_empty());
     }
 
     /// A node's own multicast echo is discarded, not treated as traffic.

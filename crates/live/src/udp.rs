@@ -40,7 +40,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use rmac_core::{Clock, WallClock};
+use rmac_core::WallClock;
 use rmac_sim::SimTime;
 use rmac_wire::{decode_datagram, DgramBody, NodeId};
 

@@ -1,7 +1,6 @@
 //! Statistics and reporting for the evaluation harness.
 //!
-//! * [`stats`] — numerically careful reducers: online mean/variance
-//!   (Welford) and exact percentiles over sample vectors, matching the
+//! * [`stats`] — exact percentiles over sample vectors, matching the
 //!   paper's "average / 99 percentile / maximum" presentation.
 //! * [`report`] — [`report::RunReport`], the record one simulation
 //!   replication produces, with the paper's derived metrics (R_deliv,
@@ -15,5 +14,5 @@ pub mod stats;
 pub mod table;
 
 pub use report::{RunReport, FRAME_KINDS, FRAME_KIND_LABELS};
-pub use stats::{percentile, OnlineStats};
+pub use stats::percentile;
 pub use table::{frame_kind_table, Table};

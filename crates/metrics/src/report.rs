@@ -160,44 +160,6 @@ impl RunReport {
     }
 }
 
-/// Cross-replication dispersion of the headline metrics, reported next to
-/// the averaged point (the paper plots bare means over its ten
-/// placements; the dispersion quantifies how stable those means are).
-#[derive(Clone, Debug, Default)]
-pub struct Dispersion {
-    /// Number of replications pooled.
-    pub n: usize,
-    /// Sample standard deviation of the delivery ratio.
-    pub delivery_sd: f64,
-    /// Sample standard deviation of the mean end-to-end delay (s).
-    pub delay_sd: f64,
-    /// Sample standard deviation of the retransmission ratio.
-    pub retx_sd: f64,
-}
-
-impl RunReport {
-    /// Average with dispersion of the headline metrics across seeds.
-    pub fn average_with_dispersion(reports: &[RunReport]) -> (RunReport, Dispersion) {
-        let avg = RunReport::average(reports);
-        let sd = |f: &dyn Fn(&RunReport) -> f64| {
-            let n = reports.len() as f64;
-            if reports.len() < 2 {
-                return 0.0;
-            }
-            let mean = reports.iter().map(f).sum::<f64>() / n;
-            let var = reports.iter().map(|r| (f(r) - mean).powi(2)).sum::<f64>() / (n - 1.0);
-            var.sqrt()
-        };
-        let d = Dispersion {
-            n: reports.len(),
-            delivery_sd: sd(&|r: &RunReport| r.delivery_ratio()),
-            delay_sd: sd(&|r: &RunReport| r.e2e_delay_avg_s),
-            retx_sd: sd(&|r: &RunReport| r.retx_ratio_avg),
-        };
-        (avg, d)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,29 +215,5 @@ mod tests {
         assert_eq!(avg.rx_frames_corrupt[8], 2);
         assert_eq!(avg.tx_aborted, 3);
         assert_eq!(avg.tx_frames[1..].iter().sum::<u64>(), 0);
-    }
-
-    #[test]
-    fn dispersion_of_identical_reports_is_zero() {
-        let a = report(70, 74, 0.1);
-        let (_, d) = RunReport::average_with_dispersion(&[a.clone(), a]);
-        assert_eq!(d.n, 2);
-        assert_eq!(d.delivery_sd, 0.0);
-        assert_eq!(d.retx_sd, 0.0);
-    }
-
-    #[test]
-    fn dispersion_measures_spread() {
-        let a = report(60, 74, 0.0);
-        let b = report(74, 74, 0.0);
-        let (_, d) = RunReport::average_with_dispersion(&[a, b]);
-        assert!(d.delivery_sd > 0.1, "{}", d.delivery_sd);
-    }
-
-    #[test]
-    fn single_report_has_zero_dispersion() {
-        let (_, d) = RunReport::average_with_dispersion(&[report(74, 74, 0.0)]);
-        assert_eq!(d.n, 1);
-        assert_eq!(d.delivery_sd, 0.0);
     }
 }

@@ -1,85 +1,5 @@
 //! Statistical reducers.
 
-/// Online mean/variance accumulator (Welford's algorithm). Numerically
-/// stable for long runs of samples of wildly different magnitudes.
-#[derive(Clone, Debug, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// An empty accumulator.
-    pub fn new() -> OnlineStats {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Add one sample.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// The sample mean (0 for an empty accumulator).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 for fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Largest sample (0 for empty).
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Smallest sample (0 for empty).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-}
-
 /// The `p`-th percentile (0 < p ≤ 100) of `samples` using the
 /// nearest-rank method: the smallest value such that at least `p` percent
 /// of samples are ≤ it. Returns 0 for an empty slice.
@@ -111,46 +31,6 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_stats_basic() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn empty_stats_are_zero() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.max(), 0.0);
-        assert_eq!(s.min(), 0.0);
-    }
-
-    #[test]
-    fn single_sample() {
-        let mut s = OnlineStats::new();
-        s.push(3.5);
-        assert_eq!(s.mean(), 3.5);
-        assert_eq!(s.variance(), 0.0);
-    }
-
-    #[test]
-    fn welford_is_stable_for_offset_data() {
-        // Naive two-pass sum-of-squares would lose precision here.
-        let mut s = OnlineStats::new();
-        for i in 0..1000 {
-            s.push(1e9 + (i % 10) as f64);
-        }
-        assert!((s.variance() - 8.25).abs() < 1e-3, "{}", s.variance());
-    }
 
     #[test]
     fn percentile_nearest_rank() {

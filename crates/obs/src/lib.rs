@@ -5,8 +5,9 @@
 //!
 //! 1. **~Zero cost when off.** Disabled instrumentation is an `Option`
 //!    check (or nothing at all) on the hot path; no allocation, no
-//!    hashing, no I/O. The `obs_overhead` bench and
-//!    `results/BENCH_obs.json` track this.
+//!    hashing, no I/O. `benchmark/` tracks this: its end-to-end numbers
+//!    come from detached runs and `obs.trace_overhead_frac` is the
+//!    attached cost beside them.
 //! 2. **Never perturbs results when on.** Instrumentation only *observes*
 //!    deterministic simulation state; it draws from no RNG stream and
 //!    schedules no events. Wall-clock readings (the kernel profiler) are
@@ -16,8 +17,6 @@
 //!
 //! The pieces:
 //!
-//! * [`registry`] — named counters / high-water gauges / histograms with
-//!   typed ids (hot-path updates are an array index).
 //! * [`hist`] — [`LogHistogram`], power-of-two-bucketed latency
 //!   histograms.
 //! * [`kernel`] — [`KernelProfiler`], wall-clock-per-event-class
@@ -28,8 +27,9 @@
 //!   executed).
 //! * [`snapshot`] — [`Sampler`]/[`Snapshot`], the deterministic
 //!   sim-time-driven time series.
-//! * [`report`] — [`ObsReport`], everything assembled, with ASCII and
-//!   JSON rendering.
+//! * [`report`] — [`ObsReport`], everything assembled — the above plus the
+//!   engine's end-of-run scalars (queue traffic, PHY pool, grid, fault
+//!   plane) as plain name→value lists — with ASCII and JSON rendering.
 //! * [`jsonl`]/[`render`] — the flat-JSONL record rule and the Fig. 4-style
 //!   timeline renderer behind the `obs_report` bin ([`json`] is
 //!   `rmac-wire`'s reader, re-exported for `rmac-campaign`).
@@ -40,7 +40,6 @@ pub mod hist;
 pub mod jsonl;
 pub mod kernel;
 pub mod node;
-pub mod registry;
 pub mod render;
 pub mod report;
 pub mod shard;
@@ -49,7 +48,6 @@ pub mod snapshot;
 pub use hist::LogHistogram;
 pub use kernel::KernelProfiler;
 pub use node::{frame_kind_index, NodeObs, FRAME_KINDS, FRAME_KIND_LABELS, TONES, TONE_LABELS};
-pub use registry::{CounterId, GaugeId, HistId, Registry};
 pub use render::{parse_trace_line, render_timeline, TraceRecord};
 pub use report::ObsReport;
 pub use rmac_wire::json;

@@ -1,7 +1,7 @@
 //! The assembled observability report for one run.
 //!
 //! An [`ObsReport`] is everything the instrumentation layer collected:
-//! the kernel self-profile, the scalar registry, the per-node protocol
+//! the kernel self-profile, the end-of-run scalars, the per-node protocol
 //! counters, and the sampled time series. It renders to aligned ASCII
 //! tables (the `obs_report` bin) and exports to a single JSON document
 //! next to the run's other artifacts.
@@ -10,14 +10,16 @@ use std::fmt::Write as _;
 
 use crate::kernel::KernelProfiler;
 use crate::node::{NodeObs, FRAME_KIND_LABELS, TONES, TONE_LABELS};
-use crate::registry::Registry;
 use crate::snapshot::Snapshot;
 
 /// Everything one instrumented run collected.
 #[derive(Clone, Debug)]
 pub struct ObsReport {
-    /// Scalar counters/gauges and auxiliary histograms.
-    pub registry: Registry,
+    /// End-of-run totals `(name, value)`, in the order the engine lists
+    /// them (queue traffic, PHY pool and grid, fault plane).
+    pub counters: Vec<(&'static str, u64)>,
+    /// End-of-run levels `(name, value)`: queue high water and capacity.
+    pub gauges: Vec<(&'static str, u64)>,
     /// Event-loop self-profile.
     pub kernel: KernelProfiler,
     /// Labels for the per-node timer-kind indices.
@@ -52,11 +54,19 @@ impl ObsReport {
                 .collect::<Vec<_>>()
                 .join(",")
         };
+        let scalars = |items: &[(&str, u64)]| {
+            items
+                .iter()
+                .map(|(n, v)| format!("\"{n}\":{v}"))
+                .collect::<Vec<_>>()
+                .join(",")
+        };
         format!(
-            "{{\n  \"registry\": {},\n  \"kernel\": {},\n  \"frame_kind_labels\": [{}],\n  \
+            "{{\n  \"registry\": {{\"counters\":{{{}}},\"gauges\":{{{}}}}},\n  \"kernel\": {},\n  \"frame_kind_labels\": [{}],\n  \
              \"timer_labels\": [{}],\n  \"transition_labels\": [{}],\n  \"nodes\": [\n    {}\n  ],\n  \
              \"snapshots\": [\n    {}\n  ]\n}}\n",
-            self.registry.to_json(),
+            scalars(&self.counters),
+            scalars(&self.gauges),
             self.kernel.to_json(),
             labels(&FRAME_KIND_LABELS),
             labels(self.timer_labels),
@@ -66,18 +76,23 @@ impl ObsReport {
         )
     }
 
-    /// Kernel self-profile plus registry scalars, as aligned text.
+    /// Kernel self-profile plus the scalars, as aligned text.
     pub fn render_kernel(&self) -> String {
-        format!(
-            "## Event-loop profile (wall clock {})\n{}\n## Kernel counters\n{}",
+        let mut out = format!(
+            "## Event-loop profile (wall clock {})\n{}\n## Kernel counters\n",
             if self.kernel.wall_enabled() {
                 "on"
             } else {
                 "off"
             },
             self.kernel.render(),
-            self.registry.render()
-        )
+        );
+        let scalars = || self.counters.iter().chain(&self.gauges);
+        let width = scalars().map(|(n, _)| n.len()).max().unwrap_or(0);
+        for (n, v) in scalars() {
+            let _ = writeln!(out, "{n:<width$}  {v}");
+        }
+        out
     }
 
     /// Per-node counter table. Nodes with no activity at all are skipped.
@@ -269,7 +284,8 @@ mod tests {
         nodes[1].tone_busy_ns[0] = 2_000_000;
         nodes[1].transitions = vec![0, 1, 1, 0];
         ObsReport {
-            registry: Registry::new(),
+            counters: vec![("engine.events_popped", 41)],
+            gauges: vec![("queue.capacity", 4096)],
             kernel: KernelProfiler::new(&["phy"], false),
             timer_labels: &TIMERS,
             transition_labels: STATES.to_vec(),
@@ -282,6 +298,7 @@ mod tests {
     fn render_includes_every_section() {
         let s = sample_report().render();
         assert!(s.contains("Event-loop profile"));
+        assert!(s.contains("engine.events_popped  41\nqueue.capacity        4096\n"));
         assert!(s.contains("Frame kinds"));
         assert!(s.contains("State transitions"));
         assert!(s.contains("Per-node protocol counters"));
@@ -298,7 +315,10 @@ mod tests {
     #[test]
     fn json_is_parseable_per_section() {
         let j = sample_report().to_json();
-        assert!(j.contains("\"registry\""));
+        assert!(j.contains(
+            "\"registry\": {\"counters\":{\"engine.events_popped\":41},\
+             \"gauges\":{\"queue.capacity\":4096}},"
+        ));
         assert!(j.contains("\"nodes\""));
         assert!(j.contains("\"snapshots\""));
         assert!(j.contains("\"transition_labels\": [\"Idle\",\"Busy\"]"));

@@ -280,11 +280,6 @@ impl Channel {
         self.fault_hook.as_ref().map_or(0, |h| h.injected())
     }
 
-    /// Number of nodes sharing the channel.
-    pub fn node_count(&self) -> usize {
-        self.radios.len()
-    }
-
     /// The configured radio range (m).
     pub fn range_m(&self) -> f64 {
         self.cfg.range_m

@@ -131,8 +131,6 @@ pub struct CalendarQueue<E> {
     rotations: u64,
     /// Events pulled back from the far heap into the ring (diagnostic).
     far_pulls: u64,
-    /// Tie-break sequence number of the most recently popped event.
-    popped_seq: u64,
 }
 
 impl<E> Default for CalendarQueue<E> {
@@ -186,7 +184,6 @@ impl<E> CalendarQueue<E> {
             high_water: 0,
             rotations: 0,
             far_pulls: 0,
-            popped_seq: 0,
         }
     }
 
@@ -327,11 +324,7 @@ impl<E> CalendarQueue<E> {
     /// drain buffer's front) and advance the clock to it.
     #[inline(always)]
     fn take_head(&mut self, from_pending: bool) -> (SimTime, E) {
-        let Entry {
-            time: t,
-            seq,
-            event,
-        } = if from_pending {
+        let Entry { time: t, event, .. } = if from_pending {
             self.pending.pop().expect("peeked pending event vanished")
         } else {
             self.active
@@ -340,22 +333,12 @@ impl<E> CalendarQueue<E> {
         };
         debug_assert!(t >= self.now, "calendar produced time regression");
         self.now = t;
-        self.popped_seq = seq;
         self.popped += 1;
         self.len -= 1;
         if self.window_empty() && self.len > 0 {
             self.refill();
         }
         (t, event)
-    }
-
-    /// The tie-break sequence number of the most recently popped event
-    /// (its rank among this queue's pushes). The sharded engine's trace
-    /// merge logs it per dispatch to reconstruct the serial run's global
-    /// order from group-local queues.
-    #[inline]
-    pub fn popped_seq(&self) -> u64 {
-        self.popped_seq
     }
 
     /// Advance the window machinery until the active window is non-empty.

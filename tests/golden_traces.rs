@@ -1,4 +1,4 @@
-//! Golden-trace regression tests: three canonical scenarios whose full
+//! Golden-trace regression tests: four canonical scenarios whose full
 //! frame-level JSONL traces are committed under `tests/golden/` and
 //! re-derived on every run.
 //!
@@ -210,31 +210,49 @@ fn golden_tone_jam() {
     assert_golden(name, &trace);
 }
 
-/// Two radio-isolated clusters: under two shards the coupling analysis
-/// splits them into separate groups, so this golden exercises the sharded
-/// engine's per-group trace buffers and the `(time, seq)` merge rather
-/// than the single-group pass-through.
+/// Two radio-isolated clusters: untraced, two shards decouple them into
+/// two groups; traced, the run takes the single all-shards group, because
+/// the serial order of same-instant events in different clusters is push
+/// order, which neither group knows of the other.
 #[test]
 fn golden_decoupled_clusters() {
     let (name, cfg, seed, plan) = golden_scenarios().swap_remove(3);
-    let trace = capture(&cfg, Protocol::Rmac, seed, &plan);
+    let (trace, serial) = capture_output(Run::new(&cfg, Protocol::Rmac, seed).faults(&plan));
     assert_golden(name, &trace);
 
-    // The merge path must really be live: with a tracer attached and two
-    // shards this scenario must still decouple into >1 group (the tracer
-    // no longer forces the serial fallback) and reproduce the oracle.
-    let two_shards = cfg.clone().with_shards(2);
-    let (merged, out) = capture_output(Run::new(&two_shards, Protocol::Rmac, seed).faults(&plan));
-    let groups = out.shard.expect("two shards run the sharded engine").groups;
-    assert!(
-        groups > 1,
-        "decoupled clusters collapsed to one group (groups={groups}); \
-         the merge path is not being exercised"
-    );
-    assert_eq!(
-        merged, trace,
-        "{name}: merged multi-group trace diverged from the oracle"
-    );
+    let cfg = cfg.with_shards(2);
+    let two_shards = || Run::new(&cfg, Protocol::Rmac, seed).faults(&plan);
+    let untraced = two_shards().execute();
+    assert_eq!(untraced.shard.expect("sharded stats").groups, 2);
+    assert_eq!(untraced.report, serial.report);
+
+    let (sharded_trace, traced) = capture_output(two_shards());
+    assert_eq!(traced.shard.expect("sharded stats").groups, 1);
+    assert_eq!(traced.report, serial.report);
+    assert_eq!(sharded_trace, trace, "{name}: sharded trace diverged");
+}
+
+/// The checker is not an order observer: a `.check()`-only run of the
+/// clusters still decomposes, and its verdict is the per-group verdicts
+/// merged — clean, with the serial checker's gate counts.
+#[test]
+fn checked_decoupled_clusters_still_decompose() {
+    let (_, cfg, seed, plan) = golden_scenarios().swap_remove(3);
+    let run = |cfg: &ScenarioConfig| Run::new(cfg, Protocol::Rmac, seed).faults(&plan).check();
+    let serial = run(&cfg).execute().assert_clean();
+    let sharded = run(&cfg.clone().with_shards(2)).execute().assert_clean();
+    assert_eq!(sharded.shard.as_ref().expect("sharded stats").groups, 2);
+    assert_eq!(sharded.report, serial.report);
+    let gates = |out: &RunOutput| {
+        let c = out.check.as_ref().expect("check");
+        (
+            c.tx_checked,
+            c.rx_ok_checked,
+            c.tone_emissions,
+            c.transition_nodes,
+        )
+    };
+    assert_eq!(gates(&sharded), gates(&serial));
 }
 
 /// The engine's trace contract as a full matrix: every golden scenario
@@ -244,8 +262,8 @@ fn golden_decoupled_clusters() {
 /// capture (the live contract) and against the committed golden file (so
 /// a simultaneous oracle+variant drift cannot slip through). The serial
 /// heap leg pins the calendar scheduler against the binary-heap oracle
-/// at frame granularity; multi-group sharded runs buffer trace events
-/// per group and merge them in global `(time, seq)` order.
+/// at frame granularity; a traced sharded run is the single all-shards
+/// group reading the beacon timetable.
 #[test]
 fn golden_traces_replay_byte_stable_under_sharding() {
     let regen = std::env::var("RMAC_REGEN_GOLDEN").ok().as_deref() == Some("1");
