@@ -14,8 +14,9 @@ echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
 echo "==> retired names stay retired (no A/B knobs on the run surface, one grid runner, no sub-queue layer,"
-echo "    no per-slot backoff re-arm, no sharded trace merge: DESIGN.md §13, §11, §10, §12)"
-if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S|SweepSpec|SweepResults|run_sweep|try_replications|RMAC_QUICK|RMAC_RATES|RMAC_NODES|ShardedQueue|SeqQueue|push_with_seq|home_slot|EngineTransport|EngineMedium|schedule\(SLOT, TimerKind::BackoffSlot|merge_traces|DispatchLog|DispatchRec|seed_slots|TraceCapture|popped_seq|ManualClock|BenchDocs' \
+echo "    no per-slot backoff re-arm, no sharded trace merge, no per-edge tone counter or pool, no"
+echo "    edge-fed tone mirror in the checker: DESIGN.md §13, §11, §10, §12, §8)"
+if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S|SweepSpec|SweepResults|run_sweep|try_replications|RMAC_QUICK|RMAC_RATES|RMAC_NODES|ShardedQueue|SeqQueue|push_with_seq|home_slot|EngineTransport|EngineMedium|schedule\(SLOT, TimerKind::BackoffSlot|merge_traces|DispatchLog|DispatchRec|seed_slots|TraceCapture|popped_seq|ManualClock|BenchDocs|tone_count|pooled_tone_buf|sensed_since|rbt_runs' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!ci.sh'; then
     echo "a retired knob name reappeared (see above)" >&2
     exit 1
@@ -46,7 +47,8 @@ cargo test -q --release --test shard_equivalence
 echo "==> queue stage (calendar/heap differential proptests)"
 cargo test -q --release --test queue_equivalence
 
-echo "==> event budget (countdown timers <= 10% of events, reports pinned to the per-slot engine's)"
+echo "==> event budget (countdown timers and dispatched tone edges each a small share of events,"
+echo "    reports pinned to the per-slot, event-per-edge engine's)"
 cargo test -q --release --test event_budget
 
 echo "==> benchmark stage (builds the benchmark package --locked against the crates: a broken"

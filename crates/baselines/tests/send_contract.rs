@@ -3,13 +3,16 @@
 //!
 //! Whatever exchange carries a reliable frame, admission, vacuous
 //! completion, the Unreliable Send and the post-transmission backoff behave
-//! the same, so one table of checks runs over all five.
+//! the same, so one table of checks runs over all five. So does the rule
+//! that lets the engine keep tone flips to itself: one outside a MAC's
+//! declared interest does nothing — and an 802.11 station declares none.
 
 use bytes::Bytes;
 use rmac_baselines::{Bmmm, Bmw, Lbp, Mx};
 use rmac_core::api::{MacService, TimerKind, TxOutcome, TxRequest};
 use rmac_core::testkit::{Action, Mock};
-use rmac_core::{MacConfig, Rmac};
+use rmac_core::{MacConfig, Rmac, State};
+use rmac_phy::ToneInterest;
 use rmac_wire::{Dest, FrameKind, NodeId};
 
 fn n(i: u16) -> NodeId {
@@ -112,33 +115,69 @@ fn unreliable_is_sent_paced_and_followed_in_order<M: MacService>(make: fn(NodeId
     assert_eq!(m.counters.unreliable_accepted, 1);
 }
 
-fn contract<M: MacService>(make: fn(NodeId, MacConfig) -> M) {
+/// Along a reliable send — nothing to do, deferring to a busy channel,
+/// contending, first frame on the air, waiting for the answer — and with a
+/// broadcast on the air, a tone flip outside the declared interest reaches
+/// for nothing and leaves the MAC where it was.
+fn tone_flips_outside_interest_do_nothing<M: MacService>(
+    make: fn(NodeId, MacConfig) -> M,
+    idle: fn(&M) -> bool,
+    station: bool,
+) {
+    let stop = |m: &mut Mock, mac: &mut M| {
+        if station {
+            assert_eq!(mac.tone_interest(), ToneInterest::NONE);
+        }
+        m.flips_outside_interest_do_nothing(mac, idle);
+    };
+    let mut m = Mock::new();
+    let mut mac = make(n(0), MacConfig::default());
+    stop(&mut m, &mut mac);
+    m.data_busy = true;
+    mac.submit(&mut m, request(true, Dest::Group(vec![n(1), n(2)]), 1));
+    stop(&mut m, &mut mac);
+    m.set_carrier(&mut mac, false);
+    stop(&mut m, &mut mac);
+    contend(&mut m, &mut mac);
+    stop(&mut m, &mut mac);
+    m.finish_tx(&mut mac, false);
+    stop(&mut m, &mut mac);
+
+    let mut m = Mock::new();
+    let mut mac = make(n(0), MacConfig::default());
+    mac.submit(&mut m, request(false, Dest::Broadcast, 2));
+    contend(&mut m, &mut mac);
+    stop(&mut m, &mut mac);
+}
+
+fn contract<M: MacService>(make: fn(NodeId, MacConfig) -> M, idle: fn(&M) -> bool, station: bool) {
     full_queue_rejects_without_side_effects(make);
     nobody_to_reach_completes_at_once(make);
     unreliable_is_sent_paced_and_followed_in_order(make);
+    tone_flips_outside_interest_do_nothing(make, idle, station);
 }
 
 #[test]
 fn rmac_keeps_the_send_contract() {
-    contract(Rmac::new);
+    contract(Rmac::new, |r| r.state() == State::Idle, false);
 }
 
 #[test]
 fn bmmm_keeps_the_send_contract() {
-    contract(Bmmm::new);
+    contract(Bmmm::new, Bmmm::is_idle, true);
 }
 
 #[test]
 fn bmw_keeps_the_send_contract() {
-    contract(Bmw::new);
+    contract(Bmw::new, Bmw::is_idle, true);
 }
 
 #[test]
 fn lbp_keeps_the_send_contract() {
-    contract(Lbp::new);
+    contract(Lbp::new, Lbp::is_idle, true);
 }
 
 #[test]
 fn mx_keeps_the_send_contract() {
-    contract(Mx::new);
+    contract(Mx::new, Mx::is_idle, true);
 }

@@ -5,18 +5,18 @@
 //! schema does not carry (transmission *starts* and protocol tone
 //! emissions) — and the checker asserts the paper's invariants online.
 //! Everything is formulated against *sensed* state (what the node's radio
-//! could know, i.e. the tone/carrier indications already delivered to it),
-//! never against global geometry: physical-layer capture can fool a fully
-//! conformant sender into transmitting data against a foreign RBT, so a
-//! geometric "no overlap" rule would flag correct runs (DESIGN.md §8).
+//! could know: the frames delivered to it and, for the RBT, the channel's
+//! tone records read at the same cursor its MAC reads them, handed in with
+//! each transmission start), never against global geometry: physical-layer
+//! capture can fool a fully conformant sender into transmitting data
+//! against a foreign RBT, so a geometric "no overlap" rule would flag
+//! correct runs (DESIGN.md §8).
 //!
 //! The checker is purely observational: it draws no randomness, schedules
 //! no events and touches no channel state, so an attached checker leaves
 //! every `RunReport` bit-identical (enforced by `tests/conformance.rs`).
 
-use std::collections::VecDeque;
-
-use rmac_phy::{Indication, Tone};
+use rmac_phy::{Indication, Tone, ToneLog, TONE_HISTORY};
 use rmac_sim::SimTime;
 use rmac_wire::consts::{LAMBDA, L_ABT, T_WF};
 use rmac_wire::{Frame, FrameKind, NodeId};
@@ -65,10 +65,12 @@ impl CheckConfig {
 /// propagation (τ ≤ 1 µs) plus clock-skew stretch on short timers.
 const TOL_NS: u64 = 2_000;
 /// C1's look-back window: the WF_RBT watch is T_WF long; the slack covers
-/// skew-stretched timers.
-const C1_WINDOW_NS: u64 = T_WF.nanos() + 2_000;
-/// Sensed-RBT run retention (only the C1 window is ever queried).
-const RUN_RETAIN_NS: u64 = 200_000;
+/// skew-stretched timers. [`Checker::on_tx_start`] is handed the sender's
+/// sensed RBT over this much past.
+pub const C1_WINDOW: SimTime = SimTime::from_nanos(T_WF.nanos() + 2_000);
+const _: () = assert!(C1_WINDOW.nanos() <= TONE_HISTORY.nanos());
+/// How long an unused ABT permission is kept.
+const ABT_DUE_RETAIN_NS: u64 = 200_000;
 /// How long a received MRTS can govern a data frame / ABT reply.
 const MRTS_TTL_NS: u64 = 100_000_000;
 /// BMMM response governance window (loose on purpose: the invariant is
@@ -85,12 +87,6 @@ struct MrtsGrant {
 
 #[derive(Clone, Debug, Default)]
 struct NodeState {
-    /// Sensed tone presence ([Rbt, Abt]), reconstructed from the
-    /// `ToneChanged` indications delivered to this node — exactly what
-    /// its MAC can observe through `tone_present`.
-    sensed_since: [Option<u64>; 2],
-    /// Recently closed sensed-RBT intervals, for the C1 λ-window check.
-    rbt_runs: VecDeque<(u64, u64)>,
     /// Own tone emissions in progress ([Rbt, Abt]), by start time.
     emitting: [Option<u64>; 2],
     /// Transmission in flight: (start, kind, expected airtime ns).
@@ -106,27 +102,6 @@ struct NodeState {
     resp_permit: [Option<u64>; 2],
     /// BMMM: end time of this node's last completed reliable-data tx.
     last_data_tx_end: Option<u64>,
-}
-
-impl NodeState {
-    /// Longest continuous sensed-RBT interval overlapping `[w0, t]`.
-    fn max_rbt_on(&self, w0: u64, t: u64) -> u64 {
-        let mut best = 0;
-        for &(a, b) in &self.rbt_runs {
-            let lo = a.max(w0);
-            let hi = b.min(t);
-            if hi > lo {
-                best = best.max(hi - lo);
-            }
-        }
-        if let Some(a) = self.sensed_since[0] {
-            let lo = a.max(w0);
-            if t > lo {
-                best = best.max(t - lo);
-            }
-        }
-        best
-    }
 }
 
 fn tone_idx(tone: Tone) -> usize {
@@ -172,8 +147,10 @@ impl Checker {
     }
 
     /// A protocol node starts a transmission (engine hook at the MAC
-    /// context's `start_tx`, before the channel accepts the frame).
-    pub fn on_tx_start(&mut self, t: SimTime, node: NodeId, frame: &Frame) {
+    /// context's `start_tx`, before the channel accepts the frame). `rbt`
+    /// is what the node has sensed of the RBT over the last [`C1_WINDOW`],
+    /// read from the channel's records at the cursor the MAC reads them.
+    pub fn on_tx_start(&mut self, t: SimTime, node: NodeId, frame: &Frame, rbt: &ToneLog) {
         debug_assert!(self.is_protocol(node), "jammer frames are environment");
         self.report.tx_checked += 1;
         let now = t.nanos();
@@ -201,7 +178,7 @@ impl Checker {
         }
 
         match self.cfg.class {
-            ProtocolClass::Rmac => self.check_rmac_tx(t, node, frame),
+            ProtocolClass::Rmac => self.check_rmac_tx(t, node, frame, rbt),
             ProtocolClass::Bmmm => self.check_bmmm_tx(t, node, frame),
             ProtocolClass::Other => {}
         }
@@ -220,33 +197,30 @@ impl Checker {
     }
 
     /// C1 plus the RMAC side of C2 at a transmission start.
-    fn check_rmac_tx(&mut self, t: SimTime, node: NodeId, frame: &Frame) {
-        let now = t.nanos();
-        let ns = &self.nodes[node.idx()];
+    fn check_rmac_tx(&mut self, t: SimTime, node: NodeId, frame: &Frame, rbt: &ToneLog) {
         match frame.kind {
             // C1a — carrier/tone discipline: MRTS and unreliable data only
             // start on a clear RBT channel (Table 1's "channels idle").
-            FrameKind::Mrts | FrameKind::DataUnreliable => {
-                if let Some(since) = ns.sensed_since[0] {
-                    let emitters = self.rbt_emitters(node, frame);
-                    self.violate(
-                        Invariant::C1RbtProtection,
-                        t,
-                        node,
-                        format!(
-                            "{:?} tx starts against an RBT sensed since {} ns ({emitters})",
-                            frame.kind, since
-                        ),
-                    );
-                }
+            FrameKind::Mrts | FrameKind::DataUnreliable if rbt.on_at_end() => {
+                let since = rbt.edges.last().map_or(rbt.start, |&(rise, _)| rise);
+                let emitters = self.rbt_emitters(node, frame);
+                self.violate(
+                    Invariant::C1RbtProtection,
+                    t,
+                    node,
+                    format!(
+                        "{:?} tx starts against an RBT sensed since {} ns ({emitters})",
+                        frame.kind,
+                        since.nanos()
+                    ),
+                );
             }
             // C1b — data justification: reliable data is transmitted only
             // after a ≥ λ continuous RBT detection inside the WF_RBT
             // window that just closed (§3.3.2 step 4 / Table 1 C18).
             FrameKind::DataReliable => {
-                let w0 = now.saturating_sub(C1_WINDOW_NS);
-                let dwell = ns.max_rbt_on(w0, now);
-                if dwell < LAMBDA.nanos() {
+                let dwell = rbt.max_on();
+                if dwell < LAMBDA {
                     self.violate(
                         Invariant::C1RbtProtection,
                         t,
@@ -254,9 +228,9 @@ impl Checker {
                         format!(
                             "reliable DATA tx without RBT detection: max dwell {} ns < λ = {} ns \
                              in the preceding {} ns",
-                            dwell,
+                            dwell.nanos(),
                             LAMBDA.nanos(),
-                            C1_WINDOW_NS
+                            C1_WINDOW.nanos()
                         ),
                     );
                 }
@@ -325,8 +299,8 @@ impl Checker {
 
     /// A protocol node starts or stops emitting a busy tone (engine hook
     /// at the MAC context's `start_tone`/`stop_tone`; jammer tones do NOT
-    /// come through here — they are environment, visible only through
-    /// their `ToneChanged` effect on other nodes).
+    /// come through here — they are environment, visible only in what
+    /// other nodes sense).
     pub fn on_tone(&mut self, t: SimTime, node: NodeId, tone: Tone, on: bool) {
         debug_assert!(self.is_protocol(node), "jammer tones are environment");
         let now = t.nanos();
@@ -396,35 +370,12 @@ impl Checker {
     }
 
     /// A PHY indication delivered to a live protocol node, fed *before*
-    /// the node's MAC reacts to it so the checker's sensed-state model
-    /// stays in lockstep with what the MAC can observe.
+    /// the node's MAC reacts to it. Tone flips are not followed here: which
+    /// of them a node is told depends on what its MAC asked for, and what it
+    /// senses is read from the channel when a transmission starts.
     pub fn on_indication(&mut self, t: SimTime, ind: &Indication) {
         let now = t.nanos();
         match ind {
-            Indication::ToneChanged {
-                node,
-                tone,
-                present,
-            } => {
-                let ns = &mut self.nodes[node.idx()];
-                let ti = tone_idx(*tone);
-                if *present {
-                    if ns.sensed_since[ti].is_none() {
-                        ns.sensed_since[ti] = Some(now);
-                    }
-                } else if let Some(a) = ns.sensed_since[ti].take() {
-                    if ti == 0 {
-                        ns.rbt_runs.push_back((a, now));
-                        while ns
-                            .rbt_runs
-                            .front()
-                            .is_some_and(|&(_, b)| b + RUN_RETAIN_NS < now)
-                        {
-                            ns.rbt_runs.pop_front();
-                        }
-                    }
-                }
-            }
             Indication::FrameRx { node, frame, ok } => {
                 if !*ok {
                     return;
@@ -485,7 +436,9 @@ impl Checker {
                     ),
                 }
             }
-            Indication::CarrierOn { .. } | Indication::CarrierOff { .. } => {}
+            Indication::CarrierOn { .. }
+            | Indication::CarrierOff { .. }
+            | Indication::ToneChanged { .. } => {}
         }
     }
 
@@ -544,7 +497,7 @@ impl Checker {
                 if let Some(g) = ns.mrts.iter().find(|g| g.sender == frame.src) {
                     ns.abt_due.push(now + L_ABT.nanos() * g.slot as u64);
                 }
-                ns.abt_due.retain(|&d| d + RUN_RETAIN_NS > now);
+                ns.abt_due.retain(|&d| d + ABT_DUE_RETAIN_NS > now);
             }
             _ => {}
         }
@@ -565,7 +518,7 @@ impl Checker {
 
     /// A node crashed: its radio is silenced by the engine (tones
     /// dropped, tx aborted) and its indications stop, so the per-node
-    /// protocol state is wiped. Sensed tones are resynced at restart.
+    /// protocol state is wiped.
     pub fn on_node_down(&mut self, node: NodeId) {
         let ns = &mut self.nodes[node.idx()];
         ns.cur_tx = None;
@@ -574,26 +527,6 @@ impl Checker {
         ns.abt_due.clear();
         ns.resp_permit = [None; 2];
         ns.last_data_tx_end = None;
-    }
-
-    /// A node restarted: resynchronize its sensed-tone model with the
-    /// channel truth (edges during the outage were never delivered, to
-    /// the MAC or to us).
-    pub fn on_node_up(&mut self, t: SimTime, node: NodeId, rbt: bool, abt: bool) {
-        let now = t.nanos();
-        let ns = &mut self.nodes[node.idx()];
-        for (ti, present) in [(0usize, rbt), (1usize, abt)] {
-            match (ns.sensed_since[ti], present) {
-                (None, true) => ns.sensed_since[ti] = Some(now),
-                (Some(a), false) => {
-                    ns.sensed_since[ti] = None;
-                    if ti == 0 {
-                        ns.rbt_runs.push_back((a, now));
-                    }
-                }
-                _ => {}
-            }
-        }
     }
 
     /// C4 — validate one node's end-of-run transition matrix (row-major
@@ -664,12 +597,29 @@ mod tests {
         }
     }
 
-    fn tone_at(node: u16, tone: Tone, present: bool) -> Indication {
-        Indication::ToneChanged {
-            node: NodeId(node),
-            tone,
-            present,
+    /// The RBT as sensed over the C1 window before a transmission start at
+    /// `t` µs: silent but for the `(rise, fall)` intervals given in µs (a
+    /// fall at `t` or later is still to come).
+    fn rbt(t: u64, on: &[(u64, u64)]) -> ToneLog {
+        let end = us(t);
+        let start = end.saturating_sub(C1_WINDOW);
+        let mut log = ToneLog {
+            start,
+            end,
+            initial_on: false,
+            edges: Vec::new(),
+        };
+        for &(rise, fall) in on {
+            if us(rise) <= start {
+                log.initial_on = true;
+            } else {
+                log.edges.push((us(rise), true));
+            }
+            if fall < t {
+                log.edges.push((us(fall), false));
+            }
         }
+        log
     }
 
     #[test]
@@ -677,7 +627,7 @@ mod tests {
         let mut c = checker(ProtocolClass::Rmac);
         let m = mrts();
         // MRTS goes out on a silent RBT channel…
-        c.on_tx_start(us(100), NodeId(0), &m);
+        c.on_tx_start(us(100), NodeId(0), &m, &rbt(100, &[]));
         c.on_indication(
             us(292),
             &Indication::TxDone {
@@ -689,11 +639,10 @@ mod tests {
         // …receivers hear it and answer with the RBT…
         c.on_indication(us(292), &rx(1, &m));
         c.on_tone(us(292), NodeId(1), Tone::Rbt, true);
-        c.on_indication(us(293), &tone_at(0, Tone::Rbt, true));
         // …the sender detects ≥ λ of tone across its T_WF window and
         // transmits the data frame.
         let d = data();
-        c.on_tx_start(us(310), NodeId(0), &d);
+        c.on_tx_start(us(310), NodeId(0), &d, &rbt(310, &[(293, 9999)]));
         let report = c.finish(us(1000));
         assert!(report.is_clean(), "{}", report.summary());
         assert_eq!(report.tx_checked, 2);
@@ -704,27 +653,27 @@ mod tests {
         let mut c = checker(ProtocolClass::Rmac);
         // No tone ever sensed: a conformant sender would have failed the
         // attempt (Table 1 C12); transmitting anyway is the mutation.
-        c.on_tx_start(us(300), NodeId(0), &data());
+        c.on_tx_start(us(300), NodeId(0), &data(), &rbt(300, &[]));
+        // So is transmitting on a dwell shorter than λ.
+        c.on_tx_start(us(400), NodeId(1), &data(), &rbt(400, &[(380, 390)]));
         let report = c.finish(us(1000));
-        assert_eq!(report.count(Invariant::C1RbtProtection), 1);
+        assert_eq!(report.count(Invariant::C1RbtProtection), 2);
     }
 
     #[test]
     fn c1_flags_mrts_against_sensed_rbt() {
         let mut c = checker(ProtocolClass::Rmac);
-        c.on_indication(us(100), &tone_at(0, Tone::Rbt, true));
-        c.on_tx_start(us(120), NodeId(0), &mrts());
+        c.on_tx_start(us(120), NodeId(0), &mrts(), &rbt(120, &[(110, 9999)]));
         let report = c.finish(us(1000));
         assert_eq!(report.count(Invariant::C1RbtProtection), 1);
         assert!(report.violations[0].detail.contains("Mrts"));
+        assert!(report.violations[0].detail.contains("since 110000 ns"));
     }
 
     #[test]
     fn c1_accepts_mrts_after_tone_clears() {
         let mut c = checker(ProtocolClass::Rmac);
-        c.on_indication(us(100), &tone_at(0, Tone::Rbt, true));
-        c.on_indication(us(130), &tone_at(0, Tone::Rbt, false));
-        c.on_tx_start(us(140), NodeId(0), &mrts());
+        c.on_tx_start(us(140), NodeId(0), &mrts(), &rbt(140, &[(100, 130)]));
         assert!(c.finish(us(1000)).is_clean());
     }
 
@@ -769,7 +718,7 @@ mod tests {
     fn c2_flags_foreign_frame_kinds() {
         let mut c = checker(ProtocolClass::Rmac);
         let ack = Frame::control(FrameKind::Ack, NodeId(1), NodeId(0), SimTime::ZERO);
-        c.on_tx_start(us(100), NodeId(1), &ack);
+        c.on_tx_start(us(100), NodeId(1), &ack, &rbt(100, &[]));
         let report = c.finish(us(1000));
         // Outside RMAC's alphabet (C2); half-duplex/airtime untouched.
         assert_eq!(report.count(Invariant::C2GovernedResponse), 1);
@@ -779,7 +728,7 @@ mod tests {
     fn c3_flags_wrong_airtime() {
         let mut c = checker(ProtocolClass::Rmac);
         let m = mrts();
-        c.on_tx_start(us(100), NodeId(0), &m);
+        c.on_tx_start(us(100), NodeId(0), &m, &rbt(100, &[]));
         // MRTS with 2 receivers = 24 bytes → 96 + 4·24 = 192 µs, but the
         // completion arrives 10 µs late.
         c.on_indication(
@@ -799,7 +748,7 @@ mod tests {
         let mut c = checker(ProtocolClass::Rmac);
         let m = mrts();
         let air = m.airtime();
-        c.on_tx_start(us(100), NodeId(0), &m);
+        c.on_tx_start(us(100), NodeId(0), &m, &rbt(100, &[]));
         c.on_indication(
             us(100) + air,
             &Indication::TxDone {
@@ -808,7 +757,7 @@ mod tests {
                 aborted: false,
             },
         );
-        c.on_tx_start(us(1000), NodeId(0), &m);
+        c.on_tx_start(us(1000), NodeId(0), &m, &rbt(1000, &[]));
         c.on_indication(
             us(1040),
             &Indication::TxDone {
@@ -824,7 +773,7 @@ mod tests {
     fn c5_flags_reception_overlapping_own_tx() {
         let mut c = checker(ProtocolClass::Rmac);
         let m = mrts();
-        c.on_tx_start(us(100), NodeId(0), &m);
+        c.on_tx_start(us(100), NodeId(0), &m, &rbt(100, &[]));
         // A clean reception lands mid-transmission: impossible on a
         // half-duplex radio.
         c.on_indication(us(200), &rx(0, &m));
@@ -837,7 +786,7 @@ mod tests {
         let mut c = checker(ProtocolClass::Rmac);
         let m = mrts();
         let air = m.airtime();
-        c.on_tx_start(us(100), NodeId(0), &m);
+        c.on_tx_start(us(100), NodeId(0), &m, &rbt(100, &[]));
         c.on_indication(
             us(100) + air,
             &Indication::TxDone {
@@ -872,25 +821,12 @@ mod tests {
         let rts = Frame::control(FrameKind::Rts, NodeId(0), NodeId(1), SimTime::ZERO);
         let cts = Frame::control(FrameKind::Cts, NodeId(1), NodeId(0), SimTime::ZERO);
         // Ungoverned CTS first…
-        c.on_tx_start(us(50), NodeId(2), &cts);
+        c.on_tx_start(us(50), NodeId(2), &cts, &rbt(50, &[]));
         // …then a proper RTS → CTS handshake.
         c.on_indication(us(100), &rx(1, &rts));
-        c.on_tx_start(us(110), NodeId(1), &cts);
+        c.on_tx_start(us(110), NodeId(1), &cts, &rbt(110, &[]));
         let report = c.finish(us(1000));
         assert_eq!(report.count(Invariant::C2GovernedResponse), 1);
-    }
-
-    #[test]
-    fn node_restart_resyncs_sensed_tones() {
-        let mut c = checker(ProtocolClass::Rmac);
-        // The tone rose before the crash and fell during the outage; at
-        // restart the channel reports it absent.
-        c.on_indication(us(100), &tone_at(0, Tone::Rbt, true));
-        c.on_node_down(NodeId(0));
-        c.on_node_up(us(5000), NodeId(0), false, false);
-        c.on_tx_start(us(6000), NodeId(0), &mrts());
-        let report = c.finish(us(10000));
-        assert!(report.is_clean(), "{}", report.summary());
     }
 
     #[test]

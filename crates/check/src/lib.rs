@@ -23,5 +23,5 @@ pub mod checker;
 pub mod edges;
 pub mod report;
 
-pub use checker::{CheckConfig, Checker, ProtocolClass};
+pub use checker::{CheckConfig, Checker, ProtocolClass, C1_WINDOW};
 pub use report::{CheckReport, Invariant, Violation};

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use rmac_phy::{Indication, Tone, ToneLog};
+use rmac_phy::{Indication, Tone, ToneInterest, ToneLog};
 use rmac_sim::{SimRng, SimTime};
 use rmac_wire::{Dest, Frame, NodeId};
 
@@ -87,11 +87,16 @@ pub enum TimerKind {
 ///
 /// The backoff countdown sleeps through idle slots instead of polling them,
 /// so an implementation owes the MAC one thing beyond the calls below:
-/// **every idle→busy edge of the data channel and of each tone is delivered
-/// as an indication** (`CarrierOn`, `ToneChanged { present: true }`) at the
-/// instant [`data_busy`](MacContext::data_busy) /
-/// [`tone_present`](MacContext::tone_present) start reading busy. (While the
-/// node itself transmits it is not counting, so no edge is owed for that.)
+/// **every idle→busy edge of the data channel is delivered as a `CarrierOn`,
+/// and every presence flip of a tone that the MAC has declared interest in
+/// ([`MacService::tone_interest`], read after each call into the MAC) as a
+/// `ToneChanged`**, at the instant [`data_busy`](MacContext::data_busy) /
+/// [`tone_present`](MacContext::tone_present) start reading the new state.
+/// (While the node itself transmits it is not counting, so no carrier edge is
+/// owed for that.) A context may deliver more — the live backend and the
+/// testkit deliver every tone flip — so a MAC must take a flip outside its
+/// declared interest as a no-op; a flip it was not told of it finds by
+/// asking `tone_present` when it next decides something.
 pub trait MacContext {
     /// Current simulation time.
     fn now(&self) -> SimTime;
@@ -149,6 +154,15 @@ pub trait MacService: Send {
     fn on_indication(&mut self, ctx: &mut dyn MacContext, ind: &Indication);
     /// Process a timer firing.
     fn on_timer(&mut self, ctx: &mut dyn MacContext, kind: TimerKind, gen: u64);
+
+    /// The tone presence flips this MAC could act on in its present state.
+    /// It is read after every call into the MAC and must cover every state
+    /// in which a `ToneChanged` would do anything (call the context, move the
+    /// state machine, draw a random number). The default — the 802.11
+    /// station's — is none.
+    fn tone_interest(&self) -> ToneInterest {
+        ToneInterest::NONE
+    }
 
     /// Start recording state-machine transitions (see [`transitions`]).
     /// Counting is off by default so uninstrumented runs pay nothing for

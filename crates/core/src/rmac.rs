@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use rmac_phy::{Indication, Tone};
+use rmac_phy::{Indication, Tone, ToneInterest};
 use rmac_sim::{SimTime, TimerSlot};
 use rmac_wire::consts::{LAMBDA, L_ABT, T_WF, T_WF_RDATA};
 use rmac_wire::{Dest, Frame, FrameKind, NodeId};
@@ -250,6 +250,9 @@ impl Rmac {
             return;
         }
         self.load_job(ctx);
+        // What `tone_interest` rests on: an IDLE node with BI = 0 and no job
+        // has nothing waiting either, so an RBT fall finds it nothing to do.
+        debug_assert!(self.job.is_some() || self.sendq.is_empty());
         let idle = self.channels_idle(ctx);
         if !idle {
             // Condition (1) of §3.3.1: a packet is pending but a channel is
@@ -697,6 +700,24 @@ impl MacService for Rmac {
             | TimerKind::Nav
             | TimerKind::SessionGuard => {}
         }
+    }
+
+    /// An RBT rise stops a running countdown and aborts an MRTS or an
+    /// unreliable frame on the air; an RBT fall lets an IDLE node with
+    /// something to do (BI to count down, a job, a waiting request) try
+    /// again. Nothing else in `on_indication` reads a `ToneChanged` — the
+    /// WF_RBT and WF_ABT windows are tone watches, read when they close.
+    fn tone_interest(&self) -> ToneInterest {
+        let mut want = ToneInterest::NONE;
+        if self.backoff.counting() || matches!(self.state, State::TxMrts | State::TxUnrdata) {
+            want |= ToneInterest::flip(Tone::Rbt, true);
+        }
+        if self.state == State::Idle
+            && (self.backoff.bi() > 0 || self.job.is_some() || !self.sendq.is_empty())
+        {
+            want |= ToneInterest::flip(Tone::Rbt, false);
+        }
+        want
     }
 
     fn enable_transition_counting(&mut self) {

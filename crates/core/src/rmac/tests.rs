@@ -2,7 +2,7 @@
 //! conditions, driven through a scripted mock context.
 
 use bytes::Bytes;
-use rmac_phy::{Indication, Tone};
+use rmac_phy::{Indication, Tone, ToneInterest};
 use rmac_sim::{SimRng, SimTime};
 use rmac_wire::consts::{L_ABT, SLOT, T_WF};
 use rmac_wire::{Dest, Frame, FrameKind, NodeId};
@@ -890,6 +890,68 @@ fn tone_watch_discipline() {
     m.preset_abt_slots(m.now, 1, &[0]);
     m.fire(&mut r, TimerKind::WfAbt);
     assert!(!m.watch_open[Tone::Abt.idx()]);
+}
+
+// ---------------------------------------------------------------------
+// Declared tone interest
+// ---------------------------------------------------------------------
+
+/// In each of the eight states a tone flip outside the declared interest
+/// does nothing at all, so an engine may leave it undispatched; and the
+/// interest is what the handlers say it is.
+#[test]
+fn a_tone_flip_outside_the_declared_interest_does_nothing_in_any_state() {
+    let rise = ToneInterest::flip(Tone::Rbt, true);
+    let fall = ToneInterest::flip(Tone::Rbt, false);
+    let all_of = |r: &Rmac| (r.state(), r.bi(), r.cw(), r.queue_len(), r.transitions());
+    let mut seen = Vec::new();
+    let mut check = |m: &mut Mock, r: &mut Rmac, state: State, want: ToneInterest| {
+        assert_eq!(r.state(), state);
+        assert_eq!(r.tone_interest(), want, "in {state:?}");
+        m.flips_outside_interest_do_nothing(r, all_of);
+        seen.push(state);
+    };
+
+    // IDLE with nothing to do: deaf.
+    let (mut m, mut r) = (Mock::new(), mac(0));
+    check(&mut m, &mut r, State::Idle, ToneInterest::NONE);
+    // IDLE holding a request behind a busy channel: an RBT fall may be its
+    // cue. So it is with only BI left to count.
+    m.data_busy = true;
+    r.submit(&mut m, reliable_req(Dest::Group(vec![n(1), n(2)]), 1));
+    check(&mut m, &mut r, State::Idle, fall);
+    let (mut m, mut r) = counting(3);
+    m.set_carrier(&mut r, true);
+    m.fire(&mut r, TimerKind::BackoffSlot);
+    assert!(r.bi() > 0);
+    check(&mut m, &mut r, State::Idle, fall);
+    // BACKOFF: an RBT rise suspends the countdown.
+    let (mut m, mut r) = counting(5);
+    check(&mut m, &mut r, State::Backoff, rise);
+    // The sender's walk: a rise aborts the MRTS, and from there on the tones
+    // are read through watches.
+    let (mut m, mut r) = (Mock::new(), mac(0));
+    r.submit(&mut m, reliable_req(Dest::Group(vec![n(1), n(2)]), 1));
+    check(&mut m, &mut r, State::TxMrts, rise);
+    m.finish_tx(&mut r, false);
+    check(&mut m, &mut r, State::WfRbt, ToneInterest::NONE);
+    m.preset_on(Tone::Rbt, m.now, T_WF);
+    m.fire(&mut r, TimerKind::WfRbt);
+    check(&mut m, &mut r, State::TxRdata, ToneInterest::NONE);
+    m.finish_tx(&mut r, false);
+    check(&mut m, &mut r, State::WfAbt, ToneInterest::NONE);
+    // The receiver's wait.
+    let (mut m, mut r) = (Mock::new(), mac(2));
+    m.rx_frame(&mut r, n(2), Frame::mrts(n(0), vec![n(1), n(2)]), true);
+    check(&mut m, &mut r, State::WfRdata, ToneInterest::NONE);
+    // An unreliable frame on the air is aborted by a rise, like an MRTS.
+    let (mut m, mut r) = (Mock::new(), mac(0));
+    r.submit(&mut m, unreliable_req(Dest::Broadcast, 7));
+    check(&mut m, &mut r, State::TxUnrdata, rise);
+
+    seen.sort_by_key(|s| s.index());
+    seen.dedup();
+    assert_eq!(seen.len(), State::COUNT, "every state visited: {seen:?}");
 }
 
 // ---------------------------------------------------------------------

@@ -153,6 +153,51 @@ impl Mock {
         );
     }
 
+    /// Everything `mac` has done to the world so far — actions, timers,
+    /// deliveries, notifications, counters, open watches — and where its RNG
+    /// stands: equal before and after a call means the call reached for
+    /// nothing.
+    pub fn footprint(&self) -> String {
+        format!(
+            "{:?}",
+            (
+                (&self.actions, &self.timers, self.delivered.len()),
+                (&self.notifications, &self.counters, self.watch_open),
+                (self.tx_frame.is_some(), &self.rng),
+            )
+        )
+    }
+
+    /// Deliver to `mac` every tone flip outside its declared
+    /// [`tone_interest`](MacService::tone_interest) — the scripted presence
+    /// flipped to match, then put back — and panic if it did anything: a
+    /// context call, an RNG draw, a change in what `state` reads. This is
+    /// what lets an engine not dispatch those flips at all.
+    pub fn flips_outside_interest_do_nothing<M: MacService, S: PartialEq + std::fmt::Debug>(
+        &mut self,
+        mac: &mut M,
+        state: impl Fn(&M) -> S,
+    ) {
+        let want = mac.tone_interest();
+        for tone in Tone::ALL {
+            for present in [true, false] {
+                if want.wants(tone, present) {
+                    continue;
+                }
+                let before = (self.footprint(), state(mac));
+                let was = self.tone[tone.idx()];
+                self.set_tone(mac, tone, present);
+                self.tone[tone.idx()] = was;
+                assert_eq!(
+                    (self.footprint(), state(mac)),
+                    before,
+                    "{tone:?} turning {present} was not declared of interest, and did something"
+                );
+                assert_eq!(mac.tone_interest(), want, "and moved the interest itself");
+            }
+        }
+    }
+
     /// Fire the pending timer of `kind`, advancing the clock.
     ///
     /// Cancelled timers leave stale entries behind (exactly as in the real

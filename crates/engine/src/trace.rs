@@ -25,6 +25,12 @@
 //! `kind` is the `Debug` name of `rmac_wire::FrameKind` (`"Mrts"`,
 //! `"DataReliable"`, …). `rmac_obs::parse_trace_line` parses this schema.
 //!
+//! A `tone` line is a presence flip a MAC was *told* of: the channel
+//! dispatches a tone edge only to a node whose MAC declared it could act on
+//! it (DESIGN.md §12), so a sender waiting in WF_RBT, which reads the tone
+//! through a watch, has no line for the RBT it detects. What every node
+//! *heard* is in the obs report's per-node `tone_busy_ns`.
+//!
 //! # Volume control
 //!
 //! Full traces are dominated by per-node carrier/tone edges. A
@@ -75,7 +81,8 @@ pub enum TraceWhat {
         /// Whether it survived collisions/capture/BER.
         ok: bool,
     },
-    /// Busy-tone presence changed at this node.
+    /// Busy-tone presence changed at this node, and its MAC had asked to be
+    /// told.
     Tone {
         /// Which tone channel.
         tone: Tone,
@@ -193,8 +200,9 @@ pub enum TraceLevel {
     Protocol,
     /// Plus every frame on the air: transmit completions and receptions.
     Frames,
-    /// Plus the physical signal edges: tone and carrier changes. This is
-    /// the full stream — what an unfiltered tracer sees.
+    /// Plus the physical signal edges: carrier changes, and the tone flips
+    /// a MAC was told of (see the module docs). This is the full stream —
+    /// what an unfiltered tracer sees.
     Signal,
 }
 

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use rmac_check::{CheckConfig, CheckReport, Checker};
+use rmac_check::{CheckConfig, CheckReport, Checker, C1_WINDOW};
 use rmac_core::api::{MacContext, MacCounters, MacService, TimerKind, TxOutcome, TxRequest};
 use rmac_faults::{ChurnKind, FaultInjector, FaultPlan, JamTarget};
 use rmac_metrics::{percentile, RunReport};
@@ -12,7 +12,7 @@ use rmac_net::{BlessConfig, NetLayer};
 use rmac_obs::{frame_kind_index, ObsReport, Snapshot};
 use rmac_phy::FrameTallies;
 use rmac_phy::{Channel, ChannelConfig, IndexMode, Indication, PhyEvent, Tone, ToneLog};
-use rmac_sim::{CalendarQueue, SimQueue, SimRng, SimTime};
+use rmac_sim::{CalendarQueue, Cursor, SimQueue, SimRng, SimTime};
 use rmac_wire::{consts::BYTE_TIME, Dest, Frame, NodeId};
 
 use crate::config::{Protocol, ScenarioConfig};
@@ -237,7 +237,12 @@ impl<Q: SimQueue<Ev>> MacContext for Ctx<'_, Q> {
     }
     fn start_tx(&mut self, frame: Frame) {
         if let Some(chk) = self.core.check.as_mut() {
-            chk.on_tx_start(self.core.q.now(), self.node, &frame);
+            // What the checker holds the sender to is what its MAC could
+            // read: the tone records, at this event's cursor.
+            let at = self.core.q.cursor();
+            let from = Cursor::end_of(at.time.saturating_sub(C1_WINDOW));
+            let rbt = self.core.channel.tone_log(self.node, Tone::Rbt, from, at);
+            chk.on_tx_start(at.time, self.node, &frame, &rbt);
         }
         self.core
             .channel
@@ -266,15 +271,16 @@ impl<Q: SimQueue<Ev>> MacContext for Ctx<'_, Q> {
         self.core.channel.data_busy(self.node)
     }
     fn tone_present(&self, tone: Tone) -> bool {
-        self.core.channel.tone_present(self.node, tone)
+        let at = self.core.q.cursor();
+        self.core.channel.tone_present(self.node, tone, at)
     }
     fn open_tone_watch(&mut self, tone: Tone) {
-        let now = self.core.q.now();
-        self.core.channel.open_watch(self.node, tone, now);
+        let at = self.core.q.cursor();
+        self.core.channel.open_watch(self.node, tone, at);
     }
     fn close_tone_watch(&mut self, tone: Tone) -> ToneLog {
-        let now = self.core.q.now();
-        self.core.channel.close_watch(self.node, tone, now)
+        let at = self.core.q.cursor();
+        self.core.channel.close_watch(self.node, tone, at)
     }
     fn deliver(&mut self, frame: &Arc<Frame>) {
         self.delivered.push(Arc::clone(frame));
@@ -784,6 +790,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                     outcomes: &mut outcomes,
                 };
                 self.macs[node.idx()].on_timer(&mut ctx, kind, gen);
+                self.sync_tone_interest(node);
                 self.post_mac(node, delivered, outcomes);
             }
             Ev::Beacon { node } => {
@@ -857,6 +864,8 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                         self.core.channel.stop_tone(&mut self.core.q, node, tone);
                     }
                 }
+                // The dead MAC's tone watches and interest go with it.
+                self.core.channel.deafen(node);
                 // The crash (not the protocol) cut short whatever was in
                 // flight; wipe the node's conformance state accordingly.
                 if let Some(chk) = self.core.check.as_mut() {
@@ -874,16 +883,6 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 if self.core.obs.is_some() || self.core.check.is_some() {
                     // Keep the revived incarnation observable too.
                     self.macs[node.idx()].enable_transition_counting();
-                }
-                // Tone edges during the outage were delivered to no one;
-                // resync the checker's sensed-tone model from the channel.
-                if self.core.check.is_some() {
-                    let now = self.core.q.now();
-                    let rbt = self.core.channel.tone_present(node, Tone::Rbt);
-                    let abt = self.core.channel.tone_present(node, Tone::Abt);
-                    if let Some(chk) = self.core.check.as_mut() {
-                        chk.on_node_up(now, node, rbt, abt);
-                    }
                 }
                 let bless_cfg = BlessConfig {
                     beacon_period: self.cfg.beacon_period,
@@ -977,7 +976,6 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
     /// aggregates live in the channel (always on, counted at indication
     /// creation), so the detached path pays nothing here.
     fn observe_indication(&mut self, node: NodeId, ind: &Indication) {
-        let now_ns = self.core.q.now().nanos();
         let Some(obs) = self.core.obs.as_mut() else {
             return;
         };
@@ -997,14 +995,11 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                     n.rx_corrupt[k] += 1;
                 }
             }
-            Indication::ToneChanged { tone, present, .. } => {
-                let t = match tone {
-                    Tone::Rbt => 0,
-                    Tone::Abt => 1,
-                };
-                n.tone_edge(t, *present, now_ns);
-            }
-            Indication::CarrierOn { .. } | Indication::CarrierOff { .. } => {}
+            // Tone occupancy is read from the channel's records at the end
+            // of the run: which flips are dispatched depends on the MACs.
+            Indication::ToneChanged { .. }
+            | Indication::CarrierOn { .. }
+            | Indication::CarrierOff { .. } => {}
         }
     }
 
@@ -1034,6 +1029,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
             outcomes: &mut outcomes,
         };
         self.macs[node.idx()].on_indication(&mut ctx, ind);
+        self.sync_tone_interest(node);
         self.post_mac(node, delivered, outcomes);
     }
 
@@ -1099,7 +1095,18 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
             outcomes: &mut outcomes,
         };
         self.macs[node.idx()].submit(&mut ctx, req);
+        self.sync_tone_interest(node);
         debug_assert!(delivered.is_empty(), "submit cannot deliver frames");
+    }
+
+    /// After every call into `node`'s MAC: tell the channel which tone flips
+    /// the MAC can act on in the state the call left it in. The channel
+    /// schedules a `ToneEdge` for a node only while it is interested
+    /// (DESIGN.md §12); everything else reads the tone records.
+    #[inline]
+    fn sync_tone_interest(&mut self, node: NodeId) {
+        let want = self.macs[node.idx()].tone_interest();
+        self.core.channel.listen(&mut self.core.q, node, want);
     }
 
     /// Close out the attached instrumentation and assemble its report.
@@ -1107,9 +1114,10 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
     /// whether instrumentation was attached.
     pub(crate) fn finish_obs(&mut self) -> Option<ObsReport> {
         let mut obs = self.core.obs.take()?;
-        let now_ns = self.core.q.now().nanos();
-        for n in obs.nodes.iter_mut() {
-            n.close_tones(now_ns);
+        let end = self.cfg.end_time();
+        for (i, n) in obs.nodes.iter_mut().enumerate() {
+            n.tone_busy_ns =
+                Tone::ALL.map(|tone| self.core.channel.tone_busy_ns(NodeId(i as u16), tone, end));
         }
         let snapshots = match obs.sampler.as_mut() {
             Some(sampler) => {
@@ -1135,6 +1143,9 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
             ("engine.events_pushed", self.core.q.total_pushed()),
             ("phy.pool_hits", phy.pool_hits),
             ("phy.pool_misses", phy.pool_misses),
+            ("phy.tone_records", phy.tone_records),
+            ("phy.tone_edges_scheduled", phy.tone_edges_scheduled),
+            ("phy.tone_catchups", phy.tone_catchups),
         ];
         if let Some(grid) = phy.grid {
             counters.push(("grid.refreshes", grid.refreshes));

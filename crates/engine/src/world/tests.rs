@@ -1,6 +1,7 @@
 //! Engine integration tests on small networks.
 
 use crate::config::{Protocol, ScenarioConfig};
+use crate::world::Runner;
 use crate::{run_replication, Run};
 
 /// A small, dense stationary scenario that finishes in well under a second
@@ -164,9 +165,9 @@ fn mobile_scenario_runs() {
 }
 
 #[test]
-fn trace_reproduces_fig4_sequence() {
+fn trace_and_tone_records_reproduce_fig4() {
     use crate::trace::{TraceEvent, TraceWhat};
-    use rmac_phy::Tone;
+    use rmac_wire::consts::L_ABT;
     use rmac_wire::FrameKind;
     use std::sync::{Arc, Mutex};
 
@@ -179,91 +180,60 @@ fn trace_reproduces_fig4_sequence() {
         ]);
     let events: Arc<Mutex<Vec<TraceEvent>>> = Arc::default();
     let sink = events.clone();
-    let report = Run::new(&cfg, Protocol::Rmac, 3)
+    let out = Run::new(&cfg, Protocol::Rmac, 3)
         .tracer(Box::new(move |e| sink.lock().unwrap().push(e.clone())))
-        .execute()
-        .report;
-    assert_eq!(report.delivery_ratio(), 1.0);
+        .obs(crate::ObsConfig::default())
+        .execute();
+    assert_eq!(out.report.delivery_ratio(), 1.0);
 
     let events = events.lock().unwrap();
-    let pos = |pred: &dyn Fn(&TraceWhat) -> bool| {
-        events
-            .iter()
-            .position(|e| pred(&e.what))
-            .unwrap_or_else(|| panic!("missing trace event"))
+    let tx_done = |kind: FrameKind| {
+        let at = events.iter().position(
+            |e| matches!(e.what, TraceWhat::TxDone { kind: k, aborted: false, .. } if k == kind),
+        );
+        at.unwrap_or_else(|| panic!("no {kind:?} in the trace"))
     };
-    let mrts = pos(&|w| {
-        matches!(
-            w,
-            TraceWhat::TxDone {
-                kind: FrameKind::Mrts,
-                aborted: false,
-                ..
-            }
-        )
-    });
-    let rbt_on = pos(&|w| {
-        matches!(
-            w,
-            TraceWhat::Tone {
-                tone: Tone::Rbt,
-                present: true
-            }
-        )
-    });
-    let data = pos(&|w| {
-        matches!(
-            w,
-            TraceWhat::TxDone {
-                kind: FrameKind::DataReliable,
-                aborted: false,
-                ..
-            }
-        )
-    });
-    let abt_on = pos(&|w| {
-        matches!(
-            w,
-            TraceWhat::Tone {
-                tone: Tone::Abt,
-                present: true
-            }
-        )
-    });
-    // Deliveries of the *reliable* packet come from the sender n0 and must
-    // follow the MRTS (beacons also trace Deliver events, so filter by
-    // source and position).
-    let deliver = events
-        .iter()
-        .position(|e| {
+    let mrts = tx_done(FrameKind::Mrts);
+    let data = tx_done(FrameKind::DataReliable);
+    // Deliveries of the *reliable* packet (beacons trace Deliver too).
+    let delivers: Vec<usize> = (0..events.len())
+        .filter(|&i| {
             matches!(
-                e.what,
+                events[i].what,
                 TraceWhat::Deliver {
                     kind: FrameKind::DataReliable,
                     ..
                 }
             )
         })
-        .expect("reliable delivery traced");
-    // §3.3.2 / Fig. 4 ordering: MRTS → RBT up → data → delivery → ABT.
-    assert!(mrts < rbt_on, "MRTS before RBT");
-    assert!(rbt_on < data, "RBT before data completes");
-    assert!(data < abt_on, "data before ABT");
-    assert!(deliver > rbt_on, "delivery after session start");
-    // Both receivers delivered the packet exactly once.
-    let delivers = events
+        .collect();
+    // §3.3.2 / Fig. 4: MRTS → data → one delivery at each receiver.
+    assert!(mrts < data, "MRTS before data");
+    assert_eq!(delivers.len(), 2);
+    assert!(delivers[0] > data, "delivery after the data frame");
+
+    // The tones of the figure are nobody's to act on — the sender reads
+    // them through its two watches — so no `ToneEdge` carried them and the
+    // trace has no line for them. The records do: the sender heard the RBT
+    // from the end of its MRTS to the end of its data frame (both one
+    // round trip later), then the two ABT slots back to back; each
+    // receiver heard the other's RBT and the other's ABT.
+    let rbt_held = (events[data].t - events[mrts].t).nanos();
+    let heard: Vec<[u64; 2]> = out
+        .obs
+        .expect("obs attached")
+        .nodes
         .iter()
-        .filter(|e| {
-            matches!(
-                e.what,
-                TraceWhat::Deliver {
-                    kind: FrameKind::DataReliable,
-                    ..
-                }
-            )
-        })
-        .count();
-    assert_eq!(delivers, 2);
+        .map(|n| n.tone_busy_ns)
+        .collect();
+    assert_eq!(
+        heard,
+        [
+            [rbt_held, 2 * L_ABT.nanos()],
+            [rbt_held, L_ABT.nanos()],
+            [rbt_held, L_ABT.nanos()]
+        ]
+    );
 }
 
 #[test]
@@ -307,6 +277,105 @@ fn crashing_the_only_relay_starves_downstream_nodes() {
         "no path around the dead relay, got {}",
         faulted.delivery_ratio()
     );
+}
+
+/// A node that dies inside WF_ABT leaves its ABT watch open for good. The
+/// crash must close it: an open watch keeps every tone record from its start
+/// on, and a dead node's would grow for as long as anything near it emits.
+#[test]
+fn a_crash_inside_a_tone_watch_does_not_pin_the_nodes_tone_records() {
+    use crate::run::Spec;
+    use crate::trace::{TraceEvent, TraceWhat};
+    use rmac_faults::{ChurnKind, ChurnSpec, FaultPlan, JamTarget, JammerSpec};
+    use rmac_phy::Tone;
+    use rmac_sim::{CalendarQueue, SimTime};
+    use rmac_wire::consts::{BYTE_TIME, L_ABT};
+    use rmac_wire::{FrameKind, NodeId};
+    use std::sync::{Arc, Mutex};
+
+    // The sender of Fig. 4, two receivers: WF_ABT lasts 2 × 17 µs after the
+    // data frame. Crashes come on whole milliseconds, so stretch the payload
+    // until the data frame ends 20 µs before one.
+    let mut cfg = ScenarioConfig::paper_stationary(5.0)
+        .with_packets(1)
+        .with_positions(vec![
+            rmac_mobility::Pos::new(0.0, 0.0),
+            rmac_mobility::Pos::new(50.0, 0.0),
+            rmac_mobility::Pos::new(0.0, 50.0),
+        ]);
+    let run = |cfg: &ScenarioConfig, plan: FaultPlan| {
+        let spec = Spec {
+            cfg: Arc::new(cfg.clone()),
+            protocol: Protocol::Rmac,
+            seed: 3,
+            plan,
+            obs: None,
+            check: false,
+            brute_phy: false,
+        };
+        let mut runner = Runner::assemble(&spec, CalendarQueue::with_capacity, None, None);
+        let events: Arc<Mutex<Vec<TraceEvent>>> = Arc::default();
+        let sink = events.clone();
+        runner.set_tracer(Box::new(move |e| sink.lock().unwrap().push(e.clone())));
+        runner.run_events();
+        let events = std::mem::take(&mut *events.lock().unwrap());
+        (runner, events)
+    };
+    let at = |events: &[TraceEvent], what: &dyn Fn(&TraceWhat) -> bool| {
+        events.iter().find(|e| what(&e.what)).expect("traced").t
+    };
+    let data_done = |w: &TraceWhat| {
+        matches!(
+            w,
+            TraceWhat::TxDone {
+                kind: FrameKind::DataReliable,
+                ..
+            }
+        )
+    };
+    let plain = at(&run(&cfg, FaultPlan::none()).1, &data_done);
+    let crash_ms = plain.nanos() / 1_000_000 + 2;
+    let slack = SimTime::from_millis(crash_ms) - SimTime::from_micros(20) - plain;
+    cfg.payload += (slack.nanos() / BYTE_TIME.nanos()) as usize;
+
+    // An ABT jammer beside the sender keeps bursting after the crash.
+    let plan = FaultPlan::none()
+        .with_churn(ChurnSpec {
+            node: 0,
+            kind: ChurnKind::Crash,
+            at_ms: crash_ms,
+            for_ms: 1_000_000,
+        })
+        .with_jammer(JammerSpec {
+            x: 10.0,
+            y: 10.0,
+            target: JamTarget::Abt,
+            start_ms: crash_ms + 1,
+            period_ms: 2,
+            burst_ms: 1,
+        });
+    let (runner, events) = run(&cfg, plan);
+    let crashed = at(&events, &|w| {
+        matches!(w, TraceWhat::Fault { label: "crash" })
+    });
+    let waited = crashed - at(&events, &data_done);
+    assert!(
+        SimTime::ZERO < waited && waited < L_ABT.mul(2),
+        "the crash came {waited} into WF_ABT"
+    );
+    let bursts = runner.faults.as_ref().expect("a plan").jam_bursts;
+    assert!(bursts > 4000, "{bursts} bursts after the crash");
+    let held = runner.core.channel.tone_records_held(NodeId(0));
+    assert!(held <= 8, "{held} tone records held for the dead node");
+    // Forgotten, not lost: the node's antenna was under the ABT for the two
+    // reply slots (its receivers live on) and every burst since, the last
+    // one up to the end of the run, a propagation delay short of whole.
+    let busy = runner
+        .core
+        .channel
+        .tone_busy_ns(NodeId(0), Tone::Abt, cfg.end_time());
+    let whole = 2 * L_ABT.nanos() + bursts * 1_000_000;
+    assert!(busy <= whole && whole - busy < 250, "{busy} of {whole} ns");
 }
 
 #[test]

@@ -62,10 +62,9 @@ pub struct NodeObs {
     pub timer_cancelled: Vec<u64>,
     /// Timer firings dropped as stale (crashed node or old epoch).
     pub timer_stale: Vec<u64>,
-    /// Cumulative sensed busy-tone presence per tone channel (ns).
+    /// Cumulative busy-tone presence at the node's antenna per tone
+    /// channel (ns), read from the channel's tone records at end of run.
     pub tone_busy_ns: [u64; TONES],
-    /// Open tone intervals: when presence last rose (ns), per channel.
-    tone_since: [Option<u64>; TONES],
     /// Row-major `n × n` state transition counts, if the MAC exposed them.
     pub transitions: Vec<u64>,
 }
@@ -79,26 +78,6 @@ impl NodeObs {
             timer_cancelled: vec![0; timer_kinds],
             timer_stale: vec![0; timer_kinds],
             ..NodeObs::default()
-        }
-    }
-
-    /// Record a sensed tone presence edge at `now_ns`.
-    pub fn tone_edge(&mut self, tone: usize, present: bool, now_ns: u64) {
-        if present {
-            // A second rising edge without a falling one keeps the
-            // earlier start (presence is level-triggered at the PHY).
-            if self.tone_since[tone].is_none() {
-                self.tone_since[tone] = Some(now_ns);
-            }
-        } else if let Some(since) = self.tone_since[tone].take() {
-            self.tone_busy_ns[tone] += now_ns.saturating_sub(since);
-        }
-    }
-
-    /// Close any tone intervals still open at end of run.
-    pub fn close_tones(&mut self, now_ns: u64) {
-        for t in 0..TONES {
-            self.tone_edge(t, false, now_ns);
         }
     }
 
@@ -178,30 +157,6 @@ mod tests {
             FRAME_KIND_LABELS[frame_kind_index(FrameKind::DataReliable)],
             "DataReliable"
         );
-    }
-
-    #[test]
-    fn tone_occupancy_accumulates_closed_intervals() {
-        let mut n = NodeObs::new(4);
-        n.tone_edge(0, true, 100);
-        n.tone_edge(0, false, 350);
-        assert_eq!(n.tone_busy_ns[0], 250);
-        // A duplicate rising edge keeps the earlier start.
-        n.tone_edge(1, true, 1000);
-        n.tone_edge(1, true, 2000);
-        n.tone_edge(1, false, 3000);
-        assert_eq!(n.tone_busy_ns[1], 2000);
-    }
-
-    #[test]
-    fn open_intervals_close_at_end_of_run() {
-        let mut n = NodeObs::new(4);
-        n.tone_edge(0, true, 500);
-        n.close_tones(800);
-        assert_eq!(n.tone_busy_ns[0], 300);
-        // A falling edge without a rising one is a no-op.
-        n.close_tones(900);
-        assert_eq!(n.tone_busy_ns[0], 300);
     }
 
     #[test]

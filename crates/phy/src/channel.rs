@@ -3,14 +3,14 @@
 use std::sync::Arc;
 
 use rmac_mobility::{Motion, Pos};
-use rmac_sim::{SimQueue, SimRng, SimTime};
+use rmac_sim::{Cursor, SimQueue, SimRng, SimTime};
 use rmac_wire::consts::SPEED_OF_LIGHT;
 use rmac_wire::{Frame, NodeId};
 
 use crate::event::{Indication, PhyEvent};
 use crate::grid::{GridStats, IndexMode, SpatialGrid};
 use crate::slab::IdSlab;
-use crate::tone::{ActiveWatch, Tone, ToneLog};
+use crate::tone::{Heard, Tone, ToneInterest, ToneLog, ToneRec, NEVER};
 
 /// Identifier of one transmission on the data channel.
 pub type TxId = u64;
@@ -85,12 +85,25 @@ struct TxRecord {
     pending_ends: usize,
 }
 
-/// One busy-tone emission.
-struct ToneEmission {
-    receivers: Vec<(NodeId, SimTime)>,
-    stopped: bool,
-    /// Scheduled edges (on + off) not yet processed.
-    pending: usize,
+/// A busy tone being emitted.
+struct Emission {
+    id: u64,
+    /// Who hears it, fixed at onset (a buffer from the receiver pool; the
+    /// powers go unused).
+    receivers: Vec<(NodeId, SimTime, f64)>,
+}
+
+/// How far back tone records are kept after an emission ends, beyond what an
+/// open watch holds: the reach of [`Channel::tone_log`].
+pub const TONE_HISTORY: SimTime = SimTime::from_micros(200);
+
+/// A receiver's record list is weeded of what nobody will read again when it
+/// has grown this long: several at a time, to spread the cost, and before
+/// presence queries have much to walk.
+const CROWD: usize = 8;
+
+fn edge_event<E: From<PhyEvent>>(rx: NodeId, tone: Tone, on: bool, emit: u64) -> E {
+    E::from(PhyEvent::ToneEdge { rx, tone, on, emit })
 }
 
 /// A signal currently arriving at a node.
@@ -111,9 +124,13 @@ struct Arriving {
 struct NodeRadio {
     transmitting: Option<TxId>,
     arriving: Vec<Arriving>,
-    tone_count: [u32; 2],
-    emitting: [Option<u64>; 2],
-    watch: [Option<ActiveWatch>; 2],
+    /// What the node hears on each tone channel.
+    heard: [Heard; 2],
+    emitting: [Option<Emission>; 2],
+    /// Where each open tone watch began.
+    watch: [Option<Cursor>; 2],
+    /// The tone flips the node's MAC wants dispatched.
+    interest: ToneInterest,
 }
 
 impl NodeRadio {
@@ -121,9 +138,10 @@ impl NodeRadio {
         NodeRadio {
             transmitting: None,
             arriving: Vec::new(),
-            tone_count: [0, 0],
+            heard: Default::default(),
             emitting: [None, None],
             watch: [None, None],
+            interest: ToneInterest::NONE,
         }
     }
 }
@@ -137,7 +155,6 @@ pub struct Channel {
     motions: Vec<Motion>,
     radios: Vec<NodeRadio>,
     txs: IdSlab<TxRecord>,
-    tones: IdSlab<ToneEmission>,
     next_tx: TxId,
     next_emit: u64,
     fault_hook: Option<Box<dyn FaultHook>>,
@@ -150,8 +167,6 @@ pub struct Channel {
     /// Recycled receiver-triple buffers (the allocation diet: transmission
     /// records hand their receiver lists back here instead of freeing).
     rx_pool: Vec<Vec<(NodeId, SimTime, f64)>>,
-    /// Recycled tone receiver buffers.
-    tone_pool: Vec<Vec<(NodeId, SimTime)>>,
     /// Scratch for grid candidate indices.
     cand_scratch: Vec<u16>,
     /// Buffer requests served from a pool (observability).
@@ -160,6 +175,10 @@ pub struct Channel {
     pool_misses: u64,
     /// Always-on per-frame-kind frame tallies (see [`FrameTallies`]).
     frames: FrameTallies,
+    /// Tone bookkeeping tallies (see [`PhyObs`]).
+    tone_records: u64,
+    tone_edges_scheduled: u64,
+    tone_catchups: u64,
 }
 
 /// Number of [`rmac_wire::FrameKind`] variants; one tally slot per kind,
@@ -197,6 +216,14 @@ pub struct PhyObs {
     pub grid: Option<GridStats>,
     /// Frames corrupted by the attached fault hook.
     pub faults_injected: u64,
+    /// Tone records written: one per emission per in-range receiver.
+    pub tone_records: u64,
+    /// `ToneEdge` events pushed as an edge was written, for a receiver
+    /// interested at that moment.
+    pub tone_edges_scheduled: u64,
+    /// `ToneEdge` events pushed late, for an edge still in flight when its
+    /// receiver's interest opened.
+    pub tone_catchups: u64,
 }
 
 impl Channel {
@@ -212,18 +239,19 @@ impl Channel {
             motions,
             radios: (0..n).map(|_| NodeRadio::new()).collect(),
             txs: IdSlab::new(),
-            tones: IdSlab::new(),
             next_tx: 0,
             next_emit: 0,
             fault_hook: None,
             grid,
             static_rx: vec![None; n],
             rx_pool: Vec::new(),
-            tone_pool: Vec::new(),
             cand_scratch: Vec::new(),
             pool_hits: 0,
             pool_misses: 0,
             frames: FrameTallies::default(),
+            tone_records: 0,
+            tone_edges_scheduled: 0,
+            tone_catchups: 0,
         }
     }
 
@@ -239,26 +267,15 @@ impl Channel {
             pool_misses: self.pool_misses,
             grid: self.grid.as_ref().map(|g| g.stats()),
             faults_injected: self.faults_injected(),
+            tone_records: self.tone_records,
+            tone_edges_scheduled: self.tone_edges_scheduled,
+            tone_catchups: self.tone_catchups,
         }
     }
 
     /// Pop a recycled receiver-triple buffer, counting hit or miss.
     fn pooled_rx_buf(&mut self) -> Vec<(NodeId, SimTime, f64)> {
         match self.rx_pool.pop() {
-            Some(buf) => {
-                self.pool_hits += 1;
-                buf
-            }
-            None => {
-                self.pool_misses += 1;
-                Vec::new()
-            }
-        }
-    }
-
-    /// Pop a recycled tone receiver buffer, counting hit or miss.
-    fn pooled_tone_buf(&mut self) -> Vec<(NodeId, SimTime)> {
-        match self.tone_pool.pop() {
             Some(buf) => {
                 self.pool_hits += 1;
                 buf
@@ -443,7 +460,9 @@ impl Channel {
     }
 
     /// Raise busy tone `tone` at `src`. In-range nodes sense it after the
-    /// propagation delay. No-op if the tone is already raised.
+    /// propagation delay: each gets a record of the emission, and the ones
+    /// interested in the tone turning present a `ToneEdge` event as well.
+    /// No-op if the tone is already raised.
     pub fn start_tone<E: From<PhyEvent>>(
         &mut self,
         q: &mut impl SimQueue<E>,
@@ -456,33 +475,32 @@ impl Channel {
         let now = q.now();
         let id = self.next_emit;
         self.next_emit += 1;
-        let mut triples = self.pooled_rx_buf();
-        self.fill_receivers(src, now, &mut triples);
-        let mut receivers = self.pooled_tone_buf();
-        receivers.extend(triples.iter().map(|&(rx, prop, _)| (rx, prop)));
-        triples.clear();
-        self.rx_pool.push(triples);
-        for &(rx, prop) in &receivers {
-            q.push(
-                now + prop,
-                E::from(PhyEvent::ToneEdge {
-                    rx,
-                    tone,
-                    on: true,
-                    emit: id,
-                }),
-            );
+        let mut receivers = self.pooled_rx_buf();
+        self.fill_receivers(src, now, &mut receivers);
+        let horizon = now.saturating_sub(TONE_HISTORY);
+        for &(rx, prop, _) in &receivers {
+            let radio = &mut self.radios[rx.idx()];
+            let on = q.claim(now + prop);
+            let on_told = radio.interest.wants(tone, true);
+            if on_told {
+                q.push_claimed(on, edge_event(rx, tone, true, id));
+                self.tone_edges_scheduled += 1;
+            }
+            let heard = &mut radio.heard[tone.idx()];
+            if heard.recs.len() >= CROWD {
+                let watch = radio.watch[tone.idx()];
+                heard.forget_before(watch.map_or(horizon, |w| w.time.min(horizon)));
+            }
+            heard.recs.push(ToneRec {
+                emit: id,
+                on,
+                off: NEVER,
+                on_told,
+                off_told: false,
+            });
         }
-        let pending = receivers.len();
-        self.tones.insert(
-            id,
-            ToneEmission {
-                receivers,
-                stopped: false,
-                pending,
-            },
-        );
-        self.radios[src.idx()].emitting[tone.idx()] = Some(id);
+        self.tone_records += receivers.len() as u64;
+        self.radios[src.idx()].emitting[tone.idx()] = Some(Emission { id, receivers });
     }
 
     /// Lower busy tone `tone` at `src`. The same nodes that sensed the
@@ -495,35 +513,84 @@ impl Channel {
         src: NodeId,
         tone: Tone,
     ) {
-        let Some(id) = self.radios[src.idx()].emitting[tone.idx()].take() else {
+        let Some(Emission { id, mut receivers }) =
+            self.radios[src.idx()].emitting[tone.idx()].take()
+        else {
             return;
         };
         let now = q.now();
-        let rec = self
-            .tones
-            .get_mut(id)
-            .expect("emitting tone without record");
-        rec.stopped = true;
-        rec.pending += rec.receivers.len();
-        // The falling edges are pushed straight from the record's receiver
-        // list — `q` is a caller-owned queue, so no clone of the list is
-        // needed to satisfy the borrow checker.
-        for &(rx, prop) in &rec.receivers {
-            q.push(
-                now + prop,
-                E::from(PhyEvent::ToneEdge {
-                    rx,
-                    tone,
-                    on: false,
-                    emit: id,
-                }),
-            );
+        for &(rx, prop, _) in &receivers {
+            let radio = &mut self.radios[rx.idx()];
+            let recs = &mut radio.heard[tone.idx()].recs;
+            let i = recs
+                .iter()
+                .rposition(|r| r.emit == id)
+                .expect("a lasting emission keeps its records");
+            let off = q.claim(now + prop);
+            if radio.interest.wants(tone, false) {
+                q.push_claimed(off, edge_event(rx, tone, false, id));
+                self.tone_edges_scheduled += 1;
+                recs[i].off_told = true;
+            } else if off.time == recs[i].on.time && !recs[i].on_told {
+                // Lowered in the instant it was raised and nobody told:
+                // nothing was, or will be, heard.
+                recs.remove(i);
+                continue;
+            }
+            recs[i].off = off;
         }
-        if self.tones.get(id).is_some_and(|r| r.pending == 0) {
-            if let Some(rec) = self.tones.remove(id) {
-                self.recycle_tone(rec);
+        receivers.clear();
+        self.rx_pool.push(receivers);
+    }
+
+    /// Declare which tone flips `node`'s MAC can act on from here on. An
+    /// edge written while the MAC was not interested and still in flight —
+    /// keyed after the event being dispatched — gets its `ToneEdge` now,
+    /// under its own key, so a flip never passes an interested MAC
+    /// unannounced. Interest that closes cancels nothing: a MAC must
+    /// tolerate a flip it no longer cares about.
+    pub fn listen<E: From<PhyEvent>>(
+        &mut self,
+        q: &mut impl SimQueue<E>,
+        node: NodeId,
+        want: ToneInterest,
+    ) {
+        let radio = &mut self.radios[node.idx()];
+        let had = std::mem::replace(&mut radio.interest, want);
+        if want == had {
+            return;
+        }
+        let at = q.cursor();
+        for tone in Tone::ALL {
+            for on in [true, false] {
+                if !want.wants(tone, on) || had.wants(tone, on) {
+                    continue;
+                }
+                for r in &mut radio.heard[tone.idx()].recs {
+                    let (edge, told) = if on {
+                        (r.on, &mut r.on_told)
+                    } else {
+                        (r.off, &mut r.off_told)
+                    };
+                    if *told || edge <= at || edge == NEVER {
+                        continue;
+                    }
+                    // Under the key the edge claimed as it was written: the
+                    // event runs where one pushed then would have.
+                    *told = true;
+                    q.push_claimed(edge, edge_event(node, tone, on, r.emit));
+                    self.tone_catchups += 1;
+                }
             }
         }
+    }
+
+    /// `node`'s MAC is gone (a crash): close its tone watches and withdraw
+    /// its interest, so nothing holds the node's records back.
+    pub fn deafen(&mut self, node: NodeId) {
+        let radio = &mut self.radios[node.idx()];
+        radio.watch = [None, None];
+        radio.interest = ToneInterest::NONE;
     }
 
     /// Whether `src` currently emits `tone`.
@@ -543,31 +610,53 @@ impl Channel {
         r.transmitting.is_some() || !r.arriving.is_empty()
     }
 
-    /// Instantaneous tone sense: is `tone` present at `node`? A node does
-    /// not sense its own emission.
-    pub fn tone_present(&self, node: NodeId, tone: Tone) -> bool {
-        self.radios[node.idx()].tone_count[tone.idx()] > 0
+    /// Instantaneous tone sense: is `tone` present at `node` for a reader at
+    /// `at` — the cursor of the event being dispatched, or
+    /// [`Cursor::end_of`] an instant? A node does not sense its own
+    /// emission.
+    pub fn tone_present(&self, node: NodeId, tone: Tone, at: Cursor) -> bool {
+        self.radios[node.idx()].heard[tone.idx()].present(at)
     }
 
-    /// Start recording `tone` activity at `node` (for λ-window detection).
-    /// Replaces any previous watch on the same tone.
-    pub fn open_watch(&mut self, node: NodeId, tone: Tone, now: SimTime) {
-        let initial_on = self.tone_present(node, tone);
-        self.radios[node.idx()].watch[tone.idx()] = Some(ActiveWatch {
-            start: now,
-            initial_on,
-            edges: Vec::new(),
-        });
+    /// The flips of `tone` at `node` keyed in `(from, to]`, `from` no
+    /// further back than [`TONE_HISTORY`].
+    pub fn tone_log(&self, node: NodeId, tone: Tone, from: Cursor, to: Cursor) -> ToneLog {
+        debug_assert!(to.time.saturating_sub(from.time) <= TONE_HISTORY);
+        self.radios[node.idx()].heard[tone.idx()].log(from, to)
     }
 
-    /// Close the watch on `tone` at `node`, returning the recorded log.
+    /// How long `tone` has been present at `node` before `upto`, ns.
+    pub fn tone_busy_ns(&self, node: NodeId, tone: Tone, upto: SimTime) -> u64 {
+        self.radios[node.idx()].heard[tone.idx()].busy_ns(upto)
+    }
+
+    /// Tone records currently kept for `node` (diagnostics: the number is
+    /// bounded by what is audible, not by how long the run has lasted).
+    pub fn tone_records_held(&self, node: NodeId) -> usize {
+        self.radios[node.idx()]
+            .heard
+            .iter()
+            .map(|h| h.recs.len())
+            .sum()
+    }
+
+    /// Start watching `tone` at `node` (for λ-window detection) from `at`,
+    /// the cursor of the event being dispatched. Replaces any previous
+    /// watch on the same tone.
+    pub fn open_watch(&mut self, node: NodeId, tone: Tone, at: Cursor) {
+        self.radios[node.idx()].watch[tone.idx()] = Some(at);
+    }
+
+    /// Close the watch on `tone` at `node`, returning what it saw up to
+    /// `at`.
     ///
     /// Panics if no watch is open (a MAC state-machine bug).
-    pub fn close_watch(&mut self, node: NodeId, tone: Tone, now: SimTime) -> ToneLog {
-        self.radios[node.idx()].watch[tone.idx()]
+    pub fn close_watch(&mut self, node: NodeId, tone: Tone, at: Cursor) -> ToneLog {
+        let radio = &mut self.radios[node.idx()];
+        let from = radio.watch[tone.idx()]
             .take()
-            .expect("close_watch without an open watch")
-            .close(now)
+            .expect("close_watch without an open watch");
+        radio.heard[tone.idx()].log(from, at)
     }
 
     // -----------------------------------------------------------------
@@ -589,9 +678,7 @@ impl Channel {
                 self.frame_end(now, rng, rx, tx, prop, out)
             }
             PhyEvent::TxComplete { node, tx } => self.tx_complete(now, node, tx, out),
-            PhyEvent::ToneEdge { rx, tone, on, emit } => {
-                self.tone_edge(now, rx, tone, on, emit, out)
-            }
+            PhyEvent::ToneEdge { rx, tone, on, emit } => self.tone_edge(rx, tone, on, emit, out),
         }
     }
 
@@ -600,13 +687,6 @@ impl Channel {
         let mut buf = rec.receivers;
         buf.clear();
         self.rx_pool.push(buf);
-    }
-
-    /// Return a retired tone emission's receiver buffer to the pool.
-    fn recycle_tone(&mut self, rec: ToneEmission) {
-        let mut buf = rec.receivers;
-        buf.clear();
-        self.tone_pool.push(buf);
     }
 
     fn frame_start(&mut self, rx: NodeId, tx: TxId, power: f64, out: &mut Vec<Indication>) {
@@ -755,45 +835,27 @@ impl Channel {
         // TxDone already marks that instant.
     }
 
-    fn tone_edge(
-        &mut self,
-        now: SimTime,
-        rx: NodeId,
-        tone: Tone,
-        on: bool,
-        emit: u64,
-        out: &mut Vec<Indication>,
-    ) {
-        let r = &mut self.radios[rx.idx()];
-        let count = &mut r.tone_count[tone.idx()];
-        let was_present = *count > 0;
-        if on {
-            *count += 1;
-        } else {
-            debug_assert!(*count > 0, "tone count underflow at {rx:?}");
-            *count -= 1;
-        }
-        let present = *count > 0;
-        if present != was_present {
-            if let Some(w) = &mut r.watch[tone.idx()] {
-                w.edges.push((now, present));
-            }
+    /// An edge the receiver's MAC asked to hear of. The records already
+    /// hold it; what is left to decide is whether it is a presence flip —
+    /// the one thing a MAC is told — or an emission joining or leaving
+    /// others.
+    fn tone_edge(&self, rx: NodeId, tone: Tone, on: bool, emit: u64, out: &mut Vec<Indication>) {
+        let heard = &self.radios[rx.idx()].heard[tone.idx()];
+        let Some(rec) = heard.recs.iter().find(|r| r.emit == emit) else {
+            return;
+        };
+        if heard.alone(emit, if on { rec.on } else { rec.off }) {
             out.push(Indication::ToneChanged {
                 node: rx,
                 tone,
-                present,
+                present: on,
             });
-        }
-        if let Some(rec) = self.tones.get_mut(emit) {
-            rec.pending -= 1;
-            if rec.stopped && rec.pending == 0 {
-                if let Some(rec) = self.tones.remove(emit) {
-                    self.recycle_tone(rec);
-                }
-            }
         }
     }
 }
+
+#[cfg(test)]
+mod record_tests;
 
 #[cfg(test)]
 mod tests {
@@ -1126,14 +1188,16 @@ mod tests {
 
     #[test]
     fn tones_propagate_and_merge() {
-        // Two emitters raise the RBT at B; B sees one rising edge and one
-        // falling edge (presence is a count, not per-emitter).
+        // Two emitters raise the RBT at B; B, listening for both flips, is
+        // told of one rise and one fall (emitters are indistinguishable).
         let mut ch = Channel::new(
             ChannelConfig::default(),
             vec![still(0.0, 0.0), still(50.0, 0.0), still(100.0, 0.0)],
         );
         let mut q = Q::new();
-        ch.open_watch(n(1), Tone::Rbt, SimTime::ZERO);
+        let both = ToneInterest::flip(Tone::Rbt, true) | ToneInterest::flip(Tone::Rbt, false);
+        ch.listen(&mut q, n(1), both);
+        ch.open_watch(n(1), Tone::Rbt, q.cursor());
         ch.start_tone(&mut q, n(0), Tone::Rbt);
         ch.start_tone(&mut q, n(2), Tone::Rbt);
         // Stop them at different times via sentinels.
@@ -1182,13 +1246,19 @@ mod tests {
         // The falling edge comes from the *second* emitter stopping.
         assert!(edges_at_b[1].0 >= SimTime::from_micros(200));
         // Watch log agrees: tone present ~[0+, 200+prop] → max_on ≈ 200 µs.
-        let log = ch.close_watch(n(1), Tone::Rbt, SimTime::from_micros(300));
+        let end = Cursor::end_of(SimTime::from_micros(300));
+        let log = ch.close_watch(n(1), Tone::Rbt, end);
         let max_on = log.max_on();
         assert!(
             max_on >= SimTime::from_micros(199) && max_on <= SimTime::from_micros(201),
             "{max_on}"
         );
-        assert!(ch.tones.is_empty(), "tone records leaked");
+        assert_eq!(log.edges.len(), 2, "the watch saw the flips B was told");
+        assert_eq!(
+            ch.tone_busy_ns(n(1), Tone::Rbt, end.time),
+            max_on.nanos(),
+            "busy time is the one merged interval"
+        );
     }
 
     #[test]
@@ -1199,14 +1269,23 @@ mod tests {
         );
         let mut q = Q::new();
         ch.start_tone(&mut q, n(0), Tone::Abt);
-        drain(&mut ch, &mut q);
-        assert!(!ch.tone_present(n(0), Tone::Abt), "self-sensing");
-        assert!(ch.tone_present(n(1), Tone::Abt));
-        assert!(!ch.tone_present(n(2), Tone::Abt), "out of range");
+        // Nobody listens, so nothing was scheduled: presence is read off
+        // the records, here 1 µs on (B is 167 ns away).
+        assert!(q.is_empty());
+        let at = Cursor::end_of(SimTime::MICRO);
+        assert!(!ch.tone_present(n(0), Tone::Abt, at), "self-sensing");
+        assert!(!ch.tone_present(n(1), Tone::Abt, q.cursor()), "in flight");
+        assert!(ch.tone_present(n(1), Tone::Abt, at));
+        assert!(!ch.tone_present(n(2), Tone::Abt, at), "out of range");
         assert!(ch.is_emitting(n(0), Tone::Abt));
+        q.push(
+            SimTime::from_micros(2),
+            PhyEvent::TxComplete { node: n(0), tx: 7 },
+        );
+        q.pop();
         ch.stop_tone(&mut q, n(0), Tone::Abt);
-        drain(&mut ch, &mut q);
-        assert!(!ch.tone_present(n(1), Tone::Abt));
+        assert!(ch.tone_present(n(1), Tone::Abt, q.cursor()), "in flight");
+        assert!(!ch.tone_present(n(1), Tone::Abt, Cursor::end_of(SimTime::from_micros(3))));
         assert!(!ch.is_emitting(n(0), Tone::Abt));
     }
 
@@ -1355,32 +1434,22 @@ mod edge_tests {
             vec![still(0.0, 0.0), still(10.0, 0.0)],
         );
         let mut q = Q::new();
-        ch.open_watch(n(1), Tone::Rbt, SimTime::ZERO);
+        ch.open_watch(n(1), Tone::Rbt, q.cursor());
         ch.start_tone(&mut q, n(0), Tone::Rbt);
-        drain(&mut ch, &mut q);
-        // Re-open while the tone is on: the new watch starts "already on".
-        // (Times must be consistent with the queue clock.)
-        let reopen_at = q.now();
-        ch.open_watch(n(1), Tone::Rbt, reopen_at);
-        // Hold the tone for 40 µs of virtual time before stopping it.
-        q.push(
-            reopen_at + SimTime::from_micros(40),
-            PhyEvent::TxComplete {
-                node: n(0),
-                tx: 424_242,
-            },
-        );
-        let mut rng = SimRng::new(0);
-        let mut out = Vec::new();
-        while let Some((t, ev)) = q.pop() {
-            if matches!(ev, PhyEvent::TxComplete { tx: 424_242, .. }) {
-                ch.stop_tone(&mut q, n(0), Tone::Rbt);
-                continue;
-            }
-            out.clear();
-            ch.handle(t, &mut rng, &ev, &mut out);
+        // Re-open 5 µs later, while the tone is on: the new watch starts
+        // "already on". Hold the tone 40 µs more before stopping it.
+        for (us, tx) in [(5, 1), (45, 2)] {
+            q.push(
+                SimTime::from_micros(us),
+                PhyEvent::TxComplete { node: n(0), tx },
+            );
         }
-        let log = ch.close_watch(n(1), Tone::Rbt, q.now() + SimTime::from_micros(10));
+        q.pop();
+        ch.open_watch(n(1), Tone::Rbt, q.cursor());
+        q.pop();
+        ch.stop_tone(&mut q, n(0), Tone::Rbt);
+        let end = Cursor::end_of(q.now() + SimTime::from_micros(10));
+        let log = ch.close_watch(n(1), Tone::Rbt, end);
         assert!(log.initial_on);
         assert!(
             log.max_on() >= SimTime::from_micros(40),
@@ -1474,7 +1543,7 @@ mod edge_tests {
         ch.start_tx(&mut q, n(1), data_frame(1, 200));
         ch.start_tx(&mut q, n(2), data_frame(2, 200));
         drain(&mut ch, &mut q);
-        assert!(ch.tone_present(n(1), Tone::Rbt));
-        assert!(ch.tone_present(n(2), Tone::Rbt));
+        assert!(ch.tone_present(n(1), Tone::Rbt, q.cursor()));
+        assert!(ch.tone_present(n(2), Tone::Rbt, q.cursor()));
     }
 }

@@ -22,6 +22,18 @@
 //! edges, transmit completions) for the engine to route to the per-node MAC
 //! entities.
 //!
+//! The data channel works by events throughout: every arrival start and end
+//! is one. The tone channels work by **records**: raising or lowering a tone
+//! writes, at every in-range receiver, when the edge takes effect there, and
+//! [`Channel::tone_present`], the [`ToneLog`] of a watch
+//! ([`Channel::open_watch`]/[`Channel::close_watch`]) and
+//! [`Channel::tone_busy_ns`] are readings of those records, taken at the
+//! [`rmac_sim::Cursor`] of the event the reader is dispatching. A
+//! `PhyEvent::ToneEdge` — and the `Indication::ToneChanged` it ends in — is
+//! scheduled only for a receiver whose MAC has declared, through
+//! [`Channel::listen`], that it can act on that flip; see the [`tone`]
+//! module and DESIGN.md §12.
+//!
 //! Aborted transmissions (RMAC aborts an in-flight MRTS when it senses an
 //! RBT) are modelled by truncating the transmission record; stale
 //! frame-end events are recognised by timestamp mismatch and ignored.
@@ -38,7 +50,9 @@ pub mod grid;
 pub mod slab;
 pub mod tone;
 
-pub use channel::{Channel, ChannelConfig, FaultHook, FrameTallies, PhyObs, TxId, FRAME_KINDS};
+pub use channel::{
+    Channel, ChannelConfig, FaultHook, FrameTallies, PhyObs, TxId, FRAME_KINDS, TONE_HISTORY,
+};
 pub use event::{Indication, PhyEvent};
 pub use grid::{GridStats, IndexMode, SpatialGrid};
-pub use tone::{Tone, ToneLog};
+pub use tone::{Tone, ToneInterest, ToneLog};

@@ -1,6 +1,25 @@
-//! Busy-tone channels and tone watches.
+//! Busy-tone channels: what each node hears, kept as records and read on
+//! demand.
+//!
+//! A tone emission is written down once per in-range receiver as a
+//! [`ToneRec`] — when its rising and falling edges take effect there — and
+//! everything else is a reading of those records: instantaneous presence,
+//! the [`ToneLog`] of a watch, a node's cumulative busy time. An edge is
+//! also *dispatched*, as a `ToneEdge` event that ends in a `ToneChanged`
+//! indication, only for a receiver whose MAC has declared that it can act
+//! on it ([`ToneInterest`]).
+//!
+//! Every edge claims its place in the queue's order as it is written — the
+//! [`Cursor`] a `ToneEdge` pushed there and then gets — whether or not the
+//! event is pushed. A reader passes the cursor of the event it is being
+//! dispatched under and sees exactly the edges keyed at or before it: what a
+//! counter stepped by one event per edge would hold at that point of the
+//! run, same-instant ties included. An edge whose receiver becomes
+//! interested while it is still in flight is pushed then, under the key it
+//! claimed. So a run is the run with every edge dispatched, less the
+//! dispatches that would have done nothing.
 
-use rmac_sim::SimTime;
+use rmac_sim::{Cursor, SimTime};
 
 /// The two narrow-band tone channels RMAC introduces (§3.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -26,6 +45,40 @@ impl Tone {
     pub const ALL: [Tone; 2] = [Tone::Rbt, Tone::Abt];
 }
 
+/// The presence flips a node's MAC has declared it can act on. A flip
+/// outside the declared set is still visible to every query; it is just not
+/// dispatched to the MAC as a `ToneChanged`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ToneInterest(u8);
+
+impl ToneInterest {
+    /// No flip of either tone.
+    pub const NONE: ToneInterest = ToneInterest(0);
+
+    /// `tone` turning present (`on`) or absent.
+    pub const fn flip(tone: Tone, on: bool) -> ToneInterest {
+        ToneInterest(1 << (tone as u8 * 2 + on as u8))
+    }
+
+    /// Whether this set holds `tone` turning `on`.
+    pub fn wants(self, tone: Tone, on: bool) -> bool {
+        self.0 & Self::flip(tone, on).0 != 0
+    }
+}
+
+impl std::ops::BitOr for ToneInterest {
+    type Output = ToneInterest;
+    fn bitor(self, rhs: ToneInterest) -> ToneInterest {
+        ToneInterest(self.0 | rhs.0)
+    }
+}
+
+impl std::ops::BitOrAssign for ToneInterest {
+    fn bitor_assign(&mut self, rhs: ToneInterest) {
+        self.0 |= rhs.0;
+    }
+}
+
 /// A recorded window of tone activity at one node.
 ///
 /// A MAC opens a watch before a sensing window (e.g. RMAC's `T_wf_rbt`, or
@@ -33,7 +86,7 @@ impl Tone {
 /// answers "was the tone continuously present for at least λ within
 /// sub-interval [a, b]?" — the physical semantics of busy-tone detection
 /// with a λ = 15 µs Clear Channel Assessment time.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ToneLog {
     /// When the watch was opened.
     pub start: SimTime,
@@ -41,7 +94,8 @@ pub struct ToneLog {
     pub end: SimTime,
     /// Whether the tone was already present at `start`.
     pub initial_on: bool,
-    /// Presence transitions strictly inside the window: `(time, now_on)`.
+    /// Presence transitions after `start` and up to `end`, in the order
+    /// they took effect: `(time, now_on)`.
     pub edges: Vec<(SimTime, bool)>,
 }
 
@@ -92,23 +146,132 @@ impl ToneLog {
     pub fn max_on(&self) -> SimTime {
         self.max_on_within(self.start, self.end)
     }
+
+    /// Whether the tone was present when the watch closed.
+    pub fn on_at_end(&self) -> bool {
+        self.edges.last().map_or(self.initial_on, |&(_, on)| on)
+    }
 }
 
-/// Internal: a watch being recorded (becomes a [`ToneLog`] when closed).
-#[derive(Clone, Debug)]
-pub(crate) struct ActiveWatch {
-    pub start: SimTime,
-    pub initial_on: bool,
-    pub edges: Vec<(SimTime, bool)>,
+/// The falling edge of an emission that is still lasting.
+pub(crate) const NEVER: Cursor = Cursor {
+    time: SimTime::MAX,
+    seq: u64::MAX,
+};
+
+/// One emission as one receiver hears it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ToneRec {
+    pub emit: u64,
+    /// Where the rising edge takes effect.
+    pub on: Cursor,
+    /// Where the falling edge does; [`NEVER`] until the emitter stops.
+    pub off: Cursor,
+    /// Whether a `ToneEdge` event carries the rising edge to the MAC.
+    pub on_told: bool,
+    /// Likewise the falling edge.
+    pub off_told: bool,
 }
 
-impl ActiveWatch {
-    pub fn close(self, end: SimTime) -> ToneLog {
-        ToneLog {
-            start: self.start,
-            end,
-            initial_on: self.initial_on,
-            edges: self.edges,
+impl ToneRec {
+    fn covers(&self, at: Cursor) -> bool {
+        self.on <= at && at < self.off
+    }
+}
+
+/// Everything one node has heard, or is about to hear, on one tone channel.
+#[derive(Default)]
+pub(crate) struct Heard {
+    pub recs: Vec<ToneRec>,
+    /// Presence time before `settled`, ns; what the forgotten records leave
+    /// behind.
+    busy_ns: u64,
+    settled: SimTime,
+}
+
+impl Heard {
+    /// Whether the tone is present for a reader at `at`.
+    pub fn present(&self, at: Cursor) -> bool {
+        self.recs.iter().any(|r| r.covers(at))
+    }
+
+    /// Whether an edge of emission `emit` keyed `at` flips presence: no
+    /// other emission is audible there.
+    pub fn alone(&self, emit: u64, at: Cursor) -> bool {
+        !self.recs.iter().any(|r| r.emit != emit && r.covers(at))
+    }
+
+    /// The presence flips keyed in `(from, to]`, replayed in key order: the
+    /// log a watch fed one event per edge would hold.
+    pub fn log(&self, from: Cursor, to: Cursor) -> ToneLog {
+        let mut edges: Vec<(Cursor, bool)> = self
+            .recs
+            .iter()
+            .flat_map(|r| [(r.on, true), (r.off, false)])
+            .filter(|&(key, _)| from < key && key <= to)
+            .collect();
+        edges.sort_unstable_by_key(|&(key, _)| key);
+        let mut count = self.recs.iter().filter(|r| r.covers(from)).count();
+        let mut log = ToneLog {
+            start: from.time,
+            end: to.time,
+            initial_on: count > 0,
+            edges: Vec::new(),
+        };
+        for (key, on) in edges {
+            let was_on = count > 0;
+            if on {
+                count += 1;
+            } else {
+                count -= 1;
+            }
+            if (count > 0) != was_on {
+                log.edges.push((key.time, count > 0));
+            }
+        }
+        log
+    }
+
+    /// How long the tone has been present before `upto`, ns.
+    pub fn busy_ns(&self, upto: SimTime) -> u64 {
+        self.busy_ns + self.on_time(self.settled, upto)
+    }
+
+    /// Total presence within `[from, to)`.
+    fn on_time(&self, from: SimTime, to: SimTime) -> u64 {
+        let mut total = 0;
+        let mut t = from;
+        while t < to {
+            let covering = self
+                .recs
+                .iter()
+                .filter(|r| r.on.time <= t && t < r.off.time);
+            if let Some(end) = covering.map(|r| r.off.time).max() {
+                let end = end.min(to);
+                total += (end - t).nanos();
+                t = end;
+            } else {
+                let later = self
+                    .recs
+                    .iter()
+                    .filter(|r| t < r.on.time && r.on.time < r.off.time);
+                match later.map(|r| r.on.time).min() {
+                    Some(rise) => t = rise,
+                    None => break,
+                }
+            }
+        }
+        total
+    }
+
+    /// Forget the emissions that ended before `horizon`, which no reader
+    /// will look behind again; their presence time stays in the busy total.
+    pub fn forget_before(&mut self, horizon: SimTime) {
+        if self.recs.iter().any(|r| r.off.time < horizon) {
+            debug_assert!(horizon >= self.settled);
+            self.busy_ns += self.on_time(self.settled, horizon);
+            self.settled = horizon;
+            self.recs.retain(|r| r.off.time >= horizon);
         }
     }
 }
@@ -128,6 +291,68 @@ mod tests {
             initial_on: initial,
             edges: edges.iter().map(|&(t, on)| (us(t), on)).collect(),
         }
+    }
+
+    fn rec(emit: u64, on: u64, off: Option<u64>) -> ToneRec {
+        let key = |t: u64| Cursor {
+            time: us(t),
+            seq: 2 * emit + t,
+        };
+        ToneRec {
+            emit,
+            on: key(on),
+            off: off.map_or(NEVER, key),
+            on_told: false,
+            off_told: false,
+        }
+    }
+
+    #[test]
+    fn busy_time_is_the_union_of_what_was_heard_and_survives_forgetting() {
+        // Two overlapping emissions, a gap, one still lasting.
+        let mut heard = Heard {
+            recs: vec![
+                rec(0, 10, Some(50)),
+                rec(1, 40, Some(100)),
+                rec(2, 200, None),
+            ],
+            ..Heard::default()
+        };
+        assert_eq!(heard.busy_ns(us(30)), 20_000);
+        assert_eq!(heard.busy_ns(us(300)), 90_000 + 100_000);
+        heard.forget_before(us(45));
+        assert_eq!(heard.recs.len(), 3, "nothing had ended by then");
+        heard.forget_before(us(150));
+        assert_eq!(heard.recs.len(), 1);
+        assert_eq!(heard.busy_ns(us(300)), 90_000 + 100_000);
+        assert!(heard.present(Cursor::end_of(us(250))));
+        assert!(!heard.present(Cursor::end_of(us(199))));
+    }
+
+    #[test]
+    fn a_reader_sees_the_edges_keyed_at_or_before_it() {
+        let heard = Heard {
+            recs: vec![rec(0, 10, Some(50)), rec(1, 50, Some(60))],
+            ..Heard::default()
+        };
+        let (fall, rise) = (heard.recs[0].off, heard.recs[1].on);
+        assert!(fall < rise, "same instant, the fall claimed its key first");
+        // Between the two, nothing is audible: each edge is a flip.
+        assert!(heard.present(Cursor {
+            seq: fall.seq - 1,
+            ..fall
+        }));
+        assert!(!heard.present(fall));
+        assert!(heard.present(rise));
+        assert!(heard.alone(0, fall) && heard.alone(1, rise));
+        let log = heard.log(Cursor::end_of(us(0)), Cursor::end_of(us(100)));
+        let flips = [(10, true), (50, false), (50, true), (60, false)];
+        assert_eq!(log.edges, flips.map(|(t, on)| (us(t), on)));
+        assert_eq!((log.initial_on, log.on_at_end()), (false, false));
+        // A watch opened between the two starts silent and sees the rise.
+        let log = heard.log(fall, Cursor::end_of(us(55)));
+        assert_eq!((log.initial_on, log.on_at_end()), (false, true));
+        assert_eq!(log.max_on(), us(5));
     }
 
     #[test]

@@ -45,7 +45,7 @@
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
-use crate::queue::SimQueue;
+use crate::queue::{Cursor, SimQueue};
 use crate::time::SimTime;
 
 /// A pending event with its `(time, seq)` key, reverse-ordered so a
@@ -123,7 +123,8 @@ pub struct CalendarQueue<E> {
     /// Total pending events (active + ring + far).
     len: usize,
     next_seq: u64,
-    now: SimTime,
+    /// Key of the most recently popped event.
+    at: Cursor,
     pushed: u64,
     popped: u64,
     high_water: usize,
@@ -178,7 +179,10 @@ impl<E> CalendarQueue<E> {
             far: BinaryHeap::new(),
             len: 0,
             next_seq: 0,
-            now: SimTime::ZERO,
+            at: Cursor {
+                time: SimTime::ZERO,
+                seq: 0,
+            },
             pushed: 0,
             popped: 0,
             high_water: 0,
@@ -203,7 +207,7 @@ impl<E> CalendarQueue<E> {
     /// clock).
     #[inline]
     pub fn now(&self) -> SimTime {
-        self.now
+        self.at.time
     }
 
     /// Schedule `event` at absolute time `at`.
@@ -211,15 +215,31 @@ impl<E> CalendarQueue<E> {
     /// Scheduling in the past is clamped to the current clock in release
     /// builds and panics in debug builds, exactly like the heap oracle.
     pub fn push(&mut self, at: SimTime, event: E) {
+        let key = self.claim(at);
+        self.push_claimed(key, event);
+    }
+
+    /// Take the key the next push at `at` would get, without pushing.
+    pub fn claim(&mut self, at: SimTime) -> Cursor {
         debug_assert!(
-            at >= self.now,
+            at >= self.now(),
             "event scheduled in the past: at={at} now={now}",
             at = at,
-            now = self.now
+            now = self.now()
         );
-        let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
+        Cursor {
+            time: at.max(self.now()),
+            seq,
+        }
+    }
+
+    /// Schedule `event` under a key taken by [`claim`](Self::claim) that the
+    /// clock has not passed.
+    pub fn push_claimed(&mut self, key: Cursor, event: E) {
+        debug_assert!(key.time >= self.now(), "a claimed key the clock has passed");
+        let Cursor { time: at, seq } = key;
         self.pushed += 1;
         self.len += 1;
         if self.len > self.high_water {
@@ -267,7 +287,7 @@ impl<E> CalendarQueue<E> {
     /// Schedule `event` after a relative delay from the current clock.
     #[inline]
     pub fn push_after(&mut self, delay: SimTime, event: E) {
-        self.push(self.now + delay, event);
+        self.push(self.now() + delay, event);
     }
 
     /// Whether the active window holds no events (both halves empty).
@@ -324,15 +344,19 @@ impl<E> CalendarQueue<E> {
     /// drain buffer's front) and advance the clock to it.
     #[inline(always)]
     fn take_head(&mut self, from_pending: bool) -> (SimTime, E) {
-        let Entry { time: t, event, .. } = if from_pending {
+        let Entry {
+            time: t,
+            seq,
+            event,
+        } = if from_pending {
             self.pending.pop().expect("peeked pending event vanished")
         } else {
             self.active
                 .pop_front()
                 .expect("peeked active event vanished")
         };
-        debug_assert!(t >= self.now, "calendar produced time regression");
-        self.now = t;
+        debug_assert!(t >= self.now(), "calendar produced time regression");
+        self.at = Cursor { time: t, seq };
         self.popped += 1;
         self.len -= 1;
         if self.window_empty() && self.len > 0 {
@@ -466,6 +490,18 @@ impl<E> SimQueue<E> for CalendarQueue<E> {
     #[inline]
     fn now(&self) -> SimTime {
         CalendarQueue::now(self)
+    }
+    #[inline]
+    fn cursor(&self) -> Cursor {
+        self.at
+    }
+    #[inline]
+    fn claim(&mut self, at: SimTime) -> Cursor {
+        CalendarQueue::claim(self, at)
+    }
+    #[inline]
+    fn push_claimed(&mut self, key: Cursor, event: E) {
+        CalendarQueue::push_claimed(self, key, event)
     }
     #[inline]
     fn push(&mut self, at: SimTime, event: E) {

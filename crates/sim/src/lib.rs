@@ -30,7 +30,7 @@ pub mod timer;
 
 pub use calendar::CalendarQueue;
 pub use hash::{DetHashMap, DetHashSet, DetHasher, DetState};
-pub use queue::{EventQueue, SimQueue};
+pub use queue::{Cursor, EventQueue, SimQueue};
 pub use rng::SimRng;
 pub use time::SimTime;
 pub use timer::TimerSlot;

@@ -13,6 +13,34 @@ use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
+/// A place in a queue's dispatch order: the `(time, seq)` key of an event.
+/// Keys are unique and events pop in ascending key order, so "at or before
+/// this cursor" names a prefix of the run.
+///
+/// A key can be [claimed](SimQueue::claim) without pushing anything. That is
+/// how a state change that mostly needs no dispatch (a busy-tone edge at a
+/// receiver whose MAC could do nothing with it) still happens at one exact
+/// place in the run: readers compare its key with the
+/// [cursor](SimQueue::cursor) of the event they are being dispatched under,
+/// and if an event turns out to be needed after all it is
+/// [pushed under the claimed key](SimQueue::push_claimed) and runs where it
+/// always would have.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Cursor {
+    pub time: SimTime,
+    pub seq: u64,
+}
+
+impl Cursor {
+    /// Past every event at `time` (for readers that are not dispatching).
+    pub fn end_of(time: SimTime) -> Cursor {
+        Cursor {
+            time,
+            seq: u64::MAX,
+        }
+    }
+}
+
 struct Entry<E> {
     time: SimTime,
     seq: u64,
@@ -51,7 +79,8 @@ impl<E> Ord for Entry<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
-    now: SimTime,
+    /// Key of the most recently popped event.
+    at: Cursor,
     pushed: u64,
     popped: u64,
     high_water: usize,
@@ -69,7 +98,10 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            now: SimTime::ZERO,
+            at: Cursor {
+                time: SimTime::ZERO,
+                seq: 0,
+            },
             pushed: 0,
             popped: 0,
             high_water: 0,
@@ -101,7 +133,7 @@ impl<E> EventQueue<E> {
     /// clock).
     #[inline]
     pub fn now(&self) -> SimTime {
-        self.now
+        self.at.time
     }
 
     /// Schedule `event` at absolute time `at`.
@@ -110,19 +142,34 @@ impl<E> EventQueue<E> {
     /// current clock in release builds and panics in debug builds — it
     /// indicates a protocol bug such as a negative timer.
     pub fn push(&mut self, at: SimTime, event: E) {
+        let key = self.claim(at);
+        self.push_claimed(key, event);
+    }
+
+    /// Take the key the next push at `at` would get, without pushing.
+    pub fn claim(&mut self, at: SimTime) -> Cursor {
         debug_assert!(
-            at >= self.now,
+            at >= self.now(),
             "event scheduled in the past: at={at} now={now}",
             at = at,
-            now = self.now
+            now = self.now()
         );
-        let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
+        Cursor {
+            time: at.max(self.now()),
+            seq,
+        }
+    }
+
+    /// Schedule `event` under a key taken by [`claim`](Self::claim) that the
+    /// clock has not passed.
+    pub fn push_claimed(&mut self, key: Cursor, event: E) {
+        debug_assert!(key.time >= self.now(), "a claimed key the clock has passed");
         self.pushed += 1;
         self.heap.push(Entry {
-            time: at,
-            seq,
+            time: key.time,
+            seq: key.seq,
             event,
         });
         if self.heap.len() > self.high_water {
@@ -133,14 +180,17 @@ impl<E> EventQueue<E> {
     /// Schedule `event` after a relative delay from the current clock.
     #[inline]
     pub fn push_after(&mut self, delay: SimTime, event: E) {
-        self.push(self.now + delay, event);
+        self.push(self.now() + delay, event);
     }
 
     /// Pop the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let entry = self.heap.pop()?;
-        debug_assert!(entry.time >= self.now, "heap produced time regression");
-        self.now = entry.time;
+        debug_assert!(entry.time >= self.now(), "heap produced time regression");
+        self.at = Cursor {
+            time: entry.time,
+            seq: entry.seq,
+        };
         self.popped += 1;
         Some((entry.time, entry.event))
     }
@@ -190,6 +240,14 @@ impl<E> EventQueue<E> {
 pub trait SimQueue<E> {
     /// The current simulation clock (time of the last popped event).
     fn now(&self) -> SimTime;
+    /// The key of the last popped event — the one being dispatched.
+    fn cursor(&self) -> Cursor;
+    /// Take the key the next push at `at` would get, without pushing (see
+    /// [`Cursor`]).
+    fn claim(&mut self, at: SimTime) -> Cursor;
+    /// Schedule `event` under a key taken by [`claim`](SimQueue::claim) that
+    /// the clock has not passed.
+    fn push_claimed(&mut self, key: Cursor, event: E);
     /// Schedule `event` at absolute time `at` (clamped to `now`).
     fn push(&mut self, at: SimTime, event: E);
     /// Schedule `event` after a relative delay from the current clock.
@@ -231,6 +289,18 @@ impl<E> SimQueue<E> for EventQueue<E> {
     #[inline]
     fn now(&self) -> SimTime {
         EventQueue::now(self)
+    }
+    #[inline]
+    fn cursor(&self) -> Cursor {
+        self.at
+    }
+    #[inline]
+    fn claim(&mut self, at: SimTime) -> Cursor {
+        EventQueue::claim(self, at)
+    }
+    #[inline]
+    fn push_claimed(&mut self, key: Cursor, event: E) {
+        EventQueue::push_claimed(self, key, event)
     }
     #[inline]
     fn push(&mut self, at: SimTime, event: E) {
@@ -296,6 +366,34 @@ mod tests {
         for i in 0..100 {
             assert_eq!(q.pop(), Some((t, i)));
         }
+    }
+
+    #[test]
+    fn a_claimed_key_keeps_its_place_on_both_queues() {
+        fn check(mut q: impl SimQueue<u8>) {
+            let t = SimTime::from_micros(5);
+            q.push(t, 0);
+            let claimed = q.claim(t);
+            q.push(t, 2);
+            q.push(SimTime::from_micros(9), 3);
+            assert_eq!((claimed, q.total_pushed()), (Cursor { time: t, seq: 1 }, 3));
+            // A state change at the claimed key is behind the second
+            // same-instant event and ahead of the first…
+            assert_eq!(q.pop(), Some((t, 0)));
+            assert_eq!(q.cursor(), Cursor { time: t, seq: 0 });
+            assert!(claimed > q.cursor() && claimed < Cursor::end_of(t));
+            // …and an event pushed under it, late, still runs between them.
+            q.push_claimed(claimed, 1);
+            for want in [1, 2] {
+                assert_eq!(q.pop(), Some((t, want)));
+            }
+            assert!(claimed < q.cursor());
+            assert_eq!(q.pop(), Some((SimTime::from_micros(9), 3)));
+            assert_eq!(q.cursor().seq, 3);
+        }
+        check(EventQueue::new());
+        check(crate::CalendarQueue::new());
+        check(crate::CalendarQueue::with_geometry(4, 4));
     }
 
     #[test]

@@ -2,10 +2,14 @@
 //! executable trace.
 //!
 //! Node 0 (the sender, "Node A" in the figure) multicasts to two receivers
-//! ("Node B" and "Node C"). The printed trace shows the exact §3.3.2
-//! sequence: MRTS out → both receivers raise the RBT → sender detects it
-//! and transmits the data frame → receivers drop the RBT and answer ABTs
-//! in their MRTS-assigned slots → the sender's ABT windows confirm both.
+//! ("Node B" and "Node C"). The printed trace shows the frames of the
+//! §3.3.2 sequence — MRTS out, then T_wf_rbt later the data frame, which the
+//! sender only transmits once it has detected the receivers' RBT, then both
+//! deliveries — and the obs report shows the tones: the sender reads them
+//! through its WF_RBT and WF_ABT watches rather than being told of each
+//! edge, so they are not trace lines but time heard, per node: the RBT from
+//! the end of the MRTS to the end of the data frame, then one 17 µs ABT per
+//! receiver in its MRTS-assigned slot.
 //!
 //! ```text
 //! cargo run --release --example fig4_timeline
@@ -29,13 +33,13 @@ fn main() {
 
     let events: Arc<Mutex<Vec<TraceEvent>>> = Arc::default();
     let sink = events.clone();
-    let report = Run::new(&cfg, Protocol::Rmac, 3)
+    let out = Run::new(&cfg, Protocol::Rmac, 3)
         .tracer(Box::new(move |e| sink.lock().unwrap().push(e.clone())))
-        .execute()
-        .report;
+        .obs(ObsConfig::default())
+        .execute();
 
     // Show the window around the one application packet: from its
-    // submission at the source to the last tone edge of the exchange.
+    // submission at the source to the end of the exchange.
     let events = events.lock().unwrap();
     let start = events
         .iter()
@@ -48,7 +52,7 @@ fn main() {
         .expect("the source submitted its packet");
     println!("Fig. 4 — Procedure of the Reliable Send Service (executed)\n");
     println!("sender n0, receivers n1 (slot 0) and n2 (slot 1).");
-    println!("(tone lines are *sensed* presence: 'n0 Abt on' = node 0 hears an ABT)\n");
+    println!("(a tone line is a flip a MAC asked to be told of; none here is)\n");
     // The whole exchange fits in ~3 ms; cut the trace there so the
     // following routing-beacon traffic doesn't drown the figure.
     let t0 = events[start].t;
@@ -58,8 +62,13 @@ fn main() {
         }
         println!("{e}");
     }
+    println!("\ntones heard over the run (the one exchange is all there is):");
+    for (i, n) in out.obs.expect("obs attached").nodes.iter().enumerate() {
+        let [rbt, abt] = n.tone_busy_ns.map(|ns| ns as f64 / 1e3);
+        println!("  n{i}   RBT {rbt:>8.1} µs   ABT {abt:>5.1} µs");
+    }
     println!(
         "\ndelivery ratio {:.2} — both receivers got the packet and ABT'd.",
-        report.delivery_ratio()
+        out.report.delivery_ratio()
     );
 }

@@ -1,18 +1,28 @@
-//! The backoff countdown's event budget, by count.
+//! The event budget of the backoff countdown and of the busy tones, by
+//! count.
 //!
 //! A countdown is a hop, a look at its expiry and one look per busy edge
 //! (`rmac_core::backoff`), where it used to be one `BackoffSlot` event per
-//! 20 µs slot — 30–64 % of all events. Wall clock cannot hold that on a
-//! 1-core CI container; the dispatch counts are exact, so they can:
+//! 20 µs slot — 30–64 % of all events. A tone edge is a record at each
+//! receiver and an event only for a receiver whose MAC can act on it
+//! (`rmac_phy::tone`), where it used to be one `ToneEdge` event per receiver
+//! — 46–52 % of the events the countdown left. Wall clock cannot hold either
+//! on a 1-core CI container; the dispatch counts are exact, so they can:
 //!
-//! * `BackoffSlot` dispatches stay at or under 10 % of `events`, so a
-//!   return to per-slot ticking fails here;
-//! * every protocol-visible `RunReport` field equals the value the per-slot
-//!   engine produced (pinned from the commit before the countdown slept), so
-//!   a drifted tie rule — which boundary counts when an edge lands on it —
-//!   fails here too. BMW, LBP and 802.11MX are pinned the same way (from the
-//!   commit before they moved onto the shared 802.11 station), so all five
-//!   MACs have a bit-level pin.
+//! * `BackoffSlot` dispatches stay at or under 10 % of `events` (20 % for
+//!   RMAC, whose `events` no longer holds the tone fan-out: 13 % today,
+//!   where per-slot ticks would be over 60 %), so a return to per-slot
+//!   ticking fails here;
+//! * `ToneEdge` dispatches stay at or under 15 % of RMAC's `events`, so a
+//!   return to one event per receiver per edge fails here;
+//! * every protocol-visible `RunReport` field equals the value the per-slot,
+//!   event-per-edge engine produced (pinned from the commit before the
+//!   countdown slept; the mobile RMAC report from the commit before tone
+//!   presence became a record), so a drifted tie rule — which boundary
+//!   counts when an edge lands on it, what a query sees of an edge in its
+//!   own instant — fails here too. BMW, LBP and 802.11MX are pinned the same
+//!   way (from the commit before they moved onto the shared 802.11 station),
+//!   so all five MACs have a bit-level pin.
 //!
 //! `events` and `sim_secs` are the two fields that describe the event
 //! population rather than the protocol (`sim_secs` is the timestamp of the
@@ -21,11 +31,22 @@
 
 use rmac::prelude::*;
 
-/// One 75-node stationary replication under the obs layer: the report with
-/// the two event-population fields blanked, and the countdown's share of
-/// all dispatched events.
-fn replicate(protocol: Protocol) -> (String, f64) {
-    let cfg = ScenarioConfig::paper_stationary(20.0).with_packets(100);
+/// What one replication is held to: the report with the two
+/// event-population fields blanked, and the shares of all dispatched events
+/// that are countdown timers and tone edges.
+struct Budget {
+    report: String,
+    countdown: f64,
+    tone_edges: f64,
+}
+
+/// One 75-node stationary replication under the obs layer.
+fn replicate(protocol: Protocol) -> Budget {
+    replicate_in(ScenarioConfig::paper_stationary(20.0), protocol)
+}
+
+fn replicate_in(cfg: ScenarioConfig, protocol: Protocol) -> Budget {
+    let cfg = cfg.with_packets(100);
     let out = Run::new(&cfg, protocol, 7)
         .obs(ObsConfig::default())
         .execute();
@@ -36,27 +57,58 @@ fn replicate(protocol: Protocol) -> (String, f64) {
         .iter()
         .map(|n| n.timer_fire[0] + n.timer_stale[0])
         .sum();
-    let share = countdown as f64 / out.report.events as f64;
+    assert_eq!(obs.kernel.labels()[3], "phy.tone_edge");
+    let events = out.report.events as f64;
     let report = RunReport {
         events: 0,
         sim_secs: 0.0,
         ..out.report
     };
-    (format!("{report:?}"), share)
+    Budget {
+        report: format!("{report:?}"),
+        countdown: countdown as f64 / events,
+        tone_edges: obs.kernel.class_count(3) as f64 / events,
+    }
 }
 
 #[test]
 fn rmac_countdown_sleeps_and_reports_as_the_slot_loop_did() {
-    let (report, share) = replicate(Protocol::Rmac);
-    assert!(share <= 0.10, "BackoffSlot is {share:.3} of all events");
-    assert_eq!(report, RMAC_PINNED);
+    let run = replicate(Protocol::Rmac);
+    let (countdown, tone_edges) = (run.countdown, run.tone_edges);
+    assert!(
+        countdown <= 0.20,
+        "BackoffSlot is {countdown:.3} of all events"
+    );
+    assert!(
+        tone_edges <= 0.15,
+        "ToneEdge is {tone_edges:.3} of all events"
+    );
+    assert_eq!(run.report, RMAC_PINNED);
+}
+
+/// Under motion a tone's audibility is fixed at its onset and the spatial
+/// grid is re-bucketed as the run goes: the records must say what the
+/// per-receiver events said there too.
+#[test]
+fn mobile_rmac_keeps_the_tone_budget_and_reports_as_the_edge_events_did() {
+    let run = replicate_in(ScenarioConfig::paper_speed2(20.0), Protocol::Rmac);
+    let tone_edges = run.tone_edges;
+    assert!(
+        tone_edges <= 0.15,
+        "ToneEdge is {tone_edges:.3} of all events"
+    );
+    assert_eq!(run.report, RMAC_SPEED2_PINNED);
 }
 
 #[test]
 fn bmmm_countdown_sleeps_and_reports_as_the_slot_loop_did() {
-    let (report, share) = replicate(Protocol::Bmmm);
-    assert!(share <= 0.10, "BackoffSlot is {share:.3} of all events");
-    assert_eq!(report, BMMM_PINNED);
+    let run = replicate(Protocol::Bmmm);
+    let countdown = run.countdown;
+    assert!(
+        countdown <= 0.10,
+        "BackoffSlot is {countdown:.3} of all events"
+    );
+    assert_eq!(run.report, BMMM_PINNED);
 }
 
 /// BMW, LBP and 802.11MX run the same DCF countdown on the same 802.11
@@ -73,7 +125,7 @@ fn bmw_lbp_and_mx_report_as_pinned() {
         (Protocol::Lbp, LBP_PINNED),
         (Protocol::Mx80211, MX_PINNED),
     ] {
-        assert_eq!(replicate(protocol).0, pinned);
+        assert_eq!(replicate(protocol).report, pinned);
     }
 }
 
@@ -90,6 +142,20 @@ const RMAC_PINNED: &str = "\
     rx_frames_ok: [24532, 0, 0, 0, 0, 0, 0, 21369, 19284], rx_frames_corrupt: [4518, 0, 0, \
     0, 0, 0, 0, 4609, 354], sim_secs: 0.0, faults_injected: 0, fault_crashes: 0, \
     fault_jam_bursts: 0 }";
+
+const RMAC_SPEED2_PINNED: &str = "\
+    RunReport { protocol: \"RMAC\", scenario: \"speed2\", rate_pps: 20.0, seed: 7, \
+    packets_sent: 100, expected_receptions: 7400, receptions: 5426, nonleaf_nodes: 48, \
+    drop_ratio_avg: 0.14665729251255566, retx_ratio_avg: 1.2569488686551349, \
+    txoh_ratio_avg: 0.4005456442974165, abort_avg: 0.0010636892177589851, \
+    abort_p99: 0.046511627906976744, abort_max: 0.046511627906976744, \
+    mrts_len_avg: 22.498032602585724, mrts_len_p99: 90.0, mrts_len_max: 102.0, \
+    e2e_delay_avg_s: 0.06473610559601897, delay_samples: 5426, \
+    hops_avg: 3.136986301369863, hops_p99: 9.0, children_avg: 3.0416666666666665, \
+    children_p99: 9.0, events: 0, tx_frames: [5337, 0, 0, 0, 0, 0, 0, 2300, 2973], \
+    tx_aborted: 5, rx_frames_ok: [41089, 0, 0, 0, 0, 0, 0, 16064, 24699], \
+    rx_frames_corrupt: [7376, 0, 0, 0, 0, 0, 0, 5268, 465], sim_secs: 0.0, \
+    faults_injected: 0, fault_crashes: 0, fault_jam_bursts: 0 }";
 
 const BMMM_PINNED: &str = "\
     RunReport { protocol: \"BMMM\", scenario: \"stationary\", rate_pps: 20.0, seed: 7, \
