@@ -15,10 +15,17 @@ cargo test -q --workspace
 
 echo "==> retired names stay retired (no A/B knobs on the run surface, one grid runner, no sub-queue layer,"
 echo "    no per-slot backoff re-arm, no sharded trace merge, no per-edge tone counter or pool, no"
-echo "    edge-fed tone mirror in the checker: DESIGN.md §13, §11, §10, §12, §8)"
-if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S|SweepSpec|SweepResults|run_sweep|try_replications|RMAC_QUICK|RMAC_RATES|RMAC_NODES|ShardedQueue|SeqQueue|push_with_seq|home_slot|EngineTransport|EngineMedium|schedule\(SLOT, TimerKind::BackoffSlot|merge_traces|DispatchLog|DispatchRec|seed_slots|TraceCapture|popped_seq|ManualClock|BenchDocs|tone_count|pooled_tone_buf|sensed_since|rbt_runs' \
+echo "    edge-fed tone mirror in the checker, no second engine beside the shard groups, no mirror"
+echo "    types around the balance table or the fuzzer: DESIGN.md §13, §11, §10, §12, §8)"
+if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S|SweepSpec|SweepResults|run_sweep|try_replications|RMAC_QUICK|RMAC_RATES|RMAC_NODES|ShardedQueue|SeqQueue|push_with_seq|home_slot|EngineTransport|EngineMedium|schedule\(SLOT, TimerKind::BackoffSlot|merge_traces|DispatchLog|DispatchRec|seed_slots|TraceCapture|popped_seq|ManualClock|BenchDocs|tone_count|pooled_tone_buf|sensed_since|rbt_runs|execute_sharded|into_runner|sched_rng|ShardGroupRow|balance_rows|FuzzProtocol|FuzzChurn' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!ci.sh'; then
     echo "a retired knob name reappeared (see above)" >&2
+    exit 1
+fi
+
+echo "==> one engine (DESIGN.md §10): the run surface does not choose a path by shard count"
+if git grep -n 'shards > 1' -- crates/engine/src/run.rs; then
+    echo "crates/engine/src/run.rs reads cfg.shards again (see above)" >&2
     exit 1
 fi
 

@@ -124,7 +124,8 @@ pub struct CampaignSpec {
     pub packets: u64,
     /// Network size.
     pub nodes: usize,
-    /// Shard count for the sharded engine; 0 or 1 runs the serial oracle.
+    /// Shard count (`ScenarioConfig::shards`); 0 or 1 is one group, the
+    /// whole world.
     pub shards: usize,
     /// Attach the obs layer and ingest counter snapshots per case.
     pub obs: bool,

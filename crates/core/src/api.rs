@@ -145,8 +145,8 @@ pub trait MacContext {
 
 /// A MAC protocol entity for one node.
 ///
-/// `Send` so the sharded engine can move radio-isolated shard groups onto
-/// worker threads; MAC entities are plain owned state machines.
+/// `Send` so the engine can move radio-isolated shard groups onto worker
+/// threads; MAC entities are plain owned state machines.
 pub trait MacService: Send {
     /// Accept an upper-layer transmit request.
     fn submit(&mut self, ctx: &mut dyn MacContext, req: TxRequest);

@@ -4,8 +4,6 @@
 //! Used by this crate's own state-machine tests and by the baseline
 //! protocols in `rmac-baselines`. Not intended for production use.
 
-pub mod fuzz;
-
 use std::collections::VecDeque;
 use std::sync::Arc;
 

@@ -124,11 +124,11 @@ pub struct ScenarioConfig {
     /// Unreliable Send service (one broadcast per hop, no recovery) — the
     /// paper's §1 motivation strawman.
     pub reliable_forwarding: bool,
-    /// Shard count: above 1, [`crate::Run`] cuts the plane into this many
-    /// equal-width stripes along x and runs the sharded conservative-sync
-    /// engine; `1` (the default) runs the serial engine. Any value
-    /// produces bit-identical reports (DESIGN.md §10, enforced by
-    /// `tests/shard_equivalence.rs`).
+    /// Shard count: [`crate::Run`] cuts the plane into this many
+    /// equal-width stripes along x and runs the replication as the
+    /// radio-isolated groups they couple into; `1` (the default) is one
+    /// group, the whole world. Any value produces bit-identical reports
+    /// (DESIGN.md §10, enforced by `tests/shard_equivalence.rs`).
     pub shards: usize,
 }
 
@@ -212,8 +212,8 @@ impl ScenarioConfig {
         self
     }
 
-    /// Partition the world into `shards` spatial stripes for the sharded
-    /// engine. Reports stay bit-identical for every value.
+    /// Partition the world into `shards` spatial stripes. Reports stay
+    /// bit-identical for every value.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self

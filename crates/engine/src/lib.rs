@@ -16,6 +16,11 @@
 //! 500 m × 300 m plane, 75 m radio range, 2 Mb/s, 500-byte packets, node 0
 //! as the multicast source, with the three mobility scenarios available as
 //! constructors.
+//!
+//! There is one engine. [`run`] is the front door ([`Run`] → [`RunOutput`]);
+//! [`shard`] runs every replication as its causally closed shard groups —
+//! the whole-world run being the one-group case — each group a
+//! [`world::Runner`], the event loop over the slots it owns.
 
 pub mod config;
 pub mod obs;

@@ -172,7 +172,10 @@ mod tests {
                 gen: 0,
                 epoch: 0,
             },
-            Ev::Beacon { node: NodeId(0) },
+            Ev::Beacon {
+                node: NodeId(0),
+                fire: 0,
+            },
             Ev::Source,
             Ev::Fault(FaultEv::NodeDown { node: NodeId(0) }),
         ];

@@ -11,7 +11,9 @@
 //!
 //! Everything else in this module — [`run_replication`] and the nine names
 //! `benchmark/README.md` pins — is a shim of at most three lines over
-//! [`Run`].
+//! [`Run`], or, for a [`Runner`] that [`Runner::new`] has already
+//! assembled, over the one-group run [`Run::execute`] itself makes
+//! ([`crate::shard`]).
 
 use std::sync::Arc;
 
@@ -19,19 +21,19 @@ use rmac_check::CheckReport;
 use rmac_faults::FaultPlan;
 use rmac_metrics::RunReport;
 use rmac_obs::ObsReport;
-use rmac_sim::{CalendarQueue, EventQueue, SimQueue};
+use rmac_sim::{CalendarQueue, EventQueue};
 use rmac_wire::NodeId;
 
 use crate::config::{Protocol, ScenarioConfig};
 use crate::obs::ObsConfig;
-use crate::shard::ShardStats;
+use crate::shard::{self, ShardStats};
 use crate::trace::Tracer;
-use crate::world::{collect_report, Ev, Harvest, Runner};
+use crate::world::Runner;
 
 /// One (scenario, protocol, seed) replication, described and then
 /// executed. Attachments are opt-in and never perturb the simulation: the
-/// [`RunOutput::report`] is bit-identical with or without them, on the
-/// serial engine and at any shard count.
+/// [`RunOutput::report`] is bit-identical with or without them, at any
+/// shard count.
 pub struct Run {
     spec: Spec,
     tracer: Option<Tracer>,
@@ -58,7 +60,7 @@ pub(crate) struct Spec {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Reference {
     /// The binary-heap event queue ([`rmac_sim::EventQueue`]) in place of
-    /// the calendar queue. Serial only.
+    /// the calendar queue, under every shard group.
     HeapQueue,
     /// The brute-force O(N) PHY neighbour scan
     /// ([`rmac_phy::IndexMode::BruteForce`]) in place of the spatial grid.
@@ -72,14 +74,15 @@ pub struct RunOutput {
     /// The observability report, when [`Run::obs`] attached the layer.
     pub obs: Option<ObsReport>,
     /// The conformance verdict, when [`Run::check`] attached the checker.
-    /// A sharded run lists violations group by group (event order within
-    /// each group).
+    /// A run of several shard groups lists violations group by group (event
+    /// order within each group).
     pub check: Option<CheckReport>,
     /// Each node's BLESS-lite parent at end of run (the multicast tree of
     /// the paper's Fig. 6).
     pub parents: Vec<Option<NodeId>>,
-    /// Scheduling statistics, when the sharded engine ran.
-    pub shard: Option<ShardStats>,
+    /// Scheduling statistics: the shard groups the replication ran as
+    /// (`groups == 1` for a whole-world run).
+    pub shard: ShardStats,
 }
 
 impl Run {
@@ -117,9 +120,9 @@ impl Run {
     }
 
     /// Attach the deep instrumentation layer ([`crate::obs`]); `None`
-    /// leaves it detached. It observes global event order, so a sharded
-    /// run carries it on the single all-shards group (like mobility and
-    /// BER, it forgoes the parallel decomposition).
+    /// leaves it detached. It observes global event order, so the run
+    /// carries it on the single all-shards group (like mobility and BER,
+    /// it forgoes the parallel decomposition).
     pub fn obs(mut self, cfg: impl Into<Option<ObsConfig>>) -> Run {
         self.spec.obs = cfg.into();
         self
@@ -134,9 +137,9 @@ impl Run {
 
     /// Attach an observer that sees every PHY indication, submission and
     /// delivery in dispatch order. Like [`Run::obs`] it observes global
-    /// event order, so a sharded run carries it on the single all-shards
-    /// group — whose dispatch order is the serial engine's, which makes
-    /// traces byte-identical at any shard count by construction.
+    /// event order, so the run carries it on the single all-shards group,
+    /// which makes traces byte-identical at any shard count by
+    /// construction.
     pub fn tracer(mut self, tracer: Tracer) -> Run {
         self.tracer = Some(tracer);
         self
@@ -154,60 +157,19 @@ impl Run {
         self
     }
 
-    /// Run to completion: on the sharded engine when `cfg.shards > 1`, on
-    /// the serial engine otherwise.
+    /// Run to completion, as the replication's shard groups
+    /// ([`crate::shard`]): `cfg.shards` stripes, coupled into causally
+    /// closed groups; one stripe is one group, the whole world.
     pub fn execute(self) -> RunOutput {
-        if self.spec.cfg.shards > 1 {
-            return self.execute_sharded();
-        }
-        let seed = self.spec.seed;
         if self.heap_queue {
-            self.into_runner(EventQueue::with_capacity).finish(seed)
+            shard::execute(&self.spec, self.tracer, EventQueue::with_capacity)
         } else {
-            self.into_runner(CalendarQueue::with_capacity).finish(seed)
+            shard::execute(&self.spec, self.tracer, CalendarQueue::with_capacity)
         }
-    }
-
-    /// Run on the sharded engine whatever `cfg.shards` says (one shard is
-    /// one group: the serial runner reading the beacon timetable).
-    pub(crate) fn execute_sharded(self) -> RunOutput {
-        assert!(
-            !self.heap_queue,
-            "Reference::HeapQueue is serial only: the sharded engine runs on the calendar queue"
-        );
-        crate::shard::execute(&self.spec, self.tracer)
-    }
-
-    /// Assemble the serial whole-world runner on the queue `make_q` builds.
-    fn into_runner<Q: SimQueue<Ev>>(self, make_q: impl FnOnce(usize) -> Q) -> Runner<Q> {
-        let mut runner = Runner::assemble(&self.spec, make_q, None, None);
-        if let Some(tracer) = self.tracer {
-            runner.set_tracer(tracer);
-        }
-        runner
     }
 }
 
 impl RunOutput {
-    /// Reduce a finished (or merged) replication to its output.
-    pub(crate) fn collect(
-        cfg: &ScenarioConfig,
-        protocol: Protocol,
-        seed: u64,
-        harvest: &Harvest,
-        obs: Option<ObsReport>,
-        check: Option<CheckReport>,
-        shard: Option<ShardStats>,
-    ) -> RunOutput {
-        RunOutput {
-            report: collect_report(cfg, protocol, seed, harvest),
-            obs,
-            check,
-            parents: harvest.nets.iter().map(|n| n.bless().parent()).collect(),
-            shard,
-        }
-    }
-
     /// Panic with the full violation listing unless the attached checker
     /// found the run clean; hands the output back for chaining.
     pub fn assert_clean(self) -> RunOutput {
@@ -247,7 +209,7 @@ pub fn run_replication_checked(
     checked(out.execute())
 }
 
-/// [`run_replication_checked`] on the sharded engine at any `cfg.shards`.
+/// [`run_replication_checked`]; every replication runs as its shard groups.
 pub fn run_replication_sharded_checked(
     cfg: &ScenarioConfig,
     protocol: Protocol,
@@ -255,7 +217,7 @@ pub fn run_replication_sharded_checked(
     plan: &FaultPlan,
 ) -> (RunReport, CheckReport) {
     let out = Run::new(cfg, protocol, seed).faults(plan).check();
-    checked(out.execute_sharded())
+    checked(out.execute())
 }
 
 /// [`Run`] with `.faults(plan).obs(obs).check()`: report, obs report (if
@@ -281,9 +243,10 @@ fn checked(out: RunOutput) -> (RunReport, CheckReport) {
 }
 
 impl Runner {
-    /// The assembled serial replication of `Run::new(cfg, protocol, seed)`.
+    /// `Run::new(cfg, protocol, seed)` assembled as its one all-shards group.
     pub fn new(cfg: &ScenarioConfig, protocol: Protocol, seed: u64) -> Runner {
-        Run::new(cfg, protocol, seed).into_runner(CalendarQueue::with_capacity)
+        let spec = Run::new(cfg, protocol, seed).spec;
+        Runner::assemble(&spec, CalendarQueue::with_capacity, |_| true)
     }
 
     /// [`Run::obs`] on an assembled runner.
@@ -293,28 +256,28 @@ impl Runner {
 
     /// [`Run::execute`]'s report.
     pub fn run(self, seed: u64) -> RunReport {
-        self.finish(seed).report
+        shard::run_whole(self, seed).report
     }
 
     /// [`Run::execute`]'s report and obs report.
     pub fn run_obs(self, seed: u64) -> (RunReport, Option<ObsReport>) {
-        let out = self.finish(seed);
+        let out = shard::run_whole(self, seed);
         (out.report, out.obs)
     }
 }
 
-/// [`Run`] pinned to the sharded engine.
+/// [`Run`] under its older name.
 pub struct ShardedRunner(Run);
 
 impl ShardedRunner {
-    /// `Run::new(cfg, protocol, seed)`, to run sharded at any `cfg.shards`.
+    /// `Run::new(cfg, protocol, seed)`.
     pub fn new(cfg: &ScenarioConfig, protocol: Protocol, seed: u64) -> ShardedRunner {
         ShardedRunner(Run::new(cfg, protocol, seed))
     }
 
     /// [`Run::execute`]'s report and scheduling statistics.
     pub fn run_with_stats(self) -> (RunReport, ShardStats) {
-        let out = self.0.execute_sharded();
-        (out.report, out.shard.expect("the sharded engine ran"))
+        let out = self.0.execute();
+        (out.report, out.shard)
     }
 }

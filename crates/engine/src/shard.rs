@@ -1,63 +1,59 @@
-//! The sharded conservative-sync engine (DESIGN.md §10).
+//! The engine: every replication runs as its shard groups (DESIGN.md §10).
 //!
 //! The plane is cut into `cfg.shards` equal-width stripes along x; every
 //! channel slot (protocol node or jammer) belongs to the stripe containing
-//! its initial position. Each replication then runs as one or more *shard
-//! groups*:
+//! its initial position. A replication is one or more *shard groups*:
 //!
-//! * Shards whose node populations are radio-isolated from each other —
-//!   no cross-stripe pair within `range_m` — can never exchange events,
+//! * Stripes whose populations are radio-isolated from each other — no
+//!   cross-stripe pair within `range_m` — can never exchange events,
 //!   because every event the engine generates targets either its emitting
 //!   node or a receiver within radio range. The coupling analysis
-//!   ([`coupled_groups`]) unions shards bridged by an in-range pair; the
+//!   ([`coupled_groups`]) unions stripes bridged by an in-range pair; the
 //!   resulting connected components are *causally closed* and run
-//!   concurrently on scoped per-group runners, one OS thread each.
-//! * A group's runner is the serial runner restricted to the group: the
-//!   same `Runner<CalendarQueue<Ev>>` on its own flat queue with its own
-//!   push counter, building the full-width world (so global node indexing,
-//!   RNG stream derivation and the spatial grid are untouched) but seeding
-//!   and dispatching only owned slots. Since the serial oracle's execution
-//!   restricted to a causally closed subset *is* that subset's own
-//!   execution (FIFO tie-breaks are preserved on subsequences), each group
-//!   reproduces its slice of the oracle run exactly.
-//! * The one shared RNG stream crossing groups — the beacon scheduler —
-//!   is closed under the beacon subsystem, so its draws are pre-played
-//!   into a [`BeaconTimetable`] that every group reads instead of a live
-//!   stream.
+//!   concurrently, one runner each.
+//! * A group's runner is the [`Runner`] that owns the group's slots: it
+//!   builds the full-width world (so global node indexing, RNG stream
+//!   derivation and the spatial grid are untouched) on its own queue and
+//!   seeds only what it owns. Since the whole-world execution restricted
+//!   to a causally closed subset *is* that subset's own execution (FIFO
+//!   tie-breaks are preserved on subsequences), each group reproduces its
+//!   slice of the whole-world run exactly.
+//! * The one RNG stream that would cross groups — the beacon scheduler —
+//!   is closed under the beacon subsystem, so it is played out into the
+//!   [`BeaconTimetable`] when the run starts and every group reads that.
 //!
-//! Scenarios where causal closure cannot be proven cheaply fall back to a
-//! single group: mobility (nodes roam the whole plane) or a positive BER
-//! (the channel-noise draws are globally sequenced). So does whatever
-//! observes *global event order* — attached engine obs (its kernel profile
-//! and snapshot series describe one event loop) and an attached tracer
-//! (among radio-isolated groups the serial tie-break at equal timestamps
-//! is push order, which no group can know of another). The single
-//! all-shards group is the serial run itself, reading its beacon fires
-//! from the timetable instead of the live scheduler stream, so a traced
-//! run's JSONL is the serial engine's at any shard count by construction
-//! (`tests/golden_traces.rs` holds it to that). The checker composes per
-//! group instead ([`merge_checks`]): its invariants are local to a node
-//! and its radio neighbourhood.
+//! One stripe is one group that owns every slot: the whole-world run, with
+//! no stripe map, coupling analysis or thread. So is every run whose causal
+//! closure cannot be proven cheaply — mobility (nodes roam the whole plane),
+//! a positive BER (the channel-noise draws are globally sequenced) — and
+//! every run carrying what observes *global event order*: engine obs (its
+//! kernel profile and snapshot series describe one event loop) and a tracer
+//! (among radio-isolated groups the tie-break at equal timestamps is push
+//! order, which no group can know of another), so a trace is the same JSONL
+//! at any shard count by construction (`tests/golden_traces.rs`). The
+//! checker composes per group instead ([`merge_checks`]): its invariants
+//! are local to a node and its radio neighbourhood.
 //!
-//! Per-group results merge back losslessly: per-node state is taken from
-//! each node's owner group in global node order (float accumulation order
-//! is part of bit-identity), channel/fault tallies are sums, and the final
-//! clock is the max. `tests/shard_equivalence.rs` holds the whole stack to
-//! `RunReport` bit-identity against the serial engine at 2/4/8 shards.
+//! Per-group results merge back losslessly ([`collect`]);
+//! `tests/shard_equivalence.rs` holds decomposition, ownership and merge
+//! to `RunReport` bit-identity against the one-group run at 2/4/8 shards.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
+use std::time::Instant;
 
 use rmac_check::CheckReport;
 use rmac_mobility::{MobilityKind, Pos};
 use rmac_obs::ObsReport;
 use rmac_phy::FrameTallies;
-use rmac_sim::{CalendarQueue, EventQueue, SimQueue, SimRng, SimTime};
+use rmac_sim::{SimQueue, SimRng, SimTime};
 
+use crate::config::{Protocol, ScenarioConfig};
 use crate::run::{RunOutput, Spec};
 use crate::trace::Tracer;
-use crate::world::{build_motions, BeaconPlan, Harvest, Runner, Scope, BEACON_JITTER_NS};
+use crate::world::{build_motions, collect_report, BeaconTimetable, Ev, Harvest, Runner};
 
 /// Guard margin on the radio range when testing whether two stripes are
 /// coupled. Coupling strictly more than the channel does is always safe
@@ -65,30 +61,20 @@ use crate::world::{build_motions, BeaconPlan, Harvest, Runner, Scope, BEACON_JIT
 /// the channel's own `dist ≤ range` comparison.
 const RANGE_EPS: f64 = 1e-6;
 
-/// Spatial partition of channel slots into equal-width stripes along x.
-pub(crate) struct ShardMap {
-    /// Per channel slot (protocol nodes, then jammers): owning shard.
-    pub(crate) owner: Vec<usize>,
-}
-
-impl ShardMap {
-    /// Assign each slot to the stripe containing its position:
-    /// `floor(x / (width / shards))`, clamped into range so positions on
-    /// (or beyond) the right edge land in the last stripe.
-    pub(crate) fn stripes(positions: &[Pos], width: f64, shards: usize) -> ShardMap {
-        let stripe_w = width / shards as f64;
-        let owner = positions
-            .iter()
-            .map(|p| {
-                if stripe_w > 0.0 && p.x.is_finite() {
-                    ((p.x / stripe_w).floor() as i64).clamp(0, shards as i64 - 1) as usize
-                } else {
-                    0
-                }
-            })
-            .collect();
-        ShardMap { owner }
-    }
+/// Spatial partition of channel slots (protocol nodes, then jammers) into
+/// `shards` equal-width stripes along x: each slot's owning stripe,
+/// `floor(x / (width / shards))`, clamped into range so positions on (or
+/// beyond) the right edge land in the last stripe.
+fn stripes(positions: &[Pos], width: f64, shards: usize) -> Vec<usize> {
+    let stripe_w = width / shards as f64;
+    let stripe_of = |p: &Pos| {
+        if stripe_w > 0.0 && p.x.is_finite() {
+            ((p.x / stripe_w).floor() as i64).clamp(0, shards as i64 - 1) as usize
+        } else {
+            0
+        }
+    };
+    positions.iter().map(stripe_of).collect()
 }
 
 /// Union shards bridged by any cross-stripe slot pair within radio range
@@ -152,83 +138,73 @@ pub(crate) fn coupled_groups(
     components
 }
 
-/// The beacon schedule, pre-played from the scheduler RNG stream.
-///
-/// The oracle's `sched_rng` (the master's `split(3)`) is consumed *only*
-/// by the beacon subsystem: one initial-stagger draw per node in node
-/// order, then one jitter draw per beacon dispatch, in global dispatch
-/// order — crashed nodes keep ticking (and drawing), so the sequence never
-/// depends on any other subsystem. That closure means the whole schedule
-/// can be computed up front by replaying just the beacon events through a
-/// miniature queue; each shard group then reads its nodes' fire times from
-/// the shared table, consuming exactly "its" draws without a live shared
-/// stream.
-pub(crate) struct BeaconTimetable;
-
-impl BeaconTimetable {
-    /// Per node: absolute beacon fire times, covering every dispatch at or
-    /// before `end` plus one successor each (so [`BeaconPlan`] can always
-    /// read the next fire).
-    pub(crate) fn build(
-        nodes: usize,
-        period: SimTime,
-        end: SimTime,
-        sched: &mut SimRng,
-    ) -> Vec<Vec<SimTime>> {
-        let mut times: Vec<Vec<SimTime>> = vec![Vec::new(); nodes];
-        let mut beacons: EventQueue<u16> = EventQueue::with_capacity(nodes.max(16));
-        // Initial staggers: drawn in node order, exactly as the oracle's
-        // seeding loop does.
-        for (i, t) in times.iter_mut().enumerate() {
-            let at = SimTime::from_nanos(sched.below(period.nanos().max(1)));
-            t.push(at);
-            beacons.push(at, i as u16);
-        }
-        // Replay dispatches up to the end of the run (a beacon past it
-        // never dispatches). Beacon events pop here in the same relative
-        // order as in the full queue: pushes happen at the dispatch of the
-        // predecessor beacon (same order by induction) and simultaneous
-        // beacons tie-break FIFO in both queues. Interleaved non-beacon
-        // events neither draw from the stream nor reorder beacons.
-        while let Some((t, node)) = SimQueue::pop_at_or_before(&mut beacons, end) {
-            let jitter = SimTime::from_nanos(sched.below(BEACON_JITTER_NS));
-            let next = t + period + jitter;
-            times[node as usize].push(next);
-            beacons.push(next, node);
-        }
-        times
-    }
-}
-
-/// Scheduling statistics of one sharded replication.
+/// Scheduling statistics of one replication.
 #[derive(Clone, Debug)]
 pub struct ShardStats {
     /// Configured shard count.
     pub shards: usize,
-    /// Causally closed shard groups the run decomposed into (1 when the
-    /// scenario forces serial execution).
+    /// Causally closed shard groups the run decomposed into (1 for a
+    /// whole-world run).
     pub groups: usize,
     /// 0 by construction: a group is one queue and groups exchange nothing
     /// (causal closure); dropped with the other pinned names under ROADMAP
-    /// 2(d).
+    /// 2(c).
     pub cross_pushes: u64,
     /// Per-group scheduling breakdown, in group order (groups are ordered
-    /// by their smallest shard id). The shard-balance raw material for
-    /// `obs_report` ([`rmac_obs::render_shard_balance`]).
+    /// by their smallest shard id): the shard-balance raw material of
+    /// `obs_report`.
     pub group_stats: Vec<GroupStats>,
 }
 
 impl ShardStats {
-    /// The per-group breakdown as [`rmac_obs`] shard-balance rows.
-    pub fn balance_rows(&self) -> Vec<rmac_obs::ShardGroupRow> {
-        self.group_stats
-            .iter()
-            .map(|g| rmac_obs::ShardGroupRow {
-                shards: g.shards.clone(),
-                events: g.events,
-                wall_ns: g.wall_ns,
-            })
-            .collect()
+    /// Aligned plain-text shard-balance table: one row per group plus a
+    /// totals line. Balance (max/mean events per group) quantifies how
+    /// evenly the coupling analysis split the work. The event counts are
+    /// deterministic simulation state; the wall readings are not.
+    pub fn render_balance(&self) -> String {
+        let rows = &self.group_stats;
+        let mut out = format!(
+            "{:<8} {:<10} {:>12} {:>10}\n",
+            "group", "shards", "events", "wall_ms"
+        );
+        for (i, r) in rows.iter().enumerate() {
+            let shards: Vec<String> = r.shards.iter().map(|s| s.to_string()).collect();
+            let wall_ms = r.wall_ns as f64 / 1e6;
+            let _ = writeln!(
+                out,
+                "{i:<8} {:<10} {:>12} {wall_ms:>10.3}",
+                shards.join("+"),
+                r.events
+            );
+        }
+        let total: u64 = rows.iter().map(|r| r.events).sum();
+        let max = rows.iter().map(|r| r.events).max().unwrap_or(0);
+        let balance = match total {
+            0 => 1.0,
+            _ => max as f64 / (total as f64 / rows.len() as f64),
+        };
+        let _ = writeln!(
+            out,
+            "total: {} groups, {total} events, balance (max/mean events) {balance:.2}",
+            rows.len()
+        );
+        out
+    }
+
+    /// The per-group breakdown as a JSON array (hand-rolled, like every
+    /// serializer in this workspace).
+    pub fn balance_json(&self) -> String {
+        let row = |r: &GroupStats| {
+            let shards: Vec<String> = r.shards.iter().map(|s| s.to_string()).collect();
+            format!(
+                "{{\"shards\":[{}],\"events\":{},\"wall_ns\":{}}}",
+                shards.join(","),
+                r.events,
+                r.wall_ns
+            )
+        };
+        let rows: Vec<String> = self.group_stats.iter().map(row).collect();
+        format!("[{}]", rows.join(","))
     }
 }
 
@@ -239,9 +215,9 @@ pub struct GroupStats {
     pub shards: Vec<usize>,
     /// Events the group dispatched.
     pub events: u64,
-    /// Wall-clock time the group's worker spent on it (assembly + run).
-    /// Wall readings live outside the determinism domain: they feed the
-    /// balance table only, never a `RunReport` or the campaign store.
+    /// Wall-clock time the group's worker spent running it. Wall readings
+    /// live outside the determinism domain: they feed the balance table
+    /// only, never a `RunReport` or the campaign store.
     pub wall_ns: u64,
 }
 
@@ -254,74 +230,81 @@ struct GroupRun {
     wall_ns: u64,
 }
 
-/// Run `spec` on the sharded engine, `spec.cfg.shards` stripes wide.
-pub(crate) fn execute(spec: &Spec, tracer: Option<Tracer>) -> RunOutput {
-    let shards = spec.cfg.shards.max(1);
-    let master = SimRng::new(spec.seed);
-    let mut motions = build_motions(&spec.cfg, &spec.plan, &master);
-    let positions: Vec<Pos> = motions
-        .iter_mut()
-        .map(|m| m.position_at(SimTime::ZERO))
-        .collect();
-    let map = ShardMap::stripes(&positions, spec.cfg.bounds.width, shards);
+/// Run one group to its end and close out its attachments — the one way a
+/// runner finishes, whether it is its replication's only group or one of
+/// many.
+fn run_group<Q: SimQueue<Ev>>(mut runner: Runner<Q>, beacons: &BeaconTimetable) -> GroupRun {
+    let started = Instant::now();
+    runner.run_events(beacons);
+    let check = runner.finish_check();
+    let obs = runner.finish_obs();
+    GroupRun {
+        harvest: runner.harvest(),
+        check,
+        obs,
+        wall_ns: started.elapsed().as_nanos() as u64,
+    }
+}
+
+/// Run an assembled whole-world runner as the one group of its replication
+/// (every stripe, every slot). The beacon schedule is built here, when the
+/// run starts: assembly stays independent of the run's length.
+pub(crate) fn run_whole<Q: SimQueue<Ev>>(runner: Runner<Q>, seed: u64) -> RunOutput {
+    let (cfg, protocol) = (Arc::clone(&runner.cfg), runner.protocol);
+    let beacons = BeaconTimetable::build(&cfg, runner.seed);
+    let done = run_group(runner, &beacons);
+    let every_stripe = (0..cfg.shards.max(1)).collect();
+    collect(&cfg, protocol, seed, vec![every_stripe], vec![done])
+}
+
+/// Run `spec` to completion as its shard groups, each on a queue `make_q`
+/// builds.
+pub(crate) fn execute<Q: SimQueue<Ev>>(
+    spec: &Spec,
+    tracer: Option<Tracer>,
+    make_q: fn(usize) -> Q,
+) -> RunOutput {
+    let cfg = &*spec.cfg;
     // Causal closure is only provable for frozen geometry and a noise-
     // free channel: mobility lets nodes roam across stripes, and a
     // positive BER sequences the shared channel-noise stream over all
     // receptions. Obs and the tracer observe global event order, which
     // only the single group reproduces.
-    let parallel_ok = matches!(spec.cfg.mobility, MobilityKind::Stationary)
-        && spec.cfg.ber_per_bit == 0.0
+    let decomposes = cfg.shards > 1
+        && matches!(cfg.mobility, MobilityKind::Stationary)
+        && cfg.ber_per_bit == 0.0
         && spec.obs.is_none()
         && tracer.is_none();
-    let groups: Vec<Vec<usize>> = if parallel_ok {
-        coupled_groups(&positions, &map.owner, shards, spec.cfg.range_m)
-    } else {
-        vec![(0..shards).collect()]
-    };
-    let times = Arc::new(BeaconTimetable::build(
-        spec.cfg.nodes,
-        spec.cfg.beacon_period,
-        spec.cfg.end_time(),
-        &mut master.split(3),
-    ));
-    let owner = &map.owner;
-
-    let run_group = |group: &[usize], tracer: Option<Tracer>| -> GroupRun {
-        let started = std::time::Instant::now();
-        let owned: Vec<bool> = owner.iter().map(|s| group.contains(s)).collect();
-        let mut runner: Runner = Runner::assemble(
-            spec,
-            CalendarQueue::with_capacity,
-            Some(Scope { owned }),
-            Some(BeaconPlan::new(Arc::clone(&times))),
-        );
+    if !decomposes {
+        let mut runner = Runner::assemble(spec, make_q, |_| true);
         if let Some(t) = tracer {
             runner.set_tracer(t);
         }
-        runner.run_events();
-        let check = runner.finish_check();
-        let obs = runner.finish_obs();
-        GroupRun {
-            harvest: runner.harvest(),
-            check,
-            obs,
-            wall_ns: started.elapsed().as_nanos() as u64,
-        }
+        return run_whole(runner, spec.seed);
+    }
+    let positions: Vec<Pos> = build_motions(cfg, &spec.plan, &SimRng::new(spec.seed))
+        .iter_mut()
+        .map(|m| m.position_at(SimTime::ZERO))
+        .collect();
+    let owner = stripes(&positions, cfg.bounds.width, cfg.shards);
+    let groups = coupled_groups(&positions, &owner, cfg.shards, cfg.range_m);
+    let beacons = BeaconTimetable::build(cfg, spec.seed);
+    let run = |group: &Vec<usize>| {
+        let runner = Runner::assemble(spec, make_q, |slot| group.contains(&owner[slot]));
+        run_group(runner, &beacons)
     };
 
     // One worker per available core, capped by the group count.
     // Oversubscribing cores would only interleave the groups and
     // thrash their working sets against each other; on a single-core
     // host the groups therefore run back to back, and the speedup
-    // over the oracle is pure working-set reduction (smaller event
-    // heap, smaller live state per group).
+    // over the one-group run is pure working-set reduction (smaller
+    // event queue, smaller live state per group).
     let workers = thread::available_parallelism()
         .map_or(1, |n| n.get())
         .min(groups.len());
-    let results: Vec<GroupRun> = if groups.len() == 1 {
-        vec![run_group(&groups[0], tracer)]
-    } else if workers <= 1 {
-        groups.iter().map(|g| run_group(g, None)).collect()
+    let results: Vec<GroupRun> = if workers <= 1 {
+        groups.iter().map(run).collect()
     } else {
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<GroupRun>>> = groups.iter().map(|_| Mutex::new(None)).collect();
@@ -331,8 +314,7 @@ pub(crate) fn execute(spec: &Spec, tracer: Option<Tracer>) -> RunOutput {
                     s.spawn(|| loop {
                         let gi = next.fetch_add(1, Ordering::Relaxed);
                         let Some(g) = groups.get(gi) else { break };
-                        let done = run_group(g, None);
-                        *slots[gi].lock().expect("slot poisoned") = Some(done);
+                        *slots[gi].lock().expect("slot poisoned") = Some(run(g));
                     })
                 })
                 .collect();
@@ -352,34 +334,36 @@ pub(crate) fn execute(spec: &Spec, tracer: Option<Tracer>) -> RunOutput {
             })
             .collect()
     };
+    collect(cfg, spec.protocol, spec.seed, groups, results)
+}
 
-    let stats = ShardStats {
-        shards,
-        groups: groups.len(),
-        cross_pushes: 0,
-        group_stats: results
-            .iter()
-            .zip(&groups)
-            .map(|(r, g)| GroupStats {
-                shards: g.clone(),
-                events: r.harvest.events,
-                wall_ns: r.wall_ns,
-            })
-            .collect(),
-    };
+/// Merge the groups' results into the replication's output. Per-node state
+/// comes from each node's owner group, walked in global node order so the
+/// float accumulation in `collect_report` sums as the whole-world run does;
+/// channel/fault tallies are sums and the final clock is the max.
+fn collect(
+    cfg: &ScenarioConfig,
+    protocol: Protocol,
+    seed: u64,
+    groups: Vec<Vec<usize>>,
+    results: Vec<GroupRun>,
+) -> RunOutput {
+    let group_stats = groups
+        .into_iter()
+        .zip(&results)
+        .map(|(shards, r)| GroupStats {
+            shards,
+            events: r.harvest.events,
+            wall_ns: r.wall_ns,
+        })
+        .collect::<Vec<_>>();
     let mut results = results.into_iter();
     let first = results.next().expect("at least one shard group");
-    let mut merged = first.harvest;
-    let obs = first.obs;
-    let mut checks: Vec<CheckReport> = first.check.into_iter().collect();
-    for (gi, r) in results.enumerate() {
-        let group = &groups[gi + 1];
+    let (mut merged, obs, mut check) = (first.harvest, first.obs, first.check);
+    for r in results {
         let h = r.harvest;
-        // Per-node state comes from each node's owner group; the merge
-        // walks global node order so downstream float accumulation in
-        // `collect_report` sums in the oracle's order.
         for (i, (net, ctr)) in h.nets.into_iter().zip(h.counters).enumerate() {
-            if group.contains(&map.owner[i]) {
+            if h.owned[i] {
                 merged.nets[i] = net;
                 merged.counters[i] = ctr;
             }
@@ -391,18 +375,20 @@ pub(crate) fn execute(spec: &Spec, tracer: Option<Tracer>) -> RunOutput {
         merged.packets_sent += h.packets_sent;
         merged.crashes += h.crashes;
         merged.jam_bursts += h.jam_bursts;
-        checks.extend(r.check);
+        check = check.zip(r.check).map(|(a, b)| merge_checks(a, b));
     }
-    let check = spec.check.then(|| merge_checks(checks));
-    RunOutput::collect(
-        &spec.cfg,
-        spec.protocol,
-        spec.seed,
-        &merged,
+    RunOutput {
+        report: collect_report(cfg, protocol, seed, &merged),
         obs,
         check,
-        Some(stats),
-    )
+        parents: merged.nets.iter().map(|n| n.bless().parent()).collect(),
+        shard: ShardStats {
+            shards: cfg.shards.max(1),
+            groups: group_stats.len(),
+            cross_pushes: 0,
+            group_stats,
+        },
+    }
 }
 
 fn add_tallies(into: &mut FrameTallies, from: &FrameTallies) {
@@ -418,33 +404,22 @@ fn add_tallies(into: &mut FrameTallies, from: &FrameTallies) {
     }
 }
 
-/// Concatenate per-group conformance reports: violations in group order,
-/// gate counters summed, truncation sticky.
-fn merge_checks(reports: Vec<CheckReport>) -> CheckReport {
-    let mut reports = reports.into_iter();
-    let mut out = reports.next().unwrap_or(CheckReport {
-        violations: Vec::new(),
-        tx_checked: 0,
-        rx_ok_checked: 0,
-        tone_emissions: 0,
-        transition_nodes: 0,
-        truncated: false,
-    });
-    for r in reports {
-        out.violations.extend(r.violations);
-        out.tx_checked += r.tx_checked;
-        out.rx_ok_checked += r.rx_ok_checked;
-        out.tone_emissions += r.tone_emissions;
-        out.transition_nodes += r.transition_nodes;
-        out.truncated |= r.truncated;
-    }
+/// Append one group's conformance report to the ones before it: violations
+/// in group order, gate counters summed, truncation sticky.
+fn merge_checks(mut out: CheckReport, r: CheckReport) -> CheckReport {
+    out.violations.extend(r.violations);
+    out.tx_checked += r.tx_checked;
+    out.rx_ok_checked += r.rx_ok_checked;
+    out.tone_emissions += r.tone_emissions;
+    out.transition_nodes += r.transition_nodes;
+    out.truncated |= r.truncated;
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_replication, Protocol, ScenarioConfig, ShardedRunner};
+    use crate::{Protocol, Run, ScenarioConfig};
 
     #[test]
     fn stripes_partition_by_x() {
@@ -454,11 +429,10 @@ mod tests {
             Pos::new(499.0, 5.0),
             Pos::new(250.0, 299.0),
         ];
-        let map = ShardMap::stripes(&pos, 500.0, 2);
-        assert_eq!(map.owner, vec![0, 0, 1, 1]);
+        assert_eq!(stripes(&pos, 500.0, 2), vec![0, 0, 1, 1]);
         // Positions on/past the right edge clamp into the last stripe.
-        let map = ShardMap::stripes(&[Pos::new(500.0, 0.0), Pos::new(-3.0, 0.0)], 500.0, 4);
-        assert_eq!(map.owner, vec![3, 0]);
+        let edges = [Pos::new(500.0, 0.0), Pos::new(-3.0, 0.0)];
+        assert_eq!(stripes(&edges, 500.0, 4), vec![3, 0]);
     }
 
     #[test]
@@ -471,8 +445,8 @@ mod tests {
             Pos::new(440.0, 50.0),
             Pos::new(450.0, 50.0),
         ];
-        let map = ShardMap::stripes(&pos, 500.0, 2);
-        let groups = coupled_groups(&pos, &map.owner, 2, 75.0);
+        let owner = stripes(&pos, 500.0, 2);
+        let groups = coupled_groups(&pos, &owner, 2, 75.0);
         assert_eq!(groups, vec![vec![0], vec![1]]);
     }
 
@@ -481,9 +455,9 @@ mod tests {
         // Nodes at 240 m and 260 m straddle the 250 m stripe boundary
         // within a 75 m radio range: the two stripes must join one group.
         let pos = [Pos::new(240.0, 50.0), Pos::new(260.0, 50.0)];
-        let map = ShardMap::stripes(&pos, 500.0, 2);
-        assert_eq!(map.owner, vec![0, 1]);
-        let groups = coupled_groups(&pos, &map.owner, 2, 75.0);
+        let owner = stripes(&pos, 500.0, 2);
+        assert_eq!(owner, vec![0, 1]);
+        let groups = coupled_groups(&pos, &owner, 2, 75.0);
         assert_eq!(groups, vec![vec![0, 1]]);
     }
 
@@ -497,48 +471,70 @@ mod tests {
             Pos::new(330.0, 0.0),
             Pos::new(340.0, 0.0), // stripe 2
         ];
-        let map = ShardMap::stripes(&pos, 500.0, 3);
-        assert_eq!(map.owner, vec![0, 1, 1, 2]);
-        let groups = coupled_groups(&pos, &map.owner, 3, 75.0);
+        let owner = stripes(&pos, 500.0, 3);
+        assert_eq!(owner, vec![0, 1, 1, 2]);
+        let groups = coupled_groups(&pos, &owner, 3, 75.0);
         assert_eq!(groups, vec![vec![0, 1, 2]]);
     }
 
     #[test]
-    fn timetable_is_monotonic_and_covers_the_run() {
-        let period = SimTime::from_millis(500);
-        let end = SimTime::from_secs(10);
-        let mut sched = SimRng::new(42).split(3);
-        let times = BeaconTimetable::build(8, period, end, &mut sched);
-        assert_eq!(times.len(), 8);
-        for per_node in &times {
-            // Initial stagger inside one period, then strictly increasing
-            // steps of period..period+jitter.
-            assert!(per_node[0] < period);
-            for w in per_node.windows(2) {
-                let step = w[1] - w[0];
-                assert!(step >= period);
-                assert!(step < period + SimTime::from_nanos(BEACON_JITTER_NS));
-            }
-            // The table runs past the end of the run (last entry is the
-            // never-dispatched successor).
-            assert!(*per_node.last().unwrap() > end);
-        }
-    }
-
-    #[test]
-    fn sharded_report_matches_oracle_on_a_small_scenario() {
+    fn striped_report_matches_the_one_group_run_on_a_small_scenario() {
         // The full equivalence matrix lives in tests/shard_equivalence.rs;
         // this is the in-crate smoke for the plumbing.
         let cfg = ScenarioConfig::paper_stationary(5.0)
             .with_nodes(20)
             .with_packets(10);
-        let oracle = run_replication(&cfg, Protocol::Rmac, 7);
-        for shards in [1usize, 2, 4] {
+        let whole = Run::new(&cfg, Protocol::Rmac, 7).execute();
+        assert_eq!((whole.shard.shards, whole.shard.groups), (1, 1));
+        for shards in [2usize, 4] {
             let cfg = cfg.clone().with_shards(shards);
-            let (report, stats) = ShardedRunner::new(&cfg, Protocol::Rmac, 7).run_with_stats();
-            assert_eq!(report, oracle, "shards={shards}");
-            assert_eq!(stats.shards, shards);
-            assert!(stats.groups >= 1);
+            let out = Run::new(&cfg, Protocol::Rmac, 7).execute();
+            assert_eq!(out.report, whole.report, "shards={shards}");
+            assert_eq!(out.shard.shards, shards);
+            assert!(out.shard.groups >= 1);
         }
+    }
+
+    fn two_groups() -> ShardStats {
+        let group = |shards: &[usize], events, wall_ns| GroupStats {
+            shards: shards.to_vec(),
+            events,
+            wall_ns,
+        };
+        ShardStats {
+            shards: 3,
+            groups: 2,
+            cross_pushes: 0,
+            group_stats: vec![group(&[0, 1], 300, 2_500_000), group(&[2], 100, 900_000)],
+        }
+    }
+
+    #[test]
+    fn render_lists_groups_and_totals() {
+        let s = two_groups().render_balance();
+        assert!(s.contains("0+1"));
+        assert!(s.contains("400 events"));
+        assert!(s.contains("2 groups"));
+        // max/mean = 300/200.
+        assert!(s.contains("1.50"));
+    }
+
+    #[test]
+    fn json_lists_each_group() {
+        let j = two_groups().balance_json();
+        assert!(j.starts_with('[') && j.ends_with(']'));
+        assert!(j.contains("\"shards\":[0,1]"));
+        assert!(j.contains("\"events\":300"));
+    }
+
+    #[test]
+    fn no_groups_render_cleanly() {
+        let none = ShardStats {
+            groups: 0,
+            group_stats: Vec::new(),
+            ..two_groups()
+        };
+        assert!(none.render_balance().contains("0 groups"));
+        assert_eq!(none.balance_json(), "[]");
     }
 }

@@ -12,12 +12,12 @@ use rmac_net::{BlessConfig, NetLayer};
 use rmac_obs::{frame_kind_index, ObsReport, Snapshot};
 use rmac_phy::FrameTallies;
 use rmac_phy::{Channel, ChannelConfig, IndexMode, Indication, PhyEvent, Tone, ToneLog};
-use rmac_sim::{CalendarQueue, Cursor, SimQueue, SimRng, SimTime};
+use rmac_sim::{CalendarQueue, Cursor, EventQueue, SimQueue, SimRng, SimTime};
 use rmac_wire::{consts::BYTE_TIME, Dest, Frame, NodeId};
 
 use crate::config::{Protocol, ScenarioConfig};
 use crate::obs::{class_of, timer_idx, EngineObs, ObsConfig, TIMER_LABELS};
-use crate::run::{RunOutput, Spec};
+use crate::run::Spec;
 use crate::trace::{TraceEvent, TraceWhat, Tracer};
 
 /// The engine's event type.
@@ -34,8 +34,8 @@ pub enum Ev {
         /// a pre-crash MAC incarnation is discarded on mismatch.
         epoch: u32,
     },
-    /// One node's BLESS-lite beacon tick.
-    Beacon { node: NodeId },
+    /// One node's BLESS-lite beacon tick, its `fire`-th of the run (from 0).
+    Beacon { node: NodeId, fire: u32 },
     /// The source's next application packet.
     Source,
     /// A scheduled fault-plane action.
@@ -64,67 +64,66 @@ impl From<PhyEvent> for Ev {
 
 /// Per-beacon scheduling jitter bound (ns): each beacon reschedules at
 /// `period + uniform(0, BEACON_JITTER_NS)` so beacons never phase-lock
-/// with the data traffic. Shared with the shard module's timetable
-/// builder, which must replay the draws exactly.
-pub(crate) const BEACON_JITTER_NS: u64 = 10_000_000;
+/// with the data traffic.
+const BEACON_JITTER_NS: u64 = 10_000_000;
 
-/// Restriction of a runner to the channel slots its shard group owns.
-/// Scoped runners only seed and dispatch events for owned slots; the
-/// coupling analysis in [`crate::shard`] guarantees no event for a
-/// non-owned slot can ever be generated.
-pub(crate) struct Scope {
-    /// Per channel slot (protocol nodes, then jammers): owned here?
-    pub(crate) owned: Vec<bool>,
+/// The beacon schedule of one replication, played out before it runs.
+///
+/// The scheduler stream (the master's `split(3)`) is consumed *only* by the
+/// beacon subsystem: one initial-stagger draw per node in node order, then
+/// one jitter draw per beacon dispatch, in global dispatch order — crashed
+/// nodes keep ticking (and drawing), so the sequence never depends on any
+/// other subsystem. That closure lets the whole schedule be computed by
+/// replaying just the beacon events through a miniature queue; every shard
+/// group then reads its nodes' fires from the one table, and no stream is
+/// shared between groups. It grows with the run's length, so it is an input
+/// of *running* ([`Runner::run_events`]), never of assembly.
+pub(crate) struct BeaconTimetable {
+    /// Per node: absolute fire times, `[0]` being the initial stagger.
+    /// Covers every fire at or before end-of-run plus one successor each,
+    /// so a dispatching beacon can always read its next fire.
+    times: Vec<Vec<SimTime>>,
 }
 
-impl Scope {
-    fn owns(&self, slot: usize) -> bool {
-        self.owned[slot]
-    }
-}
-
-/// A precomputed beacon schedule (see [`crate::shard::BeaconTimetable`]).
-/// When attached, the runner reads each node's next beacon fire time from
-/// the table instead of drawing jitter from the shared scheduler stream —
-/// the values are identical (the beacon subsystem is closed under the
-/// scheduler stream), but the table lets decoupled shard groups consume
-/// "their" draws without a live shared RNG.
-pub(crate) struct BeaconPlan {
-    /// Per node: absolute fire times, `times[i][0]` being the initial
-    /// staggered beacon. Covers every fire at or before end-of-run plus
-    /// one successor each.
-    pub(crate) times: std::sync::Arc<Vec<Vec<SimTime>>>,
-    /// Per node: how many fires have dispatched so far.
-    fired: Vec<u32>,
-}
-
-impl BeaconPlan {
-    pub(crate) fn new(times: std::sync::Arc<Vec<Vec<SimTime>>>) -> BeaconPlan {
-        let n = times.len();
-        BeaconPlan {
-            times,
-            fired: vec![0; n],
+impl BeaconTimetable {
+    pub(crate) fn build(cfg: &ScenarioConfig, seed: u64) -> BeaconTimetable {
+        let (period, end) = (cfg.beacon_period, cfg.end_time());
+        let mut sched = SimRng::new(seed).split(3);
+        let mut times: Vec<Vec<SimTime>> = vec![Vec::new(); cfg.nodes];
+        let mut beacons: EventQueue<u16> = EventQueue::with_capacity(cfg.nodes.max(16));
+        // Stagger the first beacons uniformly over one period, drawn in
+        // node order, so the network does not start in lockstep.
+        for (i, t) in times.iter_mut().enumerate() {
+            let at = SimTime::from_nanos(sched.below(period.nanos().max(1)));
+            t.push(at);
+            beacons.push(at, i as u16);
         }
+        // Play the dispatches out up to the end of the run (a beacon past
+        // it never dispatches): one jitter draw each, in dispatch order,
+        // simultaneous beacons FIFO. A run drawing from the stream at each
+        // dispatch — how `tests/golden/` was recorded — consumes it in
+        // this order too: a beacon is pushed at its predecessor's
+        // dispatch, and events of other kinds neither draw from the
+        // stream nor reorder beacons.
+        while let Some((t, node)) = SimQueue::pop_at_or_before(&mut beacons, end) {
+            let jitter = SimTime::from_nanos(sched.below(BEACON_JITTER_NS));
+            let next = t + period + jitter;
+            times[node as usize].push(next);
+            beacons.push(next, node);
+        }
+        BeaconTimetable { times }
     }
 
-    /// The fire time following the beacon currently dispatching at `node`.
-    fn next_fire(&mut self, node: NodeId, now: SimTime) -> SimTime {
-        let k = self.fired[node.idx()] as usize;
-        self.fired[node.idx()] += 1;
-        debug_assert_eq!(
-            self.times[node.idx()][k],
-            now,
-            "beacon timetable out of step with dispatch"
-        );
-        self.times[node.idx()][k + 1]
+    /// When `node`'s beacon fires for the `fire`-th time (from 0).
+    fn at(&self, node: NodeId, fire: u32) -> SimTime {
+        self.times[node.idx()][fire as usize]
     }
 }
 
-/// Node placement and motion assembly shared by the oracle and sharded
-/// engines: positions from the master's `split(1)` stream, per-node
-/// waypoint motions from `split(1000 + i)`, jammer slots appended
-/// stationary. Pure in `master`, so every shard group derives identical
-/// world geometry.
+/// Node placement and motion assembly: positions from the master's
+/// `split(1)` stream, per-node waypoint motions from `split(1000 + i)`,
+/// jammer slots appended stationary. Pure in `master`, so every shard group
+/// (and the stripe map that divides them) derives identical world geometry.
 pub(crate) fn build_motions(
     cfg: &ScenarioConfig,
     plan: &FaultPlan,
@@ -317,30 +316,32 @@ struct FaultRt {
 /// driven by [`crate::Run`]; the public methods are the pinned shims in
 /// [`crate::run`].
 ///
-/// Generic over the queue implementation: [`crate::Run`] assembles it on the
-/// [`CalendarQueue`] — serially for the whole world, or once per shard group
-/// under a [`Scope`] — and on the heap reference queue for differential
-/// tests. Monomorphization keeps each variant's hot loop branch-free over
-/// the choice.
+/// A runner drives one shard group of its replication — the channel slots
+/// marked `owned` — on the full-width world; the whole-world run is the
+/// group that owns every slot. Generic over the queue implementation:
+/// [`crate::Run`] assembles it on the [`CalendarQueue`], and on the heap
+/// reference queue for differential tests. Monomorphization keeps each
+/// variant's hot loop branch-free over the choice.
 pub struct Runner<Q: SimQueue<Ev> = CalendarQueue<Ev>> {
     core: WorldCore<Q>,
     macs: Vec<Box<dyn MacService>>,
     nets: Vec<NetLayer>,
-    cfg: Arc<ScenarioConfig>,
-    protocol: Protocol,
+    pub(crate) cfg: Arc<ScenarioConfig>,
+    pub(crate) protocol: Protocol,
+    /// The replication's seed: the beacon schedule is derived from it when
+    /// the run starts.
+    pub(crate) seed: u64,
     packets_left: u64,
-    sched_rng: SimRng,
     tracer: Option<Tracer>,
     faults: Option<FaultRt>,
     /// Reused indication buffer for PHY dispatch (the event loop's hottest
     /// allocation without it).
     inds_scratch: Vec<Indication>,
-    /// Slot-ownership restriction when this runner drives one shard group
-    /// of a sharded replication; `None` for the whole-world oracle.
-    scope: Option<Scope>,
-    /// Precomputed beacon schedule replacing the live scheduler-stream
-    /// draws; `None` for the whole-world oracle.
-    beacon_plan: Option<BeaconPlan>,
+    /// Per channel slot (protocol nodes, then jammers): does this runner's
+    /// shard group own it? Only owned slots are seeded; the coupling
+    /// analysis in [`crate::shard`] guarantees no event for another slot
+    /// can ever be generated.
+    owned: Vec<bool>,
 }
 
 /// The event loop's one extension point: [`Runner::run_loop`] calls
@@ -414,11 +415,10 @@ impl<Q: SimQueue<Ev>> LoopHook<Q> for Observed {
 impl<Q: SimQueue<Ev>> Runner<Q> {
     /// Assemble the replication `spec` describes — node stacks, RNG streams,
     /// fault runtime and the obs/checker attachments (the tracer is not
-    /// `Sync`; the caller sets it on the one runner that carries it).
-    /// Shared by the serial engine and the sharded engine's per-group
-    /// runners, so both derive identical worlds; they differ in the queue
-    /// (built by `make_q` from the pre-sizing capacity), the owned-slot
-    /// scope, and the beacon schedule source.
+    /// `Sync`; the caller sets it on the one runner that carries it). Every
+    /// group of a replication derives the identical world; they differ in
+    /// the channel slots they own, as `owns` says (the queue is built by
+    /// `make_q` from the pre-sizing capacity).
     ///
     /// An empty fault plan is bit-identical to no plan: every RNG stream is
     /// seeded the same, the PHY hook is only installed when the plan can
@@ -426,8 +426,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
     pub(crate) fn assemble(
         spec: &Spec,
         make_q: impl FnOnce(usize) -> Q,
-        scope: Option<Scope>,
-        beacon_plan: Option<BeaconPlan>,
+        owns: impl Fn(usize) -> bool,
     ) -> Runner<Q> {
         let (cfg, protocol, plan) = (&*spec.cfg, spec.protocol, &spec.plan);
         let master = SimRng::new(spec.seed);
@@ -495,8 +494,8 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
             nets,
             cfg: Arc::clone(&spec.cfg),
             protocol,
+            seed: spec.seed,
             packets_left: cfg.packets,
-            sched_rng: master.split(3),
             tracer: None,
             faults: if plan.is_empty() {
                 None
@@ -509,17 +508,10 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 })
             },
             inds_scratch: Vec::new(),
-            scope,
-            beacon_plan,
+            owned: (0..node_slots).map(owns).collect(),
         };
         runner.attach(spec.obs, spec.check);
         runner
-    }
-
-    /// Whether this runner owns channel slot `slot` (always true for the
-    /// whole-world oracle).
-    fn owns(&self, slot: usize) -> bool {
-        self.scope.as_ref().is_none_or(|s| s.owns(slot))
     }
 
     /// Attach an observer that sees every PHY indication, submission and
@@ -590,26 +582,16 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
         self.trace(ind.node(), what);
     }
 
-    /// Run the event loop to the end of the scenario, then close out the
-    /// attachments and reduce the world to its [`RunOutput`].
-    pub(crate) fn finish(mut self, seed: u64) -> RunOutput {
-        self.run_events();
-        let check = self.finish_check();
-        let obs = self.finish_obs();
-        let (cfg, protocol) = (Arc::clone(&self.cfg), self.protocol);
-        RunOutput::collect(&cfg, protocol, seed, &self.harvest(), obs, check, None)
-    }
-
     /// Close out the attached checker: validate the end-of-run transition
     /// matrices (C4) and assemble the report.
     pub(crate) fn finish_check(&mut self) -> Option<CheckReport> {
         let mut check = self.core.check.take()?;
         for (i, mac) in self.macs.iter().enumerate() {
-            // A scoped runner validates only its owned nodes: the others'
-            // MACs exist (full-width vectors keep global node indexing)
-            // but never ran, and their empty matrices belong to the
-            // group that actually drove them.
-            if self.scope.as_ref().is_some_and(|s| !s.owns(i)) {
+            // Only owned nodes are validated: the others' MACs exist
+            // (full-width vectors keep global node indexing) but never
+            // ran, and their empty matrices belong to the group that
+            // actually drove them.
+            if !self.owned[i] {
                 continue;
             }
             if let Some((labels, matrix)) = mac.transitions() {
@@ -619,42 +601,26 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
         Some(check.finish(self.core.q.now()))
     }
 
-    /// Seed the queue's initial events: beacons in node order, the source,
-    /// then the fault plan's scheduled actions. A scoped (shard group)
-    /// runner seeds only its owned slots, in the same global enumeration
-    /// order — the restriction of the oracle's seeding to the group.
-    fn seed_events(&mut self) {
-        // Stagger the first beacons uniformly over one period so the
-        // network does not start in lockstep, with a shard group's stagger
-        // times read from the precomputed table.
-        for i in 0..self.cfg.nodes {
-            let at = match &self.beacon_plan {
-                Some(plan) => plan.times[i][0],
-                None => {
-                    SimTime::from_nanos(self.sched_rng.below(self.cfg.beacon_period.nanos().max(1)))
-                }
-            };
-            if self.owns(i) {
-                self.core.q.push(
-                    at,
-                    Ev::Beacon {
-                        node: NodeId(i as u16),
-                    },
-                );
-            }
+    /// Seed the queue's initial events: first beacons in node order, the
+    /// source, then the fault plan's scheduled actions — owned slots only,
+    /// in the global enumeration order, so a group's seeding is the
+    /// restriction of the whole world's to the group.
+    fn seed_events(&mut self, beacons: &BeaconTimetable) {
+        for i in (0..self.cfg.nodes).filter(|&i| self.owned[i]) {
+            let node = NodeId(i as u16);
+            let first = Ev::Beacon { node, fire: 0 };
+            self.core.q.push(beacons.at(node, 0), first);
         }
-        if self.owns(0) {
+        if self.owned[0] {
             self.core.q.push(self.cfg.warmup, Ev::Source);
         }
         if let Some(f) = &self.faults {
             // Deaf/Mute churn is enforced purely at the PHY by the
             // injector; only full crashes need engine-side events.
-            let owned = self.scope.as_ref().map(|s| s.owned.as_slice());
             for c in &f.plan.churn {
-                if matches!(c.kind, ChurnKind::Crash) && (c.node as usize) < self.cfg.nodes {
-                    if owned.is_some_and(|o| !o[c.node as usize]) {
-                        continue;
-                    }
+                let crash =
+                    matches!(c.kind, ChurnKind::Crash) && (c.node as usize) < self.cfg.nodes;
+                if crash && self.owned[c.node as usize] {
                     let node = NodeId(c.node);
                     self.core.q.push(
                         SimTime::from_millis(c.at_ms),
@@ -667,7 +633,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 }
             }
             for (j, spec) in f.plan.jammers.iter().enumerate() {
-                if owned.is_some_and(|o| !o[self.cfg.nodes + j]) {
+                if !self.owned[self.cfg.nodes + j] {
                     continue;
                 }
                 self.core.q.push(
@@ -678,24 +644,25 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
         }
     }
 
-    /// Run the event loop under the hook the attachments call for.
-    pub(crate) fn run_events(&mut self) {
+    /// Run the event loop under the hook the attachments call for, beacons
+    /// firing as `beacons` schedules them.
+    pub(crate) fn run_events(&mut self, beacons: &BeaconTimetable) {
         match self.core.obs.as_ref().map(|o| o.sampler.is_some()) {
-            Some(sampling) => self.run_loop(&mut Observed { sampling }),
-            None => self.run_loop(&mut Detached),
+            Some(sampling) => self.run_loop(&mut Observed { sampling }, beacons),
+            None => self.run_loop(&mut Detached, beacons),
         }
     }
 
     /// The event loop: seed, then pop and dispatch everything due by the
     /// end of the scenario, with `hook` around every dispatch.
-    fn run_loop<H: LoopHook<Q>>(&mut self, hook: &mut H) {
-        self.seed_events();
+    fn run_loop<H: LoopHook<Q>>(&mut self, hook: &mut H, beacons: &BeaconTimetable) {
+        self.seed_events(beacons);
         let end = self.cfg.end_time();
         // Fused head-check + pop: one key comparison per event decides
         // both "is it due" and "which window half wins".
         while let Some((t, ev)) = self.core.q.pop_at_or_before(end) {
             let mark = hook.before(self, t, &ev);
-            self.dispatch(ev);
+            self.dispatch(ev, beacons);
             hook.after(self, mark);
         }
     }
@@ -742,7 +709,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
     }
 
     #[inline(always)]
-    fn dispatch(&mut self, ev: Ev) {
+    fn dispatch(&mut self, ev: Ev, beacons: &BeaconTimetable) {
         match ev {
             Ev::Phy(pe) => {
                 let now = self.core.q.now();
@@ -793,29 +760,24 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 self.sync_tone_interest(node);
                 self.post_mac(node, delivered, outcomes);
             }
-            Ev::Beacon { node } => {
+            Ev::Beacon { node, fire } => {
+                let now = self.core.q.now();
+                debug_assert_eq!(beacons.at(node, fire), now, "beacon off its timetable");
                 // A crashed node emits no beacons but keeps its tick alive
-                // (and its jitter draw, for determinism) for the restart.
+                // for the restart.
                 if !self.core.down[node.idx()] {
-                    let now = self.core.q.now();
                     let mut reqs = Vec::new();
                     self.nets[node.idx()].on_beacon_timer(now, &mut reqs);
                     for req in reqs {
                         self.submit(node, req);
                     }
                 }
-                // Next beacon: the nominal period plus a little jitter so
-                // beacons never phase-lock with the data traffic. With a
-                // beacon plan attached the jitter was pre-drawn into the
-                // timetable (same stream, same draw order, same values).
-                let next = match self.beacon_plan.as_mut() {
-                    Some(plan) => plan.next_fire(node, self.core.q.now()),
-                    None => {
-                        let jitter = SimTime::from_nanos(self.sched_rng.below(BEACON_JITTER_NS));
-                        self.core.q.now() + self.cfg.beacon_period + jitter
-                    }
-                };
-                self.core.q.push(next, Ev::Beacon { node });
+                // Next beacon: the nominal period plus the jitter the
+                // timetable drew for it.
+                let fire = fire + 1;
+                self.core
+                    .q
+                    .push(beacons.at(node, fire), Ev::Beacon { node, fire });
             }
             Ev::Source => {
                 if self.packets_left == 0 {
@@ -1175,13 +1137,14 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
         })
     }
 
-    /// Strip the finished replication down to the state the report is
-    /// computed from. The harvest is partition-friendly: every field is
-    /// either per-node (merged by taking each node from its owner group),
-    /// a commutative sum, or a maximum — which is what lets the sharded
-    /// engine's merged report reproduce the oracle's bit-for-bit.
+    /// Strip the finished group down to the state the report is computed
+    /// from. The harvest is partition-friendly: every field is either
+    /// per-node (merged by taking each node from its owner group), a
+    /// commutative sum, or a maximum — which is what lets the groups' merged
+    /// report reproduce the whole-world run's bit-for-bit.
     pub(crate) fn harvest(self) -> Harvest {
         Harvest {
+            owned: self.owned,
             frames: self.core.channel.frame_tallies(),
             faults_injected: self.core.channel.faults_injected(),
             events: self.core.q.total_popped(),
@@ -1195,11 +1158,13 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
     }
 }
 
-/// The order-independent residue of a finished replication: everything
-/// [`collect_report`] needs, in a shape the sharded engine can merge from
-/// per-group runs (per-node vectors indexed by global node id, plus
-/// summable channel/fault tallies).
+/// The order-independent residue of a finished group: everything
+/// [`collect_report`] needs, in a shape that merges across the groups of a
+/// replication (per-node vectors indexed by global node id, plus summable
+/// channel/fault tallies).
 pub(crate) struct Harvest {
+    /// Per channel slot: did the harvested group own it?
+    pub(crate) owned: Vec<bool>,
     pub(crate) nets: Vec<NetLayer>,
     pub(crate) counters: Vec<MacCounters>,
     pub(crate) frames: FrameTallies,
@@ -1211,10 +1176,8 @@ pub(crate) struct Harvest {
     pub(crate) jam_bursts: u64,
 }
 
-/// Assemble a [`RunReport`] from a harvest. Factored out of the runner so
-/// the oracle and the sharded engine compute their reports through the
-/// same arithmetic, in the same global node order (float accumulation
-/// order is part of bit-identity).
+/// Assemble a [`RunReport`] from a (merged) harvest, in global node order:
+/// float accumulation order is part of bit-identity.
 pub(crate) fn collect_report(
     cfg: &ScenarioConfig,
     protocol: Protocol,

@@ -1,7 +1,7 @@
 //! Engine integration tests on small networks.
 
 use crate::config::{Protocol, ScenarioConfig};
-use crate::world::Runner;
+use crate::world::{BeaconTimetable, Runner, BEACON_JITTER_NS};
 use crate::{run_replication, Run};
 
 /// A small, dense stationary scenario that finishes in well under a second
@@ -313,11 +313,11 @@ fn a_crash_inside_a_tone_watch_does_not_pin_the_nodes_tone_records() {
             check: false,
             brute_phy: false,
         };
-        let mut runner = Runner::assemble(&spec, CalendarQueue::with_capacity, None, None);
+        let mut runner = Runner::assemble(&spec, CalendarQueue::with_capacity, |_| true);
         let events: Arc<Mutex<Vec<TraceEvent>>> = Arc::default();
         let sink = events.clone();
         runner.set_tracer(Box::new(move |e| sink.lock().unwrap().push(e.clone())));
-        runner.run_events();
+        runner.run_events(&BeaconTimetable::build(&spec.cfg, spec.seed));
         let events = std::mem::take(&mut *events.lock().unwrap());
         (runner, events)
     };
@@ -470,18 +470,18 @@ fn obs_on_a_decomposable_sharded_run_takes_the_single_group() {
     let serial = run_replication(&cfg, Protocol::Rmac, 1);
     let cfg = cfg.with_shards(2);
     let bare = Run::new(&cfg, Protocol::Rmac, 1).execute();
-    assert_eq!(bare.shard.expect("sharded stats").groups, 2);
+    assert_eq!(bare.shard.groups, 2);
     let out = Run::new(&cfg, Protocol::Rmac, 1)
         .obs(crate::ObsConfig::default())
         .execute();
     assert!(out.obs.is_some());
-    assert_eq!(out.shard.expect("sharded stats").groups, 1);
+    assert_eq!(out.shard.groups, 1);
     assert_eq!(out.report, serial);
 }
 
 #[test]
 fn a_single_group_sharded_run_carries_obs() {
-    // Mobility forces one group, which instruments like the serial engine.
+    // Mobility forces one group, which instruments like the one-shard run.
     let mut cfg = ScenarioConfig::paper_speed2(10.0)
         .with_nodes(8)
         .with_packets(5);
@@ -493,11 +493,34 @@ fn a_single_group_sharded_run_carries_obs() {
         .obs(crate::ObsConfig::default())
         .execute();
     assert_eq!(sharded.report, serial.report);
-    assert_eq!(sharded.shard.expect("sharded stats").groups, 1);
+    assert_eq!(sharded.shard.groups, 1);
     let (a, b) = (serial.obs.expect("obs"), sharded.obs.expect("obs"));
     for class in 0..crate::obs::EVENT_CLASS_LABELS.len() {
         assert_eq!(a.kernel.class_count(class), b.kernel.class_count(class));
     }
     let nodes = |o: &crate::ObsReport| o.nodes.iter().map(|n| n.to_json()).collect::<Vec<_>>();
     assert_eq!(nodes(&a), nodes(&b));
+}
+
+#[test]
+fn timetable_is_monotonic_and_covers_the_run() {
+    let cfg = ScenarioConfig::paper_stationary(5.0)
+        .with_nodes(8)
+        .with_packets(10);
+    let (period, end) = (cfg.beacon_period, cfg.end_time());
+    let table = BeaconTimetable::build(&cfg, 42);
+    assert_eq!(table.times.len(), 8);
+    for per_node in &table.times {
+        // Initial stagger inside one period, then strictly increasing
+        // steps of period..period+jitter.
+        assert!(per_node[0] < period);
+        for w in per_node.windows(2) {
+            let step = w[1] - w[0];
+            assert!(step >= period);
+            assert!(step < period + rmac_sim::SimTime::from_nanos(BEACON_JITTER_NS));
+        }
+        // The table runs past the end of the run (last entry is the
+        // never-dispatched successor).
+        assert!(*per_node.last().unwrap() > end);
+    }
 }

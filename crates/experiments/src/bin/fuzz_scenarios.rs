@@ -21,8 +21,7 @@ use std::time::Instant;
 
 use proptest::prelude::Strategy;
 use proptest::test_runner::TestRng;
-use rmac_core::testkit::fuzz::scenario_strategy;
-use rmac_experiments::fuzz::{run_case, shrink, write_repro, CaseOutcome};
+use rmac_experiments::fuzz::{run_case, scenario_strategy, shrink, write_repro, CaseOutcome};
 
 /// Replication budget for shrinking one failing case.
 const SHRINK_BUDGET: usize = 60;

@@ -21,10 +21,7 @@ use rmac_engine::{
 };
 use rmac_experiments::env_u64;
 use rmac_metrics::frame_kind_table;
-use rmac_obs::{
-    parse_trace_line, render_shard_balance, render_timeline, shard_balance_json, Snapshot,
-    TraceRecord,
-};
+use rmac_obs::{parse_trace_line, render_timeline, Snapshot, TraceRecord};
 use rmac_sim::SimTime;
 
 fn fail(msg: &str) -> ! {
@@ -101,18 +98,17 @@ fn main() {
         ));
     }
 
-    // Shard-balance telemetry: re-run the same scenario through the
-    // sharded engine and surface its per-group scheduling rows. The
-    // event counts are deterministic; only wall_ns is telemetry.
+    // Shard-balance telemetry: re-run the same scenario cut into four
+    // stripes and surface its per-group scheduling rows. The event
+    // counts are deterministic; only wall_ns is telemetry.
     let sharded = Run::new(&cfg.clone().with_shards(4), Protocol::Rmac, seed).execute();
     if sharded.report != base {
-        fail("sharded RunReport differs from the serial oracle");
+        fail("four-shard RunReport differs from the one-group run's");
     }
-    let stats = sharded.shard.expect("four shards run the sharded engine");
-    let balance = stats.balance_rows();
+    let stats = sharded.shard;
     std::fs::write(
         "results/obs/shard_balance.json",
-        shard_balance_json(&balance) + "\n",
+        stats.balance_json() + "\n",
     )
     .expect("write shard_balance.json");
 
@@ -120,7 +116,7 @@ fn main() {
     println!("{}", frame_kind_table(&report).render());
     println!("{}", render_timeline(&records, 5_000_000, 40));
     println!("shard balance (4 shards -> {} groups):", stats.groups);
-    println!("{}", render_shard_balance(&balance));
+    println!("{}", stats.render_balance());
     println!(
         "ok: RunReport bit-identical, {} trace lines written, 0 dropped \
          (artifacts in results/obs/)",

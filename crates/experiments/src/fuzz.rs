@@ -1,26 +1,226 @@
-//! The scenario-fuzzing harness: materialize randomized
-//! [`FuzzScenario`]s, run them under the conformance checker, and shrink
-//! any violator to a minimal reproducer.
+//! The scenario fuzzer: draw randomized [`FuzzScenario`]s (topology,
+//! traffic, fault plane — the proptest strategies below), materialize
+//! them, run them under the conformance checker, and shrink any violator
+//! to a minimal reproducer.
 //!
-//! The generation vocabulary lives in `rmac_core::testkit::fuzz` (it is
-//! engine-free on purpose); this module owns the conversion into real
-//! `ScenarioConfig` + `FaultPlan` pairs, the checked execution (panics in
-//! the stack are caught and treated as findings, not crashes of the
-//! fuzzer), and a greedy delta-debugging shrinker — the vendored proptest
-//! shim has no value trees, so minimization is explicit: drop faults one
-//! at a time, halve traffic, pop nodes, and keep any reduction that still
-//! reproduces the same invariant failure.
+//! A scenario is kept apart from the `ScenarioConfig` + `FaultPlan` pair it
+//! becomes so the shrinker has something to cut: it pops nodes, so fault
+//! specs name nodes by an index taken modulo the population, and the
+//! jammer is parked mid-topology only on conversion. Checked execution
+//! treats panics in the stack as findings, not crashes of the fuzzer; the
+//! shrinker is greedy delta-debugging — the vendored proptest shim has no
+//! value trees, so minimization is explicit: drop faults one at a time,
+//! halve traffic, pop nodes, and keep any reduction that still reproduces
+//! the same invariant failure.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
-use rmac_core::testkit::fuzz::{FuzzProtocol, FuzzScenario, FuzzTopology};
-use rmac_engine::{
-    run_replication_sharded_checked, CheckReport, Protocol, Reference, Run, ScenarioConfig,
-};
+use proptest::collection::vec;
+use proptest::prelude::*;
+use rmac_engine::{CheckReport, Protocol, Reference, Run, ScenarioConfig};
 use rmac_faults::{BurstySpec, ChurnKind, ChurnSpec, FaultPlan, JamTarget, JammerSpec, SkewSpec};
 use rmac_mobility::{Bounds, Pos};
 use rmac_sim::SimTime;
+
+/// Node placement for one fuzz case.
+#[derive(Clone, Debug, PartialEq)]
+pub enum FuzzTopology {
+    /// A straight multihop chain: `hops + 1` nodes, `spacing_m` apart —
+    /// hidden terminals at every hop.
+    Chain { hops: usize, spacing_m: f64 },
+    /// A dense square cluster: `nodes` random positions in a
+    /// `side_m × side_m` box — contention and fan-out stress.
+    Cluster { nodes: usize, side_m: f64 },
+}
+
+impl FuzzTopology {
+    /// Number of protocol nodes this topology produces.
+    pub fn nodes(&self) -> usize {
+        match *self {
+            FuzzTopology::Chain { hops, .. } => hops + 1,
+            FuzzTopology::Cluster { nodes, .. } => nodes,
+        }
+    }
+}
+
+/// One jammer, less its position ([`materialize`] parks it mid-topology).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FuzzJam {
+    /// Attacked channel.
+    pub target: JamTarget,
+    /// First burst, ms.
+    pub start_ms: u64,
+    /// Burst cadence, ms (clamped above the burst length on conversion).
+    pub period_ms: u64,
+    /// Burst length, ms.
+    pub burst_ms: u64,
+}
+
+/// Fault plane of one fuzz case. Node indices are taken modulo the
+/// population on conversion.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct FuzzFaults {
+    /// Gilbert–Elliott bursty loss.
+    pub bursty: Option<BurstySpec>,
+    /// Crash/restart windows.
+    pub churn: Vec<ChurnSpec>,
+    /// At most one jammer (tones or data noise).
+    pub jam: Option<FuzzJam>,
+    /// Per-node clock skew.
+    pub skew: Vec<SkewSpec>,
+}
+
+impl FuzzFaults {
+    /// No faults at all.
+    pub fn is_empty(&self) -> bool {
+        self.bursty.is_none() && self.churn.is_empty() && self.jam.is_none() && self.skew.is_empty()
+    }
+}
+
+/// A complete randomized scenario: everything the fuzz harness needs to
+/// assemble and run one checked replication.
+#[derive(Clone, Debug, PartialEq)]
+pub struct FuzzScenario {
+    /// Node placement.
+    pub topology: FuzzTopology,
+    /// Protocol under test. [`scenario_strategy`] draws RMAC and BMMM; the
+    /// shrinker's own tests set the deliberately broken C1 mutant.
+    pub protocol: Protocol,
+    /// Source rate, packets/second.
+    pub rate_pps: f64,
+    /// Packets the source generates.
+    pub packets: u64,
+    /// Application payload bytes.
+    pub payload: usize,
+    /// Fault plane.
+    pub faults: FuzzFaults,
+    /// Shard count. Every case runs as one group on the heap reference
+    /// queue and on the calendar queue, and cut into this many stripes; a
+    /// report divergence between any two is itself a finding.
+    pub shards: usize,
+}
+
+impl FuzzScenario {
+    /// Protocol population of the case.
+    pub fn nodes(&self) -> usize {
+        self.topology.nodes()
+    }
+
+    /// One-line label for logs and reproducer files.
+    pub fn label(&self) -> String {
+        let topo = match self.topology {
+            FuzzTopology::Chain { hops, spacing_m } => {
+                format!("chain{}x{:.0}m", hops, spacing_m)
+            }
+            FuzzTopology::Cluster { nodes, side_m } => {
+                format!("cluster{}in{:.0}m", nodes, side_m)
+            }
+        };
+        format!(
+            "{topo}-{:?}-{:.0}pps-{}pkt-{}B-s{}{}",
+            self.protocol,
+            self.rate_pps,
+            self.packets,
+            self.payload,
+            self.shards,
+            if self.faults.is_empty() {
+                ""
+            } else {
+                "-faulty"
+            }
+        )
+    }
+}
+
+/// Strategy over topologies: chains up to 5 hops (spacing inside, at, or
+/// slightly past radio range) and clusters up to 7 nodes.
+pub fn topology_strategy() -> impl Strategy<Value = FuzzTopology> {
+    prop_oneof![
+        (1usize..=5, 40.0..80.0)
+            .prop_map(|(hops, spacing_m)| FuzzTopology::Chain { hops, spacing_m }),
+        (2usize..=7, 40.0..120.0)
+            .prop_map(|(nodes, side_m)| FuzzTopology::Cluster { nodes, side_m }),
+    ]
+}
+
+/// Strategy over fault planes; roughly half the draws are fault-free so
+/// the fuzzer keeps covering the benign path too.
+pub fn faults_strategy() -> impl Strategy<Value = FuzzFaults> {
+    let bursty = prop_oneof![
+        Just(None),
+        (100.0..2000.0, 50.0..800.0, 0.3..0.95).prop_map(
+            |(mean_good_ms, mean_bad_ms, loss_bad)| {
+                Some(BurstySpec {
+                    mean_good_ms,
+                    mean_bad_ms,
+                    loss_good: 0.0,
+                    loss_bad,
+                })
+            }
+        ),
+    ];
+    let churn = vec(
+        (0u16..8, 1500u64..7000, 200u64..2500).prop_map(|(node, at_ms, for_ms)| ChurnSpec {
+            node,
+            kind: ChurnKind::Crash,
+            at_ms,
+            for_ms,
+        }),
+        0..3,
+    );
+    let target = prop_oneof![
+        Just(JamTarget::Data),
+        Just(JamTarget::Rbt),
+        Just(JamTarget::Abt)
+    ];
+    let jam = prop_oneof![
+        Just(None),
+        (target, 1500u64..6000, 150u64..600, 10u64..80).prop_map(
+            |(target, start_ms, period_ms, burst_ms)| Some(FuzzJam {
+                target,
+                start_ms,
+                period_ms,
+                burst_ms,
+            })
+        ),
+    ];
+    let skew = vec(
+        (0u16..8, -250.0..250.0).prop_map(|(node, ppm)| SkewSpec { node, ppm }),
+        0..3,
+    );
+    (bursty, churn, jam, skew).prop_map(|(bursty, churn, jam, skew)| FuzzFaults {
+        bursty,
+        churn,
+        jam,
+        skew,
+    })
+}
+
+/// The full scenario strategy: randomized topology, protocol, traffic and
+/// fault plane, sized so one case simulates in well under a second.
+pub fn scenario_strategy() -> impl Strategy<Value = FuzzScenario> {
+    let protocol = prop_oneof![Just(Protocol::Rmac), Just(Protocol::Bmmm)];
+    let shards = prop_oneof![Just(1usize), Just(2), Just(4), Just(8)];
+    (
+        topology_strategy(),
+        protocol,
+        5.0..60.0,
+        (3u64..=30, 50usize..=500),
+        (faults_strategy(), shards),
+    )
+        .prop_map(
+            |(topology, protocol, rate_pps, (packets, payload), (faults, shards))| FuzzScenario {
+                topology,
+                protocol,
+                rate_pps,
+                packets,
+                payload,
+                faults,
+                shards,
+            },
+        )
+}
 
 /// What one checked replication of a fuzz case produced.
 #[derive(Debug)]
@@ -31,13 +231,12 @@ pub enum CaseOutcome {
     Violations(CheckReport),
     /// The stack itself panicked (an engine/MAC bug, also a finding).
     Panicked(String),
-    /// The sharded engine's report diverged from the single-queue oracle
-    /// — a conservative-sync ordering bug, the fuzzer's rarest and most
-    /// valuable catch.
+    /// The report of the case cut into its shard groups diverged from the
+    /// one-group run's — a decomposition, ownership or merge bug, the
+    /// fuzzer's rarest and most valuable catch.
     ShardDivergence { shards: usize },
-    /// The serial calendar-queue engine's report diverged from the serial
-    /// binary-heap oracle — a scheduler ordering bug in the calendar
-    /// queue itself.
+    /// The one-group calendar-queue report diverged from the binary-heap
+    /// reference's — a scheduler ordering bug in the calendar queue itself.
     QueueDivergence,
 }
 
@@ -64,18 +263,19 @@ impl CaseOutcome {
             CaseOutcome::Violations(r) => r.summary(),
             CaseOutcome::Panicked(msg) => format!("panic: {msg}"),
             CaseOutcome::ShardDivergence { shards } => {
-                format!("sharded report (shards={shards}) diverged from the single-queue oracle")
+                format!("report at shards={shards} diverged from the one-group run's")
             }
             CaseOutcome::QueueDivergence => {
-                "serial calendar-queue report diverged from the binary-heap oracle".to_string()
+                "one-group calendar-queue report diverged from the binary-heap reference's"
+                    .to_string()
             }
         }
     }
 }
 
-/// Convert the engine-free scenario description into a runnable config.
-/// Warmup/drain are shortened from the paper defaults so one fuzz case
-/// simulates in a fraction of a second.
+/// Convert the scenario into a runnable config and fault plan. Warmup/drain
+/// are shortened from the paper defaults so one fuzz case simulates in a
+/// fraction of a second.
 pub fn materialize(fs: &FuzzScenario) -> (ScenarioConfig, Protocol, FaultPlan) {
     let mut cfg = match fs.topology {
         FuzzTopology::Chain { hops, spacing_m } => {
@@ -97,33 +297,14 @@ pub fn materialize(fs: &FuzzScenario) -> (ScenarioConfig, Protocol, FaultPlan) {
     cfg.drain = SimTime::from_secs(3);
     cfg.shards = fs.shards.max(1);
 
-    let nodes = fs.nodes() as u16;
     let jam_pos = match fs.topology {
         FuzzTopology::Chain { hops, spacing_m } => (hops as f64 * spacing_m / 2.0, 0.0),
         FuzzTopology::Cluster { side_m, .. } => (side_m / 2.0, side_m / 2.0),
     };
-    let plan = FaultPlan {
+    let mut plan = FaultPlan {
         salt: 0,
-        bursty: fs
-            .faults
-            .bursty
-            .map(|(mean_good_ms, mean_bad_ms, loss_bad)| BurstySpec {
-                mean_good_ms,
-                mean_bad_ms,
-                loss_good: 0.0,
-                loss_bad,
-            }),
-        churn: fs
-            .faults
-            .churn
-            .iter()
-            .map(|c| ChurnSpec {
-                node: u16::from(c.node) % nodes,
-                kind: ChurnKind::Crash,
-                at_ms: c.at_ms,
-                for_ms: c.for_ms,
-            })
-            .collect(),
+        bursty: fs.faults.bursty.clone(),
+        churn: fs.faults.churn.clone(),
         jammers: fs
             .faults
             .jam
@@ -131,84 +312,70 @@ pub fn materialize(fs: &FuzzScenario) -> (ScenarioConfig, Protocol, FaultPlan) {
             .map(|j| JammerSpec {
                 x: jam_pos.0,
                 y: jam_pos.1,
-                target: match j.target {
-                    0 => JamTarget::Data,
-                    1 => JamTarget::Rbt,
-                    _ => JamTarget::Abt,
-                },
+                target: j.target,
                 start_ms: j.start_ms,
                 // The engine merges overlapping tone bursts; keep a gap.
                 period_ms: j.period_ms.max(j.burst_ms + 20),
                 burst_ms: j.burst_ms,
             })
             .collect(),
-        skew: fs
-            .faults
-            .skew
-            .iter()
-            .map(|&(node, ppm)| SkewSpec {
-                node: u16::from(node) % nodes,
-                ppm,
-            })
-            .collect(),
+        skew: fs.faults.skew.clone(),
     };
-    let protocol = match fs.protocol {
-        FuzzProtocol::Rmac => Protocol::Rmac,
-        FuzzProtocol::Bmmm => Protocol::Bmmm,
-        FuzzProtocol::RmacSkipRbtSense => Protocol::RmacSkipRbtSense,
-    };
-    (cfg, protocol, plan)
+    // The shrinker pops nodes: indices wrap into the population left.
+    let nodes = fs.nodes() as u16;
+    plan.churn.iter_mut().for_each(|c| c.node %= nodes);
+    plan.skew.iter_mut().for_each(|s| s.node %= nodes);
+    (cfg, fs.protocol, plan)
 }
 
-/// Run one fuzz case under the conformance checker three ways: the serial
-/// engine on the binary-heap reference queue (the ground truth), the
-/// serial engine on the calendar queue, and the sharded engine at the
-/// case's shard count, with the C1–C5 invariants checked on every run (and
-/// every shard group). Panics anywhere in the stack become
+/// Run one fuzz case under the conformance checker: as one group on the
+/// binary-heap reference queue (the ground truth), as one group on the
+/// calendar queue, and — when the case has more than one shard — cut into
+/// its shard groups, with the C1–C5 invariants checked on every run (and
+/// every group). Panics anywhere in the stack become
 /// [`CaseOutcome::Panicked`] findings; a report mismatch against the
-/// oracle becomes a [`CaseOutcome::QueueDivergence`] or
+/// reference becomes a [`CaseOutcome::QueueDivergence`] or
 /// [`CaseOutcome::ShardDivergence`] finding.
 pub fn run_case(fs: &FuzzScenario, seed: u64) -> CaseOutcome {
     let (cfg, protocol, plan) = materialize(fs);
-    let serial = cfg.clone().with_shards(1);
+    let whole = cfg.clone().with_shards(1);
     let result = catch_unwind(AssertUnwindSafe(|| {
         let checked = |run: Run| {
             let out = run.faults(&plan).check().execute();
             (out.report, out.check.expect("checker was attached"))
         };
-        let oracle = checked(Run::new(&serial, protocol, seed).reference(Reference::HeapQueue));
-        let calendar = checked(Run::new(&serial, protocol, seed));
-        // The shim, not `Run`: it holds a one-shard case to the sharded
-        // engine too.
-        let sharded = run_replication_sharded_checked(&cfg, protocol, seed, &plan);
-        (oracle, calendar, sharded)
-    }));
-    match result {
-        Ok(((oracle_report, check), (calendar_report, calendar_check), sharded)) => {
-            let (sharded_report, sharded_check) = sharded;
+        let (oracle, check) =
+            checked(Run::new(&whole, protocol, seed).reference(Reference::HeapQueue));
+        if !check.is_clean() {
+            return CaseOutcome::Violations(check);
+        }
+        let (calendar, check) = checked(Run::new(&whole, protocol, seed));
+        if !check.is_clean() {
+            return CaseOutcome::Violations(check);
+        }
+        if calendar != oracle {
+            return CaseOutcome::QueueDivergence;
+        }
+        // At one shard this would be the calendar run over again.
+        if cfg.shards > 1 {
+            let (sharded, check) = checked(Run::new(&cfg, protocol, seed));
             if !check.is_clean() {
-                CaseOutcome::Violations(check)
-            } else if !calendar_check.is_clean() {
-                CaseOutcome::Violations(calendar_check)
-            } else if calendar_report != oracle_report {
-                CaseOutcome::QueueDivergence
-            } else if !sharded_check.is_clean() {
-                CaseOutcome::Violations(sharded_check)
-            } else if sharded_report != oracle_report {
-                CaseOutcome::ShardDivergence { shards: cfg.shards }
-            } else {
-                CaseOutcome::Clean
+                return CaseOutcome::Violations(check);
+            }
+            if sharded != oracle {
+                return CaseOutcome::ShardDivergence { shards: cfg.shards };
             }
         }
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            CaseOutcome::Panicked(msg)
-        }
-    }
+        CaseOutcome::Clean
+    }));
+    result.unwrap_or_else(|payload| {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        CaseOutcome::Panicked(msg)
+    })
 }
 
 /// Candidate reductions of `fs`, most aggressive structural cuts last so
@@ -377,9 +544,7 @@ pub fn write_repro(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::Strategy;
     use proptest::test_runner::TestRng;
-    use rmac_core::testkit::fuzz::{scenario_strategy, FuzzFaults};
 
     fn mutant_cluster() -> FuzzScenario {
         FuzzScenario {
@@ -387,15 +552,20 @@ mod tests {
                 nodes: 7,
                 side_m: 80.0,
             },
-            protocol: FuzzProtocol::RmacSkipRbtSense,
+            protocol: Protocol::RmacSkipRbtSense,
             rate_pps: 20.0,
             packets: 24,
             payload: 300,
             faults: FuzzFaults {
-                bursty: Some((300.0, 300.0, 0.9)),
+                bursty: Some(BurstySpec {
+                    mean_good_ms: 300.0,
+                    mean_bad_ms: 300.0,
+                    loss_good: 0.0,
+                    loss_bad: 0.9,
+                }),
                 churn: vec![],
                 jam: None,
-                skew: vec![(1, 80.0)],
+                skew: vec![SkewSpec { node: 1, ppm: 80.0 }],
             },
             shards: 2,
         }
@@ -452,5 +622,54 @@ mod tests {
             json.matches('}').count(),
             "{json}"
         );
+    }
+
+    #[test]
+    fn strategies_draw_in_bounds() {
+        let strat = scenario_strategy();
+        let mut rng = TestRng::for_case("fuzz_strategy_bounds", 0);
+        for _ in 0..200 {
+            let s = strat.generate(&mut rng);
+            assert!((2..=8).contains(&s.nodes()), "{:?}", s.topology);
+            assert!(s.rate_pps >= 5.0 && s.rate_pps < 60.0);
+            assert!((3..=30).contains(&s.packets));
+            assert!((50..=500).contains(&s.payload));
+            assert!(s.faults.churn.len() < 3);
+            if let Some(j) = s.faults.jam {
+                assert!(j.burst_ms < j.period_ms, "burst fits inside period");
+            }
+            assert!(matches!(s.shards, 1 | 2 | 4 | 8));
+            assert!(!s.label().is_empty());
+        }
+    }
+
+    #[test]
+    fn draws_are_deterministic_per_case() {
+        let strat = scenario_strategy();
+        let a = strat.generate(&mut TestRng::for_case("det", 7));
+        let b = strat.generate(&mut TestRng::for_case("det", 7));
+        assert_eq!(a, b);
+        let c = strat.generate(&mut TestRng::for_case("det", 8));
+        assert_ne!(a, c, "different cases draw different scenarios");
+    }
+
+    #[test]
+    fn both_fault_classes_and_protocols_appear() {
+        let strat = scenario_strategy();
+        let mut rng = TestRng::for_case("fuzz_strategy_coverage", 1);
+        let draws: Vec<FuzzScenario> = (0..300).map(|_| strat.generate(&mut rng)).collect();
+        assert!(draws.iter().any(|s| s.protocol == Protocol::Rmac));
+        assert!(draws.iter().any(|s| s.protocol == Protocol::Bmmm));
+        assert!(draws.iter().any(|s| s.faults.is_empty()));
+        assert!(draws.iter().any(|s| !s.faults.churn.is_empty()));
+        assert!(draws.iter().any(|s| s.faults.jam.is_some()));
+        assert!(draws
+            .iter()
+            .any(|s| matches!(s.topology, FuzzTopology::Chain { .. })));
+        assert!(draws
+            .iter()
+            .any(|s| matches!(s.topology, FuzzTopology::Cluster { .. })));
+        assert!(draws.iter().any(|s| s.shards == 1));
+        assert!(draws.iter().any(|s| s.shards > 1));
     }
 }

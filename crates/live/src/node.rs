@@ -38,6 +38,7 @@ use rmac_core::{
 };
 use rmac_phy::{Indication, Tone, ToneLog};
 use rmac_sim::{SimRng, SimTime};
+use rmac_wire::consts::{BYTE_TIME, PHY_OVERHEAD};
 use rmac_wire::datagram::{DGRAM_TONE_ABT, DGRAM_TONE_RBT};
 use rmac_wire::{
     codec, decode_datagram, encode_datagram, Datagram, Dest, DgramBody, Frame, NodeId,
@@ -98,6 +99,13 @@ pub enum OutDgram {
     Ctrl(NodeId, Vec<u8>),
 }
 
+/// The longest a reception can be in flight here: the air time of the
+/// largest frame a datagram can carry (64 KiB, the UDP limit and the
+/// receive buffer of [`crate::udp`]). An `Abort` marker older than this
+/// names no reception that is still pending.
+const LONGEST_AIRTIME: SimTime =
+    SimTime::from_nanos(PHY_OVERHEAD.nanos() + 65_536 * BYTE_TIME.nanos());
+
 /// What the timer wheel fires.
 enum Fire {
     /// A MAC timer (generation-tracked; the MAC ignores stale ones).
@@ -117,8 +125,9 @@ enum Fire {
     },
 }
 
-/// An open tone watch (the live twin of the PHY's `ActiveWatch`, which is
-/// private to `rmac-phy`).
+/// An open tone watch: what [`MacContext::close_tone_watch`] turns into a
+/// [`ToneLog`]. (The simulator has no such state; it reads the same log
+/// from the PHY's tone records.)
 struct Watch {
     start: SimTime,
     initial_on: bool,
@@ -361,12 +370,13 @@ impl MacContext for LiveCtx {
 pub struct LiveNode {
     mac: Rmac,
     ctx: LiveCtx,
-    /// `(src, counter)` of frames retracted by an `Abort` marker whose
-    /// reception has not completed yet. Entries are removed when the
-    /// matching `RxEnd` fires; stale ones (the frame datagram itself was
-    /// lost) are pruned as soon as a newer frame from the same sender
-    /// arrives, keeping the set bounded over arbitrarily long runs.
-    aborted_rx: Vec<(NodeId, u32)>,
+    /// Frames retracted by an `Abort` marker whose reception has not
+    /// completed yet: when the marker arrived and the `(src, counter)` it
+    /// names, oldest first. An entry goes when the matching `RxEnd` fires,
+    /// or [`LONGEST_AIRTIME`] after it arrived (its frame was lost, or was
+    /// never sent) — so a peer that sends nothing but markers holds its
+    /// send rate × that horizon of this node's memory, not the run's length.
+    aborted_rx: VecDeque<(SimTime, NodeId, u32)>,
     /// Scratch buffer for wheel firings.
     fired: Vec<(SimTime, Fire)>,
 }
@@ -400,7 +410,7 @@ impl LiveNode {
                 outcomes: Vec::new(),
                 stats: LiveStats::default(),
             },
-            aborted_rx: Vec::new(),
+            aborted_rx: VecDeque::new(),
             fired: Vec::new(),
         }
     }
@@ -528,7 +538,12 @@ impl LiveNode {
             }
             DgramBody::Abort { counter } => {
                 self.ctx.stats.ctrl_rx += 1;
-                self.aborted_rx.push((d.src, counter));
+                let now = self.ctx.now;
+                while (self.aborted_rx.front()).is_some_and(|&(at, ..)| at + LONGEST_AIRTIME < now)
+                {
+                    self.aborted_rx.pop_front();
+                }
+                self.aborted_rx.push_back((now, d.src, counter));
             }
             // Hello/Announce/Bye: counted and dropped. Nothing reads
             // session payloads yet, and a buffer with no reader is a peer's
@@ -543,13 +558,6 @@ impl LiveNode {
     /// First bit of a foreign frame: carrier rises now, the frame (and the
     /// carrier fall) land one airtime later.
     fn rx_begin(&mut self, frame: Frame, ok: bool, key: Option<(NodeId, u32)>) {
-        if let Some((src, ctr)) = key {
-            // Drop retraction markers for older datagrams from this
-            // sender: their frames were lost in transit, so no reception
-            // is left to poison.
-            self.aborted_rx
-                .retain(|&(s, c)| s != src || c.wrapping_sub(ctr) < u32::MAX / 2);
-        }
         let serial = self.ctx.rx_serial;
         self.ctx.rx_serial += 1;
         // The hub has no geometry or power, so the collision model is the
@@ -620,8 +628,8 @@ impl LiveNode {
                 let retracted = key.is_some_and(|k| {
                     self.aborted_rx
                         .iter()
-                        .position(|&e| e == k)
-                        .map(|pos| self.aborted_rx.swap_remove(pos))
+                        .position(|&(_, src, ctr)| (src, ctr) == k)
+                        .map(|pos| self.aborted_rx.remove(pos))
                         .is_some()
                 });
                 if let Some(pos) = self.ctx.live_rx.iter().position(|&s| s == serial) {
@@ -891,6 +899,91 @@ mod tests {
         assert!(node.take_delivered().is_empty());
         assert!(node.take_outcomes().is_empty());
         assert!(node.aborted_rx.is_empty() && node.ctx.pending.is_empty());
+    }
+
+    /// A peer that sends retractions and never a frame — under one id or
+    /// under fresh ones — holds its send rate × the longest air time of
+    /// this node's memory, however long it keeps going.
+    #[test]
+    fn an_abort_flood_is_bounded() {
+        let spacing = SimTime::from_micros(100);
+        let bound = (LONGEST_AIRTIME.nanos() / spacing.nanos()) as usize + 1;
+        let srcs: [fn(u32) -> NodeId; 2] = [|_| n(2), |i| n(2 + (i % 5_000) as u16)];
+        for src in srcs {
+            let mut node = LiveNode::new(n(1), LiveConfig::default());
+            for i in 0..10_000u32 {
+                let at = spacing.mul(u64::from(i));
+                node.on_datagram(&abort(at, src(i), i));
+                assert!(node.aborted_rx.len() <= bound, "{i}");
+            }
+            assert!(spacing.mul(10_000) > LONGEST_AIRTIME.mul(3));
+            assert_eq!(node.stats().ctrl_rx, 10_000);
+            assert_eq!(node.next_deadline(), None);
+            assert!(node.take_outbox().is_empty());
+            assert!(node.take_delivered().is_empty() && node.ctx.pending.is_empty());
+        }
+    }
+
+    fn abort(at: SimTime, src: NodeId, counter: u32) -> Incoming {
+        let body = DgramBody::Abort { counter };
+        let marker = Datagram { src, counter, body };
+        incoming(at, DgramChannel::Ctrl, encode_datagram(&marker))
+    }
+
+    /// An unreliable broadcast of 500 bytes from `src` under datagram
+    /// `counter`: 2.208 ms on the air, delivered on a clean `FrameRx`.
+    fn data(at: SimTime, src: NodeId, counter: u32) -> Incoming {
+        let payload = Bytes::from(vec![counter as u8; PAPER_PAYLOAD]);
+        let frame = Frame::data_unreliable(src, Dest::Broadcast, payload, counter);
+        let body = DgramBody::Frame(codec::encode(&frame));
+        let dgram = Datagram { src, counter, body };
+        incoming(at, DgramChannel::Data, encode_datagram(&dgram))
+    }
+
+    /// Advance to `t` and return the payload tags of what was delivered.
+    fn delivered_by(node: &mut LiveNode, t: SimTime) -> Vec<u8> {
+        node.advance(t);
+        let frames = node.take_delivered();
+        frames.iter().map(|(_, f)| f.payload[0]).collect()
+    }
+
+    /// A marker arriving mid-reception turns that `FrameRx` corrupt — and
+    /// no other: not the sender's next frame, not another sender's frame
+    /// under the same counter.
+    #[test]
+    fn a_marker_mid_reception_corrupts_that_frame_and_no_other() {
+        let ms = SimTime::from_millis;
+        let mut node = LiveNode::new(n(1), LiveConfig::default());
+        node.on_datagram(&data(ms(0), n(2), 7));
+        node.on_datagram(&abort(ms(1), n(2), 7));
+        assert_eq!(delivered_by(&mut node, ms(3)), []);
+        assert!(node.aborted_rx.is_empty(), "a marker is spent on its frame");
+
+        node.on_datagram(&data(ms(3), n(2), 8));
+        assert_eq!(delivered_by(&mut node, ms(6)), [8]);
+
+        node.on_datagram(&data(ms(6), n(3), 9));
+        node.on_datagram(&abort(ms(7), n(2), 9));
+        assert_eq!(delivered_by(&mut node, ms(9)), [9]);
+    }
+
+    /// Markers are kept per datagram, not per sender: one that aborts A,
+    /// then sends and aborts B before A's `RxEnd` has fired here (the
+    /// control channel running ahead of the data channel) poisons both,
+    /// and B's marker waits for B's frame.
+    #[test]
+    fn aborting_b_before_a_has_ended_here_poisons_both() {
+        let ms = SimTime::from_millis;
+        let mut node = LiveNode::new(n(1), LiveConfig::default());
+        node.on_datagram(&data(ms(0), n(2), 1));
+        node.on_datagram(&abort(ms(1), n(2), 1));
+        node.on_datagram(&abort(ms(2), n(2), 2));
+        assert_eq!(delivered_by(&mut node, ms(3)), []);
+        node.on_datagram(&data(ms(3), n(2), 2));
+        assert_eq!(delivered_by(&mut node, ms(6)), []);
+        assert!(node.aborted_rx.is_empty());
+        node.on_datagram(&data(ms(6), n(2), 3));
+        assert_eq!(delivered_by(&mut node, ms(9)), [3]);
     }
 
     /// A node's own multicast echo is discarded, not treated as traffic.

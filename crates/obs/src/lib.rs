@@ -33,8 +33,6 @@
 //! * [`jsonl`]/[`render`] — the flat-JSONL record rule and the Fig. 4-style
 //!   timeline renderer behind the `obs_report` bin ([`json`] is
 //!   `rmac-wire`'s reader, re-exported for `rmac-campaign`).
-//! * [`shard`] — [`ShardGroupRow`]/[`render_shard_balance`], the sharded
-//!   engine's per-group scheduling balance table.
 
 pub mod hist;
 pub mod jsonl;
@@ -42,7 +40,6 @@ pub mod kernel;
 pub mod node;
 pub mod render;
 pub mod report;
-pub mod shard;
 pub mod snapshot;
 
 pub use hist::LogHistogram;
@@ -51,5 +48,4 @@ pub use node::{frame_kind_index, NodeObs, FRAME_KINDS, FRAME_KIND_LABELS, TONES,
 pub use render::{parse_trace_line, render_timeline, TraceRecord};
 pub use report::ObsReport;
 pub use rmac_wire::json;
-pub use shard::{render_shard_balance, shard_balance_json, ShardGroupRow};
 pub use snapshot::{Sampler, Snapshot};

@@ -28,8 +28,8 @@ use rmac::sim::SimTime;
 
 /// Execute `run` with the conformance checker on (and asserted clean) and
 /// a frame-level tracer attached; return the JSONL trace as one string
-/// plus the run's output. Whatever engine, queue and shard count `run`
-/// selects, the trace goes through this one sink.
+/// plus the run's output. Whatever queue and shard count `run` selects,
+/// the trace goes through this one sink.
 fn capture_output(run: Run) -> (String, RunOutput) {
     let lines: Arc<Mutex<Vec<String>>> = Arc::default();
     let sink = Arc::clone(&lines);
@@ -48,7 +48,7 @@ fn capture_output(run: Run) -> (String, RunOutput) {
     (trace, out)
 }
 
-/// The serial calendar-queue capture every golden file is held against.
+/// The one-shard calendar-queue capture every golden file is held against.
 fn capture(cfg: &ScenarioConfig, protocol: Protocol, seed: u64, plan: &FaultPlan) -> String {
     capture_output(Run::new(cfg, protocol, seed).faults(plan)).0
 }
@@ -105,8 +105,8 @@ fn trim(mut cfg: ScenarioConfig, name: &str) -> ScenarioConfig {
 }
 
 /// The four canonical golden scenarios: (golden file, scenario, seed,
-/// fault plan). Shared by the oracle regression tests and the sharded
-/// replay matrix.
+/// fault plan). Shared by the per-scenario regression tests and the replay
+/// matrix.
 fn golden_scenarios() -> Vec<(&'static str, ScenarioConfig, u64, FaultPlan)> {
     let one_hop = trim(
         ScenarioConfig::paper_stationary(5.0)
@@ -223,11 +223,11 @@ fn golden_decoupled_clusters() {
     let cfg = cfg.with_shards(2);
     let two_shards = || Run::new(&cfg, Protocol::Rmac, seed).faults(&plan);
     let untraced = two_shards().execute();
-    assert_eq!(untraced.shard.expect("sharded stats").groups, 2);
+    assert_eq!(untraced.shard.groups, 2);
     assert_eq!(untraced.report, serial.report);
 
     let (sharded_trace, traced) = capture_output(two_shards());
-    assert_eq!(traced.shard.expect("sharded stats").groups, 1);
+    assert_eq!(traced.shard.groups, 1);
     assert_eq!(traced.report, serial.report);
     assert_eq!(sharded_trace, trace, "{name}: sharded trace diverged");
 }
@@ -241,7 +241,7 @@ fn checked_decoupled_clusters_still_decompose() {
     let run = |cfg: &ScenarioConfig| Run::new(cfg, Protocol::Rmac, seed).faults(&plan).check();
     let serial = run(&cfg).execute().assert_clean();
     let sharded = run(&cfg.clone().with_shards(2)).execute().assert_clean();
-    assert_eq!(sharded.shard.as_ref().expect("sharded stats").groups, 2);
+    assert_eq!(sharded.shard.groups, 2);
     assert_eq!(sharded.report, serial.report);
     let gates = |out: &RunOutput| {
         let c = out.check.as_ref().expect("check");
@@ -256,31 +256,35 @@ fn checked_decoupled_clusters_still_decompose() {
 }
 
 /// The engine's trace contract as a full matrix: every golden scenario
-/// replays **byte-stable** on the serial engine over the heap reference
-/// queue and the calendar queue, and on the (calendar-queue) sharded engine
-/// at 1/2/4/8 shards. Traces are compared both against a fresh oracle
-/// capture (the live contract) and against the committed golden file (so
-/// a simultaneous oracle+variant drift cannot slip through). The serial
-/// heap leg pins the calendar scheduler against the binary-heap oracle
-/// at frame granularity; a traced sharded run is the single all-shards
-/// group reading the beacon timetable.
+/// replays **byte-stable** at 1/2/4/8 shards on the calendar queue and at
+/// 1/2/4 shards on the heap reference queue. Traces are compared both
+/// against a fresh one-shard capture (the live contract) and against the
+/// committed golden file (so a simultaneous drift of both cannot slip
+/// through). The goldens were recorded from live scheduler-stream draws,
+/// so they are the independent oracle for the beacon timetable every run
+/// now reads; the heap legs pin the calendar scheduler against the
+/// binary-heap reference at frame granularity; a traced run is the single
+/// all-shards group at any shard count.
 #[test]
 fn golden_traces_replay_byte_stable_under_sharding() {
     let regen = std::env::var("RMAC_REGEN_GOLDEN").ok().as_deref() == Some("1");
     for (name, cfg, seed, plan) in golden_scenarios() {
         let oracle = capture(&cfg, Protocol::Rmac, seed, &plan);
         let run = |cfg: &ScenarioConfig| Run::new(cfg, Protocol::Rmac, seed).faults(&plan);
-        let (heap, _) = capture_output(run(&cfg).reference(Reference::HeapQueue));
-        assert_eq!(
-            heap, oracle,
-            "{name}: serial heap-reference trace diverged from the calendar queue's"
-        );
         for shards in [1usize, 2, 4, 8] {
-            let (sharded, _) = capture_output(run(&cfg.clone().with_shards(shards)));
+            let cfg = cfg.clone().with_shards(shards);
+            let (sharded, _) = capture_output(run(&cfg));
             assert_eq!(
                 sharded, oracle,
-                "{name}: sharded trace diverged from the oracle (shards={shards})"
+                "{name}: trace diverged from the one-shard capture (shards={shards})"
             );
+            if shards <= 4 {
+                let (heap, _) = capture_output(run(&cfg).reference(Reference::HeapQueue));
+                assert_eq!(
+                    heap, oracle,
+                    "{name}: heap-reference trace diverged from the calendar queue's (shards={shards})"
+                );
+            }
         }
         if !regen {
             let committed = std::fs::read_to_string(golden_path(name))

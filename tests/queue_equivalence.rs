@@ -13,9 +13,9 @@
 //!    and on deliberately tiny geometries that force constant rotation and
 //!    far-heap traffic.
 //! 2. **Replication level** — for scenarios drawn from the fuzz generator,
-//!    a full replication produces a **bit-identical** `RunReport` on the
-//!    serial heap reference, the serial calendar queue, and the
-//!    (calendar-queue) sharded engine at 1/2/4/8 shards.
+//!    a full replication produces a **bit-identical** `RunReport` as one
+//!    group on the heap reference, as one group on the calendar queue, and
+//!    cut into 2/4/8 shards on the calendar queue.
 //!
 //! Same philosophy as `tests/shard_equivalence.rs`: the optimised path
 //! must be observationally invisible.
@@ -25,14 +25,12 @@ use proptest::prelude::*;
 use rmac::engine::Reference;
 use rmac::prelude::*;
 use rmac::sim::{CalendarQueue, EventQueue};
-use rmac_experiments::fuzz::materialize;
-
-use rmac_core::testkit::fuzz::scenario_strategy;
+use rmac_experiments::fuzz::{materialize, scenario_strategy};
 
 mod common;
 use common::faulted;
 
-/// The serial engine on the binary-heap reference queue.
+/// The replication on the binary-heap reference queue.
 fn heap_reference(cfg: &ScenarioConfig, p: Protocol, seed: u64, plan: &FaultPlan) -> RunReport {
     Run::new(cfg, p, seed)
         .reference(Reference::HeapQueue)
@@ -162,11 +160,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The replication-level contract: for randomized fuzz scenarios the
-    /// heap-queue engine and the calendar-queue engine produce
-    /// bit-identical `RunReport`s — serial, and sharded at 1/2/4/8 shards
-    /// under the calendar, every variant compared field-for-field against
-    /// the heap-serial oracle. (The sharded engine has no heap leg: sharded
-    /// ≡ serial calendar ≡ serial heap already chains it to the oracle.)
+    /// engine produces bit-identical `RunReport`s on the heap queue and on
+    /// the calendar queue — as one group, and at 2/4/8 shards under the
+    /// calendar, every variant compared field-for-field against the
+    /// one-group heap run. (The heap under several groups is held by the
+    /// golden matrix and `tests/shard_equivalence.rs`.)
     #[test]
     fn replications_are_bit_identical_across_queues(
         fs in scenario_strategy(),
@@ -176,9 +174,9 @@ proptest! {
         let cfg = cfg.with_shards(1);
         let oracle = heap_reference(&cfg, protocol, seed, &plan);
         let calendar = faulted(&cfg, protocol, seed, &plan);
-        prop_assert_eq!(&calendar, &oracle, "serial calendar vs heap oracle");
+        prop_assert_eq!(&calendar, &oracle, "one-group calendar vs heap oracle");
         prop_assert_eq!(calendar.events, oracle.events, "processed event count");
-        for shards in [1usize, 2, 4, 8] {
+        for shards in [2usize, 4, 8] {
             let sharded = faulted(&cfg.clone().with_shards(shards), protocol, seed, &plan);
             prop_assert_eq!(&sharded, &oracle, "calendar shards={}", shards);
         }

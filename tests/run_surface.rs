@@ -2,7 +2,7 @@
 //! and every surviving older name (`run_replication` plus the nine names
 //! `benchmark/README.md` pins) is a shim that returns exactly `Run`'s
 //! output fields — for RMAC and BMMM, with and without a fault plan — and
-//! `Run` itself is engine-blind: any shard count equals serial.
+//! `Run` itself is shard-blind: any shard count equals the one-group run.
 
 use rmac::engine::{
     run_replication_checked, run_replication_instrumented, run_replication_sharded_checked, Runner,
@@ -65,7 +65,9 @@ fn fault_free_shims_return_runs_output() {
     let cfg = cfg();
     for p in [Protocol::Rmac, Protocol::Bmmm] {
         let plain = Run::new(&cfg, p, SEED).execute();
-        assert!(plain.obs.is_none() && plain.check.is_none() && plain.shard.is_none());
+        assert!(plain.obs.is_none() && plain.check.is_none());
+        // A whole-world run is the one-group case and says so.
+        assert_eq!((plain.shard.shards, plain.shard.groups), (1, 1));
         assert_eq!(plain.parents.len(), cfg.nodes);
 
         assert_eq!(run_replication(&cfg, p, SEED), plain.report);
@@ -85,8 +87,7 @@ fn fault_free_shims_return_runs_output() {
             observed.obs.as_ref().expect("Run::obs was called")
         ));
 
-        // One shard through the pinned sharded shim is the sharded engine;
-        // through `Run` it is the serial one. Same report either way.
+        // The pinned shim reports `Run`'s statistics at any shard count.
         let (report, stats) = ShardedRunner::new(&cfg, p, SEED).run_with_stats();
         assert_eq!(report, plain.report);
         assert_eq!((stats.shards, stats.groups), (1, 1));
@@ -94,9 +95,8 @@ fn fault_free_shims_return_runs_output() {
         let sharded = Run::new(&four, p, SEED).execute();
         let (report, stats) = ShardedRunner::new(&four, p, SEED).run_with_stats();
         assert_eq!(report, sharded.report);
-        let run_stats = sharded.shard.expect("four shards run the sharded engine");
-        assert_eq!(stats.groups, run_stats.groups);
-        assert_eq!(stats.cross_pushes, run_stats.cross_pushes);
+        assert_eq!(stats.groups, sharded.shard.groups);
+        assert_eq!(stats.cross_pushes, sharded.shard.cross_pushes);
     }
 }
 
@@ -137,23 +137,25 @@ fn checked_and_instrumented_shims_return_runs_output() {
 fn run_is_engine_blind_at_every_shard_count() {
     let cfg = cfg();
     for (p, plan) in grid() {
-        let serial = Run::new(&cfg, p, SEED).faults(&plan).check().execute();
-        let serial_check = serial.check.expect("check");
+        let whole = Run::new(&cfg, p, SEED).faults(&plan).check().execute();
+        let whole_check = whole.check.expect("check");
         for shards in [1usize, 2, 4, 8] {
             let out = Run::new(&cfg.clone().with_shards(shards), p, SEED)
                 .faults(&plan)
                 .check()
                 .execute();
-            assert_eq!(out.report, serial.report, "{p:?} shards={shards}");
-            assert_eq!(out.parents, serial.parents, "{p:?} shards={shards}");
-            assert_eq!(out.shard.is_some(), shards > 1);
-            // Per-group verdicts merge to the serial checker's gate counts.
+            assert_eq!(out.report, whole.report, "{p:?} shards={shards}");
+            assert_eq!(out.parents, whole.parents, "{p:?} shards={shards}");
+            // Statistics always come back, one row per group.
+            assert_eq!(out.shard.shards, shards);
+            assert_eq!(out.shard.group_stats.len(), out.shard.groups);
+            // Per-group verdicts merge to the one-group checker's gate counts.
             let check = out.check.expect("check");
             assert!(check.is_clean());
-            assert_eq!(check.tx_checked, serial_check.tx_checked);
-            assert_eq!(check.rx_ok_checked, serial_check.rx_ok_checked);
-            assert_eq!(check.tone_emissions, serial_check.tone_emissions);
-            assert_eq!(check.transition_nodes, serial_check.transition_nodes);
+            assert_eq!(check.tx_checked, whole_check.tx_checked);
+            assert_eq!(check.rx_ok_checked, whole_check.rx_ok_checked);
+            assert_eq!(check.tone_emissions, whole_check.tone_emissions);
+            assert_eq!(check.transition_nodes, whole_check.transition_nodes);
         }
     }
 }

@@ -1,14 +1,17 @@
-//! The sharded engine's determinism contract (property-based).
+//! What sharding adds — decomposition, ownership, merge — held to the
+//! one-group run (property-based).
 //!
 //! For any scenario kind, node count, source rate, fault plan and seed,
-//! a [`Run`] at 2/4/8 shards (the sharded conservative-sync engine) is
-//! **bit-identical** — every `RunReport` field, including the processed
-//! event count — to the single-queue oracle. Same pattern as
-//! `tests/grid_equivalence.rs`: the oracle is the brute-force ground
-//! truth, the optimised path must be observationally invisible.
+//! a [`Run`] at 2/4/8 shards is **bit-identical** — every `RunReport`
+//! field, including the processed event count — to the same run at one
+//! shard, the whole-world group. Same pattern as
+//! `tests/grid_equivalence.rs`: the undivided run is the ground truth,
+//! the partition must be observationally invisible. (That the one-group
+//! run itself is right is pinned elsewhere: `tests/golden/`, the reports
+//! in `tests/event_budget.rs`.)
 
 use proptest::prelude::*;
-use rmac::engine::{run_replication_sharded_checked, ShardedRunner};
+use rmac::engine::{Reference, ShardedRunner};
 use rmac::faults::{ChurnKind, ChurnSpec, FaultPlan, JamTarget, JammerSpec, SkewSpec};
 use rmac::mobility::Bounds;
 use rmac::prelude::*;
@@ -76,10 +79,10 @@ fn any_plan() -> impl Strategy<Value = FaultPlan> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The tentpole contract: sharded (2/4/8) ≡ single-shard ≡ oracle,
-    /// field for field, under random scenarios and fault plans. The
-    /// oracle side carries the conformance checker so every generated
-    /// case is also invariant-clean.
+    /// The tentpole contract: 2/4/8 shards ≡ one shard, field for field,
+    /// under random scenarios and fault plans. The one-shard side carries
+    /// the conformance checker so every generated case is also
+    /// invariant-clean.
     #[test]
     fn sharded_replication_is_bit_identical(
         cfg in any_cfg(),
@@ -88,11 +91,7 @@ proptest! {
     ) {
         let (oracle, check) = verdict(&cfg, Protocol::Rmac, seed, &plan);
         prop_assert!(check.is_clean(), "{}", check.summary());
-        // One shard is the serial engine through `Run`; the pinned shim
-        // holds the sharded engine to the single-shard case too.
-        let (one_shard, _) = run_replication_sharded_checked(&cfg, Protocol::Rmac, seed, &plan);
-        prop_assert_eq!(&one_shard, &oracle, "sharded engine on one shard");
-        for shards in [1usize, 2, 4, 8] {
+        for shards in [2usize, 4, 8] {
             let sharded = faulted(&cfg.clone().with_shards(shards), Protocol::Rmac, seed, &plan);
             // RunReport equality covers every field, including the
             // processed-event count (`events`).
@@ -146,8 +145,9 @@ proptest! {
 
 /// A deliberately decoupled layout — two dense clusters far outside radio
 /// range — must decompose into parallel groups *and* still match the
-/// oracle bit for bit. This is the case where the engine actually runs
-/// multi-threaded, so it guards the merge path specifically.
+/// one-group run bit for bit. This is the case where the engine actually
+/// runs multi-threaded, so it guards the merge path specifically — on the
+/// calendar queue and, group for group, on the heap reference queue.
 #[test]
 fn decoupled_clusters_run_parallel_and_match() {
     use rmac::mobility::Pos;
@@ -173,6 +173,16 @@ fn decoupled_clusters_run_parallel_and_match() {
         "expected radio-isolated clusters to decompose ({} groups)",
         stats.groups
     );
+    for shards in [1usize, 2, 4] {
+        let cfg = cfg.clone().with_shards(shards);
+        let calendar = Run::new(&cfg, Protocol::Rmac, 3).execute();
+        let heap = Run::new(&cfg, Protocol::Rmac, 3)
+            .reference(Reference::HeapQueue)
+            .execute();
+        assert_eq!(heap.report, oracle, "heap queue, shards={shards}");
+        assert_eq!(heap.shard.groups, calendar.shard.groups, "shards={shards}");
+        assert_eq!(heap.shard.groups > 1, shards > 1, "shards={shards}");
+    }
 }
 
 /// The adversarial coupled layout: a sender parked exactly on a stripe
@@ -206,8 +216,12 @@ fn boundary_straddling_receivers_match_oracle() {
         assert_eq!(out.report, oracle, "shards={shards}");
         // Stripes that own no slot form empty groups of their own; every
         // populated stripe must land in the one group that runs events.
-        let stats = out.shard.expect("sharded stats");
-        let busy = stats.group_stats.iter().filter(|g| g.events > 0).count();
+        let busy = out
+            .shard
+            .group_stats
+            .iter()
+            .filter(|g| g.events > 0)
+            .count();
         assert_eq!(busy, 1, "in-range stripes must couple, shards={shards}");
     }
 }
