@@ -16,8 +16,9 @@ cargo test -q --workspace
 echo "==> retired names stay retired (no A/B knobs on the run surface, one grid runner, no sub-queue layer,"
 echo "    no per-slot backoff re-arm, no sharded trace merge, no per-edge tone counter or pool, no"
 echo "    edge-fed tone mirror in the checker, no second engine beside the shard groups, no mirror"
-echo "    types around the balance table or the fuzzer: DESIGN.md §13, §11, §10, §12, §8)"
-if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S|SweepSpec|SweepResults|run_sweep|try_replications|RMAC_QUICK|RMAC_RATES|RMAC_NODES|ShardedQueue|SeqQueue|push_with_seq|home_slot|EngineTransport|EngineMedium|schedule\(SLOT, TimerKind::BackoffSlot|merge_traces|DispatchLog|DispatchRec|seed_slots|TraceCapture|popped_seq|ManualClock|BenchDocs|tone_count|pooled_tone_buf|sensed_since|rbt_runs|execute_sharded|into_runner|sched_rng|ShardGroupRow|balance_rows|FuzzProtocol|FuzzChurn' \
+echo "    types around the balance table or the fuzzer, no second way to hand the channel the dispatch"
+echo "    key and no received power riding on a frame-onset event: DESIGN.md §13, §11, §10, §12, §8)"
+if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S|SweepSpec|SweepResults|run_sweep|try_replications|RMAC_QUICK|RMAC_RATES|RMAC_NODES|ShardedQueue|SeqQueue|push_with_seq|home_slot|EngineTransport|EngineMedium|schedule\(SLOT, TimerKind::BackoffSlot|merge_traces|DispatchLog|DispatchRec|seed_slots|TraceCapture|popped_seq|ManualClock|BenchDocs|tone_count|pooled_tone_buf|sensed_since|rbt_runs|execute_sharded|into_runner|sched_rng|ShardGroupRow|balance_rows|FuzzProtocol|FuzzChurn|handle_at|set_cursor|FrameArriveStart \{ rx, tx, power' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!ci.sh'; then
     echo "a retired knob name reappeared (see above)" >&2
     exit 1
@@ -54,8 +55,8 @@ cargo test -q --release --test shard_equivalence
 echo "==> queue stage (calendar/heap differential proptests)"
 cargo test -q --release --test queue_equivalence
 
-echo "==> event budget (countdown timers and dispatched tone edges each a small share of events,"
-echo "    reports pinned to the per-slot, event-per-edge engine's)"
+echo "==> event budget (countdown timers per transmitted frame; dispatched tone edges and frame onsets"
+echo "    each a small share of events; reports pinned to the per-slot, event-per-edge engine's)"
 cargo test -q --release --test event_budget
 
 echo "==> benchmark stage (builds the benchmark package --locked against the crates: a broken"

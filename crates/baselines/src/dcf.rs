@@ -77,6 +77,12 @@ impl Dcf {
         self.backoff.on_busy(ctx);
     }
 
+    /// Whether the countdown is running: the one time a carrier rise does
+    /// anything.
+    pub(crate) fn counting(&self) -> bool {
+        self.backoff.counting()
+    }
+
     /// Both physical and virtual carrier sense idle?
     pub fn medium_idle(&self, ctx: &dyn MacContext) -> bool {
         !ctx.data_busy() && ctx.now() >= self.nav_until

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use rmac_core::api::{MacContext, MacService, TimerKind, TxOutcome, TxRequest};
 use rmac_core::config::MacConfig;
 use rmac_core::sendq::{Next, ReliableSend, SendQueue, UnreliableSend};
-use rmac_phy::Indication;
+use rmac_phy::{Indication, ToneInterest};
 use rmac_sim::{SimTime, TimerSlot};
 use rmac_wire::airtime::{data_airtime, frame_airtime};
 use rmac_wire::consts::{SHORT_CTRL_LEN, SIFS, TAU};
@@ -507,5 +507,15 @@ impl<X: Exchange> MacService for Station<X> {
             _ => x.on_timer(core, ctx, kind, gen),
         }
         self.settle(ctx);
+    }
+
+    /// An 802.11 station has no use for the tones; a carrier rise it can
+    /// act on only while its DCF countdown runs.
+    fn tone_interest(&self) -> ToneInterest {
+        if self.core.dcf.counting() {
+            ToneInterest::CARRIER
+        } else {
+            ToneInterest::NONE
+        }
     }
 }

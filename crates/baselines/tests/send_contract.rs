@@ -3,9 +3,11 @@
 //!
 //! Whatever exchange carries a reliable frame, admission, vacuous
 //! completion, the Unreliable Send and the post-transmission backoff behave
-//! the same, so one table of checks runs over all five. So does the rule
-//! that lets the engine keep tone flips to itself: one outside a MAC's
-//! declared interest does nothing — and an 802.11 station declares none.
+//! the same, so one table of checks runs over all five. So do the rules
+//! that let the engine keep tone flips and frame onsets to itself: a flip
+//! outside a MAC's declared interest does nothing — and an 802.11 station
+//! declares none — and neither does a carrier rise, which every MAC declares
+//! while its backoff counts and not while it defers, transmits or waits.
 
 use bytes::Bytes;
 use rmac_baselines::{Bmmm, Bmw, Lbp, Mx};
@@ -126,7 +128,8 @@ fn tone_flips_outside_interest_do_nothing<M: MacService>(
 ) {
     let stop = |m: &mut Mock, mac: &mut M| {
         if station {
-            assert_eq!(mac.tone_interest(), ToneInterest::NONE);
+            let tones = mac.tone_interest();
+            assert!(tones == ToneInterest::NONE || tones == ToneInterest::CARRIER);
         }
         m.flips_outside_interest_do_nothing(mac, idle);
     };
@@ -150,11 +153,54 @@ fn tone_flips_outside_interest_do_nothing<M: MacService>(
     stop(&mut m, &mut mac);
 }
 
+/// The carrier rising is declared of interest exactly while a backoff
+/// countdown runs; at every other stop of a reliable send a `CarrierOn` makes
+/// no context call, no state change and no RNG draw.
+fn a_carrier_rise_outside_interest_does_nothing<M: MacService>(
+    make: fn(NodeId, MacConfig) -> M,
+    idle: fn(&M) -> bool,
+) {
+    let stop = |m: &mut Mock, mac: &mut M, counting: bool| {
+        let want = mac.tone_interest();
+        assert_eq!(want | ToneInterest::CARRIER == want, counting);
+        if !counting {
+            let before = (m.footprint(), idle(mac));
+            m.set_carrier(mac, true);
+            m.data_busy = false;
+            assert_eq!((m.footprint(), idle(mac)), before);
+            assert_eq!(mac.tone_interest(), want);
+        }
+    };
+    let mut m = Mock::new();
+    let mut mac = make(n(0), MacConfig::default());
+    stop(&mut m, &mut mac, false);
+    // Deferring to a busy channel: the draw is made, nothing counts yet.
+    m.data_busy = true;
+    mac.submit(&mut m, request(true, Dest::Group(vec![n(1), n(2)]), 1));
+    assert!(!m.has_timer(TimerKind::BackoffSlot));
+    m.data_busy = false;
+    stop(&mut m, &mut mac, false);
+    // Contending, until a rise stops the countdown at the next boundary.
+    m.set_carrier(&mut mac, false);
+    stop(&mut m, &mut mac, true);
+    m.set_carrier(&mut mac, true);
+    m.fire(&mut mac, TimerKind::BackoffSlot);
+    m.data_busy = false;
+    stop(&mut m, &mut mac, false);
+    // First frame on the air, then waiting for its answer.
+    m.set_carrier(&mut mac, false);
+    contend(&mut m, &mut mac);
+    stop(&mut m, &mut mac, false);
+    m.finish_tx(&mut mac, false);
+    stop(&mut m, &mut mac, false);
+}
+
 fn contract<M: MacService>(make: fn(NodeId, MacConfig) -> M, idle: fn(&M) -> bool, station: bool) {
     full_queue_rejects_without_side_effects(make);
     nobody_to_reach_completes_at_once(make);
     unreliable_is_sent_paced_and_followed_in_order(make);
     tone_flips_outside_interest_do_nothing(make, idle, station);
+    a_carrier_rise_outside_interest_does_nothing(make, idle);
 }
 
 #[test]

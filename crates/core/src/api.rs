@@ -87,16 +87,21 @@ pub enum TimerKind {
 ///
 /// The backoff countdown sleeps through idle slots instead of polling them,
 /// so an implementation owes the MAC one thing beyond the calls below:
-/// **every idle→busy edge of the data channel is delivered as a `CarrierOn`,
-/// and every presence flip of a tone that the MAC has declared interest in
-/// ([`MacService::tone_interest`], read after each call into the MAC) as a
-/// `ToneChanged`**, at the instant [`data_busy`](MacContext::data_busy) /
-/// [`tone_present`](MacContext::tone_present) start reading the new state.
-/// (While the node itself transmits it is not counting, so no carrier edge is
-/// owed for that.) A context may deliver more — the live backend and the
-/// testkit deliver every tone flip — so a MAC must take a flip outside its
-/// declared interest as a no-op; a flip it was not told of it finds by
-/// asking `tone_present` when it next decides something.
+/// **every change of the channels that the MAC has declared interest in
+/// ([`MacService::tone_interest`], read after each call into the MAC) is
+/// delivered — an idle→busy edge of the data channel as a `CarrierOn`, a
+/// presence flip of a tone as a `ToneChanged`** — at the instant
+/// [`data_busy`](MacContext::data_busy) /
+/// [`tone_present`](MacContext::tone_present) start reading the new state;
+/// one still on its way when the interest opens included. (While the node
+/// itself transmits it is not counting, so no carrier edge is owed for
+/// that.) A context may deliver more — the live backend and the testkit
+/// deliver every carrier rise and every tone flip — so a MAC must take a
+/// change outside its declared interest as a no-op; one it was not told of
+/// it finds by asking `data_busy` or `tone_present` when it next decides
+/// something, as the paper's node senses the carrier when it has a slot to
+/// count (§3.3.1). `CarrierOff`, frame receptions and `TxDone` are always
+/// delivered.
 pub trait MacContext {
     /// Current simulation time.
     fn now(&self) -> SimTime;
@@ -155,11 +160,11 @@ pub trait MacService: Send {
     /// Process a timer firing.
     fn on_timer(&mut self, ctx: &mut dyn MacContext, kind: TimerKind, gen: u64);
 
-    /// The tone presence flips this MAC could act on in its present state.
-    /// It is read after every call into the MAC and must cover every state
-    /// in which a `ToneChanged` would do anything (call the context, move the
-    /// state machine, draw a random number). The default — the 802.11
-    /// station's — is none.
+    /// The channel changes — tone presence flips, the carrier rising — this
+    /// MAC could act on in its present state. It is read after every call
+    /// into the MAC and must cover every state in which a `ToneChanged` or a
+    /// `CarrierOn` would do anything (call the context, move the state
+    /// machine, draw a random number). The default is none.
     fn tone_interest(&self) -> ToneInterest {
         ToneInterest::NONE
     }

@@ -706,9 +706,17 @@ impl MacService for Rmac {
     /// unreliable frame on the air; an RBT fall lets an IDLE node with
     /// something to do (BI to count down, a job, a waiting request) try
     /// again. Nothing else in `on_indication` reads a `ToneChanged` — the
-    /// WF_RBT and WF_ABT windows are tone watches, read when they close.
+    /// WF_RBT and WF_ABT windows are tone watches, read when they close. A
+    /// carrier rise stops a running countdown too, and is the first bit a
+    /// receiver in WF_RDATA waits for; everywhere else the node reads
+    /// `data_busy` when it has something to decide (§3.3.1).
     fn tone_interest(&self) -> ToneInterest {
         let mut want = ToneInterest::NONE;
+        let awaits_first_bit =
+            self.state == State::WfRdata && self.rx.as_ref().is_some_and(|rx| !rx.carrier_seen);
+        if self.backoff.counting() || awaits_first_bit {
+            want |= ToneInterest::CARRIER;
+        }
         if self.backoff.counting() || matches!(self.state, State::TxMrts | State::TxUnrdata) {
             want |= ToneInterest::flip(Tone::Rbt, true);
         }

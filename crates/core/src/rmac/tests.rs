@@ -893,16 +893,18 @@ fn tone_watch_discipline() {
 }
 
 // ---------------------------------------------------------------------
-// Declared tone interest
+// Declared interest
 // ---------------------------------------------------------------------
 
-/// In each of the eight states a tone flip outside the declared interest
-/// does nothing at all, so an engine may leave it undispatched; and the
-/// interest is what the handlers say it is.
+/// In each of the eight states a tone flip or a carrier rise outside the
+/// declared interest does nothing at all — no context call, no state change,
+/// no RNG draw — so an engine may leave it undispatched; and the interest is
+/// what the handlers say it is.
 #[test]
-fn a_tone_flip_outside_the_declared_interest_does_nothing_in_any_state() {
+fn a_tone_flip_or_carrier_rise_outside_the_declared_interest_does_nothing_in_any_state() {
     let rise = ToneInterest::flip(Tone::Rbt, true);
     let fall = ToneInterest::flip(Tone::Rbt, false);
+    let carrier = ToneInterest::CARRIER;
     let all_of = |r: &Rmac| (r.state(), r.bi(), r.cw(), r.queue_len(), r.transitions());
     let mut seen = Vec::new();
     let mut check = |m: &mut Mock, r: &mut Rmac, state: State, want: ToneInterest| {
@@ -925,9 +927,9 @@ fn a_tone_flip_outside_the_declared_interest_does_nothing_in_any_state() {
     m.fire(&mut r, TimerKind::BackoffSlot);
     assert!(r.bi() > 0);
     check(&mut m, &mut r, State::Idle, fall);
-    // BACKOFF: an RBT rise suspends the countdown.
+    // BACKOFF: an RBT rise suspends the countdown, and so does the carrier.
     let (mut m, mut r) = counting(5);
-    check(&mut m, &mut r, State::Backoff, rise);
+    check(&mut m, &mut r, State::Backoff, rise | carrier);
     // The sender's walk: a rise aborts the MRTS, and from there on the tones
     // are read through watches.
     let (mut m, mut r) = (Mock::new(), mac(0));
@@ -940,9 +942,12 @@ fn a_tone_flip_outside_the_declared_interest_does_nothing_in_any_state() {
     check(&mut m, &mut r, State::TxRdata, ToneInterest::NONE);
     m.finish_tx(&mut r, false);
     check(&mut m, &mut r, State::WfAbt, ToneInterest::NONE);
-    // The receiver's wait.
+    // The receiver's wait: for the first bit of the data frame, and once
+    // that has come, for nothing but the frame's end.
     let (mut m, mut r) = (Mock::new(), mac(2));
     m.rx_frame(&mut r, n(2), Frame::mrts(n(0), vec![n(1), n(2)]), true);
+    check(&mut m, &mut r, State::WfRdata, carrier);
+    m.set_carrier(&mut r, true);
     check(&mut m, &mut r, State::WfRdata, ToneInterest::NONE);
     // An unreliable frame on the air is aborted by a rise, like an MRTS.
     let (mut m, mut r) = (Mock::new(), mac(0));

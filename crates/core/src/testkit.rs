@@ -7,7 +7,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use rmac_phy::{Indication, Tone, ToneLog};
+use rmac_phy::{Indication, Tone, ToneInterest, ToneLog};
 use rmac_sim::{SimRng, SimTime};
 use rmac_wire::consts::{L_ABT, SLOT};
 use rmac_wire::{Frame, FrameKind, NodeId};
@@ -166,33 +166,39 @@ impl Mock {
         )
     }
 
-    /// Deliver to `mac` every tone flip outside its declared
-    /// [`tone_interest`](MacService::tone_interest) — the scripted presence
-    /// flipped to match, then put back — and panic if it did anything: a
-    /// context call, an RNG draw, a change in what `state` reads. This is
-    /// what lets an engine not dispatch those flips at all.
+    /// Deliver to `mac` every tone flip, and the carrier rise, outside its
+    /// declared [`tone_interest`](MacService::tone_interest) — the scripted
+    /// channel state flipped to match, then put back — and panic if it did
+    /// anything: a context call, an RNG draw, a change in what `state` reads.
+    /// This is what lets an engine not dispatch those changes at all.
     pub fn flips_outside_interest_do_nothing<M: MacService, S: PartialEq + std::fmt::Debug>(
         &mut self,
         mac: &mut M,
         state: impl Fn(&M) -> S,
     ) {
         let want = mac.tone_interest();
-        for tone in Tone::ALL {
-            for present in [true, false] {
-                if want.wants(tone, present) {
-                    continue;
-                }
-                let before = (self.footprint(), state(mac));
-                let was = self.tone[tone.idx()];
-                self.set_tone(mac, tone, present);
-                self.tone[tone.idx()] = was;
-                assert_eq!(
-                    (self.footprint(), state(mac)),
-                    before,
-                    "{tone:?} turning {present} was not declared of interest, and did something"
-                );
-                assert_eq!(mac.tone_interest(), want, "and moved the interest itself");
+        // `None` is the data channel.
+        let tones = Tone::ALL
+            .into_iter()
+            .flat_map(|tone| [(tone, true), (tone, false)])
+            .filter(|&(tone, present)| !want.wants(tone, present))
+            .map(|(tone, present)| (Some(tone), present));
+        let carrier = (want | ToneInterest::CARRIER != want).then_some((None, true));
+        for (channel, present) in tones.chain(carrier) {
+            let before = (self.footprint(), state(mac));
+            let was = (self.tone, self.data_busy);
+            match channel {
+                Some(tone) => self.set_tone(mac, tone, present),
+                None => self.set_carrier(mac, present),
             }
+            (self.tone, self.data_busy) = was;
+            let what = channel.map_or("the carrier".into(), |tone| format!("{tone:?}"));
+            assert_eq!(
+                (self.footprint(), state(mac)),
+                before,
+                "{what} turning {present} was not declared of interest, and did something"
+            );
+            assert_eq!(mac.tone_interest(), want, "and moved the interest itself");
         }
     }
 

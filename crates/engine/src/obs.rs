@@ -160,7 +160,6 @@ mod tests {
             Ev::Phy(PhyEvent::FrameArriveStart {
                 rx: NodeId(0),
                 tx: 0,
-                power: 0.0,
             }),
             Ev::Phy(PhyEvent::TxComplete {
                 node: NodeId(0),

@@ -31,6 +31,14 @@
 //! through a watch, has no line for the RBT it detects. What every node
 //! *heard* is in the obs report's per-node `tone_busy_ns`.
 //!
+//! A `carrier` line with `busy: true` is likewise a rise a MAC was told of —
+//! the node's backoff was counting, or it was a receiver waiting for the
+//! first bit of its data frame — while every fall (`busy: false`) has its
+//! line: most `carrier` lines of a node come unpaired, an idle after no
+//! busy. When the channel turned busy at a node that was not told is the
+//! start of the frame whose `rx` line follows (`t_ns` of the `rx` less the
+//! frame's air time).
+//!
 //! # Volume control
 //!
 //! Full traces are dominated by per-node carrier/tone edges. A
@@ -89,7 +97,8 @@ pub enum TraceWhat {
         /// Present or gone.
         present: bool,
     },
-    /// Data-channel carrier sense changed at this node.
+    /// Data-channel carrier sense changed at this node: every fall, and the
+    /// rises its MAC was told of (see the module docs).
     Carrier {
         /// Busy or idle.
         busy: bool,

@@ -267,7 +267,8 @@ impl<Q: SimQueue<Ev>> MacContext for Ctx<'_, Q> {
             .stop_tone(&mut self.core.q, self.node, tone);
     }
     fn data_busy(&self) -> bool {
-        self.core.channel.data_busy(self.node)
+        let at = self.core.q.cursor();
+        self.core.channel.data_busy(self.node, at)
     }
     fn tone_present(&self, tone: Tone) -> bool {
         let at = self.core.q.cursor();
@@ -712,12 +713,15 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
     fn dispatch(&mut self, ev: Ev, beacons: &BeaconTimetable) {
         match ev {
             Ev::Phy(pe) => {
-                let now = self.core.q.now();
+                // The event's own key, not the end of its instant: a frame
+                // end and another frame's onset can share a nanosecond at
+                // one receiver.
+                let at = self.core.q.cursor();
                 let mut inds = std::mem::take(&mut self.inds_scratch);
                 inds.clear();
                 self.core
                     .channel
-                    .handle(now, &mut self.core.chan_rng, &pe, &mut inds);
+                    .handle(at, &mut self.core.chan_rng, &pe, &mut inds);
                 for ind in inds.drain(..) {
                     self.indicate(&ind);
                 }
@@ -1061,10 +1065,11 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
         debug_assert!(delivered.is_empty(), "submit cannot deliver frames");
     }
 
-    /// After every call into `node`'s MAC: tell the channel which tone flips
-    /// the MAC can act on in the state the call left it in. The channel
-    /// schedules a `ToneEdge` for a node only while it is interested
-    /// (DESIGN.md §12); everything else reads the tone records.
+    /// After every call into `node`'s MAC: tell the channel which tone flips,
+    /// and whether a carrier rise, the MAC can act on in the state the call
+    /// left it in. The channel schedules a `ToneEdge` or a
+    /// `FrameArriveStart` for a node only while it is interested (DESIGN.md
+    /// §12); everything else reads the records.
     #[inline]
     fn sync_tone_interest(&mut self, node: NodeId) {
         let want = self.macs[node.idx()].tone_interest();
@@ -1108,6 +1113,9 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
             ("phy.tone_records", phy.tone_records),
             ("phy.tone_edges_scheduled", phy.tone_edges_scheduled),
             ("phy.tone_catchups", phy.tone_catchups),
+            ("phy.frame_onsets", phy.frame_onsets),
+            ("phy.frame_starts_scheduled", phy.frame_starts_scheduled),
+            ("phy.frame_start_catchups", phy.frame_start_catchups),
         ];
         if let Some(grid) = phy.grid {
             counters.push(("grid.refreshes", grid.refreshes));

@@ -378,6 +378,99 @@ fn a_crash_inside_a_tone_watch_does_not_pin_the_nodes_tone_records() {
     assert!(busy <= whole && whole - busy < 250, "{busy} of {whole} ns");
 }
 
+/// A frame's first bit is an event only for a node whose MAC can act on a
+/// carrier rise. One whose backoff starts while the bit is in flight is still
+/// told of it, in the instant it lands; one that never asks reads a busy
+/// channel from the onset's key on, with no event dispatched for it.
+#[test]
+fn a_backoff_that_starts_with_an_onset_in_flight_is_told_of_it() {
+    use crate::run::Spec;
+    use crate::trace::{TraceEvent, TraceWhat};
+    use crate::world::Ev;
+    use bytes::Bytes;
+    use rmac_core::api::TxRequest;
+    use rmac_faults::FaultPlan;
+    use rmac_sim::{CalendarQueue, SimQueue, SimTime};
+    use rmac_wire::{Dest, Frame, NodeId};
+    use std::sync::{Arc, Mutex};
+
+    // B is 200 ns from A, C 150 ns.
+    let cfg = ScenarioConfig::paper_stationary(5.0).with_positions(vec![
+        rmac_mobility::Pos::new(0.0, 0.0),
+        rmac_mobility::Pos::new(60.0, 0.0),
+        rmac_mobility::Pos::new(0.0, 45.0),
+    ]);
+    let spec = Spec {
+        cfg: Arc::new(cfg),
+        protocol: Protocol::Bmmm,
+        seed: 3,
+        plan: FaultPlan::none(),
+        obs: None,
+        check: false,
+        brute_phy: false,
+    };
+    let beacons = BeaconTimetable::build(&spec.cfg, spec.seed);
+    let mut runner = Runner::assemble(&spec, CalendarQueue::with_capacity, |_| true);
+    let events: Arc<Mutex<Vec<TraceEvent>>> = Arc::default();
+    let sink = events.clone();
+    runner.set_tracer(Box::new(move |e| sink.lock().unwrap().push(e.clone())));
+    // Nothing is seeded: the queue holds this test's events only, and a
+    // source tick with no packets left does nothing but move the cursor.
+    runner.packets_left = 0;
+    let (a, b, c) = (NodeId(0), NodeId(1), NodeId(2));
+    let ns = SimTime::from_nanos;
+    let busy = |r: &Runner, node| r.core.channel.data_busy(node, r.core.q.cursor());
+    let step = |r: &mut Runner, at| {
+        let (t, ev) = r.core.q.pop().expect("a tick");
+        assert!(matches!(ev, Ev::Source) && t == at);
+        r.dispatch(ev, &beacons);
+    };
+
+    // One tick keyed before the onsets, in C's landing instant; the frame;
+    // a tick mid-flight and one keyed after C's onset, in the same instant.
+    runner.core.q.push(ns(150), Ev::Source);
+    let frame = Frame::data_unreliable(a, Dest::Broadcast, Bytes::from_static(b"x"), 1);
+    runner.core.channel.start_tx(&mut runner.core.q, a, frame);
+    runner.core.q.push(ns(100), Ev::Source);
+    runner.core.q.push(ns(150), Ev::Source);
+    let stats = runner.core.channel.obs_stats();
+    assert_eq!((stats.frame_onsets, stats.frame_starts_scheduled), (2, 0));
+
+    // 100 ns: nothing has landed. B is handed a packet on an idle medium and
+    // starts counting its DIFS: the onset on its way is scheduled now.
+    step(&mut runner, ns(100));
+    assert!(!busy(&runner, b) && !busy(&runner, c));
+    let req = TxRequest {
+        reliable: false,
+        dest: Dest::Broadcast,
+        payload: Bytes::from_static(b"y"),
+        token: 1,
+    };
+    runner.submit(b, req);
+    assert_eq!(runner.core.channel.obs_stats().frame_start_catchups, 1);
+    // 150 ns, on either side of C's onset.
+    step(&mut runner, ns(150));
+    assert!(!busy(&runner, c), "keyed before the onset");
+    step(&mut runner, ns(150));
+    assert!(busy(&runner, c), "keyed after it");
+    assert!(!busy(&runner, b));
+    // 200 ns: the catch-up event, and B's MAC hears the rise.
+    let (t, ev) = runner.core.q.pop().expect("the catch-up");
+    assert!(matches!(ev, Ev::Phy(_)) && t == ns(200));
+    runner.dispatch(ev, &beacons);
+    assert!(busy(&runner, b));
+    let rises: Vec<_> = events
+        .lock()
+        .unwrap()
+        .iter()
+        .filter(|e| matches!(e.what, TraceWhat::Carrier { busy: true }))
+        .map(|e| (e.t, e.node))
+        .collect();
+    assert_eq!(rises, vec![(ns(200), b)], "B was told, C was not");
+    let stats = runner.core.channel.obs_stats();
+    assert_eq!(stats.frame_starts_scheduled + stats.frame_start_catchups, 1);
+}
+
 #[test]
 fn rbt_jammer_forces_mrts_aborts_nearby() {
     use rmac_faults::{FaultPlan, JamTarget, JammerSpec};

@@ -82,7 +82,9 @@ fn describe(r: &TraceRecord) -> String {
 /// Render a Fig. 4-style timeline: starting at the first reliable
 /// submission (or the first record when none exists), show up to
 /// `max_lines` events within `window_ns` of the anchor. Times are printed
-/// relative to the anchor, in microseconds.
+/// relative to the anchor, in microseconds. Each record is rendered on its
+/// own: a trace has a `tone` or `carrier busy` line only for a change some
+/// MAC was told of, so nothing here pairs a fall with a rise.
 pub fn render_timeline(records: &[TraceRecord], window_ns: u64, max_lines: usize) -> String {
     let mut out = String::new();
     let Some(anchor_idx) = records
@@ -195,6 +197,21 @@ mod tests {
         assert!(!s.contains("carrier"));
         // Times are anchor-relative: the MRTS prints at +1.0 µs.
         assert!(s.contains("1.0 µs"), "{s}");
+    }
+
+    #[test]
+    fn timeline_shows_a_carrier_fall_that_follows_no_rise() {
+        // A node is told of a rise only while its MAC can act on one, so a
+        // trace has `carrier idle` lines with no `carrier busy` before them.
+        let records = vec![
+            rec(r#"{"t_ns":0,"node":1,"ev":"submit","reliable":true,"bytes":500}"#),
+            rec(r#"{"t_ns":2000,"node":2,"ev":"rx","kind":"Mrts","src":1,"ok":true}"#),
+            rec(r#"{"t_ns":2000,"node":2,"ev":"carrier","busy":false}"#),
+            rec(r#"{"t_ns":9000,"node":2,"ev":"carrier","busy":false}"#),
+        ];
+        let s = render_timeline(&records, 10_000, 50);
+        assert_eq!(s.matches("carrier idle").count(), 2, "{s}");
+        assert!(!s.contains("carrier busy"));
     }
 
     #[test]

@@ -106,30 +106,41 @@ fn edge_event<E: From<PhyEvent>>(rx: NodeId, tone: Tone, on: bool, emit: u64) ->
     E::from(PhyEvent::ToneEdge { rx, tone, on, emit })
 }
 
-/// A signal currently arriving at a node.
+/// A signal arriving, or about to arrive, at a node.
 #[derive(Clone, Copy)]
 struct Arriving {
     tx: TxId,
-    /// Received power (distance^-α at arrival start, distances clamped to
-    /// ≥ 1 m).
+    /// Received power (distance^-α at transmission start, distances clamped
+    /// to ≥ 1 m).
     power: f64,
     /// The strongest concurrent interference sum experienced so far.
     max_interference: f64,
     /// Unconditionally corrupted (half-duplex conflict, abort, …),
     /// regardless of capture.
     forced_bad: bool,
+    /// Whether a `FrameArriveStart` event carries the first bit to the MAC.
+    told: bool,
+    /// The key the first bit's `FrameArriveStart` claimed as the frame
+    /// started: where the signal lands in the dispatch order.
+    onset: Cursor,
 }
 
 /// Per-node transceiver state.
 struct NodeRadio {
     transmitting: Option<TxId>,
+    /// The first `landed` are the signals on the antenna, in the order their
+    /// onsets were settled ([`Channel::settle`]) but for the `swap_remove`s
+    /// of those that ended; the rest are on their way, or waiting for
+    /// something to touch the radio, in onset-key order.
     arriving: Vec<Arriving>,
+    landed: u32,
     /// What the node hears on each tone channel.
     heard: [Heard; 2],
     emitting: [Option<Emission>; 2],
     /// Where each open tone watch began.
     watch: [Option<Cursor>; 2],
-    /// The tone flips the node's MAC wants dispatched.
+    /// The tone flips, and whether the carrier rises, the node's MAC wants
+    /// dispatched.
     interest: ToneInterest,
 }
 
@@ -138,11 +149,17 @@ impl NodeRadio {
         NodeRadio {
             transmitting: None,
             arriving: Vec::new(),
+            landed: 0,
             heard: Default::default(),
             emitting: [None, None],
             watch: [None, None],
             interest: ToneInterest::NONE,
         }
+    }
+
+    /// The signals on the antenna, and the ones yet to land.
+    fn split(&mut self) -> (&mut [Arriving], &mut [Arriving]) {
+        self.arriving.split_at_mut(self.landed as usize)
     }
 }
 
@@ -179,6 +196,10 @@ pub struct Channel {
     tone_records: u64,
     tone_edges_scheduled: u64,
     tone_catchups: u64,
+    /// Frame-onset bookkeeping tallies (see [`PhyObs`]).
+    frame_onsets: u64,
+    frame_starts_scheduled: u64,
+    frame_start_catchups: u64,
 }
 
 /// Number of [`rmac_wire::FrameKind`] variants; one tally slot per kind,
@@ -224,6 +245,14 @@ pub struct PhyObs {
     /// `ToneEdge` events pushed late, for an edge still in flight when its
     /// receiver's interest opened.
     pub tone_catchups: u64,
+    /// Frame onsets written: one per transmission per in-range receiver.
+    pub frame_onsets: u64,
+    /// `FrameArriveStart` events pushed as an onset was written, for a
+    /// receiver interested in the carrier at that moment.
+    pub frame_starts_scheduled: u64,
+    /// `FrameArriveStart` events pushed late, for an onset still in flight
+    /// when its receiver's carrier interest opened.
+    pub frame_start_catchups: u64,
 }
 
 impl Channel {
@@ -252,6 +281,9 @@ impl Channel {
             tone_records: 0,
             tone_edges_scheduled: 0,
             tone_catchups: 0,
+            frame_onsets: 0,
+            frame_starts_scheduled: 0,
+            frame_start_catchups: 0,
         }
     }
 
@@ -270,6 +302,9 @@ impl Channel {
             tone_records: self.tone_records,
             tone_edges_scheduled: self.tone_edges_scheduled,
             tone_catchups: self.tone_catchups,
+            frame_onsets: self.frame_onsets,
+            frame_starts_scheduled: self.frame_starts_scheduled,
+            frame_start_catchups: self.frame_start_catchups,
         }
     }
 
@@ -384,7 +419,9 @@ impl Channel {
 
     /// Begin transmitting `frame` from `src`. The transmission occupies the
     /// antenna for `frame.airtime()`; every node in range at the start
-    /// instant will experience the signal. Returns the transmission id.
+    /// instant will experience the signal: each gets a record of the onset,
+    /// and the ones interested in the carrier a `FrameArriveStart` event as
+    /// well. Returns the transmission id.
     ///
     /// Panics if `src` is already transmitting (a MAC state-machine bug).
     pub fn start_tx<E: From<PhyEvent>>(
@@ -394,6 +431,9 @@ impl Channel {
         frame: Frame,
     ) -> TxId {
         let now = q.now();
+        // What has reached the antenna so far is lost to half duplex below;
+        // what lands from here on sees a transmitter.
+        self.settle(src, q.cursor());
         assert!(
             self.radios[src.idx()].transmitting.is_none(),
             "{src:?} started a transmission while already transmitting"
@@ -404,18 +444,33 @@ impl Channel {
         self.fill_receivers(src, now, &mut receivers);
         let end = now + frame.airtime();
         for &(rx, prop, power) in &receivers {
-            q.push(
-                now + prop,
-                E::from(PhyEvent::FrameArriveStart { rx, tx: id, power }),
-            );
+            let radio = &mut self.radios[rx.idx()];
+            let key = q.claim(now + prop);
+            let told = radio.interest.carrier();
+            if told {
+                q.push_claimed(key, E::from(PhyEvent::FrameArriveStart { rx, tx: id }));
+                self.frame_starts_scheduled += 1;
+            }
+            let (on_air, pending) = radio.split();
+            let at = on_air.len() + pending.partition_point(|a| a.onset < key);
+            let signal = Arriving {
+                tx: id,
+                power,
+                max_interference: 0.0,
+                forced_bad: false,
+                told,
+                onset: key,
+            };
+            radio.arriving.insert(at, signal);
             q.push(
                 end + prop,
                 E::from(PhyEvent::FrameArriveEnd { rx, tx: id, prop }),
             );
         }
+        self.frame_onsets += receivers.len() as u64;
         q.push(end, E::from(PhyEvent::TxComplete { node: src, tx: id }));
         // Half duplex: anything arriving at the transmitter is lost.
-        for a in &mut self.radios[src.idx()].arriving {
+        for a in self.radios[src.idx()].split().0 {
             a.forced_bad = true;
         }
         let pending_ends = receivers.len();
@@ -543,12 +598,13 @@ impl Channel {
         self.rx_pool.push(receivers);
     }
 
-    /// Declare which tone flips `node`'s MAC can act on from here on. An
-    /// edge written while the MAC was not interested and still in flight —
-    /// keyed after the event being dispatched — gets its `ToneEdge` now,
-    /// under its own key, so a flip never passes an interested MAC
-    /// unannounced. Interest that closes cancels nothing: a MAC must
-    /// tolerate a flip it no longer cares about.
+    /// Declare which tone flips, and whether the carrier rising, `node`'s MAC
+    /// can act on from here on. An edge or onset written while the MAC was
+    /// not interested and still in flight — keyed after the event being
+    /// dispatched — gets its `ToneEdge` or `FrameArriveStart` now, under its
+    /// own key, so neither passes an interested MAC unannounced. Interest
+    /// that closes cancels nothing: a MAC must tolerate a change it no
+    /// longer cares about.
     pub fn listen<E: From<PhyEvent>>(
         &mut self,
         q: &mut impl SimQueue<E>,
@@ -561,6 +617,17 @@ impl Channel {
             return;
         }
         let at = q.cursor();
+        if want.carrier() && !had.carrier() {
+            let (_, pending) = radio.split();
+            for a in pending.iter_mut().filter(|a| !a.told && a.onset > at) {
+                a.told = true;
+                q.push_claimed(
+                    a.onset,
+                    E::from(PhyEvent::FrameArriveStart { rx: node, tx: a.tx }),
+                );
+                self.frame_start_catchups += 1;
+            }
+        }
         for tone in Tone::ALL {
             for on in [true, false] {
                 if !want.wants(tone, on) || had.wants(tone, on) {
@@ -604,10 +671,17 @@ impl Channel {
     }
 
     /// Instantaneous carrier sense: is the data channel busy at `node`
-    /// (signal energy arriving, or the node itself transmitting)?
-    pub fn data_busy(&self, node: NodeId) -> bool {
+    /// (signal energy arriving, or the node itself transmitting) for a
+    /// reader at `at` — the cursor of the event being dispatched, or
+    /// [`Cursor::end_of`] an instant?
+    pub fn data_busy(&self, node: NodeId, at: Cursor) -> bool {
         let r = &self.radios[node.idx()];
-        r.transmitting.is_some() || !r.arriving.is_empty()
+        // (Past the first two tests every signal in the list is pending.)
+        r.transmitting.is_some()
+            || r.landed > 0
+            || r.arriving
+                .iter()
+                .any(|a| a.onset <= at && self.txs.contains(a.tx))
     }
 
     /// Instantaneous tone sense: is `tone` present at `node` for a reader at
@@ -663,21 +737,22 @@ impl Channel {
     // Event processing
     // -----------------------------------------------------------------
 
-    /// Process one previously scheduled [`PhyEvent`] at time `now`,
-    /// appending the resulting [`Indication`]s to `out`.
+    /// Process one previously scheduled [`PhyEvent`] popped under key `at`
+    /// ([`SimQueue::cursor`]), appending the resulting [`Indication`]s to
+    /// `out`. A caller whose queue holds nothing else in that instant at the
+    /// radios concerned may pass the bare time.
     pub fn handle(
         &mut self,
-        now: SimTime,
+        at: impl Into<Cursor>,
         rng: &mut SimRng,
         ev: &PhyEvent,
         out: &mut Vec<Indication>,
     ) {
+        let at = at.into();
         match *ev {
-            PhyEvent::FrameArriveStart { rx, tx, power } => self.frame_start(rx, tx, power, out),
-            PhyEvent::FrameArriveEnd { rx, tx, prop } => {
-                self.frame_end(now, rng, rx, tx, prop, out)
-            }
-            PhyEvent::TxComplete { node, tx } => self.tx_complete(now, node, tx, out),
+            PhyEvent::FrameArriveStart { rx, tx } => self.frame_start(at, rx, tx, out),
+            PhyEvent::FrameArriveEnd { rx, tx, prop } => self.frame_end(at, rng, rx, tx, prop, out),
+            PhyEvent::TxComplete { node, tx } => self.tx_complete(at, node, tx, out),
             PhyEvent::ToneEdge { rx, tone, on, emit } => self.tone_edge(rx, tone, on, emit, out),
         }
     }
@@ -689,42 +764,63 @@ impl Channel {
         self.rx_pool.push(buf);
     }
 
-    fn frame_start(&mut self, rx: NodeId, tx: TxId, power: f64, out: &mut Vec<Indication>) {
-        if !self.txs.contains(tx) {
-            // The transmission was aborted at its very start instant and
-            // fully cleaned up; nothing arrives.
-            return;
-        }
-        let r = &mut self.radios[rx.idx()];
-        let was_idle = r.arriving.is_empty();
-        // Half duplex: a node cannot decode while transmitting.
-        let forced_bad = r.transmitting.is_some();
-        // Capture bookkeeping: every live signal records the strongest
-        // concurrent interference sum it has experienced; whether that
-        // corrupts it is decided at frame end against the capture
-        // threshold.
-        let others_sum: f64 = r.arriving.iter().map(|a| a.power).sum();
-        let total = others_sum + power;
-        for a in &mut r.arriving {
-            let intf = total - a.power;
-            if intf > a.max_interference {
-                a.max_interference = intf;
+    /// Touch `node`'s radio: land, in key order, the signals whose onset is
+    /// keyed at or before `upto` — each as the `FrameArriveStart` event it
+    /// stands for would have, had it run at its key. Everything that reads
+    /// or moves `transmitting` or the landed signals does this first, so
+    /// between two touches nothing an onset reads can change, and landing it
+    /// late is landing it on time. Returns the transmission whose onset last
+    /// found the node idle and not transmitting: a carrier rise.
+    fn settle(&mut self, node: NodeId, upto: Cursor) -> Option<TxId> {
+        let r = &mut self.radios[node.idx()];
+        let mut rose = None;
+        while let Some(&Arriving { tx, power, .. }) = r
+            .arriving
+            .get(r.landed as usize)
+            .filter(|a| a.onset <= upto)
+        {
+            if !self.txs.contains(tx) {
+                // The transmission was aborted at its very start instant and
+                // fully cleaned up; nothing arrives.
+                r.arriving.remove(r.landed as usize);
+                continue;
             }
+            let transmitting = r.transmitting.is_some();
+            let (on_air, pending) = r.split();
+            // Capture bookkeeping: every live signal records the strongest
+            // concurrent interference sum it has experienced; whether that
+            // corrupts it is decided at frame end against the capture
+            // threshold.
+            let others_sum: f64 = on_air.iter().map(|a| a.power).sum();
+            let total = others_sum + power;
+            for a in on_air.iter_mut() {
+                let intf = total - a.power;
+                if intf > a.max_interference {
+                    a.max_interference = intf;
+                }
+            }
+            if on_air.is_empty() && !transmitting {
+                rose = Some(tx);
+            }
+            pending[0].max_interference = others_sum;
+            // Half duplex: a node cannot decode while transmitting.
+            pending[0].forced_bad = transmitting;
+            r.landed += 1;
         }
-        r.arriving.push(Arriving {
-            tx,
-            power,
-            max_interference: others_sum,
-            forced_bad,
-        });
-        if was_idle && r.transmitting.is_none() {
+        rose
+    }
+
+    /// An onset the receiver's MAC asked to hear of: a `CarrierOn` if it is
+    /// the one that takes the node from idle to busy.
+    fn frame_start(&mut self, at: Cursor, rx: NodeId, tx: TxId, out: &mut Vec<Indication>) {
+        if self.settle(rx, at) == Some(tx) {
             out.push(Indication::CarrierOn { node: rx });
         }
     }
 
     fn frame_end(
         &mut self,
-        now: SimTime,
+        at: Cursor,
         rng: &mut SimRng,
         rx: NodeId,
         tx: TxId,
@@ -734,6 +830,7 @@ impl Channel {
         let Some(rec) = self.txs.get(tx) else {
             return; // stale
         };
+        let now = at.time;
         if rec.end + prop != now {
             return; // stale end event from before an abort truncated the tx
         }
@@ -741,13 +838,19 @@ impl Channel {
         let aborted = rec.aborted;
         let frame = Arc::clone(&rec.frame);
 
+        self.settle(rx, at);
         let r = &mut self.radios[rx.idx()];
-        let Some(pos) = r.arriving.iter().position(|a| a.tx == tx) else {
+        let on_air = r.split().0;
+        let Some(pos) = on_air.iter().position(|a| a.tx == tx) else {
             return; // already delivered (abort racing the original end)
         };
-        let sig = r.arriving.swap_remove(pos);
+        let on_air = on_air.len();
+        // `swap_remove` among the landed; the pending keep their order.
+        r.arriving.swap(pos, on_air - 1);
+        let sig = r.arriving.remove(on_air - 1);
+        r.landed -= 1;
         let still_tx = r.transmitting.is_some();
-        let now_idle = r.arriving.is_empty();
+        let now_idle = r.landed == 0;
 
         // Capture: the frame survives overlap iff its power beat the
         // strongest concurrent interference by the capture threshold.
@@ -803,11 +906,11 @@ impl Channel {
         }
     }
 
-    fn tx_complete(&mut self, now: SimTime, node: NodeId, tx: TxId, out: &mut Vec<Indication>) {
+    fn tx_complete(&mut self, at: Cursor, node: NodeId, tx: TxId, out: &mut Vec<Indication>) {
         let Some(rec) = self.txs.get_mut(tx) else {
             return;
         };
-        if rec.done || rec.end != now {
+        if rec.done || rec.end != at.time {
             return; // stale completion from before an abort
         }
         rec.done = true;
@@ -818,6 +921,9 @@ impl Channel {
                 self.recycle_tx(rec);
             }
         }
+        // What reached the antenna while it transmitted did so under half
+        // duplex.
+        self.settle(node, at);
         debug_assert_eq!(self.radios[node.idx()].transmitting, Some(tx));
         self.radios[node.idx()].transmitting = None;
         self.frames.tx_frames[frame.kind as usize - 1] += 1;
@@ -884,7 +990,7 @@ mod tests {
         let mut scratch = Vec::new();
         while let Some((t, ev)) = q.pop() {
             scratch.clear();
-            ch.handle(t, &mut rng, &ev, &mut scratch);
+            ch.handle(q.cursor(), &mut rng, &ev, &mut scratch);
             all.extend(scratch.drain(..).map(|i| (t, i)));
         }
         all
@@ -902,6 +1008,7 @@ mod tests {
             vec![still(0.0, 0.0), still(60.0, 0.0)],
         );
         let mut q = Q::new();
+        ch.listen(&mut q, n(1), ToneInterest::CARRIER);
         let f = data_frame(0, 100);
         let airtime = f.airtime();
         ch.start_tx(&mut q, n(0), f);
@@ -964,14 +1071,14 @@ mod tests {
         let mut out = Vec::new();
         let mut started_c = false;
         let mut rx_at_b = Vec::new();
-        while let Some((t, ev)) = q.pop() {
+        while let Some((_, ev)) = q.pop() {
             if let PhyEvent::TxComplete { tx: 999_999, .. } = ev {
                 ch.start_tx(&mut q, n(2), data_frame(2, 100));
                 started_c = true;
                 continue;
             }
             out.clear();
-            ch.handle(t, &mut rng, &ev, &mut out);
+            ch.handle(q.cursor(), &mut rng, &ev, &mut out);
             for i in &out {
                 if let Indication::FrameRx { node, ok, frame } = i {
                     if *node == n(1) {
@@ -1006,13 +1113,13 @@ mod tests {
         let mut rng = SimRng::new(0);
         let mut out = Vec::new();
         let mut oks = Vec::new();
-        while let Some((t, ev)) = q.pop() {
+        while let Some((_, ev)) = q.pop() {
             if let PhyEvent::TxComplete { tx: 999_999, .. } = ev {
                 ch.start_tx(&mut q, n(2), data_frame(2, 100));
                 continue;
             }
             out.clear();
-            ch.handle(t, &mut rng, &ev, &mut out);
+            ch.handle(q.cursor(), &mut rng, &ev, &mut out);
             for i in &out {
                 if let Indication::FrameRx { node, ok, .. } = i {
                     if *node == n(1) {
@@ -1083,7 +1190,7 @@ mod tests {
                 continue;
             }
             out.clear();
-            ch.handle(t, &mut rng, &ev, &mut out);
+            ch.handle(q.cursor(), &mut rng, &ev, &mut out);
             for i in out.drain(..) {
                 got.push((t, i));
             }
@@ -1231,7 +1338,7 @@ mod tests {
                 _ => {}
             }
             out.clear();
-            ch.handle(t, &mut rng, &ev, &mut out);
+            ch.handle(q.cursor(), &mut rng, &ev, &mut out);
             for i in out.drain(..) {
                 if let Indication::ToneChanged { node, present, .. } = i {
                     if node == n(1) {
@@ -1362,18 +1469,48 @@ mod tests {
             vec![still(0.0, 0.0), still(10.0, 0.0)],
         );
         let mut q = Q::new();
-        assert!(!ch.data_busy(n(1)));
+        assert!(!ch.data_busy(n(1), q.cursor()));
+        ch.listen(&mut q, n(1), ToneInterest::CARRIER);
         ch.start_tx(&mut q, n(0), data_frame(0, 100));
-        assert!(ch.data_busy(n(0)), "transmitter senses own tx");
+        assert!(ch.data_busy(n(0), q.cursor()), "transmitter senses own tx");
+        assert!(!ch.data_busy(n(1), q.cursor()), "in flight");
         // Process only the arrival-start at B.
         let mut rng = SimRng::new(0);
         let mut out = Vec::new();
         let (t, ev) = q.pop().unwrap();
+        assert!(matches!(ev, PhyEvent::FrameArriveStart { .. }));
+        // (The bare time will do: nothing else happens at B in this instant.)
         ch.handle(t, &mut rng, &ev, &mut out);
-        assert!(ch.data_busy(n(1)));
+        assert!(matches!(out[..], [Indication::CarrierOn { .. }]));
+        assert!(ch.data_busy(n(1), q.cursor()));
         drain(&mut ch, &mut q);
-        assert!(!ch.data_busy(n(1)));
-        assert!(!ch.data_busy(n(0)));
+        assert!(!ch.data_busy(n(1), q.cursor()));
+        assert!(!ch.data_busy(n(0), q.cursor()));
+    }
+
+    #[test]
+    fn carrier_sense_reads_an_onset_nobody_was_told_of() {
+        // B is 60 m from A (200 ns) and not listening: no event carries the
+        // first bit, and carrier sense finds it all the same.
+        let mut ch = Channel::new(
+            ChannelConfig::default(),
+            vec![still(0.0, 0.0), still(60.0, 0.0)],
+        );
+        let mut q = Q::new();
+        let f = data_frame(0, 100);
+        let end = f.airtime() + SimTime::from_nanos(200);
+        ch.start_tx(&mut q, n(0), f);
+        assert_eq!(q.len(), 2, "the frame end at B and the completion at A");
+        assert!(!ch.data_busy(n(1), Cursor::end_of(SimTime::from_nanos(199))));
+        assert!(ch.data_busy(n(1), Cursor::end_of(SimTime::from_nanos(200))));
+        let inds = drain(&mut ch, &mut q);
+        let b = rx_events(&inds, n(1));
+        assert_eq!(b.len(), 2, "{b:?}");
+        assert!(matches!(b[0], (t, Indication::FrameRx { ok: true, .. }) if *t == end));
+        assert!(matches!(b[1], (_, Indication::CarrierOff { .. })));
+        assert!(!ch.data_busy(n(1), q.cursor()));
+        let stats = ch.obs_stats();
+        assert_eq!((stats.frame_onsets, stats.frame_starts_scheduled), (1, 0));
     }
 }
 
@@ -1404,7 +1541,7 @@ mod edge_tests {
         let mut scratch = Vec::new();
         while let Some((t, ev)) = q.pop() {
             scratch.clear();
-            ch.handle(t, &mut rng, &ev, &mut scratch);
+            ch.handle(q.cursor(), &mut rng, &ev, &mut scratch);
             all.extend(scratch.drain(..).map(|i| (t, i)));
         }
         all
@@ -1472,9 +1609,9 @@ mod edge_tests {
         let mut out = Vec::new();
         let mut oks = 0;
         let mut started_second = false;
-        while let Some((t, ev)) = q.pop() {
+        while let Some((_, ev)) = q.pop() {
             out.clear();
-            ch.handle(t, &mut rng, &ev, &mut out);
+            ch.handle(q.cursor(), &mut rng, &ev, &mut out);
             for i in &out {
                 match i {
                     Indication::TxDone { .. } if !started_second => {
@@ -1507,7 +1644,7 @@ mod edge_tests {
             .iter()
             .any(|(_, i)| matches!(i, Indication::TxDone { aborted: true, .. })));
         assert!(!ch.is_transmitting(n(0)));
-        assert!(!ch.data_busy(n(1)));
+        assert!(!ch.data_busy(n(1), q.cursor()));
     }
 
     #[test]
@@ -1524,8 +1661,12 @@ mod edge_tests {
         }
         let _ = drain(&mut ch, &mut q);
         for i in 0..50u16 {
-            assert!(!ch.data_busy(n(i)), "stuck carrier at node {i}");
+            assert!(!ch.data_busy(n(i), q.cursor()), "stuck carrier at node {i}");
             assert!(!ch.is_transmitting(n(i)));
+            assert!(
+                ch.radios[i as usize].arriving.is_empty(),
+                "onset left behind"
+            );
         }
         assert!(ch.txs.is_empty(), "transmission records leaked");
     }

@@ -707,3 +707,646 @@ fn a_second_emitter_joining_or_leaving_is_not_a_flip() {
     assert_eq!(edges, 4);
     assert_eq!(told, vec![true, false]);
 }
+
+/// The frame onsets against the loop they replaced.
+///
+/// [`Eager`](onsets::Eager) is that loop, kept literally: one
+/// `FrameArriveStart` event per receiver per frame, stepping the receiver's
+/// list of arriving signals as it is dispatched; no key is ever compared.
+/// The proptest runs one random script — frames of 0.2–1 ms from overlapping
+/// transmitters near and far, aborted at their start instant and mid-frame,
+/// followed back to back by the same node, tailed by a neighbour's frame
+/// timed to land in the nanosecond they end, with probes, interest changes
+/// and a receiver's own transmission placed around the instant an onset
+/// lands — through the reference and through the channel, where most nodes
+/// listen only now and then, and asks for the same answers.
+mod onsets {
+    use std::collections::HashMap;
+    use std::sync::Arc;
+
+    use bytes::Bytes;
+    use rmac_wire::{Dest, Frame};
+
+    use super::*;
+    use crate::channel::FrameTallies;
+
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        /// Transmit `len` bytes unless already transmitting. `cut` aborts
+        /// the frame that long in (zero: in its start instant); `again`
+        /// starts another the instant this one is done.
+        Tx {
+            len: usize,
+            cut: Option<SimTime>,
+            again: bool,
+            echo: Option<Echo>,
+        },
+        Abort,
+        /// Read the carrier sense.
+        Probe,
+        /// Open or close the carrier interest.
+        Listen(bool),
+    }
+
+    /// A step aimed at the `pick`-th receiver of a frame, `lead` before its
+    /// first bit lands there (0: in the landing instant; more: mid-flight, or
+    /// with the frame's start), pushed before or after the onset's key is
+    /// claimed.
+    #[derive(Clone, Copy, Debug)]
+    struct Echo {
+        pick: usize,
+        lead: SimTime,
+        first: bool,
+        what: EchoStep,
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum EchoStep {
+        Probe,
+        Listen(bool),
+        /// The receiver turns transmitter.
+        Tx,
+        /// A neighbour of the receiver — or, for `pick` one past the last
+        /// receiver, of the transmitter itself — starts a frame whose first
+        /// bit lands there in the nanosecond this frame ends there.
+        Tail,
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Heard {
+        Rx {
+            node: NodeId,
+            src: NodeId,
+            seq: u32,
+            ok: bool,
+        },
+        Off(NodeId),
+        Done {
+            node: NodeId,
+            aborted: bool,
+        },
+    }
+
+    /// What a run of a script answered, in dispatch order.
+    #[derive(Debug, Default, PartialEq)]
+    struct Answers {
+        /// Every indication but the carrier rises.
+        heard: Vec<(SimTime, Heard)>,
+        /// `(time, node)` per carrier rise dispatched, and whether it was
+        /// owed: the node had declared interest before that instant.
+        rises: Vec<((SimTime, NodeId), bool)>,
+        /// `(step, busy)` per probe.
+        probes: Vec<(usize, bool)>,
+        tallies: FrameTallies,
+    }
+
+    /// The operations a script is made of, as the reference and the channel
+    /// each offer them.
+    trait Frames {
+        fn start(&mut self, q: &mut impl SimQueue<Ev>, src: NodeId, frame: Frame);
+        fn abort(&mut self, q: &mut impl SimQueue<Ev>, src: NodeId);
+        fn listen(&mut self, q: &mut impl SimQueue<Ev>, node: NodeId, want: bool);
+        fn transmitting(&self, node: NodeId) -> bool;
+        fn busy(&self, node: NodeId, at: Cursor) -> bool;
+        fn dispatch(&mut self, at: Cursor, ev: &PhyEvent, out: &mut Vec<Indication>);
+        fn tallies(&self) -> FrameTallies;
+        /// Whether nothing is in flight or half accounted any more.
+        fn settled(&self) -> bool;
+    }
+
+    impl Frames for Channel {
+        fn start(&mut self, q: &mut impl SimQueue<Ev>, src: NodeId, frame: Frame) {
+            self.start_tx(q, src, frame);
+        }
+        fn abort(&mut self, q: &mut impl SimQueue<Ev>, src: NodeId) {
+            self.abort_tx(q, src);
+        }
+        fn listen(&mut self, q: &mut impl SimQueue<Ev>, node: NodeId, want: bool) {
+            let want = if want {
+                ToneInterest::CARRIER
+            } else {
+                ToneInterest::NONE
+            };
+            Channel::listen(self, q, node, want);
+        }
+        fn transmitting(&self, node: NodeId) -> bool {
+            self.is_transmitting(node)
+        }
+        fn busy(&self, node: NodeId, at: Cursor) -> bool {
+            self.data_busy(node, at)
+        }
+        fn dispatch(&mut self, at: Cursor, ev: &PhyEvent, out: &mut Vec<Indication>) {
+            self.handle(at, &mut SimRng::new(0), ev, out);
+        }
+        fn tallies(&self) -> FrameTallies {
+            self.frame_tallies()
+        }
+        fn settled(&self) -> bool {
+            self.radios.iter().all(|r| r.arriving.is_empty()) && self.txs.is_empty()
+        }
+    }
+
+    /// A signal on a receiver's antenna, as the reference keeps it.
+    #[derive(Clone)]
+    struct Signal {
+        tx: u64,
+        power: f64,
+        max_interference: f64,
+        forced_bad: bool,
+    }
+
+    /// A transmission on the air, as the reference keeps it.
+    struct Flight {
+        src: NodeId,
+        frame: Arc<Frame>,
+        end: SimTime,
+        aborted: bool,
+        done: bool,
+        receivers: Vec<(NodeId, SimTime, f64)>,
+        pending_ends: usize,
+    }
+
+    /// The eager loop: every receiver is sent every first bit, and what
+    /// arrives at a node is a list the events step.
+    pub(super) struct Eager {
+        /// Asked only who hears a frame, how late and how strong, and where
+        /// a node is.
+        geometry: Channel,
+        cfg: ChannelConfig,
+        transmitting: Vec<Option<u64>>,
+        arriving: Vec<Vec<Signal>>,
+        txs: HashMap<u64, Flight>,
+        next_tx: u64,
+        tallies: FrameTallies,
+    }
+
+    impl Eager {
+        fn new(geometry: Channel) -> Eager {
+            let n = geometry.radios.len();
+            Eager {
+                cfg: geometry.cfg,
+                geometry,
+                transmitting: vec![None; n],
+                arriving: vec![Vec::new(); n],
+                txs: HashMap::new(),
+                next_tx: 0,
+                tallies: FrameTallies::default(),
+            }
+        }
+
+        fn frame_start(&mut self, rx: NodeId, tx: u64, out: &mut Vec<Indication>) {
+            let Some(flight) = self.txs.get(&tx) else {
+                return;
+            };
+            let power = flight.receivers.iter().find(|r| r.0 == rx).unwrap().2;
+            let arriving = &mut self.arriving[rx.idx()];
+            let transmitting = self.transmitting[rx.idx()].is_some();
+            let was_idle = arriving.is_empty();
+            let others_sum: f64 = arriving.iter().map(|a| a.power).sum();
+            let total = others_sum + power;
+            for a in arriving.iter_mut() {
+                let intf = total - a.power;
+                if intf > a.max_interference {
+                    a.max_interference = intf;
+                }
+            }
+            arriving.push(Signal {
+                tx,
+                power,
+                max_interference: others_sum,
+                forced_bad: transmitting,
+            });
+            if was_idle && !transmitting {
+                out.push(Indication::CarrierOn { node: rx });
+            }
+        }
+
+        fn frame_end(
+            &mut self,
+            now: SimTime,
+            rx: NodeId,
+            tx: u64,
+            prop: SimTime,
+            out: &mut Vec<Indication>,
+        ) {
+            let Some(flight) = self.txs.get_mut(&tx) else {
+                return;
+            };
+            if flight.end + prop != now {
+                return;
+            }
+            let arriving = &mut self.arriving[rx.idx()];
+            let Some(pos) = arriving.iter().position(|a| a.tx == tx) else {
+                return;
+            };
+            let sig = arriving.swap_remove(pos);
+            let still_tx = self.transmitting[rx.idx()].is_some();
+            let now_idle = arriving.is_empty();
+            let captured_through = sig.max_interference == 0.0
+                || sig.power >= self.cfg.capture_threshold * sig.max_interference;
+            let mut corrupted = sig.forced_bad || !captured_through || flight.aborted || still_tx;
+            if !corrupted {
+                let range_sq = self.cfg.range_m * self.cfg.range_m;
+                let ps = self.geometry.position(flight.src, now);
+                let pr = self.geometry.position(rx, now);
+                corrupted = ps.dist_sq(pr) > range_sq;
+            }
+            let tally = if corrupted {
+                &mut self.tallies.rx_corrupt
+            } else {
+                &mut self.tallies.rx_ok
+            };
+            tally[flight.frame.kind as usize - 1] += 1;
+            out.push(Indication::FrameRx {
+                node: rx,
+                frame: Arc::clone(&flight.frame),
+                ok: !corrupted,
+            });
+            if now_idle && !still_tx {
+                out.push(Indication::CarrierOff { node: rx });
+            }
+            flight.pending_ends -= 1;
+            if flight.done && flight.pending_ends == 0 {
+                self.txs.remove(&tx);
+            }
+        }
+
+        fn tx_complete(&mut self, now: SimTime, node: NodeId, tx: u64, out: &mut Vec<Indication>) {
+            let Some(flight) = self.txs.get_mut(&tx) else {
+                return;
+            };
+            if flight.done || flight.end != now {
+                return;
+            }
+            flight.done = true;
+            let (frame, aborted) = (Arc::clone(&flight.frame), flight.aborted);
+            if flight.pending_ends == 0 {
+                self.txs.remove(&tx);
+            }
+            assert_eq!(self.transmitting[node.idx()].take(), Some(tx));
+            self.tallies.tx_frames[frame.kind as usize - 1] += 1;
+            self.tallies.tx_aborted += aborted as u64;
+            out.push(Indication::TxDone {
+                node,
+                frame,
+                aborted,
+            });
+        }
+    }
+
+    impl Frames for Eager {
+        fn start(&mut self, q: &mut impl SimQueue<Ev>, src: NodeId, frame: Frame) {
+            let now = q.now();
+            assert!(self.transmitting[src.idx()].is_none());
+            let tx = self.next_tx;
+            self.next_tx += 1;
+            let mut receivers = Vec::new();
+            self.geometry.fill_receivers(src, now, &mut receivers);
+            let end = now + frame.airtime();
+            for &(rx, prop, _) in &receivers {
+                q.push(now + prop, PhyEvent::FrameArriveStart { rx, tx }.into());
+                q.push(end + prop, PhyEvent::FrameArriveEnd { rx, tx, prop }.into());
+            }
+            q.push(end, PhyEvent::TxComplete { node: src, tx }.into());
+            for a in &mut self.arriving[src.idx()] {
+                a.forced_bad = true;
+            }
+            let flight = Flight {
+                src,
+                frame: Arc::new(frame),
+                end,
+                aborted: false,
+                done: false,
+                pending_ends: receivers.len(),
+                receivers,
+            };
+            self.txs.insert(tx, flight);
+            self.transmitting[src.idx()] = Some(tx);
+        }
+
+        fn abort(&mut self, q: &mut impl SimQueue<Ev>, src: NodeId) {
+            let now = q.now();
+            let tx = self.transmitting[src.idx()].unwrap();
+            let flight = self.txs.get_mut(&tx).unwrap();
+            if flight.aborted {
+                return;
+            }
+            flight.aborted = true;
+            flight.end = now;
+            q.push(now, PhyEvent::TxComplete { node: src, tx }.into());
+            for &(rx, prop, _) in &flight.receivers {
+                q.push(now + prop, PhyEvent::FrameArriveEnd { rx, tx, prop }.into());
+            }
+        }
+
+        fn listen(&mut self, _: &mut impl SimQueue<Ev>, _: NodeId, _: bool) {}
+
+        fn transmitting(&self, node: NodeId) -> bool {
+            self.transmitting[node.idx()].is_some()
+        }
+
+        fn busy(&self, node: NodeId, _: Cursor) -> bool {
+            self.transmitting[node.idx()].is_some() || !self.arriving[node.idx()].is_empty()
+        }
+
+        fn dispatch(&mut self, at: Cursor, ev: &PhyEvent, out: &mut Vec<Indication>) {
+            match *ev {
+                PhyEvent::FrameArriveStart { rx, tx } => self.frame_start(rx, tx, out),
+                PhyEvent::FrameArriveEnd { rx, tx, prop } => {
+                    self.frame_end(at.time, rx, tx, prop, out)
+                }
+                PhyEvent::TxComplete { node, tx } => self.tx_complete(at.time, node, tx, out),
+                PhyEvent::ToneEdge { .. } => panic!("a script raises no tone"),
+            }
+        }
+
+        fn tallies(&self) -> FrameTallies {
+            self.tallies
+        }
+
+        fn settled(&self) -> bool {
+            self.arriving.iter().all(|a| a.is_empty()) && self.txs.is_empty()
+        }
+    }
+
+    /// One random script over one random layout. Nodes 0 and 1 listen
+    /// throughout; the last node is a jammer slot — it transmits on a period
+    /// and never listens; the rest change their minds as they go.
+    struct Script {
+        motions: Vec<Motion>,
+        steps: Vec<(SimTime, NodeId, Step)>,
+    }
+
+    fn script(seed: u64) -> Script {
+        let mut rng = SimRng::new(seed);
+        let n = rng.range_inclusive(4, 8) as usize;
+        let moving = rng.chance(0.5);
+        let place =
+            |rng: &mut SimRng| Pos::new(rng.uniform_f64(0.0, 110.0), rng.uniform_f64(0.0, 110.0));
+        let mut motions: Vec<Motion> = (0..n)
+            .map(|_| {
+                let from = place(&mut rng);
+                if moving && rng.chance(0.5) {
+                    let speed = rng.uniform_f64(2e4, 6e4);
+                    Motion::linear(from, place(&mut rng), SimTime::ZERO, speed)
+                } else {
+                    Motion::stationary(from)
+                }
+            })
+            .collect();
+        if rng.chance(0.2) {
+            // No propagation delay between two of them: an onset lands in
+            // the instant its frame starts.
+            motions[1] = motions[0].clone();
+        }
+        let span_us = rng.range_inclusive(1000, 6000);
+        let mut steps = Vec::new();
+        for _ in 0..rng.range_inclusive(15, 50) {
+            let mut at = SimTime::from_micros(rng.below(span_us));
+            if rng.chance(0.3) {
+                at += SimTime::from_nanos(rng.below(1000));
+            }
+            let anyone = NodeId(rng.below(n as u64) as u16);
+            let undecided = NodeId(rng.range_inclusive(2, n as u64 - 2) as u16);
+            let step = match rng.below(10) {
+                0..=4 => {
+                    let len = rng.below(200) as usize;
+                    let air = data_frame(anyone, len, 0).airtime().nanos();
+                    let cut = match rng.below(6) {
+                        0 => Some(SimTime::ZERO),
+                        1 => Some(SimTime::from_nanos(rng.below(400))),
+                        2 => Some(SimTime::from_nanos(rng.below(air))),
+                        _ => None,
+                    };
+                    let echo = rng.chance(0.8).then(|| Echo {
+                        pick: rng.below(9) as usize,
+                        lead: match rng.below(3) {
+                            0 => SimTime::ZERO,
+                            1 => SimTime::NANO,
+                            _ => SimTime::from_nanos(rng.below(300)),
+                        },
+                        first: rng.chance(0.5),
+                        what: match rng.below(6) {
+                            0 => EchoStep::Probe,
+                            1 | 2 => EchoStep::Listen(rng.chance(0.6)),
+                            3 => EchoStep::Tx,
+                            _ => EchoStep::Tail,
+                        },
+                    });
+                    Step::Tx {
+                        len,
+                        cut,
+                        again: rng.chance(0.3),
+                        echo,
+                    }
+                }
+                5..=6 => Step::Probe,
+                7 => Step::Abort,
+                _ => {
+                    steps.push((at, undecided, Step::Listen(rng.chance(0.5))));
+                    continue;
+                }
+            };
+            steps.push((at, anyone, step));
+        }
+        let jammer = NodeId(n as u16 - 1);
+        let period = SimTime::from_micros(rng.range_inclusive(300, 2000));
+        let len = rng.below(100) as usize;
+        let mut at = SimTime::ZERO;
+        while at < SimTime::from_micros(span_us) {
+            let burst = Step::Tx {
+                len,
+                cut: None,
+                again: false,
+                echo: None,
+            };
+            steps.push((at, jammer, burst));
+            at += period;
+        }
+        Script { motions, steps }
+    }
+
+    fn data_frame(src: NodeId, len: usize, seq: u32) -> Frame {
+        Frame::data_unreliable(src, Dest::Broadcast, Bytes::from(vec![0u8; len]), seq)
+    }
+
+    /// Run `script` on `frames`. Both sides push the same steps in the same
+    /// order around the same claims, so every key but an unpushed onset's is
+    /// the same event on both.
+    fn run<Q: SimQueue<Ev>>(script: &Script, frames: &mut impl Frames, q: &mut Q) -> Answers {
+        let mut steps = script.steps.clone();
+        let n = script.motions.len();
+        let mut answers = Answers::default();
+        // What each node last declared, and when (`None`: before the script).
+        let mut declared = vec![(false, None); n];
+        for node in [NodeId(0), NodeId(1)] {
+            frames.listen(q, node, true);
+            declared[node.idx()].0 = true;
+        }
+        for (i, &(at, ..)) in steps.iter().enumerate() {
+            q.push(at, Ev::Step(i));
+        }
+        // Receivers come from a channel of the script's own.
+        let mut geometry = Channel::new(ChannelConfig::default(), script.motions.clone());
+        let mut next_seq = 0;
+        let mut numbered = |src: NodeId, len: usize| {
+            next_seq += 1;
+            data_frame(src, len, next_seq)
+        };
+        // The length of the frame each node sends next, once done with this.
+        let mut again: Vec<Option<usize>> = vec![None; n];
+        let mut out = Vec::new();
+        while let Some((now, ev)) = q.pop() {
+            let at = q.cursor();
+            let i = match ev {
+                Ev::Phy(pe) => {
+                    frames.dispatch(at, &pe, &mut out);
+                    for ind in out.drain(..) {
+                        let heard = match ind {
+                            Indication::CarrierOn { node } => {
+                                let (want, since) = declared[node.idx()];
+                                let owed = want && since < Some(now);
+                                answers.rises.push(((now, node), owed));
+                                continue;
+                            }
+                            Indication::CarrierOff { node } => Heard::Off(node),
+                            Indication::FrameRx { node, frame, ok } => Heard::Rx {
+                                node,
+                                src: frame.src,
+                                seq: frame.seq,
+                                ok,
+                            },
+                            Indication::TxDone { node, aborted, .. } => {
+                                if let Some(len) = again[node.idx()].take() {
+                                    frames.start(q, node, numbered(node, len));
+                                }
+                                Heard::Done { node, aborted }
+                            }
+                            other => panic!("a frame event indicated {other:?}"),
+                        };
+                        answers.heard.push((now, heard));
+                    }
+                    continue;
+                }
+                Ev::Step(i) => i,
+            };
+            let (_, node, step) = steps[i];
+            match step {
+                Step::Tx {
+                    len,
+                    cut,
+                    again: then,
+                    echo,
+                } => {
+                    if frames.transmitting(node) {
+                        continue;
+                    }
+                    let sent = numbered(node, len);
+                    let end = now + sent.airtime();
+                    let mut aim = |first: bool, steps: &mut Vec<_>, q: &mut Q| {
+                        let Some(echo) = echo.filter(|e| e.first == first) else {
+                            return;
+                        };
+                        let receivers = receivers_of(&mut geometry, node, now);
+                        // One past the receivers: the transmitter itself.
+                        let (rx, prop) = receivers
+                            .iter()
+                            .chain([&(node, SimTime::ZERO)])
+                            .nth(echo.pick % (receivers.len() + 1))
+                            .copied()
+                            .unwrap();
+                        let landing = now + prop.saturating_sub(echo.lead);
+                        let short = Step::Tx {
+                            len: 0,
+                            cut: None,
+                            again: false,
+                            echo: None,
+                        };
+                        let (at, who, step) = match echo.what {
+                            EchoStep::Tail => {
+                                let near = receivers_of(&mut geometry, rx, now);
+                                let Some(&(tail, flight)) = near.iter().find(|&&(x, _)| x != node)
+                                else {
+                                    return;
+                                };
+                                ((end + prop).saturating_sub(flight).max(now), tail, short)
+                            }
+                            _ if rx == node => return,
+                            EchoStep::Tx => (landing, rx, short),
+                            // Nodes 0 and 1 keep listening; the jammer slot
+                            // never does.
+                            EchoStep::Listen(want) if (2..n - 1).contains(&rx.idx()) => {
+                                (landing, rx, Step::Listen(want))
+                            }
+                            _ => (landing, rx, Step::Probe),
+                        };
+                        steps.push((at, who, step));
+                        q.push(at, Ev::Step(steps.len() - 1));
+                    };
+                    aim(true, &mut steps, q);
+                    frames.start(q, node, sent);
+                    aim(false, &mut steps, q);
+                    again[node.idx()] = then.then_some(len);
+                    match cut {
+                        Some(SimTime::ZERO) => frames.abort(q, node),
+                        Some(cut) => {
+                            steps.push((now + cut, node, Step::Abort));
+                            q.push(now + cut, Ev::Step(steps.len() - 1));
+                        }
+                        None => {}
+                    }
+                }
+                Step::Abort => {
+                    if frames.transmitting(node) {
+                        frames.abort(q, node);
+                    }
+                }
+                Step::Probe => answers.probes.push((i, frames.busy(node, at))),
+                Step::Listen(want) => {
+                    frames.listen(q, node, want);
+                    declared[node.idx()] = (want, Some(now));
+                }
+            }
+        }
+        assert!(frames.settled(), "something was left behind");
+        answers.tallies = frames.tallies();
+        answers
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn onsets_answer_as_the_eager_loop_did(seed in any::<u64>()) {
+            let script = script(seed);
+            let new_channel = || Channel::new(ChannelConfig::default(), script.motions.clone());
+            let mut eager = Eager::new(new_channel());
+            let mut ch = new_channel();
+            // Either queue on either side.
+            let (reference, records) = if seed & 1 == 0 {
+                (run(&script, &mut eager, &mut EventQueue::new()), run(&script, &mut ch, &mut CalendarQueue::new()))
+            } else {
+                (run(&script, &mut eager, &mut CalendarQueue::new()), run(&script, &mut ch, &mut EventQueue::new()))
+            };
+            prop_assert_eq!(&records.heard, &reference.heard);
+            prop_assert_eq!(&records.probes, &reference.probes);
+            prop_assert_eq!(&records.tallies, &reference.tallies);
+            // The reference dispatches every rise; the channel must dispatch
+            // the owed ones — to nodes 0 and 1, all of them and in order —
+            // and none that did not happen.
+            let to_listeners = |a: &Answers| -> Vec<_> {
+                a.rises.iter().filter(|(rise, _)| rise.1.idx() < 2).copied().collect()
+            };
+            prop_assert_eq!(to_listeners(&records), to_listeners(&reference));
+            for rise in reference.rises.iter().filter(|&&(_, owed)| owed) {
+                prop_assert!(records.rises.contains(rise), "{:?} was owed and not told", rise);
+            }
+            for (rise, _) in &records.rises {
+                prop_assert!(reference.rises.iter().any(|(r, _)| r == rise), "{:?} never happened", rise);
+            }
+            // Fewer events carried it.
+            let stats = ch.obs_stats();
+            prop_assert!(stats.frame_starts_scheduled + stats.frame_start_catchups <= stats.frame_onsets);
+        }
+    }
+}

@@ -11,14 +11,16 @@ use crate::tone::Tone;
 /// event type must implement `From<PhyEvent>` and hand popped events back
 /// to [`Channel::handle`](crate::Channel::handle).
 ///
-/// Arrival events carry the per-receiver link quantities (`power`, `prop`)
-/// fixed at transmission start, so processing an arrival is O(1) instead
-/// of a linear search over the transmission's receiver list.
+/// A frame end carries its per-receiver propagation delay, fixed at
+/// transmission start, so processing it is O(1) instead of a linear search
+/// over the transmission's receiver list. A frame's first bit is a record at
+/// its receiver (key and received power); the event exists only for a
+/// receiver whose MAC declared it can act on the carrier rising.
 #[derive(Clone, Debug)]
 pub enum PhyEvent {
-    /// The first bit of transmission `tx` reaches `rx` with received
-    /// power `power`.
-    FrameArriveStart { rx: NodeId, tx: u64, power: f64 },
+    /// The first bit of transmission `tx` reaches `rx`, whose MAC asked to
+    /// hear of it.
+    FrameArriveStart { rx: NodeId, tx: u64 },
     /// The last bit of transmission `tx` reaches `rx` after propagation
     /// delay `prop` (the event's timestamp, `end + prop`, encodes which
     /// truncation generation it belongs to; stale ones are ignored).
@@ -39,7 +41,8 @@ pub enum PhyEvent {
 #[derive(Clone, Debug)]
 pub enum Indication {
     /// The data channel at `node` transitioned idle → busy (first arriving
-    /// signal energy).
+    /// signal energy). Raised only for a node whose MAC had declared
+    /// interest in the carrier when the frame started, or since.
     CarrierOn { node: NodeId },
     /// The data channel at `node` transitioned busy → idle.
     CarrierOff { node: NodeId },

@@ -22,8 +22,8 @@
 //! edges, transmit completions) for the engine to route to the per-node MAC
 //! entities.
 //!
-//! The data channel works by events throughout: every arrival start and end
-//! is one. The tone channels work by **records**: raising or lowering a tone
+//! On the data channel every frame end and every transmit completion is an
+//! event. The tone channels work by **records**: raising or lowering a tone
 //! writes, at every in-range receiver, when the edge takes effect there, and
 //! [`Channel::tone_present`], the [`ToneLog`] of a watch
 //! ([`Channel::open_watch`]/[`Channel::close_watch`]) and
@@ -33,6 +33,20 @@
 //! scheduled only for a receiver whose MAC has declared, through
 //! [`Channel::listen`], that it can act on that flip; see the [`tone`]
 //! module and DESIGN.md §12.
+//!
+//! A frame's **first bit** is a record in the same way: [`Channel::start_tx`]
+//! writes, at every in-range receiver, the key under which the onset takes
+//! effect there and its received power, and schedules a
+//! `PhyEvent::FrameArriveStart` — which ends in an `Indication::CarrierOn`
+//! if it takes the node from idle to busy — only for a receiver whose MAC
+//! has declared [`ToneInterest::CARRIER`]. Whatever next touches that
+//! receiver's radio (a frame end there, its own transmission starting or
+//! completing, a dispatched onset) first accounts, in key order, the onsets
+//! keyed at or before the event being dispatched, exactly as their events
+//! would have; [`Channel::data_busy`] reads them at the caller's cursor.
+//! That is why [`Channel::handle`] takes the popped event's key
+//! ([`rmac_sim::SimQueue::cursor`]) and not just its time: a frame end and
+//! another frame's onset can share a nanosecond at one receiver.
 //!
 //! Aborted transmissions (RMAC aborts an in-flight MRTS when it senses an
 //! RBT) are modelled by truncating the transmission record; stale

@@ -45,15 +45,20 @@ impl Tone {
     pub const ALL: [Tone; 2] = [Tone::Rbt, Tone::Abt];
 }
 
-/// The presence flips a node's MAC has declared it can act on. A flip
-/// outside the declared set is still visible to every query; it is just not
-/// dispatched to the MAC as a `ToneChanged`.
+/// The channel changes a node's MAC has declared it can act on: tone
+/// presence flips, and the data carrier rising. A change outside the
+/// declared set is still visible to every query; it is just not dispatched
+/// to the MAC as a `ToneChanged` or a `CarrierOn`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ToneInterest(u8);
 
 impl ToneInterest {
-    /// No flip of either tone.
+    /// No flip of either tone, nor the carrier rising.
     pub const NONE: ToneInterest = ToneInterest(0);
+
+    /// The data channel turning busy: the first bit of a frame reaching an
+    /// idle node.
+    pub const CARRIER: ToneInterest = ToneInterest(1 << 4);
 
     /// `tone` turning present (`on`) or absent.
     pub const fn flip(tone: Tone, on: bool) -> ToneInterest {
@@ -63,6 +68,11 @@ impl ToneInterest {
     /// Whether this set holds `tone` turning `on`.
     pub fn wants(self, tone: Tone, on: bool) -> bool {
         self.0 & Self::flip(tone, on).0 != 0
+    }
+
+    /// Whether this set holds the carrier rising.
+    pub(crate) fn carrier(self) -> bool {
+        self.0 & Self::CARRIER.0 != 0
     }
 }
 

@@ -41,6 +41,14 @@ impl Cursor {
     }
 }
 
+/// A bare instant reads as [`Cursor::end_of`] it: what a caller that is not
+/// dispatching an event has to offer where a cursor is asked for.
+impl From<SimTime> for Cursor {
+    fn from(time: SimTime) -> Cursor {
+        Cursor::end_of(time)
+    }
+}
+
 struct Entry<E> {
     time: SimTime,
     seq: u64,
