@@ -17,12 +17,38 @@ echo "==> retired names stay retired (no A/B knobs on the run surface, one grid 
 echo "    no per-slot backoff re-arm, no sharded trace merge, no per-edge tone counter or pool, no"
 echo "    edge-fed tone mirror in the checker, no second engine beside the shard groups, no mirror"
 echo "    types around the balance table or the fuzzer, no second way to hand the channel the dispatch"
-echo "    key and no received power riding on a frame-onset event: DESIGN.md §13, §11, §10, §12, §8)"
-if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S|SweepSpec|SweepResults|run_sweep|try_replications|RMAC_QUICK|RMAC_RATES|RMAC_NODES|ShardedQueue|SeqQueue|push_with_seq|home_slot|EngineTransport|EngineMedium|schedule\(SLOT, TimerKind::BackoffSlot|merge_traces|DispatchLog|DispatchRec|seed_slots|TraceCapture|popped_seq|ManualClock|BenchDocs|tone_count|pooled_tone_buf|sensed_since|rbt_runs|execute_sharded|into_runner|sched_rng|ShardGroupRow|balance_rows|FuzzProtocol|FuzzChurn|handle_at|set_cursor|FrameArriveStart \{ rx, tx, power' \
+echo "    key, no received power riding on a frame-onset event and no per-reader hook beside the"
+echo "    observation stream: DESIGN.md §13, §11, §10, §12, §8, §7)"
+if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S|SweepSpec|SweepResults|run_sweep|try_replications|RMAC_QUICK|RMAC_RATES|RMAC_NODES|ShardedQueue|SeqQueue|push_with_seq|home_slot|EngineTransport|EngineMedium|schedule\(SLOT, TimerKind::BackoffSlot|merge_traces|DispatchLog|DispatchRec|seed_slots|TraceCapture|popped_seq|ManualClock|BenchDocs|tone_count|pooled_tone_buf|sensed_since|rbt_runs|execute_sharded|into_runner|sched_rng|ShardGroupRow|balance_rows|FuzzProtocol|FuzzChurn|handle_at|set_cursor|FrameArriveStart \{ rx, tx, power|on_tx_start|on_node_down|observe_indication|trace_indication|fn describe\(r: &TraceRecord' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!ci.sh'; then
     echo "a retired knob name reappeared (see above)" >&2
     exit 1
 fi
+
+echo "==> one observation stream (DESIGN.md §7): the vocabulary is spelled in one source file, and in"
+echo "    world.rs one function feeds the checker, the tracer and the per-node protocol tallies"
+spelled=$(git grep -l '"tx_done"' -- 'crates/*/src/*' ':!*tests*')
+if [ "$spelled" != crates/phy/src/trace.rs ]; then
+    echo "the trace vocabulary is spelled in: $spelled" >&2
+    exit 1
+fi
+# The world.rs functions with a line matching $1, in file order.
+fns_touching() {
+    awk -v pat="$1" '
+        /^ *(pub(\(crate\))? )?fn [a-z_]+/ { match($0, /fn [a-z_]+/); f = substr($0, RSTART + 3, RLENGTH - 3) }
+        $0 !~ /^ *\/\// && $0 ~ pat && f != last { printf "%s ", f; last = f }
+    ' crates/engine/src/world.rs
+}
+touched() {
+    if [ "$(fns_touching "$2")" != "$3" ]; then
+        echo "world.rs touches $1 in: $(fns_touching "$2")(want: $3)" >&2
+        exit 1
+    fi
+}
+touched "the checker's events" 'chk\.' 'report '
+touched "the checker" '(core|self)\.check[^a-z_(]' 'report attach finish_check '
+touched "the tracer" '(core|self)\.tracer|tracer\(' 'report attach '
+touched "the protocol tallies" 'nodes\[[a-z.()]*\]\.(tx|rx_ok|rx_corrupt|tx_aborted|submitted|delivered)[^a-z_]' 'report '
 
 echo "==> one engine (DESIGN.md §10): the run surface does not choose a path by shard count"
 if git grep -n 'shards > 1' -- crates/engine/src/run.rs; then

@@ -1,13 +1,12 @@
 //! The streaming conformance checker.
 //!
-//! The engine feeds the checker the same dispatch-ordered stream its
-//! tracer sees — PHY indications plus two extra hook points the trace
-//! schema does not carry (transmission *starts* and protocol tone
-//! emissions) — and the checker asserts the paper's invariants online.
-//! Everything is formulated against *sensed* state (what the node's radio
-//! could know: the frames delivered to it and, for the RBT, the channel's
-//! tone records read at the same cursor its MAC reads them, handed in with
-//! each transmission start), never against global geometry: physical-layer
+//! The checker is a fold of the observation stream ([`rmac_phy::trace`]):
+//! the engine hands it the very events its tracer sees, in dispatch order
+//! and before the node's MAC reacts, and it asserts the paper's invariants
+//! online. Everything is formulated against *sensed* state (what the node's
+//! radio could know: the frames delivered to it and, for the RBT, the
+//! channel's tone records read at the same cursor its MAC reads them, carried
+//! by each `tx_start`), never against global geometry: physical-layer
 //! capture can fool a fully conformant sender into transmitting data
 //! against a foreign RBT, so a geometric "no overlap" rule would flag
 //! correct runs (DESIGN.md §8).
@@ -16,7 +15,7 @@
 //! no events and touches no channel state, so an attached checker leaves
 //! every `RunReport` bit-identical (enforced by `tests/conformance.rs`).
 
-use rmac_phy::{Indication, Tone, ToneLog, TONE_HISTORY};
+use rmac_phy::{FaultKind, Tone, ToneLog, TraceEvent, TraceWhat, TONE_HISTORY};
 use rmac_sim::SimTime;
 use rmac_wire::consts::{LAMBDA, L_ABT, T_WF};
 use rmac_wire::{Frame, FrameKind, NodeId};
@@ -65,8 +64,8 @@ impl CheckConfig {
 /// propagation (τ ≤ 1 µs) plus clock-skew stretch on short timers.
 const TOL_NS: u64 = 2_000;
 /// C1's look-back window: the WF_RBT watch is T_WF long; the slack covers
-/// skew-stretched timers. [`Checker::on_tx_start`] is handed the sender's
-/// sensed RBT over this much past.
+/// skew-stretched timers. A `tx_start` carries the sender's sensed RBT over
+/// this much past.
 pub const C1_WINDOW: SimTime = SimTime::from_nanos(T_WF.nanos() + 2_000);
 const _: () = assert!(C1_WINDOW.nanos() <= TONE_HISTORY.nanos());
 /// How long an unused ABT permission is kept.
@@ -104,13 +103,6 @@ struct NodeState {
     last_data_tx_end: Option<u64>,
 }
 
-fn tone_idx(tone: Tone) -> usize {
-    match tone {
-        Tone::Rbt => 0,
-        Tone::Abt => 1,
-    }
-}
-
 /// The streaming checker. See the module docs for the event contract.
 pub struct Checker {
     cfg: CheckConfig,
@@ -141,16 +133,49 @@ impl Checker {
         });
     }
 
+    /// A C2 (governed response) breach.
+    fn c2(&mut self, t: SimTime, node: NodeId, detail: impl Into<String>) {
+        self.violate(Invariant::C2GovernedResponse, t, node, detail.into());
+    }
+
     /// Is this a protocol node (not a jammer slot)?
     fn is_protocol(&self, node: NodeId) -> bool {
         node.idx() < self.cfg.nodes
     }
 
-    /// A protocol node starts a transmission (engine hook at the MAC
-    /// context's `start_tx`, before the channel accepts the frame). `rbt`
-    /// is what the node has sensed of the RBT over the last [`C1_WINDOW`],
-    /// read from the channel's records at the cursor the MAC reads them.
-    pub fn on_tx_start(&mut self, t: SimTime, node: NodeId, frame: &Frame, rbt: &ToneLog) {
+    /// Fold the next event of the stream, fed *before* the node's MAC
+    /// reacts to it. What the checker lives on: a protocol node's
+    /// transmission starts (with the RBT it sensed over the last
+    /// [`C1_WINDOW`]) and completions, its own tone raises and lowerings,
+    /// the frames it receives clean, and its crashes. Jammers are
+    /// environment — they have no `tx_start` or `tone_emit` — and the tone
+    /// flips a node is told of depend on what its MAC asked for, so neither
+    /// is followed here.
+    pub fn on_event<F: AsRef<Frame>>(&mut self, ev: &TraceEvent<F>) {
+        let (t, node) = (ev.t, ev.node);
+        match &ev.what {
+            TraceWhat::TxStart { frame, rbt } => {
+                let rbt = rbt.as_ref().expect("a checked tx_start carries its RBT");
+                self.tx_start(t, node, frame.as_ref(), rbt);
+            }
+            TraceWhat::TxDone { frame, aborted } => self.tx_done(t, node, frame.as_ref(), *aborted),
+            TraceWhat::Rx { frame, ok: true } => {
+                let frame = frame.as_ref();
+                self.report.rx_ok_checked += 1;
+                self.check_half_duplex(t, node, frame);
+                match self.cfg.class {
+                    ProtocolClass::Rmac => self.track_rmac_rx(t.nanos(), node, frame),
+                    ProtocolClass::Bmmm => self.track_bmmm_rx(t.nanos(), node, frame),
+                    ProtocolClass::Other => {}
+                }
+            }
+            TraceWhat::ToneEmit { tone, on } => self.tone_emit(t, node, *tone, *on),
+            TraceWhat::Fault(FaultKind::Crash) => self.node_down(node),
+            _ => {}
+        }
+    }
+
+    fn tx_start(&mut self, t: SimTime, node: NodeId, frame: &Frame, rbt: &ToneLog) {
         debug_assert!(self.is_protocol(node), "jammer frames are environment");
         self.report.tx_checked += 1;
         let now = t.nanos();
@@ -169,8 +194,7 @@ impl Checker {
             ProtocolClass::Other => true,
         };
         if !in_alphabet {
-            self.violate(
-                Invariant::C2GovernedResponse,
+            self.c2(
                 t,
                 node,
                 format!("{kind:?} is outside the protocol's frame alphabet"),
@@ -187,63 +211,46 @@ impl Checker {
         // breach (the channel owes every started tx a completion).
         let ns = &mut self.nodes[node.idx()];
         if let Some((s, k, _)) = ns.cur_tx.replace((now, kind, frame.airtime().nanos())) {
-            self.violate(
-                Invariant::C3Airtime,
-                t,
-                node,
-                format!("tx of {kind:?} starts but the {k:?} started at {s} ns never completed"),
-            );
+            let detail =
+                format!("tx of {kind:?} starts but the {k:?} started at {s} ns never completed");
+            self.violate(Invariant::C3Airtime, t, node, detail);
         }
     }
 
     /// C1 plus the RMAC side of C2 at a transmission start.
     fn check_rmac_tx(&mut self, t: SimTime, node: NodeId, frame: &Frame, rbt: &ToneLog) {
-        match frame.kind {
+        let (kind, dwell) = (frame.kind, rbt.max_on().nanos());
+        let breach = match kind {
             // C1a — carrier/tone discipline: MRTS and unreliable data only
             // start on a clear RBT channel (Table 1's "channels idle").
             FrameKind::Mrts | FrameKind::DataUnreliable if rbt.on_at_end() => {
-                let since = rbt.edges.last().map_or(rbt.start, |&(rise, _)| rise);
-                let emitters = self.rbt_emitters(node, frame);
-                self.violate(
-                    Invariant::C1RbtProtection,
-                    t,
-                    node,
-                    format!(
-                        "{:?} tx starts against an RBT sensed since {} ns ({emitters})",
-                        frame.kind,
-                        since.nanos()
-                    ),
-                );
+                let since = rbt
+                    .edges
+                    .last()
+                    .map_or(rbt.start, |&(rise, _)| rise)
+                    .nanos();
+                let emitters = self.rbt_emitters(frame);
+                format!("{kind:?} tx starts against an RBT sensed since {since} ns ({emitters})")
             }
             // C1b — data justification: reliable data is transmitted only
             // after a ≥ λ continuous RBT detection inside the WF_RBT
             // window that just closed (§3.3.2 step 4 / Table 1 C18).
-            FrameKind::DataReliable => {
-                let dwell = rbt.max_on();
-                if dwell < LAMBDA {
-                    self.violate(
-                        Invariant::C1RbtProtection,
-                        t,
-                        node,
-                        format!(
-                            "reliable DATA tx without RBT detection: max dwell {} ns < λ = {} ns \
-                             in the preceding {} ns",
-                            dwell.nanos(),
-                            LAMBDA.nanos(),
-                            C1_WINDOW.nanos()
-                        ),
-                    );
-                }
-            }
-            _ => {}
-        }
+            FrameKind::DataReliable if dwell < LAMBDA.nanos() => format!(
+                "reliable DATA tx without RBT detection: max dwell {dwell} ns < λ = {} ns \
+                 in the preceding {} ns",
+                LAMBDA.nanos(),
+                C1_WINDOW.nanos()
+            ),
+            _ => return,
+        };
+        self.violate(Invariant::C1RbtProtection, t, node, breach);
     }
 
     /// Attribution string for a C1a breach: which protocol nodes are
     /// currently asserting an RBT, and whether the frame addresses them.
     /// (A sensed tone is in range by definition of tone audibility; jam
     /// tones have no protocol emitter and show up as "environment".)
-    fn rbt_emitters(&self, _at: NodeId, frame: &Frame) -> String {
+    fn rbt_emitters(&self, frame: &Frame) -> String {
         let mut parts: Vec<String> = Vec::new();
         for (i, ns) in self.nodes.iter().enumerate() {
             if ns.emitting[0].is_some() {
@@ -268,177 +275,94 @@ impl Checker {
         let now = t.nanos();
         let ns = &self.nodes[node.idx()];
         let recent = |end: Option<u64>| end.is_some_and(|e| now >= e && now - e <= RESP_WINDOW_NS);
-        match frame.kind {
-            FrameKind::Cts if !recent(ns.resp_permit[0]) => {
-                self.violate(
-                    Invariant::C2GovernedResponse,
-                    t,
-                    node,
-                    "CTS without a recent RTS naming this node".to_string(),
-                );
-            }
-            FrameKind::Ack if !recent(ns.resp_permit[1]) => {
-                self.violate(
-                    Invariant::C2GovernedResponse,
-                    t,
-                    node,
-                    "ACK without a recent RAK naming this node".to_string(),
-                );
-            }
-            FrameKind::Rak if !recent(ns.last_data_tx_end) => {
-                self.violate(
-                    Invariant::C2GovernedResponse,
-                    t,
-                    node,
-                    "RAK from a node that did not just send reliable data".to_string(),
-                );
-            }
-            _ => {}
+        let (permit, breach) = match frame.kind {
+            FrameKind::Cts => (
+                ns.resp_permit[0],
+                "CTS without a recent RTS naming this node",
+            ),
+            FrameKind::Ack => (
+                ns.resp_permit[1],
+                "ACK without a recent RAK naming this node",
+            ),
+            FrameKind::Rak => (
+                ns.last_data_tx_end,
+                "RAK from a node that did not just send reliable data",
+            ),
+            _ => return,
+        };
+        if !recent(permit) {
+            self.c2(t, node, breach);
         }
     }
 
-    /// A protocol node starts or stops emitting a busy tone (engine hook
-    /// at the MAC context's `start_tone`/`stop_tone`; jammer tones do NOT
-    /// come through here — they are environment, visible only in what
-    /// other nodes sense).
-    pub fn on_tone(&mut self, t: SimTime, node: NodeId, tone: Tone, on: bool) {
+    /// A protocol node raises or lowers its own busy tone.
+    fn tone_emit(&mut self, t: SimTime, node: NodeId, tone: Tone, on: bool) {
         debug_assert!(self.is_protocol(node), "jammer tones are environment");
-        let now = t.nanos();
-        let ti = tone_idx(tone);
-        if on {
-            self.report.tone_emissions += 1;
-            if self.cfg.class == ProtocolClass::Rmac {
-                match tone {
-                    // C2 — an RBT answers an MRTS that named this node,
-                    // raised immediately on reception (§3.3.2 step 2).
-                    Tone::Rbt => {
-                        let named = self.nodes[node.idx()]
-                            .mrts
-                            .iter()
-                            .any(|g| now >= g.rx_end_ns && now - g.rx_end_ns <= TOL_NS);
-                        if !named {
-                            self.violate(
-                                Invariant::C2GovernedResponse,
-                                t,
-                                node,
-                                "RBT raised with no just-received MRTS naming this node"
-                                    .to_string(),
-                            );
-                        }
-                    }
-                    // C2 — an ABT may only occupy the slot granted by the
-                    // governing MRTS, counted from the data frame's end
-                    // (§3.3.2 step 5).
-                    Tone::Abt => {
-                        let due = self.nodes[node.idx()]
-                            .abt_due
-                            .iter()
-                            .position(|&d| now.abs_diff(d) <= TOL_NS);
-                        match due {
-                            Some(i) => {
-                                self.nodes[node.idx()].abt_due.swap_remove(i);
-                            }
-                            None => self.violate(
-                                Invariant::C2GovernedResponse,
-                                t,
-                                node,
-                                "ABT raised outside any slot granted by a received MRTS+DATA"
-                                    .to_string(),
-                            ),
-                        }
-                    }
-                }
-            }
-            self.nodes[node.idx()].emitting[ti] = Some(now);
-        } else {
-            let started = self.nodes[node.idx()].emitting[ti].take();
+        let (now, rmac) = (t.nanos(), self.cfg.class == ProtocolClass::Rmac);
+        let ns = &mut self.nodes[node.idx()];
+        if !on {
             // C2 — the ABT burst is exactly one L_ABT slot long.
-            if self.cfg.class == ProtocolClass::Rmac && tone == Tone::Abt {
-                if let Some(s) = started {
-                    let held = now - s;
-                    if held.abs_diff(L_ABT.nanos()) > TOL_NS {
-                        self.violate(
-                            Invariant::C2GovernedResponse,
-                            t,
-                            node,
-                            format!("ABT held {} ns, expected {} ns", held, L_ABT.nanos()),
-                        );
-                    }
+            let held = ns.emitting[tone.idx()].take().map(|since| now - since);
+            let want = L_ABT.nanos();
+            match held.filter(|_| rmac && tone == Tone::Abt) {
+                Some(held) if held.abs_diff(want) > TOL_NS => {
+                    self.c2(t, node, format!("ABT held {held} ns, expected {want} ns"));
                 }
+                _ => {}
             }
+            return;
+        }
+        self.report.tone_emissions += 1;
+        ns.emitting[tone.idx()] = Some(now);
+        let (governed, breach) = match tone {
+            // C2 — an RBT answers an MRTS that named this node, raised
+            // immediately on reception (§3.3.2 step 2).
+            Tone::Rbt => {
+                let fresh = |g: &MrtsGrant| now >= g.rx_end_ns && now - g.rx_end_ns <= TOL_NS;
+                let breach = "RBT raised with no just-received MRTS naming this node";
+                (ns.mrts.iter().any(fresh), breach)
+            }
+            // C2 — an ABT may only occupy the slot granted by the governing
+            // MRTS, counted from the data frame's end (§3.3.2 step 5).
+            Tone::Abt => {
+                let due = ns.abt_due.iter().position(|&d| now.abs_diff(d) <= TOL_NS);
+                let breach = "ABT raised outside any slot granted by a received MRTS+DATA";
+                (due.map(|i| ns.abt_due.swap_remove(i)).is_some(), breach)
+            }
+        };
+        if rmac && !governed {
+            self.c2(t, node, breach);
         }
     }
 
-    /// A PHY indication delivered to a live protocol node, fed *before*
-    /// the node's MAC reacts to it. Tone flips are not followed here: which
-    /// of them a node is told depends on what its MAC asked for, and what it
-    /// senses is read from the channel when a transmission starts.
-    pub fn on_indication(&mut self, t: SimTime, ind: &Indication) {
+    /// C3 — a transmission's on-air duration matches the wire math exactly;
+    /// an abort must cut the frame short.
+    fn tx_done(&mut self, t: SimTime, node: NodeId, frame: &Frame, aborted: bool) {
         let now = t.nanos();
-        match ind {
-            Indication::FrameRx { node, frame, ok } => {
-                if !*ok {
-                    return;
-                }
-                self.report.rx_ok_checked += 1;
-                self.check_half_duplex(t, *node, frame);
-                match self.cfg.class {
-                    ProtocolClass::Rmac => self.track_rmac_rx(now, *node, frame),
-                    ProtocolClass::Bmmm => self.track_bmmm_rx(now, *node, frame),
-                    ProtocolClass::Other => {}
-                }
-            }
-            Indication::TxDone {
-                node,
-                frame,
-                aborted,
-            } => {
-                let started = self.nodes[node.idx()].cur_tx.take();
-                match started {
-                    Some((s, _, airtime)) => {
-                        let held = now - s;
-                        // C3 — on-air duration matches the wire math
-                        // exactly; an abort must cut the frame short.
-                        if !*aborted && held != airtime {
-                            self.violate(
-                                Invariant::C3Airtime,
-                                t,
-                                *node,
-                                format!(
-                                    "{:?} occupied the channel {} ns, air-time math says {} ns",
-                                    frame.kind, held, airtime
-                                ),
-                            );
-                        } else if *aborted && held >= airtime {
-                            self.violate(
-                                Invariant::C3Airtime,
-                                t,
-                                *node,
-                                format!(
-                                    "aborted {:?} still occupied {} ns ≥ full air time {} ns",
-                                    frame.kind, held, airtime
-                                ),
-                            );
-                        }
-                        self.nodes[node.idx()].last_tx = Some((s, now));
-                        if self.cfg.class == ProtocolClass::Bmmm
-                            && frame.kind == FrameKind::DataReliable
-                            && !*aborted
-                        {
-                            self.nodes[node.idx()].last_data_tx_end = Some(now);
-                        }
-                    }
-                    None => self.violate(
-                        Invariant::C3Airtime,
-                        t,
-                        *node,
-                        format!("{:?} completion with no tracked start", frame.kind),
-                    ),
-                }
-            }
-            Indication::CarrierOn { .. }
-            | Indication::CarrierOff { .. }
-            | Indication::ToneChanged { .. } => {}
+        let Some((s, _, airtime)) = self.nodes[node.idx()].cur_tx.take() else {
+            let detail = format!("{:?} completion with no tracked start", frame.kind);
+            return self.violate(Invariant::C3Airtime, t, node, detail);
+        };
+        let (held, kind) = (now - s, frame.kind);
+        let breach = if !aborted && held != airtime {
+            Some(format!(
+                "{kind:?} occupied the channel {held} ns, air-time math says {airtime} ns"
+            ))
+        } else if aborted && held >= airtime {
+            Some(format!(
+                "aborted {kind:?} still occupied {held} ns ≥ full air time {airtime} ns"
+            ))
+        } else {
+            None
+        };
+        if let Some(detail) = breach {
+            self.violate(Invariant::C3Airtime, t, node, detail);
+        }
+        let ns = &mut self.nodes[node.idx()];
+        ns.last_tx = Some((s, now));
+        let data = frame.kind == FrameKind::DataReliable && !aborted;
+        if self.cfg.class == ProtocolClass::Bmmm && data {
+            ns.last_data_tx_end = Some(now);
         }
     }
 
@@ -517,9 +441,10 @@ impl Checker {
     }
 
     /// A node crashed: its radio is silenced by the engine (tones
-    /// dropped, tx aborted) and its indications stop, so the per-node
+    /// dropped, tx aborted) and its indications stop — the crash, not the
+    /// protocol, cut short whatever was in flight — so the per-node
     /// protocol state is wiped.
-    pub fn on_node_down(&mut self, node: NodeId) {
+    fn node_down(&mut self, node: NodeId) {
         let ns = &mut self.nodes[node.idx()];
         ns.cur_tx = None;
         ns.emitting = [None; 2];
@@ -589,12 +514,31 @@ mod tests {
         )
     }
 
-    fn rx(node: u16, frame: &Frame) -> Indication {
-        Indication::FrameRx {
+    fn at(t: SimTime, node: u16, what: TraceWhat) -> TraceEvent {
+        TraceEvent {
+            t,
             node: NodeId(node),
-            frame: frame.clone().into(),
-            ok: true,
+            what,
         }
+    }
+
+    fn tx_start(t: SimTime, node: u16, frame: &Frame, rbt: ToneLog) -> TraceEvent {
+        let (frame, rbt) = (frame.clone().into(), Some(rbt));
+        at(t, node, TraceWhat::TxStart { frame, rbt })
+    }
+
+    fn tx_done(t: SimTime, node: u16, frame: &Frame, aborted: bool) -> TraceEvent {
+        let frame = frame.clone().into();
+        at(t, node, TraceWhat::TxDone { frame, aborted })
+    }
+
+    fn rx(t: SimTime, node: u16, frame: &Frame) -> TraceEvent {
+        let frame = frame.clone().into();
+        at(t, node, TraceWhat::Rx { frame, ok: true })
+    }
+
+    fn tone(t: SimTime, node: u16, tone: Tone, on: bool) -> TraceEvent {
+        at(t, node, TraceWhat::ToneEmit { tone, on })
     }
 
     /// The RBT as sensed over the C1 window before a transmission start at
@@ -627,22 +571,15 @@ mod tests {
         let mut c = checker(ProtocolClass::Rmac);
         let m = mrts();
         // MRTS goes out on a silent RBT channel…
-        c.on_tx_start(us(100), NodeId(0), &m, &rbt(100, &[]));
-        c.on_indication(
-            us(292),
-            &Indication::TxDone {
-                node: NodeId(0),
-                frame: m.clone().into(),
-                aborted: false,
-            },
-        );
+        c.on_event(&tx_start(us(100), 0, &m, rbt(100, &[])));
+        c.on_event(&tx_done(us(292), 0, &m, false));
         // …receivers hear it and answer with the RBT…
-        c.on_indication(us(292), &rx(1, &m));
-        c.on_tone(us(292), NodeId(1), Tone::Rbt, true);
+        c.on_event(&rx(us(292), 1, &m));
+        c.on_event(&tone(us(292), 1, Tone::Rbt, true));
         // …the sender detects ≥ λ of tone across its T_WF window and
         // transmits the data frame.
         let d = data();
-        c.on_tx_start(us(310), NodeId(0), &d, &rbt(310, &[(293, 9999)]));
+        c.on_event(&tx_start(us(310), 0, &d, rbt(310, &[(293, 9999)])));
         let report = c.finish(us(1000));
         assert!(report.is_clean(), "{}", report.summary());
         assert_eq!(report.tx_checked, 2);
@@ -653,9 +590,9 @@ mod tests {
         let mut c = checker(ProtocolClass::Rmac);
         // No tone ever sensed: a conformant sender would have failed the
         // attempt (Table 1 C12); transmitting anyway is the mutation.
-        c.on_tx_start(us(300), NodeId(0), &data(), &rbt(300, &[]));
+        c.on_event(&tx_start(us(300), 0, &data(), rbt(300, &[])));
         // So is transmitting on a dwell shorter than λ.
-        c.on_tx_start(us(400), NodeId(1), &data(), &rbt(400, &[(380, 390)]));
+        c.on_event(&tx_start(us(400), 1, &data(), rbt(400, &[(380, 390)])));
         let report = c.finish(us(1000));
         assert_eq!(report.count(Invariant::C1RbtProtection), 2);
     }
@@ -663,7 +600,7 @@ mod tests {
     #[test]
     fn c1_flags_mrts_against_sensed_rbt() {
         let mut c = checker(ProtocolClass::Rmac);
-        c.on_tx_start(us(120), NodeId(0), &mrts(), &rbt(120, &[(110, 9999)]));
+        c.on_event(&tx_start(us(120), 0, &mrts(), rbt(120, &[(110, 9999)])));
         let report = c.finish(us(1000));
         assert_eq!(report.count(Invariant::C1RbtProtection), 1);
         assert!(report.violations[0].detail.contains("Mrts"));
@@ -673,15 +610,15 @@ mod tests {
     #[test]
     fn c1_accepts_mrts_after_tone_clears() {
         let mut c = checker(ProtocolClass::Rmac);
-        c.on_tx_start(us(140), NodeId(0), &mrts(), &rbt(140, &[(100, 130)]));
+        c.on_event(&tx_start(us(140), 0, &mrts(), rbt(140, &[(100, 130)])));
         assert!(c.finish(us(1000)).is_clean());
     }
 
     #[test]
     fn c2_flags_ungoverned_rbt_and_abt() {
         let mut c = checker(ProtocolClass::Rmac);
-        c.on_tone(us(100), NodeId(1), Tone::Rbt, true);
-        c.on_tone(us(200), NodeId(2), Tone::Abt, true);
+        c.on_event(&tone(us(100), 1, Tone::Rbt, true));
+        c.on_event(&tone(us(200), 2, Tone::Abt, true));
         let report = c.finish(us(1000));
         assert_eq!(report.count(Invariant::C2GovernedResponse), 2);
     }
@@ -690,14 +627,14 @@ mod tests {
     fn c2_accepts_the_granted_abt_slot() {
         let mut c = checker(ProtocolClass::Rmac);
         let m = mrts();
-        c.on_indication(us(100), &rx(2, &m)); // n2 is slot 1
-        c.on_tone(us(100), NodeId(2), Tone::Rbt, true);
-        c.on_indication(us(500), &rx(2, &data()));
-        c.on_tone(us(400), NodeId(2), Tone::Rbt, false);
+        c.on_event(&rx(us(100), 2, &m)); // n2 is slot 1
+        c.on_event(&tone(us(100), 2, Tone::Rbt, true));
+        c.on_event(&rx(us(500), 2, &data()));
+        c.on_event(&tone(us(400), 2, Tone::Rbt, false));
         // Slot 1 opens L_ABT after the data frame's end.
         let due = us(500 + 17);
-        c.on_tone(due, NodeId(2), Tone::Abt, true);
-        c.on_tone(due + L_ABT, NodeId(2), Tone::Abt, false);
+        c.on_event(&tone(due, 2, Tone::Abt, true));
+        c.on_event(&tone(due + L_ABT, 2, Tone::Abt, false));
         let report = c.finish(us(1000));
         assert!(report.is_clean(), "{}", report.summary());
     }
@@ -706,10 +643,10 @@ mod tests {
     fn c2_flags_abt_in_the_wrong_slot() {
         let mut c = checker(ProtocolClass::Rmac);
         let m = mrts();
-        c.on_indication(us(100), &rx(2, &m)); // granted slot 1 (17 µs)
-        c.on_tone(us(100), NodeId(2), Tone::Rbt, true);
-        c.on_indication(us(500), &rx(2, &data()));
-        c.on_tone(us(500), NodeId(2), Tone::Abt, true); // slot 0 is n1's
+        c.on_event(&rx(us(100), 2, &m)); // granted slot 1 (17 µs)
+        c.on_event(&tone(us(100), 2, Tone::Rbt, true));
+        c.on_event(&rx(us(500), 2, &data()));
+        c.on_event(&tone(us(500), 2, Tone::Abt, true)); // slot 0 is n1's
         let report = c.finish(us(1000));
         assert_eq!(report.count(Invariant::C2GovernedResponse), 1);
     }
@@ -718,7 +655,7 @@ mod tests {
     fn c2_flags_foreign_frame_kinds() {
         let mut c = checker(ProtocolClass::Rmac);
         let ack = Frame::control(FrameKind::Ack, NodeId(1), NodeId(0), SimTime::ZERO);
-        c.on_tx_start(us(100), NodeId(1), &ack, &rbt(100, &[]));
+        c.on_event(&tx_start(us(100), 1, &ack, rbt(100, &[])));
         let report = c.finish(us(1000));
         // Outside RMAC's alphabet (C2); half-duplex/airtime untouched.
         assert_eq!(report.count(Invariant::C2GovernedResponse), 1);
@@ -728,17 +665,10 @@ mod tests {
     fn c3_flags_wrong_airtime() {
         let mut c = checker(ProtocolClass::Rmac);
         let m = mrts();
-        c.on_tx_start(us(100), NodeId(0), &m, &rbt(100, &[]));
+        c.on_event(&tx_start(us(100), 0, &m, rbt(100, &[])));
         // MRTS with 2 receivers = 24 bytes → 96 + 4·24 = 192 µs, but the
         // completion arrives 10 µs late.
-        c.on_indication(
-            us(302),
-            &Indication::TxDone {
-                node: NodeId(0),
-                frame: m.into(),
-                aborted: false,
-            },
-        );
+        c.on_event(&tx_done(us(302), 0, &m, false));
         let report = c.finish(us(1000));
         assert_eq!(report.count(Invariant::C3Airtime), 1);
     }
@@ -748,24 +678,10 @@ mod tests {
         let mut c = checker(ProtocolClass::Rmac);
         let m = mrts();
         let air = m.airtime();
-        c.on_tx_start(us(100), NodeId(0), &m, &rbt(100, &[]));
-        c.on_indication(
-            us(100) + air,
-            &Indication::TxDone {
-                node: NodeId(0),
-                frame: m.clone().into(),
-                aborted: false,
-            },
-        );
-        c.on_tx_start(us(1000), NodeId(0), &m, &rbt(1000, &[]));
-        c.on_indication(
-            us(1040),
-            &Indication::TxDone {
-                node: NodeId(0),
-                frame: m.into(),
-                aborted: true,
-            },
-        );
+        c.on_event(&tx_start(us(100), 0, &m, rbt(100, &[])));
+        c.on_event(&tx_done(us(100) + air, 0, &m, false));
+        c.on_event(&tx_start(us(1000), 0, &m, rbt(1000, &[])));
+        c.on_event(&tx_done(us(1040), 0, &m, true));
         assert!(c.finish(us(2000)).is_clean());
     }
 
@@ -773,10 +689,10 @@ mod tests {
     fn c5_flags_reception_overlapping_own_tx() {
         let mut c = checker(ProtocolClass::Rmac);
         let m = mrts();
-        c.on_tx_start(us(100), NodeId(0), &m, &rbt(100, &[]));
+        c.on_event(&tx_start(us(100), 0, &m, rbt(100, &[])));
         // A clean reception lands mid-transmission: impossible on a
         // half-duplex radio.
-        c.on_indication(us(200), &rx(0, &m));
+        c.on_event(&rx(us(200), 0, &m));
         let report = c.finish(us(1000));
         assert_eq!(report.count(Invariant::C5HalfDuplex), 1);
     }
@@ -786,17 +702,10 @@ mod tests {
         let mut c = checker(ProtocolClass::Rmac);
         let m = mrts();
         let air = m.airtime();
-        c.on_tx_start(us(100), NodeId(0), &m, &rbt(100, &[]));
-        c.on_indication(
-            us(100) + air,
-            &Indication::TxDone {
-                node: NodeId(0),
-                frame: m.clone().into(),
-                aborted: false,
-            },
-        );
+        c.on_event(&tx_start(us(100), 0, &m, rbt(100, &[])));
+        c.on_event(&tx_done(us(100) + air, 0, &m, false));
         // Arrival strictly after the tx interval.
-        c.on_indication(us(100) + air + air + SimTime::from_micros(5), &rx(0, &m));
+        c.on_event(&rx(us(100) + air + air + SimTime::from_micros(5), 0, &m));
         assert!(c.finish(us(5000)).is_clean());
     }
 
@@ -821,10 +730,10 @@ mod tests {
         let rts = Frame::control(FrameKind::Rts, NodeId(0), NodeId(1), SimTime::ZERO);
         let cts = Frame::control(FrameKind::Cts, NodeId(1), NodeId(0), SimTime::ZERO);
         // Ungoverned CTS first…
-        c.on_tx_start(us(50), NodeId(2), &cts, &rbt(50, &[]));
+        c.on_event(&tx_start(us(50), 2, &cts, rbt(50, &[])));
         // …then a proper RTS → CTS handshake.
-        c.on_indication(us(100), &rx(1, &rts));
-        c.on_tx_start(us(110), NodeId(1), &cts, &rbt(110, &[]));
+        c.on_event(&rx(us(100), 1, &rts));
+        c.on_event(&tx_start(us(110), 1, &cts, rbt(110, &[])));
         let report = c.finish(us(1000));
         assert_eq!(report.count(Invariant::C2GovernedResponse), 1);
     }
@@ -836,8 +745,8 @@ mod tests {
             class: ProtocolClass::Rmac,
             max_violations: 1,
         });
-        c.on_tone(us(10), NodeId(0), Tone::Rbt, true);
-        c.on_tone(us(20), NodeId(1), Tone::Rbt, true);
+        c.on_event(&tone(us(10), 0, Tone::Rbt, true));
+        c.on_event(&tone(us(20), 1, Tone::Rbt, true));
         let report = c.finish(us(100));
         assert_eq!(report.violations.len(), 1);
         assert!(report.truncated);

@@ -1,8 +1,8 @@
 //! # rmac-check — streaming protocol-conformance checking
 //!
-//! A zero-cost-when-off conformance layer that consumes the engine's
-//! event stream and machine-checks the paper's invariants on every
-//! trace (DESIGN.md §8):
+//! A zero-cost-when-off conformance layer: a fold of the engine's
+//! observation stream (`rmac_phy::trace`, DESIGN.md §7) that machine-checks
+//! the paper's invariants on every run (DESIGN.md §8):
 //!
 //! * **C1** busy-tone discipline — no transmission against a sensed RBT,
 //!   and reliable data only after a ≥ λ RBT detection (§3.3).
@@ -14,10 +14,10 @@
 //! * **C5** half-duplex discipline — no clean reception overlapping an
 //!   own transmission.
 //!
-//! The checker attaches to the engine the same way the observability
-//! layer does (`Option<Box<Checker>>`): detached it costs one pointer
-//! check per hook, attached it never touches RNG or schedules events, so
-//! results stay bit-identical either way.
+//! The engine feeds [`Checker::on_event`] the events its tracer sees, each
+//! before the node's MAC reacts: detached, that costs the stream's one
+//! branch per observable; attached, the checker never touches RNG or
+//! schedules events, so results stay bit-identical either way.
 
 pub mod checker;
 pub mod edges;

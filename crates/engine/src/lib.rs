@@ -39,5 +39,8 @@ pub use run::{
     run_replication_sharded_checked, Reference, Run, RunOutput, ShardedRunner,
 };
 pub use shard::{GroupStats, ShardStats};
-pub use trace::{filter_tracer, JsonlSink, SinkSummary, TraceEvent, TraceLevel, TraceWhat, Tracer};
+pub use trace::{
+    filter_tracer, render_timeline, FaultKind, FrameHead, JsonlSink, SinkSummary, TraceEvent,
+    TraceLevel, TraceWhat, Tracer,
+};
 pub use world::Runner;

@@ -1,8 +1,9 @@
 //! Engine-side instrumentation: wiring `rmac-obs` into the event loop.
 //!
 //! Everything here is off unless [`Run::obs`](crate::Run::obs) attaches an
-//! [`ObsConfig`]; the disabled cost in the event loop is one
-//! `Option` check per event. Enabled instrumentation never draws from any
+//! [`ObsConfig`]; the disabled cost in the event loop is the observation
+//! stream's one branch per observable plus an `Option` check per timer arm
+//! and fire. Enabled instrumentation never draws from any
 //! RNG stream, never schedules events, and never changes a control-flow
 //! decision, so an instrumented run's `RunReport` is bit-identical to an
 //! uninstrumented one (enforced by `tests/obs_determinism.rs`).
@@ -137,18 +138,8 @@ mod tests {
         assert_eq!(rmac_metrics::FRAME_KINDS, rmac_obs::FRAME_KINDS);
         assert_eq!(rmac_metrics::FRAME_KINDS, rmac_phy::FRAME_KINDS);
         assert_eq!(rmac_metrics::FRAME_KIND_LABELS, rmac_obs::FRAME_KIND_LABELS);
-        use rmac_wire::FrameKind::*;
-        for kind in [
-            Mrts,
-            Rts,
-            Cts,
-            Rak,
-            Ack,
-            Ncts,
-            Nak,
-            DataReliable,
-            DataUnreliable,
-        ] {
+        assert_eq!(rmac_wire::FrameKind::ALL.len(), rmac_obs::FRAME_KINDS);
+        for kind in rmac_wire::FrameKind::ALL {
             let idx = rmac_obs::frame_kind_index(kind);
             assert_eq!(rmac_obs::FRAME_KIND_LABELS[idx], format!("{kind:?}"));
         }

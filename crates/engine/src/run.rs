@@ -88,14 +88,20 @@ pub struct RunOutput {
 impl Run {
     /// Describe a fault-free, uninstrumented replication.
     ///
-    /// Panics when `cfg.rate_pps` is not a finite positive number: the
+    /// Panics when `cfg.rate_pps` is not a finite positive number (the
     /// source interval `1 / rate_pps` would otherwise saturate the clock
-    /// and wrap the end-of-run time.
+    /// and wrap the end-of-run time) or `cfg.nodes` is outside `1..=65535`
+    /// (node 0 is the source, and a [`NodeId`] is 16 bits wide).
     pub fn new(cfg: &ScenarioConfig, protocol: Protocol, seed: u64) -> Run {
         assert!(
             cfg.rate_pps.is_finite() && cfg.rate_pps > 0.0,
             "ScenarioConfig::rate_pps must be finite and positive, got {}",
             cfg.rate_pps
+        );
+        assert!(
+            (1..=usize::from(u16::MAX)).contains(&cfg.nodes),
+            "ScenarioConfig::nodes must be in 1..=65535, got {}",
+            cfg.nodes
         );
         Run {
             spec: Spec {
@@ -135,8 +141,8 @@ impl Run {
         self
     }
 
-    /// Attach an observer that sees every PHY indication, submission and
-    /// delivery in dispatch order. Like [`Run::obs`] it observes global
+    /// Attach an observer of the observation stream ([`crate::trace`]):
+    /// every event the run reports, in dispatch order. Like [`Run::obs`] it observes global
     /// event order, so the run carries it on the single all-shards group,
     /// which makes traces byte-identical at any shard count by
     /// construction.
@@ -251,7 +257,7 @@ impl Runner {
 
     /// [`Run::obs`] on an assembled runner.
     pub fn set_obs(&mut self, cfg: ObsConfig) {
-        self.attach(Some(cfg), false)
+        self.attach(Some(cfg), false, None)
     }
 
     /// [`Run::execute`]'s report.

@@ -277,9 +277,7 @@ pub(crate) fn execute<Q: SimQueue<Ev>>(
         && tracer.is_none();
     if !decomposes {
         let mut runner = Runner::assemble(spec, make_q, |_| true);
-        if let Some(t) = tracer {
-            runner.set_tracer(t);
-        }
+        runner.attach(None, false, tracer);
         return run_whole(runner, spec.seed);
     }
     let positions: Vec<Pos> = build_motions(cfg, &spec.plan, &SimRng::new(spec.seed))

@@ -10,8 +10,9 @@ use rmac_metrics::{percentile, RunReport};
 use rmac_mobility::{random_positions, MobilityKind, Motion, Pos};
 use rmac_net::{BlessConfig, NetLayer};
 use rmac_obs::{frame_kind_index, ObsReport, Snapshot};
-use rmac_phy::FrameTallies;
-use rmac_phy::{Channel, ChannelConfig, IndexMode, Indication, PhyEvent, Tone, ToneLog};
+use rmac_phy::{
+    Channel, ChannelConfig, FaultKind, FrameTallies, IndexMode, Indication, PhyEvent, Tone, ToneLog,
+};
 use rmac_sim::{CalendarQueue, Cursor, EventQueue, SimQueue, SimRng, SimTime};
 use rmac_wire::{consts::BYTE_TIME, Dest, Frame, NodeId};
 
@@ -166,12 +167,15 @@ struct WorldCore<Q: SimQueue<Ev>> {
     skew: Vec<f64>,
     /// Per-node crashed flag.
     down: Vec<bool>,
-    /// Optional deep instrumentation ([`crate::Run::obs`]). Boxed so the disabled
-    /// path costs one pointer-sized `Option` check.
+    /// Is any reader of the observation stream attached? Fixed by
+    /// [`Runner::attach`]; the one branch a detached run pays per observable.
+    watched: bool,
+    /// The stream's readers, fed by [`WorldCore::report`]: [`crate::Run::obs`]
+    /// (which also keeps the event loop's own books — timer tallies, kernel
+    /// profile, sampler), [`crate::Run::check`] and [`crate::Run::tracer`].
     obs: Option<Box<EngineObs>>,
-    /// Optional protocol-conformance checker ([`crate::Run::check`]), attached
-    /// the same zero-cost-when-off way as `obs`.
     check: Option<Box<Checker>>,
+    tracer: Option<Tracer>,
 }
 
 impl<Q: SimQueue<Ev>> WorldCore<Q> {
@@ -194,6 +198,48 @@ impl<Q: SimQueue<Ev>> WorldCore<Q> {
             t
         } else {
             SimTime::from_nanos((t.nanos() as f64 / f).round() as u64)
+        }
+    }
+
+    /// The observation stream's one outlet (DESIGN.md §7): `what` just
+    /// happened at `node`, and its MAC has not reacted yet. Called only while
+    /// [`watched`](Self::watched); nothing else touches the tracer, the
+    /// checker or the per-node protocol tallies.
+    fn report(&mut self, node: NodeId, mut what: TraceWhat<&Arc<Frame>>) {
+        let at = self.q.cursor();
+        if let (Some(_), TraceWhat::TxStart { rbt, .. }) = (&self.check, &mut what) {
+            // What the checker holds the sender to is what its MAC could
+            // read: the tone records, at this event's cursor.
+            let from = Cursor::end_of(at.time.saturating_sub(C1_WINDOW));
+            *rbt = Some(self.channel.tone_log(node, Tone::Rbt, from, at));
+        }
+        let (t, idx) = (at.time, node.idx());
+        let ev = TraceEvent { t, node, what };
+        if let Some(obs) = self.obs.as_mut() {
+            match &ev.what {
+                TraceWhat::TxDone { frame, aborted } => {
+                    obs.nodes[idx].tx[frame_kind_index(frame.kind)] += 1;
+                    obs.nodes[idx].tx_aborted += u64::from(*aborted);
+                }
+                TraceWhat::Rx { frame, ok: true } => {
+                    obs.nodes[idx].rx_ok[frame_kind_index(frame.kind)] += 1;
+                }
+                TraceWhat::Rx { frame, ok: false } => {
+                    obs.nodes[idx].rx_corrupt[frame_kind_index(frame.kind)] += 1;
+                }
+                TraceWhat::Submit { .. } => obs.nodes[idx].submitted += 1,
+                TraceWhat::Deliver { .. } => obs.nodes[idx].delivered += 1,
+                // Tone occupancy is read from the channel's records at the
+                // end of the run: which flips are dispatched depends on the
+                // MACs.
+                _ => {}
+            }
+        }
+        if let Some(chk) = self.check.as_mut() {
+            chk.on_event(&ev);
+        }
+        if let Some(tracer) = self.tracer.as_mut() {
+            tracer(&ev.map(Arc::clone));
         }
     }
 }
@@ -235,32 +281,32 @@ impl<Q: SimQueue<Ev>> MacContext for Ctx<'_, Q> {
         );
     }
     fn start_tx(&mut self, frame: Frame) {
-        if let Some(chk) = self.core.check.as_mut() {
-            // What the checker holds the sender to is what its MAC could
-            // read: the tone records, at this event's cursor.
-            let at = self.core.q.cursor();
-            let from = Cursor::end_of(at.time.saturating_sub(C1_WINDOW));
-            let rbt = self.core.channel.tone_log(self.node, Tone::Rbt, from, at);
-            chk.on_tx_start(at.time, self.node, &frame, &rbt);
-        }
         self.core
             .channel
             .start_tx(&mut self.core.q, self.node, frame);
+        if self.core.watched {
+            let on_air = self.core.channel.on_air(self.node).expect("just started");
+            let (frame, rbt) = (&Arc::clone(on_air), None);
+            self.core
+                .report(self.node, TraceWhat::TxStart { frame, rbt });
+        }
     }
     fn abort_tx(&mut self) {
         self.core.channel.abort_tx(&mut self.core.q, self.node);
     }
     fn start_tone(&mut self, tone: Tone) {
-        if let Some(chk) = self.core.check.as_mut() {
-            chk.on_tone(self.core.q.now(), self.node, tone, true);
+        if self.core.watched {
+            let raised = TraceWhat::ToneEmit { tone, on: true };
+            self.core.report(self.node, raised);
         }
         self.core
             .channel
             .start_tone(&mut self.core.q, self.node, tone);
     }
     fn stop_tone(&mut self, tone: Tone) {
-        if let Some(chk) = self.core.check.as_mut() {
-            chk.on_tone(self.core.q.now(), self.node, tone, false);
+        if self.core.watched {
+            let lowered = TraceWhat::ToneEmit { tone, on: false };
+            self.core.report(self.node, lowered);
         }
         self.core
             .channel
@@ -333,7 +379,6 @@ pub struct Runner<Q: SimQueue<Ev> = CalendarQueue<Ev>> {
     /// the run starts.
     pub(crate) seed: u64,
     packets_left: u64,
-    tracer: Option<Tracer>,
     faults: Option<FaultRt>,
     /// Reused indication buffer for PHY dispatch (the event loop's hottest
     /// allocation without it).
@@ -416,7 +461,7 @@ impl<Q: SimQueue<Ev>> LoopHook<Q> for Observed {
 impl<Q: SimQueue<Ev>> Runner<Q> {
     /// Assemble the replication `spec` describes — node stacks, RNG streams,
     /// fault runtime and the obs/checker attachments (the tracer is not
-    /// `Sync`; the caller sets it on the one runner that carries it). Every
+    /// `Sync`; the caller attaches it to the one runner that carries it). Every
     /// group of a replication derives the identical world; they differ in
     /// the channel slots they own, as `owns` says (the queue is built by
     /// `make_q` from the pre-sizing capacity).
@@ -488,8 +533,10 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 epochs: vec![0; cfg.nodes],
                 skew,
                 down: vec![false; cfg.nodes],
+                watched: false,
                 obs: None,
                 check: None,
+                tracer: None,
             },
             macs,
             nets,
@@ -497,7 +544,6 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
             protocol,
             seed: spec.seed,
             packets_left: cfg.packets,
-            tracer: None,
             faults: if plan.is_empty() {
                 None
             } else {
@@ -511,24 +557,17 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
             inds_scratch: Vec::new(),
             owned: (0..node_slots).map(owns).collect(),
         };
-        runner.attach(spec.obs, spec.check);
+        runner.attach(spec.obs, spec.check, None);
         runner
     }
 
-    /// Attach an observer that sees every PHY indication, submission and
-    /// delivery as it is dispatched (protocol timelines, debugging).
-    pub(crate) fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = Some(tracer);
-    }
-
-    /// Attach the deep instrumentation layer ([`crate::obs`]: the kernel
-    /// self-profile, per-node protocol counters and, when configured, the
-    /// periodic snapshot sampler) and/or the protocol-conformance checker
-    /// ([`rmac_check`]: every transmission start, tone emission and PHY
-    /// indication streamed through the invariant catalogue, DESIGN.md §8).
-    /// Neither perturbs the simulation — they draw no randomness and
-    /// schedule nothing — so the report stays bit-identical.
-    pub(crate) fn attach(&mut self, obs: Option<ObsConfig>, check: bool) {
+    /// Attach readers of the observation stream (DESIGN.md §7): the deep
+    /// instrumentation layer ([`crate::obs`]: per-node protocol counters,
+    /// plus the kernel self-profile and, when configured, the periodic
+    /// snapshot sampler), the protocol-conformance checker ([`rmac_check`])
+    /// and/or a tracer. None perturbs the simulation — they draw no
+    /// randomness and schedule nothing — so the report stays bit-identical.
+    pub(crate) fn attach(&mut self, obs: Option<ObsConfig>, check: bool, tracer: Option<Tracer>) {
         if let Some(cfg) = obs {
             self.core.obs = Some(Box::new(EngineObs::new(cfg, self.cfg.nodes)));
         }
@@ -538,7 +577,12 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 self.protocol.conformance_class(),
             ))));
         }
-        if self.core.obs.is_some() || self.core.check.is_some() {
+        if tracer.is_some() {
+            self.core.tracer = tracer;
+        }
+        let core = &mut self.core;
+        core.watched = core.obs.is_some() || core.check.is_some() || core.tracer.is_some();
+        if core.watched {
             // Transition counting (obs reports it, the checker's C4 needs
             // it) lives in the MACs, gated so detached runs skip the
             // per-transition increment.
@@ -546,41 +590,6 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 mac.enable_transition_counting();
             }
         }
-    }
-
-    fn trace(&mut self, node: NodeId, what: TraceWhat) {
-        if let Some(tr) = self.tracer.as_mut() {
-            tr(&TraceEvent {
-                t: self.core.q.now(),
-                node,
-                what,
-            });
-        }
-    }
-
-    fn trace_indication(&mut self, ind: &Indication) {
-        if self.tracer.is_none() {
-            return;
-        }
-        let what = match ind {
-            Indication::TxDone { frame, aborted, .. } => TraceWhat::TxDone {
-                kind: frame.kind,
-                bytes: frame.length_bytes(),
-                aborted: *aborted,
-            },
-            Indication::FrameRx { frame, ok, .. } => TraceWhat::Rx {
-                kind: frame.kind,
-                src: frame.src,
-                ok: *ok,
-            },
-            Indication::ToneChanged { tone, present, .. } => TraceWhat::Tone {
-                tone: *tone,
-                present: *present,
-            },
-            Indication::CarrierOn { .. } => TraceWhat::Carrier { busy: true },
-            Indication::CarrierOff { .. } => TraceWhat::Carrier { busy: false },
-        };
-        self.trace(ind.node(), what);
     }
 
     /// Close out the attached checker: validate the end-of-run transition
@@ -815,7 +824,11 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
     fn on_fault(&mut self, fe: FaultEv) {
         match fe {
             FaultEv::NodeDown { node } => {
-                self.trace(node, TraceWhat::Fault { label: "crash" });
+                // The crash (not the protocol) cuts short whatever is in
+                // flight; the checker wipes the node's state on this.
+                if self.core.watched {
+                    self.core.report(node, TraceWhat::Fault(FaultKind::Crash));
+                }
                 self.core.down[node.idx()] = true;
                 if let Some(f) = self.faults.as_mut() {
                     f.crashes += 1;
@@ -832,21 +845,18 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 }
                 // The dead MAC's tone watches and interest go with it.
                 self.core.channel.deafen(node);
-                // The crash (not the protocol) cut short whatever was in
-                // flight; wipe the node's conformance state accordingly.
-                if let Some(chk) = self.core.check.as_mut() {
-                    chk.on_node_down(node);
-                }
             }
             FaultEv::NodeUp { node } => {
-                self.trace(node, TraceWhat::Fault { label: "restart" });
+                if self.core.watched {
+                    self.core.report(node, TraceWhat::Fault(FaultKind::Restart));
+                }
                 self.core.down[node.idx()] = false;
                 // A restart loses all volatile state: fresh MAC and
                 // network entities, and a bumped epoch so the dead
                 // incarnation's timers cannot reach the new one.
                 self.core.epochs[node.idx()] = self.core.epochs[node.idx()].wrapping_add(1);
                 self.macs[node.idx()] = self.protocol.make_mac(node, self.cfg.mac);
-                if self.core.obs.is_some() || self.core.check.is_some() {
+                if self.core.watched {
                     // Keep the revived incarnation observable too.
                     self.macs[node.idx()].enable_transition_counting();
                 }
@@ -868,12 +878,14 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                     (spec, f.jam_seq)
                 };
                 let node = NodeId((self.cfg.nodes + jammer) as u16);
-                let label = match spec.target {
-                    JamTarget::Data => "jam-data",
-                    JamTarget::Rbt => "jam-rbt",
-                    JamTarget::Abt => "jam-abt",
-                };
-                self.trace(node, TraceWhat::Fault { label });
+                if self.core.watched {
+                    let kind = match spec.target {
+                        JamTarget::Data => FaultKind::JamData,
+                        JamTarget::Rbt => FaultKind::JamRbt,
+                        JamTarget::Abt => FaultKind::JamAbt,
+                    };
+                    self.core.report(node, TraceWhat::Fault(kind));
+                }
                 match spec.target {
                     JamTarget::Data => {
                         // One garbage broadcast frame sized to the burst
@@ -937,38 +949,6 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
         }
     }
 
-    /// Tally an indication into the per-node observability record. Only
-    /// called with instrumentation attached — the run-level frame
-    /// aggregates live in the channel (always on, counted at indication
-    /// creation), so the detached path pays nothing here.
-    fn observe_indication(&mut self, node: NodeId, ind: &Indication) {
-        let Some(obs) = self.core.obs.as_mut() else {
-            return;
-        };
-        let n = &mut obs.nodes[node.idx()];
-        match ind {
-            Indication::TxDone { frame, aborted, .. } => {
-                n.tx[frame_kind_index(frame.kind)] += 1;
-                if *aborted {
-                    n.tx_aborted += 1;
-                }
-            }
-            Indication::FrameRx { frame, ok, .. } => {
-                let k = frame_kind_index(frame.kind);
-                if *ok {
-                    n.rx_ok[k] += 1;
-                } else {
-                    n.rx_corrupt[k] += 1;
-                }
-            }
-            // Tone occupancy is read from the channel's records at the end
-            // of the run: which flips are dispatched depends on the MACs.
-            Indication::ToneChanged { .. }
-            | Indication::CarrierOn { .. }
-            | Indication::CarrierOff { .. } => {}
-        }
-    }
-
     fn indicate(&mut self, ind: &Indication) {
         let node = ind.node();
         // Jammer slots (channel indices past the protocol population) have
@@ -976,15 +956,11 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
         if node.idx() >= self.macs.len() || self.core.down[node.idx()] {
             return;
         }
-        if self.core.obs.is_some() {
-            self.observe_indication(node, ind);
+        // Reported before the MAC reacts: the checker's sensed-state model
+        // stays in lockstep with what the MAC can observe.
+        if self.core.watched {
+            self.core.report(node, ind.into());
         }
-        // The checker sees the indication before the MAC reacts, keeping its
-        // sensed-state model in lockstep with what the MAC can observe.
-        if let Some(chk) = self.core.check.as_mut() {
-            chk.on_indication(self.core.q.now(), ind);
-        }
-        self.trace_indication(ind);
         let mut delivered = Vec::new();
         let mut outcomes = Vec::new();
         let mut ctx = Ctx {
@@ -1021,14 +997,10 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
         if delivered.is_empty() {
             return;
         }
-        if let Some(obs) = self.core.obs.as_mut() {
-            obs.nodes[node.idx()].delivered += delivered.len() as u64;
-        }
         let mut reqs = Vec::new();
         for frame in &delivered {
-            if self.tracer.is_some() && frame.kind.is_data() {
-                let (src, kind) = (frame.src, frame.kind);
-                self.trace(node, TraceWhat::Deliver { src, kind });
+            if self.core.watched {
+                self.core.report(node, TraceWhat::Deliver { frame });
             }
             self.nets[node.idx()].on_deliver(now, frame, &mut reqs);
         }
@@ -1039,17 +1011,10 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
 
     /// Hand an upper-layer request to a node's MAC.
     fn submit(&mut self, node: NodeId, req: TxRequest) {
-        if let Some(obs) = self.core.obs.as_mut() {
-            obs.nodes[node.idx()].submitted += 1;
-        }
-        if self.tracer.is_some() {
-            self.trace(
-                node,
-                TraceWhat::Submit {
-                    reliable: req.reliable,
-                    bytes: req.payload.len(),
-                },
-            );
+        if self.core.watched {
+            let (reliable, bytes) = (req.reliable, req.payload.len());
+            self.core
+                .report(node, TraceWhat::Submit { reliable, bytes });
         }
         let mut delivered = Vec::new();
         let mut outcomes = Vec::new();
@@ -1192,117 +1157,115 @@ pub(crate) fn collect_report(
     seed: u64,
     h: &Harvest,
 ) -> RunReport {
-    {
-        let now = h.now;
-        let n = cfg.nodes;
-        let packets_sent = h.packets_sent;
+    let now = h.now;
+    let n = cfg.nodes;
+    let packets_sent = h.packets_sent;
 
-        let mut receptions = 0;
-        let mut delays: Vec<f64> = Vec::new();
-        for (i, net) in h.nets.iter().enumerate() {
-            if i != 0 {
-                receptions += net.stats().received;
-            }
-            delays.extend(&net.stats().delays_s);
+    let mut receptions = 0;
+    let mut delays: Vec<f64> = Vec::new();
+    for (i, net) in h.nets.iter().enumerate() {
+        if i != 0 {
+            receptions += net.stats().received;
         }
+        delays.extend(&net.stats().delays_s);
+    }
 
-        let nonleaf: Vec<usize> = (0..n)
-            .filter(|&i| h.counters[i].reliable_accepted > 0)
-            .collect();
-        let mean = |v: &[f64]| {
-            if v.is_empty() {
-                0.0
-            } else {
-                v.iter().sum::<f64>() / v.len() as f64
-            }
-        };
-        let drop_ratios: Vec<f64> = nonleaf
-            .iter()
-            .map(|&i| h.counters[i].drop_ratio())
-            .collect();
-        let retx_ratios: Vec<f64> = nonleaf
-            .iter()
-            .map(|&i| h.counters[i].retx_ratio())
-            .collect();
-        // R_txoh is reported as a ratio of sums over the non-leaf nodes
-        // rather than a mean of per-node ratios: in a dynamic tree a node
-        // that forwarded only one or two packets (a transient parent) has
-        // a tiny denominator and a huge ratio, and a handful of such
-        // outliers dominate the mean. The paper's stable GloMoSim trees do
-        // not produce them; the ratio of sums recovers the same "typical
-        // overhead per unit of data air time" the paper plots.
-        let (txoh_num, txoh_den) = nonleaf.iter().fold((0u64, 0u64), |(n, d), &i| {
-            let c = &h.counters[i];
-            (
-                n + (c.ctrl_airtime + c.abt_check_time).nanos(),
-                d + c.reliable_data_airtime.nanos(),
-            )
-        });
-        let txoh_pooled = if txoh_den == 0 {
+    let nonleaf: Vec<usize> = (0..n)
+        .filter(|&i| h.counters[i].reliable_accepted > 0)
+        .collect();
+    let mean = |v: &[f64]| {
+        if v.is_empty() {
             0.0
         } else {
-            txoh_num as f64 / txoh_den as f64
-        };
-        let abort_ratios: Vec<f64> = nonleaf
-            .iter()
-            .map(|&i| h.counters[i].abort_ratio())
-            .collect();
-
-        let mut mrts_lengths: Vec<f64> = Vec::new();
-        for c in &h.counters {
-            mrts_lengths.extend(c.mrts_lengths.iter().map(|&l| l as f64));
+            v.iter().sum::<f64>() / v.len() as f64
         }
+    };
+    let drop_ratios: Vec<f64> = nonleaf
+        .iter()
+        .map(|&i| h.counters[i].drop_ratio())
+        .collect();
+    let retx_ratios: Vec<f64> = nonleaf
+        .iter()
+        .map(|&i| h.counters[i].retx_ratio())
+        .collect();
+    // R_txoh is reported as a ratio of sums over the non-leaf nodes
+    // rather than a mean of per-node ratios: in a dynamic tree a node
+    // that forwarded only one or two packets (a transient parent) has
+    // a tiny denominator and a huge ratio, and a handful of such
+    // outliers dominate the mean. The paper's stable GloMoSim trees do
+    // not produce them; the ratio of sums recovers the same "typical
+    // overhead per unit of data air time" the paper plots.
+    let (txoh_num, txoh_den) = nonleaf.iter().fold((0u64, 0u64), |(n, d), &i| {
+        let c = &h.counters[i];
+        (
+            n + (c.ctrl_airtime + c.abt_check_time).nanos(),
+            d + c.reliable_data_airtime.nanos(),
+        )
+    });
+    let txoh_pooled = if txoh_den == 0 {
+        0.0
+    } else {
+        txoh_num as f64 / txoh_den as f64
+    };
+    let abort_ratios: Vec<f64> = nonleaf
+        .iter()
+        .map(|&i| h.counters[i].abort_ratio())
+        .collect();
 
-        // Tree statistics at end of run (§4.1.1's Fig. 6 numbers).
-        let hops: Vec<f64> = h
-            .nets
-            .iter()
-            .enumerate()
-            .filter(|(i, net)| *i != 0 && net.bless().hops() != u32::MAX)
-            .map(|(_, net)| net.bless().hops() as f64)
-            .collect();
-        let children: Vec<f64> = h
-            .nets
-            .iter()
-            .map(|net| net.children(now).len() as f64)
-            .filter(|&c| c > 0.0)
-            .collect();
-        let frames = h.frames;
+    let mut mrts_lengths: Vec<f64> = Vec::new();
+    for c in &h.counters {
+        mrts_lengths.extend(c.mrts_lengths.iter().map(|&l| l as f64));
+    }
 
-        RunReport {
-            protocol: protocol.label().to_string(),
-            scenario: cfg.name.clone(),
-            rate_pps: cfg.rate_pps,
-            seed,
-            packets_sent,
-            expected_receptions: packets_sent * (n as u64 - 1),
-            receptions,
-            nonleaf_nodes: nonleaf.len() as u64,
-            drop_ratio_avg: mean(&drop_ratios),
-            retx_ratio_avg: mean(&retx_ratios),
-            txoh_ratio_avg: txoh_pooled,
-            abort_avg: mean(&abort_ratios),
-            abort_p99: percentile(&abort_ratios, 99.0),
-            abort_max: abort_ratios.iter().fold(0.0f64, |a, &b| a.max(b)),
-            mrts_len_avg: mean(&mrts_lengths),
-            mrts_len_p99: percentile(&mrts_lengths, 99.0),
-            mrts_len_max: mrts_lengths.iter().fold(0.0f64, |a, &b| a.max(b)),
-            e2e_delay_avg_s: mean(&delays),
-            delay_samples: delays.len() as u64,
-            hops_avg: mean(&hops),
-            hops_p99: percentile(&hops, 99.0),
-            children_avg: mean(&children),
-            children_p99: percentile(&children, 99.0),
-            events: h.events,
-            tx_frames: frames.tx_frames,
-            tx_aborted: frames.tx_aborted,
-            rx_frames_ok: frames.rx_ok,
-            rx_frames_corrupt: frames.rx_corrupt,
-            sim_secs: now.as_secs_f64(),
-            faults_injected: h.faults_injected,
-            fault_crashes: h.crashes,
-            fault_jam_bursts: h.jam_bursts,
-        }
+    // Tree statistics at end of run (§4.1.1's Fig. 6 numbers).
+    let hops: Vec<f64> = h
+        .nets
+        .iter()
+        .enumerate()
+        .filter(|(i, net)| *i != 0 && net.bless().hops() != u32::MAX)
+        .map(|(_, net)| net.bless().hops() as f64)
+        .collect();
+    let children: Vec<f64> = h
+        .nets
+        .iter()
+        .map(|net| net.children(now).len() as f64)
+        .filter(|&c| c > 0.0)
+        .collect();
+    let frames = h.frames;
+
+    RunReport {
+        protocol: protocol.label().to_string(),
+        scenario: cfg.name.clone(),
+        rate_pps: cfg.rate_pps,
+        seed,
+        packets_sent,
+        expected_receptions: packets_sent * (n as u64 - 1),
+        receptions,
+        nonleaf_nodes: nonleaf.len() as u64,
+        drop_ratio_avg: mean(&drop_ratios),
+        retx_ratio_avg: mean(&retx_ratios),
+        txoh_ratio_avg: txoh_pooled,
+        abort_avg: mean(&abort_ratios),
+        abort_p99: percentile(&abort_ratios, 99.0),
+        abort_max: abort_ratios.iter().fold(0.0f64, |a, &b| a.max(b)),
+        mrts_len_avg: mean(&mrts_lengths),
+        mrts_len_p99: percentile(&mrts_lengths, 99.0),
+        mrts_len_max: mrts_lengths.iter().fold(0.0f64, |a, &b| a.max(b)),
+        e2e_delay_avg_s: mean(&delays),
+        delay_samples: delays.len() as u64,
+        hops_avg: mean(&hops),
+        hops_p99: percentile(&hops, 99.0),
+        children_avg: mean(&children),
+        children_p99: percentile(&children, 99.0),
+        events: h.events,
+        tx_frames: frames.tx_frames,
+        tx_aborted: frames.tx_aborted,
+        rx_frames_ok: frames.rx_ok,
+        rx_frames_corrupt: frames.rx_corrupt,
+        sim_secs: now.as_secs_f64(),
+        faults_injected: h.faults_injected,
+        fault_crashes: h.crashes,
+        fault_jam_bursts: h.jam_bursts,
     }
 }
 

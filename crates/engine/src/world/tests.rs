@@ -167,6 +167,8 @@ fn mobile_scenario_runs() {
 #[test]
 fn trace_and_tone_records_reproduce_fig4() {
     use crate::trace::{TraceEvent, TraceWhat};
+    use rmac_phy::Tone;
+    use rmac_sim::SimTime;
     use rmac_wire::consts::L_ABT;
     use rmac_wire::FrameKind;
     use std::sync::{Arc, Mutex};
@@ -189,7 +191,7 @@ fn trace_and_tone_records_reproduce_fig4() {
     let events = events.lock().unwrap();
     let tx_done = |kind: FrameKind| {
         let at = events.iter().position(
-            |e| matches!(e.what, TraceWhat::TxDone { kind: k, aborted: false, .. } if k == kind),
+            |e| matches!(&e.what, TraceWhat::TxDone { frame, aborted: false } if frame.kind == kind),
         );
         at.unwrap_or_else(|| panic!("no {kind:?} in the trace"))
     };
@@ -198,13 +200,7 @@ fn trace_and_tone_records_reproduce_fig4() {
     // Deliveries of the *reliable* packet (beacons trace Deliver too).
     let delivers: Vec<usize> = (0..events.len())
         .filter(|&i| {
-            matches!(
-                events[i].what,
-                TraceWhat::Deliver {
-                    kind: FrameKind::DataReliable,
-                    ..
-                }
-            )
+            matches!(&events[i].what, TraceWhat::Deliver { frame } if frame.kind == FrameKind::DataReliable)
         })
         .collect();
     // §3.3.2 / Fig. 4: MRTS → data → one delivery at each receiver.
@@ -212,9 +208,39 @@ fn trace_and_tone_records_reproduce_fig4() {
     assert_eq!(delivers.len(), 2);
     assert!(delivers[0] > data, "delivery after the data frame");
 
-    // The tones of the figure are nobody's to act on — the sender reads
-    // them through its two watches — so no `ToneEdge` carried them and the
-    // trace has no line for them. The records do: the sender heard the RBT
+    // The tones of the figure, as raised: each receiver's RBT the instant
+    // the MRTS has arrived (a propagation delay after it left), lowered
+    // when the data frame has; then the ABTs in MRTS order, one slot each.
+    let emits = |tone: Tone, on: bool| {
+        let of = move |e: &&TraceEvent| matches!(e.what, TraceWhat::ToneEmit { tone: t, on: o } if t == tone && o == on);
+        let found = events.iter().filter(of).map(|e| (e.t, e.node.0));
+        found.collect::<Vec<_>>()
+    };
+    let prop = SimTime::from_nanos(167);
+    let (mrts_end, data_end) = (events[mrts].t + prop, events[data].t + prop);
+    assert_eq!(emits(Tone::Rbt, true), [(mrts_end, 1), (mrts_end, 2)]);
+    assert_eq!(emits(Tone::Rbt, false), [(data_end, 1), (data_end, 2)]);
+    assert_eq!(
+        emits(Tone::Abt, true),
+        [(data_end, 1), (data_end + L_ABT, 2)]
+    );
+    assert_eq!(
+        emits(Tone::Abt, false),
+        [(data_end + L_ABT, 1), (data_end + L_ABT.mul(2), 2)]
+    );
+    // A transmission is reported when it starts and when it ends.
+    let started = events.iter().position(
+        |e| matches!(&e.what, TraceWhat::TxStart { frame, .. } if frame.kind == FrameKind::DataReliable),
+    );
+    let started = &events[started.expect("the data frame's start")];
+    let TraceWhat::TxDone { frame, .. } = &events[data].what else {
+        unreachable!("found as a TxDone")
+    };
+    assert_eq!(started.t + frame.airtime(), events[data].t);
+
+    // Nobody was *told* of those tones — the sender reads them through its
+    // two watches, so no `ToneEdge` carried them — and the trace has no
+    // `tone` line. The records say what was heard: the sender heard the RBT
     // from the end of its MRTS to the end of its data frame (both one
     // round trip later), then the two ABT slots back to back; each
     // receiver heard the other's RBT and the other's ABT.
@@ -285,7 +311,7 @@ fn crashing_the_only_relay_starves_downstream_nodes() {
 #[test]
 fn a_crash_inside_a_tone_watch_does_not_pin_the_nodes_tone_records() {
     use crate::run::Spec;
-    use crate::trace::{TraceEvent, TraceWhat};
+    use crate::trace::{FaultKind, TraceEvent, TraceWhat};
     use rmac_faults::{ChurnKind, ChurnSpec, FaultPlan, JamTarget, JammerSpec};
     use rmac_phy::Tone;
     use rmac_sim::{CalendarQueue, SimTime};
@@ -316,7 +342,11 @@ fn a_crash_inside_a_tone_watch_does_not_pin_the_nodes_tone_records() {
         let mut runner = Runner::assemble(&spec, CalendarQueue::with_capacity, |_| true);
         let events: Arc<Mutex<Vec<TraceEvent>>> = Arc::default();
         let sink = events.clone();
-        runner.set_tracer(Box::new(move |e| sink.lock().unwrap().push(e.clone())));
+        runner.attach(
+            None,
+            false,
+            Some(Box::new(move |e| sink.lock().unwrap().push(e.clone()))),
+        );
         runner.run_events(&BeaconTimetable::build(&spec.cfg, spec.seed));
         let events = std::mem::take(&mut *events.lock().unwrap());
         (runner, events)
@@ -324,15 +354,7 @@ fn a_crash_inside_a_tone_watch_does_not_pin_the_nodes_tone_records() {
     let at = |events: &[TraceEvent], what: &dyn Fn(&TraceWhat) -> bool| {
         events.iter().find(|e| what(&e.what)).expect("traced").t
     };
-    let data_done = |w: &TraceWhat| {
-        matches!(
-            w,
-            TraceWhat::TxDone {
-                kind: FrameKind::DataReliable,
-                ..
-            }
-        )
-    };
+    let data_done = |w: &TraceWhat| matches!(w, TraceWhat::TxDone { frame, .. } if frame.kind == FrameKind::DataReliable);
     let plain = at(&run(&cfg, FaultPlan::none()).1, &data_done);
     let crash_ms = plain.nanos() / 1_000_000 + 2;
     let slack = SimTime::from_millis(crash_ms) - SimTime::from_micros(20) - plain;
@@ -356,7 +378,7 @@ fn a_crash_inside_a_tone_watch_does_not_pin_the_nodes_tone_records() {
         });
     let (runner, events) = run(&cfg, plan);
     let crashed = at(&events, &|w| {
-        matches!(w, TraceWhat::Fault { label: "crash" })
+        matches!(w, TraceWhat::Fault(FaultKind::Crash))
     });
     let waited = crashed - at(&events, &data_done);
     assert!(
@@ -413,7 +435,11 @@ fn a_backoff_that_starts_with_an_onset_in_flight_is_told_of_it() {
     let mut runner = Runner::assemble(&spec, CalendarQueue::with_capacity, |_| true);
     let events: Arc<Mutex<Vec<TraceEvent>>> = Arc::default();
     let sink = events.clone();
-    runner.set_tracer(Box::new(move |e| sink.lock().unwrap().push(e.clone())));
+    runner.attach(
+        None,
+        false,
+        Some(Box::new(move |e| sink.lock().unwrap().push(e.clone()))),
+    );
     // Nothing is seeded: the queue holds this test's events only, and a
     // source tick with no packets left does nothing but move the cursor.
     runner.packets_left = 0;

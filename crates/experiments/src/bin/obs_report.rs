@@ -17,11 +17,12 @@
 use std::process::exit;
 
 use rmac_engine::{
-    run_replication, JsonlSink, ObsConfig, Protocol, Run, ScenarioConfig, TraceLevel,
+    render_timeline, run_replication, JsonlSink, ObsConfig, Protocol, Run, ScenarioConfig,
+    TraceEvent, TraceLevel,
 };
 use rmac_experiments::env_u64;
 use rmac_metrics::frame_kind_table;
-use rmac_obs::{parse_trace_line, render_timeline, Snapshot, TraceRecord};
+use rmac_obs::Snapshot;
 use rmac_sim::SimTime;
 
 fn fail(msg: &str) -> ! {
@@ -83,11 +84,14 @@ fn main() {
 
     // Round-trip the trace through the documented schema.
     let text = std::fs::read_to_string("results/obs/trace.jsonl").expect("read trace.jsonl back");
-    let mut records: Vec<TraceRecord> = Vec::new();
+    let mut records = Vec::new();
     for (i, line) in text.lines().enumerate() {
-        match parse_trace_line(line) {
-            Some(r) => records.push(r),
-            None => fail(&format!("trace line {} does not parse: {line}", i + 1)),
+        match TraceEvent::from_json(line) {
+            Ok(r) => records.push(r),
+            Err(e) => fail(&format!(
+                "trace line {} is off the schema ({e}): {line}",
+                i + 1
+            )),
         }
     }
     if records.len() as u64 != summary.written {

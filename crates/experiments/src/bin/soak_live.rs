@@ -1,8 +1,9 @@
 //! `rmc_test`-style soak of the live stack: N publishers × M subscribers
 //! of closed-loop reliable multicast over the loopback transport, with the
-//! 20% Gilbert–Elliott loss plan on the data channel, emitted as
-//! `results/BENCH_live.json` (goodput, latency quantiles, retransmission
-//! and resend counts).
+//! 20% Gilbert–Elliott loss plan on the data channel, reporting goodput,
+//! latency quantiles, retransmission and resend counts on stderr (the tracked
+//! numbers are `benchmark/`'s `live_soak_ge20` row and EXPERIMENTS.md's
+//! table).
 //!
 //! The acceptance bar is 100% application-layer delivery: every offered
 //! packet reaches every subscriber exactly once (MAC retries plus
@@ -77,22 +78,6 @@ fn main() {
         wall_s,
         f64::from(u32::try_from(offered).unwrap_or(u32::MAX)) / wall_s,
     );
-
-    let json = format!(
-        "{{\n  \"wall_s\": {:.3},\n  \"offered_packets_per_wall_s\": {:.0},\n  \"report\": {}\n}}\n",
-        wall_s,
-        offered as f64 / wall_s,
-        report.to_json(),
-    );
-    std::fs::create_dir_all("results").expect("create results/");
-    // The smoke run must not clobber the tracked full-scale benchmark.
-    let path = if smoke {
-        "results/BENCH_live_smoke.json"
-    } else {
-        "results/BENCH_live.json"
-    };
-    std::fs::write(path, json).expect("write soak report");
-    eprintln!("  wrote {path}");
 
     if !report.complete() {
         eprintln!(

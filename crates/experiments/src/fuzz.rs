@@ -470,18 +470,6 @@ pub fn shrink(
     (cur, spent)
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 /// Serialize a minimized failing case to JSON (reproducer artifact). The
 /// file carries both the primitive scenario and the materialized fault
 /// plan so a human can replay it without the fuzzer.
@@ -511,9 +499,9 @@ pub fn repro_json(fs: &FuzzScenario, seed: u64, signature: &str, detail: &str) -
             "  \"detail\": \"{}\"\n",
             "}}\n"
         ),
-        json_escape(signature),
+        rmac_obs::json::escape(signature),
         seed,
-        json_escape(&fs.label()),
+        rmac_obs::json::escape(&fs.label()),
         fs.protocol,
         topo,
         fs.rate_pps,
@@ -521,7 +509,7 @@ pub fn repro_json(fs: &FuzzScenario, seed: u64, signature: &str, detail: &str) -
         fs.payload,
         fs.shards,
         plan.to_json(),
-        json_escape(detail),
+        rmac_obs::json::escape(detail),
     )
 }
 
@@ -612,16 +600,32 @@ mod tests {
 
     #[test]
     fn repro_json_is_well_formed_enough() {
+        use rmac_obs::json::Json;
+
         let fs = mutant_cluster();
-        let json = repro_json(&fs, 3, "C1", "minimal reproducer");
-        assert!(json.contains("\"signature\": \"C1\""));
-        assert!(json.contains("\"cluster\""));
-        assert!(json.contains("\"fault_plan\""));
+        let detail = "C1 at \"n2\":\n\ttab, back\\slash";
+        let json = repro_json(&fs, 3, "C1", detail);
+        let doc = Json::parse(&json).unwrap_or_else(|e| panic!("{e}:\n{json}"));
+        assert_eq!(doc.str("signature"), Ok("C1"));
+        assert_eq!(doc.uint("seed"), Ok(3));
+        assert_eq!(doc.str("label"), Ok(fs.label().as_str()));
         assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "{json}"
+            doc.str("protocol"),
+            Ok(format!("{:?}", fs.protocol).as_str())
         );
+        let topology = doc.req("topology").expect("topology");
+        assert_eq!(topology.str("kind"), Ok("cluster"));
+        assert_eq!(topology.uint("nodes"), Ok(fs.nodes() as u64));
+        assert_eq!(doc.uint("packets"), Ok(fs.packets));
+        assert_eq!(doc.uint("shards"), Ok(fs.shards as u64));
+        // The embedded plan is the materialized one, readable on its own.
+        let plan = FaultPlan::from_json(&doc.req("fault_plan").expect("plan").render());
+        assert_eq!(
+            plan.expect("plan parses").to_json(),
+            materialize(&fs).2.to_json()
+        );
+        // Escapes survive the trip.
+        assert_eq!(doc.str("detail"), Ok(detail));
     }
 
     #[test]

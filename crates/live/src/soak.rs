@@ -130,41 +130,6 @@ impl SoakReport {
     pub fn complete(&self) -> bool {
         self.deliveries == self.expected_deliveries
     }
-
-    /// Hand-rolled JSON (the workspace convention — no serde).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"publishers\":{},\"subscribers\":{},\"packets_offered\":{},",
-                "\"expected_deliveries\":{},\"deliveries\":{},\"duplicates\":{},",
-                "\"mac_retransmissions\":{},\"mac_drops\":{},\"app_resends\":{},",
-                "\"hub\":{{\"data_sent\":{},\"data_delivered\":{},\"data_corrupted\":{},",
-                "\"ctrl_sent\":{}}},\"virtual_secs\":{:.6},\"steps\":{},",
-                "\"latency_ns\":{{\"p50\":{},\"p99\":{},\"max\":{},\"mean\":{}}},",
-                "\"goodput_mbps\":{:.4}}}"
-            ),
-            self.publishers,
-            self.subscribers,
-            self.packets_offered,
-            self.expected_deliveries,
-            self.deliveries,
-            self.duplicates,
-            self.mac_retransmissions,
-            self.mac_drops,
-            self.app_resends,
-            self.hub.data_sent,
-            self.hub.data_delivered,
-            self.hub.data_corrupted,
-            self.hub.ctrl_sent,
-            self.virtual_time.as_secs_f64(),
-            self.steps,
-            self.latency_p50_ns,
-            self.latency_p99_ns,
-            self.latency_max_ns,
-            self.latency_mean_ns,
-            self.goodput_mbps,
-        )
-    }
 }
 
 /// Per-publisher closed-loop state.

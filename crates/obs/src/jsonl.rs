@@ -1,10 +1,9 @@
 //! The workspace's flat JSON-lines records.
 //!
 //! The trace and snapshot sinks emit one flat JSON object per line whose
-//! values are only numbers, booleans, or strings (the schema is documented
-//! in `rmac_engine::trace`). Parsing is `rmac_wire::json`'s; this module
-//! adds the flatness rule the `obs_report` toolchain and the schema
-//! conformance tests rely on.
+//! values are only numbers, booleans, or strings (a trace line's schema and
+//! its strict parser are `rmac_phy::trace`'s). Parsing is `rmac_wire::json`'s;
+//! this module adds the flatness rule the snapshot reader relies on.
 
 pub use rmac_wire::json::Json as JsonValue;
 

@@ -30,22 +30,21 @@
 //! * [`report`] — [`ObsReport`], everything assembled — the above plus the
 //!   engine's end-of-run scalars (queue traffic, PHY pool, grid, fault
 //!   plane) as plain name→value lists — with ASCII and JSON rendering.
-//! * [`jsonl`]/[`render`] — the flat-JSONL record rule and the Fig. 4-style
-//!   timeline renderer behind the `obs_report` bin ([`json`] is
-//!   `rmac-wire`'s reader, re-exported for `rmac-campaign`).
+//! * [`jsonl`] — the flat-JSONL record rule of the snapshot series ([`json`]
+//!   is `rmac-wire`'s reader, re-exported for `rmac-campaign`). Trace lines
+//!   and the Fig. 4-style timeline belong to the observation stream's
+//!   vocabulary, `rmac_phy::trace`.
 
 pub mod hist;
 pub mod jsonl;
 pub mod kernel;
 pub mod node;
-pub mod render;
 pub mod report;
 pub mod snapshot;
 
 pub use hist::LogHistogram;
 pub use kernel::KernelProfiler;
 pub use node::{frame_kind_index, NodeObs, FRAME_KINDS, FRAME_KIND_LABELS, TONES, TONE_LABELS};
-pub use render::{parse_trace_line, render_timeline, TraceRecord};
 pub use report::ObsReport;
 pub use rmac_wire::json;
 pub use snapshot::{Sampler, Snapshot};

@@ -670,6 +670,13 @@ impl Channel {
         self.radios[node.idx()].transmitting.is_some()
     }
 
+    /// The frame `node` is transmitting right now, as every receiver's
+    /// `FrameRx` will share it.
+    pub fn on_air(&self, node: NodeId) -> Option<&Arc<Frame>> {
+        let tx = self.radios[node.idx()].transmitting?;
+        Some(&self.txs.get(tx)?.frame)
+    }
+
     /// Instantaneous carrier sense: is the data channel busy at `node`
     /// (signal energy arriving, or the node itself transmitting) for a
     /// reader at `at` — the cursor of the event being dispatched, or

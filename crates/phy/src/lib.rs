@@ -57,12 +57,17 @@
 //! bit-identical to the brute-force O(N) scan but only inspects the cells
 //! around the transmitter; see the [`grid`] module docs for the
 //! determinism contract.
+//!
+//! The [`trace`] module is the vocabulary of the **observation stream**: what
+//! an engine driving this channel reports of the protocol, one typed event
+//! per observable, for tracers, checkers and tallies to fold (DESIGN.md §7).
 
 pub mod channel;
 pub mod event;
 pub mod grid;
 pub mod slab;
 pub mod tone;
+pub mod trace;
 
 pub use channel::{
     Channel, ChannelConfig, FaultHook, FrameTallies, PhyObs, TxId, FRAME_KINDS, TONE_HISTORY,
@@ -70,3 +75,4 @@ pub use channel::{
 pub use event::{Indication, PhyEvent};
 pub use grid::{GridStats, IndexMode, SpatialGrid};
 pub use tone::{Tone, ToneInterest, ToneLog};
+pub use trace::{FaultKind, TraceEvent, TraceWhat};

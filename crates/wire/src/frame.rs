@@ -39,6 +39,22 @@ pub enum FrameKind {
 }
 
 impl FrameKind {
+    /// Every kind, in discriminant order.
+    pub const ALL: [FrameKind; 9] = {
+        use FrameKind::*;
+        [
+            Mrts,
+            Rts,
+            Cts,
+            Rak,
+            Ack,
+            Ncts,
+            Nak,
+            DataReliable,
+            DataUnreliable,
+        ]
+    };
+
     /// Whether this is a control frame (everything except data).
     pub fn is_control(self) -> bool {
         !matches!(self, FrameKind::DataReliable | FrameKind::DataUnreliable)

@@ -2,14 +2,13 @@
 //! executable trace.
 //!
 //! Node 0 (the sender, "Node A" in the figure) multicasts to two receivers
-//! ("Node B" and "Node C"). The printed trace shows the frames of the
-//! §3.3.2 sequence — MRTS out, then T_wf_rbt later the data frame, which the
-//! sender only transmits once it has detected the receivers' RBT, then both
-//! deliveries — and the obs report shows the tones: the sender reads them
-//! through its WF_RBT and WF_ABT watches rather than being told of each
-//! edge, so they are not trace lines but time heard, per node: the RBT from
-//! the end of the MRTS to the end of the data frame, then one 17 µs ABT per
-//! receiver in its MRTS-assigned slot.
+//! ("Node B" and "Node C"). The printed trace is the §3.3.2 sequence as the
+//! run reported it: the MRTS goes out; each receiver raises its RBT the
+//! instant it has the MRTS; T_wf_rbt later the sender — having detected the
+//! tone through its WF_RBT watch — transmits the data frame; the receivers
+//! lower the RBT, deliver, and answer with one 17 µs ABT each, in the slot
+//! the MRTS assigned them. The table underneath is the same tones from the
+//! other side: time heard, per node, from the channel's tone records.
 //!
 //! ```text
 //! cargo run --release --example fig4_timeline
@@ -51,8 +50,7 @@ fn main() {
         })
         .expect("the source submitted its packet");
     println!("Fig. 4 — Procedure of the Reliable Send Service (executed)\n");
-    println!("sender n0, receivers n1 (slot 0) and n2 (slot 1).");
-    println!("(a tone line is a flip a MAC asked to be told of; none here is)\n");
+    println!("sender n0, receivers n1 (slot 0) and n2 (slot 1).\n");
     // The whole exchange fits in ~3 ms; cut the trace there so the
     // following routing-beacon traffic doesn't drown the figure.
     let t0 = events[start].t;

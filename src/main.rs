@@ -71,6 +71,15 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 }
 
 fn config_for(args: &Args) -> Result<ScenarioConfig, String> {
+    if !(args.rate.is_finite() && args.rate > 0.0) {
+        return Err(format!(
+            "--rate must be finite and positive, got {}",
+            args.rate
+        ));
+    }
+    if !(1..=usize::from(u16::MAX)).contains(&args.nodes) {
+        return Err(format!("--nodes must be in 1..=65535, got {}", args.nodes));
+    }
     let cfg = match args.scenario.as_str() {
         "stationary" => ScenarioConfig::paper_stationary(args.rate),
         "speed1" => ScenarioConfig::paper_speed1(args.rate),
@@ -183,5 +192,49 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn config(flags: &[&str]) -> Result<ScenarioConfig, String> {
+        let argv: Vec<String> = flags.iter().map(|s| s.to_string()).collect();
+        config_for(&parse_args(&argv)?)
+    }
+
+    #[test]
+    fn a_rate_that_is_not_finite_and_positive_is_an_error() {
+        for rate in ["0", "-5", "nan", "inf", "-inf"] {
+            let err = config(&["--rate", rate]).expect_err(rate);
+            assert!(
+                err.starts_with("--rate must be finite and positive"),
+                "{err}"
+            );
+        }
+        assert!(config(&["--rate", "0.5"]).is_ok());
+    }
+
+    #[test]
+    fn a_node_count_outside_the_id_space_is_an_error() {
+        for nodes in ["0", "65536", "100000"] {
+            let err = config(&["--nodes", nodes]).expect_err(nodes);
+            assert!(err.starts_with("--nodes must be in 1..=65535"), "{err}");
+        }
+        for nodes in ["1", "65535"] {
+            assert_eq!(
+                config(&["--nodes", nodes]).expect(nodes).nodes.to_string(),
+                nodes
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_names_and_flags_are_errors() {
+        assert!(config(&["--scenario", "lunar"]).is_err());
+        assert!(config(&["--protocol", "aloha"]).is_err());
+        assert!(config(&["--rate"]).is_err());
+        assert!(config(&["--frobnicate", "1"]).is_err());
     }
 }

@@ -114,12 +114,11 @@ fn restart_during_inflight_exchange_is_safe_and_conformant() {
         .lock()
         .unwrap()
         .iter()
-        .find_map(|e| match e.what {
+        .find_map(|e| match &e.what {
             rmac::engine::TraceWhat::TxDone {
-                kind: rmac::wire::FrameKind::DataReliable,
+                frame,
                 aborted: false,
-                ..
-            } => Some(e.t.nanos() / 1_000_000),
+            } if frame.kind == rmac::wire::FrameKind::DataReliable => Some(e.t.nanos() / 1_000_000),
             _ => None,
         })
         .expect("scout run sent reliable data");

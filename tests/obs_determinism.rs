@@ -12,8 +12,7 @@
 //!    JSON itself is a pure function of the seed.
 
 use proptest::prelude::*;
-use rmac::engine::{filter_tracer, JsonlSink};
-use rmac::obs::parse_trace_line;
+use rmac::engine::{filter_tracer, JsonlSink, TraceEvent};
 use rmac::prelude::*;
 
 /// Small but connected: the paper's node density on a shrunken plane, so
@@ -68,10 +67,8 @@ proptest! {
         // Every written line obeys the documented schema.
         let mut parsed = 0u64;
         for (i, line) in text.lines().enumerate() {
-            prop_assert!(
-                parse_trace_line(line).is_some(),
-                "trace line {} does not parse: {}", i + 1, line
-            );
+            let read = TraceEvent::from_json(line);
+            prop_assert!(read.is_ok(), "trace line {} is off the schema: {} ({:?})", i + 1, line, read);
             parsed += 1;
         }
         prop_assert_eq!(parsed, written);

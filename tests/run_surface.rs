@@ -191,3 +191,32 @@ fn assert_clean_panics_on_a_dirty_verdict() {
         .execute()
         .assert_clean();
 }
+
+#[test]
+#[should_panic(expected = "rate_pps must be finite and positive")]
+fn a_zero_rate_is_refused_at_the_front_door() {
+    let mut cfg = cfg();
+    cfg.rate_pps = 0.0;
+    Run::new(&cfg, Protocol::Rmac, SEED);
+}
+
+#[test]
+#[should_panic(expected = "rate_pps must be finite and positive")]
+fn a_nan_rate_is_refused_at_the_front_door() {
+    let mut cfg = cfg();
+    cfg.rate_pps = f64::NAN;
+    Run::new(&cfg, Protocol::Rmac, SEED);
+}
+
+#[test]
+#[should_panic(expected = "nodes must be in 1..=65535, got 0")]
+fn an_empty_network_is_refused_at_the_front_door() {
+    Run::new(&cfg().with_nodes(0), Protocol::Rmac, SEED);
+}
+
+#[test]
+#[should_panic(expected = "nodes must be in 1..=65535, got 65536")]
+fn a_network_past_the_node_id_space_is_refused_at_the_front_door() {
+    // Before any per-node allocation: the assert is the first thing `new` does.
+    Run::new(&cfg().with_nodes(65_536), Protocol::Rmac, SEED);
+}
