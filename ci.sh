@@ -17,11 +17,20 @@ echo "==> retired names stay retired (no A/B knobs on the run surface, one grid 
 echo "    no per-slot backoff re-arm, no sharded trace merge, no per-edge tone counter or pool, no"
 echo "    edge-fed tone mirror in the checker, no second engine beside the shard groups, no mirror"
 echo "    types around the balance table or the fuzzer, no second way to hand the channel the dispatch"
-echo "    key, no received power riding on a frame-onset event and no per-reader hook beside the"
-echo "    observation stream: DESIGN.md §13, §11, §10, §12, §8, §7)"
-if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S|SweepSpec|SweepResults|run_sweep|try_replications|RMAC_QUICK|RMAC_RATES|RMAC_NODES|ShardedQueue|SeqQueue|push_with_seq|home_slot|EngineTransport|EngineMedium|schedule\(SLOT, TimerKind::BackoffSlot|merge_traces|DispatchLog|DispatchRec|seed_slots|TraceCapture|popped_seq|ManualClock|BenchDocs|tone_count|pooled_tone_buf|sensed_since|rbt_runs|execute_sharded|into_runner|sched_rng|ShardGroupRow|balance_rows|FuzzProtocol|FuzzChurn|handle_at|set_cursor|FrameArriveStart \{ rx, tx, power|on_tx_start|on_node_down|observe_indication|trace_indication|fn describe\(r: &TraceRecord' \
+echo "    key, no received power riding on a frame-onset event, no per-reader hook beside the"
+echo "    observation stream and no told flag or record tally outside the one edge type:"
+echo "    DESIGN.md §13, §11, §10, §12, §8, §7)"
+if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S|SweepSpec|SweepResults|run_sweep|try_replications|RMAC_QUICK|RMAC_RATES|RMAC_NODES|ShardedQueue|SeqQueue|push_with_seq|home_slot|EngineTransport|EngineMedium|schedule\(SLOT, TimerKind::BackoffSlot|merge_traces|DispatchLog|DispatchRec|seed_slots|TraceCapture|popped_seq|ManualClock|BenchDocs|tone_count|pooled_tone_buf|sensed_since|rbt_runs|execute_sharded|into_runner|sched_rng|ShardGroupRow|balance_rows|FuzzProtocol|FuzzChurn|handle_at|set_cursor|FrameArriveStart \{ rx, tx, power|on_tx_start|on_node_down|observe_indication|trace_indication|fn describe\(r: &TraceRecord|on_told|off_told|sync_tone_interest|DEFAULT_QUANTUM' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!ci.sh'; then
     echo "a retired knob name reappeared (see above)" >&2
+    exit 1
+fi
+
+# The six tally fields PR 22 folded into two `EdgeTally`s may not come back as fields; the
+# `"phy.*"` obs counter names are strings and stay.
+tallies='tone_records|tone_edges_scheduled|tone_catchups|frame_onsets|frame_starts_scheduled|frame_start_catchups'
+if git grep -nE "\\b($tallies)\\b" -- '*.rs' | sed -E "s/\"phy\.($tallies)\"//g" | grep -E "\\b($tallies)\\b"; then
+    echo "a retired record tally field reappeared (see above)" >&2
     exit 1
 fi
 
@@ -49,6 +58,26 @@ touched "the checker's events" 'chk\.' 'report '
 touched "the checker" '(core|self)\.check[^a-z_(]' 'report attach finish_check '
 touched "the tracer" '(core|self)\.tracer|tracer\(' 'report attach '
 touched "the protocol tallies" 'nodes\[[a-z.()]*\]\.(tx|rx_ok|rx_corrupt|tx_aborted|submitted|delivered)[^a-z_]' 'report '
+touched "a MAC's context" 'Ctx \{' 'enter '
+
+echo "==> one claimed key (DESIGN.md §12): outside rmac-sim nothing claims or fills a key but through"
+echo "    rmac_sim::Edge, and each queue file defines every fn once (no inherent twin of a trait method)"
+if git grep -n 'push_claimed(\|\.claim(' -- 'crates/*/src/*' ':!*tests*' ':!crates/sim/*'; then
+    echo "a key is claimed or filled outside rmac_sim::Edge (see above)" >&2
+    exit 1
+fi
+for f in crates/sim/src/queue.rs crates/sim/src/calendar.rs; do
+    # A `fn` counts as defined where its signature ends in `{` (a trait's `;` declarations do not).
+    twice=$(awk '
+        /^#\[cfg\(test\)\]/ { exit }
+        /^ *(pub(\(crate\))? )?fn [a-z_]+/ { match($0, /fn [a-z_]+/); pending = substr($0, RSTART + 3, RLENGTH - 3) }
+        pending != "" && /[{;]$/ { if ($0 ~ /\{$/ && seen[pending]++) printf "%s ", pending; pending = "" }
+    ' "$f")
+    if [ -n "$twice" ]; then
+        echo "$f defines twice: $twice" >&2
+        exit 1
+    fi
+done
 
 echo "==> one engine (DESIGN.md §10): the run surface does not choose a path by shard count"
 if git grep -n 'shards > 1' -- crates/engine/src/run.rs; then

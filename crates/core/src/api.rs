@@ -93,9 +93,13 @@ pub enum TimerKind {
 /// presence flip of a tone as a `ToneChanged`** — at the instant
 /// [`data_busy`](MacContext::data_busy) /
 /// [`tone_present`](MacContext::tone_present) start reading the new state;
-/// one still on its way when the interest opens included. (While the node
-/// itself transmits it is not counting, so no carrier edge is owed for
-/// that.) A context may deliver more — the live backend and the testkit
+/// one still on its way when the interest opens included. (The engine keeps
+/// that promise with one type, `rmac_sim::Edge`: every such change claims
+/// its place in the dispatch order as it is written, its event is pushed
+/// then if the MAC is interested and caught up, under the same key, if the
+/// interest opens while it is still ahead — DESIGN.md §12, "Claimed keys".
+/// While the node itself transmits it is not counting, so no carrier edge
+/// is owed for that.) A context may deliver more — the live backend and the testkit
 /// deliver every carrier rise and every tone flip — so a MAC must take a
 /// change outside its declared interest as a no-op; one it was not told of
 /// it finds by asking `data_busy` or `tone_present` when it next decides

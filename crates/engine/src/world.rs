@@ -152,6 +152,30 @@ pub(crate) fn build_motions(
     motions
 }
 
+/// One node's protocol stack, as it comes up at the start of a run and after
+/// a restart: a fresh MAC entity and network layer. `watched` keeps the MAC's
+/// transition counting on (obs reports it, the checker's C4 needs it);
+/// detached runs skip the per-transition increment.
+fn node_stack(
+    cfg: &ScenarioConfig,
+    protocol: Protocol,
+    node: NodeId,
+    watched: bool,
+) -> (Box<dyn MacService>, NetLayer) {
+    let mut mac = protocol.make_mac(node, cfg.mac);
+    if watched {
+        mac.enable_transition_counting();
+    }
+    let bless_cfg = BlessConfig {
+        beacon_period: cfg.beacon_period,
+        freshness: cfg.freshness,
+        root: NodeId(0),
+    };
+    let mut net = NetLayer::new(node, bless_cfg, cfg.payload);
+    net.set_reliable_forwarding(cfg.reliable_forwarding);
+    (mac, net)
+}
+
 /// Everything the MAC context borrows mutably: the queue, channel, and
 /// per-node rngs/counters. Kept separate from the MAC/net entities so the
 /// borrow checker can hand a MAC `&mut` access to the rest of the world.
@@ -494,21 +518,11 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
         if plan.has_phy_faults() {
             channel.set_fault_hook(Box::new(FaultInjector::from_plan(plan, spec.seed)));
         }
-        let bless_cfg = BlessConfig {
-            beacon_period: cfg.beacon_period,
-            freshness: cfg.freshness,
-            root: NodeId(0),
-        };
-        let macs = (0..cfg.nodes)
-            .map(|i| protocol.make_mac(NodeId(i as u16), cfg.mac))
-            .collect();
-        let nets = (0..cfg.nodes)
-            .map(|i| {
-                let mut net = NetLayer::new(NodeId(i as u16), bless_cfg, cfg.payload);
-                net.set_reliable_forwarding(cfg.reliable_forwarding);
-                net
-            })
-            .collect();
+        // Nobody watches yet: `attach` below turns the MACs' transition
+        // counting on.
+        let (macs, nets) = (0..cfg.nodes)
+            .map(|i| node_stack(cfg, protocol, NodeId(i as u16), false))
+            .unzip();
         let rngs = (0..cfg.nodes)
             .map(|i| master.split(2000 + i as u64))
             .collect();
@@ -760,18 +774,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 if stale {
                     return;
                 }
-                let mut delivered = Vec::new();
-                let mut outcomes = Vec::new();
-                let mut ctx = Ctx {
-                    core: &mut self.core,
-                    node,
-                    net: &self.nets[node.idx()],
-                    delivered: &mut delivered,
-                    outcomes: &mut outcomes,
-                };
-                self.macs[node.idx()].on_timer(&mut ctx, kind, gen);
-                self.sync_tone_interest(node);
-                self.post_mac(node, delivered, outcomes);
+                self.enter(node, |mac, ctx| mac.on_timer(ctx, kind, gen));
             }
             Ev::Beacon { node, fire } => {
                 let now = self.core.q.now();
@@ -855,19 +858,8 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 // network entities, and a bumped epoch so the dead
                 // incarnation's timers cannot reach the new one.
                 self.core.epochs[node.idx()] = self.core.epochs[node.idx()].wrapping_add(1);
-                self.macs[node.idx()] = self.protocol.make_mac(node, self.cfg.mac);
-                if self.core.watched {
-                    // Keep the revived incarnation observable too.
-                    self.macs[node.idx()].enable_transition_counting();
-                }
-                let bless_cfg = BlessConfig {
-                    beacon_period: self.cfg.beacon_period,
-                    freshness: self.cfg.freshness,
-                    root: NodeId(0),
-                };
-                let mut net = NetLayer::new(node, bless_cfg, self.cfg.payload);
-                net.set_reliable_forwarding(self.cfg.reliable_forwarding);
-                self.nets[node.idx()] = net;
+                (self.macs[node.idx()], self.nets[node.idx()]) =
+                    node_stack(&self.cfg, self.protocol, node, self.core.watched);
             }
             FaultEv::JamOn { jammer } => {
                 let (spec, seq) = {
@@ -961,6 +953,34 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
         if self.core.watched {
             self.core.report(node, ind.into());
         }
+        self.enter(node, |mac, ctx| mac.on_indication(ctx, ind));
+    }
+
+    /// Hand an upper-layer request to a node's MAC.
+    fn submit(&mut self, node: NodeId, req: TxRequest) {
+        if self.core.watched {
+            let (reliable, bytes) = (req.reliable, req.payload.len());
+            self.core
+                .report(node, TraceWhat::Submit { reliable, bytes });
+        }
+        self.enter(node, |mac, ctx| {
+            mac.submit(ctx, req);
+            debug_assert!(ctx.delivered.is_empty(), "submit cannot deliver frames");
+        });
+    }
+
+    /// The one way into `node`'s MAC: build its context, make the `call`,
+    /// then settle what the call left behind.
+    ///
+    /// First the channel is told which tone flips, and whether a carrier
+    /// rise, the MAC can act on in the state the call left it in: it
+    /// schedules a `ToneEdge` or a `FrameArriveStart` for a node only while
+    /// it is interested (DESIGN.md §12); everything else reads the records.
+    /// Then the harvest: the outcomes the MAC notified go to the network
+    /// layer, the frames it delivered go up, and any resulting forwards come
+    /// back down.
+    #[inline]
+    fn enter(&mut self, node: NodeId, call: impl FnOnce(&mut dyn MacService, &mut Ctx<'_, Q>)) {
         let mut delivered = Vec::new();
         let mut outcomes = Vec::new();
         let mut ctx = Ctx {
@@ -970,19 +990,11 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
             delivered: &mut delivered,
             outcomes: &mut outcomes,
         };
-        self.macs[node.idx()].on_indication(&mut ctx, ind);
-        self.sync_tone_interest(node);
-        self.post_mac(node, delivered, outcomes);
-    }
+        let mac = &mut self.macs[node.idx()];
+        call(mac.as_mut(), &mut ctx);
+        let want = mac.tone_interest();
+        self.core.channel.listen(&mut self.core.q, node, want);
 
-    /// Route MAC deliveries up to the network layer and send any resulting
-    /// forwards back down.
-    fn post_mac(
-        &mut self,
-        node: NodeId,
-        delivered: Vec<Arc<Frame>>,
-        outcomes: Vec<(u64, TxOutcome)>,
-    ) {
         let now = self.core.q.now();
         // Positive acknowledgments are cross-layer liveness evidence for
         // the tree (failures are already accounted in the MAC counters).
@@ -1007,38 +1019,6 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
         for req in reqs {
             self.submit(node, req);
         }
-    }
-
-    /// Hand an upper-layer request to a node's MAC.
-    fn submit(&mut self, node: NodeId, req: TxRequest) {
-        if self.core.watched {
-            let (reliable, bytes) = (req.reliable, req.payload.len());
-            self.core
-                .report(node, TraceWhat::Submit { reliable, bytes });
-        }
-        let mut delivered = Vec::new();
-        let mut outcomes = Vec::new();
-        let mut ctx = Ctx {
-            core: &mut self.core,
-            node,
-            net: &self.nets[node.idx()],
-            delivered: &mut delivered,
-            outcomes: &mut outcomes,
-        };
-        self.macs[node.idx()].submit(&mut ctx, req);
-        self.sync_tone_interest(node);
-        debug_assert!(delivered.is_empty(), "submit cannot deliver frames");
-    }
-
-    /// After every call into `node`'s MAC: tell the channel which tone flips,
-    /// and whether a carrier rise, the MAC can act on in the state the call
-    /// left it in. The channel schedules a `ToneEdge` or a
-    /// `FrameArriveStart` for a node only while it is interested (DESIGN.md
-    /// §12); everything else reads the records.
-    #[inline]
-    fn sync_tone_interest(&mut self, node: NodeId) {
-        let want = self.macs[node.idx()].tone_interest();
-        self.core.channel.listen(&mut self.core.q, node, want);
     }
 
     /// Close out the attached instrumentation and assemble its report.
@@ -1075,12 +1055,12 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
             ("engine.events_pushed", self.core.q.total_pushed()),
             ("phy.pool_hits", phy.pool_hits),
             ("phy.pool_misses", phy.pool_misses),
-            ("phy.tone_records", phy.tone_records),
-            ("phy.tone_edges_scheduled", phy.tone_edges_scheduled),
-            ("phy.tone_catchups", phy.tone_catchups),
-            ("phy.frame_onsets", phy.frame_onsets),
-            ("phy.frame_starts_scheduled", phy.frame_starts_scheduled),
-            ("phy.frame_start_catchups", phy.frame_start_catchups),
+            ("phy.tone_records", phy.tones.records),
+            ("phy.tone_edges_scheduled", phy.tones.scheduled),
+            ("phy.tone_catchups", phy.tones.catchups),
+            ("phy.frame_onsets", phy.onsets.records),
+            ("phy.frame_starts_scheduled", phy.onsets.scheduled),
+            ("phy.frame_start_catchups", phy.onsets.catchups),
         ];
         if let Some(grid) = phy.grid {
             counters.push(("grid.refreshes", grid.refreshes));

@@ -460,7 +460,7 @@ fn a_backoff_that_starts_with_an_onset_in_flight_is_told_of_it() {
     runner.core.q.push(ns(100), Ev::Source);
     runner.core.q.push(ns(150), Ev::Source);
     let stats = runner.core.channel.obs_stats();
-    assert_eq!((stats.frame_onsets, stats.frame_starts_scheduled), (2, 0));
+    assert_eq!((stats.onsets.records, stats.onsets.scheduled), (2, 0));
 
     // 100 ns: nothing has landed. B is handed a packet on an idle medium and
     // starts counting its DIFS: the onset on its way is scheduled now.
@@ -473,7 +473,7 @@ fn a_backoff_that_starts_with_an_onset_in_flight_is_told_of_it() {
         token: 1,
     };
     runner.submit(b, req);
-    assert_eq!(runner.core.channel.obs_stats().frame_start_catchups, 1);
+    assert_eq!(runner.core.channel.obs_stats().onsets.catchups, 1);
     // 150 ns, on either side of C's onset.
     step(&mut runner, ns(150));
     assert!(!busy(&runner, c), "keyed before the onset");
@@ -494,7 +494,7 @@ fn a_backoff_that_starts_with_an_onset_in_flight_is_told_of_it() {
         .collect();
     assert_eq!(rises, vec![(ns(200), b)], "B was told, C was not");
     let stats = runner.core.channel.obs_stats();
-    assert_eq!(stats.frame_starts_scheduled + stats.frame_start_catchups, 1);
+    assert_eq!(stats.onsets.scheduled + stats.onsets.catchups, 1);
 }
 
 #[test]

@@ -3,14 +3,14 @@
 use std::sync::Arc;
 
 use rmac_mobility::{Motion, Pos};
-use rmac_sim::{Cursor, SimQueue, SimRng, SimTime};
+use rmac_sim::{Cursor, Edge, EdgeTally, SimQueue, SimRng, SimTime};
 use rmac_wire::consts::SPEED_OF_LIGHT;
 use rmac_wire::{Frame, NodeId};
 
 use crate::event::{Indication, PhyEvent};
 use crate::grid::{GridStats, IndexMode, SpatialGrid};
 use crate::slab::IdSlab;
-use crate::tone::{Heard, Tone, ToneInterest, ToneLog, ToneRec, NEVER};
+use crate::tone::{Heard, Tone, ToneInterest, ToneLog, ToneRec};
 
 /// Identifier of one transmission on the data channel.
 pub type TxId = u64;
@@ -118,11 +118,10 @@ struct Arriving {
     /// Unconditionally corrupted (half-duplex conflict, abort, …),
     /// regardless of capture.
     forced_bad: bool,
-    /// Whether a `FrameArriveStart` event carries the first bit to the MAC.
-    told: bool,
-    /// The key the first bit's `FrameArriveStart` claimed as the frame
-    /// started: where the signal lands in the dispatch order.
-    onset: Cursor,
+    /// The first bit: where the signal lands in the dispatch order — the key
+    /// its `FrameArriveStart` claimed as the frame started — and whether that
+    /// event carries it to the MAC.
+    onset: Edge,
 }
 
 /// Per-node transceiver state.
@@ -192,14 +191,10 @@ pub struct Channel {
     pool_misses: u64,
     /// Always-on per-frame-kind frame tallies (see [`FrameTallies`]).
     frames: FrameTallies,
-    /// Tone bookkeeping tallies (see [`PhyObs`]).
-    tone_records: u64,
-    tone_edges_scheduled: u64,
-    tone_catchups: u64,
-    /// Frame-onset bookkeeping tallies (see [`PhyObs`]).
-    frame_onsets: u64,
-    frame_starts_scheduled: u64,
-    frame_start_catchups: u64,
+    /// Tone records and their `ToneEdge`s (see [`PhyObs`]).
+    tones: EdgeTally,
+    /// Frame onsets and their `FrameArriveStart`s (see [`PhyObs`]).
+    onsets: EdgeTally,
 }
 
 /// Number of [`rmac_wire::FrameKind`] variants; one tally slot per kind,
@@ -237,22 +232,12 @@ pub struct PhyObs {
     pub grid: Option<GridStats>,
     /// Frames corrupted by the attached fault hook.
     pub faults_injected: u64,
-    /// Tone records written: one per emission per in-range receiver.
-    pub tone_records: u64,
-    /// `ToneEdge` events pushed as an edge was written, for a receiver
-    /// interested at that moment.
-    pub tone_edges_scheduled: u64,
-    /// `ToneEdge` events pushed late, for an edge still in flight when its
-    /// receiver's interest opened.
-    pub tone_catchups: u64,
-    /// Frame onsets written: one per transmission per in-range receiver.
-    pub frame_onsets: u64,
-    /// `FrameArriveStart` events pushed as an onset was written, for a
-    /// receiver interested in the carrier at that moment.
-    pub frame_starts_scheduled: u64,
-    /// `FrameArriveStart` events pushed late, for an onset still in flight
-    /// when its receiver's carrier interest opened.
-    pub frame_start_catchups: u64,
+    /// Tone records written — one per emission per in-range receiver, two
+    /// edges each — and the `ToneEdge` events pushed for them.
+    pub tones: EdgeTally,
+    /// Frame onsets written — one per transmission per in-range receiver —
+    /// and the `FrameArriveStart` events pushed for them.
+    pub onsets: EdgeTally,
 }
 
 impl Channel {
@@ -261,7 +246,7 @@ impl Channel {
         let n = motions.len();
         let grid = match cfg.index {
             IndexMode::BruteForce => None,
-            IndexMode::Grid { quantum } => Some(SpatialGrid::new(cfg.range_m, quantum)),
+            IndexMode::Grid => Some(SpatialGrid::new(cfg.range_m)),
         };
         Channel {
             cfg,
@@ -278,12 +263,8 @@ impl Channel {
             pool_hits: 0,
             pool_misses: 0,
             frames: FrameTallies::default(),
-            tone_records: 0,
-            tone_edges_scheduled: 0,
-            tone_catchups: 0,
-            frame_onsets: 0,
-            frame_starts_scheduled: 0,
-            frame_start_catchups: 0,
+            tones: EdgeTally::default(),
+            onsets: EdgeTally::default(),
         }
     }
 
@@ -299,12 +280,8 @@ impl Channel {
             pool_misses: self.pool_misses,
             grid: self.grid.as_ref().map(|g| g.stats()),
             faults_injected: self.faults_injected(),
-            tone_records: self.tone_records,
-            tone_edges_scheduled: self.tone_edges_scheduled,
-            tone_catchups: self.tone_catchups,
-            frame_onsets: self.frame_onsets,
-            frame_starts_scheduled: self.frame_starts_scheduled,
-            frame_start_catchups: self.frame_start_catchups,
+            tones: self.tones,
+            onsets: self.onsets,
         }
     }
 
@@ -445,21 +422,21 @@ impl Channel {
         let end = now + frame.airtime();
         for &(rx, prop, power) in &receivers {
             let radio = &mut self.radios[rx.idx()];
-            let key = q.claim(now + prop);
-            let told = radio.interest.carrier();
-            if told {
-                q.push_claimed(key, E::from(PhyEvent::FrameArriveStart { rx, tx: id }));
-                self.frame_starts_scheduled += 1;
-            }
+            let onset = Edge::write(
+                q,
+                now + prop,
+                radio.interest.carrier(),
+                E::from(PhyEvent::FrameArriveStart { rx, tx: id }),
+                &mut self.onsets,
+            );
             let (on_air, pending) = radio.split();
-            let at = on_air.len() + pending.partition_point(|a| a.onset < key);
+            let at = on_air.len() + pending.partition_point(|a| a.onset.key < onset.key);
             let signal = Arriving {
                 tx: id,
                 power,
                 max_interference: 0.0,
                 forced_bad: false,
-                told,
-                onset: key,
+                onset,
             };
             radio.arriving.insert(at, signal);
             q.push(
@@ -467,7 +444,7 @@ impl Channel {
                 E::from(PhyEvent::FrameArriveEnd { rx, tx: id, prop }),
             );
         }
-        self.frame_onsets += receivers.len() as u64;
+        self.onsets.records += receivers.len() as u64;
         q.push(end, E::from(PhyEvent::TxComplete { node: src, tx: id }));
         // Half duplex: anything arriving at the transmitter is lost.
         for a in self.radios[src.idx()].split().0 {
@@ -535,12 +512,13 @@ impl Channel {
         let horizon = now.saturating_sub(TONE_HISTORY);
         for &(rx, prop, _) in &receivers {
             let radio = &mut self.radios[rx.idx()];
-            let on = q.claim(now + prop);
-            let on_told = radio.interest.wants(tone, true);
-            if on_told {
-                q.push_claimed(on, edge_event(rx, tone, true, id));
-                self.tone_edges_scheduled += 1;
-            }
+            let on = Edge::write(
+                q,
+                now + prop,
+                radio.interest.wants(tone, true),
+                edge_event(rx, tone, true, id),
+                &mut self.tones,
+            );
             let heard = &mut radio.heard[tone.idx()];
             if heard.recs.len() >= CROWD {
                 let watch = radio.watch[tone.idx()];
@@ -549,12 +527,10 @@ impl Channel {
             heard.recs.push(ToneRec {
                 emit: id,
                 on,
-                off: NEVER,
-                on_told,
-                off_told: false,
+                off: Edge::NEVER,
             });
         }
-        self.tone_records += receivers.len() as u64;
+        self.tones.records += receivers.len() as u64;
         self.radios[src.idx()].emitting[tone.idx()] = Some(Emission { id, receivers });
     }
 
@@ -581,18 +557,21 @@ impl Channel {
                 .iter()
                 .rposition(|r| r.emit == id)
                 .expect("a lasting emission keeps its records");
-            let off = q.claim(now + prop);
-            if radio.interest.wants(tone, false) {
-                q.push_claimed(off, edge_event(rx, tone, false, id));
-                self.tone_edges_scheduled += 1;
-                recs[i].off_told = true;
-            } else if off.time == recs[i].on.time && !recs[i].on_told {
+            let off = Edge::write(
+                q,
+                now + prop,
+                radio.interest.wants(tone, false),
+                edge_event(rx, tone, false, id),
+                &mut self.tones,
+            );
+            let on = recs[i].on;
+            if off.key.time == on.key.time && !on.told() && !off.told() {
                 // Lowered in the instant it was raised and nobody told:
                 // nothing was, or will be, heard.
                 recs.remove(i);
-                continue;
+            } else {
+                recs[i].off = off;
             }
-            recs[i].off = off;
         }
         receivers.clear();
         self.rx_pool.push(receivers);
@@ -616,16 +595,10 @@ impl Channel {
         if want == had {
             return;
         }
-        let at = q.cursor();
         if want.carrier() && !had.carrier() {
-            let (_, pending) = radio.split();
-            for a in pending.iter_mut().filter(|a| !a.told && a.onset > at) {
-                a.told = true;
-                q.push_claimed(
-                    a.onset,
-                    E::from(PhyEvent::FrameArriveStart { rx: node, tx: a.tx }),
-                );
-                self.frame_start_catchups += 1;
+            for a in radio.split().1 {
+                let first_bit = E::from(PhyEvent::FrameArriveStart { rx: node, tx: a.tx });
+                a.onset.catch_up(q, first_bit, &mut self.onsets);
             }
         }
         for tone in Tone::ALL {
@@ -634,19 +607,8 @@ impl Channel {
                     continue;
                 }
                 for r in &mut radio.heard[tone.idx()].recs {
-                    let (edge, told) = if on {
-                        (r.on, &mut r.on_told)
-                    } else {
-                        (r.off, &mut r.off_told)
-                    };
-                    if *told || edge <= at || edge == NEVER {
-                        continue;
-                    }
-                    // Under the key the edge claimed as it was written: the
-                    // event runs where one pushed then would have.
-                    *told = true;
-                    q.push_claimed(edge, edge_event(node, tone, on, r.emit));
-                    self.tone_catchups += 1;
+                    let edge = if on { &mut r.on } else { &mut r.off };
+                    edge.catch_up(q, edge_event(node, tone, on, r.emit), &mut self.tones);
                 }
             }
         }
@@ -688,7 +650,7 @@ impl Channel {
             || r.landed > 0
             || r.arriving
                 .iter()
-                .any(|a| a.onset <= at && self.txs.contains(a.tx))
+                .any(|a| a.onset.key <= at && self.txs.contains(a.tx))
     }
 
     /// Instantaneous tone sense: is `tone` present at `node` for a reader at
@@ -784,7 +746,7 @@ impl Channel {
         while let Some(&Arriving { tx, power, .. }) = r
             .arriving
             .get(r.landed as usize)
-            .filter(|a| a.onset <= upto)
+            .filter(|a| a.onset.key <= upto)
         {
             if !self.txs.contains(tx) {
                 // The transmission was aborted at its very start instant and
@@ -957,7 +919,7 @@ impl Channel {
         let Some(rec) = heard.recs.iter().find(|r| r.emit == emit) else {
             return;
         };
-        if heard.alone(emit, if on { rec.on } else { rec.off }) {
+        if heard.alone(emit, if on { rec.on.key } else { rec.off.key }) {
             out.push(Indication::ToneChanged {
                 node: rx,
                 tone,
@@ -1517,7 +1479,7 @@ mod tests {
         assert!(matches!(b[1], (_, Indication::CarrierOff { .. })));
         assert!(!ch.data_busy(n(1), q.cursor()));
         let stats = ch.obs_stats();
-        assert_eq!((stats.frame_onsets, stats.frame_starts_scheduled), (1, 0));
+        assert_eq!((stats.onsets.records, stats.onsets.scheduled), (1, 0));
     }
 }
 

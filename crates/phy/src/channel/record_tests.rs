@@ -551,7 +551,7 @@ proptest! {
         prop_assert_eq!(&records.busy_ns, &reference.busy_ns);
         // The script exercised something, and left little behind.
         let stats = ch.obs_stats();
-        prop_assert!(stats.tone_edges_scheduled + stats.tone_catchups <= 2 * stats.tone_records);
+        prop_assert!(stats.tones.scheduled + stats.tones.catchups <= 2 * stats.tones.records);
     }
 }
 
@@ -580,7 +580,7 @@ fn an_emission_lowered_as_it_is_raised_leaves_nothing_behind() {
     }
     assert!(q.is_empty());
     assert_eq!(ch.tone_records_held(NodeId(1)), 0);
-    assert_eq!(ch.obs_stats().tone_records, 1000);
+    assert_eq!(ch.obs_stats().tones.records, 1000);
 }
 
 #[test]
@@ -669,9 +669,9 @@ fn interest_that_opens_with_an_edge_in_flight_is_told_of_it() {
     let stats = ch.obs_stats();
     assert_eq!(
         (
-            stats.tone_records,
-            stats.tone_edges_scheduled,
-            stats.tone_catchups
+            stats.tones.records,
+            stats.tones.scheduled,
+            stats.tones.catchups
         ),
         (1, 1, 1)
     );
@@ -1346,7 +1346,7 @@ mod onsets {
             }
             // Fewer events carried it.
             let stats = ch.obs_stats();
-            prop_assert!(stats.frame_starts_scheduled + stats.frame_start_catchups <= stats.frame_onsets);
+            prop_assert!(stats.onsets.scheduled + stats.onsets.catchups <= stats.onsets.records);
         }
     }
 }

@@ -20,9 +20,9 @@
 //! # Mobility
 //!
 //! Fixed nodes ([`Motion::is_fixed`]) are bucketed once. Moving nodes are
-//! re-bucketed lazily, at most once per `quantum` of simulated time
-//! (default λ = 15 µs, far below any protocol-visible timescale). Between
-//! refreshes a mover's bucket is stale by at most `speed_bound × quantum`
+//! re-bucketed lazily, at most once per `QUANTUM` of simulated time
+//! (λ = 15 µs, far below any protocol-visible timescale). Between
+//! refreshes a mover's bucket is stale by at most `speed_bound × QUANTUM`
 //! meters; queries widen their search radius by that worst-case drift so
 //! the candidate set always covers the true in-range set.
 
@@ -36,26 +36,20 @@ pub enum IndexMode {
     /// Walk every trajectory per query (the O(N) reference path).
     BruteForce,
     /// Uniform-grid candidate filtering; see [`SpatialGrid`].
-    Grid {
-        /// Moving nodes are re-bucketed at most once per this much
-        /// simulated time. Must stay small enough that `max node speed ×
-        /// quantum` is negligible against the cell size; the default is
-        /// the paper's λ = 15 µs tone-detection window.
-        quantum: SimTime,
-    },
+    Grid,
 }
 
 impl IndexMode {
-    /// The default re-bucketing quantum (λ = 15 µs).
-    pub const DEFAULT_QUANTUM: SimTime = SimTime::from_micros(15);
-
-    /// Grid indexing with the default quantum.
+    /// Grid indexing.
     pub const fn grid() -> IndexMode {
-        IndexMode::Grid {
-            quantum: Self::DEFAULT_QUANTUM,
-        }
+        IndexMode::Grid
     }
 }
+
+/// Moving nodes are re-bucketed at most once per this much simulated time:
+/// the paper's λ = 15 µs tone-detection window, small enough that `max node
+/// speed × QUANTUM` is negligible against the cell size.
+const QUANTUM: SimTime = SimTime::from_micros(15);
 
 impl Default for IndexMode {
     fn default() -> Self {
@@ -68,7 +62,6 @@ impl Default for IndexMode {
 /// a-priori bounds — crafted test topologies place nodes anywhere.
 pub struct SpatialGrid {
     cell_m: f64,
-    quantum: SimTime,
     /// Worst-case distance any mover can drift between refreshes (m).
     drift_m: f64,
     buckets: DetHashMap<(i32, i32), Vec<u16>>,
@@ -97,10 +90,9 @@ pub struct GridStats {
 impl SpatialGrid {
     /// An empty grid with `cell_m`-sized cells (use the radio range). The
     /// grid populates itself on first [`SpatialGrid::ensure`].
-    pub fn new(cell_m: f64, quantum: SimTime) -> SpatialGrid {
+    pub fn new(cell_m: f64) -> SpatialGrid {
         SpatialGrid {
             cell_m: cell_m.max(1.0),
-            quantum,
             drift_m: 0.0,
             buckets: DetHashMap::default(),
             cells: Vec::new(),
@@ -149,9 +141,9 @@ impl SpatialGrid {
                     max_mover_speed = max_mover_speed.max(sb);
                 }
             }
-            self.drift_m = max_mover_speed * self.quantum.as_secs_f64();
+            self.drift_m = max_mover_speed * QUANTUM.as_secs_f64();
             self.built = true;
-            self.next_refresh = t + self.quantum;
+            self.next_refresh = t + QUANTUM;
             return;
         }
         if self.movers.is_empty() || t < self.next_refresh {
@@ -178,7 +170,7 @@ impl SpatialGrid {
             self.cells[i as usize] = cell;
             self.rebuckets += 1;
         }
-        self.next_refresh = t + self.quantum;
+        self.next_refresh = t + QUANTUM;
     }
 
     /// Append to `out` every node index whose *bucketed* position could be
@@ -244,7 +236,7 @@ mod tests {
                 ))
             })
             .collect();
-        let mut grid = SpatialGrid::new(75.0, IndexMode::DEFAULT_QUANTUM);
+        let mut grid = SpatialGrid::new(75.0);
         grid.ensure(SimTime::ZERO, &mut motions);
         assert!(grid.all_fixed());
         for i in (0..200).step_by(7) {
@@ -271,7 +263,7 @@ mod tests {
                 )
             })
             .collect();
-        let mut grid = SpatialGrid::new(75.0, IndexMode::DEFAULT_QUANTUM);
+        let mut grid = SpatialGrid::new(75.0);
         assert!(!Motion::new(
             Pos::new(0.0, 0.0),
             MobilityKind::paper_speed2(),
@@ -304,7 +296,7 @@ mod tests {
             Motion::stationary(Pos::new(-80.0, -10.0)),
             Motion::stationary(Pos::new(200.0, 200.0)),
         ];
-        let mut grid = SpatialGrid::new(75.0, IndexMode::DEFAULT_QUANTUM);
+        let mut grid = SpatialGrid::new(75.0);
         grid.ensure(SimTime::ZERO, &mut motions);
         let p = Pos::new(-10.0, -10.0);
         let mut cand = Vec::new();

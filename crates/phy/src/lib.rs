@@ -23,23 +23,27 @@
 //! entities.
 //!
 //! On the data channel every frame end and every transmit completion is an
-//! event. The tone channels work by **records**: raising or lowering a tone
-//! writes, at every in-range receiver, when the edge takes effect there, and
-//! [`Channel::tone_present`], the [`ToneLog`] of a watch
-//! ([`Channel::open_watch`]/[`Channel::close_watch`]) and
-//! [`Channel::tone_busy_ns`] are readings of those records, taken at the
-//! [`rmac_sim::Cursor`] of the event the reader is dispatching. A
-//! `PhyEvent::ToneEdge` — and the `Indication::ToneChanged` it ends in — is
-//! scheduled only for a receiver whose MAC has declared, through
-//! [`Channel::listen`], that it can act on that flip; see the [`tone`]
-//! module and DESIGN.md §12.
+//! event. Tone edges and frame onsets work by **records**, and every edge of
+//! a record is one [`rmac_sim::Edge`] (DESIGN.md §12, "Claimed keys"): as it
+//! is written it claims the key its event would get, the event is pushed
+//! only for a receiver whose MAC has declared — through [`Channel::listen`]
+//! — that it can act on the change, and [`Channel::listen`] catches up the
+//! edges still in flight when interest opens. Readers take the
+//! [`rmac_sim::Cursor`] of the event being dispatched and see the edges
+//! keyed at or before it.
+//!
+//! Raising or lowering a **tone** writes, at every in-range receiver, a
+//! record with a rising and a falling edge; [`Channel::tone_present`], the
+//! [`ToneLog`] of a watch ([`Channel::open_watch`]/[`Channel::close_watch`])
+//! and [`Channel::tone_busy_ns`] are readings of those records, and a
+//! `PhyEvent::ToneEdge` ends in an `Indication::ToneChanged` if it flips
+//! presence; see the [`tone`] module.
 //!
 //! A frame's **first bit** is a record in the same way: [`Channel::start_tx`]
-//! writes, at every in-range receiver, the key under which the onset takes
-//! effect there and its received power, and schedules a
-//! `PhyEvent::FrameArriveStart` — which ends in an `Indication::CarrierOn`
-//! if it takes the node from idle to busy — only for a receiver whose MAC
-//! has declared [`ToneInterest::CARRIER`]. Whatever next touches that
+//! writes, at every in-range receiver, the onset's edge and its received
+//! power; a `PhyEvent::FrameArriveStart` — scheduled for a MAC that declared
+//! [`ToneInterest::CARRIER`] — ends in an `Indication::CarrierOn` if it
+//! takes the node from idle to busy. Whatever next touches that
 //! receiver's radio (a frame end there, its own transmission starting or
 //! completing, a dispatched onset) first accounts, in key order, the onsets
 //! keyed at or before the event being dispatched, exactly as their events

@@ -9,17 +9,15 @@
 //! indication, only for a receiver whose MAC has declared that it can act
 //! on it ([`ToneInterest`]).
 //!
-//! Every edge claims its place in the queue's order as it is written — the
+//! Both edges of a record are [`rmac_sim::Edge`]s (DESIGN.md §12, "Claimed
+//! keys"): each claims its place in the queue's order as it is written — the
 //! [`Cursor`] a `ToneEdge` pushed there and then gets — whether or not the
 //! event is pushed. A reader passes the cursor of the event it is being
 //! dispatched under and sees exactly the edges keyed at or before it: what a
 //! counter stepped by one event per edge would hold at that point of the
-//! run, same-instant ties included. An edge whose receiver becomes
-//! interested while it is still in flight is pushed then, under the key it
-//! claimed. So a run is the run with every edge dispatched, less the
-//! dispatches that would have done nothing.
+//! run, same-instant ties included.
 
-use rmac_sim::{Cursor, SimTime};
+use rmac_sim::{Cursor, Edge, SimTime};
 
 /// The two narrow-band tone channels RMAC introduces (§3.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -163,29 +161,19 @@ impl ToneLog {
     }
 }
 
-/// The falling edge of an emission that is still lasting.
-pub(crate) const NEVER: Cursor = Cursor {
-    time: SimTime::MAX,
-    seq: u64::MAX,
-};
-
 /// One emission as one receiver hears it.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ToneRec {
     pub emit: u64,
-    /// Where the rising edge takes effect.
-    pub on: Cursor,
-    /// Where the falling edge does; [`NEVER`] until the emitter stops.
-    pub off: Cursor,
-    /// Whether a `ToneEdge` event carries the rising edge to the MAC.
-    pub on_told: bool,
-    /// Likewise the falling edge.
-    pub off_told: bool,
+    /// The rising edge; a `ToneEdge` event carries it to a MAC that was told.
+    pub on: Edge,
+    /// The falling edge; [`Edge::NEVER`] until the emitter stops.
+    pub off: Edge,
 }
 
 impl ToneRec {
     fn covers(&self, at: Cursor) -> bool {
-        self.on <= at && at < self.off
+        self.on.key <= at && at < self.off.key
     }
 }
 
@@ -217,7 +205,7 @@ impl Heard {
         let mut edges: Vec<(Cursor, bool)> = self
             .recs
             .iter()
-            .flat_map(|r| [(r.on, true), (r.off, false)])
+            .flat_map(|r| [(r.on.key, true), (r.off.key, false)])
             .filter(|&(key, _)| from < key && key <= to)
             .collect();
         edges.sort_unstable_by_key(|&(key, _)| key);
@@ -255,8 +243,8 @@ impl Heard {
             let covering = self
                 .recs
                 .iter()
-                .filter(|r| r.on.time <= t && t < r.off.time);
-            if let Some(end) = covering.map(|r| r.off.time).max() {
+                .filter(|r| r.on.key.time <= t && t < r.off.key.time);
+            if let Some(end) = covering.map(|r| r.off.key.time).max() {
                 let end = end.min(to);
                 total += (end - t).nanos();
                 t = end;
@@ -264,8 +252,8 @@ impl Heard {
                 let later = self
                     .recs
                     .iter()
-                    .filter(|r| t < r.on.time && r.on.time < r.off.time);
-                match later.map(|r| r.on.time).min() {
+                    .filter(|r| t < r.on.key.time && r.on.key.time < r.off.key.time);
+                match later.map(|r| r.on.key.time).min() {
                     Some(rise) => t = rise,
                     None => break,
                 }
@@ -277,11 +265,11 @@ impl Heard {
     /// Forget the emissions that ended before `horizon`, which no reader
     /// will look behind again; their presence time stays in the busy total.
     pub fn forget_before(&mut self, horizon: SimTime) {
-        if self.recs.iter().any(|r| r.off.time < horizon) {
+        if self.recs.iter().any(|r| r.off.key.time < horizon) {
             debug_assert!(horizon >= self.settled);
             self.busy_ns += self.on_time(self.settled, horizon);
             self.settled = horizon;
-            self.recs.retain(|r| r.off.time >= horizon);
+            self.recs.retain(|r| r.off.key.time >= horizon);
         }
     }
 }
@@ -304,16 +292,16 @@ mod tests {
     }
 
     fn rec(emit: u64, on: u64, off: Option<u64>) -> ToneRec {
-        let key = |t: u64| Cursor {
-            time: us(t),
-            seq: 2 * emit + t,
+        let edge = |t: u64| {
+            Edge::silent(Cursor {
+                time: us(t),
+                seq: 2 * emit + t,
+            })
         };
         ToneRec {
             emit,
-            on: key(on),
-            off: off.map_or(NEVER, key),
-            on_told: false,
-            off_told: false,
+            on: edge(on),
+            off: off.map_or(Edge::NEVER, edge),
         }
     }
 
@@ -345,7 +333,7 @@ mod tests {
             recs: vec![rec(0, 10, Some(50)), rec(1, 50, Some(60))],
             ..Heard::default()
         };
-        let (fall, rise) = (heard.recs[0].off, heard.recs[1].on);
+        let (fall, rise) = (heard.recs[0].off.key, heard.recs[1].on.key);
         assert!(fall < rise, "same instant, the fall claimed its key first");
         // Between the two, nothing is audible: each edge is a flip.
         assert!(heard.present(Cursor {

@@ -42,42 +42,11 @@
 //! and `peek_time` is a plain front read (no interior mutability behind
 //! `&self`).
 
-use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
-use crate::queue::{Cursor, SimQueue};
+use crate::key::{Cursor, Entry, Keys};
+use crate::queue::SimQueue;
 use crate::time::SimTime;
-
-/// A pending event with its `(time, seq)` key, reverse-ordered so a
-/// `BinaryHeap` max-heap surfaces the earliest key. Used for the active
-/// window's pending heap, the ring buckets, and the far-overflow heap.
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
 
 /// Default window width: 2^12 ns = 4.096 µs. Small enough that the sorted
 /// active buffer holds only a handful of events (propagation delays and
@@ -122,12 +91,7 @@ pub struct CalendarQueue<E> {
     far: BinaryHeap<Entry<E>>,
     /// Total pending events (active + ring + far).
     len: usize,
-    next_seq: u64,
-    /// Key of the most recently popped event.
-    at: Cursor,
-    pushed: u64,
-    popped: u64,
-    high_water: usize,
+    keys: Keys,
     /// Window advances performed (diagnostic).
     rotations: u64,
     /// Events pulled back from the far heap into the ring (diagnostic).
@@ -178,14 +142,7 @@ impl<E> CalendarQueue<E> {
             ring_len: 0,
             far: BinaryHeap::new(),
             len: 0,
-            next_seq: 0,
-            at: Cursor {
-                time: SimTime::ZERO,
-                seq: 0,
-            },
-            pushed: 0,
-            popped: 0,
-            high_water: 0,
+            keys: Keys::new(),
             rotations: 0,
             far_pulls: 0,
         }
@@ -203,166 +160,29 @@ impl<E> CalendarQueue<E> {
         (self.buckets.len() as u64) << self.shift
     }
 
-    /// The time of the most recently popped event (the current simulation
-    /// clock).
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        self.at.time
-    }
-
-    /// Schedule `event` at absolute time `at`.
-    ///
-    /// Scheduling in the past is clamped to the current clock in release
-    /// builds and panics in debug builds, exactly like the heap oracle.
-    pub fn push(&mut self, at: SimTime, event: E) {
-        let key = self.claim(at);
-        self.push_claimed(key, event);
-    }
-
-    /// Take the key the next push at `at` would get, without pushing.
-    pub fn claim(&mut self, at: SimTime) -> Cursor {
-        debug_assert!(
-            at >= self.now(),
-            "event scheduled in the past: at={at} now={now}",
-            at = at,
-            now = self.now()
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        Cursor {
-            time: at.max(self.now()),
-            seq,
-        }
-    }
-
-    /// Schedule `event` under a key taken by [`claim`](Self::claim) that the
-    /// clock has not passed.
-    pub fn push_claimed(&mut self, key: Cursor, event: E) {
-        debug_assert!(key.time >= self.now(), "a claimed key the clock has passed");
-        let Cursor { time: at, seq } = key;
-        self.pushed += 1;
-        self.len += 1;
-        if self.len > self.high_water {
-            self.high_water = self.len;
-        }
-        let t = at.nanos();
-        // All placement arithmetic is subtraction-based so times near
-        // `u64::MAX` cannot overflow a `base + span` sum.
-        if t < self.base || t - self.base < self.width() {
-            // Current-window event (or one earlier than the window after an
-            // empty-queue fast-forward): push onto the pending heap. This
-            // is the hot case — every propagation-delayed arrival lands
-            // here — and a sift-up over the small pending side beats
-            // shifting a sorted buffer.
-            self.pending.push(Entry {
-                time: at,
-                seq,
-                event,
-            });
-        } else if t - self.base < self.span() {
-            let d = ((t - self.base) >> self.shift) as usize;
-            self.buckets[(self.cur + d) & self.mask].push(Entry {
-                time: at,
-                seq,
-                event,
-            });
-            self.ring_len += 1;
-            // The push may have landed while the queue was empty (stale
-            // window position): restore the eager-drain invariant.
-            if self.window_empty() {
-                self.refill();
-            }
-        } else {
-            self.far.push(Entry {
-                time: at,
-                seq,
-                event,
-            });
-            if self.window_empty() {
-                self.refill();
-            }
-        }
-    }
-
-    /// Schedule `event` after a relative delay from the current clock.
-    #[inline]
-    pub fn push_after(&mut self, delay: SimTime, event: E) {
-        self.push(self.now() + delay, event);
-    }
-
     /// Whether the active window holds no events (both halves empty).
     #[inline]
     fn window_empty(&self) -> bool {
         self.active.is_empty() && self.pending.is_empty()
     }
 
-    /// Pop the earliest event, advancing the clock to its timestamp: the
-    /// smaller `(time, seq)` key of the drain buffer's front and the
-    /// pending heap's top.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let from_pending = match (self.active.front(), self.pending.peek()) {
-            (Some(a), Some(p)) => (p.time, p.seq) < (a.time, a.seq),
-            (None, Some(_)) => true,
-            (Some(_), None) => false,
-            (None, None) => return None,
-        };
-        Some(self.take_head(from_pending))
-    }
-
-    /// Fused `peek_time` + `pop`: pop the head only if it is due at or
-    /// before `cutoff`. One head comparison decides both which half of the
-    /// hybrid window wins *and* whether the event is due, so the hot loop
-    /// pays a single lookup per event.
-    pub fn pop_at_or_before(&mut self, cutoff: SimTime) -> Option<(SimTime, E)> {
-        let from_pending = match (self.active.front(), self.pending.peek()) {
-            (Some(a), Some(p)) => {
-                let pending_first = (p.time, p.seq) < (a.time, a.seq);
-                let head = if pending_first { p.time } else { a.time };
-                if head > cutoff {
-                    return None;
-                }
-                pending_first
-            }
-            (None, Some(p)) => {
-                if p.time > cutoff {
-                    return None;
-                }
-                true
-            }
-            (Some(a), None) => {
-                if a.time > cutoff {
-                    return None;
-                }
-                false
-            }
-            (None, None) => return None,
-        };
-        Some(self.take_head(from_pending))
-    }
-
     /// Remove the head the caller just chose (the pending heap's top or the
     /// drain buffer's front) and advance the clock to it.
     #[inline(always)]
     fn take_head(&mut self, from_pending: bool) -> (SimTime, E) {
-        let Entry {
-            time: t,
-            seq,
-            event,
-        } = if from_pending {
+        let Entry { key, event } = if from_pending {
             self.pending.pop().expect("peeked pending event vanished")
         } else {
             self.active
                 .pop_front()
                 .expect("peeked active event vanished")
         };
-        debug_assert!(t >= self.now(), "calendar produced time regression");
-        self.at = Cursor { time: t, seq };
-        self.popped += 1;
+        self.keys.note_pop(key);
         self.len -= 1;
         if self.window_empty() && self.len > 0 {
             self.refill();
         }
-        (t, event)
+        (key.time, event)
     }
 
     /// Advance the window machinery until the active window is non-empty.
@@ -376,7 +196,7 @@ impl<E> CalendarQueue<E> {
                 let spare = Vec::from(std::mem::take(&mut self.active));
                 let mut b = std::mem::replace(&mut self.buckets[self.cur], spare);
                 self.ring_len -= b.len();
-                b.sort_unstable_by_key(|x| (x.time, x.seq));
+                b.sort_unstable_by_key(|x| x.key);
                 self.active = VecDeque::from(b);
                 return;
             }
@@ -394,6 +214,7 @@ impl<E> CalendarQueue<E> {
                     .far
                     .peek()
                     .expect("len > 0 with empty active, ring and far")
+                    .key
                     .time
                     .nanos();
                 debug_assert!(t >= self.base);
@@ -408,67 +229,17 @@ impl<E> CalendarQueue<E> {
     /// their buckets.
     fn pull_far(&mut self) {
         while let Some(e) = self.far.peek() {
-            let t = e.time.nanos();
+            let t = e.key.time.nanos();
             debug_assert!(t >= self.base, "far event behind the window");
             if t - self.base >= self.span() {
                 break;
             }
             let e = self.far.pop().expect("peeked far event vanished");
-            let d = ((e.time.nanos() - self.base) >> self.shift) as usize;
+            let d = ((t - self.base) >> self.shift) as usize;
             self.buckets[(self.cur + d) & self.mask].push(e);
             self.ring_len += 1;
             self.far_pulls += 1;
         }
-    }
-
-    /// The timestamp of the earliest pending event, if any.
-    #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let a = self.active.front().map(|e| e.time);
-        let p = self.pending.peek().map(|e| e.time);
-        match (a, p) {
-            (Some(a), Some(p)) => Some(a.min(p)),
-            (a, p) => a.or(p),
-        }
-    }
-
-    /// Number of pending events.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the queue has no pending events.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Total number of events pushed over the queue's lifetime.
-    #[inline]
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Total number of events popped over the queue's lifetime.
-    #[inline]
-    pub fn total_popped(&self) -> u64 {
-        self.popped
-    }
-
-    /// The deepest the queue has ever been (pending events).
-    #[inline]
-    pub fn depth_high_water(&self) -> usize {
-        self.high_water
-    }
-
-    /// Events the queue can hold without any part of it reallocating
-    /// (active buffer + ring buckets + far heap).
-    pub fn capacity(&self) -> usize {
-        self.active.capacity()
-            + self.pending.capacity()
-            + self.far.capacity()
-            + self.buckets.iter().map(|b| b.capacity()).sum::<usize>()
     }
 
     /// Window advances performed over the queue's lifetime (diagnostic:
@@ -489,59 +260,126 @@ impl<E> CalendarQueue<E> {
 impl<E> SimQueue<E> for CalendarQueue<E> {
     #[inline]
     fn now(&self) -> SimTime {
-        CalendarQueue::now(self)
+        self.keys.at.time
     }
     #[inline]
     fn cursor(&self) -> Cursor {
-        self.at
+        self.keys.at
     }
     #[inline]
     fn claim(&mut self, at: SimTime) -> Cursor {
-        CalendarQueue::claim(self, at)
+        self.keys.claim(at)
     }
-    #[inline]
+
     fn push_claimed(&mut self, key: Cursor, event: E) {
-        CalendarQueue::push_claimed(self, key, event)
+        self.len += 1;
+        self.keys.note_push(key, self.len);
+        let t = key.time.nanos();
+        // All placement arithmetic is subtraction-based so times near
+        // `u64::MAX` cannot overflow a `base + span` sum.
+        if t < self.base || t - self.base < self.width() {
+            // Current-window event (or one earlier than the window after an
+            // empty-queue fast-forward): push onto the pending heap. This
+            // is the hot case — every propagation-delayed arrival lands
+            // here — and a sift-up over the small pending side beats
+            // shifting a sorted buffer.
+            self.pending.push(Entry { key, event });
+        } else if t - self.base < self.span() {
+            let d = ((t - self.base) >> self.shift) as usize;
+            self.buckets[(self.cur + d) & self.mask].push(Entry { key, event });
+            self.ring_len += 1;
+            // The push may have landed while the queue was empty (stale
+            // window position): restore the eager-drain invariant.
+            if self.window_empty() {
+                self.refill();
+            }
+        } else {
+            self.far.push(Entry { key, event });
+            if self.window_empty() {
+                self.refill();
+            }
+        }
     }
-    #[inline]
-    fn push(&mut self, at: SimTime, event: E) {
-        CalendarQueue::push(self, at, event)
-    }
-    #[inline]
-    fn push_after(&mut self, delay: SimTime, event: E) {
-        CalendarQueue::push_after(self, delay, event)
-    }
-    #[inline]
+
+    /// The smaller key of the drain buffer's front and the pending heap's
+    /// top.
     fn pop(&mut self) -> Option<(SimTime, E)> {
-        CalendarQueue::pop(self)
+        let from_pending = match (self.active.front(), self.pending.peek()) {
+            (Some(a), Some(p)) => p.key < a.key,
+            (None, Some(_)) => true,
+            (Some(_), None) => false,
+            (None, None) => return None,
+        };
+        Some(self.take_head(from_pending))
     }
+
     #[inline]
     fn peek_time(&self) -> Option<SimTime> {
-        CalendarQueue::peek_time(self)
+        let a = self.active.front().map(|e| e.key.time);
+        let p = self.pending.peek().map(|e| e.key.time);
+        match (a, p) {
+            (Some(a), Some(p)) => Some(a.min(p)),
+            (a, p) => a.or(p),
+        }
     }
-    #[inline]
+
+    /// Fused `peek_time` + `pop`: one head comparison decides both which
+    /// half of the hybrid window wins *and* whether the event is due, so the
+    /// hot loop pays a single lookup per event.
     fn pop_at_or_before(&mut self, cutoff: SimTime) -> Option<(SimTime, E)> {
-        CalendarQueue::pop_at_or_before(self, cutoff)
+        let from_pending = match (self.active.front(), self.pending.peek()) {
+            (Some(a), Some(p)) => {
+                let pending_first = p.key < a.key;
+                let head = if pending_first {
+                    p.key.time
+                } else {
+                    a.key.time
+                };
+                if head > cutoff {
+                    return None;
+                }
+                pending_first
+            }
+            (None, Some(p)) => {
+                if p.key.time > cutoff {
+                    return None;
+                }
+                true
+            }
+            (Some(a), None) => {
+                if a.key.time > cutoff {
+                    return None;
+                }
+                false
+            }
+            (None, None) => return None,
+        };
+        Some(self.take_head(from_pending))
     }
+
     #[inline]
     fn len(&self) -> usize {
-        CalendarQueue::len(self)
+        self.len
     }
     #[inline]
     fn total_popped(&self) -> u64 {
-        CalendarQueue::total_popped(self)
+        self.keys.popped
     }
     #[inline]
     fn total_pushed(&self) -> u64 {
-        CalendarQueue::total_pushed(self)
+        self.keys.pushed
     }
     #[inline]
     fn depth_high_water(&self) -> usize {
-        CalendarQueue::depth_high_water(self)
+        self.keys.high_water
     }
-    #[inline]
+
+    /// Active buffer + pending heap + ring buckets + far heap.
     fn capacity(&self) -> usize {
-        CalendarQueue::capacity(self)
+        self.active.capacity()
+            + self.pending.capacity()
+            + self.far.capacity()
+            + self.buckets.iter().map(|b| b.capacity()).sum::<usize>()
     }
 }
 

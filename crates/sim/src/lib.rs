@@ -4,12 +4,18 @@
 //! RMAC reproduction. It provides:
 //!
 //! * [`SimTime`] — a nanosecond-resolution virtual clock,
+//! * [`key`] — the claimed-key contract, written once: every event has a
+//!   unique `(time, seq)` key ([`Cursor`]), a key can be claimed without an
+//!   event and filled later, and an [`Edge`] is such a key plus whether an
+//!   event carries it — the only caller of [`SimQueue::claim`] and
+//!   [`SimQueue::push_claimed`] outside the queues,
 //! * [`EventQueue`] — a time-ordered event heap with deterministic FIFO
 //!   tie-breaking for simultaneous events (the differential-testing
 //!   oracle), and [`CalendarQueue`] — a calendar/ladder queue with the
 //!   identical pop order at O(1) amortized cost, tuned to the 15 µs
-//!   tone-window cadence (the engine's queue); both sit behind the
-//!   [`SimQueue`] trait the engine and PHY channel schedule through,
+//!   tone-window cadence (the engine's queue); both embed the one key
+//!   discipline and are driven through the [`SimQueue`] trait, the only
+//!   spelling of the queue API,
 //! * [`timer`] — generation tokens for cheap timer cancellation,
 //! * [`rng`] — seedable, splittable random number generation so that every
 //!   replication is reproducible from a single `u64` seed.
@@ -23,6 +29,7 @@
 
 pub mod calendar;
 pub mod hash;
+pub mod key;
 pub mod queue;
 pub mod rng;
 pub mod time;
@@ -30,7 +37,8 @@ pub mod timer;
 
 pub use calendar::CalendarQueue;
 pub use hash::{DetHashMap, DetHashSet, DetHasher, DetState};
-pub use queue::{Cursor, EventQueue, SimQueue};
+pub use key::{Cursor, Edge, EdgeTally};
+pub use queue::{EventQueue, SimQueue};
 pub use rng::SimRng;
 pub use time::SimTime;
 pub use timer::TimerSlot;

@@ -6,92 +6,25 @@
 //! end at the same nanosecond must always be processed in the same order, or
 //! replications stop being reproducible. We therefore tie-break equal
 //! timestamps by a monotonically increasing sequence number (FIFO insertion
-//! order).
+//! order): the key discipline of [`crate::key`], which this file's heap and
+//! the [`CalendarQueue`](crate::CalendarQueue) both embed. [`SimQueue`] is
+//! the one spelling of the queue API; the queues keep only their
+//! constructors and diagnostics inherent.
 
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use crate::key::{Cursor, Entry, Keys};
 use crate::time::SimTime;
 
-/// A place in a queue's dispatch order: the `(time, seq)` key of an event.
-/// Keys are unique and events pop in ascending key order, so "at or before
-/// this cursor" names a prefix of the run.
-///
-/// A key can be [claimed](SimQueue::claim) without pushing anything. That is
-/// how a state change that mostly needs no dispatch (a busy-tone edge at a
-/// receiver whose MAC could do nothing with it) still happens at one exact
-/// place in the run: readers compare its key with the
-/// [cursor](SimQueue::cursor) of the event they are being dispatched under,
-/// and if an event turns out to be needed after all it is
-/// [pushed under the claimed key](SimQueue::push_claimed) and runs where it
-/// always would have.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Cursor {
-    pub time: SimTime,
-    pub seq: u64,
-}
-
-impl Cursor {
-    /// Past every event at `time` (for readers that are not dispatching).
-    pub fn end_of(time: SimTime) -> Cursor {
-        Cursor {
-            time,
-            seq: u64::MAX,
-        }
-    }
-}
-
-/// A bare instant reads as [`Cursor::end_of`] it: what a caller that is not
-/// dispatching an event has to offer where a cursor is asked for.
-impl From<SimTime> for Cursor {
-    fn from(time: SimTime) -> Cursor {
-        Cursor::end_of(time)
-    }
-}
-
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest
-        // (time, seq) on top.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// A time-ordered queue of simulation events.
+/// A time-ordered queue of simulation events: the binary-heap reference the
+/// calendar queue is differentially tested against.
 ///
 /// Events popped from the queue never travel backwards in time; pushing an
 /// event earlier than the last popped time is a logic error in the caller
-/// and is caught by a debug assertion in [`EventQueue::pop`].
+/// and is caught by a debug assertion in [`SimQueue::claim`].
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
-    /// Key of the most recently popped event.
-    at: Cursor,
-    pushed: u64,
-    popped: u64,
-    high_water: usize,
+    keys: Keys,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -103,24 +36,14 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// An empty queue positioned at time zero.
     pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            at: Cursor {
-                time: SimTime::ZERO,
-                seq: 0,
-            },
-            pushed: 0,
-            popped: 0,
-            high_water: 0,
-        }
+        Self::with_capacity(0)
     }
 
     /// An empty queue with pre-allocated capacity.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(cap),
-            ..Self::new()
+            keys: Keys::new(),
         }
     }
 
@@ -129,115 +52,6 @@ impl<E> EventQueue<E> {
     /// heap never reallocates mid-replication).
     pub fn reserve(&mut self, additional: usize) {
         self.heap.reserve(additional);
-    }
-
-    /// Number of events the queue can hold without reallocating.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.heap.capacity()
-    }
-
-    /// The time of the most recently popped event (the current simulation
-    /// clock).
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        self.at.time
-    }
-
-    /// Schedule `event` at absolute time `at`.
-    ///
-    /// Scheduling in the past (before the current clock) is clamped to the
-    /// current clock in release builds and panics in debug builds — it
-    /// indicates a protocol bug such as a negative timer.
-    pub fn push(&mut self, at: SimTime, event: E) {
-        let key = self.claim(at);
-        self.push_claimed(key, event);
-    }
-
-    /// Take the key the next push at `at` would get, without pushing.
-    pub fn claim(&mut self, at: SimTime) -> Cursor {
-        debug_assert!(
-            at >= self.now(),
-            "event scheduled in the past: at={at} now={now}",
-            at = at,
-            now = self.now()
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        Cursor {
-            time: at.max(self.now()),
-            seq,
-        }
-    }
-
-    /// Schedule `event` under a key taken by [`claim`](Self::claim) that the
-    /// clock has not passed.
-    pub fn push_claimed(&mut self, key: Cursor, event: E) {
-        debug_assert!(key.time >= self.now(), "a claimed key the clock has passed");
-        self.pushed += 1;
-        self.heap.push(Entry {
-            time: key.time,
-            seq: key.seq,
-            event,
-        });
-        if self.heap.len() > self.high_water {
-            self.high_water = self.heap.len();
-        }
-    }
-
-    /// Schedule `event` after a relative delay from the current clock.
-    #[inline]
-    pub fn push_after(&mut self, delay: SimTime, event: E) {
-        self.push(self.now() + delay, event);
-    }
-
-    /// Pop the earliest event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
-        debug_assert!(entry.time >= self.now(), "heap produced time regression");
-        self.at = Cursor {
-            time: entry.time,
-            seq: entry.seq,
-        };
-        self.popped += 1;
-        Some((entry.time, entry.event))
-    }
-
-    /// The timestamp of the earliest pending event, if any.
-    #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Number of pending events.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue has no pending events.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Total number of events pushed over the queue's lifetime.
-    #[inline]
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Total number of events popped over the queue's lifetime.
-    #[inline]
-    pub fn total_popped(&self) -> u64 {
-        self.popped
-    }
-
-    /// The deepest the queue has ever been (pending events), a capacity
-    /// diagnostic for the pre-sizing heuristics.
-    #[inline]
-    pub fn depth_high_water(&self) -> usize {
-        self.high_water
     }
 }
 
@@ -251,14 +65,21 @@ pub trait SimQueue<E> {
     /// The key of the last popped event — the one being dispatched.
     fn cursor(&self) -> Cursor;
     /// Take the key the next push at `at` would get, without pushing (see
-    /// [`Cursor`]).
+    /// [`Cursor`]). Scheduling in the past (before the current clock) is
+    /// clamped to the current clock in release builds and panics in debug
+    /// builds — it indicates a protocol bug such as a negative timer.
     fn claim(&mut self, at: SimTime) -> Cursor;
     /// Schedule `event` under a key taken by [`claim`](SimQueue::claim) that
     /// the clock has not passed.
     fn push_claimed(&mut self, key: Cursor, event: E);
     /// Schedule `event` at absolute time `at` (clamped to `now`).
-    fn push(&mut self, at: SimTime, event: E);
+    #[inline]
+    fn push(&mut self, at: SimTime, event: E) {
+        let key = self.claim(at);
+        self.push_claimed(key, event);
+    }
     /// Schedule `event` after a relative delay from the current clock.
+    #[inline]
     fn push_after(&mut self, delay: SimTime, event: E) {
         self.push(self.now() + delay, event);
     }
@@ -287,7 +108,8 @@ pub trait SimQueue<E> {
     fn total_popped(&self) -> u64;
     /// Total events pushed over the queue's lifetime.
     fn total_pushed(&self) -> u64;
-    /// Peak pending-event depth.
+    /// Peak pending-event depth, a capacity diagnostic for the pre-sizing
+    /// heuristics.
     fn depth_high_water(&self) -> usize;
     /// Events the queue can hold without reallocating.
     fn capacity(&self) -> usize;
@@ -296,55 +118,48 @@ pub trait SimQueue<E> {
 impl<E> SimQueue<E> for EventQueue<E> {
     #[inline]
     fn now(&self) -> SimTime {
-        EventQueue::now(self)
+        self.keys.at.time
     }
     #[inline]
     fn cursor(&self) -> Cursor {
-        self.at
+        self.keys.at
     }
     #[inline]
     fn claim(&mut self, at: SimTime) -> Cursor {
-        EventQueue::claim(self, at)
+        self.keys.claim(at)
     }
-    #[inline]
     fn push_claimed(&mut self, key: Cursor, event: E) {
-        EventQueue::push_claimed(self, key, event)
+        self.heap.push(Entry { key, event });
+        self.keys.note_push(key, self.heap.len());
     }
-    #[inline]
-    fn push(&mut self, at: SimTime, event: E) {
-        EventQueue::push(self, at, event)
-    }
-    #[inline]
-    fn push_after(&mut self, delay: SimTime, event: E) {
-        EventQueue::push_after(self, delay, event)
-    }
-    #[inline]
     fn pop(&mut self) -> Option<(SimTime, E)> {
-        EventQueue::pop(self)
+        let Entry { key, event } = self.heap.pop()?;
+        self.keys.note_pop(key);
+        Some((key.time, event))
     }
     #[inline]
     fn peek_time(&self) -> Option<SimTime> {
-        EventQueue::peek_time(self)
+        self.heap.peek().map(|e| e.key.time)
     }
     #[inline]
     fn len(&self) -> usize {
-        EventQueue::len(self)
+        self.heap.len()
     }
     #[inline]
     fn total_popped(&self) -> u64 {
-        EventQueue::total_popped(self)
+        self.keys.popped
     }
     #[inline]
     fn total_pushed(&self) -> u64 {
-        EventQueue::total_pushed(self)
+        self.keys.pushed
     }
     #[inline]
     fn depth_high_water(&self) -> usize {
-        EventQueue::depth_high_water(self)
+        self.keys.high_water
     }
     #[inline]
     fn capacity(&self) -> usize {
-        EventQueue::capacity(self)
+        self.heap.capacity()
     }
 }
 
@@ -398,6 +213,18 @@ mod tests {
             assert!(claimed < q.cursor());
             assert_eq!(q.pop(), Some((SimTime::from_micros(9), 3)));
             assert_eq!(q.cursor().seq, 3);
+            // Claiming moves neither the depth nor the push count, however
+            // far ahead; the farthest key a claim can return is still short
+            // of `NEVER`, and fills like any other.
+            let books = (q.len(), q.total_pushed(), q.depth_high_water());
+            let last = q.claim(SimTime::MAX);
+            assert_eq!((q.len(), q.total_pushed(), q.depth_high_water()), books);
+            assert_eq!((last.time, last.seq), (SimTime::MAX, 4));
+            assert!(last < Cursor::NEVER && Cursor::NEVER == Cursor::end_of(SimTime::MAX));
+            q.push_claimed(last, 4);
+            assert_eq!(q.peek_time(), Some(SimTime::MAX));
+            assert_eq!(q.pop(), Some((SimTime::MAX, 4)));
+            assert_eq!((q.cursor(), q.is_empty()), (last, true));
         }
         check(EventQueue::new());
         check(crate::CalendarQueue::new());

@@ -1,7 +1,7 @@
 //! Property tests for the simulation kernel.
 
 use proptest::prelude::*;
-use rmac_sim::{EventQueue, SimRng, SimTime, TimerSlot};
+use rmac_sim::{EventQueue, SimQueue, SimRng, SimTime, TimerSlot};
 
 proptest! {
     /// Events always pop in non-decreasing time order, whatever the

@@ -7,11 +7,12 @@
 //!
 //! 1. **Queue level** — for random operation schedules (bursty
 //!    same-timestamp clusters, delays that straddle the calendar's
-//!    window/ring/far boundaries, interleaved pops) the calendar pops the
-//!    *identical* `(time, event)` stream as the heap (event ids are unique,
-//!    so the stream pins the `(time, seq)` order), on the default geometry
-//!    and on deliberately tiny geometries that force constant rotation and
-//!    far-heap traffic.
+//!    window/ring/far boundaries, interleaved pops, keys claimed ahead and
+//!    filled late or never) the calendar pops the *identical* `(time,
+//!    event)` stream as the heap under the identical cursor (event ids are
+//!    unique, so the stream pins the `(time, seq)` order), on the default
+//!    geometry and on deliberately tiny geometries that force constant
+//!    rotation and far-heap traffic.
 //! 2. **Replication level** — for scenarios drawn from the fuzz generator,
 //!    a full replication produces a **bit-identical** `RunReport` as one
 //!    group on the heap reference, as one group on the calendar queue, and
@@ -24,7 +25,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use rmac::engine::Reference;
 use rmac::prelude::*;
-use rmac::sim::{CalendarQueue, EventQueue};
+use rmac::sim::{CalendarQueue, Cursor, EventQueue, SimQueue, SimTime};
 use rmac_experiments::fuzz::{materialize, scenario_strategy};
 
 mod common;
@@ -47,6 +48,12 @@ enum Op {
     Push(u64),
     /// Pop the earliest event (no-op on an empty queue).
     Pop,
+    /// Claim the key a push at `now + delta_ns` would get, pushing nothing.
+    Claim(u64),
+    /// Push under the `i`-th soonest outstanding claimed key (modulo how many
+    /// there are) if the dispatch cursor has not passed it; forget it
+    /// otherwise.
+    Fill(usize),
 }
 
 /// Delays chosen to land in every region of the calendar's default
@@ -58,6 +65,10 @@ fn delta_strategy() -> impl Strategy<Value = u64> {
     prop_oneof![
         // Same-timestamp bursts: the FIFO tie-break must carry the order.
         Just(0u64),
+        // One tone window (λ) ahead: what is pushed and what is claimed in
+        // one instant meets again in a later one, where a late fill has the
+        // smaller `seq` of the two.
+        Just(15_000u64),
         // Inside the active window.
         1u64..4_096,
         // Inside the bucket ring.
@@ -70,15 +81,23 @@ fn delta_strategy() -> impl Strategy<Value = u64> {
 }
 
 /// Push-heavy schedules with enough pops to advance the clock mid-stream
-/// (rotations and far pulls only happen on pop-driven refills).
+/// (rotations and far pulls only happen on pop-driven refills), so a key
+/// claimed far ahead is filled after rotations, after a far pull, into a
+/// drained queue, or in the very instant the clock reaches it.
 fn schedule_strategy() -> impl Strategy<Value = Vec<Op>> {
     // The vendored proptest shim's `prop_oneof!` is unweighted; listing
-    // the push arm twice biases schedules push-heavy so queues build real
-    // depth before drains.
+    // the push arm three times biases schedules push-heavy so queues build
+    // real depth before drains.
     vec(
         prop_oneof![
             delta_strategy().prop_map(Op::Push),
             delta_strategy().prop_map(Op::Push),
+            delta_strategy().prop_map(Op::Push),
+            delta_strategy().prop_map(Op::Claim),
+            // Half of the fills take the key next in line: filled in the
+            // window, often the instant, the clock has reached.
+            prop_oneof![Just(0usize), 0usize..64].prop_map(Op::Fill),
+            Just(Op::Pop),
             Just(Op::Pop),
         ],
         0..400,
@@ -86,44 +105,68 @@ fn schedule_strategy() -> impl Strategy<Value = Vec<Op>> {
 }
 
 /// Apply one schedule to the heap oracle and a calendar twin, asserting
-/// the head time and the popped `(time, event)` pair agree at every
-/// step, then drain both to empty the same way.
+/// the head time, the popped `(time, event)` pair and the cursor agree at
+/// every step; drain both to empty the same way, fill what is still
+/// claimed ahead into the drained queues, and drain again.
 fn assert_pops_identical(ops: &[Op], mut cal: CalendarQueue<u32>) -> Result<(), TestCaseError> {
     let mut heap: EventQueue<u32> = EventQueue::new();
-    let mut now = 0u64;
-    let mut next_id = 0u32;
-    let step = |heap: &mut EventQueue<u32>,
-                cal: &mut CalendarQueue<u32>,
-                now: &mut u64|
-     -> Result<(), TestCaseError> {
+    let mut claimed: Vec<Cursor> = Vec::new();
+    let step = |heap: &mut EventQueue<u32>, cal: &mut CalendarQueue<u32>| {
+        let now = heap.now();
         prop_assert_eq!(
             heap.peek_time(),
             cal.peek_time(),
             "peek_time diverged at t={}",
-            *now
+            now
         );
         let h = heap.pop();
         let c = cal.pop();
-        prop_assert_eq!(h, c, "pop diverged at t={}", *now);
-        if let Some((t, _)) = h {
-            *now = t.nanos();
-        }
+        prop_assert_eq!(h, c, "pop diverged at t={}", now);
+        prop_assert_eq!(heap.cursor(), cal.cursor());
         prop_assert_eq!(heap.len(), cal.len());
         Ok(())
+    };
+    // Event ids are the push count so far: unique, and the same on both.
+    let fill = |heap: &mut EventQueue<u32>, cal: &mut CalendarQueue<u32>, key: Cursor| {
+        if key > heap.cursor() {
+            let id = heap.total_pushed() as u32;
+            heap.push_claimed(key, id);
+            cal.push_claimed(key, id);
+        }
     };
     for op in ops {
         match *op {
             Op::Push(delta) => {
-                let at = rmac::sim::SimTime::from_nanos(now + delta);
-                heap.push(at, next_id);
-                cal.push(at, next_id);
-                next_id += 1;
+                let at = heap.now() + SimTime::from_nanos(delta);
+                let id = heap.total_pushed() as u32;
+                heap.push(at, id);
+                cal.push(at, id);
             }
-            Op::Pop => step(&mut heap, &mut cal, &mut now)?,
+            Op::Pop => step(&mut heap, &mut cal)?,
+            Op::Claim(delta) => {
+                let at = heap.now() + SimTime::from_nanos(delta);
+                let books = (heap.len(), heap.total_pushed(), cal.total_pushed());
+                let key = heap.claim(at);
+                prop_assert_eq!(key, cal.claim(at));
+                prop_assert_eq!((cal.len(), heap.total_pushed(), cal.total_pushed()), books);
+                claimed.push(key);
+            }
+            Op::Fill(i) if !claimed.is_empty() => {
+                claimed.sort_unstable();
+                let key = claimed.remove(i % claimed.len());
+                fill(&mut heap, &mut cal, key);
+            }
+            Op::Fill(_) => {}
         }
     }
     while !heap.is_empty() || !cal.is_empty() {
-        step(&mut heap, &mut cal, &mut now)?;
+        step(&mut heap, &mut cal)?;
+    }
+    for key in claimed {
+        fill(&mut heap, &mut cal, key);
+    }
+    while !heap.is_empty() || !cal.is_empty() {
+        step(&mut heap, &mut cal)?;
     }
     prop_assert_eq!(heap.total_pushed(), cal.total_pushed());
     prop_assert_eq!(heap.total_popped(), cal.total_popped());
