@@ -10,6 +10,8 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# A debug build on purpose: rmac-live's hostile-clock proptest (crates/live/src/node.rs) holds an
+# invariant whose checks are debug_asserts — the event queue's "scheduled in the past" among them.
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
@@ -18,9 +20,9 @@ echo "    no per-slot backoff re-arm, no sharded trace merge, no per-edge tone c
 echo "    edge-fed tone mirror in the checker, no second engine beside the shard groups, no mirror"
 echo "    types around the balance table or the fuzzer, no second way to hand the channel the dispatch"
 echo "    key, no received power riding on a frame-onset event, no per-reader hook beside the"
-echo "    observation stream and no told flag or record tally outside the one edge type:"
-echo "    DESIGN.md §13, §11, §10, §12, §8, §7)"
-if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S|SweepSpec|SweepResults|run_sweep|try_replications|RMAC_QUICK|RMAC_RATES|RMAC_NODES|ShardedQueue|SeqQueue|push_with_seq|home_slot|EngineTransport|EngineMedium|schedule\(SLOT, TimerKind::BackoffSlot|merge_traces|DispatchLog|DispatchRec|seed_slots|TraceCapture|popped_seq|ManualClock|BenchDocs|tone_count|pooled_tone_buf|sensed_since|rbt_runs|execute_sharded|into_runner|sched_rng|ShardGroupRow|balance_rows|FuzzProtocol|FuzzChurn|handle_at|set_cursor|FrameArriveStart \{ rx, tx, power|on_tx_start|on_node_down|observe_indication|trace_indication|fn describe\(r: &TraceRecord|on_told|off_told|sync_tone_interest|DEFAULT_QUANTUM' \
+echo "    observation stream, no told flag or record tally outside the one edge type and no timing"
+echo "    wheel beside the event queue: DESIGN.md §13, §11, §10, §12, §8, §7, §9)"
+if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S|SweepSpec|SweepResults|run_sweep|try_replications|RMAC_QUICK|RMAC_RATES|RMAC_NODES|ShardedQueue|SeqQueue|push_with_seq|home_slot|EngineTransport|EngineMedium|schedule\(SLOT, TimerKind::BackoffSlot|merge_traces|DispatchLog|DispatchRec|seed_slots|TraceCapture|popped_seq|ManualClock|BenchDocs|tone_count|pooled_tone_buf|sensed_since|rbt_runs|execute_sharded|into_runner|sched_rng|ShardGroupRow|balance_rows|FuzzProtocol|FuzzChurn|handle_at|set_cursor|FrameArriveStart \{ rx, tx, power|on_tx_start|on_node_down|observe_indication|trace_indication|fn describe\(r: &TraceRecord|on_told|off_told|sync_tone_interest|DEFAULT_QUANTUM|level_for|higher_candidate|level0_candidate|SLOT_BITS' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!ci.sh'; then
     echo "a retired knob name reappeared (see above)" >&2
     exit 1
@@ -78,6 +80,23 @@ for f in crates/sim/src/queue.rs crates/sim/src/calendar.rs; do
         exit 1
     fi
 done
+
+echo "==> one timer queue (DESIGN.md §9): a live node keeps time on rmac_sim::EventQueue — nothing names"
+echo "    the pinned TimerWheel shim, the shim stays a shim, and rmac-live orders no timers of its own"
+echo "    (the hub's BinaryHeap holds datagrams in flight)"
+if git grep -n 'TimerWheel' -- 'crates/*/src/*' ':!crates/live/src/wheel.rs' ':!crates/live/src/lib.rs'; then
+    echo "the pinned TimerWheel shim has a caller (see above)" >&2
+    exit 1
+fi
+if [ "$(wc -l <crates/live/src/wheel.rs)" -gt 30 ]; then
+    echo "crates/live/src/wheel.rs is more than a shim: $(wc -l <crates/live/src/wheel.rs) lines (want <= 30)" >&2
+    exit 1
+fi
+heaps=$(git grep -l 'BinaryHeap' -- crates/live/src)
+if [ "$heaps" != crates/live/src/hub.rs ]; then
+    echo "rmac-live builds a heap in: $heaps (want: crates/live/src/hub.rs)" >&2
+    exit 1
+fi
 
 echo "==> one engine (DESIGN.md §10): the run surface does not choose a path by shard count"
 if git grep -n 'shards > 1' -- crates/engine/src/run.rs; then

@@ -133,16 +133,13 @@ mod tests {
 
     #[test]
     fn frame_kind_tables_agree_across_crates() {
-        // metrics and phy carry their own copies so they stay
-        // wire/obs-agnostic; the engine is where they all meet.
-        assert_eq!(rmac_metrics::FRAME_KINDS, rmac_obs::FRAME_KINDS);
-        assert_eq!(rmac_metrics::FRAME_KINDS, rmac_phy::FRAME_KINDS);
-        assert_eq!(rmac_metrics::FRAME_KIND_LABELS, rmac_obs::FRAME_KIND_LABELS);
-        assert_eq!(rmac_wire::FrameKind::ALL.len(), rmac_obs::FRAME_KINDS);
-        for kind in rmac_wire::FrameKind::ALL {
-            let idx = rmac_obs::frame_kind_index(kind);
-            assert_eq!(rmac_obs::FRAME_KIND_LABELS[idx], format!("{kind:?}"));
-        }
+        // metrics carries its own copy so it stays wire-agnostic; phy and
+        // obs use wire's. The engine is where the two meet.
+        assert_eq!(rmac_metrics::FRAME_KINDS, rmac_wire::FrameKind::COUNT);
+        assert_eq!(
+            rmac_metrics::FRAME_KIND_LABELS,
+            rmac_wire::FrameKind::LABELS
+        );
     }
 
     #[test]

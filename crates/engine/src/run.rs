@@ -60,7 +60,9 @@ pub(crate) struct Spec {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Reference {
     /// The binary-heap event queue ([`rmac_sim::EventQueue`]) in place of
-    /// the calendar queue, under every shard group.
+    /// the calendar queue, under every shard group. A reference only in
+    /// this role: the beacon timetable and every `rmac-live` node's timers
+    /// run on it in production.
     HeapQueue,
     /// The brute-force O(N) PHY neighbour scan
     /// ([`rmac_phy::IndexMode::BruteForce`]) in place of the spatial grid.

@@ -3,11 +3,10 @@
 //!
 //! One pump iteration is the loop from the [`crate::transport`] docs:
 //! sleep until the node's next timer (or a bounded idle slice), drain
-//! arrivals — advancing the node to each arrival's timestamp first, so
-//! timers due before it fire in order — then advance to transport time and
-//! flush whatever the MAC produced. The same driver runs over the loopback
-//! hub in virtual time and over UDP sockets in (scaled) wall time; only
-//! the transport differs.
+//! arrivals — the node fires the timers due before each arrival's
+//! timestamp first — then advance to transport time and flush whatever the
+//! MAC produced. The same driver runs over the loopback hub in virtual time
+//! and over UDP sockets in (scaled) wall time; only the transport differs.
 
 use rmac_core::TxRequest;
 use rmac_sim::SimTime;
@@ -75,8 +74,6 @@ impl<T: Transport> Driver<T> {
             .unwrap_or(self.transport.now() + IDLE_SLICE);
         self.transport.wait_until(deadline)?;
         while let Some(inc) = self.transport.poll()? {
-            // Timers due before the arrival fire first, in order.
-            self.node.advance(inc.at);
             self.node.on_datagram(&inc);
             self.flush()?;
         }

@@ -259,8 +259,9 @@ impl LoopbackHub {
 /// the requested deadline, or to the next arrival *anywhere* if that is
 /// sooner (so no endpoint's traffic is skipped over). Endpoints must
 /// therefore be driven by a coordinator that always services the endpoint
-/// with the earliest pending work first; `LoopbackRunner` in this crate is
-/// that coordinator for whole-node meshes.
+/// with the earliest pending work first, as the [`Driver`](crate::Driver)
+/// tests do by hand. (`LoopbackRunner` is not one: it drives `LiveNode`s
+/// against the hub directly and never builds a `SimEndpoint`.)
 pub struct SimEndpoint {
     hub: Rc<RefCell<LoopbackHub>>,
     clock: Rc<Cell<SimTime>>,

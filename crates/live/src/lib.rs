@@ -17,13 +17,16 @@
 //!   shim (virtual time, seeded Gilbert–Elliott loss via `rmac-faults`)
 //!   and the [`udp`] backend (`std::net` multicast + unicast control
 //!   sockets, std + threads only).
-//! * [`wheel`] — a hierarchical timing wheel firing the core's timeout
-//!   events off whatever monotonic clock the transport provides; O(1)
-//!   next-deadline via per-level occupancy bitmaps.
 //! * [`node`] — [`LiveNode`]: the sans-I/O adapter that feeds datagram
-//!   arrivals and wheel firings to the MAC as PHY indications, and turns
+//!   arrivals and its due timers to the MAC as PHY indications, and turns
 //!   the MAC's context calls (`start_tx`, `start_tone`, …) back into
-//!   outbound datagrams. One `LiveNode` per endpoint; drivers pump it.
+//!   outbound datagrams. One `LiveNode` per endpoint; drivers pump it off
+//!   whatever clock the transport provides. Its timers are an
+//!   [`rmac_sim::EventQueue`]: the simulator's `(time, seq)` FIFO order
+//!   and 1 ns deadlines, so both halves of the workspace keep time on one
+//!   kernel.
+//! * [`wheel`] — the pinned shim that keeps the retired timing wheel's
+//!   three names alive for the frozen benchmark, over the same queue.
 //! * [`hub`] — [`LoopbackHub`]: N in-process endpoints, one virtual
 //!   clock, per-link Gilbert–Elliott erasures on the data channel. The
 //!   control channel is lossless by design, mirroring RMC's reliable

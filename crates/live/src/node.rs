@@ -37,7 +37,7 @@ use rmac_core::{
     MacConfig, MacContext, MacCounters, MacService, Rmac, State, TimerKind, TxOutcome, TxRequest,
 };
 use rmac_phy::{Indication, Tone, ToneLog};
-use rmac_sim::{SimRng, SimTime};
+use rmac_sim::{EventQueue, SimQueue, SimRng, SimTime};
 use rmac_wire::consts::{BYTE_TIME, PHY_OVERHEAD};
 use rmac_wire::datagram::{DGRAM_TONE_ABT, DGRAM_TONE_RBT};
 use rmac_wire::{
@@ -45,7 +45,6 @@ use rmac_wire::{
 };
 
 use crate::transport::{DgramChannel, Incoming};
-use crate::wheel::TimerWheel;
 
 /// Configuration for one live endpoint.
 #[derive(Clone, Debug)]
@@ -106,7 +105,7 @@ pub enum OutDgram {
 const LONGEST_AIRTIME: SimTime =
     SimTime::from_nanos(PHY_OVERHEAD.nanos() + 65_536 * BYTE_TIME.nanos());
 
-/// What the timer wheel fires.
+/// What a node's timer queue holds.
 enum Fire {
     /// A MAC timer (generation-tracked; the MAC ignores stale ones).
     Mac(TimerKind, u64),
@@ -136,13 +135,23 @@ struct Watch {
 
 /// The [`MacContext`] the live node hands its MAC. Kept as a separate
 /// struct so `mac.on_indication(&mut ctx, …)` borrows cleanly.
+///
+/// Invariant: `timers.now() <= now <=` every pending timer. `now` is the
+/// latest stamp the node was advanced to — [`LiveNode::advance`] has fired
+/// everything up to it, an arrival advances to its own stamp first, and
+/// nothing lowers it — and every push is at `now` plus a delay. So a timer
+/// is dispatched with `now` at its own instant, never late, and the queue's
+/// "scheduled in the past" debug assertion cannot fire, whatever order a
+/// driver hands over stamps in (the hostile-clock proptest below holds
+/// both).
 struct LiveCtx {
     id: NodeId,
     now: SimTime,
     rng: SimRng,
     counters: MacCounters,
     neighbors: Vec<NodeId>,
-    wheel: TimerWheel<Fire>,
+    /// Pending timers, on the simulator's `(time, seq)` FIFO key.
+    timers: EventQueue<Fire>,
     /// Indications synthesized during a MAC callback (e.g. the aborted
     /// TxDone that `abort_tx` implies). The MAC must never be re-entered
     /// from its own context calls, so these queue up and the node drains
@@ -244,7 +253,7 @@ impl MacContext for LiveCtx {
     }
 
     fn schedule(&mut self, delay: SimTime, kind: TimerKind, gen: u64) {
-        self.wheel.schedule(self.now + delay, Fire::Mac(kind, gen));
+        self.timers.push(self.now + delay, Fire::Mac(kind, gen));
     }
 
     fn start_tx(&mut self, frame: Frame) {
@@ -261,8 +270,8 @@ impl MacContext for LiveCtx {
         let ctr = self.dgram_counter;
         self.push_dgram(DgramBody::Frame(bytes), None);
         let epoch = self.tx_epoch;
-        self.wheel
-            .schedule(self.now + frame.airtime(), Fire::TxDone { epoch });
+        self.timers
+            .push(self.now + frame.airtime(), Fire::TxDone { epoch });
         self.cur_tx = Some(frame);
         self.cur_tx_ctr = Some(ctr);
     }
@@ -377,8 +386,6 @@ pub struct LiveNode {
     /// never sent) — so a peer that sends nothing but markers holds its
     /// send rate × that horizon of this node's memory, not the run's length.
     aborted_rx: VecDeque<(SimTime, NodeId, u32)>,
-    /// Scratch buffer for wheel firings.
-    fired: Vec<(SimTime, Fire)>,
 }
 
 impl LiveNode {
@@ -392,7 +399,7 @@ impl LiveNode {
                 rng: SimRng::new(cfg.seed),
                 counters: MacCounters::default(),
                 neighbors: cfg.neighbors,
-                wheel: TimerWheel::default(),
+                timers: EventQueue::new(),
                 pending: VecDeque::new(),
                 outbox: Vec::new(),
                 dgram_counter: 0,
@@ -411,7 +418,6 @@ impl LiveNode {
                 stats: LiveStats::default(),
             },
             aborted_rx: VecDeque::new(),
-            fired: Vec::new(),
         }
     }
 
@@ -442,7 +448,7 @@ impl LiveNode {
 
     /// Earliest pending timer, if any — the driver's next wakeup.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.ctx.wheel.next_deadline()
+        self.ctx.timers.peek_time()
     }
 
     /// Accept an upper-layer transmit request.
@@ -455,26 +461,17 @@ impl LiveNode {
     /// timestamp order (each fires at its own exact time, so a firing
     /// that schedules another timer still interleaves correctly).
     pub fn advance(&mut self, now: SimTime) {
-        while let Some(d) = self.ctx.wheel.next_deadline() {
-            if d > now {
-                break;
-            }
-            let mut fired = std::mem::take(&mut self.fired);
-            fired.clear();
-            self.ctx.wheel.advance(d, &mut fired);
-            for (at, fire) in fired.drain(..) {
-                self.dispatch(at, fire);
-            }
-            self.fired = fired;
+        while let Some((at, fire)) = self.ctx.timers.pop_at_or_before(now) {
+            self.dispatch(at, fire);
         }
         self.ctx.now = self.ctx.now.max(now);
     }
 
-    /// Feed one received datagram (the driver timestamps it in MAC time;
-    /// it must have called [`advance`](LiveNode::advance) up to `inc.at`
-    /// first so timers and arrivals interleave in time order).
+    /// Feed one received datagram (the driver timestamps it in MAC time).
+    /// Timers due by `inc.at` fire first, so timers and arrivals interleave
+    /// in time order.
     pub fn on_datagram(&mut self, inc: &Incoming) {
-        self.ctx.now = self.ctx.now.max(inc.at);
+        self.advance(inc.at);
         let d = match decode_datagram(&inc.bytes) {
             Ok(d) => d,
             Err(_) => {
@@ -583,7 +580,7 @@ impl LiveNode {
                 .push_back(Indication::CarrierOn { node: self.ctx.id });
         }
         let end = self.ctx.now + frame.airtime();
-        self.ctx.wheel.schedule(
+        self.ctx.timers.push(
             end,
             Fire::RxEnd {
                 frame,
@@ -595,7 +592,8 @@ impl LiveNode {
     }
 
     fn dispatch(&mut self, at: SimTime, fire: Fire) {
-        self.ctx.now = self.ctx.now.max(at);
+        debug_assert!(at >= self.ctx.now, "a timer pending behind the clock");
+        self.ctx.now = at;
         match fire {
             Fire::Mac(kind, gen) => {
                 self.mac.on_timer(&mut self.ctx, kind, gen);
@@ -693,7 +691,7 @@ impl LiveNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rmac_wire::consts::PAPER_PAYLOAD;
+    use rmac_wire::consts::{L_ABT, PAPER_PAYLOAD, T_WF_RDATA};
 
     fn n(i: u16) -> NodeId {
         NodeId(i)
@@ -924,20 +922,39 @@ mod tests {
         }
     }
 
+    fn dgram(
+        at: SimTime,
+        channel: DgramChannel,
+        src: NodeId,
+        counter: u32,
+        body: DgramBody,
+    ) -> Incoming {
+        incoming(
+            at,
+            channel,
+            encode_datagram(&Datagram { src, counter, body }),
+        )
+    }
+
     fn abort(at: SimTime, src: NodeId, counter: u32) -> Incoming {
-        let body = DgramBody::Abort { counter };
-        let marker = Datagram { src, counter, body };
-        incoming(at, DgramChannel::Ctrl, encode_datagram(&marker))
+        dgram(
+            at,
+            DgramChannel::Ctrl,
+            src,
+            counter,
+            DgramBody::Abort { counter },
+        )
     }
 
     /// An unreliable broadcast of 500 bytes from `src` under datagram
     /// `counter`: 2.208 ms on the air, delivered on a clean `FrameRx`.
     fn data(at: SimTime, src: NodeId, counter: u32) -> Incoming {
         let payload = Bytes::from(vec![counter as u8; PAPER_PAYLOAD]);
-        let frame = Frame::data_unreliable(src, Dest::Broadcast, payload, counter);
-        let body = DgramBody::Frame(codec::encode(&frame));
-        let dgram = Datagram { src, counter, body };
-        incoming(at, DgramChannel::Data, encode_datagram(&dgram))
+        framed(
+            at,
+            &Frame::data_unreliable(src, Dest::Broadcast, payload, counter),
+            counter,
+        )
     }
 
     /// Advance to `t` and return the payload tags of what was delivered.
@@ -984,6 +1001,157 @@ mod tests {
         assert!(node.aborted_rx.is_empty());
         node.on_datagram(&data(ms(6), n(2), 3));
         assert_eq!(delivered_by(&mut node, ms(9)), [3]);
+    }
+
+    /// A frame under datagram `counter`, as it arrives on the data channel.
+    fn framed(at: SimTime, frame: &Frame, counter: u32) -> Incoming {
+        let body = DgramBody::Frame(codec::encode(frame));
+        dgram(at, DgramChannel::Data, frame.src, counter, body)
+    }
+
+    /// The tone edges in `node`'s outbox, in the order they were emitted.
+    fn tone_edges(node: &mut LiveNode) -> Vec<(SimTime, u8, bool)> {
+        let edge = |(at, out)| match out {
+            OutDgram::Ctrl(_, bytes) => match decode_datagram(&bytes).expect("own datagram").body {
+                DgramBody::Tone { tone, on } => Some((at, tone, on)),
+                _ => None,
+            },
+            OutDgram::Data(_) => None,
+        };
+        node.take_outbox().into_iter().filter_map(edge).collect()
+    }
+
+    /// The receiver in ABT slot 0 arms `AbtStart` zero delay ahead, from
+    /// inside the dispatch of the data frame's last bit: it fires in the
+    /// same `advance`, at that instant, behind what was already due then (a
+    /// second MRTS's last bit, pushed by hand — on the air the two frames
+    /// would have collided) and ahead of everything later.
+    #[test]
+    fn a_timer_armed_for_now_fires_after_what_was_due_and_before_anything_later() {
+        let us = SimTime::from_micros;
+        let mrts = Frame::mrts(n(2), vec![n(1)]);
+        let payload = Bytes::from(vec![3u8; PAPER_PAYLOAD]);
+        let data = Frame::data_reliable(n(2), Dest::Group(vec![n(1)]), payload, 0);
+        let cfg = LiveConfig {
+            neighbors: vec![n(2)],
+            ..LiveConfig::default()
+        };
+        let mut node = LiveNode::new(n(1), cfg);
+        node.on_datagram(&framed(us(0), &mrts, 0));
+        let heard = mrts.airtime();
+        node.advance(heard + us(18));
+        assert_eq!(tone_edges(&mut node), [(heard, DGRAM_TONE_RBT, true)]);
+        node.on_datagram(&framed(heard + us(18), &data, 1));
+        let end = heard + us(18) + data.airtime();
+        node.advance(heard + T_WF_RDATA);
+        assert_eq!(
+            node.next_deadline(),
+            Some(end),
+            "the first bit cancelled T_wf_rdata"
+        );
+
+        node.ctx.rx_carrier += 1;
+        let second = Fire::RxEnd {
+            frame: Frame::mrts(n(2), vec![n(1)]),
+            ok: true,
+            key: None,
+            serial: u64::MAX,
+        };
+        node.ctx.timers.push(end, second);
+
+        node.advance(end);
+        let (rbt, abt) = (DGRAM_TONE_RBT, DGRAM_TONE_ABT);
+        assert_eq!(
+            tone_edges(&mut node),
+            [(end, rbt, false), (end, rbt, true), (end, abt, true)],
+            "the data's end, the MRTS already due, then the AbtStart armed meanwhile"
+        );
+        assert_eq!(node.next_deadline(), Some(end + L_ABT), "AbtStop is next");
+        node.advance(end + T_WF_RDATA);
+        let later = [(end + L_ABT, abt, false), (end + T_WF_RDATA, rbt, false)];
+        assert_eq!(tone_edges(&mut node), later);
+    }
+
+    /// Deadlines keep 1 ns resolution: a tone window opens when a datagram
+    /// happens to arrive, not on a tick, and a timer fires at its exact
+    /// `SimTime` — not a nanosecond early, and stamped with it however far
+    /// past it the driver's clock has run.
+    #[test]
+    fn a_deadline_fires_at_its_exact_nanosecond() {
+        let first_bit = SimTime::from_nanos(1_234_567);
+        let frame = Frame::data_unreliable(n(2), Dest::Broadcast, Bytes::from_static(b"x"), 0);
+        let end = first_bit + frame.airtime();
+        let mut node = LiveNode::new(n(1), LiveConfig::default());
+        node.on_datagram(&framed(first_bit, &frame, 0));
+        assert_eq!(node.next_deadline(), Some(end));
+        node.advance(end - SimTime::NANO);
+        assert!(node.take_delivered().is_empty());
+        assert_eq!(node.next_deadline(), Some(end));
+        node.advance(end + SimTime::from_millis(3));
+        let delivered = node.take_delivered();
+        assert_eq!(delivered.len(), 1);
+        assert_eq!(delivered[0].0, end);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Hostile clocks: UDP's two reader threads can hand over an
+        /// earlier-stamped packet after a later one, so `Driver::pump`
+        /// feeds the node a stamp behind its clock. Whatever the order of
+        /// stamps, the node's clock never runs backwards, no timer is
+        /// pending behind it or pushed behind the queue's clock (`LiveCtx`'s
+        /// invariant; the queue's own check and `dispatch`'s are
+        /// `debug_assert`s, so this has to run in a debug build), and an
+        /// `advance` leaves nothing due behind.
+        #[test]
+        fn any_order_of_stamps_keeps_the_clock_and_the_queue_sane(
+            ops in proptest::collection::vec((0u8..14, 0u8..4, 0u64..3_000_000, 0u32..3), 1..120),
+        ) {
+            let mrts = Frame::mrts(n(2), vec![n(1)]);
+            let reliable =
+                Frame::data_reliable(n(2), Dest::Group(vec![n(1)]), Bytes::from_static(b"r"), 0);
+            let tone = |at, tone, on| {
+                dgram(at, DgramChannel::Ctrl, n(2), 0, DgramBody::Tone { tone, on })
+            };
+            let cfg = LiveConfig {
+                neighbors: vec![n(2), n(3)],
+                ..LiveConfig::default()
+            };
+            let mut node = LiveNode::new(n(1), cfg);
+            for (i, (kind, clock, ns, counter)) in ops.into_iter().enumerate() {
+                let before = node.now();
+                let at = match clock {
+                    0 => SimTime::from_nanos(ns),
+                    1 => before + SimTime::from_nanos(ns % 50_000),
+                    2 => SimTime::from_nanos(before.nanos().saturating_sub(ns)),
+                    _ => node.next_deadline().unwrap_or(before),
+                };
+                match kind {
+                    0 | 1 => {
+                        node.advance(at);
+                        proptest::prop_assert!(node.next_deadline().is_none_or(|d| d > at));
+                    }
+                    2 | 3 => node.submit(TxRequest {
+                        reliable: kind == 2,
+                        dest: Dest::Group(vec![n(2)]),
+                        payload: Bytes::from_static(b"p"),
+                        token: i as u64,
+                    }),
+                    4 => node.on_datagram(&framed(at, &mrts, counter)),
+                    5 => node.on_datagram(&framed(at, &reliable, counter)),
+                    6 => node.on_datagram(&data(at, n(3), counter)),
+                    7..=10 => node.on_datagram(&tone(at, (kind - 7) / 2, kind % 2 == 1)),
+                    11 => node.on_datagram(&abort(at, n(2), counter)),
+                    12 => node.on_datagram(&incoming(at, DgramChannel::Data, vec![0xAB; 40])),
+                    _ => node.on_datagram(&incoming(at, DgramChannel::Ctrl, vec![0xCD; 3])),
+                }
+                let now = node.now();
+                proptest::prop_assert!(now >= before, "op {i}: the clock ran backwards");
+                proptest::prop_assert!(node.ctx.timers.now() <= now, "op {i}: fired ahead of now");
+                proptest::prop_assert!(node.next_deadline().is_none_or(|d| d >= now), "op {i}");
+            }
+        }
     }
 
     /// A node's own multicast echo is discarded, not treated as traffic.

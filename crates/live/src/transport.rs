@@ -4,7 +4,7 @@
 //!
 //! * the **data channel** carries wire-encoded MAC frames to *everyone*
 //!   (UDP multicast on the live backend, the hub's broadcast fan-out on
-//!   the loopback shim, the radio medium on the engine adapter);
+//!   the loopback shim);
 //! * the **control channel** carries short unicast datagrams to one named
 //!   peer — the busy-tone stand-ins and the session handshake.
 //!

@@ -27,9 +27,15 @@
 //! traffic wherever they physically arrived), which keeps the two modes
 //! semantically identical.
 //!
-//! MAC time runs `scale`× slower than wall time (default 200×): localhost
-//! jitter of ~100 µs wall is 0.5 µs MAC, inside the paper's ±2 µs tone
-//! margins. See `rmac_core::clock`.
+//! MAC time runs `scale`× slower than wall time (default 200×), so that
+//! host latency shrinks below the paper's 2 µs tone margin in MAC units.
+//! What has to fit in the margin is a round trip, not one hop: a tone
+//! answers a frame, so its rise is late by the frame's hop, the answering
+//! node's timer wake and the tone's own hop (socket, reader thread, channel
+//! and driver thread each time). Measured on a 2-core host in a debug
+//! build that is 0.3–0.8 ms of wall, which 200× turns into 1.4–3.8 µs —
+//! about half of all attempts miss and are retried; `tests/udp_end_to_end.rs`
+//! runs at 1000×. See `rmac_core::clock`.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;

@@ -87,3 +87,36 @@ proptest! {
         );
     }
 }
+
+/// The default soak and its lossless twin, pinned: both literals were
+/// recorded at `eaa1fe9`, where a node's timers were the hierarchical
+/// timing wheel, and hold unchanged on `rmac_sim::EventQueue`. A timer
+/// structure that orders one same-instant pair differently moves `steps`.
+#[test]
+fn the_soak_report_is_pinned() {
+    let lossless = SoakConfig {
+        hub: HubConfig {
+            loss: None,
+            ..HubConfig::default()
+        },
+        ..SoakConfig::default()
+    };
+    assert_eq!(
+        format!("{:?}", run_loopback_soak(&SoakConfig::default())),
+        "SoakReport { publishers: 2, subscribers: 3, packets_offered: 200, \
+         expected_deliveries: 600, deliveries: 600, duplicates: 163, mac_retransmissions: 131, \
+         mac_drops: 0, app_resends: 0, hub: HubStats { data_sent: 607, data_delivered: 2086, \
+         data_corrupted: 342, ctrl_sent: 9880 }, virtual_time: 422041us, steps: 6263, \
+         latency_p50_ns: 2097151, latency_p99_ns: 16777215, latency_max_ns: 92964500, \
+         latency_mean_ns: 1992812, goodput_mbps: 1.1373302593823822 }"
+    );
+    assert_eq!(
+        format!("{:?}", run_loopback_soak(&lossless)),
+        "SoakReport { publishers: 2, subscribers: 3, packets_offered: 200, \
+         expected_deliveries: 600, deliveries: 600, duplicates: 0, mac_retransmissions: 2, \
+         mac_drops: 0, app_resends: 0, hub: HubStats { data_sent: 402, data_delivered: 1608, \
+         data_corrupted: 0, ctrl_sent: 9600 }, virtual_time: 207063us, steps: 4459, \
+         latency_p50_ns: 2097151, latency_p99_ns: 4194303, latency_max_ns: 4829500, \
+         latency_mean_ns: 1979220, goodput_mbps: 2.3181350603439532 }"
+    );
+}

@@ -1,8 +1,8 @@
 //! Per-replication result records.
 
 /// Number of distinct MAC frame kinds (wire discriminants 1..=9). Kept in
-/// sync with `rmac_wire::FrameKind` by the engine's unit tests; metrics
-/// stays wire-agnostic.
+/// sync with `rmac_wire::FrameKind::{COUNT, LABELS}` by the engine's unit
+/// tests; metrics stays wire-agnostic.
 pub const FRAME_KINDS: usize = 9;
 
 /// Frame-kind labels indexed like the per-kind arrays in [`RunReport`]

@@ -8,27 +8,16 @@
 
 use rmac_wire::FrameKind;
 
-/// Number of distinct [`FrameKind`]s (discriminants 1..=9).
-pub const FRAME_KINDS: usize = 9;
+/// [`FrameKind::COUNT`].
+pub const FRAME_KINDS: usize = FrameKind::COUNT;
 
-/// Labels matching `FrameKind`'s `Debug` names (the trace schema's `kind`
-/// strings), indexed by [`frame_kind_index`].
-pub const FRAME_KIND_LABELS: [&str; FRAME_KINDS] = [
-    "Mrts",
-    "Rts",
-    "Cts",
-    "Rak",
-    "Ack",
-    "Ncts",
-    "Nak",
-    "DataReliable",
-    "DataUnreliable",
-];
+/// [`FrameKind::LABELS`].
+pub const FRAME_KIND_LABELS: [&str; FRAME_KINDS] = FrameKind::LABELS;
 
-/// Dense 0-based index for a [`FrameKind`].
+/// [`FrameKind::index`].
 #[inline]
 pub fn frame_kind_index(kind: FrameKind) -> usize {
-    kind as usize - 1
+    kind.index()
 }
 
 /// Number of tone channels observed (RBT, ABT).
@@ -147,17 +136,6 @@ impl NodeObs {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn frame_kind_indices_are_dense_and_labelled() {
-        assert_eq!(frame_kind_index(FrameKind::Mrts), 0);
-        assert_eq!(frame_kind_index(FrameKind::DataUnreliable), 8);
-        assert_eq!(FRAME_KIND_LABELS[frame_kind_index(FrameKind::Mrts)], "Mrts");
-        assert_eq!(
-            FRAME_KIND_LABELS[frame_kind_index(FrameKind::DataReliable)],
-            "DataReliable"
-        );
-    }
 
     #[test]
     fn totals_sum_over_kinds() {

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use rmac_mobility::{Motion, Pos};
 use rmac_sim::{Cursor, Edge, EdgeTally, SimQueue, SimRng, SimTime};
 use rmac_wire::consts::SPEED_OF_LIGHT;
-use rmac_wire::{Frame, NodeId};
+use rmac_wire::{Frame, FrameKind, NodeId};
 
 use crate::event::{Indication, PhyEvent};
 use crate::grid::{GridStats, IndexMode, SpatialGrid};
@@ -197,10 +197,9 @@ pub struct Channel {
     onsets: EdgeTally,
 }
 
-/// Number of [`rmac_wire::FrameKind`] variants; one tally slot per kind,
-/// indexed by `kind as usize - 1`. Must agree with the copies in
-/// `rmac-metrics` and `rmac-obs` (the engine unit-tests the agreement).
-pub const FRAME_KINDS: usize = 9;
+/// [`FrameKind::COUNT`]: one tally slot per kind, indexed by
+/// [`FrameKind::index`].
+pub const FRAME_KINDS: usize = FrameKind::COUNT;
 
 /// Cumulative per-frame-kind tallies, counted where the channel creates
 /// the corresponding indications — the frame kind is statically known
@@ -851,7 +850,7 @@ impl Channel {
             }
         }
 
-        let kind_slot = frame.kind as usize - 1;
+        let kind_slot = frame.kind.index();
         if corrupted {
             self.frames.rx_corrupt[kind_slot] += 1;
         } else {
@@ -895,7 +894,7 @@ impl Channel {
         self.settle(node, at);
         debug_assert_eq!(self.radios[node.idx()].transmitting, Some(tx));
         self.radios[node.idx()].transmitting = None;
-        self.frames.tx_frames[frame.kind as usize - 1] += 1;
+        self.frames.tx_frames[frame.kind.index()] += 1;
         if aborted {
             self.frames.tx_aborted += 1;
         }

@@ -956,7 +956,7 @@ mod onsets {
             } else {
                 &mut self.tallies.rx_ok
             };
-            tally[flight.frame.kind as usize - 1] += 1;
+            tally[flight.frame.kind.index()] += 1;
             out.push(Indication::FrameRx {
                 node: rx,
                 frame: Arc::clone(&flight.frame),
@@ -984,7 +984,7 @@ mod onsets {
                 self.txs.remove(&tx);
             }
             assert_eq!(self.transmitting[node.idx()].take(), Some(tx));
-            self.tallies.tx_frames[frame.kind as usize - 1] += 1;
+            self.tallies.tx_frames[frame.kind.index()] += 1;
             self.tallies.tx_aborted += aborted as u64;
             out.push(Indication::TxDone {
                 node,

@@ -11,7 +11,8 @@
 //!   [`SimQueue::push_claimed`] outside the queues,
 //! * [`EventQueue`] — a time-ordered event heap with deterministic FIFO
 //!   tie-breaking for simultaneous events (the differential-testing
-//!   oracle), and [`CalendarQueue`] — a calendar/ladder queue with the
+//!   oracle, and the queue of the beacon timetable and of every `rmac-live`
+//!   node's timers), and [`CalendarQueue`] — a calendar/ladder queue with the
 //!   identical pop order at O(1) amortized cost, tuned to the 15 µs
 //!   tone-window cadence (the engine's queue); both embed the one key
 //!   discipline and are driven through the [`SimQueue`] trait, the only

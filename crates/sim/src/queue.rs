@@ -16,8 +16,10 @@ use std::collections::BinaryHeap;
 use crate::key::{Cursor, Entry, Keys};
 use crate::time::SimTime;
 
-/// A time-ordered queue of simulation events: the binary-heap reference the
-/// calendar queue is differentially tested against.
+/// A time-ordered queue of events on a binary heap: the reference the
+/// calendar queue is differentially tested against, and the queue of every
+/// holder whose pending set is small — the engine's beacon timetable is
+/// built through one, and each `rmac-live` node keeps its timers in one.
 ///
 /// Events popped from the queue never travel backwards in time; pushing an
 /// event earlier than the last popped time is a logic error in the caller
@@ -57,8 +59,9 @@ impl<E> EventQueue<E> {
 
 /// The queue interface the simulation engine and PHY channel schedule
 /// through. Implemented by the heap [`EventQueue`] (the differential-testing
-/// reference) and by the [`CalendarQueue`](crate::CalendarQueue) the engine
-/// runs on; embedders generic over `SimQueue` monomorphize to either.
+/// reference, the beacon timetable's queue and a live node's timers) and by
+/// the [`CalendarQueue`](crate::CalendarQueue) the engine runs on; embedders
+/// generic over `SimQueue` monomorphize to either.
 pub trait SimQueue<E> {
     /// The current simulation clock (time of the last popped event).
     fn now(&self) -> SimTime;

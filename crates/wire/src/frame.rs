@@ -39,8 +39,25 @@ pub enum FrameKind {
 }
 
 impl FrameKind {
+    /// How many kinds there are: the length of a per-kind tally.
+    pub const COUNT: usize = 9;
+
+    /// The kinds' `Debug` names (the trace schema's `kind` strings), indexed
+    /// by [`index`](FrameKind::index).
+    pub const LABELS: [&'static str; FrameKind::COUNT] = [
+        "Mrts",
+        "Rts",
+        "Cts",
+        "Rak",
+        "Ack",
+        "Ncts",
+        "Nak",
+        "DataReliable",
+        "DataUnreliable",
+    ];
+
     /// Every kind, in discriminant order.
-    pub const ALL: [FrameKind; 9] = {
+    pub const ALL: [FrameKind; FrameKind::COUNT] = {
         use FrameKind::*;
         [
             Mrts,
@@ -54,6 +71,13 @@ impl FrameKind {
             DataUnreliable,
         ]
     };
+
+    /// Dense 0-based index: this kind's place in [`ALL`](FrameKind::ALL),
+    /// in [`LABELS`](FrameKind::LABELS) and in a per-kind tally.
+    #[inline]
+    pub const fn index(self) -> usize {
+        self as usize - 1
+    }
 
     /// Whether this is a control frame (everything except data).
     pub fn is_control(self) -> bool {
@@ -187,6 +211,14 @@ mod tests {
 
     fn n(i: u16) -> NodeId {
         NodeId(i)
+    }
+
+    #[test]
+    fn kind_indices_are_dense_and_labelled() {
+        for (i, kind) in FrameKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.index(), i);
+            assert_eq!(FrameKind::LABELS[i], format!("{kind:?}"));
+        }
     }
 
     #[test]
