@@ -20,9 +20,10 @@ echo "    no per-slot backoff re-arm, no sharded trace merge, no per-edge tone c
 echo "    edge-fed tone mirror in the checker, no second engine beside the shard groups, no mirror"
 echo "    types around the balance table or the fuzzer, no second way to hand the channel the dispatch"
 echo "    key, no received power riding on a frame-onset event, no per-reader hook beside the"
-echo "    observation stream, no told flag or record tally outside the one edge type and no timing"
-echo "    wheel beside the event queue: DESIGN.md §13, §11, §10, §12, §8, §7, §9)"
-if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S|SweepSpec|SweepResults|run_sweep|try_replications|RMAC_QUICK|RMAC_RATES|RMAC_NODES|ShardedQueue|SeqQueue|push_with_seq|home_slot|EngineTransport|EngineMedium|schedule\(SLOT, TimerKind::BackoffSlot|merge_traces|DispatchLog|DispatchRec|seed_slots|TraceCapture|popped_seq|ManualClock|BenchDocs|tone_count|pooled_tone_buf|sensed_since|rbt_runs|execute_sharded|into_runner|sched_rng|ShardGroupRow|balance_rows|FuzzProtocol|FuzzChurn|handle_at|set_cursor|FrameArriveStart \{ rx, tx, power|on_tx_start|on_node_down|observe_indication|trace_indication|fn describe\(r: &TraceRecord|on_told|off_told|sync_tone_interest|DEFAULT_QUANTUM|level_for|higher_candidate|level0_candidate|SLOT_BITS' \
+echo "    observation stream, no told flag or record tally outside the one edge type, no timing"
+echo "    wheel beside the event queue and no re-bucketing quantum beside the reuse horizon:"
+echo "    DESIGN.md §13, §11, §10, §12, §8, §7, §9, §6)"
+if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S|SweepSpec|SweepResults|run_sweep|try_replications|RMAC_QUICK|RMAC_RATES|RMAC_NODES|ShardedQueue|SeqQueue|push_with_seq|home_slot|EngineTransport|EngineMedium|schedule\(SLOT, TimerKind::BackoffSlot|merge_traces|DispatchLog|DispatchRec|seed_slots|TraceCapture|popped_seq|ManualClock|BenchDocs|tone_count|pooled_tone_buf|sensed_since|rbt_runs|execute_sharded|into_runner|sched_rng|ShardGroupRow|balance_rows|FuzzProtocol|FuzzChurn|handle_at|set_cursor|FrameArriveStart \{ rx, tx, power|on_tx_start|on_node_down|observe_indication|trace_indication|fn describe\(r: &TraceRecord|on_told|off_told|sync_tone_interest|DEFAULT_QUANTUM|level_for|higher_candidate|level0_candidate|SLOT_BITS|const QUANTUM' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!ci.sh'; then
     echo "a retired knob name reappeared (see above)" >&2
     exit 1
@@ -129,8 +130,13 @@ cargo test -q --release --test shard_equivalence
 echo "==> queue stage (calendar/heap differential proptests)"
 cargo test -q --release --test queue_equivalence
 
+echo "==> grid stage (grid/brute differential proptests, optimised: the neighbour-list walk that ships,"
+echo "    hundreds of fills per reuse horizon included)"
+cargo test -q --release --test grid_equivalence
+
 echo "==> event budget (countdown timers per transmitted frame; dispatched tone edges and frame onsets"
-echo "    each a small share of events; reports pinned to the per-slot, event-per-edge engine's)"
+echo "    each a small share of events; reports pinned to the per-slot, event-per-edge engine's) and"
+echo "    geometry budget (bucket refreshes and list rebuilds per reuse horizon, position evaluations per fill)"
 cargo test -q --release --test event_budget
 
 echo "==> benchmark stage (builds the benchmark package --locked against the crates: a broken"

@@ -200,7 +200,9 @@ impl Backoff {
     fn arm(&mut self, ctx: &mut dyn MacContext, now: SimTime, wake: SimTime, look: bool) {
         (self.wake, self.look) = (wake, look);
         let gen = self.timer.arm();
-        ctx.schedule(wake - now, TimerKind::BackoffSlot, gen);
+        // A context running late can report an edge after `wake` has
+        // passed: the timer is then due now, not a wrapped 584 years on.
+        ctx.schedule(wake.saturating_sub(now), TimerKind::BackoffSlot, gen);
     }
 
     /// Take the boundaries after the anchor and strictly before `before`

@@ -162,6 +162,28 @@ fn backoff_suspends_on_busy_slot() {
     assert_eq!((m.now, r.state()), (resumed + SLOT.mul(4), State::TxMrts));
 }
 
+/// A context that runs late — the hop still pending after the whole
+/// countdown has elapsed — owes the node nothing but the truth about its
+/// clock: a timer fired after its `wake` finishes the countdown, and a busy
+/// edge reported that late arms a look due at once (it used to wrap
+/// `wake - now` to a 584-year sleep, and the node never contended again).
+#[test]
+fn a_backoff_timer_fired_late_still_finishes_the_countdown() {
+    let (mut m, mut r) = counting(7);
+    m.now = SLOT.mul(9) + SimTime::from_micros(3);
+    m.fire(&mut r, TimerKind::BackoffSlot);
+    assert_eq!((r.state(), r.bi()), (State::TxMrts, 0));
+
+    let (mut m, mut r) = counting(7);
+    m.now = SLOT.mul(9) + SimTime::from_micros(3);
+    m.set_carrier(&mut r, true);
+    assert_eq!(m.timers.back().unwrap().0, m.now, "the look is due now");
+    m.fire(&mut r, TimerKind::BackoffSlot);
+    assert_eq!((r.state(), r.bi()), (State::Idle, 0));
+    m.set_carrier(&mut r, false);
+    assert_eq!(r.state(), State::TxMrts);
+}
+
 /// Asleep, the countdown reaches its expiry in two dispatches (the hop,
 /// then the look); an RBT edge pulls the look in to the next boundary like
 /// a carrier does, and a busy spell that ends before that boundary goes

@@ -1065,6 +1065,9 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
         if let Some(grid) = phy.grid {
             counters.push(("grid.refreshes", grid.refreshes));
             counters.push(("grid.rebuckets", grid.rebuckets));
+            counters.push(("grid.queries", grid.queries));
+            counters.push(("grid.list_rebuilds", grid.list_rebuilds));
+            counters.push(("grid.list_candidates", grid.list_candidates));
         }
         let faults = self.faults.as_ref();
         counters.extend([

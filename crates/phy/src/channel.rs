@@ -176,15 +176,14 @@ pub struct Channel {
     fault_hook: Option<Box<dyn FaultHook>>,
     /// Spatial index over node positions (`None` ⇒ brute-force scans).
     grid: Option<SpatialGrid>,
-    /// Per-source receiver triples, cached forever once computed — only
-    /// populated when *every* node is fixed, where receiver sets are
-    /// time-invariant and the cache is exact.
+    /// Per-source receiver triples, kept for as long as no drift can make
+    /// them false: forever, and only when *every* node is fixed (the grid's
+    /// reuse horizon never ends) — under motion the grid keeps who can be in
+    /// range and the triples are worked out per fill.
     static_rx: Vec<Option<Vec<(NodeId, SimTime, f64)>>>,
     /// Recycled receiver-triple buffers (the allocation diet: transmission
     /// records hand their receiver lists back here instead of freeing).
     rx_pool: Vec<Vec<(NodeId, SimTime, f64)>>,
-    /// Scratch for grid candidate indices.
-    cand_scratch: Vec<u16>,
     /// Buffer requests served from a pool (observability).
     pool_hits: u64,
     /// Buffer requests that had to allocate (observability).
@@ -258,7 +257,6 @@ impl Channel {
             grid,
             static_rx: vec![None; n],
             rx_pool: Vec::new(),
-            cand_scratch: Vec::new(),
             pool_hits: 0,
             pool_misses: 0,
             frames: FrameTallies::default(),
@@ -336,30 +334,21 @@ impl Channel {
     /// Fill `out` with the `(receiver, propagation delay, received power)`
     /// triples of every node in range of `src` at `t`, ascending by id.
     ///
-    /// Both index modes produce bit-identical triples: the grid only
-    /// pre-filters candidates (by bucketed position, widened by the
-    /// worst-case mover drift); membership and link quantities are always
-    /// computed from exact trajectory positions at `t`.
+    /// Both index modes produce bit-identical triples: the grid only names
+    /// who can be in range, in id order ([`SpatialGrid::near`]); membership
+    /// and link quantities are always computed from exact trajectory
+    /// positions at `t`.
     fn fill_receivers(&mut self, src: NodeId, t: SimTime, out: &mut Vec<(NodeId, SimTime, f64)>) {
         out.clear();
         let range_sq = self.cfg.range_m * self.cfg.range_m;
         let alpha = self.cfg.path_loss_exp;
         if let Some(grid) = self.grid.as_mut() {
-            grid.ensure(t, &mut self.motions);
-            let all_fixed = grid.all_fixed();
-            if all_fixed {
-                if let Some(cached) = &self.static_rx[src.idx()] {
-                    out.extend_from_slice(cached);
-                    return;
-                }
+            if let Some(cached) = &self.static_rx[src.idx()] {
+                out.extend_from_slice(cached);
+                return;
             }
             let p = self.motions[src.idx()].position_at(t);
-            self.cand_scratch.clear();
-            grid.candidates(p, self.cfg.range_m, &mut self.cand_scratch);
-            for &i in &self.cand_scratch {
-                if i as usize == src.idx() {
-                    continue;
-                }
+            for &i in grid.near(src.idx(), t, &mut self.motions) {
                 let d2 = self.motions[i as usize].position_at(t).dist_sq(p);
                 if d2 <= range_sq {
                     let d = d2.sqrt();
@@ -368,8 +357,7 @@ impl Channel {
                     out.push((NodeId(i), Self::prop_delay(d), power));
                 }
             }
-            out.sort_unstable_by_key(|&(rx, _, _)| rx);
-            if all_fixed {
+            if grid.all_fixed() {
                 self.static_rx[src.idx()] = Some(out.clone());
             }
         } else {
@@ -1428,6 +1416,68 @@ mod tests {
         assert_eq!(nb, vec![n(1)]);
         let nb2 = ch.neighbors_at(n(1), SimTime::ZERO);
         assert_eq!(nb2, vec![n(0), n(2), n(3)]);
+    }
+
+    /// A's neighbour list is built by its first frame, with B 79 m away —
+    /// out of range, inside the skin. B walks in at 10 m/s; A's second
+    /// frame, 0.45 s on and inside the list's 0.47 s horizon, is served from
+    /// the same list and B, now 74.5 m away, receives it.
+    #[test]
+    fn a_node_that_walks_into_range_after_the_list_was_built_is_received() {
+        let motions = vec![
+            still(0.0, 0.0),
+            Motion::linear(Pos::new(79.0, 0.0), Pos::new(0.0, 0.0), SimTime::ZERO, 10.0),
+        ];
+        let mut ch = Channel::new(ChannelConfig::default(), motions);
+        let mut q = Q::new();
+        ch.start_tx(&mut q, n(0), data_frame(0, 100));
+        let later = SimTime::from_millis(450);
+        q.push(
+            later,
+            PhyEvent::TxComplete {
+                node: n(0),
+                tx: 999_999,
+            },
+        );
+        let mut rng = SimRng::new(0);
+        let mut out = Vec::new();
+        let mut heard = Vec::new();
+        while let Some((t, ev)) = q.pop() {
+            if let PhyEvent::TxComplete { tx: 999_999, .. } = ev {
+                ch.start_tx(&mut q, n(0), data_frame(0, 100));
+                continue;
+            }
+            out.clear();
+            ch.handle(q.cursor(), &mut rng, &ev, &mut out);
+            heard.extend(out.iter().filter_map(|i| match i {
+                Indication::FrameRx { node, ok, .. } => Some((*node, *ok, t > later)),
+                _ => None,
+            }));
+        }
+        assert_eq!(heard, vec![(n(1), true, true)]);
+        let grid = ch.obs_stats().grid.expect("the default index");
+        assert_eq!((grid.queries, grid.list_rebuilds), (2, 1));
+    }
+
+    /// With every node fixed a source's second fill is the first one's
+    /// triples, copied: the index is not asked again.
+    #[test]
+    fn all_fixed_fills_are_served_from_the_exact_triples() {
+        let mut ch = Channel::new(
+            ChannelConfig::default(),
+            vec![still(0.0, 0.0), still(50.0, 0.0), still(0.0, 80.0)],
+        );
+        let mut first = Vec::new();
+        ch.fill_receivers(n(0), SimTime::ZERO, &mut first);
+        assert_eq!(first.len(), 1);
+        assert_eq!(first[0].0, n(1));
+        assert_eq!(ch.static_rx[0].as_ref(), Some(&first));
+        for secs in [1, 1_000_000] {
+            let mut again = Vec::new();
+            ch.fill_receivers(n(0), SimTime::from_secs(secs), &mut again);
+            assert_eq!(again, first);
+        }
+        assert_eq!(ch.obs_stats().grid.unwrap().queries, 1);
     }
 
     #[test]

@@ -58,9 +58,10 @@
 //!
 //! Range queries ("who hears this transmission/tone?") go through a
 //! uniform-grid spatial index by default ([`grid::SpatialGrid`]), which is
-//! bit-identical to the brute-force O(N) scan but only inspects the cells
-//! around the transmitter; see the [`grid`] module docs for the
-//! determinism contract.
+//! bit-identical to the brute-force O(N) scan but only inspects the
+//! source's neighbour list, rebuilt from the cells around it once per reuse
+//! horizon; see the [`grid`] module docs for the determinism contract and
+//! the one inequality the reuse rests on.
 //!
 //! The [`trace`] module is the vocabulary of the **observation stream**: what
 //! an engine driving this channel reports of the protocol, one typed event
@@ -77,6 +78,6 @@ pub use channel::{
     Channel, ChannelConfig, FaultHook, FrameTallies, PhyObs, TxId, FRAME_KINDS, TONE_HISTORY,
 };
 pub use event::{Indication, PhyEvent};
-pub use grid::{GridStats, IndexMode, SpatialGrid};
+pub use grid::{reuse_horizon, GridStats, IndexMode, SpatialGrid};
 pub use tone::{Tone, ToneInterest, ToneLog};
 pub use trace::{FaultKind, TraceEvent, TraceWhat};

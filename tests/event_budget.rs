@@ -1,5 +1,5 @@
 //! The event budget of the backoff countdown, of the busy tones and of
-//! frame onsets, by count.
+//! frame onsets, and the geometry budget of a mobile run, by count.
 //!
 //! A countdown is a hop, a look at its expiry and one look per busy edge
 //! (`rmac_core::backoff`), where it used to be one `BackoffSlot` event per
@@ -31,6 +31,19 @@
 //!   own instant — fails here too. BMW, LBP and 802.11MX are pinned the same
 //!   way (from the commit before they moved onto the shared 802.11 station),
 //!   so all five MACs have a bit-level pin.
+//!
+//! The same goes for the work behind a receiver set. Under motion a fill
+//! walks the source's neighbour list, and list and buckets are rebuilt once
+//! per reuse horizon (`rmac_phy::grid`: 0.59 s at 8 m/s), where every fill
+//! used to re-bucket all 75 movers and then scan the cells around the
+//! source — more position evaluations than the brute-force scan it replaced:
+//!
+//! * bucket refreshes stay at or under one per horizon of simulated time and
+//!   list rebuilds at or under one per node per horizon;
+//! * position evaluations per fill stay at or under twice the receivers a
+//!   fill finds plus 4 (15.6 for 9.3 receivers today; a pass over 75 movers
+//!   and a scan of ~24 candidates per fill before), so a return to per-fill
+//!   rescans fails here.
 //!
 //! `events` and `sim_secs` are the two fields that describe the event
 //! population rather than the protocol (`sim_secs` is the timestamp of the
@@ -120,6 +133,49 @@ fn mobile_rmac_keeps_the_tone_budget_and_reports_as_the_edge_events_did() {
     let run = replicate_in(ScenarioConfig::paper_speed2(20.0), Protocol::Rmac);
     run.signals_within_budget();
     assert_eq!(run.report, RMAC_SPEED2_PINNED);
+}
+
+/// The geometry budget (module doc): what the spatial index evaluates per
+/// fill on the paper's fastest scenario, from the obs registry's counters.
+#[test]
+fn mobile_geometry_is_reused_for_a_horizon() {
+    let cfg = ScenarioConfig::paper_speed2(10.0).with_packets(100);
+    let out = Run::new(&cfg, Protocol::Rmac, 7)
+        .obs(ObsConfig::default())
+        .execute();
+    let obs = out.obs.expect("obs attached");
+    let counter = |name: &str| {
+        let found = obs.counters.iter().find(|(n, _)| *n == name);
+        found.unwrap_or_else(|| panic!("no counter {name}")).1 as f64
+    };
+    let nodes = cfg.nodes as f64;
+    let horizon = rmac::phy::reuse_horizon(cfg.range_m, 8.0).as_secs_f64();
+    let horizons = out.report.sim_secs / horizon + 1.0;
+    let (refreshes, rebuilds) = (counter("grid.refreshes"), counter("grid.list_rebuilds"));
+    assert!(
+        refreshes <= horizons,
+        "{refreshes} refreshes in {horizons:.1} horizons"
+    );
+    assert!(
+        rebuilds <= nodes * horizons,
+        "{rebuilds} list rebuilds in {horizons:.1} horizons"
+    );
+
+    let fills = counter("grid.queries");
+    // A refresh evaluates every node, a rebuild and a fill their source, and
+    // `grid.list_candidates` counts the rest.
+    let evaluations =
+        (refreshes + 1.0) * nodes + rebuilds + fills + counter("grid.list_candidates");
+    let receivers = counter("phy.tone_records") + counter("phy.frame_onsets");
+    let (per_fill, found) = (evaluations / fills, receivers / fills);
+    assert!(
+        fills > 10_000.0 && found > 5.0,
+        "{fills} fills finding {found:.1} receivers"
+    );
+    assert!(
+        per_fill <= 2.0 * found + 4.0,
+        "{per_fill:.1} position evaluations per fill finding {found:.1} receivers"
+    );
 }
 
 #[test]
