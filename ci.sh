@@ -21,9 +21,10 @@ echo "    edge-fed tone mirror in the checker, no second engine beside the shard
 echo "    types around the balance table or the fuzzer, no second way to hand the channel the dispatch"
 echo "    key, no received power riding on a frame-onset event, no per-reader hook beside the"
 echo "    observation stream, no told flag or record tally outside the one edge type, no timing"
-echo "    wheel beside the event queue and no re-bucketing quantum beside the reuse horizon:"
+echo "    wheel beside the event queue, no re-bucketing quantum beside the reuse horizon and no second"
+echo "    in-process coordinator or per-destination queue beside the loopback runner and the hub's queue:"
 echo "    DESIGN.md §13, §11, §10, §12, §8, §7, §9, §6)"
-if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S|SweepSpec|SweepResults|run_sweep|try_replications|RMAC_QUICK|RMAC_RATES|RMAC_NODES|ShardedQueue|SeqQueue|push_with_seq|home_slot|EngineTransport|EngineMedium|schedule\(SLOT, TimerKind::BackoffSlot|merge_traces|DispatchLog|DispatchRec|seed_slots|TraceCapture|popped_seq|ManualClock|BenchDocs|tone_count|pooled_tone_buf|sensed_since|rbt_runs|execute_sharded|into_runner|sched_rng|ShardGroupRow|balance_rows|FuzzProtocol|FuzzChurn|handle_at|set_cursor|FrameArriveStart \{ rx, tx, power|on_tx_start|on_node_down|observe_indication|trace_indication|fn describe\(r: &TraceRecord|on_told|off_told|sync_tone_interest|DEFAULT_QUANTUM|level_for|higher_candidate|level0_candidate|SLOT_BITS|const QUANTUM' \
+if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S|SweepSpec|SweepResults|run_sweep|try_replications|RMAC_QUICK|RMAC_RATES|RMAC_NODES|ShardedQueue|SeqQueue|push_with_seq|home_slot|EngineTransport|EngineMedium|schedule\(SLOT, TimerKind::BackoffSlot|merge_traces|DispatchLog|DispatchRec|seed_slots|TraceCapture|popped_seq|ManualClock|BenchDocs|tone_count|pooled_tone_buf|sensed_since|rbt_runs|execute_sharded|into_runner|sched_rng|ShardGroupRow|balance_rows|FuzzProtocol|FuzzChurn|handle_at|set_cursor|FrameArriveStart \{ rx, tx, power|on_tx_start|on_node_down|observe_indication|trace_indication|fn describe\(r: &TraceRecord|on_told|off_told|sync_tone_interest|DEFAULT_QUANTUM|level_for|higher_candidate|level0_candidate|SLOT_BITS|const QUANTUM|SimEndpoint|pop_due_for|next_arrival_for|ArrivalQueue|impl Transport for' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!ci.sh'; then
     echo "a retired knob name reappeared (see above)" >&2
     exit 1
@@ -82,9 +83,9 @@ for f in crates/sim/src/queue.rs crates/sim/src/calendar.rs; do
     fi
 done
 
-echo "==> one timer queue (DESIGN.md §9): a live node keeps time on rmac_sim::EventQueue — nothing names"
-echo "    the pinned TimerWheel shim, the shim stays a shim, and rmac-live orders no timers of its own"
-echo "    (the hub's BinaryHeap holds datagrams in flight)"
+echo "==> one queue per live node, one for the hub (DESIGN.md §9): a live node keeps time and the hub"
+echo "    keeps its datagrams in flight on rmac_sim::EventQueue — nothing names the pinned TimerWheel"
+echo "    shim, the shim stays a shim, and rmac-live builds no heap of its own"
 if git grep -n 'TimerWheel' -- 'crates/*/src/*' ':!crates/live/src/wheel.rs' ':!crates/live/src/lib.rs'; then
     echo "the pinned TimerWheel shim has a caller (see above)" >&2
     exit 1
@@ -93,9 +94,15 @@ if [ "$(wc -l <crates/live/src/wheel.rs)" -gt 30 ]; then
     echo "crates/live/src/wheel.rs is more than a shim: $(wc -l <crates/live/src/wheel.rs) lines (want <= 30)" >&2
     exit 1
 fi
-heaps=$(git grep -l 'BinaryHeap' -- crates/live/src)
-if [ "$heaps" != crates/live/src/hub.rs ]; then
-    echo "rmac-live builds a heap in: $heaps (want: crates/live/src/hub.rs)" >&2
+if git grep -n 'BinaryHeap' -- crates/live/src; then
+    echo "rmac-live builds a heap of its own (see above)" >&2
+    exit 1
+fi
+
+echo "==> one worker pool (DESIGN.md §10, §11): shard groups and campaign cases run on rmac_sim::try_tasks,"
+echo "    and nothing imports rayon (its one Cargo edge stays until the benchmark refresh)"
+if git grep -n 'rayon::' -- 'crates/*/src/*'; then
+    echo "a crate imports rayon again (see above)" >&2
     exit 1
 fi
 

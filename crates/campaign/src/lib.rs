@@ -17,7 +17,9 @@
 //!   comparison against a committed baseline.
 //! * [`dashboard`] — ASCII and self-contained-HTML rendering of campaign
 //!   summaries, trends, and red/green tiles.
-//! * [`pool`] — the panic-isolating parallel task pool ([`try_tasks`]).
+//!
+//! Cases run on the workspace's one worker pool, [`rmac_sim::try_tasks`],
+//! re-exported here as [`try_tasks`].
 //!
 //! Binaries: `campaign` (run/resume/gate) and `campaign_report` (the
 //! dashboard, and the figures of `rmac_experiments::figures`) in
@@ -25,7 +27,6 @@
 
 pub mod dashboard;
 pub mod gate;
-pub mod pool;
 pub mod query;
 pub mod runner;
 pub mod spec;
@@ -33,8 +34,8 @@ pub mod store;
 
 pub use dashboard::{render_ascii, render_html, tiles, Tile};
 pub use gate::{gate_spec, run_gate, GateConfig, GateReport};
-pub use pool::try_tasks;
 pub use query::{aggregate, grid_points, load_store, summarize, summarize_json, Agg, SummaryRow};
+pub use rmac_sim::try_tasks;
 pub use runner::{campaign_dir, run_campaign, run_case, CampaignOutcome, RunOptions};
 pub use spec::{protocol_from_label, CampaignSpec, CaseSpec, FaultAxis, ScenarioKind};
 pub use store::CaseRecord;

@@ -1,7 +1,7 @@
 //! Campaign execution: fan the case grid out across cores with resumable
 //! per-case checkpointing.
 //!
-//! Cases run in parallel **within a chunk** (via [`crate::pool::try_tasks`])
+//! Cases run in parallel **within a chunk** (via [`rmac_sim::try_tasks`])
 //! but chunks are appended to `store.jsonl` strictly in canonical case
 //! order and flushed after each chunk. A killed campaign therefore leaves
 //! a valid canonical prefix (plus at most one torn trailing line, which
@@ -12,11 +12,11 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use crate::pool::try_tasks;
 use crate::query::summarize_json;
 use crate::spec::{CampaignSpec, CaseSpec};
 use crate::store::CaseRecord;
 use rmac_engine::{ObsConfig, Run};
+use rmac_sim::try_tasks;
 
 /// Knobs for one `run_campaign` invocation.
 #[derive(Clone, Debug)]

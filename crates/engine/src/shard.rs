@@ -39,16 +39,14 @@
 //! to `RunReport` bit-identity against the one-group run at 2/4/8 shards.
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread;
+use std::sync::Arc;
 use std::time::Instant;
 
 use rmac_check::CheckReport;
 use rmac_mobility::{MobilityKind, Pos};
 use rmac_obs::ObsReport;
 use rmac_phy::FrameTallies;
-use rmac_sim::{SimQueue, SimRng, SimTime};
+use rmac_sim::{try_tasks, SimQueue, SimRng, SimTime};
 
 use crate::config::{Protocol, ScenarioConfig};
 use crate::run::{RunOutput, Spec};
@@ -292,46 +290,13 @@ pub(crate) fn execute<Q: SimQueue<Ev>>(
         run_group(runner, &beacons)
     };
 
-    // One worker per available core, capped by the group count.
-    // Oversubscribing cores would only interleave the groups and
-    // thrash their working sets against each other; on a single-core
-    // host the groups therefore run back to back, and the speedup
-    // over the one-group run is pure working-set reduction (smaller
-    // event queue, smaller live state per group).
-    let workers = thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .min(groups.len());
-    let results: Vec<GroupRun> = if workers <= 1 {
-        groups.iter().map(run).collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<GroupRun>>> = groups.iter().map(|_| Mutex::new(None)).collect();
-        thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| loop {
-                        let gi = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(g) = groups.get(gi) else { break };
-                        *slots[gi].lock().expect("slot poisoned") = Some(run(g));
-                    })
-                })
-                .collect();
-            for h in handles {
-                // A group panic surfaces with its own message.
-                if let Err(payload) = h.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("slot poisoned")
-                    .expect("worker pool left a group unrun")
-            })
-            .collect()
-    };
+    // The one worker pool: one worker per core, capped by the group count,
+    // so on a single-core host the groups run back to back and the speedup
+    // over the one-group run is pure working-set reduction (smaller event
+    // queue, smaller live state per group). A group panic surfaces with its
+    // own message.
+    let results =
+        try_tasks(&groups, run, |g| format!("shard group {g:?}")).unwrap_or_else(|e| panic!("{e}"));
     collect(cfg, spec.protocol, spec.seed, groups, results)
 }
 

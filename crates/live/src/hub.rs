@@ -24,19 +24,19 @@
 //! the reliable channel the analog tones' narrow-band robustness provided
 //! in the paper.
 //!
-//! Everything is virtual-time and single-threaded: same seed, same
-//! submission schedule ⇒ byte-identical runs.
+//! Every copy in flight sits on one [`rmac_sim::EventQueue`], whose
+//! `(time, seq)` key is the hub's delivery order: earliest arrival first,
+//! then send order across all destinations. Everything is virtual-time and
+//! single-threaded: same seed, same submission schedule ⇒ byte-identical
+//! runs.
 
-use std::cell::{Cell, RefCell};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::rc::Rc;
+use std::collections::HashMap;
 
 use rmac_faults::{BurstySpec, GeChain};
-use rmac_sim::{SimRng, SimTime};
+use rmac_sim::{EventQueue, SimQueue, SimRng, SimTime};
 use rmac_wire::NodeId;
 
-use crate::transport::{DgramChannel, Incoming, Transport, TransportError};
+use crate::transport::{DgramChannel, Incoming};
 
 /// Loopback network parameters.
 #[derive(Clone, Debug)]
@@ -77,23 +77,12 @@ pub struct HubStats {
     pub ctrl_sent: u64,
 }
 
-/// One destination's pending arrivals: a min-heap of `(at, seq)` keys into
-/// the shared payload map, so simultaneous arrivals keep send order.
-type ArrivalQueue = BinaryHeap<Reverse<(SimTime, u64)>>;
-
-struct Payload {
-    channel: DgramChannel,
-    bytes: Vec<u8>,
-    corrupt: bool,
-}
-
 /// The in-process datagram network. See the module docs.
 pub struct LoopbackHub {
     cfg: HubConfig,
     nodes: Vec<NodeId>,
-    queues: HashMap<NodeId, ArrivalQueue>,
-    payloads: HashMap<u64, Payload>,
-    seq: u64,
+    /// Every copy in flight, with its destination, keyed by arrival.
+    in_flight: EventQueue<(NodeId, Incoming)>,
     /// Per ordered data link `(src, dst)`: its loss chain.
     chains: HashMap<(NodeId, NodeId), GeChain>,
     rng: SimRng,
@@ -107,9 +96,7 @@ impl LoopbackHub {
             rng: SimRng::new(cfg.seed),
             cfg,
             nodes: nodes.to_vec(),
-            queues: nodes.iter().map(|&n| (n, ArrivalQueue::new())).collect(),
-            payloads: HashMap::new(),
-            seq: 0,
+            in_flight: EventQueue::new(),
             chains: HashMap::new(),
             stats: HubStats::default(),
         }
@@ -135,23 +122,17 @@ impl LoopbackHub {
         at: SimTime,
         dest: NodeId,
         channel: DgramChannel,
-        bytes: Vec<u8>,
+        bytes: &[u8],
         corrupt: bool,
     ) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queues
-            .get_mut(&dest)
-            .expect("unknown destination endpoint")
-            .push(Reverse((at, seq)));
-        self.payloads.insert(
-            seq,
-            Payload {
-                channel,
-                bytes,
-                corrupt,
-            },
-        );
+        let copy = Incoming {
+            at,
+            channel,
+            bytes: bytes.to_vec(),
+            peer: None,
+            corrupt,
+        };
+        self.in_flight.push(at, (dest, copy));
     }
 
     /// Does the (src → dst) loss chain fade a datagram sent at `now`?
@@ -172,160 +153,51 @@ impl LoopbackHub {
     /// arrive flagged corrupt — energy without a decodable payload — so
     /// carrier sense and collision bookkeeping at the receiver still see
     /// them (see the module docs).
+    ///
+    /// `now` is never before an arrival already popped: the caller sends
+    /// at the instant it is executing, as `LoopbackRunner::step` does (the
+    /// queue's debug assertion holds it).
     pub fn send_data(&mut self, src: NodeId, now: SimTime, bytes: &[u8]) {
         self.stats.data_sent += 1;
         let at = now + self.cfg.tau;
-        let dests: Vec<NodeId> = self.nodes.iter().copied().filter(|&n| n != src).collect();
-        for dst in dests {
+        for i in 0..self.nodes.len() {
+            let dst = self.nodes[i];
+            if dst == src {
+                continue;
+            }
             let corrupt = self.faded(src, dst, now);
             if corrupt {
                 self.stats.data_corrupted += 1;
             } else {
                 self.stats.data_delivered += 1;
             }
-            self.enqueue(at, dst, DgramChannel::Data, bytes.to_vec(), corrupt);
+            self.enqueue(at, dst, DgramChannel::Data, bytes, corrupt);
         }
     }
 
-    /// Carry a control datagram from `src` to `dst` (lossless).
+    /// Carry a control datagram from `src` to `dst` (lossless). `now` is
+    /// bound as for [`send_data`](Self::send_data); an unknown `dst` panics.
     pub fn send_ctrl(&mut self, _src: NodeId, dst: NodeId, now: SimTime, bytes: &[u8]) {
+        assert!(self.nodes.contains(&dst), "unknown destination endpoint");
         self.stats.ctrl_sent += 1;
         let at = now + self.cfg.ctrl_latency;
-        self.enqueue(at, dst, DgramChannel::Ctrl, bytes.to_vec(), false);
+        self.enqueue(at, dst, DgramChannel::Ctrl, bytes, false);
     }
 
-    /// The earliest pending arrival time anywhere, if anything is in
-    /// flight.
+    /// The earliest pending arrival time, if anything is in flight.
     pub fn next_arrival(&self) -> Option<SimTime> {
-        self.queues
-            .values()
-            .filter_map(|q| q.peek().map(|Reverse((at, _))| *at))
-            .min()
+        self.in_flight.peek_time()
     }
 
-    /// The earliest pending arrival for one endpoint.
-    pub fn next_arrival_for(&self, dest: NodeId) -> Option<SimTime> {
-        self.queues
-            .get(&dest)
-            .and_then(|q| q.peek().map(|Reverse((at, _))| *at))
-    }
-
-    /// Pop the globally earliest arrival if it is due at or before `t`
-    /// (ties broken by send order), returning the destination and the
-    /// datagram.
+    /// Pop the earliest arrival if it is due at or before `t` (ties broken
+    /// by send order), returning the destination and the datagram.
     pub fn pop_due(&mut self, t: SimTime) -> Option<(NodeId, Incoming)> {
-        let dest = self
-            .queues
-            .iter()
-            .filter_map(|(&n, q)| q.peek().map(|&Reverse(key)| (key, n)))
-            .min()
-            .and_then(|(key, n)| (key.0 <= t).then_some(n))?;
-        let inc = self.pop_for(dest)?;
-        Some((dest, inc))
+        self.in_flight.pop_at_or_before(t).map(|(_, copy)| copy)
     }
 
-    /// Pop the earliest arrival for `dest` if due at or before `t`.
-    pub fn pop_due_for(&mut self, dest: NodeId, t: SimTime) -> Option<Incoming> {
-        let Reverse((at, _)) = *self.queues.get(&dest)?.peek()?;
-        if at > t {
-            return None;
-        }
-        self.pop_for(dest)
-    }
-
-    fn pop_for(&mut self, dest: NodeId) -> Option<Incoming> {
-        let Reverse((at, seq)) = self.queues.get_mut(&dest)?.pop()?;
-        let p = self.payloads.remove(&seq).expect("payload for seq");
-        Some(Incoming {
-            at,
-            channel: p.channel,
-            bytes: p.bytes,
-            peer: None,
-            corrupt: p.corrupt,
-        })
-    }
-
-    /// Datagrams still in flight.
+    /// Datagram copies still in flight.
     pub fn in_flight(&self) -> usize {
-        self.payloads.len()
-    }
-}
-
-/// One endpoint's [`Transport`] view of a shared [`LoopbackHub`]: the
-/// "existing sim adapted behind the trait" backend, in virtual time.
-///
-/// All endpoints of a mesh share one hub and one virtual clock.
-/// [`Transport::wait_until`] advances the clock instead of sleeping — to
-/// the requested deadline, or to the next arrival *anywhere* if that is
-/// sooner (so no endpoint's traffic is skipped over). Endpoints must
-/// therefore be driven by a coordinator that always services the endpoint
-/// with the earliest pending work first, as the [`Driver`](crate::Driver)
-/// tests do by hand. (`LoopbackRunner` is not one: it drives `LiveNode`s
-/// against the hub directly and never builds a `SimEndpoint`.)
-pub struct SimEndpoint {
-    hub: Rc<RefCell<LoopbackHub>>,
-    clock: Rc<Cell<SimTime>>,
-    id: NodeId,
-}
-
-impl SimEndpoint {
-    /// Build a mesh of endpoints over a fresh hub. Returns the shared hub
-    /// handle (for stats) alongside one endpoint per node id.
-    pub fn mesh(nodes: &[NodeId], cfg: HubConfig) -> (Rc<RefCell<LoopbackHub>>, Vec<SimEndpoint>) {
-        let hub = Rc::new(RefCell::new(LoopbackHub::new(nodes, cfg)));
-        let clock = Rc::new(Cell::new(SimTime::ZERO));
-        let endpoints = nodes
-            .iter()
-            .map(|&id| SimEndpoint {
-                hub: Rc::clone(&hub),
-                clock: Rc::clone(&clock),
-                id,
-            })
-            .collect();
-        (hub, endpoints)
-    }
-
-    /// The shared virtual clock.
-    pub fn clock(&self) -> SimTime {
-        self.clock.get()
-    }
-}
-
-impl Transport for SimEndpoint {
-    fn local(&self) -> NodeId {
-        self.id
-    }
-
-    fn now(&self) -> SimTime {
-        self.clock.get()
-    }
-
-    fn send_data(&mut self, bytes: &[u8]) -> Result<(), TransportError> {
-        let now = self.clock.get();
-        self.hub.borrow_mut().send_data(self.id, now, bytes);
-        Ok(())
-    }
-
-    fn send_ctrl(&mut self, to: NodeId, bytes: &[u8]) -> Result<(), TransportError> {
-        let now = self.clock.get();
-        self.hub.borrow_mut().send_ctrl(self.id, to, now, bytes);
-        Ok(())
-    }
-
-    fn poll(&mut self) -> Result<Option<Incoming>, TransportError> {
-        let now = self.clock.get();
-        Ok(self.hub.borrow_mut().pop_due_for(self.id, now))
-    }
-
-    fn wait_until(&mut self, deadline: SimTime) -> Result<(), TransportError> {
-        let arrival = self.hub.borrow().next_arrival();
-        let target = match arrival {
-            Some(a) if a < deadline => a,
-            _ => deadline,
-        };
-        // Virtual time never runs backwards.
-        self.clock.set(self.clock.get().max(target));
-        Ok(())
+        self.in_flight.len()
     }
 }
 
@@ -339,6 +211,16 @@ mod tests {
 
     fn us(v: u64) -> SimTime {
         SimTime::from_micros(v)
+    }
+
+    /// Every data copy faded; control untouched.
+    fn fade_everything() -> BurstySpec {
+        BurstySpec {
+            mean_good_ms: 1.0,
+            mean_bad_ms: 1.0,
+            loss_good: 1.0,
+            loss_bad: 1.0,
+        }
     }
 
     #[test]
@@ -364,12 +246,7 @@ mod tests {
         let mut hub = LoopbackHub::new(
             &ids,
             HubConfig {
-                loss: Some(BurstySpec {
-                    mean_good_ms: 1.0,
-                    mean_bad_ms: 1.0,
-                    loss_good: 1.0, // fade every data datagram…
-                    loss_bad: 1.0,
-                }),
+                loss: Some(fade_everything()), // fade every data datagram…
                 ..HubConfig::default()
             },
         );
@@ -382,6 +259,13 @@ mod tests {
             delivered += 1;
         }
         assert_eq!(delivered, 100, "…but control traffic always arrives");
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown destination endpoint")]
+    fn ctrl_to_an_unknown_endpoint_panics_at_send() {
+        let mut hub = LoopbackHub::new(&[n(1), n(2)], HubConfig::default());
+        hub.send_ctrl(n(1), n(9), us(1), b"lost");
     }
 
     #[test]
@@ -436,30 +320,86 @@ mod tests {
         assert_eq!(p1.len(), 2 * 2_000);
     }
 
-    #[test]
-    fn sim_endpoints_exchange_datagrams_in_virtual_time() {
-        let ids = [n(1), n(2)];
-        let (hub, mut eps) = SimEndpoint::mesh(&ids, HubConfig::default());
-        let (a, rest) = eps.split_at_mut(1);
-        let (a, b) = (&mut a[0], &mut rest[0]);
-        assert_eq!(a.local(), n(1));
-        a.send_data(b"ping").unwrap();
-        assert!(b.poll().unwrap().is_none(), "nothing due before τ elapses");
-        // Waiting runs the virtual clock forward to the arrival.
-        b.wait_until(us(1_000)).unwrap();
-        let inc = b.poll().unwrap().expect("arrival due");
-        assert_eq!(inc.bytes, b"ping");
-        assert_eq!(inc.at, SimTime::from_nanos(500));
-        assert_eq!(
-            b.now(),
-            SimTime::from_nanos(500),
-            "clock stopped at arrival"
-        );
-        b.send_ctrl(n(1), b"pong").unwrap();
-        a.wait_until(us(1_000)).unwrap();
-        let inc = a.poll().unwrap().expect("ctrl arrival");
-        assert_eq!(inc.channel, DgramChannel::Ctrl);
-        assert_eq!(inc.bytes, b"pong");
-        assert_eq!(hub.borrow().stats().ctrl_sent, 1);
+    /// What the reference model and the hub are compared on.
+    type Popped = (NodeId, SimTime, DgramChannel, Vec<u8>, bool);
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The hub pops what a list sorted by `(arrival, send index)` pops:
+        /// sends at non-decreasing stamps, to random endpoints, with τ and
+        /// the control latency each 0 or not and unequal or not (so a later
+        /// send can arrive first), interleaved with `pop_due` at the current
+        /// stamp; `in_flight` is the list's length throughout.
+        #[test]
+        fn pops_in_arrival_then_send_order(
+            tau in 0usize..3,
+            ctrl in 0usize..3,
+            fade in 0u8..2,
+            ops in proptest::collection::vec((0u8..3, 0u16..4, 0u16..4, 0u64..800), 1..120),
+        ) {
+            const LATENCY_NS: [u64; 3] = [0, 400, 1_100];
+            let ids = [n(1), n(2), n(3), n(4)];
+            let cfg = HubConfig {
+                tau: SimTime::from_nanos(LATENCY_NS[tau]),
+                ctrl_latency: SimTime::from_nanos(LATENCY_NS[ctrl]),
+                loss: (fade == 1).then(fade_everything),
+                ..HubConfig::default()
+            };
+            let corrupt = fade == 1;
+            let mut hub = LoopbackHub::new(&ids, cfg.clone());
+            // `(at, send index, copy)`, unsorted: the minimum is taken per pop.
+            let mut model: Vec<(SimTime, usize, Popped)> = Vec::new();
+            let mut sent = 0usize;
+            let mut now = SimTime::ZERO;
+            let drain = |hub: &mut LoopbackHub, model: &mut Vec<(SimTime, usize, Popped)>, t| {
+                loop {
+                    let want = model
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, (at, _, _))| *at <= t)
+                        .min_by_key(|(_, (at, idx, _))| (*at, *idx))
+                        .map(|(i, _)| i)
+                        .map(|i| model.remove(i).2);
+                    let got = hub
+                        .pop_due(t)
+                        .map(|(dst, inc)| (dst, inc.at, inc.channel, inc.bytes, inc.corrupt));
+                    proptest::prop_assert_eq!(&got, &want);
+                    proptest::prop_assert_eq!(hub.in_flight(), model.len());
+                    if got.is_none() {
+                        return Ok(());
+                    }
+                }
+            };
+            for (k, (kind, src, dst, dt)) in ops.into_iter().enumerate() {
+                now += SimTime::from_nanos(dt);
+                let (src, dst) = (ids[usize::from(src)], ids[usize::from(dst)]);
+                let bytes = vec![k as u8; 1 + k % 7];
+                match kind {
+                    0 => {
+                        hub.send_data(src, now, &bytes);
+                        let at = now + cfg.tau;
+                        for &to in ids.iter().filter(|&&to| to != src) {
+                            model.push((at, sent, (to, at, DgramChannel::Data, bytes.clone(), corrupt)));
+                            sent += 1;
+                        }
+                    }
+                    1 => {
+                        hub.send_ctrl(src, dst, now, &bytes);
+                        let at = now + cfg.ctrl_latency;
+                        model.push((at, sent, (dst, at, DgramChannel::Ctrl, bytes, false)));
+                        sent += 1;
+                    }
+                    _ => drain(&mut hub, &mut model, now)?,
+                }
+                proptest::prop_assert_eq!(hub.in_flight(), model.len());
+                proptest::prop_assert_eq!(
+                    hub.next_arrival(),
+                    model.iter().map(|&(at, _, _)| at).min()
+                );
+            }
+            drain(&mut hub, &mut model, SimTime::MAX)?;
+            proptest::prop_assert!(model.is_empty());
+        }
     }
 }

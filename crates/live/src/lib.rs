@@ -10,32 +10,34 @@
 //!
 //! The pieces:
 //!
-//! * [`transport`] — the [`Transport`] trait: send/recv of wire-encoded
-//!   frames (data channel) and short control datagrams (tone stand-ins,
-//!   session handshake), plus a MAC-time clock. Two implementations
-//!   live in the workspace: the deterministic in-process [`hub`] loopback
-//!   shim (virtual time, seeded Gilbert–Elliott loss via `rmac-faults`)
-//!   and the [`udp`] backend (`std::net` multicast + unicast control
-//!   sockets, std + threads only).
+//! * [`transport`] — the datagram vocabulary both backends share:
+//!   [`DgramChannel`] (data: wire-encoded frames to everyone; control:
+//!   tone stand-ins and the session handshake to one peer), [`Incoming`]
+//!   and [`TransportError`].
 //! * [`node`] — [`LiveNode`]: the sans-I/O adapter that feeds datagram
 //!   arrivals and its due timers to the MAC as PHY indications, and turns
 //!   the MAC's context calls (`start_tx`, `start_tone`, …) back into
-//!   outbound datagrams. One `LiveNode` per endpoint; drivers pump it off
-//!   whatever clock the transport provides. Its timers are an
+//!   outbound datagrams. One `LiveNode` per endpoint; its driver pumps it
+//!   off the backend's clock. Its timers are an
 //!   [`rmac_sim::EventQueue`]: the simulator's `(time, seq)` FIFO order
 //!   and 1 ns deadlines, so both halves of the workspace keep time on one
 //!   kernel.
 //! * [`wheel`] — the pinned shim that keeps the retired timing wheel's
 //!   three names alive for the frozen benchmark, over the same queue.
-//! * [`hub`] — [`LoopbackHub`]: N in-process endpoints, one virtual
-//!   clock, per-link Gilbert–Elliott erasures on the data channel. The
-//!   control channel is lossless by design, mirroring RMC's reliable
+//! * [`hub`] — [`LoopbackHub`]: the deterministic in-process network —
+//!   every datagram copy in flight on one `rmac_sim::EventQueue`, seeded
+//!   per-link Gilbert–Elliott fades on the data channel via `rmac-faults`.
+//!   The control channel is lossless by design, mirroring RMC's reliable
 //!   (TCP) control connection.
-//! * [`runner`] — [`LoopbackRunner`]: drives N [`LiveNode`]s over the hub
-//!   deterministically (same seed + same loss plan ⇒ identical behavior).
-//! * [`udp`] — [`UdpTransport`]: real sockets, reader threads, and a
-//!   scaled [`WallClock`](rmac_core::WallClock) so host jitter stays far
-//!   inside the paper's ±2 µs tone-window margins.
+//! * [`runner`] — [`LoopbackRunner`]: the hub's one driver, stepping N
+//!   [`LiveNode`]s in exact virtual-time order (same seed + same loss
+//!   plan ⇒ identical behavior).
+//! * [`udp`] — [`UdpTransport`]: real sockets (`std::net` multicast +
+//!   unicast control, std + threads only), reader threads, and a scaled
+//!   [`WallClock`](rmac_core::WallClock) so host jitter stays far inside
+//!   the paper's ±2 µs tone-window margins.
+//! * [`driver`] — [`Driver`]: one [`LiveNode`] pumped over one
+//!   [`UdpTransport`], one per endpoint thread.
 //! * [`soak`] — the `rmc_test`-style soak harness: N publishers × M
 //!   subscribers, closed-loop reliable multicast with application-level
 //!   resends, goodput/latency/retransmission stats.
@@ -63,10 +65,10 @@ pub mod udp;
 pub mod wheel;
 
 pub use driver::Driver;
-pub use hub::{HubConfig, HubStats, LoopbackHub, SimEndpoint};
+pub use hub::{HubConfig, HubStats, LoopbackHub};
 pub use node::{LiveConfig, LiveNode, LiveStats};
 pub use runner::LoopbackRunner;
 pub use soak::{run_loopback_soak, SoakConfig, SoakReport};
-pub use transport::{DgramChannel, Incoming, Transport, TransportError};
+pub use transport::{DgramChannel, Incoming, TransportError};
 pub use udp::{UdpConfig, UdpTransport};
 pub use wheel::TimerWheel;

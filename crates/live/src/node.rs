@@ -1,5 +1,5 @@
 //! [`LiveNode`]: the sans-I/O adapter between the RMAC core and a
-//! datagram [`Transport`](crate::Transport).
+//! datagram network.
 //!
 //! The MAC ([`rmac_core::Rmac`]) is a passive state machine that acts on
 //! the world through [`MacContext`]. In the simulator that context wraps
@@ -27,7 +27,8 @@
 //! The node never performs I/O: callers feed it [`Incoming`] datagrams
 //! and clock advances, and drain [`OutDgram`]s, deliveries and transmit
 //! outcomes. That makes the same adapter drivable by the virtual-time
-//! loopback hub, the UDP backend, and unit tests alike.
+//! loopback hub ([`LoopbackRunner`](crate::LoopbackRunner)), the UDP
+//! backend ([`Driver`](crate::Driver)), and unit tests alike.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -89,7 +90,7 @@ pub struct LiveStats {
 }
 
 /// An outbound datagram produced by the node, for the driver to hand to
-/// its [`Transport`](crate::Transport).
+/// its network (the hub or the UDP sockets).
 #[derive(Clone, Debug)]
 pub enum OutDgram {
     /// Broadcast on the data channel.

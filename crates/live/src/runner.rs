@@ -127,15 +127,20 @@ impl LoopbackRunner {
         true
     }
 
-    /// Run until the mesh goes idle or `max_steps` is hit. Returns `true`
-    /// if idle was reached.
+    /// Run until the mesh goes idle or `max_steps` steps have run. Returns
+    /// `true` if idle was reached.
     pub fn run_until_idle(&mut self, max_steps: u64) -> bool {
         for _ in 0..max_steps {
             if !self.step() {
                 return true;
             }
         }
-        !self.step()
+        self.idle()
+    }
+
+    /// Nothing pending anywhere: no node timer, nothing in flight.
+    fn idle(&self) -> bool {
+        self.hub.in_flight() == 0 && self.nodes.iter().all(|n| n.next_deadline().is_none())
     }
 }
 
@@ -198,6 +203,41 @@ mod tests {
             }
             other => panic!("unexpected outcomes {other:?}"),
         }
+    }
+
+    /// `run_until_idle(k)` runs at most `k` steps and answers idleness
+    /// without stepping.
+    #[test]
+    fn run_until_idle_runs_at_most_max_steps() {
+        let submitted = || {
+            let mut r = mesh(&[1, 2, 3], HubConfig::default());
+            r.submit(
+                n(1),
+                TxRequest {
+                    reliable: true,
+                    dest: Dest::Group(vec![n(2), n(3)]),
+                    payload: Bytes::from(vec![1u8; 100]),
+                    token: 1,
+                },
+            );
+            r
+        };
+        let mut whole = submitted();
+        assert!(whole.run_until_idle(1_000_000), "mesh must quiesce");
+        let total = whole.steps();
+        assert!(total > 2, "{total} steps");
+
+        let mut r = submitted();
+        assert!(!r.run_until_idle(0), "a submit leaves work pending");
+        assert_eq!(r.steps(), 0, "run_until_idle(0) must not step");
+        assert!(!r.run_until_idle(1));
+        assert_eq!(r.steps(), 1);
+        assert!(!r.run_until_idle(total - 2), "one instant is still pending");
+        assert_eq!(r.steps(), total - 1);
+        assert!(r.run_until_idle(1), "the last step leaves the mesh idle");
+        assert_eq!(r.steps(), total);
+        assert!(r.run_until_idle(0) && r.run_until_idle(3));
+        assert_eq!(r.steps(), total, "an idle mesh takes no steps");
     }
 
     /// Two publishers contending for the channel still both complete

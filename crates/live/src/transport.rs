@@ -1,26 +1,17 @@
-//! The [`Transport`] trait: what a live RMAC endpoint needs from the world.
+//! The datagram vocabulary both backends share: what a live RMAC endpoint
+//! sends and receives.
 //!
-//! A transport is two datagram channels plus a MAC-time clock:
+//! An endpoint talks over two datagram channels:
 //!
 //! * the **data channel** carries wire-encoded MAC frames to *everyone*
-//!   (UDP multicast on the live backend, the hub's broadcast fan-out on
-//!   the loopback shim);
+//!   (UDP multicast or unicast fan-out on [`UdpTransport`](crate::UdpTransport),
+//!   the broadcast fan-out of the in-process [`LoopbackHub`](crate::LoopbackHub));
 //! * the **control channel** carries short unicast datagrams to one named
 //!   peer — the busy-tone stand-ins and the session handshake.
 //!
-//! The trait is deliberately sans-select: [`Transport::poll`] never
-//! blocks, [`Transport::wait_until`] blocks at most until a MAC-time
-//! deadline (the caller's next timer). A driver loop is then backend
-//! independent:
-//!
-//! ```text
-//! loop {
-//!     wait_until(node.next_deadline());
-//!     while let Some(inc) = poll()? { node.on_datagram(...); }
-//!     node.advance(now());
-//!     flush node's outbox via send_data / send_ctrl;
-//! }
-//! ```
+//! Both backends hand a [`LiveNode`](crate::LiveNode) the same [`Incoming`]
+//! arrivals; each has its one driver — [`LoopbackRunner`](crate::LoopbackRunner)
+//! in virtual time, [`Driver`](crate::Driver) over sockets.
 
 use rmac_sim::SimTime;
 use rmac_wire::NodeId;
@@ -83,28 +74,4 @@ impl From<std::io::Error> for TransportError {
     fn from(e: std::io::Error) -> Self {
         TransportError::Io(e)
     }
-}
-
-/// A live RMAC endpoint's view of the world.
-pub trait Transport {
-    /// This endpoint's node id.
-    fn local(&self) -> NodeId;
-
-    /// Current MAC time on this transport's clock (monotone).
-    fn now(&self) -> SimTime;
-
-    /// Send `bytes` on the data channel (reaches every other endpoint).
-    fn send_data(&mut self, bytes: &[u8]) -> Result<(), TransportError>;
-
-    /// Send `bytes` on the control channel to `to`.
-    fn send_ctrl(&mut self, to: NodeId, bytes: &[u8]) -> Result<(), TransportError>;
-
-    /// Non-blocking receive: the next datagram already available, if any.
-    fn poll(&mut self) -> Result<Option<Incoming>, TransportError>;
-
-    /// Block until MAC time `deadline` is reached *or* traffic arrives,
-    /// whichever is first (returning early on traffic is allowed but not
-    /// required; returning exactly at the deadline always is). Virtual
-    /// backends advance their clock here instead of sleeping.
-    fn wait_until(&mut self, deadline: SimTime) -> Result<(), TransportError>;
 }

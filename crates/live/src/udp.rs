@@ -19,10 +19,14 @@
 //!   skips this socket entirely and delivers data to the peers' control
 //!   sockets instead.
 //!
+//! The endpoint is sans-select: [`UdpTransport::poll`] never blocks, and
+//! [`UdpTransport::wait_until`] blocks at most until a MAC-time deadline
+//! (the node's next timer) — the two calls [`Driver`](crate::Driver)'s pump
+//! loop is made of.
+//!
 //! One reader thread per socket stamps arrivals in MAC time (a shared
-//! [`WallClock`]) *at receive time*, so sleeps in
-//! [`wait_until`](crate::Transport::wait_until) don't smear arrival
-//! timestamps, and forwards them over an in-process queue. The incoming
+//! [`WallClock`]) *at receive time*, so sleeps in `wait_until` don't smear
+//! arrival timestamps, and forwards them over an in-process queue. The incoming
 //! channel tag is derived from the decoded body (frames are data-channel
 //! traffic wherever they physically arrived), which keeps the two modes
 //! semantically identical.
@@ -50,7 +54,7 @@ use rmac_core::WallClock;
 use rmac_sim::SimTime;
 use rmac_wire::{decode_datagram, DgramBody, NodeId};
 
-use crate::transport::{DgramChannel, Incoming, Transport, TransportError};
+use crate::transport::{DgramChannel, Incoming, TransportError};
 
 /// Configuration for a [`UdpTransport`].
 #[derive(Clone, Debug)]
@@ -93,7 +97,7 @@ struct Packet {
     from: SocketAddr,
 }
 
-/// The real-socket [`Transport`]. See the module docs.
+/// The real-socket endpoint. See the module docs.
 pub struct UdpTransport {
     id: NodeId,
     clock: WallClock,
@@ -230,18 +234,20 @@ impl UdpTransport {
             corrupt: false,
         }
     }
-}
 
-impl Transport for UdpTransport {
-    fn local(&self) -> NodeId {
+    /// This endpoint's node id.
+    pub fn local(&self) -> NodeId {
         self.id
     }
 
-    fn now(&self) -> SimTime {
+    /// Current MAC time on the endpoint's scaled wall clock (monotone).
+    pub fn now(&self) -> SimTime {
         self.clock.now()
     }
 
-    fn send_data(&mut self, bytes: &[u8]) -> Result<(), TransportError> {
+    /// Send `bytes` on the data channel: to the multicast group, or to
+    /// every known peer in unicast fan-out mode.
+    pub fn send_data(&mut self, bytes: &[u8]) -> Result<(), TransportError> {
         match self.multicast_to {
             Some(group) => {
                 self.ctrl.send_to(bytes, group)?;
@@ -255,13 +261,16 @@ impl Transport for UdpTransport {
         Ok(())
     }
 
-    fn send_ctrl(&mut self, to: NodeId, bytes: &[u8]) -> Result<(), TransportError> {
+    /// Send `bytes` on the control channel to `to`, whose address must be
+    /// known (configured or learned).
+    pub fn send_ctrl(&mut self, to: NodeId, bytes: &[u8]) -> Result<(), TransportError> {
         let addr = *self.peers.get(&to).ok_or(TransportError::UnknownPeer(to))?;
         self.ctrl.send_to(bytes, addr)?;
         Ok(())
     }
 
-    fn poll(&mut self) -> Result<Option<Incoming>, TransportError> {
+    /// Non-blocking receive: the next datagram already available, if any.
+    pub fn poll(&mut self) -> Result<Option<Incoming>, TransportError> {
         if let Some(pkt) = self.backlog.pop_front() {
             return Ok(Some(self.admit(pkt)));
         }
@@ -271,13 +280,14 @@ impl Transport for UdpTransport {
         }
     }
 
-    fn wait_until(&mut self, deadline: SimTime) -> Result<(), TransportError> {
+    /// Block until MAC time `deadline` or until traffic arrives, whichever
+    /// is first; an early arrival goes to the backlog for the next
+    /// [`poll`](Self::poll).
+    pub fn wait_until(&mut self, deadline: SimTime) -> Result<(), TransportError> {
         let dur = self.clock.until(deadline);
         if dur.is_zero() {
             return Ok(());
         }
-        // Returning early on traffic is allowed by the trait: the arrival
-        // goes to the backlog for the next poll.
         match self.rx.recv_timeout(dur) {
             Ok(pkt) => self.backlog.push_back(pkt),
             Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {}

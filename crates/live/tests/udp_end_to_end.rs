@@ -1,6 +1,7 @@
 //! End-to-end: the full RMAC exchange — MRTS, RBT, reliable DATA, ABT —
-//! over *real* UDP sockets on localhost, one driver thread per endpoint,
-//! exactly as the two-terminal `live_demo` runs it.
+//! and an unreliable broadcast over *real* UDP sockets on localhost, one
+//! driver thread per endpoint, exactly as the two-terminal `live_demo`
+//! runs it.
 //!
 //! MAC time runs [`SCALE`]× slower than wall time, so the paper's 2 µs
 //! tone-window margin becomes 2 ms of wall slack. The publisher retries on
@@ -32,15 +33,31 @@ const SUB: NodeId = NodeId(2);
 /// most one retry a run with both cores spinning).
 const SCALE: u32 = 1000;
 
-fn transport(id: NodeId) -> UdpTransport {
-    UdpTransport::new(
-        id,
-        UdpConfig {
-            scale: SCALE,
-            ..UdpConfig::default()
-        },
-    )
-    .expect("bind localhost sockets")
+/// Two bound endpoints that know each other's control address (a real
+/// deployment would learn them from Hello datagrams instead).
+fn pair(scale: u32) -> (UdpTransport, UdpTransport) {
+    let bind = |id| {
+        UdpTransport::new(
+            id,
+            UdpConfig {
+                scale,
+                ..UdpConfig::default()
+            },
+        )
+        .expect("bind localhost sockets")
+    };
+    let (mut pub_t, mut sub_t) = (bind(PUB), bind(SUB));
+    let (pub_addr, sub_addr) = (pub_t.ctrl_addr(), sub_t.ctrl_addr());
+    pub_t.add_peer(SUB, sub_addr);
+    sub_t.add_peer(PUB, pub_addr);
+    (pub_t, sub_t)
+}
+
+fn cfg(peer: NodeId) -> LiveConfig {
+    LiveConfig {
+        neighbors: vec![peer],
+        ..LiveConfig::default()
+    }
 }
 
 /// The longest a Reliable Send of `payload` to one receiver takes, on a
@@ -62,23 +79,13 @@ fn send_bound(mac: &MacConfig, payload: &[u8]) -> SimTime {
 
 #[test]
 fn reliable_multicast_over_real_sockets() {
-    let mut pub_t = transport(PUB);
-    let mut sub_t = transport(SUB);
-    // Bootstrap the peer tables from the freshly bound addresses (a real
-    // deployment would learn them from Hello datagrams instead).
-    let (pub_addr, sub_addr) = (pub_t.ctrl_addr(), sub_t.ctrl_addr());
-    pub_t.add_peer(SUB, sub_addr);
-    sub_t.add_peer(PUB, pub_addr);
+    let (pub_t, sub_t) = pair(SCALE);
 
     let payload = vec![0xA5u8; 120];
     // 89 ms of MAC time with the default `MacConfig`; a clean exchange is
     // done after 0.89 ms.
     let deadline = send_bound(&MacConfig::default(), &payload);
 
-    let cfg = |peer: NodeId| LiveConfig {
-        neighbors: vec![peer],
-        ..LiveConfig::default()
-    };
     let (done_tx, done_rx) = mpsc::channel::<()>();
     let sub_payload = payload.clone();
     let sub_cfg = cfg(PUB);
@@ -132,4 +139,49 @@ fn reliable_multicast_over_real_sockets() {
     // ABT as datagrams.
     assert!(sub_stats.ctrl_tx > 0, "subscriber sent tone datagrams");
     assert!(sub_stats.data_rx > 0, "subscriber heard data datagrams");
+}
+
+/// An unreliable broadcast opens no tone window, so host latency cannot
+/// make it miss one: whatever the timing, the sender reports `Sent` once
+/// its frame's airtime is over and the peer delivers the frame once. It
+/// therefore runs unscaled; the deadline only catches a wedge.
+#[test]
+fn unreliable_broadcast_over_real_sockets() {
+    let (pub_t, sub_t) = pair(1);
+    let deadline = SimTime::from_secs(10);
+    let subscriber = thread::spawn(move || {
+        let mut d = Driver::new(LiveNode::new(SUB, cfg(PUB)), sub_t);
+        let heard = d
+            .pump_until(deadline, |n| n.counters().delivered_up > 0)
+            .expect("subscriber transport failed");
+        assert!(heard, "subscriber never delivered within the deadline");
+        d.node_mut().take_delivered()
+    });
+
+    let mut d = Driver::new(LiveNode::new(PUB, cfg(SUB)), pub_t);
+    d.submit(TxRequest {
+        reliable: false,
+        dest: Dest::Broadcast,
+        payload: Bytes::from_static(b"fire and forget"),
+        token: 1,
+    })
+    .expect("publisher transport failed");
+    let mut outcomes = Vec::new();
+    while outcomes.is_empty() {
+        let now = d.pump().expect("publisher transport failed");
+        outcomes = d.node_mut().take_outcomes();
+        assert!(
+            now < deadline || !outcomes.is_empty(),
+            "broadcast never finished"
+        );
+    }
+    assert!(
+        matches!(outcomes[..], [(1, TxOutcome::Sent)]),
+        "{outcomes:?}"
+    );
+
+    let got = subscriber.join().expect("subscriber thread panicked");
+    assert_eq!(got.len(), 1, "exactly one delivery");
+    assert_eq!(got[0].1.payload.as_ref(), b"fire and forget");
+    assert_eq!(got[0].1.src, PUB);
 }

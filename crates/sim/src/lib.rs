@@ -18,19 +18,22 @@
 //!   discipline and are driven through the [`SimQueue`] trait, the only
 //!   spelling of the queue API,
 //! * [`timer`] — generation tokens for cheap timer cancellation,
+//! * [`pool`] — [`try_tasks`], the one worker pool: a campaign's cases and
+//!   a replication's shard groups run on it,
 //! * [`rng`] — seedable, splittable random number generation so that every
 //!   replication is reproducible from a single `u64` seed.
 //!
 //! The kernel dispatches each causally-coupled region single-threaded:
 //! wireless MAC simulations are dominated by fine-grained causally-ordered
-//! events, so parallelism is applied across independent replications (see
-//! `rmac-experiments`) and across radio-isolated shard groups (each its own
-//! [`CalendarQueue`] under the engine's conservative-sync scheduler), never
-//! within one coupled region.
+//! events, so parallelism is applied across independent replications (a
+//! campaign's cases) and across radio-isolated shard groups (each its own
+//! [`CalendarQueue`]), both through [`try_tasks`], never within one coupled
+//! region.
 
 pub mod calendar;
 pub mod hash;
 pub mod key;
+pub mod pool;
 pub mod queue;
 pub mod rng;
 pub mod time;
@@ -39,6 +42,7 @@ pub mod timer;
 pub use calendar::CalendarQueue;
 pub use hash::{DetHashMap, DetHashSet, DetHasher, DetState};
 pub use key::{Cursor, Edge, EdgeTally};
+pub use pool::try_tasks;
 pub use queue::{EventQueue, SimQueue};
 pub use rng::SimRng;
 pub use time::SimTime;

@@ -1,6 +1,6 @@
-//! Head-to-head of all five implemented MAC protocols on one identical
-//! placement: RMAC, its no-RBT ablation, and the three reconstructed
-//! baselines (BMMM, BMW, LBP).
+//! Head-to-head of six MAC variants on one identical placement: RMAC, its
+//! no-RBT ablation, and the four reconstructed baselines (BMMM, BMW, LBP,
+//! 802.11MX).
 //!
 //! ```text
 //! cargo run --release --example protocol_shootout
