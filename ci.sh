@@ -22,9 +22,9 @@ echo "    types around the balance table or the fuzzer, no second way to hand th
 echo "    key, no received power riding on a frame-onset event, no per-reader hook beside the"
 echo "    observation stream, no told flag or record tally outside the one edge type, no timing"
 echo "    wheel beside the event queue, no re-bucketing quantum beside the reuse horizon and no second"
-echo "    in-process coordinator or per-destination queue beside the loopback runner and the hub's queue:"
-echo "    DESIGN.md §13, §11, §10, §12, §8, §7, §9, §6)"
-if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S|SweepSpec|SweepResults|run_sweep|try_replications|RMAC_QUICK|RMAC_RATES|RMAC_NODES|ShardedQueue|SeqQueue|push_with_seq|home_slot|EngineTransport|EngineMedium|schedule\(SLOT, TimerKind::BackoffSlot|merge_traces|DispatchLog|DispatchRec|seed_slots|TraceCapture|popped_seq|ManualClock|BenchDocs|tone_count|pooled_tone_buf|sensed_since|rbt_runs|execute_sharded|into_runner|sched_rng|ShardGroupRow|balance_rows|FuzzProtocol|FuzzChurn|handle_at|set_cursor|FrameArriveStart \{ rx, tx, power|on_tx_start|on_node_down|observe_indication|trace_indication|fn describe\(r: &TraceRecord|on_told|off_told|sync_tone_interest|DEFAULT_QUANTUM|level_for|higher_candidate|level0_candidate|SLOT_BITS|const QUANTUM|SimEndpoint|pop_due_for|next_arrival_for|ArrivalQueue|impl Transport for' \
+echo "    in-process coordinator or per-destination queue beside the loopback runner and the hub's queue,"
+echo "    and no x-stripe beside the radio component: DESIGN.md §13, §11, §10, §12, §8, §7, §9, §6)"
+if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S|SweepSpec|SweepResults|run_sweep|try_replications|RMAC_QUICK|RMAC_RATES|RMAC_NODES|ShardedQueue|SeqQueue|push_with_seq|home_slot|EngineTransport|EngineMedium|schedule\(SLOT, TimerKind::BackoffSlot|merge_traces|DispatchLog|DispatchRec|seed_slots|TraceCapture|popped_seq|ManualClock|BenchDocs|tone_count|pooled_tone_buf|sensed_since|rbt_runs|execute_sharded|into_runner|sched_rng|ShardGroupRow|balance_rows|FuzzProtocol|FuzzChurn|handle_at|set_cursor|FrameArriveStart \{ rx, tx, power|on_tx_start|on_node_down|observe_indication|trace_indication|fn describe\(r: &TraceRecord|on_told|off_told|sync_tone_interest|DEFAULT_QUANTUM|level_for|higher_candidate|level0_candidate|SLOT_BITS|const QUANTUM|SimEndpoint|pop_due_for|next_arrival_for|ArrivalQueue|impl Transport for|fn stripes|coupled_groups|stripe_w' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!ci.sh'; then
     echo "a retired knob name reappeared (see above)" >&2
     exit 1
@@ -106,6 +106,14 @@ if git grep -n 'rayon::' -- 'crates/*/src/*'; then
     exit 1
 fi
 
+echo "==> the host is read by the worker pool alone (DESIGN.md §10): how a replication is cut into shard"
+echo "    groups depends on its geometry and cfg.shards, never on the core count"
+readers=$(git grep -l 'available_parallelism' -- '*.rs' ':!vendor' ':!benchmark')
+if [ "$readers" != crates/sim/src/pool.rs ]; then
+    echo "available_parallelism is read in: $readers (want: crates/sim/src/pool.rs)" >&2
+    exit 1
+fi
+
 echo "==> one engine (DESIGN.md §10): the run surface does not choose a path by shard count"
 if git grep -n 'shards > 1' -- crates/engine/src/run.rs; then
     echo "crates/engine/src/run.rs reads cfg.shards again (see above)" >&2
@@ -131,7 +139,9 @@ cargo run -q --release -p rmac-experiments --bin fuzz_scenarios -- --smoke
 echo "==> soak_live --smoke (live loopback soak: 100% delivery under 20% GE loss)"
 cargo run -q --release -p rmac-experiments --bin soak_live -- --smoke
 
-echo "==> shard stage (sharded-engine equivalence proptests)"
+echo "==> shard stage (radio-component decomposition and packing, then sharded-engine equivalence proptests"
+echo "    and the eight-cell layout)"
+cargo test -q --release -p rmac-engine --lib shard::
 cargo test -q --release --test shard_equivalence
 
 echo "==> queue stage (calendar/heap differential proptests)"

@@ -124,10 +124,10 @@ pub struct ScenarioConfig {
     /// Unreliable Send service (one broadcast per hop, no recovery) — the
     /// paper's §1 motivation strawman.
     pub reliable_forwarding: bool,
-    /// Shard count: [`crate::Run`] cuts the plane into this many
-    /// equal-width stripes along x and runs the replication as the
-    /// radio-isolated groups they couple into; `1` (the default) is one
-    /// group, the whole world. Any value produces bit-identical reports
+    /// Shard count: at `n > 1`, [`crate::Run`] runs the replication as
+    /// about `4n` groups of whole radio components (slots linked by
+    /// in-range chains), which never exchange events; `1` (the default) is
+    /// one group, the whole world. Any value produces bit-identical reports
     /// (DESIGN.md §10, enforced by `tests/shard_equivalence.rs`).
     pub shards: usize,
 }
@@ -212,8 +212,9 @@ impl ScenarioConfig {
         self
     }
 
-    /// Partition the world into `shards` spatial stripes. Reports stay
-    /// bit-identical for every value.
+    /// Run at `shards` shards: above 1, the radio components are packed
+    /// into at most `4 · shards` groups that run concurrently. Reports
+    /// stay bit-identical for every value.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self

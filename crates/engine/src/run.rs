@@ -166,8 +166,9 @@ impl Run {
     }
 
     /// Run to completion, as the replication's shard groups
-    /// ([`crate::shard`]): `cfg.shards` stripes, coupled into causally
-    /// closed groups; one stripe is one group, the whole world.
+    /// ([`crate::shard`]): at more than one shard its radio components,
+    /// packed into at most `4 · cfg.shards` causally closed groups; one
+    /// shard is one group, the whole world.
     pub fn execute(self) -> RunOutput {
         if self.heap_queue {
             shard::execute(&self.spec, self.tracer, EventQueue::with_capacity)

@@ -1,15 +1,14 @@
 //! The engine: every replication runs as its shard groups (DESIGN.md §10).
 //!
-//! The plane is cut into `cfg.shards` equal-width stripes along x; every
-//! channel slot (protocol node or jammer) belongs to the stripe containing
-//! its initial position. A replication is one or more *shard groups*:
+//! A replication is one or more *shard groups*, each a set of channel slots
+//! (protocol nodes and jammers) driven by one runner:
 //!
-//! * Stripes whose populations are radio-isolated from each other — no
-//!   cross-stripe pair within `range_m` — can never exchange events,
-//!   because every event the engine generates targets either its emitting
-//!   node or a receiver within radio range. The coupling analysis
-//!   ([`coupled_groups`]) unions stripes bridged by an in-range pair; the
-//!   resulting connected components are *causally closed* and run
+//! * Every event the engine generates targets either its emitting slot or a
+//!   receiver within radio range, so the connected components of the radio
+//!   graph — slots adjacent when their initial positions lie within
+//!   `range_m` — can never exchange events: each component, and so any
+//!   union of components, is *causally closed*. [`components`] finds them
+//!   and [`pack`] packs them into about `4 · cfg.shards` groups, which run
 //!   concurrently, one runner each.
 //! * A group's runner is the [`Runner`] that owns the group's slots: it
 //!   builds the full-width world (so global node indexing, RNG stream
@@ -22,8 +21,8 @@
 //!   is closed under the beacon subsystem, so it is played out into the
 //!   [`BeaconTimetable`] when the run starts and every group reads that.
 //!
-//! One stripe is one group that owns every slot: the whole-world run, with
-//! no stripe map, coupling analysis or thread. So is every run whose causal
+//! `cfg.shards = 1` is one group that owns every slot: the whole-world run,
+//! with no component analysis or thread. So is every run whose causal
 //! closure cannot be proven cheaply — mobility (nodes roam the whole plane),
 //! a positive BER (the channel-noise draws are globally sequenced) — and
 //! every run carrying what observes *global event order*: engine obs (its
@@ -43,7 +42,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use rmac_check::CheckReport;
+use rmac_core::api::MacCounters;
 use rmac_mobility::{MobilityKind, Pos};
+use rmac_net::NetLayer;
 use rmac_obs::ObsReport;
 use rmac_phy::FrameTallies;
 use rmac_sim::{try_tasks, SimQueue, SimRng, SimTime};
@@ -53,38 +54,21 @@ use crate::run::{RunOutput, Spec};
 use crate::trace::Tracer;
 use crate::world::{build_motions, collect_report, BeaconTimetable, Ev, Harvest, Runner};
 
-/// Guard margin on the radio range when testing whether two stripes are
-/// coupled. Coupling strictly more than the channel does is always safe
+/// Guard margin on the radio range when testing whether two slots are
+/// adjacent. Joining strictly more than the channel does is always safe
 /// (it only costs parallelism); this absorbs any floating-point slack in
 /// the channel's own `dist ≤ range` comparison.
 const RANGE_EPS: f64 = 1e-6;
 
-/// Spatial partition of channel slots (protocol nodes, then jammers) into
-/// `shards` equal-width stripes along x: each slot's owning stripe,
-/// `floor(x / (width / shards))`, clamped into range so positions on (or
-/// beyond) the right edge land in the last stripe.
-fn stripes(positions: &[Pos], width: f64, shards: usize) -> Vec<usize> {
-    let stripe_w = width / shards as f64;
-    let stripe_of = |p: &Pos| {
-        if stripe_w > 0.0 && p.x.is_finite() {
-            ((p.x / stripe_w).floor() as i64).clamp(0, shards as i64 - 1) as usize
-        } else {
-            0
-        }
-    };
-    positions.iter().map(stripe_of).collect()
-}
+/// Groups per configured shard that [`pack`] aims for: enough for the pool
+/// to run the source's group beside the rest, few enough that per-group
+/// assembly (every group builds the full-width world) stays small.
+const GROUPS_PER_SHARD: usize = 4;
 
-/// Union shards bridged by any cross-stripe slot pair within radio range
-/// and return the connected components (each a sorted list of shard ids,
-/// components ordered by their smallest member). Components are causally
-/// closed: no event generated inside one can target a slot in another.
-pub(crate) fn coupled_groups(
-    positions: &[Pos],
-    owner: &[usize],
-    shards: usize,
-    range_m: f64,
-) -> Vec<Vec<usize>> {
+/// The connected components of the radio graph over the channel slots at
+/// `positions` — two slots adjacent when within `range_m` — each a sorted
+/// list of slot ids, components ordered by their smallest member.
+fn components(positions: &[Pos], range_m: f64) -> Vec<Vec<usize>> {
     fn find(uf: &mut [usize], mut i: usize) -> usize {
         while uf[i] != i {
             uf[i] = uf[uf[i]];
@@ -92,10 +76,11 @@ pub(crate) fn coupled_groups(
         }
         i
     }
-    let mut uf: Vec<usize> = (0..shards).collect();
+    let mut uf: Vec<usize> = (0..positions.len()).collect();
     let reach = range_m + RANGE_EPS;
-    // Plane sweep along x: only pairs with |dx| ≤ reach can couple, so a
-    // sliding window keeps the check near-linear for striped layouts.
+    // Plane sweep along x: only pairs with |dx| ≤ reach can be adjacent,
+    // so a sliding window keeps the pass near-linear unless the whole
+    // population stands in one column.
     let mut order: Vec<usize> = (0..positions.len()).collect();
     order.sort_by(|&a, &b| {
         positions[a]
@@ -107,33 +92,57 @@ pub(crate) fn coupled_groups(
     let mut lo = 0usize;
     for k in 0..order.len() {
         let i = order[k];
-        while positions[order[lo]].x < positions[i].x - reach {
+        while lo < k && positions[order[lo]].x < positions[i].x - reach {
             lo += 1;
         }
         for &j in &order[lo..k] {
-            if owner[i] == owner[j] {
-                continue;
-            }
-            let (ri, rj) = (find(&mut uf, owner[i]), find(&mut uf, owner[j]));
+            let (ri, rj) = (find(&mut uf, i), find(&mut uf, j));
             if ri == rj {
                 continue;
             }
             let dx = positions[i].x - positions[j].x;
             let dy = positions[i].y - positions[j].y;
             if dx * dx + dy * dy <= reach * reach {
-                // Union to the smaller root so components keep their
-                // smallest shard id as representative.
+                // Union to the smaller root so a component's root is its
+                // smallest member.
                 uf[ri.max(rj)] = ri.min(rj);
             }
         }
     }
-    let mut components: Vec<Vec<usize>> = vec![Vec::new(); shards];
-    for s in 0..shards {
-        let r = find(&mut uf, s);
-        components[r].push(s);
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); positions.len()];
+    for s in 0..positions.len() {
+        let root = find(&mut uf, s);
+        members[root].push(s);
     }
-    components.retain(|g| !g.is_empty());
-    components
+    members.retain(|c| !c.is_empty());
+    members
+}
+
+/// Pack components, walked in smallest-member order, into shard groups: a
+/// group closes once it holds ⌈slots / (4 · shards)⌉ slots, so there are at
+/// most `4 · shards` of them. The count depends on the geometry and
+/// `shards` alone, never on the host. Node 0's component, which carries the
+/// source's traffic, lands in the first group, which the pool starts
+/// first. Each group is a sorted list of slot ids; groups are ordered by
+/// their smallest slot.
+fn pack(components: Vec<Vec<usize>>, shards: usize) -> Vec<Vec<usize>> {
+    let slots: usize = components.iter().map(Vec::len).sum();
+    let fill = slots.div_ceil(GROUPS_PER_SHARD * shards.max(1));
+    let mut groups = Vec::new();
+    let mut open: Vec<usize> = Vec::new();
+    for c in components {
+        open.extend(c);
+        if open.len() >= fill {
+            groups.push(std::mem::take(&mut open));
+        }
+    }
+    if !open.is_empty() {
+        groups.push(open);
+    }
+    for g in &mut groups {
+        g.sort_unstable();
+    }
+    groups
 }
 
 /// Scheduling statistics of one replication.
@@ -149,7 +158,7 @@ pub struct ShardStats {
     /// 2(c).
     pub cross_pushes: u64,
     /// Per-group scheduling breakdown, in group order (groups are ordered
-    /// by their smallest shard id): the shard-balance raw material of
+    /// by their smallest slot): the shard-balance raw material of
     /// `obs_report`.
     pub group_stats: Vec<GroupStats>,
 }
@@ -157,22 +166,20 @@ pub struct ShardStats {
 impl ShardStats {
     /// Aligned plain-text shard-balance table: one row per group plus a
     /// totals line. Balance (max/mean events per group) quantifies how
-    /// evenly the coupling analysis split the work. The event counts are
+    /// evenly the packing split the work. The event counts are
     /// deterministic simulation state; the wall readings are not.
     pub fn render_balance(&self) -> String {
         let rows = &self.group_stats;
         let mut out = format!(
-            "{:<8} {:<10} {:>12} {:>10}\n",
-            "group", "shards", "events", "wall_ms"
+            "{:<8} {:>10} {:>8} {:>12} {:>10}\n",
+            "group", "first_slot", "slots", "events", "wall_ms"
         );
         for (i, r) in rows.iter().enumerate() {
-            let shards: Vec<String> = r.shards.iter().map(|s| s.to_string()).collect();
             let wall_ms = r.wall_ns as f64 / 1e6;
             let _ = writeln!(
                 out,
-                "{i:<8} {:<10} {:>12} {wall_ms:>10.3}",
-                shards.join("+"),
-                r.events
+                "{i:<8} {:>10} {:>8} {:>12} {wall_ms:>10.3}",
+                r.first_slot, r.slots, r.events
             );
         }
         let total: u64 = rows.iter().map(|r| r.events).sum();
@@ -193,12 +200,9 @@ impl ShardStats {
     /// serializer in this workspace).
     pub fn balance_json(&self) -> String {
         let row = |r: &GroupStats| {
-            let shards: Vec<String> = r.shards.iter().map(|s| s.to_string()).collect();
             format!(
-                "{{\"shards\":[{}],\"events\":{},\"wall_ns\":{}}}",
-                shards.join(","),
-                r.events,
-                r.wall_ns
+                "{{\"first_slot\":{},\"slots\":{},\"events\":{},\"wall_ns\":{}}}",
+                r.first_slot, r.slots, r.events, r.wall_ns
             )
         };
         let rows: Vec<String> = self.group_stats.iter().map(row).collect();
@@ -209,8 +213,11 @@ impl ShardStats {
 /// One shard group's scheduling statistics.
 #[derive(Clone, Debug)]
 pub struct GroupStats {
-    /// The shard ids the group owns, sorted ascending.
-    pub shards: Vec<usize>,
+    /// The smallest channel slot the group owns (slots are protocol nodes,
+    /// then jammers).
+    pub first_slot: usize,
+    /// How many channel slots the group owns.
+    pub slots: usize,
     /// Events the group dispatched.
     pub events: u64,
     /// Wall-clock time the group's worker spent running it. Wall readings
@@ -245,14 +252,13 @@ fn run_group<Q: SimQueue<Ev>>(mut runner: Runner<Q>, beacons: &BeaconTimetable) 
 }
 
 /// Run an assembled whole-world runner as the one group of its replication
-/// (every stripe, every slot). The beacon schedule is built here, when the
-/// run starts: assembly stays independent of the run's length.
+/// (every slot). The beacon schedule is built here, when the run starts:
+/// assembly stays independent of the run's length.
 pub(crate) fn run_whole<Q: SimQueue<Ev>>(runner: Runner<Q>, seed: u64) -> RunOutput {
     let (cfg, protocol) = (Arc::clone(&runner.cfg), runner.protocol);
     let beacons = BeaconTimetable::build(&cfg, runner.seed);
     let done = run_group(runner, &beacons);
-    let every_stripe = (0..cfg.shards.max(1)).collect();
-    collect(&cfg, protocol, seed, vec![every_stripe], vec![done])
+    collect(&cfg, protocol, seed, vec![done])
 }
 
 /// Run `spec` to completion as its shard groups, each on a queue `make_q`
@@ -264,8 +270,8 @@ pub(crate) fn execute<Q: SimQueue<Ev>>(
 ) -> RunOutput {
     let cfg = &*spec.cfg;
     // Causal closure is only provable for frozen geometry and a noise-
-    // free channel: mobility lets nodes roam across stripes, and a
-    // positive BER sequences the shared channel-noise stream over all
+    // free channel: mobility lets nodes roam out of their components, and
+    // a positive BER sequences the shared channel-noise stream over all
     // receptions. Obs and the tracer observe global event order, which
     // only the single group reproduces.
     let decomposes = cfg.shards > 1
@@ -282,55 +288,58 @@ pub(crate) fn execute<Q: SimQueue<Ev>>(
         .iter_mut()
         .map(|m| m.position_at(SimTime::ZERO))
         .collect();
-    let owner = stripes(&positions, cfg.bounds.width, cfg.shards);
-    let groups = coupled_groups(&positions, &owner, cfg.shards, cfg.range_m);
+    let groups = pack(components(&positions, cfg.range_m), cfg.shards);
     let beacons = BeaconTimetable::build(cfg, spec.seed);
     let run = |group: &Vec<usize>| {
-        let runner = Runner::assemble(spec, make_q, |slot| group.contains(&owner[slot]));
+        let runner = Runner::assemble(spec, make_q, |slot| group.binary_search(&slot).is_ok());
         run_group(runner, &beacons)
     };
 
     // The one worker pool: one worker per core, capped by the group count,
-    // so on a single-core host the groups run back to back and the speedup
-    // over the one-group run is pure working-set reduction (smaller event
-    // queue, smaller live state per group). A group panic surfaces with its
-    // own message.
-    let results =
-        try_tasks(&groups, run, |g| format!("shard group {g:?}")).unwrap_or_else(|e| panic!("{e}"));
-    collect(cfg, spec.protocol, spec.seed, groups, results)
+    // taking groups in order, so the source's group starts first. On a
+    // single-core host the groups run back to back and the speedup over
+    // the one-group run is pure working-set reduction (smaller event
+    // queue, smaller live state per group). A group panic surfaces with
+    // its own message.
+    let label = |g: &Vec<usize>| format!("shard group of slot {} ({} slots)", g[0], g.len());
+    let results = try_tasks(&groups, run, label).unwrap_or_else(|e| panic!("{e}"));
+    collect(cfg, spec.protocol, spec.seed, results)
 }
 
 /// Merge the groups' results into the replication's output. Per-node state
-/// comes from each node's owner group, walked in global node order so the
-/// float accumulation in `collect_report` sums as the whole-world run does;
-/// channel/fault tallies are sums and the final clock is the max.
+/// comes from each node's owner group, placed at its global id so the
+/// float accumulation in `collect_report` sums in global node order as the
+/// whole-world run does; channel/fault tallies are sums and the final clock
+/// is the max.
 fn collect(
     cfg: &ScenarioConfig,
     protocol: Protocol,
     seed: u64,
-    groups: Vec<Vec<usize>>,
     results: Vec<GroupRun>,
 ) -> RunOutput {
-    let group_stats = groups
-        .into_iter()
-        .zip(&results)
-        .map(|(shards, r)| GroupStats {
-            shards,
+    let group_stats = results
+        .iter()
+        .map(|r| GroupStats {
+            first_slot: r.harvest.slots[0],
+            slots: r.harvest.slots.len(),
             events: r.harvest.events,
             wall_ns: r.wall_ns,
         })
         .collect::<Vec<_>>();
+    let mut nodes: Vec<Option<(NetLayer, MacCounters)>> = (0..cfg.nodes).map(|_| None).collect();
+    let mut place = |h: &mut Harvest| {
+        let owned = h.nets.drain(..).zip(h.counters.drain(..));
+        for (&slot, node) in h.slots.iter().zip(owned) {
+            nodes[slot] = Some(node);
+        }
+    };
     let mut results = results.into_iter();
     let first = results.next().expect("at least one shard group");
     let (mut merged, obs, mut check) = (first.harvest, first.obs, first.check);
+    place(&mut merged);
     for r in results {
-        let h = r.harvest;
-        for (i, (net, ctr)) in h.nets.into_iter().zip(h.counters).enumerate() {
-            if h.owned[i] {
-                merged.nets[i] = net;
-                merged.counters[i] = ctr;
-            }
-        }
+        let mut h = r.harvest;
+        place(&mut h);
         add_tallies(&mut merged.frames, &h.frames);
         merged.faults_injected += h.faults_injected;
         merged.events += h.events;
@@ -340,6 +349,10 @@ fn collect(
         merged.jam_bursts += h.jam_bursts;
         check = check.zip(r.check).map(|(a, b)| merge_checks(a, b));
     }
+    (merged.nets, merged.counters) = nodes
+        .into_iter()
+        .map(|n| n.expect("every node has an owner group"))
+        .unzip();
     RunOutput {
         report: collect_report(cfg, protocol, seed, &merged),
         obs,
@@ -384,64 +397,86 @@ mod tests {
     use super::*;
     use crate::{Protocol, Run, ScenarioConfig};
 
-    #[test]
-    fn stripes_partition_by_x() {
-        let pos = [
-            Pos::new(10.0, 5.0),
-            Pos::new(240.0, 5.0),
-            Pos::new(499.0, 5.0),
-            Pos::new(250.0, 299.0),
-        ];
-        assert_eq!(stripes(&pos, 500.0, 2), vec![0, 0, 1, 1]);
-        // Positions on/past the right edge clamp into the last stripe.
-        let edges = [Pos::new(500.0, 0.0), Pos::new(-3.0, 0.0)];
-        assert_eq!(stripes(&edges, 500.0, 4), vec![3, 0]);
+    /// Components and then groups at `shards`, over a 75 m radio.
+    fn groups(pos: &[Pos], shards: usize) -> Vec<Vec<usize>> {
+        pack(components(pos, 75.0), shards)
     }
 
     #[test]
-    fn isolated_stripes_form_separate_groups() {
-        // Two clusters 300 m apart with a 75 m radio: the stripes are
-        // radio-isolated and decompose into two groups.
+    fn isolated_clusters_split_into_separate_groups() {
+        // Two clusters 380 m apart with a 75 m radio, listed interleaved:
+        // each is a component, and at two shards (groups of ≥ 1 slot) a
+        // group of its own.
         let pos = [
             Pos::new(50.0, 50.0),
-            Pos::new(60.0, 50.0),
             Pos::new(440.0, 50.0),
+            Pos::new(60.0, 50.0),
             Pos::new(450.0, 50.0),
         ];
-        let owner = stripes(&pos, 500.0, 2);
-        let groups = coupled_groups(&pos, &owner, 2, 75.0);
-        assert_eq!(groups, vec![vec![0], vec![1]]);
+        assert_eq!(components(&pos, 75.0), vec![vec![0, 2], vec![1, 3]]);
+        assert_eq!(groups(&pos, 2), vec![vec![0, 2], vec![1, 3]]);
     }
 
     #[test]
-    fn cross_stripe_pair_in_range_couples_shards() {
-        // Nodes at 240 m and 260 m straddle the 250 m stripe boundary
-        // within a 75 m radio range: the two stripes must join one group.
-        let pos = [Pos::new(240.0, 50.0), Pos::new(260.0, 50.0)];
-        let owner = stripes(&pos, 500.0, 2);
-        assert_eq!(owner, vec![0, 1]);
-        let groups = coupled_groups(&pos, &owner, 2, 75.0);
-        assert_eq!(groups, vec![vec![0, 1]]);
-    }
-
-    #[test]
-    fn coupling_is_transitive() {
-        // A chain across three stripes: 0–1 coupled and 1–2 coupled must
-        // merge all three, even though 0 and 2 are far apart.
+    fn an_in_range_chain_couples_transitively() {
+        // 0–1 and 1–2 within range, 0 and 2 150 m apart: one component.
         let pos = [
-            Pos::new(160.0, 0.0),
-            Pos::new(170.0, 0.0), // stripe 1 (167..333)
-            Pos::new(330.0, 0.0),
-            Pos::new(340.0, 0.0), // stripe 2
+            Pos::new(0.0, 0.0),
+            Pos::new(300.0, 0.0),
+            Pos::new(75.0, 0.0),
+            Pos::new(150.0, 0.0),
         ];
-        let owner = stripes(&pos, 500.0, 3);
-        assert_eq!(owner, vec![0, 1, 1, 2]);
-        let groups = coupled_groups(&pos, &owner, 3, 75.0);
-        assert_eq!(groups, vec![vec![0, 1, 2]]);
+        assert_eq!(components(&pos, 75.0), vec![vec![0, 2, 3], vec![1]]);
     }
 
     #[test]
-    fn striped_report_matches_the_one_group_run_on_a_small_scenario() {
+    fn a_jammer_in_range_of_two_clusters_merges_them() {
+        // Two clusters 140 m apart; the jammer slot (last) sits 70 m from
+        // each and is the only bridge.
+        let mut pos = vec![
+            Pos::new(0.0, 0.0),
+            Pos::new(10.0, 0.0),
+            Pos::new(150.0, 0.0),
+            Pos::new(160.0, 0.0),
+        ];
+        assert_eq!(components(&pos, 75.0).len(), 2);
+        pos.push(Pos::new(80.0, 0.0));
+        assert_eq!(components(&pos, 75.0), vec![vec![0, 1, 2, 3, 4]]);
+    }
+
+    #[test]
+    fn an_isolated_world_stays_within_four_groups_per_shard() {
+        // 101 nodes 100 m apart: 101 components, packed into at most
+        // 4 · shards groups that together own every slot once.
+        let pos: Vec<Pos> = (0..101).map(|i| Pos::new(i as f64 * 100.0, 0.0)).collect();
+        assert_eq!(components(&pos, 75.0).len(), 101);
+        for shards in [2usize, 3, 8] {
+            let g = groups(&pos, shards);
+            assert!(g.len() <= 4 * shards, "shards={shards}: {} groups", g.len());
+            let mut owned: Vec<usize> = g.concat();
+            owned.sort_unstable();
+            assert_eq!(owned, (0..101).collect::<Vec<_>>(), "shards={shards}");
+            assert!(
+                g.windows(2).all(|w| w[0][0] < w[1][0]),
+                "ordered by first slot"
+            );
+        }
+    }
+
+    #[test]
+    fn a_one_node_world_runs_at_two_shards() {
+        let cfg = ScenarioConfig::paper_stationary(5.0)
+            .with_nodes(1)
+            .with_packets(3);
+        let whole = Run::new(&cfg, Protocol::Rmac, 5).execute();
+        let two = Run::new(&cfg.clone().with_shards(2), Protocol::Rmac, 5).execute();
+        assert_eq!(two.report, whole.report);
+        assert_eq!((two.shard.shards, two.shard.groups), (2, 1));
+        assert_eq!(two.shard.group_stats[0].slots, 1);
+    }
+
+    #[test]
+    fn sharded_report_matches_the_one_group_run_on_a_small_scenario() {
         // The full equivalence matrix lives in tests/shard_equivalence.rs;
         // this is the in-crate smoke for the plumbing.
         let cfg = ScenarioConfig::paper_stationary(5.0)
@@ -449,18 +484,22 @@ mod tests {
             .with_packets(10);
         let whole = Run::new(&cfg, Protocol::Rmac, 7).execute();
         assert_eq!((whole.shard.shards, whole.shard.groups), (1, 1));
+        assert_eq!(whole.shard.group_stats[0].slots, 20);
         for shards in [2usize, 4] {
             let cfg = cfg.clone().with_shards(shards);
             let out = Run::new(&cfg, Protocol::Rmac, 7).execute();
             assert_eq!(out.report, whole.report, "shards={shards}");
             assert_eq!(out.shard.shards, shards);
             assert!(out.shard.groups >= 1);
+            let slots: usize = out.shard.group_stats.iter().map(|g| g.slots).sum();
+            assert_eq!(slots, 20, "shards={shards}");
         }
     }
 
     fn two_groups() -> ShardStats {
-        let group = |shards: &[usize], events, wall_ns| GroupStats {
-            shards: shards.to_vec(),
+        let group = |first_slot, slots, events, wall_ns| GroupStats {
+            first_slot,
+            slots,
             events,
             wall_ns,
         };
@@ -468,14 +507,16 @@ mod tests {
             shards: 3,
             groups: 2,
             cross_pushes: 0,
-            group_stats: vec![group(&[0, 1], 300, 2_500_000), group(&[2], 100, 900_000)],
+            group_stats: vec![group(0, 12, 300, 2_500_000), group(5, 4, 100, 900_000)],
         }
     }
 
     #[test]
     fn render_lists_groups_and_totals() {
         let s = two_groups().render_balance();
-        assert!(s.contains("0+1"));
+        assert!(s.starts_with("group"));
+        let row: Vec<&str> = s.lines().nth(2).unwrap().split_whitespace().collect();
+        assert_eq!(row, ["1", "5", "4", "100", "0.900"]);
         assert!(s.contains("400 events"));
         assert!(s.contains("2 groups"));
         // max/mean = 300/200.
@@ -486,8 +527,8 @@ mod tests {
     fn json_lists_each_group() {
         let j = two_groups().balance_json();
         assert!(j.starts_with('[') && j.ends_with(']'));
-        assert!(j.contains("\"shards\":[0,1]"));
-        assert!(j.contains("\"events\":300"));
+        assert!(j.contains("{\"first_slot\":0,\"slots\":12,\"events\":300,"));
+        assert!(j.contains("{\"first_slot\":5,\"slots\":4,\"events\":100,"));
     }
 
     #[test]

@@ -124,7 +124,8 @@ impl BeaconTimetable {
 /// Node placement and motion assembly: positions from the master's
 /// `split(1)` stream, per-node waypoint motions from `split(1000 + i)`,
 /// jammer slots appended stationary. Pure in `master`, so every shard group
-/// (and the stripe map that divides them) derives identical world geometry.
+/// (and the component analysis that divides them) derives identical world
+/// geometry.
 pub(crate) fn build_motions(
     cfg: &ScenarioConfig,
     plan: &FaultPlan,
@@ -408,7 +409,7 @@ pub struct Runner<Q: SimQueue<Ev> = CalendarQueue<Ev>> {
     /// allocation without it).
     inds_scratch: Vec<Indication>,
     /// Per channel slot (protocol nodes, then jammers): does this runner's
-    /// shard group own it? Only owned slots are seeded; the coupling
+    /// shard group own it? Only owned slots are seeded; the component
     /// analysis in [`crate::shard`] guarantees no event for another slot
     /// can ever be generated.
     owned: Vec<bool>,
@@ -532,11 +533,13 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 skew[s.node as usize] = 1.0 + s.ppm * 1e-6;
             }
         }
-        // Pre-size the event heap from the scenario scale: each in-flight
+        // Pre-size the event heap from the group's scale: each in-flight
         // transmission holds ~2 events per in-range receiver, plus MAC
-        // timers and beacons per node. 64 slots per node slot covers dense
-        // contention rounds without reallocating mid-replication.
-        let queue_capacity = (node_slots * 64).max(4096);
+        // timers and beacons per node. 64 slots per owned slot covers dense
+        // contention rounds without reallocating mid-replication; slots the
+        // group does not own never schedule anything.
+        let owned: Vec<bool> = (0..node_slots).map(owns).collect();
+        let queue_capacity = (owned.iter().filter(|&&o| o).count() * 64).max(4096);
         let mut runner = Runner {
             core: WorldCore {
                 q: make_q(queue_capacity),
@@ -569,7 +572,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 })
             },
             inds_scratch: Vec::new(),
-            owned: (0..node_slots).map(owns).collect(),
+            owned,
         };
         runner.attach(spec.obs, spec.check, None);
         runner
@@ -1095,12 +1098,26 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
 
     /// Strip the finished group down to the state the report is computed
     /// from. The harvest is partition-friendly: every field is either
-    /// per-node (merged by taking each node from its owner group), a
-    /// commutative sum, or a maximum — which is what lets the groups' merged
-    /// report reproduce the whole-world run's bit-for-bit.
+    /// per-node (kept for the owned nodes only, merged by taking each node
+    /// from its owner group), a commutative sum, or a maximum — which is
+    /// what lets the groups' merged report reproduce the whole-world run's
+    /// bit-for-bit.
     pub(crate) fn harvest(self) -> Harvest {
+        fn keep_owned<T>(v: Vec<T>, owned: &[bool]) -> Vec<T> {
+            let mut kept: Vec<T> = v
+                .into_iter()
+                .zip(owned)
+                .filter_map(|(x, &o)| o.then_some(x))
+                .collect();
+            // The collect reuses the full-width allocation; a finished
+            // group is retained until the merge, so give the rest back.
+            kept.shrink_to_fit();
+            kept
+        }
         Harvest {
-            owned: self.owned,
+            slots: (0..self.owned.len()).filter(|&s| self.owned[s]).collect(),
+            nets: keep_owned(self.nets, &self.owned),
+            counters: keep_owned(self.core.counters, &self.owned),
             frames: self.core.channel.frame_tallies(),
             faults_injected: self.core.channel.faults_injected(),
             events: self.core.q.total_popped(),
@@ -1108,19 +1125,20 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
             packets_sent: self.cfg.packets - self.packets_left,
             crashes: self.faults.as_ref().map_or(0, |f| f.crashes),
             jam_bursts: self.faults.as_ref().map_or(0, |f| f.jam_bursts),
-            nets: self.nets,
-            counters: self.core.counters,
         }
     }
 }
 
 /// The order-independent residue of a finished group: everything
 /// [`collect_report`] needs, in a shape that merges across the groups of a
-/// replication (per-node vectors indexed by global node id, plus summable
-/// channel/fault tallies).
+/// replication (the owned nodes' state, plus summable channel/fault
+/// tallies).
 pub(crate) struct Harvest {
-    /// Per channel slot: did the harvested group own it?
-    pub(crate) owned: Vec<bool>,
+    /// The channel slots the harvested group owned, ascending (protocol
+    /// nodes first, then jammers).
+    pub(crate) slots: Vec<usize>,
+    /// One entry per owned protocol node, in `slots` order; the merge
+    /// refills them with every node's, indexed by global node id.
     pub(crate) nets: Vec<NetLayer>,
     pub(crate) counters: Vec<MacCounters>,
     pub(crate) frames: FrameTallies,

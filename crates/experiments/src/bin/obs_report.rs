@@ -102,9 +102,10 @@ fn main() {
         ));
     }
 
-    // Shard-balance telemetry: re-run the same scenario cut into four
-    // stripes and surface its per-group scheduling rows. The event
-    // counts are deterministic; only wall_ns is telemetry.
+    // Shard-balance telemetry: re-run the same scenario at four shards
+    // (its radio components packed into at most 16 groups) and surface
+    // its per-group scheduling rows. The event counts are deterministic;
+    // only wall_ns is telemetry.
     let sharded = Run::new(&cfg.clone().with_shards(4), Protocol::Rmac, seed).execute();
     if sharded.report != base {
         fail("four-shard RunReport differs from the one-group run's");
@@ -119,7 +120,11 @@ fn main() {
     println!("{}", obs.render());
     println!("{}", frame_kind_table(&report).render());
     println!("{}", render_timeline(&records, 5_000_000, 40));
-    println!("shard balance (4 shards -> {} groups):", stats.groups);
+    let slots: usize = stats.group_stats.iter().map(|g| g.slots).sum();
+    println!(
+        "shard balance (4 shards -> {} groups of whole radio components, {slots} slots):",
+        stats.groups
+    );
     println!("{}", stats.render_balance());
     println!(
         "ok: RunReport bit-identical, {} trace lines written, 0 dropped \

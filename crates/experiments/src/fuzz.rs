@@ -96,8 +96,9 @@ pub struct FuzzScenario {
     /// Fault plane.
     pub faults: FuzzFaults,
     /// Shard count. Every case runs as one group on the heap reference
-    /// queue and on the calendar queue, and cut into this many stripes; a
-    /// report divergence between any two is itself a finding.
+    /// queue and on the calendar queue, and at this many shards (its radio
+    /// components packed into groups); a report divergence between any two
+    /// is itself a finding.
     pub shards: usize,
 }
 

@@ -154,13 +154,13 @@ fn golden_scenarios() -> Vec<(&'static str, ScenarioConfig, u64, FaultPlan)> {
         ScenarioConfig::paper_stationary(5.0)
             .with_packets(3)
             .with_positions(vec![
-                // Cluster A (left stripe): source plus two receivers.
+                // Cluster A: source plus two receivers.
                 Pos::new(40.0, 100.0),
                 Pos::new(90.0, 100.0),
                 Pos::new(40.0, 160.0),
-                // Cluster B (right stripe): radio-isolated bystanders,
-                // > 75 m from everything in A, so two shards decouple
-                // into two causally closed groups.
+                // Cluster B: radio-isolated bystanders, > 75 m from
+                // everything in A, so two shards decouple the two radio
+                // components into two causally closed groups.
                 Pos::new(420.0, 100.0),
                 Pos::new(460.0, 140.0),
             ]),

@@ -153,8 +153,8 @@ fn decoupled_clusters_run_parallel_and_match() {
     use rmac::mobility::Pos;
     let mut positions = Vec::new();
     for i in 0..12 {
-        // Cluster A in stripe 0, cluster B in stripe 3 (width 1000, 4
-        // shards → stripes of 250 m; 75 m radio cannot bridge the gap).
+        // Cluster A at the left edge, cluster B 900 m to its right: the
+        // 75 m radio cannot bridge the gap, so they are two components.
         let (cx, cy) = ((i % 4) as f64 * 30.0, (i / 4) as f64 * 30.0);
         positions.push(Pos::new(cx + 10.0, cy + 10.0));
         positions.push(Pos::new(cx + 910.0, cy + 10.0));
@@ -185,18 +185,17 @@ fn decoupled_clusters_run_parallel_and_match() {
     }
 }
 
-/// The adversarial coupled layout: a sender parked exactly on a stripe
-/// boundary with receivers mirrored at equal distances on both sides, so
-/// every frame arrival and tone edge it emits reaches nodes of different
-/// stripes at the *same nanosecond*. The stripes couple into one group,
-/// whose same-instant events must dispatch in push order exactly as in the
-/// serial run, at every shard count.
+/// The adversarial coupled layout: a sender with receivers mirrored at
+/// equal distances on both sides, so every frame arrival and tone edge it
+/// emits reaches several nodes at the *same nanosecond*. The population is
+/// one radio component, so one group, whose same-instant events must
+/// dispatch in push order exactly as in the serial run, at every shard
+/// count.
 #[test]
 fn boundary_straddling_receivers_match_oracle() {
     use rmac::mobility::Pos;
-    // Bounds 300 m wide: with 2 shards the stripe boundary is x = 150;
-    // with 4 it is x ∈ {75, 150, 225}. Sender at the 150 m boundary,
-    // receiver pairs mirrored ±10, ±25, ±40 m around it.
+    // Sender at x = 150 m, receiver pairs mirrored ±10, ±25, ±40 m around
+    // it (the outermost pair, 80 m apart, is coupled through the sender).
     let mut positions = vec![Pos::new(150.0, 50.0)];
     for d in [10.0, 25.0, 40.0] {
         positions.push(Pos::new(150.0 - d, 50.0));
@@ -214,14 +213,71 @@ fn boundary_straddling_receivers_match_oracle() {
             .execute()
             .assert_clean();
         assert_eq!(out.report, oracle, "shards={shards}");
-        // Stripes that own no slot form empty groups of their own; every
-        // populated stripe must land in the one group that runs events.
-        let busy = out
-            .shard
-            .group_stats
-            .iter()
-            .filter(|g| g.events > 0)
-            .count();
-        assert_eq!(busy, 1, "in-range stripes must couple, shards={shards}");
+        assert_eq!(out.shard.groups, 1, "one component, shards={shards}");
+        assert_eq!(out.shard.group_stats[0].slots, 7, "shards={shards}");
     }
+}
+
+/// The benchmark's eight-cell layout (`multicell2000_shard2` at `--seed 1`):
+/// 2000 nodes in eight paper-density cells along x, 120 m apart, the source
+/// in cell 0. Reproduced here from the same SplitMix64 draws.
+fn eight_cells() -> (ScenarioConfig, u64) {
+    use rmac::mobility::Pos;
+    struct SplitMix(u64);
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        fn range(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (hi - lo) * ((self.next() >> 11) as f64 / (1u64 << 53) as f64)
+        }
+    }
+    let derived = |stream: u64| SplitMix(1 ^ stream.wrapping_mul(0xA076_1D64_78BD_642F)).next();
+    let (cells, per_cell, jitter_m) = (8usize, 250usize, 3.0);
+    let cell_scale = (per_cell as f64 / 75.0).sqrt();
+    let (w, h) = (500.0 * cell_scale, 300.0 * cell_scale);
+    let pitch = w + 120.0;
+    let mut positions = Vec::new();
+    for cell in 0..cells {
+        let x0 = cell as f64 * pitch;
+        let mut base = SplitMix(0x2000 + cell as u64);
+        let mut jitter = SplitMix(derived(10 + cell as u64));
+        for _ in 0..per_cell {
+            let p = Pos::new(base.range(x0, x0 + w), base.range(0.0, h));
+            let x = (p.x + jitter.range(-jitter_m, jitter_m)).clamp(x0, x0 + w);
+            let y = (p.y + jitter.range(-jitter_m, jitter_m)).clamp(0.0, h);
+            positions.push(Pos::new(x, y));
+        }
+    }
+    let mut cfg = ScenarioConfig::paper_stationary(20.0)
+        .with_packets(300)
+        .with_positions(positions);
+    cfg.bounds = Bounds::new(cells as f64 * pitch - 120.0, h);
+    (cfg, derived(4))
+}
+
+/// Groups are whole radio components: at two shards the eight cells are
+/// eight groups, the largest of which is exactly the source's cell, and
+/// the report is bit-identical to the whole-world run. (A group holding
+/// three beacon-only cells beside the source's would dispatch 2 195 062
+/// events.)
+#[test]
+fn eight_cells_run_as_eight_groups_and_match() {
+    let (cfg, seed) = eight_cells();
+    let whole = Run::new(&cfg, Protocol::Rmac, seed).execute();
+    let two = Run::new(&cfg.clone().with_shards(2), Protocol::Rmac, seed).execute();
+    assert_eq!(two.report, whole.report);
+    assert!(two.shard.groups >= 8, "{} groups", two.shard.groups);
+    let largest = two
+        .shard
+        .group_stats
+        .iter()
+        .max_by_key(|g| g.events)
+        .expect("groups");
+    assert_eq!((largest.first_slot, largest.slots), (0, 250));
+    assert_eq!(largest.events, 1_660_668);
 }
