@@ -23,8 +23,9 @@ echo "    key, no received power riding on a frame-onset event, no per-reader ho
 echo "    observation stream, no told flag or record tally outside the one edge type, no timing"
 echo "    wheel beside the event queue, no re-bucketing quantum beside the reuse horizon and no second"
 echo "    in-process coordinator or per-destination queue beside the loopback runner and the hub's queue,"
-echo "    and no x-stripe beside the radio component: DESIGN.md §13, §11, §10, §12, §8, §7, §9, §6)"
-if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S|SweepSpec|SweepResults|run_sweep|try_replications|RMAC_QUICK|RMAC_RATES|RMAC_NODES|ShardedQueue|SeqQueue|push_with_seq|home_slot|EngineTransport|EngineMedium|schedule\(SLOT, TimerKind::BackoffSlot|merge_traces|DispatchLog|DispatchRec|seed_slots|TraceCapture|popped_seq|ManualClock|BenchDocs|tone_count|pooled_tone_buf|sensed_since|rbt_runs|execute_sharded|into_runner|sched_rng|ShardGroupRow|balance_rows|FuzzProtocol|FuzzChurn|handle_at|set_cursor|FrameArriveStart \{ rx, tx, power|on_tx_start|on_node_down|observe_indication|trace_indication|fn describe\(r: &TraceRecord|on_told|off_told|sync_tone_interest|DEFAULT_QUANTUM|level_for|higher_candidate|level0_candidate|SLOT_BITS|const QUANTUM|SimEndpoint|pop_due_for|next_arrival_for|ArrivalQueue|impl Transport for|fn stripes|coupled_groups|stripe_w' \
+echo "    no x-stripe beside the radio component, and no second record of a campaign beside its store —"
+echo "    no gate baseline, summary file or dashboard: DESIGN.md §13, §11, §10, §12, §8, §7, §9, §6)"
+if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S|SweepSpec|SweepResults|run_sweep|try_replications|RMAC_QUICK|RMAC_RATES|RMAC_NODES|ShardedQueue|SeqQueue|push_with_seq|home_slot|EngineTransport|EngineMedium|schedule\(SLOT, TimerKind::BackoffSlot|merge_traces|DispatchLog|DispatchRec|seed_slots|TraceCapture|popped_seq|ManualClock|BenchDocs|tone_count|pooled_tone_buf|sensed_since|rbt_runs|execute_sharded|into_runner|sched_rng|ShardGroupRow|balance_rows|FuzzProtocol|FuzzChurn|handle_at|set_cursor|FrameArriveStart \{ rx, tx, power|on_tx_start|on_node_down|observe_indication|trace_indication|fn describe\(r: &TraceRecord|on_told|off_told|sync_tone_interest|DEFAULT_QUANTUM|level_for|higher_candidate|level0_candidate|SLOT_BITS|const QUANTUM|SimEndpoint|pop_due_for|next_arrival_for|ArrivalQueue|impl Transport for|fn stripes|coupled_groups|stripe_w|GateConfig|run_gate|gate_spec|summarize_json|render_html|render_ascii|metric_tol_pct|inject-mutant|parse_flat' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!ci.sh'; then
     echo "a retired knob name reappeared (see above)" >&2
     exit 1
@@ -161,12 +162,13 @@ echo "    pinned signature or a changed dependency edge fails here, not in the b
 benchmark/ci.sh
 
 echo "==> campaign stage (resume law + every catalog figure at quick scale: run under C1-C5,"
-echo "    non-zero on an unclean case, dashboard + figures rendered from the store + regression gate)"
+echo "    non-zero on an unclean case, summary + figures rendered from the store + the tracked stores,"
+echo "    re-run from their manifests, clean and byte-equal to the committed ones)"
 cargo test -q --release --test campaign_resume
 for c in paper-figures shootout rbt-ablation goodput faults tone-jam; do
     cargo run -q --release -p rmac-experiments --bin campaign -- run "$c" --quick
     cargo run -q --release -p rmac-experiments --bin campaign_report -- "results/campaigns/$c-quick"
 done
-cargo run -q --release -p rmac-experiments --bin campaign -- gate
+cargo test -q --release --test tracked_stores
 
 echo "CI green."

@@ -1,8 +1,8 @@
 //! Query API over the metrics store: seed-pooled aggregates (mean / p50 /
-//! p95) per grid point, plus the `summary.json` renderer.
+//! p95) per grid point.
 
 use crate::store::CaseRecord;
-use rmac_obs::json::{escape, fmt_f64};
+use rmac_metrics::percentile;
 
 /// Mean and quantiles of one metric across a record group.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -13,28 +13,19 @@ pub struct Agg {
     pub p95: f64,
 }
 
-/// Aggregate a value list: mean plus nearest-rank p50/p95 (deterministic,
-/// no interpolation).
+/// Aggregate a value list: mean plus nearest-rank p50/p95
+/// ([`rmac_metrics::percentile`]: deterministic, no interpolation).
 pub fn aggregate(values: &[f64]) -> Agg {
-    if values.is_empty() {
-        return Agg {
-            n: 0,
-            mean: 0.0,
-            p50: 0.0,
-            p95: 0.0,
-        };
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("metric NaN"));
-    let rank = |q: f64| -> f64 {
-        let idx = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
-        sorted[idx]
-    };
+    let n = values.len();
     Agg {
-        n: values.len(),
-        mean: values.iter().sum::<f64>() / values.len() as f64,
-        p50: rank(0.50),
-        p95: rank(0.95),
+        n,
+        mean: if n == 0 {
+            0.0
+        } else {
+            values.iter().sum::<f64>() / n as f64
+        },
+        p50: percentile(values, 50.0),
+        p95: percentile(values, 95.0),
     }
 }
 
@@ -93,38 +84,6 @@ pub fn summarize(records: &[CaseRecord]) -> Vec<SummaryRow> {
         .collect()
 }
 
-fn agg_json(a: &Agg) -> String {
-    format!(
-        "{{\"n\":{},\"mean\":{:.6},\"p50\":{:.6},\"p95\":{:.6}}}",
-        a.n, a.mean, a.p50, a.p95
-    )
-}
-
-/// `summary.json`: the pooled rows as a deterministic JSON document.
-pub fn summarize_json(records: &[CaseRecord]) -> String {
-    let rows = summarize(records)
-        .iter()
-        .map(|row| {
-            format!(
-                "  {{\"protocol\":\"{}\",\"scenario\":\"{}\",\"rate\":{},\"fault\":\"{}\",\
-                 \"clean\":{},\"delivery\":{},\"delay_s\":{},\"retx_ratio\":{},\
-                 \"txoh_ratio\":{}}}",
-                escape(&row.protocol),
-                escape(&row.scenario),
-                fmt_f64(row.rate),
-                escape(&row.fault),
-                row.clean,
-                agg_json(&row.delivery),
-                agg_json(&row.delay_s),
-                agg_json(&row.retx_ratio),
-                agg_json(&row.txoh_ratio),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!("{{\"points\":[\n{rows}\n]}}\n")
-}
-
 /// Load every record from a campaign directory's `store.jsonl`.
 pub fn load_store(dir: &std::path::Path) -> Result<Vec<CaseRecord>, String> {
     let path = dir.join("store.jsonl");
@@ -180,7 +139,31 @@ mod tests {
         assert_eq!(rows[0].delivery.n, 2);
         assert!((rows[0].delivery.mean - 0.95).abs() < 1e-12);
         assert_eq!(rows[1].protocol, "BMMM");
-        // Deterministic bytes.
-        assert_eq!(summarize_json(&recs), summarize_json(&recs));
+    }
+
+    /// `aggregate`'s p50/p95 are `percentile`'s, bit for bit, and still the
+    /// nearest rank `⌈q·n⌉` (clamped to 1..=n) the store's summaries were
+    /// pooled with: `95.0 / 100.0` is the same f64 as `0.95`.
+    #[test]
+    fn aggregate_quantiles_are_percentiles_nearest_rank() {
+        for n in 1..=40usize {
+            // Values repeat in runs of three, so ties straddle the ranks.
+            let values: Vec<f64> = (0..n).map(|i| ((i * 7) % n / 3) as f64).collect();
+            let mut sorted = values.clone();
+            sorted.sort_by(f64::total_cmp);
+            let rank = |q: f64| sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1];
+            let a = aggregate(&values);
+            assert_eq!(
+                a.p50.to_bits(),
+                percentile(&values, 50.0).to_bits(),
+                "n={n}"
+            );
+            assert_eq!(
+                a.p95.to_bits(),
+                percentile(&values, 95.0).to_bits(),
+                "n={n}"
+            );
+            assert_eq!((a.p50, a.p95), (rank(0.50), rank(0.95)), "n={n}");
+        }
     }
 }

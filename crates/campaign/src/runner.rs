@@ -12,7 +12,6 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use crate::query::summarize_json;
 use crate::spec::{CampaignSpec, CaseSpec};
 use crate::store::CaseRecord;
 use rmac_engine::{ObsConfig, Run};
@@ -49,7 +48,7 @@ pub struct CampaignOutcome {
     pub resumed: usize,
     /// Grid size.
     pub total: usize,
-    /// All cases done and `summary.json` written.
+    /// All cases of the grid are in the store.
     pub complete: bool,
     /// Every completed case passed conformance.
     pub clean: bool,
@@ -161,7 +160,7 @@ pub fn run_campaign(
         for r in &recs {
             // Keep what the store holds, not what the engine returned: the
             // six-decimal text is the record, so a fresh run and a resumed
-            // one pool the same numbers into `summary.json`.
+            // one report the same numbers.
             let line = r.to_jsonl();
             records.push(CaseRecord::from_jsonl(&line)?);
             block.push_str(&line);
@@ -181,16 +180,11 @@ pub fn run_campaign(
         }
     }
 
-    let complete = records.len() == cases.len();
-    if complete {
-        fs::write(dir.join("summary.json"), summarize_json(&records))
-            .map_err(|e| format!("write summary: {e}"))?;
-    }
     Ok(CampaignOutcome {
         executed,
         resumed,
         total: cases.len(),
-        complete,
+        complete: records.len() == cases.len(),
         clean: records.iter().all(|r| r.check_clean),
         records,
     })
@@ -225,7 +219,7 @@ mod tests {
     }
 
     #[test]
-    fn tiny_campaign_runs_and_summarizes() {
+    fn tiny_campaign_runs_and_resumes_to_what_the_store_holds() {
         let dir = tmp_dir("tiny");
         let spec = tiny_spec("tiny");
         let quiet = RunOptions {
@@ -242,18 +236,25 @@ mod tests {
             !out.records[0].obs_counters.is_empty(),
             "obs counters ingested"
         );
-        // A fresh run reports and summarises what the store holds, so a
-        // second invocation — a resume to a no-op that re-reads the store —
-        // writes the same summary byte for byte.
+        // A fresh run reports what the store holds, so a second invocation
+        // — a resume to a no-op that re-reads the store — reports the same
+        // records and leaves the store's bytes alone.
         assert_eq!(out.records, crate::load_store(&dir).expect("store loads"));
-        let summary = dir.join("summary.json");
-        let fresh = fs::read(&summary).expect("summary written");
-        fs::remove_file(&summary).expect("delete summary");
+        let store = fs::read(dir.join("store.jsonl")).expect("store written");
         let again = run_campaign(&spec, &dir, &quiet).expect("resume");
         assert_eq!(again.executed, 0);
         assert_eq!(again.resumed, 2);
         assert_eq!(again.records, out.records);
-        assert_eq!(fs::read(&summary).expect("summary rewritten"), fresh);
+        assert_eq!(
+            fs::read(dir.join("store.jsonl")).expect("store kept"),
+            store
+        );
+        let mut beside: Vec<_> = fs::read_dir(&dir)
+            .expect("list the store directory")
+            .map(|e| e.expect("entry").file_name())
+            .collect();
+        beside.sort();
+        assert_eq!(beside, ["manifest.json", "store.jsonl"]);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -289,10 +290,6 @@ mod tests {
             fs::read(full.join("store.jsonl")).expect("full store"),
             fs::read(part.join("store.jsonl")).expect("resumed store"),
             "resumed store bytes diverge from the uninterrupted run"
-        );
-        assert_eq!(
-            fs::read(full.join("summary.json")).expect("full summary"),
-            fs::read(part.join("summary.json")).expect("resumed summary"),
         );
         let _ = fs::remove_dir_all(&full);
         let _ = fs::remove_dir_all(&part);

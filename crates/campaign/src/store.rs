@@ -7,9 +7,12 @@
 //! * `store.jsonl` — one [`CaseRecord`] line per completed case, appended
 //!   **in canonical case order**. Every field is deterministic simulation
 //!   state (no wall clocks), so the file's bytes are a pure function of
-//!   the spec — which is what makes kill/resume bit-identity testable.
-//! * `summary.json` — per-grid-point aggregates over seeds, written when
-//!   the campaign completes (see [`crate::query`]).
+//!   the spec — which is what makes kill/resume bit-identity testable,
+//!   and what lets a committed store serve as its own regression baseline
+//!   (`tests/tracked_stores.rs`).
+//!
+//! Nothing else is written beside them: seed-pooled aggregates are computed
+//! from the store when asked for ([`crate::query`]).
 //!
 //! A case record ingests the replication's `RunReport`, the conformance
 //! verdict, and (when the spec asks for it) the obs report's end-of-run

@@ -155,7 +155,7 @@ pub struct ShardStats {
     pub groups: usize,
     /// 0 by construction: a group is one queue and groups exchange nothing
     /// (causal closure); dropped with the other pinned names under ROADMAP
-    /// 2(c).
+    /// 4(d).
     pub cross_pushes: u64,
     /// Per-group scheduling breakdown, in group order (groups are ordered
     /// by their smallest slot): the shard-balance raw material of

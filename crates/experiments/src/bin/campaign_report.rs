@@ -1,7 +1,6 @@
-//! `campaign_report`: render a campaign store — the regression dashboard
-//! (ASCII to stdout, plus a self-contained `dashboard.html` next to the
-//! store for artifact upload) and, when the store belongs to an entry of
-//! the figure catalog, that entry's tables and CSVs.
+//! `campaign_report`: render a campaign store — how many of its cases are
+//! clean, the seed-pooled summary of every grid point and, when the store
+//! belongs to an entry of the figure catalog, that entry's tables and CSVs.
 //!
 //! ```text
 //! campaign_report [store-dir]
@@ -9,14 +8,38 @@
 //!
 //! With no argument, picks the first existing default campaign directory
 //! (`results/campaigns/paper-figures`, then `paper-figures-quick`, then
-//! `gate/scratch`). Exits 1 when the store cannot be read or a dashboard
-//! or figure file cannot be written.
+//! `gate`). Exits 1 when the store cannot be read or a figure file cannot
+//! be written.
 
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
-use rmac_campaign::{load_store, render_ascii, render_html, summarize, CampaignSpec};
+use rmac_campaign::{load_store, summarize, CampaignSpec, SummaryRow};
 use rmac_experiments::figures;
+use rmac_obs::json::fmt_f64;
+
+/// The mean over seeds of each grid point's headline metrics.
+fn print_summary(rows: &[SummaryRow]) {
+    println!("== summary (mean over seeds) ==");
+    println!(
+        "  {:<12} {:<11} {:>6} {:<10} {:>9} {:>9} {:>9} {:>6}",
+        "protocol", "scenario", "rate", "fault", "delivery", "delay_ms", "retx", "clean"
+    );
+    for r in rows {
+        println!(
+            "  {:<12} {:<11} {:>6} {:<10} {:>9.4} {:>9.2} {:>9.4} {:>6}",
+            r.protocol,
+            r.scenario,
+            fmt_f64(r.rate),
+            r.fault,
+            r.delivery.mean,
+            r.delay_s.mean * 1e3,
+            r.retx_ratio.mean,
+            if r.clean { "yes" } else { "NO" }
+        );
+    }
+    println!();
+}
 
 fn report(dir: &Path) -> Result<(), String> {
     let records = load_store(dir)?;
@@ -26,18 +49,9 @@ fn report(dir: &Path) -> Result<(), String> {
         .and_then(|text| CampaignSpec::from_json(&text))
         .map_err(|e| format!("{}: {e}", manifest.display()))?
         .name;
-    let rows = summarize(&records);
-
-    print!("{}", render_ascii(&rows));
-    let html_path = dir.join("dashboard.html");
-    std::fs::write(&html_path, render_html(&name, &rows))
-        .map_err(|e| format!("write {}: {e}", html_path.display()))?;
-    println!(
-        "\n{} records, {} grid points; dashboard: {}\n",
-        records.len(),
-        rows.len(),
-        html_path.display()
-    );
+    let clean = records.iter().filter(|r| r.check_clean).count();
+    println!("{name}: {clean} of {} cases clean\n", records.len());
+    print_summary(&summarize(&records));
     if !figures::render(&name, dir, &records)? {
         println!("no figure set for {name}");
     }
@@ -49,7 +63,7 @@ fn main() {
         [
             "results/campaigns/paper-figures",
             "results/campaigns/paper-figures-quick",
-            "results/campaigns/gate/scratch",
+            "results/campaigns/gate",
         ]
         .iter()
         .map(PathBuf::from)

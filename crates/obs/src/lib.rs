@@ -30,13 +30,12 @@
 //! * [`report`] — [`ObsReport`], everything assembled — the above plus the
 //!   engine's end-of-run scalars (queue traffic, PHY pool, grid, fault
 //!   plane) as plain name→value lists — with ASCII and JSON rendering.
-//! * [`jsonl`] — the flat-JSONL record rule of the snapshot series ([`json`]
-//!   is `rmac-wire`'s reader, re-exported for `rmac-campaign`). Trace lines
-//!   and the Fig. 4-style timeline belong to the observation stream's
-//!   vocabulary, `rmac_phy::trace`.
+//!
+//! [`json`] is `rmac-wire`'s reader, re-exported for `rmac-campaign`. Trace
+//! lines and the Fig. 4-style timeline belong to the observation stream's
+//! vocabulary, `rmac_phy::trace`.
 
 pub mod hist;
-pub mod jsonl;
 pub mod kernel;
 pub mod node;
 pub mod report;

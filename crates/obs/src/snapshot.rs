@@ -10,8 +10,6 @@
 //! deterministic simulation state; a sampled run's `RunReport` is
 //! bit-identical to an unsampled one.
 
-use crate::jsonl;
-
 /// One point of the sampled time series. All counters are cumulative
 /// since the start of the run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -56,25 +54,6 @@ impl Snapshot {
             self.crashes,
             self.jam_bursts,
         )
-    }
-
-    /// Parse one snapshot line; `None` if any field is missing or
-    /// mistyped.
-    pub fn parse(line: &str) -> Option<Snapshot> {
-        let fields = jsonl::parse_flat(line)?;
-        let num = |key: &str| jsonl::get(&fields, key)?.as_u64();
-        Some(Snapshot {
-            t_ns: num("t_ns")?,
-            events: num("events")?,
-            queue_len: num("queue_len")?,
-            queue_high_water: num("queue_high_water")?,
-            tx_frames: num("tx_frames")?,
-            rx_ok: num("rx_ok")?,
-            rx_corrupt: num("rx_corrupt")?,
-            receptions: num("receptions")?,
-            crashes: num("crashes")?,
-            jam_bursts: num("jam_bursts")?,
-        })
     }
 }
 
@@ -126,7 +105,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_json_round_trips() {
+    fn snapshot_line_reads_back_with_the_workspace_json_reader() {
         let s = Snapshot {
             t_ns: 1_000_000,
             events: 42,
@@ -139,13 +118,21 @@ mod tests {
             crashes: 0,
             jam_bursts: 2,
         };
-        assert_eq!(Snapshot::parse(&s.to_json()), Some(s));
-    }
-
-    #[test]
-    fn parse_rejects_missing_fields() {
-        assert!(Snapshot::parse(r#"{"t_ns":1,"events":2}"#).is_none());
-        assert!(Snapshot::parse("not json").is_none());
+        let v = rmac_wire::json::Json::parse(&s.to_json()).expect("a JSON object");
+        let num = |key| v.uint(key).expect(key);
+        let back = Snapshot {
+            t_ns: num("t_ns"),
+            events: num("events"),
+            queue_len: num("queue_len"),
+            queue_high_water: num("queue_high_water"),
+            tx_frames: num("tx_frames"),
+            rx_ok: num("rx_ok"),
+            rx_corrupt: num("rx_corrupt"),
+            receptions: num("receptions"),
+            crashes: num("crashes"),
+            jam_bursts: num("jam_bursts"),
+        };
+        assert_eq!(back, s);
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! Everything here is serialized by hand (no serde: the build is offline
 //! and every dependency is vendored); this is the matching deserializer,
-//! shared by fault plans (`rmac-faults`), trace and snapshot lines
-//! (`rmac-obs`) and campaign specs, stores and baselines
-//! (`rmac-campaign`). A small recursive-descent parser into a dynamic
+//! shared by fault plans (`rmac-faults`), trace lines (`rmac_phy::trace`)
+//! and campaign specs and stores (`rmac-campaign`). A small recursive-descent parser into a dynamic
 //! [`Json`] value with typed accessors: objects, arrays, strings with
 //! `\"`/`\\`/`\n`/`\t`/`\u` escapes, numbers, booleans, null. Anything
 //! else is rejected with a byte-offset error.

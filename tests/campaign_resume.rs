@@ -2,9 +2,9 @@
 //!
 //! A campaign killed after `k` of `n` cases — possibly with a torn
 //! trailing line from a mid-write kill — and then resumed must produce a
-//! `store.jsonl` and `summary.json` **byte-identical** to an
-//! uninterrupted run of the same spec. Same seeds ⇒ same store bytes:
-//! the store is a pure function of the spec, never of the kill schedule.
+//! `store.jsonl` **byte-identical** to an uninterrupted run of the same
+//! spec. Same seeds ⇒ same store bytes: the store is a pure function of
+//! the spec, never of the kill schedule.
 
 use std::path::PathBuf;
 
@@ -79,10 +79,6 @@ proptest! {
         prop_assert_eq!(
             full_store, part_store,
             "resumed store bytes diverge from the uninterrupted run (k={}, torn={})", k, torn
-        );
-        prop_assert_eq!(
-            std::fs::read(full.join("summary.json")).expect("full summary"),
-            std::fs::read(part.join("summary.json")).expect("resumed summary"),
         );
 
         let _ = std::fs::remove_dir_all(&full);
