@@ -23,9 +23,10 @@ echo "    key, no received power riding on a frame-onset event, no per-reader ho
 echo "    observation stream, no told flag or record tally outside the one edge type, no timing"
 echo "    wheel beside the event queue, no re-bucketing quantum beside the reuse horizon and no second"
 echo "    in-process coordinator or per-destination queue beside the loopback runner and the hub's queue,"
-echo "    no x-stripe beside the radio component, and no second record of a campaign beside its store —"
-echo "    no gate baseline, summary file or dashboard: DESIGN.md §13, §11, §10, §12, §8, §7, §9, §6)"
-if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S|SweepSpec|SweepResults|run_sweep|try_replications|RMAC_QUICK|RMAC_RATES|RMAC_NODES|ShardedQueue|SeqQueue|push_with_seq|home_slot|EngineTransport|EngineMedium|schedule\(SLOT, TimerKind::BackoffSlot|merge_traces|DispatchLog|DispatchRec|seed_slots|TraceCapture|popped_seq|ManualClock|BenchDocs|tone_count|pooled_tone_buf|sensed_since|rbt_runs|execute_sharded|into_runner|sched_rng|ShardGroupRow|balance_rows|FuzzProtocol|FuzzChurn|handle_at|set_cursor|FrameArriveStart \{ rx, tx, power|on_tx_start|on_node_down|observe_indication|trace_indication|fn describe\(r: &TraceRecord|on_told|off_told|sync_tone_interest|DEFAULT_QUANTUM|level_for|higher_candidate|level0_candidate|SLOT_BITS|const QUANTUM|SimEndpoint|pop_due_for|next_arrival_for|ArrivalQueue|impl Transport for|fn stripes|coupled_groups|stripe_w|GateConfig|run_gate|gate_spec|summarize_json|render_html|render_ascii|metric_tol_pct|inject-mutant|parse_flat' \
+echo "    no x-stripe beside the radio component, no second record of a campaign beside its store —"
+echo "    no gate baseline, summary file or dashboard — and no JSON writer beside rmac_wire::json:"
+echo "    DESIGN.md §13, §11, §10, §12, §8, §7, §9, §6)"
+if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S|SweepSpec|SweepResults|run_sweep|try_replications|RMAC_QUICK|RMAC_RATES|RMAC_NODES|ShardedQueue|SeqQueue|push_with_seq|home_slot|EngineTransport|EngineMedium|schedule\(SLOT, TimerKind::BackoffSlot|merge_traces|DispatchLog|DispatchRec|seed_slots|TraceCapture|popped_seq|ManualClock|BenchDocs|tone_count|pooled_tone_buf|sensed_since|rbt_runs|execute_sharded|into_runner|sched_rng|ShardGroupRow|balance_rows|FuzzProtocol|FuzzChurn|handle_at|set_cursor|FrameArriveStart \{ rx, tx, power|on_tx_start|on_node_down|observe_indication|trace_indication|fn describe\(r: &TraceRecord|on_told|off_told|sync_tone_interest|DEFAULT_QUANTUM|level_for|higher_candidate|level0_candidate|SLOT_BITS|const QUANTUM|SimEndpoint|pop_due_for|next_arrival_for|ArrivalQueue|impl Transport for|fn stripes|coupled_groups|stripe_w|GateConfig|run_gate|gate_spec|summarize_json|render_html|render_ascii|metric_tol_pct|inject-mutant|parse_flat|push_obj|push_list' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!ci.sh'; then
     echo "a retired knob name reappeared (see above)" >&2
     exit 1
@@ -64,6 +65,20 @@ touched "the checker" '(core|self)\.check[^a-z_(]' 'report attach finish_check '
 touched "the tracer" '(core|self)\.tracer|tracer\(' 'report attach '
 touched "the protocol tallies" 'nodes\[[a-z.()]*\]\.(tx|rx_ok|rx_corrupt|tx_aborted|submitted|delivered)[^a-z_]' 'report '
 touched "a MAC's context" 'Ctx \{' 'enter '
+
+echo "==> one JSON writer (DESIGN.md §11): every document is written through rmac_wire::json, so outside"
+echo "    crates/wire/src/json.rs no source (tests excluded) spells a \"key\": template or escapes by hand"
+templates=$(git ls-files 'crates/*/src/*.rs' | grep -v -e tests -e '^crates/wire/src/json.rs$' | while read -r f; do
+    awk -v f="$f" '
+        /^#\[cfg\(test\)\]/ { exit }
+        /\\"[A-Za-z_][A-Za-z0-9_.]*\\":|"[A-Za-z_][A-Za-z0-9_.]*":|(^|[^_A-Za-z0-9])(escape|fmt_f64)\(/ { print f ":" FNR ": " $0 }
+    ' "$f"
+done)
+if [ -n "$templates" ]; then
+    echo "$templates" >&2
+    echo "JSON is written by hand outside rmac_wire::json (see above)" >&2
+    exit 1
+fi
 
 echo "==> one claimed key (DESIGN.md §12): outside rmac-sim nothing claims or fills a key but through"
 echo "    rmac_sim::Edge, and each queue file defines every fn once (no inherent twin of a trait method)"

@@ -8,7 +8,7 @@
 
 use rmac_engine::{Protocol, ScenarioConfig};
 use rmac_faults::FaultPlan;
-use rmac_obs::json::{escape, fmt_f64, Json};
+use rmac_obs::json::{self, Json};
 
 /// The paper's three mobility scenarios (§4.1.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -203,57 +203,20 @@ impl CampaignSpec {
 
     /// The spec as a JSON document (the campaign manifest).
     pub fn to_json(&self) -> String {
-        let protocols = self
-            .protocols
-            .iter()
-            .map(|p| format!("\"{}\"", p.label()))
-            .collect::<Vec<_>>()
-            .join(",");
-        let scenarios = self
-            .scenarios
-            .iter()
-            .map(|s| format!("\"{}\"", s.label()))
-            .collect::<Vec<_>>()
-            .join(",");
-        let rates = self
-            .rates
-            .iter()
-            .map(|r| fmt_f64(*r))
-            .collect::<Vec<_>>()
-            .join(",");
-        let seeds = self
-            .seeds
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        let faults = self
-            .faults
-            .iter()
-            .map(|f| {
-                format!(
-                    "{{\"name\":\"{}\",\"plan\":{}}}",
-                    escape(&f.name),
-                    f.plan.to_json()
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\n  \"name\": \"{}\",\n  \"protocols\": [{}],\n  \"scenarios\": [{}],\n  \
-             \"rates\": [{}],\n  \"seeds\": [{}],\n  \"packets\": {},\n  \"nodes\": {},\n  \
-             \"shards\": {},\n  \"obs\": {},\n  \"faults\": [{}]\n}}\n",
-            escape(&self.name),
-            protocols,
-            scenarios,
-            rates,
-            seeds,
-            self.packets,
-            self.nodes,
-            self.shards,
-            self.obs,
-            faults,
-        )
+        json::document(|o| {
+            o.str("name", &self.name)
+                .strs("protocols", self.protocols.iter().map(|p| p.label()))
+                .strs("scenarios", self.scenarios.iter().map(|s| s.label()))
+                .f64s("rates", &self.rates)
+                .u64s("seeds", &self.seeds)
+                .u64("packets", self.packets)
+                .u64("nodes", self.nodes as u64)
+                .u64("shards", self.shards as u64)
+                .bool("obs", self.obs)
+                .objs("faults", &self.faults, |o, f| {
+                    o.str("name", &f.name).obj("plan", |o| f.plan.write_json(o));
+                });
+        })
     }
 
     /// Parse a spec back from its manifest JSON.
@@ -348,7 +311,7 @@ impl CaseSpec {
             "{}/{}/r{}/{}/s{}",
             self.protocol.label(),
             self.scenario.label(),
-            fmt_f64(self.rate),
+            self.rate,
             self.fault,
             self.seed
         )
@@ -394,11 +357,21 @@ mod tests {
         spec.faults.push(FaultAxis {
             name: "moderate-bursty".into(),
             plan: FaultPlan {
+                salt: 16_045_690_984_503_111_693,
                 bursty: Some(rmac_faults::BurstySpec::moderate()),
                 ..FaultPlan::none()
             },
         });
-        let back = CampaignSpec::from_json(&spec.to_json()).expect("round trip");
+        // Read through an f64, seed 2^53 + 1 came back as ...992 and the
+        // salt above as ...111680: other placements, another loss trajectory.
+        spec.seeds.extend([9_007_199_254_740_993, u64::MAX]);
+        spec.packets = u64::MAX;
+        let json = spec.to_json();
+        assert!(
+            json.contains("9007199254740993,18446744073709551615]"),
+            "{json}"
+        );
+        let back = CampaignSpec::from_json(&json).expect("round trip");
         assert_eq!(back.name, spec.name);
         assert_eq!(back.protocols, spec.protocols);
         assert_eq!(back.scenarios, spec.scenarios);
@@ -408,9 +381,9 @@ mod tests {
         assert_eq!(back.nodes, spec.nodes);
         assert_eq!(back.faults.len(), 2);
         assert_eq!(back.faults[1].name, "moderate-bursty");
-        assert!(back.faults[1].plan.bursty.is_some());
+        assert_eq!(back.faults[1].plan, spec.faults[1].plan);
         // The regenerated manifest is byte-identical (the resume contract).
-        assert_eq!(back.to_json(), spec.to_json());
+        assert_eq!(back.to_json(), json);
     }
 
     /// The quick paper-figures manifest with one `"key": value` replaced.
@@ -439,10 +412,14 @@ mod tests {
 
     #[test]
     fn unusable_rates_are_errors() {
-        for rate in ["0", "-5", "1e999"] {
+        for (rate, needle) in [
+            ("0", "finite positive rate"),
+            ("-5", "finite positive rate"),
+            ("1e999", "rates: number 1e999 at byte"),
+        ] {
             let err = CampaignSpec::from_json(&manifest_with("rates", &format!("[5,{rate}]")))
                 .expect_err("rate must be refused");
-            assert!(err.contains("finite positive rate"), "{rate}: {err}");
+            assert!(err.contains(needle), "{rate}: {err}");
         }
         let mut spec = CampaignSpec::paper_figures(true);
         spec.rates.push(f64::NAN);

@@ -21,7 +21,7 @@
 use crate::spec::CaseSpec;
 use rmac_check::CheckReport;
 use rmac_metrics::RunReport;
-use rmac_obs::json::{escape, fmt_f64, Json};
+use rmac_obs::json::{self, Json};
 use rmac_obs::ObsReport;
 
 /// One completed case: identity axes plus the ingested metrics.
@@ -126,56 +126,43 @@ impl CaseRecord {
     /// fixed six-decimal formatting so bytes never depend on float
     /// printing quirks.
     pub fn to_jsonl(&self) -> String {
-        let mut s = format!(
-            "{{\"key\":\"{}\",\"protocol\":\"{}\",\"scenario\":\"{}\",\"rate\":{},\
-             \"seed\":{},\"fault\":\"{}\",\"delivery\":{:.6},\"drop_ratio\":{:.6},\
-             \"retx_ratio\":{:.6},\"txoh_ratio\":{:.6},\"abort_avg\":{:.6},\
-             \"mrts_len_avg\":{:.6},\"delay_s\":{:.6},\"hops_avg\":{:.6},\
-             \"packets_sent\":{},\"receptions\":{},\"expected_receptions\":{},\
-             \"events\":{},\"faults_injected\":{},\"check_clean\":{},\"violations\":{},\
-             \"first_violation\":\"{}\",\"abort_p99\":{:.6},\"abort_max\":{:.6},\
-             \"mrts_len_p99\":{:.6},\"mrts_len_max\":{:.6},\"fault_crashes\":{},\
-             \"fault_jam_bursts\":{}",
-            escape(&self.key),
-            escape(&self.protocol),
-            escape(&self.scenario),
-            fmt_f64(self.rate),
-            self.seed,
-            escape(&self.fault),
-            self.delivery,
-            self.drop_ratio,
-            self.retx_ratio,
-            self.txoh_ratio,
-            self.abort_avg,
-            self.mrts_len_avg,
-            self.delay_s,
-            self.hops_avg,
-            self.packets_sent,
-            self.receptions,
-            self.expected_receptions,
-            self.events,
-            self.faults_injected,
-            self.check_clean,
-            self.violations,
-            escape(&self.first_violation),
-            self.abort_p99,
-            self.abort_max,
-            self.mrts_len_p99,
-            self.mrts_len_max,
-            self.fault_crashes,
-            self.fault_jam_bursts,
-        );
-        if !self.obs_counters.is_empty() {
-            let counters = self
-                .obs_counters
-                .iter()
-                .map(|(n, v)| format!("\"{}\":{}", escape(n), v))
-                .collect::<Vec<_>>()
-                .join(",");
-            s.push_str(&format!(",\"obs_counters\":{{{counters}}}"));
-        }
-        s.push('}');
-        s
+        json::object(|o| {
+            o.str("key", &self.key);
+            o.str("protocol", &self.protocol);
+            o.str("scenario", &self.scenario);
+            o.f64("rate", self.rate);
+            o.u64("seed", self.seed);
+            o.str("fault", &self.fault);
+            o.fixed("delivery", self.delivery, 6);
+            o.fixed("drop_ratio", self.drop_ratio, 6);
+            o.fixed("retx_ratio", self.retx_ratio, 6);
+            o.fixed("txoh_ratio", self.txoh_ratio, 6);
+            o.fixed("abort_avg", self.abort_avg, 6);
+            o.fixed("mrts_len_avg", self.mrts_len_avg, 6);
+            o.fixed("delay_s", self.delay_s, 6);
+            o.fixed("hops_avg", self.hops_avg, 6);
+            o.u64("packets_sent", self.packets_sent);
+            o.u64("receptions", self.receptions);
+            o.u64("expected_receptions", self.expected_receptions);
+            o.u64("events", self.events);
+            o.u64("faults_injected", self.faults_injected);
+            o.bool("check_clean", self.check_clean);
+            o.u64("violations", self.violations);
+            o.str("first_violation", &self.first_violation);
+            o.fixed("abort_p99", self.abort_p99, 6);
+            o.fixed("abort_max", self.abort_max, 6);
+            o.fixed("mrts_len_p99", self.mrts_len_p99, 6);
+            o.fixed("mrts_len_max", self.mrts_len_max, 6);
+            o.u64("fault_crashes", self.fault_crashes);
+            o.u64("fault_jam_bursts", self.fault_jam_bursts);
+            if !self.obs_counters.is_empty() {
+                o.obj("obs_counters", |o| {
+                    for (name, v) in &self.obs_counters {
+                        o.u64(name, *v);
+                    }
+                });
+            }
+        })
     }
 
     /// Parse a line written by [`CaseRecord::to_jsonl`]. Keys it does not
@@ -187,10 +174,13 @@ impl CaseRecord {
         let mut obs_counters: Vec<(String, u64)> = Vec::new();
         if let Some(Json::Obj(fields)) = v.get("obs_counters") {
             for (k, val) in fields {
-                obs_counters.push((
-                    k.clone(),
-                    val.as_u64().ok_or("obs counter must be an integer")?,
-                ));
+                let n = val.as_u64().ok_or_else(|| {
+                    format!(
+                        "obs counter {k} must be a non-negative integer, got {}",
+                        val.render()
+                    )
+                })?;
+                obs_counters.push((k.clone(), n));
             }
         }
         Ok(CaseRecord {

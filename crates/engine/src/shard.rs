@@ -48,6 +48,7 @@ use rmac_net::NetLayer;
 use rmac_obs::ObsReport;
 use rmac_phy::FrameTallies;
 use rmac_sim::{try_tasks, SimQueue, SimRng, SimTime};
+use rmac_wire::json;
 
 use crate::config::{Protocol, ScenarioConfig};
 use crate::run::{RunOutput, Spec};
@@ -196,17 +197,14 @@ impl ShardStats {
         out
     }
 
-    /// The per-group breakdown as a JSON array (hand-rolled, like every
-    /// serializer in this workspace).
+    /// The per-group breakdown as a JSON array.
     pub fn balance_json(&self) -> String {
-        let row = |r: &GroupStats| {
-            format!(
-                "{{\"first_slot\":{},\"slots\":{},\"events\":{},\"wall_ns\":{}}}",
-                r.first_slot, r.slots, r.events, r.wall_ns
-            )
-        };
-        let rows: Vec<String> = self.group_stats.iter().map(row).collect();
-        format!("[{}]", rows.join(","))
+        json::objects(&self.group_stats, |o, r| {
+            o.u64("first_slot", r.first_slot as u64)
+                .u64("slots", r.slots as u64)
+                .u64("events", r.events)
+                .u64("wall_ns", r.wall_ns);
+        })
     }
 }
 

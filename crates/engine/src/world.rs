@@ -9,7 +9,7 @@ use rmac_faults::{ChurnKind, FaultInjector, FaultPlan, JamTarget};
 use rmac_metrics::{percentile, RunReport};
 use rmac_mobility::{random_positions, MobilityKind, Motion, Pos};
 use rmac_net::{BlessConfig, NetLayer};
-use rmac_obs::{frame_kind_index, ObsReport, Snapshot};
+use rmac_obs::{ObsReport, Snapshot};
 use rmac_phy::{
     Channel, ChannelConfig, FaultKind, FrameTallies, IndexMode, Indication, PhyEvent, Tone, ToneLog,
 };
@@ -243,14 +243,14 @@ impl<Q: SimQueue<Ev>> WorldCore<Q> {
         if let Some(obs) = self.obs.as_mut() {
             match &ev.what {
                 TraceWhat::TxDone { frame, aborted } => {
-                    obs.nodes[idx].tx[frame_kind_index(frame.kind)] += 1;
+                    obs.nodes[idx].tx[frame.kind.index()] += 1;
                     obs.nodes[idx].tx_aborted += u64::from(*aborted);
                 }
                 TraceWhat::Rx { frame, ok: true } => {
-                    obs.nodes[idx].rx_ok[frame_kind_index(frame.kind)] += 1;
+                    obs.nodes[idx].rx_ok[frame.kind.index()] += 1;
                 }
                 TraceWhat::Rx { frame, ok: false } => {
-                    obs.nodes[idx].rx_corrupt[frame_kind_index(frame.kind)] += 1;
+                    obs.nodes[idx].rx_corrupt[frame.kind.index()] += 1;
                 }
                 TraceWhat::Submit { .. } => obs.nodes[idx].submitted += 1,
                 TraceWhat::Deliver { .. } => obs.nodes[idx].delivered += 1,

@@ -16,7 +16,6 @@ use std::process::exit;
 
 use rmac_campaign::{load_store, summarize, CampaignSpec, SummaryRow};
 use rmac_experiments::figures;
-use rmac_obs::json::fmt_f64;
 
 /// The mean over seeds of each grid point's headline metrics.
 fn print_summary(rows: &[SummaryRow]) {
@@ -30,7 +29,7 @@ fn print_summary(rows: &[SummaryRow]) {
             "  {:<12} {:<11} {:>6} {:<10} {:>9.4} {:>9.2} {:>9.4} {:>6}",
             r.protocol,
             r.scenario,
-            fmt_f64(r.rate),
+            r.rate,
             r.fault,
             r.delivery.mean,
             r.delay_s.mean * 1e3,

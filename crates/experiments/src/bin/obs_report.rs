@@ -6,13 +6,15 @@
 //! JSONL trace — and is still checked bit-identical against an
 //! uninstrumented run of the same seed before anything is rendered. The
 //! bin exits nonzero if the reports diverge, if any trace line was dropped
-//! on write, or if any written line fails to parse against the documented
-//! schema, so CI can use it as the instrumentation smoke test (`--smoke`
+//! on write, if any written line fails to parse against the documented
+//! schema, or if a JSON artifact does not read back as what the run
+//! reported, so CI can use it as the instrumentation smoke test (`--smoke`
 //! shrinks the scenario).
 //!
 //! Artifacts land in `results/obs/`: `trace.jsonl` (the event trace),
-//! `snapshots.jsonl` (the sampled time series), and `obs.json` (the whole
-//! [`rmac_obs::ObsReport`]).
+//! `snapshots.jsonl` (the sampled time series), `obs.json` (the whole
+//! [`rmac_obs::ObsReport`]) and `shard_balance.json` (a four-shard rerun's
+//! groups).
 
 use std::process::exit;
 
@@ -22,12 +24,23 @@ use rmac_engine::{
 };
 use rmac_experiments::env_u64;
 use rmac_metrics::frame_kind_table;
+use rmac_obs::json::Json;
 use rmac_obs::Snapshot;
 use rmac_sim::SimTime;
 
 fn fail(msg: &str) -> ! {
     eprintln!("obs_report: FAIL: {msg}");
     exit(1);
+}
+
+/// The JSON document at `path`, or each of its lines.
+fn read_json(path: &str, lines: bool) -> Vec<Json> {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("read {path}: {e}")));
+    let docs = match lines {
+        true => text.lines().map(Json::parse).collect(),
+        false => Json::parse(&text).map(|doc| vec![doc]),
+    };
+    docs.unwrap_or_else(|e| fail(&format!("{path} does not parse: {e}")))
 }
 
 fn main() {
@@ -116,6 +129,30 @@ fn main() {
         stats.balance_json() + "\n",
     )
     .expect("write shard_balance.json");
+
+    // Read the JSON artifacts back with the workspace's reader: each parses
+    // and holds what the run reported.
+    let doc = &read_json("results/obs/obs.json", false)[0];
+    let counted = doc
+        .get("registry")
+        .and_then(|r| r.get("counters"))
+        .is_some_and(|c| (obs.counters.iter()).all(|&(n, v)| c.uint(n) == Ok(v)));
+    if !counted || doc.arr("nodes").map(<[Json]>::len) != Ok(obs.nodes.len()) {
+        fail("obs.json does not read back as the report it was written from");
+    }
+    let snaps = read_json("results/obs/snapshots.jsonl", true);
+    let events: Result<Vec<u64>, String> = snaps.iter().map(|s| s.uint("events")).collect();
+    if events != Ok(obs.snapshots.iter().map(|s| s.events).collect()) {
+        fail("snapshots.jsonl does not read back as the snapshots taken");
+    }
+    let events: Result<Vec<u64>, String> =
+        match &read_json("results/obs/shard_balance.json", false)[0] {
+            Json::Arr(rows) => rows.iter().map(|r| r.uint("events")).collect(),
+            other => Err(format!("not an array: {}", other.render())),
+        };
+    if events != Ok(stats.group_stats.iter().map(|g| g.events).collect()) {
+        fail("shard_balance.json does not read back as the groups that ran");
+    }
 
     println!("{}", obs.render());
     println!("{}", frame_kind_table(&report).render());

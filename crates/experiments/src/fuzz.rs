@@ -21,6 +21,7 @@ use proptest::prelude::*;
 use rmac_engine::{CheckReport, Protocol, Reference, Run, ScenarioConfig};
 use rmac_faults::{BurstySpec, ChurnKind, ChurnSpec, FaultPlan, JamTarget, JammerSpec, SkewSpec};
 use rmac_mobility::{Bounds, Pos};
+use rmac_obs::json;
 use rmac_sim::SimTime;
 
 /// Node placement for one fuzz case.
@@ -475,43 +476,31 @@ pub fn shrink(
 /// file carries both the primitive scenario and the materialized fault
 /// plan so a human can replay it without the fuzzer.
 pub fn repro_json(fs: &FuzzScenario, seed: u64, signature: &str, detail: &str) -> String {
-    let topo = match fs.topology {
-        FuzzTopology::Chain { hops, spacing_m } => {
-            format!(r#"{{"kind":"chain","hops":{hops},"spacing_m":{spacing_m}}}"#)
-        }
-        FuzzTopology::Cluster { nodes, side_m } => {
-            format!(r#"{{"kind":"cluster","nodes":{nodes},"side_m":{side_m}}}"#)
-        }
-    };
     let (_, _, plan) = materialize(fs);
-    format!(
-        concat!(
-            "{{\n",
-            "  \"signature\": \"{}\",\n",
-            "  \"seed\": {},\n",
-            "  \"label\": \"{}\",\n",
-            "  \"protocol\": \"{:?}\",\n",
-            "  \"topology\": {},\n",
-            "  \"rate_pps\": {},\n",
-            "  \"packets\": {},\n",
-            "  \"payload\": {},\n",
-            "  \"shards\": {},\n",
-            "  \"fault_plan\": {},\n",
-            "  \"detail\": \"{}\"\n",
-            "}}\n"
-        ),
-        rmac_obs::json::escape(signature),
-        seed,
-        rmac_obs::json::escape(&fs.label()),
-        fs.protocol,
-        topo,
-        fs.rate_pps,
-        fs.packets,
-        fs.payload,
-        fs.shards,
-        plan.to_json(),
-        rmac_obs::json::escape(detail),
-    )
+    json::document(|o| {
+        o.str("signature", signature)
+            .u64("seed", seed)
+            .str("label", &fs.label())
+            .str("protocol", &format!("{:?}", fs.protocol))
+            .obj("topology", |o| match fs.topology {
+                FuzzTopology::Chain { hops, spacing_m } => {
+                    o.str("kind", "chain")
+                        .u64("hops", hops as u64)
+                        .f64("spacing_m", spacing_m);
+                }
+                FuzzTopology::Cluster { nodes, side_m } => {
+                    o.str("kind", "cluster")
+                        .u64("nodes", nodes as u64)
+                        .f64("side_m", side_m);
+                }
+            })
+            .f64("rate_pps", fs.rate_pps)
+            .u64("packets", fs.packets)
+            .u64("payload", fs.payload as u64)
+            .u64("shards", fs.shards as u64)
+            .obj("fault_plan", |o| plan.write_json(o))
+            .str("detail", detail);
+    })
 }
 
 /// Write the reproducer under `dir` (created if needed), named by case

@@ -30,12 +30,9 @@
 //! 2. **Reproducibility**: the same seed and the same plan yield
 //!    bit-identical metrics across runs.
 //!
-//! Plans serialize to a small hand-written JSON dialect
-//! ([`FaultPlan::to_json`] / [`FaultPlan::from_json`], read back through
-//! `rmac_wire::json`) rather than serde: the build environment is fully
-//! offline, so every external dependency this workspace keeps has to be
-//! vendored by hand, and a derive framework was not worth vendoring for
-//! one struct family.
+//! Plans serialize to JSON through the workspace codec, `rmac_wire::json`
+//! ([`FaultPlan::to_json`] / [`FaultPlan::from_json`]); integers such as
+//! the salt are written and read exactly.
 
 pub mod gilbert;
 pub mod injector;

@@ -1,7 +1,6 @@
 //! The declarative fault plan and its JSON form.
 
-use rmac_wire::json::{fmt_f64, Json};
-use std::fmt::Write as _;
+use rmac_wire::json::{self, Json};
 
 /// Parameters of a per-link Gilbert–Elliott bursty-loss chain.
 ///
@@ -212,45 +211,43 @@ impl FaultPlan {
 
     /// Serialize to the plan's JSON dialect.
     pub fn to_json(&self) -> String {
-        let num = |v: u64| fmt_f64(v as f64);
-        let label = |l: &str| format!("\"{l}\"");
-        let mut s = format!("{{\"salt\":{}", num(self.salt));
-        if let Some(b) = &self.bursty {
-            s.push_str(",\"bursty\":");
-            let fields = [
-                ("mean_good_ms", b.mean_good_ms),
-                ("mean_bad_ms", b.mean_bad_ms),
-                ("loss_good", b.loss_good),
-                ("loss_bad", b.loss_bad),
-            ];
-            push_obj(&mut s, &fields.map(|(key, v)| (key, fmt_f64(v))));
-        }
-        push_list(&mut s, "churn", &self.churn, |c| {
-            vec![
-                ("node", num(c.node.into())),
-                ("kind", label(c.kind.label())),
-                ("at_ms", num(c.at_ms)),
-                ("for_ms", num(c.for_ms)),
-            ]
-        });
-        push_list(&mut s, "jammers", &self.jammers, |j| {
-            vec![
-                ("x", fmt_f64(j.x)),
-                ("y", fmt_f64(j.y)),
-                ("target", label(j.target.label())),
-                ("start_ms", num(j.start_ms)),
-                ("period_ms", num(j.period_ms)),
-                ("burst_ms", num(j.burst_ms)),
-            ]
-        });
-        push_list(&mut s, "skew", &self.skew, |k| {
-            vec![("node", num(k.node.into())), ("ppm", fmt_f64(k.ppm))]
-        });
-        s.push('}');
-        s
+        json::object(|o| self.write_json(o))
     }
 
-    /// Parse a plan previously produced by [`FaultPlan::to_json`].
+    /// The plan's members, written into an object (a manifest's or a
+    /// reproducer's embedded plan).
+    pub fn write_json(&self, o: &mut json::Obj<'_>) {
+        o.u64("salt", self.salt);
+        if let Some(b) = &self.bursty {
+            o.obj("bursty", |o| {
+                o.f64("mean_good_ms", b.mean_good_ms)
+                    .f64("mean_bad_ms", b.mean_bad_ms)
+                    .f64("loss_good", b.loss_good)
+                    .f64("loss_bad", b.loss_bad);
+            });
+        }
+        o.objs("churn", &self.churn, |o, c| {
+            o.u64("node", c.node.into())
+                .str("kind", c.kind.label())
+                .u64("at_ms", c.at_ms)
+                .u64("for_ms", c.for_ms);
+        })
+        .objs("jammers", &self.jammers, |o, j| {
+            o.f64("x", j.x)
+                .f64("y", j.y)
+                .str("target", j.target.label())
+                .u64("start_ms", j.start_ms)
+                .u64("period_ms", j.period_ms)
+                .u64("burst_ms", j.burst_ms);
+        })
+        .objs("skew", &self.skew, |o, k| {
+            o.u64("node", k.node.into()).f64("ppm", k.ppm);
+        });
+    }
+
+    /// Parse a plan previously produced by [`FaultPlan::to_json`]. Integers
+    /// are read exactly: a node id outside `u16`, a negative or fractional
+    /// millisecond count or salt is an error naming its key.
     pub fn from_json(text: &str) -> Result<FaultPlan, String> {
         let v = Json::parse(text)?;
         if !matches!(v, Json::Obj(_)) {
@@ -262,8 +259,12 @@ impl FaultPlan {
             Some(_) => v.arr(key),
             None => Ok(&[][..]),
         };
+        let node = |x: &Json| {
+            let n = x.uint("node")?;
+            u16::try_from(n).map_err(|_| format!("node must be a node id below 65536, got {n}"))
+        };
         let mut plan = FaultPlan {
-            salt: v.get("salt").map_or(Ok(0.0), |_| v.num("salt"))? as u64,
+            salt: v.get("salt").map_or(Ok(0), |_| v.uint("salt"))?,
             ..FaultPlan::default()
         };
         if let Some(b) = v.get("bursty") {
@@ -276,10 +277,10 @@ impl FaultPlan {
         }
         for c in list("churn")? {
             plan.churn.push(ChurnSpec {
-                node: c.num("node")? as u16,
+                node: node(c)?,
                 kind: ChurnKind::from_label(c.str("kind")?)?,
-                at_ms: c.num("at_ms")? as u64,
-                for_ms: c.num("for_ms")? as u64,
+                at_ms: c.uint("at_ms")?,
+                for_ms: c.uint("for_ms")?,
             });
         }
         for j in list("jammers")? {
@@ -287,45 +288,19 @@ impl FaultPlan {
                 x: j.num("x")?,
                 y: j.num("y")?,
                 target: JamTarget::from_label(j.str("target")?)?,
-                start_ms: j.num("start_ms")? as u64,
-                period_ms: j.num("period_ms")? as u64,
-                burst_ms: j.num("burst_ms")? as u64,
+                start_ms: j.uint("start_ms")?,
+                period_ms: j.uint("period_ms")?,
+                burst_ms: j.uint("burst_ms")?,
             });
         }
         for k in list("skew")? {
             plan.skew.push(SkewSpec {
-                node: k.num("node")? as u16,
+                node: node(k)?,
                 ppm: k.num("ppm")?,
             });
         }
         Ok(plan)
     }
-}
-
-/// Append `{"key":value,…}` from already rendered values.
-fn push_obj(s: &mut String, fields: &[(&str, String)]) {
-    for (i, (key, value)) in fields.iter().enumerate() {
-        s.push(if i == 0 { '{' } else { ',' });
-        let _ = write!(s, "\"{key}\":{value}");
-    }
-    s.push('}');
-}
-
-/// Append `,"key":[{…},…]`, one object per item.
-fn push_list<T>(
-    s: &mut String,
-    key: &str,
-    items: &[T],
-    fields: impl Fn(&T) -> Vec<(&'static str, String)>,
-) {
-    let _ = write!(s, ",\"{key}\":[");
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        push_obj(s, &fields(item));
-    }
-    s.push(']');
 }
 
 #[cfg(test)]
@@ -417,6 +392,40 @@ mod tests {
             assert!(FaultPlan::from_json(bad).is_err(), "accepted {bad:?}");
         }
         assert_eq!(FaultPlan::from_json("{}"), Ok(FaultPlan::none()));
+    }
+
+    #[test]
+    fn integers_are_exact_and_hostile_ones_are_errors_naming_their_key() {
+        // Read through an f64, this salt came back as ...111680: another
+        // loss trajectory.
+        let plan = FaultPlan {
+            salt: 16_045_690_984_503_111_693,
+            ..sample_plan()
+        };
+        let text = plan.to_json();
+        assert!(
+            text.starts_with(r#"{"salt":16045690984503111693,"#),
+            "{text}"
+        );
+        assert_eq!(FaultPlan::from_json(&text), Ok(plan));
+        let churn = |fields: &str| format!(r#"{{"churn":[{{"kind":"crash",{fields}}}]}}"#);
+        for (fields, key) in [
+            (r#""node":70000,"at_ms":0,"for_ms":1"#, "node"),
+            (r#""node":1,"at_ms":-5,"for_ms":1"#, "at_ms"),
+            (r#""node":1,"at_ms":0,"for_ms":1.5"#, "for_ms"),
+            (r#""node":1,"at_ms":1e400,"for_ms":1"#, "at_ms"),
+        ] {
+            let err = FaultPlan::from_json(&churn(fields)).expect_err(fields);
+            assert!(err.contains(key), "{fields}: {err}");
+        }
+        for bad in [
+            r#"{"salt":-1}"#,
+            r#"{"salt":7.5}"#,
+            r#"{"salt":18446744073709551616}"#,
+        ] {
+            let err = FaultPlan::from_json(bad).expect_err(bad);
+            assert!(err.contains("salt"), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -11,6 +11,8 @@
 
 use std::fmt::Write as _;
 
+use rmac_wire::json;
+
 /// Number of buckets: value 0 plus one per binary order of magnitude.
 pub const BUCKETS: usize = 65;
 
@@ -146,19 +148,16 @@ impl LogHistogram {
             .map(|(i, &c)| (bucket_upper(i), c))
     }
 
-    /// The summary fields exported to JSON: count, sum, min, mean, p50,
-    /// p99, max.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"count\":{},\"sum\":{},\"min\":{},\"mean\":{:.1},\"p50\":{},\"p99\":{},\"max\":{}}}",
-            self.count,
-            self.sum,
-            self.min(),
-            self.mean(),
-            self.quantile(0.5),
-            self.quantile(0.99),
-            self.max
-        )
+    /// The summary exported to JSON, written into an object: count, sum,
+    /// min, mean, p50, p99, max.
+    pub fn write_json(&self, o: &mut json::Obj<'_>) {
+        o.u64("count", self.count)
+            .u64("sum", self.sum)
+            .u64("min", self.min())
+            .fixed("mean", self.mean(), 1)
+            .u64("p50", self.quantile(0.5))
+            .u64("p99", self.quantile(0.99))
+            .u64("max", self.max);
     }
 
     /// One aligned summary line (for ASCII profiling tables).
@@ -249,7 +248,7 @@ mod tests {
     fn json_summary_has_all_fields() {
         let mut h = LogHistogram::new();
         h.record(42);
-        let j = h.to_json();
+        let j = json::object(|o| h.write_json(o));
         for key in ["count", "sum", "min", "mean", "p50", "p99", "max"] {
             assert!(j.contains(key), "{j} missing {key}");
         }

@@ -9,6 +9,8 @@
 
 use std::fmt::Write as _;
 
+use rmac_wire::json;
+
 use crate::hist::LogHistogram;
 
 /// Per-event-class dispatch profile.
@@ -71,22 +73,17 @@ impl KernelProfiler {
         &self.wall_ns[class]
     }
 
-    /// JSON object keyed by class label.
-    pub fn to_json(&self) -> String {
-        let classes = self
-            .labels
-            .iter()
-            .enumerate()
-            .map(|(i, l)| {
-                format!(
-                    "\"{l}\":{{\"count\":{},\"wall_ns\":{}}}",
-                    self.counts[i],
-                    self.wall_ns[i].to_json()
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!("{{\"wall_clock\":{},\"classes\":{{{classes}}}}}", self.wall)
+    /// The profile written into an object: whether wall clocks ran, then
+    /// each class's count and wall-time histogram, keyed by label.
+    pub fn write_json(&self, o: &mut json::Obj<'_>) {
+        o.bool("wall_clock", self.wall).obj("classes", |o| {
+            for (i, label) in self.labels.iter().enumerate() {
+                o.obj(label, |o| {
+                    o.u64("count", self.counts[i])
+                        .obj("wall_ns", |o| self.wall_ns[i].write_json(o));
+                });
+            }
+        });
     }
 
     /// Aligned per-class profile table (counts, and wall stats when
@@ -153,7 +150,7 @@ mod tests {
     #[test]
     fn json_keys_every_class() {
         let k = KernelProfiler::new(&LABELS, true);
-        let j = k.to_json();
+        let j = json::object(|o| k.write_json(o));
         for l in LABELS {
             assert!(j.contains(l));
         }

@@ -31,7 +31,7 @@
 //!   engine's end-of-run scalars (queue traffic, PHY pool, grid, fault
 //!   plane) as plain name→value lists — with ASCII and JSON rendering.
 //!
-//! [`json`] is `rmac-wire`'s reader, re-exported for `rmac-campaign`. Trace
+//! [`json`] is `rmac-wire`'s codec, re-exported for `rmac-campaign`. Trace
 //! lines and the Fig. 4-style timeline belong to the observation stream's
 //! vocabulary, `rmac_phy::trace`.
 
@@ -43,7 +43,7 @@ pub mod snapshot;
 
 pub use hist::LogHistogram;
 pub use kernel::KernelProfiler;
-pub use node::{frame_kind_index, NodeObs, FRAME_KINDS, FRAME_KIND_LABELS, TONES, TONE_LABELS};
+pub use node::{NodeObs, TONES, TONE_LABELS};
 pub use report::ObsReport;
 pub use rmac_wire::json;
 pub use snapshot::{Sampler, Snapshot};

@@ -6,19 +6,7 @@
 //! and (for MACs that expose one) the state-machine transition matrix —
 //! the observed edges of the paper's Table 1.
 
-use rmac_wire::FrameKind;
-
-/// [`FrameKind::COUNT`].
-pub const FRAME_KINDS: usize = FrameKind::COUNT;
-
-/// [`FrameKind::LABELS`].
-pub const FRAME_KIND_LABELS: [&str; FRAME_KINDS] = FrameKind::LABELS;
-
-/// [`FrameKind::index`].
-#[inline]
-pub fn frame_kind_index(kind: FrameKind) -> usize {
-    kind.index()
-}
+use rmac_wire::{json, FrameKind};
 
 /// Number of tone channels observed (RBT, ABT).
 pub const TONES: usize = 2;
@@ -30,13 +18,13 @@ pub const TONE_LABELS: [&str; TONES] = ["RBT", "ABT"];
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct NodeObs {
     /// Completed transmissions by frame kind (aborted ones included).
-    pub tx: [u64; FRAME_KINDS],
+    pub tx: [u64; FrameKind::COUNT],
     /// Transmissions aborted mid-air (RMAC's RBT rule).
     pub tx_aborted: u64,
     /// Clean receptions by frame kind.
-    pub rx_ok: [u64; FRAME_KINDS],
+    pub rx_ok: [u64; FrameKind::COUNT],
     /// Corrupted receptions by frame kind.
-    pub rx_corrupt: [u64; FRAME_KINDS],
+    pub rx_corrupt: [u64; FrameKind::COUNT],
     /// Upper-layer transmit requests handed to this node's MAC.
     pub submitted: u64,
     /// Data frames the MAC delivered up to the network layer.
@@ -105,31 +93,21 @@ impl NodeObs {
         self.timer_stale.iter().sum()
     }
 
-    /// JSON object for this node (arrays indexed like the label tables).
-    pub fn to_json(&self) -> String {
-        let arr = |v: &[u64]| {
-            v.iter()
-                .map(|x| x.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        format!(
-            "{{\"tx\":[{}],\"tx_aborted\":{},\"rx_ok\":[{}],\"rx_corrupt\":[{}],\
-             \"submitted\":{},\"delivered\":{},\"timer_arm\":[{}],\"timer_fire\":[{}],\
-             \"timer_cancelled\":[{}],\"timer_stale\":[{}],\"tone_busy_ns\":[{}],\"transitions\":[{}]}}",
-            arr(&self.tx),
-            self.tx_aborted,
-            arr(&self.rx_ok),
-            arr(&self.rx_corrupt),
-            self.submitted,
-            self.delivered,
-            arr(&self.timer_arm),
-            arr(&self.timer_fire),
-            arr(&self.timer_cancelled),
-            arr(&self.timer_stale),
-            arr(&self.tone_busy_ns),
-            arr(&self.transitions),
-        )
+    /// This node's members, written into an object (arrays indexed like
+    /// the label tables).
+    pub fn write_json(&self, o: &mut json::Obj<'_>) {
+        o.u64s("tx", &self.tx)
+            .u64("tx_aborted", self.tx_aborted)
+            .u64s("rx_ok", &self.rx_ok)
+            .u64s("rx_corrupt", &self.rx_corrupt)
+            .u64("submitted", self.submitted)
+            .u64("delivered", self.delivered)
+            .u64s("timer_arm", &self.timer_arm)
+            .u64s("timer_fire", &self.timer_fire)
+            .u64s("timer_cancelled", &self.timer_cancelled)
+            .u64s("timer_stale", &self.timer_stale)
+            .u64s("tone_busy_ns", &self.tone_busy_ns)
+            .u64s("transitions", &self.transitions);
     }
 }
 
@@ -157,7 +135,7 @@ mod tests {
     #[test]
     fn json_has_every_field() {
         let n = NodeObs::new(2);
-        let j = n.to_json();
+        let j = json::object(|o| n.write_json(o));
         for key in [
             "tx",
             "tx_aborted",

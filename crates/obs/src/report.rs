@@ -8,8 +8,10 @@
 
 use std::fmt::Write as _;
 
+use rmac_wire::{json, FrameKind};
+
 use crate::kernel::KernelProfiler;
-use crate::node::{NodeObs, FRAME_KIND_LABELS, TONES, TONE_LABELS};
+use crate::node::{NodeObs, TONES, TONE_LABELS};
 use crate::snapshot::Snapshot;
 
 /// Everything one instrumented run collected.
@@ -36,44 +38,23 @@ pub struct ObsReport {
 impl ObsReport {
     /// The whole report as one JSON document.
     pub fn to_json(&self) -> String {
-        let nodes = self
-            .nodes
-            .iter()
-            .map(NodeObs::to_json)
-            .collect::<Vec<_>>()
-            .join(",\n    ");
-        let snaps = self
-            .snapshots
-            .iter()
-            .map(Snapshot::to_json)
-            .collect::<Vec<_>>()
-            .join(",\n    ");
-        let labels = |ls: &[&str]| {
-            ls.iter()
-                .map(|l| format!("\"{l}\""))
-                .collect::<Vec<_>>()
-                .join(",")
+        let scalars = |o: &mut json::Obj<'_>, items: &[(&str, u64)]| {
+            for &(name, v) in items {
+                o.u64(name, v);
+            }
         };
-        let scalars = |items: &[(&str, u64)]| {
-            items
-                .iter()
-                .map(|(n, v)| format!("\"{n}\":{v}"))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        format!(
-            "{{\n  \"registry\": {{\"counters\":{{{}}},\"gauges\":{{{}}}}},\n  \"kernel\": {},\n  \"frame_kind_labels\": [{}],\n  \
-             \"timer_labels\": [{}],\n  \"transition_labels\": [{}],\n  \"nodes\": [\n    {}\n  ],\n  \
-             \"snapshots\": [\n    {}\n  ]\n}}\n",
-            scalars(&self.counters),
-            scalars(&self.gauges),
-            self.kernel.to_json(),
-            labels(&FRAME_KIND_LABELS),
-            labels(self.timer_labels),
-            labels(&self.transition_labels),
-            nodes,
-            snaps,
-        )
+        json::document(|o| {
+            o.obj("registry", |o| {
+                o.obj("counters", |o| scalars(o, &self.counters))
+                    .obj("gauges", |o| scalars(o, &self.gauges));
+            })
+            .obj("kernel", |o| self.kernel.write_json(o))
+            .strs("frame_kind_labels", FrameKind::LABELS)
+            .strs("timer_labels", self.timer_labels.iter().copied())
+            .strs("transition_labels", self.transition_labels.iter().copied())
+            .objs("nodes", &self.nodes, |o, n| n.write_json(o))
+            .objs("snapshots", &self.snapshots, |o, s| s.write_json(o));
+        })
     }
 
     /// Kernel self-profile plus the scalars, as aligned text.
@@ -150,7 +131,7 @@ impl ObsReport {
             "{:<14}  {:>9}  {:>9}  {:>9}",
             "kind", "tx", "rx_ok", "rx_corrupt"
         );
-        for (k, label) in FRAME_KIND_LABELS.iter().enumerate() {
+        for (k, label) in FrameKind::LABELS.iter().enumerate() {
             let tx: u64 = self.nodes.iter().map(|n| n.tx[k]).sum();
             let ok: u64 = self.nodes.iter().map(|n| n.rx_ok[k]).sum();
             let bad: u64 = self.nodes.iter().map(|n| n.rx_corrupt[k]).sum();

@@ -10,6 +10,8 @@
 //! deterministic simulation state; a sampled run's `RunReport` is
 //! bit-identical to an unsampled one.
 
+use rmac_wire::json;
+
 /// One point of the sampled time series. All counters are cumulative
 /// since the start of the run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -39,21 +41,21 @@ pub struct Snapshot {
 impl Snapshot {
     /// One flat JSON line (the snapshot schema).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"t_ns\":{},\"events\":{},\"queue_len\":{},\"queue_high_water\":{},\
-             \"tx_frames\":{},\"rx_ok\":{},\"rx_corrupt\":{},\"receptions\":{},\
-             \"crashes\":{},\"jam_bursts\":{}}}",
-            self.t_ns,
-            self.events,
-            self.queue_len,
-            self.queue_high_water,
-            self.tx_frames,
-            self.rx_ok,
-            self.rx_corrupt,
-            self.receptions,
-            self.crashes,
-            self.jam_bursts,
-        )
+        json::object(|o| self.write_json(o))
+    }
+
+    /// The snapshot's members, written into an object.
+    pub fn write_json(&self, o: &mut json::Obj<'_>) {
+        o.u64("t_ns", self.t_ns)
+            .u64("events", self.events)
+            .u64("queue_len", self.queue_len)
+            .u64("queue_high_water", self.queue_high_water)
+            .u64("tx_frames", self.tx_frames)
+            .u64("rx_ok", self.rx_ok)
+            .u64("rx_corrupt", self.rx_corrupt)
+            .u64("receptions", self.receptions)
+            .u64("crashes", self.crashes)
+            .u64("jam_bursts", self.jam_bursts);
     }
 }
 

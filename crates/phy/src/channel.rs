@@ -196,11 +196,8 @@ pub struct Channel {
     onsets: EdgeTally,
 }
 
-/// [`FrameKind::COUNT`]: one tally slot per kind, indexed by
-/// [`FrameKind::index`].
-pub const FRAME_KINDS: usize = FrameKind::COUNT;
-
-/// Cumulative per-frame-kind tallies, counted where the channel creates
+/// Cumulative per-frame-kind tallies (one slot per kind, indexed by
+/// [`FrameKind::index`]), counted where the channel creates
 /// the corresponding indications — the frame kind is statically known
 /// there, so the always-on counting costs straight-line increments on
 /// branches the PHY already takes. "As seen at the PHY": receptions at
@@ -208,13 +205,13 @@ pub const FRAME_KINDS: usize = FrameKind::COUNT;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FrameTallies {
     /// Completed transmissions by kind (aborted ones included).
-    pub tx_frames: [u64; FRAME_KINDS],
+    pub tx_frames: [u64; FrameKind::COUNT],
     /// How many of those transmissions were aborted mid-air.
     pub tx_aborted: u64,
     /// Receptions delivered clean, by kind.
-    pub rx_ok: [u64; FRAME_KINDS],
+    pub rx_ok: [u64; FrameKind::COUNT],
     /// Receptions delivered corrupted, by kind.
-    pub rx_corrupt: [u64; FRAME_KINDS],
+    pub rx_corrupt: [u64; FrameKind::COUNT],
 }
 
 /// Cumulative channel-internal counters for the observability layer:

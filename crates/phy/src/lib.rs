@@ -74,9 +74,7 @@ pub mod slab;
 pub mod tone;
 pub mod trace;
 
-pub use channel::{
-    Channel, ChannelConfig, FaultHook, FrameTallies, PhyObs, TxId, FRAME_KINDS, TONE_HISTORY,
-};
+pub use channel::{Channel, ChannelConfig, FaultHook, FrameTallies, PhyObs, TxId, TONE_HISTORY};
 pub use event::{Indication, PhyEvent};
 pub use grid::{reuse_horizon, GridStats, IndexMode, SpatialGrid};
 pub use tone::{Tone, ToneInterest, ToneLog};

@@ -51,7 +51,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use rmac_sim::SimTime;
-use rmac_wire::json::Json;
+use rmac_wire::json::{self, Json};
 use rmac_wire::{Frame, FrameKind, NodeId};
 
 use crate::event::Indication;
@@ -253,48 +253,46 @@ impl<F: Carried> fmt::Display for TraceWhat<F> {
 }
 
 impl<F: Carried> TraceEvent<F> {
-    /// One-line JSON encoding (hand-rolled; the workspace carries no JSON
-    /// dependency). All fields are numbers, fixed strings, or booleans, so
-    /// no escaping is needed.
+    /// The event's JSON line (see the module docs for the schema).
     pub fn to_json(&self) -> String {
-        // A node's own frame prints its length, one it heard its sender.
-        let sent = |ev: &str, h: FrameHead| {
-            format!(
-                "\"ev\":\"{ev}\",\"kind\":\"{:?}\",\"bytes\":{}",
-                h.kind, h.bytes
-            )
-        };
-        let heard = |ev: &str, h: FrameHead| {
-            format!(
-                "\"ev\":\"{ev}\",\"kind\":\"{:?}\",\"src\":{}",
-                h.kind, h.src.0
-            )
-        };
-        let what = match &self.what {
-            TraceWhat::TxStart { frame, .. } => sent("tx_start", frame.head()),
-            TraceWhat::TxDone { frame, aborted } => {
-                format!("{},\"aborted\":{aborted}", sent("tx_done", frame.head()))
-            }
-            TraceWhat::Rx { frame, ok } => format!("{},\"ok\":{ok}", heard("rx", frame.head())),
-            TraceWhat::Tone { tone, present } => {
-                format!("\"ev\":\"tone\",\"tone\":\"{tone:?}\",\"present\":{present}")
-            }
-            TraceWhat::Carrier { busy } => format!("\"ev\":\"carrier\",\"busy\":{busy}"),
-            TraceWhat::ToneEmit { tone, on } => {
-                format!("\"ev\":\"tone_emit\",\"tone\":\"{tone:?}\",\"on\":{on}")
-            }
-            TraceWhat::Submit { reliable, bytes } => {
-                format!("\"ev\":\"submit\",\"reliable\":{reliable},\"bytes\":{bytes}")
-            }
-            TraceWhat::Deliver { frame } => heard("deliver", frame.head()),
-            TraceWhat::Fault(kind) => format!("\"ev\":\"fault\",\"label\":\"{}\"", kind.label()),
-        };
-        format!(
-            "{{\"t_ns\":{},\"node\":{},{what}}}",
-            self.t.nanos(),
-            self.node.0
-        )
+        use TraceWhat::*;
+        json::object(|o| {
+            o.u64("t_ns", self.t.nanos())
+                .u64("node", self.node.0.into());
+            match &self.what {
+                TxStart { frame, .. } => sent(o, "tx_start", frame.head()),
+                TxDone { frame, aborted } => {
+                    sent(o, "tx_done", frame.head()).bool("aborted", *aborted)
+                }
+                Rx { frame, ok } => heard(o, "rx", frame.head()).bool("ok", *ok),
+                Tone { tone, present } => told(o, "tone", *tone).bool("present", *present),
+                Carrier { busy } => o.str("ev", "carrier").bool("busy", *busy),
+                ToneEmit { tone, on } => told(o, "tone_emit", *tone).bool("on", *on),
+                Submit { reliable, bytes } => (o.str("ev", "submit"))
+                    .bool("reliable", *reliable)
+                    .u64("bytes", *bytes as u64),
+                Deliver { frame } => heard(o, "deliver", frame.head()),
+                Fault(kind) => o.str("ev", "fault").str("label", kind.label()),
+            };
+        })
     }
+}
+
+// A node's own frame prints its length, one it heard its sender.
+fn sent<'o, 'a>(o: &'o mut json::Obj<'a>, ev: &str, h: FrameHead) -> &'o mut json::Obj<'a> {
+    let kind = FrameKind::LABELS[h.kind.index()];
+    o.str("ev", ev)
+        .str("kind", kind)
+        .u64("bytes", h.bytes as u64)
+}
+
+fn heard<'o, 'a>(o: &'o mut json::Obj<'a>, ev: &str, h: FrameHead) -> &'o mut json::Obj<'a> {
+    let kind = FrameKind::LABELS[h.kind.index()];
+    o.str("ev", ev).str("kind", kind).u64("src", h.src.0.into())
+}
+
+fn told<'o, 'a>(o: &'o mut json::Obj<'a>, ev: &str, tone: Tone) -> &'o mut json::Obj<'a> {
+    o.str("ev", ev).str("tone", &format!("{tone:?}"))
 }
 
 impl TraceEvent<FrameHead> {

@@ -297,7 +297,7 @@ fn events() -> impl Strategy<Value = TraceEvent> {
         frames().prop_map(|frame| TraceWhat::Deliver { frame }),
         (0..FaultKind::ALL.len()).prop_map(|i| TraceWhat::Fault(FaultKind::ALL[i])),
     ];
-    (0u64..1 << 53, 0u16..=u16::MAX, what).prop_map(|(ns, node, what)| TraceEvent {
+    (any::<u64>(), 0u16..=u16::MAX, what).prop_map(|(ns, node, what)| TraceEvent {
         t: SimTime::from_nanos(ns),
         node: NodeId(node),
         what,

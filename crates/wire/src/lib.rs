@@ -13,8 +13,9 @@
 //!   numbers (96 µs PHY overhead, 56 µs ACK, ≈ 632·n µs BMMM control cost),
 //! * [`datagram`] — the live-transport datagram framing (`rmac-live`):
 //!   MAC frames and busy-tone stand-ins as self-describing UDP payloads,
-//! * [`json`] — the one reader for the JSON the workspace writes by hand
-//!   (fault plans, trace lines, campaign manifests and stores).
+//! * [`json`] — the workspace's one JSON codec: a streaming writer and a
+//!   parser (fault plans, trace lines, campaign manifests and stores, fuzz
+//!   reproducers, obs artifacts).
 
 pub mod addr;
 pub mod airtime;
