@@ -24,9 +24,10 @@ echo "    observation stream, no told flag or record tally outside the one edge 
 echo "    wheel beside the event queue, no re-bucketing quantum beside the reuse horizon and no second"
 echo "    in-process coordinator or per-destination queue beside the loopback runner and the hub's queue,"
 echo "    no x-stripe beside the radio component, no second record of a campaign beside its store —"
-echo "    no gate baseline, summary file or dashboard — and no JSON writer beside rmac_wire::json:"
-echo "    DESIGN.md §13, §11, §10, §12, §8, §7, §9, §6)"
-if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S|SweepSpec|SweepResults|run_sweep|try_replications|RMAC_QUICK|RMAC_RATES|RMAC_NODES|ShardedQueue|SeqQueue|push_with_seq|home_slot|EngineTransport|EngineMedium|schedule\(SLOT, TimerKind::BackoffSlot|merge_traces|DispatchLog|DispatchRec|seed_slots|TraceCapture|popped_seq|ManualClock|BenchDocs|tone_count|pooled_tone_buf|sensed_since|rbt_runs|execute_sharded|into_runner|sched_rng|ShardGroupRow|balance_rows|FuzzProtocol|FuzzChurn|handle_at|set_cursor|FrameArriveStart \{ rx, tx, power|on_tx_start|on_node_down|observe_indication|trace_indication|fn describe\(r: &TraceRecord|on_told|off_told|sync_tone_interest|DEFAULT_QUANTUM|level_for|higher_candidate|level0_candidate|SLOT_BITS|const QUANTUM|SimEndpoint|pop_due_for|next_arrival_for|ArrivalQueue|impl Transport for|fn stripes|coupled_groups|stripe_w|GateConfig|run_gate|gate_spec|summarize_json|render_html|render_ascii|metric_tol_pct|inject-mutant|parse_flat|push_obj|push_list' \
+echo "    no gate baseline, summary file or dashboard — no JSON writer beside rmac_wire::json, and no"
+echo "    full-width node stacks filtered down to a group's own after the run: DESIGN.md §13, §11, §10,"
+echo "    §12, §8, §7, §9, §6)"
+if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S|SweepSpec|SweepResults|run_sweep|try_replications|RMAC_QUICK|RMAC_RATES|RMAC_NODES|ShardedQueue|SeqQueue|push_with_seq|home_slot|EngineTransport|EngineMedium|schedule\(SLOT, TimerKind::BackoffSlot|merge_traces|DispatchLog|DispatchRec|seed_slots|TraceCapture|popped_seq|ManualClock|BenchDocs|tone_count|pooled_tone_buf|sensed_since|rbt_runs|execute_sharded|into_runner|sched_rng|ShardGroupRow|balance_rows|FuzzProtocol|FuzzChurn|handle_at|set_cursor|FrameArriveStart \{ rx, tx, power|on_tx_start|on_node_down|observe_indication|trace_indication|fn describe\(r: &TraceRecord|on_told|off_told|sync_tone_interest|DEFAULT_QUANTUM|level_for|higher_candidate|level0_candidate|SLOT_BITS|const QUANTUM|SimEndpoint|pop_due_for|next_arrival_for|ArrivalQueue|impl Transport for|fn stripes|coupled_groups|stripe_w|GateConfig|run_gate|gate_spec|summarize_json|render_html|render_ascii|metric_tol_pct|inject-mutant|parse_flat|push_obj|push_list|keep_owned' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!ci.sh'; then
     echo "a retired knob name reappeared (see above)" >&2
     exit 1
@@ -155,13 +156,16 @@ cargo run -q --release -p rmac-experiments --bin fuzz_scenarios -- --smoke
 echo "==> soak_live --smoke (live loopback soak: 100% delivery under 20% GE loss)"
 cargo run -q --release -p rmac-experiments --bin soak_live -- --smoke
 
-echo "==> shard stage (radio-component decomposition and packing, then sharded-engine equivalence proptests"
-echo "    and the eight-cell layout)"
+echo "==> shard stage (radio-component decomposition and packing; the ownership count — every group of the"
+echo "    eight-cell layout builds stacks for its own nodes, 2 000 in all, not 8 × 2 000; then sharded-engine"
+echo "    equivalence proptests, a stackless jammer group, a restart outside the first group, the eight cells)"
 cargo test -q --release -p rmac-engine --lib shard::
 cargo test -q --release --test shard_equivalence
 
-echo "==> queue stage (calendar/heap differential proptests)"
+echo "==> queue stage (calendar/heap differential proptests, sparse and top-of-clock schedules, then the"
+echo "    window-advance pin: a replication advances its calendar at most once per event popped)"
 cargo test -q --release --test queue_equivalence
+cargo test -q --release -p rmac-engine --lib the_calendar_advances_at_most_once_per_event
 
 echo "==> grid stage (grid/brute differential proptests, optimised: the neighbour-list walk that ships,"
 echo "    hundreds of fills per reuse horizon included)"

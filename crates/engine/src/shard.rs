@@ -11,9 +11,11 @@
 //!   and [`pack`] packs them into about `4 · cfg.shards` groups, which run
 //!   concurrently, one runner each.
 //! * A group's runner is the [`Runner`] that owns the group's slots: it
-//!   builds the full-width world (so global node indexing, RNG stream
-//!   derivation and the spatial grid are untouched) on its own queue and
-//!   seeds only what it owns. Since the whole-world execution restricted
+//!   builds node stacks, RNG streams and counters for its own protocol
+//!   nodes alone (each stream derived from the global node id), on its own
+//!   queue, and seeds only what it owns; only the channel — radios,
+//!   motions, spatial grid — spans every slot, because the PHY indexes it
+//!   by node id. Since the whole-world execution restricted
 //!   to a causally closed subset *is* that subset's own execution (FIFO
 //!   tie-breaks are preserved on subsequences), each group reproduces its
 //!   slice of the whole-world run exactly.
@@ -62,8 +64,10 @@ use crate::world::{build_motions, collect_report, BeaconTimetable, Ev, Harvest, 
 const RANGE_EPS: f64 = 1e-6;
 
 /// Groups per configured shard that [`pack`] aims for: enough for the pool
-/// to run the source's group beside the rest, few enough that per-group
-/// assembly (every group builds the full-width world) stays small.
+/// to run the source's group beside the rest, few enough that the fixed
+/// cost of a group stays small — each still builds the full-width channel
+/// and a queue, so on a sparse 2 000-node plane one group per component
+/// (1 478) ran 3.5× longer than eight packed groups.
 const GROUPS_PER_SHARD: usize = 4;
 
 /// The connected components of the radio graph over the channel slots at
@@ -282,11 +286,7 @@ pub(crate) fn execute<Q: SimQueue<Ev>>(
         runner.attach(None, false, tracer);
         return run_whole(runner, spec.seed);
     }
-    let positions: Vec<Pos> = build_motions(cfg, &spec.plan, &SimRng::new(spec.seed))
-        .iter_mut()
-        .map(|m| m.position_at(SimTime::ZERO))
-        .collect();
-    let groups = pack(components(&positions, cfg.range_m), cfg.shards);
+    let groups = cut(spec);
     let beacons = BeaconTimetable::build(cfg, spec.seed);
     let run = |group: &Vec<usize>| {
         let runner = Runner::assemble(spec, make_q, |slot| group.binary_search(&slot).is_ok());
@@ -302,6 +302,16 @@ pub(crate) fn execute<Q: SimQueue<Ev>>(
     let label = |g: &Vec<usize>| format!("shard group of slot {} ({} slots)", g[0], g.len());
     let results = try_tasks(&groups, run, label).unwrap_or_else(|e| panic!("{e}"));
     collect(cfg, spec.protocol, spec.seed, results)
+}
+
+/// The shard groups `spec` decomposes into: its radio components at the
+/// initial positions, packed at `cfg.shards`.
+fn cut(spec: &Spec) -> Vec<Vec<usize>> {
+    let positions: Vec<Pos> = build_motions(&spec.cfg, &spec.plan, &SimRng::new(spec.seed))
+        .iter_mut()
+        .map(|m| m.position_at(SimTime::ZERO))
+        .collect();
+    pack(components(&positions, spec.cfg.range_m), spec.cfg.shards)
 }
 
 /// Merge the groups' results into the replication's output. Per-node state
@@ -492,6 +502,55 @@ mod tests {
             let slots: usize = out.shard.group_stats.iter().map(|g| g.slots).sum();
             assert_eq!(slots, 20, "shards={shards}");
         }
+    }
+
+    #[test]
+    fn a_group_builds_stacks_for_its_own_nodes_only() {
+        use crate::run::Spec;
+        use rmac_faults::FaultPlan;
+        use rmac_sim::CalendarQueue;
+
+        // The eight-cell layout of `multicell2000_shard2` on a lattice: 250
+        // nodes per 913 m × 548 m cell, 36.5 m × 54.8 m apart (one
+        // component each), cells 156 m apart (out of range).
+        let positions = (0..2000)
+            .map(|i| {
+                let (cell, k) = (i / 250, i % 250);
+                let x = cell as f64 * 1033.0 + (k % 25) as f64 * 913.0 / 25.0;
+                Pos::new(x, (k / 25) as f64 * 54.8)
+            })
+            .collect();
+        let mut cfg = ScenarioConfig::paper_stationary(20.0)
+            .with_positions(positions)
+            .with_shards(2);
+        cfg.bounds = rmac_mobility::Bounds::new(8.0 * 1033.0, 548.0);
+        let spec = Spec {
+            cfg: Arc::new(cfg),
+            protocol: Protocol::Rmac,
+            seed: 1,
+            plan: FaultPlan::none(),
+            obs: None,
+            check: false,
+            brute_phy: false,
+        };
+        let groups = cut(&spec);
+        assert_eq!(groups.len(), 8);
+        let mut stacks = 0;
+        for group in &groups {
+            let runner = Runner::assemble(&spec, CalendarQueue::with_capacity, |slot| {
+                group.binary_search(&slot).is_ok()
+            });
+            let owned = group.iter().filter(|&&s| s < spec.cfg.nodes).count();
+            assert_eq!(
+                runner.stack_counts(),
+                [owned; 4],
+                "group of slot {}",
+                group[0]
+            );
+            stacks += owned;
+        }
+        // The whole world's 2 000 stacks, not 8 × 2 000.
+        assert_eq!(stacks, spec.cfg.nodes);
     }
 
     fn two_groups() -> ShardStats {

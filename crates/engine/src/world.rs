@@ -180,6 +180,10 @@ fn node_stack(
 /// Everything the MAC context borrows mutably: the queue, channel, and
 /// per-node rngs/counters. Kept separate from the MAC/net entities so the
 /// borrow checker can hand a MAC `&mut` access to the rest of the world.
+///
+/// The channel spans every slot of the replication; the per-node vectors
+/// hold the runner's owned protocol nodes only, at their stack index
+/// ([`Runner::stack_of`]).
 struct WorldCore<Q: SimQueue<Ev>> {
     q: Q,
     channel: Channel,
@@ -204,9 +208,10 @@ struct WorldCore<Q: SimQueue<Ev>> {
 }
 
 impl<Q: SimQueue<Ev>> WorldCore<Q> {
-    /// Apply `node`'s clock-skew factor to a MAC timer delay.
-    fn skewed(&self, node: NodeId, delay: SimTime) -> SimTime {
-        let f = self.skew[node.idx()];
+    /// Apply the clock-skew factor of the node at stack index `i` to a MAC
+    /// timer delay.
+    fn skewed(&self, i: usize, delay: SimTime) -> SimTime {
+        let f = self.skew[i];
         if f == 1.0 {
             delay
         } else {
@@ -214,11 +219,12 @@ impl<Q: SimQueue<Ev>> WorldCore<Q> {
         }
     }
 
-    /// `node`'s own clock at true instant `t` — the inverse of
-    /// [`skewed`](Self::skewed): a delay `d` armed now elapses when this
-    /// reading has advanced by `d` (to the rounding of either).
-    fn local(&self, node: NodeId, t: SimTime) -> SimTime {
-        let f = self.skew[node.idx()];
+    /// The own clock of the node at stack index `i` at true instant `t` —
+    /// the inverse of [`skewed`](Self::skewed): a delay `d` armed now
+    /// elapses when this reading has advanced by `d` (to the rounding of
+    /// either).
+    fn local(&self, i: usize, t: SimTime) -> SimTime {
+        let f = self.skew[i];
         if f == 1.0 {
             t
         } else {
@@ -273,6 +279,8 @@ impl<Q: SimQueue<Ev>> WorldCore<Q> {
 struct Ctx<'a, Q: SimQueue<Ev>> {
     core: &'a mut WorldCore<Q>,
     node: NodeId,
+    /// The node's stack index in the per-node vectors.
+    i: usize,
     /// The node's network layer, for on-demand neighbor queries. Most MAC
     /// callbacks never ask, so the (alloc + sort) of a fresh-neighbor
     /// snapshot is paid only when [`MacContext::neighbors`] is called.
@@ -286,12 +294,12 @@ impl<Q: SimQueue<Ev>> MacContext for Ctx<'_, Q> {
         self.core.q.now()
     }
     fn local_now(&self) -> SimTime {
-        self.core.local(self.node, self.core.q.now())
+        self.core.local(self.i, self.core.q.now())
     }
     fn schedule(&mut self, delay: SimTime, kind: TimerKind, gen: u64) {
         let node = self.node;
-        let delay = self.core.skewed(node, delay);
-        let epoch = self.core.epochs[node.idx()];
+        let delay = self.core.skewed(self.i, delay);
+        let epoch = self.core.epochs[self.i];
         if let Some(obs) = self.core.obs.as_mut() {
             obs.nodes[node.idx()].timer_arm[timer_idx(kind)] += 1;
         }
@@ -363,10 +371,10 @@ impl<Q: SimQueue<Ev>> MacContext for Ctx<'_, Q> {
         self.net.fresh_neighbors(self.core.q.now())
     }
     fn rng(&mut self) -> &mut SimRng {
-        &mut self.core.rngs[self.node.idx()]
+        &mut self.core.rngs[self.i]
     }
     fn counters(&mut self) -> &mut MacCounters {
-        &mut self.core.counters[self.node.idx()]
+        &mut self.core.counters[self.i]
     }
     fn timer_cancelled(&mut self, kind: TimerKind) {
         if let Some(obs) = self.core.obs.as_mut() {
@@ -384,18 +392,26 @@ struct FaultRt {
     jam_seq: u32,
 }
 
+/// Where [`Runner::stack_of`] finds no stack: a jammer slot, or a slot
+/// another shard group owns.
+const NO_STACK: u32 = u32::MAX;
+
 /// One assembled replication: node stacks plus the event loop. Built and
 /// driven by [`crate::Run`]; the public methods are the pinned shims in
 /// [`crate::run`].
 ///
 /// A runner drives one shard group of its replication — the channel slots
-/// marked `owned` — on the full-width world; the whole-world run is the
-/// group that owns every slot. Generic over the queue implementation:
-/// [`crate::Run`] assembles it on the [`CalendarQueue`], and on the heap
-/// reference queue for differential tests. Monomorphization keeps each
-/// variant's hot loop branch-free over the choice.
+/// it owns. It builds node stacks, RNG streams and counters for its owned
+/// protocol nodes alone; only the channel spans every slot, because the
+/// PHY indexes it by [`NodeId`]. The whole-world run is the group that owns
+/// every slot, where the stack index is the node id. Generic over the queue
+/// implementation: [`crate::Run`] assembles it on the [`CalendarQueue`],
+/// and on the heap reference queue for differential tests.
+/// Monomorphization keeps each variant's hot loop branch-free over the
+/// choice.
 pub struct Runner<Q: SimQueue<Ev> = CalendarQueue<Ev>> {
     core: WorldCore<Q>,
+    /// One per owned protocol node, at its stack index.
     macs: Vec<Box<dyn MacService>>,
     nets: Vec<NetLayer>,
     pub(crate) cfg: Arc<ScenarioConfig>,
@@ -408,11 +424,15 @@ pub struct Runner<Q: SimQueue<Ev> = CalendarQueue<Ev>> {
     /// Reused indication buffer for PHY dispatch (the event loop's hottest
     /// allocation without it).
     inds_scratch: Vec<Indication>,
-    /// Per channel slot (protocol nodes, then jammers): does this runner's
-    /// shard group own it? Only owned slots are seeded; the component
-    /// analysis in [`crate::shard`] guarantees no event for another slot
-    /// can ever be generated.
-    owned: Vec<bool>,
+    /// The channel slots this runner's shard group owns, ascending:
+    /// protocol nodes (the first `macs.len()`, the stack index being the
+    /// position here), then jammers. Only owned slots are seeded; the
+    /// component analysis in [`crate::shard`] guarantees no event for
+    /// another slot can ever be generated.
+    slots: Vec<usize>,
+    /// The global→owned index map: per channel slot, its stack index, or
+    /// [`NO_STACK`].
+    stack_at: Vec<u32>,
 }
 
 /// The event loop's one extension point: [`Runner::run_loop`] calls
@@ -484,12 +504,13 @@ impl<Q: SimQueue<Ev>> LoopHook<Q> for Observed {
 }
 
 impl<Q: SimQueue<Ev>> Runner<Q> {
-    /// Assemble the replication `spec` describes — node stacks, RNG streams,
-    /// fault runtime and the obs/checker attachments (the tracer is not
-    /// `Sync`; the caller attaches it to the one runner that carries it). Every
-    /// group of a replication derives the identical world; they differ in
-    /// the channel slots they own, as `owns` says (the queue is built by
-    /// `make_q` from the pre-sizing capacity).
+    /// Assemble the replication `spec` describes — the channel, the owned
+    /// nodes' stacks and RNG streams, fault runtime and the obs/checker
+    /// attachments (the tracer is not `Sync`; the caller attaches it to the
+    /// one runner that carries it). Every group of a replication derives
+    /// the identical channel and streams; they differ in the channel slots
+    /// they own, as `owns` says (the queue is built by `make_q` from the
+    /// pre-sizing capacity).
     ///
     /// An empty fault plan is bit-identical to no plan: every RNG stream is
     /// seeded the same, the PHY hook is only installed when the plan can
@@ -519,18 +540,40 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
         if plan.has_phy_faults() {
             channel.set_fault_hook(Box::new(FaultInjector::from_plan(plan, spec.seed)));
         }
+        // The owned slots, and the index map: an owned protocol node's stack
+        // index is its place among them.
+        let mut slots = Vec::with_capacity(node_slots);
+        let mut stack_at = Vec::with_capacity(node_slots);
+        for s in 0..node_slots {
+            let owned = owns(s);
+            let stack = if owned && s < cfg.nodes {
+                slots.len() as u32
+            } else {
+                NO_STACK
+            };
+            stack_at.push(stack);
+            if owned {
+                slots.push(s);
+            }
+        }
+        // The harvest keeps them until the merge, one list per group.
+        slots.shrink_to_fit();
+        let nodes = &slots[..slots.partition_point(|&s| s < cfg.nodes)];
         // Nobody watches yet: `attach` below turns the MACs' transition
         // counting on.
-        let (macs, nets) = (0..cfg.nodes)
-            .map(|i| node_stack(cfg, protocol, NodeId(i as u16), false))
+        let (macs, nets) = nodes
+            .iter()
+            .map(|&s| node_stack(cfg, protocol, NodeId(s as u16), false))
             .unzip();
-        let rngs = (0..cfg.nodes)
-            .map(|i| master.split(2000 + i as u64))
+        let rngs = nodes
+            .iter()
+            .map(|&s| master.split(2000 + s as u64))
             .collect();
-        let mut skew = vec![1.0f64; cfg.nodes];
+        let mut skew = vec![1.0f64; nodes.len()];
         for s in &plan.skew {
-            if (s.node as usize) < cfg.nodes {
-                skew[s.node as usize] = 1.0 + s.ppm * 1e-6;
+            match stack_at.get(s.node as usize) {
+                Some(&i) if i != NO_STACK => skew[i as usize] = 1.0 + s.ppm * 1e-6,
+                _ => {}
             }
         }
         // Pre-size the event heap from the group's scale: each in-flight
@@ -538,18 +581,17 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
         // timers and beacons per node. 64 slots per owned slot covers dense
         // contention rounds without reallocating mid-replication; slots the
         // group does not own never schedule anything.
-        let owned: Vec<bool> = (0..node_slots).map(owns).collect();
-        let queue_capacity = (owned.iter().filter(|&&o| o).count() * 64).max(4096);
+        let queue_capacity = (slots.len() * 64).max(4096);
         let mut runner = Runner {
             core: WorldCore {
                 q: make_q(queue_capacity),
                 channel,
                 chan_rng: master.split(2),
                 rngs,
-                counters: vec![MacCounters::default(); cfg.nodes],
-                epochs: vec![0; cfg.nodes],
+                counters: vec![MacCounters::default(); nodes.len()],
+                epochs: vec![0; nodes.len()],
                 skew,
-                down: vec![false; cfg.nodes],
+                down: vec![false; nodes.len()],
                 watched: false,
                 obs: None,
                 check: None,
@@ -572,10 +614,41 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 })
             },
             inds_scratch: Vec::new(),
-            owned,
+            slots,
+            stack_at,
         };
         runner.attach(spec.obs, spec.check, None);
         runner
+    }
+
+    /// `node`'s stack index, or `None` where this runner has no stack (a
+    /// jammer slot, or another group's node).
+    #[inline]
+    fn stack_of(&self, node: NodeId) -> Option<usize> {
+        match self.stack_at[node.idx()] {
+            NO_STACK => None,
+            i => Some(i as usize),
+        }
+    }
+
+    /// The MACs, network layers, MAC RNG streams and counters the runner
+    /// holds, in that order.
+    #[cfg(test)]
+    pub(crate) fn stack_counts(&self) -> [usize; 4] {
+        let core = &self.core;
+        [
+            self.macs.len(),
+            self.nets.len(),
+            core.rngs.len(),
+            core.counters.len(),
+        ]
+    }
+
+    /// The stack index of a node an event names: always an owned one.
+    #[inline]
+    fn owned(&self, node: NodeId) -> usize {
+        self.stack_of(node)
+            .expect("an event for a node this group does not own")
     }
 
     /// Attach readers of the observation stream (DESIGN.md §7): the deep
@@ -613,16 +686,9 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
     /// matrices (C4) and assemble the report.
     pub(crate) fn finish_check(&mut self) -> Option<CheckReport> {
         let mut check = self.core.check.take()?;
-        for (i, mac) in self.macs.iter().enumerate() {
-            // Only owned nodes are validated: the others' MACs exist
-            // (full-width vectors keep global node indexing) but never
-            // ran, and their empty matrices belong to the group that
-            // actually drove them.
-            if !self.owned[i] {
-                continue;
-            }
+        for (&s, mac) in self.slots.iter().zip(&self.macs) {
             if let Some((labels, matrix)) = mac.transitions() {
-                check.check_transitions(NodeId(i as u16), labels, &matrix);
+                check.check_transitions(NodeId(s as u16), labels, &matrix);
             }
         }
         Some(check.finish(self.core.q.now()))
@@ -633,12 +699,13 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
     /// in the global enumeration order, so a group's seeding is the
     /// restriction of the whole world's to the group.
     fn seed_events(&mut self, beacons: &BeaconTimetable) {
-        for i in (0..self.cfg.nodes).filter(|&i| self.owned[i]) {
-            let node = NodeId(i as u16);
+        let (nodes, jammers) = self.slots.split_at(self.macs.len());
+        for &s in nodes {
+            let node = NodeId(s as u16);
             let first = Ev::Beacon { node, fire: 0 };
             self.core.q.push(beacons.at(node, 0), first);
         }
-        if self.owned[0] {
+        if nodes.first() == Some(&0) {
             self.core.q.push(self.cfg.warmup, Ev::Source);
         }
         if let Some(f) = &self.faults {
@@ -647,7 +714,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
             for c in &f.plan.churn {
                 let crash =
                     matches!(c.kind, ChurnKind::Crash) && (c.node as usize) < self.cfg.nodes;
-                if crash && self.owned[c.node as usize] {
+                if crash && self.stack_of(NodeId(c.node)).is_some() {
                     let node = NodeId(c.node);
                     self.core.q.push(
                         SimTime::from_millis(c.at_ms),
@@ -659,13 +726,11 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                     );
                 }
             }
-            for (j, spec) in f.plan.jammers.iter().enumerate() {
-                if !self.owned[self.cfg.nodes + j] {
-                    continue;
-                }
+            for &s in jammers {
+                let jammer = s - self.cfg.nodes;
                 self.core.q.push(
-                    SimTime::from_millis(spec.start_ms),
-                    Ev::Fault(FaultEv::JamOn { jammer: j }),
+                    SimTime::from_millis(f.plan.jammers[jammer].start_ms),
+                    Ev::Fault(FaultEv::JamOn { jammer }),
                 );
             }
         }
@@ -724,10 +789,10 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
             rx_ok: self.core.channel.frame_tallies().rx_ok.iter().sum(),
             rx_corrupt: self.core.channel.frame_tallies().rx_corrupt.iter().sum(),
             receptions: self
-                .nets
+                .slots
                 .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != 0)
+                .zip(&self.nets)
+                .filter(|&(&s, _)| s != 0)
                 .map(|(_, net)| net.stats().received)
                 .sum(),
             crashes: self.faults.as_ref().map_or(0, |f| f.crashes),
@@ -764,7 +829,8 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 // staleness is resolved *inside* the MAC's timer slots and
                 // is invisible here; these tallies count engine-level
                 // liveness only.)
-                let stale = self.core.down[node.idx()] || epoch != self.core.epochs[node.idx()];
+                let i = self.owned(node);
+                let stale = self.core.down[i] || epoch != self.core.epochs[i];
                 if let Some(obs) = self.core.obs.as_mut() {
                     let slot = timer_idx(kind);
                     let n = &mut obs.nodes[node.idx()];
@@ -777,18 +843,19 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 if stale {
                     return;
                 }
-                self.enter(node, |mac, ctx| mac.on_timer(ctx, kind, gen));
+                self.enter(node, i, |mac, ctx| mac.on_timer(ctx, kind, gen));
             }
             Ev::Beacon { node, fire } => {
                 let now = self.core.q.now();
                 debug_assert_eq!(beacons.at(node, fire), now, "beacon off its timetable");
                 // A crashed node emits no beacons but keeps its tick alive
                 // for the restart.
-                if !self.core.down[node.idx()] {
+                let i = self.owned(node);
+                if !self.core.down[i] {
                     let mut reqs = Vec::new();
-                    self.nets[node.idx()].on_beacon_timer(now, &mut reqs);
+                    self.nets[i].on_beacon_timer(now, &mut reqs);
                     for req in reqs {
-                        self.submit(node, req);
+                        self.submit(node, i, req);
                     }
                 }
                 // Next beacon: the nominal period plus the jitter the
@@ -802,7 +869,8 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 if self.packets_left == 0 {
                     return;
                 }
-                if self.core.down[0] {
+                let (source, i) = (NodeId(0), self.owned(NodeId(0)));
+                if self.core.down[i] {
                     // The source rides out its own crash: packets are
                     // deferred, not silently dropped.
                     self.core
@@ -813,9 +881,9 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 self.packets_left -= 1;
                 let now = self.core.q.now();
                 let mut reqs = Vec::new();
-                self.nets[0].on_source_timer(now, &mut reqs);
+                self.nets[i].on_source_timer(now, &mut reqs);
                 for req in reqs {
-                    self.submit(NodeId(0), req);
+                    self.submit(source, i, req);
                 }
                 if self.packets_left > 0 {
                     self.core
@@ -835,7 +903,8 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 if self.core.watched {
                     self.core.report(node, TraceWhat::Fault(FaultKind::Crash));
                 }
-                self.core.down[node.idx()] = true;
+                let i = self.owned(node);
+                self.core.down[i] = true;
                 if let Some(f) = self.faults.as_mut() {
                     f.crashes += 1;
                 }
@@ -856,12 +925,13 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 if self.core.watched {
                     self.core.report(node, TraceWhat::Fault(FaultKind::Restart));
                 }
-                self.core.down[node.idx()] = false;
+                let i = self.owned(node);
+                self.core.down[i] = false;
                 // A restart loses all volatile state: fresh MAC and
                 // network entities, and a bumped epoch so the dead
                 // incarnation's timers cannot reach the new one.
-                self.core.epochs[node.idx()] = self.core.epochs[node.idx()].wrapping_add(1);
-                (self.macs[node.idx()], self.nets[node.idx()]) =
+                self.core.epochs[i] = self.core.epochs[i].wrapping_add(1);
+                (self.macs[i], self.nets[i]) =
                     node_stack(&self.cfg, self.protocol, node, self.core.watched);
             }
             FaultEv::JamOn { jammer } => {
@@ -946,9 +1016,11 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
 
     fn indicate(&mut self, ind: &Indication) {
         let node = ind.node();
-        // Jammer slots (channel indices past the protocol population) have
-        // no MAC entity; crashed nodes have a dead one.
-        if node.idx() >= self.macs.len() || self.core.down[node.idx()] {
+        // Jammer slots have no stack; crashed nodes have a dead one.
+        let Some(i) = self.stack_of(node) else {
+            return;
+        };
+        if self.core.down[i] {
             return;
         }
         // Reported before the MAC reacts: the checker's sensed-state model
@@ -956,24 +1028,24 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
         if self.core.watched {
             self.core.report(node, ind.into());
         }
-        self.enter(node, |mac, ctx| mac.on_indication(ctx, ind));
+        self.enter(node, i, |mac, ctx| mac.on_indication(ctx, ind));
     }
 
-    /// Hand an upper-layer request to a node's MAC.
-    fn submit(&mut self, node: NodeId, req: TxRequest) {
+    /// Hand an upper-layer request to the MAC of `node`, at stack index `i`.
+    fn submit(&mut self, node: NodeId, i: usize, req: TxRequest) {
         if self.core.watched {
             let (reliable, bytes) = (req.reliable, req.payload.len());
             self.core
                 .report(node, TraceWhat::Submit { reliable, bytes });
         }
-        self.enter(node, |mac, ctx| {
+        self.enter(node, i, |mac, ctx| {
             mac.submit(ctx, req);
             debug_assert!(ctx.delivered.is_empty(), "submit cannot deliver frames");
         });
     }
 
-    /// The one way into `node`'s MAC: build its context, make the `call`,
-    /// then settle what the call left behind.
+    /// The one way into the MAC of `node`, at stack index `i`: build its
+    /// context, make the `call`, then settle what the call left behind.
     ///
     /// First the channel is told which tone flips, and whether a carrier
     /// rise, the MAC can act on in the state the call left it in: it
@@ -983,17 +1055,23 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
     /// layer, the frames it delivered go up, and any resulting forwards come
     /// back down.
     #[inline]
-    fn enter(&mut self, node: NodeId, call: impl FnOnce(&mut dyn MacService, &mut Ctx<'_, Q>)) {
+    fn enter(
+        &mut self,
+        node: NodeId,
+        i: usize,
+        call: impl FnOnce(&mut dyn MacService, &mut Ctx<'_, Q>),
+    ) {
         let mut delivered = Vec::new();
         let mut outcomes = Vec::new();
         let mut ctx = Ctx {
             core: &mut self.core,
             node,
-            net: &self.nets[node.idx()],
+            i,
+            net: &self.nets[i],
             delivered: &mut delivered,
             outcomes: &mut outcomes,
         };
-        let mac = &mut self.macs[node.idx()];
+        let mac = &mut self.macs[i];
         call(mac.as_mut(), &mut ctx);
         let want = mac.tone_interest();
         self.core.channel.listen(&mut self.core.q, node, want);
@@ -1006,7 +1084,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 delivered: acked, ..
             } = outcome
             {
-                self.nets[node.idx()].on_reliable_outcome(now, acked);
+                self.nets[i].on_reliable_outcome(now, acked);
             }
         }
         if delivered.is_empty() {
@@ -1017,10 +1095,10 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
             if self.core.watched {
                 self.core.report(node, TraceWhat::Deliver { frame });
             }
-            self.nets[node.idx()].on_deliver(now, frame, &mut reqs);
+            self.nets[i].on_deliver(now, frame, &mut reqs);
         }
         for req in reqs {
-            self.submit(node, req);
+            self.submit(node, i, req);
         }
     }
 
@@ -1044,12 +1122,12 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
             None => Vec::new(),
         };
         let mut transition_labels: Vec<&'static str> = Vec::new();
-        for (i, mac) in self.macs.iter().enumerate() {
+        for (&s, mac) in self.slots.iter().zip(&self.macs) {
             if let Some((labels, matrix)) = mac.transitions() {
                 if transition_labels.is_empty() {
                     transition_labels = labels.to_vec();
                 }
-                obs.nodes[i].transitions = matrix;
+                obs.nodes[s].transitions = matrix;
             }
         }
         let phy = self.core.channel.obs_stats();
@@ -1098,26 +1176,15 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
 
     /// Strip the finished group down to the state the report is computed
     /// from. The harvest is partition-friendly: every field is either
-    /// per-node (kept for the owned nodes only, merged by taking each node
-    /// from its owner group), a commutative sum, or a maximum — which is
-    /// what lets the groups' merged report reproduce the whole-world run's
+    /// per-node (the owned nodes', merged by taking each node from its
+    /// owner group), a commutative sum, or a maximum — which is what lets
+    /// the groups' merged report reproduce the whole-world run's
     /// bit-for-bit.
     pub(crate) fn harvest(self) -> Harvest {
-        fn keep_owned<T>(v: Vec<T>, owned: &[bool]) -> Vec<T> {
-            let mut kept: Vec<T> = v
-                .into_iter()
-                .zip(owned)
-                .filter_map(|(x, &o)| o.then_some(x))
-                .collect();
-            // The collect reuses the full-width allocation; a finished
-            // group is retained until the merge, so give the rest back.
-            kept.shrink_to_fit();
-            kept
-        }
         Harvest {
-            slots: (0..self.owned.len()).filter(|&s| self.owned[s]).collect(),
-            nets: keep_owned(self.nets, &self.owned),
-            counters: keep_owned(self.core.counters, &self.owned),
+            slots: self.slots,
+            nets: self.nets,
+            counters: self.core.counters,
             frames: self.core.channel.frame_tallies(),
             faults_injected: self.core.channel.faults_injected(),
             events: self.core.q.total_popped(),

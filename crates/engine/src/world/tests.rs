@@ -472,7 +472,7 @@ fn a_backoff_that_starts_with_an_onset_in_flight_is_told_of_it() {
         payload: Bytes::from_static(b"y"),
         token: 1,
     };
-    runner.submit(b, req);
+    runner.submit(b, runner.owned(b), req);
     assert_eq!(runner.core.channel.obs_stats().onsets.catchups, 1);
     // 150 ns, on either side of C's onset.
     step(&mut runner, ns(150));
@@ -618,6 +618,27 @@ fn a_single_group_sharded_run_carries_obs() {
         assert_eq!(a.kernel.class_count(class), b.kernel.class_count(class));
     }
     assert_eq!(a.nodes, b.nodes);
+}
+
+/// The calendar jumps straight to its next occupied window, so a run
+/// advances it at most once per event popped. Stepping through every empty
+/// 4.096 µs window instead, these runs advanced it 684 716 times for 53 337
+/// events (RMAC) and 773 443 times for 97 864 (BMMM).
+#[test]
+fn the_calendar_advances_at_most_once_per_event() {
+    use rmac_sim::SimQueue;
+
+    let cfg = ScenarioConfig::paper_stationary(10.0).with_packets(20);
+    for protocol in [Protocol::Rmac, Protocol::Bmmm] {
+        let mut runner = Runner::new(&cfg, protocol, 1);
+        runner.run_events(&BeaconTimetable::build(&cfg, 1));
+        let q = &runner.core.q;
+        let (advances, events) = (q.rotations(), q.total_popped());
+        assert!(
+            advances <= events,
+            "{protocol:?}: {advances} window advances for {events} events"
+        );
+    }
 }
 
 #[test]

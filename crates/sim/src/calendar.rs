@@ -22,10 +22,12 @@
 //!   buckets**; a push there is an append. When the active window drains,
 //!   the next non-empty bucket is sorted once and becomes the new drain
 //!   buffer — batching each window's events with their same-window
-//!   neighbours.
+//!   neighbours. One **occupancy bit** per bucket says which hold events,
+//!   so the window jumps straight to the next occupied one (a scan of
+//!   `nbuckets / 64` words) instead of stepping through the empty ones.
 //! * Events beyond the ring horizon (beacon periods, source intervals)
-//!   overflow into a small **far heap**, pulled back into the ring as the
-//!   horizon advances. Far traffic is rare, so its `O(log n)` is harmless.
+//!   overflow into a small **far heap**, pulled back into the ring once per
+//!   window jump. Far traffic is rare, so its `O(log n)` is harmless.
 //!
 //! Ordering is identical to the heap oracle by construction: every pending
 //! event carries its `(time, seq)` key, keys are strictly unique, each pop
@@ -87,12 +89,17 @@ pub struct CalendarQueue<E> {
     shift: u32,
     /// Events currently resident in ring buckets.
     ring_len: usize,
+    /// One bit per ring bucket (bit `i % 64` of word `i / 64`): set when a
+    /// push or a far pull lands in bucket `i`, cleared when it drains into
+    /// the active window.
+    occupied: Vec<u64>,
     /// Events at or beyond the ring horizon, earliest `(time, seq)` first.
     far: BinaryHeap<Entry<E>>,
     /// Total pending events (active + ring + far).
     len: usize,
     keys: Keys,
-    /// Window advances performed (diagnostic).
+    /// Window advances performed, each a jump to the next occupied window
+    /// (diagnostic).
     rotations: u64,
     /// Events pulled back from the far heap into the ring (diagnostic).
     far_pulls: u64,
@@ -140,6 +147,7 @@ impl<E> CalendarQueue<E> {
             base: 0,
             shift,
             ring_len: 0,
+            occupied: vec![0; nbuckets.div_ceil(64)],
             far: BinaryHeap::new(),
             len: 0,
             keys: Keys::new(),
@@ -195,18 +203,19 @@ impl<E> CalendarQueue<E> {
                 // recycling the buffer's old allocation into the bucket.
                 let spare = Vec::from(std::mem::take(&mut self.active));
                 let mut b = std::mem::replace(&mut self.buckets[self.cur], spare);
+                self.occupied[self.cur / 64] &= !(1 << (self.cur % 64));
                 self.ring_len -= b.len();
                 b.sort_unstable_by_key(|x| x.key);
                 self.active = VecDeque::from(b);
                 return;
             }
             if self.ring_len > 0 {
-                // Advance one window; far events that entered the horizon
-                // land in the just-vacated farthest bucket.
-                self.base += self.width();
-                self.cur = (self.cur + 1) & self.mask;
-                self.rotations += 1;
-                self.pull_far();
+                // Jump to the next occupied window. Every far event lies
+                // past the old horizon, so none precedes it; those that
+                // entered the new horizon land in the buckets just vacated.
+                let d = self.next_occupied();
+                self.base += (d as u64) << self.shift;
+                self.cur = (self.cur + d) & self.mask;
             } else {
                 // Everything pending lives beyond the horizon: jump the
                 // window straight to the earliest far event's window.
@@ -219,10 +228,40 @@ impl<E> CalendarQueue<E> {
                     .nanos();
                 debug_assert!(t >= self.base);
                 self.base += ((t - self.base) >> self.shift) << self.shift;
-                self.rotations += 1;
-                self.pull_far();
             }
+            self.rotations += 1;
+            self.pull_far();
         }
+    }
+
+    /// How many windows past the active one the nearest occupied bucket
+    /// lies: the occupancy words scanned from the active bucket's, wrapping
+    /// around the ring. Pre: the ring holds an event, the active bucket
+    /// none.
+    fn next_occupied(&self) -> usize {
+        let words = self.occupied.len();
+        let mut w = self.cur / 64;
+        // The active bucket's word from its bit up, then every word in
+        // ring order — the first again, whole, for the wrap.
+        let mut word = self.occupied[w] & (!0u64 << (self.cur % 64));
+        for _ in 0..=words {
+            if word != 0 {
+                let i = w * 64 + word.trailing_zeros() as usize;
+                return i.wrapping_sub(self.cur) & self.mask;
+            }
+            w = if w + 1 == words { 0 } else { w + 1 };
+            word = self.occupied[w];
+        }
+        unreachable!("ring_len > 0 with no occupied bucket")
+    }
+
+    /// File `e` in the ring bucket `d` windows past the active one.
+    #[inline]
+    fn file(&mut self, d: usize, e: Entry<E>) {
+        let i = (self.cur + d) & self.mask;
+        self.buckets[i].push(e);
+        self.occupied[i / 64] |= 1 << (i % 64);
+        self.ring_len += 1;
     }
 
     /// Move far-heap events that now fall inside the ring horizon into
@@ -235,15 +274,14 @@ impl<E> CalendarQueue<E> {
                 break;
             }
             let e = self.far.pop().expect("peeked far event vanished");
-            let d = ((t - self.base) >> self.shift) as usize;
-            self.buckets[(self.cur + d) & self.mask].push(e);
-            self.ring_len += 1;
+            self.file(((t - self.base) >> self.shift) as usize, e);
             self.far_pulls += 1;
         }
     }
 
-    /// Window advances performed over the queue's lifetime (diagnostic:
-    /// the epoch-rotation cost of the chosen geometry).
+    /// Window advances performed over the queue's lifetime, one per jump to
+    /// the next occupied window (diagnostic: the epoch-rotation cost of the
+    /// chosen geometry).
     #[inline]
     pub fn rotations(&self) -> u64 {
         self.rotations
@@ -285,9 +323,10 @@ impl<E> SimQueue<E> for CalendarQueue<E> {
             // shifting a sorted buffer.
             self.pending.push(Entry { key, event });
         } else if t - self.base < self.span() {
-            let d = ((t - self.base) >> self.shift) as usize;
-            self.buckets[(self.cur + d) & self.mask].push(Entry { key, event });
-            self.ring_len += 1;
+            self.file(
+                ((t - self.base) >> self.shift) as usize,
+                Entry { key, event },
+            );
             // The push may have landed while the queue was empty (stale
             // window position): restore the eager-drain invariant.
             if self.window_empty() {

@@ -107,8 +107,12 @@ fn schedule_strategy() -> impl Strategy<Value = Vec<Op>> {
 /// Apply one schedule to the heap oracle and a calendar twin, asserting
 /// the head time, the popped `(time, event)` pair and the cursor agree at
 /// every step; drain both to empty the same way, fill what is still
-/// claimed ahead into the drained queues, and drain again.
-fn assert_pops_identical(ops: &[Op], mut cal: CalendarQueue<u32>) -> Result<(), TestCaseError> {
+/// claimed ahead into the drained queues, and drain again. Hands the
+/// drained calendar back for its diagnostics.
+fn assert_pops_identical(
+    ops: &[Op],
+    mut cal: CalendarQueue<u32>,
+) -> Result<CalendarQueue<u32>, TestCaseError> {
     let mut heap: EventQueue<u32> = EventQueue::new();
     let mut claimed: Vec<Cursor> = Vec::new();
     let step = |heap: &mut EventQueue<u32>, cal: &mut CalendarQueue<u32>| {
@@ -170,7 +174,7 @@ fn assert_pops_identical(ops: &[Op], mut cal: CalendarQueue<u32>) -> Result<(), 
     }
     prop_assert_eq!(heap.total_pushed(), cal.total_pushed());
     prop_assert_eq!(heap.total_popped(), cal.total_popped());
-    Ok(())
+    Ok(cal)
 }
 
 proptest! {
@@ -193,6 +197,83 @@ proptest! {
         nbuckets_log2 in 1u32..5,
     ) {
         assert_pops_identical(&ops, CalendarQueue::with_geometry(shift, 1 << nbuckets_log2))?;
+    }
+}
+
+/// The window width of the directed schedules below: the default's 4 096 ns.
+const W: u64 = 4_096;
+
+/// Their ring sizes: the default geometry's 1024 buckets, 64 (one
+/// occupancy word) and 4 (part of one).
+const RINGS: [usize; 3] = [1024, 64, 4];
+
+/// A sparse schedule, so every refill jumps over tens to hundreds of empty
+/// windows: first one pending event at a time, 700 and then 40 windows past
+/// the last; then rounds of four, 100, 300 and twice 500 windows out. The
+/// occupancy scan wraps around the end of the default ring and of the
+/// 64-bucket one; where a gap lies past the horizon the event comes back
+/// through the far heap. Each refill is one window advance, so there are no
+/// more advances than pops (a scan that misses the wrap still pops in
+/// order here — its jumps overshoot and everything after lands in the
+/// pending heap — but advances once per bucket it steps back through).
+#[test]
+fn sparse_events_hundreds_of_windows_apart_pop_identically() {
+    let mut ops = Vec::new();
+    for gap in [700 * W, 40 * W] {
+        for round in 0..40u64 {
+            ops.extend([Op::Push(gap + round), Op::Pop]);
+        }
+    }
+    for round in 0..40u64 {
+        ops.extend([
+            Op::Push(100 * W + round),
+            Op::Push(300 * W + 17),
+            Op::Push(500 * W + 13 * round),
+            Op::Push(500 * W + 13 * round),
+            Op::Pop,
+            Op::Pop,
+            Op::Pop,
+            Op::Pop,
+        ]);
+    }
+    for n in RINGS {
+        let cal = assert_pops_identical(&ops, CalendarQueue::with_geometry(12, n)).unwrap();
+        let (advances, pops) = (cal.rotations(), cal.total_popped());
+        assert!(
+            advances <= pops,
+            "{n} buckets: {advances} advances, {pops} pops"
+        );
+    }
+}
+
+/// A schedule at the top of the clock: the clock stands three ring horizons
+/// short of `u64::MAX` ns, and events straddle the far horizon up to the
+/// last representable instant, whose key is claimed first and filled last.
+#[test]
+fn events_at_the_top_of_the_clock_pop_identically() {
+    for n in RINGS {
+        let span = n as u64 * W;
+        // Offsets from the clock at the time of each push; the comments
+        // give the instant, as `u64::MAX` minus.
+        let ops = [
+            Op::Push(u64::MAX - 3 * span),
+            Op::Pop,
+            Op::Claim(3 * span), // 0
+            Op::Push(W - 1),
+            Op::Push(span - 1),
+            Op::Push(span), // 2 horizons: the first past the ring
+            Op::Push(span + 1),
+            Op::Push(2 * span),
+            Op::Push(3 * span - 1), // 1 ns
+            Op::Push(3 * span),     // 0, after the claimed key
+            Op::Pop,
+            Op::Push(span),
+            Op::Pop,
+            Op::Pop,
+            Op::Push(2 * span - 1), // 1 ns again, FIFO
+            Op::Fill(0),
+        ];
+        assert_pops_identical(&ops, CalendarQueue::with_geometry(12, n)).unwrap();
     }
 }
 

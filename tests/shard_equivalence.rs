@@ -185,6 +185,84 @@ fn decoupled_clusters_run_parallel_and_match() {
     }
 }
 
+/// A group holds stacks for its own protocol nodes only. A jammer alone in
+/// its radio component is a group with no stack at all, and its bursts still
+/// count.
+#[test]
+fn a_jammer_alone_is_a_group_without_a_stack() {
+    use rmac::mobility::Pos;
+    // Six nodes 30 m apart, and a data jammer 490 m from the nearest.
+    let positions = (0..6)
+        .map(|i| Pos::new(10.0 + (i % 3) as f64 * 30.0, 10.0 + (i / 3) as f64 * 30.0))
+        .collect();
+    let mut cfg = ScenarioConfig::paper_stationary(10.0)
+        .with_packets(8)
+        .with_positions(positions);
+    cfg.bounds = Bounds::new(600.0, 100.0);
+    let plan = FaultPlan::none().with_jammer(JammerSpec {
+        x: 560.0,
+        y: 40.0,
+        target: JamTarget::Data,
+        start_ms: 500,
+        period_ms: 300,
+        burst_ms: 25,
+    });
+    let oracle = faulted(&cfg, Protocol::Rmac, 5, &plan);
+    assert!(oracle.fault_jam_bursts > 0);
+    let out = Run::new(&cfg.clone().with_shards(2), Protocol::Rmac, 5)
+        .faults(&plan)
+        .execute();
+    assert_eq!(out.report, oracle);
+    let jammer = &out.shard.group_stats[1];
+    assert_eq!(out.shard.groups, 2);
+    assert_eq!(
+        (jammer.first_slot, jammer.slots),
+        (6, 1),
+        "the jammer's group"
+    );
+}
+
+/// A node of the second group crashes and restarts: its fresh stack goes to
+/// its index among the group's six nodes (5), not to its global id (11).
+#[test]
+fn a_restart_outside_the_first_group_rebuilds_its_own_stack() {
+    use rmac::mobility::Pos;
+    // Even ids in a cluster at the left edge, odd ids 900 m to its right.
+    let positions = (0..12)
+        .map(|i| {
+            let (cx, cy) = ((i / 2 % 3) as f64 * 30.0, (i / 6) as f64 * 30.0);
+            Pos::new(cx + 10.0 + (i % 2) as f64 * 900.0, cy + 10.0)
+        })
+        .collect();
+    let mut cfg = ScenarioConfig::paper_stationary(10.0)
+        .with_packets(8)
+        .with_positions(positions);
+    cfg.bounds = Bounds::new(1_000.0, 100.0);
+    let plan = FaultPlan::none().with_churn(ChurnSpec {
+        node: 11,
+        kind: ChurnKind::Crash,
+        at_ms: 2_000,
+        for_ms: 3_000,
+    });
+    let (oracle, check) = verdict(&cfg, Protocol::Rmac, 9, &plan);
+    assert!(check.is_clean(), "{}", check.summary());
+    assert_eq!(oracle.fault_crashes, 1);
+    for shards in [2usize, 4] {
+        let (report, check) = verdict(&cfg.clone().with_shards(shards), Protocol::Rmac, 9, &plan);
+        assert!(check.is_clean(), "shards={shards}: {}", check.summary());
+        assert_eq!(report, oracle, "shards={shards}");
+    }
+    let two = Run::new(&cfg.clone().with_shards(2), Protocol::Rmac, 9)
+        .faults(&plan)
+        .execute();
+    let slots: Vec<usize> = two.shard.group_stats.iter().map(|g| g.slots).collect();
+    assert_eq!(
+        slots,
+        [6, 6],
+        "node 11 is the last of the second group's six"
+    );
+}
+
 /// The adversarial coupled layout: a sender with receivers mirrored at
 /// equal distances on both sides, so every frame arrival and tone edge it
 /// emits reaches several nodes at the *same nanosecond*. The population is
