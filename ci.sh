@@ -81,6 +81,17 @@ if [ -n "$templates" ]; then
     exit 1
 fi
 
+echo "==> one path-gain site (DESIGN.md §2, §6): a received power is worked out in one function of"
+echo "    crates/phy/src/channel.rs, called where capture can read it — no fill computes one per receiver"
+sites=$(git ls-files 'crates/phy/src/*.rs' | grep -v tests | while read -r f; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /powf\(-PATH_LOSS_EXP\)/ { print f ":" FNR ": " $0 }' "$f"
+done)
+if [ "$(printf '%s' "$sites" | grep -c .)" -ne 1 ]; then
+    echo "${sites:-no path-gain site found}" >&2
+    echo "want exactly one powf(-PATH_LOSS_EXP) in crates/phy/src outside tests (see above)" >&2
+    exit 1
+fi
+
 echo "==> one value, one constant (DESIGN.md §2): a value no caller sets to a second one is a constant of the"
 echo "    module that reads it, so the six config structs keep 30 public fields and production code reads one"
 echo "    environment variable, RMAC_LIVE_SCALE (a deployment setting)"
@@ -202,9 +213,12 @@ echo "    hundreds of fills per reuse horizon included)"
 cargo test -q --release --test grid_equivalence
 
 echo "==> event budget (countdown timers per transmitted frame; dispatched tone edges and frame onsets"
-echo "    each a small share of events; reports pinned to the per-slot, event-per-edge engine's) and"
+echo "    each a small share of events; reports pinned to the per-slot, event-per-edge engine's),"
 echo "    geometry budget (bucket refreshes and list rebuilds per reuse horizon, position evaluations per fill)"
+echo "    and link budget (path gains at most a quarter of frame onsets and frame-end position reads at most"
+echo "    1 % of frame ends under mobility; one gain per kept link and no frame-end read where nothing moves)"
 cargo test -q --release --test event_budget
+cargo test -q --release -p rmac-engine --lib link_arithmetic_is_done_only_where_it_can_decide
 
 echo "==> benchmark stage (builds the benchmark package --locked against the crates: a broken"
 echo "    pinned signature or a changed dependency edge fails here, not in the benchmark pipeline)"

@@ -213,9 +213,21 @@ impl ScenarioConfig {
         SimTime::from_secs_f64(1.0 / self.rate_pps)
     }
 
+    /// Total simulated time: warmup + send window + drain, or `None` when
+    /// that does not fit the clock ([`crate::Run::new`] refuses such a
+    /// config).
+    pub fn checked_end_time(&self) -> Option<SimTime> {
+        let send = self.source_interval().checked_mul(self.packets)?;
+        self.warmup.checked_add(send)?.checked_add(self.drain)
+    }
+
     /// Total simulated time: warmup + send window + drain.
+    ///
+    /// Panics if that does not fit the clock (see
+    /// [`ScenarioConfig::checked_end_time`]).
     pub fn end_time(&self) -> SimTime {
-        self.warmup + self.source_interval().mul(self.packets) + self.drain
+        self.checked_end_time()
+            .expect("the end of the run does not fit the clock")
     }
 }
 
@@ -238,6 +250,20 @@ mod tests {
         let c = ScenarioConfig::paper_stationary(10.0).with_packets(100);
         // 5 s warmup + 10 s sending + 10 s drain.
         assert_eq!(c.end_time(), SimTime::from_secs(25));
+    }
+
+    #[test]
+    fn an_end_time_past_the_clock_is_none() {
+        // 10⁹ s between packets: the send window alone is 10²⁰ ns, past
+        // the 1.8 · 10¹⁹ a u64 clock holds.
+        let c = ScenarioConfig::paper_stationary(1e-9).with_packets(100);
+        assert_eq!(c.checked_end_time(), None);
+        let fits = ScenarioConfig::paper_stationary(1e-9).with_packets(18);
+        let send = fits.source_interval().mul(18);
+        assert_eq!(
+            fits.checked_end_time(),
+            Some(fits.warmup + send + fits.drain)
+        );
     }
 
     #[test]

@@ -90,14 +90,24 @@ pub struct RunOutput {
 impl Run {
     /// Describe a fault-free, uninstrumented replication.
     ///
-    /// Panics when `cfg.rate_pps` is not a finite positive number (the
-    /// source interval `1 / rate_pps` would otherwise saturate the clock
-    /// and wrap the end-of-run time) or `cfg.nodes` is outside `1..=65535`
-    /// (node 0 is the source, and a [`NodeId`] is 16 bits wide).
+    /// # Panics
+    ///
+    /// - when `cfg.rate_pps` is not a finite positive number (the source
+    ///   interval `1 / rate_pps` would otherwise saturate the clock);
+    /// - when the end of the run, warmup + `packets / rate_pps` + drain,
+    ///   does not fit the clock ([`ScenarioConfig::checked_end_time`]);
+    /// - when `cfg.nodes` is outside `1..=65535` (node 0 is the source, and
+    ///   a [`NodeId`] is 16 bits wide).
     pub fn new(cfg: &ScenarioConfig, protocol: Protocol, seed: u64) -> Run {
         assert!(
             cfg.rate_pps.is_finite() && cfg.rate_pps > 0.0,
             "ScenarioConfig::rate_pps must be finite and positive, got {}",
+            cfg.rate_pps
+        );
+        assert!(
+            cfg.checked_end_time().is_some(),
+            "ScenarioConfig's end time must fit the clock, got {} packets at {} pkt/s",
+            cfg.packets,
             cfg.rate_pps
         );
         assert!(

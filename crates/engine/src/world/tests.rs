@@ -571,6 +571,14 @@ fn zero_rate_is_refused_at_the_front_door() {
 }
 
 #[test]
+#[should_panic(expected = "end time must fit the clock")]
+fn an_end_time_past_the_clock_is_refused_at_the_front_door() {
+    // Wrapping, it came out as 7.8 · 10¹⁸ ns instead of 10²⁰.
+    let cfg = ScenarioConfig::paper_stationary(1e-9).with_packets(100);
+    Run::new(&cfg, Protocol::Rmac, 1);
+}
+
+#[test]
 fn non_finite_and_negative_rates_are_refused() {
     for rate in [-5.0, f64::NAN, f64::INFINITY] {
         let refused = std::panic::catch_unwind(|| Run::new(&tiny(rate, 4, 3), Protocol::Rmac, 1));
@@ -622,6 +630,44 @@ fn a_single_group_sharded_run_carries_obs() {
         assert_eq!(a.kernel.class_count(class), b.kernel.class_count(class));
     }
     assert_eq!(a.nodes, b.nodes);
+}
+
+/// Link arithmetic is done only where it can decide something. A power is
+/// worked out for a signal that shares an antenna — a fill that worked one
+/// out per receiver would spend one per onset and one per tone record — and
+/// a frame end reads the geometry only for a link that began within drift
+/// reach of the range edge. Where nothing moves, each kept link's power is
+/// worked out once and no frame end looks.
+#[test]
+fn link_arithmetic_is_done_only_where_it_can_decide() {
+    let frame_ends = |runner: &Runner| {
+        let t = runner.core.channel.frame_tallies();
+        t.rx_ok.iter().chain(&t.rx_corrupt).sum::<u64>()
+    };
+    let cfg = ScenarioConfig::paper_speed2(10.0).with_packets(100);
+    let mut runner = Runner::new(&cfg, Protocol::Rmac, 7);
+    runner.run_events(&BeaconTimetable::build(&cfg, 7));
+    let stats = runner.core.channel.obs_stats();
+    assert!(
+        stats.path_gains * 4 <= stats.onsets.records,
+        "{} path gains for {} onsets",
+        stats.path_gains,
+        stats.onsets.records
+    );
+    let ends = frame_ends(&runner);
+    assert!(
+        stats.frame_end_position_reads * 100 <= ends,
+        "{} of {ends} frame ends read the geometry",
+        stats.frame_end_position_reads
+    );
+
+    let cfg = ScenarioConfig::paper_stationary(20.0).with_packets(50);
+    let mut runner = Runner::new(&cfg, Protocol::Rmac, 7);
+    runner.run_events(&BeaconTimetable::build(&cfg, 7));
+    let stats = runner.core.channel.obs_stats();
+    assert!(frame_ends(&runner) > 0);
+    assert_eq!(stats.path_gains, runner.core.channel.static_links() as u64);
+    assert_eq!(stats.frame_end_position_reads, 0);
 }
 
 /// The calendar jumps straight to its next occupied window, so a run

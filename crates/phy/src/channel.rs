@@ -4,11 +4,11 @@ use std::sync::Arc;
 
 use rmac_mobility::{Motion, Pos};
 use rmac_sim::{Cursor, Edge, EdgeTally, SimQueue, SimRng, SimTime};
-use rmac_wire::consts::{RANGE_M, SPEED_OF_LIGHT};
+use rmac_wire::consts::{RANGE_M, SPEED_OF_LIGHT, TAU};
 use rmac_wire::{Frame, FrameKind, NodeId};
 
 use crate::event::{Indication, PhyEvent};
-use crate::grid::{GridStats, IndexMode, SpatialGrid};
+use crate::grid::{GridStats, IndexMode, SpatialGrid, ROUNDING_M};
 use crate::slab::IdSlab;
 use crate::tone::{Heard, Tone, ToneInterest, ToneLog, ToneRec};
 
@@ -40,6 +40,32 @@ pub const CAPTURE_THRESHOLD: f64 = 10.0;
 
 /// Path-loss exponent of received powers (two-ray ground ≈ 4).
 pub const PATH_LOSS_EXP: f64 = 4.0;
+
+/// Received power over `dist` metres, counted in `gains`: distance^-α,
+/// distances clamped to ≥ 1 m so powers stay finite.
+fn path_gain(dist: f64, gains: &mut u64) -> f64 {
+    *gains += 1;
+    dist.max(1.0).powf(-PATH_LOSS_EXP)
+}
+
+/// One receiver of a transmission or tone, fixed at its start.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Link {
+    rx: NodeId,
+    /// Propagation delay, ns (≤ 250 at the 75 m range).
+    delay_ns: u32,
+    /// Distance from the source, m.
+    dist: f64,
+    /// Received power, or 0 where nobody has needed it yet: only a link
+    /// kept in [`Channel::static_rx`] carries it.
+    power: f64,
+}
+
+impl Link {
+    fn prop(&self) -> SimTime {
+        SimTime::from_nanos(u64::from(self.delay_ns))
+    }
+}
 
 /// Static channel parameters. The radio range is
 /// [`rmac_wire::consts::RANGE_M`] (unit-disk model).
@@ -75,9 +101,8 @@ struct TxRecord {
     aborted: bool,
     /// Whether `TxComplete` has been delivered to the transmitter.
     done: bool,
-    /// `(receiver, propagation delay, received power)` triples, fixed at
-    /// transmission start.
-    receivers: Vec<(NodeId, SimTime, f64)>,
+    /// Who receives it, in ascending id order.
+    receivers: Vec<Link>,
     /// Receivers whose frame-end has not yet been processed.
     pending_ends: usize,
 }
@@ -85,9 +110,9 @@ struct TxRecord {
 /// A busy tone being emitted.
 struct Emission {
     id: u64,
-    /// Who hears it, fixed at onset (a buffer from the receiver pool; the
-    /// powers go unused).
-    receivers: Vec<(NodeId, SimTime, f64)>,
+    /// Who hears it, fixed at onset, in a buffer from the receiver pool.
+    /// A tone is presence only: its links are read for receiver and delay.
+    receivers: Vec<Link>,
 }
 
 /// How far back tone records are kept after an emission ends, beyond what an
@@ -107,18 +132,37 @@ fn edge_event<E: From<PhyEvent>>(rx: NodeId, tone: Tone, on: bool, emit: u64) ->
 #[derive(Clone, Copy)]
 struct Arriving {
     tx: TxId,
-    /// Received power (distance^-α at transmission start, distances clamped
-    /// to ≥ 1 m).
+    /// Received power, worked out ([`Arriving::power`]) when a second signal
+    /// first shares the antenna with this one; 0 until then, unless the
+    /// link came with it. Only capture reads it, and capture needs two.
     power: f64,
     /// The strongest concurrent interference sum experienced so far.
     max_interference: f64,
     /// Unconditionally corrupted (half-duplex conflict, abort, …),
     /// regardless of capture.
     forced_bad: bool,
+    /// Whether the frame end must read where both nodes are: the link began
+    /// within drift reach of the range edge (see [`Channel::start_tx`]).
+    near_edge: bool,
+    /// Where the signal's link sits in its transmission's `receivers`.
+    link: u16,
     /// The first bit: where the signal lands in the dispatch order — the key
     /// its `FrameArriveStart` claimed as the frame started — and whether that
     /// event carries it to the MAC.
     onset: Edge,
+}
+
+impl Arriving {
+    /// The received power, worked out on first need from the link's
+    /// distance. (A transmission's record lasts until its last frame end,
+    /// so a signal on the antenna finds it.)
+    fn power(&mut self, txs: &IdSlab<TxRecord>, gains: &mut u64) -> f64 {
+        if self.power == 0.0 {
+            let rec = txs.get(self.tx).expect("a landed signal's record is kept");
+            self.power = path_gain(rec.receivers[usize::from(self.link)].dist, gains);
+        }
+        self.power
+    }
 }
 
 /// Per-node transceiver state.
@@ -166,6 +210,10 @@ impl NodeRadio {
 pub struct Channel {
     cfg: ChannelConfig,
     motions: Vec<Motion>,
+    /// The largest [`Motion::speed_bound`]: two nodes part by at most
+    /// `2 · v_max` m/s (DESIGN.md §6). Worked out as the first frame
+    /// starts: a bound then holds for every frame after.
+    v_max: Option<f64>,
     radios: Vec<NodeRadio>,
     txs: IdSlab<TxRecord>,
     next_tx: TxId,
@@ -173,14 +221,15 @@ pub struct Channel {
     fault_hook: Option<Box<dyn FaultHook>>,
     /// Spatial index over node positions (`None` ⇒ brute-force scans).
     grid: Option<SpatialGrid>,
-    /// Per-source receiver triples, kept for as long as no drift can make
-    /// them false: forever, and only when *every* node is fixed (the grid's
-    /// reuse horizon never ends) — under motion the grid keeps who can be in
-    /// range and the triples are worked out per fill.
-    static_rx: Vec<Option<Vec<(NodeId, SimTime, f64)>>>,
-    /// Recycled receiver-triple buffers (the allocation diet: transmission
-    /// records hand their receiver lists back here instead of freeing).
-    rx_pool: Vec<Vec<(NodeId, SimTime, f64)>>,
+    /// Per-source links, kept for as long as no drift can make them false:
+    /// forever, and only when *every* node is fixed (the grid's reuse
+    /// horizon never ends) — under motion the grid keeps who can be in
+    /// range and the links are worked out per fill. Each kept link carries
+    /// its power, worked out once.
+    static_rx: Vec<Option<Vec<Link>>>,
+    /// Recycled link buffers (the allocation diet: transmission records
+    /// hand their receiver lists back here instead of freeing).
+    rx_pool: Vec<Vec<Link>>,
     /// Buffer requests served from a pool (observability).
     pool_hits: u64,
     /// Buffer requests that had to allocate (observability).
@@ -191,6 +240,10 @@ pub struct Channel {
     tones: EdgeTally,
     /// Frame onsets and their `FrameArriveStart`s (see [`PhyObs`]).
     onsets: EdgeTally,
+    /// Received powers worked out (see [`PhyObs`]).
+    path_gains: u64,
+    /// Frame ends that read the geometry (see [`PhyObs`]).
+    frame_end_position_reads: u64,
 }
 
 /// Cumulative per-frame-kind tallies (one slot per kind, indexed by
@@ -230,6 +283,12 @@ pub struct PhyObs {
     /// Frame onsets written — one per transmission per in-range receiver —
     /// and the `FrameArriveStart` events pushed for them.
     pub onsets: EdgeTally,
+    /// Received powers worked out: once per kept link when every node is
+    /// fixed, else once per signal that shared an antenna with another.
+    pub path_gains: u64,
+    /// Frame ends that read both endpoints' positions: those whose link
+    /// began within drift reach of the range edge.
+    pub frame_end_position_reads: u64,
 }
 
 impl Channel {
@@ -243,6 +302,7 @@ impl Channel {
         Channel {
             cfg,
             motions,
+            v_max: None,
             radios: (0..n).map(|_| NodeRadio::new()).collect(),
             txs: IdSlab::new(),
             next_tx: 0,
@@ -256,6 +316,8 @@ impl Channel {
             frames: FrameTallies::default(),
             tones: EdgeTally::default(),
             onsets: EdgeTally::default(),
+            path_gains: 0,
+            frame_end_position_reads: 0,
         }
     }
 
@@ -273,11 +335,19 @@ impl Channel {
             faults_injected: self.faults_injected(),
             tones: self.tones,
             onsets: self.onsets,
+            path_gains: self.path_gains,
+            frame_end_position_reads: self.frame_end_position_reads,
         }
     }
 
-    /// Pop a recycled receiver-triple buffer, counting hit or miss.
-    fn pooled_rx_buf(&mut self) -> Vec<(NodeId, SimTime, f64)> {
+    /// Links kept for a world where nothing moves (diagnostics: each had
+    /// its power worked out once).
+    pub fn static_links(&self) -> usize {
+        self.static_rx.iter().flatten().map(Vec::len).sum()
+    }
+
+    /// Pop a recycled link buffer, counting hit or miss.
+    fn pooled_rx_buf(&mut self) -> Vec<Link> {
         match self.rx_pool.pop() {
             Some(buf) => {
                 self.pool_hits += 1;
@@ -310,24 +380,32 @@ impl Channel {
     pub fn neighbors_at(&mut self, node: NodeId, t: SimTime) -> Vec<NodeId> {
         let mut buf = self.pooled_rx_buf();
         self.fill_receivers(node, t, &mut buf);
-        let out = buf.iter().map(|&(rx, _, _)| rx).collect();
+        let out = buf.iter().map(|l| l.rx).collect();
         buf.clear();
         self.rx_pool.push(buf);
         out
     }
 
-    fn prop_delay(dist_m: f64) -> SimTime {
-        SimTime::from_secs_f64(dist_m / SPEED_OF_LIGHT)
+    /// The link to `rx`, `d2` square metres away.
+    fn link(rx: NodeId, d2: f64) -> Link {
+        let dist = d2.sqrt();
+        let delay = SimTime::from_secs_f64(dist / SPEED_OF_LIGHT).nanos();
+        Link {
+            rx,
+            delay_ns: u32::try_from(delay).expect("a delay within radio range is ≤ 250 ns"),
+            dist,
+            power: 0.0,
+        }
     }
 
-    /// Fill `out` with the `(receiver, propagation delay, received power)`
-    /// triples of every node in range of `src` at `t`, ascending by id.
+    /// Fill `out` with the links to every node in range of `src` at `t`,
+    /// ascending by id.
     ///
-    /// Both index modes produce bit-identical triples: the grid only names
+    /// Both index modes produce bit-identical links: the grid only names
     /// who can be in range, in id order ([`SpatialGrid::near`]); membership
     /// and link quantities are always computed from exact trajectory
     /// positions at `t`.
-    fn fill_receivers(&mut self, src: NodeId, t: SimTime, out: &mut Vec<(NodeId, SimTime, f64)>) {
+    fn fill_receivers(&mut self, src: NodeId, t: SimTime, out: &mut Vec<Link>) {
         out.clear();
         let range_sq = RANGE_M * RANGE_M;
         if let Some(grid) = self.grid.as_mut() {
@@ -339,13 +417,13 @@ impl Channel {
             for &i in grid.near(src.idx(), t, &mut self.motions) {
                 let d2 = self.motions[i as usize].position_at(t).dist_sq(p);
                 if d2 <= range_sq {
-                    let d = d2.sqrt();
-                    // Distances are clamped to 1 m so powers stay finite.
-                    let power = d.max(1.0).powf(-PATH_LOSS_EXP);
-                    out.push((NodeId(i), Self::prop_delay(d), power));
+                    out.push(Self::link(NodeId(i), d2));
                 }
             }
             if grid.all_fixed() {
+                for link in out.iter_mut() {
+                    link.power = path_gain(link.dist, &mut self.path_gains);
+                }
                 self.static_rx[src.idx()] = Some(out.clone());
             }
         } else {
@@ -356,10 +434,7 @@ impl Channel {
                 }
                 let d2 = self.motions[i].position_at(t).dist_sq(p);
                 if d2 <= range_sq {
-                    let d = d2.sqrt();
-                    // Distances are clamped to 1 m so powers stay finite.
-                    let power = d.max(1.0).powf(-PATH_LOSS_EXP);
-                    out.push((NodeId(i as u16), Self::prop_delay(d), power));
+                    out.push(Self::link(NodeId(i as u16), d2));
                 }
             }
         }
@@ -374,6 +449,12 @@ impl Channel {
     /// instant will experience the signal: each gets a record of the onset,
     /// and the ones interested in the carrier a `FrameArriveStart` event as
     /// well. Returns the transmission id.
+    ///
+    /// Whether a receiver's frame end reads the geometry is settled here: a
+    /// frame end comes `airtime + prop` on, `prop` ≤ τ, and two nodes part
+    /// by at most `2 · v_max` meanwhile (DESIGN.md §6), so a link that
+    /// begins further than that inside the range stays in it — and an abort
+    /// that cuts the frame short corrupts it anyway.
     ///
     /// Panics if `src` is already transmitting (a MAC state-machine bug).
     pub fn start_tx<E: From<PhyEvent>>(
@@ -395,7 +476,15 @@ impl Channel {
         let mut receivers = self.pooled_rx_buf();
         self.fill_receivers(src, now, &mut receivers);
         let end = now + frame.airtime();
-        for &(rx, prop, power) in &receivers {
+        let v_max = *self.v_max.get_or_insert_with(|| {
+            self.motions
+                .iter()
+                .map(Motion::speed_bound)
+                .fold(0.0, f64::max)
+        });
+        let edge = RANGE_M - ROUNDING_M - 2.0 * v_max * (end - now + TAU).as_secs_f64();
+        for (i, link) in receivers.iter().enumerate() {
+            let (rx, prop) = (link.rx, link.prop());
             let radio = &mut self.radios[rx.idx()];
             let onset = Edge::write(
                 q,
@@ -408,9 +497,11 @@ impl Channel {
             let at = on_air.len() + pending.partition_point(|a| a.onset.key < onset.key);
             let signal = Arriving {
                 tx: id,
-                power,
+                power: link.power,
                 max_interference: 0.0,
                 forced_bad: false,
+                near_edge: link.dist > edge,
+                link: u16::try_from(i).expect("receivers are node ids, which are u16"),
                 onset,
             };
             radio.arriving.insert(at, signal);
@@ -458,7 +549,8 @@ impl Channel {
         rec.aborted = true;
         rec.end = now;
         q.push(now, E::from(PhyEvent::TxComplete { node: src, tx: id }));
-        for &(rx, prop, _) in &rec.receivers {
+        for link in &rec.receivers {
+            let (rx, prop) = (link.rx, link.prop());
             q.push(
                 now + prop,
                 E::from(PhyEvent::FrameArriveEnd { rx, tx: id, prop }),
@@ -485,7 +577,8 @@ impl Channel {
         let mut receivers = self.pooled_rx_buf();
         self.fill_receivers(src, now, &mut receivers);
         let horizon = now.saturating_sub(TONE_HISTORY);
-        for &(rx, prop, _) in &receivers {
+        for link in &receivers {
+            let (rx, prop) = (link.rx, link.prop());
             let radio = &mut self.radios[rx.idx()];
             let on = Edge::write(
                 q,
@@ -525,7 +618,8 @@ impl Channel {
             return;
         };
         let now = q.now();
-        for &(rx, prop, _) in &receivers {
+        for link in &receivers {
+            let (rx, prop) = (link.rx, link.prop());
             let radio = &mut self.radios[rx.idx()];
             let recs = &mut radio.heard[tone.idx()].recs;
             let i = recs
@@ -718,7 +812,7 @@ impl Channel {
     fn settle(&mut self, node: NodeId, upto: Cursor) -> Option<TxId> {
         let r = &mut self.radios[node.idx()];
         let mut rose = None;
-        while let Some(&Arriving { tx, power, .. }) = r
+        while let Some(&Arriving { tx, .. }) = r
             .arriving
             .get(r.landed as usize)
             .filter(|a| a.onset.key <= upto)
@@ -734,17 +828,22 @@ impl Channel {
             // Capture bookkeeping: every live signal records the strongest
             // concurrent interference sum it has experienced; whether that
             // corrupts it is decided at frame end against the capture
-            // threshold.
-            let others_sum: f64 = on_air.iter().map(|a| a.power).sum();
-            let total = others_sum + power;
-            for a in on_air.iter_mut() {
-                let intf = total - a.power;
-                if intf > a.max_interference {
-                    a.max_interference = intf;
+            // threshold. A signal's power is worked out the first time it
+            // shares the antenna: one that lands and ends alone needs none.
+            let (txs, gains) = (&self.txs, &mut self.path_gains);
+            let others_sum: f64 = on_air.iter_mut().map(|a| a.power(txs, gains)).sum();
+            if on_air.is_empty() {
+                if !transmitting {
+                    rose = Some(tx);
                 }
-            }
-            if on_air.is_empty() && !transmitting {
-                rose = Some(tx);
+            } else {
+                let total = others_sum + pending[0].power(txs, gains);
+                for a in on_air.iter_mut() {
+                    let intf = total - a.power;
+                    if intf > a.max_interference {
+                        a.max_interference = intf;
+                    }
+                }
             }
             pending[0].max_interference = others_sum;
             // Half duplex: a node cannot decode while transmitting.
@@ -798,12 +897,15 @@ impl Channel {
 
         // Capture: the frame survives overlap iff its power beat the
         // strongest concurrent interference by the capture threshold.
+        // (Interference is nonzero only for a signal that shared the
+        // antenna, which worked its power out then.)
         let captured_through =
             sig.max_interference == 0.0 || sig.power >= CAPTURE_THRESHOLD * sig.max_interference;
         let mut corrupted = sig.forced_bad || !captured_through || aborted || still_tx;
-        if !corrupted {
-            // Mobility: the receiver (or transmitter) may have drifted out
-            // of range during the frame; check the geometry at frame end.
+        // Mobility: the receiver (or transmitter) may have drifted out of
+        // range during the frame; a link near the edge checks the geometry.
+        if !corrupted && sig.near_edge {
+            self.frame_end_position_reads += 1;
             let range_sq = RANGE_M * RANGE_M;
             let ps = self.motions[src.idx()].position_at(now);
             let pr = self.motions[rx.idx()].position_at(now);
@@ -911,6 +1013,8 @@ mod record_tests;
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use proptest::prelude::*;
+    use rmac_mobility::{Bounds, MobilityKind};
     use rmac_wire::{Dest, FrameKind};
 
     type Q = rmac_sim::EventQueue<PhyEvent>;
@@ -1425,9 +1529,10 @@ mod tests {
     }
 
     /// With every node fixed a source's second fill is the first one's
-    /// triples, copied: the index is not asked again.
+    /// links, copied, powers included: neither the index nor the path gain
+    /// is asked again.
     #[test]
-    fn all_fixed_fills_are_served_from_the_exact_triples() {
+    fn all_fixed_fills_are_served_from_the_kept_links() {
         let mut ch = Channel::new(
             ChannelConfig::default(),
             vec![still(0.0, 0.0), still(50.0, 0.0), still(0.0, 80.0)],
@@ -1435,7 +1540,7 @@ mod tests {
         let mut first = Vec::new();
         ch.fill_receivers(n(0), SimTime::ZERO, &mut first);
         assert_eq!(first.len(), 1);
-        assert_eq!(first[0].0, n(1));
+        assert_eq!(first[0].rx, n(1));
         assert_eq!(ch.static_rx[0].as_ref(), Some(&first));
         for secs in [1, 1_000_000] {
             let mut again = Vec::new();
@@ -1443,6 +1548,15 @@ mod tests {
             assert_eq!(again, first);
         }
         assert_eq!(ch.obs_stats().grid.unwrap().queries, 1);
+        assert_eq!(ch.obs_stats().path_gains, 1);
+    }
+
+    /// Per-receiver records stay small: a link is 24 bytes, and a signal on
+    /// an antenna finds its distance through its link, not a copy.
+    #[test]
+    fn links_and_arriving_signals_keep_their_size() {
+        assert_eq!(std::mem::size_of::<Link>(), 24);
+        assert_eq!(std::mem::size_of::<Arriving>(), 56);
     }
 
     #[test]
@@ -1494,6 +1608,112 @@ mod tests {
         assert!(!ch.data_busy(n(1), q.cursor()));
         let stats = ch.obs_stats();
         assert_eq!((stats.onsets.records, stats.onsets.scheduled), (1, 0));
+    }
+
+    /// Nothing moves, yet a receiver exactly at the range edge has no room
+    /// for rounding: its frame end reads the geometry, one a metre inside
+    /// does not. Both receive, and neither frame works out a power.
+    #[test]
+    fn a_receiver_exactly_at_the_range_edge_reads_the_geometry() {
+        let mut ch = Channel::new(
+            ChannelConfig::default(),
+            vec![
+                still(0.0, 0.0),
+                still(RANGE_M, 0.0),
+                still(0.0, RANGE_M - 1.0),
+            ],
+        );
+        let mut q = Q::new();
+        ch.start_tx(&mut q, n(0), data_frame(0, 500));
+        let oks: Vec<_> = drain(&mut ch, &mut q)
+            .into_iter()
+            .filter_map(|(_, i)| match i {
+                Indication::FrameRx { node, ok, .. } => Some((node, ok)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(oks, vec![(n(2), true), (n(1), true)]);
+        let stats = ch.obs_stats();
+        assert_eq!(stats.frame_end_position_reads, 1);
+        assert_eq!(ch.static_links(), 2);
+        assert_eq!(stats.path_gains, 2, "one per kept link");
+    }
+
+    /// A node at `from`: a random waypoint walk at up to `speed` (only from
+    /// the start of time, where such walks begin) or a straight trip
+    /// departing at `depart`.
+    fn walk(rng: &mut SimRng, from: Pos, depart: SimTime, speed: f64) -> Motion {
+        if depart == SimTime::ZERO && rng.chance(0.5) {
+            let kind = MobilityKind::RandomWaypoint {
+                min_speed: 1.0,
+                max_speed: speed,
+                pause: SimTime::from_millis(rng.below(500)),
+            };
+            Motion::new(from, kind, Bounds::PAPER, SimRng::new(rng.next_u64()))
+        } else {
+            let to = Pos::new(rng.uniform_f64(0.0, 500.0), rng.uniform_f64(0.0, 300.0));
+            Motion::linear(from, to, depart, speed)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// A frame end trusts its drift bound (DESIGN.md §6) only where the
+        /// exact geometry agrees: whenever it skips the positions, the two
+        /// nodes are in range at that instant. Pairs start 0–1 m inside the
+        /// range edge at a random instant, on random waypoint walks and
+        /// straight trips up to 50 m/s — some heading straight apart, the
+        /// fastest two nodes can part — with frames up to a 600-byte one.
+        #[test]
+        fn a_frame_end_skips_the_geometry_only_where_drift_cannot_reach_the_edge(
+            seed in any::<u64>(),
+        ) {
+            let mut rng = SimRng::new(seed);
+            let t0 = if rng.chance(0.5) {
+                SimTime::ZERO
+            } else {
+                SimTime::from_millis(rng.below(20_000))
+            };
+            let speed = rng.uniform_f64(1.0, 50.0);
+            let angle = rng.uniform_f64(0.0, std::f64::consts::TAU);
+            let inside = match rng.below(3) {
+                0 => 0.0,
+                1 => 10f64.powf(rng.uniform_f64(-9.0, 0.0)),
+                _ => rng.uniform_f64(0.0, 1.0),
+            };
+            let away = |p: Pos, by: f64| Pos::new(p.x + angle.cos() * by, p.y + angle.sin() * by);
+            let (anchor, placed) = if rng.chance(0.3) {
+                let p = Pos::new(250.0, 150.0);
+                let q = away(p, RANGE_M - inside);
+                let apart = |from: Pos, by: f64| Motion::linear(from, away(from, by), t0, speed);
+                (apart(p, -100.0), apart(q, 100.0))
+            } else {
+                let from = Pos::new(rng.uniform_f64(0.0, 500.0), rng.uniform_f64(0.0, 300.0));
+                let anchor = walk(&mut rng, from, SimTime::ZERO, speed);
+                let at_t0 = anchor.clone().position_at(t0);
+                let placed = walk(&mut rng, away(at_t0, RANGE_M - inside), t0, speed);
+                (anchor, placed)
+            };
+            let motions = if rng.chance(0.5) { vec![anchor, placed] } else { vec![placed, anchor] };
+            let mut ch = Channel::new(ChannelConfig::default(), motions.clone());
+            let mut q = Q::new();
+            q.push(t0, PhyEvent::TxComplete { node: n(0), tx: 999_999 });
+            q.pop();
+            ch.start_tx(&mut q, n(0), data_frame(0, rng.below(600) as usize));
+            let skipped = |ch: &Channel| ch.obs_stats().frame_end_position_reads == 0;
+            for (t, ind) in drain(&mut ch, &mut q) {
+                let Indication::FrameRx { node, ok, .. } = ind else {
+                    continue;
+                };
+                prop_assert_eq!(node, n(1));
+                let mut exact = motions.clone();
+                let apart = exact[0].position_at(t).dist_sq(exact[1].position_at(t));
+                let in_range = apart <= RANGE_M * RANGE_M;
+                prop_assert!(in_range || !skipped(&ch), "skipped at {} m", apart.sqrt());
+                prop_assert_eq!(ok, in_range);
+            }
+        }
     }
 }
 

@@ -268,9 +268,9 @@ impl Tones for Eager {
 }
 
 fn receivers_of(ch: &mut Channel, src: NodeId, now: SimTime) -> Vec<(NodeId, SimTime)> {
-    let mut triples = Vec::new();
-    ch.fill_receivers(src, now, &mut triples);
-    triples.iter().map(|&(rx, prop, _)| (rx, prop)).collect()
+    let mut links = Vec::new();
+    ch.fill_receivers(src, now, &mut links);
+    links.iter().map(|l| (l.rx, l.prop())).collect()
 }
 
 const EVERYTHING: [ToneInterest; 4] = [
@@ -729,7 +729,7 @@ mod onsets {
     use rmac_wire::{Dest, Frame};
 
     use super::*;
-    use crate::channel::{FrameTallies, CAPTURE_THRESHOLD};
+    use crate::channel::{FrameTallies, CAPTURE_THRESHOLD, PATH_LOSS_EXP};
 
     #[derive(Clone, Copy, Debug)]
     enum Step {
@@ -863,15 +863,18 @@ mod onsets {
         end: SimTime,
         aborted: bool,
         done: bool,
+        /// `(receiver, delay, received power)`.
         receivers: Vec<(NodeId, SimTime, f64)>,
         pending_ends: usize,
     }
 
     /// The eager loop: every receiver is sent every first bit, and what
-    /// arrives at a node is a list the events step.
+    /// arrives at a node is a list the events step. Every receiver's power
+    /// is worked out as the frame starts, and every frame end reads where
+    /// both nodes are.
     pub(super) struct Eager {
-        /// Asked only who hears a frame, how late and how strong, and where
-        /// a node is.
+        /// Asked only who hears a frame, how late and how far, and where a
+        /// node is.
         geometry: Channel,
         transmitting: Vec<Option<u64>>,
         arriving: Vec<Vec<Signal>>,
@@ -999,8 +1002,12 @@ mod onsets {
             assert!(self.transmitting[src.idx()].is_none());
             let tx = self.next_tx;
             self.next_tx += 1;
-            let mut receivers = Vec::new();
-            self.geometry.fill_receivers(src, now, &mut receivers);
+            let mut links = Vec::new();
+            self.geometry.fill_receivers(src, now, &mut links);
+            let receivers: Vec<_> = links
+                .iter()
+                .map(|l| (l.rx, l.prop(), l.dist.max(1.0).powf(-PATH_LOSS_EXP)))
+                .collect();
             let end = now + frame.airtime();
             for &(rx, prop, _) in &receivers {
                 q.push(now + prop, PhyEvent::FrameArriveStart { rx, tx }.into());
@@ -1080,13 +1087,21 @@ mod onsets {
         let mut rng = SimRng::new(seed);
         let n = rng.range_inclusive(4, 8) as usize;
         let moving = rng.chance(0.5);
+        // Fast movers cross a radio range inside a frame, so frame ends read
+        // the geometry; ones at the grid tests' speeds are what a frame end
+        // mostly trusts its drift bound for.
+        let speeds = if rng.chance(0.5) {
+            (2e4, 6e4)
+        } else {
+            (1.0, 50.0)
+        };
         let place =
             |rng: &mut SimRng| Pos::new(rng.uniform_f64(0.0, 110.0), rng.uniform_f64(0.0, 110.0));
         let mut motions: Vec<Motion> = (0..n)
             .map(|_| {
                 let from = place(&mut rng);
                 if moving && rng.chance(0.5) {
-                    let speed = rng.uniform_f64(2e4, 6e4);
+                    let speed = rng.uniform_f64(speeds.0, speeds.1);
                     Motion::linear(from, place(&mut rng), SimTime::ZERO, speed)
                 } else {
                     Motion::stationary(from)
@@ -1107,7 +1122,7 @@ mod onsets {
             }
             let anyone = NodeId(rng.below(n as u64) as u16);
             let undecided = NodeId(rng.range_inclusive(2, n as u64 - 2) as u16);
-            let step = match rng.below(10) {
+            let step = match rng.below(12) {
                 0..=4 => {
                     let len = rng.below(200) as usize;
                     let air = data_frame(anyone, len, 0).airtime().nanos();
@@ -1141,8 +1156,25 @@ mod onsets {
                 }
                 5..=6 => Step::Probe,
                 7 => Step::Abort,
-                _ => {
+                8..=9 => {
                     steps.push((at, undecided, Step::Listen(rng.chance(0.5))));
+                    continue;
+                }
+                _ => {
+                    // A chorus: three or more nodes start frames within a
+                    // microsecond, and pile up at whoever hears them all.
+                    for j in 0..rng.range_inclusive(3, n as u64) {
+                        let who = NodeId(((anyone.idx() as u64 + j) % n as u64) as u16);
+                        let at = at + SimTime::from_nanos(rng.below(1000));
+                        let len = rng.range_inclusive(20, 200) as usize;
+                        let sing = Step::Tx {
+                            len,
+                            cut: None,
+                            again: false,
+                            echo: None,
+                        };
+                        steps.push((at, who, sing));
+                    }
                     continue;
                 }
             };
@@ -1347,5 +1379,68 @@ mod onsets {
             let stats = ch.obs_stats();
             prop_assert!(stats.onsets.scheduled + stats.onsets.catchups <= stats.onsets.records);
         }
+    }
+
+    /// Three frames pile up at B, the strongest from a source walking away
+    /// as it sends. Each power is worked out as a second signal lands, and
+    /// capture comes out as the eager loop's: the near frame survives, the
+    /// far two do not. E hears the walker alone and works out nothing.
+    #[test]
+    fn a_chorus_at_one_receiver_is_decided_as_the_eager_loop_did() {
+        let (b, a, c, d, e) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3), NodeId(4));
+        let walker = Motion::linear(
+            Pos::new(55.0, 50.0),
+            Pos::new(70.0, 50.0),
+            SimTime::ZERO,
+            40.0,
+        );
+        let script = Script {
+            motions: vec![
+                Motion::stationary(Pos::new(50.0, 50.0)),
+                walker,
+                Motion::stationary(Pos::new(50.0, 10.0)),
+                Motion::stationary(Pos::new(90.0, 50.0)),
+                Motion::stationary(Pos::new(55.0, 120.0)),
+            ],
+            steps: [(0, a), (300, c), (700, d)]
+                .map(|(ns, who)| {
+                    let sing = Step::Tx {
+                        len: 100,
+                        cut: None,
+                        again: false,
+                        echo: None,
+                    };
+                    (SimTime::from_nanos(ns), who, sing)
+                })
+                .to_vec(),
+        };
+        let new_channel = || Channel::new(ChannelConfig::default(), script.motions.clone());
+        let reference = run(
+            &script,
+            &mut Eager::new(new_channel()),
+            &mut EventQueue::new(),
+        );
+        let mut ch = new_channel();
+        let records = run(&script, &mut ch, &mut EventQueue::new());
+        assert_eq!(records.heard, reference.heard);
+        let at_b: Vec<_> = records
+            .heard
+            .iter()
+            .filter_map(|(_, h)| match *h {
+                Heard::Rx { node, src, ok, .. } if node == b => Some((src, ok)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(at_b, vec![(a, true), (c, false), (d, false)]);
+        assert!(records.heard.iter().any(|(_, h)| *h
+            == Heard::Rx {
+                node: e,
+                src: a,
+                seq: 1,
+                ok: true
+            }));
+        let stats = ch.obs_stats();
+        assert_eq!(stats.onsets.records, 10);
+        assert_eq!(stats.path_gains, 9, "every onset but E's shared an antenna");
     }
 }

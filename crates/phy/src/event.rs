@@ -14,7 +14,7 @@ use crate::tone::Tone;
 /// A frame end carries its per-receiver propagation delay, fixed at
 /// transmission start, so processing it is O(1) instead of a linear search
 /// over the transmission's receiver list. A frame's first bit is a record at
-/// its receiver (key and received power); the event exists only for a
+/// its receiver (key and link); the event exists only for a
 /// receiver whose MAC declared it can act on the carrier rising.
 #[derive(Clone, Debug)]
 pub enum PhyEvent {

@@ -43,10 +43,10 @@
 //!   half a skin, and a list build widens its cell search by that much.
 //!
 //! When every node is fixed `v_max` is zero, the horizon never ends and no
-//! bucket is touched again — and the channel keeps the exact receiver
-//! triples it worked out from a list, the one more fact that zero drift
-//! keeps true, so the index is asked once per source and keeps no list but
-//! the last.
+//! bucket is touched again — and the channel keeps the exact links it
+//! worked out from a list, powers included, the one more fact that zero
+//! drift keeps true, so the index is asked once per source and keeps no list
+//! but the last.
 
 use rmac_mobility::Motion;
 use rmac_mobility::Pos;
@@ -80,8 +80,9 @@ impl Default for IndexMode {
 pub const SKIN_PER_RANGE: f64 = 1.0 / 8.0;
 
 /// Legs are quantised to nanoseconds and positions to `f64`, so a node can
-/// outrun its speed bound by nanometres: lists reach this much past the skin.
-const ROUNDING_M: f64 = 1e-6;
+/// outrun its speed bound by nanometres: lists reach this much past the skin,
+/// and a frame end trusts its drift bound only this far inside the range.
+pub(crate) const ROUNDING_M: f64 = 1e-6;
 
 /// How long a neighbour list or a bucket stays true when no node outruns
 /// `v_max` m/s: the span over which two nodes close by one skin. Never ends

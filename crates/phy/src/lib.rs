@@ -40,10 +40,10 @@
 //! presence; see the [`tone`] module.
 //!
 //! A frame's **first bit** is a record in the same way: [`Channel::start_tx`]
-//! writes, at every in-range receiver, the onset's edge and its received
-//! power; a `PhyEvent::FrameArriveStart` — scheduled for a MAC that declared
-//! [`ToneInterest::CARRIER`] — ends in an `Indication::CarrierOn` if it
-//! takes the node from idle to busy. Whatever next touches that
+//! writes, at every in-range receiver, the onset's edge and its link (who
+//! sent it, how far); a `PhyEvent::FrameArriveStart` — scheduled for a MAC
+//! that declared [`ToneInterest::CARRIER`] — ends in an
+//! `Indication::CarrierOn` if it takes the node from idle to busy. Whatever next touches that
 //! receiver's radio (a frame end there, its own transmission starting or
 //! completing, a dispatched onset) first accounts, in key order, the onsets
 //! keyed at or before the event being dispatched, exactly as their events

@@ -100,6 +100,18 @@ impl SimTime {
         self.0.checked_sub(rhs.0).map(SimTime)
     }
 
+    /// Checked addition: `None` past [`SimTime::MAX`].
+    #[inline]
+    pub fn checked_add(self, rhs: SimTime) -> Option<SimTime> {
+        self.0.checked_add(rhs.0).map(SimTime)
+    }
+
+    /// Checked [`SimTime::mul`]: `None` past [`SimTime::MAX`].
+    #[inline]
+    pub fn checked_mul(self, k: u64) -> Option<SimTime> {
+        self.0.checked_mul(k).map(SimTime)
+    }
+
     /// Multiply a duration by an integer factor (e.g. `i × l_abt` when
     /// computing the i-th ABT reply slot).
     #[inline]
