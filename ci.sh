@@ -204,9 +204,17 @@ cargo test -q --release -p rmac-engine --lib shard::
 cargo test -q --release --test shard_equivalence
 
 echo "==> queue stage (calendar/heap differential proptests, sparse and top-of-clock schedules, then the"
-echo "    window-advance pin: a replication advances its calendar at most once per event popped)"
+echo "    window-advance pin: a replication advances its calendar at most once per event popped; buffer"
+echo "    recycling moves only where an entry's bytes sit, never the pop order, and queue_equivalence holds it)"
 cargo test -q --release --test queue_equivalence
 cargo test -q --release -p rmac-engine --lib the_calendar_advances_at_most_once_per_event
+
+echo "==> memory follows what is live (the calendar keeps buffers only for windows that hold events, so"
+echo "    retained capacity tracks the pending depth; the run report folds its samples bit for bit as the"
+echo "    flattened copies did; a replication's peak live heap bytes stay under budget)"
+cargo test -q --release -p rmac-sim --lib retained_capacity_tracks_the_pending_depth
+cargo test -q --release -p rmac-engine --lib report_folds
+cargo test -q --release --test memory_budget
 
 echo "==> grid stage (grid/brute differential proptests, optimised: the neighbour-list walk that ships,"
 echo "    hundreds of fills per reuse horizon included)"

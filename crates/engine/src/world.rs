@@ -1,12 +1,13 @@
 //! The event loop: one simulation replication.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
 use rmac_check::{CheckConfig, CheckReport, Checker, C1_WINDOW};
 use rmac_core::api::{MacContext, MacCounters, MacService, TimerKind, TxOutcome, TxRequest};
 use rmac_faults::{ChurnKind, FaultInjector, FaultPlan, JamTarget};
-use rmac_metrics::{percentile, RunReport};
+use rmac_metrics::{percentile, percentile_counted, RunReport};
 use rmac_mobility::{random_positions, MobilityKind, Motion, Pos};
 use rmac_net::{BlessConfig, NetLayer};
 use rmac_obs::{ObsReport, Snapshot};
@@ -1222,14 +1223,9 @@ pub(crate) fn collect_report(
     let n = cfg.nodes;
     let packets_sent = h.packets_sent;
 
-    let mut receptions = 0;
-    let mut delays: Vec<f64> = Vec::new();
-    for (i, net) in h.nets.iter().enumerate() {
-        if i != 0 {
-            receptions += net.stats().received;
-        }
-        delays.extend(&net.stats().delays_s);
-    }
+    let receptions = h.nets.iter().skip(1).map(|net| net.stats().received).sum();
+    let (e2e_delay_avg_s, delay_samples) =
+        delay_mean(h.nets.iter().map(|net| net.stats().delays_s.as_slice()));
 
     let nonleaf: Vec<usize> = (0..n)
         .filter(|&i| h.counters[i].reliable_accepted > 0)
@@ -1273,10 +1269,8 @@ pub(crate) fn collect_report(
         .map(|&i| h.counters[i].abort_ratio())
         .collect();
 
-    let mut mrts_lengths: Vec<f64> = Vec::new();
-    for c in &h.counters {
-        mrts_lengths.extend(c.mrts_lengths.iter().map(|&l| l as f64));
-    }
+    let (mrts_len_avg, mrts_len_p99, mrts_len_max) =
+        mrts_stats(h.counters.iter().map(|c| c.mrts_lengths.as_slice()));
 
     // Tree statistics at end of run (§4.1.1's Fig. 6 numbers).
     let hops: Vec<f64> = h
@@ -1309,11 +1303,11 @@ pub(crate) fn collect_report(
         abort_avg: mean(&abort_ratios),
         abort_p99: percentile(&abort_ratios, 99.0),
         abort_max: abort_ratios.iter().fold(0.0f64, |a, &b| a.max(b)),
-        mrts_len_avg: mean(&mrts_lengths),
-        mrts_len_p99: percentile(&mrts_lengths, 99.0),
-        mrts_len_max: mrts_lengths.iter().fold(0.0f64, |a, &b| a.max(b)),
-        e2e_delay_avg_s: mean(&delays),
-        delay_samples: delays.len() as u64,
+        mrts_len_avg,
+        mrts_len_p99,
+        mrts_len_max,
+        e2e_delay_avg_s,
+        delay_samples,
         hops_avg: mean(&hops),
         hops_p99: percentile(&hops, 99.0),
         children_avg: mean(&children),
@@ -1328,6 +1322,39 @@ pub(crate) fn collect_report(
         fault_crashes: h.crashes,
         fault_jam_bursts: h.jam_bursts,
     }
+}
+
+/// Mean and count of every node's end-to-end delay samples, summed in node
+/// order straight from the nodes' own vectors: the same `f64`s in the same
+/// order as one flattened vector, so the same mean to the bit.
+fn delay_mean<'a, I>(per_node: I) -> (f64, u64)
+where
+    I: Iterator<Item = &'a [f64]> + Clone,
+{
+    let n: usize = per_node.clone().map(<[f64]>::len).sum();
+    if n == 0 {
+        return (0.0, 0);
+    }
+    (per_node.flatten().sum::<f64>() / n as f64, n as u64)
+}
+
+/// Mean, 99th percentile and maximum of every node's MRTS lengths, from a
+/// count per length. A length is a frame's byte count, so every partial
+/// `f64` sum of the lengths is an integer far below 2^53 and exact in any
+/// order: the mean divides the integer sum.
+fn mrts_stats<'a>(per_node: impl Iterator<Item = &'a [u32]>) -> (f64, f64, f64) {
+    let mut counts: BTreeMap<u32, u64> = BTreeMap::new();
+    for &len in per_node.flatten() {
+        *counts.entry(len).or_default() += 1;
+    }
+    let n: u64 = counts.values().sum();
+    if n == 0 {
+        return (0.0, 0.0, 0.0);
+    }
+    let sum: u64 = counts.iter().map(|(&len, &c)| u64::from(len) * c).sum();
+    let p99 = percentile_counted(counts.iter().map(|(&len, &c)| (f64::from(len), c)), 99.0);
+    let max = counts.keys().next_back().map_or(0.0, |&len| f64::from(len));
+    (sum as f64 / n as f64, p99, max)
 }
 
 #[cfg(test)]

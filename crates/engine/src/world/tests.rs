@@ -724,3 +724,64 @@ fn the_timetable_beacons_at_the_bless_default_cadence_and_covers_the_run() {
         assert!(*per_node.last().unwrap() > end);
     }
 }
+
+/// The report's delay and MRTS folds against the expressions they replaced,
+/// kept verbatim: flatten every node's samples into one `Vec<f64>`, then
+/// take its mean, nearest-rank 99th percentile and maximum.
+mod report_folds {
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use rmac_metrics::percentile;
+
+    use crate::world::{delay_mean, mrts_stats};
+
+    /// Delays spread over six decades, so the running sum rounds.
+    fn delay() -> impl Strategy<Value = f64> {
+        (0.0..1.0, 0u32..6).prop_map(|(x, k)| x * 10f64.powi(k as i32 - 4))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn streamed_folds_equal_the_flattened_ones_bit_for_bit(
+            // The small shapes give no node, empty nodes, no sample at all
+            // and a single sample often.
+            delays_per_node in prop_oneof![
+                vec(vec(delay(), 0..2), 0..3),
+                vec(vec(delay(), 0..24), 0..12),
+            ],
+            mrts_per_node in prop_oneof![
+                vec(vec(12u32..400, 0..2), 0..3),
+                vec(vec(12u32..400, 0..16), 0..12),
+            ],
+        ) {
+            let mean = |v: &[f64]| {
+                if v.is_empty() {
+                    0.0
+                } else {
+                    v.iter().sum::<f64>() / v.len() as f64
+                }
+            };
+            let mut delays: Vec<f64> = Vec::new();
+            for d in &delays_per_node {
+                delays.extend(d);
+            }
+            let mut mrts_lengths: Vec<f64> = Vec::new();
+            for lengths in &mrts_per_node {
+                mrts_lengths.extend(lengths.iter().map(|&l| l as f64));
+            }
+
+            let (avg, n) = delay_mean(delays_per_node.iter().map(Vec::as_slice));
+            prop_assert_eq!(avg.to_bits(), mean(&delays).to_bits());
+            prop_assert_eq!(n, delays.len() as u64);
+            let (len_avg, len_p99, len_max) = mrts_stats(mrts_per_node.iter().map(Vec::as_slice));
+            prop_assert_eq!(len_avg.to_bits(), mean(&mrts_lengths).to_bits());
+            prop_assert_eq!(len_p99.to_bits(), percentile(&mrts_lengths, 99.0).to_bits());
+            prop_assert_eq!(
+                len_max.to_bits(),
+                mrts_lengths.iter().fold(0.0f64, |a, &b| a.max(b)).to_bits()
+            );
+        }
+    }
+}

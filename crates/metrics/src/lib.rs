@@ -14,5 +14,5 @@ pub mod stats;
 pub mod table;
 
 pub use report::{RunReport, FRAME_KINDS, FRAME_KIND_LABELS};
-pub use stats::percentile;
+pub use stats::{percentile, percentile_counted};
 pub use table::{frame_kind_table, Table};

@@ -25,6 +25,12 @@
 //!   neighbours. One **occupancy bit** per bucket says which hold events,
 //!   so the window jumps straight to the next occupied one (a scan of
 //!   `nbuckets / 64` words) instead of stepping through the empty ones.
+//! * Buffers follow the occupied windows, not the ring: a bucket hands its
+//!   buffer to the drain buffer and keeps an unallocated `Vec`, a drained
+//!   drain buffer goes onto a LIFO stack of **spares**, and a bucket that
+//!   receives its first event takes the most recently drained spare (still
+//!   in cache). Retained capacity therefore tracks the pending depth, not
+//!   the number of windows a run ever touched.
 //! * Events beyond the ring horizon (beacon periods, source intervals)
 //!   overflow into a small **far heap**, pulled back into the ring once per
 //!   window jump. Far traffic is rare, so its `O(log n)` is harmless.
@@ -78,7 +84,11 @@ pub struct CalendarQueue<E> {
     pending: BinaryHeap<Entry<E>>,
     /// Ring of unsorted future windows; window at offset `d` from the
     /// active one (`1 ≤ d < nbuckets`) lives at index `(cur + d) & mask`.
+    /// An empty bucket holds no allocation.
     buckets: Vec<Vec<Entry<E>>>,
+    /// Drained drain buffers, empty, waiting for a bucket to fill; the last
+    /// one pushed is handed out first.
+    spares: Vec<Vec<Entry<E>>>,
     /// Ring index of the active window.
     cur: usize,
     /// `buckets.len() - 1` (ring size is a power of two).
@@ -119,11 +129,11 @@ impl<E> CalendarQueue<E> {
     }
 
     /// An empty queue sized for roughly `cap` pending events (the same
-    /// pre-sizing hook the heap oracle exposes; the ring buckets themselves
-    /// grow lazily, so only the far heap and active buffer pre-allocate).
+    /// pre-sizing hook the heap oracle exposes). Ring buckets grow lazily
+    /// and the drain buffer is a drained bucket's, so only the far heap
+    /// pre-allocates.
     pub fn with_capacity(cap: usize) -> Self {
         let mut q = Self::new();
-        q.active.reserve(cap.clamp(64, 4096));
         q.far.reserve(cap / 8);
         q
     }
@@ -142,6 +152,7 @@ impl<E> CalendarQueue<E> {
             active: VecDeque::new(),
             pending: BinaryHeap::new(),
             buckets: (0..nbuckets).map(|_| Vec::new()).collect(),
+            spares: Vec::new(),
             cur: 0,
             mask: nbuckets - 1,
             base: 0,
@@ -199,10 +210,14 @@ impl<E> CalendarQueue<E> {
         debug_assert!(self.window_empty() && self.len > 0);
         loop {
             if !self.buckets[self.cur].is_empty() {
-                // Sort the current window's bucket into the drain buffer,
-                // recycling the buffer's old allocation into the bucket.
-                let spare = Vec::from(std::mem::take(&mut self.active));
-                let mut b = std::mem::replace(&mut self.buckets[self.cur], spare);
+                // Sort the current window's bucket into the drain buffer;
+                // the drained buffer waits on the spares for the next
+                // bucket that fills, and this bucket keeps no allocation.
+                let drained = Vec::from(std::mem::take(&mut self.active));
+                if drained.capacity() > 0 {
+                    self.spares.push(drained);
+                }
+                let mut b = std::mem::take(&mut self.buckets[self.cur]);
                 self.occupied[self.cur / 64] &= !(1 << (self.cur % 64));
                 self.ring_len -= b.len();
                 b.sort_unstable_by_key(|x| x.key);
@@ -259,9 +274,23 @@ impl<E> CalendarQueue<E> {
     #[inline]
     fn file(&mut self, d: usize, e: Entry<E>) {
         let i = (self.cur + d) & self.mask;
+        if self.buckets[i].capacity() == 0 {
+            self.give_spare(i);
+        }
         self.buckets[i].push(e);
         self.occupied[i / 64] |= 1 << (i % 64);
         self.ring_len += 1;
+    }
+
+    /// Hand bucket `i`, which holds no allocation, the most recently
+    /// drained spare, if any. Cold and out of line: `file` stays small
+    /// enough to inline into every push.
+    #[cold]
+    #[inline(never)]
+    fn give_spare(&mut self, i: usize) {
+        if let Some(spare) = self.spares.pop() {
+            self.buckets[i] = spare;
+        }
     }
 
     /// Move far-heap events that now fall inside the ring horizon into
@@ -413,12 +442,17 @@ impl<E> SimQueue<E> for CalendarQueue<E> {
         self.keys.high_water
     }
 
-    /// Active buffer + pending heap + ring buckets + far heap.
+    /// Active buffer + pending heap + ring buckets + spares + far heap.
     fn capacity(&self) -> usize {
         self.active.capacity()
             + self.pending.capacity()
             + self.far.capacity()
-            + self.buckets.iter().map(|b| b.capacity()).sum::<usize>()
+            + self
+                .buckets
+                .iter()
+                .chain(&self.spares)
+                .map(|b| b.capacity())
+                .sum::<usize>()
     }
 }
 
@@ -539,6 +573,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn retained_capacity_tracks_the_pending_depth_not_the_windows_touched() {
+        // One event at a time walks twice round the default ring, each a
+        // window past the last: every bucket fills once per lap, but never
+        // more than two events are pending at once.
+        let mut q = CalendarQueue::new();
+        let width = 1u64 << DEFAULT_SHIFT;
+        q.push(SimTime::ZERO, 0usize);
+        for w in 1..=2 * DEFAULT_NBUCKETS {
+            q.push(SimTime::from_nanos(w as u64 * width), w);
+            assert_eq!(q.pop().map(|(_, w)| w), Some(w - 1));
+        }
+        assert_eq!(q.pop().map(|(_, w)| w), Some(2 * DEFAULT_NBUCKETS));
+        assert!(q.is_empty());
+        assert_eq!(q.depth_high_water(), 2);
+        // A `Vec`'s smallest allocation is four entries; the drain buffer
+        // and one spare may each hold one.
+        assert!(
+            q.capacity() <= 8 * q.depth_high_water(),
+            "{} entries retained for a high water of {}",
+            q.capacity(),
+            q.depth_high_water()
+        );
     }
 
     #[test]
