@@ -157,6 +157,16 @@ if git grep -n 'BinaryHeap' -- crates/live/src; then
     exit 1
 fi
 
+echo "==> one CRC kernel (DESIGN.md §9): the frame FCS and the datagram trailer share crates/wire/src/crc.rs,"
+echo "    the one source (tests included) that spells the polynomial or a CRC table; the wire tests check it"
+echo "    against a bitwise oracle, and the pinned soak report holds every checksummed byte"
+if git grep -nIiE 'edb8_?8320|04c1_?1db7|u32; *256\]' -- '*.rs' ':!vendor' ':!crates/wire/src/crc.rs'; then
+    echo "a CRC polynomial or table is spelled outside crates/wire/src/crc.rs (see above)" >&2
+    exit 1
+fi
+cargo test -q --release -p rmac-wire
+cargo test -q --release -p rmac-live --test live_determinism
+
 echo "==> one worker pool (DESIGN.md §10, §11): shard groups and campaign cases run on rmac_sim::try_tasks,"
 echo "    and nothing imports rayon (its one Cargo edge stays until the benchmark refresh)"
 if git grep -n 'rayon::' -- 'crates/*/src/*'; then

@@ -39,8 +39,8 @@ use rmac_core::{
 };
 use rmac_phy::{Indication, Tone, ToneLog};
 use rmac_sim::{EventQueue, SimQueue, SimRng, SimTime};
-use rmac_wire::consts::{BYTE_TIME, PHY_OVERHEAD};
-use rmac_wire::datagram::{DGRAM_TONE_ABT, DGRAM_TONE_RBT};
+use rmac_wire::consts::{BYTE_TIME, DATA_HEADER_LEN, PHY_OVERHEAD};
+use rmac_wire::datagram::{DGRAM_CRC_LEN, DGRAM_HEADER_LEN, DGRAM_TONE_ABT, DGRAM_TONE_RBT};
 use rmac_wire::{
     codec, decode_datagram, encode_datagram, Datagram, Dest, DgramBody, Frame, NodeId,
 };
@@ -475,16 +475,13 @@ impl LiveNode {
             Err(_) => {
                 self.ctx.stats.decode_errors += 1;
                 if inc.channel == DgramChannel::Data {
-                    // Unframeable energy on the data channel: model it as
-                    // noise with the airtime its length implies.
-                    let est = inc.bytes.len().saturating_sub(32);
-                    let noise = Frame::data_unreliable(
-                        NodeId(u16::MAX),
-                        Dest::Broadcast,
-                        Bytes::from(vec![0u8; est]),
-                        0,
-                    );
-                    self.rx_begin(noise, false, None);
+                    // Unframeable energy on the data channel: noise as long
+                    // as the frame a datagram of its length would carry.
+                    let len = inc
+                        .bytes
+                        .len()
+                        .saturating_sub(DGRAM_HEADER_LEN + DGRAM_CRC_LEN);
+                    self.rx_begin(noise(NodeId(u16::MAX), len), false, None);
                 }
                 self.drain_pending();
                 return;
@@ -508,14 +505,7 @@ impl LiveNode {
                     Ok(frame) => self.rx_begin(frame, !inc.corrupt, Some((d.src, d.counter))),
                     Err(_) => {
                         self.ctx.stats.decode_errors += 1;
-                        let est = bytes.len().saturating_sub(4);
-                        let noise = Frame::data_unreliable(
-                            d.src,
-                            Dest::Broadcast,
-                            Bytes::from(vec![0u8; est]),
-                            0,
-                        );
-                        self.rx_begin(noise, false, None);
+                        self.rx_begin(noise(d.src, bytes.len()), false, None);
                     }
                 }
             }
@@ -686,6 +676,15 @@ impl LiveNode {
     }
 }
 
+/// Undecodable energy on the data channel, heard as a frame of `len` bytes:
+/// a broadcast data frame whose airtime is that length's (4 µs a byte). A
+/// data frame is never shorter than its header and FCS, so anything under
+/// `DATA_HEADER_LEN` (28 bytes) is heard as 28.
+fn noise(src: NodeId, len: usize) -> Frame {
+    let payload = vec![0u8; len.saturating_sub(DATA_HEADER_LEN)];
+    Frame::data_unreliable(src, Dest::Broadcast, Bytes::from(payload), 0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -831,6 +830,32 @@ mod tests {
         node.advance(d);
         assert!(node.take_delivered().is_empty());
         assert_eq!(node.stats().data_rx, 0);
+    }
+
+    /// Noise lasts as long as the frame it stands for: the frame inside an
+    /// unframeable datagram (its length less the datagram header and
+    /// trailer), or the frame whose FCS failed.
+    #[test]
+    fn noise_lasts_the_airtime_of_the_frame_it_stands_for() {
+        use rmac_wire::airtime::frame_airtime;
+        let at = SimTime::from_micros(5);
+        let mut node = LiveNode::new(n(1), LiveConfig::default());
+        node.on_datagram(&incoming(at, DgramChannel::Data, vec![0xAB; 100]));
+        assert_eq!(node.next_deadline(), Some(at + frame_airtime(84)));
+
+        let frame = Frame::data_unreliable(n(2), Dest::Broadcast, Bytes::from(vec![7u8; 72]), 0);
+        let mut body = codec::encode(&frame).to_vec();
+        assert_eq!(body.len(), 100);
+        body[40] ^= 1;
+        let dgram = encode_datagram(&Datagram {
+            src: n(2),
+            counter: 0,
+            body: DgramBody::Frame(Bytes::from(body)),
+        });
+        let mut node = LiveNode::new(n(1), LiveConfig::default());
+        node.on_datagram(&incoming(at, DgramChannel::Data, dgram));
+        assert_eq!(node.stats().decode_errors, 1);
+        assert_eq!(node.next_deadline(), Some(at + frame_airtime(100)));
     }
 
     /// The `MacContext` contract's busy-edge obligation on the noise path:

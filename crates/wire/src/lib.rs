@@ -7,7 +7,8 @@
 //! * [`consts`] — every physical/MAC constant the paper fixes (§2, §3.3),
 //! * [`frame`] — the in-simulator frame representation (MRTS, RTS/CTS,
 //!   RAK/ACK, NCTS/NAK, data frames) and their lengths,
-//! * [`crc`] — a from-scratch CRC-32 (IEEE 802.3) used as the FCS,
+//! * [`crc`] — a from-scratch CRC-32 (IEEE 802.3), the frame FCS and the
+//!   datagram trailer,
 //! * [`codec`] — binary encode/decode of frames per the paper's Fig. 3,
 //! * [`airtime`] — transmission-delay arithmetic reproducing the paper's §2
 //!   numbers (96 µs PHY overhead, 56 µs ACK, ≈ 632·n µs BMMM control cost),
