@@ -212,8 +212,10 @@ pub struct MacCounters {
     /// MRTS transmissions aborted on sensing an RBT (numerator of
     /// R_abort).
     pub mrts_aborted: u64,
-    /// Length in bytes of every MRTS transmitted (Fig. 12).
-    pub mrts_lengths: Vec<u32>,
+    /// MRTS transmissions by receiver count (Fig. 12): entry `k` counts
+    /// those addressed to `k` receivers, `MRTS_FIXED_LEN + ADDR_LEN·k`
+    /// bytes each. As long as the largest `k` sent, however long the run.
+    pub mrts_by_receivers: Vec<u64>,
     /// Air time spent transmitting or receiving control frames.
     pub ctrl_airtime: SimTime,
     /// Time spent checking for ABTs (n × 17 µs per data transmission).
@@ -228,6 +230,14 @@ pub struct MacCounters {
 }
 
 impl MacCounters {
+    /// Count one MRTS addressed to `receivers` receivers.
+    pub fn count_mrts(&mut self, receivers: usize) {
+        if self.mrts_by_receivers.len() <= receivers {
+            self.mrts_by_receivers.resize(receivers + 1, 0);
+        }
+        self.mrts_by_receivers[receivers] += 1;
+    }
+
     /// The paper's packet retransmission ratio R_retx for this node.
     pub fn retx_ratio(&self) -> f64 {
         ratio(self.retransmissions, self.reliable_accepted)
@@ -294,5 +304,17 @@ mod tests {
         assert_eq!(c.drop_ratio(), 0.02);
         assert_eq!(c.abort_ratio(), 0.02);
         assert_eq!(c.txoh_ratio(), 0.2);
+    }
+
+    #[test]
+    fn mrts_counts_are_as_long_as_the_largest_receiver_count() {
+        let mut c = MacCounters::default();
+        for k in [3, 1, 3, 40, 3] {
+            c.count_mrts(k);
+        }
+        assert_eq!(c.mrts_by_receivers.len(), 41);
+        assert_eq!(c.mrts_by_receivers[..4], [0, 1, 0, 3]);
+        assert_eq!(c.mrts_by_receivers[40], 1);
+        assert_eq!(c.mrts_by_receivers.iter().sum::<u64>(), 5);
     }
 }

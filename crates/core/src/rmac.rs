@@ -290,7 +290,7 @@ impl Rmac {
         let frame = Frame::mrts(self.id, job.chunk.clone());
         let c = ctx.counters();
         c.mrts_tx += 1;
-        c.mrts_lengths.push(frame.length_bytes() as u32);
+        c.count_mrts(frame.order.len());
         c.ctrl_airtime += frame.airtime();
         self.set_state(State::TxMrts);
         ctx.start_tx(frame);

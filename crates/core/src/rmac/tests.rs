@@ -104,7 +104,8 @@ fn c10_reliable_transmits_mrts() {
     assert_eq!(f.kind, FrameKind::Mrts);
     assert_eq!(f.order, vec![n(1), n(2)]);
     assert_eq!(m.counters.mrts_tx, 1);
-    assert_eq!(m.counters.mrts_lengths, vec![24]); // 12 + 2·6
+    // One MRTS with two receivers: 12 + 2·6 = 24 B.
+    assert_eq!(m.counters.mrts_by_receivers, [0, 0, 1]);
 }
 
 /// Condition (1) of §3.3.1: packet pending but channel busy → defer in

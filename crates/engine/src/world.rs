@@ -1,6 +1,5 @@
 //! The event loop: one simulation replication.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -15,7 +14,7 @@ use rmac_phy::{
     Channel, ChannelConfig, FaultKind, FrameTallies, IndexMode, Indication, PhyEvent, Tone, ToneLog,
 };
 use rmac_sim::{CalendarQueue, Cursor, EventQueue, SimQueue, SimRng, SimTime};
-use rmac_wire::{consts::BYTE_TIME, Dest, Frame, NodeId};
+use rmac_wire::{airtime::mrts_len, consts::BYTE_TIME, Dest, Frame, NodeId};
 
 use crate::config::{Protocol, ScenarioConfig};
 use crate::obs::{class_of, timer_idx, EngineObs, ObsConfig, TIMER_LABELS};
@@ -1270,7 +1269,7 @@ pub(crate) fn collect_report(
         .collect();
 
     let (mrts_len_avg, mrts_len_p99, mrts_len_max) =
-        mrts_stats(h.counters.iter().map(|c| c.mrts_lengths.as_slice()));
+        mrts_stats(h.counters.iter().map(|c| c.mrts_by_receivers.as_slice()));
 
     // Tree statistics at end of run (§4.1.1's Fig. 6 numbers).
     let hops: Vec<f64> = h
@@ -1338,22 +1337,34 @@ where
     (per_node.flatten().sum::<f64>() / n as f64, n as u64)
 }
 
-/// Mean, 99th percentile and maximum of every node's MRTS lengths, from a
-/// count per length. A length is a frame's byte count, so every partial
-/// `f64` sum of the lengths is an integer far below 2^53 and exact in any
-/// order: the mean divides the integer sum.
-fn mrts_stats<'a>(per_node: impl Iterator<Item = &'a [u32]>) -> (f64, f64, f64) {
-    let mut counts: BTreeMap<u32, u64> = BTreeMap::new();
-    for &len in per_node.flatten() {
-        *counts.entry(len).or_default() += 1;
+/// Mean, 99th percentile and maximum of every node's MRTS lengths, from
+/// each node's count per receiver count. Lengths grow with the receiver
+/// count, so the summed counts walk the lengths in ascending order. A length
+/// is a frame's byte count, so every partial `f64` sum of the lengths is an
+/// integer far below 2^53 and exact in any order: the mean divides the
+/// integer sum.
+fn mrts_stats<'a>(per_node: impl Iterator<Item = &'a [u64]>) -> (f64, f64, f64) {
+    let mut by_receivers: Vec<u64> = Vec::new();
+    for counts in per_node {
+        if by_receivers.len() < counts.len() {
+            by_receivers.resize(counts.len(), 0);
+        }
+        for (total, &c) in by_receivers.iter_mut().zip(counts) {
+            *total += c;
+        }
     }
-    let n: u64 = counts.values().sum();
+    let n: u64 = by_receivers.iter().sum();
     if n == 0 {
         return (0.0, 0.0, 0.0);
     }
-    let sum: u64 = counts.iter().map(|(&len, &c)| u64::from(len) * c).sum();
-    let p99 = percentile_counted(counts.iter().map(|(&len, &c)| (f64::from(len), c)), 99.0);
-    let max = counts.keys().next_back().map_or(0.0, |&len| f64::from(len));
+    let mut lengths = by_receivers
+        .iter()
+        .enumerate()
+        .filter(|&(_, &c)| c > 0)
+        .map(|(k, &c)| (mrts_len(k) as u64, c));
+    let sum: u64 = lengths.clone().map(|(len, c)| len * c).sum();
+    let p99 = percentile_counted(lengths.clone().map(|(len, c)| (len as f64, c)), 99.0);
+    let max = lengths.next_back().map_or(0.0, |(len, _)| len as f64);
     (sum as f64 / n as f64, p99, max)
 }
 

@@ -727,17 +727,67 @@ fn the_timetable_beacons_at_the_bless_default_cadence_and_covers_the_run() {
 
 /// The report's delay and MRTS folds against the expressions they replaced,
 /// kept verbatim: flatten every node's samples into one `Vec<f64>`, then
-/// take its mean, nearest-rank 99th percentile and maximum.
+/// take its mean, nearest-rank 99th percentile and maximum. A node's MRTSs
+/// are counted per receiver count; the oracle flattens their lengths.
 mod report_folds {
     use proptest::collection::vec;
     use proptest::prelude::*;
+    use rmac_core::MacCounters;
     use rmac_metrics::percentile;
+    use rmac_wire::airtime::mrts_len;
 
     use crate::world::{delay_mean, mrts_stats};
 
     /// Delays spread over six decades, so the running sum rounds.
     fn delay() -> impl Strategy<Value = f64> {
         (0.0..1.0, 0u32..6).prop_map(|(x, k)| x * 10f64.powi(k as i32 - 4))
+    }
+
+    /// The count form's fold against the flattened lengths, to the bit.
+    fn mrts_fold_matches_the_flattened_lengths(receivers_per_node: &[Vec<usize>]) {
+        let counters: Vec<MacCounters> = receivers_per_node
+            .iter()
+            .map(|receivers| {
+                let mut c = MacCounters::default();
+                for &k in receivers {
+                    c.count_mrts(k);
+                }
+                c
+            })
+            .collect();
+        let mut lengths: Vec<f64> = Vec::new();
+        for receivers in receivers_per_node {
+            lengths.extend(receivers.iter().map(|&k| mrts_len(k) as f64));
+        }
+        let mean = if lengths.is_empty() {
+            0.0
+        } else {
+            lengths.iter().sum::<f64>() / lengths.len() as f64
+        };
+
+        let (len_avg, len_p99, len_max) =
+            mrts_stats(counters.iter().map(|c| c.mrts_by_receivers.as_slice()));
+        assert_eq!(len_avg.to_bits(), mean.to_bits(), "{receivers_per_node:?}");
+        assert_eq!(
+            len_p99.to_bits(),
+            percentile(&lengths, 99.0).to_bits(),
+            "{receivers_per_node:?}"
+        );
+        assert_eq!(
+            len_max.to_bits(),
+            lengths.iter().fold(0.0f64, |a, &b| a.max(b)).to_bits(),
+            "{receivers_per_node:?}"
+        );
+    }
+
+    /// Nodes that sent no MRTS, between and after ones that did, and
+    /// receiver counts past Fig. 12's 20 (the X3 ablation runs 40).
+    #[test]
+    fn mrts_counts_fold_over_silent_nodes_and_wide_groups() {
+        mrts_fold_matches_the_flattened_lengths(&[]);
+        mrts_fold_matches_the_flattened_lengths(&[vec![], vec![]]);
+        mrts_fold_matches_the_flattened_lengths(&[vec![], vec![40, 1, 21], vec![], vec![3]]);
+        mrts_fold_matches_the_flattened_lengths(&[vec![21; 99], vec![], vec![40]]);
     }
 
     proptest! {
@@ -751,9 +801,9 @@ mod report_folds {
                 vec(vec(delay(), 0..2), 0..3),
                 vec(vec(delay(), 0..24), 0..12),
             ],
-            mrts_per_node in prop_oneof![
-                vec(vec(12u32..400, 0..2), 0..3),
-                vec(vec(12u32..400, 0..16), 0..12),
+            receivers_per_node in prop_oneof![
+                vec(vec(1usize..=40, 0..2), 0..3),
+                vec(vec(1usize..=40, 0..16), 0..12),
             ],
         ) {
             let mean = |v: &[f64]| {
@@ -767,21 +817,11 @@ mod report_folds {
             for d in &delays_per_node {
                 delays.extend(d);
             }
-            let mut mrts_lengths: Vec<f64> = Vec::new();
-            for lengths in &mrts_per_node {
-                mrts_lengths.extend(lengths.iter().map(|&l| l as f64));
-            }
 
             let (avg, n) = delay_mean(delays_per_node.iter().map(Vec::as_slice));
             prop_assert_eq!(avg.to_bits(), mean(&delays).to_bits());
             prop_assert_eq!(n, delays.len() as u64);
-            let (len_avg, len_p99, len_max) = mrts_stats(mrts_per_node.iter().map(Vec::as_slice));
-            prop_assert_eq!(len_avg.to_bits(), mean(&mrts_lengths).to_bits());
-            prop_assert_eq!(len_p99.to_bits(), percentile(&mrts_lengths, 99.0).to_bits());
-            prop_assert_eq!(
-                len_max.to_bits(),
-                mrts_lengths.iter().fold(0.0f64, |a, &b| a.max(b)).to_bits()
-            );
+            mrts_fold_matches_the_flattened_lengths(&receivers_per_node);
         }
     }
 }

@@ -165,6 +165,9 @@ fn main() {
     }
     let started = Instant::now();
     let mut delivered = 0u64;
+    // Frames delivered up at this node (another publisher's DATA): taken
+    // on every pump, so that they do not pile up in the node.
+    let mut heard = 0usize;
     for seq in 0..args.publish {
         let payload = vec![seq as u8; args.payload_len.max(1)];
         driver
@@ -179,6 +182,7 @@ fn main() {
         let mut outcomes = Vec::new();
         while outcomes.is_empty() {
             driver.pump().expect("transport failed");
+            heard += driver.node_mut().take_delivered().len();
             outcomes = driver.node_mut().take_outcomes();
         }
         for (token, outcome) in outcomes {
@@ -203,7 +207,7 @@ fn main() {
     let c = driver.node().counters();
     println!(
         "live_demo: {delivered}/{} packets fully delivered in {:.2} s \
-         ({} MAC retransmissions, {} MRTS sent)",
+         ({} MAC retransmissions, {} MRTS sent, {heard} frames delivered here)",
         args.publish,
         started.elapsed().as_secs_f64(),
         c.retransmissions,

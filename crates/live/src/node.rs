@@ -665,7 +665,9 @@ impl LiveNode {
     }
 
     /// Drain frames delivered up to the "network layer", with delivery
-    /// times.
+    /// times. A node buffers every delivery until it is taken: a driver
+    /// that never takes a node's deliveries holds them for as long as it
+    /// runs.
     pub fn take_delivered(&mut self) -> Vec<(SimTime, Frame)> {
         std::mem::take(&mut self.ctx.delivered)
     }

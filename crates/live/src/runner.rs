@@ -61,6 +61,12 @@ impl LoopbackRunner {
         &self.nodes
     }
 
+    /// All nodes, mutably, in construction order (drain every node's
+    /// deliveries in one pass).
+    pub fn nodes_mut(&mut self) -> &mut [LiveNode] {
+        &mut self.nodes
+    }
+
     fn index_of(&self, id: NodeId) -> usize {
         self.nodes
             .iter()

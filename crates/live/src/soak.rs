@@ -232,9 +232,17 @@ pub fn run_loopback_soak(cfg: &SoakConfig) -> SoakReport {
     loop {
         let progressed = runner.step();
 
-        // Harvest subscriber deliveries.
-        for (si, &sub) in sub_ids.iter().enumerate() {
-            for (t, frame) in runner.node_mut(sub).take_delivered() {
+        // Take every node's deliveries, so that none piles up. Those of a
+        // subscriber feed the dedupe and the latency histogram; any other
+        // node's are discarded (the live wire decodes group DATA as
+        // broadcast, so a publisher in Idle/Backoff accepts the other's
+        // late DATA).
+        for node in runner.nodes_mut() {
+            let delivered = node.take_delivered();
+            let Some(si) = usize::from(node.id().0).checked_sub(cfg.publishers + 1) else {
+                continue;
+            };
+            for (t, frame) in delivered {
                 let Some((publisher, seq)) = parse_payload(&frame.payload) else {
                     continue; // not soak traffic
                 };

@@ -1,20 +1,28 @@
-//! The memory budget of one replication, in live heap bytes.
+//! The memory budget of one replication and of a live soak, in live heap
+//! bytes.
 //!
 //! Peak RSS swings with allocator layout and with whatever else the host is
-//! doing; the peak of *live* heap bytes during a replication does not. This
-//! binary installs a counting allocator (here only: the crates stay free of
-//! `unsafe`) and holds the peak above the bytes live before `execute()`.
+//! doing; the peak of *live* heap bytes during a run does not. This binary
+//! installs a counting allocator (here only: the crates stay free of
+//! `unsafe`) and holds the peak above the bytes live before the run.
 //! The calendar queue keeps buffers only for windows that hold events, so
 //! its retained capacity tracks the pending depth; a queue that keeps one
 //! buffer per ring window it ever touched (1 024 of them) fails here. (The
 //! report's sample copies, folded in place since, came after the peak and
 //! never set it.) The replication is one shard group, run on the calling
 //! thread, so the count repeats exactly.
+//!
+//! A live soak keeps only what is live: the harness takes every node's
+//! deliveries and the MAC counts MRTSs per receiver count, so the soak's
+//! peak does not grow with its length. A harness that leaves the
+//! publishers' deliveries in their nodes, or a counter that keeps one
+//! sample per MRTS, fails here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rmac::prelude::*;
+use rmac_live::{run_loopback_soak, SoakConfig};
 
 /// The system allocator, counting live bytes and their high water.
 struct Counting;
@@ -91,18 +99,66 @@ fn peak_bytes(protocol: Protocol) -> usize {
 /// held 1.3–1.7 MB.
 const BUDGET: usize = 1_000_000;
 
-/// One test, so that no other test allocates while a replication is
-/// counted.
+/// Live heap bytes at the peak of a live loopback soak of `packets` per
+/// publisher — 2 publishers × 3 subscribers, 500 B payloads, 20 %
+/// Gilbert–Elliott loss, seed 1 — above those live before it started.
+fn soak_peak_bytes(packets: u64) -> usize {
+    let cfg = SoakConfig {
+        publishers: 2,
+        subscribers: 3,
+        packets_per_publisher: packets,
+        payload_len: 500,
+        ..SoakConfig::default()
+    };
+    let before = LIVE.load(Ordering::SeqCst);
+    PEAK.store(before, Ordering::SeqCst);
+    let report = run_loopback_soak(&cfg);
+    let peak = PEAK.load(Ordering::SeqCst) - before;
+    assert!(report.complete(), "{report:?}");
+    peak
+}
+
+/// The short soak's packets per publisher; the long one runs four times
+/// as many.
+const SOAK_PACKETS: u64 = 250;
+
+/// How much more the long soak may hold than the short one. With the
+/// publishers' deliveries left in their nodes the peak grew by 1.3 MB;
+/// with one `u32` kept per MRTS sent, by 12 KB.
+const SOAK_SLACK: usize = 4_096;
+
+/// Either soak's budget. With the publishers' deliveries left in their
+/// nodes the short soak held 0.46 MB and the long one 1.77 MB.
+const SOAK_BUDGET: usize = 100_000;
+
+/// One test, so that no other test allocates while a run is counted.
 #[test]
 fn a_replication_holds_memory_only_for_what_is_live() {
     let peaks = [Protocol::Bmmm, Protocol::Rmac].map(|p| (p, peak_bytes(p)));
+    let soaks = [SOAK_PACKETS, 4 * SOAK_PACKETS].map(|p| (p, soak_peak_bytes(p)));
     for (protocol, peak) in peaks {
         println!("{protocol:?}: {peak} live heap bytes at the peak");
+    }
+    for (packets, peak) in soaks {
+        println!("soak of {packets} packets per publisher: {peak} live heap bytes at the peak");
     }
     for (protocol, peak) in peaks {
         assert!(
             peak <= BUDGET,
             "{protocol:?} held {peak} live heap bytes at its peak (budget {BUDGET})"
+        );
+    }
+    let [(short, short_peak), (long, long_peak)] = soaks;
+    assert!(
+        long_peak <= short_peak + SOAK_SLACK,
+        "the soak's peak grew with its length: {short_peak} live heap bytes at {short} \
+         packets per publisher, {long_peak} at {long} (slack {SOAK_SLACK})"
+    );
+    for (packets, peak) in soaks {
+        assert!(
+            peak <= SOAK_BUDGET,
+            "the soak of {packets} packets per publisher held {peak} live heap bytes \
+             at its peak (budget {SOAK_BUDGET})"
         );
     }
 }
