@@ -26,9 +26,9 @@ echo "    in-process coordinator or per-destination queue beside the loopback ru
 echo "    no x-stripe beside the radio component, no second record of a campaign beside its store —"
 echo "    no gate baseline, summary file or dashboard — no JSON writer beside rmac_wire::json, and no"
 echo "    full-width node stacks filtered down to a group's own after the run, no scale knob a bin"
-echo "    reads from the environment, and no sample kept per MRTS: DESIGN.md §13, §11, §10, §12, §8,"
-echo "    §7, §9, §6, §2)"
-if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S|SweepSpec|SweepResults|run_sweep|try_replications|RMAC_QUICK|RMAC_RATES|RMAC_NODES|ShardedQueue|SeqQueue|push_with_seq|home_slot|EngineTransport|EngineMedium|schedule\(SLOT, TimerKind::BackoffSlot|merge_traces|DispatchLog|DispatchRec|seed_slots|TraceCapture|popped_seq|ManualClock|BenchDocs|tone_count|pooled_tone_buf|sensed_since|rbt_runs|execute_sharded|into_runner|sched_rng|ShardGroupRow|balance_rows|FuzzProtocol|FuzzChurn|handle_at|set_cursor|FrameArriveStart \{ rx, tx, power|on_tx_start|on_node_down|observe_indication|trace_indication|fn describe\(r: &TraceRecord|on_told|off_told|sync_tone_interest|DEFAULT_QUANTUM|level_for|higher_candidate|level0_candidate|SLOT_BITS|const QUANTUM|SimEndpoint|pop_due_for|next_arrival_for|ArrivalQueue|impl Transport for|fn stripes|coupled_groups|stripe_w|GateConfig|run_gate|gate_spec|summarize_json|render_html|render_ascii|metric_tol_pct|inject-mutant|parse_flat|push_obj|push_list|keep_owned|env_u64|RMAC_SEEDS?\b|RMAC_PACKETS|RMAC_LIVE_(PUBS|SUBS|PACKETS|PAYLOAD|SEED)\b|mrts_lengths:|\.mrts_lengths' \
+echo "    reads from the environment, and no sample kept per MRTS, per delay or per seen id: DESIGN.md"
+echo "    §13, §11, §10, §12, §8, §7, §9, §6, §2)"
+if git grep -nE 'QueueKind|with_heap_queue|with_brute_force_phy|RMAC_GATE_PERF_TOL|RMAC_PREOBS_S|SweepSpec|SweepResults|run_sweep|try_replications|RMAC_QUICK|RMAC_RATES|RMAC_NODES|ShardedQueue|SeqQueue|push_with_seq|home_slot|EngineTransport|EngineMedium|schedule\(SLOT, TimerKind::BackoffSlot|merge_traces|DispatchLog|DispatchRec|seed_slots|TraceCapture|popped_seq|ManualClock|BenchDocs|tone_count|pooled_tone_buf|sensed_since|rbt_runs|execute_sharded|into_runner|sched_rng|ShardGroupRow|balance_rows|FuzzProtocol|FuzzChurn|handle_at|set_cursor|FrameArriveStart \{ rx, tx, power|on_tx_start|on_node_down|observe_indication|trace_indication|fn describe\(r: &TraceRecord|on_told|off_told|sync_tone_interest|DEFAULT_QUANTUM|level_for|higher_candidate|level0_candidate|SLOT_BITS|const QUANTUM|SimEndpoint|pop_due_for|next_arrival_for|ArrivalQueue|impl Transport for|fn stripes|coupled_groups|stripe_w|GateConfig|run_gate|gate_spec|summarize_json|render_html|render_ascii|metric_tol_pct|inject-mutant|parse_flat|push_obj|push_list|keep_owned|env_u64|RMAC_SEEDS?\b|RMAC_PACKETS|RMAC_LIVE_(PUBS|SUBS|PACKETS|PAYLOAD|SEED)\b|mrts_lengths:|\.mrts_lengths|delays_s|seen: DetHashSet' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!ci.sh'; then
     echo "a retired knob name reappeared (see above)" >&2
     exit 1
@@ -221,14 +221,20 @@ cargo test -q --release --test queue_equivalence
 cargo test -q --release -p rmac-engine --lib the_calendar_advances_at_most_once_per_event
 
 echo "==> memory follows what is live (the calendar keeps buffers only for windows that hold events, so"
-echo "    retained capacity tracks the pending depth; the run report folds its delay samples and MRTS"
-echo "    counts bit for bit as the flattened copies did)"
+echo "    retained capacity tracks the pending depth; the run report folds its MRTS counts bit for bit as"
+echo "    the flattened lengths did, and its delay mean is the exact nanosecond sum's, within (n/2 + 2)·ε of"
+echo "    the per-sample seconds summed in node order)"
 cargo test -q --release -p rmac-sim --lib retained_capacity_tracks_the_pending_depth
 cargo test -q --release -p rmac-engine --lib report_folds
 
-echo "==> memory does not grow with the run (a replication's peak live heap bytes stay under budget; a"
-echo "    live soak takes every node's deliveries and counts MRTSs per receiver count, so four times the"
-echo "    packets hold no more at the peak; the pinned soak reports do not move)"
+echo "==> memory does not grow with the run (a replication's peak live heap bytes stay under budget, and"
+echo "    four times the packets hold at most 32 KiB more: seen ids are a low-water mark plus a bitset"
+echo "    window that answers as a hash set, delays one nanosecond sum, and the beacon timetable one"
+echo "    jitter per fire that fires as the absolute table did; a live soak takes every node's deliveries"
+echo "    and counts MRTSs per receiver count, so four times the packets hold no more at the peak; the"
+echo "    pinned soak reports do not move)"
+cargo test -q --release -p rmac-net --lib seen::
+cargo test -q --release -p rmac-engine --lib timetable
 cargo test -q --release --test memory_budget
 cargo test -q --release -p rmac-live --test live_determinism
 

@@ -8,7 +8,7 @@ use rmac_core::api::{MacContext, MacCounters, MacService, TimerKind, TxOutcome, 
 use rmac_faults::{ChurnKind, FaultInjector, FaultPlan, JamTarget};
 use rmac_metrics::{percentile, percentile_counted, RunReport};
 use rmac_mobility::{random_positions, MobilityKind, Motion, Pos};
-use rmac_net::{BlessConfig, NetLayer};
+use rmac_net::{AppStats, BlessConfig, NetLayer};
 use rmac_obs::{ObsReport, Snapshot};
 use rmac_phy::{
     Channel, ChannelConfig, FaultKind, FrameTallies, IndexMode, Indication, PhyEvent, Tone, ToneLog,
@@ -77,28 +77,43 @@ const BEACON_JITTER_NS: u64 = 10_000_000;
 /// other subsystem. That closure lets the whole schedule be computed by
 /// replaying just the beacon events through a miniature queue; every shard
 /// group then reads its nodes' fires from the one table, and no stream is
-/// shared between groups. It grows with the run's length, so it is an input
-/// of *running* ([`Runner::run_events`]), never of assembly.
+/// shared between groups. It grows with the run's length, 4 B per node per
+/// beacon, so it is an input of *running* ([`Runner::run_events`]), never
+/// of assembly.
 pub(crate) struct BeaconTimetable {
-    /// Per node: absolute fire times, `[0]` being the initial stagger.
-    /// Covers every fire at or before end-of-run plus one successor each,
-    /// so a dispatching beacon can always read its next fire.
-    times: Vec<Vec<SimTime>>,
+    period: SimTime,
+    /// Per node: its first fire, the initial stagger.
+    first: Vec<SimTime>,
+    /// Per node: the jitter (ns, below [`BEACON_JITTER_NS`]) of every later
+    /// fire, entry `k` taking fire `k` to fire `k + 1` at `period + jitter`
+    /// after it. One entry per fire at or before end-of-run, so a
+    /// dispatching beacon can always work out its next fire; no more, since
+    /// each vector is held at exact capacity.
+    jitters: Vec<Vec<u32>>,
 }
 
 impl BeaconTimetable {
     pub(crate) fn build(cfg: &ScenarioConfig, seed: u64) -> BeaconTimetable {
         let (period, end) = (BlessConfig::default().beacon_period, cfg.end_time());
         let mut sched = SimRng::new(seed).split(3);
-        let mut times: Vec<Vec<SimTime>> = vec![Vec::new(); cfg.nodes];
         let mut beacons: EventQueue<u16> = EventQueue::with_capacity(cfg.nodes.max(16));
         // Stagger the first beacons uniformly over one period, drawn in
         // node order, so the network does not start in lockstep.
-        for (i, t) in times.iter_mut().enumerate() {
-            let at = SimTime::from_nanos(sched.below(period.nanos().max(1)));
-            t.push(at);
-            beacons.push(at, i as u16);
-        }
+        let first: Vec<SimTime> = (0..cfg.nodes)
+            .map(|i| {
+                let at = SimTime::from_nanos(sched.below(period.nanos().max(1)));
+                beacons.push(at, i as u16);
+                at
+            })
+            .collect();
+        // Fires are at least a period apart, which bounds each node's count.
+        let mut jitters: Vec<Vec<u32>> = first
+            .iter()
+            .map(|&at| match end.checked_sub(at) {
+                Some(left) => Vec::with_capacity((left.nanos() / period.nanos()) as usize + 1),
+                None => Vec::new(),
+            })
+            .collect();
         // Play the dispatches out up to the end of the run (a beacon past
         // it never dispatches): one jitter draw each, in dispatch order,
         // simultaneous beacons FIFO. A run drawing from the stream at each
@@ -107,17 +122,33 @@ impl BeaconTimetable {
         // dispatch, and events of other kinds neither draw from the
         // stream nor reorder beacons.
         while let Some((t, node)) = SimQueue::pop_at_or_before(&mut beacons, end) {
-            let jitter = SimTime::from_nanos(sched.below(BEACON_JITTER_NS));
-            let next = t + period + jitter;
-            times[node as usize].push(next);
-            beacons.push(next, node);
+            let jitter = sched.below(BEACON_JITTER_NS) as u32;
+            jitters[node as usize].push(jitter);
+            beacons.push(t + period + SimTime::from_nanos(jitter.into()), node);
         }
-        BeaconTimetable { times }
+        for j in &mut jitters {
+            j.shrink_to_fit();
+        }
+        BeaconTimetable {
+            period,
+            first,
+            jitters,
+        }
     }
 
-    /// When `node`'s beacon fires for the `fire`-th time (from 0).
-    fn at(&self, node: NodeId, fire: u32) -> SimTime {
-        self.times[node.idx()][fire as usize]
+    /// When `node`'s beacon fires first.
+    fn first(&self, node: NodeId) -> SimTime {
+        self.first[node.idx()]
+    }
+
+    /// When `node`'s beacon fires next, its `fire`-th (from 0) dispatching
+    /// `now`: the nominal period plus the jitter the table drew for it. A
+    /// fire the table does not cover is off the timetable.
+    fn next(&self, node: NodeId, fire: u32, now: SimTime) -> SimTime {
+        let Some(&jitter) = self.jitters[node.idx()].get(fire as usize) else {
+            panic!("beacon off its timetable: {node:?}'s fire {fire} at {now}");
+        };
+        now + self.period + SimTime::from_nanos(jitter.into())
     }
 }
 
@@ -696,7 +727,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
         for &s in nodes {
             let node = NodeId(s as u16);
             let first = Ev::Beacon { node, fire: 0 };
-            self.core.q.push(beacons.at(node, 0), first);
+            self.core.q.push(beacons.first(node), first);
         }
         if nodes.first() == Some(&0) {
             self.core.q.push(self.cfg.warmup, Ev::Source);
@@ -840,7 +871,6 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
             }
             Ev::Beacon { node, fire } => {
                 let now = self.core.q.now();
-                debug_assert_eq!(beacons.at(node, fire), now, "beacon off its timetable");
                 // A crashed node emits no beacons but keeps its tick alive
                 // for the restart.
                 let i = self.owned(node);
@@ -851,12 +881,9 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                         self.submit(node, i, req);
                     }
                 }
-                // Next beacon: the nominal period plus the jitter the
-                // timetable drew for it.
+                let next = beacons.next(node, fire, now);
                 let fire = fire + 1;
-                self.core
-                    .q
-                    .push(beacons.at(node, fire), Ev::Beacon { node, fire });
+                self.core.q.push(next, Ev::Beacon { node, fire });
             }
             Ev::Source => {
                 if self.packets_left == 0 {
@@ -1223,8 +1250,7 @@ pub(crate) fn collect_report(
     let packets_sent = h.packets_sent;
 
     let receptions = h.nets.iter().skip(1).map(|net| net.stats().received).sum();
-    let (e2e_delay_avg_s, delay_samples) =
-        delay_mean(h.nets.iter().map(|net| net.stats().delays_s.as_slice()));
+    let (e2e_delay_avg_s, delay_samples) = delay_avg_s(h.nets.iter().map(NetLayer::stats));
 
     let nonleaf: Vec<usize> = (0..n)
         .filter(|&i| h.counters[i].reliable_accepted > 0)
@@ -1323,18 +1349,18 @@ pub(crate) fn collect_report(
     }
 }
 
-/// Mean and count of every node's end-to-end delay samples, summed in node
-/// order straight from the nodes' own vectors: the same `f64`s in the same
-/// order as one flattened vector, so the same mean to the bit.
-fn delay_mean<'a, I>(per_node: I) -> (f64, u64)
-where
-    I: Iterator<Item = &'a [f64]> + Clone,
-{
-    let n: usize = per_node.clone().map(<[f64]>::len).sum();
+/// Mean end-to-end delay in seconds and its sample count: every node's
+/// nanosecond sum and reception count, summed exactly in any order, then
+/// divided once by the count. The total stays far inside `u64`: paper
+/// scale sums to about 10¹⁶ ns, 1 800 times below the bound.
+fn delay_avg_s<'a>(per_node: impl Iterator<Item = &'a AppStats>) -> (f64, u64) {
+    let (sum_ns, n) = per_node.fold((0u64, 0u64), |(sum, n), s| {
+        (sum + s.delay_sum_ns, n + s.received)
+    });
     if n == 0 {
         return (0.0, 0);
     }
-    (per_node.flatten().sum::<f64>() / n as f64, n as u64)
+    (SimTime::from_nanos(sum_ns).as_secs_f64() / n as f64, n)
 }
 
 /// Mean, 99th percentile and maximum of every node's MRTS lengths, from

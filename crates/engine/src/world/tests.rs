@@ -709,8 +709,9 @@ fn the_timetable_beacons_at_the_bless_default_cadence_and_covers_the_run() {
         .with_packets(10);
     let (period, end) = (bless.beacon_period, cfg.end_time());
     let table = BeaconTimetable::build(&cfg, 42);
-    assert_eq!(table.times.len(), 8);
-    for per_node in &table.times {
+    assert_eq!(table.first.len(), 8);
+    for node in (0..8).map(NodeId) {
+        let per_node = fires(&table, node);
         // Initial stagger inside one period, then strictly increasing
         // steps of period..period+jitter.
         assert!(per_node[0] < period);
@@ -720,27 +721,181 @@ fn the_timetable_beacons_at_the_bless_default_cadence_and_covers_the_run() {
             assert!(step < period + SimTime::from_nanos(BEACON_JITTER_NS));
         }
         // The table runs past the end of the run (last entry is the
-        // never-dispatched successor).
+        // never-dispatched successor), and keeps no spare jitter slot.
         assert!(*per_node.last().unwrap() > end);
+        assert!(per_node[per_node.len() - 2] <= end);
+        let jitters = &table.jitters[node.idx()];
+        assert_eq!(jitters.capacity(), jitters.len());
     }
 }
 
-/// The report's delay and MRTS folds against the expressions they replaced,
-/// kept verbatim: flatten every node's samples into one `Vec<f64>`, then
-/// take its mean, nearest-rank 99th percentile and maximum. A node's MRTSs
-/// are counted per receiver count; the oracle flattens their lengths.
+/// Every fire time of `node` the table covers, the never-dispatched
+/// successor last.
+fn fires(table: &BeaconTimetable, node: NodeId) -> Vec<SimTime> {
+    let mut at = table.first(node);
+    let mut fires = vec![at];
+    for fire in 0..table.jitters[node.idx()].len() as u32 {
+        at = table.next(node, fire, at);
+        fires.push(at);
+    }
+    fires
+}
+
+/// The timetable as it was built when it kept every absolute fire time,
+/// kept verbatim as the oracle for the jitter form.
+fn absolute_fire_times(cfg: &ScenarioConfig, seed: u64) -> Vec<Vec<SimTime>> {
+    use rmac_sim::{EventQueue, SimQueue, SimRng};
+
+    let (period, end) = (BlessConfig::default().beacon_period, cfg.end_time());
+    let mut sched = SimRng::new(seed).split(3);
+    let mut times: Vec<Vec<SimTime>> = vec![Vec::new(); cfg.nodes];
+    let mut beacons: EventQueue<u16> = EventQueue::with_capacity(cfg.nodes.max(16));
+    // Stagger the first beacons uniformly over one period, drawn in
+    // node order, so the network does not start in lockstep.
+    for (i, t) in times.iter_mut().enumerate() {
+        let at = SimTime::from_nanos(sched.below(period.nanos().max(1)));
+        t.push(at);
+        beacons.push(at, i as u16);
+    }
+    // Play the dispatches out up to the end of the run (a beacon past
+    // it never dispatches): one jitter draw each, in dispatch order,
+    // simultaneous beacons FIFO. A run drawing from the stream at each
+    // dispatch — how `tests/golden/` was recorded — consumes it in
+    // this order too: a beacon is pushed at its predecessor's
+    // dispatch, and events of other kinds neither draw from the
+    // stream nor reorder beacons.
+    while let Some((t, node)) = SimQueue::pop_at_or_before(&mut beacons, end) {
+        let jitter = SimTime::from_nanos(sched.below(BEACON_JITTER_NS));
+        let next = t + period + jitter;
+        times[node as usize].push(next);
+        beacons.push(next, node);
+    }
+    times
+}
+
+/// The jitter form gives every node the absolute table's fires: stationary,
+/// under speed-2 mobility, beside a jammer and at the eight-cell layout's
+/// 2 000 nodes and length. Where the run is one group its beacons are traced
+/// too: each node sends one at every fire the table dispatches, and at no
+/// other time.
+#[test]
+fn the_jitter_timetable_fires_as_the_absolute_one_did() {
+    use rmac_faults::{FaultPlan, JamTarget, JammerSpec};
+    use std::sync::{Arc, Mutex};
+
+    use crate::trace::TraceWhat;
+
+    let jammer = FaultPlan::none().with_jammer(JammerSpec {
+        x: 250.0,
+        y: 150.0,
+        target: JamTarget::Data,
+        start_ms: 0,
+        period_ms: 20,
+        burst_ms: 5,
+    });
+    let stationary = ScenarioConfig::paper_stationary(20.0);
+    let cells = stationary.clone().with_nodes(2000).with_packets(300);
+    let cases = [
+        (stationary.clone().with_packets(200), FaultPlan::none(), 1),
+        (
+            ScenarioConfig::paper_speed2(10.0).with_packets(100),
+            FaultPlan::none(),
+            7,
+        ),
+        (stationary.with_packets(100), jammer, 3),
+        (cells, FaultPlan::none(), 0x75AA),
+    ];
+    for (cfg, plan, seed) in cases {
+        let table = BeaconTimetable::build(&cfg, seed);
+        let oracle = absolute_fire_times(&cfg, seed);
+        assert_eq!(table.first.len(), cfg.nodes);
+        for (node, expected) in oracle.iter().enumerate() {
+            assert_eq!(&fires(&table, NodeId(node as u16)), expected, "node {node}");
+        }
+        if cfg.nodes > 75 {
+            continue;
+        }
+        let sent: Arc<Mutex<Vec<(NodeId, SimTime)>>> = Arc::default();
+        let sink = sent.clone();
+        Run::new(&cfg, Protocol::Rmac, seed)
+            .faults(&plan)
+            .tracer(Box::new(move |e| {
+                if let TraceWhat::Submit {
+                    reliable: false, ..
+                } = e.what
+                {
+                    sink.lock().unwrap().push((e.node, e.t));
+                }
+            }))
+            .execute();
+        let mut sent = std::mem::take(&mut *sent.lock().unwrap());
+        sent.sort();
+        let mut dispatched: Vec<(NodeId, SimTime)> = Vec::new();
+        for (node, times) in oracle.iter().enumerate() {
+            let due = times.iter().filter(|&&t| t <= cfg.end_time());
+            dispatched.extend(due.map(|&t| (NodeId(node as u16), t)));
+        }
+        assert_eq!(sent, dispatched);
+    }
+}
+
+/// A beacon the table holds no next fire for is off its timetable.
+#[test]
+#[should_panic(expected = "beacon off its timetable")]
+fn a_fire_the_table_does_not_cover_is_off_its_timetable() {
+    let cfg = ScenarioConfig::paper_stationary(5.0)
+        .with_nodes(3)
+        .with_packets(5);
+    let table = BeaconTimetable::build(&cfg, 9);
+    let covered = table.jitters[1].len() as u32;
+    table.next(NodeId(1), covered, cfg.end_time());
+}
+
+/// The report's delay and MRTS folds. A node's delays are summed in integer
+/// nanoseconds, checked against a `u128` sum of the samples and against the
+/// mean of their seconds summed in node order, as the report once took it.
+/// A node's MRTSs are counted per receiver count, checked against the
+/// expressions they replaced, kept verbatim: flatten every node's lengths
+/// into one `Vec<f64>`, then take its mean, nearest-rank 99th percentile
+/// and maximum.
 mod report_folds {
     use proptest::collection::vec;
     use proptest::prelude::*;
     use rmac_core::MacCounters;
     use rmac_metrics::percentile;
+    use rmac_net::AppStats;
     use rmac_wire::airtime::mrts_len;
 
-    use crate::world::{delay_mean, mrts_stats};
+    use crate::world::{delay_avg_s, mrts_stats};
 
-    /// Delays spread over six decades, so the running sum rounds.
-    fn delay() -> impl Strategy<Value = f64> {
-        (0.0..1.0, 0u32..6).prop_map(|(x, k)| x * 10f64.powi(k as i32 - 4))
+    /// Delays in nanoseconds, spread over six decades up to 100 s.
+    fn delay_ns() -> impl Strategy<Value = u64> {
+        (0u64..1_000_000_000, 0u32..6).prop_map(|(x, k)| x * 10u64.pow(k) / 1000)
+    }
+
+    /// Each node's stats as its network layer keeps them.
+    fn stats(delays_per_node: &[Vec<u64>]) -> Vec<AppStats> {
+        let stats = |delays: &Vec<u64>| AppStats {
+            received: delays.len() as u64,
+            delay_sum_ns: delays.iter().sum(),
+            ..AppStats::default()
+        };
+        delays_per_node.iter().map(stats).collect()
+    }
+
+    /// The mean of the samples' exact `u128` sum, to the bit, and its count.
+    fn delay_mean_is_the_exact_one(delays_per_node: &[Vec<u64>]) -> (f64, u64) {
+        let (avg, n) = delay_avg_s(stats(delays_per_node).iter());
+        let samples = delays_per_node.iter().flatten();
+        let exact: u128 = samples.clone().map(|&d| u128::from(d)).sum();
+        assert_eq!(n, samples.count() as u64);
+        let mean = if n == 0 {
+            0.0
+        } else {
+            exact as f64 / 1e9 / n as f64
+        };
+        assert_eq!(avg.to_bits(), mean.to_bits(), "{delays_per_node:?}");
+        (avg, n)
     }
 
     /// The count form's fold against the flattened lengths, to the bit.
@@ -780,6 +935,19 @@ mod report_folds {
         );
     }
 
+    /// Nodes that received nothing, between and after ones that did, and a
+    /// paper-scale sum: 740 000 receptions of 13.5 s past the knee, about
+    /// 10¹⁶ ns.
+    #[test]
+    fn delays_fold_over_silent_nodes_and_paper_scale_sums() {
+        assert_eq!(delay_mean_is_the_exact_one(&[]), (0.0, 0));
+        assert_eq!(delay_mean_is_the_exact_one(&[vec![], vec![]]), (0.0, 0));
+        delay_mean_is_the_exact_one(&[vec![], vec![2_000_000_000, 7], vec![], vec![1]]);
+        let paper = vec![vec![13_500_000_000u64; 10_000]; 74];
+        let (avg, n) = delay_mean_is_the_exact_one(&paper);
+        assert_eq!((avg, n), (13.5, 740_000));
+    }
+
     /// Nodes that sent no MRTS, between and after ones that did, and
     /// receiver counts past Fig. 12's 20 (the X3 ablation runs 40).
     #[test]
@@ -794,33 +962,33 @@ mod report_folds {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         #[test]
-        fn streamed_folds_equal_the_flattened_ones_bit_for_bit(
+        fn streamed_folds_equal_their_oracles(
             // The small shapes give no node, empty nodes, no sample at all
             // and a single sample often.
             delays_per_node in prop_oneof![
-                vec(vec(delay(), 0..2), 0..3),
-                vec(vec(delay(), 0..24), 0..12),
+                vec(vec(delay_ns(), 0..2), 0..3),
+                vec(vec(delay_ns(), 0..24), 0..12),
             ],
             receivers_per_node in prop_oneof![
                 vec(vec(1usize..=40, 0..2), 0..3),
                 vec(vec(1usize..=40, 0..16), 0..12),
             ],
         ) {
-            let mean = |v: &[f64]| {
-                if v.is_empty() {
-                    0.0
-                } else {
-                    v.iter().sum::<f64>() / v.len() as f64
-                }
-            };
-            let mut delays: Vec<f64> = Vec::new();
-            for d in &delays_per_node {
-                delays.extend(d);
+            let (avg, n) = delay_mean_is_the_exact_one(&delays_per_node);
+            // Against the per-sample seconds summed in node order: each
+            // sample's seconds and each partial sum round by up to ε/2, the
+            // exact sum's mean three times in all, so the two means part by
+            // at most (n/2 + 2)·ε of the mean, within n·ε from n = 4 on.
+            let mut seconds = 0.0f64;
+            for d in delays_per_node.iter().flatten() {
+                seconds += *d as f64 / 1e9;
             }
-
-            let (avg, n) = delay_mean(delays_per_node.iter().map(Vec::as_slice));
-            prop_assert_eq!(avg.to_bits(), mean(&delays).to_bits());
-            prop_assert_eq!(n, delays.len() as u64);
+            let sequential = if n == 0 { 0.0 } else { seconds / n as f64 };
+            let bound = (n as f64 / 2.0 + 2.0) * f64::EPSILON * sequential;
+            prop_assert!(
+                (avg - sequential).abs() <= bound,
+                "{avg} against {sequential}, bound {bound}"
+            );
             mrts_fold_matches_the_flattened_lengths(&receivers_per_node);
         }
     }

@@ -2,11 +2,12 @@
 
 use bytes::Bytes;
 use rmac_core::api::TxRequest;
-use rmac_sim::{DetHashSet, SimTime};
+use rmac_sim::SimTime;
 use rmac_wire::{Dest, Frame, FrameKind, NodeId};
 
 use crate::bless::{BlessConfig, BlessState};
 use crate::payload::NetPayload;
+use crate::seen::SeenIds;
 
 /// Application-level statistics collected at one node.
 #[derive(Clone, Debug, Default)]
@@ -21,8 +22,11 @@ pub struct AppStats {
     pub forwarded: u64,
     /// Packets that arrived with no children to forward to.
     pub leaf_receipts: u64,
-    /// End-to-end delay of each unique reception, in seconds.
-    pub delays_s: Vec<f64>,
+    /// Sum of the end-to-end delays of every unique reception, in
+    /// nanoseconds; `received` counts them. Exact and order-free, it holds
+    /// 584 years of summed delay: a paper-scale replication (75 nodes,
+    /// 10 000 packets) sums to about 10¹⁶ ns in all.
+    pub delay_sum_ns: u64,
 }
 
 /// The per-node network layer: BLESS-lite routing plus the multicast
@@ -38,7 +42,7 @@ pub struct NetLayer {
     /// (one broadcast per hop, no recovery) — the §1 strawman that
     /// motivates MAC-layer reliability.
     reliable_forwarding: bool,
-    seen: DetHashSet<u32>,
+    seen: SeenIds,
     stats: AppStats,
     next_packet_id: u32,
     next_token: u64,
@@ -53,7 +57,7 @@ impl NetLayer {
             bless: BlessState::new(id, cfg),
             payload_len,
             reliable_forwarding: true,
-            seen: DetHashSet::default(),
+            seen: SeenIds::default(),
             stats: AppStats::default(),
             next_packet_id: 0,
             next_token: (id.0 as u64) << 32,
@@ -146,9 +150,7 @@ impl NetLayer {
                     return;
                 }
                 self.stats.received += 1;
-                self.stats
-                    .delays_s
-                    .push(now.saturating_sub(origin).as_secs_f64());
+                self.stats.delay_sum_ns += now.saturating_sub(origin).nanos();
                 // Relay the received bytes instead of re-encoding: the
                 // encoding of `App { id, origin }` padded to this node's
                 // payload length is exactly the bytes that arrived (tag,
@@ -303,7 +305,7 @@ mod tests {
         nodek.on_deliver(t(4), &app_frame(1, 0, t(2), vec![n(5)]), &mut out);
         assert_eq!(nodek.stats().received, 1);
         assert_eq!(nodek.stats().forwarded, 1);
-        assert!((nodek.stats().delays_s[0] - 2.0).abs() < 1e-9);
+        assert_eq!(nodek.stats().delay_sum_ns, 2_000_000_000);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].dest, Dest::Group(vec![n(9)]));
     }
@@ -316,7 +318,7 @@ mod tests {
         nodek.on_deliver(t(5), &app_frame(1, 7, t(2), vec![n(5)]), &mut out);
         assert_eq!(nodek.stats().received, 1);
         assert_eq!(nodek.stats().duplicates, 1);
-        assert_eq!(nodek.stats().delays_s.len(), 1);
+        assert_eq!(nodek.stats().delay_sum_ns, 2_000_000_000);
     }
 
     #[test]

@@ -15,13 +15,15 @@
 //!   size packets at a configured rate; every node that receives a new
 //!   packet forwards it to its current children with the MAC's Reliable
 //!   Send (multicast mode). Duplicates (possible after a missed ABT or a
-//!   topology change) are suppressed by packet id.
+//!   topology change) are suppressed by packet id, held as a low-water
+//!   mark plus a bitset of the ids above it.
 //! * [`payload`] — the on-wire encoding of beacons and application
 //!   packets (consuming `rmac-wire`'s byte conventions).
 
 pub mod app;
 pub mod bless;
 pub mod payload;
+mod seen;
 
 pub use app::{AppStats, NetLayer};
 pub use bless::{BlessConfig, BlessState};

@@ -12,6 +12,13 @@
 //! never set it.) The replication is one shard group, run on the calling
 //! thread, so the count repeats exactly.
 //!
+//! A replication's live state does not grow with its packets: a node keeps
+//! the ids it has seen as a low-water mark plus a bitset window, its delays
+//! as one nanosecond sum, and the beacon timetable one 4-byte jitter per
+//! fire, so four times the packets hold at most a small slack more at the
+//! peak. A hash set of seen ids, a delay sample per reception or absolute
+//! beacon times fail here.
+//!
 //! A live soak keeps only what is live: the harness takes every node's
 //! deliveries and the MAC counts MRTSs per receiver count, so the soak's
 //! peak does not grow with its length. A harness that leaves the
@@ -81,23 +88,37 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// Live heap bytes at the peak of `protocol`'s replication of the paper's
-/// stationary scenario at 40 pkt/s, 100 packets, seed 1, above those live
-/// before it started.
-fn peak_bytes(protocol: Protocol) -> usize {
-    let cfg = ScenarioConfig::paper_stationary(40.0).with_packets(100);
-    let run = Run::new(&cfg, protocol, 1);
+/// Live heap bytes at the peak of `protocol`'s replication of `cfg`, seed 1,
+/// above those live before it started.
+fn peak_bytes(cfg: &ScenarioConfig, protocol: Protocol) -> usize {
+    let run = Run::new(cfg, protocol, 1);
     let before = LIVE.load(Ordering::SeqCst);
     PEAK.store(before, Ordering::SeqCst);
     let out = run.execute();
     let peak = PEAK.load(Ordering::SeqCst) - before;
-    assert_eq!(out.report.packets_sent, 100);
+    assert_eq!(out.report.packets_sent, cfg.packets);
     peak
 }
 
-/// Both replications' budget. With a buffer per touched window they
-/// held 1.3–1.7 MB.
-const BUDGET: usize = 1_000_000;
+/// The budget of BMMM's and RMAC's replications of the paper's stationary
+/// scenario at 40 pkt/s, 100 packets: 5.5 % above today's larger peak
+/// (BMMM's 377 929 B; RMAC's is 372 293 B in release, 372 791 B in debug).
+/// With a buffer per touched window they held 1.3–1.7 MB; with a hash set
+/// of seen ids, a delay sample per reception and absolute beacon times,
+/// 0.51–0.52 MB.
+const BUDGET: usize = 400_000;
+
+/// The flat-in-length replications are RMAC's of the paper's stationary
+/// scenario at 20 pkt/s: the short one runs this many packets, the long one
+/// four times as many.
+const FLAT_PACKETS: u64 = 100;
+
+/// How much more the long replication may hold than the short one. With a
+/// hash set of seen ids, a delay sample per reception and absolute beacon
+/// times the peak grew by 419 KB; the bitset window of a node that lost a
+/// packet still grows by a bit per packet, and the beacon table by 4 B per
+/// node per beacon.
+const FLAT_SLACK: usize = 32 * 1024;
 
 /// Live heap bytes at the peak of a live loopback soak of `packets` per
 /// publisher — 2 publishers × 3 subscribers, 500 B payloads, 20 %
@@ -134,10 +155,16 @@ const SOAK_BUDGET: usize = 100_000;
 /// One test, so that no other test allocates while a run is counted.
 #[test]
 fn a_replication_holds_memory_only_for_what_is_live() {
-    let peaks = [Protocol::Bmmm, Protocol::Rmac].map(|p| (p, peak_bytes(p)));
+    let budgeted = ScenarioConfig::paper_stationary(40.0).with_packets(100);
+    let peaks = [Protocol::Bmmm, Protocol::Rmac].map(|p| (p, peak_bytes(&budgeted, p)));
+    let flat = |packets| ScenarioConfig::paper_stationary(20.0).with_packets(packets);
+    let flats = [FLAT_PACKETS, 4 * FLAT_PACKETS].map(|n| (n, peak_bytes(&flat(n), Protocol::Rmac)));
     let soaks = [SOAK_PACKETS, 4 * SOAK_PACKETS].map(|p| (p, soak_peak_bytes(p)));
     for (protocol, peak) in peaks {
         println!("{protocol:?}: {peak} live heap bytes at the peak");
+    }
+    for (packets, peak) in flats {
+        println!("RMAC at 20 pkt/s, {packets} packets: {peak} live heap bytes at the peak");
     }
     for (packets, peak) in soaks {
         println!("soak of {packets} packets per publisher: {peak} live heap bytes at the peak");
@@ -148,6 +175,12 @@ fn a_replication_holds_memory_only_for_what_is_live() {
             "{protocol:?} held {peak} live heap bytes at its peak (budget {BUDGET})"
         );
     }
+    let [(short, short_peak), (long, long_peak)] = flats;
+    assert!(
+        long_peak <= short_peak + FLAT_SLACK,
+        "the replication's peak grew with its length: {short_peak} live heap bytes at \
+         {short} packets, {long_peak} at {long} (slack {FLAT_SLACK})"
+    );
     let [(short, short_peak), (long, long_peak)] = soaks;
     assert!(
         long_peak <= short_peak + SOAK_SLACK,
