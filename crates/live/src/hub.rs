@@ -1,11 +1,11 @@
 //! [`LoopbackHub`]: the in-process datagram network.
 //!
 //! The hub is what a LAN switch plus the air is to the UDP backend:
-//! data-channel datagrams fan out to every endpoint after a fixed τ, and
-//! control datagrams travel point-to-point after `ctrl_latency`. Both
-//! latencies default to 0.5 µs, which keeps τ + ctrl_latency ≤ 2 µs — the
-//! bound under which the paper's 17 µs tone windows still contain λ = 15 µs
-//! of tone (see the crate docs' timing model).
+//! data-channel datagrams fan out to every endpoint, and control datagrams
+//! travel point-to-point, both after one fixed latency of 0.5 µs. A frame's
+//! hop plus its tone answer's hop then take 1 µs, within the 2 µs under
+//! which the paper's 17 µs tone windows still contain λ = 15 µs of tone
+//! (see the crate docs' timing model).
 //!
 //! Loss is where `rmac-faults` plugs in: each ordered data link (src → dst)
 //! gets its own seeded Gilbert–Elliott chain, split deterministically from
@@ -24,27 +24,29 @@
 //! the reliable channel the analog tones' narrow-band robustness provided
 //! in the paper.
 //!
-//! Every copy in flight sits on one [`rmac_sim::EventQueue`], whose
-//! `(time, seq)` key is the hub's delivery order: earliest arrival first,
-//! then send order across all destinations. Everything is virtual-time and
+//! Every copy in flight sits on one FIFO in send order, which is also
+//! arrival order: the caller sends at the instant it is executing, which
+//! never decreases (`LoopbackRunner` does), and both channels add the same
+//! latency, so no copy can arrive before one sent ahead of it. A debug
+//! build asserts it at every send. Everything is virtual-time and
 //! single-threaded: same seed, same submission schedule ⇒ byte-identical
 //! runs.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use rmac_faults::{BurstySpec, GeChain};
-use rmac_sim::{EventQueue, SimQueue, SimRng, SimTime};
+use rmac_sim::{SimRng, SimTime};
 use rmac_wire::NodeId;
 
 use crate::transport::{DgramChannel, Incoming};
 
+/// One-way latency of both channels (the stand-in for τ ≤ 1 µs). One value
+/// for both keeps arrival order equal to send order (see the module docs).
+const LATENCY: SimTime = SimTime::from_nanos(500);
+
 /// Loopback network parameters.
 #[derive(Clone, Debug)]
 pub struct HubConfig {
-    /// One-way latency of the data channel (the stand-in for τ ≤ 1 µs).
-    pub tau: SimTime,
-    /// One-way latency of the control channel.
-    pub ctrl_latency: SimTime,
     /// Gilbert–Elliott loss plan applied per ordered data link, or `None`
     /// for a lossless network.
     pub loss: Option<BurstySpec>,
@@ -55,8 +57,6 @@ pub struct HubConfig {
 impl Default for HubConfig {
     fn default() -> Self {
         HubConfig {
-            tau: SimTime::from_nanos(500),
-            ctrl_latency: SimTime::from_nanos(500),
             loss: None,
             seed: 0xC0FFEE,
         }
@@ -81,8 +81,9 @@ pub struct HubStats {
 pub struct LoopbackHub {
     cfg: HubConfig,
     nodes: Vec<NodeId>,
-    /// Every copy in flight, with its destination, keyed by arrival.
-    in_flight: EventQueue<(NodeId, Incoming)>,
+    /// Every copy in flight, with its destination, in send order (which is
+    /// arrival order).
+    in_flight: VecDeque<(NodeId, Incoming)>,
     /// Per ordered data link `(src, dst)`: its loss chain.
     chains: HashMap<(NodeId, NodeId), GeChain>,
     rng: SimRng,
@@ -96,7 +97,7 @@ impl LoopbackHub {
             rng: SimRng::new(cfg.seed),
             cfg,
             nodes: nodes.to_vec(),
-            in_flight: EventQueue::new(),
+            in_flight: VecDeque::new(),
             chains: HashMap::new(),
             stats: HubStats::default(),
         }
@@ -125,6 +126,10 @@ impl LoopbackHub {
         bytes: &[u8],
         corrupt: bool,
     ) {
+        debug_assert!(
+            self.in_flight.back().is_none_or(|(_, last)| last.at <= at),
+            "a copy would arrive before one queued ahead of it"
+        );
         let copy = Incoming {
             at,
             channel,
@@ -132,7 +137,7 @@ impl LoopbackHub {
             peer: None,
             corrupt,
         };
-        self.in_flight.push(at, (dest, copy));
+        self.in_flight.push_back((dest, copy));
     }
 
     /// Does the (src → dst) loss chain fade a datagram sent at `now`?
@@ -149,17 +154,17 @@ impl LoopbackHub {
     }
 
     /// Offer a data-channel datagram from `src` at time `now`: every other
-    /// endpoint receives a copy at `now + tau`. Copies the loss chains fade
+    /// endpoint receives a copy 0.5 µs later. Copies the loss chains fade
     /// arrive flagged corrupt — energy without a decodable payload — so
     /// carrier sense and collision bookkeeping at the receiver still see
     /// them (see the module docs).
     ///
-    /// `now` is never before an arrival already popped: the caller sends
-    /// at the instant it is executing, as `LoopbackRunner::step` does (the
-    /// queue's debug assertion holds it).
+    /// `now` never decreases from one send to the next: the caller sends at
+    /// the instant it is executing, as `LoopbackRunner::step` does (a debug
+    /// build asserts it against the last copy still in flight).
     pub fn send_data(&mut self, src: NodeId, now: SimTime, bytes: &[u8]) {
         self.stats.data_sent += 1;
-        let at = now + self.cfg.tau;
+        let at = now + LATENCY;
         for i in 0..self.nodes.len() {
             let dst = self.nodes[i];
             if dst == src {
@@ -180,19 +185,23 @@ impl LoopbackHub {
     pub fn send_ctrl(&mut self, _src: NodeId, dst: NodeId, now: SimTime, bytes: &[u8]) {
         assert!(self.nodes.contains(&dst), "unknown destination endpoint");
         self.stats.ctrl_sent += 1;
-        let at = now + self.cfg.ctrl_latency;
+        let at = now + LATENCY;
         self.enqueue(at, dst, DgramChannel::Ctrl, bytes, false);
     }
 
     /// The earliest pending arrival time, if anything is in flight.
     pub fn next_arrival(&self) -> Option<SimTime> {
-        self.in_flight.peek_time()
+        self.in_flight.front().map(|(_, copy)| copy.at)
     }
 
-    /// Pop the earliest arrival if it is due at or before `t` (ties broken
-    /// by send order), returning the destination and the datagram.
+    /// Pop the earliest arrival if it is due at or before `t` (ties in
+    /// send order), returning the destination and the datagram.
     pub fn pop_due(&mut self, t: SimTime) -> Option<(NodeId, Incoming)> {
-        self.in_flight.pop_at_or_before(t).map(|(_, copy)| copy)
+        if self.in_flight.front()?.1.at <= t {
+            self.in_flight.pop_front()
+        } else {
+            None
+        }
     }
 
     /// Datagram copies still in flight.
@@ -296,7 +305,6 @@ mod tests {
                 HubConfig {
                     loss: Some(spec.clone()),
                     seed,
-                    ..HubConfig::default()
                 },
             );
             let mut pattern = Vec::new();
@@ -320,47 +328,50 @@ mod tests {
         assert_eq!(p1.len(), 2 * 2_000);
     }
 
-    /// What the reference model and the hub are compared on.
+    /// A send stamped before the last copy still in flight would be
+    /// delivered out of arrival order: a debug build refuses it.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "a copy would arrive before one queued ahead of it")]
+    fn a_send_behind_the_last_queued_arrival_panics() {
+        let mut hub = LoopbackHub::new(&[n(1), n(2)], HubConfig::default());
+        hub.send_data(n(1), us(10), b"first");
+        hub.send_ctrl(n(2), n(1), us(9), b"earlier");
+    }
+
+    /// What the send-order model and the hub are compared on.
     type Popped = (NodeId, SimTime, DgramChannel, Vec<u8>, bool);
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
-        /// The hub pops what a list sorted by `(arrival, send index)` pops:
-        /// sends at non-decreasing stamps, to random endpoints, with τ and
-        /// the control latency each 0 or not and unequal or not (so a later
-        /// send can arrive first), interleaved with `pop_due` at the current
-        /// stamp; `in_flight` is the list's length throughout.
+        /// The hub pops what a list of copies in send order pops: sends at
+        /// non-decreasing stamps, to random endpoints, faded or not,
+        /// interleaved with `pop_due` at the current stamp; each copy
+        /// arrives 0.5 µs after its send, and `in_flight` and
+        /// `next_arrival` are the list's length and head throughout.
         #[test]
-        fn pops_in_arrival_then_send_order(
-            tau in 0usize..3,
-            ctrl in 0usize..3,
+        fn pops_in_send_order(
             fade in 0u8..2,
             ops in proptest::collection::vec((0u8..3, 0u16..4, 0u16..4, 0u64..800), 1..120),
         ) {
-            const LATENCY_NS: [u64; 3] = [0, 400, 1_100];
             let ids = [n(1), n(2), n(3), n(4)];
-            let cfg = HubConfig {
-                tau: SimTime::from_nanos(LATENCY_NS[tau]),
-                ctrl_latency: SimTime::from_nanos(LATENCY_NS[ctrl]),
-                loss: (fade == 1).then(fade_everything),
-                ..HubConfig::default()
-            };
             let corrupt = fade == 1;
-            let mut hub = LoopbackHub::new(&ids, cfg.clone());
-            // `(at, send index, copy)`, unsorted: the minimum is taken per pop.
-            let mut model: Vec<(SimTime, usize, Popped)> = Vec::new();
-            let mut sent = 0usize;
+            let mut hub = LoopbackHub::new(
+                &ids,
+                HubConfig {
+                    loss: corrupt.then(fade_everything),
+                    ..HubConfig::default()
+                },
+            );
+            let mut model: VecDeque<Popped> = VecDeque::new();
             let mut now = SimTime::ZERO;
-            let drain = |hub: &mut LoopbackHub, model: &mut Vec<(SimTime, usize, Popped)>, t| {
+            let drain = |hub: &mut LoopbackHub, model: &mut VecDeque<Popped>, t| {
                 loop {
-                    let want = model
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, (at, _, _))| *at <= t)
-                        .min_by_key(|(_, (at, idx, _))| (*at, *idx))
-                        .map(|(i, _)| i)
-                        .map(|i| model.remove(i).2);
+                    let want = match model.front() {
+                        Some(&(_, at, ..)) if at <= t => model.pop_front(),
+                        _ => None,
+                    };
                     let got = hub
                         .pop_due(t)
                         .map(|(dst, inc)| (dst, inc.at, inc.channel, inc.bytes, inc.corrupt));
@@ -375,28 +386,22 @@ mod tests {
                 now += SimTime::from_nanos(dt);
                 let (src, dst) = (ids[usize::from(src)], ids[usize::from(dst)]);
                 let bytes = vec![k as u8; 1 + k % 7];
+                let at = now + SimTime::from_nanos(500);
                 match kind {
                     0 => {
                         hub.send_data(src, now, &bytes);
-                        let at = now + cfg.tau;
                         for &to in ids.iter().filter(|&&to| to != src) {
-                            model.push((at, sent, (to, at, DgramChannel::Data, bytes.clone(), corrupt)));
-                            sent += 1;
+                            model.push_back((to, at, DgramChannel::Data, bytes.clone(), corrupt));
                         }
                     }
                     1 => {
                         hub.send_ctrl(src, dst, now, &bytes);
-                        let at = now + cfg.ctrl_latency;
-                        model.push((at, sent, (dst, at, DgramChannel::Ctrl, bytes, false)));
-                        sent += 1;
+                        model.push_back((dst, at, DgramChannel::Ctrl, bytes, false));
                     }
                     _ => drain(&mut hub, &mut model, now)?,
                 }
                 proptest::prop_assert_eq!(hub.in_flight(), model.len());
-                proptest::prop_assert_eq!(
-                    hub.next_arrival(),
-                    model.iter().map(|&(at, _, _)| at).min()
-                );
+                proptest::prop_assert_eq!(hub.next_arrival(), model.front().map(|c| c.1));
             }
             drain(&mut hub, &mut model, SimTime::MAX)?;
             proptest::prop_assert!(model.is_empty());

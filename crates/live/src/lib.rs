@@ -25,8 +25,9 @@
 //! * [`wheel`] — the pinned shim that keeps the retired timing wheel's
 //!   three names alive for the frozen benchmark, over the same queue.
 //! * [`hub`] — [`LoopbackHub`]: the deterministic in-process network —
-//!   every datagram copy in flight on one `rmac_sim::EventQueue`, seeded
-//!   per-link Gilbert–Elliott fades on the data channel via `rmac-faults`.
+//!   every datagram copy in flight on one FIFO in send order, which one
+//!   fixed latency on both channels makes arrival order; seeded per-link
+//!   Gilbert–Elliott fades on the data channel via `rmac-faults`.
 //!   The control channel is lossless by design, mirroring RMC's reliable
 //!   (TCP) control connection.
 //! * [`runner`] — [`LoopbackRunner`]: the hub's one driver, stepping N
@@ -51,7 +52,7 @@
 //! own TxDone one airtime after sending: both ends reconstruct the
 //! paper's timeline from the same constants, so their windows stay
 //! aligned to within the transport's one-way latency. The loopback hub
-//! keeps that latency at τ ≤ 1 µs of *virtual* time; the UDP backend runs
+//! keeps that latency at 0.5 µs of *virtual* time, within τ ≤ 1 µs; the UDP backend runs
 //! MAC time `scale`× slower than wall time so localhost jitter shrinks
 //! below the margin in MAC units.
 

@@ -287,7 +287,6 @@ mod tests {
                 loss_bad: 0.8,
             }),
             seed: 77,
-            ..HubConfig::default()
         };
         let mut r = mesh(&[1, 2], lossy);
         let mut completed = 0u32;
@@ -320,7 +319,6 @@ mod tests {
             let lossy = HubConfig {
                 loss: Some(BurstySpec::moderate()),
                 seed: 42,
-                ..HubConfig::default()
             };
             let mut r = mesh(&[1, 2, 3], lossy);
             for k in 0..10u64 {

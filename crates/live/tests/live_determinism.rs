@@ -29,7 +29,6 @@ fn config(
         hub: HubConfig {
             loss,
             seed: seed.wrapping_mul(0xA24B_AED4_963E_E407),
-            ..HubConfig::default()
         },
         seed,
     }
