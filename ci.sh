@@ -54,12 +54,11 @@ cargo test -q --release -p rmac-engine --lib link_arithmetic_is_done_only_where_
 echo "==> benchmark stage: the benchmark package builds --locked against the crates"
 benchmark/ci.sh
 
-echo "==> campaign stage: resume law, every catalog figure at quick scale, the tracked stores"
+# Every catalog entry's --quick store is tracked: tracked_stores re-runs each and re-renders its CSVs.
+echo "==> campaign stage: resume law, the tracked stores and their CSVs, one run and one report by CLI"
 cargo test -q --release --test campaign_resume
-for c in paper-figures shootout rbt-ablation goodput faults tone-jam; do
-    cargo run -q --release -p rmac-experiments --bin campaign -- run "$c" --quick
-    cargo run -q --release -p rmac-experiments --bin campaign_report -- "results/campaigns/$c-quick"
-done
 cargo test -q --release --test tracked_stores
+cargo run -q --release -p rmac-experiments --bin campaign -- run unicast --quick
+cargo run -q --release -p rmac-experiments --bin campaign_report -- results/campaigns/unicast-quick
 
 echo "CI green."

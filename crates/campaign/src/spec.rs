@@ -10,7 +10,9 @@ use rmac_engine::{Protocol, ScenarioConfig};
 use rmac_faults::FaultPlan;
 use rmac_obs::json::{self, Json};
 
-/// The paper's three mobility scenarios (§4.1.2).
+/// The scenario a case runs: the paper's three mobility scenarios
+/// (§4.1.2), then the named variants of single-claim sweeps. A variant's
+/// label is its case-key text and the scenario name its records carry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ScenarioKind {
     /// No node is moving.
@@ -19,37 +21,107 @@ pub enum ScenarioKind {
     Speed1,
     /// Random waypoint, 0–8 m/s, 5 s pauses.
     Speed2,
+    /// X3 (§3.4): 41 nodes on a 50 m square, every node in range of the
+    /// root, under a receiver limit per MRTS.
+    Star41Limit5,
+    Star41Limit10,
+    Star41Limit20,
+    Star41Limit40,
+    /// X4 (§3.4's high-BER remark): `Stationary` at a per-bit error rate.
+    StationaryBer1e6,
+    StationaryBer1e5,
+    StationaryBer5e5,
+    StationaryBer1e4,
+    /// X6 (§3.3.2): a unicast flow along a chain of 70 m hops.
+    Chain1,
+    Chain3,
+    /// X7 (§1): the tree forwards by Unreliable Send, one broadcast per hop.
+    StationaryUnreliable,
+    Speed1Unreliable,
 }
 
 impl ScenarioKind {
-    /// All three, in the paper's order.
+    /// The paper's three, in the paper's order.
     pub const ALL: [ScenarioKind; 3] = [
         ScenarioKind::Stationary,
         ScenarioKind::Speed1,
         ScenarioKind::Speed2,
     ];
 
-    /// Label used in reports and file names.
+    /// Every kind with its label: the paper's three, then the variants.
+    const LABELS: [(ScenarioKind, &'static str); 15] = {
+        use ScenarioKind::*;
+        [
+            (Stationary, "stationary"),
+            (Speed1, "speed1"),
+            (Speed2, "speed2"),
+            (Star41Limit5, "star41-limit5"),
+            (Star41Limit10, "star41-limit10"),
+            (Star41Limit20, "star41-limit20"),
+            (Star41Limit40, "star41-limit40"),
+            (StationaryBer1e6, "stationary-ber1e-6"),
+            (StationaryBer1e5, "stationary-ber1e-5"),
+            (StationaryBer5e5, "stationary-ber5e-5"),
+            (StationaryBer1e4, "stationary-ber1e-4"),
+            (Chain1, "chain1"),
+            (Chain3, "chain3"),
+            (StationaryUnreliable, "stationary-unreliable"),
+            (Speed1Unreliable, "speed1-unreliable"),
+        ]
+    };
+
+    /// Label used in case keys, reports and file names.
     pub fn label(self) -> &'static str {
-        match self {
-            ScenarioKind::Stationary => "stationary",
-            ScenarioKind::Speed1 => "speed1",
-            ScenarioKind::Speed2 => "speed2",
-        }
+        let labelled = Self::LABELS.iter().find(|(k, _)| *k == self);
+        labelled.expect("every kind is labelled").1
     }
 
     /// Inverse of [`ScenarioKind::label`].
     pub fn from_label(s: &str) -> Option<ScenarioKind> {
-        ScenarioKind::ALL.into_iter().find(|k| k.label() == s)
+        Self::LABELS.iter().find(|(_, l)| *l == s).map(|&(k, _)| k)
     }
 
-    /// The paper-parameterised scenario config at one source rate.
+    /// Whether the kind fixes its own node count (the star, the chains)
+    /// rather than take the campaign's.
+    fn fixes_its_size(self) -> bool {
+        use ScenarioKind::*;
+        matches!(
+            self,
+            Star41Limit5 | Star41Limit10 | Star41Limit20 | Star41Limit40 | Chain1 | Chain3
+        )
+    }
+
+    /// The paper-parameterised scenario config at one source rate, named
+    /// by the kind's label.
     pub fn config(self, rate: f64) -> ScenarioConfig {
-        match self {
-            ScenarioKind::Stationary => ScenarioConfig::paper_stationary(rate),
-            ScenarioKind::Speed1 => ScenarioConfig::paper_speed1(rate),
-            ScenarioKind::Speed2 => ScenarioConfig::paper_speed2(rate),
-        }
+        use ScenarioKind::*;
+        let cfg = match self {
+            Speed1 | Speed1Unreliable => ScenarioConfig::paper_speed1(rate),
+            Speed2 => ScenarioConfig::paper_speed2(rate),
+            _ => ScenarioConfig::paper_stationary(rate),
+        };
+        let star = |mut cfg: ScenarioConfig, limit| {
+            cfg.nodes = 41;
+            (cfg.bounds.width, cfg.bounds.height) = (50.0, 50.0);
+            cfg.mac.max_receivers = limit;
+            cfg
+        };
+        let mut cfg = match self {
+            Star41Limit5 => star(cfg, 5),
+            Star41Limit10 => star(cfg, 10),
+            Star41Limit20 => star(cfg, 20),
+            Star41Limit40 => star(cfg, 40),
+            StationaryBer1e6 => cfg.with_ber(1e-6),
+            StationaryBer1e5 => cfg.with_ber(1e-5),
+            StationaryBer5e5 => cfg.with_ber(5e-5),
+            StationaryBer1e4 => cfg.with_ber(1e-4),
+            Chain1 => cfg.with_chain(1, 70.0),
+            Chain3 => cfg.with_chain(3, 70.0),
+            StationaryUnreliable | Speed1Unreliable => cfg.with_unreliable_forwarding(),
+            _ => cfg,
+        };
+        cfg.name = self.label().into();
+        cfg
     }
 }
 
@@ -122,7 +194,7 @@ pub struct CampaignSpec {
     pub faults: Vec<FaultAxis>,
     /// Packets per replication.
     pub packets: u64,
-    /// Network size.
+    /// Network size (a star or chain scenario keeps its own).
     pub nodes: usize,
     /// Shard count (`ScenarioConfig::shards`); 0 or 1 is one group, the
     /// whole world.
@@ -319,11 +391,10 @@ impl CaseSpec {
 
     /// The scenario config this case runs.
     pub fn config(&self) -> ScenarioConfig {
-        let mut cfg = self
-            .scenario
-            .config(self.rate)
-            .with_packets(self.packets)
-            .with_nodes(self.nodes);
+        let mut cfg = self.scenario.config(self.rate).with_packets(self.packets);
+        if !self.scenario.fixes_its_size() {
+            cfg = cfg.with_nodes(self.nodes);
+        }
         if self.shards > 1 {
             cfg = cfg.with_shards(self.shards);
         }
@@ -452,9 +523,24 @@ mod tests {
 
     #[test]
     fn scenario_labels_match_configs() {
-        for s in ScenarioKind::ALL {
+        for (s, _) in ScenarioKind::LABELS {
             assert_eq!(s.config(5.0).name, s.label());
             assert_eq!(ScenarioKind::from_label(s.label()), Some(s));
         }
+    }
+
+    #[test]
+    fn a_star_or_chain_keeps_its_own_size() {
+        use ScenarioKind::*;
+        let spec = CampaignSpec {
+            scenarios: vec![StationaryUnreliable, Star41Limit10, Chain3],
+            rates: vec![20.0],
+            seeds: vec![0],
+            ..CampaignSpec::paper_figures(true)
+        };
+        let nodes: Vec<usize> = (spec.cases().iter().take(3))
+            .map(|c| c.config().nodes)
+            .collect();
+        assert_eq!(nodes, [spec.nodes, 41, 4]);
     }
 }

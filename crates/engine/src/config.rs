@@ -194,6 +194,16 @@ impl ScenarioConfig {
         self
     }
 
+    /// Pin the nodes to a chain of `hops` hops `spacing_m` apart along the
+    /// x axis, the source at one end.
+    pub fn with_chain(self, hops: usize, spacing_m: f64) -> Self {
+        self.with_positions(
+            (0..=hops)
+                .map(|i| Pos::new(i as f64 * spacing_m, 0.0))
+                .collect(),
+        )
+    }
+
     /// Forward application packets unreliably (the §1 strawman).
     pub fn with_unreliable_forwarding(mut self) -> Self {
         self.reliable_forwarding = false;

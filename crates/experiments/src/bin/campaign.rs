@@ -4,17 +4,17 @@
 //! campaign run [NAME|MANIFEST.json] [--quick]
 //!     Run a campaign into results/campaigns/<name>/. NAME is an entry of
 //!     the figure catalog (paper-figures — the default —, shootout,
-//!     rbt-ablation, goodput, faults, tone-jam), shrunk to a smoke scale
-//!     named <NAME>-quick by --quick; anything else is read as a manifest
-//!     file (the JSON a store's manifest.json holds). Resumable: a killed
-//!     run restarts where it stopped and produces a store byte-identical
-//!     to an uninterrupted one. `campaign_report <dir>` renders the
-//!     store's summary and figures. Exits 1 when a case records a
-//!     conformance violation.
+//!     rbt-ablation, goodput, faults, tone-jam, rx-limit, ber, unicast,
+//!     motivation), shrunk to a smoke scale named <NAME>-quick by --quick;
+//!     anything else is read as a manifest file (the JSON a store's
+//!     manifest.json holds). Resumable: a killed run restarts where it
+//!     stopped and produces a store byte-identical to an uninterrupted
+//!     one. `campaign_report <dir>` renders the store's summary and
+//!     figures. Exits 1 when a case records a conformance violation.
 //! ```
 //!
-//! A tracked store (`results/campaigns/gate/`, `paper-figures-quick/`) is
-//! re-recorded by deleting its `store.jsonl` and running its manifest:
+//! A tracked store (`results/campaigns/gate/` and every `<NAME>-quick/`)
+//! is re-recorded by deleting its `store.jsonl` and running its manifest:
 //! `campaign run results/campaigns/gate/manifest.json`.
 
 use std::process::exit;

@@ -2,9 +2,8 @@
 //! hop and children statistics the paper quotes (hops avg 3.87 / 99p 10;
 //! children avg 3.54 / 99p 9), plus a Graphviz export of one example tree.
 
-use std::fs;
-
 use rmac_experiments::figures::fig6_topology;
+use rmac_experiments::publish;
 use rmac_metrics::table::fmt;
 use rmac_metrics::Table;
 
@@ -27,8 +26,7 @@ fn main() {
     for seed in 0..SEEDS {
         let (report, dot) = fig6_topology(seed, 50);
         if seed == 0 {
-            let _ = fs::create_dir_all("results");
-            let _ = fs::write("results/fig6_tree.dot", &dot);
+            publish("fig6_tree.dot", &dot);
         }
         hops_sum += report.hops_avg;
         kids_sum += report.children_avg;
@@ -47,5 +45,5 @@ fn main() {
         kids_sum / SEEDS as f64
     );
     println!("example tree written to results/fig6_tree.dot");
-    let _ = fs::write("results/fig6_topology.csv", t.to_csv());
+    publish("fig6_topology.csv", &t.to_csv());
 }

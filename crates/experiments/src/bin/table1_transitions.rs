@@ -180,6 +180,5 @@ fn main() {
         t.row(vec![label, format!("{from:?}"), format!("{to:?}")]);
     }
     println!("{}", t.render());
-    let _ = std::fs::create_dir_all("results");
-    let _ = std::fs::write("results/table1_transitions.csv", t.to_csv());
+    rmac_experiments::publish("table1_transitions.csv", &t.to_csv());
 }

@@ -41,6 +41,5 @@ fn main() {
     println!(
         "paper checkpoints: BMMM ctrl = 632·n µs; ACK body = 56 µs; PHY overhead = 96 µs/frame"
     );
-    let _ = std::fs::create_dir_all("results");
-    let _ = std::fs::write("results/table_overhead.csv", t.to_csv());
+    rmac_experiments::publish("table_overhead.csv", &t.to_csv());
 }

@@ -1,6 +1,6 @@
-//! The figure pipeline: every grid experiment is a named [`CampaignSpec`]
-//! ([`spec`]) whose store a table-driven renderer ([`render`]) turns into
-//! the tables and `results/*.csv` files behind the paper's figures.
+//! The figure pipeline: every sweep is a named [`CampaignSpec`] ([`spec`])
+//! whose store a table-driven renderer ([`render`]) turns into the tables
+//! and `results/*.csv` files behind the paper's figures and claims.
 //!
 //! `campaign run <name> [--quick]` executes a catalog entry under the
 //! C1–C5 checker into `results/campaigns/<name>[-quick]/`;
@@ -17,16 +17,20 @@ use rmac_faults::{BurstySpec, ChurnKind, ChurnSpec, FaultPlan, JamTarget, Jammer
 use rmac_metrics::table::fmt;
 use rmac_metrics::{RunReport, Table};
 
-/// The grid experiments, by campaign name. A store belongs to the entry
-/// its manifest name starts with, so `paper-figures-quick` or a
-/// hand-written `paper-figures-10k` manifest render as `paper-figures`.
-pub const CATALOG: [&str; 6] = [
+/// The sweeps, by campaign name. A store belongs to the entry its
+/// manifest name starts with, so `paper-figures-quick` or a hand-written
+/// `paper-figures-10k` manifest render as `paper-figures`.
+pub const CATALOG: [&str; 10] = [
     "paper-figures",
     "shootout",
     "rbt-ablation",
     "goodput",
     "faults",
     "tone-jam",
+    "rx-limit",
+    "ber",
+    "unicast",
+    "motivation",
 ];
 
 /// The catalog entry `name` as a campaign; `quick` shrinks it to a smoke
@@ -34,6 +38,7 @@ pub const CATALOG: [&str; 6] = [
 /// a store directory.
 pub fn spec(name: &str, quick: bool) -> Option<CampaignSpec> {
     use Protocol::{Bmmm, Bmw, Lbp, Mx80211, Rmac, RmacNoRbt};
+    use ScenarioKind::*;
     let paper = CampaignSpec::paper_figures(quick);
     // X1/X2 are the stationary slice of the paper grid with other protocols.
     let stationary = |protocols: &[Protocol]| CampaignSpec {
@@ -42,7 +47,8 @@ pub fn spec(name: &str, quick: bool) -> Option<CampaignSpec> {
         scenarios: vec![ScenarioKind::Stationary],
         ..paper.clone()
     };
-    // X5/X8/X9 stay at paper density and scale seeds × packets only.
+    // X3–X9 scale seeds × packets only, at paper density but where a star
+    // or a chain fixes its own.
     let at_density = |seeds: u64, packets: u64| CampaignSpec {
         seeds: (0..if quick { 2 } else { seeds }).collect(),
         packets: if quick { 60 } else { packets },
@@ -67,6 +73,36 @@ pub fn spec(name: &str, quick: bool) -> Option<CampaignSpec> {
             rates: vec![5.0],
             faults: tone_jam_conditions(),
             ..at_density(5, 200)
+        },
+        "rx-limit" => CampaignSpec {
+            protocols: vec![Rmac],
+            scenarios: vec![Star41Limit5, Star41Limit10, Star41Limit20, Star41Limit40],
+            rates: vec![20.0],
+            nodes: 41,
+            ..at_density(5, 300)
+        },
+        "ber" => CampaignSpec {
+            scenarios: vec![
+                Stationary,
+                StationaryBer1e6,
+                StationaryBer1e5,
+                StationaryBer5e5,
+                StationaryBer1e4,
+            ],
+            rates: vec![20.0],
+            ..at_density(3, 300)
+        },
+        "unicast" => CampaignSpec {
+            scenarios: vec![Chain1, Chain3],
+            rates: vec![20.0, 80.0, 160.0],
+            nodes: 4,
+            ..at_density(3, 500)
+        },
+        "motivation" => CampaignSpec {
+            protocols: vec![Rmac],
+            scenarios: vec![Stationary, StationaryUnreliable, Speed1, Speed1Unreliable],
+            rates: vec![5.0, 20.0, 60.0],
+            ..at_density(3, 300)
         },
         _ => return None,
     })
@@ -154,9 +190,13 @@ enum Rows {
     RmacOnly,
     /// A row per (fault plan, protocol).
     PerFault,
+    /// One table for the whole store, a row per (scenario, rate), the
+    /// columns repeated per protocol.
+    PerScenario,
 }
 
-/// One figure: a table per scenario, written to `<stem>_<scenario>.csv`.
+/// One figure: a table per scenario, written to `<stem>_<scenario>.csv`,
+/// or, a row per scenario, one table written to `<stem>.csv`.
 pub struct Figure {
     stem: &'static str,
     title: &'static str,
@@ -172,7 +212,11 @@ const fn col(header: &'static str, cell: fn(&RunReport) -> String) -> Col {
 
 const DELIVERY: Col = col("delivery", |r| fmt(r.delivery_ratio(), 4));
 const RETX: Col = col("retx_avg", |r| fmt(r.retx_ratio_avg, 4));
+const RETX_3: Col = col("retx", |r| fmt(r.retx_ratio_avg, 3));
+const DROP: Col = col("drop", |r| fmt(r.drop_ratio_avg, 4));
 const DELAY_S: Col = col("delay_s", |r| fmt(r.e2e_delay_avg_s, 4));
+const DELAY_MS: Col = col("delay_ms", |r| fmt(r.e2e_delay_avg_s * 1e3, 2));
+const TXOH_3: Col = col("txoh", |r| fmt(r.txoh_ratio_avg, 3));
 const JAM_BURSTS: Col = col("jam_bursts", |r| r.fault_jam_bursts.to_string());
 
 static PAPER_FIGURES: [Figure; 7] = [
@@ -188,7 +232,7 @@ static PAPER_FIGURES: [Figure; 7] = [
         title: "Fig.8 — avg packet drop ratio",
         key: "rate_pps",
         rows: Rows::PerProtocol,
-        cols: &[col("drop", |r| fmt(r.drop_ratio_avg, 4))],
+        cols: &[DROP],
     },
     Figure {
         stem: "fig9_delay",
@@ -255,7 +299,7 @@ static SHOOTOUT: [Figure; 3] = [
         title: "X1 — avg transmission overhead ratio",
         key: "rate_pps",
         rows: Rows::PerProtocol,
-        cols: &[col("txoh", |r| fmt(r.txoh_ratio_avg, 3))],
+        cols: &[TXOH_3],
     },
 ];
 
@@ -297,7 +341,7 @@ static FAULTS: [Figure; 1] = [Figure {
     cols: &[
         DELIVERY,
         RETX,
-        col("delay_ms", |r| fmt(r.e2e_delay_avg_s * 1e3, 2)),
+        DELAY_MS,
         col("injected", |r| r.faults_injected.to_string()),
         col("crashes", |r| r.fault_crashes.to_string()),
         JAM_BURSTS,
@@ -317,15 +361,62 @@ static TONE_JAM: [Figure; 1] = [Figure {
     ],
 }];
 
+// X3: small limits cost MRTS invocations, large ones long MRTSes.
+static RX_LIMIT: [Figure; 1] = [Figure {
+    stem: "ablation_rxlimit",
+    title: "X3 — §3.4 receiver limit on a one-hop star",
+    key: "scenario",
+    rows: Rows::PerScenario,
+    cols: &[
+        DELIVERY,
+        RETX_3,
+        TXOH_3,
+        DELAY_S,
+        col("mrts_max_B", |r| fmt(r.mrts_len_max, 0)),
+    ],
+}];
+
+// X4: tones carry no bits to corrupt; BMMM's 2n control frames do.
+static BER: [Figure; 1] = [Figure {
+    stem: "ablation_ber",
+    title: "X4 — bit-error-rate sweep",
+    key: "scenario",
+    rows: Rows::PerScenario,
+    cols: &[DELIVERY, RETX_3, DROP],
+}];
+
+// X6: for n = 1, one 18-byte MRTS and one ABT window (≈ 185 µs) against
+// RTS/CTS/…/ACK (≈ 632 µs).
+static UNICAST: [Figure; 1] = [Figure {
+    stem: "ext_unicast",
+    title: "X6 — reliable unicast along a chain of 70 m hops",
+    key: "scenario",
+    rows: Rows::PerScenario,
+    cols: &[DELIVERY, DELAY_MS, TXOH_3],
+}];
+
+// X7: the same tree, forwarded by Reliable Send or by one broadcast per hop.
+static MOTIVATION: [Figure; 1] = [Figure {
+    stem: "ext_motivation",
+    title: "X7 — per-hop MAC reliability vs plain broadcast forwarding",
+    key: "scenario",
+    rows: Rows::PerScenario,
+    cols: &[DELIVERY],
+}];
+
 /// The figures of the catalog entry a store named `store_name` belongs to.
 pub fn figure_set(store_name: &str) -> Option<&'static [Figure]> {
-    let sets: [&'static [Figure]; 6] = [
+    let sets: [&'static [Figure]; 10] = [
         &PAPER_FIGURES,
         &SHOOTOUT,
         &RBT_ABLATION,
         &GOODPUT,
         &FAULTS,
         &TONE_JAM,
+        &RX_LIMIT,
+        &BER,
+        &UNICAST,
+        &MOTIVATION,
     ];
     CATALOG.iter().zip(sets).find_map(|(entry, set)| {
         let scale = store_name.strip_prefix(entry)?;
@@ -388,27 +479,40 @@ fn distinct<T: PartialEq>(values: impl Iterator<Item = T>) -> Vec<T> {
 }
 
 impl Figure {
-    /// This figure's tables, one per scenario among `points`, each with the
-    /// scenario label it is filed under.
+    /// This figure's tables among `points`, each with the file stem it is
+    /// written under: one per scenario, or one for the store.
     fn tables(&self, points: &[Point]) -> Result<Vec<(String, Table)>, String> {
         let rmac_only = matches!(self.rows, Rows::RmacOnly);
+        let per_scenario = matches!(self.rows, Rows::PerScenario);
+        let points: Vec<&Point> = (points.iter())
+            .filter(|(_, r)| !rmac_only || r.protocol == "RMAC")
+            .collect();
+        let scenarios = distinct(points.iter().map(|(_, r)| r.scenario.as_str()));
+        let groups = if per_scenario {
+            vec![scenarios]
+        } else {
+            scenarios.into_iter().map(|s| vec![s]).collect()
+        };
         let mut out = Vec::new();
-        for scenario in distinct(points.iter().map(|(_, r)| r.scenario.as_str())) {
-            let points: Vec<&Point> = points
-                .iter()
-                .filter(|(_, r)| r.scenario == scenario && (!rmac_only || r.protocol == "RMAC"))
+        for group in groups.into_iter().filter(|g| !g.is_empty()) {
+            let points: Vec<&Point> = (points.iter().copied())
+                .filter(|(_, r)| group.contains(&r.scenario.as_str()))
                 .collect();
-            if points.is_empty() {
-                continue;
-            }
             let protocols = distinct(points.iter().map(|(_, r)| r.protocol.as_str()));
             let rates = distinct(points.iter().map(|(_, r)| r.rate_pps));
             let faults = distinct(points.iter().map(|(f, _)| f.as_str()));
-            // A table has one free axis besides the protocol; a store that
-            // varies the other too would be silently cut down to a slice.
+            let scenario = group.join(", ");
+            let file = if per_scenario {
+                self.stem.to_string()
+            } else {
+                format!("{}_{scenario}", self.stem)
+            };
+            // A table has one free axis besides the protocol (and, a row per
+            // scenario, the scenario); a store that varies the other too
+            // would be silently cut down to a slice.
             let (pinned, what) = match self.rows {
                 Rows::PerFault => (rates.len(), "rate"),
-                Rows::PerProtocol | Rows::RmacOnly => (faults.len(), "fault plan"),
+                _ => (faults.len(), "fault plan"),
             };
             if pinned > 1 {
                 return Err(format!(
@@ -416,10 +520,13 @@ impl Figure {
                     self.stem
                 ));
             }
-            let cells = |fault: &str, protocol: &str, rate: f64| {
-                let point = points
-                    .iter()
-                    .find(|(f, r)| f == fault && r.protocol == protocol && r.rate_pps == rate);
+            let cells = |scenario: &str, fault: &str, protocol: &str, rate: f64| {
+                let point = points.iter().find(|(f, r)| {
+                    r.scenario == scenario
+                        && f == fault
+                        && r.protocol == protocol
+                        && r.rate_pps == rate
+                });
                 self.cols
                     .iter()
                     .map(move |c| point.map(|(_, r)| (c.cell)(r)).unwrap_or_default())
@@ -432,12 +539,15 @@ impl Figure {
                 for fault in &faults {
                     for protocol in &protocols {
                         let mut row = vec![fault.to_string(), protocol.to_string()];
-                        row.extend(cells(fault, protocol, rates[0]));
+                        row.extend(cells(&scenario, fault, protocol, rates[0]));
                         t.row(row);
                     }
                 }
                 t
             } else {
+                if per_scenario {
+                    headers.push("rate_pps".into());
+                }
                 for protocol in &protocols {
                     headers.extend(self.cols.iter().map(|c| match self.cols.len() {
                         _ if rmac_only => c.header.to_string(),
@@ -445,17 +555,27 @@ impl Figure {
                         _ => format!("{protocol} {}", c.header),
                     }));
                 }
-                let mut t = self.titled(scenario, &headers);
-                for &rate in &rates {
-                    let mut row = vec![fmt(rate, 0)];
-                    for protocol in &protocols {
-                        row.extend(cells(faults[0], protocol, rate));
+                let qualifier = if per_scenario {
+                    protocols.join(" vs ")
+                } else {
+                    scenario.clone()
+                };
+                let mut t = self.titled(&qualifier, &headers);
+                for scenario in &group {
+                    for &rate in &rates {
+                        let mut row = vec![fmt(rate, 0)];
+                        if per_scenario {
+                            row.insert(0, scenario.to_string());
+                        }
+                        for protocol in &protocols {
+                            row.extend(cells(scenario, faults[0], protocol, rate));
+                        }
+                        t.row(row);
                     }
-                    t.row(row);
                 }
                 t
             };
-            out.push((scenario.to_string(), table));
+            out.push((file, table));
         }
         Ok(out)
     }
@@ -483,9 +603,9 @@ pub fn render(store_name: &str, store_dir: &Path, records: &[CaseRecord]) -> Res
     fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     let points = pool(records);
     for figure in figures {
-        for (scenario, table) in figure.tables(&points)? {
+        for (file, table) in figure.tables(&points)? {
             println!("{}", table.render());
-            let path = dir.join(format!("{}_{scenario}.csv", figure.stem));
+            let path = dir.join(format!("{file}.csv"));
             fs::write(&path, table.to_csv())
                 .map_err(|e| format!("write {}: {e}", path.display()))?;
             println!("[csv] {}\n", path.display());
@@ -580,7 +700,7 @@ mod tests {
         let rendered = |figure: &Figure, points: &[Point]| {
             let tables = figure.tables(points).expect("lays out");
             assert_eq!(tables.len(), 1, "{}: one scenario", figure.stem);
-            assert_eq!(tables[0].0, "stationary");
+            assert_eq!(tables[0].0, format!("{}_stationary", figure.stem));
             tables[0].1.to_csv()
         };
 

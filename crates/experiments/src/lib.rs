@@ -1,22 +1,34 @@
 //! The evaluation harness: the figure pipeline, the scenario fuzzer and
 //! the experiment binaries.
 //!
-//! The paper's §4 grid is 3 scenarios × 8 source rates × 10 random
-//! placements × {RMAC, BMMM}. Every experiment over such a grid is a named
-//! `CampaignSpec` in the [`figures`] catalog: `campaign run <name>
+//! Every sweep is a named `CampaignSpec` in the [`figures`] catalog — the
+//! paper's §4 grid, its extensions, and the sweeps behind single claims,
+//! whose varied setting is a named `ScenarioKind`. `campaign run <name>
 //! [--quick]` executes it through `rmac_campaign::run_campaign` (the one
 //! function that fans a grid out over cores) into a checked, resumable
 //! store, and `campaign_report <dir>` renders that store into the tables
-//! and CSVs behind each figure. A grid at another scale is a manifest file
+//! and CSVs behind each figure. Another scale is a manifest file
 //! (`campaign run my-grid.json`), not an environment variable.
 //!
-//! The experiments that vary something a grid axis cannot express (tree
-//! parents, `MacConfig`, BER, positions, forwarding mode) stay as small
-//! binaries calling `rmac_engine::Run` directly: `fig6_topology`,
-//! `ablation_rxlimit`, `ablation_ber`, `ext_unicast`, `ext_motivation`. Each
-//! runs at one fixed scale, set by constants at its top.
+//! Three bins write a table no store holds: `table_overhead` (§2
+//! arithmetic), `table1_transitions` (state-machine probing) and
+//! `fig6_topology` (tree parents).
+
+use std::path::Path;
 
 pub mod figures;
 pub mod fuzz;
 
 pub use fuzz::{materialize, run_case, shrink, CaseOutcome};
+
+/// Write `contents` to `results/<file>`, creating the directory, or exit 1
+/// naming the path: a table that was not written must not pass for one
+/// that was.
+pub fn publish(file: &str, contents: &str) {
+    let path = Path::new("results").join(file);
+    let written = std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, contents));
+    if let Err(e) = written {
+        eprintln!("FAIL: write {}: {e}", path.display());
+        std::process::exit(1);
+    }
+}

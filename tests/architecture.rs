@@ -751,3 +751,36 @@ fn one_send_queue_and_one_station() {
         "a copy of the shared send queue or 802.11 station grew back",
     );
 }
+
+/// A `results/*.csv` comes from a campaign store through
+/// `figures::render`, or from one of the three bins whose table no store
+/// holds: no other production code turns a table into CSV or names a
+/// `.csv` file (DESIGN.md §11).
+#[test]
+fn only_the_renderer_and_three_bins_write_a_csv() {
+    const RENDERER: &str = "crates/experiments/src/figures.rs";
+    const BINS: [&str; 3] = [
+        "crates/experiments/src/bin/fig6_topology.rs",
+        "crates/experiments/src/bin/table1_transitions.rs",
+        "crates/experiments/src/bin/table_overhead.rs",
+    ];
+    let writes = |l: &str| l.contains("to_csv(") || l.contains(".csv\"");
+    let files = tree().iter().filter(|f| {
+        let exempt = BINS.contains(&f.path.as_str()) || f.path == "crates/metrics/src/table.rs";
+        f.is_rs() && !f.under("vendor") && !f.path.contains("tests") && !exempt
+    });
+    let mut found = Vec::new();
+    for f in files {
+        let mut current = "";
+        for (n, line) in f.code() {
+            current = opened_fn(line).unwrap_or(current);
+            if writes(line) && (f.path != RENDERER || current != "render") {
+                found.push(format!("{}:{n}: {line}", f.path));
+            }
+        }
+    }
+    assert_none(
+        &found,
+        "a CSV is written outside figures::render and the three table bins",
+    );
+}

@@ -5,22 +5,34 @@
 //! §11), so re-running the manifest must reproduce it byte for byte, with
 //! every case clean under the C1–C5 checker. A behaviour change of any
 //! size fails here, naming the first case that moved and each field with
-//! both values.
+//! both values. A catalog store also holds the CSVs `campaign_report`
+//! renders beside it, and rendering the committed store must reproduce
+//! them byte for byte.
 //!
 //! To re-record a store after an intended change, delete its `store.jsonl`,
-//! run its manifest (`campaign run <dir>/manifest.json`) and review the
-//! diff.
+//! run its manifest (`campaign run <dir>/manifest.json`), render it
+//! (`campaign_report <dir>`) and review the diff.
 
 use std::path::{Path, PathBuf};
 
-use rmac::campaign::{campaign_dir, run_campaign, CampaignSpec, RunOptions};
+use rmac::campaign::{campaign_dir, load_store, run_campaign, CampaignSpec, RunOptions};
 use rmac::obs::json::Json;
+use rmac_experiments::figures;
 
 /// The 24-case conformance grid (RMAC vs BMMM on a clean and a bursty
-/// channel) and Figs. 7–13 at smoke scale.
-const TRACKED: [&str; 2] = [
+/// channel), then every catalog entry at smoke scale.
+const TRACKED: [&str; 11] = [
     "results/campaigns/gate",
     "results/campaigns/paper-figures-quick",
+    "results/campaigns/shootout-quick",
+    "results/campaigns/rbt-ablation-quick",
+    "results/campaigns/goodput-quick",
+    "results/campaigns/faults-quick",
+    "results/campaigns/tone-jam-quick",
+    "results/campaigns/rx-limit-quick",
+    "results/campaigns/ber-quick",
+    "results/campaigns/unicast-quick",
+    "results/campaigns/motivation-quick",
 ];
 
 /// A manifest run afresh.
@@ -199,6 +211,59 @@ fn tracked_stores_reproduce_byte_for_byte() {
         }
     }
     assert!(failures.is_empty(), "{}", failures.join("\n\n"));
+}
+
+/// The `*.csv` files of a directory, by name, with their text.
+fn csvs(dir: &Path) -> Vec<(String, String)> {
+    let entries = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("list {}: {e}", dir.display()));
+    let mut out: Vec<(String, String)> = (entries.map(|e| e.expect("a directory entry").path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "csv"))
+        .map(|p| {
+            let text = std::fs::read_to_string(&p).expect("read a CSV");
+            (p.file_name().unwrap().to_string_lossy().into_owned(), text)
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+#[test]
+fn committed_csvs_are_the_render_of_their_store() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut checked = 0;
+    for (i, dir) in TRACKED.iter().enumerate() {
+        let dir = root.join(dir);
+        let name = CampaignSpec::from_json(&read(&dir, "manifest.json"))
+            .expect("manifest parses")
+            .name;
+        // A catalog entry at full scale would publish to results/.
+        assert!(!figures::CATALOG.contains(&name.as_str()), "{name}");
+        let scratch = scratch(&format!("render{i}"));
+        std::fs::create_dir_all(&scratch).expect("create scratch dir");
+        let records = load_store(&dir).expect("store loads");
+        let rendered = figures::render(&name, &scratch, &records).expect("renders");
+        let (want, got) = (csvs(&dir), csvs(&scratch));
+        let _ = std::fs::remove_dir_all(&scratch);
+        if !rendered {
+            assert_eq!(want, [], "{name}: CSVs beside a store with no figure set");
+            continue;
+        }
+        let names = |v: &[(String, String)]| v.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
+        assert_eq!(
+            names(&want),
+            names(&got),
+            "{name}: the CSV files beside the store"
+        );
+        for ((file, want), (_, got)) in want.iter().zip(&got) {
+            assert_eq!(want, got, "{name}/{file}: committed vs rendered");
+        }
+        checked += 1;
+    }
+    assert_eq!(
+        checked,
+        TRACKED.len() - 1,
+        "every tracked store but the gate renders"
+    );
 }
 
 /// A scratch copy of the gate store, its `store.jsonl` passed through `edit`.
