@@ -12,7 +12,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # A debug build on purpose: rmac-live's hostile-clock proptest (crates/live/src/node.rs) and the hub's
 # send-order check hold invariants whose checks are debug_asserts. tests/architecture.rs runs here too:
-# the structural rules (DESIGN.md §2, §6–§14) are tests of the root package.
+# the structural rules (DESIGN.md §1, §2, §4–§11) are tests of the root package.
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 

@@ -9,7 +9,7 @@
 //! by each `tx_start`), never against global geometry: physical-layer
 //! capture can fool a fully conformant sender into transmitting data
 //! against a foreign RBT, so a geometric "no overlap" rule would flag
-//! correct runs (DESIGN.md §8).
+//! correct runs (DESIGN.md §9).
 //!
 //! The checker is purely observational: it draws no randomness, schedules
 //! no events and touches no channel state, so an attached checker leaves

@@ -1,8 +1,8 @@
 //! # rmac-check — streaming protocol-conformance checking
 //!
 //! A zero-cost-when-off conformance layer: a fold of the engine's
-//! observation stream (`rmac_phy::trace`, DESIGN.md §7) that machine-checks
-//! the paper's invariants on every run (DESIGN.md §8):
+//! observation stream (`rmac_phy::trace`, DESIGN.md §9) that machine-checks
+//! the paper's invariants on every run (DESIGN.md §9):
 //!
 //! * **C1** busy-tone discipline — no transmission against a sensed RBT,
 //!   and reliable data only after a ≥ λ RBT detection (§3.3).

@@ -3,7 +3,7 @@
 use rmac_sim::SimTime;
 use rmac_wire::NodeId;
 
-/// The invariant catalogue (DESIGN.md §8). Each variant is one
+/// The invariant catalogue (DESIGN.md §9). Each variant is one
 /// machine-checked property of the paper's protocol description.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Invariant {

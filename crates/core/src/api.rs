@@ -97,7 +97,7 @@ pub enum TimerKind {
 /// that promise with one type, `rmac_sim::Edge`: every such change claims
 /// its place in the dispatch order as it is written, its event is pushed
 /// then if the MAC is interested and caught up, under the same key, if the
-/// interest opens while it is still ahead — DESIGN.md §12, "Claimed keys".
+/// interest opens while it is still ahead — DESIGN.md §4, "Claimed keys".
 /// While the node itself transmits it is not counting, so no carrier edge
 /// is owed for that.) A context may deliver more — the live backend and the testkit
 /// deliver every carrier rise and every tone flip — so a MAC must take a

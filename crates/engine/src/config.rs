@@ -124,7 +124,7 @@ pub struct ScenarioConfig {
     /// about `4n` groups of whole radio components (slots linked by
     /// in-range chains), which never exchange events; `1` (the default) is
     /// one group, the whole world. Any value produces bit-identical reports
-    /// (DESIGN.md §10, enforced by `tests/shard_equivalence.rs`).
+    /// (DESIGN.md §8, enforced by `tests/shard_equivalence.rs`).
     pub shards: usize,
 }
 

@@ -1,5 +1,4 @@
-//! The run surface: one builder in, one output struct out (DESIGN.md
-//! "Run surface").
+//! The run surface: one builder in, one output struct out (DESIGN.md §8).
 //!
 //! ```
 //! use rmac_engine::{Protocol, Run, ScenarioConfig};

@@ -1,4 +1,4 @@
-//! The engine: every replication runs as its shard groups (DESIGN.md §10).
+//! The engine: every replication runs as its shard groups (DESIGN.md §8).
 //!
 //! A replication is one or more *shard groups*, each a set of channel slots
 //! (protocol nodes and jammers) driven by one runner:

@@ -258,7 +258,7 @@ impl<Q: SimQueue<Ev>> WorldCore<Q> {
         }
     }
 
-    /// The observation stream's one outlet (DESIGN.md §7): `what` just
+    /// The observation stream's one outlet (DESIGN.md §9): `what` just
     /// happened at `node`, and its MAC has not reacted yet. Called only while
     /// [`watched`](Self::watched); nothing else touches the tracer, the
     /// checker or the per-node protocol tallies.
@@ -675,7 +675,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
             .expect("an event for a node this group does not own")
     }
 
-    /// Attach readers of the observation stream (DESIGN.md §7): the deep
+    /// Attach readers of the observation stream (DESIGN.md §9): the deep
     /// instrumentation layer ([`crate::obs`]: per-node protocol counters,
     /// plus the kernel self-profile and, when configured, the periodic
     /// snapshot sampler), the protocol-conformance checker ([`rmac_check`])
@@ -1070,7 +1070,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
     /// First the channel is told which tone flips, and whether a carrier
     /// rise, the MAC can act on in the state the call left it in: it
     /// schedules a `ToneEdge` or a `FrameArriveStart` for a node only while
-    /// it is interested (DESIGN.md §12); everything else reads the records.
+    /// it is interested (DESIGN.md §5); everything else reads the records.
     /// Then the harvest: the outcomes the MAC notified go to the network
     /// layer, the frames it delivered go up, and any resulting forwards come
     /// back down.

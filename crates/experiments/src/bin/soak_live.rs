@@ -2,8 +2,8 @@
 //! of closed-loop reliable multicast over the loopback transport, with the
 //! 20% Gilbert–Elliott loss plan on the data channel, reporting goodput,
 //! latency quantiles, retransmission and resend counts on stderr (the tracked
-//! numbers are `benchmark/`'s `live_soak_ge20` row and EXPERIMENTS.md's
-//! table).
+//! numbers are `benchmark/`'s `live_soak_ge20` row and EXPERIMENTS.md
+//! "Live soak").
 //!
 //! The acceptance bar is 100% application-layer delivery: every offered
 //! packet reaches every subscriber exactly once (MAC retries plus

@@ -211,7 +211,7 @@ pub struct Channel {
     cfg: ChannelConfig,
     motions: Vec<Motion>,
     /// The largest [`Motion::speed_bound`]: two nodes part by at most
-    /// `2 · v_max` m/s (DESIGN.md §6). Worked out as the first frame
+    /// `2 · v_max` m/s (DESIGN.md §5). Worked out as the first frame
     /// starts: a bound then holds for every frame after.
     v_max: Option<f64>,
     radios: Vec<NodeRadio>,
@@ -452,7 +452,7 @@ impl Channel {
     ///
     /// Whether a receiver's frame end reads the geometry is settled here: a
     /// frame end comes `airtime + prop` on, `prop` ≤ τ, and two nodes part
-    /// by at most `2 · v_max` meanwhile (DESIGN.md §6), so a link that
+    /// by at most `2 · v_max` meanwhile (DESIGN.md §5), so a link that
     /// begins further than that inside the range stays in it — and an abort
     /// that cuts the frame short corrupts it anyway.
     ///
@@ -1659,7 +1659,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1024))]
 
-        /// A frame end trusts its drift bound (DESIGN.md §6) only where the
+        /// A frame end trusts its drift bound (DESIGN.md §5) only where the
         /// exact geometry agrees: whenever it skips the positions, the two
         /// nodes are in range at that instant. Pairs start 0–1 m inside the
         /// range edge at a random instant, on random waypoint walks and

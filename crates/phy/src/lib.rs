@@ -24,7 +24,7 @@
 //!
 //! On the data channel every frame end and every transmit completion is an
 //! event. Tone edges and frame onsets work by **records**, and every edge of
-//! a record is one [`rmac_sim::Edge`] (DESIGN.md §12, "Claimed keys"): as it
+//! a record is one [`rmac_sim::Edge`] (DESIGN.md §4, "Claimed keys"): as it
 //! is written it claims the key its event would get, the event is pushed
 //! only for a receiver whose MAC has declared — through [`Channel::listen`]
 //! — that it can act on the change, and [`Channel::listen`] catches up the
@@ -65,7 +65,7 @@
 //!
 //! The [`trace`] module is the vocabulary of the **observation stream**: what
 //! an engine driving this channel reports of the protocol, one typed event
-//! per observable, for tracers, checkers and tallies to fold (DESIGN.md §7).
+//! per observable, for tracers, checkers and tallies to fold (DESIGN.md §9).
 
 pub mod channel;
 pub mod event;

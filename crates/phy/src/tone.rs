@@ -9,7 +9,7 @@
 //! indication, only for a receiver whose MAC has declared that it can act
 //! on it ([`ToneInterest`]).
 //!
-//! Both edges of a record are [`rmac_sim::Edge`]s (DESIGN.md §12, "Claimed
+//! Both edges of a record are [`rmac_sim::Edge`]s (DESIGN.md §4, "Claimed
 //! keys"): each claims its place in the queue's order as it is written — the
 //! [`Cursor`] a `ToneEdge` pushed there and then gets — whether or not the
 //! event is pushed. A reader passes the cursor of the event it is being

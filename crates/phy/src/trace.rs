@@ -38,7 +38,7 @@
 //! `fault` line says so.
 //!
 //! `tone` and `carrier` are what a node was *told*. A `tone` line is a
-//! presence flip a MAC had asked to hear of (DESIGN.md §12): a sender waiting
+//! presence flip a MAC had asked to hear of (DESIGN.md §5): a sender waiting
 //! in WF_RBT reads the tone through a watch and has no line for the RBT it
 //! detects; what every node heard is the obs report's `tone_busy_ns`. A
 //! `carrier` line with `busy: true` is likewise a rise a MAC was told of —

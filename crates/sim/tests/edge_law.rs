@@ -4,7 +4,7 @@
 //! when the edge was written, or became interested while its key was still
 //! ahead of the dispatch cursor; never once the cursor has passed it; never
 //! for `NEVER`. Everything the PHY's records promise about who is told of
-//! what (DESIGN.md §12, "Claimed keys") rests on these four clauses.
+//! what (DESIGN.md §4, "Claimed keys") rests on these four clauses.
 
 use proptest::collection::vec;
 use proptest::prelude::*;

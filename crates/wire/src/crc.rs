@@ -14,7 +14,7 @@
 //! byte by byte on `TABLES[0]`, which is the classic byte table. The sixteen
 //! tables are 16 KB of read-only data built at compile time. Sixteen lanes
 //! beat eight on the live soak, where every frame datagram is checksummed
-//! twice at each end of a hop (DESIGN.md §9).
+//! twice at each end of a hop (DESIGN.md §11).
 
 /// The reflected polynomial 0xEDB88320 (bit-reversed 0x04C11DB7).
 const POLY: u32 = 0xEDB8_8320;

@@ -7,8 +7,8 @@
 //! rmac help
 //! ```
 //!
-//! For the paper's figure grid use the dedicated binaries in
-//! `rmac-experiments` (see README).
+//! For the paper's figure grid use the `campaign` bin of `rmac-experiments`
+//! (EXPERIMENTS.md "Reproducing").
 
 use std::process::ExitCode;
 

@@ -310,7 +310,7 @@ const RETIRED_WORDS: &[&str] = &[
 ];
 
 /// No retired knob, type or function name reappears anywhere in the tree
-/// but the change logs (DESIGN.md §2, §6–§13).
+/// but the change logs (DESIGN.md §2, §4–§11).
 #[test]
 fn retired_names_stay_retired() {
     let logs = ["CHANGES.md", "ROADMAP.md"];
@@ -326,7 +326,7 @@ fn retired_names_stay_retired() {
 
 /// The six record tallies folded into two `EdgeTally`s stay folded: no Rust
 /// file names one as a word, except inside a `"phy.*"` obs counter name
-/// (DESIGN.md §12).
+/// (DESIGN.md §4).
 #[test]
 fn retired_record_tallies_stay_folded() {
     const TALLIES: [&str; 6] = [
@@ -347,7 +347,7 @@ fn retired_record_tallies_stay_folded() {
 }
 
 /// The trace vocabulary is spelled in one source file, `rmac_phy::trace`
-/// (DESIGN.md §7).
+/// (DESIGN.md §9).
 #[test]
 fn the_trace_vocabulary_is_spelled_in_one_file() {
     let spelled: Vec<&str> = tree()
@@ -407,14 +407,14 @@ fn assert_world_touches(what: &str, hit: impl Fn(&str) -> bool, want: &[&str]) {
 }
 
 /// The checker's events are built in `WorldCore::report` alone, the one
-/// function that feeds every reader (DESIGN.md §7).
+/// function that feeds every reader (DESIGN.md §9).
 #[test]
 fn world_builds_checker_events_only_in_report() {
     assert_world_touches("the checker's events", |l| l.contains("chk."), &["report"]);
 }
 
 /// The checker is reached from `report`, and otherwise only attached and
-/// finished (DESIGN.md §7).
+/// finished (DESIGN.md §9).
 #[test]
 fn world_reaches_the_checker_only_to_report_attach_and_finish() {
     let hit = |l: &str| {
@@ -428,7 +428,7 @@ fn world_reaches_the_checker_only_to_report_attach_and_finish() {
 }
 
 /// The tracer is reached from `report`, and otherwise only attached
-/// (DESIGN.md §7).
+/// (DESIGN.md §9).
 #[test]
 fn world_reaches_the_tracer_only_to_report_and_attach() {
     let hit =
@@ -436,7 +436,7 @@ fn world_reaches_the_tracer_only_to_report_and_attach() {
     assert_world_touches("the tracer", hit, &["report", "attach"]);
 }
 
-/// The per-node protocol tallies are a fold of `report` (DESIGN.md §7).
+/// The per-node protocol tallies are a fold of `report` (DESIGN.md §9).
 #[test]
 fn world_counts_protocol_tallies_only_in_report() {
     const TALLIES: [&str; 6] = [
@@ -469,7 +469,7 @@ fn world_counts_protocol_tallies_only_in_report() {
 }
 
 /// A MAC's context is built in `Runner::enter`, the one way into a MAC
-/// (DESIGN.md §7).
+/// (DESIGN.md §9).
 #[test]
 fn world_builds_a_mac_context_only_in_enter() {
     assert_world_touches("a MAC's context", |l| l.contains("Ctx {"), &["enter"]);
@@ -494,7 +494,7 @@ fn json_key_template(line: &str) -> bool {
 
 /// Every JSON document is written through `rmac_wire::json`: outside
 /// `crates/wire/src/json.rs`, no crate source before its test module spells
-/// a `"key":` template or escapes by hand (DESIGN.md §11).
+/// a `"key":` template or escapes by hand (DESIGN.md §10).
 #[test]
 fn json_is_written_through_one_codec() {
     let files = tree()
@@ -510,7 +510,7 @@ fn json_is_written_through_one_codec() {
 
 /// A received power is worked out in one function of
 /// `crates/phy/src/channel.rs`, called where capture can read it — no fill
-/// computes one per receiver (DESIGN.md §6).
+/// computes one per receiver (DESIGN.md §5).
 #[test]
 fn a_received_power_is_worked_out_at_one_site() {
     let files = tree()
@@ -593,7 +593,7 @@ fn production_code_reads_one_environment_variable() {
 }
 
 /// Outside `rmac-sim` nothing claims or fills a queue key but through
-/// `rmac_sim::Edge` (DESIGN.md §12).
+/// `rmac_sim::Edge` (DESIGN.md §4).
 #[test]
 fn no_key_is_claimed_outside_rmac_sim() {
     let files = tree()
@@ -606,7 +606,7 @@ fn no_key_is_claimed_outside_rmac_sim() {
 }
 
 /// Each queue file defines every `fn` once, so no inherent method twins a
-/// `SimQueue` method (DESIGN.md §12). A `fn` counts as defined where its
+/// `SimQueue` method (DESIGN.md §4). A `fn` counts as defined where its
 /// signature ends in `{`; a trait's `;` declarations do not.
 #[test]
 fn a_queue_file_defines_each_fn_once() {
@@ -630,7 +630,7 @@ fn a_queue_file_defines_each_fn_once() {
 
 /// A live node keeps time on `rmac_sim::EventQueue` and the hub keeps its
 /// copies in send order: nothing names the pinned `TimerWheel` shim kept
-/// for the benchmark (DESIGN.md §9).
+/// for the benchmark (DESIGN.md §11).
 #[test]
 fn nothing_names_the_timer_wheel_shim() {
     let shim = ["crates/live/src/wheel.rs", "crates/live/src/lib.rs"];
@@ -641,7 +641,7 @@ fn nothing_names_the_timer_wheel_shim() {
     assert_none(&found, "the pinned TimerWheel shim has a caller");
 }
 
-/// The `TimerWheel` shim stays a shim of at most 30 lines (DESIGN.md §9).
+/// The `TimerWheel` shim stays a shim of at most 30 lines (DESIGN.md §11).
 #[test]
 fn the_timer_wheel_shim_stays_a_shim() {
     let lines = source("crates/live/src/wheel.rs")
@@ -655,7 +655,7 @@ fn the_timer_wheel_shim_stays_a_shim() {
 }
 
 /// `rmac-live` builds no heap of its own: node timers are an `EventQueue`
-/// and the hub's copies a FIFO (DESIGN.md §9).
+/// and the hub's copies a FIFO (DESIGN.md §11).
 #[test]
 fn rmac_live_builds_no_heap_of_its_own() {
     let found = grep(tree().iter().filter(|f| f.under("crates/live/src")), |l| {
@@ -666,7 +666,7 @@ fn rmac_live_builds_no_heap_of_its_own() {
 
 /// The frame FCS and the datagram trailer share `crates/wire/src/crc.rs`,
 /// the one Rust source outside `vendor/` that spells the CRC-32 polynomial
-/// or a CRC table (DESIGN.md §9).
+/// or a CRC table (DESIGN.md §11).
 #[test]
 fn one_crc_kernel_spells_the_polynomial() {
     let files = tree()
@@ -691,7 +691,7 @@ fn one_crc_kernel_spells_the_polynomial() {
 }
 
 /// Shard groups and campaign cases run on the one worker pool,
-/// `rmac_sim::try_tasks`; no crate imports rayon (DESIGN.md §10).
+/// `rmac_sim::try_tasks`; no crate imports rayon (DESIGN.md §4).
 #[test]
 fn nothing_imports_rayon() {
     let found = grep(tree().iter().filter(|f| f.in_crate_src()), |l| {
@@ -702,7 +702,7 @@ fn nothing_imports_rayon() {
 
 /// The host is read by the worker pool alone: how a replication is cut into
 /// shard groups depends on its geometry and `cfg.shards`, never on the
-/// core count (DESIGN.md §10).
+/// core count (DESIGN.md §4, §8).
 #[test]
 fn only_the_worker_pool_reads_the_core_count() {
     let readers: Vec<&str> = tree()
@@ -719,7 +719,7 @@ fn only_the_worker_pool_reads_the_core_count() {
 }
 
 /// There is one engine: the run surface does not choose a path by shard
-/// count (DESIGN.md §10).
+/// count (DESIGN.md §8).
 #[test]
 fn the_run_surface_does_not_branch_on_shard_count() {
     let found = grep([source("crates/engine/src/run.rs")], |l| {
@@ -730,7 +730,7 @@ fn the_run_surface_does_not_branch_on_shard_count() {
 
 /// All five MACs share one send queue and the four 802.11 exchanges one
 /// station: no second request queue or destination expansion, and no
-/// station plumbing in the exchange files (DESIGN.md §14).
+/// station plumbing in the exchange files (DESIGN.md §6).
 #[test]
 fn one_send_queue_and_one_station() {
     let queue_home = ["crates/core/src/sendq.rs", "crates/core/src/rmac.rs"];
@@ -755,7 +755,7 @@ fn one_send_queue_and_one_station() {
 /// A `results/*.csv` comes from a campaign store through
 /// `figures::render`, or from one of the three bins whose table no store
 /// holds: no other production code turns a table into CSV or names a
-/// `.csv` file (DESIGN.md §11).
+/// `.csv` file (DESIGN.md §10).
 #[test]
 fn only_the_renderer_and_three_bins_write_a_csv() {
     const RENDERER: &str = "crates/experiments/src/figures.rs";
@@ -782,5 +782,128 @@ fn only_the_renderer_and_three_bins_write_a_csv() {
     assert_none(
         &found,
         "a CSV is written outside figures::render and the three table bins",
+    );
+}
+
+/// The description files other files cite by section, each with its byte
+/// budget.
+const DOCS: [(&str, usize); 2] = [("DESIGN.md", 45_000), ("EXPERIMENTS.md", 35_000)];
+
+/// The text of each heading of a markdown file outside code fences, its
+/// `#`s and spaces stripped.
+fn headings(path: &str) -> Vec<&'static str> {
+    let mut fenced = false;
+    source(path)
+        .text
+        .lines()
+        .filter(|l| {
+            fenced ^= l.starts_with("```");
+            !fenced && l.starts_with('#')
+        })
+        .map(|l| l.trim_start_matches('#').trim())
+        .collect()
+}
+
+/// The sections that `rest`, the text right after a cited file name, names:
+/// `§N` (more after `, ` or `–`), then a quoted title, or a quoted title
+/// alone.
+fn cited_sections(rest: &str) -> Vec<String> {
+    let mut rest = rest.trim_start_matches(['`', ' ', '(']);
+    let mut cited = Vec::new();
+    while let Some(r) = rest.strip_prefix('§') {
+        let digits = r.bytes().take_while(u8::is_ascii_digit).count();
+        if digits == 0 {
+            break;
+        }
+        cited.push(format!("§{}", &r[..digits]));
+        rest = &r[digits..];
+        rest = [", ", "–"]
+            .iter()
+            .find_map(|sep| rest.strip_prefix(sep))
+            .unwrap_or(rest);
+    }
+    if let Some((title, _)) = rest.strip_prefix('"').and_then(|r| r.split_once('"')) {
+        cited.push(title.to_string());
+    }
+    cited
+}
+
+/// Is `cited` among `headings`: a `§N` whose number begins a heading as
+/// `N.`, or a title that begins a heading, after the heading's number if it
+/// has one?
+fn has_section(headings: &[&str], cited: &str) -> bool {
+    match cited.strip_prefix('§') {
+        Some(n) => headings
+            .iter()
+            .any(|h| h.strip_prefix(n).is_some_and(|t| t.starts_with(". "))),
+        None => headings.iter().any(|h| {
+            let numbered = h
+                .split_once(". ")
+                .filter(|(n, _)| n.bytes().all(|b| b.is_ascii_digit()));
+            numbered.map_or(*h, |(_, title)| title).starts_with(cited)
+        }),
+    }
+}
+
+/// Every `DESIGN.md §N`, `DESIGN.md "Title"` and `EXPERIMENTS.md "Title"` in
+/// the tree names a heading that exists, a title the start of one, also
+/// where a line break splits the citation. CHANGES.md records what the
+/// files said at the time, and other top-level notes may quote citations as
+/// they stood, so of the top-level markdown files only README.md, ROADMAP.md
+/// and the two docs are held (DESIGN.md §1).
+#[test]
+fn doc_citations_name_headings_that_exist() {
+    let docs: Vec<(&str, Vec<&str>)> = DOCS.iter().map(|&(d, _)| (d, headings(d))).collect();
+    let held = |p: &str| {
+        p.contains('/')
+            || !p.ends_with(".md")
+            || ["README.md", "ROADMAP.md"].contains(&p)
+            || DOCS.iter().any(|&(d, _)| d == p)
+    };
+    let mut found = Vec::new();
+    for f in tree().iter().filter(|f| held(&f.path)) {
+        let lines: Vec<&str> = f.text.lines().collect();
+        for (i, line) in lines.iter().enumerate() {
+            let next = lines.get(i + 1).map_or("", |l| {
+                l.trim_start()
+                    .trim_start_matches(['/', '!', '#', '>'])
+                    .trim_start()
+            });
+            let joined = format!("{line} {next}");
+            for (doc, heads) in &docs {
+                for at in offsets(&joined, doc).filter(|&at| at < line.len()) {
+                    for cited in cited_sections(&joined[at + doc.len()..]) {
+                        if !has_section(heads, &cited) {
+                            found.push(format!("{}:{}: {doc} {cited}", f.path, i + 1));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_none(&found, "a citation names no heading of its file");
+}
+
+/// DESIGN.md and EXPERIMENTS.md describe what is: each keeps to its byte
+/// budget, and no heading names a PR, whose story is CHANGES.md's
+/// (DESIGN.md §1).
+#[test]
+fn the_description_files_keep_their_budgets() {
+    let mut found = Vec::new();
+    for (doc, budget) in DOCS {
+        let bytes = source(doc).text.len();
+        if bytes > budget {
+            found.push(format!("{doc}: {bytes} bytes (want <= {budget})"));
+        }
+        found.extend(
+            headings(doc)
+                .into_iter()
+                .filter(|h| followed_by(h, "PR ", |b| b.is_ascii_digit()))
+                .map(|h| format!("{doc}: a heading names a PR: {h}")),
+        );
+    }
+    assert_none(
+        &found,
+        "a description file outgrew its budget or dates itself",
     );
 }

@@ -1,5 +1,5 @@
 //! The conformance checker against real replications: every protocol's
-//! full stack must satisfy the invariant catalogue (DESIGN.md §8) on
+//! full stack must satisfy the invariant catalogue (DESIGN.md §9) on
 //! clean, faulty and mobile scenarios — and the deliberately broken
 //! mutant must be caught.
 

@@ -198,8 +198,8 @@ fn bmmm_countdown_sleeps_and_reports_as_the_slot_loop_did() {
 /// than its budget of countdown timers (2.2–2.7 per transmitted frame: fewer
 /// frames per packet than BMMM, the same contention), so only their reports
 /// are held. Recorded at the commit before the station was shared. The session-guard
-/// fix (DESIGN.md §14) moves these three protocols and no other; it did
-/// not happen to move this replication (EXPERIMENTS.md, X1).
+/// fix (DESIGN.md §6) moves these three protocols and no other; it did
+/// not happen to move this replication (its entry in CHANGES.md).
 #[test]
 fn bmw_lbp_and_mx_report_as_pinned() {
     for (protocol, pinned) in [

@@ -1,4 +1,4 @@
-//! One observation stream (DESIGN.md §7): the engine reports each protocol
+//! One observation stream (DESIGN.md §9): the engine reports each protocol
 //! observable once, and the tracer, the conformance checker and the per-node
 //! obs tallies are folds of that report. So attaching any subset of the
 //! three changes nothing any of them — or the run — sees.

@@ -2,7 +2,7 @@
 //!
 //! Each directory in [`TRACKED`] holds a committed `manifest.json` and
 //! `store.jsonl`. A store is a pure function of its manifest (DESIGN.md
-//! §11), so re-running the manifest must reproduce it byte for byte, with
+//! §10), so re-running the manifest must reproduce it byte for byte, with
 //! every case clean under the C1–C5 checker. A behaviour change of any
 //! size fails here, naming the first case that moved and each field with
 //! both values. A catalog store also holds the CSVs `campaign_report`
