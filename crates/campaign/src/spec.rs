@@ -341,13 +341,18 @@ impl CampaignSpec {
         Ok(spec)
     }
 
-    /// Refuse a grid [`rmac_engine::Run`] would refuse (or, before it did,
-    /// run wrong): a source rate that is not a finite positive number. Also
-    /// refuse obs ingestion on sharded cases: the sharded merge carries no
-    /// engine obs, so every case would fall back to one serial group.
+    /// Refuse a grid [`rmac_engine::Run`] would refuse: every case's config
+    /// must pass [`ScenarioConfig::validate`] (a finite positive rate, an
+    /// end of run that fits the clock, 1..=65535 nodes), so a bad manifest
+    /// fails before its `manifest.json` is written instead of in every
+    /// case. Also refuse obs ingestion on sharded cases: the sharded merge
+    /// carries no engine obs, so every case would fall back to one serial
+    /// group.
     pub fn validate(&self) -> Result<(), String> {
-        if let Some(r) = self.rates.iter().find(|r| !(r.is_finite() && **r > 0.0)) {
-            return Err(format!("rates: {r} is not a finite positive rate"));
+        for case in self.cases() {
+            case.config()
+                .validate()
+                .map_err(|e| format!("case {}: {e}", case.key()))?;
         }
         if self.obs && self.shards > 1 {
             return Err(format!(
@@ -436,7 +441,8 @@ mod tests {
         // Read through an f64, seed 2^53 + 1 came back as ...992 and the
         // salt above as ...111680: other placements, another loss trajectory.
         spec.seeds.extend([9_007_199_254_740_993, u64::MAX]);
-        spec.packets = u64::MAX;
+        // Past u32, still inside the clock at 5 pkt/s (u64::MAX is refused).
+        spec.packets = 4_000_000_001;
         let json = spec.to_json();
         assert!(
             json.contains("9007199254740993,18446744073709551615]"),
@@ -483,14 +489,39 @@ mod tests {
 
     #[test]
     fn unusable_rates_are_errors() {
-        for (rate, needle) in [
-            ("0", "finite positive rate"),
-            ("-5", "finite positive rate"),
-            ("1e999", "rates: number 1e999 at byte"),
+        // A case the engine would refuse is refused before any case runs,
+        // naming the first such case.
+        for (key, value, needle) in [
+            (
+                "rates",
+                "[5,0]",
+                "r0/none/s0: ScenarioConfig::rate_pps must be finite and positive",
+            ),
+            (
+                "rates",
+                "[5,-5]",
+                "r-5/none/s0: ScenarioConfig::rate_pps must be finite and positive",
+            ),
+            ("rates", "[5,1e999]", "rates: number 1e999 at byte"),
+            (
+                "nodes",
+                "0",
+                "r5/none/s0: ScenarioConfig::nodes must be in 1..=65535, got 0",
+            ),
+            (
+                "nodes",
+                "65536",
+                "r5/none/s0: ScenarioConfig::nodes must be in 1..=65535, got 65536",
+            ),
+            (
+                "packets",
+                "18446744073709551615",
+                "r5/none/s0: ScenarioConfig's end time must fit the clock",
+            ),
         ] {
-            let err = CampaignSpec::from_json(&manifest_with("rates", &format!("[5,{rate}]")))
-                .expect_err("rate must be refused");
-            assert!(err.contains(needle), "{rate}: {err}");
+            let err = CampaignSpec::from_json(&manifest_with(key, value))
+                .expect_err("the case must be refused");
+            assert!(err.contains(needle), "{key}={value}: {err}");
         }
         let mut spec = CampaignSpec::paper_figures(true);
         spec.rates.push(f64::NAN);

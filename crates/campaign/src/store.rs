@@ -66,6 +66,11 @@ pub struct CaseRecord {
     pub mrts_len_max: f64,
     pub fault_crashes: u64,
     pub fault_jam_bursts: u64,
+    /// The rest of Fig. 6's tree statistics (`hops_avg` is above); after
+    /// the fields above for the same reason.
+    pub hops_p99: f64,
+    pub children_avg: f64,
+    pub children_p99: f64,
     /// The obs report's counters `(name, value)` sorted by name; empty
     /// when the spec ran without obs.
     pub obs_counters: Vec<(String, u64)>,
@@ -118,6 +123,9 @@ impl CaseRecord {
             mrts_len_max: report.mrts_len_max,
             fault_crashes: report.fault_crashes,
             fault_jam_bursts: report.fault_jam_bursts,
+            hops_p99: report.hops_p99,
+            children_avg: report.children_avg,
+            children_p99: report.children_p99,
             obs_counters,
         }
     }
@@ -155,6 +163,9 @@ impl CaseRecord {
             o.fixed("mrts_len_max", self.mrts_len_max, 6);
             o.u64("fault_crashes", self.fault_crashes);
             o.u64("fault_jam_bursts", self.fault_jam_bursts);
+            o.fixed("hops_p99", self.hops_p99, 6);
+            o.fixed("children_avg", self.children_avg, 6);
+            o.fixed("children_p99", self.children_p99, 6);
             if !self.obs_counters.is_empty() {
                 o.obj("obs_counters", |o| {
                     for (name, v) in &self.obs_counters {
@@ -212,6 +223,9 @@ impl CaseRecord {
             mrts_len_max: f("mrts_len_max")?,
             fault_crashes: u("fault_crashes")?,
             fault_jam_bursts: u("fault_jam_bursts")?,
+            hops_p99: f("hops_p99")?,
+            children_avg: f("children_avg")?,
+            children_p99: f("children_p99")?,
             obs_counters,
         })
     }
@@ -251,6 +265,9 @@ mod tests {
             mrts_len_max: 64.0,
             fault_crashes: 2,
             fault_jam_bursts: 7,
+            hops_p99: 9.0,
+            children_avg: 3.25,
+            children_p99: 8.0,
             obs_counters: vec![("queue.pushed".into(), 42)],
         }
     }

@@ -169,9 +169,19 @@ impl ScenarioConfig {
         self
     }
 
-    /// Override the node count.
+    /// Override the node count. Below the paper's 75 nodes both sides of
+    /// the paper's plane shrink by √(n/75), so a small network keeps the
+    /// paper's node density (and stays connected) instead of scattering a
+    /// handful of nodes over 500 m × 300 m; at 75 or more `bounds` is left
+    /// as it is. A test that wants few nodes on the full plane sets
+    /// `bounds` after this call.
     pub fn with_nodes(mut self, nodes: usize) -> Self {
         self.nodes = nodes;
+        if nodes < 75 {
+            let scale = (nodes as f64 / 75.0).sqrt();
+            let paper = Bounds::PAPER;
+            self.bounds = Bounds::new(paper.width * scale, paper.height * scale);
+        }
         self
     }
 
@@ -224,11 +234,39 @@ impl ScenarioConfig {
     }
 
     /// Total simulated time: warmup + send window + drain, or `None` when
-    /// that does not fit the clock ([`crate::Run::new`] refuses such a
-    /// config).
+    /// that does not fit the clock ([`ScenarioConfig::validate`] refuses
+    /// such a config).
     pub fn checked_end_time(&self) -> Option<SimTime> {
         let send = self.source_interval().checked_mul(self.packets)?;
         self.warmup.checked_add(send)?.checked_add(self.drain)
+    }
+
+    /// Whether [`crate::Run`] can run this config: the source rate is a
+    /// finite positive number (the source interval `1 / rate_pps` would
+    /// otherwise saturate the clock), the end of the run fits the clock
+    /// ([`ScenarioConfig::checked_end_time`]), and `nodes` is in
+    /// `1..=65535` (node 0 is the source, and a [`NodeId`] is 16 bits
+    /// wide). `Err` says which condition fails.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.rate_pps.is_finite() && self.rate_pps > 0.0) {
+            return Err(format!(
+                "ScenarioConfig::rate_pps must be finite and positive, got {}",
+                self.rate_pps
+            ));
+        }
+        if self.checked_end_time().is_none() {
+            return Err(format!(
+                "ScenarioConfig's end time must fit the clock, got {} packets at {} pkt/s",
+                self.packets, self.rate_pps
+            ));
+        }
+        if !(1..=usize::from(u16::MAX)).contains(&self.nodes) {
+            return Err(format!(
+                "ScenarioConfig::nodes must be in 1..=65535, got {}",
+                self.nodes
+            ));
+        }
+        Ok(())
     }
 
     /// Total simulated time: warmup + send window + drain.
@@ -274,6 +312,28 @@ mod tests {
             fits.checked_end_time(),
             Some(fits.warmup + send + fits.drain)
         );
+    }
+
+    #[test]
+    fn a_small_network_keeps_the_paper_density() {
+        for nodes in [75, 76, 200, 2000] {
+            let c = ScenarioConfig::paper_stationary(5.0).with_nodes(nodes);
+            assert_eq!(c.bounds.width.to_bits(), Bounds::PAPER.width.to_bits());
+            assert_eq!(c.bounds.height.to_bits(), Bounds::PAPER.height.to_bits());
+        }
+        let mut custom = ScenarioConfig::paper_stationary(5.0);
+        custom.bounds = Bounds::new(50.0, 50.0);
+        assert_eq!(custom.with_nodes(100).bounds, Bounds::new(50.0, 50.0));
+        // 30 nodes on 0.4 of the paper's area: 75 / (500 · 300) per m².
+        let c = ScenarioConfig::paper_stationary(5.0).with_nodes(30);
+        let area = c.bounds.width * c.bounds.height;
+        assert!((30.0 / area - 75.0 / 150_000.0).abs() < 1e-12, "{area}");
+        assert!((c.bounds.width / c.bounds.height - 5.0 / 3.0).abs() < 1e-12);
+        // Scaled from the paper's plane, not compounded.
+        let twice = ScenarioConfig::paper_stationary(5.0)
+            .with_nodes(15)
+            .with_nodes(30);
+        assert_eq!(twice.bounds, c.bounds);
     }
 
     #[test]

@@ -91,29 +91,13 @@ impl Run {
     ///
     /// # Panics
     ///
-    /// - when `cfg.rate_pps` is not a finite positive number (the source
-    ///   interval `1 / rate_pps` would otherwise saturate the clock);
-    /// - when the end of the run, warmup + `packets / rate_pps` + drain,
-    ///   does not fit the clock ([`ScenarioConfig::checked_end_time`]);
-    /// - when `cfg.nodes` is outside `1..=65535` (node 0 is the source, and
-    ///   a [`NodeId`] is 16 bits wide).
+    /// When [`ScenarioConfig::validate`] refuses `cfg` (a source rate that
+    /// is not finite and positive, an end of run past the clock, or a node
+    /// count outside `1..=65535`), with its message.
     pub fn new(cfg: &ScenarioConfig, protocol: Protocol, seed: u64) -> Run {
-        assert!(
-            cfg.rate_pps.is_finite() && cfg.rate_pps > 0.0,
-            "ScenarioConfig::rate_pps must be finite and positive, got {}",
-            cfg.rate_pps
-        );
-        assert!(
-            cfg.checked_end_time().is_some(),
-            "ScenarioConfig's end time must fit the clock, got {} packets at {} pkt/s",
-            cfg.packets,
-            cfg.rate_pps
-        );
-        assert!(
-            (1..=usize::from(u16::MAX)).contains(&cfg.nodes),
-            "ScenarioConfig::nodes must be in 1..=65535, got {}",
-            cfg.nodes
-        );
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
         Run {
             spec: Spec {
                 cfg: Arc::new(cfg.clone()),

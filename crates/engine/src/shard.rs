@@ -487,10 +487,12 @@ mod tests {
     #[test]
     fn sharded_report_matches_the_one_group_run_on_a_small_scenario() {
         // The full equivalence matrix lives in tests/shard_equivalence.rs;
-        // this is the in-crate smoke for the plumbing.
-        let cfg = ScenarioConfig::paper_stationary(5.0)
+        // this is the in-crate smoke for the plumbing. Twenty nodes on the
+        // full plane fall apart into several radio components.
+        let mut cfg = ScenarioConfig::paper_stationary(5.0)
             .with_nodes(20)
             .with_packets(10);
+        cfg.bounds = rmac_mobility::Bounds::PAPER;
         let whole = Run::new(&cfg, Protocol::Rmac, 7).execute();
         assert_eq!((whole.shard.shards, whole.shard.groups), (1, 1));
         assert_eq!(whole.shard.group_stats[0].slots, 20);

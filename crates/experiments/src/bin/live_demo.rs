@@ -123,7 +123,6 @@ fn main() {
             scale,
             ctrl_bind: args.bind,
             peers: args.peers.clone(),
-            ..UdpConfig::default()
         },
     )
     .unwrap_or_else(|e| {

@@ -48,13 +48,11 @@ fn read_json(path: &str, lines: bool) -> Vec<Json> {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (nodes, packets) = if smoke { (15, 8) } else { (75, 40) };
-    let mut cfg = ScenarioConfig::paper_stationary(10.0)
+    // `with_nodes` keeps the paper's node density, so the smoke network
+    // stays connected and actually exercises reliable sends.
+    let cfg = ScenarioConfig::paper_stationary(10.0)
         .with_nodes(nodes)
         .with_packets(packets);
-    // Keep the paper's node density when shrinking the population, so the
-    // smoke network stays connected and actually exercises reliable sends.
-    let scale = (nodes as f64 / 75.0).sqrt();
-    cfg.bounds = rmac_mobility::Bounds::new(500.0 * scale, 300.0 * scale);
     eprintln!(
         "obs_report: {} nodes, {} packets, seed {SEED}{}",
         nodes,

@@ -12,7 +12,7 @@ use std::fs;
 use std::path::Path;
 
 use rmac_campaign::{grid_points, CampaignSpec, CaseRecord, FaultAxis, ScenarioKind};
-use rmac_engine::{Protocol, Run, RunOutput, ScenarioConfig};
+use rmac_engine::Protocol;
 use rmac_faults::{BurstySpec, ChurnKind, ChurnSpec, FaultPlan, JamTarget, JammerSpec, SkewSpec};
 use rmac_metrics::table::fmt;
 use rmac_metrics::{RunReport, Table};
@@ -20,8 +20,9 @@ use rmac_metrics::{RunReport, Table};
 /// The sweeps, by campaign name. A store belongs to the entry its
 /// manifest name starts with, so `paper-figures-quick` or a hand-written
 /// `paper-figures-10k` manifest render as `paper-figures`.
-pub const CATALOG: [&str; 10] = [
+pub const CATALOG: [&str; 11] = [
     "paper-figures",
+    "topology",
     "shootout",
     "rbt-ablation",
     "goodput",
@@ -57,6 +58,12 @@ pub fn spec(name: &str, quick: bool) -> Option<CampaignSpec> {
     };
     Some(match name {
         "paper-figures" => paper,
+        // Fig. 6: the tree BLESS-lite forms on each of ten placements.
+        "topology" => CampaignSpec {
+            protocols: vec![Rmac],
+            rates: vec![5.0],
+            ..at_density(10, 50)
+        },
         "shootout" => stationary(&[Rmac, Bmmm, Bmw, Lbp, Mx80211]),
         "rbt-ablation" => stationary(&[Rmac, RmacNoRbt]),
         "goodput" => CampaignSpec {
@@ -193,10 +200,13 @@ enum Rows {
     /// One table for the whole store, a row per (scenario, rate), the
     /// columns repeated per protocol.
     PerScenario,
+    /// One table for the whole store, a row per seed, unpooled: one
+    /// protocol, scenario, rate and fault plan.
+    PerSeed,
 }
 
 /// One figure: a table per scenario, written to `<stem>_<scenario>.csv`,
-/// or, a row per scenario, one table written to `<stem>.csv`.
+/// or, a row per scenario or per seed, one table written to `<stem>.csv`.
 pub struct Figure {
     stem: &'static str,
     title: &'static str,
@@ -218,6 +228,20 @@ const DELAY_S: Col = col("delay_s", |r| fmt(r.e2e_delay_avg_s, 4));
 const DELAY_MS: Col = col("delay_ms", |r| fmt(r.e2e_delay_avg_s * 1e3, 2));
 const TXOH_3: Col = col("txoh", |r| fmt(r.txoh_ratio_avg, 3));
 const JAM_BURSTS: Col = col("jam_bursts", |r| r.fault_jam_bursts.to_string());
+
+// Fig. 6 / §4.1.1: each placement's tree, not a pooled point.
+static TOPOLOGY: [Figure; 1] = [Figure {
+    stem: "fig6_topology",
+    title: "Fig.6 — tree topology statistics (paper: hops 3.87/10, children 3.54/9)",
+    key: "seed",
+    rows: Rows::PerSeed,
+    cols: &[
+        col("hops_avg", |r| fmt(r.hops_avg, 2)),
+        col("hops_p99", |r| fmt(r.hops_p99, 0)),
+        col("children_avg", |r| fmt(r.children_avg, 2)),
+        col("children_p99", |r| fmt(r.children_p99, 0)),
+    ],
+}];
 
 static PAPER_FIGURES: [Figure; 7] = [
     Figure {
@@ -406,8 +430,9 @@ static MOTIVATION: [Figure; 1] = [Figure {
 
 /// The figures of the catalog entry a store named `store_name` belongs to.
 pub fn figure_set(store_name: &str) -> Option<&'static [Figure]> {
-    let sets: [&'static [Figure]; 10] = [
+    let sets: [&'static [Figure]; 11] = [
         &PAPER_FIGURES,
+        &TOPOLOGY,
         &SHOOTOUT,
         &RBT_ABLATION,
         &GOODPUT,
@@ -445,6 +470,9 @@ fn report_of(r: &CaseRecord) -> RunReport {
         mrts_len_max: r.mrts_len_max,
         e2e_delay_avg_s: r.delay_s,
         hops_avg: r.hops_avg,
+        hops_p99: r.hops_p99,
+        children_avg: r.children_avg,
+        children_p99: r.children_p99,
         events: r.events,
         faults_injected: r.faults_injected,
         fault_crashes: r.fault_crashes,
@@ -468,6 +496,13 @@ fn pool(records: &[CaseRecord]) -> Vec<Point> {
         .collect()
 }
 
+/// A store's replications, one point each, unpooled.
+fn replications(records: &[CaseRecord]) -> Vec<Point> {
+    (records.iter())
+        .map(|r| (r.fault.clone(), report_of(r)))
+        .collect()
+}
+
 fn distinct<T: PartialEq>(values: impl Iterator<Item = T>) -> Vec<T> {
     let mut out = Vec::new();
     for v in values {
@@ -482,6 +517,9 @@ impl Figure {
     /// This figure's tables among `points`, each with the file stem it is
     /// written under: one per scenario, or one for the store.
     fn tables(&self, points: &[Point]) -> Result<Vec<(String, Table)>, String> {
+        if let Rows::PerSeed = self.rows {
+            return self.per_seed(points);
+        }
         let rmac_only = matches!(self.rows, Rows::RmacOnly);
         let per_scenario = matches!(self.rows, Rows::PerScenario);
         let points: Vec<&Point> = (points.iter())
@@ -580,6 +618,38 @@ impl Figure {
         Ok(out)
     }
 
+    /// A row per replication among `points`, which must all be one grid
+    /// point's (one protocol, scenario, rate and fault plan).
+    fn per_seed(&self, points: &[Point]) -> Result<Vec<(String, Table)>, String> {
+        let grid = distinct((points.iter()).map(|(f, r)| {
+            (
+                f.as_str(),
+                r.protocol.as_str(),
+                r.scenario.as_str(),
+                r.rate_pps,
+            )
+        }));
+        let Some(&(_, protocol, scenario, rate)) = grid.first() else {
+            return Ok(Vec::new());
+        };
+        if grid.len() > 1 {
+            return Err(format!(
+                "{}: the table holds one grid point, the store has {}",
+                self.stem,
+                grid.len()
+            ));
+        }
+        let mut headers = vec![self.key.to_string()];
+        headers.extend(self.cols.iter().map(|c| c.header.to_string()));
+        let mut t = self.titled(&format!("{protocol}, {scenario}, {rate} pkt/s"), &headers);
+        for (_, r) in points {
+            let mut row = vec![r.seed.to_string()];
+            row.extend(self.cols.iter().map(|c| (c.cell)(r)));
+            t.row(row);
+        }
+        Ok(vec![(self.stem.to_string(), t)])
+    }
+
     fn titled(&self, qualifier: &str, headers: &[String]) -> Table {
         let headers: Vec<&str> = headers.iter().map(String::as_str).collect();
         Table::new(format!("{} ({qualifier})", self.title), &headers)
@@ -601,9 +671,13 @@ pub fn render(store_name: &str, store_dir: &Path, records: &[CaseRecord]) -> Res
         store_dir
     };
     fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    let points = pool(records);
+    let (pooled, replications) = (pool(records), replications(records));
     for figure in figures {
-        for (file, table) in figure.tables(&points)? {
+        let points = match figure.rows {
+            Rows::PerSeed => &replications,
+            _ => &pooled,
+        };
+        for (file, table) in figure.tables(points)? {
             println!("{}", table.render());
             let path = dir.join(format!("{file}.csv"));
             fs::write(&path, table.to_csv())
@@ -614,28 +688,11 @@ pub fn render(store_name: &str, store_dir: &Path, records: &[CaseRecord]) -> Res
     Ok(true)
 }
 
-/// Fig. 6 / §4.1.1: run one stationary replication and export the formed
-/// tree as Graphviz DOT plus the hop/children statistics.
-pub fn fig6_topology(seed: u64, packets: u64) -> (RunReport, String) {
-    let cfg = ScenarioConfig::paper_stationary(5.0).with_packets(packets);
-    let RunOutput {
-        report, parents, ..
-    } = Run::new(&cfg, Protocol::Rmac, seed).execute();
-    let mut dot = String::from("digraph tree {\n  rankdir=TB;\n  node [shape=circle];\n");
-    dot.push_str("  0 [style=filled, fillcolor=lightblue];\n");
-    for (i, p) in parents.iter().enumerate() {
-        if let Some(p) = p {
-            dot.push_str(&format!("  {} -> {};\n", p.0, i));
-        }
-    }
-    dot.push_str("}\n");
-    (report, dot)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rmac_campaign::{run_campaign, RunOptions};
+    use rmac_engine::Run;
 
     /// CSV equality, except that a numeric cell may sit one unit of its last
     /// printed digit away: the store rounds every float to six decimals
@@ -817,6 +874,45 @@ mod tests {
     }
 
     #[test]
+    fn fig6_is_a_row_per_placement() {
+        let full = spec("topology", false).expect("catalog entry");
+        assert_eq!(full.protocols, [Protocol::Rmac]);
+        assert_eq!(full.scenarios, [ScenarioKind::Stationary]);
+        assert_eq!(
+            (full.rates.as_slice(), full.packets, full.nodes),
+            (&[5.0][..], 50, 75)
+        );
+        assert_eq!(full.seeds, (0..10).collect::<Vec<u64>>());
+        let record = |seed, rate| CaseRecord {
+            protocol: "RMAC".into(),
+            scenario: "stationary".into(),
+            rate,
+            seed,
+            fault: "none".into(),
+            hops_avg: 3.5,
+            hops_p99: 7.0,
+            children_avg: 2.25,
+            children_p99: 9.0,
+            ..CaseRecord::default()
+        };
+        let fig6 = &TOPOLOGY[0];
+        let two_seeds = replications(&[record(0, 5.0), record(1, 5.0)]);
+        let tables = fig6.tables(&two_seeds).expect("lays out");
+        assert_eq!(
+            (tables[0].0.as_str(), tables[0].1.to_csv()),
+            (
+                "fig6_topology",
+                "seed,hops_avg,hops_p99,children_avg,children_p99\n\
+                 0,3.50,7,2.25,9\n1,3.50,7,2.25,9\n"
+                    .to_string()
+            )
+        );
+        let two_rates = replications(&[record(0, 5.0), record(0, 20.0)]);
+        let err = fig6.tables(&two_rates).expect_err("two grid points");
+        assert!(err.contains("one grid point, the store has 2"), "{err}");
+    }
+
+    #[test]
     fn an_unwritable_figure_is_an_error() {
         // A file where the CSV directory should be.
         let blocker =
@@ -826,13 +922,5 @@ mod tests {
         assert!(err.contains("create"), "{err}");
         let _ = fs::remove_file(&blocker);
         assert_eq!(render("gate", Path::new("unused"), &[]), Ok(false));
-    }
-
-    #[test]
-    fn fig6_exports_a_tree() {
-        let (report, dot) = fig6_topology(3, 5);
-        assert!(dot.starts_with("digraph"));
-        assert!(dot.contains("->"), "tree has edges");
-        assert!(report.hops_avg >= 1.0);
     }
 }

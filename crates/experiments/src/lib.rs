@@ -10,9 +10,10 @@
 //! and CSVs behind each figure. Another scale is a manifest file
 //! (`campaign run my-grid.json`), not an environment variable.
 //!
-//! Three bins write a table no store holds: `table_overhead` (§2
-//! arithmetic), `table1_transitions` (state-machine probing) and
-//! `fig6_topology` (tree parents).
+//! Two bins write a table no store holds: `table_overhead` (§2
+//! arithmetic) and `table1_transitions` (state-machine probing). Fig. 6
+//! is the catalog entry `topology`; `examples/tree_multicast.rs` draws one
+//! of its trees.
 
 use std::path::Path;
 

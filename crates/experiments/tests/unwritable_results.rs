@@ -16,8 +16,6 @@ fn a_table_bin_fails_naming_the_path_it_could_not_write() {
             env!("CARGO_BIN_EXE_table1_transitions"),
             "table1_transitions.csv",
         ),
-        // Its first write is the example tree.
-        (env!("CARGO_BIN_EXE_fig6_topology"), "fig6_tree.dot"),
     ] {
         let out = Command::new(bin)
             .current_dir(&dir)

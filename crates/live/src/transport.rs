@@ -4,7 +4,7 @@
 //! An endpoint talks over two datagram channels:
 //!
 //! * the **data channel** carries wire-encoded MAC frames to *everyone*
-//!   (UDP multicast or unicast fan-out on [`UdpTransport`](crate::UdpTransport),
+//!   (unicast fan-out to every known peer on [`UdpTransport`](crate::UdpTransport),
 //!   the broadcast fan-out of the in-process [`LoopbackHub`](crate::LoopbackHub));
 //! * the **control channel** carries short unicast datagrams to one named
 //!   peer — the busy-tone stand-ins and the session handshake.
@@ -19,7 +19,7 @@ use rmac_wire::NodeId;
 /// Which of the two channels a datagram traveled on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DgramChannel {
-    /// The multicast data channel (wire-encoded MAC frames).
+    /// The data channel to everyone (wire-encoded MAC frames).
     Data,
     /// The unicast control channel (tones, handshake).
     Ctrl,

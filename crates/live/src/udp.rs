@@ -1,35 +1,22 @@
 //! [`UdpTransport`]: the real-socket backend (`std::net` + threads only).
 //!
-//! Socket layout per endpoint, following the RMC exemplar (multicast data
-//! plus per-subscriber control connections):
-//!
-//! * one **control socket**, bound to an OS-assigned port. All *sending*
-//!   happens from here — unicast control datagrams to known peers, and
-//!   data datagrams either to the multicast group or, in unicast fan-out
-//!   mode, to every known peer. Because everything leaves from this one
-//!   socket, every arrival anywhere carries the sender's control address
-//!   as its source, and peers learn each other's control addresses from
-//!   traffic alone (a `Hello` is enough to bootstrap).
-//! * optionally one **data socket** bound to the shared multicast group
-//!   port, joined to the group, with loopback enabled (own echoes are
-//!   discarded upstream by [`LiveNode`](crate::LiveNode) via the datagram
-//!   source id). Unicast fan-out mode — the default here, and what the
-//!   same-host two-terminal demo uses, since a second bind of the group
-//!   port on one host needs `SO_REUSEADDR`, which `std::net` cannot set —
-//!   skips this socket entirely and delivers data to the peers' control
-//!   sockets instead.
+//! Each endpoint has one socket, bound to an OS-assigned port, and fans
+//! data out by unicast: control datagrams go to one known peer, data
+//! datagrams to every known peer. Because everything leaves from this one
+//! socket, every arrival carries the sender's address as its source, and
+//! peers learn each other's addresses from traffic alone (a `Hello` is
+//! enough to bootstrap).
 //!
 //! The endpoint is sans-select: [`UdpTransport::poll`] never blocks, and
 //! [`UdpTransport::wait_until`] blocks at most until a MAC-time deadline
 //! (the node's next timer) — the two calls [`Driver`](crate::Driver)'s pump
 //! loop is made of.
 //!
-//! One reader thread per socket stamps arrivals in MAC time (a shared
-//! [`WallClock`]) *at receive time*, so sleeps in `wait_until` don't smear
-//! arrival timestamps, and forwards them over an in-process queue. The incoming
-//! channel tag is derived from the decoded body (frames are data-channel
-//! traffic wherever they physically arrived), which keeps the two modes
-//! semantically identical.
+//! A reader thread stamps arrivals in MAC time (a shared [`WallClock`])
+//! *at receive time*, so sleeps in `wait_until` don't smear arrival
+//! timestamps, and forwards them over an in-process queue. The incoming
+//! channel tag is derived from the decoded body: frames are data-channel
+//! traffic, everything else (and an undecodable datagram) control.
 //!
 //! MAC time runs `scale`× slower than wall time (default 200×), so that
 //! host latency shrinks below the paper's 2 µs tone margin in MAC units.
@@ -43,7 +30,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
+use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -61,30 +48,22 @@ use crate::transport::{DgramChannel, Incoming, TransportError};
 pub struct UdpConfig {
     /// Wall nanoseconds per MAC nanosecond (see [`WallClock`]).
     pub scale: u32,
-    /// `Some((group, port))` joins the multicast group for data;
-    /// `None` fans data out by unicast to every known peer.
-    pub multicast: Option<(Ipv4Addr, u16)>,
-    /// Interface address for the multicast join (`UNSPECIFIED` lets the
-    /// OS choose).
-    pub multicast_if: Ipv4Addr,
-    /// Local bind address for the control socket.
+    /// Local bind address of the socket.
     pub ctrl_bind: SocketAddr,
-    /// Peers whose control addresses are known up front; others are
-    /// learned from incoming traffic.
+    /// Peers whose addresses are known up front; others are learned from
+    /// incoming traffic.
     pub peers: Vec<(NodeId, SocketAddr)>,
-    /// Reader-thread poll quantum (bounds shutdown latency).
-    pub read_timeout: Duration,
 }
+
+/// The reader thread's poll quantum (bounds shutdown latency).
+const READ_TIMEOUT: Duration = Duration::from_millis(50);
 
 impl Default for UdpConfig {
     fn default() -> Self {
         UdpConfig {
             scale: 200,
-            multicast: None,
-            multicast_if: Ipv4Addr::UNSPECIFIED,
             ctrl_bind: "127.0.0.1:0".parse().expect("literal addr"),
             peers: Vec::new(),
-            read_timeout: Duration::from_millis(50),
         }
     }
 }
@@ -92,7 +71,6 @@ impl Default for UdpConfig {
 /// What a reader thread forwards: an arrival stamped at receive time.
 struct Packet {
     at: SimTime,
-    socket: DgramChannel,
     bytes: Vec<u8>,
     from: SocketAddr,
 }
@@ -103,17 +81,15 @@ pub struct UdpTransport {
     clock: WallClock,
     ctrl: UdpSocket,
     ctrl_addr: SocketAddr,
-    multicast_to: Option<SocketAddrV4>,
     peers: HashMap<NodeId, SocketAddr>,
     rx: Receiver<Packet>,
     backlog: VecDeque<Packet>,
     shutdown: Arc<AtomicBool>,
-    readers: Vec<JoinHandle<()>>,
+    reader: Option<JoinHandle<()>>,
 }
 
 fn spawn_reader(
     sock: UdpSocket,
-    socket: DgramChannel,
     clock: WallClock,
     tx: Sender<Packet>,
     shutdown: Arc<AtomicBool>,
@@ -125,7 +101,6 @@ fn spawn_reader(
                 Ok((len, from)) => {
                     let pkt = Packet {
                         at: clock.now(),
-                        socket,
                         bytes: buf[..len].to_vec(),
                         from,
                     };
@@ -146,60 +121,37 @@ fn spawn_reader(
 }
 
 impl UdpTransport {
-    /// Bind sockets, join the multicast group if configured, and start
-    /// the reader threads. MAC time zero is the moment this returns.
+    /// Bind the socket and start the reader thread. MAC time zero is the
+    /// moment this returns.
     pub fn new(id: NodeId, cfg: UdpConfig) -> io::Result<UdpTransport> {
         let clock = WallClock::new(cfg.scale);
         let shutdown = Arc::new(AtomicBool::new(false));
         let (tx, rx) = mpsc::channel();
 
         let ctrl = UdpSocket::bind(cfg.ctrl_bind)?;
-        ctrl.set_read_timeout(Some(cfg.read_timeout))?;
+        ctrl.set_read_timeout(Some(READ_TIMEOUT))?;
         let ctrl_addr = ctrl.local_addr()?;
-        let mut readers = vec![spawn_reader(
-            ctrl.try_clone()?,
-            DgramChannel::Ctrl,
-            clock.clone(),
-            tx.clone(),
-            Arc::clone(&shutdown),
-        )];
-
-        let mut multicast_to = None;
-        if let Some((group, port)) = cfg.multicast {
-            let data = UdpSocket::bind(SocketAddrV4::new(Ipv4Addr::UNSPECIFIED, port))?;
-            data.join_multicast_v4(&group, &cfg.multicast_if)?;
-            data.set_multicast_loop_v4(true)?;
-            data.set_read_timeout(Some(cfg.read_timeout))?;
-            multicast_to = Some(SocketAddrV4::new(group, port));
-            readers.push(spawn_reader(
-                data,
-                DgramChannel::Data,
-                clock.clone(),
-                tx,
-                Arc::clone(&shutdown),
-            ));
-        }
+        let reader = spawn_reader(ctrl.try_clone()?, clock.clone(), tx, Arc::clone(&shutdown));
 
         Ok(UdpTransport {
             id,
             clock,
             ctrl,
             ctrl_addr,
-            multicast_to,
             peers: cfg.peers.into_iter().collect(),
             rx,
             backlog: VecDeque::new(),
             shutdown,
-            readers,
+            reader: Some(reader),
         })
     }
 
-    /// The control socket's bound address (give this to peers).
+    /// The socket's bound address (give this to peers).
     pub fn ctrl_addr(&self) -> SocketAddr {
         self.ctrl_addr
     }
 
-    /// Register (or update) a peer's control address.
+    /// Register (or update) a peer's address.
     pub fn add_peer(&mut self, id: NodeId, addr: SocketAddr) {
         self.peers.insert(id, addr);
     }
@@ -209,8 +161,8 @@ impl UdpTransport {
         &self.peers
     }
 
-    /// Learn the sender's control address and classify the channel from
-    /// the decoded body: frames are data traffic wherever they arrived.
+    /// Learn the sender's address and classify the channel from the
+    /// decoded body: frames are data traffic, the rest control.
     fn admit(&mut self, pkt: Packet) -> Incoming {
         let channel = match decode_datagram(&pkt.bytes) {
             Ok(d) => {
@@ -222,7 +174,7 @@ impl UdpTransport {
                     _ => DgramChannel::Ctrl,
                 }
             }
-            Err(_) => pkt.socket,
+            Err(_) => DgramChannel::Ctrl,
         };
         Incoming {
             at: pkt.at,
@@ -245,18 +197,10 @@ impl UdpTransport {
         self.clock.now()
     }
 
-    /// Send `bytes` on the data channel: to the multicast group, or to
-    /// every known peer in unicast fan-out mode.
+    /// Send `bytes` on the data channel: to every known peer.
     pub fn send_data(&mut self, bytes: &[u8]) -> Result<(), TransportError> {
-        match self.multicast_to {
-            Some(group) => {
-                self.ctrl.send_to(bytes, group)?;
-            }
-            None => {
-                for addr in self.peers.values() {
-                    self.ctrl.send_to(bytes, addr)?;
-                }
-            }
+        for addr in self.peers.values() {
+            self.ctrl.send_to(bytes, addr)?;
         }
         Ok(())
     }
@@ -299,7 +243,7 @@ impl UdpTransport {
 impl Drop for UdpTransport {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::Relaxed);
-        for h in self.readers.drain(..) {
+        if let Some(h) = self.reader.take() {
             let _ = h.join();
         }
     }
@@ -333,7 +277,7 @@ mod tests {
         None
     }
 
-    /// Unicast fan-out end to end: peer learning from a Hello, data and
+    /// Fan-out end to end: peer learning from a Hello, data and
     /// control both flowing, channel classified by body.
     #[test]
     fn unicast_exchange_with_peer_learning() {
@@ -361,7 +305,7 @@ mod tests {
             .unwrap();
         let inc = recv_one(&mut a).expect("tone arrives");
         assert_eq!(inc.channel, DgramChannel::Ctrl);
-        // …and a frame body classifies as data even in unicast mode.
+        // …and a frame body classifies as data.
         a.send_data(&dgram(1, DgramBody::Frame(bytes::Bytes::from_static(b"f"))))
             .unwrap();
         let inc = recv_one(&mut b).expect("data arrives");

@@ -2,10 +2,11 @@
 //! BLESS-lite tree rooted at node 0, reliable multicast down the tree.
 //! Prints the formed tree's statistics (paper §4.1.1: hops 3.87 avg / 10
 //! p99; children 3.54 avg / 9 p99) and the run's headline metrics, and
-//! writes the tree as Graphviz DOT.
+//! writes the tree as Graphviz DOT. `-- 5 50 0` draws the tree of Fig. 6's
+//! first placement (campaign `topology`).
 //!
 //! ```text
-//! cargo run --release --example tree_multicast [-- <rate_pps> <packets>]
+//! cargo run --release --example tree_multicast [-- <rate_pps> <packets> <seed>]
 //! ```
 
 use std::fs;
@@ -16,13 +17,14 @@ fn main() {
     let mut args = std::env::args().skip(1);
     let rate: f64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(20.0);
     let packets: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(500);
+    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(0);
 
     let cfg = ScenarioConfig::paper_stationary(rate).with_packets(packets);
     let RunOutput {
         report, parents, ..
-    } = Run::new(&cfg, Protocol::Rmac, 0).execute();
+    } = Run::new(&cfg, Protocol::Rmac, seed).execute();
 
-    println!("75-node tree multicast, {rate} pkt/s, {packets} packets (RMAC)\n");
+    println!("75-node tree multicast, {rate} pkt/s, {packets} packets, seed {seed} (RMAC)\n");
     println!("tree statistics (paper: hops 3.87/10, children 3.54/9):");
     println!(
         "  hops to root : avg {:.2}, p99 {:.0}",

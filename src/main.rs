@@ -71,29 +71,14 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 }
 
 fn config_for(args: &Args) -> Result<ScenarioConfig, String> {
-    if !(args.rate.is_finite() && args.rate > 0.0) {
-        return Err(format!(
-            "--rate must be finite and positive, got {}",
-            args.rate
-        ));
-    }
-    if !(1..=usize::from(u16::MAX)).contains(&args.nodes) {
-        return Err(format!("--nodes must be in 1..=65535, got {}", args.nodes));
-    }
     let cfg = match args.scenario.as_str() {
         "stationary" => ScenarioConfig::paper_stationary(args.rate),
         "speed1" => ScenarioConfig::paper_speed1(args.rate),
         "speed2" => ScenarioConfig::paper_speed2(args.rate),
         other => return Err(format!("unknown scenario '{other}'")),
     };
-    let mut cfg = cfg.with_nodes(args.nodes).with_packets(args.packets);
-    // Keep the paper's node density when the network is scaled down, so a
-    // small `--nodes` run stays connected instead of scattering a handful
-    // of nodes over the full 500 m × 300 m plane.
-    if args.nodes < 75 {
-        let scale = (args.nodes as f64 / 75.0).sqrt();
-        cfg.bounds = rmac::mobility::Bounds::new(500.0 * scale, 300.0 * scale);
-    }
+    let cfg = cfg.with_nodes(args.nodes).with_packets(args.packets);
+    cfg.validate()?;
     Ok(cfg)
 }
 
@@ -209,7 +194,7 @@ mod tests {
         for rate in ["0", "-5", "nan", "inf", "-inf"] {
             let err = config(&["--rate", rate]).expect_err(rate);
             assert!(
-                err.starts_with("--rate must be finite and positive"),
+                err.contains("rate_pps must be finite and positive"),
                 "{err}"
             );
         }
@@ -220,7 +205,7 @@ mod tests {
     fn a_node_count_outside_the_id_space_is_an_error() {
         for nodes in ["0", "65536", "100000"] {
             let err = config(&["--nodes", nodes]).expect_err(nodes);
-            assert!(err.starts_with("--nodes must be in 1..=65535"), "{err}");
+            assert!(err.contains("nodes must be in 1..=65535"), "{err}");
         }
         for nodes in ["1", "65535"] {
             assert_eq!(
@@ -228,6 +213,12 @@ mod tests {
                 nodes
             );
         }
+    }
+
+    #[test]
+    fn a_run_past_the_clock_is_an_error() {
+        let err = config(&["--packets", "18446744073709551615"]).expect_err("past the clock");
+        assert!(err.contains("end time must fit the clock"), "{err}");
     }
 
     #[test]

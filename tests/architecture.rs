@@ -753,14 +753,13 @@ fn one_send_queue_and_one_station() {
 }
 
 /// A `results/*.csv` comes from a campaign store through
-/// `figures::render`, or from one of the three bins whose table no store
+/// `figures::render`, or from one of the two bins whose table no store
 /// holds: no other production code turns a table into CSV or names a
 /// `.csv` file (DESIGN.md §10).
 #[test]
-fn only_the_renderer_and_three_bins_write_a_csv() {
+fn only_the_renderer_and_two_bins_write_a_csv() {
     const RENDERER: &str = "crates/experiments/src/figures.rs";
-    const BINS: [&str; 3] = [
-        "crates/experiments/src/bin/fig6_topology.rs",
+    const BINS: [&str; 2] = [
         "crates/experiments/src/bin/table1_transitions.rs",
         "crates/experiments/src/bin/table_overhead.rs",
     ];
@@ -781,7 +780,29 @@ fn only_the_renderer_and_three_bins_write_a_csv() {
     }
     assert_none(
         &found,
-        "a CSV is written outside figures::render and the three table bins",
+        "a CSV is written outside figures::render and the two table bins",
+    );
+}
+
+/// A network of fewer than the paper's 75 nodes keeps the paper's density
+/// through `ScenarioConfig::with_nodes`, the one place the √(n/75) plane
+/// scale is spelled, so the CLI, the bins, the tests and every campaign
+/// shrink a network alike (DESIGN.md §2). `tests/shard_equivalence.rs`
+/// sizes 250-node cells past 75 the way the benchmark's multicell layout
+/// does, which `with_nodes` never does.
+#[test]
+fn the_density_rule_is_spelled_once() {
+    let files = tree()
+        .iter()
+        .filter(|f| f.is_rs() && !f.under("vendor") && !f.under("benchmark"));
+    let found = grep(files, |l| l.contains("/ 75.0).sqrt()"));
+    let copies: Vec<&String> = (found.iter())
+        .filter(|h| !(h.starts_with("tests/shard_equivalence.rs:") && h.contains("per_cell")))
+        .collect();
+    assert!(
+        copies.len() == 1 && copies[0].starts_with("crates/engine/src/config.rs:"),
+        "the density rule is spelled outside ScenarioConfig::with_nodes:\n{}",
+        found.join("\n")
     );
 }
 

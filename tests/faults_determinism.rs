@@ -13,11 +13,14 @@ use rmac::prelude::*;
 mod common;
 use common::{faulted, verdict};
 
-/// A small-but-live scenario so each property case stays fast.
+/// A small-but-live scenario so each property case stays fast, on the
+/// paper's full plane, where the jammer of [`full_plan`] sits mid-field.
 fn cfg() -> ScenarioConfig {
-    ScenarioConfig::paper_stationary(10.0)
+    let mut cfg = ScenarioConfig::paper_stationary(10.0)
         .with_nodes(15)
-        .with_packets(8)
+        .with_packets(8);
+    cfg.bounds = rmac::mobility::Bounds::PAPER;
+    cfg
 }
 
 /// A plan exercising every fault class at once.

@@ -91,7 +91,15 @@ fn specs() -> impl Strategy<Value = CampaignSpec> {
             .unwrap_or(f64::MIN_POSITIVE)
     });
     let axis = (text(), plans()).prop_map(|(name, plan)| FaultAxis { name, plan });
-    let sizes = (any::<u64>(), any::<u64>(), any::<u64>(), any::<bool>());
+    // `validate` also refuses a case whose end time overflows the clock or
+    // whose node count leaves 1..=65535: draw mostly grids it admits, and
+    // now and then one it refuses.
+    let mostly = |admitted: fn(u64) -> u64| {
+        (0u8..5, any::<u64>()).prop_map(move |(pick, x)| if pick > 0 { admitted(x) } else { x })
+    };
+    let packets = mostly(|x| x % 10_000);
+    let nodes = mostly(|x| 1 + x % 65_535);
+    let sizes = (packets, nodes, any::<u64>(), any::<bool>());
     let axes = (text(), vec(0..protocols.len(), 0..4), vec(0..3usize, 0..4));
     (
         axes,
@@ -142,7 +150,7 @@ fn records() -> impl Strategy<Value = CaseRecord> {
         any::<u64>(),
         (any::<u64>(), float()),
     );
-    let tails = (six(), six(), six(), six());
+    let tails = ((six(), six(), six(), six()), (six(), six(), six()));
     let counters = vec((text(), any::<u64>()), 0..5).prop_map(|cs| {
         // Keys of one object are distinct.
         let named = cs.into_iter().enumerate();
@@ -162,7 +170,13 @@ fn records() -> impl Strategy<Value = CaseRecord> {
             ),
             (packets_sent, receptions, expected_receptions, events, faults_injected),
             (check_clean, violations, fault_crashes, fault_jam_bursts, (seed, rate)),
-            ((abort_p99, abort_max, mrts_len_p99, mrts_len_max), obs_counters),
+            (
+                (
+                    (abort_p99, abort_max, mrts_len_p99, mrts_len_max),
+                    (hops_p99, children_avg, children_p99),
+                ),
+                obs_counters,
+            ),
         )| CaseRecord {
             key,
             protocol,
@@ -192,6 +206,9 @@ fn records() -> impl Strategy<Value = CaseRecord> {
             mrts_len_max,
             fault_crashes,
             fault_jam_bursts,
+            hops_p99,
+            children_avg,
+            children_p99,
             obs_counters,
         },
     )
@@ -203,6 +220,11 @@ proptest! {
     #[test]
     fn a_manifest_reads_back_as_its_spec_and_writes_the_same_bytes(spec in specs()) {
         let json = spec.to_json();
+        if let Err(refused) = spec.validate() {
+            // A grid the engine would refuse is refused on the way in.
+            prop_assert_eq!(CampaignSpec::from_json(&json).err(), Some(refused));
+            return Ok(());
+        }
         let back = CampaignSpec::from_json(&json).map_err(TestCaseError::fail)?;
         prop_assert_eq!(format!("{back:?}"), format!("{spec:?}"));
         prop_assert_eq!(back.to_json(), json);

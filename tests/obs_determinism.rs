@@ -18,13 +18,9 @@ use rmac::prelude::*;
 /// Small but connected: the paper's node density on a shrunken plane, so
 /// reliable multicast traffic (not just beacons) flows in every case.
 fn cfg() -> ScenarioConfig {
-    let nodes = 15;
-    let mut cfg = ScenarioConfig::paper_stationary(10.0)
-        .with_nodes(nodes)
-        .with_packets(8);
-    let scale = (nodes as f64 / 75.0).sqrt();
-    cfg.bounds = rmac::mobility::Bounds::new(500.0 * scale, 300.0 * scale);
-    cfg
+    ScenarioConfig::paper_stationary(10.0)
+        .with_nodes(15)
+        .with_packets(8)
 }
 
 /// Every run here also carries the conformance checker, asserted clean.
