@@ -16,7 +16,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> one CRC kernel: the wire's bitwise oracle and the pinned soak reports, optimised"
+echo "==> one CRC spelling, two kernels: table and carry-less against the bitwise oracle, and the pinned soak reports, optimised"
 cargo test -q --release -p rmac-wire
 cargo test -q --release -p rmac-live --test live_determinism
 

@@ -5,22 +5,42 @@
 //! Ethernet and 802.11 FCS fields, and the one checksum behind both the
 //! frame FCS and the live datagram trailer.
 //!
-//! The kernel is slicing-by-16. A byte-at-a-time table loop makes every
-//! lookup wait on the one before it; here the state is XORed into the first
-//! four bytes of a 16-byte block, and the block's sixteen lookups are
+//! Two kernels compute the same state, and `update` picks one per call.
+//!
+//! The table kernel is slicing-by-16. A byte-at-a-time table loop makes
+//! every lookup wait on the one before it; here the state is XORed into the
+//! first four bytes of a 16-byte block, and the block's sixteen lookups are
 //! independent, each into its own table: `TABLES[k][b]` is the CRC state of
 //! byte `b` followed by `k` zero bytes, so their XOR is the state after the
 //! whole block. The tail runs in 4-byte steps on the first four tables, then
 //! byte by byte on `TABLES[0]`, which is the classic byte table. The sixteen
-//! tables are 16 KB of read-only data built at compile time. Sixteen lanes
-//! beat eight on the live soak, where every frame datagram is checksummed
-//! twice at each end of a hop (DESIGN.md §11).
+//! tables are 16 KB of read-only data built at compile time.
+//!
+//! The carry-less kernel (x86_64 with `pclmulqdq` and `sse4.1`) follows
+//! Intel's "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ
+//! Instruction", as zlib and Chromium ship it. Four 128-bit lanes each fold
+//! 16 bytes of every 64-byte step: a lane's two halves are multiplied,
+//! carry-less, by `x^(512±32) mod P`, which carries them 64 bytes forward, and
+//! the next block is added. The lanes then fold into one, further 16-byte
+//! blocks fold into it, it folds to 64 bits, and a Barrett reduction leaves
+//! the 32-bit state; a tail under 16 bytes runs on the table. The folding
+//! constants are derived from `POLY` at compile time (`fold`).
+//!
+//! `update` takes the carry-less kernel for inputs of `FOLD_BYTES` or more
+//! when the CPU has both features, and the table otherwise. On the live soak
+//! 81 % of the checksummed bytes are frame datagrams over 256 bytes, each
+//! checksummed twice at each end of a hop (DESIGN.md §11), while most calls
+//! are 14-byte tone datagrams, which stay on the table.
 
 /// The reflected polynomial 0xEDB88320 (bit-reversed 0x04C11DB7).
 const POLY: u32 = 0xEDB8_8320;
 
-/// Bytes folded per step of the main loop, one table each.
+/// Bytes folded per step of the table kernel's main loop, one table each.
 const LANES: usize = 16;
+
+/// Bytes folded per step of the carry-less kernel's main loop, and the
+/// shortest input `update` gives it.
+const FOLD_BYTES: usize = 64;
 
 /// `TABLES[k][b]`: the state of byte `b` followed by `k` zero bytes,
 /// computed at compile time.
@@ -70,8 +90,19 @@ fn fold_block<const N: usize>(crc: u32, block: &[u8]) -> u32 {
         .fold(0, |acc, (k, &b)| acc ^ TABLES[N - 1 - k][usize::from(b)])
 }
 
-/// Advance the raw CRC state `crc` over `data` (no init, no final XOR).
+/// Advance the raw CRC state `crc` over `data` (no init, no final XOR) on
+/// the kernel that suits this input and this CPU.
 fn update(crc: u32, data: &[u8]) -> u32 {
+    if data.len() >= FOLD_BYTES {
+        if let Some(crc) = update_clmul(crc, data) {
+            return crc;
+        }
+    }
+    update_table(crc, data)
+}
+
+/// The table kernel: slicing-by-16, then 4-byte steps, then bytes.
+fn update_table(crc: u32, data: &[u8]) -> u32 {
     let mut blocks = data.chunks_exact(LANES);
     let crc = blocks.by_ref().fold(crc, fold_block::<LANES>);
     let mut words = blocks.remainder().chunks_exact(4);
@@ -80,6 +111,155 @@ fn update(crc: u32, data: &[u8]) -> u32 {
         .remainder()
         .iter()
         .fold(crc, |c, &b| (c >> 8) ^ TABLES[0][usize::from(c as u8 ^ b)])
+}
+
+/// The carry-less kernel over `data`, or `None` on a CPU without it.
+#[cfg(target_arch = "x86_64")]
+fn update_clmul(crc: u32, data: &[u8]) -> Option<u32> {
+    if !(is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")) {
+        return None;
+    }
+    // SAFETY: `clmul::update` is safe code compiled for `pclmulqdq` and
+    // `sse4.1`; its one requirement is that the CPU runs both, which the
+    // line above has just detected.
+    Some(unsafe { clmul::update(crc, data) })
+}
+
+/// The carry-less kernel is x86_64 only.
+#[cfg(not(target_arch = "x86_64"))]
+fn update_clmul(_crc: u32, _data: &[u8]) -> Option<u32> {
+    None
+}
+
+/// The carry-less kernel's constants, each derived from `POLY`. In the
+/// reflected domain bit `31 - i` of a 32-bit remainder is the coefficient of
+/// `x^i`; a folding constant is that remainder shifted left one bit, as the
+/// 64-bit carry-less products want it (Intel's k1–k5, P′ and μ).
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+mod fold {
+    use super::POLY;
+
+    /// `x^n mod P`, reflected and shifted left one bit.
+    const fn x_pow_mod(n: u32) -> u64 {
+        let mut r = 1u32 << 31; // x^0
+        let mut i = 0;
+        while i < n {
+            r = if r & 1 != 0 { (r >> 1) ^ POLY } else { r >> 1 };
+            i += 1;
+        }
+        (r as u64) << 1
+    }
+
+    /// The Barrett constant `floor(x^64 / P)`, reflected over its 33 bits.
+    const fn barrett_mu() -> u64 {
+        let p = (1u128 << 32) | POLY.reverse_bits() as u128;
+        let (mut rem, mut quot) = (1u128 << 64, 0u64);
+        let mut bit = 64;
+        while bit >= 32 {
+            if (rem >> bit) & 1 != 0 {
+                rem ^= p << (bit - 32);
+                quot |= 1 << (bit - 32);
+            }
+            bit -= 1;
+        }
+        quot.reverse_bits() >> 31
+    }
+
+    /// Carries a lane's (low, high) halves 64 bytes forward.
+    pub const BY_64_BYTES: (u64, u64) = (x_pow_mod(4 * 128 + 32), x_pow_mod(4 * 128 - 32));
+    /// Carries a lane's (low, high) halves 16 bytes forward.
+    pub const BY_16_BYTES: (u64, u64) = (x_pow_mod(128 + 32), x_pow_mod(128 - 32));
+    /// Folds 96 bits to 64.
+    pub const TO_64_BITS: u64 = x_pow_mod(64);
+    /// P′: the polynomial reflected over its 33 bits.
+    pub const P: u64 = ((POLY as u64) << 1) | 1;
+    /// μ, the Barrett constant.
+    pub const MU: u64 = barrett_mu();
+}
+
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use super::{fold, update_table, FOLD_BYTES};
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_set_epi64x, _mm_setr_epi32, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// The raw state after `data`, folding 64 bytes a step; an input under
+    /// `FOLD_BYTES` runs on the table alone.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn update(crc: u32, data: &[u8]) -> u32 {
+        if data.len() < FOLD_BYTES {
+            return update_table(crc, data);
+        }
+        let (head, rest) = data.split_at(FOLD_BYTES);
+        let mut lanes = [
+            load(&head[..16]),
+            load(&head[16..32]),
+            load(&head[32..48]),
+            load(&head[48..]),
+        ];
+        lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(crc as i32));
+        let k = pair(fold::BY_64_BYTES);
+        let mut steps = rest.chunks_exact(FOLD_BYTES);
+        for step in steps.by_ref() {
+            for (lane, block) in lanes.iter_mut().zip(step.chunks_exact(16)) {
+                *lane = fold_into(*lane, k, load(block));
+            }
+        }
+        let k = pair(fold::BY_16_BYTES);
+        let [mut acc, a, b, c] = lanes;
+        for lane in [a, b, c] {
+            acc = fold_into(acc, k, lane);
+        }
+        let mut blocks = steps.remainder().chunks_exact(16);
+        for block in blocks.by_ref() {
+            acc = fold_into(acc, k, load(block));
+        }
+        update_table(reduce(acc), blocks.remainder())
+    }
+
+    /// A 16-byte block as one vector, first byte lowest.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn load(block: &[u8]) -> __m128i {
+        let half = |at: usize| {
+            let bytes = block[at..at + 8].try_into().expect("a 16-byte block");
+            u64::from_le_bytes(bytes) as i64
+        };
+        _mm_set_epi64x(half(8), half(0))
+    }
+
+    /// Constants `(low, high)` as one vector.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn pair((low, high): (u64, u64)) -> __m128i {
+        _mm_set_epi64x(high as i64, low as i64)
+    }
+
+    /// `lane` carried forward by `k`, plus `next`.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold_into(lane: __m128i, k: __m128i, next: __m128i) -> __m128i {
+        let low = _mm_clmulepi64_si128::<0x00>(lane, k);
+        let high = _mm_clmulepi64_si128::<0x11>(lane, k);
+        _mm_xor_si128(_mm_xor_si128(low, high), next)
+    }
+
+    /// Fold 128 bits to 64, then Barrett-reduce to the raw 32-bit state.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn reduce(x: __m128i) -> u32 {
+        let low32 = _mm_setr_epi32(!0, 0, !0, 0);
+        let x = _mm_xor_si128(
+            _mm_srli_si128::<8>(x),
+            _mm_clmulepi64_si128::<0x10>(x, pair(fold::BY_16_BYTES)),
+        );
+        let x = _mm_xor_si128(
+            _mm_srli_si128::<4>(x),
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), pair((fold::TO_64_BITS, 0))),
+        );
+        let barrett = pair((fold::P, fold::MU));
+        let t = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), barrett);
+        let t = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t, low32), barrett);
+        _mm_extract_epi32::<1>(_mm_xor_si128(x, t)) as u32
+    }
 }
 
 /// Compute the CRC-32 of `data` (init 0xFFFFFFFF, final XOR 0xFFFFFFFF).
@@ -108,6 +288,27 @@ mod tests {
         (0..len).map(|i| (i * 131 + 7) as u8).collect()
     }
 
+    type Kernel = fn(u32, &[u8]) -> u32;
+
+    /// The kernels this CPU runs, by name: the table everywhere, the
+    /// carry-less kernel where the CPU has it (said on stderr where not).
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        let mut kernels: Vec<(&'static str, Kernel)> = vec![("table", update_table)];
+        if update_clmul(0, &[]).is_some() {
+            kernels.push(("clmul", |c, d| update_clmul(c, d).expect("detected")));
+        } else {
+            static SAID: std::sync::Once = std::sync::Once::new();
+            SAID.call_once(|| {
+                eprintln!("no pclmulqdq/sse4.1 here: only the table kernel is checked")
+            });
+        }
+        kernels
+    }
+
+    fn crc_on(kernel: Kernel, data: &[u8]) -> u32 {
+        kernel(!0, data) ^ !0
+    }
+
     #[test]
     fn known_vectors() {
         // Standard CRC-32 check values.
@@ -120,10 +321,12 @@ mod tests {
         );
     }
 
-    /// Known answers on each side of the block and word edges, and at about
+    /// Known answers on each side of the table's block and word edges, the
+    /// carry-less kernel's 64-byte threshold and 16-byte tail, and at about
     /// the size of a 500-byte data frame (zlib's CRC-32 gives the same).
     #[test]
     fn known_answers_across_block_edges() {
+        let kernels = kernels();
         for (len, want) in [
             (15, 0xA476_2116),
             (16, 0xEA7E_5B68),
@@ -131,26 +334,51 @@ mod tests {
             (31, 0xB350_9C52),
             (32, 0xF0B3_A9A8),
             (33, 0xD929_8305),
+            (63, 0x3373_01C0),
+            (64, 0x38E4_DBB5),
+            (65, 0x6C31_1B46),
+            (79, 0x118A_99CB),
+            (80, 0x89CD_CB09),
             (530, 0x988A_15E0),
+            (2_048, 0x0313_9B1E),
         ] {
             let data = pattern(len);
             assert_eq!(crc32(&data), want, "length {len}");
             assert_eq!(bitwise(&data), want, "oracle at length {len}");
+            for &(name, kernel) in &kernels {
+                assert_eq!(crc_on(kernel, &data), want, "{name} at length {len}");
+            }
         }
     }
 
-    /// Folding `a` then `b` is folding `a ‖ b`, at every split of an input
-    /// that spans four blocks, a word tail and a byte tail.
+    /// Folding `a` then `b` is folding `a ‖ b`, on each kernel and on the
+    /// picking `update`, at every split of an input whose splits straddle
+    /// the 64-byte threshold.
     #[test]
     fn update_composes_at_every_split() {
-        let data = pattern(70);
-        for s in [0, !0, 0x1234_5678] {
-            let whole = update(s, &data);
-            for at in 0..=data.len() {
-                let (a, b) = data.split_at(at);
-                assert_eq!(update(update(s, a), b), whole, "state {s:#x}, split {at}");
+        let data = pattern(200);
+        for (name, kernel) in kernels() {
+            for s in [0, !0, 0x1234_5678] {
+                let whole = kernel(s, &data);
+                for at in 0..=data.len() {
+                    let (a, b) = data.split_at(at);
+                    let why = format!("{name}, state {s:#x}, split {at}");
+                    assert_eq!(kernel(kernel(s, a), b), whole, "{why}");
+                    assert_eq!(update(update(s, a), b), whole, "picked, {why}");
+                }
             }
         }
+    }
+
+    /// The folding constants are the published ones (Intel's paper; zlib,
+    /// Chromium and Linux carry the same).
+    #[test]
+    fn folding_constants_are_the_published_ones() {
+        assert_eq!(fold::BY_64_BYTES, (0x1_5444_2BD4, 0x1_C6E4_1596));
+        assert_eq!(fold::BY_16_BYTES, (0x1_7519_97D0, 0x0_CCAA_009E));
+        assert_eq!(fold::TO_64_BITS, 0x1_63CD_6124);
+        assert_eq!(fold::P, 0x1_DB71_0641);
+        assert_eq!(fold::MU, 0x1_F701_1641);
     }
 
     #[test]
@@ -167,7 +395,7 @@ mod tests {
     }
 
     proptest! {
-        /// The kernel agrees with the bitwise oracle on any input of up to
+        /// Each kernel agrees with the bitwise oracle on any input of up to
         /// 2 048 bytes, read at any offset into a larger buffer so the
         /// slice's alignment varies.
         #[test]
@@ -177,7 +405,11 @@ mod tests {
         ) {
             let mut buf = vec![0xA5; offset];
             buf.extend_from_slice(&data);
-            prop_assert_eq!(crc32(&buf[offset..]), bitwise(&data));
+            let want = bitwise(&data);
+            prop_assert_eq!(crc32(&buf[offset..]), want);
+            for (name, kernel) in kernels() {
+                prop_assert_eq!(crc_on(kernel, &buf[offset..]), want, "{}", name);
+            }
         }
     }
 }

@@ -690,6 +690,42 @@ fn one_crc_kernel_spells_the_polynomial() {
     );
 }
 
+/// `unsafe` is spelled, outside comments, in the CRC kernel's call behind
+/// its CPU-feature check and in the benchmark's CPU-clock read, and every
+/// such line there sits under a comment block with a `// SAFETY:` line
+/// (DESIGN.md §11). `vendor/`, test directories and unit-test modules are
+/// exempt.
+#[test]
+fn unsafe_stays_in_the_crc_kernel() {
+    const ALLOWED: [&str; 2] = ["crates/wire/src/crc.rs", "benchmark/src/host.rs"];
+    let mut found = Vec::new();
+    for f in tree().iter().filter(|f| {
+        f.is_rs() && !f.under("vendor") && !f.path.split('/').any(|part| part == "tests")
+    }) {
+        let code: Vec<(usize, &str)> = f.code().collect();
+        for (i, &(n, line)) in code.iter().enumerate() {
+            if line.trim_start().starts_with("//") || !whole_word(line, "unsafe") {
+                continue;
+            }
+            let justified = code[..i]
+                .iter()
+                .rev()
+                .map(|(_, l)| l.trim_start())
+                .take_while(|l| l.starts_with("//"))
+                .any(|l| l.starts_with("// SAFETY:"));
+            if !ALLOWED.contains(&f.path.as_str()) {
+                found.push(format!("{}:{n}: {line}", f.path));
+            } else if !justified {
+                found.push(format!("{}:{n}: no // SAFETY: above: {line}", f.path));
+            }
+        }
+    }
+    assert_none(
+        &found,
+        "unsafe outside the CRC kernel's feature-checked call, or without its SAFETY comment",
+    );
+}
+
 /// Shard groups and campaign cases run on the one worker pool,
 /// `rmac_sim::try_tasks`; no crate imports rayon (DESIGN.md §4).
 #[test]
