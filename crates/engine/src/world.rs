@@ -1,5 +1,6 @@
 //! The event loop: one simulation replication.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -11,7 +12,8 @@ use rmac_mobility::{random_positions, MobilityKind, Motion, Pos};
 use rmac_net::{AppStats, BlessConfig, NetLayer};
 use rmac_obs::{ObsReport, Snapshot};
 use rmac_phy::{
-    Channel, ChannelConfig, FaultKind, FrameTallies, IndexMode, Indication, PhyEvent, Tone, ToneLog,
+    Channel, ChannelConfig, FaultKind, FrameTallies, IndexMode, Indication, PhyEvent, Tone,
+    ToneLog, TxId,
 };
 use rmac_sim::{CalendarQueue, Cursor, EventQueue, SimQueue, SimRng, SimTime};
 use rmac_wire::{airtime::mrts_len, consts::BYTE_TIME, Dest, Frame, NodeId};
@@ -450,6 +452,12 @@ pub struct Runner<Q: SimQueue<Ev> = CalendarQueue<Ev>> {
     /// Reused indication buffer for PHY dispatch (the event loop's hottest
     /// allocation without it).
     inds_scratch: Vec<Indication>,
+    /// The last frame end's `FrameRx`, kept to be re-addressed while the
+    /// next end carries the same frame ([`Runner::frame_end`]).
+    last_rx: Option<Indication>,
+    /// Frame handles cloned for a `FrameRx` (the obs gauge
+    /// `engine.frame_rx_clones`).
+    frame_clones: u64,
     /// The channel slots this runner's shard group owns, ascending:
     /// protocol nodes (the first `macs.len()`, the stack index being the
     /// position here), then jammers. Only owned slots are seeded; the
@@ -638,6 +646,8 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 })
             },
             inds_scratch: Vec::new(),
+            last_rx: None,
+            frame_clones: 0,
             slots,
             stack_at,
         };
@@ -684,6 +694,8 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
     pub(crate) fn attach(&mut self, obs: Option<ObsConfig>, check: bool, tracer: Option<Tracer>) {
         if let Some(cfg) = obs {
             self.core.obs = Some(Box::new(EngineObs::new(cfg, self.cfg.nodes)));
+            // The report's per-node `tone_busy_ns` is the one reader.
+            self.core.channel.keep_tone_busy_time();
         }
         if check {
             self.core.check = Some(Box::new(Checker::new(CheckConfig::new(
@@ -827,6 +839,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
     #[inline(always)]
     fn dispatch(&mut self, ev: Ev, beacons: &BeaconTimetable) {
         match ev {
+            Ev::Phy(PhyEvent::FrameArriveEnd { rx, tx, prop }) => self.frame_end(rx, tx, prop),
             Ev::Phy(pe) => {
                 // The event's own key, not the end of its instant: a frame
                 // end and another frame's onset can share a nanosecond at
@@ -913,6 +926,37 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
             }
             Ev::Fault(fe) => self.on_fault(fe),
         }
+    }
+
+    /// A frame end, told to its receiver as a `FrameRx`, then a `CarrierOff`
+    /// if the channel fell idle there. The `FrameRx` is kept and, while the
+    /// next end carries the same frame — the rest of one transmission's
+    /// fan-out, most often — re-addressed, so the fan-out clones about one
+    /// frame handle per transmission instead of one per receiver.
+    fn frame_end(&mut self, rx: NodeId, tx: TxId, prop: SimTime) {
+        let at = self.core.q.cursor();
+        let chan = &mut self.core.channel;
+        let Some(end) = chan.end_frame(at, &mut self.core.chan_rng, rx, tx, prop) else {
+            return;
+        };
+        let (ok, carrier_off) = (end.ok, end.carrier_off);
+        let frame = match self.last_rx.take() {
+            Some(Indication::FrameRx { frame, .. }) if Arc::ptr_eq(&frame, &end.frame) => frame,
+            _ => {
+                self.frame_clones += u64::from(matches!(end.frame, Cow::Borrowed(_)));
+                end.frame.into_owned()
+            }
+        };
+        let ind = Indication::FrameRx {
+            node: rx,
+            frame,
+            ok,
+        };
+        self.indicate(&ind);
+        if carrier_off {
+            self.indicate(&Indication::CarrierOff { node: rx });
+        }
+        self.last_rx = Some(ind);
     }
 
     fn on_fault(&mut self, fe: FaultEv) {
@@ -1182,6 +1226,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 self.core.q.depth_high_water() as u64,
             ),
             ("queue.capacity", self.core.q.capacity() as u64),
+            ("engine.frame_rx_clones", self.frame_clones),
         ];
         Some(ObsReport {
             counters,

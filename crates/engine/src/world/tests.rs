@@ -344,6 +344,8 @@ fn a_crash_inside_a_tone_watch_does_not_pin_the_nodes_tone_records() {
             brute_phy: false,
         };
         let mut runner = Runner::assemble(&spec, CalendarQueue::with_capacity, |_| true);
+        // A tracer does not read busy time; this test does.
+        runner.core.channel.keep_tone_busy_time();
         let events: Arc<Mutex<Vec<TraceEvent>>> = Arc::default();
         let sink = events.clone();
         runner.attach(
@@ -992,4 +994,74 @@ mod report_folds {
             mrts_fold_matches_the_flattened_lengths(&receivers_per_node);
         }
     }
+}
+
+/// Tone busy time is folded only where an obs report reads it. A detached
+/// replication forgets its tone records as they crowd, folding none of them;
+/// an obs-attached one folds them and reports per node what the engine did
+/// when every channel folded (pinned from the commit before the fold was
+/// gated).
+#[test]
+fn tone_busy_time_is_folded_only_under_obs() {
+    use crate::obs::ObsConfig;
+    use crate::run::Spec;
+    use rmac_faults::FaultPlan;
+    use rmac_sim::CalendarQueue;
+    use std::sync::Arc;
+
+    let cfg = ScenarioConfig::paper_stationary(20.0)
+        .with_nodes(15)
+        .with_packets(50);
+    let run = |obs: Option<ObsConfig>| {
+        let spec = Spec {
+            cfg: Arc::new(cfg.clone()),
+            protocol: Protocol::Rmac,
+            seed: 7,
+            plan: FaultPlan::none(),
+            obs,
+            check: false,
+            brute_phy: false,
+        };
+        let mut runner = Runner::assemble(&spec, CalendarQueue::with_capacity, |_| true);
+        runner.run_events(&BeaconTimetable::build(&spec.cfg, spec.seed));
+        runner
+    };
+
+    let detached = run(None).core.channel;
+    let phy = detached.obs_stats();
+    let held: usize = (0..15).map(|i| detached.tone_records_held(NodeId(i))).sum();
+    assert!(
+        (held as u64) < phy.tones.records / 4,
+        "{held} of {} tone records held: they were forgotten",
+        phy.tones.records
+    );
+    assert_eq!(phy.busy_folds, 0);
+
+    let mut watched = run(Some(ObsConfig::default()));
+    let folds = watched.core.channel.obs_stats().busy_folds;
+    assert!(folds > 100, "{folds} busy-time folds under obs");
+    let busy: Vec<[u64; 2]> = (watched.finish_obs().expect("obs attached").nodes)
+        .iter()
+        .map(|n| n.tone_busy_ns)
+        .collect();
+    assert_eq!(
+        busy,
+        [
+            [111_265_200, 4_236_200],
+            [222_575_009, 7_627_900],
+            [222_500_000, 1_700_000],
+            [222_570_432, 6_793_650],
+            [222_571_573, 6_790_750],
+            [222_575_037, 6_787_050],
+            [111_258_650, 1_691_350],
+            [111_250_000, 850_000],
+            [222_576_866, 7_632_550],
+            [333_763_000, 8_488_500],
+            [222_570_674, 7_647_100],
+            [222_577_216, 7_634_300],
+            [445_006_450, 5_096_150],
+            [111_250_000, 850_000],
+            [222_568_499, 6_791_850],
+        ]
+    );
 }

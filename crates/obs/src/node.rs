@@ -40,7 +40,8 @@ pub struct NodeObs {
     /// Timer firings dropped as stale (crashed node or old epoch).
     pub timer_stale: Vec<u64>,
     /// Cumulative busy-tone presence at the node's antenna per tone
-    /// channel (ns), read from the channel's tone records at end of run.
+    /// channel (ns), read from the channel's tone records at end of run:
+    /// attaching obs is what makes the channel keep it.
     pub tone_busy_ns: [u64; TONES],
     /// Row-major `n × n` state transition counts, if the MAC exposed them.
     pub transitions: Vec<u64>,

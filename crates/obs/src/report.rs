@@ -18,9 +18,12 @@ use crate::snapshot::Snapshot;
 #[derive(Clone, Debug)]
 pub struct ObsReport {
     /// End-of-run totals `(name, value)`, in the order the engine lists
-    /// them (queue traffic, PHY pool and grid, fault plane).
+    /// them (queue traffic, PHY pool and grid, fault plane). A campaign
+    /// store keeps them with each case.
     pub counters: Vec<(&'static str, u64)>,
-    /// End-of-run levels `(name, value)`: queue high water and capacity.
+    /// End-of-run levels and engine diagnostics `(name, value)`, which no
+    /// store keeps: queue high water and capacity, and the frame handles
+    /// the engine cloned for `FrameRx`.
     pub gauges: Vec<(&'static str, u64)>,
     /// Event-loop self-profile.
     pub kernel: KernelProfiler,

@@ -1,5 +1,6 @@
 //! The shared wireless channel.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use rmac_mobility::{Motion, Pos};
@@ -93,8 +94,10 @@ impl Default for ChannelConfig {
 /// One in-flight transmission.
 struct TxRecord {
     src: NodeId,
-    /// Shared so the per-receiver `FrameRx` fan-out is a refcount bump,
-    /// not a deep clone of the frame and its receiver-list `Vec`s.
+    /// The handle every receiver's `FrameRx` shares: a frame end lends it
+    /// ([`FrameEnd`]), and the end that retires the record hands it over,
+    /// so the fan-out neither deep-clones the frame nor bumps a refcount
+    /// per receiver.
     frame: Arc<Frame>,
     /// Current transmission end (truncated by aborts).
     end: SimTime,
@@ -244,6 +247,22 @@ pub struct Channel {
     path_gains: u64,
     /// Frame ends that read the geometry (see [`PhyObs`]).
     frame_end_position_reads: u64,
+    /// Whether forgotten tone records fold their presence into the busy
+    /// time [`Channel::tone_busy_ns`] reads ([`Channel::keep_tone_busy_time`]).
+    keep_busy: bool,
+    /// Busy-time folds (see [`PhyObs`]).
+    busy_folds: u64,
+}
+
+/// What one frame end tells its receiver ([`Channel::end_frame`]).
+pub struct FrameEnd<'a> {
+    /// Whether the frame arrived intact.
+    pub ok: bool,
+    /// Whether the data channel at the receiver fell idle with it.
+    pub carrier_off: bool,
+    /// The transmission's frame: lent while other receivers still wait for
+    /// their ends, handed over by the end that retires the record.
+    pub frame: Cow<'a, Arc<Frame>>,
 }
 
 /// Cumulative per-frame-kind tallies (one slot per kind, indexed by
@@ -289,6 +308,9 @@ pub struct PhyObs {
     /// Frame ends that read both endpoints' positions: those whose link
     /// began within drift reach of the range edge.
     pub frame_end_position_reads: u64,
+    /// Forgettings of tone records that folded their presence into the busy
+    /// time: none unless [`Channel::keep_tone_busy_time`] was called.
+    pub busy_folds: u64,
 }
 
 impl Channel {
@@ -318,7 +340,24 @@ impl Channel {
             onsets: EdgeTally::default(),
             path_gains: 0,
             frame_end_position_reads: 0,
+            keep_busy: false,
+            busy_folds: 0,
         }
+    }
+
+    /// Keep each node's tone busy time for [`Channel::tone_busy_ns`]: a
+    /// forgotten tone record then folds its presence into a running total.
+    /// Only a reader of that total needs the fold, so a channel skips it
+    /// unless told.
+    ///
+    /// Panics once a tone record has been written: the time forgotten
+    /// before would be missing from the total.
+    pub fn keep_tone_busy_time(&mut self) {
+        assert_eq!(
+            self.tones.records, 0,
+            "busy time must be kept from the first tone record on"
+        );
+        self.keep_busy = true;
     }
 
     /// The always-on per-frame-kind tallies.
@@ -337,6 +376,7 @@ impl Channel {
             onsets: self.onsets,
             path_gains: self.path_gains,
             frame_end_position_reads: self.frame_end_position_reads,
+            busy_folds: self.busy_folds,
         }
     }
 
@@ -590,7 +630,10 @@ impl Channel {
             let heard = &mut radio.heard[tone.idx()];
             if heard.recs.len() >= CROWD {
                 let watch = radio.watch[tone.idx()];
-                heard.forget_before(watch.map_or(horizon, |w| w.time.min(horizon)));
+                let horizon = watch.map_or(horizon, |w| w.time.min(horizon));
+                if heard.forget_before(horizon, self.keep_busy) {
+                    self.busy_folds += 1;
+                }
             }
             heard.recs.push(ToneRec {
                 emit: id,
@@ -738,7 +781,16 @@ impl Channel {
     }
 
     /// How long `tone` has been present at `node` before `upto`, ns.
+    ///
+    /// Panics unless the channel keeps busy time
+    /// ([`Channel::keep_tone_busy_time`]): without it, forgotten records
+    /// leave nothing behind and the sum would be partial.
     pub fn tone_busy_ns(&self, node: NodeId, tone: Tone, upto: SimTime) -> u64 {
+        assert!(
+            self.keep_busy,
+            "tone_busy_ns on a channel that does not keep busy time \
+             (call Channel::keep_tone_busy_time before the first tone)"
+        );
         self.radios[node.idx()].heard[tone.idx()].busy_ns(upto)
     }
 
@@ -789,17 +841,35 @@ impl Channel {
         let at = at.into();
         match *ev {
             PhyEvent::FrameArriveStart { rx, tx } => self.frame_start(at, rx, tx, out),
-            PhyEvent::FrameArriveEnd { rx, tx, prop } => self.frame_end(at, rng, rx, tx, prop, out),
+            PhyEvent::FrameArriveEnd { rx, tx, prop } => {
+                if let Some(end) = self.end_frame(at, rng, rx, tx, prop) {
+                    let carrier_off = end.carrier_off;
+                    out.push(Indication::FrameRx {
+                        node: rx,
+                        frame: end.frame.into_owned(),
+                        ok: end.ok,
+                    });
+                    if carrier_off {
+                        out.push(Indication::CarrierOff { node: rx });
+                    }
+                }
+            }
             PhyEvent::TxComplete { node, tx } => self.tx_complete(at, node, tx, out),
             PhyEvent::ToneEdge { rx, tone, on, emit } => self.tone_edge(rx, tone, on, emit, out),
         }
     }
 
-    /// Return a retired transmission record's receiver buffer to the pool.
-    fn recycle_tx(&mut self, rec: TxRecord) {
-        let mut buf = rec.receivers;
-        buf.clear();
-        self.rx_pool.push(buf);
+    /// Remove a finished transmission's record: its receiver buffer goes
+    /// back to the pool, its frame to the caller.
+    fn retire(&mut self, tx: TxId) -> Arc<Frame> {
+        let TxRecord {
+            frame,
+            mut receivers,
+            ..
+        } = self.txs.remove(tx).expect("a retiring record is kept");
+        receivers.clear();
+        self.rx_pool.push(receivers);
+        frame
     }
 
     /// Touch `node`'s radio: land, in key order, the signals whose onset is
@@ -861,32 +931,33 @@ impl Channel {
         }
     }
 
-    fn frame_end(
+    /// Process the `FrameArriveEnd` of transmission `tx` at `rx`, popped
+    /// under key `at` with propagation delay `prop`: what [`Channel::handle`]
+    /// would turn into a `FrameRx` and, with `carrier_off`, a `CarrierOff`.
+    /// `None` for a stale end. Nothing is cloned: an engine that keeps the
+    /// frame from a previous end of the same transmission (`Arc::ptr_eq`)
+    /// needs no handle of its own per receiver.
+    pub fn end_frame(
         &mut self,
         at: Cursor,
         rng: &mut SimRng,
         rx: NodeId,
         tx: TxId,
         prop: SimTime,
-        out: &mut Vec<Indication>,
-    ) {
-        let Some(rec) = self.txs.get(tx) else {
-            return; // stale
-        };
+    ) -> Option<FrameEnd<'_>> {
+        let rec = self.txs.get(tx)?; // else stale
         let now = at.time;
         if rec.end + prop != now {
-            return; // stale end event from before an abort truncated the tx
+            return None; // stale end event from before an abort truncated the tx
         }
-        let src = rec.src;
-        let aborted = rec.aborted;
-        let frame = Arc::clone(&rec.frame);
+        let (src, aborted) = (rec.src, rec.aborted);
+        let kind_slot = rec.frame.kind.index();
 
         self.settle(rx, at);
         let r = &mut self.radios[rx.idx()];
         let on_air = r.split().0;
-        let Some(pos) = on_air.iter().position(|a| a.tx == tx) else {
-            return; // already delivered (abort racing the original end)
-        };
+        // Else already delivered (an abort racing the original end).
+        let pos = on_air.iter().position(|a| a.tx == tx)?;
         let on_air = on_air.len();
         // `swap_remove` among the landed; the pending keep their order.
         r.arriving.swap(pos, on_air - 1);
@@ -914,6 +985,7 @@ impl Channel {
             }
         }
         if !corrupted && self.cfg.ber_per_bit > 0.0 {
+            let frame = &self.txs.get(tx).expect("record vanished mid-event").frame;
             let bits = (frame.length_bytes() * 8) as f64;
             let p_ok = (1.0 - self.cfg.ber_per_bit).powf(bits);
             if !rng.chance(p_ok) {
@@ -922,34 +994,31 @@ impl Channel {
         }
         if !corrupted {
             if let Some(hook) = self.fault_hook.as_mut() {
-                if hook.corrupt_rx(now, src, rx, &frame) {
+                let frame = &self.txs.get(tx).expect("record vanished mid-event").frame;
+                if hook.corrupt_rx(now, src, rx, frame) {
                     corrupted = true;
                 }
             }
         }
 
-        let kind_slot = frame.kind.index();
         if corrupted {
             self.frames.rx_corrupt[kind_slot] += 1;
         } else {
             self.frames.rx_ok[kind_slot] += 1;
         }
-        out.push(Indication::FrameRx {
-            node: rx,
-            frame,
-            ok: !corrupted,
-        });
-        if now_idle && !still_tx {
-            out.push(Indication::CarrierOff { node: rx });
-        }
 
         let rec = self.txs.get_mut(tx).expect("record vanished mid-event");
         rec.pending_ends -= 1;
-        if rec.done && rec.pending_ends == 0 {
-            if let Some(rec) = self.txs.remove(tx) {
-                self.recycle_tx(rec);
-            }
-        }
+        let frame = if rec.done && rec.pending_ends == 0 {
+            Cow::Owned(self.retire(tx))
+        } else {
+            Cow::Borrowed(&self.txs.get(tx).expect("the record just read").frame)
+        };
+        Some(FrameEnd {
+            ok: !corrupted,
+            carrier_off: now_idle && !still_tx,
+            frame,
+        })
     }
 
     fn tx_complete(&mut self, at: Cursor, node: NodeId, tx: TxId, out: &mut Vec<Indication>) {
@@ -960,13 +1029,12 @@ impl Channel {
             return; // stale completion from before an abort
         }
         rec.done = true;
-        let frame = Arc::clone(&rec.frame);
         let aborted = rec.aborted;
-        if rec.pending_ends == 0 {
-            if let Some(rec) = self.txs.remove(tx) {
-                self.recycle_tx(rec);
-            }
-        }
+        let frame = if rec.pending_ends == 0 {
+            self.retire(tx)
+        } else {
+            Arc::clone(&rec.frame)
+        };
         // What reached the antenna while it transmitted did so under half
         // duplex.
         self.settle(node, at);
@@ -1326,6 +1394,7 @@ mod tests {
             ChannelConfig::default(),
             vec![still(0.0, 0.0), still(50.0, 0.0), still(100.0, 0.0)],
         );
+        ch.keep_tone_busy_time();
         let mut q = Q::new();
         let both = ToneInterest::flip(Tone::Rbt, true) | ToneInterest::flip(Tone::Rbt, false);
         ch.listen(&mut q, n(1), both);

@@ -528,7 +528,11 @@ proptest! {
     #[test]
     fn records_answer_as_the_eager_loop_did(seed in any::<u64>()) {
         let script = script(seed);
-        let new_channel = || Channel::new(ChannelConfig::default(), script.motions.clone());
+        let new_channel = || {
+            let mut ch = Channel::new(ChannelConfig::default(), script.motions.clone());
+            ch.keep_tone_busy_time();
+            ch
+        };
         let reference = run(&script, &mut Eager::new(new_channel()), &mut EventQueue::new()).same();
         let mut ch = new_channel();
         let records = run(&script, &mut ch, &mut CalendarQueue::new()).same();
@@ -586,6 +590,7 @@ fn an_emission_lowered_as_it_is_raised_leaves_nothing_behind() {
 #[test]
 fn records_are_forgotten_once_nobody_can_ask_and_their_busy_time_is_kept() {
     let mut ch = Channel::new(ChannelConfig::default(), vec![still(0.0), still(40.0)]);
+    ch.keep_tone_busy_time();
     let mut q = Q::new();
     // 2 000 pulses of 17 µs every 50 µs.
     for k in 0..2000 {
@@ -607,6 +612,7 @@ fn records_are_forgotten_once_nobody_can_ask_and_their_busy_time_is_kept() {
 #[test]
 fn an_open_watch_holds_its_records_and_a_deafened_node_lets_them_go() {
     let mut ch = Channel::new(ChannelConfig::default(), vec![still(0.0), still(40.0)]);
+    ch.keep_tone_busy_time();
     let mut q = Q::new();
     ch.open_watch(NodeId(1), Tone::Abt, q.cursor());
     let pulses = |ch: &mut Channel, q: &mut Q, from: u64, to: u64| {
@@ -631,6 +637,36 @@ fn an_open_watch_holds_its_records_and_a_deafened_node_lets_them_go() {
         ch.tone_busy_ns(NodeId(1), Tone::Abt, SimTime::from_micros(50 * 300)),
         300 * 17_000
     );
+}
+
+/// Busy time is kept only on request: a channel not told to keep it
+/// forgets its records without folding them, and will not answer a sum it
+/// no longer has.
+#[test]
+#[should_panic(expected = "tone_busy_ns on a channel that does not keep busy time")]
+fn busy_time_is_not_read_from_a_channel_that_does_not_keep_it() {
+    let mut ch = Channel::new(ChannelConfig::default(), vec![still(0.0), still(40.0)]);
+    let mut q = Q::new();
+    for k in 0..100 {
+        skip_to(&mut q, SimTime::from_micros(50 * k));
+        ch.start_tone(&mut q, NodeId(0), Tone::Abt);
+        skip_to(&mut q, SimTime::from_micros(50 * k + 17));
+        ch.stop_tone(&mut q, NodeId(0), Tone::Abt);
+    }
+    assert!(
+        ch.tone_records_held(NodeId(1)) <= 8,
+        "forgotten all the same"
+    );
+    assert_eq!(ch.obs_stats().busy_folds, 0);
+    ch.tone_busy_ns(NodeId(1), Tone::Abt, SimTime::from_micros(50 * 100));
+}
+
+#[test]
+#[should_panic(expected = "busy time must be kept from the first tone record on")]
+fn busy_time_cannot_be_kept_from_the_middle_of_a_run() {
+    let mut ch = Channel::new(ChannelConfig::default(), vec![still(0.0), still(40.0)]);
+    ch.start_tone(&mut Q::new(), NodeId(0), Tone::Abt);
+    ch.keep_tone_busy_time();
 }
 
 #[test]

@@ -51,9 +51,12 @@ pub enum Indication {
     /// node moving out of range mid-frame.
     ///
     /// The frame is shared (`Arc`) because one transmission fans out to
-    /// every in-range receiver: delivering to N receivers bumps one
-    /// refcount N times instead of deep-cloning the frame (and its
-    /// receiver-list `Vec`s) N times.
+    /// every in-range receiver. [`Channel::handle`](crate::Channel::handle)
+    /// clones the handle per receiver; the engine reads the verdict from
+    /// [`Channel::end_frame`](crate::Channel::end_frame) and re-addresses
+    /// one `FrameRx` across a transmission's consecutive ends, so the frame
+    /// (and its receiver-list `Vec`s) is neither deep-cloned nor
+    /// refcounted per receiver.
     FrameRx {
         node: NodeId,
         frame: Arc<Frame>,

@@ -35,9 +35,10 @@
 //! Raising or lowering a **tone** writes, at every in-range receiver, a
 //! record with a rising and a falling edge; [`Channel::tone_present`], the
 //! [`ToneLog`] of a watch ([`Channel::open_watch`]/[`Channel::close_watch`])
-//! and [`Channel::tone_busy_ns`] are readings of those records, and a
-//! `PhyEvent::ToneEdge` ends in an `Indication::ToneChanged` if it flips
-//! presence; see the [`tone`] module.
+//! and [`Channel::tone_busy_ns`] (on a channel told to
+//! [`keep_tone_busy_time`](Channel::keep_tone_busy_time)) are readings of
+//! those records, and a `PhyEvent::ToneEdge` ends in an
+//! `Indication::ToneChanged` if it flips presence; see the [`tone`] module.
 //!
 //! A frame's **first bit** is a record in the same way: [`Channel::start_tx`]
 //! writes, at every in-range receiver, the onset's edge and its link (who
@@ -51,6 +52,10 @@
 //! That is why [`Channel::handle`] takes the popped event's key
 //! ([`rmac_sim::SimQueue::cursor`]) and not just its time: a frame end and
 //! another frame's onset can share a nanosecond at one receiver.
+//!
+//! A frame end's verdict is [`Channel::end_frame`], which lends the
+//! transmission's frame handle rather than cloning it;
+//! [`Channel::handle`] turns it into a `FrameRx` (and a `CarrierOff`).
 //!
 //! Aborted transmissions (RMAC aborts an in-flight MRTS when it senses an
 //! RBT) are modelled by truncating the transmission record; stale
@@ -74,7 +79,9 @@ pub mod slab;
 pub mod tone;
 pub mod trace;
 
-pub use channel::{Channel, ChannelConfig, FaultHook, FrameTallies, PhyObs, TxId, TONE_HISTORY};
+pub use channel::{
+    Channel, ChannelConfig, FaultHook, FrameEnd, FrameTallies, PhyObs, TxId, TONE_HISTORY,
+};
 pub use event::{Indication, PhyEvent};
 pub use grid::{reuse_horizon, GridStats, IndexMode, SpatialGrid};
 pub use tone::{Tone, ToneInterest, ToneLog};

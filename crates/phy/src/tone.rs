@@ -182,7 +182,7 @@ impl ToneRec {
 pub(crate) struct Heard {
     pub recs: Vec<ToneRec>,
     /// Presence time before `settled`, ns; what the forgotten records leave
-    /// behind.
+    /// behind, where the channel keeps busy time.
     busy_ns: u64,
     settled: SimTime,
 }
@@ -266,14 +266,20 @@ impl Heard {
     }
 
     /// Forget the emissions that ended before `horizon`, which no reader
-    /// will look behind again; their presence time stays in the busy total.
-    pub fn forget_before(&mut self, horizon: SimTime) {
-        if self.recs.iter().any(|r| r.off.key.time < horizon) {
+    /// will look behind again. With `fold`, their presence time stays in the
+    /// busy total; without it, [`busy_ns`](Self::busy_ns) is partial from
+    /// here on. Returns whether the busy time was folded.
+    pub fn forget_before(&mut self, horizon: SimTime, fold: bool) -> bool {
+        if !self.recs.iter().any(|r| r.off.key.time < horizon) {
+            return false;
+        }
+        if fold {
             debug_assert!(horizon >= self.settled);
             self.busy_ns += self.on_time(self.settled, horizon);
             self.settled = horizon;
-            self.recs.retain(|r| r.off.key.time >= horizon);
         }
+        self.recs.retain(|r| r.off.key.time >= horizon);
+        fold
     }
 }
 
@@ -322,9 +328,9 @@ mod tests {
         };
         assert_eq!(heard.busy_ns(us(30)), 20_000);
         assert_eq!(heard.busy_ns(us(300)), 90_000 + 100_000);
-        heard.forget_before(us(45));
+        heard.forget_before(us(45), true);
         assert_eq!(heard.recs.len(), 3, "nothing had ended by then");
-        heard.forget_before(us(150));
+        heard.forget_before(us(150), true);
         assert_eq!(heard.recs.len(), 1);
         assert_eq!(heard.busy_ns(us(300)), 90_000 + 100_000);
         assert!(heard.present(Cursor::end_of(us(250))));
@@ -416,7 +422,7 @@ mod tests {
                 prop_assert_eq!(heard.busy_ns(us(upto)), logged_on_time(&recs, us(0), us(upto)));
             }
             let horizon = us(*bounds.iter().min().unwrap());
-            heard.forget_before(horizon);
+            heard.forget_before(horizon, true);
             for upto in [horizon, horizon + us(7), us(80)] {
                 prop_assert_eq!(heard.busy_ns(upto), logged_on_time(&recs, us(0), upto));
             }

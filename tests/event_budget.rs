@@ -1,5 +1,6 @@
 //! The event budget of the backoff countdown, of the busy tones and of
-//! frame onsets, and the geometry budget of a mobile run, by count.
+//! frame onsets, the frame-handle budget of a fan-out, and the geometry
+//! budget of a mobile run, by count.
 //!
 //! A countdown is a hop, a look at its expiry and one look per busy edge
 //! (`rmac_core::backoff`), where it used to be one `BackoffSlot` event per
@@ -23,6 +24,13 @@
 //! * `FrameArriveStart` dispatches stay at or under 15 % of `events` (8 %
 //!   for RMAC, 2 % for BMMM today, where one per receiver per frame was
 //!   32 % and 39 %), so a return to one event per onset fails here;
+//! * the frame handles the engine clones for `FrameRx` (the obs gauge
+//!   `engine.frame_rx_clones`) stay at or under 1.05 per transmitted frame
+//!   (1.008 for RMAC, 1.009 under motion, 1.011 for BMMM today: a
+//!   transmission's ends are re-addressed while they follow each other, and
+//!   only an end of another frame in between costs a second clone), where a
+//!   clone per frame end was 7.3 and 7.5, so a return to a clone per
+//!   receiver fails here;
 //! * every protocol-visible `RunReport` field equals the value the per-slot,
 //!   event-per-edge engine produced (pinned from the commit before the
 //!   countdown slept; the mobile RMAC report from the commit before tone
@@ -64,6 +72,8 @@ struct Budget {
     countdown: f64,
     tone_edges: f64,
     frame_starts: f64,
+    /// Frame handles the engine cloned for `FrameRx`, per transmitted frame.
+    frame_clones: f64,
 }
 
 /// One 75-node stationary replication under the obs layer.
@@ -87,6 +97,11 @@ fn replicate_in(cfg: ScenarioConfig, protocol: Protocol) -> Budget {
     assert_eq!(obs.kernel.labels()[3], "phy.tone_edge");
     let events = out.report.events as f64;
     let frames: u64 = out.report.tx_frames.iter().sum();
+    let clones = obs
+        .gauges
+        .iter()
+        .find(|(n, _)| *n == "engine.frame_rx_clones");
+    let clones = clones.expect("the frame-handle gauge").1;
     let report = RunReport {
         events: 0,
         sim_secs: 0.0,
@@ -97,14 +112,21 @@ fn replicate_in(cfg: ScenarioConfig, protocol: Protocol) -> Budget {
         countdown: countdown as f64 / frames as f64,
         tone_edges: obs.kernel.class_count(3) as f64 / events,
         frame_starts: obs.kernel.class_count(0) as f64 / events,
+        frame_clones: clones as f64 / frames as f64,
     }
 }
 
 impl Budget {
     /// Tone edges and frame onsets reach the event loop for the few
-    /// receivers that can act on them, not for every receiver in range.
+    /// receivers that can act on them, not for every receiver in range, and
+    /// a transmission's frame ends share about one frame handle.
     fn signals_within_budget(&self) {
         let (tone_edges, frame_starts) = (self.tone_edges, self.frame_starts);
+        let frame_clones = self.frame_clones;
+        assert!(
+            frame_clones <= 1.05,
+            "{frame_clones:.3} FrameRx frame clones per transmitted frame"
+        );
         assert!(
             tone_edges <= 0.15,
             "ToneEdge is {tone_edges:.3} of all events"
