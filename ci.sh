@@ -61,4 +61,7 @@ cargo test -q --release --test tracked_stores
 cargo run -q --release -p rmac-experiments --bin campaign -- run unicast --quick
 cargo run -q --release -p rmac-experiments --bin campaign_report -- results/campaigns/unicast-quick
 
+echo "==> CLI stage: rmac compare on a campaign scenario label"
+cargo run -q --release -- compare --scenario chain3 --packets 20
+
 echo "CI green."

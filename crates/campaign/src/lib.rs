@@ -34,5 +34,5 @@ pub mod store;
 pub use query::{aggregate, grid_points, load_store, summarize, Agg, SummaryRow};
 pub use rmac_sim::try_tasks;
 pub use runner::{campaign_dir, run_campaign, run_case, CampaignOutcome, RunOptions};
-pub use spec::{protocol_from_label, CampaignSpec, CaseSpec, FaultAxis, ScenarioKind};
+pub use spec::{CampaignSpec, CaseSpec, FaultAxis, ScenarioKind};
 pub use store::CaseRecord;

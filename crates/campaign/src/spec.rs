@@ -82,7 +82,7 @@ impl ScenarioKind {
     }
 
     /// Whether the kind fixes its own node count (the star, the chains)
-    /// rather than take the campaign's.
+    /// rather than take the one asked for.
     fn fixes_its_size(self) -> bool {
         use ScenarioKind::*;
         matches!(
@@ -91,9 +91,11 @@ impl ScenarioKind {
         )
     }
 
-    /// The paper-parameterised scenario config at one source rate, named
-    /// by the kind's label.
-    pub fn config(self, rate: f64) -> ScenarioConfig {
+    /// The paper-parameterised scenario config at one source rate, network
+    /// size and packet count, named by the kind's label: the one place a
+    /// scenario is built at a size, for a campaign case and the `rmac` CLI
+    /// alike. A star or chain keeps its own node count.
+    pub fn config(self, rate: f64, nodes: usize, packets: u64) -> ScenarioConfig {
         use ScenarioKind::*;
         let cfg = match self {
             Speed1 | Speed1Unreliable => ScenarioConfig::paper_speed1(rate),
@@ -120,24 +122,12 @@ impl ScenarioKind {
             StationaryUnreliable | Speed1Unreliable => cfg.with_unreliable_forwarding(),
             _ => cfg,
         };
+        if !self.fixes_its_size() {
+            cfg = cfg.with_nodes(nodes);
+        }
         cfg.name = self.label().into();
-        cfg
+        cfg.with_packets(packets)
     }
-}
-
-/// Inverse of [`Protocol::label`].
-pub fn protocol_from_label(s: &str) -> Option<Protocol> {
-    [
-        Protocol::Rmac,
-        Protocol::RmacNoRbt,
-        Protocol::RmacSkipRbtSense,
-        Protocol::Bmmm,
-        Protocol::Bmw,
-        Protocol::Lbp,
-        Protocol::Mx80211,
-    ]
-    .into_iter()
-    .find(|p| p.label() == s)
 }
 
 /// One named fault-plan axis value ("none", "moderate-bursty", …).
@@ -308,7 +298,7 @@ impl CampaignSpec {
                 .collect()
         }
         let protocols = list(&v, "protocols", "a known protocol label", |x| {
-            protocol_from_label(x.as_str()?)
+            Protocol::from_label(x.as_str()?)
         })?;
         let scenarios = list(&v, "scenarios", "a known scenario label", |x| {
             ScenarioKind::from_label(x.as_str()?)
@@ -394,16 +384,11 @@ impl CaseSpec {
         )
     }
 
-    /// The scenario config this case runs.
+    /// The scenario config this case runs ([`ScenarioKind::config`] at the
+    /// case's shard count).
     pub fn config(&self) -> ScenarioConfig {
-        let mut cfg = self.scenario.config(self.rate).with_packets(self.packets);
-        if !self.scenario.fixes_its_size() {
-            cfg = cfg.with_nodes(self.nodes);
-        }
-        if self.shards > 1 {
-            cfg = cfg.with_shards(self.shards);
-        }
-        cfg
+        let cfg = self.scenario.config(self.rate, self.nodes, self.packets);
+        cfg.with_shards(self.shards)
     }
 }
 
@@ -538,24 +523,9 @@ mod tests {
     }
 
     #[test]
-    fn protocol_labels_round_trip() {
-        for p in [
-            Protocol::Rmac,
-            Protocol::RmacNoRbt,
-            Protocol::RmacSkipRbtSense,
-            Protocol::Bmmm,
-            Protocol::Bmw,
-            Protocol::Lbp,
-            Protocol::Mx80211,
-        ] {
-            assert_eq!(protocol_from_label(p.label()), Some(p));
-        }
-    }
-
-    #[test]
     fn scenario_labels_match_configs() {
         for (s, _) in ScenarioKind::LABELS {
-            assert_eq!(s.config(5.0).name, s.label());
+            assert_eq!(s.config(5.0, 75, 100).name, s.label());
             assert_eq!(ScenarioKind::from_label(s.label()), Some(s));
         }
     }

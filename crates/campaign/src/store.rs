@@ -130,6 +130,40 @@ impl CaseRecord {
         }
     }
 
+    /// The report this record was taken from, with every metric the store
+    /// keeps; the rest (`nonleaf_nodes`, `delay_samples`, the per-kind frame
+    /// tallies and `sim_secs`) stay at their defaults.
+    pub fn report(&self) -> RunReport {
+        RunReport {
+            protocol: self.protocol.clone(),
+            scenario: self.scenario.clone(),
+            rate_pps: self.rate,
+            seed: self.seed,
+            packets_sent: self.packets_sent,
+            expected_receptions: self.expected_receptions,
+            receptions: self.receptions,
+            drop_ratio_avg: self.drop_ratio,
+            retx_ratio_avg: self.retx_ratio,
+            txoh_ratio_avg: self.txoh_ratio,
+            abort_avg: self.abort_avg,
+            abort_p99: self.abort_p99,
+            abort_max: self.abort_max,
+            mrts_len_avg: self.mrts_len_avg,
+            mrts_len_p99: self.mrts_len_p99,
+            mrts_len_max: self.mrts_len_max,
+            e2e_delay_avg_s: self.delay_s,
+            hops_avg: self.hops_avg,
+            hops_p99: self.hops_p99,
+            children_avg: self.children_avg,
+            children_p99: self.children_p99,
+            events: self.events,
+            faults_injected: self.faults_injected,
+            fault_crashes: self.fault_crashes,
+            fault_jam_bursts: self.fault_jam_bursts,
+            ..RunReport::default()
+        }
+    }
+
     /// One deterministic JSONL line (no trailing newline). Floats use
     /// fixed six-decimal formatting so bytes never depend on float
     /// printing quirks.
@@ -234,6 +268,9 @@ impl CaseRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{CampaignSpec, FaultAxis, ScenarioKind};
+    use rmac_engine::{ObsConfig, Protocol, Run};
+    use rmac_faults::{ChurnKind, ChurnSpec, FaultPlan, JamTarget, JammerSpec};
 
     fn record() -> CaseRecord {
         CaseRecord {
@@ -300,5 +337,114 @@ mod tests {
     #[test]
     fn serialization_is_byte_stable() {
         assert_eq!(record().to_jsonl(), record().to_jsonl());
+    }
+
+    /// One RMAC case of 10 nodes and 5 packets at 20 pkt/s under `plan`.
+    fn tiny_case(plan: FaultPlan, obs: bool) -> CaseSpec {
+        let spec = CampaignSpec {
+            protocols: vec![Protocol::Rmac],
+            scenarios: vec![ScenarioKind::Stationary],
+            rates: vec![20.0],
+            seeds: vec![1],
+            faults: vec![FaultAxis {
+                name: "tiny".into(),
+                plan,
+            }],
+            packets: 5,
+            nodes: 10,
+            obs,
+            ..CampaignSpec::paper_figures(true)
+        };
+        spec.cases().remove(0)
+    }
+
+    /// An obs-on store keeps exactly these counters and no gauge: a new
+    /// `ObsReport` counter changes every obs-on store's bytes, so adding
+    /// one means adding it here.
+    #[test]
+    fn an_obs_on_record_keeps_the_pinned_counters_and_no_gauge() {
+        let case = tiny_case(FaultPlan::none(), true);
+        let record = crate::run_case(&case);
+        let names: Vec<&str> = (record.obs_counters.iter())
+            .map(|(name, _)| name.as_str())
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "engine.events_popped",
+                "engine.events_pushed",
+                "fault.crashes",
+                "fault.frames_corrupted",
+                "fault.jam_bursts",
+                "grid.list_candidates",
+                "grid.list_rebuilds",
+                "grid.queries",
+                "grid.rebuckets",
+                "grid.refreshes",
+                "phy.frame_onsets",
+                "phy.frame_start_catchups",
+                "phy.frame_starts_scheduled",
+                "phy.pool_hits",
+                "phy.pool_misses",
+                "phy.tone_catchups",
+                "phy.tone_edges_scheduled",
+                "phy.tone_records",
+            ]
+        );
+        let obs = Run::new(&case.config(), case.protocol, case.seed)
+            .obs(ObsConfig {
+                snapshot_period: None,
+                kernel_wall: false,
+            })
+            .execute()
+            .obs
+            .expect("obs was attached");
+        assert!(!obs.gauges.is_empty());
+        for (gauge, _) in &obs.gauges {
+            assert!(!names.contains(gauge), "gauge {gauge} in the store");
+        }
+    }
+
+    /// `report()` gives back every metric `from_run` keeps, bit for bit, for
+    /// a run whose fault tallies are nonzero; the fields below are the ones a
+    /// store does not keep. A new `RunReport` field lands on one side or the
+    /// other.
+    #[test]
+    fn a_record_gives_back_the_report_it_keeps() {
+        let plan = FaultPlan::none()
+            .with_churn(ChurnSpec {
+                node: 3,
+                kind: ChurnKind::Crash,
+                at_ms: 5_100,
+                for_ms: 300,
+            })
+            .with_jammer(JammerSpec {
+                x: 50.0,
+                y: 50.0,
+                target: JamTarget::Rbt,
+                start_ms: 500,
+                period_ms: 40,
+                burst_ms: 8,
+            });
+        let case = tiny_case(plan, false);
+        let out = Run::new(&case.config(), case.protocol, case.seed)
+            .faults(&case.plan)
+            .check()
+            .execute();
+        let report = out.report;
+        assert!(report.fault_crashes > 0 && report.fault_jam_bursts > 0);
+        let kept = RunReport {
+            nonleaf_nodes: 0,
+            delay_samples: 0,
+            tx_frames: Default::default(),
+            tx_aborted: 0,
+            rx_frames_ok: Default::default(),
+            rx_frames_corrupt: Default::default(),
+            sim_secs: 0.0,
+            ..report.clone()
+        };
+        let check = out.check.expect("checker was attached");
+        let back = CaseRecord::from_run(&case, &report, None, &check).report();
+        assert_eq!(format!("{back:?}"), format!("{kept:?}"));
     }
 }

@@ -32,7 +32,18 @@ pub enum Protocol {
 }
 
 impl Protocol {
-    /// Human-readable label used in reports.
+    /// Every protocol, in declaration order.
+    pub const ALL: [Protocol; 7] = [
+        Protocol::Rmac,
+        Protocol::RmacNoRbt,
+        Protocol::RmacSkipRbtSense,
+        Protocol::Bmmm,
+        Protocol::Bmw,
+        Protocol::Lbp,
+        Protocol::Mx80211,
+    ];
+
+    /// Human-readable label used in reports, stores and on the command line.
     pub fn label(self) -> &'static str {
         match self {
             Protocol::Rmac => "RMAC",
@@ -43,6 +54,11 @@ impl Protocol {
             Protocol::Lbp => "LBP",
             Protocol::Mx80211 => "802.11MX",
         }
+    }
+
+    /// Inverse of [`Protocol::label`]: the protocol whose label is exactly `s`.
+    pub fn from_label(s: &str) -> Option<Protocol> {
+        Protocol::ALL.into_iter().find(|p| p.label() == s)
     }
 
     /// Which conformance invariant family ([`rmac_check::ProtocolClass`])
@@ -182,12 +198,6 @@ impl ScenarioConfig {
             let paper = Bounds::PAPER;
             self.bounds = Bounds::new(paper.width * scale, paper.height * scale);
         }
-        self
-    }
-
-    /// Override the MAC configuration.
-    pub fn with_mac(mut self, mac: MacConfig) -> Self {
-        self.mac = mac;
         self
     }
 
@@ -341,6 +351,10 @@ mod tests {
         assert_eq!(Protocol::Rmac.label(), "RMAC");
         assert_eq!(Protocol::Bmmm.label(), "BMMM");
         assert_eq!(Protocol::RmacNoRbt.label(), "RMAC-noRBT");
+        for p in Protocol::ALL {
+            assert_eq!(Protocol::from_label(p.label()), Some(p));
+        }
+        assert_eq!(Protocol::from_label("rmac"), None);
     }
 
     #[test]

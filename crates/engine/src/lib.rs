@@ -5,10 +5,10 @@
 //! drives one replication of the paper's experiment from a single seed:
 //!
 //! ```
-//! use rmac_engine::{run_replication, Protocol, ScenarioConfig};
+//! use rmac_engine::{Protocol, Run, ScenarioConfig};
 //!
 //! let cfg = ScenarioConfig::paper_stationary(5.0).with_packets(20);
-//! let report = run_replication(&cfg, Protocol::Rmac, 1);
+//! let report = Run::new(&cfg, Protocol::Rmac, 1).execute().report;
 //! assert!(report.delivery_ratio() > 0.9);
 //! ```
 //!
@@ -35,8 +35,8 @@ pub use rmac_check::{CheckReport, Invariant, Violation};
 pub use rmac_faults::FaultPlan;
 pub use rmac_obs::ObsReport;
 pub use run::{
-    run_replication, run_replication_checked, run_replication_instrumented,
-    run_replication_sharded_checked, Reference, Run, RunOutput, ShardedRunner,
+    run_replication_checked, run_replication_instrumented, run_replication_sharded_checked,
+    Reference, Run, RunOutput, ShardedRunner,
 };
 pub use shard::{GroupStats, ShardStats};
 pub use trace::{

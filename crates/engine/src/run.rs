@@ -8,11 +8,10 @@
 //! assert!(out.report.delivery_ratio() > 0.9);
 //! ```
 //!
-//! Everything else in this module — [`run_replication`] and the nine names
-//! `benchmark/README.md` pins — is a shim of at most three lines over
-//! [`Run`], or, for a [`Runner`] that [`Runner::new`] has already
-//! assembled, over the one-group run [`Run::execute`] itself makes
-//! ([`crate::shard`]).
+//! Everything else in this module — the nine names `benchmark/README.md`
+//! pins — is a shim of at most three lines over [`Run`], or, for a
+//! [`Runner`] that [`Runner::new`] has already assembled, over the
+//! one-group run [`Run::execute`] itself makes ([`crate::shard`]).
 
 use std::sync::Arc;
 
@@ -34,7 +33,7 @@ use crate::world::Runner;
 /// [`RunOutput::report`] is bit-identical with or without them, at any
 /// shard count.
 pub struct Run {
-    spec: Spec,
+    pub(crate) spec: Spec,
     tracer: Option<Tracer>,
     heap_queue: bool,
 }
@@ -188,11 +187,6 @@ impl RunOutput {
         );
         self
     }
-}
-
-/// Run one replication and return its report.
-pub fn run_replication(cfg: &ScenarioConfig, protocol: Protocol, seed: u64) -> RunReport {
-    Run::new(cfg, protocol, seed).execute().report
 }
 
 // ---------------------------------------------------------------------

@@ -1,12 +1,18 @@
 //! Engine integration tests on small networks.
 
 use rmac_net::BlessConfig;
-use rmac_sim::SimTime;
+use rmac_sim::{CalendarQueue, SimTime};
 use rmac_wire::NodeId;
 
 use crate::config::{Protocol, ScenarioConfig};
 use crate::world::{BeaconTimetable, Runner, BEACON_JITTER_NS};
-use crate::{run_replication, Run};
+use crate::Run;
+
+/// `run` assembled as its one all-shards group, for a test that drives the
+/// event loop and reads the runner after it.
+fn whole(run: Run) -> Runner {
+    Runner::assemble(&run.spec, CalendarQueue::with_capacity, |_| true)
+}
 
 /// A small, dense stationary scenario that finishes in well under a second
 /// of wall time.
@@ -22,7 +28,7 @@ fn tiny(rate: f64, nodes: usize, packets: u64) -> ScenarioConfig {
 #[test]
 fn rmac_delivers_on_a_small_stationary_network() {
     let cfg = tiny(20.0, 8, 50);
-    let r = run_replication(&cfg, Protocol::Rmac, 7);
+    let r = Run::new(&cfg, Protocol::Rmac, 7).execute().report;
     assert_eq!(r.packets_sent, 50);
     assert_eq!(r.expected_receptions, 50 * 7);
     assert!(
@@ -43,7 +49,7 @@ fn rmac_delivers_on_a_small_stationary_network() {
 #[test]
 fn bmmm_also_delivers_on_a_small_network() {
     let cfg = tiny(10.0, 8, 30);
-    let r = run_replication(&cfg, Protocol::Bmmm, 7);
+    let r = Run::new(&cfg, Protocol::Bmmm, 7).execute().report;
     assert!(
         r.delivery_ratio() > 0.9,
         "BMMM stationary delivery, got {}",
@@ -55,7 +61,7 @@ fn bmmm_also_delivers_on_a_small_network() {
 fn bmw_and_lbp_run_and_deliver_something() {
     let cfg = tiny(5.0, 6, 20);
     for p in [Protocol::Bmw, Protocol::Lbp] {
-        let r = run_replication(&cfg, p, 3);
+        let r = Run::new(&cfg, p, 3).execute().report;
         assert!(
             r.delivery_ratio() > 0.5,
             "{} delivered only {}",
@@ -68,8 +74,8 @@ fn bmw_and_lbp_run_and_deliver_something() {
 #[test]
 fn same_seed_is_bit_identical() {
     let cfg = tiny(20.0, 8, 30);
-    let a = run_replication(&cfg, Protocol::Rmac, 42);
-    let b = run_replication(&cfg, Protocol::Rmac, 42);
+    let a = Run::new(&cfg, Protocol::Rmac, 42).execute().report;
+    let b = Run::new(&cfg, Protocol::Rmac, 42).execute().report;
     assert_eq!(a.receptions, b.receptions);
     assert_eq!(a.events, b.events);
     assert_eq!(a.e2e_delay_avg_s, b.e2e_delay_avg_s);
@@ -79,8 +85,8 @@ fn same_seed_is_bit_identical() {
 #[test]
 fn different_seeds_differ() {
     let cfg = tiny(20.0, 8, 30);
-    let a = run_replication(&cfg, Protocol::Rmac, 1);
-    let b = run_replication(&cfg, Protocol::Rmac, 2);
+    let a = Run::new(&cfg, Protocol::Rmac, 1).execute().report;
+    let b = Run::new(&cfg, Protocol::Rmac, 2).execute().report;
     // Different placements ⇒ different event counts (astronomically
     // unlikely to collide).
     assert_ne!(a.events, b.events);
@@ -89,7 +95,7 @@ fn different_seeds_differ() {
 #[test]
 fn delays_are_positive_and_bounded() {
     let cfg = tiny(20.0, 8, 40);
-    let r = run_replication(&cfg, Protocol::Rmac, 5);
+    let r = Run::new(&cfg, Protocol::Rmac, 5).execute().report;
     assert!(r.delay_samples > 0);
     assert!(r.e2e_delay_avg_s > 0.0);
     assert!(
@@ -102,7 +108,7 @@ fn delays_are_positive_and_bounded() {
 #[test]
 fn tree_statistics_are_sane() {
     let cfg = tiny(10.0, 8, 20);
-    let r = run_replication(&cfg, Protocol::Rmac, 11);
+    let r = Run::new(&cfg, Protocol::Rmac, 11).execute().report;
     assert!(r.hops_avg >= 1.0, "hops {}", r.hops_avg);
     assert!(r.children_avg >= 1.0, "children {}", r.children_avg);
 }
@@ -110,7 +116,7 @@ fn tree_statistics_are_sane() {
 #[test]
 fn mrts_lengths_follow_fig3_bounds() {
     let cfg = tiny(10.0, 10, 30);
-    let r = run_replication(&cfg, Protocol::Rmac, 13);
+    let r = Run::new(&cfg, Protocol::Rmac, 13).execute().report;
     assert!(
         r.mrts_len_avg >= 18.0,
         "minimum MRTS is 18 B: {}",
@@ -129,7 +135,7 @@ fn disconnected_node_reduces_delivery() {
     // disconnected; instead verify the ratio definition: with only 2 nodes
     // and the child in range, delivery ≈ 1; the expected count uses n-1.
     let cfg = tiny(10.0, 2, 20);
-    let r = run_replication(&cfg, Protocol::Rmac, 3);
+    let r = Run::new(&cfg, Protocol::Rmac, 3).execute().report;
     assert_eq!(r.expected_receptions, 20);
     assert!(r.delivery_ratio() > 0.9);
 }
@@ -139,8 +145,8 @@ fn rmac_beats_or_matches_bmmm_under_load() {
     // At a high offered rate on a small dense net, RMAC's cheaper control
     // plane should deliver at least as much as BMMM.
     let cfg = tiny(60.0, 10, 100);
-    let rmac = run_replication(&cfg, Protocol::Rmac, 9);
-    let bmmm = run_replication(&cfg, Protocol::Bmmm, 9);
+    let rmac = Run::new(&cfg, Protocol::Rmac, 9).execute().report;
+    let bmmm = Run::new(&cfg, Protocol::Bmmm, 9).execute().report;
     assert!(
         rmac.delivery_ratio() >= bmmm.delivery_ratio() - 0.02,
         "RMAC {} vs BMMM {}",
@@ -152,7 +158,7 @@ fn rmac_beats_or_matches_bmmm_under_load() {
 #[test]
 fn rbt_ablation_runs() {
     let cfg = tiny(20.0, 8, 30);
-    let r = run_replication(&cfg, Protocol::RmacNoRbt, 5);
+    let r = Run::new(&cfg, Protocol::RmacNoRbt, 5).execute().report;
     assert!(r.delivery_ratio() > 0.5);
     assert_eq!(r.protocol, "RMAC-noRBT");
 }
@@ -163,7 +169,7 @@ fn mobile_scenario_runs() {
         .with_nodes(10)
         .with_packets(20);
     cfg.bounds = rmac_mobility::Bounds::new(120.0, 100.0);
-    let r = run_replication(&cfg, Protocol::Rmac, 21);
+    let r = Run::new(&cfg, Protocol::Rmac, 21).execute().report;
     assert!(r.events > 0);
     assert!(r.delivery_ratio() > 0.3, "got {}", r.delivery_ratio());
 }
@@ -274,12 +280,8 @@ fn crashing_the_only_relay_starves_downstream_nodes() {
     // node 2 (range 75 m, spacing 60 m).
     let cfg = ScenarioConfig::paper_stationary(10.0)
         .with_packets(20)
-        .with_positions(vec![
-            rmac_mobility::Pos::new(0.0, 0.0),
-            rmac_mobility::Pos::new(60.0, 0.0),
-            rmac_mobility::Pos::new(120.0, 0.0),
-        ]);
-    let baseline = run_replication(&cfg, Protocol::Rmac, 5);
+        .with_chain(2, 60.0);
+    let baseline = Run::new(&cfg, Protocol::Rmac, 5).execute().report;
     assert!(
         baseline.delivery_ratio() > 0.9,
         "{}",
@@ -314,11 +316,9 @@ fn crashing_the_only_relay_starves_downstream_nodes() {
 /// on, and a dead node's would grow for as long as anything near it emits.
 #[test]
 fn a_crash_inside_a_tone_watch_does_not_pin_the_nodes_tone_records() {
-    use crate::run::Spec;
     use crate::trace::{FaultKind, TraceEvent, TraceWhat};
     use rmac_faults::{ChurnKind, ChurnSpec, FaultPlan, JamTarget, JammerSpec};
     use rmac_phy::Tone;
-    use rmac_sim::{CalendarQueue, SimTime};
     use rmac_wire::consts::{BYTE_TIME, L_ABT};
     use rmac_wire::{FrameKind, NodeId};
     use std::sync::{Arc, Mutex};
@@ -334,16 +334,7 @@ fn a_crash_inside_a_tone_watch_does_not_pin_the_nodes_tone_records() {
             rmac_mobility::Pos::new(0.0, 50.0),
         ]);
     let run = |cfg: &ScenarioConfig, plan: FaultPlan| {
-        let spec = Spec {
-            cfg: Arc::new(cfg.clone()),
-            protocol: Protocol::Rmac,
-            seed: 3,
-            plan,
-            obs: None,
-            check: false,
-            brute_phy: false,
-        };
-        let mut runner = Runner::assemble(&spec, CalendarQueue::with_capacity, |_| true);
+        let mut runner = whole(Run::new(cfg, Protocol::Rmac, 3).faults(&plan));
         // A tracer does not read busy time; this test does.
         runner.core.channel.keep_tone_busy_time();
         let events: Arc<Mutex<Vec<TraceEvent>>> = Arc::default();
@@ -353,7 +344,7 @@ fn a_crash_inside_a_tone_watch_does_not_pin_the_nodes_tone_records() {
             false,
             Some(Box::new(move |e| sink.lock().unwrap().push(e.clone()))),
         );
-        runner.run_events(&BeaconTimetable::build(&spec.cfg, spec.seed));
+        runner.run_events(&BeaconTimetable::build(cfg, 3));
         let events = std::mem::take(&mut *events.lock().unwrap());
         (runner, events)
     };
@@ -412,13 +403,11 @@ fn a_crash_inside_a_tone_watch_does_not_pin_the_nodes_tone_records() {
 /// channel from the onset's key on, with no event dispatched for it.
 #[test]
 fn a_backoff_that_starts_with_an_onset_in_flight_is_told_of_it() {
-    use crate::run::Spec;
     use crate::trace::{TraceEvent, TraceWhat};
     use crate::world::Ev;
     use bytes::Bytes;
     use rmac_core::api::TxRequest;
-    use rmac_faults::FaultPlan;
-    use rmac_sim::{CalendarQueue, SimQueue, SimTime};
+    use rmac_sim::{SimQueue, SimTime};
     use rmac_wire::{Dest, Frame, NodeId};
     use std::sync::{Arc, Mutex};
 
@@ -428,17 +417,8 @@ fn a_backoff_that_starts_with_an_onset_in_flight_is_told_of_it() {
         rmac_mobility::Pos::new(60.0, 0.0),
         rmac_mobility::Pos::new(0.0, 45.0),
     ]);
-    let spec = Spec {
-        cfg: Arc::new(cfg),
-        protocol: Protocol::Bmmm,
-        seed: 3,
-        plan: FaultPlan::none(),
-        obs: None,
-        check: false,
-        brute_phy: false,
-    };
-    let beacons = BeaconTimetable::build(&spec.cfg, spec.seed);
-    let mut runner = Runner::assemble(&spec, CalendarQueue::with_capacity, |_| true);
+    let beacons = BeaconTimetable::build(&cfg, 3);
+    let mut runner = whole(Run::new(&cfg, Protocol::Bmmm, 3));
     let events: Arc<Mutex<Vec<TraceEvent>>> = Arc::default();
     let sink = events.clone();
     runner.attach(
@@ -523,7 +503,7 @@ fn rbt_jammer_forces_mrts_aborts_nearby() {
         period_ms: 20,
         burst_ms: 10,
     });
-    let baseline = run_replication(&cfg, Protocol::Rmac, 3);
+    let baseline = Run::new(&cfg, Protocol::Rmac, 3).execute().report;
     let jammed = Run::new(&cfg, Protocol::Rmac, 3)
         .faults(&plan)
         .execute()
@@ -600,7 +580,7 @@ fn obs_on_a_decomposable_sharded_run_takes_the_single_group() {
             rmac_mobility::Pos::new(440.0, 50.0),
             rmac_mobility::Pos::new(450.0, 50.0),
         ]);
-    let serial = run_replication(&cfg, Protocol::Rmac, 1);
+    let serial = Run::new(&cfg, Protocol::Rmac, 1).execute().report;
     let cfg = cfg.with_shards(2);
     let bare = Run::new(&cfg, Protocol::Rmac, 1).execute();
     assert_eq!(bare.shard.groups, 2);
@@ -647,7 +627,7 @@ fn link_arithmetic_is_done_only_where_it_can_decide() {
         t.rx_ok.iter().chain(&t.rx_corrupt).sum::<u64>()
     };
     let cfg = ScenarioConfig::paper_speed2(10.0).with_packets(100);
-    let mut runner = Runner::new(&cfg, Protocol::Rmac, 7);
+    let mut runner = whole(Run::new(&cfg, Protocol::Rmac, 7));
     runner.run_events(&BeaconTimetable::build(&cfg, 7));
     let stats = runner.core.channel.obs_stats();
     assert!(
@@ -664,7 +644,7 @@ fn link_arithmetic_is_done_only_where_it_can_decide() {
     );
 
     let cfg = ScenarioConfig::paper_stationary(20.0).with_packets(50);
-    let mut runner = Runner::new(&cfg, Protocol::Rmac, 7);
+    let mut runner = whole(Run::new(&cfg, Protocol::Rmac, 7));
     runner.run_events(&BeaconTimetable::build(&cfg, 7));
     let stats = runner.core.channel.obs_stats();
     assert!(frame_ends(&runner) > 0);
@@ -682,7 +662,7 @@ fn the_calendar_advances_at_most_once_per_event() {
 
     let cfg = ScenarioConfig::paper_stationary(10.0).with_packets(20);
     for protocol in [Protocol::Rmac, Protocol::Bmmm] {
-        let mut runner = Runner::new(&cfg, protocol, 1);
+        let mut runner = whole(Run::new(&cfg, protocol, 1));
         runner.run_events(&BeaconTimetable::build(&cfg, 1));
         let q = &runner.core.q;
         let (advances, events) = (q.rotations(), q.total_popped());
@@ -1004,26 +984,13 @@ mod report_folds {
 #[test]
 fn tone_busy_time_is_folded_only_under_obs() {
     use crate::obs::ObsConfig;
-    use crate::run::Spec;
-    use rmac_faults::FaultPlan;
-    use rmac_sim::CalendarQueue;
-    use std::sync::Arc;
 
     let cfg = ScenarioConfig::paper_stationary(20.0)
         .with_nodes(15)
         .with_packets(50);
     let run = |obs: Option<ObsConfig>| {
-        let spec = Spec {
-            cfg: Arc::new(cfg.clone()),
-            protocol: Protocol::Rmac,
-            seed: 7,
-            plan: FaultPlan::none(),
-            obs,
-            check: false,
-            brute_phy: false,
-        };
-        let mut runner = Runner::assemble(&spec, CalendarQueue::with_capacity, |_| true);
-        runner.run_events(&BeaconTimetable::build(&spec.cfg, spec.seed));
+        let mut runner = whole(Run::new(&cfg, Protocol::Rmac, 7).obs(obs));
+        runner.run_events(&BeaconTimetable::build(&cfg, 7));
         runner
     };
 

@@ -19,8 +19,7 @@
 use std::process::exit;
 
 use rmac_engine::{
-    render_timeline, run_replication, JsonlSink, ObsConfig, Protocol, Run, ScenarioConfig,
-    TraceEvent, TraceLevel,
+    render_timeline, JsonlSink, ObsConfig, Protocol, Run, ScenarioConfig, TraceEvent, TraceLevel,
 };
 use rmac_metrics::frame_kind_table;
 use rmac_obs::json::Json;
@@ -61,7 +60,7 @@ fn main() {
     );
 
     // The uninstrumented reference the instrumented run must match.
-    let base = run_replication(&cfg, Protocol::Rmac, SEED);
+    let base = Run::new(&cfg, Protocol::Rmac, SEED).execute().report;
 
     std::fs::create_dir_all("results/obs").expect("create results/obs/");
     let sink = JsonlSink::create("results/obs/trace.jsonl").expect("create trace.jsonl");

@@ -449,38 +449,6 @@ pub fn figure_set(store_name: &str) -> Option<&'static [Figure]> {
     })
 }
 
-/// The metrics a figure can show, back in the report they were taken from.
-fn report_of(r: &CaseRecord) -> RunReport {
-    RunReport {
-        protocol: r.protocol.clone(),
-        scenario: r.scenario.clone(),
-        rate_pps: r.rate,
-        seed: r.seed,
-        packets_sent: r.packets_sent,
-        expected_receptions: r.expected_receptions,
-        receptions: r.receptions,
-        drop_ratio_avg: r.drop_ratio,
-        retx_ratio_avg: r.retx_ratio,
-        txoh_ratio_avg: r.txoh_ratio,
-        abort_avg: r.abort_avg,
-        abort_p99: r.abort_p99,
-        abort_max: r.abort_max,
-        mrts_len_avg: r.mrts_len_avg,
-        mrts_len_p99: r.mrts_len_p99,
-        mrts_len_max: r.mrts_len_max,
-        e2e_delay_avg_s: r.delay_s,
-        hops_avg: r.hops_avg,
-        hops_p99: r.hops_p99,
-        children_avg: r.children_avg,
-        children_p99: r.children_p99,
-        events: r.events,
-        faults_injected: r.faults_injected,
-        fault_crashes: r.fault_crashes,
-        fault_jam_bursts: r.fault_jam_bursts,
-        ..RunReport::default()
-    }
-}
-
 /// One grid point pooled over its seeds: the fault plan's name and the
 /// averaged report (which carries protocol, scenario and rate).
 type Point = (String, RunReport);
@@ -490,7 +458,7 @@ fn pool(records: &[CaseRecord]) -> Vec<Point> {
     grid_points(records)
         .iter()
         .map(|seeds| {
-            let reports: Vec<RunReport> = seeds.iter().map(|r| report_of(r)).collect();
+            let reports: Vec<RunReport> = seeds.iter().map(|r| r.report()).collect();
             (seeds[0].fault.clone(), RunReport::average(&reports))
         })
         .collect()
@@ -499,7 +467,7 @@ fn pool(records: &[CaseRecord]) -> Vec<Point> {
 /// A store's replications, one point each, unpooled.
 fn replications(records: &[CaseRecord]) -> Vec<Point> {
     (records.iter())
-        .map(|r| (r.fault.clone(), report_of(r)))
+        .map(|r| (r.fault.clone(), r.report()))
         .collect()
 }
 
@@ -523,7 +491,7 @@ impl Figure {
         let rmac_only = matches!(self.rows, Rows::RmacOnly);
         let per_scenario = matches!(self.rows, Rows::PerScenario);
         let points: Vec<&Point> = (points.iter())
-            .filter(|(_, r)| !rmac_only || r.protocol == "RMAC")
+            .filter(|(_, r)| !rmac_only || r.protocol == Protocol::Rmac.label())
             .collect();
         let scenarios = distinct(points.iter().map(|(_, r)| r.scenario.as_str()));
         let groups = if per_scenario {

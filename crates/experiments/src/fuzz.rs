@@ -20,7 +20,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use rmac_engine::{CheckReport, Protocol, Reference, Run, ScenarioConfig};
 use rmac_faults::{BurstySpec, ChurnKind, ChurnSpec, FaultPlan, JamTarget, JammerSpec, SkewSpec};
-use rmac_mobility::{Bounds, Pos};
+use rmac_mobility::Bounds;
 use rmac_obs::json;
 use rmac_sim::SimTime;
 
@@ -120,8 +120,8 @@ impl FuzzScenario {
             }
         };
         format!(
-            "{topo}-{:?}-{:.0}pps-{}pkt-{}B-s{}{}",
-            self.protocol,
+            "{topo}-{}-{:.0}pps-{}pkt-{}B-s{}{}",
+            self.protocol.label(),
             self.rate_pps,
             self.packets,
             self.payload,
@@ -281,10 +281,7 @@ impl CaseOutcome {
 pub fn materialize(fs: &FuzzScenario) -> (ScenarioConfig, Protocol, FaultPlan) {
     let mut cfg = match fs.topology {
         FuzzTopology::Chain { hops, spacing_m } => {
-            let positions: Vec<Pos> = (0..=hops)
-                .map(|i| Pos::new(i as f64 * spacing_m, 0.0))
-                .collect();
-            ScenarioConfig::paper_stationary(fs.rate_pps).with_positions(positions)
+            ScenarioConfig::paper_stationary(fs.rate_pps).with_chain(hops, spacing_m)
         }
         FuzzTopology::Cluster { nodes, side_m } => {
             let mut c = ScenarioConfig::paper_stationary(fs.rate_pps).with_nodes(nodes);
@@ -481,7 +478,7 @@ pub fn repro_json(fs: &FuzzScenario, seed: u64, signature: &str, detail: &str) -
         o.str("signature", signature)
             .u64("seed", seed)
             .str("label", &fs.label())
-            .str("protocol", &format!("{:?}", fs.protocol))
+            .str("protocol", fs.protocol.label())
             .obj("topology", |o| match fs.topology {
                 FuzzTopology::Chain { hops, spacing_m } => {
                     o.str("kind", "chain")
@@ -599,10 +596,7 @@ mod tests {
         assert_eq!(doc.str("signature"), Ok("C1"));
         assert_eq!(doc.uint("seed"), Ok(3));
         assert_eq!(doc.str("label"), Ok(fs.label().as_str()));
-        assert_eq!(
-            doc.str("protocol"),
-            Ok(format!("{:?}", fs.protocol).as_str())
-        );
+        assert_eq!(doc.str("protocol"), Ok(fs.protocol.label()));
         let topology = doc.req("topology").expect("topology");
         assert_eq!(topology.str("kind"), Ok("cluster"));
         assert_eq!(topology.uint("nodes"), Ok(fs.nodes() as u64));

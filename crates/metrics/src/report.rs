@@ -23,7 +23,7 @@ pub const FRAME_KIND_LABELS: [&str; FRAME_KINDS] = [
 /// every figure in the paper's §4.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunReport {
-    /// Protocol label ("RMAC", "BMMM", …).
+    /// Protocol label (`rmac_engine::Protocol::label`).
     pub protocol: String,
     /// Scenario label ("stationary", "speed1", "speed2").
     pub scenario: String,

@@ -19,7 +19,9 @@ use crate::snapshot::Snapshot;
 pub struct ObsReport {
     /// End-of-run totals `(name, value)`, in the order the engine lists
     /// them (queue traffic, PHY pool and grid, fault plane). A campaign
-    /// store keeps them with each case.
+    /// store keeps every one with each obs-on case, so adding a counter
+    /// changes the store format; a diagnostic no store should keep is a
+    /// gauge.
     pub counters: Vec<(&'static str, u64)>,
     /// End-of-run levels and engine diagnostics `(name, value)`, which no
     /// store keeps: queue high water and capacity, and the frame handles

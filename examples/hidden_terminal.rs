@@ -17,40 +17,38 @@
 //! cargo run --release --example hidden_terminal
 //! ```
 
-use rmac::mobility::Pos;
 use rmac::prelude::*;
 
 fn chain(rate: f64) -> ScenarioConfig {
     // Six nodes, five hops: deep enough that several packets are in
     // flight at once, so hidden pairs (two hops apart) really do overlap.
-    let positions = (0..6).map(|i| Pos::new(i as f64 * 70.0, 0.0)).collect();
     ScenarioConfig::paper_stationary(rate)
         .with_packets(400)
-        .with_positions(positions)
+        .with_chain(5, 70.0)
 }
+
+/// With and without the RBT held through the data frame.
+const PAIR: [Protocol; 2] = [Protocol::Rmac, Protocol::RmacNoRbt];
 
 fn main() {
     println!("hidden-terminal chain A-B-C-D, 400 packets\n");
-    println!(
-        "{:>8}  {:>12} {:>9} {:>9}   {:>12} {:>9} {:>9}",
-        "", "RMAC", "", "", "RMAC-noRBT", "", ""
-    );
-    println!(
-        "{:>8}  {:>12} {:>9} {:>9}   {:>12} {:>9} {:>9}",
-        "rate", "delivery", "retx", "drop", "delivery", "retx", "drop"
-    );
+    print!("{:>8}", "");
+    for p in PAIR {
+        print!("  {:>12} {:>9} {:>9} ", p.label(), "", "");
+    }
+    print!("\n{:>8}", "rate");
+    for _ in PAIR {
+        print!("  {:>12} {:>9} {:>9} ", "delivery", "retx", "drop");
+    }
+    println!();
     for rate in [20.0, 60.0, 100.0, 140.0] {
-        let with = run_replication(&chain(rate), Protocol::Rmac, 7);
-        let without = run_replication(&chain(rate), Protocol::RmacNoRbt, 7);
-        println!(
-            "{rate:>8}  {:>12.4} {:>9.3} {:>9.4}   {:>12.4} {:>9.3} {:>9.4}",
-            with.delivery_ratio(),
-            with.retx_ratio_avg,
-            with.drop_ratio_avg,
-            without.delivery_ratio(),
-            without.retx_ratio_avg,
-            without.drop_ratio_avg,
-        );
+        print!("{rate:>8}");
+        for p in PAIR {
+            let r = Run::new(&chain(rate), p, 7).execute().report;
+            let (delivery, retx, drop) = (r.delivery_ratio(), r.retx_ratio_avg, r.drop_ratio_avg);
+            print!("  {delivery:>12.4} {retx:>9.3} {drop:>9.4} ");
+        }
+        println!();
     }
     println!("\nWith the RBT held through the data frame, hidden senders defer and");
     println!("receptions stay collision-free; without it, retransmissions climb.");

@@ -15,7 +15,7 @@ fn main() {
         .with_packets(200);
     cfg.bounds = rmac::mobility::Bounds::new(200.0, 150.0);
 
-    let report = run_replication(&cfg, Protocol::Rmac, 42);
+    let report = Run::new(&cfg, Protocol::Rmac, 42).execute().report;
 
     println!(
         "RMAC quickstart — {} nodes, {} packets at {} pkt/s",
@@ -36,7 +36,7 @@ fn main() {
     );
 
     // The same network under BMMM, for contrast.
-    let bmmm = run_replication(&cfg, Protocol::Bmmm, 42);
+    let bmmm = Run::new(&cfg, Protocol::Bmmm, 42).execute().report;
     println!("\nBMMM on the identical placement:");
     println!("  packet delivery ratio : {:.4}", bmmm.delivery_ratio());
     println!("  avg overhead ratio    : {:.4}", bmmm.txoh_ratio_avg);

@@ -14,7 +14,7 @@
 //! use rmac::prelude::*;
 //!
 //! let cfg = ScenarioConfig::paper_stationary(5.0).with_packets(20);
-//! let report = run_replication(&cfg, Protocol::Rmac, 42);
+//! let report = Run::new(&cfg, Protocol::Rmac, 42).execute().report;
 //! assert!(report.delivery_ratio() > 0.9);
 //! ```
 
@@ -36,9 +36,7 @@ pub use rmac_wire as wire;
 /// Commonly used items for driving simulations.
 pub mod prelude {
     pub use rmac_check::{CheckReport, Invariant};
-    pub use rmac_engine::{
-        run_replication, ObsConfig, Protocol, Run, RunOutput, ScenarioConfig, TraceLevel,
-    };
+    pub use rmac_engine::{ObsConfig, Protocol, Run, RunOutput, ScenarioConfig, TraceLevel};
     pub use rmac_faults::FaultPlan;
     pub use rmac_metrics::report::RunReport;
     pub use rmac_obs::ObsReport;

@@ -1,22 +1,25 @@
 //! `rmac` — command-line front end for the simulator.
 //!
 //! ```text
-//! rmac run [--protocol rmac|bmmm|bmw|lbp|mx|rmac-norbt] [--scenario stationary|speed1|speed2]
-//!          [--rate PPS] [--nodes N] [--packets P] [--seed S]
-//! rmac compare [--rate PPS] [--nodes N] [--packets P] [--seed S]
+//! rmac run [--protocol LABEL] [--scenario LABEL] [--rate PPS] [--nodes N]
+//!          [--packets P] [--seed S]
+//! rmac compare [--scenario LABEL] [--rate PPS] [--nodes N] [--packets P] [--seed S]
 //! rmac help
 //! ```
 //!
-//! For the paper's figure grid use the `campaign` bin of `rmac-experiments`
+//! A protocol is named by its report label (`Protocol::label`, any case), a
+//! scenario by its campaign label (`ScenarioKind::label`). For the paper's
+//! figure grid use the `campaign` bin of `rmac-experiments`
 //! (EXPERIMENTS.md "Reproducing").
 
 use std::process::ExitCode;
 
+use rmac::campaign::ScenarioKind;
 use rmac::prelude::*;
 
 struct Args {
     protocol: Protocol,
-    scenario: String,
+    scenario: ScenarioKind,
     rate: f64,
     nodes: usize,
     packets: u64,
@@ -27,25 +30,13 @@ impl Default for Args {
     fn default() -> Self {
         Args {
             protocol: Protocol::Rmac,
-            scenario: "stationary".into(),
+            scenario: ScenarioKind::Stationary,
             rate: 20.0,
             nodes: 75,
             packets: 500,
             seed: 0,
         }
     }
-}
-
-fn parse_protocol(s: &str) -> Result<Protocol, String> {
-    Ok(match s.to_ascii_lowercase().as_str() {
-        "rmac" => Protocol::Rmac,
-        "rmac-norbt" | "norbt" => Protocol::RmacNoRbt,
-        "bmmm" => Protocol::Bmmm,
-        "bmw" => Protocol::Bmw,
-        "lbp" => Protocol::Lbp,
-        "mx" | "802.11mx" | "80211mx" => Protocol::Mx80211,
-        other => return Err(format!("unknown protocol '{other}'")),
-    })
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -58,8 +49,17 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 .ok_or_else(|| format!("{flag} needs a value"))
         };
         match flag.as_str() {
-            "--protocol" | "-p" => args.protocol = parse_protocol(&val()?)?,
-            "--scenario" | "-s" => args.scenario = val()?,
+            "--protocol" | "-p" => {
+                let name = val()?;
+                args.protocol = (Protocol::ALL.into_iter())
+                    .find(|p| p.label().eq_ignore_ascii_case(&name))
+                    .ok_or_else(|| format!("unknown protocol '{name}'"))?;
+            }
+            "--scenario" | "-s" => {
+                let name = val()?;
+                args.scenario = ScenarioKind::from_label(&name)
+                    .ok_or_else(|| format!("unknown scenario '{name}'"))?;
+            }
             "--rate" | "-r" => args.rate = val()?.parse().map_err(|e| format!("--rate: {e}"))?,
             "--nodes" | "-n" => args.nodes = val()?.parse().map_err(|e| format!("--nodes: {e}"))?,
             "--packets" => args.packets = val()?.parse().map_err(|e| format!("--packets: {e}"))?,
@@ -71,15 +71,16 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 }
 
 fn config_for(args: &Args) -> Result<ScenarioConfig, String> {
-    let cfg = match args.scenario.as_str() {
-        "stationary" => ScenarioConfig::paper_stationary(args.rate),
-        "speed1" => ScenarioConfig::paper_speed1(args.rate),
-        "speed2" => ScenarioConfig::paper_speed2(args.rate),
-        other => return Err(format!("unknown scenario '{other}'")),
-    };
-    let cfg = cfg.with_nodes(args.nodes).with_packets(args.packets);
+    let cfg = (args.scenario).config(args.rate, args.nodes, args.packets);
     cfg.validate()?;
     Ok(cfg)
+}
+
+/// The protocols `compare` runs: every one but the deliberately broken mutant.
+fn compared() -> impl Iterator<Item = Protocol> {
+    Protocol::ALL
+        .into_iter()
+        .filter(|&p| p != Protocol::RmacSkipRbtSense)
 }
 
 fn print_report(r: &rmac::metrics::RunReport) {
@@ -105,7 +106,7 @@ fn print_report(r: &rmac::metrics::RunReport) {
 fn cmd_run(rest: &[String]) -> Result<(), String> {
     let args = parse_args(rest)?;
     let cfg = config_for(&args)?;
-    let report = run_replication(&cfg, args.protocol, args.seed);
+    let report = Run::new(&cfg, args.protocol, args.seed).execute().report;
     print_report(&report);
     Ok(())
 }
@@ -117,15 +118,8 @@ fn cmd_compare(rest: &[String]) -> Result<(), String> {
         "{:<12} {:>9} {:>8} {:>8} {:>8} {:>10}",
         "protocol", "delivery", "drop", "retx", "txoh", "delay(ms)"
     );
-    for p in [
-        Protocol::Rmac,
-        Protocol::RmacNoRbt,
-        Protocol::Bmmm,
-        Protocol::Bmw,
-        Protocol::Lbp,
-        Protocol::Mx80211,
-    ] {
-        let r = run_replication(&cfg, p, args.seed);
+    for p in compared() {
+        let r = Run::new(&cfg, p, args.seed).execute().report;
         println!(
             "{:<12} {:>9.4} {:>8.4} {:>8.3} {:>8.3} {:>10.1}",
             r.protocol,
@@ -148,8 +142,12 @@ USAGE:
     rmac help                 show this message
 
 OPTIONS:
-    -p, --protocol  rmac | rmac-norbt | bmmm | bmw | lbp | mx   [rmac]
-    -s, --scenario  stationary | speed1 | speed2                [stationary]
+    -p, --protocol  RMAC | RMAC-noRBT | BMMM | BMW | LBP |      [RMAC]
+                    802.11MX, in any case (RMAC-skipRbtSense is
+                    the deliberately broken mutant)
+    -s, --scenario  stationary | speed1 | speed2, or another    [stationary]
+                    campaign scenario (chain3, star41-limit5, ...);
+                    a star or a chain keeps its own node count
     -r, --rate      source rate in packets/second               [20]
     -n, --nodes     network size                                [75]
         --packets   packets generated by the source             [500]
@@ -184,9 +182,43 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn config(flags: &[&str]) -> Result<ScenarioConfig, String> {
+    fn args(flags: &[&str]) -> Result<Args, String> {
         let argv: Vec<String> = flags.iter().map(|s| s.to_string()).collect();
-        config_for(&parse_args(&argv)?)
+        parse_args(&argv)
+    }
+
+    fn config(flags: &[&str]) -> Result<ScenarioConfig, String> {
+        config_for(&args(flags)?)
+    }
+
+    #[test]
+    fn every_protocol_label_parses_in_any_case() {
+        for p in Protocol::ALL {
+            let label = p.label();
+            for spelled in [
+                label.to_string(),
+                label.to_lowercase(),
+                label.to_uppercase(),
+            ] {
+                let parsed = args(&["--protocol", &spelled]).expect(&spelled).protocol;
+                assert_eq!(parsed, p, "{spelled}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_star_or_a_chain_ignores_the_node_count_as_a_campaign_case_does() {
+        for (scenario, nodes) in [("chain3", 4), ("star41-limit5", 41), ("stationary", 30)] {
+            let cfg = config(&["--scenario", scenario, "--nodes", "30"]).expect(scenario);
+            assert_eq!((cfg.name.as_str(), cfg.nodes), (scenario, nodes));
+        }
+    }
+
+    #[test]
+    fn compare_runs_six_protocols_and_never_the_mutant() {
+        let list: Vec<Protocol> = compared().collect();
+        assert_eq!(list.len(), 6);
+        assert!(!list.contains(&Protocol::RmacSkipRbtSense));
     }
 
     #[test]

@@ -842,6 +842,62 @@ fn the_density_rule_is_spelled_once() {
     );
 }
 
+/// A protocol's label is spelled in `Protocol::label` alone: the manifest
+/// reader, the CLI, the fuzzer and the figures reach it through
+/// `Protocol::{ALL, from_label, label}`, so no production file outside
+/// `crates/engine/src/config.rs` spells one as a string (DESIGN.md §10).
+#[test]
+fn a_protocol_label_is_spelled_once() {
+    const HOME: &str = "crates/engine/src/config.rs";
+    let labels: Vec<&str> = (source(HOME).code())
+        .skip_while(|(_, l)| !l.contains("fn label(self)"))
+        .take_while(|(_, l)| *l != "    }")
+        .filter_map(|(_, l)| l.split_once("=> ").map(|(_, label)| label))
+        .map(|label| label.trim_end_matches(','))
+        .collect();
+    assert!(labels.contains(&"\"RMAC\""), "{HOME}: labels not found");
+    let files = tree().iter().filter(|f| {
+        let production = f.in_crate_code() || f.under("src") || f.under("examples");
+        f.is_rs() && production && f.path != HOME
+    });
+    let found = grep_code(files, |l| labels.iter().any(|label| l.contains(label)));
+    assert_none(
+        &found,
+        "a protocol label is spelled outside Protocol::label",
+    );
+}
+
+/// `Run` is the one way in (DESIGN.md §8): no Rust file names the shims
+/// `benchmark/README.md` pins but `run.rs`, the crate root that re-exports
+/// them and `tests/run_surface.rs`, which holds them to `Run`'s output, so
+/// retiring them is a deletion.
+#[test]
+fn nothing_names_the_pinned_run_shims() {
+    const SHIMS: [&str; 8] = [
+        "Runner::new",
+        "Runner::run",
+        "set_obs",
+        "run_obs",
+        "ShardedRunner",
+        "run_replication_checked",
+        "run_replication_sharded_checked",
+        "run_replication_instrumented",
+    ];
+    const HOMES: [&str; 3] = [
+        "crates/engine/src/run.rs",
+        "crates/engine/src/lib.rs",
+        "tests/run_surface.rs",
+    ];
+    let files = tree().iter().filter(|f| {
+        f.is_rs()
+            && !f.under("vendor")
+            && !f.under("benchmark")
+            && !HOMES.contains(&f.path.as_str())
+    });
+    let found = grep(files, |l| SHIMS.iter().any(|shim| whole_word(l, shim)));
+    assert_none(&found, "a pinned run shim has a caller outside its home");
+}
+
 /// The description files other files cite by section, each with its byte
 /// budget.
 const DOCS: [(&str, usize); 2] = [("DESIGN.md", 45_000), ("EXPERIMENTS.md", 35_000)];

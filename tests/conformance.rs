@@ -53,7 +53,7 @@ fn checker_sees_traffic_and_transitions() {
 fn checked_runs_are_bit_identical_to_unchecked() {
     let cfg = small(40.0, 8, 40);
     for p in [Protocol::Rmac, Protocol::Bmmm] {
-        let plain = run_replication(&cfg, p, 11);
+        let plain = Run::new(&cfg, p, 11).execute().report;
         let watched = checked(&cfg, p, 11);
         assert_eq!(plain.events, watched.events, "{}", plain.protocol);
         assert_eq!(plain.receptions, watched.receptions);
@@ -160,9 +160,8 @@ fn mini_figure_scenarios_are_conformant() {
     let r = checked(&cfg, Protocol::Rmac, 2);
     assert!(r.mrts_len_max >= (12 + 6 * 8) as f64);
     // fig13-style: a multihop chain (hidden terminals at every hop).
-    let chain: Vec<Pos> = (0..5).map(|i| Pos::new(i as f64 * 70.0, 0.0)).collect();
     let cfg = ScenarioConfig::paper_stationary(10.0)
         .with_packets(20)
-        .with_positions(chain);
+        .with_chain(4, 70.0);
     checked(&cfg, Protocol::Rmac, 0);
 }

@@ -60,7 +60,7 @@ proptest! {
 
     #[test]
     fn empty_plan_is_bit_identical_to_no_injector(seed in 0u64..256) {
-        let base = run_replication(&cfg(), Protocol::Rmac, seed);
+        let base = Run::new(&cfg(), Protocol::Rmac, seed).execute().report;
         let empty = faulted(&cfg(), Protocol::Rmac, seed, &FaultPlan::none());
         prop_assert_eq!(&base, &empty);
         prop_assert_eq!(empty.faults_injected, 0);

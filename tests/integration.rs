@@ -54,10 +54,9 @@ fn every_protocol_runs_through_the_facade() {
 #[test]
 fn multihop_chain_delivers() {
     // A five-hop chain: every packet must traverse every hop.
-    let positions: Vec<Pos> = (0..6).map(|i| Pos::new(i as f64 * 70.0, 0.0)).collect();
     let cfg = ScenarioConfig::paper_stationary(10.0)
         .with_packets(40)
-        .with_positions(positions);
+        .with_chain(5, 70.0);
     // Average a few seeds: a single replication of a 5-hop chain sits
     // right at the 0.9 threshold on unlucky backoff draws.
     let delivery: f64 = (0..4)

@@ -3,7 +3,7 @@
 //! 1. **Bit-identity**: a fully instrumented run — snapshot sampler,
 //!    wall-clock kernel profiling, and a JSONL trace streaming through the
 //!    level filter — produces a `RunReport` bit-identical to the plain
-//!    `run_replication` of the same seed. Instrumentation observes the
+//!    `Run` of the same seed. Instrumentation observes the
 //!    simulation; it must never steer it.
 //! 2. **Schema**: every trace line the sink writes parses back through the
 //!    documented JSONL schema, none are silently dropped, and the parsed
@@ -79,7 +79,7 @@ proptest! {
         prop_assert_eq!(&a.report, &b.report);
         prop_assert_eq!(a.obs.expect("obs a").to_json(), b.obs.expect("obs b").to_json());
         // And counting-only obs is as bit-identical as the full stack.
-        prop_assert_eq!(&a.report, &run_replication(&cfg(), Protocol::Rmac, seed));
+        prop_assert_eq!(&a.report, &Run::new(&cfg(), Protocol::Rmac, seed).execute().report);
     }
 }
 

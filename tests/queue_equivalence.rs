@@ -317,7 +317,7 @@ fn dense_paper_scenario_is_bit_identical() {
         .with_packets(12);
     cfg.bounds = rmac::mobility::Bounds::new(200.0, 150.0);
     let oracle = heap_reference(&cfg, Protocol::Rmac, 42, &FaultPlan::none());
-    let calendar = run_replication(&cfg, Protocol::Rmac, 42);
+    let calendar = Run::new(&cfg, Protocol::Rmac, 42).execute().report;
     assert_eq!(calendar, oracle);
     assert_eq!(calendar.events, oracle.events);
 }

@@ -1,7 +1,7 @@
 //! The run surface's contract: `Run` → `RunOutput` is the one front door,
-//! and every surviving older name (`run_replication` plus the nine names
-//! `benchmark/README.md` pins) is a shim that returns exactly `Run`'s
-//! output fields — for RMAC and BMMM, with and without a fault plan — and
+//! and every surviving older name (the nine names `benchmark/README.md`
+//! pins) is a shim that returns exactly `Run`'s output fields — for RMAC
+//! and BMMM, with and without a fault plan — and
 //! `Run` itself is shard-blind: any shard count equals the one-group run.
 
 use rmac::engine::{
@@ -70,7 +70,6 @@ fn fault_free_shims_return_runs_output() {
         assert_eq!((plain.shard.shards, plain.shard.groups), (1, 1));
         assert_eq!(plain.parents.len(), cfg.nodes);
 
-        assert_eq!(run_replication(&cfg, p, SEED), plain.report);
         assert_eq!(Runner::new(&cfg, p, SEED).run(SEED), plain.report);
         let (report, obs) = Runner::new(&cfg, p, SEED).run_obs(SEED);
         assert_eq!(report, plain.report);

@@ -11,7 +11,7 @@
 //! in `tests/event_budget.rs`.)
 
 use proptest::prelude::*;
-use rmac::engine::{Reference, ShardedRunner};
+use rmac::engine::Reference;
 use rmac::faults::{ChurnKind, ChurnSpec, FaultPlan, JamTarget, JammerSpec, SkewSpec};
 use rmac::mobility::Bounds;
 use rmac::prelude::*;
@@ -112,9 +112,9 @@ proptest! {
             .with_nodes(nodes)
             .with_packets(packets);
         cfg.bounds = Bounds::new(150.0, 120.0);
-        let oracle = run_replication(&cfg, Protocol::Bmmm, seed);
+        let oracle = Run::new(&cfg, Protocol::Bmmm, seed).execute().report;
         for shards in [2usize, 8] {
-            let sharded = run_replication(&cfg.clone().with_shards(shards), Protocol::Bmmm, seed);
+            let sharded = Run::new(&cfg.clone().with_shards(shards), Protocol::Bmmm, seed).execute().report;
             prop_assert_eq!(&sharded, &oracle, "shards={}", shards);
         }
     }
@@ -164,14 +164,13 @@ fn decoupled_clusters_run_parallel_and_match() {
         .with_packets(8)
         .with_positions(positions);
     cfg.bounds = Bounds::new(1_000.0, 100.0);
-    let oracle = run_replication(&cfg, Protocol::Rmac, 3);
-    let (report, stats) =
-        ShardedRunner::new(&cfg.clone().with_shards(4), Protocol::Rmac, 3).run_with_stats();
-    assert_eq!(report, oracle);
+    let oracle = Run::new(&cfg, Protocol::Rmac, 3).execute().report;
+    let sharded = Run::new(&cfg.clone().with_shards(4), Protocol::Rmac, 3).execute();
+    assert_eq!(sharded.report, oracle);
     assert!(
-        stats.groups >= 2,
+        sharded.shard.groups >= 2,
         "expected radio-isolated clusters to decompose ({} groups)",
-        stats.groups
+        sharded.shard.groups
     );
     for shards in [1usize, 2, 4] {
         let cfg = cfg.clone().with_shards(shards);
