@@ -18,8 +18,8 @@
 use rmac_core::TxRequest;
 use rmac_sim::SimTime;
 
-use crate::node::{LiveNode, OutDgram};
-use crate::transport::TransportError;
+use crate::node::LiveNode;
+use crate::transport::{OutDgram, TransportError};
 use crate::udp::UdpTransport;
 
 /// How long to wait for traffic when the node has no pending timer.
@@ -64,7 +64,7 @@ impl Driver {
 
     /// Send everything in the node's outbox.
     fn flush(&mut self) -> Result<(), TransportError> {
-        for (_, out) in self.node.take_outbox() {
+        for (_, out) in self.node.drain_outbox() {
             match out {
                 OutDgram::Data(bytes) => self.transport.send_data(&bytes)?,
                 OutDgram::Ctrl(to, bytes) => self.transport.send_ctrl(to, &bytes)?,

@@ -32,13 +32,13 @@
 //! single-threaded: same seed, same submission schedule ⇒ byte-identical
 //! runs.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use rmac_faults::{BurstySpec, GeChain};
 use rmac_sim::{SimRng, SimTime};
 use rmac_wire::NodeId;
 
-use crate::transport::{DgramChannel, Incoming};
+use crate::transport::{DgramChannel, Incoming, OutDgram};
 
 /// One-way latency of both channels (the stand-in for τ ≤ 1 µs). One value
 /// for both keeps arrival order equal to send order (see the module docs).
@@ -84,8 +84,9 @@ pub struct LoopbackHub {
     /// Every copy in flight, with its destination, in send order (which is
     /// arrival order).
     in_flight: VecDeque<(NodeId, Incoming)>,
-    /// Per ordered data link `(src, dst)`: its loss chain.
-    chains: HashMap<(NodeId, NodeId), GeChain>,
+    /// Per ordered data link, at `src * nodes.len() + dst` by endpoint
+    /// position: its loss chain, made at the link's first copy.
+    chains: Vec<Option<GeChain>>,
     rng: SimRng,
     stats: HubStats,
 }
@@ -98,7 +99,9 @@ impl LoopbackHub {
             cfg,
             nodes: nodes.to_vec(),
             in_flight: VecDeque::new(),
-            chains: HashMap::new(),
+            chains: std::iter::repeat_with(|| None)
+                .take(nodes.len() * nodes.len())
+                .collect(),
             stats: HubStats::default(),
         }
     }
@@ -123,7 +126,7 @@ impl LoopbackHub {
         at: SimTime,
         dest: NodeId,
         channel: DgramChannel,
-        bytes: &[u8],
+        bytes: Vec<u8>,
         corrupt: bool,
     ) {
         debug_assert!(
@@ -133,22 +136,24 @@ impl LoopbackHub {
         let copy = Incoming {
             at,
             channel,
-            bytes: bytes.to_vec(),
+            bytes,
             peer: None,
             corrupt,
         };
         self.in_flight.push_back((dest, copy));
     }
 
-    /// Does the (src → dst) loss chain fade a datagram sent at `now`?
-    fn faded(&mut self, src: NodeId, dst: NodeId, now: SimTime) -> bool {
-        let Some(spec) = self.cfg.loss.clone() else {
+    /// Does the (src → dst) loss chain, at endpoint positions `s` and `d`,
+    /// fade a datagram sent at `now`?
+    fn faded(&mut self, s: usize, d: usize, now: SimTime) -> bool {
+        let Some(spec) = &self.cfg.loss else {
             return false;
         };
+        let (src, dst) = (self.nodes[s], self.nodes[d]);
         let rng = &self.rng;
-        let chain = self.chains.entry((src, dst)).or_insert_with(|| {
+        let chain = self.chains[s * self.nodes.len() + d].get_or_insert_with(|| {
             let stream = (u64::from(src.0) << 16) | u64::from(dst.0);
-            GeChain::new(spec, rng.split(stream.wrapping_add(1)))
+            GeChain::new(spec.clone(), rng.split(stream.wrapping_add(1)))
         });
         chain.corrupts(now)
     }
@@ -157,36 +162,59 @@ impl LoopbackHub {
     /// endpoint receives a copy 0.5 µs later. Copies the loss chains fade
     /// arrive flagged corrupt — energy without a decodable payload — so
     /// carrier sense and collision bookkeeping at the receiver still see
-    /// them (see the module docs).
+    /// them (see the module docs). An unknown `src` panics.
     ///
     /// `now` never decreases from one send to the next: the caller sends at
     /// the instant it is executing, as `LoopbackRunner::step` does (a debug
     /// build asserts it against the last copy still in flight).
     pub fn send_data(&mut self, src: NodeId, now: SimTime, bytes: &[u8]) {
+        self.fan_out(src, now, bytes.to_vec());
+    }
+
+    /// Send a datagram whose buffer the caller gives up: a data datagram as
+    /// [`send_data`](Self::send_data) does, its last copy keeping the
+    /// buffer, or a control datagram from `src` to its `dst` (lossless),
+    /// kept as the copy in flight. `now` is bound as for `send_data`; an
+    /// unknown `dst` panics.
+    pub fn send(&mut self, src: NodeId, now: SimTime, out: OutDgram) {
+        match out {
+            OutDgram::Data(bytes) => self.fan_out(src, now, bytes),
+            OutDgram::Ctrl(dst, bytes) => {
+                assert!(self.nodes.contains(&dst), "unknown destination endpoint");
+                self.stats.ctrl_sent += 1;
+                self.enqueue(now + LATENCY, dst, DgramChannel::Ctrl, bytes, false);
+            }
+        }
+    }
+
+    /// The data fan-out: a copy of `bytes` to every endpoint but `src`, in
+    /// endpoint order; the last one takes `bytes` itself.
+    fn fan_out(&mut self, src: NodeId, now: SimTime, mut bytes: Vec<u8>) {
+        let s = self
+            .nodes
+            .iter()
+            .position(|&n| n == src)
+            .expect("unknown source endpoint");
         self.stats.data_sent += 1;
         let at = now + LATENCY;
-        for i in 0..self.nodes.len() {
-            let dst = self.nodes[i];
-            if dst == src {
+        let last = (0..self.nodes.len()).rev().find(|&d| d != s);
+        for d in 0..self.nodes.len() {
+            if d == s {
                 continue;
             }
-            let corrupt = self.faded(src, dst, now);
+            let corrupt = self.faded(s, d, now);
             if corrupt {
                 self.stats.data_corrupted += 1;
             } else {
                 self.stats.data_delivered += 1;
             }
-            self.enqueue(at, dst, DgramChannel::Data, bytes, corrupt);
+            let copy = if Some(d) == last {
+                std::mem::take(&mut bytes)
+            } else {
+                bytes.clone()
+            };
+            self.enqueue(at, self.nodes[d], DgramChannel::Data, copy, corrupt);
         }
-    }
-
-    /// Carry a control datagram from `src` to `dst` (lossless). `now` is
-    /// bound as for [`send_data`](Self::send_data); an unknown `dst` panics.
-    pub fn send_ctrl(&mut self, _src: NodeId, dst: NodeId, now: SimTime, bytes: &[u8]) {
-        assert!(self.nodes.contains(&dst), "unknown destination endpoint");
-        self.stats.ctrl_sent += 1;
-        let at = now + LATENCY;
-        self.enqueue(at, dst, DgramChannel::Ctrl, bytes, false);
     }
 
     /// The earliest pending arrival time, if anything is in flight.
@@ -220,6 +248,10 @@ mod tests {
 
     fn us(v: u64) -> SimTime {
         SimTime::from_micros(v)
+    }
+
+    fn ctrl(dst: NodeId, bytes: &[u8]) -> OutDgram {
+        OutDgram::Ctrl(dst, bytes.to_vec())
     }
 
     /// Every data copy faded; control untouched.
@@ -260,7 +292,7 @@ mod tests {
             },
         );
         for k in 0..100u64 {
-            hub.send_ctrl(n(1), n(2), us(k), b"tone");
+            hub.send(n(1), us(k), ctrl(n(2), b"tone"));
         }
         let mut delivered = 0;
         while let Some((dst, _)) = hub.pop_due(us(1_000)) {
@@ -274,7 +306,14 @@ mod tests {
     #[should_panic(expected = "unknown destination endpoint")]
     fn ctrl_to_an_unknown_endpoint_panics_at_send() {
         let mut hub = LoopbackHub::new(&[n(1), n(2)], HubConfig::default());
-        hub.send_ctrl(n(1), n(9), us(1), b"lost");
+        hub.send(n(1), us(1), ctrl(n(9), b"lost"));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown source endpoint")]
+    fn data_from_an_unknown_endpoint_panics_at_send() {
+        let mut hub = LoopbackHub::new(&[n(1), n(2)], HubConfig::default());
+        hub.send_data(n(9), us(1), b"stray");
     }
 
     #[test]
@@ -336,7 +375,42 @@ mod tests {
     fn a_send_behind_the_last_queued_arrival_panics() {
         let mut hub = LoopbackHub::new(&[n(1), n(2)], HubConfig::default());
         hub.send_data(n(1), us(10), b"first");
-        hub.send_ctrl(n(2), n(1), us(9), b"earlier");
+        hub.send(n(2), us(9), ctrl(n(1), b"earlier"));
+    }
+
+    /// The owned entry point delivers what the borrowed `send_data` does:
+    /// the same bytes to the same endpoints, in the same order, at the same
+    /// times, faded alike, for one seeded sequence of sends from every
+    /// endpoint, control datagrams among them.
+    #[test]
+    fn owned_sends_deliver_what_borrowed_ones_do() {
+        let ids = [n(1), n(2), n(3), n(4)];
+        let run = |owned: bool| {
+            let cfg = HubConfig {
+                loss: Some(crate::soak::ge20()),
+                seed: 5,
+            };
+            let mut hub = LoopbackHub::new(&ids, cfg);
+            let mut popped = Vec::new();
+            for k in 0..400u64 {
+                let now = us(k * 300);
+                let (src, dst) = (ids[k as usize % 4], ids[(k as usize * 7 + 1) % 4]);
+                let bytes = vec![k as u8; 20 + k as usize % 50];
+                match (k % 3 == 0, owned) {
+                    (true, _) => hub.send(src, now, OutDgram::Ctrl(dst, bytes)),
+                    (false, true) => hub.send(src, now, OutDgram::Data(bytes)),
+                    (false, false) => hub.send_data(src, now, &bytes),
+                }
+                while let Some((to, inc)) = hub.pop_due(now + us(100)) {
+                    popped.push((to, inc.at, inc.channel, inc.bytes, inc.corrupt));
+                }
+            }
+            (popped, hub.stats().clone())
+        };
+        let (owned, borrowed) = (run(true), run(false));
+        assert!(owned.1.data_corrupted > 0, "the plan must fade something");
+        assert_eq!(owned.0.len(), 134 + 266 * 3);
+        assert_eq!(owned, borrowed);
     }
 
     /// What the send-order model and the hub are compared on.
@@ -395,7 +469,7 @@ mod tests {
                         }
                     }
                     1 => {
-                        hub.send_ctrl(src, dst, now, &bytes);
+                        hub.send(src, now, ctrl(dst, &bytes));
                         model.push_back((dst, at, DgramChannel::Ctrl, bytes, false));
                     }
                     _ => drain(&mut hub, &mut model, now)?,

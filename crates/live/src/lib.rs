@@ -12,8 +12,8 @@
 //!
 //! * [`transport`] — the datagram vocabulary both backends share:
 //!   [`DgramChannel`] (data: wire-encoded frames to everyone; control:
-//!   tone stand-ins and the session handshake to one peer), [`Incoming`]
-//!   and [`TransportError`].
+//!   tone stand-ins and the session handshake to one peer), [`Incoming`],
+//!   [`OutDgram`] and [`TransportError`].
 //! * [`node`] — [`LiveNode`]: the sans-I/O adapter that feeds datagram
 //!   arrivals and its due timers to the MAC as PHY indications, and turns
 //!   the MAC's context calls (`start_tx`, `start_tone`, …) back into
@@ -70,6 +70,6 @@ pub use hub::{HubConfig, HubStats, LoopbackHub};
 pub use node::{LiveConfig, LiveNode, LiveStats};
 pub use runner::LoopbackRunner;
 pub use soak::{run_loopback_soak, SoakConfig, SoakReport};
-pub use transport::{DgramChannel, Incoming, TransportError};
+pub use transport::{DgramChannel, Incoming, OutDgram, TransportError};
 pub use udp::{UdpConfig, UdpTransport};
 pub use wheel::TimerWheel;

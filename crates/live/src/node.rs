@@ -17,8 +17,9 @@
 //!   named frame as corrupt — the truncated-frame observation RMAC's
 //!   recovery paths expect;
 //! * `start_tone`/`stop_tone` become ToneOn/ToneOff control datagrams
-//!   fanned out to *every* configured neighbor, because a radio tone is
-//!   heard by everyone in range and RMAC leans on exactly that (a
+//!   fanned out to *every* configured neighbor (one encoding, under one
+//!   datagram counter, copied to each in neighbor order), because a radio
+//!   tone is heard by everyone in range and RMAC leans on exactly that (a
 //!   third-party sender must sense a receiver's RBT and abort). The
 //!   control datagrams ride out-of-band like RMC's TCP control channel
 //!   rather than in-band like a real tone radio; the MAC logic is
@@ -30,7 +31,7 @@
 //! loopback hub ([`LoopbackRunner`](crate::LoopbackRunner)), the UDP
 //! backend ([`Driver`](crate::Driver)), and unit tests alike.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -45,7 +46,7 @@ use rmac_wire::{
     codec, decode_datagram, encode_datagram, Datagram, Dest, DgramBody, Frame, NodeId,
 };
 
-use crate::transport::{DgramChannel, Incoming};
+use crate::transport::{DgramChannel, Incoming, OutDgram};
 
 /// Configuration for one live endpoint; its MAC runs `MacConfig::default()`.
 #[derive(Clone, Debug)]
@@ -84,16 +85,6 @@ pub struct LiveStats {
     pub self_drops: u64,
     /// Datagrams or frames that failed to decode (treated as noise).
     pub decode_errors: u64,
-}
-
-/// An outbound datagram produced by the node, for the driver to hand to
-/// its network (the hub or the UDP sockets).
-#[derive(Clone, Debug)]
-pub enum OutDgram {
-    /// Broadcast on the data channel.
-    Data(Vec<u8>),
-    /// Unicast on the control channel.
-    Ctrl(NodeId, Vec<u8>),
 }
 
 /// The longest a reception can be in flight here: the air time of the
@@ -174,8 +165,9 @@ struct LiveCtx {
     /// half-duplex conflict; consulted (and drained) when their
     /// [`Fire::RxEnd`] fires.
     collided_rx: Vec<u64>,
-    /// Peers currently asserting each tone towards us.
-    tone_in: [BTreeSet<NodeId>; 2],
+    /// Peers currently asserting each tone towards us, each once (a short
+    /// list: only its emptiness is read).
+    tone_in: [Vec<NodeId>; 2],
     /// Whether each of *our* tones is currently raised.
     tone_out: [bool; 2],
     watch: [Option<Watch>; 2],
@@ -185,24 +177,32 @@ struct LiveCtx {
 }
 
 impl LiveCtx {
-    fn push_dgram(&mut self, body: DgramBody, to: Option<NodeId>) {
+    /// Encode `body` under the next datagram counter.
+    fn encode(&mut self, body: DgramBody) -> Vec<u8> {
         let d = Datagram {
             src: self.id,
             counter: self.dgram_counter,
             body,
         };
         self.dgram_counter = self.dgram_counter.wrapping_add(1);
-        let bytes = encode_datagram(&d);
-        match to {
-            None => {
-                self.stats.data_tx += 1;
-                self.outbox.push((self.now, OutDgram::Data(bytes)));
-            }
-            Some(peer) => {
-                self.stats.ctrl_tx += 1;
-                self.outbox.push((self.now, OutDgram::Ctrl(peer, bytes)));
-            }
+        encode_datagram(&d)
+    }
+
+    /// One control datagram to every neighbor, in neighbor order: encoded
+    /// once, under one counter, and copied (the last neighbor takes the
+    /// buffer). No receiver reads a control datagram's counter; a node
+    /// with no neighbor encodes nothing.
+    fn ctrl_fanout(&mut self, body: DgramBody) {
+        let Some(&last) = self.neighbors.last() else {
+            return;
+        };
+        let bytes = self.encode(body);
+        self.stats.ctrl_tx += self.neighbors.len() as u64;
+        for &peer in &self.neighbors[..self.neighbors.len() - 1] {
+            let copy = OutDgram::Ctrl(peer, bytes.clone());
+            self.outbox.push((self.now, copy));
         }
+        self.outbox.push((self.now, OutDgram::Ctrl(last, bytes)));
     }
 
     /// Tone edges fan out to *every* neighbor, not just the session peer:
@@ -216,22 +216,22 @@ impl LiveCtx {
             Tone::Rbt => DGRAM_TONE_RBT,
             Tone::Abt => DGRAM_TONE_ABT,
         };
-        for i in 0..self.neighbors.len() {
-            let peer = self.neighbors[i];
-            self.push_dgram(DgramBody::Tone { tone: code, on }, Some(peer));
-        }
+        self.ctrl_fanout(DgramBody::Tone { tone: code, on });
     }
 
     /// Aggregate tone presence: a peer raised or lowered `tone` towards us.
     fn tone_edge(&mut self, peer: NodeId, tone: Tone, on: bool) {
-        let set = &mut self.tone_in[tone.idx()];
-        let was = !set.is_empty();
-        if on {
-            set.insert(peer);
-        } else {
-            set.remove(&peer);
+        let peers = &mut self.tone_in[tone.idx()];
+        let was = !peers.is_empty();
+        let at = peers.iter().position(|&p| p == peer);
+        match (on, at) {
+            (true, None) => peers.push(peer),
+            (false, Some(i)) => {
+                peers.swap_remove(i);
+            }
+            _ => {}
         }
-        let is = !set.is_empty();
+        let is = !peers.is_empty();
         if was != is {
             if let Some(w) = self.watch[tone.idx()].as_mut() {
                 w.edges.push((self.now, is));
@@ -264,9 +264,10 @@ impl MacContext for LiveCtx {
                 self.collided_rx.push(s);
             }
         }
-        let bytes = codec::encode(&frame);
         let ctr = self.dgram_counter;
-        self.push_dgram(DgramBody::Frame(bytes), None);
+        let bytes = self.encode(DgramBody::Frame(codec::encode(&frame)));
+        self.stats.data_tx += 1;
+        self.outbox.push((self.now, OutDgram::Data(bytes)));
         let epoch = self.tx_epoch;
         self.timers
             .push(self.now + frame.airtime(), Fire::TxDone { epoch });
@@ -290,10 +291,7 @@ impl MacContext for LiveCtx {
         if let Some(frame) = self.cur_tx.take() {
             self.tx_epoch += 1;
             if let Some(ctr) = self.cur_tx_ctr.take() {
-                for i in 0..self.neighbors.len() {
-                    let peer = self.neighbors[i];
-                    self.push_dgram(DgramBody::Abort { counter: ctr }, Some(peer));
-                }
+                self.ctrl_fanout(DgramBody::Abort { counter: ctr });
             }
             self.pending.push_back(Indication::TxDone {
                 node: self.id,
@@ -408,7 +406,7 @@ impl LiveNode {
                 rx_serial: 0,
                 live_rx: Vec::new(),
                 collided_rx: Vec::new(),
-                tone_in: [BTreeSet::new(), BTreeSet::new()],
+                tone_in: [Vec::new(), Vec::new()],
                 tone_out: [false, false],
                 watch: [None, None],
                 delivered: Vec::new(),
@@ -659,9 +657,10 @@ impl LiveNode {
     }
 
     /// Drain outbound datagrams for the driver to send, each stamped with
-    /// the MAC time it was emitted (its first-bit time).
-    pub fn take_outbox(&mut self) -> Vec<(SimTime, OutDgram)> {
-        std::mem::take(&mut self.ctx.outbox)
+    /// the MAC time it was emitted (its first-bit time). The outbox keeps
+    /// its capacity for the next callback's datagrams.
+    pub fn drain_outbox(&mut self) -> std::vec::Drain<'_, (SimTime, OutDgram)> {
+        self.ctx.outbox.drain(..)
     }
 
     /// Drain frames delivered up to the "network layer", with delivery
@@ -714,7 +713,7 @@ mod tests {
         let mut flight: Vec<(SimTime, usize, DgramChannel, Vec<u8>)> = Vec::new();
         for _ in 0..100_000 {
             for (i, node) in [&mut *a, &mut *b].into_iter().enumerate() {
-                for (at, out) in node.take_outbox() {
+                for (at, out) in node.drain_outbox() {
                     match out {
                         OutDgram::Data(bytes) => {
                             // Multicast: the *other* node hears it.
@@ -798,7 +797,7 @@ mod tests {
         for _ in 0..100_000 {
             let Some(d) = tx.next_deadline() else { break };
             tx.advance(d);
-            tx.take_outbox();
+            tx.drain_outbox();
         }
         let outcomes = tx.take_outcomes();
         assert_eq!(outcomes.len(), 1);
@@ -917,7 +916,7 @@ mod tests {
         assert_eq!(node.stats().ctrl_rx, 10_000);
         assert_eq!(node.stats().decode_errors, 0);
         assert_eq!(node.next_deadline(), None);
-        assert!(node.take_outbox().is_empty());
+        assert_eq!(node.drain_outbox().len(), 0);
         assert!(node.take_delivered().is_empty());
         assert!(node.take_outcomes().is_empty());
         assert!(node.aborted_rx.is_empty() && node.ctx.pending.is_empty());
@@ -941,7 +940,7 @@ mod tests {
             assert!(spacing.mul(10_000) > LONGEST_AIRTIME.mul(3));
             assert_eq!(node.stats().ctrl_rx, 10_000);
             assert_eq!(node.next_deadline(), None);
-            assert!(node.take_outbox().is_empty());
+            assert_eq!(node.drain_outbox().len(), 0);
             assert!(node.take_delivered().is_empty() && node.ctx.pending.is_empty());
         }
     }
@@ -1042,7 +1041,7 @@ mod tests {
             },
             OutDgram::Data(_) => None,
         };
-        node.take_outbox().into_iter().filter_map(edge).collect()
+        node.drain_outbox().filter_map(edge).collect()
     }
 
     /// The receiver in ABT slot 0 arms `AbtStart` zero delay ahead, from
@@ -1178,6 +1177,58 @@ mod tests {
         }
     }
 
+    /// A tone edge and an abort marker are each encoded once: the same
+    /// bytes, under one datagram counter, go to every neighbor in neighbor
+    /// order, and the next datagram takes the next counter.
+    #[test]
+    fn one_edge_is_one_encoding_for_every_neighbor() {
+        let neighbors = vec![n(4), n(2), n(3)];
+        let cfg = LiveConfig {
+            neighbors: neighbors.clone(),
+            ..LiveConfig::default()
+        };
+        let mut node = LiveNode::new(n(1), cfg);
+        node.ctx.start_tone(Tone::Rbt);
+        node.ctx.start_tx(Frame::mrts(n(1), vec![n(2)]));
+        node.ctx.abort_tx();
+        node.ctx.stop_tone(Tone::Rbt);
+        let out: Vec<_> = node.drain_outbox().collect();
+        assert!(matches!(out[3], (_, OutDgram::Data(_))), "the MRTS");
+        let fans = [&out[..3], &out[4..7], &out[7..]];
+        let want = [
+            (
+                0,
+                DgramBody::Tone {
+                    tone: DGRAM_TONE_RBT,
+                    on: true,
+                },
+            ),
+            (2, DgramBody::Abort { counter: 1 }),
+            (
+                3,
+                DgramBody::Tone {
+                    tone: DGRAM_TONE_RBT,
+                    on: false,
+                },
+            ),
+        ];
+        for (fan, (counter, body)) in fans.into_iter().zip(want) {
+            let (to, bytes): (Vec<NodeId>, Vec<&Vec<u8>>) = fan
+                .iter()
+                .map(|(_, out)| match out {
+                    OutDgram::Ctrl(to, bytes) => (*to, bytes),
+                    OutDgram::Data(_) => panic!("a data datagram in a fan-out"),
+                })
+                .unzip();
+            assert_eq!(to, neighbors);
+            assert!(bytes.iter().all(|&b| b == bytes[0]), "{bytes:?}");
+            let d = decode_datagram(bytes[0]).expect("own datagram");
+            assert_eq!((d.counter, d.body), (counter, body));
+        }
+        assert_eq!(out.len(), 10);
+        assert_eq!(node.stats().ctrl_tx, 9);
+    }
+
     /// A node's own multicast echo is discarded, not treated as traffic.
     #[test]
     fn own_echo_is_dropped() {
@@ -1189,14 +1240,14 @@ mod tests {
             token: 0,
         });
         // Drive timers until the frame leaves (the MAC may back off first).
-        let mut out = node.take_outbox();
+        let mut out: Vec<_> = node.drain_outbox().collect();
         for _ in 0..10_000 {
             if !out.is_empty() {
                 break;
             }
             let Some(d) = node.next_deadline() else { break };
             node.advance(d);
-            out = node.take_outbox();
+            out = node.drain_outbox().collect();
         }
         assert!(!out.is_empty());
         let (_, OutDgram::Data(bytes)) = &out[0] else {

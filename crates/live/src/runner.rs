@@ -15,7 +15,7 @@ use rmac_sim::SimTime;
 use rmac_wire::NodeId;
 
 use crate::hub::{HubConfig, LoopbackHub};
-use crate::node::{LiveConfig, LiveNode, OutDgram};
+use crate::node::{LiveConfig, LiveNode};
 
 /// Drives N live nodes over the loopback hub in virtual time.
 pub struct LoopbackRunner {
@@ -95,14 +95,11 @@ impl LoopbackRunner {
         self.flush(i);
     }
 
-    /// Forward one node's produced datagrams to the hub.
+    /// Hand one node's produced datagrams to the hub, buffers and all.
     fn flush(&mut self, i: usize) {
         let id = self.nodes[i].id();
-        for (at, out) in self.nodes[i].take_outbox() {
-            match out {
-                OutDgram::Data(bytes) => self.hub.send_data(id, at, &bytes),
-                OutDgram::Ctrl(to, bytes) => self.hub.send_ctrl(id, to, at, &bytes),
-            }
+        for (at, out) in self.nodes[i].drain_outbox() {
+            self.hub.send(id, at, out);
         }
     }
 

@@ -10,8 +10,9 @@
 //!   peer — the busy-tone stand-ins and the session handshake.
 //!
 //! Both backends hand a [`LiveNode`](crate::LiveNode) the same [`Incoming`]
-//! arrivals; each has its one driver — [`LoopbackRunner`](crate::LoopbackRunner)
-//! in virtual time, [`Driver`](crate::Driver) over sockets.
+//! arrivals and take the same [`OutDgram`]s from it; each has its one
+//! driver — [`LoopbackRunner`](crate::LoopbackRunner) in virtual time,
+//! [`Driver`](crate::Driver) over sockets.
 
 use rmac_sim::SimTime;
 use rmac_wire::NodeId;
@@ -23,6 +24,17 @@ pub enum DgramChannel {
     Data,
     /// The unicast control channel (tones, handshake).
     Ctrl,
+}
+
+/// An outbound datagram produced by a node, for the driver to hand to its
+/// network (the hub or the UDP sockets). A buffer is owned so that the hub
+/// can keep it as the copy in flight.
+#[derive(Clone, Debug)]
+pub enum OutDgram {
+    /// Broadcast on the data channel.
+    Data(Vec<u8>),
+    /// Unicast on the control channel.
+    Ctrl(NodeId, Vec<u8>),
 }
 
 /// A received datagram, timestamped in MAC time at *arrival* — the live

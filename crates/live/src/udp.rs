@@ -15,8 +15,9 @@
 //! A reader thread stamps arrivals in MAC time (a shared [`WallClock`])
 //! *at receive time*, so sleeps in `wait_until` don't smear arrival
 //! timestamps, and forwards them over an in-process queue. The incoming
-//! channel tag is derived from the decoded body: frames are data-channel
-//! traffic, everything else (and an undecodable datagram) control.
+//! channel tag is read from the checked header: frames are data-channel
+//! traffic, everything else (and a datagram whose header or CRC fails)
+//! control. The node decodes the body.
 //!
 //! MAC time runs `scale`× slower than wall time (default 200×), so that
 //! host latency shrinks below the paper's 2 µs tone margin in MAC units.
@@ -39,7 +40,7 @@ use std::time::Duration;
 
 use rmac_core::WallClock;
 use rmac_sim::SimTime;
-use rmac_wire::{decode_datagram, DgramBody, NodeId};
+use rmac_wire::{decode_header, NodeId};
 
 use crate::transport::{DgramChannel, Incoming, TransportError};
 
@@ -161,21 +162,13 @@ impl UdpTransport {
         &self.peers
     }
 
-    /// Learn the sender's address and classify the channel from the
-    /// decoded body: frames are data traffic, the rest control.
+    /// Learn the sender's address and classify the channel (see
+    /// [`classify`]).
     fn admit(&mut self, pkt: Packet) -> Incoming {
-        let channel = match decode_datagram(&pkt.bytes) {
-            Ok(d) => {
-                if d.src != self.id {
-                    self.peers.insert(d.src, pkt.from);
-                }
-                match d.body {
-                    DgramBody::Frame(_) => DgramChannel::Data,
-                    _ => DgramChannel::Ctrl,
-                }
-            }
-            Err(_) => DgramChannel::Ctrl,
-        };
+        let (channel, src) = classify(&pkt.bytes);
+        if let Some(src) = src.filter(|&src| src != self.id) {
+            self.peers.insert(src, pkt.from);
+        }
         Incoming {
             at: pkt.at,
             channel,
@@ -240,6 +233,17 @@ impl UdpTransport {
     }
 }
 
+/// A datagram's channel, and its sender when its header and CRC check out
+/// (a sender to learn): frames are data traffic, the rest control. Only the
+/// header is read; the node decodes the body.
+fn classify(bytes: &[u8]) -> (DgramChannel, Option<NodeId>) {
+    match decode_header(bytes) {
+        Ok(h) if h.frame => (DgramChannel::Data, Some(h.src)),
+        Ok(h) => (DgramChannel::Ctrl, Some(h.src)),
+        Err(_) => (DgramChannel::Ctrl, None),
+    }
+}
+
 impl Drop for UdpTransport {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::Relaxed);
@@ -252,7 +256,7 @@ impl Drop for UdpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rmac_wire::{encode_datagram, Datagram};
+    use rmac_wire::{decode_datagram, encode_datagram, Datagram, DgramBody};
 
     fn n(i: u16) -> NodeId {
         NodeId(i)
@@ -310,6 +314,36 @@ mod tests {
             .unwrap();
         let inc = recv_one(&mut b).expect("data arrives");
         assert_eq!(inc.channel, DgramChannel::Data);
+    }
+
+    /// Every body kind classifies to the channel a full decode gave it
+    /// (frames data, the rest control) and names its sender; a datagram
+    /// whose CRC fails, or which is not a datagram, names none.
+    #[test]
+    fn the_header_classifies_as_the_decoded_body_did() {
+        let bodies = [
+            DgramBody::Frame(bytes::Bytes::from_static(b"frame")),
+            DgramBody::Tone { tone: 1, on: true },
+            DgramBody::Announce {
+                session: 3,
+                receivers: vec![n(4), n(5)],
+            },
+            DgramBody::Hello { session: 7 },
+            DgramBody::Bye,
+            DgramBody::Abort { counter: 9 },
+        ];
+        for body in bodies {
+            let wire = dgram(6, body);
+            let before = match decode_datagram(&wire).expect("well formed").body {
+                DgramBody::Frame(_) => DgramChannel::Data,
+                _ => DgramChannel::Ctrl,
+            };
+            assert_eq!(classify(&wire), (before, Some(n(6))), "{wire:?}");
+            let mut bad = wire.clone();
+            *bad.last_mut().expect("a trailer") ^= 1;
+            assert_eq!(classify(&bad), (DgramChannel::Ctrl, None), "{bad:?}");
+        }
+        assert_eq!(classify(b"noise"), (DgramChannel::Ctrl, None));
     }
 
     /// Arrival timestamps come from the reader thread, not from when the

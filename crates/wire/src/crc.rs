@@ -23,14 +23,17 @@
 //! carry-less, by `x^(512±32) mod P`, which carries them 64 bytes forward, and
 //! the next block is added. The lanes then fold into one, further 16-byte
 //! blocks fold into it, it folds to 64 bits, and a Barrett reduction leaves
-//! the 32-bit state; a tail under 16 bytes runs on the table. The folding
+//! the 32-bit state; a tail under 16 bytes runs on the table. An input under
+//! 64 bytes starts on one lane instead and folds 16 bytes a step. The folding
 //! constants are derived from `POLY` at compile time (`fold`).
 //!
-//! `update` takes the carry-less kernel for inputs of `FOLD_BYTES` or more
-//! when the CPU has both features, and the table otherwise. On the live soak
-//! 81 % of the checksummed bytes are frame datagrams over 256 bytes, each
-//! checksummed twice at each end of a hop (DESIGN.md §11), while most calls
-//! are 14-byte tone datagrams, which stay on the table.
+//! `update` takes the carry-less kernel for inputs of `ONE_LANE_BYTES` or
+//! more when the CPU has both features, and the table otherwise: from 16 to
+//! 31 bytes a standalone timing could not tell the two apart, and from 32
+//! bytes one lane was faster at every length. On the live soak 81 % of the
+//! checksummed bytes are frame datagrams over 256 bytes, each checksummed
+//! twice at each end of a hop (DESIGN.md §11), while most calls are 14-byte
+//! tone datagrams, which stay on the table.
 
 /// The reflected polynomial 0xEDB88320 (bit-reversed 0x04C11DB7).
 const POLY: u32 = 0xEDB8_8320;
@@ -39,8 +42,11 @@ const POLY: u32 = 0xEDB8_8320;
 const LANES: usize = 16;
 
 /// Bytes folded per step of the carry-less kernel's main loop, and the
-/// shortest input `update` gives it.
+/// shortest input its four lanes take.
 const FOLD_BYTES: usize = 64;
+
+/// The shortest input `update` gives the carry-less kernel.
+const ONE_LANE_BYTES: usize = 32;
 
 /// `TABLES[k][b]`: the state of byte `b` followed by `k` zero bytes,
 /// computed at compile time.
@@ -93,7 +99,7 @@ fn fold_block<const N: usize>(crc: u32, block: &[u8]) -> u32 {
 /// Advance the raw CRC state `crc` over `data` (no init, no final XOR) on
 /// the kernel that suits this input and this CPU.
 fn update(crc: u32, data: &[u8]) -> u32 {
-    if data.len() >= FOLD_BYTES {
+    if data.len() >= ONE_LANE_BYTES {
         if let Some(crc) = update_clmul(crc, data) {
             return crc;
         }
@@ -185,12 +191,13 @@ mod clmul {
         _mm_set_epi64x, _mm_setr_epi32, _mm_srli_si128, _mm_xor_si128,
     };
 
-    /// The raw state after `data`, folding 64 bytes a step; an input under
-    /// `FOLD_BYTES` runs on the table alone.
+    /// The raw state after `data`: an input of `FOLD_BYTES` or more folds
+    /// 64 bytes a step on four lanes, a shorter one from 16 bytes folds on
+    /// one lane, and one under 16 bytes runs on the table alone.
     #[target_feature(enable = "pclmulqdq,sse4.1")]
     pub(super) fn update(crc: u32, data: &[u8]) -> u32 {
         if data.len() < FOLD_BYTES {
-            return update_table(crc, data);
+            return one_lane(crc, data);
         }
         let (head, rest) = data.split_at(FOLD_BYTES);
         let mut lanes = [
@@ -212,7 +219,27 @@ mod clmul {
         for lane in [a, b, c] {
             acc = fold_into(acc, k, lane);
         }
-        let mut blocks = steps.remainder().chunks_exact(16);
+        fold_blocks(acc, steps.remainder())
+    }
+
+    /// One lane: the first 16-byte block holds the state, and every
+    /// further one folds in 16 bytes forward.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn one_lane(crc: u32, data: &[u8]) -> u32 {
+        if data.len() < 16 {
+            return update_table(crc, data);
+        }
+        let (head, rest) = data.split_at(16);
+        let acc = _mm_xor_si128(load(head), _mm_cvtsi32_si128(crc as i32));
+        fold_blocks(acc, rest)
+    }
+
+    /// The state after `acc` and `rest`: `rest`'s 16-byte blocks fold into
+    /// the lane, and its tail runs on the table.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold_blocks(mut acc: __m128i, rest: &[u8]) -> u32 {
+        let k = pair(fold::BY_16_BYTES);
+        let mut blocks = rest.chunks_exact(16);
         for block in blocks.by_ref() {
             acc = fold_into(acc, k, load(block));
         }
@@ -291,11 +318,16 @@ mod tests {
     type Kernel = fn(u32, &[u8]) -> u32;
 
     /// The kernels this CPU runs, by name: the table everywhere, the
-    /// carry-less kernel where the CPU has it (said on stderr where not).
+    /// carry-less kernel where the CPU has it (said on stderr where not),
+    /// and its one lane alone, fed 63 bytes at a time.
     fn kernels() -> Vec<(&'static str, Kernel)> {
         let mut kernels: Vec<(&'static str, Kernel)> = vec![("table", update_table)];
         if update_clmul(0, &[]).is_some() {
             kernels.push(("clmul", |c, d| update_clmul(c, d).expect("detected")));
+            kernels.push(("clmul, one lane", |c, d| {
+                let pieces = d.chunks(FOLD_BYTES - 1);
+                pieces.fold(c, |c, piece| update_clmul(c, piece).expect("detected"))
+            }));
         } else {
             static SAID: std::sync::Once = std::sync::Once::new();
             SAID.call_once(|| {
@@ -322,8 +354,9 @@ mod tests {
     }
 
     /// Known answers on each side of the table's block and word edges, the
-    /// carry-less kernel's 64-byte threshold and 16-byte tail, and at about
-    /// the size of a 500-byte data frame (zlib's CRC-32 gives the same).
+    /// carry-less kernel's 16-, 32- and 64-byte thresholds and its 16-byte
+    /// blocks, and at about the size of a 500-byte data frame (zlib's CRC-32
+    /// gives the same).
     #[test]
     fn known_answers_across_block_edges() {
         let kernels = kernels();
@@ -334,6 +367,9 @@ mod tests {
             (31, 0xB350_9C52),
             (32, 0xF0B3_A9A8),
             (33, 0xD929_8305),
+            (47, 0xF81E_571E),
+            (48, 0x322F_18C4),
+            (49, 0x2052_C0DB),
             (63, 0x3373_01C0),
             (64, 0x38E4_DBB5),
             (65, 0x6C31_1B46),
@@ -353,7 +389,7 @@ mod tests {
 
     /// Folding `a` then `b` is folding `a ‖ b`, on each kernel and on the
     /// picking `update`, at every split of an input whose splits straddle
-    /// the 64-byte threshold.
+    /// the 16-, 32- and 64-byte thresholds.
     #[test]
     fn update_composes_at_every_split() {
         let data = pattern(200);

@@ -231,9 +231,32 @@ fn be_u32(b: &[u8]) -> u32 {
     u32::from_be_bytes([b[0], b[1], b[2], b[3]])
 }
 
-/// Decode a datagram, validating magic, version, CRC and layout in that
-/// order (a foreign packet reports `BadMagic`, not a CRC accident).
-pub fn decode_datagram(data: &[u8]) -> Result<Datagram, DatagramError> {
+/// What a datagram's header says: see [`decode_header`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DgramHeader {
+    /// Sending node.
+    pub src: NodeId,
+    /// Whether the body is a `Frame`, the one data-channel kind.
+    pub frame: bool,
+}
+
+/// Read a datagram's header once its magic, version, CRC and kind check
+/// out — [`decode_datagram`]'s checks but the body's layout, with no copy
+/// of the body.
+pub fn decode_header(data: &[u8]) -> Result<DgramHeader, DatagramError> {
+    let covered = checked(data)?;
+    match covered[3] {
+        1..=6 => Ok(DgramHeader {
+            src: NodeId(be_u16(&covered[4..6])),
+            frame: covered[3] == 1,
+        }),
+        other => Err(DatagramError::UnknownKind(other)),
+    }
+}
+
+/// Header and body, once length, magic, version and CRC check out (in
+/// that order: a foreign packet reports `BadMagic`, not a CRC accident).
+fn checked(data: &[u8]) -> Result<&[u8], DatagramError> {
     if data.len() < DGRAM_HEADER_LEN + DGRAM_CRC_LEN {
         return Err(DatagramError::Truncated);
     }
@@ -250,6 +273,13 @@ pub fn decode_datagram(data: &[u8]) -> Result<Datagram, DatagramError> {
     if expected != actual {
         return Err(DatagramError::BadCrc { expected, actual });
     }
+    Ok(covered)
+}
+
+/// Decode a datagram, validating magic, version, CRC and layout in that
+/// order (a foreign packet reports `BadMagic`, not a CRC accident).
+pub fn decode_datagram(data: &[u8]) -> Result<Datagram, DatagramError> {
+    let covered = checked(data)?;
     let kind = covered[3];
     let src = NodeId(be_u16(&covered[4..6]));
     let counter = be_u32(&covered[8..12]);

@@ -28,5 +28,8 @@ pub mod frame;
 pub mod json;
 
 pub use addr::{Dest, NodeId};
-pub use datagram::{decode_datagram, encode_datagram, Datagram, DatagramError, DgramBody};
+pub use datagram::{
+    decode_datagram, decode_header, encode_datagram, Datagram, DatagramError, DgramBody,
+    DgramHeader,
+};
 pub use frame::{Frame, FrameKind};

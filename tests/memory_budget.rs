@@ -1,5 +1,5 @@
 //! The memory budget of one replication and of a live soak, in live heap
-//! bytes.
+//! bytes, and the soak's allocations per step.
 //!
 //! Peak RSS swings with allocator layout and with whatever else the host is
 //! doing; the peak of *live* heap bytes during a run does not. This binary
@@ -24,6 +24,13 @@
 //! peak does not grow with its length. A harness that leaves the
 //! publishers' deliveries in their nodes, or a counter that keeps one
 //! sample per MRTS, fails here.
+//!
+//! A live soak's allocations per runner step are counted too: the hub
+//! keeps the buffer a node hands it rather than copying it, and a node's
+//! outbox is drained rather than taken. A hub that copies every control
+//! datagram fails here. (A tone edge's one encoding is held by `rmac-live`'s
+//! node tests: a copy per neighbour costs an allocation as an encoding
+//! does.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -36,8 +43,11 @@ struct Counting;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// Calls that handed out memory: `alloc`, `alloc_zeroed` and `realloc`.
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 fn grew(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::SeqCst);
     let live = LIVE.fetch_add(bytes, Ordering::SeqCst) + bytes;
     PEAK.fetch_max(live, Ordering::SeqCst);
 }
@@ -120,10 +130,11 @@ const FLAT_PACKETS: u64 = 100;
 /// node per beacon.
 const FLAT_SLACK: usize = 32 * 1024;
 
-/// Live heap bytes at the peak of a live loopback soak of `packets` per
-/// publisher — 2 publishers × 3 subscribers, 500 B payloads, 20 %
-/// Gilbert–Elliott loss, seed 1 — above those live before it started.
-fn soak_peak_bytes(packets: u64) -> usize {
+/// What a live loopback soak of `packets` per publisher — 2 publishers × 3
+/// subscribers, 500 B payloads, 20 % Gilbert–Elliott loss, seed 1 — held
+/// and made: live heap bytes at its peak above those live before it
+/// started, allocations, and runner steps.
+fn soak_counts(packets: u64) -> (usize, usize, u64) {
     let cfg = SoakConfig {
         publishers: 2,
         subscribers: 3,
@@ -133,10 +144,12 @@ fn soak_peak_bytes(packets: u64) -> usize {
     };
     let before = LIVE.load(Ordering::SeqCst);
     PEAK.store(before, Ordering::SeqCst);
+    let allocs = ALLOCS.load(Ordering::SeqCst);
     let report = run_loopback_soak(&cfg);
+    let allocs = ALLOCS.load(Ordering::SeqCst) - allocs;
     let peak = PEAK.load(Ordering::SeqCst) - before;
     assert!(report.complete(), "{report:?}");
-    peak
+    (peak, allocs, report.steps)
 }
 
 /// The short soak's packets per publisher; the long one runs four times
@@ -152,6 +165,12 @@ const SOAK_SLACK: usize = 4_096;
 /// nodes the short soak held 0.46 MB and the long one 1.77 MB.
 const SOAK_BUDGET: usize = 100_000;
 
+/// The short soak's allocations per runner step: 1.4 % above today's
+/// 75 643 in 18 053 steps (4.19). With an encoding per neighbour per tone
+/// edge, a hub copy of every control datagram, the outbox taken by
+/// `mem::take` and a `BTreeSet` per tone, it made 110 661 (6.13).
+const SOAK_ALLOCS_PER_STEP: f64 = 4.25;
+
 /// One test, so that no other test allocates while a run is counted.
 #[test]
 fn a_replication_holds_memory_only_for_what_is_live() {
@@ -159,7 +178,11 @@ fn a_replication_holds_memory_only_for_what_is_live() {
     let peaks = [Protocol::Bmmm, Protocol::Rmac].map(|p| (p, peak_bytes(&budgeted, p)));
     let flat = |packets| ScenarioConfig::paper_stationary(20.0).with_packets(packets);
     let flats = [FLAT_PACKETS, 4 * FLAT_PACKETS].map(|n| (n, peak_bytes(&flat(n), Protocol::Rmac)));
-    let soaks = [SOAK_PACKETS, 4 * SOAK_PACKETS].map(|p| (p, soak_peak_bytes(p)));
+    let [short_soak, long_soak] = [SOAK_PACKETS, 4 * SOAK_PACKETS].map(soak_counts);
+    let soaks = [
+        (SOAK_PACKETS, short_soak.0),
+        (4 * SOAK_PACKETS, long_soak.0),
+    ];
     for (protocol, peak) in peaks {
         println!("{protocol:?}: {peak} live heap bytes at the peak");
     }
@@ -169,6 +192,9 @@ fn a_replication_holds_memory_only_for_what_is_live() {
     for (packets, peak) in soaks {
         println!("soak of {packets} packets per publisher: {peak} live heap bytes at the peak");
     }
+    let (_, allocs, steps) = short_soak;
+    let per_step = allocs as f64 / steps as f64;
+    println!("soak of {SOAK_PACKETS} packets per publisher: {allocs} allocations in {steps} steps, {per_step:.4} a step");
     for (protocol, peak) in peaks {
         assert!(
             peak <= BUDGET,
@@ -186,6 +212,11 @@ fn a_replication_holds_memory_only_for_what_is_live() {
         long_peak <= short_peak + SOAK_SLACK,
         "the soak's peak grew with its length: {short_peak} live heap bytes at {short} \
          packets per publisher, {long_peak} at {long} (slack {SOAK_SLACK})"
+    );
+    assert!(
+        per_step <= SOAK_ALLOCS_PER_STEP,
+        "the soak of {SOAK_PACKETS} packets per publisher made {per_step:.4} allocations \
+         a step ({allocs} in {steps}; budget {SOAK_ALLOCS_PER_STEP})"
     );
     for (packets, peak) in soaks {
         assert!(
