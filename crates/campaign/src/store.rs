@@ -21,7 +21,7 @@
 use crate::spec::CaseSpec;
 use rmac_check::CheckReport;
 use rmac_metrics::RunReport;
-use rmac_obs::json::{self, Json};
+use rmac_obs::json::{self, Json, Obj};
 use rmac_obs::ObsReport;
 
 /// One completed case: identity axes plus the ingested metrics.
@@ -76,8 +76,102 @@ pub struct CaseRecord {
     pub obs_counters: Vec<(String, u64)>,
 }
 
+/// The line's last key, present only when the spec ran with obs.
+const OBS_COUNTERS: &str = "obs_counters";
+
+/// Walks the store line's key list (the one invocation below): writing,
+/// parsing and the mapping to and from a [`RunReport`].
+macro_rules! store_keys {
+    (@put $o:ident $key:literal $v:expr, str) => { $o.str($key, &$v) };
+    (@put $o:ident $key:literal $v:expr, u64) => { $o.u64($key, $v) };
+    (@put $o:ident $key:literal $v:expr, bool) => { $o.bool($key, $v) };
+    (@put $o:ident $key:literal $v:expr, f64) => { $o.f64($key, $v) };
+    (@put $o:ident $key:literal $v:expr, fixed) => { $o.fixed($key, $v, 6) };
+    (@take $v:ident $key:literal, str) => { $v.str($key)?.to_string() };
+    (@take $v:ident $key:literal, u64) => { $v.uint($key)? };
+    (@take $v:ident $key:literal, bool) => { $v.bool($key)? };
+    (@take $v:ident $key:literal, f64) => { $v.num($key)? };
+    (@take $v:ident $key:literal, fixed) => { $v.num($key)? };
+    ($($key:literal $field:ident: $kind:ident $(= $mirror:ident)?;)*) => {
+        impl CaseRecord {
+            /// A record holding the metrics `report` mirrors, the rest at
+            /// their defaults.
+            fn mirroring(report: &RunReport) -> CaseRecord {
+                CaseRecord {
+                    $($($field: Clone::clone(&report.$mirror),)?)*
+                    ..CaseRecord::default()
+                }
+            }
+
+            /// The report this record was taken from, with every metric the
+            /// store keeps; the rest (`nonleaf_nodes`, `delay_samples`, the
+            /// per-kind frame tallies and `sim_secs`) stay at their defaults.
+            pub fn report(&self) -> RunReport {
+                RunReport {
+                    $($($mirror: Clone::clone(&self.$field),)?)*
+                    ..RunReport::default()
+                }
+            }
+
+            fn put_keys(&self, o: &mut Obj<'_>) {
+                $(store_keys!(@put o $key self.$field, $kind);)*
+            }
+
+            /// Every listed key must be present; the others are ignored.
+            fn take_keys(v: &Json) -> Result<CaseRecord, String> {
+                Ok(CaseRecord {
+                    $($field: store_keys!(@take v $key, $kind),)*
+                    obs_counters: Vec::new(),
+                })
+            }
+        }
+    };
+}
+
+// The line's keys in write order, each named once: the key, the field that
+// holds it, how it is written (`str`, `u64`, `bool`, `f64` as it prints, or
+// `fixed` at six decimals so bytes never depend on float printing) and,
+// after `=`, the `RunReport` field it mirrors. `from_run` fills the keys
+// that mirror none. A new key is a field and a row appended here, so older
+// lines stay a prefix of newer ones.
+store_keys! {
+    "key" key: str;
+    "protocol" protocol: str = protocol;
+    "scenario" scenario: str = scenario;
+    "rate" rate: f64 = rate_pps;
+    "seed" seed: u64 = seed;
+    "fault" fault: str;
+    "delivery" delivery: fixed;
+    "drop_ratio" drop_ratio: fixed = drop_ratio_avg;
+    "retx_ratio" retx_ratio: fixed = retx_ratio_avg;
+    "txoh_ratio" txoh_ratio: fixed = txoh_ratio_avg;
+    "abort_avg" abort_avg: fixed = abort_avg;
+    "mrts_len_avg" mrts_len_avg: fixed = mrts_len_avg;
+    "delay_s" delay_s: fixed = e2e_delay_avg_s;
+    "hops_avg" hops_avg: fixed = hops_avg;
+    "packets_sent" packets_sent: u64 = packets_sent;
+    "receptions" receptions: u64 = receptions;
+    "expected_receptions" expected_receptions: u64 = expected_receptions;
+    "events" events: u64 = events;
+    "faults_injected" faults_injected: u64 = faults_injected;
+    "check_clean" check_clean: bool;
+    "violations" violations: u64;
+    "first_violation" first_violation: str;
+    "abort_p99" abort_p99: fixed = abort_p99;
+    "abort_max" abort_max: fixed = abort_max;
+    "mrts_len_p99" mrts_len_p99: fixed = mrts_len_p99;
+    "mrts_len_max" mrts_len_max: fixed = mrts_len_max;
+    "fault_crashes" fault_crashes: u64 = fault_crashes;
+    "fault_jam_bursts" fault_jam_bursts: u64 = fault_jam_bursts;
+    "hops_p99" hops_p99: fixed = hops_p99;
+    "children_avg" children_avg: fixed = children_avg;
+    "children_p99" children_p99: fixed = children_p99;
+}
+
 impl CaseRecord {
-    /// Ingest one case's outputs.
+    /// Ingest one case's outputs: the metrics `report` mirrors, and by hand
+    /// the case's identity, the delivery ratio, the verdict and the obs
+    /// counters.
     pub fn from_run(
         case: &CaseSpec,
         report: &RunReport,
@@ -92,24 +186,9 @@ impl CaseRecord {
         obs_counters.sort();
         CaseRecord {
             key: case.key(),
-            protocol: report.protocol.clone(),
-            scenario: report.scenario.clone(),
-            rate: report.rate_pps,
             seed: case.seed,
             fault: case.fault.clone(),
             delivery: report.delivery_ratio(),
-            drop_ratio: report.drop_ratio_avg,
-            retx_ratio: report.retx_ratio_avg,
-            txoh_ratio: report.txoh_ratio_avg,
-            abort_avg: report.abort_avg,
-            mrts_len_avg: report.mrts_len_avg,
-            delay_s: report.e2e_delay_avg_s,
-            hops_avg: report.hops_avg,
-            packets_sent: report.packets_sent,
-            receptions: report.receptions,
-            expected_receptions: report.expected_receptions,
-            events: report.events,
-            faults_injected: report.faults_injected,
             check_clean: check.is_clean(),
             violations: check.violations.len() as u64,
             first_violation: check
@@ -117,91 +196,17 @@ impl CaseRecord {
                 .first()
                 .map(|v| v.to_string())
                 .unwrap_or_default(),
-            abort_p99: report.abort_p99,
-            abort_max: report.abort_max,
-            mrts_len_p99: report.mrts_len_p99,
-            mrts_len_max: report.mrts_len_max,
-            fault_crashes: report.fault_crashes,
-            fault_jam_bursts: report.fault_jam_bursts,
-            hops_p99: report.hops_p99,
-            children_avg: report.children_avg,
-            children_p99: report.children_p99,
             obs_counters,
+            ..CaseRecord::mirroring(report)
         }
     }
 
-    /// The report this record was taken from, with every metric the store
-    /// keeps; the rest (`nonleaf_nodes`, `delay_samples`, the per-kind frame
-    /// tallies and `sim_secs`) stay at their defaults.
-    pub fn report(&self) -> RunReport {
-        RunReport {
-            protocol: self.protocol.clone(),
-            scenario: self.scenario.clone(),
-            rate_pps: self.rate,
-            seed: self.seed,
-            packets_sent: self.packets_sent,
-            expected_receptions: self.expected_receptions,
-            receptions: self.receptions,
-            drop_ratio_avg: self.drop_ratio,
-            retx_ratio_avg: self.retx_ratio,
-            txoh_ratio_avg: self.txoh_ratio,
-            abort_avg: self.abort_avg,
-            abort_p99: self.abort_p99,
-            abort_max: self.abort_max,
-            mrts_len_avg: self.mrts_len_avg,
-            mrts_len_p99: self.mrts_len_p99,
-            mrts_len_max: self.mrts_len_max,
-            e2e_delay_avg_s: self.delay_s,
-            hops_avg: self.hops_avg,
-            hops_p99: self.hops_p99,
-            children_avg: self.children_avg,
-            children_p99: self.children_p99,
-            events: self.events,
-            faults_injected: self.faults_injected,
-            fault_crashes: self.fault_crashes,
-            fault_jam_bursts: self.fault_jam_bursts,
-            ..RunReport::default()
-        }
-    }
-
-    /// One deterministic JSONL line (no trailing newline). Floats use
-    /// fixed six-decimal formatting so bytes never depend on float
-    /// printing quirks.
+    /// One deterministic JSONL line (no trailing newline).
     pub fn to_jsonl(&self) -> String {
         json::object(|o| {
-            o.str("key", &self.key);
-            o.str("protocol", &self.protocol);
-            o.str("scenario", &self.scenario);
-            o.f64("rate", self.rate);
-            o.u64("seed", self.seed);
-            o.str("fault", &self.fault);
-            o.fixed("delivery", self.delivery, 6);
-            o.fixed("drop_ratio", self.drop_ratio, 6);
-            o.fixed("retx_ratio", self.retx_ratio, 6);
-            o.fixed("txoh_ratio", self.txoh_ratio, 6);
-            o.fixed("abort_avg", self.abort_avg, 6);
-            o.fixed("mrts_len_avg", self.mrts_len_avg, 6);
-            o.fixed("delay_s", self.delay_s, 6);
-            o.fixed("hops_avg", self.hops_avg, 6);
-            o.u64("packets_sent", self.packets_sent);
-            o.u64("receptions", self.receptions);
-            o.u64("expected_receptions", self.expected_receptions);
-            o.u64("events", self.events);
-            o.u64("faults_injected", self.faults_injected);
-            o.bool("check_clean", self.check_clean);
-            o.u64("violations", self.violations);
-            o.str("first_violation", &self.first_violation);
-            o.fixed("abort_p99", self.abort_p99, 6);
-            o.fixed("abort_max", self.abort_max, 6);
-            o.fixed("mrts_len_p99", self.mrts_len_p99, 6);
-            o.fixed("mrts_len_max", self.mrts_len_max, 6);
-            o.u64("fault_crashes", self.fault_crashes);
-            o.u64("fault_jam_bursts", self.fault_jam_bursts);
-            o.fixed("hops_p99", self.hops_p99, 6);
-            o.fixed("children_avg", self.children_avg, 6);
-            o.fixed("children_p99", self.children_p99, 6);
+            self.put_keys(o);
             if !self.obs_counters.is_empty() {
-                o.obj("obs_counters", |o| {
+                o.obj(OBS_COUNTERS, |o| {
                     for (name, v) in &self.obs_counters {
                         o.u64(name, *v);
                     }
@@ -210,14 +215,13 @@ impl CaseRecord {
         })
     }
 
-    /// Parse a line written by [`CaseRecord::to_jsonl`]. Keys it does not
-    /// name are ignored, so lines from before a key was dropped still load.
+    /// Parse a line written by [`CaseRecord::to_jsonl`]. A missing key is an
+    /// error naming it; keys it does not name are ignored, so lines from
+    /// before a key was dropped still load.
     pub fn from_jsonl(line: &str) -> Result<CaseRecord, String> {
         let v = Json::parse(line).map_err(|e| format!("case record: {e}"))?;
-        let (f, u) = (|key| v.num(key), |key| v.uint(key));
-        let s = |key| v.str(key).map(str::to_string);
-        let mut obs_counters: Vec<(String, u64)> = Vec::new();
-        if let Some(Json::Obj(fields)) = v.get("obs_counters") {
+        let mut record = CaseRecord::take_keys(&v)?;
+        if let Some(Json::Obj(fields)) = v.get(OBS_COUNTERS) {
             for (k, val) in fields {
                 let n = val.as_u64().ok_or_else(|| {
                     format!(
@@ -225,43 +229,10 @@ impl CaseRecord {
                         val.render()
                     )
                 })?;
-                obs_counters.push((k.clone(), n));
+                record.obs_counters.push((k.clone(), n));
             }
         }
-        Ok(CaseRecord {
-            key: s("key")?,
-            protocol: s("protocol")?,
-            scenario: s("scenario")?,
-            rate: f("rate")?,
-            seed: u("seed")?,
-            fault: s("fault")?,
-            delivery: f("delivery")?,
-            drop_ratio: f("drop_ratio")?,
-            retx_ratio: f("retx_ratio")?,
-            txoh_ratio: f("txoh_ratio")?,
-            abort_avg: f("abort_avg")?,
-            mrts_len_avg: f("mrts_len_avg")?,
-            delay_s: f("delay_s")?,
-            hops_avg: f("hops_avg")?,
-            packets_sent: u("packets_sent")?,
-            receptions: u("receptions")?,
-            expected_receptions: u("expected_receptions")?,
-            events: u("events")?,
-            faults_injected: u("faults_injected")?,
-            check_clean: v.bool("check_clean")?,
-            violations: u("violations")?,
-            first_violation: s("first_violation")?,
-            abort_p99: f("abort_p99")?,
-            abort_max: f("abort_max")?,
-            mrts_len_p99: f("mrts_len_p99")?,
-            mrts_len_max: f("mrts_len_max")?,
-            fault_crashes: u("fault_crashes")?,
-            fault_jam_bursts: u("fault_jam_bursts")?,
-            hops_p99: f("hops_p99")?,
-            children_avg: f("children_avg")?,
-            children_p99: f("children_p99")?,
-            obs_counters,
-        })
+        Ok(record)
     }
 }
 
@@ -332,6 +303,24 @@ mod tests {
         let line = r.to_jsonl();
         let old = format!("{},\"obs_hists\":{{}}}}", line.strip_suffix('}').unwrap());
         assert_eq!(CaseRecord::from_jsonl(&old).expect("parse"), r);
+    }
+
+    /// Every listed key is required: a line missing any one of them fails
+    /// to load with an error naming it.
+    #[test]
+    fn a_line_missing_any_key_fails_naming_it() {
+        let mut r = record();
+        r.obs_counters.clear();
+        let Ok(Json::Obj(fields)) = Json::parse(&r.to_jsonl()) else {
+            panic!("a record is written as an object");
+        };
+        assert_eq!(fields.len(), 31);
+        for i in 0..fields.len() {
+            let mut rest = fields.clone();
+            let (key, _) = rest.remove(i);
+            let err = CaseRecord::from_jsonl(&Json::Obj(rest).render()).expect_err(&key);
+            assert!(err.contains(&format!("{key:?}")), "{key}: {err}");
+        }
     }
 
     #[test]

@@ -137,7 +137,6 @@ impl LoopbackHub {
             at,
             channel,
             bytes,
-            peer: None,
             corrupt,
         };
         self.in_flight.push_back((dest, copy));

@@ -4,15 +4,15 @@
 //! discrete-event simulator. `rmac-live` runs the *unmodified* RMAC state
 //! machine ([`rmac_core::Rmac`]) over a second, independent I/O path:
 //! datagrams. The PDXostc reliable_multicast protocol is the architectural
-//! exemplar — UDP multicast for data, a per-subscriber control channel for
-//! acknowledgment traffic — and the busy tones become short out-of-band
-//! control datagrams ([`rmac_wire::datagram`]).
+//! exemplar — a data channel to every subscriber, a per-subscriber control
+//! channel for acknowledgment traffic — and the busy tones become short
+//! out-of-band control datagrams ([`rmac_wire::datagram`]).
 //!
 //! The pieces:
 //!
 //! * [`transport`] — the datagram vocabulary both backends share:
 //!   [`DgramChannel`] (data: wire-encoded frames to everyone; control:
-//!   tone stand-ins and the session handshake to one peer), [`Incoming`],
+//!   tone stand-ins and abort markers to one peer), [`Incoming`],
 //!   [`OutDgram`] and [`TransportError`].
 //! * [`node`] — [`LiveNode`]: the sans-I/O adapter that feeds datagram
 //!   arrivals and its due timers to the MAC as PHY indications, and turns
@@ -33,10 +33,10 @@
 //! * [`runner`] — [`LoopbackRunner`]: the hub's one driver, stepping N
 //!   [`LiveNode`]s in exact virtual-time order (same seed + same loss
 //!   plan ⇒ identical behavior).
-//! * [`udp`] — [`UdpTransport`]: real sockets (`std::net` multicast +
-//!   unicast control, std + threads only), reader threads, and a scaled
-//!   [`WallClock`](rmac_core::WallClock) so host jitter stays far inside
-//!   the paper's ±2 µs tone-window margins.
+//! * [`udp`] — [`UdpTransport`]: real sockets (`std::net` unicast: data
+//!   fanned out to every known peer, control to one; std + threads only),
+//!   a reader thread, and a scaled [`WallClock`](rmac_core::WallClock) so
+//!   host jitter stays far inside the paper's ±2 µs tone-window margins.
 //! * [`driver`] — [`Driver`]: one [`LiveNode`] pumped over one
 //!   [`UdpTransport`], one per endpoint thread.
 //! * [`soak`] — the `rmc_test`-style soak harness: N publishers × M

@@ -81,7 +81,7 @@ pub struct LiveStats {
     pub data_rx: u64,
     /// Control datagrams received.
     pub ctrl_rx: u64,
-    /// Our own multicast echoes discarded (UDP loopback).
+    /// Our own datagrams echoed back to us, discarded.
     pub self_drops: u64,
     /// Datagrams or frames that failed to decode (treated as noise).
     pub decode_errors: u64,
@@ -486,7 +486,7 @@ impl LiveNode {
             }
         };
         if d.src == self.ctx.id {
-            // Our own multicast echo (UDP loopback) — not a reception.
+            // Our own datagram echoed back — not a reception.
             self.ctx.stats.self_drops += 1;
             return;
         }
@@ -527,12 +527,6 @@ impl LiveNode {
                     self.aborted_rx.pop_front();
                 }
                 self.aborted_rx.push_back((now, d.src, counter));
-            }
-            // Hello/Announce/Bye: counted and dropped. Nothing reads
-            // session payloads yet, and a buffer with no reader is a peer's
-            // lever on this node's memory.
-            DgramBody::Hello { .. } | DgramBody::Announce { .. } | DgramBody::Bye => {
-                self.ctx.stats.ctrl_rx += 1;
             }
         }
         self.drain_pending();
@@ -700,7 +694,6 @@ mod tests {
             at,
             channel,
             bytes,
-            peer: None,
             corrupt: false,
         }
     }
@@ -899,22 +892,28 @@ mod tests {
         assert_eq!(node.state(), State::Idle, "suspended at the boundary");
     }
 
-    /// A peer that keeps sending session payloads moves a counter and
-    /// nothing else: no timer, no output, no buffer that grows with it.
+    /// A peer that keeps sending CRC-valid datagrams of the unassigned
+    /// kinds 3–5 moves a counter and nothing else: no timer, no output, no
+    /// buffer that grows with it.
     #[test]
-    fn a_hello_flood_is_counted_and_dropped() {
+    fn a_flood_of_unassigned_kinds_is_counted_and_dropped() {
+        use rmac_wire::crc::crc32;
         let mut node = LiveNode::new(n(1), LiveConfig::default());
         for i in 0..10_000u32 {
-            let hello = encode_datagram(&Datagram {
+            let mut wire = encode_datagram(&Datagram {
                 src: n(2),
                 counter: i,
-                body: DgramBody::Hello { session: i },
+                body: DgramBody::Abort { counter: i },
             });
+            wire[3] = 3 + (i % 3) as u8;
+            let covered = wire.len() - DGRAM_CRC_LEN;
+            let crc = crc32(&wire[..covered]);
+            wire[covered..].copy_from_slice(&crc.to_be_bytes());
             let at = SimTime::from_micros(u64::from(i));
-            node.on_datagram(&incoming(at, DgramChannel::Ctrl, hello));
+            node.on_datagram(&incoming(at, DgramChannel::Ctrl, wire));
         }
-        assert_eq!(node.stats().ctrl_rx, 10_000);
-        assert_eq!(node.stats().decode_errors, 0);
+        assert_eq!(node.stats().decode_errors, 10_000);
+        assert_eq!(node.stats().ctrl_rx, 0);
         assert_eq!(node.next_deadline(), None);
         assert_eq!(node.drain_outbox().len(), 0);
         assert!(node.take_delivered().is_empty());
@@ -1229,7 +1228,7 @@ mod tests {
         assert_eq!(node.stats().ctrl_tx, 9);
     }
 
-    /// A node's own multicast echo is discarded, not treated as traffic.
+    /// A node's own echoed datagram is discarded, not treated as traffic.
     #[test]
     fn own_echo_is_dropped() {
         let mut node = LiveNode::new(n(3), LiveConfig::default());

@@ -7,7 +7,7 @@
 //!   (unicast fan-out to every known peer on [`UdpTransport`](crate::UdpTransport),
 //!   the broadcast fan-out of the in-process [`LoopbackHub`](crate::LoopbackHub));
 //! * the **control channel** carries short unicast datagrams to one named
-//!   peer — the busy-tone stand-ins and the session handshake.
+//!   peer — the busy-tone stand-ins and the abort markers.
 //!
 //! Both backends hand a [`LiveNode`](crate::LiveNode) the same [`Incoming`]
 //! arrivals and take the same [`OutDgram`]s from it; each has its one
@@ -22,7 +22,7 @@ use rmac_wire::NodeId;
 pub enum DgramChannel {
     /// The data channel to everyone (wire-encoded MAC frames).
     Data,
-    /// The unicast control channel (tones, handshake).
+    /// The unicast control channel (tones, abort markers).
     Ctrl,
 }
 
@@ -47,9 +47,6 @@ pub struct Incoming {
     pub channel: DgramChannel,
     /// Raw bytes (a [`rmac_wire::datagram`] encoding).
     pub bytes: Vec<u8>,
-    /// The sender's socket address, when the backend knows one (UDP).
-    /// Drivers use it to learn control-channel peers from handshakes.
-    pub peer: Option<std::net::SocketAddr>,
     /// The backend's loss model faded this copy: the energy is on the air
     /// (carrier rises, overlapping receptions still collide) but the
     /// payload is undecodable. A fade that *vanished* the datagram instead

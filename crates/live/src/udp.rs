@@ -4,8 +4,8 @@
 //! data out by unicast: control datagrams go to one known peer, data
 //! datagrams to every known peer. Because everything leaves from this one
 //! socket, every arrival carries the sender's address as its source, and
-//! peers learn each other's addresses from traffic alone (a `Hello` is
-//! enough to bootstrap).
+//! peers learn each other's addresses from traffic alone: any datagram whose
+//! header and CRC check out (a tone edge is enough to bootstrap).
 //!
 //! The endpoint is sans-select: [`UdpTransport::poll`] never blocks, and
 //! [`UdpTransport::wait_until`] blocks at most until a MAC-time deadline
@@ -173,7 +173,6 @@ impl UdpTransport {
             at: pkt.at,
             channel,
             bytes: pkt.bytes,
-            peer: Some(pkt.from),
             // Real UDP has no "faded but present" state: the kernel drops
             // checksum failures before we see them.
             corrupt: false,
@@ -281,7 +280,7 @@ mod tests {
         None
     }
 
-    /// Fan-out end to end: peer learning from a Hello, data and
+    /// Fan-out end to end: peer learning from a tone edge, data and
     /// control both flowing, channel classified by body.
     #[test]
     fn unicast_exchange_with_peer_learning() {
@@ -297,13 +296,12 @@ mod tests {
             b.send_ctrl(n(1), b"x"),
             Err(TransportError::UnknownPeer(_))
         ));
-        // a says hello on the control channel; b learns a's address.
-        a.send_ctrl(n(2), &dgram(1, DgramBody::Hello { session: 7 }))
+        // a raises a tone on the control channel; b learns a's address.
+        a.send_ctrl(n(2), &dgram(1, DgramBody::Tone { tone: 0, on: true }))
             .unwrap();
-        let inc = recv_one(&mut b).expect("hello arrives");
+        let inc = recv_one(&mut b).expect("tone arrives");
         assert_eq!(inc.channel, DgramChannel::Ctrl);
-        assert_eq!(inc.peer, Some(a.ctrl_addr()));
-        assert!(b.peers().contains_key(&n(1)));
+        assert_eq!(b.peers().get(&n(1)), Some(&a.ctrl_addr()));
         // b can now reply; a's tone datagram classifies as control…
         b.send_ctrl(n(1), &dgram(2, DgramBody::Tone { tone: 0, on: true }))
             .unwrap();
@@ -324,12 +322,6 @@ mod tests {
         let bodies = [
             DgramBody::Frame(bytes::Bytes::from_static(b"frame")),
             DgramBody::Tone { tone: 1, on: true },
-            DgramBody::Announce {
-                session: 3,
-                receivers: vec![n(4), n(5)],
-            },
-            DgramBody::Hello { session: 7 },
-            DgramBody::Bye,
             DgramBody::Abort { counter: 9 },
         ];
         for body in bodies {
@@ -367,12 +359,13 @@ mod tests {
         )
         .unwrap();
         a.add_peer(n(2), b.ctrl_addr());
-        a.send_ctrl(n(2), &dgram(1, DgramBody::Bye)).unwrap();
+        a.send_ctrl(n(2), &dgram(1, DgramBody::Abort { counter: 0 }))
+            .unwrap();
         // Give the datagram ample time to land, then sleep some more
         // before polling: the stamp must predate the poll.
         std::thread::sleep(Duration::from_millis(60));
         let polled_at = b.now();
-        let inc = recv_one(&mut b).expect("bye arrives");
+        let inc = recv_one(&mut b).expect("abort arrives");
         assert!(
             inc.at <= polled_at,
             "stamped {} but polled {}",

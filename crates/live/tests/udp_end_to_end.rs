@@ -34,7 +34,7 @@ const SUB: NodeId = NodeId(2);
 const SCALE: u32 = 1000;
 
 /// Two bound endpoints that know each other's control address (a real
-/// deployment would learn them from Hello datagrams instead).
+/// deployment would learn them from each other's traffic instead).
 fn pair(scale: u32) -> (UdpTransport, UdpTransport) {
     let bind = |id| {
         UdpTransport::new(

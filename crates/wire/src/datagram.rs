@@ -1,10 +1,10 @@
 //! Live-transport datagram framing (the `rmac-live` wire format).
 //!
 //! The live backend runs the unmodified RMAC core over real sockets: MAC
-//! frames travel as UDP multicast payloads on the *data* channel, and the
-//! narrow-band busy tones — physical sinusoids in the paper — become short
-//! out-of-band *control* datagrams on a per-subscriber unicast socket
-//! (PDXostc RMC's architecture: multicast data, per-subscriber control).
+//! frames travel on the *data* channel, fanned out by unicast to every
+//! known peer, and the narrow-band busy tones — physical sinusoids in the
+//! paper — become short out-of-band *control* datagrams to one peer each
+//! (after PDXostc RMC's split of data and per-subscriber control).
 //!
 //! Every datagram, on either channel, wears the same 12-byte header:
 //!
@@ -23,9 +23,6 @@
 //! |------|----------|-------------------------------------------|
 //! | 1 | Frame | a [`codec`]-encoded MAC frame (opaque here) |
 //! | 2 | Tone | tone(1) ∈ {0=RBT, 1=ABT}, on(1) ∈ {0, 1} |
-//! | 3 | Announce | session(4), count(1), receiver-id(2)×count |
-//! | 4 | Hello | session(4) |
-//! | 5 | Bye | (empty) |
 //! | 6 | Abort | counter(4) of the aborted `Frame` datagram |
 //!
 //! `Tone` datagrams are the busy-tone stand-ins (§3.2): a receiver raising
@@ -35,17 +32,14 @@
 //! retracts a frame the radio would have truncated: a datagram, once sent,
 //! arrives whole, so a sender that aborts mid-"transmission" (RBT sensed
 //! during its MRTS) follows up with `Abort{counter}` and receivers treat
-//! the named frame as corrupt. `Announce`/`Hello`/`Bye` carry the
-//! RMC-style session handshake (publisher announce with its receiver list,
-//! subscriber connect, teardown); the receiver list is bounded by
-//! [`MAX_MRTS_RECEIVERS`] exactly like the MRTS order list it feeds.
+//! the named frame as corrupt. Kinds 3–5 are unassigned: any other kind
+//! byte is [`DatagramError::UnknownKind`].
 //!
 //! [`codec`]: crate::codec
 
 use bytes::Bytes;
 
 use crate::addr::NodeId;
-use crate::consts::MAX_MRTS_RECEIVERS;
 use crate::crc::crc32;
 
 /// Magic tag opening every live datagram: "RL".
@@ -93,20 +87,6 @@ pub enum DgramBody {
         /// Rising (`true`) or falling (`false`) edge.
         on: bool,
     },
-    /// Publisher announce: session id plus the ordered receiver list.
-    Announce {
-        /// Session identifier.
-        session: u32,
-        /// Ordered receivers, bounded by [`MAX_MRTS_RECEIVERS`].
-        receivers: Vec<NodeId>,
-    },
-    /// Subscriber connect.
-    Hello {
-        /// Session identifier.
-        session: u32,
-    },
-    /// Session teardown.
-    Bye,
     /// Retraction of an earlier `Frame` datagram from the same sender: the
     /// transmission was aborted mid-air (the radio would have truncated
     /// it), so receivers must treat the frame carried by the sender's
@@ -122,9 +102,6 @@ impl DgramBody {
         match self {
             DgramBody::Frame(_) => 1,
             DgramBody::Tone { .. } => 2,
-            DgramBody::Announce { .. } => 3,
-            DgramBody::Hello { .. } => 4,
-            DgramBody::Bye => 5,
             DgramBody::Abort { .. } => 6,
         }
     }
@@ -152,8 +129,6 @@ pub enum DatagramError {
     /// A `Tone` body naming a tone channel that does not exist, or an
     /// on/off flag that is neither 0 nor 1.
     BadTone(u8),
-    /// An `Announce` receiver list longer than [`MAX_MRTS_RECEIVERS`].
-    TooManyReceivers(usize),
     /// The body is longer than its fixed-size kind allows.
     TrailingBytes(usize),
 }
@@ -172,9 +147,6 @@ impl std::fmt::Display for DatagramError {
             }
             DatagramError::UnknownKind(k) => write!(f, "unknown datagram kind {k}"),
             DatagramError::BadTone(t) => write!(f, "bad tone field {t}"),
-            DatagramError::TooManyReceivers(n) => {
-                write!(f, "announce lists {n} receivers (max {MAX_MRTS_RECEIVERS})")
-            }
             DatagramError::TrailingBytes(n) => write!(f, "{n} trailing bytes after body"),
         }
     }
@@ -187,9 +159,6 @@ pub fn encode_datagram(d: &Datagram) -> Vec<u8> {
     let body_len = match &d.body {
         DgramBody::Frame(b) => b.len(),
         DgramBody::Tone { .. } => 2,
-        DgramBody::Announce { receivers, .. } => 5 + 2 * receivers.len(),
-        DgramBody::Hello { .. } => 4,
-        DgramBody::Bye => 0,
         DgramBody::Abort { .. } => 4,
     };
     let mut out = Vec::with_capacity(DGRAM_HEADER_LEN + body_len + DGRAM_CRC_LEN);
@@ -206,16 +175,6 @@ pub fn encode_datagram(d: &Datagram) -> Vec<u8> {
             out.push(*tone);
             out.push(u8::from(*on));
         }
-        DgramBody::Announce { session, receivers } => {
-            debug_assert!(receivers.len() <= MAX_MRTS_RECEIVERS);
-            out.extend_from_slice(&session.to_be_bytes());
-            out.push(receivers.len() as u8);
-            for r in receivers {
-                out.extend_from_slice(&r.0.to_be_bytes());
-            }
-        }
-        DgramBody::Hello { session } => out.extend_from_slice(&session.to_be_bytes()),
-        DgramBody::Bye => {}
         DgramBody::Abort { counter } => out.extend_from_slice(&counter.to_be_bytes()),
     }
     let crc = crc32(&out);
@@ -246,7 +205,7 @@ pub struct DgramHeader {
 pub fn decode_header(data: &[u8]) -> Result<DgramHeader, DatagramError> {
     let covered = checked(data)?;
     match covered[3] {
-        1..=6 => Ok(DgramHeader {
+        1 | 2 | 6 => Ok(DgramHeader {
             src: NodeId(be_u16(&covered[4..6])),
             frame: covered[3] == 1,
         }),
@@ -303,46 +262,6 @@ pub fn decode_datagram(data: &[u8]) -> Result<Datagram, DatagramError> {
                 other => return Err(DatagramError::BadTone(other)),
             };
             DgramBody::Tone { tone, on }
-        }
-        3 => {
-            if body.len() < 5 {
-                return Err(DatagramError::Truncated);
-            }
-            let session = be_u32(&body[0..4]);
-            let count = body[4] as usize;
-            // Validate the claimed count before the length, like the MRTS
-            // decoder: an oversized claim is TooManyReceivers even when
-            // the ids are actually present.
-            if count > MAX_MRTS_RECEIVERS {
-                return Err(DatagramError::TooManyReceivers(count));
-            }
-            if body.len() < 5 + 2 * count {
-                return Err(DatagramError::Truncated);
-            }
-            if body.len() > 5 + 2 * count {
-                return Err(DatagramError::TrailingBytes(body.len() - 5 - 2 * count));
-            }
-            let receivers = (0..count)
-                .map(|i| NodeId(be_u16(&body[5 + 2 * i..7 + 2 * i])))
-                .collect();
-            DgramBody::Announce { session, receivers }
-        }
-        4 => {
-            if body.len() < 4 {
-                return Err(DatagramError::Truncated);
-            }
-            if body.len() > 4 {
-                return Err(DatagramError::TrailingBytes(body.len() - 4));
-            }
-            DgramBody::Hello {
-                session: be_u32(&body[0..4]),
-            }
-        }
-        5 => {
-            if !body.is_empty() {
-                return Err(DatagramError::TrailingBytes(body.len()));
-            }
-            DgramBody::Bye
         }
         6 => {
             if body.len() < 4 {
@@ -405,34 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn announce_roundtrips_up_to_the_mrts_limit() {
-        for n in [0usize, 1, MAX_MRTS_RECEIVERS] {
-            roundtrip(Datagram {
-                src: NodeId(1),
-                counter: 3,
-                body: DgramBody::Announce {
-                    session: 0xDEAD_BEEF,
-                    receivers: (0..n as u16).map(NodeId).collect(),
-                },
-            });
-        }
-    }
-
-    #[test]
-    fn hello_and_bye_roundtrip() {
-        roundtrip(Datagram {
-            src: NodeId(5),
-            counter: 1,
-            body: DgramBody::Hello { session: 77 },
-        });
-        roundtrip(Datagram {
-            src: NodeId(5),
-            counter: 2,
-            body: DgramBody::Bye,
-        });
-    }
-
-    #[test]
     fn abort_roundtrips() {
         roundtrip(Datagram {
             src: NodeId(12),
@@ -446,7 +337,7 @@ mod tests {
         let wire = encode_datagram(&Datagram {
             src: NodeId(65535),
             counter: u32::MAX,
-            body: DgramBody::Bye,
+            body: DgramBody::Abort { counter: 1 },
         });
         let d = decode_datagram(&wire).expect("decode");
         assert_eq!(d.src, NodeId(65535));
@@ -458,7 +349,7 @@ mod tests {
         let mut wire = encode_datagram(&Datagram {
             src: NodeId(2),
             counter: 8,
-            body: DgramBody::Hello { session: 1 },
+            body: DgramBody::Abort { counter: 1 },
         });
         // Flip one payload bit (past magic/version so those checks pass).
         wire[9] ^= 0x10;

@@ -8,7 +8,6 @@
 
 use bytes::Bytes;
 use rmac_wire::addr::NodeId;
-use rmac_wire::consts::MAX_MRTS_RECEIVERS;
 use rmac_wire::crc::crc32;
 use rmac_wire::datagram::{
     decode_datagram, encode_datagram, Datagram, DatagramError, DgramBody, DGRAM_HEADER_LEN,
@@ -54,7 +53,7 @@ fn short_inputs_are_truncated_not_panics() {
 fn foreign_packets_report_bad_magic_not_a_crc_accident() {
     // A stray packet from another program: magic is checked first so the
     // report names the real problem.
-    let mut wire = seal(5, &[]);
+    let mut wire = seal(6, &[0, 0, 0, 1]);
     wire[0] = 0x00;
     wire[1] = 0x01;
     assert_eq!(
@@ -66,7 +65,7 @@ fn foreign_packets_report_bad_magic_not_a_crc_accident() {
 #[test]
 fn future_versions_are_rejected_by_value() {
     for v in [0u8, 2, 0xFF] {
-        let mut wire = seal(5, &[]);
+        let mut wire = seal(6, &[0, 0, 0, 1]);
         wire[2] = v;
         // Re-seal: the version byte is under the CRC.
         let len = wire.len();
@@ -85,7 +84,7 @@ fn version_is_checked_before_crc() {
     // Flip the version WITHOUT fixing the trailer: the version gate must
     // fire first, so an incompatible peer is named as such rather than as
     // line noise.
-    let mut wire = seal(5, &[]);
+    let mut wire = seal(6, &[0, 0, 0, 1]);
     wire[2] = 9;
     assert_eq!(
         decode_datagram(&wire).unwrap_err(),
@@ -115,7 +114,7 @@ fn crc_is_checked_before_layout() {
 
 #[test]
 fn unknown_kind_bytes_are_rejected_by_value() {
-    for k in [0u8, 7, 42, 0xFF] {
+    for k in [0u8, 3, 4, 5, 7, 42, 0xFF] {
         let wire = seal(k, &[]);
         assert_eq!(
             decode_datagram(&wire).unwrap_err(),
@@ -157,73 +156,13 @@ fn tone_channel_and_edge_values_are_validated() {
 }
 
 #[test]
-fn announce_count_byte_claims_more_receivers_than_present() {
-    // session(4) + count says 3, only one id follows.
-    let mut body = 77u32.to_be_bytes().to_vec();
-    body.push(3);
-    body.extend_from_slice(&1u16.to_be_bytes());
+fn abort_body_is_exactly_four_bytes() {
     assert_eq!(
-        decode_datagram(&seal(3, &body)).unwrap_err(),
+        decode_datagram(&seal(6, &[1, 2, 3])).unwrap_err(),
         DatagramError::Truncated
     );
-}
-
-#[test]
-fn announce_count_over_the_mrts_limit_is_rejected_cheaply() {
-    // The count is validated BEFORE the length check, exactly like the
-    // MRTS decoder: a malicious 255 with no ids behind it fails on the
-    // bound, not on a long read — and an oversized list that IS present
-    // still fails the same way.
-    let mut body = 77u32.to_be_bytes().to_vec();
-    body.push(255);
     assert_eq!(
-        decode_datagram(&seal(3, &body)).unwrap_err(),
-        DatagramError::TooManyReceivers(255)
-    );
-    let count = MAX_MRTS_RECEIVERS + 1;
-    let mut body = 77u32.to_be_bytes().to_vec();
-    body.push(count as u8);
-    for i in 0..count {
-        body.extend_from_slice(&(i as u16).to_be_bytes());
-    }
-    assert_eq!(
-        decode_datagram(&seal(3, &body)).unwrap_err(),
-        DatagramError::TooManyReceivers(count)
-    );
-}
-
-#[test]
-fn announce_with_trailing_bytes_is_rejected() {
-    let mut body = 77u32.to_be_bytes().to_vec();
-    body.push(1);
-    body.extend_from_slice(&4u16.to_be_bytes());
-    body.push(0xEE); // one byte past the declared list
-    assert_eq!(
-        decode_datagram(&seal(3, &body)).unwrap_err(),
-        DatagramError::TrailingBytes(1)
-    );
-}
-
-#[test]
-fn hello_and_abort_bodies_are_exactly_four_bytes() {
-    for kind in [4u8, 6] {
-        assert_eq!(
-            decode_datagram(&seal(kind, &[1, 2, 3])).unwrap_err(),
-            DatagramError::Truncated,
-            "kind {kind} short"
-        );
-        assert_eq!(
-            decode_datagram(&seal(kind, &[1, 2, 3, 4, 5])).unwrap_err(),
-            DatagramError::TrailingBytes(1),
-            "kind {kind} long"
-        );
-    }
-}
-
-#[test]
-fn bye_must_be_empty() {
-    assert_eq!(
-        decode_datagram(&seal(5, &[0])).unwrap_err(),
+        decode_datagram(&seal(6, &[1, 2, 3, 4, 5])).unwrap_err(),
         DatagramError::TrailingBytes(1)
     );
 }
@@ -236,10 +175,7 @@ fn every_truncation_of_a_valid_datagram_errors_cleanly() {
     let wire = encode_datagram(&Datagram {
         src: n(3),
         counter: 12,
-        body: DgramBody::Announce {
-            session: 1,
-            receivers: vec![n(1), n(7), n(2)],
-        },
+        body: DgramBody::Abort { counter: 11 },
     });
     for len in 0..wire.len() {
         assert!(
@@ -277,7 +213,6 @@ fn datagram_errors_render_distinct_messages() {
         .to_string(),
         DatagramError::UnknownKind(42).to_string(),
         DatagramError::BadTone(7).to_string(),
-        DatagramError::TooManyReceivers(21).to_string(),
         DatagramError::TrailingBytes(3).to_string(),
     ];
     for (i, a) in msgs.iter().enumerate() {

@@ -12,6 +12,8 @@ use std::fs;
 use std::path::Path;
 use std::sync::OnceLock;
 
+use rmac_wire::json::Json;
+
 /// One file of the tree: its path from the root, `/`-separated, and its text.
 struct Source {
     path: String,
@@ -865,6 +867,35 @@ fn a_protocol_label_is_spelled_once() {
         &found,
         "a protocol label is spelled outside Protocol::label",
     );
+}
+
+/// A store key is named once in `store.rs`'s code: by its row in the one
+/// list that writes the line, parses it and maps it to and from a report
+/// (DESIGN.md §10), so no key drifts back into a parallel list. The keys are
+/// a tracked store line's and `obs_counters`.
+#[test]
+fn a_store_key_is_named_once() {
+    const HOME: &str = "crates/campaign/src/store.rs";
+    let store = &source("results/campaigns/gate/store.jsonl").text;
+    let line = store.lines().next().expect("a tracked store line");
+    let Ok(Json::Obj(fields)) = Json::parse(line) else {
+        panic!("a store line is a JSON object");
+    };
+    let named = |key: &str| -> usize {
+        let quoted = format!("\"{key}\"");
+        source(HOME)
+            .code()
+            .map(|(_, l)| l.matches(&quoted).count())
+            .sum()
+    };
+    let found: Vec<String> = (fields.iter().map(|(key, _)| key.as_str()))
+        .chain(["obs_counters"])
+        .filter_map(|key| {
+            let n = named(key);
+            (n != 1).then(|| format!("{HOME}: \"{key}\" is named {n} times"))
+        })
+        .collect();
+    assert_none(&found, "a store key is not named exactly once");
 }
 
 /// `Run` is the one way in (DESIGN.md §8): no Rust file names the shims
