@@ -10,6 +10,10 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Intra-doc links name items by path, so a moved or privatised item breaks one silently.
+echo "==> cargo doc --workspace --no-deps, warnings denied"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # A debug build on purpose: rmac-live's hostile-clock proptest (crates/live/src/node.rs) and the hub's
 # send-order check hold invariants whose checks are debug_asserts. tests/architecture.rs runs here too:
 # the structural rules (DESIGN.md §1, §2, §4–§11) are tests of the root package.

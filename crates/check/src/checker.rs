@@ -5,8 +5,9 @@
 //! and before the node's MAC reacts, and it asserts the paper's invariants
 //! online. Everything is formulated against *sensed* state (what the node's
 //! radio could know: the frames delivered to it and, for the RBT, the
-//! channel's tone records read at the same cursor its MAC reads them, carried
-//! by each `tx_start`), never against global geometry: physical-layer
+//! channel's tone records read at the same cursor its MAC reads them, asked
+//! of the backend ([`Sensing`]) at each `tx_start`), never against global
+//! geometry: physical-layer
 //! capture can fool a fully conformant sender into transmitting data
 //! against a foreign RBT, so a geometric "no overlap" rule would flag
 //! correct runs (DESIGN.md §9).
@@ -15,7 +16,9 @@
 //! no events and touches no channel state, so an attached checker leaves
 //! every `RunReport` bit-identical (enforced by `tests/conformance.rs`).
 
-use rmac_phy::{FaultKind, Tone, ToneLog, TraceEvent, TraceWhat, TONE_HISTORY};
+use std::sync::Arc;
+
+use rmac_phy::{FaultKind, Reader, Sensing, Tone, ToneLog, TraceEvent, TraceWhat, TONE_HISTORY};
 use rmac_sim::SimTime;
 use rmac_wire::consts::{LAMBDA, L_ABT, T_WF};
 use rmac_wire::{Frame, FrameKind, NodeId};
@@ -61,8 +64,8 @@ impl CheckConfig {
 /// propagation (τ ≤ 1 µs) plus clock-skew stretch on short timers.
 const TOL_NS: u64 = 2_000;
 /// C1's look-back window: the WF_RBT watch is T_WF long; the slack covers
-/// skew-stretched timers. A `tx_start` carries the sender's sensed RBT over
-/// this much past.
+/// skew-stretched timers. At a `tx_start` the checker asks for the sender's
+/// sensed RBT over this much past.
 pub const C1_WINDOW: SimTime = SimTime::from_nanos(T_WF.nanos() + 2_000);
 const _: () = assert!(C1_WINDOW.nanos() <= TONE_HISTORY.nanos());
 /// How long an unused ABT permission is kept.
@@ -107,6 +110,39 @@ pub struct Checker {
     report: CheckReport,
 }
 
+/// The checker's fold of the stream, fed each event *before* the node's MAC
+/// reacts to it. What it lives on: a protocol node's transmission starts
+/// (with the RBT it sensed over the last [`C1_WINDOW`], asked of the
+/// backend) and completions, its own tone raises and lowerings, the frames
+/// it receives clean, and its crashes. Jammers are environment — they have
+/// no `tx_start` or `tone_emit` — and the tone flips a node is told of
+/// depend on what its MAC asked for, so neither is followed here.
+impl Reader for Checker {
+    fn on_event(&mut self, ev: &TraceEvent<&Arc<Frame>>, sensed: &mut Sensing<'_>) {
+        let (t, node) = (ev.t, ev.node);
+        match &ev.what {
+            TraceWhat::TxStart { frame } => {
+                let rbt = sensed(node, C1_WINDOW);
+                self.tx_start(t, node, frame.as_ref(), &rbt);
+            }
+            TraceWhat::TxDone { frame, aborted } => self.tx_done(t, node, frame.as_ref(), *aborted),
+            TraceWhat::Rx { frame, ok: true } => {
+                let frame = frame.as_ref();
+                self.report.rx_ok_checked += 1;
+                self.check_half_duplex(t, node, frame);
+                match self.cfg.class {
+                    ProtocolClass::Rmac => self.track_rmac_rx(t.nanos(), node, frame),
+                    ProtocolClass::Bmmm => self.track_bmmm_rx(t.nanos(), node, frame),
+                    ProtocolClass::Other => {}
+                }
+            }
+            TraceWhat::ToneEmit { tone, on } => self.tone_emit(t, node, *tone, *on),
+            TraceWhat::Fault(FaultKind::Crash) => self.node_down(node),
+            _ => {}
+        }
+    }
+}
+
 impl Checker {
     /// A fresh checker for one replication.
     pub fn new(cfg: CheckConfig) -> Checker {
@@ -138,38 +174,6 @@ impl Checker {
     /// Is this a protocol node (not a jammer slot)?
     fn is_protocol(&self, node: NodeId) -> bool {
         node.idx() < self.cfg.nodes
-    }
-
-    /// Fold the next event of the stream, fed *before* the node's MAC
-    /// reacts to it. What the checker lives on: a protocol node's
-    /// transmission starts (with the RBT it sensed over the last
-    /// [`C1_WINDOW`]) and completions, its own tone raises and lowerings,
-    /// the frames it receives clean, and its crashes. Jammers are
-    /// environment — they have no `tx_start` or `tone_emit` — and the tone
-    /// flips a node is told of depend on what its MAC asked for, so neither
-    /// is followed here.
-    pub fn on_event<F: AsRef<Frame>>(&mut self, ev: &TraceEvent<F>) {
-        let (t, node) = (ev.t, ev.node);
-        match &ev.what {
-            TraceWhat::TxStart { frame, rbt } => {
-                let rbt = rbt.as_ref().expect("a checked tx_start carries its RBT");
-                self.tx_start(t, node, frame.as_ref(), rbt);
-            }
-            TraceWhat::TxDone { frame, aborted } => self.tx_done(t, node, frame.as_ref(), *aborted),
-            TraceWhat::Rx { frame, ok: true } => {
-                let frame = frame.as_ref();
-                self.report.rx_ok_checked += 1;
-                self.check_half_duplex(t, node, frame);
-                match self.cfg.class {
-                    ProtocolClass::Rmac => self.track_rmac_rx(t.nanos(), node, frame),
-                    ProtocolClass::Bmmm => self.track_bmmm_rx(t.nanos(), node, frame),
-                    ProtocolClass::Other => {}
-                }
-            }
-            TraceWhat::ToneEmit { tone, on } => self.tone_emit(t, node, *tone, *on),
-            TraceWhat::Fault(FaultKind::Crash) => self.node_down(node),
-            _ => {}
-        }
     }
 
     fn tx_start(&mut self, t: SimTime, node: NodeId, frame: &Frame, rbt: &ToneLog) {
@@ -511,7 +515,11 @@ mod tests {
         )
     }
 
-    fn at(t: SimTime, node: u16, what: TraceWhat) -> TraceEvent {
+    /// An event as the engine's live stream carries it, its frame borrowed
+    /// (from a handle the test leaks).
+    type Live = TraceEvent<&'static Arc<Frame>>;
+
+    fn at(t: SimTime, node: u16, what: TraceWhat<&'static Arc<Frame>>) -> Live {
         TraceEvent {
             t,
             node: NodeId(node),
@@ -519,29 +527,39 @@ mod tests {
         }
     }
 
-    fn tx_start(t: SimTime, node: u16, frame: &Frame, rbt: ToneLog) -> TraceEvent {
-        let (frame, rbt) = (frame.clone().into(), Some(rbt));
-        at(t, node, TraceWhat::TxStart { frame, rbt })
+    fn live(frame: &Frame) -> &'static Arc<Frame> {
+        Box::leak(Box::new(Arc::new(frame.clone())))
     }
 
-    fn tx_done(t: SimTime, node: u16, frame: &Frame, aborted: bool) -> TraceEvent {
-        let frame = frame.clone().into();
+    fn tx_start(t: SimTime, node: u16, frame: &Frame) -> Live {
+        let frame = live(frame);
+        at(t, node, TraceWhat::TxStart { frame })
+    }
+
+    fn tx_done(t: SimTime, node: u16, frame: &Frame, aborted: bool) -> Live {
+        let frame = live(frame);
         at(t, node, TraceWhat::TxDone { frame, aborted })
     }
 
-    fn rx(t: SimTime, node: u16, frame: &Frame) -> TraceEvent {
-        let frame = frame.clone().into();
+    fn rx(t: SimTime, node: u16, frame: &Frame) -> Live {
+        let frame = live(frame);
         at(t, node, TraceWhat::Rx { frame, ok: true })
     }
 
-    fn tone(t: SimTime, node: u16, tone: Tone, on: bool) -> TraceEvent {
+    fn tone(t: SimTime, node: u16, tone: Tone, on: bool) -> Live {
         at(t, node, TraceWhat::ToneEmit { tone, on })
     }
 
+    /// The backend of an event no reader asks about.
+    fn unasked(node: NodeId, _: SimTime) -> ToneLog {
+        panic!("only a tx_start asks for n{}'s RBT", node.0)
+    }
+
     /// The RBT as sensed over the C1 window before a transmission start at
-    /// `t` µs: silent but for the `(rise, fall)` intervals given in µs (a
-    /// fall at `t` or later is still to come).
-    fn rbt(t: u64, on: &[(u64, u64)]) -> ToneLog {
+    /// `t` µs, as the backend answers a `tx_start`: silent but for the
+    /// `(rise, fall)` intervals given in µs (a fall at `t` or later is still
+    /// to come).
+    fn rbt(t: u64, on: &[(u64, u64)]) -> impl FnMut(NodeId, SimTime) -> ToneLog {
         let end = us(t);
         let start = end.saturating_sub(C1_WINDOW);
         let mut log = ToneLog {
@@ -560,7 +578,10 @@ mod tests {
                 log.edges.push((us(fall), false));
             }
         }
-        log
+        move |_, over| {
+            assert_eq!(over, C1_WINDOW);
+            log.clone()
+        }
     }
 
     #[test]
@@ -568,15 +589,15 @@ mod tests {
         let mut c = checker(ProtocolClass::Rmac);
         let m = mrts();
         // MRTS goes out on a silent RBT channel…
-        c.on_event(&tx_start(us(100), 0, &m, rbt(100, &[])));
-        c.on_event(&tx_done(us(292), 0, &m, false));
+        c.on_event(&tx_start(us(100), 0, &m), &mut rbt(100, &[]));
+        c.on_event(&tx_done(us(292), 0, &m, false), &mut unasked);
         // …receivers hear it and answer with the RBT…
-        c.on_event(&rx(us(292), 1, &m));
-        c.on_event(&tone(us(292), 1, Tone::Rbt, true));
+        c.on_event(&rx(us(292), 1, &m), &mut unasked);
+        c.on_event(&tone(us(292), 1, Tone::Rbt, true), &mut unasked);
         // …the sender detects ≥ λ of tone across its T_WF window and
         // transmits the data frame.
         let d = data();
-        c.on_event(&tx_start(us(310), 0, &d, rbt(310, &[(293, 9999)])));
+        c.on_event(&tx_start(us(310), 0, &d), &mut rbt(310, &[(293, 9999)]));
         let report = c.finish(us(1000));
         assert!(report.is_clean(), "{}", report.summary());
         assert_eq!(report.tx_checked, 2);
@@ -587,9 +608,9 @@ mod tests {
         let mut c = checker(ProtocolClass::Rmac);
         // No tone ever sensed: a conformant sender would have failed the
         // attempt (Table 1 C12); transmitting anyway is the mutation.
-        c.on_event(&tx_start(us(300), 0, &data(), rbt(300, &[])));
+        c.on_event(&tx_start(us(300), 0, &data()), &mut rbt(300, &[]));
         // So is transmitting on a dwell shorter than λ.
-        c.on_event(&tx_start(us(400), 1, &data(), rbt(400, &[(380, 390)])));
+        c.on_event(&tx_start(us(400), 1, &data()), &mut rbt(400, &[(380, 390)]));
         let report = c.finish(us(1000));
         assert_eq!(report.count(Invariant::C1RbtProtection), 2);
     }
@@ -597,7 +618,10 @@ mod tests {
     #[test]
     fn c1_flags_mrts_against_sensed_rbt() {
         let mut c = checker(ProtocolClass::Rmac);
-        c.on_event(&tx_start(us(120), 0, &mrts(), rbt(120, &[(110, 9999)])));
+        c.on_event(
+            &tx_start(us(120), 0, &mrts()),
+            &mut rbt(120, &[(110, 9999)]),
+        );
         let report = c.finish(us(1000));
         assert_eq!(report.count(Invariant::C1RbtProtection), 1);
         assert!(report.violations[0].detail.contains("Mrts"));
@@ -607,15 +631,15 @@ mod tests {
     #[test]
     fn c1_accepts_mrts_after_tone_clears() {
         let mut c = checker(ProtocolClass::Rmac);
-        c.on_event(&tx_start(us(140), 0, &mrts(), rbt(140, &[(100, 130)])));
+        c.on_event(&tx_start(us(140), 0, &mrts()), &mut rbt(140, &[(100, 130)]));
         assert!(c.finish(us(1000)).is_clean());
     }
 
     #[test]
     fn c2_flags_ungoverned_rbt_and_abt() {
         let mut c = checker(ProtocolClass::Rmac);
-        c.on_event(&tone(us(100), 1, Tone::Rbt, true));
-        c.on_event(&tone(us(200), 2, Tone::Abt, true));
+        c.on_event(&tone(us(100), 1, Tone::Rbt, true), &mut unasked);
+        c.on_event(&tone(us(200), 2, Tone::Abt, true), &mut unasked);
         let report = c.finish(us(1000));
         assert_eq!(report.count(Invariant::C2GovernedResponse), 2);
     }
@@ -624,14 +648,14 @@ mod tests {
     fn c2_accepts_the_granted_abt_slot() {
         let mut c = checker(ProtocolClass::Rmac);
         let m = mrts();
-        c.on_event(&rx(us(100), 2, &m)); // n2 is slot 1
-        c.on_event(&tone(us(100), 2, Tone::Rbt, true));
-        c.on_event(&rx(us(500), 2, &data()));
-        c.on_event(&tone(us(400), 2, Tone::Rbt, false));
+        c.on_event(&rx(us(100), 2, &m), &mut unasked); // n2 is slot 1
+        c.on_event(&tone(us(100), 2, Tone::Rbt, true), &mut unasked);
+        c.on_event(&rx(us(500), 2, &data()), &mut unasked);
+        c.on_event(&tone(us(400), 2, Tone::Rbt, false), &mut unasked);
         // Slot 1 opens L_ABT after the data frame's end.
         let due = us(500 + 17);
-        c.on_event(&tone(due, 2, Tone::Abt, true));
-        c.on_event(&tone(due + L_ABT, 2, Tone::Abt, false));
+        c.on_event(&tone(due, 2, Tone::Abt, true), &mut unasked);
+        c.on_event(&tone(due + L_ABT, 2, Tone::Abt, false), &mut unasked);
         let report = c.finish(us(1000));
         assert!(report.is_clean(), "{}", report.summary());
     }
@@ -640,10 +664,10 @@ mod tests {
     fn c2_flags_abt_in_the_wrong_slot() {
         let mut c = checker(ProtocolClass::Rmac);
         let m = mrts();
-        c.on_event(&rx(us(100), 2, &m)); // granted slot 1 (17 µs)
-        c.on_event(&tone(us(100), 2, Tone::Rbt, true));
-        c.on_event(&rx(us(500), 2, &data()));
-        c.on_event(&tone(us(500), 2, Tone::Abt, true)); // slot 0 is n1's
+        c.on_event(&rx(us(100), 2, &m), &mut unasked); // granted slot 1 (17 µs)
+        c.on_event(&tone(us(100), 2, Tone::Rbt, true), &mut unasked);
+        c.on_event(&rx(us(500), 2, &data()), &mut unasked);
+        c.on_event(&tone(us(500), 2, Tone::Abt, true), &mut unasked); // slot 0 is n1's
         let report = c.finish(us(1000));
         assert_eq!(report.count(Invariant::C2GovernedResponse), 1);
     }
@@ -652,7 +676,7 @@ mod tests {
     fn c2_flags_foreign_frame_kinds() {
         let mut c = checker(ProtocolClass::Rmac);
         let ack = Frame::control(FrameKind::Ack, NodeId(1), NodeId(0), SimTime::ZERO);
-        c.on_event(&tx_start(us(100), 1, &ack, rbt(100, &[])));
+        c.on_event(&tx_start(us(100), 1, &ack), &mut rbt(100, &[]));
         let report = c.finish(us(1000));
         // Outside RMAC's alphabet (C2); half-duplex/airtime untouched.
         assert_eq!(report.count(Invariant::C2GovernedResponse), 1);
@@ -662,10 +686,10 @@ mod tests {
     fn c3_flags_wrong_airtime() {
         let mut c = checker(ProtocolClass::Rmac);
         let m = mrts();
-        c.on_event(&tx_start(us(100), 0, &m, rbt(100, &[])));
+        c.on_event(&tx_start(us(100), 0, &m), &mut rbt(100, &[]));
         // MRTS with 2 receivers = 24 bytes → 96 + 4·24 = 192 µs, but the
         // completion arrives 10 µs late.
-        c.on_event(&tx_done(us(302), 0, &m, false));
+        c.on_event(&tx_done(us(302), 0, &m, false), &mut unasked);
         let report = c.finish(us(1000));
         assert_eq!(report.count(Invariant::C3Airtime), 1);
     }
@@ -675,10 +699,10 @@ mod tests {
         let mut c = checker(ProtocolClass::Rmac);
         let m = mrts();
         let air = m.airtime();
-        c.on_event(&tx_start(us(100), 0, &m, rbt(100, &[])));
-        c.on_event(&tx_done(us(100) + air, 0, &m, false));
-        c.on_event(&tx_start(us(1000), 0, &m, rbt(1000, &[])));
-        c.on_event(&tx_done(us(1040), 0, &m, true));
+        c.on_event(&tx_start(us(100), 0, &m), &mut rbt(100, &[]));
+        c.on_event(&tx_done(us(100) + air, 0, &m, false), &mut unasked);
+        c.on_event(&tx_start(us(1000), 0, &m), &mut rbt(1000, &[]));
+        c.on_event(&tx_done(us(1040), 0, &m, true), &mut unasked);
         assert!(c.finish(us(2000)).is_clean());
     }
 
@@ -686,10 +710,10 @@ mod tests {
     fn c5_flags_reception_overlapping_own_tx() {
         let mut c = checker(ProtocolClass::Rmac);
         let m = mrts();
-        c.on_event(&tx_start(us(100), 0, &m, rbt(100, &[])));
+        c.on_event(&tx_start(us(100), 0, &m), &mut rbt(100, &[]));
         // A clean reception lands mid-transmission: impossible on a
         // half-duplex radio.
-        c.on_event(&rx(us(200), 0, &m));
+        c.on_event(&rx(us(200), 0, &m), &mut unasked);
         let report = c.finish(us(1000));
         assert_eq!(report.count(Invariant::C5HalfDuplex), 1);
     }
@@ -699,10 +723,13 @@ mod tests {
         let mut c = checker(ProtocolClass::Rmac);
         let m = mrts();
         let air = m.airtime();
-        c.on_event(&tx_start(us(100), 0, &m, rbt(100, &[])));
-        c.on_event(&tx_done(us(100) + air, 0, &m, false));
+        c.on_event(&tx_start(us(100), 0, &m), &mut rbt(100, &[]));
+        c.on_event(&tx_done(us(100) + air, 0, &m, false), &mut unasked);
         // Arrival strictly after the tx interval.
-        c.on_event(&rx(us(100) + air + air + SimTime::from_micros(5), 0, &m));
+        c.on_event(
+            &rx(us(100) + air + air + SimTime::from_micros(5), 0, &m),
+            &mut unasked,
+        );
         assert!(c.finish(us(5000)).is_clean());
     }
 
@@ -727,10 +754,10 @@ mod tests {
         let rts = Frame::control(FrameKind::Rts, NodeId(0), NodeId(1), SimTime::ZERO);
         let cts = Frame::control(FrameKind::Cts, NodeId(1), NodeId(0), SimTime::ZERO);
         // Ungoverned CTS first…
-        c.on_event(&tx_start(us(50), 2, &cts, rbt(50, &[])));
+        c.on_event(&tx_start(us(50), 2, &cts), &mut rbt(50, &[]));
         // …then a proper RTS → CTS handshake.
-        c.on_event(&rx(us(100), 1, &rts));
-        c.on_event(&tx_start(us(110), 1, &cts, rbt(110, &[])));
+        c.on_event(&rx(us(100), 1, &rts), &mut unasked);
+        c.on_event(&tx_start(us(110), 1, &cts), &mut rbt(110, &[]));
         let report = c.finish(us(1000));
         assert_eq!(report.count(Invariant::C2GovernedResponse), 1);
     }
@@ -740,8 +767,8 @@ mod tests {
         let mut c = checker(ProtocolClass::Rmac);
         // Every ungoverned RBT rise is a violation: one more than are stored.
         for i in 0..=MAX_VIOLATIONS as u64 {
-            c.on_event(&tone(us(10 + 20 * i), 0, Tone::Rbt, true));
-            c.on_event(&tone(us(20 + 20 * i), 0, Tone::Rbt, false));
+            c.on_event(&tone(us(10 + 20 * i), 0, Tone::Rbt, true), &mut unasked);
+            c.on_event(&tone(us(20 + 20 * i), 0, Tone::Rbt, false), &mut unasked);
         }
         let report = c.finish(us(100_000));
         assert_eq!(report.violations.len(), MAX_VIOLATIONS);

@@ -14,10 +14,10 @@
 //! * **C5** half-duplex discipline — no clean reception overlapping an
 //!   own transmission.
 //!
-//! The engine feeds [`Checker::on_event`] the events its tracer sees, each
-//! before the node's MAC reacts: detached, that costs the stream's one
-//! branch per observable; attached, the checker never touches RNG or
-//! schedules events, so results stay bit-identical either way.
+//! The [`Checker`] is a [`Reader`](rmac_phy::Reader) fed the events its
+//! tracer sees, each before the node's MAC reacts: detached, that costs the
+//! stream's one branch per observable; attached, the checker never touches
+//! RNG or schedules events, so results stay bit-identical either way.
 
 pub mod checker;
 pub mod edges;

@@ -1,16 +1,21 @@
-//! Engine-side instrumentation: wiring `rmac-obs` into the event loop.
+//! Engine-side instrumentation: wiring `rmac-obs` and the readers into the event loop.
 //!
 //! Everything here is off unless [`Run::obs`](crate::Run::obs) attaches an
 //! [`ObsConfig`]; the disabled cost in the event loop is the observation
-//! stream's one branch per observable plus an `Option` check per timer arm
-//! and fire. Enabled instrumentation never draws from any
+//! stream's one branch per observable plus a look at the empty reader list
+//! per timer arm and fire. Enabled instrumentation never draws from any
 //! RNG stream, never schedules events, and never changes a control-flow
 //! decision, so an instrumented run's `RunReport` is bit-identical to an
 //! uninstrumented one (enforced by `tests/obs_determinism.rs`).
 
+use std::sync::Arc;
+
+use rmac_check::Checker;
 use rmac_core::api::TimerKind;
 use rmac_obs::{KernelProfiler, NodeObs, Sampler};
+use rmac_phy::trace::{Reader, Sensing, TraceEvent, TraceWhat};
 use rmac_sim::SimTime;
+use rmac_wire::Frame;
 
 use crate::world::Ev;
 
@@ -105,7 +110,7 @@ impl ObsConfig {
     }
 }
 
-/// Live instrumentation state, boxed into the world core when attached.
+/// Live instrumentation state, kept among the run's readers when attached.
 pub(crate) struct EngineObs {
     pub(crate) kernel: KernelProfiler,
     pub(crate) nodes: Vec<NodeObs>,
@@ -120,6 +125,44 @@ impl EngineObs {
                 .map(|_| NodeObs::new(TIMER_LABELS.len()))
                 .collect(),
             sampler: cfg.snapshot_period.map(|p| Sampler::new(p.nanos())),
+        }
+    }
+}
+
+/// A reader attached to a run, as its runner keeps it: fed every event, then
+/// closed out into its own report, if it has one (a tracer has none).
+pub(crate) enum Attached {
+    Obs(Box<EngineObs>),
+    Check(Box<Checker>),
+    Other(Box<dyn Reader + Send>),
+}
+
+impl Reader for Attached {
+    fn on_event(&mut self, ev: &TraceEvent<&Arc<Frame>>, sensed: &mut Sensing<'_>) {
+        match self {
+            Attached::Obs(obs) => obs.on_event(ev, sensed),
+            Attached::Check(check) => check.on_event(ev, sensed),
+            Attached::Other(reader) => reader.on_event(ev, sensed),
+        }
+    }
+}
+
+/// The per-node frame and delivery tallies, a fold of the stream. Tone
+/// occupancy is read from the channel's records at the end of the run
+/// instead: which flips are reported depends on the MACs.
+impl Reader for EngineObs {
+    fn on_event(&mut self, ev: &TraceEvent<&Arc<Frame>>, _: &mut Sensing<'_>) {
+        let (nodes, idx) = (&mut self.nodes, ev.node.idx());
+        match &ev.what {
+            TraceWhat::TxDone { frame, aborted } => {
+                nodes[idx].tx[frame.kind.index()] += 1;
+                nodes[idx].tx_aborted += u64::from(*aborted);
+            }
+            TraceWhat::Rx { frame, ok: true } => nodes[idx].rx_ok[frame.kind.index()] += 1,
+            TraceWhat::Rx { frame, ok: false } => nodes[idx].rx_corrupt[frame.kind.index()] += 1,
+            TraceWhat::Submit { .. } => nodes[idx].submitted += 1,
+            TraceWhat::Deliver { .. } => nodes[idx].delivered += 1,
+            _ => {}
         }
     }
 }

@@ -7,8 +7,8 @@
 //!   receiver within radio range, so the connected components of the radio
 //!   graph — slots adjacent when their initial positions lie within
 //!   [`RANGE_M`] — can never exchange events: each component, and so any
-//!   union of components, is *causally closed*. [`components`] finds them
-//!   and [`pack`] packs them into about `4 · cfg.shards` groups, which run
+//!   union of components, is *causally closed*. `components` finds them
+//!   and `pack` packs them into about `4 · cfg.shards` groups, which run
 //!   concurrently, one runner each.
 //! * A group's runner is the [`Runner`] that owns the group's slots: it
 //!   builds node stacks, RNG streams and counters for its own protocol
@@ -21,7 +21,7 @@
 //!   slice of the whole-world run exactly.
 //! * The one RNG stream that would cross groups — the beacon scheduler —
 //!   is closed under the beacon subsystem, so it is played out into the
-//!   [`BeaconTimetable`] when the run starts and every group reads that.
+//!   `BeaconTimetable` when the run starts and every group reads that.
 //!
 //! `cfg.shards = 1` is one group that owns every slot: the whole-world run,
 //! with no component analysis or thread. So is every run whose causal
@@ -32,10 +32,10 @@
 //! (among radio-isolated groups the tie-break at equal timestamps is push
 //! order, which no group can know of another), so a trace is the same JSONL
 //! at any shard count by construction (`tests/golden_traces.rs`). The
-//! checker composes per group instead ([`merge_checks`]): its invariants
+//! checker composes per group instead (`merge_checks`): its invariants
 //! are local to a node and its radio neighbourhood.
 //!
-//! Per-group results merge back losslessly ([`collect`]);
+//! Per-group results merge back losslessly (`collect`);
 //! `tests/shard_equivalence.rs` holds decomposition, ownership and merge
 //! to `RunReport` bit-identity against the one-group run at 2/4/8 shards.
 
@@ -244,8 +244,7 @@ struct GroupRun {
 fn run_group<Q: SimQueue<Ev>>(mut runner: Runner<Q>, beacons: &BeaconTimetable) -> GroupRun {
     let started = Instant::now();
     runner.run_events(beacons);
-    let check = runner.finish_check();
-    let obs = runner.finish_obs();
+    let (check, obs) = runner.finish();
     GroupRun {
         harvest: runner.harvest(),
         check,

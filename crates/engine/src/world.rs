@@ -4,7 +4,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use rmac_check::{CheckConfig, CheckReport, Checker, C1_WINDOW};
+use rmac_check::{CheckConfig, CheckReport, Checker};
 use rmac_core::api::{MacContext, MacCounters, MacService, TimerKind, TxOutcome, TxRequest};
 use rmac_faults::{ChurnKind, FaultInjector, FaultPlan, JamTarget};
 use rmac_metrics::{percentile, percentile_counted, RunReport};
@@ -12,14 +12,14 @@ use rmac_mobility::{random_positions, MobilityKind, Motion, Pos};
 use rmac_net::{AppStats, BlessConfig, NetLayer};
 use rmac_obs::{ObsReport, Snapshot};
 use rmac_phy::{
-    Channel, ChannelConfig, FaultKind, FrameTallies, IndexMode, Indication, PhyEvent, Tone,
+    Channel, ChannelConfig, FaultKind, FrameTallies, IndexMode, Indication, PhyEvent, Reader, Tone,
     ToneLog, TxId,
 };
 use rmac_sim::{CalendarQueue, Cursor, EventQueue, SimQueue, SimRng, SimTime};
 use rmac_wire::{airtime::mrts_len, consts::BYTE_TIME, Dest, Frame, NodeId};
 
 use crate::config::{Protocol, ScenarioConfig};
-use crate::obs::{class_of, timer_idx, EngineObs, ObsConfig, TIMER_LABELS};
+use crate::obs::{class_of, timer_idx, Attached, EngineObs, ObsConfig, TIMER_LABELS};
 use crate::run::Spec;
 use crate::trace::{TraceEvent, TraceWhat, Tracer};
 
@@ -224,15 +224,9 @@ struct WorldCore<Q: SimQueue<Ev>> {
     skew: Vec<f64>,
     /// Per-node crashed flag.
     down: Vec<bool>,
-    /// Is any reader of the observation stream attached? Fixed by
-    /// [`Runner::attach`]; the one branch a detached run pays per observable.
-    watched: bool,
-    /// The stream's readers, fed by [`WorldCore::report`]: [`crate::Run::obs`]
-    /// (which also keeps the event loop's own books — timer tallies, kernel
-    /// profile, sampler), [`crate::Run::check`] and [`crate::Run::tracer`].
-    obs: Option<Box<EngineObs>>,
-    check: Option<Box<Checker>>,
-    tracer: Option<Tracer>,
+    /// The observation stream's readers, fed by [`WorldCore::report`]:
+    /// fixed by [`Runner::attach`], empty for a detached run.
+    readers: Vec<Attached>,
 }
 
 impl<Q: SimQueue<Ev>> WorldCore<Q> {
@@ -260,45 +254,35 @@ impl<Q: SimQueue<Ev>> WorldCore<Q> {
         }
     }
 
+    /// Is any reader of the observation stream attached? The one branch a
+    /// detached run pays per observable.
+    fn watched(&self) -> bool {
+        !self.readers.is_empty()
+    }
+
+    /// The attached obs books (kernel profile, sampler, timer tallies).
+    fn obs(&mut self) -> Option<&mut EngineObs> {
+        self.readers.iter_mut().find_map(|reader| match reader {
+            Attached::Obs(obs) => Some(&mut **obs),
+            _ => None,
+        })
+    }
+
     /// The observation stream's one outlet (DESIGN.md §9): `what` just
     /// happened at `node`, and its MAC has not reacted yet. Called only while
-    /// [`watched`](Self::watched); nothing else touches the tracer, the
-    /// checker or the per-node protocol tallies.
-    fn report(&mut self, node: NodeId, mut what: TraceWhat<&Arc<Frame>>) {
+    /// [`watched`](Self::watched); every reader is fed here and only here.
+    fn report(&mut self, node: NodeId, what: TraceWhat<&Arc<Frame>>) {
         let at = self.q.cursor();
-        if let (Some(_), TraceWhat::TxStart { rbt, .. }) = (&self.check, &mut what) {
-            // What the checker holds the sender to is what its MAC could
-            // read: the tone records, at this event's cursor.
-            let from = Cursor::end_of(at.time.saturating_sub(C1_WINDOW));
-            *rbt = Some(self.channel.tone_log(node, Tone::Rbt, from, at));
-        }
-        let (t, idx) = (at.time, node.idx());
+        let (t, channel) = (at.time, &self.channel);
         let ev = TraceEvent { t, node, what };
-        if let Some(obs) = self.obs.as_mut() {
-            match &ev.what {
-                TraceWhat::TxDone { frame, aborted } => {
-                    obs.nodes[idx].tx[frame.kind.index()] += 1;
-                    obs.nodes[idx].tx_aborted += u64::from(*aborted);
-                }
-                TraceWhat::Rx { frame, ok: true } => {
-                    obs.nodes[idx].rx_ok[frame.kind.index()] += 1;
-                }
-                TraceWhat::Rx { frame, ok: false } => {
-                    obs.nodes[idx].rx_corrupt[frame.kind.index()] += 1;
-                }
-                TraceWhat::Submit { .. } => obs.nodes[idx].submitted += 1,
-                TraceWhat::Deliver { .. } => obs.nodes[idx].delivered += 1,
-                // Tone occupancy is read from the channel's records at the
-                // end of the run: which flips are dispatched depends on the
-                // MACs.
-                _ => {}
-            }
-        }
-        if let Some(chk) = self.check.as_mut() {
-            chk.on_event(&ev);
-        }
-        if let Some(tracer) = self.tracer.as_mut() {
-            tracer(&ev.map(Arc::clone));
+        // What a reader holds a node to is what its MAC could read: the tone
+        // records, at this event's cursor.
+        let mut sensed = |node, over: SimTime| {
+            let from = Cursor::end_of(at.time.saturating_sub(over));
+            channel.tone_log(node, Tone::Rbt, from, at)
+        };
+        for reader in &mut self.readers {
+            reader.on_event(&ev, &mut sensed);
         }
     }
 }
@@ -328,7 +312,7 @@ impl<Q: SimQueue<Ev>> MacContext for Ctx<'_, Q> {
         let node = self.node;
         let delay = self.core.skewed(self.i, delay);
         let epoch = self.core.epochs[self.i];
-        if let Some(obs) = self.core.obs.as_mut() {
+        if let Some(obs) = self.core.obs() {
             obs.nodes[node.idx()].timer_arm[timer_idx(kind)] += 1;
         }
         self.core.q.push_after(
@@ -345,18 +329,17 @@ impl<Q: SimQueue<Ev>> MacContext for Ctx<'_, Q> {
         self.core
             .channel
             .start_tx(&mut self.core.q, self.node, frame);
-        if self.core.watched {
+        if self.core.watched() {
             let on_air = self.core.channel.on_air(self.node).expect("just started");
-            let (frame, rbt) = (&Arc::clone(on_air), None);
-            self.core
-                .report(self.node, TraceWhat::TxStart { frame, rbt });
+            let frame = &Arc::clone(on_air);
+            self.core.report(self.node, TraceWhat::TxStart { frame });
         }
     }
     fn abort_tx(&mut self) {
         self.core.channel.abort_tx(&mut self.core.q, self.node);
     }
     fn start_tone(&mut self, tone: Tone) {
-        if self.core.watched {
+        if self.core.watched() {
             let raised = TraceWhat::ToneEmit { tone, on: true };
             self.core.report(self.node, raised);
         }
@@ -365,7 +348,7 @@ impl<Q: SimQueue<Ev>> MacContext for Ctx<'_, Q> {
             .start_tone(&mut self.core.q, self.node, tone);
     }
     fn stop_tone(&mut self, tone: Tone) {
-        if self.core.watched {
+        if self.core.watched() {
             let lowered = TraceWhat::ToneEmit { tone, on: false };
             self.core.report(self.node, lowered);
         }
@@ -405,7 +388,7 @@ impl<Q: SimQueue<Ev>> MacContext for Ctx<'_, Q> {
         &mut self.core.counters[self.i]
     }
     fn timer_cancelled(&mut self, kind: TimerKind) {
-        if let Some(obs) = self.core.obs.as_mut() {
+        if let Some(obs) = self.core.obs() {
             obs.nodes[self.node.idx()].timer_cancelled[timer_idx(kind)] += 1;
         }
     }
@@ -509,12 +492,7 @@ impl<Q: SimQueue<Ev>> LoopHook<Q> for Observed {
             world.sample_until(t);
         }
         let class = class_of(ev);
-        let kernel = &mut world
-            .core
-            .obs
-            .as_mut()
-            .expect("obs hook without obs")
-            .kernel;
+        let kernel = &mut world.core.obs().expect("obs hook without obs").kernel;
         if kernel.wall_enabled() {
             (class, Some(std::time::Instant::now()))
         } else {
@@ -526,12 +504,7 @@ impl<Q: SimQueue<Ev>> LoopHook<Q> for Observed {
     fn after(&mut self, world: &mut Runner<Q>, (class, start): Self::Mark) {
         if let Some(start) = start {
             let ns = start.elapsed().as_nanos() as u64;
-            let kernel = &mut world
-                .core
-                .obs
-                .as_mut()
-                .expect("obs hook without obs")
-                .kernel;
+            let kernel = &mut world.core.obs().expect("obs hook without obs").kernel;
             kernel.record_ns(class, ns);
         }
     }
@@ -624,10 +597,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 epochs: vec![0; nodes.len()],
                 skew,
                 down: vec![false; nodes.len()],
-                watched: false,
-                obs: None,
-                check: None,
-                tracer: None,
+                readers: Vec::new(),
             },
             macs,
             nets,
@@ -692,23 +662,21 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
     /// and/or a tracer. None perturbs the simulation — they draw no
     /// randomness and schedule nothing — so the report stays bit-identical.
     pub(crate) fn attach(&mut self, obs: Option<ObsConfig>, check: bool, tracer: Option<Tracer>) {
+        let (core, nodes) = (&mut self.core, self.cfg.nodes);
         if let Some(cfg) = obs {
-            self.core.obs = Some(Box::new(EngineObs::new(cfg, self.cfg.nodes)));
+            core.readers
+                .push(Attached::Obs(Box::new(EngineObs::new(cfg, nodes))));
             // The report's per-node `tone_busy_ns` is the one reader.
-            self.core.channel.keep_tone_busy_time();
+            core.channel.keep_tone_busy_time();
         }
         if check {
-            self.core.check = Some(Box::new(Checker::new(CheckConfig::new(
-                self.cfg.nodes,
-                self.protocol.conformance_class(),
-            ))));
+            let class = self.protocol.conformance_class();
+            let checker = Checker::new(CheckConfig::new(nodes, class));
+            core.readers.push(Attached::Check(Box::new(checker)));
         }
-        if tracer.is_some() {
-            self.core.tracer = tracer;
-        }
-        let core = &mut self.core;
-        core.watched = core.obs.is_some() || core.check.is_some() || core.tracer.is_some();
-        if core.watched {
+        core.readers
+            .extend(tracer.map(|tracer| Attached::Other(Box::new(tracer))));
+        if core.watched() {
             // Transition counting (obs reports it, the checker's C4 needs
             // it) lives in the MACs, gated so detached runs skip the
             // per-transition increment.
@@ -718,16 +686,29 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
         }
     }
 
-    /// Close out the attached checker: validate the end-of-run transition
-    /// matrices (C4) and assemble the report.
-    pub(crate) fn finish_check(&mut self) -> Option<CheckReport> {
-        let mut check = self.core.check.take()?;
+    /// Close out the attached readers, each into its own report: the
+    /// checker's and the obs layer's (a tracer has none).
+    pub(crate) fn finish(&mut self) -> (Option<CheckReport>, Option<ObsReport>) {
+        let (mut check, mut obs) = (None, None);
+        for reader in std::mem::take(&mut self.core.readers) {
+            match reader {
+                Attached::Obs(books) => obs = Some(self.finish_obs(*books)),
+                Attached::Check(checker) => check = Some(self.finish_check(*checker)),
+                Attached::Other(_) => {}
+            }
+        }
+        (check, obs)
+    }
+
+    /// Close out the checker: validate the end-of-run transition matrices
+    /// (C4) and assemble the report.
+    fn finish_check(&self, mut check: Checker) -> CheckReport {
         for (&s, mac) in self.slots.iter().zip(&self.macs) {
             if let Some((labels, matrix)) = mac.transitions() {
                 check.check_transitions(NodeId(s as u16), labels, &matrix);
             }
         }
-        Some(check.finish(self.core.q.now()))
+        check.finish(self.core.q.now())
     }
 
     /// Seed the queue's initial events: first beacons in node order, the
@@ -775,7 +756,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
     /// Run the event loop under the hook the attachments call for, beacons
     /// firing as `beacons` schedules them.
     pub(crate) fn run_events(&mut self, beacons: &BeaconTimetable) {
-        match self.core.obs.as_ref().map(|o| o.sampler.is_some()) {
+        match self.core.obs().map(|o| o.sampler.is_some()) {
             Some(sampling) => self.run_loop(&mut Observed { sampling }, beacons),
             None => self.run_loop(&mut Detached, beacons),
         }
@@ -800,16 +781,14 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
     /// *between* dispatches, outside the queue, so sampling changes neither
     /// the popped-event count nor any tie-break.
     fn sample_until(&mut self, t: SimTime) {
-        let Some(mut obs) = self.core.obs.take() else {
+        let Some(mut sampler) = self.core.obs().and_then(|o| o.sampler.take()) else {
             return;
         };
-        if let Some(sampler) = obs.sampler.as_mut() {
-            while sampler.due(t.nanos()) {
-                let snap = self.snapshot_at(sampler.next_boundary_ns(), 1);
-                sampler.record(snap);
-            }
+        while sampler.due(t.nanos()) {
+            let snap = self.snapshot_at(sampler.next_boundary_ns(), 1);
+            sampler.record(snap);
         }
-        self.core.obs = Some(obs);
+        self.core.obs().expect("sampled without obs").sampler = Some(sampler);
     }
 
     /// Cumulative run state as of now, stamped with boundary time `t_ns`.
@@ -868,7 +847,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 // liveness only.)
                 let i = self.owned(node);
                 let stale = self.core.down[i] || epoch != self.core.epochs[i];
-                if let Some(obs) = self.core.obs.as_mut() {
+                if let Some(obs) = self.core.obs() {
                     let slot = timer_idx(kind);
                     let n = &mut obs.nodes[node.idx()];
                     if stale {
@@ -964,7 +943,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
             FaultEv::NodeDown { node } => {
                 // The crash (not the protocol) cuts short whatever is in
                 // flight; the checker wipes the node's state on this.
-                if self.core.watched {
+                if self.core.watched() {
                     self.core.report(node, TraceWhat::Fault(FaultKind::Crash));
                 }
                 let i = self.owned(node);
@@ -986,7 +965,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 self.core.channel.deafen(node);
             }
             FaultEv::NodeUp { node } => {
-                if self.core.watched {
+                if self.core.watched() {
                     self.core.report(node, TraceWhat::Fault(FaultKind::Restart));
                 }
                 let i = self.owned(node);
@@ -996,7 +975,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 // incarnation's timers cannot reach the new one.
                 self.core.epochs[i] = self.core.epochs[i].wrapping_add(1);
                 (self.macs[i], self.nets[i]) =
-                    node_stack(&self.cfg, self.protocol, node, self.core.watched);
+                    node_stack(&self.cfg, self.protocol, node, self.core.watched());
             }
             FaultEv::JamOn { jammer } => {
                 let (spec, seq) = {
@@ -1007,7 +986,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                     (spec, f.jam_seq)
                 };
                 let node = NodeId((self.cfg.nodes + jammer) as u16);
-                if self.core.watched {
+                if self.core.watched() {
                     let kind = match spec.target {
                         JamTarget::Data => FaultKind::JamData,
                         JamTarget::Rbt => FaultKind::JamRbt,
@@ -1089,7 +1068,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
         }
         // Reported before the MAC reacts: the checker's sensed-state model
         // stays in lockstep with what the MAC can observe.
-        if self.core.watched {
+        if self.core.watched() {
             self.core.report(node, ind.into());
         }
         self.enter(node, i, |mac, ctx| mac.on_indication(ctx, ind));
@@ -1097,7 +1076,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
 
     /// Hand an upper-layer request to the MAC of `node`, at stack index `i`.
     fn submit(&mut self, node: NodeId, i: usize, req: TxRequest) {
-        if self.core.watched {
+        if self.core.watched() {
             let (reliable, bytes) = (req.reliable, req.payload.len());
             self.core
                 .report(node, TraceWhat::Submit { reliable, bytes });
@@ -1156,7 +1135,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
         }
         let mut reqs = Vec::new();
         for frame in &delivered {
-            if self.core.watched {
+            if self.core.watched() {
                 self.core.report(node, TraceWhat::Deliver { frame });
             }
             self.nets[i].on_deliver(now, frame, &mut reqs);
@@ -1166,11 +1145,10 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
         }
     }
 
-    /// Close out the attached instrumentation and assemble its report.
-    /// Separate from the harvest so the `RunReport` never depends on
-    /// whether instrumentation was attached.
-    pub(crate) fn finish_obs(&mut self) -> Option<ObsReport> {
-        let mut obs = self.core.obs.take()?;
+    /// Close out the instrumentation and assemble its report. Separate
+    /// from the harvest so the `RunReport` never depends on whether
+    /// instrumentation was attached.
+    fn finish_obs(&mut self, mut obs: EngineObs) -> ObsReport {
         let end = self.cfg.end_time();
         for (i, n) in obs.nodes.iter_mut().enumerate() {
             n.tone_busy_ns =
@@ -1228,7 +1206,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
             ("queue.capacity", self.core.q.capacity() as u64),
             ("engine.frame_rx_clones", self.frame_clones),
         ];
-        Some(ObsReport {
+        ObsReport {
             counters,
             gauges,
             kernel: obs.kernel,
@@ -1236,7 +1214,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
             transition_labels,
             nodes: obs.nodes,
             snapshots,
-        })
+        }
     }
 
     /// Strip the finished group down to the state the report is computed

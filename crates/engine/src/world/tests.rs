@@ -1007,7 +1007,7 @@ fn tone_busy_time_is_folded_only_under_obs() {
     let mut watched = run(Some(ObsConfig::default()));
     let folds = watched.core.channel.obs_stats().busy_folds;
     assert!(folds > 100, "{folds} busy-time folds under obs");
-    let busy: Vec<[u64; 2]> = (watched.finish_obs().expect("obs attached").nodes)
+    let busy: Vec<[u64; 2]> = (watched.finish().1.expect("obs attached").nodes)
         .iter()
         .map(|n| n.tone_busy_ns)
         .collect();
@@ -1031,4 +1031,54 @@ fn tone_busy_time_is_folded_only_under_obs() {
             [222_568_499, 6_791_850],
         ]
     );
+}
+
+/// The RBT a sender sensed is read off the channel only for a reader that
+/// asks for it: the checker asks once per `tx_start`, and obs and a tracer
+/// never, each fed through the engine's one outlet.
+#[test]
+fn only_the_checker_reads_the_rbt_a_sender_sensed() {
+    use crate::obs::{Attached, ObsConfig};
+    use crate::trace::{TraceEvent, TraceWhat};
+    use rmac_phy::{Reader, Sensing};
+    use rmac_wire::Frame;
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    use std::sync::Arc;
+
+    /// An attached reader, with the `tx_start`s it was shown and the RBT
+    /// logs it asked for.
+    struct Counted(Attached, Arc<[AtomicU64; 2]>);
+
+    impl Reader for Counted {
+        fn on_event(&mut self, ev: &TraceEvent<&Arc<Frame>>, sensed: &mut Sensing<'_>) {
+            let [starts, asked] = &*self.1;
+            starts.fetch_add(matches!(ev.what, TraceWhat::TxStart { .. }).into(), Relaxed);
+            let mut counted = |node, over| {
+                asked.fetch_add(1, Relaxed);
+                sensed(node, over)
+            };
+            self.0.on_event(ev, &mut counted);
+        }
+    }
+
+    let cfg = tiny(20.0, 8, 30);
+    let run = |check: bool| {
+        let mut runner = whole(Run::new(&cfg, Protocol::Rmac, 7).obs(ObsConfig::default()));
+        runner.attach(None, check, Some(Box::new(|_: &TraceEvent| {})));
+        let mut counts = Vec::new();
+        for reader in std::mem::take(&mut runner.core.readers) {
+            counts.push(Arc::new([AtomicU64::new(0), AtomicU64::new(0)]));
+            let counted = Counted(reader, Arc::clone(counts.last().unwrap()));
+            runner.core.readers.push(Attached::Other(Box::new(counted)));
+        }
+        runner.run_events(&BeaconTimetable::build(&cfg, 7));
+        let read = |c: &Arc<[AtomicU64; 2]>| c.each_ref().map(|n| n.load(Relaxed));
+        counts.iter().map(read).collect::<Vec<_>>()
+    };
+    // Obs and the tracer, then obs, the checker and the tracer.
+    let unchecked = run(false);
+    let starts = unchecked[0][0];
+    assert!(starts > 100, "{starts} transmission starts");
+    assert_eq!(unchecked, [[starts, 0], [starts, 0]]);
+    assert_eq!(run(true), [[starts, 0], [starts, starts], [starts, 0]]);
 }

@@ -85,4 +85,4 @@ pub use channel::{
 pub use event::{Indication, PhyEvent};
 pub use grid::{reuse_horizon, GridStats, IndexMode, SpatialGrid};
 pub use tone::{Tone, ToneInterest, ToneLog};
-pub use trace::{FaultKind, TraceEvent, TraceWhat};
+pub use trace::{FaultKind, Reader, Sensing, TraceEvent, TraceWhat};

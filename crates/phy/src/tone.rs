@@ -2,7 +2,7 @@
 //! demand.
 //!
 //! A tone emission is written down once per in-range receiver as a
-//! [`ToneRec`] — when its rising and falling edges take effect there — and
+//! `ToneRec` — when its rising and falling edges take effect there — and
 //! everything else is a reading of those records: instantaneous presence,
 //! the [`ToneLog`] of a watch, a node's cumulative busy time. An edge is
 //! also *dispatched*, as a `ToneEdge` event that ends in a `ToneChanged`

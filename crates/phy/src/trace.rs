@@ -1,14 +1,16 @@
 //! The observation stream's vocabulary: what a run reports of the protocol.
 //!
 //! The engine reports each observable once, as a [`TraceEvent`], in dispatch
-//! order and before the node's MAC reacts to it; a tracer, the conformance
-//! checker (`rmac-check`) and the per-node obs tallies are folds of that one
-//! stream. On a live stream a frame-bearing event carries the frame whole
-//! (the `Arc<Frame>` the channel's [`Indication`] holds); a stream read back
-//! from its lines carries the [`FrameHead`] a line prints. The kinds, their
-//! [`Display`](fmt::Display), their JSON line ([`TraceEvent::to_json`]) and
-//! its strict inverse ([`TraceEvent::from_json`]) are spelled here and
-//! nowhere else.
+//! order and before the node's MAC reacts to it, to every attached
+//! [`Reader`]: a tracer, the conformance checker (`rmac-check`) and the
+//! engine's per-node obs tallies are folds of that one stream. The RBT a
+//! node sensed, which only the checker reads, is asked of the backend's
+//! [`Sensing`]. On a live stream a frame-bearing event carries the frame
+//! whole (the `Arc<Frame>` the channel's [`Indication`] holds); a stream
+//! read back from its lines carries the [`FrameHead`] a line prints. The
+//! kinds, their [`Display`](fmt::Display), their JSON line
+//! ([`TraceEvent::to_json`]) and its strict inverse
+//! ([`TraceEvent::from_json`]) are spelled here and nowhere else.
 //!
 //! # JSONL schema
 //!
@@ -73,11 +75,10 @@ pub struct TraceEvent<F = Arc<Frame>> {
 /// The kinds of observable events.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TraceWhat<F = Arc<Frame>> {
-    /// The node's MAC handed `frame` to its radio. `rbt` is what the node
-    /// sensed of the RBT over the conformance checker's look-back window,
-    /// read at the cursor its MAC reads the channel — present only while a
-    /// reader that uses it is attached, and never part of the line.
-    TxStart { frame: F, rbt: Option<ToneLog> },
+    /// The node's MAC handed `frame` to its radio. What the node sensed of
+    /// the RBT before it is not part of the event: a reader that holds the
+    /// sender to it asks the backend ([`Sensing`]).
+    TxStart { frame: F },
     /// The node's own transmission of `frame` left the antenna, whole or
     /// `aborted` mid-air (RMAC's RBT rule).
     TxDone { frame: F, aborted: bool },
@@ -184,10 +185,7 @@ impl<F> TraceEvent<F> {
     pub fn map<G>(self, f: impl FnOnce(F) -> G) -> TraceEvent<G> {
         use TraceWhat::*;
         let what = match self.what {
-            TxStart { frame, rbt } => TxStart {
-                frame: f(frame),
-                rbt,
-            },
+            TxStart { frame } => TxStart { frame: f(frame) },
             TxDone { frame, aborted } => TxDone {
                 frame: f(frame),
                 aborted,
@@ -218,7 +216,7 @@ impl<F: Carried> fmt::Display for TraceEvent<F> {
 impl<F: Carried> fmt::Display for TraceWhat<F> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TraceWhat::TxStart { frame, .. } => {
+            TraceWhat::TxStart { frame } => {
                 let h = frame.head();
                 write!(f, "TX-START {:?} ({} B)", h.kind, h.bytes)
             }
@@ -260,7 +258,7 @@ impl<F: Carried> TraceEvent<F> {
             o.u64("t_ns", self.t.nanos())
                 .u64("node", self.node.0.into());
             match &self.what {
-                TxStart { frame, .. } => sent(o, "tx_start", frame.head()),
+                TxStart { frame } => sent(o, "tx_start", frame.head()),
                 TxDone { frame, aborted } => {
                     sent(o, "tx_done", frame.head()).bool("aborted", *aborted)
                 }
@@ -322,10 +320,7 @@ impl TraceEvent<FrameHead> {
             Ok::<_, String>(FrameHead { kind, src, bytes })
         };
         let what = match obj.str("ev")? {
-            "tx_start" => {
-                let (frame, rbt) = (sent()?, None);
-                TraceWhat::TxStart { frame, rbt }
-            }
+            "tx_start" => TraceWhat::TxStart { frame: sent()? },
             "tx_done" => {
                 let (frame, aborted) = (sent()?, flag("aborted")?);
                 TraceWhat::TxDone { frame, aborted }
@@ -382,8 +377,26 @@ fn named<T: Copy>(
     found.ok_or_else(|| format!("unknown {key} {want:?}"))
 }
 
-/// The observer callback type.
+/// A reader of the observation stream: a fold of the events a run reports,
+/// each handed over before the node's MAC reacts to it.
+pub trait Reader {
+    /// `ev` just happened; `sensed` answers for what its node could sense.
+    fn on_event(&mut self, ev: &TraceEvent<&Arc<Frame>>, sensed: &mut Sensing<'_>);
+}
+
+/// How the backend answers a [`Reader`] beyond the event: called as
+/// `(node, over)`, the RBT `node` sensed over the span `over` that ends at
+/// the event, read as its MAC reads the channel.
+pub type Sensing<'a> = dyn FnMut(NodeId, SimTime) -> ToneLog + 'a;
+
+/// The observer callback type: a reader that keeps what it is shown.
 pub type Tracer = Box<dyn FnMut(&TraceEvent) + Send>;
+
+impl Reader for Tracer {
+    fn on_event(&mut self, ev: &TraceEvent<&Arc<Frame>>, _: &mut Sensing<'_>) {
+        self(&ev.clone().map(Arc::clone));
+    }
+}
 
 /// How much of the event stream a trace keeps. Each level includes the
 /// ones above it.

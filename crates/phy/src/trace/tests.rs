@@ -44,8 +44,7 @@ fn levels_nest() {
     assert!(TraceLevel::Signal.admits(&tone));
     // What a node does with its radio is signal-level too: the committed
     // frame-level traces have no line for it.
-    let (frame, rbt) = (mrts(), None);
-    let started = TraceWhat::TxStart { frame, rbt };
+    let started = TraceWhat::TxStart { frame: mrts() };
     let raised = TraceWhat::ToneEmit {
         tone: Tone::Abt,
         on: true,
@@ -277,16 +276,8 @@ fn frames() -> impl Strategy<Value = Arc<Frame>> {
 /// Every event the vocabulary can express, as a live stream carries it.
 fn events() -> impl Strategy<Value = TraceEvent> {
     let tone = || prop_oneof![Just(Tone::Rbt), Just(Tone::Abt)];
-    let sensed = (any::<bool>(), any::<bool>()).prop_map(|(some, initial_on)| {
-        some.then(|| ToneLog {
-            start: SimTime::ZERO,
-            end: SimTime::from_micros(40),
-            initial_on,
-            edges: vec![(SimTime::from_micros(7), !initial_on)],
-        })
-    });
     let what = prop_oneof![
-        (frames(), sensed).prop_map(|(frame, rbt)| TraceWhat::TxStart { frame, rbt }),
+        frames().prop_map(|frame| TraceWhat::TxStart { frame }),
         (frames(), any::<bool>()).prop_map(|(frame, aborted)| TraceWhat::TxDone { frame, aborted }),
         (frames(), any::<bool>()).prop_map(|(frame, ok)| TraceWhat::Rx { frame, ok }),
         (tone(), any::<bool>()).prop_map(|(tone, present)| TraceWhat::Tone { tone, present }),
@@ -320,12 +311,11 @@ proptest! {
             prop_assert_eq!(level.admits(&back.what), level.admits(&e.what));
         }
         prop_assert_eq!(TraceEvent::from_json(&back.to_json()), Ok(back.clone()));
-        // Structurally too, but for what no line prints: the sensed RBT, the
-        // source of a node's own frame, the length of one it heard.
+        // Structurally too, but for what no line prints: the source of a
+        // node's own frame, the length of one it heard.
         let mut head = e.clone().map(|f| f.head());
         match &mut head.what {
-            TraceWhat::TxStart { frame, rbt } => (frame.src, *rbt) = (e.node, None),
-            TraceWhat::TxDone { frame, .. } => frame.src = e.node,
+            TraceWhat::TxStart { frame } | TraceWhat::TxDone { frame, .. } => frame.src = e.node,
             TraceWhat::Rx { frame, .. } | TraceWhat::Deliver { frame } => frame.bytes = 0,
             _ => {}
         }

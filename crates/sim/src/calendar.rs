@@ -70,7 +70,7 @@ const DEFAULT_NBUCKETS: usize = 1024;
 /// A calendar/ladder event queue, pop-order identical to
 /// [`EventQueue`](crate::EventQueue).
 ///
-/// Drop-in behind the [`SimQueue`](crate::SimQueue) trait: deterministic
+/// Drop-in behind the [`SimQueue`] trait: deterministic
 /// `(time, seq)` FIFO tie-breaking for simultaneous events, a monotone
 /// clock, the same past-scheduling clamp/debug-panic, and the same lifetime
 /// counters (`total_pushed` / `total_popped` / `depth_high_water`) feeding

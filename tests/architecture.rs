@@ -408,39 +408,51 @@ fn assert_world_touches(what: &str, hit: impl Fn(&str) -> bool, want: &[&str]) {
     assert_eq!(got, want, "{WORLD} touches {what} in these functions");
 }
 
-/// The checker's events are built in `WorldCore::report` alone, the one
-/// function that feeds every reader (DESIGN.md §9).
-#[test]
-fn world_builds_checker_events_only_in_report() {
-    assert_world_touches("the checker's events", |l| l.contains("chk."), &["report"]);
+/// Does `line` name a reader of the observation stream: a reader type, or
+/// the `Attached` variant that holds one?
+fn names_a_reader_type(line: &str) -> bool {
+    ["Checker", "Tracer", "EngineObs", "NodeObs"]
+        .iter()
+        .any(|t| whole_word(line, t))
+        || line.contains("Attached::")
 }
 
-/// The checker is reached from `report`, and otherwise only attached and
-/// finished (DESIGN.md §9).
+/// `WorldCore::report` feeds every reader through the one interface,
+/// `Reader::on_event`, and nothing else in `world.rs` calls it; `report`
+/// names no reader type, field or accessor (DESIGN.md §9).
 #[test]
-fn world_reaches_the_checker_only_to_report_attach_and_finish() {
-    let hit = |l: &str| {
-        ["core.check", "self.check"].iter().any(|p| {
-            followed_by(l, p, |b| {
-                !(b.is_ascii_lowercase() || b == b'_' || b == b'(')
-            })
-        })
+fn report_feeds_the_readers_only_through_the_interface() {
+    assert_world_touches(
+        "the reader interface",
+        |l| l.contains("on_event("),
+        &["report"],
+    );
+    let names = |l: &str| {
+        names_a_reader_type(l)
+            || [".obs", ".check", ".tracer", "nodes["]
+                .iter()
+                .any(|f| ends_word(l, f))
     };
-    assert_world_touches("the checker", hit, &["report", "attach", "finish_check"]);
+    let naming = world_fns_touching(names);
+    assert!(
+        !naming.contains(&"report".to_string()),
+        "report names a reader; {WORLD} names one in {naming:?}"
+    );
 }
 
-/// The tracer is reached from `report`, and otherwise only attached
-/// (DESIGN.md §9).
+/// `world.rs` names a reader type only to attach and to finish it, and in
+/// the one accessor through which the event loop keeps the obs books
+/// (kernel profile, sampler, timer tallies) (DESIGN.md §9).
 #[test]
-fn world_reaches_the_tracer_only_to_report_and_attach() {
-    let hit =
-        |l: &str| l.contains("core.tracer") || l.contains("self.tracer") || l.contains("tracer(");
-    assert_world_touches("the tracer", hit, &["report", "attach"]);
+fn world_names_a_reader_only_to_attach_and_finish() {
+    let want = ["obs", "attach", "finish", "finish_check", "finish_obs"];
+    assert_world_touches("a reader type", names_a_reader_type, &want);
 }
 
-/// The per-node protocol tallies are a fold of `report` (DESIGN.md §9).
+/// The per-node protocol tallies are a reader's fold, in `crates/engine/src/obs.rs`
+/// beside the obs books: no other crate source counts one (DESIGN.md §9).
 #[test]
-fn world_counts_protocol_tallies_only_in_report() {
+fn the_tally_fold_lives_beside_the_obs_books() {
     const TALLIES: [&str; 6] = [
         "tx",
         "rx_ok",
@@ -449,14 +461,10 @@ fn world_counts_protocol_tallies_only_in_report() {
         "submitted",
         "delivered",
     ];
-    let hit = |l: &str| {
-        offsets(l, "nodes[").any(|i| {
-            let index = &l[i + "nodes[".len()..];
-            let len = index
-                .bytes()
-                .take_while(|&b| b.is_ascii_lowercase() || b".()".contains(&b))
-                .count();
-            index[len..].strip_prefix("].").is_some_and(|field| {
+    let counts = |l: &str| {
+        l.contains("+=")
+            && offsets(l, "].").any(|i| {
+                let field = &l[i + "].".len()..];
                 TALLIES.iter().any(|t| {
                     field.starts_with(t)
                         && field
@@ -465,9 +473,19 @@ fn world_counts_protocol_tallies_only_in_report() {
                             .is_some_and(|&b| !(b.is_ascii_lowercase() || b == b'_'))
                 })
             })
-        })
     };
-    assert_world_touches("the protocol tallies", hit, &["report"]);
+    let mut folds: Vec<&str> = tree()
+        .iter()
+        .filter(|f| f.is_rs() && f.in_crate_code())
+        .filter(|f| f.code().any(|(_, l)| counts(l)))
+        .map(|f| f.path.as_str())
+        .collect();
+    folds.dedup();
+    assert_eq!(
+        folds,
+        ["crates/engine/src/obs.rs"],
+        "the tallies are counted in these files"
+    );
 }
 
 /// A MAC's context is built in `Runner::enter`, the one way into a MAC
