@@ -449,6 +449,25 @@ fn world_names_a_reader_only_to_attach_and_finish() {
     assert_world_touches("a reader type", names_a_reader_type, &want);
 }
 
+/// The checker is reached from `report` through `Reader::on_event`, and
+/// otherwise named only to attach and finish it (DESIGN.md §9).
+#[test]
+fn world_reaches_the_checker_only_to_report_attach_and_finish() {
+    let hit = |l: &str| {
+        l.contains("on_event(") || whole_word(l, "Checker") || l.contains("Attached::Check")
+    };
+    let want = ["report", "attach", "finish", "finish_check"];
+    assert_world_touches("the checker", hit, &want);
+}
+
+/// The tracer is reached from `report` through `Reader::on_event`, and
+/// otherwise named only to attach it (DESIGN.md §9).
+#[test]
+fn world_reaches_the_tracer_only_to_report_and_attach() {
+    let hit = |l: &str| l.contains("on_event(") || whole_word(l, "Tracer");
+    assert_world_touches("the tracer", hit, &["report", "attach"]);
+}
+
 /// The per-node protocol tallies are a reader's fold, in `crates/engine/src/obs.rs`
 /// beside the obs books: no other crate source counts one (DESIGN.md §9).
 #[test]
