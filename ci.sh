@@ -41,7 +41,7 @@ echo "==> queue stage: calendar/heap differential proptests and the window-advan
 cargo test -q --release --test queue_equivalence
 cargo test -q --release -p rmac-engine --lib the_calendar_advances_at_most_once_per_event
 
-echo "==> memory stage: retained calendar capacity, report folds, seen ids, beacon timetable, memory budget, soak allocations (<= 4.25 a step)"
+echo "==> memory stage: retained calendar capacity, report folds, seen ids, beacon timetable, memory budget, soak allocations (<= 3.85 a step)"
 cargo test -q --release -p rmac-sim --lib retained_capacity_tracks_the_pending_depth
 cargo test -q --release -p rmac-engine --lib report_folds
 cargo test -q --release -p rmac-net --lib seen::

@@ -39,7 +39,6 @@
 //! `tests/shard_equivalence.rs` holds decomposition, ownership and merge
 //! to `RunReport` bit-identity against the one-group run at 2/4/8 shards.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -170,38 +169,6 @@ pub struct ShardStats {
 }
 
 impl ShardStats {
-    /// Aligned plain-text shard-balance table: one row per group plus a
-    /// totals line. Balance (max/mean events per group) quantifies how
-    /// evenly the packing split the work. The event counts are
-    /// deterministic simulation state; the wall readings are not.
-    pub fn render_balance(&self) -> String {
-        let rows = &self.group_stats;
-        let mut out = format!(
-            "{:<8} {:>10} {:>8} {:>12} {:>10}\n",
-            "group", "first_slot", "slots", "events", "wall_ms"
-        );
-        for (i, r) in rows.iter().enumerate() {
-            let wall_ms = r.wall_ns as f64 / 1e6;
-            let _ = writeln!(
-                out,
-                "{i:<8} {:>10} {:>8} {:>12} {wall_ms:>10.3}",
-                r.first_slot, r.slots, r.events
-            );
-        }
-        let total: u64 = rows.iter().map(|r| r.events).sum();
-        let max = rows.iter().map(|r| r.events).max().unwrap_or(0);
-        let balance = match total {
-            0 => 1.0,
-            _ => max as f64 / (total as f64 / rows.len() as f64),
-        };
-        let _ = writeln!(
-            out,
-            "total: {} groups, {total} events, balance (max/mean events) {balance:.2}",
-            rows.len()
-        );
-        out
-    }
-
     /// The per-group breakdown as a JSON array.
     pub fn balance_json(&self) -> String {
         json::objects(&self.group_stats, |o, r| {
@@ -571,18 +538,6 @@ mod tests {
     }
 
     #[test]
-    fn render_lists_groups_and_totals() {
-        let s = two_groups().render_balance();
-        assert!(s.starts_with("group"));
-        let row: Vec<&str> = s.lines().nth(2).unwrap().split_whitespace().collect();
-        assert_eq!(row, ["1", "5", "4", "100", "0.900"]);
-        assert!(s.contains("400 events"));
-        assert!(s.contains("2 groups"));
-        // max/mean = 300/200.
-        assert!(s.contains("1.50"));
-    }
-
-    #[test]
     fn json_lists_each_group() {
         let j = two_groups().balance_json();
         assert!(j.starts_with('[') && j.ends_with(']'));
@@ -591,13 +546,12 @@ mod tests {
     }
 
     #[test]
-    fn no_groups_render_cleanly() {
+    fn no_groups_write_an_empty_array() {
         let none = ShardStats {
             groups: 0,
             group_stats: Vec::new(),
             ..two_groups()
         };
-        assert!(none.render_balance().contains("0 groups"));
         assert_eq!(none.balance_json(), "[]");
     }
 }

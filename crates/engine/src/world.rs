@@ -635,19 +635,6 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
         }
     }
 
-    /// The MACs, network layers, MAC RNG streams and counters the runner
-    /// holds, in that order.
-    #[cfg(test)]
-    pub(crate) fn stack_counts(&self) -> [usize; 4] {
-        let core = &self.core;
-        [
-            self.macs.len(),
-            self.nets.len(),
-            core.rngs.len(),
-            core.counters.len(),
-        ]
-    }
-
     /// The stack index of a node an event names: always an owned one.
     #[inline]
     fn owned(&self, node: NodeId) -> usize {

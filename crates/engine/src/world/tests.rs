@@ -8,6 +8,20 @@ use crate::config::{Protocol, ScenarioConfig};
 use crate::world::{BeaconTimetable, Runner, BEACON_JITTER_NS};
 use crate::Run;
 
+impl Runner {
+    /// The MACs, network layers, MAC RNG streams and counters the runner
+    /// holds, in that order.
+    pub(crate) fn stack_counts(&self) -> [usize; 4] {
+        let core = &self.core;
+        [
+            self.macs.len(),
+            self.nets.len(),
+            core.rngs.len(),
+            core.counters.len(),
+        ]
+    }
+}
+
 /// `run` assembled as its one all-shards group, for a test that drives the
 /// event loop and reads the runner after it.
 fn whole(run: Run) -> Runner {

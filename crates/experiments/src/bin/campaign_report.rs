@@ -16,28 +16,30 @@ use std::process::exit;
 
 use rmac_campaign::{load_store, summarize, CampaignSpec, SummaryRow};
 use rmac_experiments::figures;
+use rmac_metrics::table::fmt;
+use rmac_metrics::Table;
 
 /// The mean over seeds of each grid point's headline metrics.
-fn print_summary(rows: &[SummaryRow]) {
-    println!("== summary (mean over seeds) ==");
-    println!(
-        "  {:<12} {:<11} {:>6} {:<10} {:>9} {:>9} {:>9} {:>6}",
-        "protocol", "scenario", "rate", "fault", "delivery", "delay_ms", "retx", "clean"
+fn summary_table(rows: &[SummaryRow]) -> Table {
+    let mut t = Table::new(
+        "summary (mean over seeds)",
+        &[
+            "protocol", "scenario", "rate", "fault", "delivery", "delay_ms", "retx", "clean",
+        ],
     );
     for r in rows {
-        println!(
-            "  {:<12} {:<11} {:>6} {:<10} {:>9.4} {:>9.2} {:>9.4} {:>6}",
-            r.protocol,
-            r.scenario,
-            r.rate,
-            r.fault,
-            r.delivery.mean,
-            r.delay_s.mean * 1e3,
-            r.retx_ratio.mean,
-            if r.clean { "yes" } else { "NO" }
-        );
+        t.row(vec![
+            r.protocol.clone(),
+            r.scenario.clone(),
+            r.rate.to_string(),
+            r.fault.clone(),
+            fmt(r.delivery.mean, 4),
+            fmt(r.delay_s.mean * 1e3, 2),
+            fmt(r.retx_ratio.mean, 4),
+            if r.clean { "yes" } else { "NO" }.to_string(),
+        ]);
     }
-    println!();
+    t
 }
 
 fn report(dir: &Path) -> Result<(), String> {
@@ -50,7 +52,7 @@ fn report(dir: &Path) -> Result<(), String> {
         .name;
     let clean = records.iter().filter(|r| r.check_clean).count();
     println!("{name}: {clean} of {} cases clean\n", records.len());
-    print_summary(&summarize(&records));
+    println!("{}", summary_table(&summarize(&records)).render());
     if !figures::render(&name, dir, &records)? {
         println!("no figure set for {name}");
     }

@@ -26,31 +26,41 @@ use rmac_experiments::fuzz::{run_case, scenario_strategy, shrink, write_repro, C
 /// Replication budget for shrinking one failing case.
 const SHRINK_BUDGET: usize = 60;
 
+/// How many cases to run, from which case number, and whether to print
+/// each.
+fn parse_args(args: &[String]) -> Result<(u32, u32, bool), String> {
+    let (mut cases, mut offset, mut verbose) = (2000u32, 0u32, false);
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let mut number = |name: &str| {
+            let v = it.next().ok_or_else(|| format!("{name} needs a value"))?;
+            v.parse()
+                .map_err(|_| format!("{name} takes a whole number, got {v:?}"))
+        };
+        match arg.as_str() {
+            "--smoke" => cases = 1000,
+            "--cases" => cases = number("--cases")?,
+            "--offset" => offset = number("--offset")?,
+            "--verbose" => verbose = true,
+            other => return Err(format!("unknown argument: {other}")),
+        }
+    }
+    match offset.checked_add(cases) {
+        Some(_) => Ok((cases, offset, verbose)),
+        None => Err(format!(
+            "--offset {offset} plus --cases {cases} passes the last case number"
+        )),
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cases: u32 = 2000;
-    let mut offset: u32 = 0;
-    let mut verbose = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => cases = 1000,
-            "--cases" => {
-                i += 1;
-                cases = args[i].parse().expect("--cases N");
-            }
-            "--offset" => {
-                i += 1;
-                offset = args[i].parse().expect("--offset K");
-            }
-            "--verbose" => verbose = true,
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+    let (cases, offset, verbose) = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!(
+            "fuzz_scenarios: {e}\nusage: fuzz_scenarios [--smoke] [--cases N] [--offset K] [--verbose]"
+        );
+        std::process::exit(2);
+    });
 
     // Panics inside a case are caught and reported as findings; silence
     // the default hook's backtrace spew so the fuzzer's own log stays
@@ -102,5 +112,34 @@ fn main() {
     if failures > 0 {
         eprintln!("reproducers in {}", repro_dir.display());
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(u32, u32, bool), String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn flags_parse_and_malformed_ones_are_errors() {
+        assert_eq!(parse(&[]), Ok((2000, 0, false)));
+        assert_eq!(parse(&["--smoke", "--verbose"]), Ok((1000, 0, true)));
+        assert_eq!(
+            parse(&["--cases", "50", "--offset", "7"]),
+            Ok((50, 7, false))
+        );
+        for (bad, says) in [
+            (&["--cases"][..], "--cases needs a value"),
+            (&["--cases", "x"], "\"x\""),
+            (&["--offset", "-1"], "\"-1\""),
+            (&["--smok"], "unknown argument: --smok"),
+            (&["--offset", "4294967295"], "passes the last case number"),
+        ] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.contains(says), "{err}");
+        }
     }
 }

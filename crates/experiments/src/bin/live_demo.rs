@@ -63,7 +63,12 @@ fn parse_args() -> Args {
     let mut payload_len = 120usize;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| it.next().unwrap_or_else(|| panic!("{name} needs a value"));
+        let mut value = |name: &str| {
+            it.next().unwrap_or_else(|| {
+                eprintln!("live_demo: {name} needs a value");
+                usage()
+            })
+        };
         match arg.as_str() {
             "--id" => id = value("--id").parse().ok().map(NodeId),
             "--bind" | "--listen" => bind = value("--bind").parse().ok(),

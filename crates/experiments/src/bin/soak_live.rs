@@ -16,6 +16,7 @@
 
 use std::time::Instant;
 
+use rmac_experiments::parse_smoke;
 use rmac_live::soak::{ge20, run_loopback_soak, SoakConfig};
 use rmac_live::HubConfig;
 
@@ -39,7 +40,11 @@ fn config(smoke: bool) -> SoakConfig {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let smoke = parse_smoke(&args).unwrap_or_else(|e| {
+        eprintln!("soak_live: {e}\nusage: soak_live [--smoke]");
+        std::process::exit(2);
+    });
     let cfg = config(smoke);
     let offered = cfg.packets_per_publisher * cfg.publishers as u64;
     eprintln!(

@@ -33,3 +33,35 @@ pub fn publish(file: &str, contents: &str) {
         std::process::exit(1);
     }
 }
+
+/// The options of a bin whose one flag is `--smoke`: true for `--smoke`,
+/// false for no argument, and an error for anything else, so that a typo
+/// never starts the full-scale run.
+pub fn parse_smoke(args: &[String]) -> Result<bool, String> {
+    match args {
+        [] => Ok(false),
+        [flag] if flag == "--smoke" => Ok(true),
+        _ => Err(format!("unexpected arguments {args:?}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_smoke_or_nothing_parses() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(parse_smoke(&args(&[])), Ok(false));
+        assert_eq!(parse_smoke(&args(&["--smoke"])), Ok(true));
+        for bad in [
+            &["--smok"][..],
+            &["smoke"],
+            &["--smoke", "--smoke"],
+            &["--smoke", "x"],
+        ] {
+            let err = parse_smoke(&args(bad)).unwrap_err();
+            assert!(err.contains(bad[bad.len() - 1]), "{err}");
+        }
+    }
+}

@@ -42,9 +42,7 @@ use rmac_phy::{Indication, Tone, ToneLog};
 use rmac_sim::{EventQueue, SimQueue, SimRng, SimTime};
 use rmac_wire::consts::{BYTE_TIME, DATA_HEADER_LEN, PHY_OVERHEAD};
 use rmac_wire::datagram::{DGRAM_CRC_LEN, DGRAM_HEADER_LEN, DGRAM_TONE_ABT, DGRAM_TONE_RBT};
-use rmac_wire::{
-    codec, decode_datagram, encode_datagram, Datagram, Dest, DgramBody, Frame, NodeId,
-};
+use rmac_wire::{codec, decode_header, encode_datagram, Datagram, Dest, DgramBody, Frame, NodeId};
 
 use crate::transport::{DgramChannel, Incoming, OutDgram};
 
@@ -468,8 +466,15 @@ impl LiveNode {
     /// in time order.
     pub fn on_datagram(&mut self, inc: &Incoming) {
         self.advance(inc.at);
-        let d = match decode_datagram(&inc.bytes) {
-            Ok(d) => d,
+        // The CRC is checked once, and a frame's body is decoded where it
+        // lies in `inc.bytes`, with no copy but the payload's (its `Frame`
+        // here holds nothing).
+        let read = decode_header(&inc.bytes).and_then(|h| match h.frame {
+            true => Ok((h, DgramBody::Frame(Bytes::new()))),
+            false => h.control_body(&inc.bytes).map(|body| (h, body)),
+        });
+        let (h, body) = match read {
+            Ok(read) => read,
             Err(_) => {
                 self.ctx.stats.decode_errors += 1;
                 if inc.channel == DgramChannel::Data {
@@ -485,25 +490,26 @@ impl LiveNode {
                 return;
             }
         };
-        if d.src == self.ctx.id {
+        if h.src == self.ctx.id {
             // Our own datagram echoed back — not a reception.
             self.ctx.stats.self_drops += 1;
             return;
         }
-        match d.body {
-            DgramBody::Frame(bytes) => {
+        match body {
+            DgramBody::Frame(_) => {
                 self.ctx.stats.data_rx += 1;
-                match codec::decode(&bytes, d.src) {
+                let frame = h.body(&inc.bytes);
+                match codec::decode(frame, h.src) {
                     // A copy the transport's loss model faded still decodes
                     // (the hub carries it intact) but arrives `corrupt`: the
                     // reception runs its full airtime — carrier, collision
                     // footprint, tone-window geometry all real — and only
                     // the final FrameRx comes up `ok = false`, exactly a
                     // radio frame that faded below the decode threshold.
-                    Ok(frame) => self.rx_begin(frame, !inc.corrupt, Some((d.src, d.counter))),
+                    Ok(frame) => self.rx_begin(frame, !inc.corrupt, Some((h.src, h.counter))),
                     Err(_) => {
                         self.ctx.stats.decode_errors += 1;
-                        self.rx_begin(noise(d.src, bytes.len()), false, None);
+                        self.rx_begin(noise(h.src, frame.len()), false, None);
                     }
                 }
             }
@@ -517,7 +523,7 @@ impl LiveNode {
                         return;
                     }
                 };
-                self.ctx.tone_edge(d.src, tone, on);
+                self.ctx.tone_edge(h.src, tone, on);
             }
             DgramBody::Abort { counter } => {
                 self.ctx.stats.ctrl_rx += 1;
@@ -526,7 +532,7 @@ impl LiveNode {
                 {
                     self.aborted_rx.pop_front();
                 }
-                self.aborted_rx.push_back((now, d.src, counter));
+                self.aborted_rx.push_back((now, h.src, counter));
             }
         }
         self.drain_pending();
@@ -684,6 +690,7 @@ fn noise(src: NodeId, len: usize) -> Frame {
 mod tests {
     use super::*;
     use rmac_wire::consts::{L_ABT, PAPER_PAYLOAD, T_WF_RDATA};
+    use rmac_wire::decode_datagram;
 
     fn n(i: u16) -> NodeId {
         NodeId(i)

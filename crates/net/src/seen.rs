@@ -44,12 +44,6 @@ impl SeenIds {
         }
         true
     }
-
-    /// Words the window holds.
-    #[cfg(test)]
-    fn words(&self) -> usize {
-        self.window.len()
-    }
 }
 
 #[cfg(test)]
@@ -58,6 +52,13 @@ mod tests {
     use proptest::collection::vec;
     use proptest::prelude::*;
     use rmac_sim::DetHashSet;
+
+    impl SeenIds {
+        /// Words the window holds.
+        fn words(&self) -> usize {
+            self.window.len()
+        }
+    }
 
     /// Every `insert` answers as a `DetHashSet<u32>`'s does.
     fn answers_as_a_hash_set(ids: &[u32]) -> SeenIds {

@@ -9,8 +9,6 @@
 //! mean is exact; quantiles are bucket-resolution (within 2× of the true
 //! value), which is plenty for "where does the time go" profiling.
 
-use std::fmt::Write as _;
-
 use rmac_wire::json;
 
 /// Number of buckets: value 0 plus one per binary order of magnitude.
@@ -138,16 +136,6 @@ impl LogHistogram {
         self.max = self.max.max(other.max);
     }
 
-    /// Non-empty buckets as `(inclusive upper bound, count)` pairs, in
-    /// ascending value order.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_upper(i), c))
-    }
-
     /// The summary exported to JSON, written into an object: count, sum,
     /// min, mean, p50, p99, max.
     pub fn write_json(&self, o: &mut json::Obj<'_>) {
@@ -158,21 +146,6 @@ impl LogHistogram {
             .u64("p50", self.quantile(0.5))
             .u64("p99", self.quantile(0.99))
             .u64("max", self.max);
-    }
-
-    /// One aligned summary line (for ASCII profiling tables).
-    pub fn summary_line(&self) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "n={:<9} mean={:<10.0} p50≤{:<9} p99≤{:<9} max={}",
-            self.count,
-            self.mean(),
-            self.quantile(0.5),
-            self.quantile(0.99),
-            self.max
-        );
-        s
     }
 }
 
@@ -232,16 +205,6 @@ mod tests {
         assert_eq!(a.sum(), 1030);
         assert_eq!(a.max(), 1000);
         assert_eq!(a.min(), 10);
-    }
-
-    #[test]
-    fn bucket_iterator_reports_nonempty_only() {
-        let mut h = LogHistogram::new();
-        h.record(0);
-        h.record(5);
-        h.record(5);
-        let buckets: Vec<_> = h.buckets().collect();
-        assert_eq!(buckets, vec![(0, 1), (7, 2)]);
     }
 
     #[test]

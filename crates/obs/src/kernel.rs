@@ -7,8 +7,6 @@
 //! readings live entirely outside the simulation's determinism domain —
 //! they are taken around the dispatch, never fed back into it.
 
-use std::fmt::Write as _;
-
 use rmac_wire::json;
 
 use crate::hist::LogHistogram;
@@ -63,11 +61,6 @@ impl KernelProfiler {
         self.counts[class]
     }
 
-    /// Total dispatches across classes.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
     /// Wall-time histogram for one class.
     pub fn class_wall(&self, class: usize) -> &LogHistogram {
         &self.wall_ns[class]
@@ -84,29 +77,6 @@ impl KernelProfiler {
                 });
             }
         });
-    }
-
-    /// Aligned per-class profile table (counts, and wall stats when
-    /// timed).
-    pub fn render(&self) -> String {
-        let width = self.labels.iter().map(|l| l.len()).max().unwrap_or(0);
-        let mut out = String::new();
-        for (i, l) in self.labels.iter().enumerate() {
-            if self.counts[i] == 0 {
-                continue;
-            }
-            if self.wall && !self.wall_ns[i].is_empty() {
-                let _ = writeln!(
-                    out,
-                    "{l:<width$}  {:>10}  wall {}",
-                    self.counts[i],
-                    self.wall_ns[i].summary_line()
-                );
-            } else {
-                let _ = writeln!(out, "{l:<width$}  {:>10}", self.counts[i]);
-            }
-        }
-        out
     }
 }
 
@@ -125,7 +95,6 @@ mod tests {
         k.count(2);
         assert_eq!(k.class_count(0), 2);
         assert_eq!(k.class_count(1), 0);
-        assert_eq!(k.total(), 3);
         assert!(k.class_wall(0).is_empty());
     }
 
@@ -136,15 +105,6 @@ mod tests {
         k.record_ns(1, 700);
         assert_eq!(k.class_count(1), 2);
         assert_eq!(k.class_wall(1).sum(), 1200);
-    }
-
-    #[test]
-    fn render_skips_empty_classes() {
-        let mut k = KernelProfiler::new(&LABELS, false);
-        k.count(1);
-        let s = k.render();
-        assert!(s.contains("timer"));
-        assert!(!s.contains("beacon"));
     }
 
     #[test]

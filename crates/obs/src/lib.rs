@@ -29,7 +29,10 @@
 //!   sim-time-driven time series.
 //! * [`report`] — [`ObsReport`], everything assembled — the above plus the
 //!   engine's end-of-run scalars (queue traffic, PHY pool, grid, fault
-//!   plane) as plain name→value lists — with ASCII and JSON rendering.
+//!   plane) as plain name→value lists — and its one JSON document.
+//!
+//! The crate is data and JSON: it prints nothing. The `obs_report` bin
+//! builds its tables from these fields as `rmac_metrics::Table`s.
 //!
 //! [`json`] is `rmac-wire`'s codec, re-exported for `rmac-campaign`. Trace
 //! lines and the Fig. 4-style timeline belong to the observation stream's

@@ -195,6 +195,8 @@ fn be_u32(b: &[u8]) -> u32 {
 pub struct DgramHeader {
     /// Sending node.
     pub src: NodeId,
+    /// The sender's datagram counter.
+    pub counter: u32,
     /// Whether the body is a `Frame`, the one data-channel kind.
     pub frame: bool,
 }
@@ -207,6 +209,7 @@ pub fn decode_header(data: &[u8]) -> Result<DgramHeader, DatagramError> {
     match covered[3] {
         1 | 2 | 6 => Ok(DgramHeader {
             src: NodeId(be_u16(&covered[4..6])),
+            counter: be_u32(&covered[8..12]),
             frame: covered[3] == 1,
         }),
         other => Err(DatagramError::UnknownKind(other)),
@@ -238,57 +241,70 @@ fn checked(data: &[u8]) -> Result<&[u8], DatagramError> {
 /// Decode a datagram, validating magic, version, CRC and layout in that
 /// order (a foreign packet reports `BadMagic`, not a CRC accident).
 pub fn decode_datagram(data: &[u8]) -> Result<Datagram, DatagramError> {
-    let covered = checked(data)?;
-    let kind = covered[3];
-    let src = NodeId(be_u16(&covered[4..6]));
-    let counter = be_u32(&covered[8..12]);
-    let body = &covered[DGRAM_HEADER_LEN..];
-    let parsed = match kind {
-        1 => DgramBody::Frame(Bytes::copy_from_slice(body)),
-        2 => {
-            if body.len() < 2 {
-                return Err(DatagramError::Truncated);
-            }
-            if body.len() > 2 {
-                return Err(DatagramError::TrailingBytes(body.len() - 2));
-            }
-            let tone = body[0];
-            if tone != DGRAM_TONE_RBT && tone != DGRAM_TONE_ABT {
-                return Err(DatagramError::BadTone(tone));
-            }
-            let on = match body[1] {
-                0 => false,
-                1 => true,
-                other => return Err(DatagramError::BadTone(other)),
-            };
-            DgramBody::Tone { tone, on }
-        }
-        6 => {
-            if body.len() < 4 {
-                return Err(DatagramError::Truncated);
-            }
-            if body.len() > 4 {
-                return Err(DatagramError::TrailingBytes(body.len() - 4));
-            }
-            DgramBody::Abort {
-                counter: be_u32(&body[0..4]),
-            }
-        }
-        other => return Err(DatagramError::UnknownKind(other)),
+    let h = decode_header(data)?;
+    let body = match h.frame {
+        true => DgramBody::Frame(Bytes::copy_from_slice(h.body(data))),
+        false => h.control_body(data)?,
     };
     Ok(Datagram {
-        src,
-        counter,
-        body: parsed,
+        src: h.src,
+        counter: h.counter,
+        body,
     })
+}
+
+impl DgramHeader {
+    /// The body of `data`, the datagram this header was read from, where
+    /// it lies: a `Frame`'s encoded frame.
+    pub fn body<'a>(&self, data: &'a [u8]) -> &'a [u8] {
+        &data[DGRAM_HEADER_LEN..data.len() - DGRAM_CRC_LEN]
+    }
+
+    /// The parsed body of `data`, the `Tone` or `Abort` datagram this
+    /// header was read from: its layout checked, its CRC not read again.
+    pub fn control_body(&self, data: &[u8]) -> Result<DgramBody, DatagramError> {
+        let body = self.body(data);
+        let sized = |n: usize| match body.len() {
+            len if len < n => Err(DatagramError::Truncated),
+            len if len > n => Err(DatagramError::TrailingBytes(len - n)),
+            _ => Ok(body),
+        };
+        match data[3] {
+            2 => {
+                let body = sized(2)?;
+                let tone = body[0];
+                if tone != DGRAM_TONE_RBT && tone != DGRAM_TONE_ABT {
+                    return Err(DatagramError::BadTone(tone));
+                }
+                let on = match body[1] {
+                    0 => false,
+                    1 => true,
+                    other => return Err(DatagramError::BadTone(other)),
+                };
+                Ok(DgramBody::Tone { tone, on })
+            }
+            6 => Ok(DgramBody::Abort {
+                counter: be_u32(sized(4)?),
+            }),
+            other => Err(DatagramError::UnknownKind(other)),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `d` decodes back to itself, and its header alone reads the same
+    /// sender, counter and kind.
     fn roundtrip(d: Datagram) {
         let wire = encode_datagram(&d);
+        let header = DgramHeader {
+            src: d.src,
+            counter: d.counter,
+            frame: matches!(d.body, DgramBody::Frame(_)),
+        };
+        assert_eq!(decode_header(&wire), Ok(header));
         assert_eq!(decode_datagram(&wire).expect("roundtrip"), d);
     }
 

@@ -17,6 +17,8 @@
 use std::sync::{Arc, Mutex};
 
 use rmac::engine::TraceEvent;
+use rmac::metrics::table::fmt;
+use rmac::metrics::Table;
 use rmac::mobility::Pos;
 use rmac::prelude::*;
 
@@ -60,11 +62,15 @@ fn main() {
         }
         println!("{e}");
     }
-    println!("\ntones heard over the run (the one exchange is all there is):");
+    let mut tones = Table::new(
+        "tones heard over the run (the one exchange is all there is)",
+        &["node", "RBT_us", "ABT_us"],
+    );
     for (i, n) in out.obs.expect("obs attached").nodes.iter().enumerate() {
-        let [rbt, abt] = n.tone_busy_ns.map(|ns| ns as f64 / 1e3);
-        println!("  n{i}   RBT {rbt:>8.1} µs   ABT {abt:>5.1} µs");
+        let [rbt, abt] = n.tone_busy_ns.map(|ns| fmt(ns as f64 / 1e3, 1));
+        tones.row(vec![format!("n{i}"), rbt, abt]);
     }
+    print!("\n{}", tones.render());
     println!(
         "\ndelivery ratio {:.2} — both receivers got the packet and ABT'd.",
         out.report.delivery_ratio()

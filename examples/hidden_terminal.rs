@@ -17,6 +17,8 @@
 //! cargo run --release --example hidden_terminal
 //! ```
 
+use rmac::metrics::table::fmt;
+use rmac::metrics::Table;
 use rmac::prelude::*;
 
 fn chain(rate: f64) -> ScenarioConfig {
@@ -31,25 +33,25 @@ fn chain(rate: f64) -> ScenarioConfig {
 const PAIR: [Protocol; 2] = [Protocol::Rmac, Protocol::RmacNoRbt];
 
 fn main() {
-    println!("hidden-terminal chain A-B-C-D, 400 packets\n");
-    print!("{:>8}", "");
+    let mut headers = vec!["rate".to_string()];
     for p in PAIR {
-        print!("  {:>12} {:>9} {:>9} ", p.label(), "", "");
+        headers.extend(["delivery", "retx", "drop"].map(|m| format!("{} {m}", p.label())));
     }
-    print!("\n{:>8}", "rate");
-    for _ in PAIR {
-        print!("  {:>12} {:>9} {:>9} ", "delivery", "retx", "drop");
-    }
-    println!();
+    let headers: Vec<&str> = headers.iter().map(String::as_str).collect();
+    let mut t = Table::new("hidden-terminal chain A-B-C-D, 400 packets", &headers);
     for rate in [20.0, 60.0, 100.0, 140.0] {
-        print!("{rate:>8}");
+        let mut row = vec![rate.to_string()];
         for p in PAIR {
             let r = Run::new(&chain(rate), p, 7).execute().report;
-            let (delivery, retx, drop) = (r.delivery_ratio(), r.retx_ratio_avg, r.drop_ratio_avg);
-            print!("  {delivery:>12.4} {retx:>9.3} {drop:>9.4} ");
+            row.extend([
+                fmt(r.delivery_ratio(), 4),
+                fmt(r.retx_ratio_avg, 3),
+                fmt(r.drop_ratio_avg, 4),
+            ]);
         }
-        println!();
+        t.row(row);
     }
-    println!("\nWith the RBT held through the data frame, hidden senders defer and");
+    println!("{}", t.render());
+    println!("With the RBT held through the data frame, hidden senders defer and");
     println!("receptions stay collision-free; without it, retransmissions climb.");
 }

@@ -15,6 +15,8 @@
 use std::process::ExitCode;
 
 use rmac::campaign::ScenarioKind;
+use rmac::metrics::table::fmt;
+use rmac::metrics::Table;
 use rmac::prelude::*;
 
 struct Args {
@@ -114,22 +116,22 @@ fn cmd_run(rest: &[String]) -> Result<(), String> {
 fn cmd_compare(rest: &[String]) -> Result<(), String> {
     let args = parse_args(rest)?;
     let cfg = config_for(&args)?;
-    println!(
-        "{:<12} {:>9} {:>8} {:>8} {:>8} {:>10}",
-        "protocol", "delivery", "drop", "retx", "txoh", "delay(ms)"
+    let mut t = Table::new(
+        "",
+        &["protocol", "delivery", "drop", "retx", "txoh", "delay(ms)"],
     );
     for p in compared() {
         let r = Run::new(&cfg, p, args.seed).execute().report;
-        println!(
-            "{:<12} {:>9.4} {:>8.4} {:>8.3} {:>8.3} {:>10.1}",
-            r.protocol,
-            r.delivery_ratio(),
-            r.drop_ratio_avg,
-            r.retx_ratio_avg,
-            r.txoh_ratio_avg,
-            r.e2e_delay_avg_s * 1e3
-        );
+        t.row(vec![
+            r.protocol.clone(),
+            fmt(r.delivery_ratio(), 4),
+            fmt(r.drop_ratio_avg, 4),
+            fmt(r.retx_ratio_avg, 3),
+            fmt(r.txoh_ratio_avg, 3),
+            fmt(r.e2e_delay_avg_s * 1e3, 1),
+        ]);
     }
+    print!("{}", t.render());
     Ok(())
 }
 

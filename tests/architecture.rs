@@ -966,6 +966,105 @@ fn nothing_names_the_pinned_run_shims() {
     assert_none(&found, "a pinned run shim has a caller outside its home");
 }
 
+/// `rmac-obs` is data and JSON: it prints nothing and aligns no column, so
+/// no source of it imports `std::fmt::Write`; every printed table is an
+/// `rmac_metrics::Table` built by the code that prints it (DESIGN.md §9).
+#[test]
+fn rmac_obs_keeps_data_and_json_only() {
+    let files = tree().iter().filter(|f| f.under("crates/obs/src"));
+    let found = grep(files, |l| l.contains("fmt::Write"));
+    assert_none(&found, "rmac-obs renders text");
+}
+
+/// Rust sources the line budget counts: the root package's, every
+/// crate's and the examples'.
+fn counted_rs(f: &Source) -> bool {
+    f.is_rs() && (f.under("src") || f.in_crate_src() || f.under("examples"))
+}
+
+/// The text after a `#[cfg(test)]` attribute that opens `lines[i]`: the
+/// rest of that line, or the next line when the attribute stands alone.
+fn after_cfg_test<'a>(lines: &[&'a str], i: usize) -> Option<&'a str> {
+    let rest = lines[i].trim_start().strip_prefix("#[cfg(test)]")?.trim();
+    Some(match rest {
+        "" => lines.get(i + 1).map_or("", |l| l.trim_start()),
+        rest => rest,
+    })
+}
+
+/// The name of the module a line declares (`mod name;` or `mod name {`,
+/// after any visibility).
+fn declared_mod(line: &str) -> Option<&str> {
+    let line = ["pub ", "pub(crate) "]
+        .iter()
+        .find_map(|v| line.strip_prefix(v))
+        .unwrap_or(line);
+    let name = line.strip_prefix("mod ")?;
+    Some(name.trim_end_matches([';', '{', ' ']))
+}
+
+/// In every counted source, `#[cfg(test)]` gates a module and nothing else:
+/// a test-only helper lives in the test module, so a file's production code
+/// is every line above its first `#[cfg(test)]` (DESIGN.md §1).
+#[test]
+fn cfg_test_gates_only_a_module() {
+    let mut found = Vec::new();
+    for f in tree().iter().filter(|f| counted_rs(f)) {
+        let lines: Vec<&str> = f.text.lines().collect();
+        for i in 0..lines.len() {
+            if after_cfg_test(&lines, i).is_some_and(|next| declared_mod(next).is_none()) {
+                found.push(format!("{}:{}: {}", f.path, i + 1, lines[i]));
+            }
+        }
+    }
+    assert_none(&found, "a #[cfg(test)] gates something other than a module");
+}
+
+/// The files that `#[cfg(test)] mod name;` lines declare: compiled only
+/// under `cfg(test)`.
+fn test_only_files() -> BTreeSet<String> {
+    let mut files = BTreeSet::new();
+    for f in tree().iter().filter(|f| counted_rs(f)) {
+        let (dir, stem) = f.path.rsplit_once('/').expect("a file in a directory");
+        let stem = stem.trim_end_matches(".rs");
+        let dir = match stem {
+            "lib" | "main" | "mod" => dir.to_string(),
+            _ => format!("{dir}/{stem}"),
+        };
+        let lines: Vec<&str> = f.text.lines().collect();
+        for i in 0..lines.len() {
+            let declared = after_cfg_test(&lines, i).filter(|l| l.ends_with(';'));
+            if let Some(name) = declared.and_then(declared_mod) {
+                files.insert(format!("{dir}/{name}.rs"));
+                files.insert(format!("{dir}/{name}/mod.rs"));
+            }
+        }
+    }
+    files
+}
+
+/// Non-test Rust lines the workspace may hold: every line of each counted
+/// source above its first `#[cfg(test)]`, files compiled only under
+/// `cfg(test)` skipped. Set at the count it holds, so a change that adds
+/// code raises it in its own diff (DESIGN.md §1).
+const CODE_LINES: usize = 20_834;
+
+/// The workspace keeps to its non-test line budget (DESIGN.md §1).
+#[test]
+fn non_test_code_keeps_its_line_budget() {
+    let test_only = test_only_files();
+    let lines: usize = tree()
+        .iter()
+        .filter(|f| counted_rs(f) && !test_only.contains(&f.path))
+        .map(|f| f.code().count())
+        .sum();
+    assert!(
+        lines <= CODE_LINES,
+        "{lines} non-test Rust lines (want <= {CODE_LINES}): a change that adds code \
+         raises the budget in its own diff"
+    );
+}
+
 /// The description files other files cite by section, each with its byte
 /// budget.
 const DOCS: [(&str, usize); 2] = [("DESIGN.md", 45_000), ("EXPERIMENTS.md", 35_000)];
