@@ -7,6 +7,15 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# benchmark/Cargo.lock pins every path crate's dependency list, so a new edge between workspace crates
+# breaks the benchmark's --locked build until a benchmark change re-locks it: fail here, in seconds.
+echo "==> the benchmark's lock still resolves the workspace's crate graph"
+cargo metadata --locked --offline --manifest-path benchmark/Cargo.toml --format-version 1 >/dev/null || {
+    echo "benchmark/Cargo.lock no longer matches the crate graph: a new dependency edge between workspace" \
+        "crates waits for a benchmark change to re-lock it (CHANGES.md, the FOUND line on benchmark/Cargo.lock)"
+    exit 1
+}
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -51,7 +60,7 @@ cargo test -q --release --test memory_budget
 echo "==> grid stage: grid/brute differential proptests, optimised"
 cargo test -q --release --test grid_equivalence
 
-echo "==> event budget: countdown timers, tone edges and onsets per event, geometry and link budgets"
+echo "==> event budget: countdown timers, tone edges and onsets per event, CarrierOff entries per fall, no stale timer at a MAC, NAV pops per frame, geometry and link budgets"
 cargo test -q --release --test event_budget
 cargo test -q --release -p rmac-engine --lib link_arithmetic_is_done_only_where_it_can_decide
 

@@ -240,7 +240,7 @@ impl Exchange for BmmmExchange {
                 if frame.src == self.job().send.receivers[i] =>
             {
                 self.cts[i] = true;
-                st.answered();
+                st.answered(ctx);
                 self.after_cts_slot(st, ctx, i);
             }
             // A RAK asks about data; without any there is nothing to ACK.
@@ -251,7 +251,7 @@ impl Exchange for BmmmExchange {
                 if frame.src == self.job().send.receivers[i] =>
             {
                 self.ack[i] = true;
-                st.answered();
+                st.answered(ctx);
                 self.after_ack_slot(st, ctx, i);
             }
             (FrameKind::DataReliable, _) => st.deliver_once(ctx, frame),

@@ -173,7 +173,7 @@ impl Exchange for BmwExchange {
                 st.respond(ctx, cts);
             }
             (FrameKind::Cts, Some(Phase::WaitCts)) if frame.src == self.target() => {
-                st.answered();
+                st.answered(ctx);
                 if frame.seq > self.job().send.seq {
                     // The receiver overheard an earlier DATA and already
                     // has this packet: skip DATA/ACK.
@@ -194,14 +194,14 @@ impl Exchange for BmwExchange {
                 // ACK only if this DATA answers our CTS.
                 if self.await_data_from == Some(frame.src) {
                     self.await_data_from = None;
-                    st.end_session();
+                    st.end_session(ctx);
                     if st.is_idle() {
                         st.respond(ctx, st.answer(FrameKind::Ack, frame));
                     }
                 }
             }
             (FrameKind::Ack, Some(Phase::WaitAck)) if frame.src == self.target() => {
-                st.answered();
+                st.answered(ctx);
                 self.receiver_done(st, ctx, true);
             }
             _ => {}

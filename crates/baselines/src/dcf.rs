@@ -12,7 +12,7 @@
 //! to every draw — the standard slotting approximation for a simulator with
 //! a slot-quantised backoff loop.
 
-use rmac_core::api::{MacContext, TimerKind};
+use rmac_core::api::{fired, MacContext, TimerKind};
 use rmac_core::backoff::{Backoff, Slot};
 use rmac_sim::{SimTime, TimerSlot};
 
@@ -97,7 +97,7 @@ impl Dcf {
 
     /// Stop the countdown (the node is leaving contention, e.g. to
     /// respond to an RTS). BI is retained.
-    pub fn suspend(&mut self, ctx: &dyn MacContext) {
+    pub fn suspend(&mut self, ctx: &mut dyn MacContext) {
         self.backoff.pause(ctx);
     }
 
@@ -148,8 +148,8 @@ impl Dcf {
 
     /// A NAV wake-up timer fired; returns whether it was the live one (the
     /// protocol should then re-enter `try_access`).
-    pub fn on_nav_timer(&mut self, gen: u64) -> bool {
-        self.t_nav.disarm_if(gen)
+    pub fn on_nav_timer(&mut self, ctx: &mut dyn MacContext, gen: u64) -> bool {
+        fired(ctx, &mut self.t_nav, TimerKind::Nav, gen)
     }
 
     /// The countdown timer fired. Returns `Transmit` when access is won; on
@@ -321,7 +321,7 @@ mod tests {
         let mut m = Mock::new();
         let mut s = Station::counting(&mut m, 7);
         m.now = SLOT.mul(3) + SimTime::from_micros(1);
-        s.dcf.suspend(&m);
+        s.dcf.suspend(&mut m);
         assert_eq!(s.dcf.bi(), 4);
         // The cancelled sleep is stale when it comes up.
         m.fire(&mut s, TimerKind::BackoffSlot);
@@ -343,7 +343,7 @@ mod tests {
             .find(|&&(_, k, _)| k == TimerKind::Nav)
             .unwrap();
         m.now = SimTime::from_millis(3);
-        assert!(d.on_nav_timer(gen));
+        assert!(d.on_nav_timer(&mut m, gen));
         assert!(d.medium_idle(&m));
     }
 

@@ -114,7 +114,7 @@ impl Exchange for LbpExchange {
         if let Some(rx) = self.rx {
             if !rx.leader && st.is_idle() {
                 self.rx = None;
-                st.end_session();
+                st.end_session(ctx);
                 let nak = Frame::control(FrameKind::Nak, st.id(), rx.sender, SimTime::ZERO);
                 st.respond(ctx, nak);
             }
@@ -142,21 +142,21 @@ impl Exchange for LbpExchange {
                 }
             }
             (FrameKind::Cts, Some(Phase::WaitCts)) if addressed => {
-                st.answered();
+                st.answered(ctx);
                 st.gap(ctx, Phase::GapData);
             }
             (FrameKind::DataReliable, _) if addressed => {
                 st.deliver_once(ctx, frame);
                 if let Some(rx) = self.rx.filter(|rx| rx.sender == frame.src) {
                     self.rx = None;
-                    st.end_session();
+                    st.end_session(ctx);
                     if rx.leader && st.is_idle() {
                         st.respond(ctx, st.answer(FrameKind::Ack, frame));
                     }
                 }
             }
             (FrameKind::Ack, Some(Phase::WaitAck)) if addressed => {
-                st.answered();
+                st.answered(ctx);
                 // LBP cannot tell receivers apart: the leader's ACK is taken
                 // as group delivery. (Per-node delivery is measured at the
                 // network layer, where the silent-loss gap shows up.)
@@ -164,7 +164,7 @@ impl Exchange for LbpExchange {
                 st.finish_group(ctx, send, true);
             }
             (FrameKind::Nak, Some(Phase::WaitAck)) if addressed => {
-                st.answered();
+                st.answered(ctx);
                 self.attempt_failed(st, ctx);
             }
             _ => {}

@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use rmac_core::api::{MacContext, TimerKind};
+use rmac_core::api::{fired, MacContext, TimerKind};
 use rmac_core::sendq::ReliableSend;
 use rmac_phy::Tone;
 use rmac_sim::{SimTime, TimerSlot};
@@ -135,7 +135,7 @@ impl Exchange for MxExchange {
     fn on_corrupt(&mut self, st: &mut Core<Phase>, ctx: &mut dyn MacContext) {
         if self.rx.is_some() && st.is_idle() {
             self.rx = None;
-            st.end_session();
+            st.end_session(ctx);
             let gen = self.t_nak_start.arm();
             ctx.schedule(SIFS, TimerKind::AbtStart, gen);
         }
@@ -158,7 +158,7 @@ impl Exchange for MxExchange {
                 }
             }
             (FrameKind::Cts, Some(Phase::WaitCts)) if addressed => {
-                st.answered();
+                st.answered(ctx);
                 st.gap(ctx, Phase::GapData);
             }
             (FrameKind::DataReliable, _) if addressed => {
@@ -167,7 +167,7 @@ impl Exchange for MxExchange {
                     // Clean reception: stay silent (positive outcome is
                     // the *absence* of a NAK).
                     self.rx = None;
-                    st.end_session();
+                    st.end_session(ctx);
                 }
             }
             _ => {}
@@ -183,7 +183,7 @@ impl Exchange for MxExchange {
     ) {
         match kind {
             TimerKind::WfAbt => {
-                if !self.t_wf_nak.disarm_if(gen) || st.phase() != Some(Phase::WfNak) {
+                if !fired(ctx, &mut self.t_wf_nak, kind, gen) || st.phase() != Some(Phase::WfNak) {
                     return;
                 }
                 // A noisy window: somebody NAKed, retry the whole group.
@@ -198,12 +198,12 @@ impl Exchange for MxExchange {
                     st.finish_group(ctx, send, true);
                 }
             }
-            TimerKind::AbtStart if self.t_nak_start.disarm_if(gen) => {
+            TimerKind::AbtStart if fired(ctx, &mut self.t_nak_start, kind, gen) => {
                 ctx.start_tone(Tone::Abt);
                 let g = self.t_nak_stop.arm();
                 ctx.schedule(nak_len(), TimerKind::AbtStop, g);
             }
-            TimerKind::AbtStop if self.t_nak_stop.disarm_if(gen) => {
+            TimerKind::AbtStop if fired(ctx, &mut self.t_nak_stop, kind, gen) => {
                 ctx.stop_tone(Tone::Abt);
             }
             _ => {}

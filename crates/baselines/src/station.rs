@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use std::fmt::Debug;
 use std::sync::Arc;
 
-use rmac_core::api::{MacContext, MacService, TimerKind, TxOutcome, TxRequest};
+use rmac_core::api::{fired, MacContext, MacService, TimerKind, TxOutcome, TxRequest};
 use rmac_core::config::MacConfig;
 use rmac_core::sendq::{Next, ReliableSend, SendQueue, UnreliableSend};
 use rmac_phy::{Indication, ToneInterest};
@@ -222,8 +222,9 @@ impl<P: Copy + PartialEq> Core<P> {
     }
 
     /// The awaited answer arrived.
-    pub fn answered(&mut self) {
+    pub fn answered(&mut self, ctx: &mut dyn MacContext) {
         self.t_resp.cancel();
+        ctx.cancel_timer(TimerKind::AwaitResponse);
     }
 
     /// Wait a SIFS in `then`; [`Exchange::on_gap`] follows.
@@ -261,8 +262,9 @@ impl<P: Copy + PartialEq> Core<P> {
     }
 
     /// The session's DATA arrived (or was seen broken).
-    pub fn end_session(&mut self) {
+    pub fn end_session(&mut self, ctx: &mut dyn MacContext) {
         self.t_session.cancel();
+        ctx.cancel_timer(TimerKind::SessionGuard);
     }
 
     /// Hand `frame` up unless it repeats the last reliable data delivered
@@ -477,27 +479,31 @@ impl<X: Exchange> MacService for Station<X> {
                 }
             }
             TimerKind::Nav => {
-                if core.dcf.on_nav_timer(gen) {
+                if core.dcf.on_nav_timer(ctx, gen) {
                     self.try_progress(ctx);
                 }
             }
             TimerKind::SessionGuard => {
-                if core.t_session.disarm_if(gen) {
+                if fired(ctx, &mut core.t_session, kind, gen) {
                     x.on_session_expired();
                 }
             }
             TimerKind::AwaitResponse => {
-                if let (true, Phase::In(phase)) = (core.t_resp.disarm_if(gen), core.phase) {
+                if let (true, Phase::In(phase)) =
+                    (fired(ctx, &mut core.t_resp, kind, gen), core.phase)
+                {
                     x.on_timeout(core, ctx, phase);
                 }
             }
             TimerKind::Ifs => {
-                if let (true, Phase::In(phase)) = (core.t_gap.disarm_if(gen), core.phase) {
+                if let (true, Phase::In(phase)) =
+                    (fired(ctx, &mut core.t_gap, kind, gen), core.phase)
+                {
                     x.on_gap(core, ctx, phase);
                 }
             }
             TimerKind::RespIfs => {
-                if core.t_resp_gap.disarm_if(gen) && core.phase == Phase::RespGap {
+                if fired(ctx, &mut core.t_resp_gap, kind, gen) && core.phase == Phase::RespGap {
                     let frame = core.resp.take().expect("RespGap without a response");
                     ctx.counters().ctrl_airtime += frame.airtime();
                     core.phase = Phase::TxResp;
@@ -509,13 +515,19 @@ impl<X: Exchange> MacService for Station<X> {
         self.settle(ctx);
     }
 
-    /// An 802.11 station has no use for the tones; a carrier rise it can
-    /// act on only while its DCF countdown runs.
+    /// An 802.11 station has no use for the tones. A carrier rise it can
+    /// act on only while its DCF countdown runs; the carrier falling only
+    /// while idle with something to contend for: a job, a queued request or
+    /// BI left.
     fn tone_interest(&self) -> ToneInterest {
+        let mut want = ToneInterest::NONE;
         if self.core.dcf.counting() {
-            ToneInterest::CARRIER
-        } else {
-            ToneInterest::NONE
+            want |= ToneInterest::CARRIER;
         }
+        let core = &self.core;
+        if core.is_idle() && (self.has_job() || !core.sendq.is_empty() || core.dcf.bi() > 0) {
+            want |= ToneInterest::CARRIER_FALL;
+        }
+        want
     }
 }

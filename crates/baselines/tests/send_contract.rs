@@ -15,7 +15,7 @@ use rmac_core::api::{MacService, TimerKind, TxOutcome, TxRequest};
 use rmac_core::sendq::QUEUE_CAPACITY;
 use rmac_core::testkit::{Action, Mock};
 use rmac_core::{MacConfig, Rmac, State};
-use rmac_phy::ToneInterest;
+use rmac_phy::{Tone, ToneInterest};
 use rmac_wire::{Dest, FrameKind, NodeId};
 
 fn n(i: u16) -> NodeId {
@@ -117,8 +117,9 @@ fn unreliable_is_sent_paced_and_followed_in_order<M: MacService>(make: fn(NodeId
 
 /// Along a reliable send — nothing to do, deferring to a busy channel,
 /// contending, first frame on the air, waiting for the answer — and with a
-/// broadcast on the air, a tone flip outside the declared interest reaches
-/// for nothing and leaves the MAC where it was.
+/// broadcast on the air, a tone flip or a carrier edge outside the declared
+/// interest reaches for nothing and leaves the MAC where it was. An 802.11
+/// station declares no tone flip at all.
 fn tone_flips_outside_interest_do_nothing<M: MacService>(
     make: fn(NodeId, MacConfig) -> M,
     idle: fn(&M) -> bool,
@@ -126,8 +127,9 @@ fn tone_flips_outside_interest_do_nothing<M: MacService>(
 ) {
     let stop = |m: &mut Mock, mac: &mut M| {
         if station {
-            let tones = mac.tone_interest();
-            assert!(tones == ToneInterest::NONE || tones == ToneInterest::CARRIER);
+            let want = mac.tone_interest();
+            let flips = Tone::ALL.into_iter().flat_map(|t| [(t, true), (t, false)]);
+            assert!(flips.into_iter().all(|(t, on)| !want.wants(t, on)));
         }
         m.flips_outside_interest_do_nothing(mac, idle);
     };
@@ -148,6 +150,10 @@ fn tone_flips_outside_interest_do_nothing<M: MacService>(
     let mut mac = make(n(0), MacConfig::default());
     mac.submit(&mut m, request(false, Dest::Broadcast, 2));
     contend(&mut m, &mut mac);
+    stop(&mut m, &mut mac);
+    // Sent, with the draw that paces the next send on a busy channel.
+    m.data_busy = true;
+    m.finish_tx(&mut mac, false);
     stop(&mut m, &mut mac);
 }
 

@@ -31,7 +31,7 @@ pub mod runner;
 pub mod spec;
 pub mod store;
 
-pub use query::{aggregate, grid_points, load_store, summarize, Agg, SummaryRow};
+pub use query::{aggregate, diff_stores, grid_points, load_store, summarize, Agg, SummaryRow};
 pub use rmac_sim::try_tasks;
 pub use runner::{campaign_dir, run_campaign, run_case, CampaignOutcome, RunOptions};
 pub use spec::{CampaignSpec, CaseSpec, FaultAxis, ScenarioKind};

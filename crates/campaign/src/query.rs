@@ -1,8 +1,9 @@
 //! Query API over the metrics store: seed-pooled aggregates (mean / p50 /
-//! p95) per grid point.
+//! p95) per grid point, and what differs between two stores.
 
 use crate::store::CaseRecord;
 use rmac_metrics::percentile;
+use rmac_obs::json::Json;
 
 /// Mean and quantiles of one metric across a record group.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -97,6 +98,66 @@ pub fn load_store(dir: &std::path::Path) -> Result<Vec<CaseRecord>, String> {
         .collect()
 }
 
+/// What differs between two stores, given the text of each `store.jsonl`:
+/// one line per record whose case key is in one store only, or whose keys
+/// differ there, each such key with both values (`absent` where a line
+/// lacks it). Records are matched by case key, in `a`'s order, then `b`'s
+/// own, and a last line says if the records both hold come in another
+/// order; no line means the stores hold the same records.
+pub fn diff_stores(a: &str, b: &str) -> Result<Vec<String>, String> {
+    let (a, b) = (keyed_lines(a)?, keyed_lines(b)?);
+    let find = |lines: &[(String, Json)], key: &str| lines.iter().position(|(k, _)| k == key);
+    let mut out = Vec::new();
+    for (key, ours) in &a {
+        let Some(i) = find(&b, key) else {
+            out.push(format!("{key}: only in A"));
+            continue;
+        };
+        let theirs = &b[i].1;
+        let value = |line: &Json, name: &str| line.get(name).map_or("absent".into(), Json::render);
+        let names = members(ours).chain(members(theirs).filter(|n| ours.get(n).is_none()));
+        let changed: Vec<String> = names
+            .filter_map(|name| {
+                let (was, now) = (value(ours, name), value(theirs, name));
+                (was != now).then(|| format!("{name} {was} -> {now}"))
+            })
+            .collect();
+        if !changed.is_empty() {
+            out.push(format!("{key}: {}", changed.join(", ")));
+        }
+    }
+    let only_b = b.iter().filter(|(key, _)| find(&a, key).is_none());
+    out.extend(only_b.map(|(key, _)| format!("{key}: only in B")));
+    let shared = |x: &[(String, Json)], y: &[(String, Json)]| -> Vec<String> {
+        let keys = x.iter().map(|(key, _)| key.clone());
+        keys.filter(|key| find(y, key).is_some()).collect()
+    };
+    if shared(&a, &b) != shared(&b, &a) {
+        out.push("the records both hold are in another order".to_string());
+    }
+    Ok(out)
+}
+
+/// A store's lines, each under its case key.
+fn keyed_lines(text: &str) -> Result<Vec<(String, Json)>, String> {
+    let keyed = |line: &str| -> Result<(String, Json), String> {
+        let json = Json::parse(line)?;
+        Ok((json.str("key")?.to_string(), json))
+    };
+    (text.lines().enumerate())
+        .map(|(i, line)| keyed(line).map_err(|e| format!("line {}: {e}", i + 1)))
+        .collect()
+}
+
+/// The member names of a store line.
+fn members(line: &Json) -> impl Iterator<Item = &str> {
+    let fields = match line {
+        Json::Obj(fields) => &fields[..],
+        _ => &[],
+    };
+    fields.iter().map(|(name, _)| name.as_str())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,5 +226,35 @@ mod tests {
             );
             assert_eq!((a.p50, a.p95), (rank(0.50), rank(0.95)), "n={n}");
         }
+    }
+
+    /// Every record and key that differs is named once, with both values.
+    #[test]
+    fn a_store_diff_names_each_differing_record_and_key() {
+        let a = "\
+{\"key\":\"RMAC/s0\",\"events\":10,\"delivery\":1.000000}
+{\"key\":\"BMMM/s0\",\"events\":30,\"delivery\":0.900000}
+{\"key\":\"BMW/s0\",\"events\":5,\"delivery\":0.500000}
+";
+        let b = "\
+{\"key\":\"RMAC/s0\",\"events\":10,\"delivery\":1.000000}
+{\"key\":\"BMMM/s0\",\"events\":27,\"delivery\":0.900000,\"obs_counters\":{}}
+{\"key\":\"LBP/s0\",\"events\":7,\"delivery\":0.700000}
+";
+        assert_eq!(
+            diff_stores(a, b).unwrap(),
+            [
+                "BMMM/s0: events 30 -> 27, obs_counters absent -> {}",
+                "BMW/s0: only in A",
+                "LBP/s0: only in B",
+            ]
+        );
+        assert_eq!(diff_stores(a, a).unwrap(), Vec::<String>::new());
+        let swapped: String = a.lines().rev().map(|l| format!("{l}\n")).collect();
+        assert_eq!(
+            diff_stores(a, &swapped).unwrap(),
+            ["the records both hold are in another order"]
+        );
+        assert!(diff_stores(a, "{\"events\":1}").is_err());
     }
 }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use rmac_phy::{Indication, Tone, ToneInterest, ToneLog};
-use rmac_sim::{SimRng, SimTime};
+use rmac_sim::{SimRng, SimTime, TimerSlot};
 use rmac_wire::{Dest, Frame, NodeId};
 
 /// An upper-layer transmit request.
@@ -50,7 +50,7 @@ pub enum TxOutcome {
 
 /// Logical timer identifiers. Each MAC owns one generation-tracked slot per
 /// kind (see `rmac_sim::timer`); a firing carries the generation it was
-/// armed with so stale firings are ignored.
+/// armed with, so one that reaches the MAC stale is ignored ([`fired`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TimerKind {
     /// The backoff countdown's timer ([`crate::backoff::Backoff`]): a look at
@@ -99,13 +99,21 @@ pub enum TimerKind {
 /// then if the MAC is interested and caught up, under the same key, if the
 /// interest opens while it is still ahead — DESIGN.md §4, "Claimed keys".
 /// While the node itself transmits it is not counting, so no carrier edge
-/// is owed for that.) A context may deliver more — the live backend and the testkit
-/// deliver every carrier rise and every tone flip — so a MAC must take a
-/// change outside its declared interest as a no-op; one it was not told of
-/// it finds by asking `data_busy` or `tone_present` when it next decides
-/// something, as the paper's node senses the carrier when it has a slot to
-/// count (§3.3.1). `CarrierOff`, frame receptions and `TxDone` are always
-/// delivered.
+/// is owed for that.) A `CarrierOff` is delivered where the interest holds
+/// the carrier falling ([`ToneInterest::CARRIER_FALL`]), as the frame end
+/// that idles the channel is handled. A context may deliver more — the live
+/// backend and the testkit deliver every carrier edge and every tone flip —
+/// so a MAC must take a change outside its declared interest as a no-op;
+/// one it was not told of it finds by asking `data_busy` or `tone_present`
+/// when it next decides something, as the paper's node senses the carrier
+/// when it has a slot to count (§3.3.1). Frame receptions and `TxDone` are
+/// always delivered.
+///
+/// Timers: a MAC that cancels a timer ([`TimerSlot::cancel`]) says so
+/// ([`cancel_timer`](MacContext::cancel_timer)). A context may then drop
+/// the firing, as the engine does with every firing a later arm of the
+/// same kind superseded, or deliver it for the MAC's generation check to
+/// drop ([`fired`]).
 pub trait MacContext {
     /// Current simulation time.
     fn now(&self) -> SimTime;
@@ -147,9 +155,22 @@ pub trait MacContext {
     fn rng(&mut self) -> &mut SimRng;
     /// The node's MAC-layer counters.
     fn counters(&mut self) -> &mut MacCounters;
-    /// The MAC dropped a dispatched timer as generation-stale (cancelled or
-    /// re-armed since). Observability only; the default ignores it.
-    fn timer_cancelled(&mut self, _kind: TimerKind) {}
+    /// The MAC cancelled its live `kind` timer. The default ignores it.
+    fn cancel_timer(&mut self, _kind: TimerKind) {}
+    /// A dispatched `kind` timer reached the MAC generation-stale
+    /// (cancelled or re-armed since), and was dropped. The default ignores
+    /// it; the engine, which dispatches live timers only, counts it.
+    fn stale_timer(&mut self, _kind: TimerKind) {}
+}
+
+/// Whether a dispatched `kind` timer carrying `gen` is `slot`'s live
+/// instance, disarming it; a stale one is told to the context.
+pub fn fired(ctx: &mut dyn MacContext, slot: &mut TimerSlot, kind: TimerKind, gen: u64) -> bool {
+    let live = slot.disarm_if(gen);
+    if !live {
+        ctx.stale_timer(kind);
+    }
+    live
 }
 
 /// A MAC protocol entity for one node.

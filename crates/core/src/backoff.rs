@@ -39,7 +39,7 @@
 use rmac_sim::{SimRng, SimTime, TimerSlot};
 use rmac_wire::consts::{CW_MAX, CW_MIN, SLOT};
 
-use crate::api::{MacContext, TimerKind};
+use crate::api::{fired, MacContext, TimerKind};
 
 /// What a dispatched countdown timer found.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -154,10 +154,11 @@ impl Backoff {
 
     /// Stop counting, crediting the boundaries strictly before now; BI is
     /// retained. No-op unless counting.
-    pub fn pause(&mut self, ctx: &dyn MacContext) {
+    pub fn pause(&mut self, ctx: &mut dyn MacContext) {
         if self.counting() {
             self.credit(ctx.local_now());
             self.timer.cancel();
+            ctx.cancel_timer(TimerKind::BackoffSlot);
         }
     }
 
@@ -165,8 +166,7 @@ impl Backoff {
     /// sense at this instant. Unless the result is [`Slot::Counting`] the
     /// countdown has stopped.
     pub fn on_timer(&mut self, ctx: &mut dyn MacContext, gen: u64, idle: bool) -> Slot {
-        if !self.timer.disarm_if(gen) {
-            ctx.timer_cancelled(TimerKind::BackoffSlot);
+        if !fired(ctx, &mut self.timer, TimerKind::BackoffSlot, gen) {
             return Slot::Stale;
         }
         if !idle {
@@ -408,7 +408,7 @@ mod tests {
         b.add_slots(7);
         b.start(&mut m);
         m.now = SLOT.mul(3);
-        b.pause(&m);
+        b.pause(&mut m);
         assert_eq!((b.bi(), b.counting()), (5, false));
         // A hop decides nothing at its own instant: a pause that follows it
         // there leaves that boundary uncounted, a busy edge counts it.
@@ -425,8 +425,8 @@ mod tests {
             );
             (m, b)
         };
-        let (m, mut b) = hopped();
-        b.pause(&m);
+        let (mut m, mut b) = hopped();
+        b.pause(&mut m);
         assert_eq!(b.bi(), 2);
         let (mut m, mut b) = hopped();
         b.on_busy(&mut m);

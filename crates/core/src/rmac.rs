@@ -25,7 +25,7 @@ use rmac_sim::{SimTime, TimerSlot};
 use rmac_wire::consts::{LAMBDA, L_ABT, T_WF, T_WF_RDATA};
 use rmac_wire::{Dest, Frame, FrameKind, NodeId};
 
-use crate::api::{MacContext, MacService, TimerKind, TxOutcome, TxRequest};
+use crate::api::{fired, MacContext, MacService, TimerKind, TxOutcome, TxRequest};
 use crate::backoff::{Backoff, Slot};
 use crate::config::MacConfig;
 use crate::sendq::{Next, ReliableSend, SendQueue, UnreliableSend};
@@ -368,6 +368,7 @@ impl Rmac {
             ctx.stop_tone(Tone::Rbt);
         }
         self.t_wf_rdata.cancel();
+        ctx.cancel_timer(TimerKind::WfRdata);
         if self.state == State::WfRdata {
             self.set_state(State::Idle);
         }
@@ -623,6 +624,7 @@ impl MacService for Rmac {
                             rx.carrier_seen = true;
                             first_bit = true;
                             self.t_wf_rdata.cancel();
+                            ctx.cancel_timer(TimerKind::WfRdata);
                         }
                     }
                     if first_bit && !self.cfg.rbt_data_protection {
@@ -666,22 +668,22 @@ impl MacService for Rmac {
         match kind {
             TimerKind::BackoffSlot => self.on_backoff_slot(ctx, gen),
             TimerKind::WfRbt => {
-                if self.t_wf_rbt.disarm_if(gen) {
+                if fired(ctx, &mut self.t_wf_rbt, kind, gen) {
                     self.on_wf_rbt(ctx);
                 }
             }
             TimerKind::WfRdata => {
-                if self.t_wf_rdata.disarm_if(gen) {
+                if fired(ctx, &mut self.t_wf_rdata, kind, gen) {
                     self.on_wf_rdata(ctx);
                 }
             }
             TimerKind::WfAbt => {
-                if self.t_wf_abt.disarm_if(gen) {
+                if fired(ctx, &mut self.t_wf_abt, kind, gen) {
                     self.on_wf_abt(ctx);
                 }
             }
             TimerKind::AbtStart => {
-                if self.t_abt_start.disarm_if(gen) {
+                if fired(ctx, &mut self.t_abt_start, kind, gen) {
                     self.abt_pending = false;
                     ctx.start_tone(Tone::Abt);
                     let g = self.t_abt_stop.arm();
@@ -689,7 +691,7 @@ impl MacService for Rmac {
                 }
             }
             TimerKind::AbtStop => {
-                if self.t_abt_stop.disarm_if(gen) {
+                if fired(ctx, &mut self.t_abt_stop, kind, gen) {
                     ctx.stop_tone(Tone::Abt);
                 }
             }
@@ -703,9 +705,9 @@ impl MacService for Rmac {
     }
 
     /// An RBT rise stops a running countdown and aborts an MRTS or an
-    /// unreliable frame on the air; an RBT fall lets an IDLE node with
-    /// something to do (BI to count down, a job, a waiting request) try
-    /// again. Nothing else in `on_indication` reads a `ToneChanged` — the
+    /// unreliable frame on the air; an RBT fall, and the carrier falling,
+    /// let an IDLE node with something to do (BI to count down, a job, a
+    /// waiting request) try again. Nothing else in `on_indication` reads a `ToneChanged` — the
     /// WF_RBT and WF_ABT windows are tone watches, read when they close. A
     /// carrier rise stops a running countdown too, and is the first bit a
     /// receiver in WF_RDATA waits for; everywhere else the node reads
@@ -723,7 +725,7 @@ impl MacService for Rmac {
         if self.state == State::Idle
             && (self.backoff.bi() > 0 || self.job.is_some() || !self.sendq.is_empty())
         {
-            want |= ToneInterest::flip(Tone::Rbt, false);
+            want |= ToneInterest::flip(Tone::Rbt, false) | ToneInterest::CARRIER_FALL;
         }
         want
     }

@@ -917,14 +917,15 @@ fn tone_watch_discipline() {
 // Declared interest
 // ---------------------------------------------------------------------
 
-/// In each of the eight states a tone flip or a carrier rise outside the
+/// In each of the eight states a tone flip or a carrier edge outside the
 /// declared interest does nothing at all — no context call, no state change,
 /// no RNG draw — so an engine may leave it undispatched; and the interest is
 /// what the handlers say it is.
 #[test]
 fn a_tone_flip_or_carrier_rise_outside_the_declared_interest_does_nothing_in_any_state() {
     let rise = ToneInterest::flip(Tone::Rbt, true);
-    let fall = ToneInterest::flip(Tone::Rbt, false);
+    // What an IDLE node with work waits for: an RBT fall or the carrier's.
+    let fall = ToneInterest::flip(Tone::Rbt, false) | ToneInterest::CARRIER_FALL;
     let carrier = ToneInterest::CARRIER;
     let all_of = |r: &Rmac| (r.state(), r.bi(), r.cw(), r.queue_len(), r.transitions());
     let mut seen = Vec::new();
@@ -938,7 +939,7 @@ fn a_tone_flip_or_carrier_rise_outside_the_declared_interest_does_nothing_in_any
     // IDLE with nothing to do: deaf.
     let (mut m, mut r) = (Mock::new(), mac(0));
     check(&mut m, &mut r, State::Idle, ToneInterest::NONE);
-    // IDLE holding a request behind a busy channel: an RBT fall may be its
+    // IDLE holding a request behind a busy channel: either fall may be its
     // cue. So it is with only BI left to count.
     m.data_busy = true;
     r.submit(&mut m, reliable_req(Dest::Group(vec![n(1), n(2)]), 1));
@@ -947,6 +948,19 @@ fn a_tone_flip_or_carrier_rise_outside_the_declared_interest_does_nothing_in_any
     m.set_carrier(&mut r, true);
     m.fire(&mut r, TimerKind::BackoffSlot);
     assert!(r.bi() > 0);
+    check(&mut m, &mut r, State::Idle, fall);
+    // So it is with BI alone: the draw after a send, on a busy channel.
+    let (mut m, mut r) = (0..)
+        .find_map(|seed| {
+            let (mut m, mut r) = (Mock::new(), mac(0));
+            m.rng = SimRng::new(seed);
+            r.submit(&mut m, unreliable_req(Dest::Broadcast, 7));
+            m.data_busy = true;
+            m.finish_tx(&mut r, false);
+            (r.bi() > 0).then_some((m, r))
+        })
+        .expect("a draw above zero");
+    assert_eq!(r.queue_len(), 0);
     check(&mut m, &mut r, State::Idle, fall);
     // BACKOFF: an RBT rise suspends the countdown, and so does the carrier.
     let (mut m, mut r) = counting(5);

@@ -166,11 +166,12 @@ impl Mock {
         )
     }
 
-    /// Deliver to `mac` every tone flip, and the carrier rise, outside its
-    /// declared [`tone_interest`](MacService::tone_interest) — the scripted
-    /// channel state flipped to match, then put back — and panic if it did
-    /// anything: a context call, an RNG draw, a change in what `state` reads.
-    /// This is what lets an engine not dispatch those changes at all.
+    /// Deliver to `mac` every tone flip, and the carrier rise and fall,
+    /// outside its declared [`tone_interest`](MacService::tone_interest) —
+    /// the scripted channel state flipped to match, then put back — and
+    /// panic if it did anything: a context call, an RNG draw, a change in
+    /// what `state` reads. This is what lets an engine not dispatch those
+    /// changes at all.
     pub fn flips_outside_interest_do_nothing<M: MacService, S: PartialEq + std::fmt::Debug>(
         &mut self,
         mac: &mut M,
@@ -183,7 +184,13 @@ impl Mock {
             .flat_map(|tone| [(tone, true), (tone, false)])
             .filter(|&(tone, present)| !want.wants(tone, present))
             .map(|(tone, present)| (Some(tone), present));
-        let carrier = (want | ToneInterest::CARRIER != want).then_some((None, true));
+        let carrier = [
+            (ToneInterest::CARRIER, true),
+            (ToneInterest::CARRIER_FALL, false),
+        ]
+        .into_iter()
+        .filter(|&(edge, _)| want | edge != want)
+        .map(|(_, busy)| (None, busy));
         for (channel, present) in tones.chain(carrier) {
             let before = (self.footprint(), state(mac));
             let was = (self.tone, self.data_busy);
@@ -204,9 +211,9 @@ impl Mock {
 
     /// Fire the pending timer of `kind`, advancing the clock.
     ///
-    /// Cancelled timers leave stale entries behind (exactly as in the real
-    /// event queue); the *most recently armed* entry of the kind is the
-    /// live one, so that is the one fired.
+    /// Cancelled timers leave stale entries behind (as in a queue that
+    /// delivers every firing, `rmac-live`'s); the *most recently armed*
+    /// entry of the kind is the live one, so that is the one fired.
     ///
     /// The backoff countdown hops to the slot before its expiry; firing
     /// `BackoffSlot` steps the clock one slot at most and delivers the timer

@@ -50,10 +50,9 @@ pub fn class_of(ev: &Ev) -> usize {
 /// Labels for the per-node timer-kind indices, matching [`timer_idx`].
 ///
 /// `backoff_slot` (index 0, pinned by `benchmark/`) counts the backoff
-/// countdown's timers as dispatched: hops, looks (at the expiry and at the
-/// boundary after a busy edge), and generation-stale sleeps a busy edge or
-/// a pause cut short (those are also in `NodeObs::timer_cancelled`). It is
-/// not a count of 20 µs slots.
+/// countdown's timers: hops and looks (at the expiry and at the boundary
+/// after a busy edge); a sleep a busy edge or a pause cut short is in
+/// `NodeObs::timer_cancelled`. It is not a count of 20 µs slots.
 pub const TIMER_LABELS: [&str; 11] = [
     "backoff_slot",
     "wf_rbt",
@@ -199,8 +198,6 @@ mod tests {
             Ev::MacTimer {
                 node: NodeId(0),
                 kind: TimerKind::WfRbt,
-                gen: 0,
-                epoch: 0,
             },
             Ev::Beacon {
                 node: NodeId(0),

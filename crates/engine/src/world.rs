@@ -15,7 +15,7 @@ use rmac_phy::{
     Channel, ChannelConfig, FaultKind, FrameTallies, IndexMode, Indication, PhyEvent, Reader, Tone,
     ToneLog, TxId,
 };
-use rmac_sim::{CalendarQueue, Cursor, EventQueue, SimQueue, SimRng, SimTime};
+use rmac_sim::{CalendarQueue, Cursor, EventQueue, LiveTimer, SimQueue, SimRng, SimTime};
 use rmac_wire::{airtime::mrts_len, consts::BYTE_TIME, Dest, Frame, NodeId};
 
 use crate::config::{Protocol, ScenarioConfig};
@@ -28,15 +28,9 @@ use crate::trace::{TraceEvent, TraceWhat, Tracer};
 pub enum Ev {
     /// A channel event (propagation, frame ends, tone edges).
     Phy(PhyEvent),
-    /// A MAC-armed timer at one node.
-    MacTimer {
-        node: NodeId,
-        kind: TimerKind,
-        gen: u64,
-        /// The node's restart epoch when the timer was armed; a timer from
-        /// a pre-crash MAC incarnation is discarded on mismatch.
-        epoch: u32,
-    },
+    /// An entry of one node's MAC timer of `kind`: the live instance's
+    /// own, or one that comes up before it ([`rmac_sim::LiveTimer`]).
+    MacTimer { node: NodeId, kind: TimerKind },
     /// One node's BLESS-lite beacon tick, its `fire`-th of the run (from 0).
     Beacon { node: NodeId, fire: u32 },
     /// The source's next application packet.
@@ -218,8 +212,13 @@ struct WorldCore<Q: SimQueue<Ev>> {
     chan_rng: SimRng,
     rngs: Vec<SimRng>,
     counters: Vec<MacCounters>,
-    /// Per-node restart epoch; bumped on every fault-plane restart.
-    epochs: Vec<u32>,
+    /// Per timer kind ([`timer_idx`]), per node: the live instance. A
+    /// kind's column is filled on its first arm, so a run holds the kinds
+    /// its protocol uses.
+    timers: [Vec<LiveTimer>; TIMER_LABELS.len()],
+    /// Timers a MAC reported reaching it generation-stale (the obs gauge
+    /// `engine.stale_timers_entered`): a cancel it did not tell of.
+    stale_entered: u64,
     /// Per-node clock-skew factor on MAC timer delays (1.0 = no skew).
     skew: Vec<f64>,
     /// Per-node crashed flag.
@@ -252,6 +251,23 @@ impl<Q: SimQueue<Ev>> WorldCore<Q> {
         } else {
             SimTime::from_nanos((t.nanos() as f64 / f).round() as u64)
         }
+    }
+
+    /// Arm the `kind` timer of the node at stack index `i` (see
+    /// [`LiveTimer::arm`]); whether a live instance was superseded.
+    fn arm_timer(&mut self, i: usize, kind: TimerKind, at: SimTime, gen: u64, ev: Ev) -> bool {
+        let column = &mut self.timers[timer_idx(kind)];
+        if column.is_empty() {
+            column.resize(self.rngs.len(), LiveTimer::default());
+        }
+        column[i].arm(&mut self.q, at, gen, ev)
+    }
+
+    /// Cancel the `kind` timer of the node at stack index `i`; whether a
+    /// live instance was cancelled.
+    fn cancel_timer(&mut self, i: usize, kind: TimerKind) -> bool {
+        let column = &mut self.timers[timer_idx(kind)];
+        column.get_mut(i).is_some_and(LiveTimer::cancel)
     }
 
     /// Is any reader of the observation stream attached? The one branch a
@@ -309,21 +325,25 @@ impl<Q: SimQueue<Ev>> MacContext for Ctx<'_, Q> {
         self.core.local(self.i, self.core.q.now())
     }
     fn schedule(&mut self, delay: SimTime, kind: TimerKind, gen: u64) {
-        let node = self.node;
-        let delay = self.core.skewed(self.i, delay);
-        let epoch = self.core.epochs[self.i];
+        let (node, i) = (self.node, self.i);
+        let at = self.core.q.now() + self.core.skewed(i, delay);
+        let superseded = self
+            .core
+            .arm_timer(i, kind, at, gen, Ev::MacTimer { node, kind });
         if let Some(obs) = self.core.obs() {
-            obs.nodes[node.idx()].timer_arm[timer_idx(kind)] += 1;
+            let n = &mut obs.nodes[node.idx()];
+            n.timer_arm[timer_idx(kind)] += 1;
+            n.timer_cancelled[timer_idx(kind)] += u64::from(superseded);
         }
-        self.core.q.push_after(
-            delay,
-            Ev::MacTimer {
-                node,
-                kind,
-                gen,
-                epoch,
-            },
-        );
+    }
+    fn cancel_timer(&mut self, kind: TimerKind) {
+        let cancelled = self.core.cancel_timer(self.i, kind);
+        if let (true, Some(obs)) = (cancelled, self.core.obs()) {
+            obs.nodes[self.node.idx()].timer_cancelled[timer_idx(kind)] += 1;
+        }
+    }
+    fn stale_timer(&mut self, _: TimerKind) {
+        self.core.stale_entered += 1;
     }
     fn start_tx(&mut self, frame: Frame) {
         self.core
@@ -387,11 +407,6 @@ impl<Q: SimQueue<Ev>> MacContext for Ctx<'_, Q> {
     fn counters(&mut self) -> &mut MacCounters {
         &mut self.core.counters[self.i]
     }
-    fn timer_cancelled(&mut self, kind: TimerKind) {
-        if let Some(obs) = self.core.obs() {
-            obs.nodes[self.node.idx()].timer_cancelled[timer_idx(kind)] += 1;
-        }
-    }
 }
 
 /// Runtime state of an attached fault plan.
@@ -441,6 +456,10 @@ pub struct Runner<Q: SimQueue<Ev> = CalendarQueue<Ev>> {
     /// Frame handles cloned for a `FrameRx` (the obs gauge
     /// `engine.frame_rx_clones`).
     frame_clones: u64,
+    /// Carrier falls at a live MAC, and how many of them entered it (the
+    /// obs gauges `engine.carrier_falls`, `engine.carrier_off_entries`).
+    carrier_falls: u64,
+    carrier_off_entries: u64,
     /// The channel slots this runner's shard group owns, ascending:
     /// protocol nodes (the first `macs.len()`, the stack index being the
     /// position here), then jammers. Only owned slots are seeded; the
@@ -594,7 +613,8 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 chan_rng: master.split(2),
                 rngs,
                 counters: vec![MacCounters::default(); nodes.len()],
-                epochs: vec![0; nodes.len()],
+                timers: Default::default(),
+                stale_entered: 0,
                 skew,
                 down: vec![false; nodes.len()],
                 readers: Vec::new(),
@@ -618,6 +638,8 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
             inds_scratch: Vec::new(),
             last_rx: None,
             frame_clones: 0,
+            carrier_falls: 0,
+            carrier_off_entries: 0,
             slots,
             stack_at,
         };
@@ -821,32 +843,21 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 }
                 self.inds_scratch = inds;
             }
-            Ev::MacTimer {
-                node,
-                kind,
-                gen,
-                epoch,
-            } => {
-                // Timers armed by a MAC incarnation that has since crashed
-                // (or not yet restarted) must not fire. (Generation
-                // staleness is resolved *inside* the MAC's timer slots and
-                // is invisible here; these tallies count engine-level
-                // liveness only.)
+            Ev::MacTimer { node, kind } => {
+                // Only the live instance reaches the MAC: an entry a later
+                // arm superseded, or a cancel or a crash withdrew, is
+                // dropped or carries the live instance on to its own key.
                 let i = self.owned(node);
-                let stale = self.core.down[i] || epoch != self.core.epochs[i];
+                let ev = Ev::MacTimer { node, kind };
+                let live = self.core.timers[timer_idx(kind)][i].on_pop(&mut self.core.q, ev);
                 if let Some(obs) = self.core.obs() {
-                    let slot = timer_idx(kind);
                     let n = &mut obs.nodes[node.idx()];
-                    if stale {
-                        n.timer_stale[slot] += 1;
-                    } else {
-                        n.timer_fire[slot] += 1;
-                    }
+                    n.timer_popped[timer_idx(kind)] += 1;
+                    n.timer_fire[timer_idx(kind)] += u64::from(live.is_some());
                 }
-                if stale {
-                    return;
+                if let Some(gen) = live {
+                    self.enter(node, i, |mac, ctx| mac.on_timer(ctx, kind, gen));
                 }
-                self.enter(node, i, |mac, ctx| mac.on_timer(ctx, kind, gen));
             }
             Ev::Beacon { node, fire } => {
                 let now = self.core.q.now();
@@ -895,10 +906,13 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
     }
 
     /// A frame end, told to its receiver as a `FrameRx`, then a `CarrierOff`
-    /// if the channel fell idle there. The `FrameRx` is kept and, while the
-    /// next end carries the same frame — the rest of one transmission's
-    /// fan-out, most often — re-addressed, so the fan-out clones about one
-    /// frame handle per transmission instead of one per receiver.
+    /// if the channel fell idle there: to every reader, and to the MAC if it
+    /// declared it can act on one, as its interest after the `FrameRx`
+    /// stands ([`rmac_phy::ToneInterest::CARRIER_FALL`]). The `FrameRx` is
+    /// kept and, while the next end carries the same frame — the rest of one
+    /// transmission's fan-out, most often — re-addressed, so the fan-out
+    /// clones about one frame handle per transmission instead of one per
+    /// receiver.
     fn frame_end(&mut self, rx: NodeId, tx: TxId, prop: SimTime) {
         let at = self.core.q.cursor();
         let chan = &mut self.core.channel;
@@ -920,7 +934,14 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
         };
         self.indicate(&ind);
         if carrier_off {
-            self.indicate(&Indication::CarrierOff { node: rx });
+            let fall = Indication::CarrierOff { node: rx };
+            if let Some(i) = self.signal(&fall) {
+                self.carrier_falls += 1;
+                if self.core.channel.interest(rx).carrier_fall() {
+                    self.carrier_off_entries += 1;
+                    self.enter(rx, i, |mac, ctx| mac.on_indication(ctx, &fall));
+                }
+            }
         }
         self.last_rx = Some(ind);
     }
@@ -948,8 +969,16 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                         self.core.channel.stop_tone(&mut self.core.q, node, tone);
                     }
                 }
-                // The dead MAC's tone watches and interest go with it.
+                // The dead MAC's tone watches, interest and timers go with it.
                 self.core.channel.deafen(node);
+                let cut = (self.core.timers.each_mut())
+                    .map(|column| column.get_mut(i).is_some_and(LiveTimer::cancel));
+                if let Some(obs) = self.core.obs() {
+                    let stale = &mut obs.nodes[node.idx()].timer_stale;
+                    for (n, cut) in stale.iter_mut().zip(cut) {
+                        *n += u64::from(cut);
+                    }
+                }
             }
             FaultEv::NodeUp { node } => {
                 if self.core.watched() {
@@ -958,9 +987,7 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 let i = self.owned(node);
                 self.core.down[i] = false;
                 // A restart loses all volatile state: fresh MAC and
-                // network entities, and a bumped epoch so the dead
-                // incarnation's timers cannot reach the new one.
-                self.core.epochs[i] = self.core.epochs[i].wrapping_add(1);
+                // network entities (the crash withdrew the timers).
                 (self.macs[i], self.nets[i]) =
                     node_stack(&self.cfg, self.protocol, node, self.core.watched());
             }
@@ -1045,20 +1072,23 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
     }
 
     fn indicate(&mut self, ind: &Indication) {
+        if let Some(i) = self.signal(ind) {
+            self.enter(ind.node(), i, |mac, ctx| mac.on_indication(ctx, ind));
+        }
+    }
+
+    /// Report `ind` to the readers, and return the stack index of its node
+    /// if it has a live MAC to tell.
+    fn signal(&mut self, ind: &Indication) -> Option<usize> {
         let node = ind.node();
         // Jammer slots have no stack; crashed nodes have a dead one.
-        let Some(i) = self.stack_of(node) else {
-            return;
-        };
-        if self.core.down[i] {
-            return;
-        }
+        let i = self.stack_of(node).filter(|&i| !self.core.down[i])?;
         // Reported before the MAC reacts: the checker's sensed-state model
         // stays in lockstep with what the MAC can observe.
         if self.core.watched() {
             self.core.report(node, ind.into());
         }
-        self.enter(node, i, |mac, ctx| mac.on_indication(ctx, ind));
+        Some(i)
     }
 
     /// Hand an upper-layer request to the MAC of `node`, at stack index `i`.
@@ -1192,6 +1222,9 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
             ),
             ("queue.capacity", self.core.q.capacity() as u64),
             ("engine.frame_rx_clones", self.frame_clones),
+            ("engine.carrier_falls", self.carrier_falls),
+            ("engine.carrier_off_entries", self.carrier_off_entries),
+            ("engine.stale_timers_entered", self.core.stale_entered),
         ];
         ObsReport {
             counters,

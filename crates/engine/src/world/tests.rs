@@ -1096,3 +1096,56 @@ fn only_the_checker_reads_the_rbt_a_sender_sensed() {
     assert_eq!(unchecked, [[starts, 0], [starts, 0]]);
     assert_eq!(run(true), [[starts, 0], [starts, starts], [starts, 0]]);
 }
+
+/// Every timer a MAC arms ends one way: it fires, a cancel or a later arm of
+/// its kind withdraws it, a crash cuts it off, or it is still armed when the
+/// run ends. Per node and kind, on an RMAC run and a BMMM run with crashes.
+#[test]
+fn every_armed_timer_fires_is_withdrawn_is_cut_off_or_is_still_armed() {
+    use crate::obs::{ObsConfig, TIMER_LABELS};
+    use rmac_faults::{ChurnKind, ChurnSpec, FaultPlan};
+
+    let cfg = ScenarioConfig::paper_stationary(20.0)
+        .with_nodes(15)
+        .with_packets(50);
+    // Every relay crashes for 3 ms in each 40 ms while the source sends.
+    let mut plan = FaultPlan::none();
+    for (node, k) in (1..15).flat_map(|node| (0..60).map(move |k| (node, k))) {
+        plan = plan.with_churn(ChurnSpec {
+            node,
+            kind: ChurnKind::Crash,
+            at_ms: 5_000 + 40 * k + 3 * u64::from(node),
+            for_ms: 3,
+        });
+    }
+    for protocol in [Protocol::Rmac, Protocol::Bmmm] {
+        let run = Run::new(&cfg, protocol, 7)
+            .faults(&plan)
+            .obs(ObsConfig::default());
+        let mut runner = whole(run);
+        runner.run_events(&BeaconTimetable::build(&cfg, 7));
+        let armed = |i: usize, k: usize| {
+            let live = runner.core.timers[k].get(i).is_some_and(|t| t.is_armed());
+            u64::from(live)
+        };
+        let armed: Vec<Vec<u64>> = (0..cfg.nodes)
+            .map(|i| (0..TIMER_LABELS.len()).map(|k| armed(i, k)).collect())
+            .collect();
+        let nodes = runner.finish().1.expect("obs attached").nodes;
+        let mut ends = [0u64; 3];
+        for (i, n) in nodes.iter().enumerate() {
+            for k in 0..TIMER_LABELS.len() {
+                let (fire, cut, stale) = (n.timer_fire[k], n.timer_cancelled[k], n.timer_stale[k]);
+                assert_eq!(
+                    n.timer_arm[k],
+                    fire + cut + stale + armed[i][k],
+                    "{protocol:?} node {i} {}",
+                    TIMER_LABELS[k]
+                );
+                assert!(n.timer_popped[k] >= fire);
+                ends = [ends[0] + fire, ends[1] + cut, ends[2] + stale];
+            }
+        }
+        assert!(ends.iter().all(|&e| e > 0), "{protocol:?}: {ends:?}");
+    }
+}

@@ -4,17 +4,21 @@
 //!
 //! ```text
 //! campaign_report [store-dir]
+//! campaign_report --diff store-dir-a store-dir-b
 //! ```
 //!
 //! With no argument, picks the first existing default campaign directory
 //! (`results/campaigns/paper-figures`, then `paper-figures-quick`, then
 //! `gate`). Exits 1 when the store cannot be read or a figure file cannot
-//! be written.
+//! be written. `--diff` names every record, by case key, and every key of
+//! it that differs between two stores, with both values, then how many
+//! records differ; it writes nothing, and exits 1 when a store cannot be
+//! read.
 
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
-use rmac_campaign::{load_store, summarize, CampaignSpec, SummaryRow};
+use rmac_campaign::{diff_stores, load_store, summarize, CampaignSpec, SummaryRow};
 use rmac_experiments::figures;
 use rmac_metrics::table::fmt;
 use rmac_metrics::Table;
@@ -59,8 +63,37 @@ fn report(dir: &Path) -> Result<(), String> {
     Ok(())
 }
 
+/// Print what differs between the stores in directories `a` and `b`.
+fn diff(a: &Path, b: &Path) -> Result<(), String> {
+    let read = |dir: &Path| {
+        let path = dir.join("store.jsonl");
+        std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))
+    };
+    let (a_text, b_text) = (read(a)?, read(b)?);
+    let lines = diff_stores(&a_text, &b_text)
+        .map_err(|e| format!("{} against {}: {e}", a.display(), b.display()))?;
+    for line in &lines {
+        println!("{line}");
+    }
+    let records = a_text.lines().count();
+    println!("{} of {records} records differ", lines.len());
+    Ok(())
+}
+
 fn main() {
-    let dir = std::env::args().nth(1).map(PathBuf::from).or_else(|| {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().map(String::as_str) == Some("--diff") {
+        let [_, a, b] = &args[..] else {
+            eprintln!("usage: campaign_report --diff store-dir-a store-dir-b");
+            exit(2);
+        };
+        if let Err(e) = diff(Path::new(a), Path::new(b)) {
+            eprintln!("campaign_report: FAIL: {e}");
+            exit(1);
+        }
+        return;
+    }
+    let dir = args.first().map(PathBuf::from).or_else(|| {
         [
             "results/campaigns/paper-figures",
             "results/campaigns/paper-figures-quick",

@@ -2,7 +2,7 @@
 //!
 //! One [`NodeObs`] per protocol node accumulates what the engine can see
 //! at the MAC boundary: per-[`FrameKind`] tx/rx/corrupt tallies, timer
-//! arm/fire/cancelled/stale counts per logical timer kind, busy-tone occupancy time,
+//! arm/fire/cancelled/stale/popped counts per logical timer kind, busy-tone occupancy time,
 //! and (for MACs that expose one) the state-machine transition matrix —
 //! the observed edges of the paper's Table 1.
 
@@ -31,14 +31,18 @@ pub struct NodeObs {
     pub delivered: u64,
     /// Timer arms by timer-kind index (labels supplied by the embedder).
     pub timer_arm: Vec<u64>,
-    /// Timer firings dispatched to a live MAC incarnation.
+    /// Timers that fired: dispatched to the MAC, live.
     pub timer_fire: Vec<u64>,
-    /// Of those, the ones the MAC reported dropping as generation-stale
-    /// (cancelled or re-armed since). Only the backoff countdown reports:
-    /// its entry counts the sleeps cut short by a busy edge or a pause.
+    /// Timers the MAC cancelled, or superseded by arming the kind again
+    /// before they fired. Per kind, `timer_arm` is `timer_fire +
+    /// timer_cancelled + timer_stale`, plus one if a timer is still armed
+    /// at the end.
     pub timer_cancelled: Vec<u64>,
-    /// Timer firings dropped as stale (crashed node or old epoch).
+    /// Timers still armed when their node crashed.
     pub timer_stale: Vec<u64>,
+    /// Queue entries of the kind that came up: a firing, or an entry the
+    /// engine dropped or passed on to the live timer's own key.
+    pub timer_popped: Vec<u64>,
     /// Cumulative busy-tone presence at the node's antenna per tone
     /// channel (ns), read from the channel's tone records at end of run:
     /// attaching obs is what makes the channel keep it.
@@ -55,6 +59,7 @@ impl NodeObs {
             timer_fire: vec![0; timer_kinds],
             timer_cancelled: vec![0; timer_kinds],
             timer_stale: vec![0; timer_kinds],
+            timer_popped: vec![0; timer_kinds],
             ..NodeObs::default()
         }
     }
@@ -84,12 +89,12 @@ impl NodeObs {
         self.timer_fire.iter().sum()
     }
 
-    /// Total firings the MAC reported as generation-stale.
+    /// Total timers cancelled or superseded.
     pub fn timer_cancelled_total(&self) -> u64 {
         self.timer_cancelled.iter().sum()
     }
 
-    /// Total stale timer firings dropped.
+    /// Total timers a crash cut off.
     pub fn timer_stale_total(&self) -> u64 {
         self.timer_stale.iter().sum()
     }
@@ -107,6 +112,7 @@ impl NodeObs {
             .u64s("timer_fire", &self.timer_fire)
             .u64s("timer_cancelled", &self.timer_cancelled)
             .u64s("timer_stale", &self.timer_stale)
+            .u64s("timer_popped", &self.timer_popped)
             .u64s("tone_busy_ns", &self.tone_busy_ns)
             .u64s("transitions", &self.transitions);
     }
@@ -148,6 +154,7 @@ mod tests {
             "timer_fire",
             "timer_cancelled",
             "timer_stale",
+            "timer_popped",
             "tone_busy_ns",
             "transitions",
         ] {

@@ -182,7 +182,7 @@ struct NodeRadio {
     emitting: [Option<Emission>; 2],
     /// Where each open tone watch began.
     watch: [Option<Cursor>; 2],
-    /// The tone flips, and whether the carrier rises, the node's MAC wants
+    /// The tone flips, and whether the carrier rises or falls, the MAC wants
     /// dispatched.
     interest: ToneInterest,
 }
@@ -689,8 +689,8 @@ impl Channel {
         self.rx_pool.push(receivers);
     }
 
-    /// Declare which tone flips, and whether the carrier rising, `node`'s MAC
-    /// can act on from here on. An edge or onset written while the MAC was
+    /// Declare which tone flips, and whether the carrier rising or falling,
+    /// `node`'s MAC can act on from here on. An edge or onset written while the MAC was
     /// not interested and still in flight — keyed after the event being
     /// dispatched — gets its `ToneEdge` or `FrameArriveStart` now, under its
     /// own key, so neither passes an interested MAC unannounced. Interest
@@ -724,6 +724,11 @@ impl Channel {
                 }
             }
         }
+    }
+
+    /// What `node`'s MAC last declared it can act on.
+    pub fn interest(&self, node: NodeId) -> ToneInterest {
+        self.radios[node.idx()].interest
     }
 
     /// `node`'s MAC is gone (a crash): close its tone watches and withdraw

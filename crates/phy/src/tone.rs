@@ -44,9 +44,10 @@ impl Tone {
 }
 
 /// The channel changes a node's MAC has declared it can act on: tone
-/// presence flips, and the data carrier rising. A change outside the
-/// declared set is still visible to every query; it is just not dispatched
-/// to the MAC as a `ToneChanged` or a `CarrierOn`.
+/// presence flips, and the data carrier rising or falling. A change outside
+/// the declared set is still visible to every query; it is just not
+/// dispatched to the MAC as a `ToneChanged`, a `CarrierOn` or a
+/// `CarrierOff`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ToneInterest(u8);
 
@@ -57,6 +58,10 @@ impl ToneInterest {
     /// The data channel turning busy: the first bit of a frame reaching an
     /// idle node.
     pub const CARRIER: ToneInterest = ToneInterest(1 << 4);
+
+    /// The data channel falling idle: the last frame at a node that is not
+    /// transmitting ending.
+    pub const CARRIER_FALL: ToneInterest = ToneInterest(1 << 5);
 
     /// `tone` turning present (`on`) or absent.
     pub const fn flip(tone: Tone, on: bool) -> ToneInterest {
@@ -71,6 +76,11 @@ impl ToneInterest {
     /// Whether this set holds the carrier rising.
     pub(crate) fn carrier(self) -> bool {
         self.0 & Self::CARRIER.0 != 0
+    }
+
+    /// Whether this set holds the carrier falling.
+    pub fn carrier_fall(self) -> bool {
+        self.0 & Self::CARRIER_FALL.0 != 0
     }
 }
 

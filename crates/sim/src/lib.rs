@@ -7,8 +7,8 @@
 //! * [`key`] — the claimed-key contract, written once: every event has a
 //!   unique `(time, seq)` key ([`Cursor`]), a key can be claimed without an
 //!   event and filled later, and an [`Edge`] is such a key plus whether an
-//!   event carries it — the only caller of [`SimQueue::claim`] and
-//!   [`SimQueue::push_claimed`] outside the queues,
+//!   event carries it — with [`LiveTimer`], the only caller of
+//!   [`SimQueue::claim`] and [`SimQueue::push_claimed`] outside the queues,
 //! * [`EventQueue`] — a time-ordered event heap with deterministic FIFO
 //!   tie-breaking for simultaneous events (the differential-testing
 //!   oracle, and the queue of the beacon timetable and of every `rmac-live`
@@ -17,7 +17,8 @@
 //!   tone-window cadence (the engine's queue); both embed the one key
 //!   discipline and are driven through the [`SimQueue`] trait, the only
 //!   spelling of the queue API,
-//! * [`timer`] — generation tokens for cheap timer cancellation,
+//! * [`timer`] — generation tokens for cheap timer cancellation, and the
+//!   live-timer key through which the engine drops superseded firings,
 //! * [`pool`] — [`try_tasks`], the one worker pool: a campaign's cases and
 //!   a replication's shard groups run on it,
 //! * [`rng`] — seedable, splittable random number generation so that every
@@ -46,4 +47,4 @@ pub use pool::try_tasks;
 pub use queue::{EventQueue, SimQueue};
 pub use rng::SimRng;
 pub use time::SimTime;
-pub use timer::TimerSlot;
+pub use timer::{LiveTimer, TimerSlot};

@@ -632,7 +632,7 @@ fn production_code_reads_one_environment_variable() {
 }
 
 /// Outside `rmac-sim` nothing claims or fills a queue key but through
-/// `rmac_sim::Edge` (DESIGN.md §4).
+/// `rmac_sim::Edge` or `rmac_sim::LiveTimer` (DESIGN.md §4).
 #[test]
 fn no_key_is_claimed_outside_rmac_sim() {
     let files = tree()
@@ -641,7 +641,10 @@ fn no_key_is_claimed_outside_rmac_sim() {
     let found = grep(files, |l| {
         l.contains("push_claimed(") || l.contains(".claim(")
     });
-    assert_none(&found, "a key is claimed or filled outside rmac_sim::Edge");
+    assert_none(
+        &found,
+        "a key is claimed or filled outside rmac_sim::{Edge, LiveTimer}",
+    );
 }
 
 /// Each queue file defines every `fn` once, so no inherent method twins a
@@ -1047,7 +1050,7 @@ fn test_only_files() -> BTreeSet<String> {
 /// source above its first `#[cfg(test)]`, files compiled only under
 /// `cfg(test)` skipped. Set at the count it holds, so a change that adds
 /// code raises it in its own diff (DESIGN.md §1).
-const CODE_LINES: usize = 20_834;
+const CODE_LINES: usize = 21_118;
 
 /// The workspace keeps to its non-test line budget (DESIGN.md §1).
 #[test]

@@ -1,6 +1,7 @@
 //! The event budget of the backoff countdown, of the busy tones and of
-//! frame onsets, the frame-handle budget of a fan-out, and the geometry
-//! budget of a mobile run, by count.
+//! frame onsets, the frame-handle budget of a fan-out, the budget of MAC
+//! entries on carrier falls and timers, and the geometry budget of a mobile
+//! run, by count.
 //!
 //! A countdown is a hop, a look at its expiry and one look per busy edge
 //! (`rmac_core::backoff`), where it used to be one `BackoffSlot` event per
@@ -14,10 +15,10 @@
 //! events the tones left. Wall clock cannot hold any of them on a 1-core CI
 //! container; the dispatch counts are exact, so they can:
 //!
-//! * `BackoffSlot` dispatches stay at or under 2 per transmitted frame (4.5
-//!   for RMAC: 1.3 and 3.0 today, where a tick per slot is 15 and more — a
-//!   draw from CW ≥ 31 per frame), so a return to per-slot ticking fails
-//!   here. Per frame and not per event: every cut in `events` would
+//! * `BackoffSlot` entries popped stay at or under 2 per transmitted frame
+//!   (4.5 for RMAC: 1.2 and 3.0 today, where a tick per slot is 15 and more
+//!   — a draw from CW ≥ 31 per frame), so a return to per-slot ticking
+//!   fails here. Per frame and not per event: every cut in `events` would
 //!   otherwise tighten a budget it has nothing to do with;
 //! * `ToneEdge` dispatches stay at or under 15 % of RMAC's `events`, so a
 //!   return to one event per receiver per edge fails here;
@@ -42,6 +43,25 @@
 //!   `e2e_delay_avg_s` moved in its last bits when the mean became one
 //!   exact nanosecond sum divided once, where it had summed each reception's
 //!   seconds in node order (by at most 8·10⁻¹⁵ relative here).
+//!
+//! The same goes for entering a MAC that can do nothing. A carrier fall
+//! enters a MAC only where it declared it can act on one
+//! (`ToneInterest::CARRIER_FALL`), and a timer only while it is the live one
+//! of its kind (`rmac_sim::LiveTimer`), where every fall and every armed
+//! timer used to enter one:
+//!
+//! * `CarrierOff` MAC entries stay at or under 0.35 per carrier fall at a
+//!   live MAC, for all five MACs (0.16 for RMAC, 0.22 for BMMM, 0.17–0.20
+//!   for the others today, where every fall entered), so a return to
+//!   entering on every fall fails here;
+//! * no timer reaches a MAC generation-stale (the obs gauge
+//!   `engine.stale_timers_entered`, fed by every MAC's generation check), so
+//!   a return to dispatching every armed timer, or a cancel the engine is
+//!   not told of, fails here;
+//! * BMMM's NAV timer entries popped stay at or under 0.4 per transmitted
+//!   frame (0.24 today, 0.80 when every re-arm of the wake-up at each
+//!   deferral was its own entry), so a return to one entry per arm fails
+//!   here.
 //!
 //! The same goes for the work behind a receiver set. Under motion a fill
 //! walks the source's neighbour list, and list and buckets are rebuilt once
@@ -74,6 +94,12 @@ struct Budget {
     frame_starts: f64,
     /// Frame handles the engine cloned for `FrameRx`, per transmitted frame.
     frame_clones: f64,
+    /// MAC entries with a `CarrierOff`, per carrier fall at a live MAC.
+    fall_entries: f64,
+    /// Timers a MAC found generation-stale.
+    stale_timers: u64,
+    /// NAV timer entries popped, per transmitted frame.
+    nav_pops: f64,
 }
 
 /// One 75-node stationary replication under the obs layer.
@@ -88,20 +114,18 @@ fn replicate_in(cfg: ScenarioConfig, protocol: Protocol) -> Budget {
         .execute();
     let obs = out.obs.expect("obs attached");
     assert_eq!(obs.timer_labels[0], "backoff_slot");
-    let countdown: u64 = obs
-        .nodes
-        .iter()
-        .map(|n| n.timer_fire[0] + n.timer_stale[0])
-        .sum();
+    assert_eq!(obs.timer_labels[9], "nav");
+    let popped = |kind: usize| -> u64 { obs.nodes.iter().map(|n| n.timer_popped[kind]).sum() };
     assert_eq!(obs.kernel.labels()[0], "phy.frame_start");
     assert_eq!(obs.kernel.labels()[3], "phy.tone_edge");
     let events = out.report.events as f64;
     let frames: u64 = out.report.tx_frames.iter().sum();
-    let clones = obs
-        .gauges
-        .iter()
-        .find(|(n, _)| *n == "engine.frame_rx_clones");
-    let clones = clones.expect("the frame-handle gauge").1;
+    let gauge = |name: &str| {
+        let found = obs.gauges.iter().find(|(n, _)| *n == name);
+        found.unwrap_or_else(|| panic!("no gauge {name}")).1
+    };
+    let falls = gauge("engine.carrier_falls");
+    assert!(falls > 1000, "{falls} carrier falls");
     let report = RunReport {
         events: 0,
         sim_secs: 0.0,
@@ -109,10 +133,13 @@ fn replicate_in(cfg: ScenarioConfig, protocol: Protocol) -> Budget {
     };
     Budget {
         report: format!("{report:?}"),
-        countdown: countdown as f64 / frames as f64,
+        countdown: popped(0) as f64 / frames as f64,
         tone_edges: obs.kernel.class_count(3) as f64 / events,
         frame_starts: obs.kernel.class_count(0) as f64 / events,
-        frame_clones: clones as f64 / frames as f64,
+        frame_clones: gauge("engine.frame_rx_clones") as f64 / frames as f64,
+        fall_entries: gauge("engine.carrier_off_entries") as f64 / falls as f64,
+        stale_timers: gauge("engine.stale_timers_entered"),
+        nav_pops: popped(9) as f64 / frames as f64,
     }
 }
 
@@ -136,6 +163,18 @@ impl Budget {
             "FrameArriveStart is {frame_starts:.3} of all events"
         );
     }
+
+    /// A carrier fall enters the MACs that declared they can act on one,
+    /// and no timer reaches a MAC after a later arm or a cancel made it
+    /// stale.
+    fn entries_within_budget(&self) {
+        let (fall_entries, stale_timers) = (self.fall_entries, self.stale_timers);
+        assert!(
+            fall_entries <= 0.35,
+            "{fall_entries:.3} CarrierOff MAC entries per carrier fall"
+        );
+        assert_eq!(stale_timers, 0, "timers reached a MAC generation-stale");
+    }
 }
 
 #[test]
@@ -147,6 +186,7 @@ fn rmac_countdown_sleeps_and_reports_as_the_slot_loop_did() {
         "{countdown:.3} BackoffSlot timers per transmitted frame"
     );
     run.signals_within_budget();
+    run.entries_within_budget();
     assert_eq!(run.report, RMAC_PINNED);
 }
 
@@ -212,6 +252,12 @@ fn bmmm_countdown_sleeps_and_reports_as_the_slot_loop_did() {
         "{countdown:.3} BackoffSlot timers per transmitted frame"
     );
     run.signals_within_budget();
+    run.entries_within_budget();
+    let nav_pops = run.nav_pops;
+    assert!(
+        nav_pops <= 0.4,
+        "{nav_pops:.3} NAV timer entries popped per transmitted frame"
+    );
     assert_eq!(run.report, BMMM_PINNED);
 }
 
@@ -229,7 +275,9 @@ fn bmw_lbp_and_mx_report_as_pinned() {
         (Protocol::Lbp, LBP_PINNED),
         (Protocol::Mx80211, MX_PINNED),
     ] {
-        assert_eq!(replicate(protocol).report, pinned);
+        let run = replicate(protocol);
+        run.entries_within_budget();
+        assert_eq!(run.report, pinned);
     }
 }
 
