@@ -60,7 +60,7 @@ cargo test -q --release --test memory_budget
 echo "==> grid stage: grid/brute differential proptests, optimised"
 cargo test -q --release --test grid_equivalence
 
-echo "==> event budget: countdown timers, tone edges and onsets per event, CarrierOff entries per fall, no stale timer at a MAC, NAV pops per frame, geometry and link budgets"
+echo "==> event budget: countdown timers, tone edges and onsets per event, CarrierOff entries per fall, NAV pops per frame, geometry and link budgets"
 cargo test -q --release --test event_budget
 cargo test -q --release -p rmac-engine --lib link_arithmetic_is_done_only_where_it_can_decide
 

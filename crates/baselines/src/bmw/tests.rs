@@ -144,7 +144,7 @@ fn overhearing_receiver_delivers_without_acking() {
 
 /// BMW's twin of LBP's `nav_wakeup_is_not_taken_for_the_session_guard`. A
 /// BMW receiver grants a CTS only with a clear NAV, so here the guard is
-/// armed first and the wake-up second; both are generation 1 all the same.
+/// armed first and the wake-up second; each is the one timer of its kind.
 #[test]
 fn nav_wakeup_is_not_taken_for_the_session_guard() {
     let mut m = Mock::new();

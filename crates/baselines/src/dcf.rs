@@ -12,9 +12,9 @@
 //! to every draw — the standard slotting approximation for a simulator with
 //! a slot-quantised backoff loop.
 
-use rmac_core::api::{fired, MacContext, TimerKind};
+use rmac_core::api::{MacContext, TimerKind};
 use rmac_core::backoff::{Backoff, Slot};
-use rmac_sim::{SimTime, TimerSlot};
+use rmac_sim::SimTime;
 
 /// Slots prepended to every draw to account for the DIFS wait.
 pub const DIFS_SLOTS: u64 = 3;
@@ -35,7 +35,6 @@ pub enum DcfAction {
 pub struct Dcf {
     backoff: Backoff,
     nav_until: SimTime,
-    t_nav: TimerSlot,
     /// Whether the current BI draw already includes the DIFS padding.
     armed_with_difs: bool,
 }
@@ -112,11 +111,11 @@ impl Dcf {
                 self.pad_difs();
             }
             // A NAV expiry produces no channel event; arm a wake-up so the
-            // node re-enters contention when the reservation lapses.
+            // node re-enters contention when the reservation lapses (the
+            // `Nav` timer, on which the protocol calls `try_access` again).
             if want_tx && !ctx.data_busy() && ctx.now() < self.nav_until {
-                let gen = self.t_nav.arm();
                 let delay = (self.nav_until - ctx.now()) + SimTime::NANO;
-                ctx.schedule(delay, TimerKind::Nav, gen);
+                ctx.schedule(delay, TimerKind::Nav);
             }
             return DcfAction::Defer;
         }
@@ -146,18 +145,12 @@ impl Dcf {
         }
     }
 
-    /// A NAV wake-up timer fired; returns whether it was the live one (the
-    /// protocol should then re-enter `try_access`).
-    pub fn on_nav_timer(&mut self, ctx: &mut dyn MacContext, gen: u64) -> bool {
-        fired(ctx, &mut self.t_nav, TimerKind::Nav, gen)
-    }
-
     /// The countdown timer fired. Returns `Transmit` when access is won; on
     /// a busy medium the countdown suspends (BI retained) and the protocol
     /// re-enters via `try_access` when the medium clears.
-    pub fn on_slot(&mut self, ctx: &mut dyn MacContext, gen: u64, want_tx: bool) -> DcfAction {
+    pub fn on_slot(&mut self, ctx: &mut dyn MacContext, want_tx: bool) -> DcfAction {
         let idle = self.medium_idle(ctx);
-        match self.backoff.on_timer(ctx, gen, idle) {
+        match self.backoff.on_timer(ctx, idle) {
             Slot::Expired if want_tx => DcfAction::Transmit,
             Slot::Counting => DcfAction::Counting,
             _ => DcfAction::Defer,
@@ -194,8 +187,7 @@ mod tests {
         }
     }
 
-    /// Dispatch timers in time order, cancelled sleeps included (as an
-    /// event queue does), until the countdown stops.
+    /// Dispatch timers in time order until the countdown stops.
     fn sleep(m: &mut Mock, s: &mut Station) -> DcfAction {
         while s.dcf.backoff.counting() {
             m.fire_earliest(s);
@@ -210,8 +202,8 @@ mod tests {
                 self.dcf.on_carrier(ctx);
             }
         }
-        fn on_timer(&mut self, ctx: &mut dyn MacContext, _: TimerKind, gen: u64) {
-            self.last = self.dcf.on_slot(ctx, gen, true);
+        fn on_timer(&mut self, ctx: &mut dyn MacContext, _: TimerKind) {
+            self.last = self.dcf.on_slot(ctx, true);
         }
     }
 
@@ -323,9 +315,8 @@ mod tests {
         m.now = SLOT.mul(3) + SimTime::from_micros(1);
         s.dcf.suspend(&mut m);
         assert_eq!(s.dcf.bi(), 4);
-        // The cancelled sleep is stale when it comes up.
-        m.fire(&mut s, TimerKind::BackoffSlot);
-        assert_eq!((s.last, s.dcf.bi()), (DcfAction::Defer, 4));
+        // The cancelled sleep is withdrawn from the context.
+        assert!(!m.has_timer(TimerKind::BackoffSlot));
     }
 
     #[test]
@@ -335,15 +326,13 @@ mod tests {
         d.observe_nav(&mut m, SimTime::from_millis(2));
         assert!(!d.medium_idle(&m));
         assert_eq!(d.try_access(&mut m, true), DcfAction::Defer);
-        // The NAV wake-up must be armed so contention resumes.
-        assert!(m.has_timer(TimerKind::Nav));
-        let (_, _, gen) = *m
-            .timers
-            .iter()
-            .find(|&&(_, k, _)| k == TimerKind::Nav)
-            .unwrap();
-        m.now = SimTime::from_millis(3);
-        assert!(d.on_nav_timer(&mut m, gen));
+        // The NAV wake-up must be armed so contention resumes, just past the
+        // reservation; deferring again re-arms it, and one is left.
+        let wake = SimTime::from_millis(2) + SimTime::NANO;
+        assert_eq!(m.timers, [(wake, TimerKind::Nav)]);
+        assert_eq!(d.try_access(&mut m, true), DcfAction::Defer);
+        assert_eq!(m.timers, [(wake, TimerKind::Nav)]);
+        m.now = wake;
         assert!(d.medium_idle(&m));
     }
 

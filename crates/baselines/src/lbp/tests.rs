@@ -175,10 +175,10 @@ fn missing_ack_retries_then_drops() {
     }
 }
 
-/// The NAV wake-up and the session guard are the first timer each of their
-/// slots arms, so they carry the same generation. The wake-up must reach
-/// the DCF — the station re-enters contention — and must not close the
-/// session: a corrupted DATA still draws the NAK.
+/// The NAV wake-up and the session guard are both armed, each the one timer
+/// of its own kind. The wake-up must reach the DCF — the station re-enters
+/// contention — and must not close the session: a corrupted DATA still
+/// draws the NAK.
 #[test]
 fn nav_wakeup_is_not_taken_for_the_session_guard() {
     let mut m = Mock::new();

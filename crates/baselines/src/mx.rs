@@ -24,10 +24,10 @@
 
 use std::sync::Arc;
 
-use rmac_core::api::{fired, MacContext, TimerKind};
+use rmac_core::api::{MacContext, TimerKind};
 use rmac_core::sendq::ReliableSend;
 use rmac_phy::Tone;
-use rmac_sim::{SimTime, TimerSlot};
+use rmac_sim::SimTime;
 use rmac_wire::airtime::data_airtime;
 use rmac_wire::consts::{LAMBDA, SIFS, TAU, T_WF};
 use rmac_wire::{Frame, FrameKind, NodeId};
@@ -61,9 +61,6 @@ pub struct MxExchange {
     /// Receiver-side session opened by an overheard 802.11MX RTS: the
     /// sender whose DATA is awaited.
     rx: Option<NodeId>,
-    t_wf_nak: TimerSlot,
-    t_nak_start: TimerSlot,
-    t_nak_stop: TimerSlot,
 }
 
 impl MxExchange {
@@ -104,8 +101,7 @@ impl Exchange for MxExchange {
                 st.enter(Phase::WfNak);
                 ctx.open_tone_watch(Tone::Abt);
                 ctx.counters().abt_check_time += T_WF + nak_len();
-                let gen = self.t_wf_nak.arm();
-                ctx.schedule(T_WF + nak_len(), TimerKind::WfAbt, gen);
+                ctx.schedule(T_WF + nak_len(), TimerKind::WfAbt);
             }
             other => debug_assert!(false, "TxDone in phase {other:?}"),
         }
@@ -136,8 +132,7 @@ impl Exchange for MxExchange {
         if self.rx.is_some() && st.is_idle() {
             self.rx = None;
             st.end_session(ctx);
-            let gen = self.t_nak_start.arm();
-            ctx.schedule(SIFS, TimerKind::AbtStart, gen);
+            ctx.schedule(SIFS, TimerKind::AbtStart);
         }
     }
 
@@ -174,16 +169,10 @@ impl Exchange for MxExchange {
         }
     }
 
-    fn on_timer(
-        &mut self,
-        st: &mut Core<Phase>,
-        ctx: &mut dyn MacContext,
-        kind: TimerKind,
-        gen: u64,
-    ) {
+    fn on_timer(&mut self, st: &mut Core<Phase>, ctx: &mut dyn MacContext, kind: TimerKind) {
         match kind {
             TimerKind::WfAbt => {
-                if !fired(ctx, &mut self.t_wf_nak, kind, gen) || st.phase() != Some(Phase::WfNak) {
+                if st.phase() != Some(Phase::WfNak) {
                     return;
                 }
                 // A noisy window: somebody NAKed, retry the whole group.
@@ -198,14 +187,11 @@ impl Exchange for MxExchange {
                     st.finish_group(ctx, send, true);
                 }
             }
-            TimerKind::AbtStart if fired(ctx, &mut self.t_nak_start, kind, gen) => {
+            TimerKind::AbtStart => {
                 ctx.start_tone(Tone::Abt);
-                let g = self.t_nak_stop.arm();
-                ctx.schedule(nak_len(), TimerKind::AbtStop, g);
+                ctx.schedule(nak_len(), TimerKind::AbtStop);
             }
-            TimerKind::AbtStop if fired(ctx, &mut self.t_nak_stop, kind, gen) => {
-                ctx.stop_tone(Tone::Abt);
-            }
+            TimerKind::AbtStop => ctx.stop_tone(Tone::Abt),
             _ => {}
         }
     }

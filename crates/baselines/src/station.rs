@@ -26,11 +26,11 @@ use std::collections::HashMap;
 use std::fmt::Debug;
 use std::sync::Arc;
 
-use rmac_core::api::{fired, MacContext, MacService, TimerKind, TxOutcome, TxRequest};
+use rmac_core::api::{MacContext, MacService, TimerKind, TxOutcome, TxRequest};
 use rmac_core::config::MacConfig;
 use rmac_core::sendq::{Next, ReliableSend, SendQueue, UnreliableSend};
 use rmac_phy::{Indication, ToneInterest};
-use rmac_sim::{SimTime, TimerSlot};
+use rmac_sim::SimTime;
 use rmac_wire::airtime::{data_airtime, frame_airtime};
 use rmac_wire::consts::{SHORT_CTRL_LEN, SIFS, TAU};
 use rmac_wire::{Dest, Frame, FrameKind, NodeId};
@@ -130,13 +130,12 @@ pub trait Exchange: Default + Send {
     fn on_gap(&mut self, st: &mut Core<Self::Phase>, ctx: &mut dyn MacContext, phase: Self::Phase);
     /// The receiver-side session guard expired: the DATA never came.
     fn on_session_expired(&mut self) {}
-    /// A timer of a kind the station does not own.
+    /// A timer of a kind the station does not own fired.
     fn on_timer(
         &mut self,
         _st: &mut Core<Self::Phase>,
         _ctx: &mut dyn MacContext,
         _kind: TimerKind,
-        _gen: u64,
     ) {
     }
 }
@@ -157,10 +156,6 @@ pub struct Core<P> {
     last_seq: HashMap<NodeId, u32>,
     /// The station went idle inside a handler; see the module docs.
     progress_due: bool,
-    t_resp: TimerSlot,
-    t_gap: TimerSlot,
-    t_resp_gap: TimerSlot,
-    t_session: TimerSlot,
 }
 
 impl<P: Copy + PartialEq> Core<P> {
@@ -217,21 +212,18 @@ impl<P: Copy + PartialEq> Core<P> {
     /// [`Exchange::on_timeout`] fires unless [`Core::answered`] comes first.
     pub fn await_response(&mut self, ctx: &mut dyn MacContext, then: P) {
         self.phase = Phase::In(then);
-        let gen = self.t_resp.arm();
-        ctx.schedule(response_timeout(), TimerKind::AwaitResponse, gen);
+        ctx.schedule(response_timeout(), TimerKind::AwaitResponse);
     }
 
     /// The awaited answer arrived.
     pub fn answered(&mut self, ctx: &mut dyn MacContext) {
-        self.t_resp.cancel();
         ctx.cancel_timer(TimerKind::AwaitResponse);
     }
 
     /// Wait a SIFS in `then`; [`Exchange::on_gap`] follows.
     pub fn gap(&mut self, ctx: &mut dyn MacContext, then: P) {
         self.phase = Phase::In(then);
-        let gen = self.t_gap.arm();
-        ctx.schedule(SIFS, TimerKind::Ifs, gen);
+        ctx.schedule(SIFS, TimerKind::Ifs);
     }
 
     /// The `kind` control frame answering `frame`. Its NAV is what is left
@@ -248,22 +240,19 @@ impl<P: Copy + PartialEq> Core<P> {
         self.dcf.suspend(ctx);
         self.resp = Some(frame);
         self.phase = Phase::RespGap;
-        let gen = self.t_resp_gap.arm();
-        ctx.schedule(SIFS, TimerKind::RespIfs, gen);
+        ctx.schedule(SIFS, TimerKind::RespIfs);
     }
 
     /// Open a receiver-side session: unless [`Core::end_session`] comes
     /// first, [`Exchange::on_session_expired`] fires once a maximum-size
     /// DATA starting `lead` from now would have ended.
     pub fn guard_session(&mut self, ctx: &mut dyn MacContext, lead: SimTime) {
-        let gen = self.t_session.arm();
         let span = lead + data_airtime(SESSION_MAX_PAYLOAD) + SESSION_SLACK;
-        ctx.schedule(span, TimerKind::SessionGuard, gen);
+        ctx.schedule(span, TimerKind::SessionGuard);
     }
 
     /// The session's DATA arrived (or was seen broken).
     pub fn end_session(&mut self, ctx: &mut dyn MacContext) {
-        self.t_session.cancel();
         ctx.cancel_timer(TimerKind::SessionGuard);
     }
 
@@ -357,10 +346,6 @@ impl<X: Exchange> Station<X> {
                 resp: None,
                 last_seq: HashMap::new(),
                 progress_due: false,
-                t_resp: TimerSlot::new(),
-                t_gap: TimerSlot::new(),
-                t_resp_gap: TimerSlot::new(),
-                t_session: TimerSlot::new(),
             },
             x: X::default(),
         }
@@ -467,50 +452,37 @@ impl<X: Exchange> MacService for Station<X> {
         self.settle(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut dyn MacContext, kind: TimerKind, gen: u64) {
+    fn on_timer(&mut self, ctx: &mut dyn MacContext, kind: TimerKind) {
         let Station { core, x } = self;
         match kind {
             TimerKind::BackoffSlot => {
-                // Outside Idle this is a stale sleep from before the
-                // station left contention: the countdown only retires it.
+                // Outside Idle the countdown only settles: nothing is sent.
                 let want_tx = self.is_idle() && self.has_job();
-                if let DcfAction::Transmit = self.core.dcf.on_slot(ctx, gen, want_tx) {
+                if let DcfAction::Transmit = self.core.dcf.on_slot(ctx, want_tx) {
                     self.begin(ctx);
                 }
             }
-            TimerKind::Nav => {
-                if core.dcf.on_nav_timer(ctx, gen) {
-                    self.try_progress(ctx);
-                }
-            }
-            TimerKind::SessionGuard => {
-                if fired(ctx, &mut core.t_session, kind, gen) {
-                    x.on_session_expired();
-                }
-            }
+            TimerKind::Nav => self.try_progress(ctx),
+            TimerKind::SessionGuard => x.on_session_expired(),
             TimerKind::AwaitResponse => {
-                if let (true, Phase::In(phase)) =
-                    (fired(ctx, &mut core.t_resp, kind, gen), core.phase)
-                {
+                if let Phase::In(phase) = core.phase {
                     x.on_timeout(core, ctx, phase);
                 }
             }
             TimerKind::Ifs => {
-                if let (true, Phase::In(phase)) =
-                    (fired(ctx, &mut core.t_gap, kind, gen), core.phase)
-                {
+                if let Phase::In(phase) = core.phase {
                     x.on_gap(core, ctx, phase);
                 }
             }
             TimerKind::RespIfs => {
-                if fired(ctx, &mut core.t_resp_gap, kind, gen) && core.phase == Phase::RespGap {
+                if core.phase == Phase::RespGap {
                     let frame = core.resp.take().expect("RespGap without a response");
                     ctx.counters().ctrl_airtime += frame.airtime();
                     core.phase = Phase::TxResp;
                     ctx.start_tx(frame);
                 }
             }
-            _ => x.on_timer(core, ctx, kind, gen),
+            _ => x.on_timer(core, ctx, kind),
         }
         self.settle(ctx);
     }

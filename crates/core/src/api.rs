@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use rmac_phy::{Indication, Tone, ToneInterest, ToneLog};
-use rmac_sim::{SimRng, SimTime, TimerSlot};
+use rmac_sim::{SimRng, SimTime};
 use rmac_wire::{Dest, Frame, NodeId};
 
 /// An upper-layer transmit request.
@@ -48,9 +48,9 @@ pub enum TxOutcome {
     Rejected,
 }
 
-/// Logical timer identifiers. Each MAC owns one generation-tracked slot per
-/// kind (see `rmac_sim::timer`); a firing carries the generation it was
-/// armed with, so one that reaches the MAC stale is ignored ([`fired`]).
+/// Logical timer identifiers: a node has one timer of each kind. Arming a
+/// kind supersedes its armed instance, and only the live instance's firing
+/// reaches the MAC ([`MacContext::schedule`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TimerKind {
     /// The backoff countdown's timer ([`crate::backoff::Backoff`]): a look at
@@ -77,10 +77,14 @@ pub enum TimerKind {
     /// Baselines: a NAV reservation expired.
     Nav,
     /// Baselines: a receiver-side session outlived the DATA it was opened
-    /// for. Its own kind, not [`TimerKind::Nav`]: generations are counted
-    /// per slot, so two slots armed under one kind claim each other's
-    /// firings.
+    /// for. Its own kind, not [`TimerKind::Nav`]: a kind is one timer, so
+    /// two timers armed under one kind would supersede each other.
     SessionGuard,
+}
+
+impl TimerKind {
+    /// How many kinds there are; `kind as usize` indexes them densely.
+    pub const COUNT: usize = TimerKind::SessionGuard as usize + 1;
 }
 
 /// Everything a MAC entity may do to the outside world.
@@ -109,11 +113,11 @@ pub enum TimerKind {
 /// when it has a slot to count (§3.3.1). Frame receptions and `TxDone` are
 /// always delivered.
 ///
-/// Timers: a MAC that cancels a timer ([`TimerSlot::cancel`]) says so
-/// ([`cancel_timer`](MacContext::cancel_timer)). A context may then drop
-/// the firing, as the engine does with every firing a later arm of the
-/// same kind superseded, or deliver it for the MAC's generation check to
-/// drop ([`fired`]).
+/// Timers: a [`TimerKind`] is one timer per node. The context arms it
+/// ([`schedule`](MacContext::schedule)), superseding an armed instance, and
+/// withdraws it ([`cancel_timer`](MacContext::cancel_timer)); it calls
+/// [`MacService::on_timer`] for the live instance only, so the MAC keeps no
+/// record of which arming is live.
 pub trait MacContext {
     /// Current simulation time.
     fn now(&self) -> SimTime;
@@ -124,8 +128,9 @@ pub trait MacContext {
     fn local_now(&self) -> SimTime {
         self.now()
     }
-    /// Schedule a timer firing `delay` from now, tagged with `(kind, gen)`.
-    fn schedule(&mut self, delay: SimTime, kind: TimerKind, gen: u64);
+    /// Arm the `kind` timer to fire `delay` from now, superseding its armed
+    /// instance.
+    fn schedule(&mut self, delay: SimTime, kind: TimerKind);
     /// Begin transmitting `frame` on the data channel.
     fn start_tx(&mut self, frame: Frame);
     /// Abort the in-flight transmission (RMAC §3.3.2 step 3).
@@ -155,22 +160,8 @@ pub trait MacContext {
     fn rng(&mut self) -> &mut SimRng;
     /// The node's MAC-layer counters.
     fn counters(&mut self) -> &mut MacCounters;
-    /// The MAC cancelled its live `kind` timer. The default ignores it.
-    fn cancel_timer(&mut self, _kind: TimerKind) {}
-    /// A dispatched `kind` timer reached the MAC generation-stale
-    /// (cancelled or re-armed since), and was dropped. The default ignores
-    /// it; the engine, which dispatches live timers only, counts it.
-    fn stale_timer(&mut self, _kind: TimerKind) {}
-}
-
-/// Whether a dispatched `kind` timer carrying `gen` is `slot`'s live
-/// instance, disarming it; a stale one is told to the context.
-pub fn fired(ctx: &mut dyn MacContext, slot: &mut TimerSlot, kind: TimerKind, gen: u64) -> bool {
-    let live = slot.disarm_if(gen);
-    if !live {
-        ctx.stale_timer(kind);
-    }
-    live
+    /// Cancel the `kind` timer, if it is armed.
+    fn cancel_timer(&mut self, kind: TimerKind);
 }
 
 /// A MAC protocol entity for one node.
@@ -182,8 +173,8 @@ pub trait MacService: Send {
     fn submit(&mut self, ctx: &mut dyn MacContext, req: TxRequest);
     /// Process a PHY indication addressed to this node.
     fn on_indication(&mut self, ctx: &mut dyn MacContext, ind: &Indication);
-    /// Process a timer firing.
-    fn on_timer(&mut self, ctx: &mut dyn MacContext, kind: TimerKind, gen: u64);
+    /// The live instance of the `kind` timer fired.
+    fn on_timer(&mut self, ctx: &mut dyn MacContext, kind: TimerKind);
 
     /// The channel changes — tone presence flips, the carrier rising — this
     /// MAC could act on in its present state. It is read after every call

@@ -36,16 +36,14 @@
 //! Slots are measured on the node's own clock ([`MacContext::local_now`]),
 //! the one `schedule` delays elapse on.
 
-use rmac_sim::{SimRng, SimTime, TimerSlot};
+use rmac_sim::{SimRng, SimTime};
 use rmac_wire::consts::{CW_MAX, CW_MIN, SLOT};
 
-use crate::api::{fired, MacContext, TimerKind};
+use crate::api::{MacContext, TimerKind};
 
-/// What a dispatched countdown timer found.
+/// What the countdown's timer found when it fired.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Slot {
-    /// Not the live timer: the sleep was cancelled or re-armed.
-    Stale,
     /// A channel is busy at this boundary: counting stops, BI is retained.
     Suspended,
     /// Still counting (a hop landed, or a look found an idle boundary with
@@ -60,8 +58,9 @@ pub enum Slot {
 pub struct Backoff {
     bi: u64,
     cw: u64,
-    /// The countdown's timer; armed exactly while counting.
-    timer: TimerSlot,
+    /// Whether the countdown's `BackoffSlot` timer is armed: exactly while
+    /// counting.
+    armed: bool,
     /// Local instant at which `bi` was exact: the start of the countdown or
     /// the last credited slot boundary.
     anchor: SimTime,
@@ -77,7 +76,7 @@ impl Default for Backoff {
         Backoff {
             bi: 0,
             cw: CW_MIN,
-            timer: TimerSlot::new(),
+            armed: false,
             anchor: SimTime::ZERO,
             wake: SimTime::ZERO,
             look: false,
@@ -123,7 +122,7 @@ impl Backoff {
 
     /// Whether a countdown is running.
     pub fn counting(&self) -> bool {
-        self.timer.is_armed()
+        self.armed
     }
 
     /// Start counting BI (> 0) down from now, on channels the caller found
@@ -157,18 +156,17 @@ impl Backoff {
     pub fn pause(&mut self, ctx: &mut dyn MacContext) {
         if self.counting() {
             self.credit(ctx.local_now());
-            self.timer.cancel();
+            self.armed = false;
             ctx.cancel_timer(TimerKind::BackoffSlot);
         }
     }
 
-    /// A `BackoffSlot` timer was dispatched; `idle` is the caller's channel
-    /// sense at this instant. Unless the result is [`Slot::Counting`] the
+    /// The `BackoffSlot` timer fired; `idle` is the caller's channel sense
+    /// at this instant. Unless the result is [`Slot::Counting`] the
     /// countdown has stopped.
-    pub fn on_timer(&mut self, ctx: &mut dyn MacContext, gen: u64, idle: bool) -> Slot {
-        if !fired(ctx, &mut self.timer, TimerKind::BackoffSlot, gen) {
-            return Slot::Stale;
-        }
+    pub fn on_timer(&mut self, ctx: &mut dyn MacContext, idle: bool) -> Slot {
+        debug_assert!(self.armed, "a countdown timer fired while not counting");
+        self.armed = false;
         if !idle {
             // The edge that made the channel busy credited what passed
             // before it; this boundary does not count.
@@ -195,11 +193,10 @@ impl Backoff {
     }
 
     fn arm(&mut self, ctx: &mut dyn MacContext, now: SimTime, wake: SimTime, look: bool) {
-        (self.wake, self.look) = (wake, look);
-        let gen = self.timer.arm();
+        (self.wake, self.look, self.armed) = (wake, look, true);
         // A context running late can report an edge after `wake` has
         // passed: the timer is then due now, not a wrapped 584 years on.
-        ctx.schedule(wake.saturating_sub(now), TimerKind::BackoffSlot, gen);
+        ctx.schedule(wake.saturating_sub(now), TimerKind::BackoffSlot);
     }
 
     /// Take the boundaries after the anchor and strictly before `before`
@@ -293,8 +290,10 @@ mod tests {
 
     /// The same timeline through [`Backoff`] the way an engine drives it:
     /// edges as they happen, the one live timer at its own instant
-    /// (same-instant order: releases, the timer, onsets). Also returns how
-    /// many timers were dispatched.
+    /// (same-instant order: releases, the timer, onsets). Every pause and
+    /// re-arm is told to the context, so the mock holds one timer exactly
+    /// while the countdown runs. Also returns how many timers were
+    /// dispatched.
     fn sleeping_countdown(bi: u64, busy: &[(u64, u64)]) -> (Outcome, usize) {
         const RELEASE: u8 = 0;
         const TIMER: u8 = 1;
@@ -311,10 +310,13 @@ mod tests {
         let mut edges = edges.into_iter().peekable();
         let (mut suspensions, mut dispatched) = (Vec::new(), 0);
         loop {
-            let live = m.timers.iter().find(|&&(_, _, g)| b.timer.matches(g));
-            let timer = live.map(|&(at, _, g)| ((at.nanos(), TIMER), g));
-            let edge = edges.peek().map(|&e| (e, 0));
-            let ((t, what), gen) = [timer, edge].into_iter().flatten().min().unwrap();
+            assert_eq!(m.timers.len(), usize::from(b.counting()), "{:?}", m.timers);
+            let timer = m.timers.front().map(|&(at, _)| (at.nanos(), TIMER));
+            let (t, what) = [timer, edges.peek().copied()]
+                .into_iter()
+                .flatten()
+                .min()
+                .unwrap();
             m.now = SimTime::from_nanos(t);
             if what != TIMER {
                 edges.next();
@@ -331,13 +333,13 @@ mod tests {
                     }
                 }
                 _ => {
+                    m.timers.pop_front();
                     dispatched += 1;
                     let idle = !m.data_busy;
-                    match b.on_timer(&mut m, gen, idle) {
+                    match b.on_timer(&mut m, idle) {
                         Slot::Expired => return ((t, suspensions), dispatched),
                         Slot::Suspended => suspensions.push((t, b.bi())),
                         Slot::Counting => {}
-                        Slot::Stale => unreachable!("the live timer is never stale"),
                     }
                 }
             }
@@ -417,10 +419,10 @@ mod tests {
             let mut b = Backoff::default();
             b.add_slots(7);
             b.start(&mut m);
-            let (at, _, gen) = m.timers.pop_back().unwrap();
+            let (at, _) = m.timers.pop_back().unwrap();
             m.now = at;
             assert_eq!(
-                (at, b.on_timer(&mut m, gen, true)),
+                (at, b.on_timer(&mut m, true)),
                 (SLOT.mul(6), Slot::Counting)
             );
             (m, b)

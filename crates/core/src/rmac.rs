@@ -21,11 +21,11 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use rmac_phy::{Indication, Tone, ToneInterest};
-use rmac_sim::{SimTime, TimerSlot};
+use rmac_sim::SimTime;
 use rmac_wire::consts::{LAMBDA, L_ABT, T_WF, T_WF_RDATA};
 use rmac_wire::{Dest, Frame, FrameKind, NodeId};
 
-use crate::api::{fired, MacContext, MacService, TimerKind, TxOutcome, TxRequest};
+use crate::api::{MacContext, MacService, TimerKind, TxOutcome, TxRequest};
 use crate::backoff::{Backoff, Slot};
 use crate::config::MacConfig;
 use crate::sendq::{Next, ReliableSend, SendQueue, UnreliableSend};
@@ -125,15 +125,8 @@ pub struct Rmac {
     job: Option<Job>,
     backoff: Backoff,
     rx: Option<RxSession>,
-    /// Pending ABT reply (slot timer armed even after the session closes).
-    abt_pending: bool,
     /// When the WF_ABT collection window opened.
     abt_window_start: SimTime,
-    t_wf_rbt: TimerSlot,
-    t_wf_rdata: TimerSlot,
-    t_wf_abt: TimerSlot,
-    t_abt_start: TimerSlot,
-    t_abt_stop: TimerSlot,
     /// Executed state-machine edges: `transitions[from × COUNT + to]`.
     /// Off by default — the matrix only feeds the observability report, so
     /// an uninstrumented run skips the per-transition increment entirely
@@ -156,13 +149,7 @@ impl Rmac {
             job: None,
             backoff: Backoff::default(),
             rx: None,
-            abt_pending: false,
             abt_window_start: SimTime::ZERO,
-            t_wf_rbt: TimerSlot::new(),
-            t_wf_rdata: TimerSlot::new(),
-            t_wf_abt: TimerSlot::new(),
-            t_abt_start: TimerSlot::new(),
-            t_abt_stop: TimerSlot::new(),
             count_transitions: false,
             transitions: Box::new([0; State::COUNT * State::COUNT]),
         }
@@ -367,7 +354,6 @@ impl Rmac {
         if self.rx.take().is_some() {
             ctx.stop_tone(Tone::Rbt);
         }
-        self.t_wf_rdata.cancel();
         ctx.cancel_timer(TimerKind::WfRdata);
         if self.state == State::WfRdata {
             self.set_state(State::Idle);
@@ -423,8 +409,7 @@ impl Rmac {
             carrier_seen: false,
         });
         ctx.start_tone(Tone::Rbt);
-        let gen = self.t_wf_rdata.arm();
-        ctx.schedule(T_WF_RDATA, TimerKind::WfRdata, gen);
+        ctx.schedule(T_WF_RDATA, TimerKind::WfRdata);
         self.set_state(State::WfRdata);
     }
 
@@ -440,9 +425,7 @@ impl Rmac {
                     ctx.deliver(frame);
                     ctx.counters().delivered_up += 1;
                     // Reply the ABT in our assigned slot (step 5 of §3.3.2).
-                    let gen = self.t_abt_start.arm();
-                    ctx.schedule(L_ABT.mul(slot as u64), TimerKind::AbtStart, gen);
-                    self.abt_pending = true;
+                    ctx.schedule(L_ABT.mul(slot as u64), TimerKind::AbtStart);
                 }
                 self.end_rx_session(ctx);
                 self.try_progress(ctx);
@@ -473,10 +456,10 @@ impl Rmac {
     // Timer handling
     // -----------------------------------------------------------------
 
-    fn on_backoff_slot(&mut self, ctx: &mut dyn MacContext, gen: u64) {
+    fn on_backoff_slot(&mut self, ctx: &mut dyn MacContext) {
         let idle = self.channels_idle(ctx);
-        match self.backoff.on_timer(ctx, gen, idle) {
-            Slot::Stale | Slot::Counting => {}
+        match self.backoff.on_timer(ctx, idle) {
+            Slot::Counting => {}
             // Suspend: BI is retained, countdown resumes when both
             // channels go idle again (§3.3.1).
             Slot::Suspended => self.set_state(State::Idle),
@@ -568,8 +551,7 @@ impl Rmac {
                     // C17: MRTS complete → wait for the RBT.
                     self.set_state(State::WfRbt);
                     ctx.open_tone_watch(Tone::Rbt);
-                    let gen = self.t_wf_rbt.arm();
-                    ctx.schedule(T_WF, TimerKind::WfRbt, gen);
+                    ctx.schedule(T_WF, TimerKind::WfRbt);
                 }
             }
             State::TxRdata => {
@@ -582,8 +564,7 @@ impl Rmac {
                 self.abt_window_start = ctx.now();
                 ctx.open_tone_watch(Tone::Abt);
                 ctx.counters().abt_check_time += L_ABT.mul(n);
-                let gen = self.t_wf_abt.arm();
-                ctx.schedule(L_ABT.mul(n), TimerKind::WfAbt, gen);
+                ctx.schedule(L_ABT.mul(n), TimerKind::WfAbt);
             }
             State::TxUnrdata => {
                 // C2/C5: fire-and-forget completes either way.
@@ -623,7 +604,6 @@ impl MacService for Rmac {
                             // and hold the RBT until the reception ends.
                             rx.carrier_seen = true;
                             first_bit = true;
-                            self.t_wf_rdata.cancel();
                             ctx.cancel_timer(TimerKind::WfRdata);
                         }
                     }
@@ -664,37 +644,17 @@ impl MacService for Rmac {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut dyn MacContext, kind: TimerKind, gen: u64) {
+    fn on_timer(&mut self, ctx: &mut dyn MacContext, kind: TimerKind) {
         match kind {
-            TimerKind::BackoffSlot => self.on_backoff_slot(ctx, gen),
-            TimerKind::WfRbt => {
-                if fired(ctx, &mut self.t_wf_rbt, kind, gen) {
-                    self.on_wf_rbt(ctx);
-                }
-            }
-            TimerKind::WfRdata => {
-                if fired(ctx, &mut self.t_wf_rdata, kind, gen) {
-                    self.on_wf_rdata(ctx);
-                }
-            }
-            TimerKind::WfAbt => {
-                if fired(ctx, &mut self.t_wf_abt, kind, gen) {
-                    self.on_wf_abt(ctx);
-                }
-            }
+            TimerKind::BackoffSlot => self.on_backoff_slot(ctx),
+            TimerKind::WfRbt => self.on_wf_rbt(ctx),
+            TimerKind::WfRdata => self.on_wf_rdata(ctx),
+            TimerKind::WfAbt => self.on_wf_abt(ctx),
             TimerKind::AbtStart => {
-                if fired(ctx, &mut self.t_abt_start, kind, gen) {
-                    self.abt_pending = false;
-                    ctx.start_tone(Tone::Abt);
-                    let g = self.t_abt_stop.arm();
-                    ctx.schedule(L_ABT, TimerKind::AbtStop, g);
-                }
+                ctx.start_tone(Tone::Abt);
+                ctx.schedule(L_ABT, TimerKind::AbtStop);
             }
-            TimerKind::AbtStop => {
-                if fired(ctx, &mut self.t_abt_stop, kind, gen) {
-                    ctx.stop_tone(Tone::Abt);
-                }
-            }
+            TimerKind::AbtStop => ctx.stop_tone(Tone::Abt),
             // Baseline-only timers never reach RMAC.
             TimerKind::AwaitResponse
             | TimerKind::Ifs

@@ -501,10 +501,10 @@ fn data_reception_delivers_and_replies_abt_in_slot() {
     assert!(m.actions.contains(&Action::ToneOff(Tone::Rbt)));
     assert_eq!(r.state(), State::Idle);
     // ABT must start exactly at slot · l_abt after the data end.
-    let (at, kind, _) = *m
+    let (at, kind) = *m
         .timers
         .iter()
-        .find(|&&(_, k, _)| k == TimerKind::AbtStart)
+        .find(|&&(_, k)| k == TimerKind::AbtStart)
         .expect("ABT start timer");
     assert_eq!(kind, TimerKind::AbtStart);
     assert_eq!(at, t_data_end + L_ABT.mul(1));
@@ -529,10 +529,10 @@ fn first_receiver_replies_abt_immediately() {
     );
     let t_end = m.now;
     m.rx_frame(&mut r, n(1), data, true);
-    let (at, _, _) = *m
+    let (at, _) = *m
         .timers
         .iter()
-        .find(|&&(_, k, _)| k == TimerKind::AbtStart)
+        .find(|&&(_, k)| k == TimerKind::AbtStart)
         .unwrap();
     assert_eq!(at, t_end);
 }
@@ -663,9 +663,8 @@ fn mrts_reception_cancels_backoff() {
     m.now = SLOT.mul(3) + SimTime::from_micros(5);
     m.rx_frame(&mut r, n(2), Frame::mrts(n(0), vec![n(2)]), true);
     assert_eq!((r.state(), r.bi()), (State::WfRdata, 4));
-    // The cancelled sleep must be stale now.
-    m.fire(&mut r, TimerKind::BackoffSlot);
-    assert_eq!((r.state(), r.bi()), (State::WfRdata, 4));
+    // The cancelled sleep is withdrawn from the context.
+    assert!(!m.has_timer(TimerKind::BackoffSlot));
 }
 
 // ---------------------------------------------------------------------
@@ -784,7 +783,7 @@ fn duplicate_listing_uses_first_slot() {
     let starts: Vec<_> = m
         .timers
         .iter()
-        .filter(|&&(_, k, _)| k == TimerKind::AbtStart)
+        .filter(|&&(_, k)| k == TimerKind::AbtStart)
         .collect();
     assert_eq!(starts.len(), 1);
     assert_eq!(starts[0].0, t_end, "slot 0 ⇒ immediate ABT");
@@ -836,24 +835,18 @@ fn second_mrts_does_not_hijack_session() {
     assert_eq!(m.delivered.len(), 1);
 }
 
-/// A stale WF_RDATA timer (cancelled by the first data bit) must not kill
-/// the reception that is under way.
+/// A WF_RDATA timer cancelled by the first data bit must not kill the
+/// reception that is under way: the cancel is told to the context.
 #[test]
 fn cancelled_wf_rdata_timer_is_inert() {
     let mut m = Mock::new();
     let mut r = mac(2);
     m.rx_frame(&mut r, n(2), Frame::mrts(n(0), vec![n(2)]), true);
-    let (at, kind, gen) = *m
-        .timers
-        .iter()
-        .find(|&&(_, k, _)| k == TimerKind::WfRdata)
-        .unwrap();
+    assert!(m.has_timer(TimerKind::WfRdata));
     // First bit arrives → timer cancelled.
     r.on_indication(&mut m, &Indication::CarrierOn { node: n(2) });
-    // The stale firing arrives anyway.
-    m.now = m.now.max(at);
-    r.on_timer(&mut m, kind, gen);
-    assert_eq!(r.state(), State::WfRdata, "session survives stale timer");
+    assert!(!m.has_timer(TimerKind::WfRdata), "the cancel is told");
+    assert_eq!(r.state(), State::WfRdata, "session survives");
 }
 
 /// Retry counting: an aborted MRTS, a missing RBT and missing ABTs all

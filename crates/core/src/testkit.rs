@@ -29,8 +29,8 @@ pub enum Action {
 
 /// A scripted [`MacContext`]: channel state is set by the test (through
 /// [`Mock::set_carrier`] / [`Mock::set_tone`], which also deliver the edge
-/// the [`MacContext`] contract owes the MAC); timers are collected and
-/// fired by hand; tone-watch results are preset.
+/// the [`MacContext`] contract owes the MAC); timers are collected, one per
+/// kind, and fired by hand; tone-watch results are preset.
 pub struct Mock {
     /// The mock clock; advanced by `fire`/`finish_tx`.
     pub now: SimTime,
@@ -40,8 +40,9 @@ pub struct Mock {
     pub tone: [bool; 2],
     /// Recorded actions, in order.
     pub actions: Vec<Action>,
-    /// Armed timers: (absolute fire time, kind, generation).
-    pub timers: VecDeque<(SimTime, TimerKind, u64)>,
+    /// Armed timers, at most one per kind, in the order they were armed:
+    /// (absolute fire time, kind).
+    pub timers: VecDeque<(SimTime, TimerKind)>,
     /// Frames delivered up to the (mock) network layer.
     pub delivered: Vec<Arc<Frame>>,
     /// Outcome notifications, in order.
@@ -209,11 +210,8 @@ impl Mock {
         }
     }
 
-    /// Fire the pending timer of `kind`, advancing the clock.
-    ///
-    /// Cancelled timers leave stale entries behind (as in a queue that
-    /// delivers every firing, `rmac-live`'s); the *most recently armed*
-    /// entry of the kind is the live one, so that is the one fired.
+    /// Fire the armed timer of `kind`, advancing the clock; panic if none
+    /// is armed.
     ///
     /// The backoff countdown hops to the slot before its expiry; firing
     /// `BackoffSlot` steps the clock one slot at most and delivers the timer
@@ -223,20 +221,14 @@ impl Mock {
     /// slot high while stepping; it is exact once the countdown stops.)
     /// [`Mock::fire_earliest`] sleeps the whole span, as the engine does.
     pub fn fire<M: MacService>(&mut self, mac: &mut M, kind: TimerKind) {
-        let idx = self
-            .timers
-            .iter()
-            .enumerate()
-            .filter(|(_, &(_, k, _))| k == kind)
-            .max_by_key(|(_, &(_, _, gen))| gen)
-            .map(|(i, _)| i)
+        let idx = (self.timers.iter().position(|&(_, k)| k == kind))
             .unwrap_or_else(|| panic!("no pending {kind:?} timer: {:?}", self.timers));
-        let (mut at, k, gen) = self.timers.remove(idx).unwrap();
+        let (mut at, _) = self.timers.remove(idx).unwrap();
         if kind == TimerKind::BackoffSlot {
             at = at.min(self.now + SLOT);
         }
         self.now = self.now.max(at);
-        mac.on_timer(self, k, gen);
+        mac.on_timer(self, kind);
     }
 
     /// Fire the earliest pending timer of any kind.
@@ -245,17 +237,17 @@ impl Mock {
             .timers
             .iter()
             .enumerate()
-            .min_by_key(|(_, &(at, _, _))| at)
+            .min_by_key(|(_, &(at, _))| at)
             .map(|(i, _)| i)
             .expect("no pending timer");
-        let (at, k, gen) = self.timers.remove(idx).unwrap();
+        let (at, kind) = self.timers.remove(idx).unwrap();
         self.now = self.now.max(at);
-        mac.on_timer(self, k, gen);
+        mac.on_timer(self, kind);
     }
 
-    /// Whether a timer of `kind` is pending.
+    /// Whether a timer of `kind` is armed.
     pub fn has_timer(&self, kind: TimerKind) -> bool {
-        self.timers.iter().any(|&(_, k, _)| k == kind)
+        self.timers.iter().any(|&(_, k)| k == kind)
     }
 
     /// The frame currently on the air.
@@ -295,8 +287,12 @@ impl MacContext for Mock {
     fn now(&self) -> SimTime {
         self.now
     }
-    fn schedule(&mut self, delay: SimTime, kind: TimerKind, gen: u64) {
-        self.timers.push_back((self.now + delay, kind, gen));
+    fn schedule(&mut self, delay: SimTime, kind: TimerKind) {
+        self.cancel_timer(kind);
+        self.timers.push_back((self.now + delay, kind));
+    }
+    fn cancel_timer(&mut self, kind: TimerKind) {
+        self.timers.retain(|&(_, k)| k != kind);
     }
     fn start_tx(&mut self, frame: Frame) {
         assert!(self.tx_frame.is_none(), "start_tx while transmitting");
@@ -346,5 +342,45 @@ impl MacContext for Mock {
     }
     fn counters(&mut self) -> &mut MacCounters {
         &mut self.counters
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::api::TxRequest;
+
+    /// A MAC that records the kinds that fired.
+    #[derive(Default)]
+    struct Fired(Vec<TimerKind>);
+
+    impl MacService for Fired {
+        fn submit(&mut self, _: &mut dyn MacContext, _: TxRequest) {}
+        fn on_indication(&mut self, _: &mut dyn MacContext, _: &Indication) {}
+        fn on_timer(&mut self, _: &mut dyn MacContext, kind: TimerKind) {
+            self.0.push(kind);
+        }
+    }
+
+    /// A kind is one timer: a re-arm replaces it, a cancel removes it, and
+    /// firing a kind that is not armed panics.
+    #[test]
+    #[should_panic(expected = "no pending Nav timer")]
+    fn a_kind_holds_one_timer() {
+        let us = SimTime::from_micros;
+        let (mut m, mut mac) = (Mock::new(), Fired::default());
+        m.schedule(us(5), TimerKind::WfRbt);
+        m.schedule(us(9), TimerKind::Nav);
+        m.schedule(us(7), TimerKind::WfRbt);
+        assert_eq!(
+            m.timers,
+            [(us(9), TimerKind::Nav), (us(7), TimerKind::WfRbt)]
+        );
+        m.cancel_timer(TimerKind::Nav);
+        assert!(!m.has_timer(TimerKind::Nav));
+        m.fire(&mut mac, TimerKind::WfRbt);
+        assert_eq!((&mac.0[..], m.now), (&[TimerKind::WfRbt][..], us(7)));
+        assert!(m.timers.is_empty());
+        m.fire(&mut mac, TimerKind::Nav);
     }
 }

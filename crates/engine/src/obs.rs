@@ -47,13 +47,14 @@ pub fn class_of(ev: &Ev) -> usize {
     }
 }
 
-/// Labels for the per-node timer-kind indices, matching [`timer_idx`].
+/// Labels of the timer kinds, each at its [`TimerKind`]'s index
+/// (`kind as usize`).
 ///
 /// `backoff_slot` (index 0, pinned by `benchmark/`) counts the backoff
 /// countdown's timers: hops and looks (at the expiry and at the boundary
 /// after a busy edge); a sleep a busy edge or a pause cut short is in
 /// `NodeObs::timer_cancelled`. It is not a count of 20 µs slots.
-pub const TIMER_LABELS: [&str; 11] = [
+pub const TIMER_LABELS: [&str; TimerKind::COUNT] = [
     "backoff_slot",
     "wf_rbt",
     "wf_rdata",
@@ -66,24 +67,6 @@ pub const TIMER_LABELS: [&str; 11] = [
     "nav",
     "session_guard",
 ];
-
-/// Dense index of a [`TimerKind`].
-#[inline]
-pub fn timer_idx(kind: TimerKind) -> usize {
-    match kind {
-        TimerKind::BackoffSlot => 0,
-        TimerKind::WfRbt => 1,
-        TimerKind::WfRdata => 2,
-        TimerKind::WfAbt => 3,
-        TimerKind::AbtStart => 4,
-        TimerKind::AbtStop => 5,
-        TimerKind::AwaitResponse => 6,
-        TimerKind::Ifs => 7,
-        TimerKind::RespIfs => 8,
-        TimerKind::Nav => 9,
-        TimerKind::SessionGuard => 10,
-    }
-}
 
 /// What to instrument. The default enables the cheap counting paths only;
 /// [`ObsConfig::full`] adds the snapshot sampler and wall-clock kernel
@@ -227,10 +210,14 @@ mod tests {
             Nav,
             SessionGuard,
         ];
+        assert_eq!(kinds.len(), TIMER_LABELS.len(), "a label per kind");
         let mut seen = [false; TIMER_LABELS.len()];
         for k in kinds {
-            seen[timer_idx(k)] = true;
+            seen[k as usize] = true;
         }
         assert!(seen.iter().all(|&s| s), "every label index must be hit");
+        // The order `benchmark/` pins.
+        assert_eq!(TIMER_LABELS[BackoffSlot as usize], "backoff_slot");
+        assert_eq!(TIMER_LABELS[Nav as usize], "nav");
     }
 }

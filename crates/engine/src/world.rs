@@ -19,7 +19,7 @@ use rmac_sim::{CalendarQueue, Cursor, EventQueue, LiveTimer, SimQueue, SimRng, S
 use rmac_wire::{airtime::mrts_len, consts::BYTE_TIME, Dest, Frame, NodeId};
 
 use crate::config::{Protocol, ScenarioConfig};
-use crate::obs::{class_of, timer_idx, Attached, EngineObs, ObsConfig, TIMER_LABELS};
+use crate::obs::{class_of, Attached, EngineObs, ObsConfig, TIMER_LABELS};
 use crate::run::Spec;
 use crate::trace::{TraceEvent, TraceWhat, Tracer};
 
@@ -212,13 +212,10 @@ struct WorldCore<Q: SimQueue<Ev>> {
     chan_rng: SimRng,
     rngs: Vec<SimRng>,
     counters: Vec<MacCounters>,
-    /// Per timer kind ([`timer_idx`]), per node: the live instance. A
+    /// Per timer kind (`kind as usize`), per node: the live instance. A
     /// kind's column is filled on its first arm, so a run holds the kinds
     /// its protocol uses.
-    timers: [Vec<LiveTimer>; TIMER_LABELS.len()],
-    /// Timers a MAC reported reaching it generation-stale (the obs gauge
-    /// `engine.stale_timers_entered`): a cancel it did not tell of.
-    stale_entered: u64,
+    timers: [Vec<LiveTimer>; TimerKind::COUNT],
     /// Per-node clock-skew factor on MAC timer delays (1.0 = no skew).
     skew: Vec<f64>,
     /// Per-node crashed flag.
@@ -255,18 +252,18 @@ impl<Q: SimQueue<Ev>> WorldCore<Q> {
 
     /// Arm the `kind` timer of the node at stack index `i` (see
     /// [`LiveTimer::arm`]); whether a live instance was superseded.
-    fn arm_timer(&mut self, i: usize, kind: TimerKind, at: SimTime, gen: u64, ev: Ev) -> bool {
-        let column = &mut self.timers[timer_idx(kind)];
+    fn arm_timer(&mut self, i: usize, kind: TimerKind, at: SimTime, ev: Ev) -> bool {
+        let column = &mut self.timers[kind as usize];
         if column.is_empty() {
             column.resize(self.rngs.len(), LiveTimer::default());
         }
-        column[i].arm(&mut self.q, at, gen, ev)
+        column[i].arm(&mut self.q, at, ev)
     }
 
     /// Cancel the `kind` timer of the node at stack index `i`; whether a
     /// live instance was cancelled.
     fn cancel_timer(&mut self, i: usize, kind: TimerKind) -> bool {
-        let column = &mut self.timers[timer_idx(kind)];
+        let column = &mut self.timers[kind as usize];
         column.get_mut(i).is_some_and(LiveTimer::cancel)
     }
 
@@ -324,26 +321,23 @@ impl<Q: SimQueue<Ev>> MacContext for Ctx<'_, Q> {
     fn local_now(&self) -> SimTime {
         self.core.local(self.i, self.core.q.now())
     }
-    fn schedule(&mut self, delay: SimTime, kind: TimerKind, gen: u64) {
+    fn schedule(&mut self, delay: SimTime, kind: TimerKind) {
         let (node, i) = (self.node, self.i);
         let at = self.core.q.now() + self.core.skewed(i, delay);
         let superseded = self
             .core
-            .arm_timer(i, kind, at, gen, Ev::MacTimer { node, kind });
+            .arm_timer(i, kind, at, Ev::MacTimer { node, kind });
         if let Some(obs) = self.core.obs() {
             let n = &mut obs.nodes[node.idx()];
-            n.timer_arm[timer_idx(kind)] += 1;
-            n.timer_cancelled[timer_idx(kind)] += u64::from(superseded);
+            n.timer_arm[kind as usize] += 1;
+            n.timer_cancelled[kind as usize] += u64::from(superseded);
         }
     }
     fn cancel_timer(&mut self, kind: TimerKind) {
         let cancelled = self.core.cancel_timer(self.i, kind);
         if let (true, Some(obs)) = (cancelled, self.core.obs()) {
-            obs.nodes[self.node.idx()].timer_cancelled[timer_idx(kind)] += 1;
+            obs.nodes[self.node.idx()].timer_cancelled[kind as usize] += 1;
         }
-    }
-    fn stale_timer(&mut self, _: TimerKind) {
-        self.core.stale_entered += 1;
     }
     fn start_tx(&mut self, frame: Frame) {
         self.core
@@ -614,7 +608,6 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 rngs,
                 counters: vec![MacCounters::default(); nodes.len()],
                 timers: Default::default(),
-                stale_entered: 0,
                 skew,
                 down: vec![false; nodes.len()],
                 readers: Vec::new(),
@@ -849,14 +842,14 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
                 // dropped or carries the live instance on to its own key.
                 let i = self.owned(node);
                 let ev = Ev::MacTimer { node, kind };
-                let live = self.core.timers[timer_idx(kind)][i].on_pop(&mut self.core.q, ev);
+                let live = self.core.timers[kind as usize][i].on_pop(&mut self.core.q, ev);
                 if let Some(obs) = self.core.obs() {
                     let n = &mut obs.nodes[node.idx()];
-                    n.timer_popped[timer_idx(kind)] += 1;
-                    n.timer_fire[timer_idx(kind)] += u64::from(live.is_some());
+                    n.timer_popped[kind as usize] += 1;
+                    n.timer_fire[kind as usize] += u64::from(live);
                 }
-                if let Some(gen) = live {
-                    self.enter(node, i, |mac, ctx| mac.on_timer(ctx, kind, gen));
+                if live {
+                    self.enter(node, i, |mac, ctx| mac.on_timer(ctx, kind));
                 }
             }
             Ev::Beacon { node, fire } => {
@@ -1224,7 +1217,6 @@ impl<Q: SimQueue<Ev>> Runner<Q> {
             ("engine.frame_rx_clones", self.frame_clones),
             ("engine.carrier_falls", self.carrier_falls),
             ("engine.carrier_off_entries", self.carrier_off_entries),
-            ("engine.stale_timers_entered", self.core.stale_entered),
         ];
         ObsReport {
             counters,

@@ -39,7 +39,7 @@ use rmac_core::{
     MacConfig, MacContext, MacCounters, MacService, Rmac, State, TimerKind, TxOutcome, TxRequest,
 };
 use rmac_phy::{Indication, Tone, ToneLog};
-use rmac_sim::{EventQueue, SimQueue, SimRng, SimTime};
+use rmac_sim::{EventQueue, LiveTimer, SimQueue, SimRng, SimTime};
 use rmac_wire::consts::{BYTE_TIME, DATA_HEADER_LEN, PHY_OVERHEAD};
 use rmac_wire::datagram::{DGRAM_CRC_LEN, DGRAM_HEADER_LEN, DGRAM_TONE_ABT, DGRAM_TONE_RBT};
 use rmac_wire::{codec, decode_header, encode_datagram, Datagram, Dest, DgramBody, Frame, NodeId};
@@ -94,8 +94,9 @@ const LONGEST_AIRTIME: SimTime =
 
 /// What a node's timer queue holds.
 enum Fire {
-    /// A MAC timer (generation-tracked; the MAC ignores stale ones).
-    Mac(TimerKind, u64),
+    /// A MAC timer: an entry of the kind's [`LiveTimer`], which says
+    /// whether it is the live instance.
+    Mac(TimerKind),
     /// Our own transmission's last bit leaves the antenna. Stale epochs
     /// (the transmission was aborted meanwhile) are ignored.
     TxDone { epoch: u64 },
@@ -139,6 +140,8 @@ struct LiveCtx {
     neighbors: Vec<NodeId>,
     /// Pending timers, on the simulator's `(time, seq)` FIFO key.
     timers: EventQueue<Fire>,
+    /// The MAC's timers in `timers`, one per kind (`kind as usize`).
+    mac_timers: [LiveTimer; TimerKind::COUNT],
     /// Indications synthesized during a MAC callback (e.g. the aborted
     /// TxDone that `abort_tx` implies). The MAC must never be re-entered
     /// from its own context calls, so these queue up and the node drains
@@ -248,8 +251,13 @@ impl MacContext for LiveCtx {
         self.now
     }
 
-    fn schedule(&mut self, delay: SimTime, kind: TimerKind, gen: u64) {
-        self.timers.push(self.now + delay, Fire::Mac(kind, gen));
+    fn schedule(&mut self, delay: SimTime, kind: TimerKind) {
+        let at = self.now + delay;
+        self.mac_timers[kind as usize].arm(&mut self.timers, at, Fire::Mac(kind));
+    }
+
+    fn cancel_timer(&mut self, kind: TimerKind) {
+        self.mac_timers[kind as usize].cancel();
     }
 
     fn start_tx(&mut self, frame: Frame) {
@@ -394,6 +402,7 @@ impl LiveNode {
                 counters: MacCounters::default(),
                 neighbors: cfg.neighbors,
                 timers: EventQueue::new(),
+                mac_timers: Default::default(),
                 pending: VecDeque::new(),
                 outbox: Vec::new(),
                 dgram_counter: 0,
@@ -581,8 +590,11 @@ impl LiveNode {
         debug_assert!(at >= self.ctx.now, "a timer pending behind the clock");
         self.ctx.now = at;
         match fire {
-            Fire::Mac(kind, gen) => {
-                self.mac.on_timer(&mut self.ctx, kind, gen);
+            Fire::Mac(kind) => {
+                let ctx = &mut self.ctx;
+                if ctx.mac_timers[kind as usize].on_pop(&mut ctx.timers, Fire::Mac(kind)) {
+                    self.mac.on_timer(ctx, kind);
+                }
             }
             Fire::TxDone { epoch } => {
                 if epoch == self.ctx.tx_epoch {
@@ -1099,6 +1111,29 @@ mod tests {
         node.advance(end + T_WF_RDATA);
         let later = [(end + L_ABT, abt, false), (end + T_WF_RDATA, rbt, false)];
         assert_eq!(tone_edges(&mut node), later);
+    }
+
+    /// The data frame's first bit cancels `T_wf_rdata`: its entry stays
+    /// queued, but the timer never reaches RMAC, so the clock passing its
+    /// deadline mid-frame leaves the session waiting for the frame's end.
+    #[test]
+    fn a_cancelled_wf_rdata_never_reaches_rmac_past_its_deadline() {
+        let us = SimTime::from_micros;
+        let mrts = Frame::mrts(n(2), vec![n(1)]);
+        let payload = Bytes::from(vec![3u8; PAPER_PAYLOAD]);
+        let data = Frame::data_reliable(n(2), Dest::Group(vec![n(1)]), payload, 0);
+        let mut node = LiveNode::new(n(1), LiveConfig::default());
+        node.on_datagram(&framed(us(0), &mrts, 0));
+        let heard = mrts.airtime();
+        node.advance(heard);
+        assert_eq!(node.state(), State::WfRdata);
+        let first_bit = heard + us(5);
+        node.on_datagram(&framed(first_bit, &data, 1));
+        assert_eq!(node.next_deadline(), Some(heard + T_WF_RDATA));
+        node.advance(heard + T_WF_RDATA + us(1));
+        assert_eq!(node.state(), State::WfRdata, "a cancelled timer fired");
+        node.advance(first_bit + data.airtime());
+        assert_eq!(node.take_delivered().len(), 1);
     }
 
     /// Deadlines keep 1 ns resolution: a tone window opens when a datagram

@@ -17,8 +17,9 @@
 //!   tone-window cadence (the engine's queue); both embed the one key
 //!   discipline and are driven through the [`SimQueue`] trait, the only
 //!   spelling of the queue API,
-//! * [`timer`] — generation tokens for cheap timer cancellation, and the
-//!   live-timer key through which the engine drops superseded firings,
+//! * [`timer`] — [`LiveTimer`], one per node and timer kind: a backend
+//!   arms, supersedes and cancels a MAC's timer through it, and only the
+//!   live instance's firing reaches the MAC,
 //! * [`pool`] — [`try_tasks`], the one worker pool: a campaign's cases and
 //!   a replication's shard groups run on it,
 //! * [`rng`] — seedable, splittable random number generation so that every
@@ -47,4 +48,4 @@ pub use pool::try_tasks;
 pub use queue::{EventQueue, SimQueue};
 pub use rng::SimRng;
 pub use time::SimTime;
-pub use timer::{LiveTimer, TimerSlot};
+pub use timer::LiveTimer;

@@ -1,7 +1,7 @@
 //! Property tests for the simulation kernel.
 
 use proptest::prelude::*;
-use rmac_sim::{EventQueue, SimQueue, SimRng, SimTime, TimerSlot};
+use rmac_sim::{EventQueue, SimQueue, SimRng, SimTime};
 
 proptest! {
     /// Events always pop in non-decreasing time order, whatever the
@@ -63,24 +63,6 @@ proptest! {
         let mut r = SimRng::new(seed);
         for _ in 0..32 {
             prop_assert!(r.below(bound) < bound);
-        }
-    }
-
-    /// A timer generation matches exactly the latest arm and nothing else.
-    #[test]
-    fn timer_generations(ops in proptest::collection::vec(any::<bool>(), 1..50)) {
-        let mut t = TimerSlot::new();
-        for arm in ops {
-            let live = if arm {
-                Some(t.arm())
-            } else {
-                t.cancel();
-                None
-            };
-            match live {
-                Some(g) => prop_assert!(t.matches(g)),
-                None => prop_assert!(!t.is_armed()),
-            }
         }
     }
 }

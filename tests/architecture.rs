@@ -213,8 +213,8 @@ fn whole_word(line: &str, word: &str) -> bool {
 /// component, a second record of a campaign beside its store (gate
 /// baseline, summary file, dashboard), JSON writers beside
 /// `rmac_wire::json`, full-width node stacks filtered after the run, scale
-/// knobs read from the environment, and a sample kept per MRTS, per delay
-/// or per seen id.
+/// knobs read from the environment, a sample kept per MRTS, per delay or per
+/// seen id, and a MAC's own record of which arming of a timer is live.
 const RETIRED: &[&str] = &[
     "QueueKind",
     "with_heap_queue",
@@ -297,6 +297,10 @@ const RETIRED: &[&str] = &[
     ".mrts_lengths",
     "delays_s",
     "seen: DetHashSet",
+    "TimerSlot",
+    "stale_timer",
+    "fired(ctx",
+    "Slot::Stale",
 ];
 
 /// Retired names that only count with no word byte after them, so that a
@@ -312,10 +316,10 @@ const RETIRED_WORDS: &[&str] = &[
 ];
 
 /// No retired knob, type or function name reappears anywhere in the tree
-/// but the change logs (DESIGN.md §2, §4–§11).
+/// but the change logs and the issue being worked (DESIGN.md §2, §4–§11).
 #[test]
 fn retired_names_stay_retired() {
-    let logs = ["CHANGES.md", "ROADMAP.md"];
+    let logs = ["CHANGES.md", "ROADMAP.md", "ISSUE.md"];
     let found = grep(
         tree().iter().filter(|f| !logs.contains(&f.path.as_str())),
         |l| {
@@ -1050,7 +1054,7 @@ fn test_only_files() -> BTreeSet<String> {
 /// source above its first `#[cfg(test)]`, files compiled only under
 /// `cfg(test)` skipped. Set at the count it holds, so a change that adds
 /// code raises it in its own diff (DESIGN.md §1).
-const CODE_LINES: usize = 21_118;
+const CODE_LINES: usize = 20_924;
 
 /// The workspace keeps to its non-test line budget (DESIGN.md §1).
 #[test]
